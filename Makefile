@@ -44,8 +44,10 @@ bench-overhead:
 
 # Simulator-throughput regression gate (part of `make check`): the indexed
 # mailbox matcher must stay well ahead of the legacy linear scan on the
-# incast microbenchmark, and both paths must schedule the identical event
-# sequence. Host-independent: it compares two configurations on one host.
+# incast microbenchmark, both paths must schedule the identical event
+# sequence, and one W=256 Alltoallv must stay within 4 scheduler events per
+# rank. Host-independent: it compares two configurations on one host, and
+# the event budget is a count.
 .PHONY: throughput-gate
 throughput-gate:
 	FTMR_THROUGHPUT_GATE=1 $(GO) test ./internal/bench -run '^TestThroughputGate$$' -v

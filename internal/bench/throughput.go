@@ -46,6 +46,21 @@ func (r pressureResult) evPerSec() float64 {
 	return float64(r.events) / r.wall.Seconds()
 }
 
+// runExchangeEvents runs one Alltoallv of small buffers over ranks ranks and
+// returns the scheduler events the whole run took (process starts included).
+func runExchangeEvents(ranks int) uint64 {
+	clus := newCluster(ranks)
+	mpi.Launch(clus, ranks, func(c *mpi.Comm) {
+		bufs := make([][]byte, c.Size())
+		for d := range bufs {
+			bufs[d] = make([]byte, (c.Rank()+d)%97)
+		}
+		_, _ = c.Alltoallv(bufs)
+	})
+	clus.Sim.Run()
+	return clus.Sim.EventsProcessed()
+}
+
 // runMailboxPressure runs the incast microbenchmark. Ranks >= hubs each
 // send reps tagged messages per round to their hub (rank % hubs) and wait
 // for an ack; each hub drains its senders in reverse (src, tag) order —

@@ -13,7 +13,8 @@ import (
 // linear matcher and under the indexed matcher and fails when the indexed
 // path has lost its advantage — which is exactly what a regression in the
 // scheduler hot path or the mailbox index looks like, since both paths
-// share every other cost.
+// share every other cost. It also holds Alltoallv to an event budget per
+// rank, a count with no wall-clock threshold at all.
 //
 // The committed baseline (BENCH_results.json, thr-des figure) shows the
 // indexed path >=2x the linear path at this shape; the gate threshold
@@ -22,6 +23,16 @@ func TestThroughputGate(t *testing.T) {
 	if os.Getenv("FTMR_THROUGHPUT_GATE") == "" {
 		t.Skip("set FTMR_THROUGHPUT_GATE=1 to run the simulator throughput gate (make bench-throughput)")
 	}
+	// Event budget, host-independent: Alltoallv is a rendezvous that costs a
+	// constant number of scheduler events per rank (its start and its one
+	// completion wake), not one per message — W² of them would be back if
+	// the exchange were ever simulated message by message again.
+	const exchRanks, exchBudget = 256, 4
+	if ev := runExchangeEvents(exchRanks); ev > exchBudget*exchRanks {
+		t.Fatalf("event gate: one W=%d Alltoallv took %d scheduler events (%.1f per rank), budget %d per rank",
+			exchRanks, ev, float64(ev)/exchRanks, exchBudget)
+	}
+
 	ranks, hubs, reps, rounds := Scale{}.pressureShape()
 	// Warm both paths once so neither measurement pays first-run costs
 	// (page faults, heap growth) the other skipped.

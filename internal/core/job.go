@@ -18,6 +18,7 @@ type Handle struct {
 
 	appN    int
 	results []*Result
+	tasks   [][]Task // per job index: the input task list (see jobTasks)
 	phaseCb []func(worldRank int, ph Phase)
 	noted   map[int]bool
 }
@@ -90,8 +91,19 @@ func (h *Handle) resultSlot(idx int, spec Spec) *Result {
 	return h.results[idx]
 }
 
-// jobCtx is shared by one job's runners.
-// (declared here; fields referenced from runner.go)
+// jobTasks returns the input task list of job idx, enumerating the chunk
+// files under prefix on first use. Every master computes the identical list
+// (§3.3), so one host-side enumeration serves all the job's ranks (and a
+// runner rebuilt after errRestartJob); the slice is shared and read-only.
+func (h *Handle) jobTasks(idx int, prefix string) []Task {
+	for len(h.tasks) <= idx {
+		h.tasks = append(h.tasks, nil)
+	}
+	if h.tasks[idx] == nil {
+		h.tasks[idx] = listChunks(h.Clus.PFS.List(prefix), h.Clus.PFS.Size)
+	}
+	return h.tasks[idx]
+}
 
 func (j *jobCtx) noteFailed(ranks []int) {
 	for _, r := range ranks {
@@ -139,7 +151,9 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	r := newRunner(j, a.comm)
 	r.rec.JobBegin(spec.JobID)
 	res.Ranks[r.myWorld()] = r.m
-	defer r.shutdown()
+	// r is rebound when the job restarts from scratch (errRestartJob): stop
+	// the copier of whichever runner is current when RunJob returns.
+	defer func() { r.shutdown() }()
 
 	switch spec.Model {
 	case ModelDetectResumeWC, ModelDetectResumeNWC:

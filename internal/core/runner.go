@@ -97,7 +97,8 @@ type runner struct {
 	statusTag int
 }
 
-// jobCtx is the per-job state shared by all ranks of one job.
+// jobCtx is one rank's view of the job it is running (each rank's RunJob
+// builds its own; what the ranks of a job share lives on the Handle).
 type jobCtx struct {
 	clus   *cluster.Cluster
 	spec   Spec
@@ -273,8 +274,7 @@ func (r *runner) shutdown() {
 // needed) and charges the metadata cost.
 func (r *runner) phaseInit() error {
 	clus := r.job.clus
-	paths := clus.PFS.List(r.spec.InputPrefix)
-	tasks := listChunks(paths, clus.PFS.Size)
+	tasks := r.job.h.jobTasks(r.job.jobIdx, r.spec.InputPrefix)
 	r.tt = newTaskTable(tasks, r.nParts)
 	// Remap initial owners onto the participating world ranks (the hash
 	// assigns 0..n-1 slots; world0 maps slots to actual ranks — or, under a

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // Chunk is one fixed-size piece of input, the unit of map-task assignment.
@@ -121,11 +120,9 @@ func (t *taskTable) doneCount() int {
 	return n
 }
 
-// listChunks enumerates the input chunk files under prefix, in sorted
-// order, building the task list every master computes identically.
-func listChunks(fsList []string, sizes func(string) int) []Task {
-	paths := append([]string(nil), fsList...)
-	sort.Strings(paths)
+// listChunks turns the input chunk files (paths, sorted as storage lists
+// them) into the task list every master computes identically.
+func listChunks(paths []string, sizes func(string) int) []Task {
 	tasks := make([]Task, len(paths))
 	for i, p := range paths {
 		tasks[i] = Task{ID: i, Chunk: Chunk{File: p, Index: i, Size: sizes(p)}}

@@ -291,24 +291,16 @@ func (pl *Plane) AttachWorld(v WorldView) {
 	pl.worlds = append(pl.worlds, v)
 }
 
-// Start arms the capture cadence: a self-re-arming scheduler callback that
-// captures a snapshot every interval of virtual time and disarms when no
-// other events remain (so it never keeps the simulation alive artificially).
-// No-op on a nil plane.
+// Start arms the capture cadence: an observer ticker (vtime.Sim.Every) that
+// captures a snapshot every interval of virtual time for as long as the
+// simulation has other work (so it never keeps the simulation alive
+// artificially, nor does another observer's ticker keep it alive). No-op on
+// a nil plane.
 func (pl *Plane) Start() {
 	if pl == nil {
 		return
 	}
-	pl.arm()
-}
-
-func (pl *Plane) arm() {
-	pl.sim.After(pl.interval, func() {
-		pl.capture(false)
-		if pl.sim.ActiveEvents() > 0 {
-			pl.arm()
-		}
-	})
+	pl.sim.Every(pl.interval, func() { pl.capture(false) })
 }
 
 // Final captures one post-run snapshot. Call it after Sim.Run returns: if

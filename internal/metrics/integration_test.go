@@ -15,6 +15,7 @@ import (
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
 	"ftmrmpi/internal/failure"
+	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/workloads"
@@ -96,6 +97,43 @@ func chaosExposition(t *testing.T, seed int64, window time.Duration) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// The metrics sampler and the introspection plane each tick on their own
+// cadence for as long as the job has work. Side by side they used to take
+// each other's pending tick for work, and the run never ended; now a failover
+// job observed by both ends, at the same virtual instant as an unobserved one.
+func TestSamplerAndIntrospectionCadencesEndWithTheJob(t *testing.T) {
+	run := func(observed bool) (end, simEnd time.Duration, samples, snaps int) {
+		clus := intCluster()
+		p := intCorpus()
+		workloads.GenCorpus(clus, "in/obs", p)
+		var sampler *metrics.Sampler
+		if observed {
+			sampler = metrics.StartSampler(clus.Metrics, 10*time.Millisecond)
+			clus.Introspect = introspect.New(clus.Sim, 7*time.Millisecond)
+		}
+		h := core.RunSingle(clus, intSpec("obs", p))
+		failure.KillOnPhase(h, 3, core.PhaseMap, time.Millisecond)
+		clus.Introspect.Start()
+		simEnd = clus.Sim.Run()
+		res := h.Result()
+		if res == nil || res.Aborted {
+			t.Fatalf("observed=%v: job aborted: %+v", observed, res)
+		}
+		return res.End, simEnd, sampler.Count(), len(clus.Introspect.Snapshots())
+	}
+	bare, _, _, _ := run(false)
+	end, simEnd, samples, snaps := run(true)
+	if end != bare {
+		t.Fatalf("observed job ends at %v, unobserved at %v", end, bare)
+	}
+	if simEnd > end+10*time.Millisecond {
+		t.Fatalf("simulation ran on to %v after the job ended at %v", simEnd, end)
+	}
+	if samples < int(end/(10*time.Millisecond)) || snaps < int(end/(7*time.Millisecond)) {
+		t.Fatalf("%d samples and %d snapshots over %v: a cadence stopped early", samples, snaps, end)
+	}
 }
 
 // TestChaosSnapshotDeterminism runs the same seeded chaos campaign twice and

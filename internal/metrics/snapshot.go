@@ -126,32 +126,20 @@ func (s Snapshot) Series(name, labelValue string) (float64, bool) {
 // Run returns.
 type Sampler struct {
 	reg   *Registry
-	every time.Duration
 	snaps []Snapshot
 }
 
-// StartSampler arms a cadence timer on the registry's simulation: every
-// interval of virtual time it takes a snapshot, re-arming only while other
-// active events remain (otherwise the timer chain would keep Sim.Run alive
-// forever). Nil-safe: a nil registry yields a nil sampler whose methods
-// no-op.
+// StartSampler arms an observer ticker (vtime.Sim.Every) on the registry's
+// simulation: every interval of virtual time it takes a snapshot, for as
+// long as the simulation has other work. Nil-safe: a nil registry yields a
+// nil sampler whose methods no-op.
 func StartSampler(reg *Registry, every time.Duration) *Sampler {
 	if reg == nil || reg.sim == nil || every <= 0 {
 		return nil
 	}
-	s := &Sampler{reg: reg, every: every}
-	s.arm()
+	s := &Sampler{reg: reg}
+	reg.sim.Every(every, func() { s.snaps = append(s.snaps, reg.Snapshot()) })
 	return s
-}
-
-// arm schedules the next cadence tick.
-func (s *Sampler) arm() {
-	s.reg.sim.After(s.every, func() {
-		s.snaps = append(s.snaps, s.reg.Snapshot())
-		if s.reg.sim.ActiveEvents() > 0 {
-			s.arm()
-		}
-	})
 }
 
 // Final appends one last snapshot at the current virtual time (call it

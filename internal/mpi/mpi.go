@@ -3,12 +3,12 @@
 //
 // Ranks are simulated processes (one per cluster core); communicators
 // support point-to-point messaging with source/tag matching and wildcards,
-// and collectives composed from point-to-point messages, so failure
-// behaviour emerges exactly as MPI-3 specifies it: a failure is reflected as
-// a *local* error in whichever communication calls touch the failed process,
-// other ranks may proceed or block, and there is no global notification —
-// the inconsistency FT-MRMPI's checkpoint/restart design exploits via error
-// handlers plus Abort (paper §2.2, §2.4, §4.1).
+// and collectives composed from point-to-point messages (all but Alltoallv,
+// a rendezvous: coll.go), so failure behaviour emerges as MPI-3 specifies
+// it: a failure is reflected as a *local* error in whichever communication
+// calls touch the failed process, other ranks may proceed or block, and there
+// is no global notification — the inconsistency FT-MRMPI's checkpoint/restart
+// design exploits via error handlers plus Abort (paper §2.2, §2.4, §4.1).
 //
 // The ULFM extensions (Revoke/Shrink/Agree/FailureAck; ulfm.go) implement
 // the user-level failure mitigation proposal the detect/resume model needs
@@ -191,7 +191,9 @@ type commState struct {
 	// ULFM state.
 	shrink *shrinkOp
 	agree  *agreeOp
-	acked  []map[int]bool // per comm-rank: acknowledged failed world ranks
+	// exch lists the Alltoallv instances with ranks inside, oldest first.
+	exch  []*exchOp
+	acked []map[int]bool // per comm-rank: acknowledged failed world ranks
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
 	// dupEpoch / splitEpoch count Dup/Split calls per comm rank.
@@ -351,6 +353,7 @@ func (st *commState) onFailure(worldRank int) {
 	if st.agree != nil {
 		st.agree.onFailure(st)
 	}
+	st.failExch(&ProcFailedError{Ranks: []int{worldRank}})
 }
 
 // commRankOf maps a world rank to its position in the group, or -1.

@@ -48,6 +48,7 @@ func (c *Comm) Revoke() error {
 			return true
 		})
 	}
+	st.failExch(ErrRevoked)
 	return nil
 }
 

@@ -21,6 +21,12 @@ import (
 type FS struct {
 	mu    sync.Mutex
 	files map[string][]byte
+	// names is the sorted index of every path, which List answers from by
+	// binary search. It is nil when stale: only a change of the namespace (a
+	// path appearing or disappearing) invalidates it, and the next List
+	// rebuilds it, so W ranks listing an unchanging input directory sort the
+	// namespace once, not W times.
+	names []string
 }
 
 // NewFS returns an empty namespace.
@@ -32,14 +38,24 @@ func NewFS() *FS {
 func (fs *FS) Write(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[path] = append([]byte(nil), data...)
+	fs.put(path, append([]byte(nil), data...))
 }
 
 // Append appends data to the file at path, creating it if needed.
 func (fs *FS) Append(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[path] = append(fs.files[path], data...)
+	fs.put(path, append(fs.files[path], data...))
+}
+
+// put stores data at path; a path that is new makes the name index stale.
+// Callers hold fs.mu.
+func (fs *FS) put(path string, data []byte) {
+	n := len(fs.files)
+	fs.files[path] = data
+	if len(fs.files) != n {
+		fs.names = nil
+	}
 }
 
 // Read returns a copy of the file's contents.
@@ -73,6 +89,7 @@ func (fs *FS) Remove(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	delete(fs.files, path)
+	fs.names = nil
 }
 
 // Delete removes the file, erroring if it does not exist (the strict form of
@@ -84,6 +101,7 @@ func (fs *FS) Delete(path string) error {
 		return fmt.Errorf("storage: %s: no such file", path)
 	}
 	delete(fs.files, path)
+	fs.names = nil
 	return nil
 }
 
@@ -99,6 +117,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	fs.files[newPath] = data
 	delete(fs.files, oldPath)
+	fs.names = nil
 	return nil
 }
 
@@ -125,6 +144,7 @@ func (fs *FS) RemovePrefix(prefix string) int {
 			n++
 		}
 	}
+	fs.names = nil
 	return n
 }
 
@@ -132,14 +152,20 @@ func (fs *FS) RemovePrefix(prefix string) int {
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
+	if fs.names == nil {
+		fs.names = make([]string, 0, len(fs.files))
+		for p := range fs.files {
+			fs.names = append(fs.names, p)
 		}
+		sort.Strings(fs.names)
 	}
-	sort.Strings(out)
-	return out
+	// Paths sharing a prefix are contiguous in sorted order.
+	lo := sort.SearchStrings(fs.names, prefix)
+	hi := lo
+	for hi < len(fs.names) && strings.HasPrefix(fs.names[hi], prefix) {
+		hi++
+	}
+	return append([]string(nil), fs.names[lo:hi]...)
 }
 
 // TotalBytes returns the sum of all file sizes under prefix.

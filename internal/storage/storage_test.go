@@ -1,6 +1,11 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -168,5 +173,60 @@ func TestChargeZeroOps(t *testing.T) {
 	sim.Run()
 	if d != 0 {
 		t.Fatalf("zero charge took %v", d)
+	}
+}
+
+// List answers from a sorted name index that only namespace changes
+// invalidate: after every kind of change it must agree with a scan of the
+// file map, whatever was listed (and so cached) before.
+func TestFSListTracksNamespaceChanges(t *testing.T) {
+	fs := NewFS()
+	rng := rand.New(rand.NewSource(3))
+	name := func() string { return fmt.Sprintf("d%d/f%02d", rng.Intn(4), rng.Intn(30)) }
+	check := func(step int, op string) {
+		t.Helper()
+		for _, prefix := range []string{"", "d1/", "d2/f1", "d9/", "e"} {
+			var want []string
+			for p := range fs.files {
+				if strings.HasPrefix(p, prefix) {
+					want = append(want, p)
+				}
+			}
+			sort.Strings(want)
+			got := fs.List(prefix)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d after %s: List(%q) = %v, want %v", step, op, prefix, got, want)
+			}
+			if len(got) > 0 {
+				got[0] = "caller-owned" // the result must not alias the index
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		var op string
+		switch rng.Intn(7) {
+		case 0:
+			op = "write"
+			fs.Write(name(), []byte("w"))
+		case 1:
+			op = "append"
+			fs.Append(name(), []byte("a"))
+		case 2:
+			op = "remove"
+			fs.Remove(name())
+		case 3:
+			op = "delete"
+			_ = fs.Delete(name()) // a missing file is an error, and no change
+		case 4:
+			op = "rename"
+			_ = fs.Rename(name(), name())
+		case 5:
+			op = "remove-prefix"
+			fs.RemovePrefix(fmt.Sprintf("d%d/f1", rng.Intn(4)))
+		default:
+			op = "truncate"
+			fs.Truncate(name(), 0)
+		}
+		check(step, op)
 	}
 }

@@ -96,6 +96,9 @@ type Sim struct {
 	// starts, and callbacks); dropped duplicates and dead-process events are
 	// not counted. The throughput benchmark divides it by wall time.
 	processed uint64
+	// ticks counts pending observer ticks (Every): events that must not
+	// count as remaining work when an observer decides whether to re-arm.
+	ticks int
 }
 
 // NewSim returns an empty simulation at virtual time zero.
@@ -160,7 +163,35 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	return &Timer{s: s, e: e, gen: e.gen}
 }
 
-// Timer is a cancelable scheduled callback.
+// WakeAfter schedules proc to resume at now+d, as Sleep would, but on behalf
+// of another process or a scheduler callback, and cancelably: a rendezvous
+// that computes every participant's completion instant at once arms one
+// WakeAfter per participant and Stops the handles of those it has to
+// interrupt early. The wake is one proc event, with no callback in between.
+func (s *Sim) WakeAfter(p *Proc, d time.Duration) *Timer {
+	e := s.schedule(s.now+d, p, nil)
+	return &Timer{s: s, e: e, gen: e.gen}
+}
+
+// Every runs fn inside the scheduler every d of virtual time for as long as
+// the simulation has other work: after each tick it re-arms only while
+// events other than observer ticks can still fire, so any number of
+// observers (metrics sampler, introspection plane) can run side by side
+// without keeping each other, or an otherwise finished simulation, alive.
+// d must be positive; fn must not block.
+func (s *Sim) Every(d time.Duration, fn func()) {
+	s.ticks++
+	s.After(d, func() {
+		s.ticks--
+		fn()
+		if s.ActiveEvents() > s.ticks {
+			s.Every(d, fn)
+		}
+	})
+}
+
+// Timer is a cancelable scheduled event: a callback (After) or a process
+// wake (WakeAfter).
 type Timer struct {
 	s   *Sim
 	e   *event
@@ -414,11 +445,9 @@ func (s *Sim) Run() time.Duration {
 
 // ActiveEvents returns the number of scheduled events that can still fire:
 // pending events that are not bound to a dead process (canceled timers are
-// removed from the heap at Stop time, so they never appear here). A
-// self-rescheduling callback (e.g. the metrics sampler's cadence timer)
-// consults it to decide whether re-arming would keep the simulation alive
-// artificially — inside a callback, a result of 0 means nothing else will
-// ever happen, so the callback should not re-arm itself.
+// removed from the heap at Stop time, so they never appear here). Pending
+// observer ticks are included; Every subtracts them when it decides whether
+// re-arming would keep the simulation alive artificially.
 func (s *Sim) ActiveEvents() int {
 	n := 0
 	for _, e := range s.events {

@@ -459,3 +459,73 @@ func TestEventsProcessedCounts(t *testing.T) {
 		t.Fatalf("EventsProcessed = %d, want >= 3 (spawn resume, sleep wake, callback)", n)
 	}
 }
+
+// WakeAfter resumes a parked process at the chosen instant with one event;
+// a stopped handle never fires, so it cannot cut a later sleep short.
+func TestWakeAfterAndStop(t *testing.T) {
+	s := NewSim()
+	var woke, slept time.Duration
+	a := s.Spawn("a", func(p *Proc) {
+		p.Park()
+		woke = p.Now()
+	})
+	b := s.Spawn("b", func(p *Proc) {
+		p.Park() // woken by the driver at 1s, after its 5s wake-up was stopped
+		p.Sleep(10 * time.Second)
+		slept = p.Now()
+	})
+	s.Spawn("driver", func(p *Proc) {
+		s.WakeAfter(a, 3*time.Second)
+		tm := s.WakeAfter(b, 5*time.Second)
+		p.Sleep(time.Second)
+		tm.Stop()
+		s.Wake(b)
+	})
+	s.Run()
+	if woke != 3*time.Second {
+		t.Fatalf("a woke at %v, want 3s", woke)
+	}
+	if slept != 11*time.Second {
+		t.Fatalf("b finished its sleep at %v, want 11s (a stopped wake-up fired)", slept)
+	}
+	if n := s.EventsProcessed(); n != 7 {
+		t.Fatalf("EventsProcessed = %d, want 7 (3 starts, 2 sleeps, one event per wake)", n)
+	}
+}
+
+// Observer tickers run while the simulation has other work and stop with
+// it — alone or side by side, where each one's pending tick must not pass
+// for work in the other's eyes.
+func TestEveryStopsWithTheWork(t *testing.T) {
+	for _, periods := range [][]time.Duration{
+		{3 * time.Millisecond},
+		{3 * time.Millisecond, 4 * time.Millisecond},
+		{2 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
+	} {
+		s := NewSim()
+		s.Spawn("work", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(time.Millisecond)
+			}
+		})
+		ticks := make([]int, len(periods))
+		for i, d := range periods {
+			s.Every(d, func() {
+				if ticks[i]++; ticks[i] > 100 {
+					panic("observer tickers keep the simulation alive")
+				}
+			})
+		}
+		end := s.Run()
+		for i, d := range periods {
+			// One tick per period while the 10 ms of work lasts, plus the one
+			// that finds nothing left and does not re-arm.
+			if want := int(10*time.Millisecond/d) + 1; ticks[i] != want {
+				t.Errorf("periods %v: ticker %d fired %d times, want %d", periods, i, ticks[i], want)
+			}
+		}
+		if longest := periods[len(periods)-1]; end > 10*time.Millisecond+longest {
+			t.Errorf("periods %v: run ended at %v, want within one period of the work's end at 10ms", periods, end)
+		}
+	}
+}
