@@ -2,12 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"ftmrmpi/internal/introspect"
+	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/vtime"
@@ -25,8 +24,10 @@ const (
 	frameMapDelta byte = 1 // a=taskID, b=endRecord; payload = KV delta (record granularity)
 	frameTaskDone byte = 2 // a=taskID, b=totalRecords; payload = full task KV (chunk granularity) or empty
 	frameShuffle  byte = 3 // a=partition; payload = post-shuffle KV for the partition
-	frameConvert  byte = 4 // a=partition; payload = encoded KMV
-	frameReduce   byte = 5 // a=partition, b=groups committed; payload = 8-byte output length
+	// Kind 4 is reserved: it was set aside for a converted-partition snapshot
+	// that nothing ever wrote (recovery re-converts from the shuffle
+	// snapshot). The decoder still accepts it so old fuzz corpora parse.
+	frameReduce byte = 5 // a=partition, b=groups committed; payload = 8-byte output length
 )
 
 // frame is one decoded checkpoint frame.
@@ -242,21 +243,13 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	t0 := p.Now()
 	cp.cpu.Acquire(p, cpuSec)
 	cp.metrics.CPUCopier += p.Now() - t0
-	// A torn PFS append would leave a partial frame at the durable tail; roll
-	// back to the pre-append length and retry so the drained stream never
-	// carries a torn frame boundary.
-	pre := cp.pfs.Size(path)
-	d, err := cp.pfs.AppendFile(p, path, delta, 1)
+	// A torn PFS append would leave a partial frame at the durable tail, so
+	// the drained stream is only ever extended by whole deltas.
+	d, err := appendRollback(p, cp.pfs, path, delta, 1, ckptAppendBudget, false)
 	cp.metrics.CopierIO += d
-	for attempt := 0; err != nil && attempt < 3; attempt++ {
-		cp.pfs.Truncate(path, pre)
-		d, err = cp.pfs.AppendFile(p, path, delta, 1)
-		cp.metrics.CopierIO += d
-	}
 	if err != nil {
 		// Give up on this delta (clean rollback, no durability advance); a
 		// later drain of the stream retries the whole suffix.
-		cp.pfs.Truncate(path, pre)
 		cp.rec.CopierEnd(stream, len(delta))
 		return
 	}
@@ -305,12 +298,13 @@ type ckptWriter struct {
 	cm      *coreMets
 	ip      *introspect.RankProbe // nil when introspection is disabled
 	agent   *lbAgent              // fed phase-boundary drain stalls (trace LB model)
-	rep     *replicator // nil when the in-memory replica tier is disabled
+	rep     *replicator           // nil when the in-memory replica tier is disabled
 }
 
 // write appends encoded frame bytes to a stream, charging frames small
-// operations at the configured location, and returns the I/O wait incurred
-// on the main thread.
+// operations at the configured location and the I/O wait to the main thread.
+// If the append keeps tearing, the frames are dropped cleanly: reduced
+// checkpoint coverage, never a corrupt stream.
 func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int) {
 	if !w.enabled || len(data) == 0 {
 		return
@@ -319,21 +313,21 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	w.m.CkptFrames += int64(frames)
 	w.m.CkptBytes += int64(len(data))
 	w.rec.CkptCommit(stream, len(data), frames)
-	if w.loc == LocLocalCopier && w.local != nil {
-		d := appendRepair(p, w.local, path, data, frames)
-		w.m.IOWait += d
-		w.cm.ckptWrite(d)
-		w.rec.CkptStall("write", d)
-		w.cp.enqueue(stream)
-		w.replicate(stream, data)
-		return
+	// Direct to PFS, every frame is a distinct small operation against the
+	// shared file system (§4.1.3's slow path); the local disk absorbs them
+	// and the copier drains the stream in few large appends.
+	viaCopier := w.loc == LocLocalCopier && w.local != nil
+	tier := w.pfs
+	if viaCopier {
+		tier = w.local
 	}
-	// Direct to PFS: every frame is a distinct small operation against the
-	// shared file system (§4.1.3's slow path).
-	d := appendRepair(p, w.pfs, path, data, frames)
+	d, _ := appendRollback(p, tier, path, data, frames, ckptAppendBudget, false)
 	w.m.IOWait += d
 	w.cm.ckptWrite(d)
 	w.rec.CkptStall("write", d)
+	if viaCopier {
+		w.cp.enqueue(stream)
+	}
 	w.replicate(stream, data)
 }
 
@@ -347,25 +341,6 @@ func (w *ckptWriter) replicate(stream string, data []byte) {
 	if w.rep != nil {
 		w.rep.push(stream, data)
 	}
-}
-
-// appendRepair appends data to path on t, rolling back and retrying torn
-// appends so a stream never accumulates a torn frame boundary mid-file.
-// Silent bit flips are left in place — the frame CRC catches them at read
-// time. If the append keeps tearing, the frame is dropped cleanly (reduced
-// checkpoint coverage, never a corrupt stream).
-func appendRepair(p *vtime.Proc, t *storage.Tier, path string, data []byte, ops int) time.Duration {
-	var total time.Duration
-	for attempt := 0; attempt < 4; attempt++ {
-		pre := t.Size(path)
-		d, err := t.AppendFile(p, path, data, ops)
-		total += d
-		if err == nil {
-			return total
-		}
-		t.Truncate(path, pre)
-	}
-	return total
 }
 
 // phaseSync waits for the copier to drain (checkpoint consistency point at
@@ -438,39 +413,26 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	var raw []byte
 	if r.prefetch && r.local != nil {
 		if !r.staged[stream] {
-			data, ok := readRetry(p, r.pfs, path, &r.m.Recovery.LoadCkpt)
-			if !ok {
+			data, err := readRetry(p, r.pfs, path, &r.m.Recovery.LoadCkpt)
+			if err != nil {
 				return nil
 			}
-			for attempt := 0; ; attempt++ {
-				d, werr := r.local.WriteFile(p, "stage/"+path, data)
-				r.m.Recovery.LoadCkpt += d
-				if werr == nil || attempt >= 2 {
-					break
-				}
-				if errors.Is(werr, storage.ErrTierOutage) {
-					// A local-tier outage stalls staging rather than failing
-					// it; waiting never consumes the retry budget.
-					r.local.AwaitOnline(p)
-					attempt--
-				}
-			}
+			// A staging copy that keeps tearing is left as it landed: the
+			// replay below quarantines its bad tail like any torn stream.
+			d, _ := writeRetry(p, r.local, "stage/"+path, data, stageWriteBudget)
+			r.m.Recovery.LoadCkpt += d
 			r.staged[stream] = true
 		}
-		data, ok := readRetry(p, r.local, "stage/"+path, &r.m.Recovery.LoadCkpt)
-		if !ok {
+		data, err := readRetry(p, r.local, "stage/"+path, &r.m.Recovery.LoadCkpt)
+		if err != nil {
 			return nil
 		}
 		raw = data
 	} else {
-		data, err := r.pfs.Peek(path)
-		if errors.Is(err, storage.ErrTierOutage) {
-			// No replica covered the stream and the PFS is offline: wait the
-			// window out. Bounded by the outage schedule, and the only way to
-			// preserve the run's output byte-for-byte.
-			r.pfs.AwaitOnline(p)
-			data, err = r.pfs.Peek(path)
-		}
+		// No replica covered the stream, so a PFS outage is waited out:
+		// bounded by the outage schedule, and the only way to preserve the
+		// run's output byte-for-byte.
+		data, err := peekOnline(p, r.pfs, path)
 		if err != nil {
 			return nil
 		}
@@ -496,6 +458,40 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	}
 	r.accountLoad(stream, srcPFS, raw[:consumed], frames)
 	return frames
+}
+
+// holdsSnapshot reports whether the stream of a partition — anywhere in the
+// failover chain load reads from: this rank's replica store (its own mirror
+// or a peer-pushed copy), then the PFS — holds a decodable post-shuffle
+// snapshot. Mere existence of the stream is not enough once streams can be
+// torn or corrupted: work-conserving adoption of a partition whose snapshot
+// frame was lost would silently drop its data.
+func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
+	if r.rs != nil {
+		if data, _ := r.rs.lookup(stream); data != nil && shuffleSnapshotIn(data) {
+			return true
+		}
+	}
+	data, err := peekOnline(p, r.pfs, ckptPath(r.jobID, stream))
+	return err == nil && shuffleSnapshotIn(data)
+}
+
+// shuffleSnapshotIn reports whether the valid frame prefix of a raw stream
+// carries a post-shuffle snapshot.
+func shuffleSnapshotIn(raw []byte) bool {
+	frames, _, _ := decodeFramesPrefix(raw)
+	for _, f := range frames {
+		if f.kind != frameShuffle {
+			continue
+		}
+		if len(f.payload) == 0 {
+			return true // a valid snapshot of an empty partition
+		}
+		if _, err := kvbuf.FromBytes(f.payload); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // loadReplica serves a stream from the in-memory replica tier, or nil when
@@ -541,26 +537,5 @@ func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []f
 	r.cm.recoveryRead(source)
 	if r.rs != nil {
 		r.rs.adopt(stream, valid)
-	}
-}
-
-// readRetry reads path from t, retrying transient read faults a bounded
-// number of times and accumulating the I/O wait into acc. A whole-tier
-// outage is waited out without consuming the retry budget.
-func readRetry(p *vtime.Proc, t *storage.Tier, path string, acc *time.Duration) ([]byte, bool) {
-	for attempt := 0; ; attempt++ {
-		data, d, err := t.ReadFile(p, path)
-		*acc += d
-		if err == nil {
-			return data, true
-		}
-		if errors.Is(err, storage.ErrTierOutage) {
-			t.AwaitOnline(p)
-			attempt--
-			continue
-		}
-		if !errors.Is(err, storage.ErrReadFault) || attempt >= 2 {
-			return nil, false
-		}
 	}
 }

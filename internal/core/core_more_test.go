@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,38 @@ func TestCountersAggregateAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestCountersHoldOnlyUserKeys pins RankMetrics.Counters (surfaced verbatim
+// as "counters" by Summary and ftmr-sim -json) to what its documentation
+// says: the keys user code added, plus the library's one documented key,
+// ckpt_corrupt. Library-internal timers belong in the trace, not here.
+func TestCountersHoldOnlyUserKeys(t *testing.T) {
+	for _, ftm := range []FTModel{FTModelCR, FTModelReplicate} {
+		clus := testCluster(4, 2)
+		name := "counter-keys-" + ftm.String()
+		genInput(clus, "in/"+name, 16, 20, 47)
+		spec := wcSpec(name, 8, ModelDetectResumeWC)
+		spec.FTModel = ftm
+		inner := spec.NewMapper
+		spec.NewMapper = func() Mapper { return &countingMapper{inner: inner()} }
+		h := RunSingle(clus, spec)
+		killDuring(h, 1, PhaseMap, 5*time.Millisecond)
+		clus.Sim.Run()
+		res := h.Result()
+		if res == nil || res.Aborted {
+			t.Fatalf("%s: job did not complete", name)
+		}
+		counters := res.Summary().Counters
+		if counters["records"] == 0 {
+			t.Errorf("%s: user counter missing from %v", name, counters)
+		}
+		for key := range counters {
+			if key != "records" && key != "ckpt_corrupt" {
+				t.Errorf("%s: Counters holds %q, which no user code added", name, key)
+			}
+		}
+	}
+}
+
 type countingMapper struct{ inner Mapper }
 
 func (c *countingMapper) Map(ctx *TaskContext, k, v []byte, out KVWriter) error {
@@ -537,7 +570,7 @@ func TestPropSurvivorStateRoundTrip(t *testing.T) {
 		tmp[3] = byte(uint32(s.model.Rank) >> 24)
 		buf = append(buf, tmp[:4]...)
 		for _, v := range []float64{a, b, back} {
-			bits := floatBits(v)
+			bits := math.Float64bits(v)
 			for i := 0; i < 8; i++ {
 				tmp[i] = byte(bits >> (8 * i))
 			}
@@ -560,9 +593,9 @@ func TestPropSurvivorStateRoundTrip(t *testing.T) {
 			return false
 		}
 		// NaN-safe float comparison by bits.
-		return floatBits(dec.model.Intercept) == floatBits(a) &&
-			floatBits(dec.model.Slope) == floatBits(b) &&
-			floatBits(dec.model.Backlog) == floatBits(back)
+		return math.Float64bits(dec.model.Intercept) == math.Float64bits(a) &&
+			math.Float64bits(dec.model.Slope) == math.Float64bits(b) &&
+			math.Float64bits(dec.model.Backlog) == math.Float64bits(back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -154,6 +154,11 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	// r is rebound when the job restarts from scratch (errRestartJob): stop
 	// the copier of whichever runner is current when RunJob returns.
 	defer func() { r.shutdown() }()
+	abort := func(err error) (*Result, error) {
+		res.Aborted = true
+		r.rec.JobEnd(spec.JobID, true)
+		return res, err
+	}
 
 	switch spec.Model {
 	case ModelDetectResumeWC, ModelDetectResumeNWC:
@@ -165,9 +170,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 				break
 			}
 			if !recoverable(err) {
-				res.Aborted = true
-				r.rec.JobEnd(spec.JobID, true)
-				return res, err
+				return abort(err)
 			}
 			// Bounded retries: each pass masks one more failure that landed
 			// during the previous recovery attempt (overlapping failures).
@@ -196,13 +199,9 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 					res.Ranks[r.myWorld()] = r.m
 					continue drLoop
 				case !recoverable(rerr):
-					res.Aborted = true
-					r.rec.JobEnd(spec.JobID, true)
-					return res, rerr
+					return abort(rerr)
 				case attempts+1 >= maxRecoveryAttempts:
-					res.Aborted = true
-					r.rec.JobEnd(spec.JobID, true)
-					return res, fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempts+1, rerr)
+					return abort(fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempts+1, rerr))
 				}
 			}
 		}
@@ -233,10 +232,8 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 		})
 		defer func() { finished = true }()
 		if err := r.run(); err != nil {
-			res.Aborted = true
 			mark()
-			r.rec.JobEnd(spec.JobID, true)
-			return res, err
+			return abort(err)
 		}
 	}
 

@@ -100,10 +100,6 @@ func (a *lbAgent) noteStall(d time.Duration) {
 // than two distinct samples it falls back to a pure rate estimate; with no
 // samples it returns a neutral model.
 func (a *lbAgent) fit() (intercept, slope float64) {
-	n := float64(len(a.obs))
-	if n == 0 {
-		return 0, 1e-9
-	}
 	var sx, sy, sxx, sxy float64
 	for _, o := range a.obs {
 		sx += o.bytes
@@ -111,16 +107,22 @@ func (a *lbAgent) fit() (intercept, slope float64) {
 		sxx += o.bytes * o.bytes
 		sxy += o.bytes * o.secs
 	}
-	den := n*sxx - sx*sx
-	if den <= 1e-12 {
-		// All samples the same size: rate through the origin.
+	return solveLine(float64(len(a.obs)), sx, sy, sxx, sxy)
+}
+
+// solveLine solves the (weighted) least-squares normal equations for
+// t = a + b·D from the weight total sw and the weighted moments.
+func solveLine(sw, sx, sy, sxx, sxy float64) (intercept, slope float64) {
+	den := sw*sxx - sx*sx
+	if den <= 1e-12 || sw <= 0 {
+		// No samples, or all the same size: rate through the origin.
 		if sx > 0 {
 			return 0, sy / sx
 		}
 		return 0, 1e-9
 	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
+	slope = (sw*sxy - sx*sy) / den
+	intercept = (sy - slope*sx) / sw
 	if slope <= 0 {
 		slope = math.Max(1e-12, sy/math.Max(sx, 1))
 		intercept = 0
@@ -161,22 +163,7 @@ func (a *lbAgent) fitTrace(now time.Duration) (intercept, slope float64) {
 		sxx += w * o.bytes * o.bytes
 		sxy += w * o.bytes * o.secs
 	}
-	den := sw*sxx - sx*sx
-	if den <= 1e-12 || sw <= 0 {
-		if sx > 0 {
-			slope = sy / sx
-		} else {
-			slope = 1e-9
-		}
-		intercept = 0
-	} else {
-		slope = (sw*sxy - sx*sy) / den
-		intercept = (sy - slope*sx) / sw
-		if slope <= 0 {
-			slope = math.Max(1e-12, sy/math.Max(sx, 1))
-			intercept = 0
-		}
-	}
+	intercept, slope = solveLine(sw, sx, sy, sxx, sxy)
 	// Checkpoint drain stalls scale with bytes processed but land at phase
 	// boundaries, outside task spans; fold them into the per-byte rate
 	// (capped at doubling — a pathological drain history shouldn't zero a

@@ -1,0 +1,330 @@
+package core
+
+import (
+	"fmt"
+
+	"ftmrmpi/internal/introspect"
+	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/mpi"
+)
+
+// mapBatch is the number of records whose CPU/commit accounting is batched
+// into one scheduling event (behaviour-neutral: there is no communication
+// inside a chunk).
+const mapBatch = 256
+
+// phaseMap runs every map task the rank's role currently holds (Algorithm 1).
+func (r *runner) phaseMap(ro *role) error {
+	mapper := r.spec.NewMapper()
+	reader := r.spec.NewReader()
+	for {
+		// Tasks may be added by recovery; re-scan until none pending.
+		ids := ro.tasks()
+		if len(ids) == 0 {
+			break
+		}
+		for _, id := range ids {
+			if err := ro.mapTask(id, mapper, reader); err != nil {
+				return err
+			}
+		}
+	}
+	r.drainStatus()
+	r.ck.phaseSync(r.p)
+	return r.net(func() error { return r.comm.Barrier() })
+}
+
+// ownMapTask runs one of this rank's own map tasks and publishes its
+// completion to the other masters.
+func (r *runner) ownMapTask(id int, mapper Mapper, reader FileRecordReader) error {
+	if err := r.runMapTask(id, mapper, reader); err != nil {
+		return err
+	}
+	r.tt.done[id] = true
+	r.backlogBytes -= float64(r.tt.tasks[id].Chunk.Size)
+	r.gossipStatus()
+	return nil
+}
+
+// openChunk reads a task's input chunk and opens the user's reader on it
+// (the library owns all file I/O; the user's reader only tokenizes, §3.2).
+// Input lives only on the PFS, so an outage stalls the task instead of
+// aborting the job.
+func (r *runner) openChunk(task Task, reader FileRecordReader) error {
+	data, err := readRetry(r.p, r.job.clus.PFS, task.Chunk.File, &r.m.IOWait)
+	if err != nil {
+		return fmt.Errorf("core: read chunk %s: %w", task.Chunk.File, err)
+	}
+	return reader.Open(task.Chunk, data)
+}
+
+// scanRecords feeds the open chunk's records to each, calling flush after
+// every batch records and once more at the end of the chunk.
+func scanRecords(reader FileRecordReader, batch int, each func(k, v []byte) error, flush func()) error {
+	n := 0
+	for {
+		k, v, ok, err := reader.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := each(k, v); err != nil {
+			return err
+		}
+		if n++; n >= batch {
+			flush()
+			n = 0
+		}
+	}
+	flush()
+	return nil
+}
+
+// chargeEmitted bills a finished task for the volume it emitted: the
+// hash-partitioning CPU plus the intermediate-data spill — MR-MPI "flushes
+// the intermediate data to disks when one input chunk is processed"
+// (§4.1.2), and both the baseline and FT-MRMPI pay it.
+func (r *runner) chargeEmitted(bytes int) {
+	r.compute(float64(bytes) * partitionCPUPerByte)
+	if bytes > 0 {
+		r.m.IOWait += r.scratch().Charge(r.p, bytes/65536+1, bytes)
+	}
+}
+
+// kvEmitter collects a mapper's output, partitioning into mapOut and
+// retaining the raw delta for checkpointing.
+type kvEmitter struct {
+	r     *runner
+	delta *kvbuf.KV // uncheckpointed emitted pairs (record granularity)
+	task  *kvbuf.KV // whole-task pairs (chunk granularity)
+	bytes int
+}
+
+// Emit implements KVWriter.
+func (e *kvEmitter) Emit(k, v []byte) {
+	e.r.addMapOut(k, v)
+	e.bytes += len(k) + len(v) + 8
+	if e.delta != nil {
+		e.delta.Add(k, v)
+	}
+	if e.task != nil {
+		e.task.Add(k, v)
+	}
+}
+
+// addMapOut files one intermediate pair under its hash partition.
+func (r *runner) addMapOut(k, v []byte) {
+	part := kvbuf.PartitionKey(k, r.nParts)
+	out := r.mapOut[part]
+	if out == nil {
+		out = kvbuf.NewKV()
+		r.mapOut[part] = out
+	}
+	out.Add(k, v)
+}
+
+// injectKV re-partitions restored (or mirror-staged) pairs into mapOut.
+func (r *runner) injectKV(kv *kvbuf.KV) {
+	_ = kv.ForEach(r.addMapOut)
+}
+
+// runMapTask executes (or restores) one map task with fine-grained commits.
+func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) error {
+	t0 := r.p.Now()
+	r.ip.SetTask(id)
+	defer r.ip.SetTask(introspect.NoValue)
+	task := r.tt.tasks[id]
+	ctx := &TaskContext{proc: r.p, run: r}
+	stream := mapStream(id)
+
+	// Recovery/restart: replay whatever this task's checkpoint stream holds.
+	restoredRecs := uint32(0)
+	taskComplete := false
+	// recoveryTask: this execution re-does work that a previous attempt (or
+	// a failed process) already performed, so its map CPU counts as
+	// reprocessing in the Figure 3 recovery decomposition. Adopted tasks
+	// count even without checkpoints (the NWC model re-runs them fully).
+	recoveryTask := r.spec.Resume || r.adopted(id)
+	if r.recovering(id) {
+		frames := r.rd.load(r.p, stream)
+		restoreBytes := 0
+		for _, f := range frames {
+			switch f.kind {
+			case frameMapDelta:
+				if kv, err := kvbuf.FromBytes(f.payload); err == nil {
+					r.injectKV(kv)
+					restoreBytes += kv.Size()
+					if f.b > restoredRecs {
+						restoredRecs = f.b
+					}
+				}
+			case frameTaskDone:
+				if len(f.payload) > 0 { // chunk granularity: full task KV
+					if kv, err := kvbuf.FromBytes(f.payload); err == nil {
+						r.injectKV(kv)
+						restoreBytes += kv.Size()
+					}
+				}
+				restoredRecs = f.b
+				taskComplete = true
+			}
+		}
+		if restoreBytes > 0 {
+			t1 := r.p.Now()
+			r.compute(float64(restoreBytes) * restoreCPUPerByte)
+			r.m.RecordsRestored += int64(restoredRecs)
+			d := r.p.Now() - t1
+			r.m.Recovery.LoadCkpt += d
+			r.rec.RecoveryStage("load", d)
+		}
+		if taskComplete {
+			// Static keeps the paper's behaviour of sampling every completed
+			// task, but a fully-restored task only measures replay cost and
+			// makes the rank look falsely fast; the trace model drops it.
+			if r.lb.kind == LBStatic {
+				r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
+			}
+			r.rec.TaskCommit("map", id, int64(restoredRecs))
+			r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+			return nil
+		}
+	}
+
+	if err := r.openChunk(task, reader); err != nil {
+		return err
+	}
+	defer reader.Close()
+
+	em := &kvEmitter{r: r}
+	if r.ck.enabled && r.spec.Granularity == GranRecord {
+		em.delta = kvbuf.NewKV()
+	}
+	if r.ck.enabled && r.spec.Granularity == GranChunk {
+		em.task = kvbuf.NewKV()
+	}
+
+	interval := r.spec.CkptInterval
+	batch := mapBatch
+	if r.ck.enabled && r.spec.Granularity == GranRecord && interval < batch {
+		batch = interval
+	}
+
+	rec := uint32(0)
+	lastCommit := uint32(0)
+	var cpuAcc float64
+	var skipAcc float64
+
+	each := func(k, v []byte) error {
+		if rec < restoredRecs {
+			// Already committed before the failure: skip cheaply (§4.1.2:
+			// "read the input data and skip the processed records").
+			skipAcc += mapper.Cost(k, v) * r.spec.SkipCostFactor
+			r.m.RecordsSkipped++
+		} else {
+			if err := mapper.Map(ctx, k, v, em); err != nil {
+				return err
+			}
+			cpuAcc += mapper.Cost(k, v)
+			r.m.RecordsMapped++
+		}
+		rec++
+		return nil
+	}
+	flushBatch := func() {
+		if skipAcc > 0 {
+			t1 := r.p.Now()
+			r.compute(skipAcc)
+			d := r.p.Now() - t1
+			r.m.Recovery.Skip += d
+			r.rec.RecoveryStage("skip", d)
+			skipAcc = 0
+		}
+		t1 := r.p.Now()
+		r.compute(cpuAcc)
+		if recoveryTask {
+			d := r.p.Now() - t1
+			r.m.Recovery.Reprocess += d
+			r.rec.RecoveryStage("reprocess", d)
+		}
+		cpuAcc = 0
+		// Commit boundary: flush a record-granularity delta frame.
+		if em.delta != nil && rec > restoredRecs {
+			committed := rec / uint32(interval) * uint32(interval)
+			if committed > lastCommit && em.delta.Len() > 0 {
+				fr := encodeFrame(nil, frameMapDelta, uint32(id), rec, em.delta.Bytes())
+				r.ck.write(r.p, stream, fr, 1)
+				em.delta.Reset()
+				lastCommit = committed
+			}
+		}
+	}
+	if err := scanRecords(reader, batch, each, flushBatch); err != nil {
+		return err
+	}
+	r.chargeEmitted(em.bytes)
+
+	// Task-complete marker (with the full task KV under chunk granularity).
+	if r.ck.enabled {
+		var payload []byte
+		if em.task != nil {
+			payload = em.task.Bytes()
+		} else if em.delta != nil && em.delta.Len() > 0 {
+			// Commit the trailing records too.
+			fr := encodeFrame(nil, frameMapDelta, uint32(id), rec, em.delta.Bytes())
+			r.ck.write(r.p, stream, fr, 1)
+			em.delta.Reset()
+		}
+		fr := encodeFrame(nil, frameTaskDone, uint32(id), rec, payload)
+		r.ck.write(r.p, stream, fr, 1)
+	}
+	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
+	r.rec.TaskCommit("map", id, int64(rec))
+	r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+	return nil
+}
+
+// adopted reports whether a task has been reassigned away from its hash
+// home (i.e. its original owner failed).
+func (r *runner) adopted(taskID int) bool {
+	homes := r.world0
+	if r.ftm != nil {
+		homes = r.ftm.acting0
+	}
+	return r.tt.owner[taskID] != homes[assignTask(taskID, r.nParts)%len(homes)]
+}
+
+// recovering reports whether this map task may have checkpoint state to
+// replay (restart resume, or in-place recovery of an adopted task).
+func (r *runner) recovering(taskID int) bool {
+	if !r.spec.Model.Checkpointing() {
+		return false
+	}
+	return r.spec.Resume || r.adopted(taskID)
+}
+
+// gossipStatus sends the merged done-bitmap to the ring successor (§3.3:
+// masters periodically broadcast local task status).
+func (r *runner) gossipStatus() {
+	r.gossip++
+	if r.gossip%r.spec.StatusEvery != 0 || r.comm.Size() < 2 {
+		return
+	}
+	r.drainStatus()
+	next := (r.comm.Rank() + 1) % r.comm.Size()
+	_ = r.net(func() error { return r.comm.Send(next, r.statusTag, r.tt.doneBitmap()) })
+}
+
+// drainStatus merges any pending status messages (and, with replication
+// on, folds in any banked replica pushes — same opportunistic cadence).
+func (r *runner) drainStatus() {
+	r.rep.drain()
+	for {
+		m, ok, err := r.comm.TryRecv(mpi.AnySource, r.statusTag)
+		if err != nil || !ok {
+			return
+		}
+		r.tt.mergeBitmap(m.Data)
+	}
+}

@@ -42,7 +42,8 @@ type RankMetrics struct {
 	PhaseTime map[Phase]time.Duration // wall time this rank spent per phase
 	Recovery  RecoveryBreakdown       // Figure 3 recovery-time decomposition
 
-	// Counters holds user-defined counters (TaskContext.AddCounter).
+	// Counters holds user-defined counters (TaskContext.AddCounter), plus the
+	// library's ckpt_corrupt (checkpoint streams quarantined at read time).
 	Counters map[string]int64
 
 	RecordsMapped   int64 // input records run through the mapper
@@ -81,16 +82,22 @@ type Result struct {
 // Elapsed returns the attempt's virtual duration.
 func (r *Result) Elapsed() time.Duration { return r.End - r.Start }
 
-// PhaseTotal sums a phase's time across all ranks (the "aggregated time for
-// all processes" of Figure 10).
-func (r *Result) PhaseTotal(ph Phase) time.Duration {
+// sumRanks adds up one duration per reporting rank (nil slots — ranks that
+// died before reporting — are skipped; see MissingRanks).
+func (r *Result) sumRanks(of func(*RankMetrics) time.Duration) time.Duration {
 	var total time.Duration
 	for _, m := range r.Ranks {
 		if m != nil {
-			total += m.PhaseTime[ph]
+			total += of(m)
 		}
 	}
 	return total
+}
+
+// PhaseTotal sums a phase's time across all ranks (the "aggregated time for
+// all processes" of Figure 10).
+func (r *Result) PhaseTotal(ph Phase) time.Duration {
+	return r.sumRanks(func(m *RankMetrics) time.Duration { return m.PhaseTime[ph] })
 }
 
 // MaxPhase returns the maximum single-rank time for a phase.
@@ -104,37 +111,19 @@ func (r *Result) MaxPhase(ph Phase) time.Duration {
 	return max
 }
 
-// TotalCPUMain / TotalCPUCopier / TotalIOWait aggregate across ranks.
+// TotalCPUMain sums main-thread CPU time across ranks.
 func (r *Result) TotalCPUMain() time.Duration {
-	var t time.Duration
-	for _, m := range r.Ranks {
-		if m != nil {
-			t += m.CPUMain
-		}
-	}
-	return t
+	return r.sumRanks(func(m *RankMetrics) time.Duration { return m.CPUMain })
 }
 
 // TotalCPUCopier sums copier CPU time across ranks.
 func (r *Result) TotalCPUCopier() time.Duration {
-	var t time.Duration
-	for _, m := range r.Ranks {
-		if m != nil {
-			t += m.CPUCopier
-		}
-	}
-	return t
+	return r.sumRanks(func(m *RankMetrics) time.Duration { return m.CPUCopier })
 }
 
 // TotalIOWait sums main-thread I/O wait across ranks.
 func (r *Result) TotalIOWait() time.Duration {
-	var t time.Duration
-	for _, m := range r.Ranks {
-		if m != nil {
-			t += m.IOWait
-		}
-	}
-	return t
+	return r.sumRanks(func(m *RankMetrics) time.Duration { return m.IOWait })
 }
 
 // MissingRanks returns the launch ranks whose metrics slot is nil — ranks

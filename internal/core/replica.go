@@ -85,20 +85,24 @@ func newReplicaStore() *replicaStore {
 	return &replicaStore{entries: make(map[string]*replicaEntry)}
 }
 
-// appendOwn appends freshly committed frame bytes to the rank's own mirror
-// of a stream and returns the mirror's new total length.
-func (s *replicaStore) appendOwn(stream string, data []byte) int {
+// entry returns the stream's replica, creating an empty one on first use.
+func (s *replicaStore) entry(stream string) *replicaEntry {
 	e := s.entries[stream]
-	if e == nil || !e.own {
-		// First own write, or the rank held a peer copy of a stream it now
-		// writes (it adopted the stream without replaying it): start the
-		// mirror from whatever is held so the mirror stays a superset.
-		if e == nil {
-			e = &replicaEntry{}
-			s.entries[stream] = e
-		}
-		e.own = true
+	if e == nil {
+		e = &replicaEntry{}
+		s.entries[stream] = e
 	}
+	return e
+}
+
+// appendOwn appends freshly committed frame bytes to the rank's own mirror
+// of a stream and returns the mirror's new total length. If the rank held a
+// peer copy of a stream it now writes (it adopted the stream without
+// replaying it), the mirror starts from whatever is held, so it stays a
+// superset.
+func (s *replicaStore) appendOwn(stream string, data []byte) int {
+	e := s.entry(stream)
+	e.own = true
 	e.data = append(e.data, data...)
 	return len(e.data)
 }
@@ -107,11 +111,7 @@ func (s *replicaStore) appendOwn(stream string, data []byte) int {
 // rank just replayed the stream and is its writer from now on). A longer
 // existing mirror is kept.
 func (s *replicaStore) adopt(stream string, data []byte) {
-	e := s.entries[stream]
-	if e == nil {
-		e = &replicaEntry{}
-		s.entries[stream] = e
-	}
+	e := s.entry(stream)
 	if len(data) > len(e.data) {
 		e.data = append(e.data[:0], data...)
 	}
@@ -120,11 +120,7 @@ func (s *replicaStore) adopt(stream string, data []byte) {
 
 // receive applies one replica push from a peer.
 func (s *replicaStore) receive(kind byte, stream string, data []byte) {
-	e := s.entries[stream]
-	if e == nil {
-		e = &replicaEntry{}
-		s.entries[stream] = e
-	}
+	e := s.entry(stream)
 	switch kind {
 	case replicaDelta:
 		// Per-stream deltas come from the stream's single writer in send
@@ -231,8 +227,12 @@ func (rp *replicator) push(stream string, data []byte) {
 	}
 }
 
-// drain consumes every banked replica push in the mailbox.
+// drain consumes every banked replica push in the mailbox (a no-op on the
+// nil replicator of a job without the replica tier).
 func (rp *replicator) drain() {
+	if rp == nil {
+		return
+	}
 	for {
 		m, ok, err := rp.r.comm.TryRecv(mpi.AnySource, rp.tag)
 		if err != nil || !ok {

@@ -11,14 +11,13 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"time"
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/sched"
-	"ftmrmpi/internal/storage"
 )
 
 // Replication-model message tags, in tag space far above tagStatusBase and
@@ -170,20 +169,35 @@ func (r *runner) shuffleTag() int {
 // syncTag returns the reduce-progress sync tag for this job.
 func (r *runner) syncTag() int { return tagShadowSync + r.job.jobIdx }
 
-// ---------------------------------------------------------- mirror phases --
+// ------------------------------------------------------------ mirror role --
 
-// mirrorEmitter stages a mirrored map task's output. Staging (instead of
-// emitting straight into mapOut) keeps mirrored tasks atomic: a task
-// interrupted by recovery re-runs from scratch without double-emitting.
-type mirrorEmitter struct {
-	kv    *kvbuf.KV
-	bytes int
-}
-
-// Emit implements KVWriter.
-func (e *mirrorEmitter) Emit(k, v []byte) {
-	e.kv.Add(k, v)
-	e.bytes += len(k) + len(v) + 8
+// mirrorRole is the role of a mirroring shadow: it works on its pair's tasks
+// and the pair's partitions it received in the replicate exchange, and
+// records progress only in its own memory — no gossip, no checkpoints, no
+// done-bit mutation, no PFS writes. The primary's stream is authoritative;
+// the mirror only builds the state a failover needs.
+func (r *runner) mirrorRole() *role {
+	f := r.ftm
+	return &role{
+		tasks:   r.mirrorPending,
+		mapTask: r.mirrorMapTask,
+		parts:   r.mirrorParts,
+		reduced: func(part int) uint32 { return f.mirrorRed[part] },
+		group:   func() {},
+		commit: func(part int, g uint32, out []byte) error {
+			// Stage the output locally and fold in the primary's
+			// reduce-progress pushes as they arrive, so a failover knows the
+			// durable high-water mark.
+			if len(out) > 0 {
+				f.shadowOut[part] = append(f.shadowOut[part], out...)
+			}
+			f.mirrorRed[part] = g
+			r.drainShadowSync()
+			return nil
+		},
+		partDone: func(time.Duration) {},
+		fold:     r.drainShadowSync,
+	}
 }
 
 // mirrorPending returns the pair's tasks this shadow has not mirrored yet.
@@ -196,266 +210,6 @@ func (r *runner) mirrorPending() []int {
 		}
 	}
 	return out
-}
-
-// mirrorMap is the shadow-side map phase: re-execute every task the pair
-// owns, staging the output locally. No gossip, no checkpoints, no done-bit
-// mutation — the primary's stream is authoritative; the mirror only builds
-// the in-memory state a failover needs.
-func (r *runner) mirrorMap() error {
-	mapper := r.spec.NewMapper()
-	reader := r.spec.NewReader()
-	for {
-		// Recovery may reassign tasks to the pair; re-scan until none pending.
-		ids := r.mirrorPending()
-		if len(ids) == 0 {
-			break
-		}
-		for _, id := range ids {
-			if err := r.mirrorMapTask(id, mapper, reader); err != nil {
-				return err
-			}
-			r.ftm.mirrorDone[id] = true
-		}
-	}
-	r.drainStatus()
-	return r.net(func() error { return r.comm.Barrier() })
-}
-
-// mirrorMapTask re-executes one map task with the pair's input chunk,
-// paying the same read/compute/spill costs as the primary (replication's
-// resource overhead is real duplicated work) but writing no checkpoints.
-func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) error {
-	t0 := r.p.Now()
-	task := r.tt.tasks[id]
-	clus := r.job.clus
-	ctx := &TaskContext{proc: r.p, run: r}
-
-	data, d, err := clus.PFS.ReadFile(r.p, task.Chunk.File)
-	r.m.IOWait += d
-	for attempt := 0; err != nil; {
-		if errors.Is(err, storage.ErrTierOutage) {
-			clus.PFS.AwaitOnline(r.p)
-		} else if !errors.Is(err, storage.ErrReadFault) || attempt >= 2 {
-			break
-		} else {
-			attempt++
-		}
-		data, d, err = clus.PFS.ReadFile(r.p, task.Chunk.File)
-		r.m.IOWait += d
-	}
-	if err != nil {
-		return fmt.Errorf("core: mirror read chunk %s: %w", task.Chunk.File, err)
-	}
-	if err := reader.Open(task.Chunk, data); err != nil {
-		return err
-	}
-	defer reader.Close()
-
-	em := &mirrorEmitter{kv: kvbuf.NewKV()}
-	var cpuAcc float64
-	n := 0
-	for {
-		k, v, ok, err := reader.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := mapper.Map(ctx, k, v, em); err != nil {
-			return err
-		}
-		cpuAcc += mapper.Cost(k, v)
-		n++
-		if n >= mapBatch {
-			r.compute(cpuAcc)
-			cpuAcc = 0
-			n = 0
-		}
-	}
-	r.compute(cpuAcc)
-	r.compute(float64(em.bytes) * partitionCPUPerByte)
-	if em.bytes > 0 {
-		scratch := clus.LocalOf(r.myWorld())
-		if scratch == nil {
-			scratch = clus.PFS
-		}
-		r.m.IOWait += scratch.Charge(r.p, em.bytes/65536+1, em.bytes)
-	}
-	r.injectKV(em.kv)
-	// Train the shadow's load-balance model on the mirrored executions, so a
-	// promoted shadow enters recovery rounds with a fitted model.
-	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
-	return nil
-}
-
-// shuffleReplicate replaces the Alltoallv exchange when the replication
-// model is active: primaries send each slot's bundle directly to its acting
-// primary and shadow-mirror the identical bytes (same flow id) to the slot's
-// live shadow; every rank — primary or shadow — then collects one bundle per
-// slot, deduplicating on flow id. Shadows end up holding their pair's
-// post-shuffle partitions without the primary ever re-sending on failover.
-func (r *runner) shuffleReplicate() error {
-	f := r.ftm
-	tag := r.shuffleTag()
-
-	// Slots whose acting primary is alive (a member of the shrunken
-	// communicator). Slots that lost both pair members have no acting rank,
-	// and recovery reassigned their partitions to live acting primaries, so
-	// they neither send nor receive a bundle. Identical on every rank.
-	var liveSlots []int
-	for slot, aw := range f.acting {
-		if r.comm.CommRankOf(aw) >= 0 {
-			liveSlots = append(liveSlots, slot)
-		}
-	}
-
-	// Skip agreement, identical to the CR exchange.
-	have := int64(1)
-	if !r.shuffled {
-		have = 0
-	}
-	var all int64
-	err := r.net(func() error {
-		v, e := r.comm.AllreduceInt64(have, func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		})
-		all = v
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	if all == 1 {
-		return nil
-	}
-
-	t1 := r.p.Now()
-	if !f.mirror {
-		if r.spec.NewCombiner != nil {
-			if err := r.combineLocal(); err != nil {
-				return err
-			}
-		}
-		for _, d := range liveSlots {
-			dw := f.acting[d]
-			var bundle []byte
-			for part := 0; part < r.nParts; part++ {
-				if r.partOwner[part] != dw {
-					continue
-				}
-				kv := r.mapOut[part]
-				var payload []byte
-				if kv != nil {
-					payload = kv.Bytes()
-				}
-				bundle = encodeFrame(bundle, frameShuffle, uint32(part), 0, payload)
-			}
-			var flow uint64
-			if err := r.net(func() error {
-				id, e := r.comm.SendTracked(r.comm.CommRankOf(dw), tag, bundle)
-				flow = id
-				return e
-			}); err != nil {
-				return err
-			}
-			if sw := f.shadow[d]; sw >= 0 {
-				if err := r.net(func() error {
-					return r.comm.SendMirror(r.comm.CommRankOf(sw), tag, bundle, flow)
-				}); err != nil {
-					return err
-				}
-				f.mets.mirrorSend(len(bundle))
-			}
-		}
-	}
-
-	// Collect one bundle per live source slot. Duplicate deliveries are
-	// dropped on flow id; a flow commits exactly once.
-	got := make([][]byte, len(f.acting))
-	need := len(liveSlots)
-	for need > 0 {
-		var m *mpi.Message
-		if err := r.net(func() error {
-			msg, e := r.comm.Recv(mpi.AnySource, tag)
-			m = msg
-			return e
-		}); err != nil {
-			return err
-		}
-		if f.seenFlows[m.ID()] {
-			f.mets.dupDrop()
-			continue
-		}
-		f.seenFlows[m.ID()] = true
-		srcSlot := f.actingSlot(r.comm.WorldRank(m.Src))
-		if srcSlot < 0 || got[srcSlot] != nil {
-			f.mets.dupDrop()
-			continue
-		}
-		got[srcSlot] = m.Data
-		need--
-	}
-	r.m.Counters["shuf_a2av_us"] += int64((r.p.Now() - t1) / 1000)
-
-	// Merge in slot order so every receiver builds partitions in the same
-	// deterministic order as the CR exchange.
-	r.parts = make(map[int]*kvbuf.KV)
-	r.kmv = make(map[int]*kvbuf.KMV)
-	for _, s := range liveSlots {
-		fs, err := decodeFrames(got[s])
-		if err != nil {
-			return fmt.Errorf("core: replicate shuffle bundle: %w", err)
-		}
-		for _, fr := range fs {
-			if fr.kind != frameShuffle {
-				continue
-			}
-			part := int(fr.a)
-			dst := r.parts[part]
-			if dst == nil {
-				dst = kvbuf.NewKV()
-				r.parts[part] = dst
-			}
-			if len(fr.payload) > 0 {
-				kv, err := kvbuf.FromBytes(fr.payload)
-				if err != nil {
-					return err
-				}
-				dst.Append(kv)
-				r.m.ShuffleBytes += int64(kv.Size())
-			}
-		}
-	}
-	r.shuffled = true
-
-	// Primaries checkpoint their owned partitions exactly as the CR exchange
-	// does; shadows write nothing (r.ck is disabled on mirrors and ownedParts
-	// is empty for them anyway).
-	t1 = r.p.Now()
-	if r.ck.enabled {
-		for _, part := range r.ownedParts() {
-			kv := r.parts[part]
-			var payload []byte
-			if kv != nil {
-				payload = kv.Bytes()
-			}
-			fr := encodeFrame(nil, frameShuffle, uint32(part), 0, payload)
-			r.ck.write(r.p, partStream(part), fr, 1)
-		}
-	}
-	r.m.Counters["shuf_ckpt_us"] += int64((r.p.Now() - t1) / 1000)
-	t1 = r.p.Now()
-	r.ck.phaseSync(r.p)
-	r.m.Counters["shuf_drain_us"] += int64((r.p.Now() - t1) / 1000)
-	t1 = r.p.Now()
-	err = r.net(func() error { return r.comm.Barrier() })
-	r.m.Counters["shuf_barrier_us"] += int64((r.p.Now() - t1) / 1000)
-	return err
 }
 
 // mirrorParts returns the pair's partitions this shadow actually received in
@@ -473,90 +227,142 @@ func (r *runner) mirrorParts() []int {
 	return out
 }
 
-// mirrorConvert is the shadow-side convert phase: group the mirrored
-// partitions with the same algorithm and real charges as the primary.
-func (r *runner) mirrorConvert() error {
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.mirrorParts() {
-		if r.kmv[part] != nil {
-			continue
-		}
-		kv := r.parts[part]
-		var m *kvbuf.KMV
-		var st kvbuf.ConvertStats
-		if r.spec.Convert == ConvertFourPass {
-			m, st = kvbuf.ConvertFourPass(kv)
-		} else {
-			m, st = kvbuf.ConvertTwoPass(kv)
-		}
-		r.kmv[part] = m
-		r.m.IOWait += scratch.Charge(r.p, st.ReadOps+st.WriteOps, st.Total())
-		r.compute(float64(st.Total()) * convertCPUPerByte)
-	}
-	return r.net(func() error { return r.comm.Barrier() })
+// mirrorEmitter stages a mirrored map task's output. Staging (instead of
+// emitting straight into mapOut) keeps mirrored tasks atomic: a task
+// interrupted by recovery re-runs from scratch without double-emitting.
+type mirrorEmitter struct {
+	kv    *kvbuf.KV
+	bytes int
 }
 
-// mirrorReduce is the shadow-side reduce phase: run the reducer over the
-// mirrored partitions into a local staging buffer (no PFS writes, no
-// checkpoint frames), folding in the primary's reduce-progress sync pushes
-// as they arrive so a failover knows the durable high-water mark.
-func (r *runner) mirrorReduce() error {
-	reducer := r.spec.NewReducer()
+// Emit implements KVWriter.
+func (e *mirrorEmitter) Emit(k, v []byte) {
+	e.kv.Add(k, v)
+	e.bytes += len(k) + len(v) + 8
+}
+
+// mirrorMapTask re-executes one map task with the pair's input chunk,
+// paying the same read/compute/spill costs as the primary (replication's
+// resource overhead is real duplicated work) but replaying and writing no
+// checkpoints.
+func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) error {
+	t0 := r.p.Now()
+	task := r.tt.tasks[id]
 	ctx := &TaskContext{proc: r.p, run: r}
-	interval := uint32(r.spec.CkptInterval)
-	if interval == 0 {
-		interval = 100
+	if err := r.openChunk(task, reader); err != nil {
+		return err
 	}
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.mirrorParts() {
-		m := r.kmv[part]
-		if m == nil {
-			m = &kvbuf.KMV{}
-		}
-		if n := m.Bytes(); n > 0 {
-			r.m.IOWait += scratch.Charge(r.p, n/65536+1, n)
-		}
-		start := r.ftm.mirrorRed[part]
-		it := &kmvIterator{keys: m.Keys, vals: m.Vals, pos: int(start)}
-		w := &outputWriter{serialize: defaultSerialize}
-		var cpuAcc float64
-		g := start
-		stage := func() {
-			r.compute(cpuAcc)
-			cpuAcc = 0
-			if len(w.buf) > 0 {
-				r.ftm.shadowOut[part] = append(r.ftm.shadowOut[part], w.buf...)
-				w.buf = w.buf[:0]
-			}
-			r.ftm.mirrorRed[part] = g
-			r.drainShadowSync()
-		}
-		for {
-			key, vals, ok := it.Next()
-			if !ok {
-				break
-			}
-			if err := reducer.Reduce(ctx, key, vals, w); err != nil {
+	defer reader.Close()
+
+	em := &mirrorEmitter{kv: kvbuf.NewKV()}
+	var cpuAcc float64
+	err := scanRecords(reader, mapBatch,
+		func(k, v []byte) error {
+			if err := mapper.Map(ctx, k, v, em); err != nil {
 				return err
 			}
-			cpuAcc += reducer.Cost(key, vals)
-			g++
-			if g%interval == 0 {
-				stage()
+			cpuAcc += mapper.Cost(k, v)
+			return nil
+		},
+		func() {
+			r.compute(cpuAcc)
+			cpuAcc = 0
+		})
+	if err != nil {
+		return err
+	}
+	r.chargeEmitted(em.bytes)
+	r.injectKV(em.kv)
+	// Train the shadow's load-balance model on the mirrored executions, so a
+	// promoted shadow enters recovery rounds with a fitted model.
+	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
+	r.ftm.mirrorDone[id] = true
+	return nil
+}
+
+// ------------------------------------------------------- replicate routing --
+
+// exchangeReplicate routes the shuffle bundles when the replication model is
+// active: primaries send each slot's bundle directly to its acting primary
+// and shadow-mirror the identical bytes (same flow id) to the slot's live
+// shadow; every rank — primary or shadow — then collects one bundle per
+// slot, deduplicating on flow id. Shadows end up holding their pair's
+// post-shuffle partitions without the primary ever re-sending on failover.
+// The bundles come back in slot order, so every receiver merges its
+// partitions in the same deterministic order as the Alltoallv exchange.
+func (r *runner) exchangeReplicate() ([][]byte, error) {
+	f := r.ftm
+	tag := r.shuffleTag()
+
+	// Slots whose acting primary is alive (a member of the shrunken
+	// communicator). Slots that lost both pair members have no acting rank,
+	// and recovery reassigned their partitions to live acting primaries, so
+	// they neither send nor receive a bundle. Identical on every rank.
+	var liveSlots []int
+	for slot, aw := range f.acting {
+		if r.comm.CommRankOf(aw) >= 0 {
+			liveSlots = append(liveSlots, slot)
+		}
+	}
+
+	// A mirror owns no map output of record: only primaries send.
+	if !f.mirror {
+		bufs, err := r.sendBundles()
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range liveSlots {
+			dst := r.comm.CommRankOf(f.acting[d])
+			bundle := bufs[dst]
+			var flow uint64
+			if err := r.net(func() error {
+				id, e := r.comm.SendTracked(dst, tag, bundle)
+				flow = id
+				return e
+			}); err != nil {
+				return nil, err
+			}
+			if sw := f.shadow[d]; sw >= 0 {
+				if err := r.net(func() error {
+					return r.comm.SendMirror(r.comm.CommRankOf(sw), tag, bundle, flow)
+				}); err != nil {
+					return nil, err
+				}
+				f.mets.mirrorSend(len(bundle))
 			}
 		}
-		stage()
 	}
-	r.drainShadowSync()
-	return r.net(func() error { return r.comm.Barrier() })
+
+	// Collect one bundle per live source slot. Duplicate deliveries are
+	// dropped on flow id; a flow commits exactly once.
+	got := make([][]byte, len(f.acting))
+	for need := len(liveSlots); need > 0; {
+		var m *mpi.Message
+		if err := r.net(func() error {
+			msg, e := r.comm.Recv(mpi.AnySource, tag)
+			m = msg
+			return e
+		}); err != nil {
+			return nil, err
+		}
+		if f.seenFlows[m.ID()] {
+			f.mets.dupDrop()
+			continue
+		}
+		f.seenFlows[m.ID()] = true
+		srcSlot := f.actingSlot(r.comm.WorldRank(m.Src))
+		if srcSlot < 0 || got[srcSlot] != nil {
+			f.mets.dupDrop()
+			continue
+		}
+		got[srcSlot] = m.Data
+		need--
+	}
+	bundles := make([][]byte, 0, len(liveSlots))
+	for _, s := range liveSlots {
+		bundles = append(bundles, got[s])
+	}
+	return bundles, nil
 }
 
 // pushShadowSync sends this primary's latest durable reduce commit to its
@@ -564,7 +370,7 @@ func (r *runner) mirrorReduce() error {
 // failure and enters normal recovery).
 func (r *runner) pushShadowSync(part int, g uint32) {
 	f := r.ftm
-	if f == nil || f.mirror {
+	if f == nil {
 		return
 	}
 	sw := f.shadow[f.slot]
@@ -584,9 +390,6 @@ func (r *runner) pushShadowSync(part int, g uint32) {
 // drainShadowSync folds banked reduce-progress pushes into the shadow's view
 // of the primary's durable high-water mark (monotone max per partition).
 func (r *runner) drainShadowSync() {
-	if r.ftm == nil {
-		return
-	}
 	for {
 		m, ok, err := r.comm.TryRecv(mpi.AnySource, r.syncTag())
 		if err != nil || !ok {
@@ -728,30 +531,6 @@ func (r *runner) reconcileMirrorOutput(part int) error {
 	delete(f.shadowOut, part)
 	delete(f.mirrorRed, part)
 	return nil
-}
-
-// appendOutput appends committed bytes to a partition's output file with the
-// same torn-write rollback and outage-wait discipline as the reduce commit.
-func (r *runner) appendOutput(part int, buf []byte) error {
-	pfs := r.job.clus.PFS
-	path := outputPath(r.spec.JobID, part)
-	for attempt := 0; ; attempt++ {
-		pre := pfs.Size(path)
-		d, err := pfs.AppendFile(r.p, path, buf, 1)
-		r.m.IOWait += d
-		if err == nil {
-			return nil
-		}
-		pfs.Truncate(path, pre)
-		if errors.Is(err, storage.ErrTierOutage) {
-			pfs.AwaitOnline(r.p)
-			attempt--
-			continue
-		}
-		if attempt >= 7 {
-			return fmt.Errorf("core: failover output append for partition %d: %w", part, err)
-		}
-	}
 }
 
 // pureFailover reports whether recovery can skip the lost-work machinery

@@ -77,17 +77,6 @@ func (t *taskTable) ownedBy(worldRank int) []int {
 	return out
 }
 
-// pendingOwnedBy returns not-done task ids owned by any of the given ranks.
-func (t *taskTable) pendingOwnedBy(ranks map[int]bool) []int {
-	var out []int
-	for id, o := range t.owner {
-		if ranks[o] && !t.done[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // doneBitmap serializes the done flags for master status gossip.
 func (t *taskTable) doneBitmap() []byte {
 	out := make([]byte, (len(t.done)+7)/8)
@@ -107,17 +96,6 @@ func (t *taskTable) mergeBitmap(bm []byte) {
 			t.done[i] = true
 		}
 	}
-}
-
-// doneCount returns the number of completed tasks.
-func (t *taskTable) doneCount() int {
-	n := 0
-	for _, d := range t.done {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // listChunks turns the input chunk files (paths, sorted as storage lists

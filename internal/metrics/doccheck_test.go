@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strings"
 	"testing"
+
+	"ftmrmpi/internal/doccheck"
 )
 
 // TestExportedSymbolsDocumented enforces the godoc contract for this package
@@ -15,94 +13,4 @@ import (
 // instrumentation sites, both CLIs, and the health gate — an undocumented
 // exported symbol here means a caller guessing whether a family is per-rank
 // or world-scoped, which is exactly the confusion the godoc pass prevents.
-func TestExportedSymbolsDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, ok := pkgs["metrics"]
-	if !ok {
-		t.Fatalf("package metrics not found in %v", pkgs)
-	}
-
-	missing := func(what string, pos token.Pos) {
-		t.Errorf("%s: exported %s has no doc comment", fset.Position(pos), what)
-	}
-	for name, f := range pkg.Files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				if d.Recv != nil && !receiverExported(d.Recv) {
-					continue
-				}
-				if d.Doc == nil {
-					missing("func "+d.Name.Name, d.Pos())
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE && d.Tok != token.CONST && d.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if !s.Name.IsExported() {
-							continue
-						}
-						if d.Doc == nil && s.Doc == nil {
-							missing("type "+s.Name.Name, s.Pos())
-						}
-						// Exported struct fields need their own comments.
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, fld := range st.Fields.List {
-								for _, id := range fld.Names {
-									if id.IsExported() && fld.Doc == nil && fld.Comment == nil {
-										missing("field "+s.Name.Name+"."+id.Name, id.Pos())
-									}
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							if !id.IsExported() {
-								continue
-							}
-							// A group doc, a per-spec doc, or a trailing
-							// comment all count.
-							if d.Doc == nil && s.Doc == nil && s.Comment == nil {
-								missing(d.Tok.String()+" "+id.Name, id.Pos())
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// receiverExported reports whether a method's receiver type is exported
-// (methods on unexported types are not part of the godoc surface).
-func receiverExported(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	typ := recv.List[0].Type
-	for {
-		switch tt := typ.(type) {
-		case *ast.StarExpr:
-			typ = tt.X
-		case *ast.IndexExpr:
-			typ = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return false
-		}
-	}
-}
+func TestExportedSymbolsDocumented(t *testing.T) { doccheck.Check(t, ".", "metrics") }
