@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -60,88 +62,124 @@ func parseOutage(s string) (begin, end time.Duration, err error) {
 	return begin, end, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses and validates args, runs the job and
+// returns the exit status (0 clean, 1 unhealthy run or output failure, 2
+// usage error — one line on stderr, never a panic).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftmr-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload  = flag.String("workload", "wordcount", "wordcount | pagerank | bfs | blast")
-		procs     = flag.Int("procs", 64, "number of MPI ranks")
-		model     = flag.String("model", "wc", "fault tolerance: none | cr | wc | nwc")
-		interval  = flag.Int("ckpt-interval", 100, "records per checkpoint")
-		gran      = flag.String("granularity", "record", "checkpoint granularity: record | chunk")
-		direct    = flag.Bool("ckpt-direct-pfs", false, "write checkpoints straight to the PFS")
-		prefetch  = flag.Bool("prefetch", false, "enable recovery prefetching")
-		killPhase = flag.String("kill-phase", "", "kill one rank in this phase: map | reduce")
-		killRank  = flag.Int("kill-rank", -1, "rank to kill (default procs/2)")
-		kills     = flag.Int("kills", 0, "continuous failures: total ranks to kill")
-		killEvery = flag.Duration("kill-every", 20*time.Millisecond, "continuous failure interval")
-		restart   = flag.Bool("restart", false, "after an aborted CR run, resubmit with Resume")
-		lbModel   = flag.String("lb-model", "static", "load-balancer regression model: static | trace")
-		iters     = flag.Int("iters", 2, "iterations (pagerank/bfs)")
-		asJSON    = flag.Bool("json", false, "emit results as JSON lines")
-		tracePath = flag.String("trace", "", "write an event trace to this file")
-		traceFmt  = flag.String("trace-format", "chrome", "trace format: jsonl | chrome")
-		traceCap  = flag.Int("trace-cap", 1<<16, "per-rank trace ring capacity (events)")
-		chaos     = flag.Int("chaos", 0, "chaos mode: random kills (plus one aimed inside recovery)")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed for chaos kills and storage faults")
-		chaosWin  = flag.Duration("chaos-window", 2*time.Second, "virtual-time window for chaos kills")
-		stFaults  = flag.Bool("storage-faults", false, "inject seeded storage faults (torn writes, bit flips, read errors, latency spikes)")
-		replicaK  = flag.Int("replica-k", 0, "diskless replica tier: push checkpoint frames to k ring-successor peers (0 disables)")
-		ftModel   = flag.String("ft-model", "cr", "replication execution model: cr | replicate | partial (replicate/partial require -model wc or nwc)")
-		repFrac   = flag.Float64("replica-fraction", 0, "fraction of primary slots given a shadow under -ft-model=partial (0: default 0.5)")
-		outage    = flag.String("outage", "", `PFS whole-tier outage window as "begin,end" virtual-time durations (e.g. "100ms,400ms")`)
-		streamTo  = flag.String("trace-stream", "", "stream JSONL events (write-through) to this file during the run")
-		critOut   = flag.String("critpath-out", "", "write the critical-path report to this file (enables tracing)")
+		workload  = fs.String("workload", "wordcount", "wordcount | pagerank | bfs | blast")
+		procs     = fs.Int("procs", 64, "number of MPI ranks")
+		model     = fs.String("model", "wc", "fault tolerance: none | cr | wc | nwc")
+		interval  = fs.Int("ckpt-interval", 100, "records per checkpoint")
+		gran      = fs.String("granularity", "record", "checkpoint granularity: record | chunk")
+		direct    = fs.Bool("ckpt-direct-pfs", false, "write checkpoints straight to the PFS")
+		prefetch  = fs.Bool("prefetch", false, "enable recovery prefetching")
+		killPhase = fs.String("kill-phase", "", "kill one rank in this phase: map | reduce")
+		killRank  = fs.Int("kill-rank", -1, "rank to kill (default procs/2)")
+		kills     = fs.Int("kills", 0, "continuous failures: total ranks to kill")
+		killEvery = fs.Duration("kill-every", 20*time.Millisecond, "continuous failure interval")
+		restart   = fs.Bool("restart", false, "after an aborted CR run, resubmit with Resume")
+		lbModel   = fs.String("lb-model", "static", "load-balancer regression model: static | trace")
+		iters     = fs.Int("iters", 2, "iterations (pagerank/bfs)")
+		asJSON    = fs.Bool("json", false, "emit results as JSON lines")
+		tracePath = fs.String("trace", "", "write an event trace to this file")
+		traceFmt  = fs.String("trace-format", "chrome", "trace format: jsonl | chrome")
+		traceCap  = fs.Int("trace-cap", 1<<16, "per-rank trace ring capacity (events)")
+		chaos     = fs.Int("chaos", 0, "chaos mode: random kills (plus one aimed inside recovery)")
+		chaosSeed = fs.Int64("chaos-seed", 1, "seed for chaos kills and storage faults")
+		chaosWin  = fs.Duration("chaos-window", 2*time.Second, "virtual-time window for chaos kills")
+		stFaults  = fs.Bool("storage-faults", false, "inject seeded storage faults (torn writes, bit flips, read errors, latency spikes)")
+		replicaK  = fs.Int("replica-k", 0, "diskless replica tier: push checkpoint frames to k ring-successor peers (0 disables)")
+		ftModel   = fs.String("ft-model", "cr", "replication execution model: cr | replicate | partial (replicate/partial require -model wc or nwc)")
+		repFrac   = fs.Float64("replica-fraction", 0, "fraction of primary slots given a shadow under -ft-model=partial (0: default 0.5)")
+		outage    = fs.String("outage", "", `PFS whole-tier outage window as "begin,end" virtual-time durations (e.g. "100ms,400ms")`)
+		streamTo  = fs.String("trace-stream", "", "stream JSONL events (write-through) to this file during the run")
+		critOut   = fs.String("critpath-out", "", "write the critical-path report to this file (enables tracing)")
 
-		introspectOut = flag.String("introspect-out", "", "stream introspection snapshots (JSONL) to this file")
-		introspectInt = flag.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
-		stallAfter    = flag.Duration("stall-after", 0, "wall-clock no-progress watchdog: report a stall after this much real time without virtual-time progress (0 disables; enables the plane)")
+		introspectOut = fs.String("introspect-out", "", "stream introspection snapshots (JSONL) to this file")
+		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
+		stallAfter    = fs.Duration("stall-after", 0, "wall-clock no-progress watchdog: report a stall after this much real time without virtual-time progress (0 disables; enables the plane)")
 
-		metricsOut      = flag.String("metrics-out", "", "write the final metrics snapshot (OpenMetrics text) to this file")
-		metricsInterval = flag.Duration("metrics-interval", 0, "also sample metrics on this virtual-time cadence (0: final snapshot only)")
-		health          = flag.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
+		metricsOut      = fs.String("metrics-out", "", "write the final metrics snapshot (OpenMetrics text) to this file")
+		metricsInterval = fs.Duration("metrics-interval", 0, "also sample metrics on this virtual-time cadence (0: final snapshot only)")
+		health          = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
 	def := metrics.DefaultSLO()
 	var (
-		sloCkpt     = flag.Float64("slo-ckpt-overhead", def.MaxCkptOverhead, "max checkpoint overhead fraction (negative: report-only)")
-		sloRec      = flag.Float64("slo-recovery", def.MaxRecoverySeconds, "max worst-rank recovery seconds (negative: report-only)")
-		sloSkew     = flag.Float64("slo-shuffle-skew", def.MaxShuffleSkew, "max shuffle-byte skew, max/mean (negative: report-only)")
-		sloCopier   = flag.Float64("slo-copier-share", def.MaxCopierShare, "max copier CPU share (negative: report-only)")
-		sloQuar     = flag.Float64("slo-quarantines", def.MaxQuarantines, "max checkpoint quarantines (negative: report-only)")
-		sloMissing  = flag.Float64("slo-missing-ranks", def.MaxMissingRanks, "max missing ranks (negative: report-only)")
-		sloCritPath = flag.Float64("slo-critpath-recovery", def.MaxRecoveryPathShare, "max recovery share of the critical path, 0..1 (negative: report-only)")
-		sloPFSShare = flag.Float64("slo-recovery-pfs-share", def.MaxRecoveryPFSShare, "max share of recovery reads served by the PFS instead of replicas, 0..1 (negative: report-only)")
-		sloStalls   = flag.Float64("slo-introspect-stalls", def.MaxIntrospectStalls, "max introspection stall reports (negative: report-only)")
+		sloCkpt     = fs.Float64("slo-ckpt-overhead", def.MaxCkptOverhead, "max checkpoint overhead fraction (negative: report-only)")
+		sloRec      = fs.Float64("slo-recovery", def.MaxRecoverySeconds, "max worst-rank recovery seconds (negative: report-only)")
+		sloSkew     = fs.Float64("slo-shuffle-skew", def.MaxShuffleSkew, "max shuffle-byte skew, max/mean (negative: report-only)")
+		sloCopier   = fs.Float64("slo-copier-share", def.MaxCopierShare, "max copier CPU share (negative: report-only)")
+		sloQuar     = fs.Float64("slo-quarantines", def.MaxQuarantines, "max checkpoint quarantines (negative: report-only)")
+		sloMissing  = fs.Float64("slo-missing-ranks", def.MaxMissingRanks, "max missing ranks (negative: report-only)")
+		sloCritPath = fs.Float64("slo-critpath-recovery", def.MaxRecoveryPathShare, "max recovery share of the critical path, 0..1 (negative: report-only)")
+		sloPFSShare = fs.Float64("slo-recovery-pfs-share", def.MaxRecoveryPFSShare, "max share of recovery reads served by the PFS instead of replicas, 0..1 (negative: report-only)")
+		sloStalls   = fs.Float64("slo-introspect-stalls", def.MaxIntrospectStalls, "max introspection stall reports (negative: report-only)")
 	)
-	flag.Parse()
-
-	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
-		fmt.Fprintf(os.Stderr, "unknown trace format %q (jsonl|chrome)\n", *traceFmt)
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has already printed the reason
 	}
-
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ftmr-sim: "+format+"\n", a...)
+		return 2
+	}
 	m, err := parseModel(*model)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	lbm, err := core.ParseLBModel(*lbModel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	ftm, err := core.ParseFTModel(*ftModel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usage("%v", err)
+	}
+	var outBegin, outEnd time.Duration
+	if *outage != "" {
+		if outBegin, outEnd, err = parseOutage(*outage); err != nil {
+			return usage("%v", err)
+		}
+	}
+	// Everything the layers below would answer with a panic, or silently
+	// ignore, is refused here.
+	cfg := cluster.Default()
+	slots := cfg.Nodes * cfg.PPN
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case *procs < 1 || *procs > slots:
+		return usage("-procs must be between 1 and %d (the simulated cluster's slots), got %d", slots, *procs)
+	case *killRank < -1 || *killRank >= *procs:
+		return usage("-kill-rank %d is not a rank of a %d-rank job", *killRank, *procs)
+	case *killPhase != "" && *killPhase != "map" && *killPhase != "reduce":
+		return usage("unknown -kill-phase %q (map|reduce)", *killPhase)
+	case ftm.Replicating() && m != core.ModelDetectResumeWC && m != core.ModelDetectResumeNWC:
+		return usage("-ft-model %s requires -model wc or nwc, got -model %s", *ftModel, *model)
+	case *replicaK < 0:
+		return usage("-replica-k must not be negative, got %d", *replicaK)
+	case *interval < 1:
+		return usage("-ckpt-interval must be at least 1 record, got %d", *interval)
+	case *kills < 0 || *chaos < 0:
+		return usage("-kills and -chaos must not be negative")
+	case *gran != "record" && *gran != "chunk":
+		return usage("unknown -granularity %q (record|chunk)", *gran)
+	case *traceFmt != "jsonl" && *traceFmt != "chrome":
+		return usage("unknown -trace-format %q (jsonl|chrome)", *traceFmt)
+	case *workload != "wordcount" && *workload != "blast" && *workload != "pagerank" && *workload != "bfs":
+		return usage("unknown -workload %q (wordcount|pagerank|bfs|blast)", *workload)
 	}
 
-	clus := func() *cluster.Cluster {
-		cfg := cluster.Default()
-		need := (*procs + cfg.PPN - 1) / cfg.PPN
-		if need < cfg.Nodes {
-			cfg.Nodes = need
-		}
-		return cluster.New(cfg)
-	}()
+	// Build only the nodes the job occupies.
+	cfg.Nodes = (*procs + cfg.PPN - 1) / cfg.PPN
+	clus := cluster.New(cfg)
 	if *tracePath != "" || *streamTo != "" || *critOut != "" {
 		clus.Trace = trace.New(clus.Sim, *traceCap)
 	}
@@ -192,8 +230,8 @@ func main() {
 		if *introspectOut != "" {
 			f, err := os.Create(*introspectOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "introspect: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "introspect: %v\n", err)
+				return 1
 			}
 			inspFile = f
 			pl.StreamJSONL(f)
@@ -203,8 +241,8 @@ func main() {
 	if *streamTo != "" {
 		f, err := os.Create(*streamTo)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace stream: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "trace stream: %v\n", err)
+			return 1
 		}
 		streamFile = f
 		clus.Trace.StreamJSONL(f)
@@ -260,9 +298,6 @@ func main() {
 		h = core.Launch(clus, *procs, func(app *core.App) {
 			_, _ = workloads.BFSDriver(app, base, "job", "in/job", 20, p)
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
 	}
 
 	if *stFaults {
@@ -271,12 +306,7 @@ func main() {
 		failure.StorageFaults(clus, *chaosSeed)
 	}
 	if *outage != "" {
-		begin, end, err := parseOutage(*outage)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		failure.PFSOutage(clus, begin, end)
+		failure.PFSOutage(clus, outBegin, outEnd)
 	}
 	switch {
 	case *chaos > 0:
@@ -296,21 +326,21 @@ func main() {
 	}
 
 	clus.Introspect.Start()
-	wd := clus.Introspect.StartWatchdog(*stallAfter, os.Stderr)
+	wd := clus.Introspect.StartWatchdog(*stallAfter, stderr)
 	clus.Sim.Run()
 	wd.Stop()
 
 	report := func(res *core.Result) {
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(stdout)
 			_ = enc.Encode(res.Summary())
 			return
 		}
-		fmt.Printf("job %-24s aborted=%-5v elapsed=%8.3fs failed-ranks=%v\n",
+		fmt.Fprintf(stdout, "job %-24s aborted=%-5v elapsed=%8.3fs failed-ranks=%v\n",
 			res.Spec.JobID, res.Aborted, res.Elapsed().Seconds(), res.FailedRanks)
 		for _, ph := range []core.Phase{core.PhaseMap, core.PhaseShuffle, core.PhaseConvert, core.PhaseReduce, core.PhaseRecovery} {
 			if d := res.MaxPhase(ph); d > 0 {
-				fmt.Printf("    %-9s max %8.3fs   aggregate %9.3fs\n", ph, d.Seconds(), res.PhaseTotal(ph).Seconds())
+				fmt.Fprintf(stdout, "    %-9s max %8.3fs   aggregate %9.3fs\n", ph, d.Seconds(), res.PhaseTotal(ph).Seconds())
 			}
 		}
 	}
@@ -320,12 +350,12 @@ func main() {
 	}
 
 	if *restart && m == core.ModelCheckpointRestart && len(h.Results()) > 0 && h.Results()[0].Aborted {
-		fmt.Println("resubmitting with Resume...")
+		fmt.Fprintln(stdout, "resubmitting with Resume...")
 		spec := h.Results()[0].Spec
 		spec.Resume = true
 		h2 := core.RunSingle(clus, spec)
 		clus.Introspect.Start()
-		wd2 := clus.Introspect.StartWatchdog(*stallAfter, os.Stderr)
+		wd2 := clus.Introspect.StartWatchdog(*stallAfter, stderr)
 		clus.Sim.Run()
 		wd2.Stop()
 		report(h2.Result())
@@ -353,23 +383,23 @@ func main() {
 				s.OutageOps += ls.OutageOps
 			}
 		}
-		fmt.Fprintf(os.Stderr, "storage faults injected: torn=%d bitflip=%d readerr=%d rspike=%d wspike=%d outage-ops=%d\n",
+		fmt.Fprintf(stderr, "storage faults injected: torn=%d bitflip=%d readerr=%d rspike=%d wspike=%d outage-ops=%d\n",
 			s.TornWrites, s.BitFlips, s.ReadErrors, s.ReadSpikes, s.WriteSpikes, s.OutageOps)
 	}
 	if streamFile != nil {
 		if err := clus.Trace.FlushStream(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace stream: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "trace stream: %v\n", err)
+			return 1
 		}
 		_ = streamFile.Close()
-		fmt.Fprintf(os.Stderr, "trace streamed to %s (jsonl)\n", *streamTo)
+		fmt.Fprintf(stderr, "trace streamed to %s (jsonl)\n", *streamTo)
 	}
 	if *tracePath != "" {
 		if err := clus.Trace.WriteFile(*tracePath, *traceFmt); err != nil {
-			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "write trace: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%s)\n", *tracePath, *traceFmt)
+		fmt.Fprintf(stderr, "trace written to %s (%s)\n", *tracePath, *traceFmt)
 	}
 
 	var critRep *critpath.Report
@@ -377,24 +407,24 @@ func main() {
 		events := append(clus.Trace.Events(), clus.Trace.DropEvents()...)
 		rep, err := critpath.Analyze(events)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "critpath: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "critpath: %v\n", err)
+			return 2
 		}
 		critRep = rep
 		if rep.Unreliable {
-			fmt.Fprintf(os.Stderr, "critpath: warning: %d events overwritten by ring buffers; report is UNRELIABLE (raise -trace-cap)\n", rep.Dropped)
+			fmt.Fprintf(stderr, "critpath: warning: %d events overwritten by ring buffers; report is UNRELIABLE (raise -trace-cap)\n", rep.Dropped)
 		}
 		f, err := os.Create(*critOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "critpath: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "critpath: %v\n", err)
+			return 1
 		}
 		rep.Render(f, 10)
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "critpath: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "critpath: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "critical-path report written to %s\n", *critOut)
+		fmt.Fprintf(stderr, "critical-path report written to %s\n", *critOut)
 	}
 
 	if clus.Metrics != nil {
@@ -420,15 +450,15 @@ func main() {
 		if *metricsOut != "" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "metrics: %v\n", err)
+				return 1
 			}
 			if err := metrics.WriteOpenMetrics(f, final); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "metrics: %v\n", err)
+				return 1
 			}
 			_ = f.Close()
-			fmt.Fprintf(os.Stderr, "metrics written to %s (openmetrics)\n", *metricsOut)
+			fmt.Fprintf(stderr, "metrics written to %s (openmetrics)\n", *metricsOut)
 		}
 		if *health {
 			hl := metrics.Evaluate(final, metrics.SLO{
@@ -442,9 +472,9 @@ func main() {
 				MaxRecoveryPFSShare:  *sloPFSShare,
 				MaxIntrospectStalls:  *sloStalls,
 			})
-			hl.Render(os.Stdout)
+			hl.Render(stdout)
 			if hl.Breached() {
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
@@ -452,16 +482,17 @@ func main() {
 	if clus.Introspect != nil {
 		if inspFile != nil {
 			if err := clus.Introspect.FlushStream(); err != nil {
-				fmt.Fprintf(os.Stderr, "introspect: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "introspect: %v\n", err)
+				return 1
 			}
 			_ = inspFile.Close()
-			fmt.Fprintf(os.Stderr, "introspection snapshots written to %s (jsonl)\n", *introspectOut)
+			fmt.Fprintf(stderr, "introspection snapshots written to %s (jsonl)\n", *introspectOut)
 		}
 		if stalls := clus.Introspect.Stalls(); len(stalls) > 0 {
-			fmt.Fprintf(os.Stderr, "introspect: %d stall report(s) (%s); inspect with: ftmr-trace inspect %s\n",
+			fmt.Fprintf(stderr, "introspect: %d stall report(s) (%s); inspect with: ftmr-trace inspect %s\n",
 				len(stalls), stalls[0].Reason, *introspectOut)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

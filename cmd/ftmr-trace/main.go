@@ -24,8 +24,10 @@
 //	    wait-for graph in Graphviz DOT form.
 //
 // Exit status: 0 clean, 1 divergence/violations/regression/stalls found, 2
-// usage or I/O error. Damaged traces (malformed lines) are reported on
-// stderr but analysis proceeds on the lines that decoded.
+// usage or unreadable input. A damaged file (malformed lines next to a header
+// or to lines that do decode, e.g. a trace cut short by a crash) is reported
+// on stderr and analysis proceeds on the lines that decoded; a file with no
+// header in which nothing decodes is not a trace at all: exit 2.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"sort"
 
 	"ftmrmpi/internal/introspect"
+	"ftmrmpi/internal/jsonl"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/trace/critpath"
 )
@@ -56,7 +59,7 @@ commands:
         render an introspection stream (ftmr-sim -introspect-out): final
         wait-state table + stall reports, or the wait-for graph as DOT
 
-exit status: 0 clean, 1 divergence/violations/regression/stalls, 2 usage or I/O error
+exit status: 0 clean, 1 divergence/violations/regression/stalls, 2 usage or unreadable input
 `)
 	os.Exit(2)
 }
@@ -85,7 +88,7 @@ func main() {
 // analyze loads one trace and walks its critical path, mapping both load
 // and analysis failures to diagnostics on stderr.
 func analyze(path string) (*critpath.Report, error) {
-	events, err := load(path)
+	events, err := load(path, trace.ReadJSONLFile)
 	if err != nil {
 		return nil, err
 	}
@@ -136,14 +139,10 @@ func cmdInspect(args []string) int {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	path := fs.Arg(0)
-	lines, rr, err := introspect.ReadJSONLFile(path)
+	lines, err := load(fs.Arg(0), introspect.ReadJSONLFile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftmr-trace: %s: %v\n", path, err)
+		fmt.Fprintln(os.Stderr, "ftmr-trace:", err)
 		return 2
-	}
-	if !rr.Clean() {
-		fmt.Fprintf(os.Stderr, "ftmr-trace: warning: %s: %v\n", path, rr.Err())
 	}
 	snaps, stalls := introspect.SplitLines(lines)
 	if *waitgraph {
@@ -157,16 +156,17 @@ func cmdInspect(args []string) int {
 	return 0
 }
 
-// load reads one trace, reporting (not failing on) counted line damage.
-func load(path string) ([]trace.Event, error) {
-	events, rr, err := trace.ReadJSONLFile(path)
+// load reads one JSONL file with its format's reader, reporting (not failing
+// on) counted line damage.
+func load[T any](path string, read func(string) ([]T, *jsonl.Report, error)) ([]T, error) {
+	records, rr, err := read(path)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if !rr.Clean() {
 		fmt.Fprintf(os.Stderr, "ftmr-trace: warning: %s: %v\n", path, rr.Err())
 	}
-	return events, nil
+	return records, nil
 }
 
 func cmdDiff(args []string) int {
@@ -178,12 +178,12 @@ func cmdDiff(args []string) int {
 		usage()
 	}
 	pathA, pathB := fs.Arg(0), fs.Arg(1)
-	a, err := load(pathA)
+	a, err := load(pathA, trace.ReadJSONLFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftmr-trace:", err)
 		return 2
 	}
-	b, err := load(pathB)
+	b, err := load(pathB, trace.ReadJSONLFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftmr-trace:", err)
 		return 2
@@ -245,7 +245,7 @@ func cmdSummarize(args []string) int {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	events, err := load(fs.Arg(0))
+	events, err := load(fs.Arg(0), trace.ReadJSONLFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftmr-trace:", err)
 		return 2
@@ -323,7 +323,7 @@ func cmdFlows(args []string) int {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	events, err := load(fs.Arg(0))
+	events, err := load(fs.Arg(0), trace.ReadJSONLFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftmr-trace:", err)
 		return 2

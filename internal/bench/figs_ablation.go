@@ -252,9 +252,9 @@ func ablRestore(s Scale) *Table {
 	const ckptInterval = 10
 
 	reads := func(snap metrics.Snapshot) (replica, pfs float64) {
-		local, _ := snap.Series(metrics.MRecoveryReads, "replica-local")
-		peer, _ := snap.Series(metrics.MRecoveryReads, "replica-peer")
-		p, _ := snap.Series(metrics.MRecoveryReads, "pfs")
+		local, _ := snap.Series(metrics.MRecoveryReads, metrics.SourceReplicaLocal)
+		peer, _ := snap.Series(metrics.MRecoveryReads, metrics.SourceReplicaPeer)
+		p, _ := snap.Series(metrics.MRecoveryReads, metrics.SourcePFS)
 		return local + peer, p
 	}
 

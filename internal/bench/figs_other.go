@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
 	"ftmrmpi/internal/workloads"
 )
@@ -270,7 +269,3 @@ func fig14(s Scale) *Table {
 		"paper: CR recovers 65% faster and DR(WC) 91% faster than MR-MPI; DR(NWC) pays full reprocessing")
 	return t
 }
-
-// min is strconv-free helper (Go's builtin min works on ints; kept for
-// clarity at call sites that predate it).
-var _ = cluster.Default

@@ -7,7 +7,7 @@ import (
 )
 
 // TestThroughputGate is the simulator-throughput regression gate wired into
-// `make check` (style of TestTracerOverheadGate: opt-in via env var, and
+// `make check` (style of internal/obs TestOverheadGate: opt-in via env var, and
 // host-independent because it compares two configurations on the same
 // host). It runs the mailbox-pressure microbenchmark under the legacy
 // linear matcher and under the indexed matcher and fails when the indexed

@@ -189,7 +189,7 @@ func (t *TaskContext) WorldRank() int { return t.run.comm.WorldRank(t.run.comm.R
 // named user_<sanitized name>.
 func (t *TaskContext) AddCounter(name string, delta int64) {
 	t.run.m.Counters[name] += delta
-	t.run.cm.userAdd(name, delta)
+	t.run.obs.UserAdd(name, delta)
 }
 
 // KVWriter receives the key-value pairs a Mapper emits (paper Table 1).

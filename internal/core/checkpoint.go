@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/metrics"
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/storage"
-	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -153,12 +153,12 @@ type copier struct {
 	pfs     *storage.Tier
 	cpu     *vtime.Bandwidth
 	metrics *RankMetrics
-	rec     *trace.Recorder // owning rank's recorder; events land on its copier track
-	copied  map[string]int  // stream -> bytes durable on PFS
+	obs     *obs.Handle    // owning rank's handle; trace events land on its copier track
+	copied  map[string]int // stream -> bytes durable on PFS
 	stopped bool
 }
 
-func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.Tier, cpu *vtime.Bandwidth, m *RankMetrics) *copier {
+func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.Tier, cpu *vtime.Bandwidth, m *RankMetrics, h *obs.Handle) *copier {
 	cp := &copier{
 		jobID:   jobID,
 		q:       vtime.NewQueue(sim),
@@ -166,6 +166,7 @@ func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.
 		pfs:     pfs,
 		cpu:     cpu,
 		metrics: m,
+		obs:     h,
 		copied:  make(map[string]int),
 	}
 	cp.proc = sim.Spawn(name, cp.loop)
@@ -235,7 +236,7 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 		return
 	}
 	delta := data[have:]
-	cp.rec.CopierBegin(stream, len(delta))
+	cp.obs.Rec.CopierBegin(stream, len(delta))
 	// Read only the new suffix from the local disk.
 	cp.metrics.CopierIO += cp.local.Charge(p, 1, len(delta))
 	// CPU for the copy path (shared with the main thread on this core).
@@ -250,12 +251,12 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	if err != nil {
 		// Give up on this delta (clean rollback, no durability advance); a
 		// later drain of the stream retries the whole suffix.
-		cp.rec.CopierEnd(stream, len(delta))
+		cp.obs.Rec.CopierEnd(stream, len(delta))
 		return
 	}
 	cp.copied[stream] = total
-	cp.rec.CopierDrain(stream, len(delta))
-	cp.rec.CopierEnd(stream, len(delta))
+	cp.obs.Rec.CopierDrain(stream, len(delta))
+	cp.obs.Rec.CopierEnd(stream, len(delta))
 }
 
 // enqueue schedules a stream drain.
@@ -294,11 +295,9 @@ type ckptWriter struct {
 	pfs     *storage.Tier
 	cp      *copier
 	m       *RankMetrics
-	rec     *trace.Recorder
-	cm      *coreMets
-	ip      *introspect.RankProbe // nil when introspection is disabled
-	agent   *lbAgent              // fed phase-boundary drain stalls (trace LB model)
-	rep     *replicator           // nil when the in-memory replica tier is disabled
+	obs     *obs.Handle
+	agent   *lbAgent    // fed phase-boundary drain stalls (trace LB model)
+	rep     *replicator // nil when the in-memory replica tier is disabled
 }
 
 // write appends encoded frame bytes to a stream, charging frames small
@@ -312,7 +311,7 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	path := ckptPath(w.jobID, stream)
 	w.m.CkptFrames += int64(frames)
 	w.m.CkptBytes += int64(len(data))
-	w.rec.CkptCommit(stream, len(data), frames)
+	w.obs.Rec.CkptCommit(stream, len(data), frames)
 	// Direct to PFS, every frame is a distinct small operation against the
 	// shared file system (§4.1.3's slow path); the local disk absorbs them
 	// and the copier drains the stream in few large appends.
@@ -323,8 +322,7 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	}
 	d, _ := appendRollback(p, tier, path, data, frames, ckptAppendBudget, false)
 	w.m.IOWait += d
-	w.cm.ckptWrite(d)
-	w.rec.CkptStall("write", d)
+	w.obs.CkptStall("write", d)
 	if viaCopier {
 		w.cp.enqueue(stream)
 	}
@@ -348,13 +346,12 @@ func (w *ckptWriter) replicate(stream string, data []byte) {
 func (w *ckptWriter) phaseSync(p *vtime.Proc) {
 	if w.enabled && w.loc == LocLocalCopier && w.cp != nil {
 		t0 := p.Now()
-		w.ip.EnterDrain()
+		w.obs.Probe.EnterDrain()
 		w.cp.drainWait(p)
-		w.ip.ExitDrain()
+		w.obs.Probe.ExitDrain()
 		d := p.Now() - t0
 		w.m.IOWait += d
-		w.cm.ckptDrain(d)
-		w.rec.CkptStall("drain", d)
+		w.obs.CkptStall("drain", d)
 		if w.agent != nil {
 			w.agent.noteStall(d)
 		}
@@ -368,22 +365,13 @@ type ckptReader struct {
 	local    *storage.Tier // staging target for prefetch
 	prefetch bool
 	m        *RankMetrics
-	rec      *trace.Recorder
-	cm       *coreMets
+	obs      *obs.Handle
 	// staged marks streams already prefetched to the local disk.
 	staged map[string]bool
 	// rs, when non-nil, is the rank's in-memory replica store; load prefers
 	// it over the PFS (the failover chain's RAM tiers).
 	rs *replicaStore
 }
-
-// Recovery read-path sources, in failover-chain order. The literals must
-// match the metrics health engine's ftmr_recovery_reads source labels.
-const (
-	srcReplicaLocal = "replica-local"
-	srcReplicaPeer  = "replica-peer"
-	srcPFS          = "pfs"
-)
 
 // load returns the decoded frames of a stream, charging recovery I/O. The
 // read path is a failover chain: the rank's own in-memory mirror, then
@@ -402,7 +390,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	// retries, per-frame replay charges — is attributed as one stage event,
 	// keeping event sums equal to the hand-kept counter.
 	pre := r.m.Recovery.LoadCkpt
-	defer func() { r.rec.RecoveryStage("load", r.m.Recovery.LoadCkpt-pre) }()
+	defer func() { r.obs.Rec.RecoveryStage("load", r.m.Recovery.LoadCkpt-pre) }()
 	if frames := r.loadReplica(stream); frames != nil {
 		return frames
 	}
@@ -444,8 +432,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// partially-corrupt suffix would inject garbage state; dropping it
 		// only costs rework, which the recovery path already handles for
 		// streams that never became durable at all.
-		r.rec.CkptCorrupt(stream, consumed, len(raw))
-		r.cm.quarantine()
+		r.obs.Quarantine(stream, consumed, len(raw))
 		r.m.Counters["ckpt_corrupt"]++
 		r.pfs.Truncate(path, consumed)
 		if r.local != nil && r.staged[stream] {
@@ -456,7 +443,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// Direct PFS replay: charge one operation per frame.
 		r.m.Recovery.LoadCkpt += r.pfs.Charge(p, len(frames), consumed)
 	}
-	r.accountLoad(stream, srcPFS, raw[:consumed], frames)
+	r.accountLoad(stream, metrics.SourcePFS, raw[:consumed], frames)
 	return frames
 }
 
@@ -517,9 +504,9 @@ func (r *ckptReader) loadReplica(stream string) []frame {
 		// land behind garbage.
 		r.rs.truncate(stream, consumed)
 	}
-	source := srcReplicaPeer
+	source := metrics.SourceReplicaPeer
 	if own {
-		source = srcReplicaLocal
+		source = metrics.SourceReplicaLocal
 	}
 	r.accountLoad(stream, source, raw[:consumed], frames)
 	return frames
@@ -532,9 +519,7 @@ func (r *ckptReader) loadReplica(stream string) []frame {
 func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []frame) {
 	r.m.RecoveredBytes += int64(len(valid))
 	r.m.RecoveredFrames += int64(len(frames))
-	r.rec.CkptLoad(stream, len(valid), len(frames))
-	r.rec.RecoverySource(source, len(valid), len(frames))
-	r.cm.recoveryRead(source)
+	r.obs.RecoveryRead(stream, source, len(valid), len(frames))
 	if r.rs != nil {
 		r.rs.adopt(stream, valid)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftmrmpi/internal/cluster"
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/vtime"
 )
@@ -30,8 +31,8 @@ func TestCopierDrainsLocalToPFS(t *testing.T) {
 	m := newRankMetrics(0)
 	local := clus.LocalOf(0)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m)
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m}
+		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
+		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		for i := 0; i < 5; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), 10, []byte("payload"))
 			w.write(p, "map/t000001", fr, 1)
@@ -66,9 +67,9 @@ func TestCopierLossOnKill(t *testing.T) {
 	local := clus.LocalOf(0)
 	var proc *vtime.Proc
 	proc = clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m)
+		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
 		p.OnKill(func() { clus.Sim.Kill(cp.proc) })
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m}
+		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		for i := 0; i < 100; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), uint32(i), make([]byte, 4096))
 			w.write(p, "map/t000002", fr, 1)
@@ -96,7 +97,7 @@ func TestCkptWriterDirectPFS(t *testing.T) {
 	clus := ckptCluster()
 	m := newRankMetrics(0)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocDirectPFS, pfs: clus.PFS, m: m}
+		w := &ckptWriter{enabled: true, jobID: "job", loc: LocDirectPFS, pfs: clus.PFS, m: m, obs: &obs.Handle{}}
 		fr := encodeFrame(nil, frameShuffle, 3, 0, []byte("data"))
 		w.write(p, partStream(3), fr, 1)
 	})
@@ -119,9 +120,9 @@ func TestCkptReaderPrefetchStages(t *testing.T) {
 
 	var direct, staged []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: false, m: m, staged: map[string]bool{}}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: false, m: m, obs: &obs.Handle{}, staged: map[string]bool{}}
 		direct = rd.load(p, "map/t000003")
-		rd2 := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: true, m: m, staged: map[string]bool{}}
+		rd2 := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: true, m: m, obs: &obs.Handle{}, staged: map[string]bool{}}
 		staged = rd2.load(p, "map/t000003")
 		// Second load hits the local staging copy.
 		_ = rd2.load(p, "map/t000003")
@@ -139,7 +140,7 @@ func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 	clus := ckptCluster()
 	m := newRankMetrics(0)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		w := &ckptWriter{enabled: false, jobID: "job", pfs: clus.PFS, m: m}
+		w := &ckptWriter{enabled: false, jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}}
 		w.write(p, "map/t000009", []byte("frame"), 1)
 	})
 	clus.Sim.Run()

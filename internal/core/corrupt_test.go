@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -25,7 +26,7 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -40,7 +41,7 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 	}
 	// A second load sees a clean stream: no further quarantine.
 	clus.Sim.Spawn("again", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -65,7 +66,7 @@ func TestCkptReaderQuarantinesBitFlip(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()
@@ -99,7 +100,7 @@ func TestCorruptStreamServedFromReplica(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool), rs: rs}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool), rs: rs}
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()

@@ -6,193 +6,6 @@ import (
 	"ftmrmpi/internal/metrics"
 )
 
-// coreMets bundles a runner's pre-bound metric instruments. It is nil when
-// the cluster has no metrics registry; every method no-ops on a nil
-// receiver, so each instrumentation point costs one branch (the trace
-// Recorder discipline).
-type coreMets struct {
-	reg  *metrics.Registry
-	rank int
-
-	mapTask          *metrics.Histogram
-	reducePart       *metrics.Histogram
-	taskCommits      *metrics.Counter
-	recoveryAttempts *metrics.Counter
-	ckptWriteWait    *metrics.Counter
-	ckptDrainWait    *metrics.Counter
-	quarantines      *metrics.Counter
-
-	// recReads counts recovery-time checkpoint reads by failover-chain
-	// source ("replica-local", "replica-peer", "pfs"); the series are
-	// world-scoped (one per source, shared by all ranks).
-	recReads map[string]*metrics.Counter
-
-	lbIntercept *metrics.Gauge
-	lbSlope     *metrics.Gauge
-	lbResidual  *metrics.Gauge
-	lbObs       *metrics.Gauge
-
-	// user holds lazily bound user_ counters (TaskContext.AddCounter),
-	// keyed by the raw (unsanitized) counter name.
-	user map[string]*metrics.Counter
-}
-
-// bindCoreMets registers the runner-side instrument series for one rank;
-// nil registry yields nil (metrics disabled).
-func bindCoreMets(reg *metrics.Registry, rank int) *coreMets {
-	if reg == nil {
-		return nil
-	}
-	return &coreMets{
-		reg:  reg,
-		rank: rank,
-		mapTask: reg.Histogram("ftmr_map_task_seconds",
-			"Virtual-time latency of map task executions (including restores).",
-			rank, metrics.TaskSecondsBuckets),
-		reducePart: reg.Histogram("ftmr_reduce_partition_seconds",
-			"Virtual-time latency of reduce partition executions.",
-			rank, metrics.TaskSecondsBuckets),
-		taskCommits: reg.Counter("ftmr_task_commits",
-			"Task commit points (map task completions and reduce group commits).", rank),
-		recoveryAttempts: reg.Counter(metrics.MRecoveryAttempts,
-			"Distributed-recovery episodes entered.", rank),
-		ckptWriteWait: reg.Counter(metrics.MCkptWriteWait,
-			"Main-thread seconds stalled writing checkpoint frames.", rank),
-		ckptDrainWait: reg.Counter(metrics.MCkptDrainWait,
-			"Seconds waiting in end-of-phase checkpoint drain barriers.", rank),
-		quarantines: reg.Counter(metrics.MCkptQuarantines,
-			"Checkpoint streams truncated to their longest valid prefix.", rank),
-		recReads: map[string]*metrics.Counter{
-			srcReplicaLocal: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcReplicaLocal),
-			srcReplicaPeer: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcReplicaPeer),
-			srcPFS: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcPFS),
-		},
-		lbIntercept: reg.Gauge("ftmr_lb_fit_intercept_seconds",
-			"Load-balance model intercept from the latest fit.", rank),
-		lbSlope: reg.Gauge("ftmr_lb_fit_slope_seconds_per_byte",
-			"Load-balance model slope from the latest fit.", rank),
-		lbResidual: reg.Gauge("ftmr_lb_fit_rms_residual_seconds",
-			"RMS residual of the latest load-balance fit over its observations.", rank),
-		lbObs: reg.Gauge("ftmr_lb_fit_observations",
-			"Observation count behind the latest load-balance fit.", rank),
-	}
-}
-
-// mapTaskDone records one map task execution latency and its commit.
-func (c *coreMets) mapTaskDone(sec float64) {
-	if c == nil {
-		return
-	}
-	c.mapTask.Observe(sec)
-	c.taskCommits.Inc()
-}
-
-// reducePartDone records one reduce partition latency.
-func (c *coreMets) reducePartDone(sec float64) {
-	if c == nil {
-		return
-	}
-	c.reducePart.Observe(sec)
-}
-
-// taskCommit counts one commit point (co-located with rec.TaskCommit so the
-// counter agrees with trace.Summarize task-commit counts).
-func (c *coreMets) taskCommit() {
-	if c == nil {
-		return
-	}
-	c.taskCommits.Inc()
-}
-
-// recoveryAttempt counts one recovery episode entry.
-func (c *coreMets) recoveryAttempt() {
-	if c == nil {
-		return
-	}
-	c.recoveryAttempts.Inc()
-}
-
-// ckptWrite accrues main-thread checkpoint write stall seconds.
-func (c *coreMets) ckptWrite(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.ckptWriteWait.Add(d.Seconds())
-}
-
-// ckptDrain accrues end-of-phase drain barrier seconds.
-func (c *coreMets) ckptDrain(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.ckptDrainWait.Add(d.Seconds())
-}
-
-// quarantine counts one checkpoint stream truncation.
-func (c *coreMets) quarantine() {
-	if c == nil {
-		return
-	}
-	c.quarantines.Inc()
-}
-
-// recoveryRead counts one recovery-time checkpoint read by the
-// failover-chain source that satisfied it.
-func (c *coreMets) recoveryRead(source string) {
-	if c == nil {
-		return
-	}
-	if ctr := c.recReads[source]; ctr != nil {
-		ctr.Inc()
-	}
-}
-
-// lbFit publishes the latest load-balance fit parameters.
-func (c *coreMets) lbFit(intercept, slope, rms float64, nobs int) {
-	if c == nil {
-		return
-	}
-	c.lbIntercept.Set(intercept)
-	c.lbSlope.Set(slope)
-	c.lbResidual.Set(rms)
-	c.lbObs.Set(float64(nobs))
-}
-
-// userAdd routes a TaskContext.AddCounter delta into a user_ prefixed
-// counter series, binding (and caching) the series on first use.
-func (c *coreMets) userAdd(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	ctr, ok := c.user[name]
-	if !ok {
-		if c.user == nil {
-			c.user = make(map[string]*metrics.Counter)
-		}
-		ctr = c.reg.Counter("user_"+metrics.SanitizeName(name),
-			"User-defined counter (TaskContext.AddCounter).", c.rank)
-		c.user[name] = ctr
-	}
-	ctr.Add(float64(delta))
-}
-
-// rankMirror is the delta state behind one mirrorRankMetrics hook.
-type rankMirror struct {
-	m    *RankMetrics
-	last struct {
-		cpuMain, cpuCopier, ioWait, copierIO, netWait            time.Duration
-		recInit, recLoad, recSkip, recReprocess, recPhase        time.Duration
-		mapped, skipped, restored, groups                        int64
-		ckptFrames, ckptBytes, shuffleBytes, recFrames, recBytes int64
-	}
-}
-
 // mirrorRankMetrics registers an OnSample hook that pushes the deltas of a
 // runner's RankMetrics accumulators (which have many mutation sites) into
 // per-rank registry counters. Each runner registers its own mirror, so job
@@ -201,60 +14,50 @@ func mirrorRankMetrics(reg *metrics.Registry, m *RankMetrics, rank int) {
 	if reg == nil {
 		return
 	}
-	cpuMain := reg.Counter(metrics.MCPUMain, "Main-thread CPU seconds.", rank)
-	cpuCopier := reg.Counter(metrics.MCPUCopier, "Copier-thread CPU seconds (same core).", rank)
-	ioWait := reg.Counter(metrics.MIOWait, "Main-thread storage wait seconds.", rank)
-	copierIO := reg.Counter(metrics.MCopierIO, "Copier-thread storage wait seconds.", rank)
-	netWait := reg.Counter(metrics.MNetWait, "Seconds inside communication calls.", rank)
-	recInit := reg.Counter(metrics.MRecoveryInit, "Recovery seconds: shrink/agree/table rebuild.", rank)
-	recLoad := reg.Counter(metrics.MRecoveryLoad, "Recovery seconds: reading checkpoint data.", rank)
-	recSkip := reg.Counter(metrics.MRecoverySkip, "Recovery seconds: skipping committed records.", rank)
-	recReprocess := reg.Counter(metrics.MRecoveryReprocess, "Recovery seconds: re-executing lost work.", rank)
-	recPhase := reg.Counter(metrics.MRecoverySeconds, "Seconds spent in the recovery phase.", rank)
-	mapped := reg.Counter("ftmr_records_mapped", "Input records mapped.", rank)
-	skipped := reg.Counter("ftmr_records_skipped", "Committed records skipped during recovery.", rank)
-	restored := reg.Counter("ftmr_records_restored", "Records restored from checkpoint frames.", rank)
-	groups := reg.Counter("ftmr_groups_reduced", "Key groups reduced.", rank)
-	ckptFrames := reg.Counter("ftmr_ckpt_frames", "Checkpoint frames written.", rank)
-	ckptBytes := reg.Counter("ftmr_ckpt_bytes", "Checkpoint bytes written.", rank)
-	shuffleBytes := reg.Counter(metrics.MShuffleBytes, "Shuffle bytes received.", rank)
-	recFrames := reg.Counter("ftmr_recovered_frames", "Checkpoint frames replayed during recovery.", rank)
-	recBytes := reg.Counter("ftmr_recovered_bytes", "Checkpoint bytes replayed during recovery.", rank)
+	// mirrored is one accumulator: how to read it, how to push a delta of it
+	// into its series, and the value pushed so far.
+	type mirrored struct {
+		cur  func() int64
+		push func(delta int64)
+		last int64
+	}
+	var all []*mirrored
+	secs := func(name, help string, cur func() time.Duration) {
+		c := reg.Counter(name, help, rank)
+		all = append(all, &mirrored{cur: func() int64 { return int64(cur()) },
+			push: func(d int64) { c.Add(time.Duration(d).Seconds()) }})
+	}
+	count := func(name, help string, cur func() int64) {
+		c := reg.Counter(name, help, rank)
+		all = append(all, &mirrored{cur: cur, push: func(d int64) { c.Add(float64(d)) }})
+	}
+	secs(metrics.MCPUMain, "Main-thread CPU seconds.", func() time.Duration { return m.CPUMain })
+	secs(metrics.MCPUCopier, "Copier-thread CPU seconds (same core).", func() time.Duration { return m.CPUCopier })
+	secs(metrics.MIOWait, "Main-thread storage wait seconds.", func() time.Duration { return m.IOWait })
+	secs(metrics.MCopierIO, "Copier-thread storage wait seconds.", func() time.Duration { return m.CopierIO })
+	secs(metrics.MNetWait, "Seconds inside communication calls.", func() time.Duration { return m.NetWait })
+	secs(metrics.MRecoveryInit, "Recovery seconds: shrink/agree/table rebuild.", func() time.Duration { return m.Recovery.Init })
+	secs(metrics.MRecoveryLoad, "Recovery seconds: reading checkpoint data.", func() time.Duration { return m.Recovery.LoadCkpt })
+	secs(metrics.MRecoverySkip, "Recovery seconds: skipping committed records.", func() time.Duration { return m.Recovery.Skip })
+	secs(metrics.MRecoveryReprocess, "Recovery seconds: re-executing lost work.", func() time.Duration { return m.Recovery.Reprocess })
+	secs(metrics.MRecoverySeconds, "Seconds spent in the recovery phase.", func() time.Duration { return m.PhaseTime[PhaseRecovery] })
+	count("ftmr_records_mapped", "Input records mapped.", func() int64 { return m.RecordsMapped })
+	count("ftmr_records_skipped", "Committed records skipped during recovery.", func() int64 { return m.RecordsSkipped })
+	count("ftmr_records_restored", "Records restored from checkpoint frames.", func() int64 { return m.RecordsRestored })
+	count("ftmr_groups_reduced", "Key groups reduced.", func() int64 { return m.GroupsReduced })
+	count("ftmr_ckpt_frames", "Checkpoint frames written.", func() int64 { return m.CkptFrames })
+	count("ftmr_ckpt_bytes", "Checkpoint bytes written.", func() int64 { return m.CkptBytes })
+	count(metrics.MShuffleBytes, "Shuffle bytes received.", func() int64 { return m.ShuffleBytes })
+	count("ftmr_recovered_frames", "Checkpoint frames replayed during recovery.", func() int64 { return m.RecoveredFrames })
+	count("ftmr_recovered_bytes", "Checkpoint bytes replayed during recovery.", func() int64 { return m.RecoveredBytes })
 
-	mr := &rankMirror{m: m}
-	pushDur := func(c *metrics.Counter, cur time.Duration, last *time.Duration) {
-		if cur != *last {
-			c.Add((cur - *last).Seconds())
-			*last = cur
-		}
-	}
-	pushInt := func(c *metrics.Counter, cur int64, last *int64) {
-		if cur != *last {
-			c.Add(float64(cur - *last))
-			*last = cur
-		}
-	}
 	reg.OnSample(func() {
-		l := &mr.last
-		pushDur(cpuMain, mr.m.CPUMain, &l.cpuMain)
-		pushDur(cpuCopier, mr.m.CPUCopier, &l.cpuCopier)
-		pushDur(ioWait, mr.m.IOWait, &l.ioWait)
-		pushDur(copierIO, mr.m.CopierIO, &l.copierIO)
-		pushDur(netWait, mr.m.NetWait, &l.netWait)
-		pushDur(recInit, mr.m.Recovery.Init, &l.recInit)
-		pushDur(recLoad, mr.m.Recovery.LoadCkpt, &l.recLoad)
-		pushDur(recSkip, mr.m.Recovery.Skip, &l.recSkip)
-		pushDur(recReprocess, mr.m.Recovery.Reprocess, &l.recReprocess)
-		pushDur(recPhase, mr.m.PhaseTime[PhaseRecovery], &l.recPhase)
-		pushInt(mapped, mr.m.RecordsMapped, &l.mapped)
-		pushInt(skipped, mr.m.RecordsSkipped, &l.skipped)
-		pushInt(restored, mr.m.RecordsRestored, &l.restored)
-		pushInt(groups, mr.m.GroupsReduced, &l.groups)
-		pushInt(ckptFrames, mr.m.CkptFrames, &l.ckptFrames)
-		pushInt(ckptBytes, mr.m.CkptBytes, &l.ckptBytes)
-		pushInt(shuffleBytes, mr.m.ShuffleBytes, &l.shuffleBytes)
-		pushInt(recFrames, mr.m.RecoveredFrames, &l.recFrames)
-		pushInt(recBytes, mr.m.RecoveredBytes, &l.recBytes)
+		for _, x := range all {
+			if cur := x.cur(); cur != x.last {
+				x.push(cur - x.last)
+				x.last = cur
+			}
+		}
 	})
 }
 

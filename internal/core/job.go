@@ -141,7 +141,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 		res.End = maxDur(res.End, a.h.Clus.Sim.Now())
 		// Still anchor the (trivial) job on this rank's timeline so the
 		// critical-path walk sees every job bracketed.
-		rec := a.comm.Self().Recorder()
+		rec := a.comm.Self().Obs().Rec
 		rec.JobBegin(spec.JobID)
 		rec.JobEnd(spec.JobID, false)
 		return res, nil
@@ -149,14 +149,14 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 
 	j := &jobCtx{clus: a.h.Clus, spec: spec, res: res, h: a.h, jobIdx: a.jobIdx - 1}
 	r := newRunner(j, a.comm)
-	r.rec.JobBegin(spec.JobID)
+	r.obs.Rec.JobBegin(spec.JobID)
 	res.Ranks[r.myWorld()] = r.m
 	// r is rebound when the job restarts from scratch (errRestartJob): stop
 	// the copier of whichever runner is current when RunJob returns.
 	defer func() { r.shutdown() }()
 	abort := func(err error) (*Result, error) {
 		res.Aborted = true
-		r.rec.JobEnd(spec.JobID, true)
+		r.obs.Rec.JobEnd(spec.JobID, true)
 		return res, err
 	}
 
@@ -241,7 +241,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	res.End = maxDur(res.End, a.h.Clus.Sim.Now())
 	// The final-commit anchor: emitted after the DONE marker is durable, so
 	// the latest job.end across ranks is the critical-path sink.
-	r.rec.JobEnd(spec.JobID, false)
+	r.obs.Rec.JobEnd(spec.JobID, false)
 	return res, nil
 }
 

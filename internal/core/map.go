@@ -133,8 +133,8 @@ func (r *runner) injectKV(kv *kvbuf.KV) {
 // runMapTask executes (or restores) one map task with fine-grained commits.
 func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) error {
 	t0 := r.p.Now()
-	r.ip.SetTask(id)
-	defer r.ip.SetTask(introspect.NoValue)
+	r.obs.Probe.SetTask(id)
+	defer r.obs.Probe.SetTask(introspect.NoValue)
 	task := r.tt.tasks[id]
 	ctx := &TaskContext{proc: r.p, run: r}
 	stream := mapStream(id)
@@ -177,7 +177,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			r.m.RecordsRestored += int64(restoredRecs)
 			d := r.p.Now() - t1
 			r.m.Recovery.LoadCkpt += d
-			r.rec.RecoveryStage("load", d)
+			r.obs.Rec.RecoveryStage("load", d)
 		}
 		if taskComplete {
 			// Static keeps the paper's behaviour of sampling every completed
@@ -186,8 +186,8 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			if r.lb.kind == LBStatic {
 				r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
 			}
-			r.rec.TaskCommit("map", id, int64(restoredRecs))
-			r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+			r.obs.TaskCommit("map", id, int64(restoredRecs))
+			r.obs.Core.MapTask.Observe((r.p.Now() - t0).Seconds())
 			return nil
 		}
 	}
@@ -238,7 +238,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			r.compute(skipAcc)
 			d := r.p.Now() - t1
 			r.m.Recovery.Skip += d
-			r.rec.RecoveryStage("skip", d)
+			r.obs.Rec.RecoveryStage("skip", d)
 			skipAcc = 0
 		}
 		t1 := r.p.Now()
@@ -246,7 +246,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if recoveryTask {
 			d := r.p.Now() - t1
 			r.m.Recovery.Reprocess += d
-			r.rec.RecoveryStage("reprocess", d)
+			r.obs.Rec.RecoveryStage("reprocess", d)
 		}
 		cpuAcc = 0
 		// Commit boundary: flush a record-granularity delta frame.
@@ -280,8 +280,8 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		r.ck.write(r.p, stream, fr, 1)
 	}
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
-	r.rec.TaskCommit("map", id, int64(rec))
-	r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+	r.obs.TaskCommit("map", id, int64(rec))
+	r.obs.Core.MapTask.Observe((r.p.Now() - t0).Seconds())
 	return nil
 }
 

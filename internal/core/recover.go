@@ -18,7 +18,7 @@ import (
 func drErrHandler(c *mpi.Comm, err error) {
 	var pf *mpi.ProcFailedError
 	if errors.As(err, &pf) {
-		c.Self().Recorder().FailureDetect(pf.Ranks)
+		c.Self().Obs().Rec.FailureDetect(pf.Ranks)
 		if !c.Revoked() {
 			_ = c.Revoke()
 		}
@@ -33,22 +33,22 @@ func drErrHandler(c *mpi.Comm, err error) {
 // must be restartable, not merely runnable.
 func (r *runner) recoverDR(retry bool) (err error) {
 	t0 := r.p.Now()
-	r.cm.recoveryAttempt()
+	r.obs.Core.RecoveryAttempts.Inc()
 	// Surface the recovery window to phase observers (the failure injector
 	// uses this to aim kills *inside* recovery).
 	r.job.h.notifyPhase(r.myWorld(), PhaseRecovery)
 	// Every survivor passes through here exactly once per episode: record the
 	// detect→revoke observation before the shrink/agree steps the Shrink call
 	// emits, so each survivor's stream shows the full causal chain.
-	r.rec.RecoveryBegin()
-	r.rec.FailureDetect(nil)
-	r.rec.Revoke("observed")
+	r.obs.Rec.RecoveryBegin()
+	r.obs.Rec.FailureDetect(nil)
+	r.obs.Rec.Revoke("observed")
 	endSpan := func() {
 		d := r.p.Now() - t0
 		r.m.Recovery.Init += d
 		r.m.PhaseTime[PhaseRecovery] += d
-		r.rec.RecoveryStage("init", d)
-		r.rec.RecoveryEnd()
+		r.obs.Rec.RecoveryStage("init", d)
+		r.obs.Rec.RecoveryEnd()
 	}
 	// On an interrupted attempt, close this span when bailing out with an
 	// error: the caller will open a fresh one for the restarted attempt. (A
@@ -315,7 +315,7 @@ func (r *runner) spread(what string, n int, models []lbModel, weight func(i int)
 	if n == 0 {
 		return
 	}
-	r.rec.LoadBalance(what, n, r.comm.Size())
+	r.obs.Rec.LoadBalance(what, n, r.comm.Size())
 	var assignment [][]int
 	if r.spec.LoadBalance {
 		pieces := make([]float64, n)
@@ -424,7 +424,7 @@ func (r *runner) restorePartition(part int) error {
 		r.compute(float64(kv.Size()) * restoreCPUPerByte)
 		d := r.p.Now() - t1
 		r.m.Recovery.LoadCkpt += d
-		r.rec.RecoveryStage("load", d)
+		r.obs.Rec.RecoveryStage("load", d)
 	}
 	r.reduceDone[part] = groups
 	r.outLen[part] = outBytes
@@ -474,8 +474,7 @@ func (r *runner) encodeState() []byte {
 		a, b = r.lb.fitTrace(r.p.Now())
 		debt = b * partDebtCPUFactor * r.pendingDebtBytes()
 	}
-	r.rec.LBFit(r.lb.kind.String(), a, b, len(r.lb.obs))
-	r.cm.lbFit(a, b, r.lb.residualRMS(a, b), len(r.lb.obs))
+	r.obs.LBFit(r.lb.kind.String(), a, b, r.lb.residualRMS(a, b), len(r.lb.obs))
 	le := binary.LittleEndian
 	buf := []byte{byte(r.phase)}
 	buf = le.AppendUint32(buf, uint32(r.job.jobIdx))
@@ -572,7 +571,7 @@ func (r *runner) resumePrepare() error {
 		return nil
 	}
 	t0 := r.p.Now()
-	r.rec.RecoveryBegin()
+	r.obs.Rec.RecoveryBegin()
 	restoredAll := true
 	for _, part := range r.ownedParts() {
 		if r.job.clus.PFS.Exists(ckptPath(r.spec.JobID, partStream(part))) {
@@ -589,6 +588,6 @@ func (r *runner) resumePrepare() error {
 	r.shuffled = restoredAll
 	d := r.p.Now() - t0
 	r.m.PhaseTime[PhaseRecovery] += d
-	r.rec.RecoveryEnd()
+	r.obs.Rec.RecoveryEnd()
 	return nil
 }

@@ -159,8 +159,7 @@ func (r *runner) commitOutput(part int, g uint32, out []byte) error {
 		fr := encodeFrame(nil, frameReduce, uint32(part), g, lenBuf[:])
 		r.ck.write(r.p, partStream(part), fr, 1)
 	}
-	r.rec.TaskCommit("reduce", part, int64(g))
-	r.cm.taskCommit()
+	r.obs.TaskCommit("reduce", part, int64(g))
 	r.pushShadowSync(part, g)
 	return nil
 }

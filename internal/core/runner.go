@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"ftmrmpi/internal/cluster"
-	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
-	"ftmrmpi/internal/trace"
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -59,9 +58,7 @@ type runner struct {
 	comm *mpi.Comm
 	p    *vtime.Proc
 	m    *RankMetrics
-	rec  *trace.Recorder       // nil when tracing is disabled
-	cm   *coreMets             // nil when metrics are disabled; same one-branch discipline
-	ip   *introspect.RankProbe // nil when introspection is disabled; same one-branch discipline
+	obs  *obs.Handle // the rank's trace/metrics/introspection handle (never nil)
 
 	world0    []int // world ranks participating at job start
 	tt        *taskTable
@@ -106,7 +103,8 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		world0[i] = c.WorldRank(i)
 	}
 	m := newRankMetrics(c.Self().WorldRank())
-	cm := bindCoreMets(j.clus.Metrics, c.Self().WorldRank())
+	h := c.Self().Obs()
+	h.BindCore()
 	mirrorRankMetrics(j.clus.Metrics, m, c.Self().WorldRank())
 	r := &runner{
 		job:        j,
@@ -114,9 +112,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		comm:       c,
 		p:          c.Proc(),
 		m:          m,
-		rec:        c.Self().Recorder(),
-		cm:         cm,
-		ip:         c.Self().Probe(),
+		obs:        h,
 		world0:     world0,
 		nParts:     c.Size(),
 		partOwner:  append([]int(nil), world0...),
@@ -144,9 +140,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		local:   local,
 		pfs:     clus.PFS,
 		m:       m,
-		rec:     r.rec,
-		cm:      cm,
-		ip:      r.ip,
+		obs:     h,
 		agent:   &r.lb,
 	}
 	if local == nil {
@@ -156,8 +150,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	// copier thread is started whenever the model checkpoints at all.
 	if spec.Model.Checkpointing() && r.ck.loc == LocLocalCopier {
 		r.cp = startCopier(clus.Sim, fmt.Sprintf("copier-r%d-%s", c.Self().WorldRank(), spec.JobID),
-			spec.JobID, local, clus.PFS, c.Self().CPU(), m)
-		r.cp.rec = r.rec
+			spec.JobID, local, clus.PFS, c.Self().CPU(), m, h)
 		r.ck.cp = r.cp
 		// The copier is a thread of the rank process: it dies with it, so
 		// un-drained local checkpoints are genuinely lost on failure.
@@ -170,8 +163,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		local:    local,
 		prefetch: spec.Prefetch && local != nil,
 		m:        m,
-		rec:      r.rec,
-		cm:       cm,
+		obs:      h,
 		staged:   make(map[string]bool),
 	}
 	if spec.ReplicaK > 0 && r.ck.enabled {
@@ -256,7 +248,7 @@ func (r *runner) primaryRole() *role {
 		reduced:  func(part int) uint32 { return r.reduceDone[part] },
 		group:    func() { r.m.GroupsReduced++ },
 		commit:   r.commitOutput,
-		partDone: func(took time.Duration) { r.cm.reducePartDone(took.Seconds()) },
+		partDone: func(took time.Duration) { r.obs.Core.ReducePart.Observe(took.Seconds()) },
 		fold:     r.rep.drain,
 	}
 }
@@ -270,8 +262,7 @@ func (r *runner) run() error {
 		ro := r.currentRole()
 		r.job.h.notifyPhase(r.myWorld(), ph)
 		t0 := r.p.Now()
-		r.rec.PhaseBegin(string(ph))
-		r.ip.SetPhase(string(ph))
+		r.obs.PhaseBegin(string(ph))
 		var err error
 		switch r.phase {
 		case phInit:
@@ -291,7 +282,7 @@ func (r *runner) run() error {
 			err = r.phaseReduce(ro)
 		}
 		r.m.PhaseTime[ph] += r.p.Now() - t0
-		r.rec.PhaseEnd(string(ph))
+		r.obs.Rec.PhaseEnd(string(ph))
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ftmrmpi/internal/kvbuf"
-	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/sched"
 )
@@ -84,8 +83,6 @@ type ftState struct {
 	// and its shadow-mirrored copy carry the same world-unique flow id, and
 	// each receiver commits a given flow exactly once.
 	seenFlows map[uint64]bool
-
-	mets *ftMets
 }
 
 // newFTState builds the replication state for one runner, or returns nil
@@ -120,8 +117,8 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 		syncedG:    make(map[int]uint32),
 		syncedLen:  make(map[int]uint64),
 		seenFlows:  make(map[uint64]bool),
-		mets:       bindFTMets(clus.Metrics, c.Self().WorldRank()),
 	}
+	c.Self().Obs().BindFT()
 	for slot := 0; slot < pr.P; slot++ {
 		f.acting[slot] = c.WorldRank(slot)
 		f.shadow[slot] = -1
@@ -328,7 +325,8 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 				}); err != nil {
 					return nil, err
 				}
-				f.mets.mirrorSend(len(bundle))
+				r.obs.FT.MirrorSends.Inc()
+				r.obs.FT.MirrorBytes.Add(float64(len(bundle)))
 			}
 		}
 	}
@@ -346,13 +344,13 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 			return nil, err
 		}
 		if f.seenFlows[m.ID()] {
-			f.mets.dupDrop()
+			r.obs.FT.DupDrops.Inc()
 			continue
 		}
 		f.seenFlows[m.ID()] = true
 		srcSlot := f.actingSlot(r.comm.WorldRank(m.Src))
 		if srcSlot < 0 || got[srcSlot] != nil {
-			f.mets.dupDrop()
+			r.obs.FT.DupDrops.Inc()
 			continue
 		}
 		got[srcSlot] = m.Data
@@ -383,8 +381,7 @@ func (r *runner) pushShadowSync(part int, g uint32) {
 	}
 	msg := encodeShadowSync(uint32(part), g, r.outLen[part])
 	_ = r.net(func() error { return r.comm.Send(cr, r.syncTag(), msg) })
-	r.rec.ShadowSync("push", part, int(g), uint64(len(msg)))
-	f.mets.shadowSync()
+	r.obs.ShadowSyncPush(part, int(g), uint64(len(msg)))
 }
 
 // drainShadowSync folds banked reduce-progress pushes into the shadow's view
@@ -403,7 +400,7 @@ func (r *runner) drainShadowSync() {
 			r.ftm.syncedG[int(part)] = g
 			r.ftm.syncedLen[int(part)] = l
 		}
-		r.rec.ShadowSync("drain", int(part), int(g), uint64(len(m.Data)))
+		r.obs.Rec.ShadowSync("drain", int(part), int(g), uint64(len(m.Data)))
 	}
 }
 
@@ -451,8 +448,7 @@ func (r *runner) ftPromote(failed []int) error {
 			continue
 		}
 		f.mirror = false
-		r.rec.Failover(aw, sw)
-		f.mets.failover()
+		r.obs.Failover(aw, sw)
 		if err := r.adoptPromotion(aw); err != nil {
 			return err
 		}
@@ -539,70 +535,4 @@ func (r *runner) reconcileMirrorOutput(part int) error {
 // beyond the survivors' own minimum is needed.
 func (r *runner) pureFailover(lost, lostPending, lostDone []int) bool {
 	return r.ftm != nil && len(lost) == 0 && len(lostPending) == 0 && len(lostDone) == 0
-}
-
-// ------------------------------------------------------------------ metrics --
-
-// ftMets bundles the replication model's metric instruments; nil (all
-// methods no-op) when metrics are disabled. Bound only when the model is
-// active, so CR runs register no new series.
-type ftMets struct {
-	mirrorSends *metrics.Counter
-	mirrorBytes *metrics.Counter
-	shadowSyncs *metrics.Counter
-	dupDrops    *metrics.Counter
-	failovers   *metrics.Counter
-}
-
-// bindFTMets registers the replication-model series for one rank; nil
-// registry yields nil.
-func bindFTMets(reg *metrics.Registry, rank int) *ftMets {
-	if reg == nil {
-		return nil
-	}
-	return &ftMets{
-		mirrorSends: reg.Counter("ftmr_ftmodel_mirror_sends",
-			"Shadow-mirrored shuffle bundle copies sent.", rank),
-		mirrorBytes: reg.Counter("ftmr_ftmodel_mirror_bytes",
-			"Bytes of shadow-mirrored shuffle bundle copies.", rank),
-		shadowSyncs: reg.Counter("ftmr_ftmodel_shadow_syncs",
-			"Reduce-progress sync records pushed to shadows.", rank),
-		dupDrops: reg.Counter("ftmr_ftmodel_dup_drops",
-			"Duplicate replicate-shuffle deliveries dropped by flow-id dedup.", rank),
-		failovers: reg.Counter("ftmr_ftmodel_failovers",
-			"Shadow promotions to acting primary.", rank),
-	}
-}
-
-// mirrorSend counts one shadow-mirrored bundle copy.
-func (m *ftMets) mirrorSend(bytes int) {
-	if m == nil {
-		return
-	}
-	m.mirrorSends.Inc()
-	m.mirrorBytes.Add(float64(bytes))
-}
-
-// shadowSync counts one reduce-progress push.
-func (m *ftMets) shadowSync() {
-	if m == nil {
-		return
-	}
-	m.shadowSyncs.Inc()
-}
-
-// dupDrop counts one deduplicated delivery.
-func (m *ftMets) dupDrop() {
-	if m == nil {
-		return
-	}
-	m.dupDrops.Inc()
-}
-
-// failover counts one promotion.
-func (m *ftMets) failover() {
-	if m == nil {
-		return
-	}
-	m.failovers.Inc()
 }

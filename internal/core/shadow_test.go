@@ -76,21 +76,6 @@ func TestParseFTModel(t *testing.T) {
 	}
 }
 
-// TestFTMetsDisabledAllocFree pins the disabled replication-metrics path at
-// one-branch cost: every nil-*ftMets method must be alloc-free (the nil
-// check is the only work), matching the registry-wide overhead gate.
-func TestFTMetsDisabledAllocFree(t *testing.T) {
-	var m *ftMets
-	if a := testing.AllocsPerRun(100, func() {
-		m.mirrorSend(64)
-		m.shadowSync()
-		m.dupDrop()
-		m.failover()
-	}); a != 0 {
-		t.Fatalf("disabled ftMets path allocates (%v allocs/op); must be alloc-free", a)
-	}
-}
-
 // ------------------------------------------------------- end-to-end tests --
 
 func countEvents(evs []trace.Event, k trace.Kind, name string) int {

@@ -13,8 +13,8 @@
 // either parked or runnable-at-now, with its blocked-receive, collective,
 // phase, and drain annotations consistent.
 //
-// The package deliberately imports only internal/vtime and the standard
-// library so that internal/mpi, internal/cluster, and internal/core can all
+// The package deliberately imports only internal/vtime, the internal/jsonl
+// codec and the standard library so that internal/mpi, internal/cluster, and internal/core can all
 // depend on it without cycles; the MPI layer plugs in through the narrow
 // WorldView interface.
 package introspect
@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"ftmrmpi/internal/jsonl"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -248,7 +249,7 @@ type Plane struct {
 	// is simulator-serialized.
 	mu       sync.Mutex
 	lastSnap *Snapshot
-	stream   *streamSink
+	stream   *jsonl.Writer
 	// beacon counts captures plus processed events, published at safe
 	// points only; the watchdog compares successive reads to detect zero
 	// virtual-time progress without ever touching simulator state.
@@ -449,13 +450,13 @@ func (pl *Plane) capture(final bool) {
 	pl.journal = append(pl.journal, Line{Snapshot: pl.lastSnap})
 	pl.beacon += 1 + pl.sim.EventsProcessed()
 	if pl.stream != nil {
-		pl.stream.writeSnapshot(snap)
+		pl.stream.Write(snap)
 	}
 	if report != nil {
 		pl.stalls = append(pl.stalls, *report)
 		pl.journal = append(pl.journal, Line{Stall: &pl.stalls[len(pl.stalls)-1]})
 		if pl.stream != nil {
-			pl.stream.writeStall(*report)
+			pl.stream.Write(*report)
 		}
 	}
 	pl.mu.Unlock()

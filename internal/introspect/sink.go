@@ -1,11 +1,12 @@
 package introspect
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"ftmrmpi/internal/jsonl"
 )
 
 // Wire format: JSONL with a schema header line, mirroring the trace wire
@@ -17,8 +18,8 @@ import (
 // the newest it can read.
 const SchemaVersion = 1
 
-// formatName is the header's format discriminator.
-const formatName = "ftmr-introspect"
+// wire is the introspection JSONL format (internal/jsonl holds the codec).
+var wire = jsonl.Format{Name: "ftmr-introspect", Schema: SchemaVersion}
 
 // Line kind discriminators (the "kind" field of every non-header line).
 const (
@@ -141,53 +142,21 @@ type Line struct {
 	Stall *StallReport
 }
 
-// jsonlHeader is the first line of an introspection JSONL file.
-type jsonlHeader struct {
-	Format string `json:"format"` // always "ftmr-introspect"
-	Schema int    `json:"schema"` // SchemaVersion at write time
-}
-
-// streamSink is a write-through JSONL sink with a sticky error, flushed by
-// FlushStream. Writes happen under the plane mutex so the sim-thread
-// capture path and the watchdog goroutine never interleave.
-type streamSink struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-func (s *streamSink) writeSnapshot(snap Snapshot) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(snap)
-}
-
-func (s *streamSink) writeStall(rep StallReport) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(rep)
-}
-
 // StreamJSONL attaches a write-through sink: the schema header is written
 // immediately, then every captured snapshot and stall report is written as
-// it happens (buffered; call FlushStream at the end). Pass nil to detach.
-// No-op on a nil plane.
+// it happens (buffered; call FlushStream at the end). Writes happen under the
+// plane mutex so the sim-thread capture path and the watchdog goroutine never
+// interleave. Pass nil to detach. No-op on a nil plane.
 func (pl *Plane) StreamJSONL(w io.Writer) {
 	if pl == nil {
 		return
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if w == nil {
-		pl.stream = nil
-		return
+	pl.stream = nil
+	if w != nil {
+		pl.stream = wire.NewWriter(w)
 	}
-	bw := bufio.NewWriter(w)
-	s := &streamSink{bw: bw, enc: json.NewEncoder(bw)}
-	s.err = s.enc.Encode(jsonlHeader{Format: formatName, Schema: SchemaVersion})
-	pl.stream = s
 }
 
 // FlushStream flushes the streaming sink and returns the first error it
@@ -201,10 +170,7 @@ func (pl *Plane) FlushStream() error {
 	if pl.stream == nil {
 		return nil
 	}
-	if err := pl.stream.bw.Flush(); pl.stream.err == nil {
-		pl.stream.err = err
-	}
-	return pl.stream.err
+	return pl.stream.Flush()
 }
 
 // WriteJSONL writes the schema header followed by every retained snapshot
@@ -212,61 +178,25 @@ func (pl *Plane) FlushStream() error {
 // snapshot that raised it). Post-run convenience writer; long-running sims
 // use StreamJSONL.
 func (pl *Plane) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Format: formatName, Schema: SchemaVersion}); err != nil {
-		return err
-	}
+	out := wire.NewWriter(w)
 	pl.mu.Lock()
 	journal := append([]Line(nil), pl.journal...)
 	pl.mu.Unlock()
 	for _, ln := range journal {
-		var err error
 		switch {
 		case ln.Snapshot != nil:
-			err = enc.Encode(*ln.Snapshot)
+			out.Write(*ln.Snapshot)
 		case ln.Stall != nil:
-			err = enc.Encode(*ln.Stall)
-		}
-		if err != nil {
-			return err
+			out.Write(*ln.Stall)
 		}
 	}
-	return bw.Flush()
+	return out.Flush()
 }
 
-// ReadReport is the parse accounting of one ReadJSONL call, mirroring the
+// ReadReport is the parse accounting of one ReadJSONL call, shared with the
 // trace reader: damaged lines are counted, not fatal, so a file cut short
 // by a crash (the introspection plane's prime use case) stays loadable.
-type ReadReport struct {
-	// Schema is the declared wire-format version (1 when no header line).
-	Schema int
-	// Header reports whether a header line was present.
-	Header bool
-	// Lines counts non-blank lines scanned, including the header.
-	Lines int
-	// Records counts lines decoded successfully.
-	Records int
-	// BadLines counts malformed or unknown-kind lines skipped.
-	BadLines int
-	// FirstBadLine is the 1-based line number of the first bad line (0 =
-	// none).
-	FirstBadLine int
-	// FirstBadErr is what was wrong with it.
-	FirstBadErr error
-}
-
-// Clean reports whether every scanned line decoded.
-func (rr *ReadReport) Clean() bool { return rr.BadLines == 0 }
-
-// Err summarizes the damage as one error, or nil when the read was clean.
-func (rr *ReadReport) Err() error {
-	if rr.Clean() {
-		return nil
-	}
-	return fmt.Errorf("introspect: %d of %d lines malformed (first at line %d: %v)",
-		rr.BadLines, rr.Lines, rr.FirstBadLine, rr.FirstBadErr)
-}
+type ReadReport = jsonl.Report
 
 // lineProbe sniffs a line's kind before full decoding.
 type lineProbe struct {
@@ -276,69 +206,35 @@ type lineProbe struct {
 // ReadJSONL decodes an introspection JSONL stream back into lines, in
 // stored order. Blank lines are skipped; malformed lines and unknown kinds
 // are skipped but counted in the ReadReport. The error return is reserved
-// for unreadable input: I/O failure, an oversized line, or a header
-// declaring a schema newer than this reader.
+// for unreadable input (jsonl.Format.Read): I/O failure, an oversized line,
+// a header declaring a schema newer than this reader, or a file that is no
+// introspection stream at all.
 func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	rr := &ReadReport{Schema: 1}
 	var out []Line
-	line := 0
-	bad := func(err error) {
-		rr.BadLines++
-		if rr.FirstBadLine == 0 {
-			rr.FirstBadLine = line
-			rr.FirstBadErr = err
-		}
-	}
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		rr.Lines++
-		if rr.Lines == 1 {
-			var hdr jsonlHeader
-			if err := json.Unmarshal(raw, &hdr); err == nil && hdr.Format == formatName {
-				if hdr.Schema > SchemaVersion {
-					return nil, rr, fmt.Errorf("introspect: file declares schema v%d, this reader understands <= v%d", hdr.Schema, SchemaVersion)
-				}
-				rr.Header = true
-				rr.Schema = hdr.Schema
-				continue
-			}
-			// No header; fall through and try the line as a record.
-		}
+	rr, err := wire.Read(r, func(raw []byte) error {
 		var probe lineProbe
 		if err := json.Unmarshal(raw, &probe); err != nil {
-			bad(fmt.Errorf("jsonl line %d: %w", line, err))
-			continue
+			return err
 		}
 		switch probe.Kind {
 		case lineSnapshot:
 			var snap Snapshot
 			if err := json.Unmarshal(raw, &snap); err != nil {
-				bad(fmt.Errorf("jsonl line %d: %w", line, err))
-				continue
+				return err
 			}
 			out = append(out, Line{Snapshot: &snap})
 		case lineStall:
 			var rep StallReport
 			if err := json.Unmarshal(raw, &rep); err != nil {
-				bad(fmt.Errorf("jsonl line %d: %w", line, err))
-				continue
+				return err
 			}
 			out = append(out, Line{Stall: &rep})
 		default:
-			bad(fmt.Errorf("jsonl line %d: unknown kind %q", line, probe.Kind))
+			return fmt.Errorf("unknown kind %q", probe.Kind)
 		}
-	}
-	rr.Records = len(out)
-	if err := sc.Err(); err != nil {
-		return out, rr, err
-	}
-	return out, rr, nil
+		return nil
+	})
+	return out, rr, err
 }
 
 // ReadJSONLFile is ReadJSONL over the named file.

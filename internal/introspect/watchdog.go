@@ -113,8 +113,8 @@ func (wd *Watchdog) check() bool {
 	pl.stalls = append(pl.stalls, rep)
 	pl.journal = append(pl.journal, Line{Stall: &pl.stalls[len(pl.stalls)-1]})
 	if pl.stream != nil {
-		pl.stream.writeStall(rep)
-		pl.stream.bw.Flush()
+		pl.stream.Write(rep)
+		_ = pl.stream.Flush() // sticky: FlushStream reports it
 	}
 	pl.mu.Unlock()
 

@@ -78,12 +78,16 @@ const (
 	MIntrospectStalls = "ftmr_introspect_stalls"
 )
 
-// Recovery read-path source label values the health engine reads from
-// MRecoveryReads (must match the internal/core failover chain's sources).
+// Recovery read-path sources, in failover-chain order: the source label
+// values of MRecoveryReads (and the names of recovery.source trace events).
+// The internal/core read path emits them; the health engine reads them.
 const (
-	recoverySourceReplicaLocal = "replica-local"
-	recoverySourceReplicaPeer  = "replica-peer"
-	recoverySourcePFS          = "pfs"
+	// SourceReplicaLocal is the reading rank's own in-memory replica mirror.
+	SourceReplicaLocal = "replica-local"
+	// SourceReplicaPeer is frames a replica partner pushed to the reader.
+	SourceReplicaPeer = "replica-peer"
+	// SourcePFS is the durable copy on the parallel file system.
+	SourcePFS = "pfs"
 )
 
 // Critical-path category label values the health engine reads from
@@ -256,9 +260,9 @@ func Evaluate(snap Snapshot, slo SLO) Health {
 		series(MCritPathShare, critPathRecoveryReprocess)
 	tracesDropped := snap.Total(MTraceDropped)
 
-	recLocal := series(MRecoveryReads, recoverySourceReplicaLocal)
-	recPeer := series(MRecoveryReads, recoverySourceReplicaPeer)
-	recPFS := series(MRecoveryReads, recoverySourcePFS)
+	recLocal := series(MRecoveryReads, SourceReplicaLocal)
+	recPeer := series(MRecoveryReads, SourceReplicaPeer)
+	recPFS := series(MRecoveryReads, SourcePFS)
 	pfsShare := ratio(recPFS, recLocal+recPeer+recPFS)
 	stalls := snap.Total(MIntrospectStalls)
 

@@ -8,7 +8,7 @@
 // Like the trace package, the registry is optional and nil-safe end to end:
 // a nil *Registry hands out nil instruments, and every instrument operation
 // no-ops on a nil receiver, so a disabled run pays exactly one predictable
-// branch per instrumented site (enforced by TestMetricsOverheadGate).
+// branch per instrumented site (enforced by internal/obs TestOverheadGate).
 //
 // The simulator is single-threaded by construction (vtime runs exactly one
 // process at a time), so the registry uses no locks; determinism follows
@@ -209,11 +209,7 @@ func (r *Registry) CounterL(name, help, labelKey, labelVal string) *Counter {
 // Gauge returns the gauge series for (name, rank); negative rank yields the
 // unlabeled world series. Nil-safe.
 func (r *Registry) Gauge(name, help string, rank int) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.getFamily(name, help, KindGauge, "rank", nil)
-	return &Gauge{s: f.getSeries(RankLabel(rank))}
+	return r.GaugeL(name, help, "rank", RankLabel(rank))
 }
 
 // GaugeL returns the gauge series for (name, labelKey=labelVal). All series

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -41,6 +42,14 @@ func (c *Comm) nextSeq() int {
 // pair identifies the instance exactly, including for wrapper collectives
 // (Allreduce, Dup, ...) whose synchronization happens in an inner call.
 func (c *Comm) peekSeq() int { return c.st.opSeq[c.rank] }
+
+// enterColl tells the observation planes that the caller enters collective
+// op, stamped with (communicator id, peeked seq). Every collective opens with
+//
+//	defer c.enterColl(op).Exit()
+func (c *Comm) enterColl(op string) obs.CollSpan {
+	return c.r.obs.CollEnter(op, c.st.id, c.peekSeq())
+}
 
 // treeParent returns the parent of rank vr (root-relative virtual rank) in a
 // binomial tree, or -1 for the root.
@@ -78,16 +87,7 @@ func prank(vr, root, n int) int { return (vr + root) % n }
 // Barrier blocks until every rank in the communicator has entered it. On
 // failure it raises an error through the error handler.
 func (c *Comm) Barrier() error {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("barrier", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("barrier", c.st.id, seq)
-		defer rec.CollEndN("barrier", c.st.id, seq)
-	}
+	defer c.enterColl("barrier").Exit()
 	seq := c.nextSeq()
 	if err := c.gatherTree(seq, 0, nil, nil); err != nil {
 		return c.raise(err)
@@ -101,16 +101,7 @@ func (c *Comm) Barrier() error {
 // Bcast distributes root's data to every rank and returns it. All ranks
 // must pass the same root; non-root ranks' data argument is ignored.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("bcast", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("bcast", c.st.id, seq)
-		defer rec.CollEndN("bcast", c.st.id, seq)
-	}
+	defer c.enterColl("bcast").Exit()
 	seq := c.nextSeq()
 	out, err := c.bcastTree(seq, root, data)
 	return out, c.raise(err)
@@ -138,16 +129,7 @@ func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
 // Gather collects each rank's data at root. At root, the returned slice is
 // indexed by communicator rank; other ranks get nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("gather", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("gather", c.st.id, seq)
-		defer rec.CollEndN("gather", c.st.id, seq)
-	}
+	defer c.enterColl("gather").Exit()
 	seq := c.nextSeq()
 	var out [][]byte
 	if c.rank == root {
@@ -193,16 +175,7 @@ func (c *Comm) gatherTree(seq, root int, data []byte, out [][]byte) error {
 // Allgather collects every rank's data on every rank, indexed by
 // communicator rank.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("allgather", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("allgather", c.st.id, seq)
-		defer rec.CollEndN("allgather", c.st.id, seq)
-	}
+	defer c.enterColl("allgather").Exit()
 	seq := c.nextSeq()
 	n := c.Size()
 	var gathered [][]byte
@@ -246,16 +219,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // AllreduceInt64 folds one int64 per rank with op (associative and
 // commutative) and returns the result on every rank.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("allreduce", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("allreduce", c.st.id, seq)
-		defer rec.CollEndN("allreduce", c.st.id, seq)
-	}
+	defer c.enterColl("allreduce").Exit()
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(v))
 	all, err := c.Allgather(buf[:])
@@ -297,16 +261,7 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	if len(bufs) != n {
 		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
 	}
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("alltoallv", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("alltoallv", c.st.id, seq)
-		defer rec.CollEndN("alltoallv", c.st.id, seq)
-	}
+	defer c.enterColl("alltoallv").Exit()
 	seq := c.nextSeq()
 	st, sim := c.st, c.st.w.Sim
 	if err := st.exchEntryErr(); err != nil {

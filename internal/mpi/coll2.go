@@ -11,16 +11,7 @@ import (
 // ReduceInt64 folds one int64 per rank with op at root. Non-root ranks
 // receive 0.
 func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("reduce", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("reduce", c.st.id, seq)
-		defer rec.CollEndN("reduce", c.st.id, seq)
-	}
+	defer c.enterColl("reduce").Exit()
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(v))
 	all, err := c.Gather(root, buf[:])
@@ -44,16 +35,7 @@ func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) (int64,
 // caller's piece. Non-root ranks pass nil. It runs over the same binomial
 // tree as Bcast, forwarding each subtree's bundle.
 func (c *Comm) Scatter(root int, data [][]byte) ([]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("scatter", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("scatter", c.st.id, seq)
-		defer rec.CollEndN("scatter", c.st.id, seq)
-	}
+	defer c.enterColl("scatter").Exit()
 	seq := c.nextSeq()
 	out, err := c.scatterTree(seq, root, data)
 	return out, c.raise(err)
@@ -111,16 +93,7 @@ func subtreeRanks(vr, n int) []int {
 // ScanInt64 computes the inclusive prefix reduction: rank i receives
 // op(v₀, …, vᵢ). Implemented as a ring pass.
 func (c *Comm) ScanInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("scan", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("scan", c.st.id, seq)
-		defer rec.CollEndN("scan", c.st.id, seq)
-	}
+	defer c.enterColl("scan").Exit()
 	seq := c.nextSeq()
 	acc := v
 	var buf [8]byte
@@ -198,16 +171,7 @@ func (c *Comm) Probe(src, tag int) (msgSrc, msgTag, size int, err error) {
 // (MPI_UNDEFINED) yields a nil communicator. Collective over all live
 // ranks.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("split", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("split", c.st.id, seq)
-		defer rec.CollEndN("split", c.st.id, seq)
-	}
+	defer c.enterColl("split").Exit()
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(int64(color)))
 	binary.BigEndian.PutUint64(buf[8:], uint64(int64(key)))

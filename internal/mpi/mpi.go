@@ -22,8 +22,7 @@ import (
 	"time"
 
 	"ftmrmpi/internal/cluster"
-	"ftmrmpi/internal/introspect"
-	"ftmrmpi/internal/trace"
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -99,7 +98,7 @@ type World struct {
 	// Sim is the simulator the job's ranks run on.
 	Sim *vtime.Sim
 	// Clus is the cluster providing nodes, links, and storage.
-	Clus *cluster.Cluster
+	Clus    *cluster.Cluster
 	n       int
 	ranks   []*Rank
 	comms   []*commState
@@ -125,24 +124,15 @@ type Rank struct {
 	// computeScale stretches Compute charges when > 0 (straggler
 	// injection); zero means unscaled, keeping the hot path branch-cheap.
 	computeScale float64
-	// rec is the rank's trace recorder; nil when tracing is disabled, so
-	// every hot-path instrumentation point costs a single nil branch.
-	rec *trace.Recorder
-	// met is the rank's metrics bundle; nil when metrics are disabled, with
-	// the same one-branch discipline as rec.
-	met *rankMets
-	// insp is the rank's introspection annotation cell; nil when the
-	// introspection plane is disabled, with the same one-branch discipline
-	// as rec and met.
-	insp *introspect.RankProbe
+	// obs is the rank's handle on the trace, metrics and introspection
+	// planes, built once in Launch; never nil, and a plane that is off costs
+	// each instrumentation point one nil branch.
+	obs *obs.Handle
 }
 
-// Recorder returns the rank's trace recorder (nil when tracing is off).
-func (r *Rank) Recorder() *trace.Recorder { return r.rec }
-
-// Probe returns the rank's introspection annotation cell (nil when the
-// introspection plane is off; every probe method accepts a nil receiver).
-func (r *Rank) Probe() *introspect.RankProbe { return r.insp }
+// Obs returns the rank's observation handle: the one way the layers above
+// reach the cluster's trace, metrics and introspection planes. Never nil.
+func (r *Rank) Obs() *obs.Handle { return r.obs }
 
 // Proc returns the rank's simulated process.
 func (r *Rank) Proc() *vtime.Proc { return r.proc }
@@ -229,8 +219,7 @@ func Launch(clus *cluster.Cluster, n int, main func(c *Comm)) *World {
 	for i := 0; i < n; i++ {
 		i := i
 		r := &Rank{w: w, world: i, cpu: clus.CoreOf(i), node: clus.NodeOf(i), alive: true,
-			rec: clus.Trace.Rank(i), met: bindRankMets(clus.Metrics, i),
-			insp: clus.Introspect.RankProbe(i)}
+			obs: obs.New(clus.Trace, clus.Metrics, clus.Introspect, i)}
 		w.ranks = append(w.ranks, r)
 		r.proc = clus.Sim.Spawn(fmt.Sprintf("rank%d", i), func(p *vtime.Proc) {
 			defer func() { w.done++ }()
@@ -287,7 +276,7 @@ func (w *World) noteFailure(worldRank int) {
 		return
 	}
 	r.alive = false
-	r.rec.FailureKill(worldRank)
+	r.obs.Rec.FailureKill(worldRank)
 	for _, st := range w.comms {
 		st.onFailure(worldRank)
 	}
@@ -295,11 +284,6 @@ func (w *World) noteFailure(worldRank int) {
 
 // Aborted reports whether Abort was called on the world.
 func (w *World) Aborted() bool { return w.aborted }
-
-// ResetAbort clears the aborted flag (used when a job is restarted on a
-// fresh world; kept for symmetry, a restarted job normally builds a new
-// World).
-func (w *World) ResetAbort() { w.aborted = false }
 
 // AliveCount returns the number of live ranks.
 func (w *World) AliveCount() int {
@@ -471,8 +455,8 @@ func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
 	}
 	st.w.msgID++
 	id := st.w.msgID
-	c.r.met.sendDone(len(data))
-	if rec := c.r.rec; rec != nil {
+	c.r.obs.MPI.Sent(len(data))
+	if rec := c.r.obs.Rec; rec != nil {
 		rec.SendBegin(dworld, tag, len(data))
 		defer rec.SendEnd(dworld, tag, len(data), id)
 	}
@@ -513,8 +497,8 @@ func (c *Comm) sendMirror(dest, tag int, data []byte, flow uint64) error {
 	if !st.w.ranks[dworld].alive {
 		return &ProcFailedError{Ranks: []int{dworld}}
 	}
-	c.r.met.sendDone(len(data))
-	if rec := c.r.rec; rec != nil {
+	c.r.obs.MPI.Sent(len(data))
+	if rec := c.r.obs.Rec; rec != nil {
 		defer rec.ShadowMirror(dworld, tag, len(data), flow)
 	}
 	c.r.proc.Sleep(c.transferCost(len(data)))
@@ -557,14 +541,14 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 	if st.revoked {
 		return nil, ErrRevoked
 	}
-	rec := c.r.rec
+	rec := c.r.obs.Rec
 	srcWorld := AnySource
 	if rec != nil && src != AnySource {
 		srcWorld = st.group[src]
 	}
 	box := st.boxes[c.rank]
 	if m := box.matchBuffered(src, tag); m != nil {
-		c.r.met.recvDone(len(m.Data))
+		c.r.obs.MPI.Received(len(m.Data))
 		if rec != nil {
 			rec.RecvBegin(srcWorld, tag)
 			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
@@ -583,19 +567,15 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 		c.r.proc.Park()
 		if st.w.aborted && !rw.done {
 			box.unwait(rw)
-			if rec != nil {
-				rec.RecvEnd(srcWorld, tag, 0, 0)
-			}
+			rec.RecvEnd(srcWorld, tag, 0, 0)
 			return nil, ErrAborted
 		}
 	}
 	if rw.err != nil {
-		if rec != nil {
-			rec.RecvEnd(srcWorld, tag, 0, 0)
-		}
+		rec.RecvEnd(srcWorld, tag, 0, 0)
 		return nil, rw.err
 	}
-	c.r.met.recvDone(len(rw.msg.Data))
+	c.r.obs.MPI.Received(len(rw.msg.Data))
 	if rec != nil {
 		rec.RecvEnd(srcWorld, tag, len(rw.msg.Data), rw.msg.id)
 	}
@@ -610,8 +590,8 @@ func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
 		return nil, false, c.raise(ErrRevoked)
 	}
 	if m := st.boxes[c.rank].matchBuffered(src, tag); m != nil {
-		c.r.met.recvDone(len(m.Data))
-		if rec := c.r.rec; rec != nil {
+		c.r.obs.MPI.Received(len(m.Data))
+		if rec := c.r.obs.Rec; rec != nil {
 			srcWorld := AnySource
 			if src != AnySource {
 				srcWorld = st.group[src]
@@ -662,16 +642,7 @@ func (c *Comm) Dup() (*Comm, error) {
 	// ranks find it by (parent communicator, per-rank duplication epoch) —
 	// every rank performs the same sequence of Dup calls on a communicator,
 	// so the epochs agree. A barrier provides the synchronization point.
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("dup", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("dup", c.st.id, seq)
-		defer rec.CollEndN("dup", c.st.id, seq)
-	}
+	defer c.enterColl("dup").Exit()
 	if err := c.Barrier(); err != nil {
 		return nil, err
 	}

@@ -31,11 +31,11 @@ import (
 // be interrupted again.
 func (c *Comm) Revoke() error {
 	st := c.st
-	c.r.met.revokeInc()
+	c.r.obs.MPI.Revokes.Inc()
 	if st.revoked {
-		c.r.rec.Revoke("re-initiate")
+		c.r.obs.Rec.Revoke("re-initiate")
 	} else {
-		c.r.rec.Revoke("initiate")
+		c.r.obs.Rec.Revoke("initiate")
 		st.revoked = true
 		// Model the revoke packet flood: the revoking rank pays one message
 		// latency; everyone blocked on the comm is interrupted.
@@ -104,8 +104,8 @@ type shrinkWait struct {
 // and restart its recovery rather than proceed on a half-agreed membership.
 func (c *Comm) Shrink() (*Comm, error) {
 	st := c.st
-	c.r.met.shrinkInc()
-	c.r.rec.ShrinkBegin(len(st.group))
+	c.r.obs.MPI.Shrinks.Inc()
+	c.r.obs.Rec.ShrinkBegin(len(st.group))
 	if st.shrink == nil || st.shrink.done {
 		st.shrink = &shrinkOp{arrived: make(map[int]bool)}
 	}
@@ -118,16 +118,16 @@ func (c *Comm) Shrink() (*Comm, error) {
 		c.r.proc.Park()
 	}
 	if w.err != nil {
-		c.r.rec.ShrinkEnd(0)
+		c.r.obs.Rec.ShrinkEnd(0)
 		return nil, w.err
 	}
 	// Agreement cost: a few log₂(P) latency rounds.
-	c.r.rec.AgreeBegin(0)
+	c.r.obs.Rec.AgreeBegin(0)
 	rounds := 2 * int(math.Ceil(math.Log2(float64(len(st.group))+1)))
 	c.r.proc.Sleep(time.Duration(rounds) * st.w.Clus.Cfg.NICLatency)
-	c.r.rec.AgreeEnd(0)
+	c.r.obs.Rec.AgreeEnd(0)
 	newRank := op.newSt.commRankOf(c.r.world)
-	c.r.rec.ShrinkEnd(len(op.newSt.group))
+	c.r.obs.Rec.ShrinkEnd(len(op.newSt.group))
 	return &Comm{st: op.newSt, rank: newRank, r: c.r}, nil
 }
 
@@ -200,8 +200,8 @@ type agreeWait struct {
 // processes fail during the operation.
 func (c *Comm) Agree(flag int) (int, error) {
 	st := c.st
-	c.r.met.agreeInc()
-	c.r.rec.AgreeBegin(flag)
+	c.r.obs.MPI.Agrees.Inc()
+	c.r.obs.Rec.AgreeBegin(flag)
 	if st.agree == nil || st.agree.done {
 		st.agree = &agreeOp{arrived: make(map[int]bool), flags: ^0}
 	}
@@ -216,7 +216,7 @@ func (c *Comm) Agree(flag int) (int, error) {
 	}
 	rounds := 2 * int(math.Ceil(math.Log2(float64(len(st.group))+1)))
 	c.r.proc.Sleep(time.Duration(rounds) * st.w.Clus.Cfg.NICLatency)
-	c.r.rec.AgreeEnd(w.result)
+	c.r.obs.Rec.AgreeEnd(w.result)
 	return w.result, nil
 }
 

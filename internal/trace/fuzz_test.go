@@ -1,0 +1,75 @@
+package trace
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+// FuzzReadJSONL feeds arbitrary bytes to the shared JSONL reader
+// (internal/jsonl) through the trace format: it must never panic, must
+// account every non-blank line as the header, a record or a bad line, must
+// hard-fail only where it documents (schema too new, oversized line, no
+// trace at all — never on a file with a header or with one decodable
+// event), and every decoded event must survive a write/read round trip.
+// FuzzDecodeSnapshot (internal/introspect) drives the same reader through
+// the other format.
+func FuzzReadJSONL(f *testing.F) {
+	header := `{"format":"ftmr-trace","schema":2}` + "\n"
+	ev := `{"seq":2,"vt_us":5,"rank":0,"kind":"send.end","a":1,"b":7,"c":64,"flow":9}` + "\n"
+	f.Add([]byte{})
+	f.Add([]byte(header))
+	f.Add([]byte(header + ev + ev))
+	f.Add([]byte(header + ev[:len(ev)/2])) // torn tail
+	f.Add([]byte(ev))                      // headerless v1
+	f.Add([]byte(header + `{"seq":1,"kind":"no.such.kind"}` + "\n" + ev))
+	f.Add([]byte(`{"format":"ftmr-trace","schema":3}` + "\n" + ev))
+	for _, fixture := range []string{"testdata/golden_v2.jsonl", "../jsonl/testdata/junk.bin"} {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, rr, err := ReadJSONL(bytes.NewReader(data))
+		if rr == nil {
+			t.Fatal("nil report")
+		}
+		if err != nil {
+			// Past an accepted header or a decoded event, only an oversized
+			// (> 16 MiB) line may still fail the read.
+			if (rr.Header || rr.Records > 0) && len(data) <= 16<<20 {
+				t.Fatalf("hard failure %v on a file with a header or a decodable event: %+v", err, rr)
+			}
+			return
+		}
+		if rr.Records != len(events) {
+			t.Fatalf("report counts %d records, reader returned %d", rr.Records, len(events))
+		}
+		accounted := rr.Records + rr.BadLines
+		if rr.Header {
+			accounted++
+		}
+		if accounted != rr.Lines {
+			t.Fatalf("%d records + %d bad + header(%v) != %d lines", rr.Records, rr.BadLines, rr.Header, rr.Lines)
+		}
+		var buf bytes.Buffer
+		out := wire.NewWriter(&buf)
+		for _, e := range events {
+			out.Write(toJSONL(e))
+		}
+		if err := out.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		again, rr2, err := ReadJSONL(&buf)
+		if err != nil || !rr2.Clean() || len(again) != len(events) {
+			t.Fatalf("re-read: %v / %v (%d of %d events)", err, rr2.Err(), len(again), len(events))
+		}
+		for i := range again {
+			if again[i].Kind != events[i].Kind || again[i].Seq != events[i].Seq || again[i].Flow != events[i].Flow {
+				t.Fatalf("event %d changed across a round trip: %+v -> %+v", i, events[i], again[i])
+			}
+		}
+	})
+}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"ftmrmpi/internal/jsonl"
 )
 
 // Sinks. The in-memory sink is the Tracer itself (Events / EventsFor); this
@@ -31,12 +33,10 @@ type jsonlEvent struct {
 	Flow uint64  `json:"flow,omitempty"`
 }
 
-// jsonlHeader is the first line of a v2+ JSONL trace. v1 files have no
-// header (their first line is an event), which ReadJSONL accepts.
-type jsonlHeader struct {
-	Format string `json:"format"` // always "ftmr-trace"
-	Schema int    `json:"schema"` // SchemaVersion at write time
-}
+// wire is the JSONL trace format (internal/jsonl holds the codec: header
+// line, buffered sticky-error writer, damage-tolerant reader). v1 files have
+// no header — their first line is an event — which the reader accepts.
+var wire = jsonl.Format{Name: "ftmr-trace", Schema: SchemaVersion}
 
 // toJSONL converts an Event to its JSONL wire form.
 func toJSONL(ev Event) jsonlEvent {
@@ -58,22 +58,14 @@ func toJSONL(ev Event) jsonlEvent {
 // events, a synthetic trace.drops marker per damaged rank is appended so
 // file consumers can tell a truncated DAG from a complete one.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Format: "ftmr-trace", Schema: SchemaVersion}); err != nil {
-		return err
-	}
+	out := wire.NewWriter(w)
 	for _, ev := range t.Events() {
-		if err := enc.Encode(toJSONL(ev)); err != nil {
-			return err
-		}
+		out.Write(toJSONL(ev))
 	}
 	for _, ev := range t.DropEvents() {
-		if err := enc.Encode(toJSONL(ev)); err != nil {
-			return err
-		}
+		out.Write(toJSONL(ev))
 	}
-	return bw.Flush()
+	return out.Flush()
 }
 
 // DropEvents synthesizes one trace.drops marker (A = overwritten event
@@ -98,39 +90,20 @@ func (t *Tracer) DropEvents() []Event {
 	return out
 }
 
-// streamSink is a write-through JSONL sink: every event is encoded as it is
-// emitted, in global Seq order, so a long chaos or continuous-failure run is
-// fully captured even after the per-rank rings start overwriting. Errors are
-// sticky and surfaced by FlushStream.
-type streamSink struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
-
-func (s *streamSink) write(ev Event) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(toJSONL(ev))
-}
-
 // StreamJSONL attaches a write-through JSONL sink: the schema header is
 // written immediately, then every emitted event is written to w as it
-// happens (buffered; call FlushStream at the end). Pass nil to detach.
-// No-op on a nil tracer.
+// happens, in global Seq order (buffered; call FlushStream at the end) — so a
+// long chaos or continuous-failure run is fully captured even after the
+// per-rank rings start overwriting. Pass nil to detach. No-op on a nil
+// tracer.
 func (t *Tracer) StreamJSONL(w io.Writer) {
 	if t == nil {
 		return
 	}
-	if w == nil {
-		t.stream = nil
-		return
+	t.stream = nil
+	if w != nil {
+		t.stream = wire.NewWriter(w)
 	}
-	bw := bufio.NewWriter(w)
-	s := &streamSink{bw: bw, enc: json.NewEncoder(bw)}
-	s.err = s.enc.Encode(jsonlHeader{Format: "ftmr-trace", Schema: SchemaVersion})
-	t.stream = s
 }
 
 // FlushStream flushes the streaming sink's buffer and returns the first
@@ -139,10 +112,7 @@ func (t *Tracer) FlushStream() error {
 	if t == nil || t.stream == nil {
 		return nil
 	}
-	if err := t.stream.bw.Flush(); t.stream.err == nil {
-		t.stream.err = err
-	}
-	return t.stream.err
+	return t.stream.Flush()
 }
 
 // Chrome trace_event constants.
@@ -372,79 +342,28 @@ var kindByName = func() map[string]Kind {
 }()
 
 // ReadReport is the parse accounting of one ReadJSONL call. A truncated or
-// corrupted trace file no longer aborts the read: damaged lines are counted
+// corrupted trace file does not abort the read: damaged lines are counted
 // here so tooling (ftmr-trace) can warn instead of silently diffing garbage.
-type ReadReport struct {
-	Schema   int  // declared wire-format version (1 when no header line)
-	Header   bool // whether a header line was present
-	Lines    int  // non-blank lines scanned, including the header
-	Events   int  // events decoded successfully
-	BadLines int  // malformed or unknown-kind lines skipped
-
-	FirstBadLine int   // 1-based line number of the first bad line (0 = none)
-	FirstBadErr  error // what was wrong with it
-}
-
-// Clean reports whether every scanned line decoded.
-func (rr *ReadReport) Clean() bool { return rr.BadLines == 0 }
-
-// Err summarizes the damage as one error, or nil when the read was clean.
-func (rr *ReadReport) Err() error {
-	if rr.Clean() {
-		return nil
-	}
-	return fmt.Errorf("trace: %d of %d lines malformed (first at line %d: %v)",
-		rr.BadLines, rr.Lines, rr.FirstBadLine, rr.FirstBadErr)
-}
+type ReadReport = jsonl.Report
 
 // ReadJSONL decodes a JSONL stream (as written by WriteJSONL or StreamJSONL)
 // back into events, in stored order. Blank lines are skipped. Malformed
 // lines and unknown kind strings are skipped but *counted* in the returned
 // ReadReport — a trace cut short by a crash stays loadable, and the caller
 // decides whether damage is fatal (rr.Err). The error return is reserved
-// for unreadable input: I/O failure, an oversized line, or a header
-// declaring a schema version newer than this package understands.
+// for unreadable input (jsonl.Format.Read): I/O failure, an oversized line,
+// a header declaring a schema version newer than this package understands,
+// or a file that is no trace at all.
 func ReadJSONL(r io.Reader) ([]Event, *ReadReport, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	rr := &ReadReport{Schema: 1}
 	var out []Event
-	line := 0
-	bad := func(err error) {
-		rr.BadLines++
-		if rr.FirstBadLine == 0 {
-			rr.FirstBadLine = line
-			rr.FirstBadErr = err
-		}
-	}
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		rr.Lines++
-		if rr.Lines == 1 {
-			var hdr jsonlHeader
-			if err := json.Unmarshal(raw, &hdr); err == nil && hdr.Format == "ftmr-trace" {
-				if hdr.Schema > SchemaVersion {
-					return nil, rr, fmt.Errorf("trace: file declares schema v%d, this reader understands <= v%d", hdr.Schema, SchemaVersion)
-				}
-				rr.Header = true
-				rr.Schema = hdr.Schema
-				continue
-			}
-			// No header: a v1 file whose first line is an event.
-		}
+	rr, err := wire.Read(r, func(line []byte) error {
 		var je jsonlEvent
-		if err := json.Unmarshal(raw, &je); err != nil {
-			bad(fmt.Errorf("jsonl line %d: %w", line, err))
-			continue
+		if err := json.Unmarshal(line, &je); err != nil {
+			return err
 		}
 		kind, ok := kindByName[je.Kind]
 		if !ok {
-			bad(fmt.Errorf("jsonl line %d: unknown kind %q", line, je.Kind))
-			continue
+			return fmt.Errorf("unknown kind %q", je.Kind)
 		}
 		out = append(out, Event{
 			Seq:  je.Seq,
@@ -457,12 +376,9 @@ func ReadJSONL(r io.Reader) ([]Event, *ReadReport, error) {
 			C:    je.C,
 			Flow: je.Flow,
 		})
-	}
-	rr.Events = len(out)
-	if err := sc.Err(); err != nil {
-		return out, rr, err
-	}
-	return out, rr, nil
+		return nil
+	})
+	return out, rr, err
 }
 
 // ReadJSONLFile is ReadJSONL over the named file.

@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Skew extraction: the per-rank phase-cost view of a Summary that the §3.4
 // load balancer consumes. Summarize says how much time each rank spent per
@@ -61,7 +64,7 @@ func (s *Summary) Skew() *SkewReport {
 		}
 		ranks = append(ranks, r)
 	}
-	sortInts(ranks)
+	slices.Sort(ranks)
 
 	var totalBusy time.Duration
 	for _, r := range ranks {

@@ -23,13 +23,16 @@
 //
 // Tracing is strictly opt-in and nil-safe: every Recorder method is a no-op
 // on a nil receiver, and a nil *Tracer hands out nil Recorders, so the
-// disabled hot path costs exactly one pointer-nil branch (verified by
-// BenchmarkTracerOverhead*).
+// disabled hot path costs exactly one pointer-nil branch (gated, together
+// with the other planes, by internal/obs TestOverheadGate).
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
+	"ftmrmpi/internal/jsonl"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -240,7 +243,7 @@ type Tracer struct {
 	cap    int
 	seq    uint64
 	rec    map[int]*Recorder
-	stream *streamSink // non-nil when StreamJSONL is active (write-through)
+	stream *jsonl.Writer // non-nil when StreamJSONL is active (write-through)
 }
 
 // New creates a tracer stamping events with sim's virtual clock. capPerRank
@@ -278,7 +281,7 @@ func (t *Tracer) Ranks() []int {
 	for r := range t.rec {
 		out = append(out, r)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -291,7 +294,8 @@ func (t *Tracer) Events() []Event {
 	for _, r := range t.Ranks() {
 		out = append(out, t.rec[r].Events()...)
 	}
-	sortEvents(out)
+	// Seq is tracer-global and unique, so the order is total.
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -343,7 +347,7 @@ func (r *Recorder) emitFlow(kind Kind, name string, a, b, c int64, flow uint64) 
 	t.seq++
 	ev := Event{Seq: t.seq, VT: t.sim.Now(), Rank: r.rank, Kind: kind, Name: name, A: a, B: b, C: c, Flow: flow}
 	if t.stream != nil {
-		t.stream.write(ev)
+		t.stream.Write(toJSONL(ev))
 	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
@@ -405,12 +409,6 @@ func (r *Recorder) RecvBegin(peer, tag int) {
 func (r *Recorder) RecvEnd(peer, tag, bytes int, msg uint64) {
 	r.emitFlow(KindRecvEnd, "", int64(peer), int64(tag), int64(bytes), msg)
 }
-
-// CollBegin / CollEnd bracket a collective operation.
-func (r *Recorder) CollBegin(op string) { r.emit(KindCollBegin, op, 0, 0, 0) }
-
-// CollEnd closes the span opened by CollBegin.
-func (r *Recorder) CollEnd(op string) { r.emit(KindCollEnd, op, 0, 0, 0) }
 
 // CkptCommit marks checkpoint frames becoming durable at the writer.
 func (r *Recorder) CkptCommit(stream string, bytes, frames int) {
@@ -566,11 +564,12 @@ func (r *Recorder) CkptStall(what string, d time.Duration) {
 	r.emit(KindCkptStall, what, int64(d), 0, 0)
 }
 
-// CollBeginN is CollBegin with the collective instance stamped: comm is the
-// communicator's world-unique id, seq the per-communicator operation
-// sequence number all participants of this instance share. The pair lets
-// the critical-path analyzer match a coll.end to exactly the begins of the
-// same instance instead of guessing from open spans.
+// CollBeginN / CollEndN bracket a collective operation, stamped with its
+// instance: comm is the communicator's world-unique id, seq the
+// per-communicator operation sequence number all participants of this
+// instance share. The pair lets the critical-path analyzer match a coll.end
+// to exactly the begins of the same instance instead of guessing from open
+// spans.
 func (r *Recorder) CollBeginN(op string, comm, seq int) {
 	r.emit(KindCollBegin, op, int64(comm), int64(seq), 0)
 }
@@ -578,51 +577,4 @@ func (r *Recorder) CollBeginN(op string, comm, seq int) {
 // CollEndN closes the span opened by CollBeginN with the same stamp.
 func (r *Recorder) CollEndN(op string, comm, seq int) {
 	r.emit(KindCollEnd, op, int64(comm), int64(seq), 0)
-}
-
-// --- small local sorts (avoid pulling package sort into the hot file) ----
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func sortEvents(evs []Event) {
-	// Seq is globally unique and monotone; a simple merge-friendly
-	// insertion-style sort would be quadratic on big traces, so do a
-	// bottom-up merge sort by Seq.
-	if len(evs) < 2 {
-		return
-	}
-	tmp := make([]Event, len(evs))
-	for width := 1; width < len(evs); width *= 2 {
-		for lo := 0; lo < len(evs); lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > len(evs) {
-				mid = len(evs)
-			}
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if evs[i].Seq <= evs[j].Seq {
-					tmp[k] = evs[i]
-					i++
-				} else {
-					tmp[k] = evs[j]
-					j++
-				}
-				k++
-			}
-			copy(tmp[k:], evs[i:mid])
-			k += mid - i
-			copy(tmp[k:], evs[j:hi])
-		}
-		copy(evs, tmp)
-	}
 }
