@@ -231,11 +231,10 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	if total <= have {
 		return
 	}
-	data, err := cp.local.Peek(path)
+	delta, err := cp.local.PeekFrom(path, have)
 	if err != nil {
 		return
 	}
-	delta := data[have:]
 	cp.obs.Rec.CopierBegin(stream, len(delta))
 	// Read only the new suffix from the local disk.
 	cp.metrics.CopierIO += cp.local.Charge(p, 1, len(delta))
@@ -420,7 +419,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// No replica covered the stream, so a PFS outage is waited out:
 		// bounded by the outage schedule, and the only way to preserve the
 		// run's output byte-for-byte.
-		data, err := peekOnline(p, r.pfs, path)
+		data, err := peekOnline(p, r.pfs, path, 0)
 		if err != nil {
 			return nil
 		}
@@ -459,7 +458,7 @@ func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
 			return true
 		}
 	}
-	data, err := peekOnline(p, r.pfs, ckptPath(r.jobID, stream))
+	data, err := peekOnline(p, r.pfs, ckptPath(r.jobID, stream), 0)
 	return err == nil && shuffleSnapshotIn(data)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -149,5 +151,107 @@ func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 	}
 	if m.CkptFrames != 0 {
 		t.Fatal("disabled writer counted frames")
+	}
+}
+
+// commitAndDrain commits nFrames frames of frameLen payload bytes to one
+// stream through the copier, with a phaseSync (a forced drain) every
+// nFrames/syncs commits, and returns the local and the PFS copy of the
+// stream plus the number of syncs that found the PFS copy longer than the
+// sync before. With failOne, the third of those drains runs inside a PFS
+// outage window: its append is refused on every attempt, the copier gives the
+// delta up, and a later drain has to ship it whole.
+func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (local, pfs []byte, advanced int) {
+	clus := ckptCluster()
+	m := newRankMetrics(0)
+	disk := clus.LocalOf(0)
+	path := ckptPath("job", "map/t000007")
+	payload := make([]byte, frameLen)
+	clus.Sim.Spawn("main", func(p *vtime.Proc) {
+		cp := startCopier(clus.Sim, "cp", "job", disk, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
+		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: disk, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
+		var fr []byte
+		for i, sync := 0, 0; i < nFrames; i++ {
+			for j := range payload {
+				payload[j] = byte(i + j)
+			}
+			fr = encodeFrame(fr[:0], frameMapDelta, 7, uint32(i), payload)
+			w.write(p, "map/t000007", fr, 1)
+			if (i+1)%(nFrames/syncs) != 0 {
+				continue
+			}
+			sync++
+			failing := failOne && sync == 3
+			if failing {
+				p.Sleep(10 * time.Millisecond) // let the copier go idle, so the next drain is the refused one
+				clus.PFS.Faults = storage.NewInjector(storage.FaultPolicy{OutageBegin: p.Now(), OutageEnd: p.Now() + time.Second})
+				fr = encodeFrame(fr[:0], frameTaskDone, 7, uint32(i), nil)
+				w.write(p, "map/t000007", fr, 1)
+			}
+			before := clus.PFS.Size(path)
+			w.phaseSync(p)
+			switch after := clus.PFS.Size(path); {
+			case failing && (after != before || clus.PFS.Faults.Stats.OutageOps != ckptAppendBudget):
+				tb.Errorf("refused drain: PFS copy %d -> %d bytes, %d rejected appends (want no advance, %d attempts)",
+					before, after, clus.PFS.Faults.Stats.OutageOps, ckptAppendBudget)
+			case after > before:
+				advanced++
+			}
+			if failing {
+				clus.PFS.AwaitOnline(p)
+			}
+		}
+		cp.stop()
+	})
+	clus.Sim.Run()
+	if st := clus.Sim.Stranded(); len(st) != 0 {
+		tb.Fatalf("stranded: %v", st)
+	}
+	return mustPeek(disk, path), mustPeek(clus.PFS, path), advanced
+}
+
+// TestCopierDrainsOnlyTheSuffix pins the copier's ranged read: over many
+// drains of a growing stream — one of them refused by the PFS and retried
+// whole by the next — the PFS copy ends byte-identical to the local stream,
+// and (the `make alloc-gate` half) the host memory allocated to get a 1 MiB
+// stream there in 256 commits is a small multiple of the stream, not of the
+// stream times the number of drains. The multiple is not 1: FS.Append grows
+// each of the two copies geometrically (~5x its final size in reallocations),
+// on top of one copy of every delta. Re-reading the whole stream per drain,
+// as the copier did before PeekFrom, costs ~128x.
+func TestCopierDrainsOnlyTheSuffix(t *testing.T) {
+	local, pfs, advanced := commitAndDrain(t, 40, 100, 8, true)
+	if len(local) == 0 || !bytes.Equal(local, pfs) {
+		t.Fatalf("PFS copy (%d bytes) differs from the local stream (%d bytes)", len(pfs), len(local))
+	}
+	if got := countFrames(pfs); got != 41 {
+		t.Fatalf("%d frames on PFS, want 41", got)
+	}
+	if advanced < 5 {
+		t.Fatalf("only %d drains advanced the PFS copy, want >= 5", advanced)
+	}
+
+	const frames, frameLen, bound = 256, 4096 - frameHdrLen, 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	local, pfs, _ = commitAndDrain(t, frames, frameLen, frames, false)
+	runtime.ReadMemStats(&after)
+	if len(local) != 1<<20 || !bytes.Equal(local, pfs) {
+		t.Fatalf("PFS copy (%d bytes) differs from the 1 MiB local stream (%d bytes)", len(pfs), len(local))
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(local))
+	t.Logf("draining a %d-byte stream in %d commits allocated %.1fx the stream", len(local), frames, ratio)
+	if ratio > bound {
+		t.Fatalf("draining a 1 MiB stream in %d commits allocated %.1fx the stream, bound %dx: the drain is super-linear again", frames, ratio, bound)
+	}
+}
+
+// BenchmarkCopierDrain grows one stream to 1 MiB in 4 KiB commits, each one
+// drained to the PFS before the next.
+func BenchmarkCopierDrain(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(1 << 20)
+	for i := 0; i < b.N; i++ {
+		commitAndDrain(b, 256, 4096-frameHdrLen, 256, false)
 	}
 }

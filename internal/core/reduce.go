@@ -183,7 +183,9 @@ func (r *runner) appendOutput(part int, buf []byte) error {
 func (r *runner) truncateOutput(part int) {
 	path := outputPath(r.spec.JobID, part)
 	pfs := r.job.clus.PFS
-	if _, err := peekOnline(r.p, pfs, path); err != nil {
+	// Only "the file exists and the tier is reachable" is asked, so read the
+	// zero-length tail rather than copy the whole output to discard it.
+	if _, err := peekOnline(r.p, pfs, path, pfs.Size(path)); err != nil {
 		return
 	}
 	pfs.Truncate(path, int(r.outLen[part]))

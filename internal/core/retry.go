@@ -86,14 +86,14 @@ func appendRollback(p *vtime.Proc, t *storage.Tier, path string, data []byte, op
 	})
 }
 
-// peekOnline is Tier.Peek that waits a whole-tier outage out instead of
+// peekOnline is Tier.PeekFrom that waits a whole-tier outage out instead of
 // failing: for callers whose decision (is this stream restorable? where does
 // the committed output end?) must not depend on when the outage fell.
-func peekOnline(p *vtime.Proc, t *storage.Tier, path string) ([]byte, error) {
-	data, err := t.Peek(path)
+func peekOnline(p *vtime.Proc, t *storage.Tier, path string, off int) ([]byte, error) {
+	data, err := t.PeekFrom(path, off)
 	if errors.Is(err, storage.ErrTierOutage) {
 		t.AwaitOnline(p)
-		data, err = t.Peek(path)
+		data, err = t.PeekFrom(path, off)
 	}
 	return data, err
 }

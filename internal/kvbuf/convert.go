@@ -2,7 +2,9 @@ package kvbuf
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // ConvertStats reports the data movement a KV→KMV conversion performed.
@@ -90,66 +92,69 @@ const segmentSize = 4096
 // group. Data is touched twice instead of four times, and progress is
 // trivially trackable per pass — the property the shuffle-phase tracing
 // relies on.
+//
+// Host cost is per key, not per pair: a pair looks its chain up without
+// materialising the key, and a key's first segment starts at the size of its
+// first value and grows with its contents (later segments are allocated
+// whole), so the many keys of a skewed distribution that hold a few bytes do
+// not each pin 4 KiB. Which segment a value lands in, and so the statistics,
+// depend on segment lengths only.
 func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
 	var st ConvertStats
 	size := kv.Size()
 
-	type segment struct {
-		data []byte // framed values: [vlen u32][value]
+	// chain is one key's log: segments of framed values [vlen u32][value].
+	type chain struct {
+		key   string
+		segs  [][]byte
+		nvals int
 	}
-	chains := make(map[string][]*segment)
-	segWrites := 0
-
-	appendVal := func(key string, v []byte) {
-		chain := chains[key]
-		var seg *segment
-		if len(chain) > 0 {
-			last := chain[len(chain)-1]
-			if len(last.data)+4+len(v) <= segmentSize {
-				seg = last
-			}
-		}
-		if seg == nil {
-			seg = &segment{data: make([]byte, 0, segmentSize)}
-			chains[key] = append(chain, seg)
-			segWrites++
-		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(v)))
-		seg.data = append(seg.data, hdr[:]...)
-		seg.data = append(seg.data, v...)
-	}
+	var chains []chain
+	index := make(map[string]int) // key -> position in chains
 
 	// Pass 1: read pairs once, write values into segments once.
-	_ = kv.ForEach(func(k, v []byte) { appendVal(string(k), v) })
 	written := 0
-	for _, chain := range chains {
-		for _, seg := range chain {
-			written += len(seg.data)
+	_ = kv.ForEach(func(k, v []byte) {
+		i, ok := index[string(k)] // no allocation: the conversion is only a map lookup
+		if !ok {
+			i = len(chains)
+			key := string(k)
+			index[key] = i
+			chains = append(chains, chain{key: key})
 		}
-	}
-	_ = segWrites // segments are a logical structure; the log is written sequentially
+		c := &chains[i]
+		need := 4 + len(v)
+		last := len(c.segs) - 1
+		if last < 0 || len(c.segs[last])+need > segmentSize {
+			segCap := need // a key's first segment grows with its contents
+			if last >= 0 {
+				segCap = max(segmentSize, need)
+			}
+			c.segs = append(c.segs, make([]byte, 0, segCap))
+			last++
+		}
+		c.segs[last] = binary.LittleEndian.AppendUint32(c.segs[last], uint32(len(v)))
+		c.segs[last] = append(c.segs[last], v...)
+		c.nvals++
+		written += need
+	})
 	st.add(size, written, opsFor(size), opsFor(written))
 
 	// Pass 2: merge each key's non-contiguous segments into one group.
-	keys := make([]string, 0, len(chains))
-	for k := range chains {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := &KMV{Keys: make([][]byte, len(keys)), Vals: make([][][]byte, len(keys))}
+	slices.SortFunc(chains, func(a, b chain) int { return strings.Compare(a.key, b.key) })
+	out := &KMV{Keys: make([][]byte, len(chains)), Vals: make([][][]byte, len(chains))}
 	merged := 0
-	for i, k := range keys {
-		out.Keys[i] = []byte(k)
-		var vals [][]byte
-		for _, seg := range chains[k] {
-			data := seg.data
+	for i := range chains {
+		c := &chains[i]
+		out.Keys[i] = []byte(c.key)
+		vals := make([][]byte, 0, c.nvals)
+		for _, data := range c.segs {
+			merged += len(data)
 			for len(data) > 0 {
 				vl := int(binary.LittleEndian.Uint32(data[:4]))
 				vals = append(vals, data[4:4+vl:4+vl])
 				data = data[4+vl:]
 			}
-			merged += len(seg.data)
 		}
 		out.Vals[i] = vals
 	}

@@ -50,13 +50,9 @@ func (b *KV) Bytes() []byte { return b.buf }
 // framing and counts the pairs.
 func FromBytes(data []byte) (*KV, error) {
 	b := &KV{buf: data}
-	err := b.ForEach(func(k, v []byte) {})
-	if err != nil {
+	if err := b.ForEach(func(k, v []byte) { b.n++ }); err != nil {
 		return nil, err
 	}
-	n := 0
-	_ = b.ForEach(func(k, v []byte) { n++ })
-	b.n = n
 	return b, nil
 }
 
@@ -141,8 +137,8 @@ func (m *KMV) ForEach(fn func(key []byte, vals [][]byte)) {
 	}
 }
 
-// groupMap builds key→values preserving nothing about order; both
-// conversion algorithms normalize to sorted key order on output.
+// sortKeys flattens a key→values map into parallel key and value slices in
+// lexicographic key order, the order every KMV is normalized to.
 func sortKeys(groups map[string][][]byte) ([][]byte, [][][]byte) {
 	keys := make([]string, 0, len(groups))
 	for k := range groups {

@@ -1,6 +1,7 @@
 package kvbuf
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -199,3 +200,118 @@ func TestDecodeKMVRejectsTruncation(t *testing.T) {
 		}
 	}
 }
+
+// equalKMV reports whether two KMVs hold the same keys and, per key, the same
+// values in the same order (nil and empty slices compare equal).
+func equalKMV(a, b *KMV) bool {
+	if len(a.Keys) != len(b.Keys) || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i := range a.Keys {
+		if !bytes.Equal(a.Keys[i], b.Keys[i]) || len(a.Vals[i]) != len(b.Vals[i]) {
+			return false
+		}
+		for j := range a.Vals[i] {
+			if !bytes.Equal(a.Vals[i][j], b.Vals[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: over the shapes that stress the segment chains — no pairs at all,
+// empty values, a value larger than a segment, one hot key whose values span
+// several segments, many keys seen once — the two-pass KMV is the four-pass
+// KMV (same keys, same value order), and the traffic the runtime is charged
+// is the closed form of the algorithm: pass 1 reads the KV and writes every
+// value behind a 4-byte length, pass 2 reads and rewrites that log.
+func TestPropConvertTwoPassMatchesFourPassAndClosedForm(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		kv := NewKV()
+		if seed > 0 { // seed 0 is the empty KV
+			val := func(n int) []byte {
+				v := make([]byte, n)
+				rng.Read(v)
+				return v
+			}
+			hot := []byte(fmt.Sprintf("hot-%d", seed))
+			nPairs := 200 + rng.Intn(800)
+			for i := 0; i < nPairs; i++ {
+				switch r := rng.Intn(10); {
+				case r < 3:
+					kv.Add(hot, val(rng.Intn(64))) // > 4 KiB in total: spills into later segments
+				case r < 5:
+					kv.Add([]byte(fmt.Sprintf("single-%d-%d", seed, i)), val(rng.Intn(8)))
+				case r < 6:
+					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), nil)
+				default:
+					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(rng.Intn(300)))
+				}
+				if i == nPairs/2 {
+					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(segmentSize+1+rng.Intn(segmentSize)))
+				}
+			}
+			for i := 0; i < 100; i++ {
+				kv.Add(hot, val(60))
+			}
+		}
+		m2, s2 := ConvertTwoPass(kv)
+		m4, _ := ConvertFourPass(kv)
+		if !equalKMV(m2, m4) {
+			t.Fatalf("seed %d: two-pass KMV differs from four-pass KMV", seed)
+		}
+		logBytes := 0
+		_ = kv.ForEach(func(k, v []byte) { logBytes += 4 + len(v) })
+		want := ConvertStats{
+			Passes:     2,
+			ReadBytes:  kv.Size() + logBytes,
+			WriteBytes: 2 * logBytes,
+			ReadOps:    opsFor(kv.Size()) + opsFor(logBytes),
+			WriteOps:   2 * opsFor(logBytes),
+		}
+		if s2 != want {
+			t.Fatalf("seed %d: stats = %+v, want %+v", seed, s2, want)
+		}
+	}
+}
+
+// wordcountKV is the shape the conversions see in a wordcount job: nPairs
+// one-byte counts spread evenly over nKeys words.
+func wordcountKV(nPairs, nKeys int) *KV {
+	kv := NewKV()
+	for i := 0; i < nPairs; i++ {
+		kv.Add([]byte(fmt.Sprintf("w%06d", i%nKeys)), []byte{1})
+	}
+	return kv
+}
+
+// TestConvertTwoPassAllocsPerKey is the host-independent gate on the
+// two-pass conversion's host cost (`make alloc-gate`, part of `make check`):
+// it may allocate per key (key string, segment growth, value table), never
+// per pair. 10 000 pairs over 100 keys must stay under 32 allocations per
+// key; one allocation per pair would be 100 per key.
+func TestConvertTwoPassAllocsPerKey(t *testing.T) {
+	const pairs, keys, perKey = 10000, 100, 32
+	kv := wordcountKV(pairs, keys)
+	allocs := testing.AllocsPerRun(5, func() { ConvertTwoPass(kv) })
+	t.Logf("%.0f allocations for %d pairs over %d keys (%.1f per key)", allocs, pairs, keys, allocs/keys)
+	if allocs > perKey*keys {
+		t.Fatalf("ConvertTwoPass made %.0f allocations for %d pairs over %d keys, budget %d per key: it allocates per pair again",
+			allocs, pairs, keys, perKey)
+	}
+}
+
+func benchmarkConvert(b *testing.B, conv func(*KV) (*KMV, ConvertStats)) {
+	kv := wordcountKV(100000, 5000)
+	b.ReportAllocs()
+	b.SetBytes(int64(kv.Size()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv(kv)
+	}
+}
+
+func BenchmarkConvertTwoPass(b *testing.B)  { benchmarkConvert(b, ConvertTwoPass) }
+func BenchmarkConvertFourPass(b *testing.B) { benchmarkConvert(b, ConvertFourPass) }

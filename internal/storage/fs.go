@@ -59,14 +59,26 @@ func (fs *FS) put(path string, data []byte) {
 }
 
 // Read returns a copy of the file's contents.
-func (fs *FS) Read(path string) ([]byte, error) {
+func (fs *FS) Read(path string) ([]byte, error) { return fs.ReadFrom(path, 0) }
+
+// ReadFrom returns a copy of the file's contents from byte offset off to its
+// end; off equal to the file's length yields an empty result, an offset
+// outside [0, length] is an error. The result never aliases the stored
+// bytes: the caller owns it and may write or append to it, and a later
+// Truncate followed by an Append (how a torn append is rolled back and
+// retried) rewrites the file's tail, which must not show through a result
+// handed out earlier.
+func (fs *FS) ReadFrom(path string, off int) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	data, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("storage: %s: no such file", path)
 	}
-	return append([]byte(nil), data...), nil
+	if off < 0 || off > len(data) {
+		return nil, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, len(data))
+	}
+	return append([]byte(nil), data[off:]...), nil
 }
 
 // Exists reports whether the file exists.

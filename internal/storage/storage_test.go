@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -51,6 +52,71 @@ func TestFSReadReturnsCopy(t *testing.T) {
 	again, _ := fs.Read("f")
 	if string(again) != "abc" {
 		t.Fatal("Read aliases internal buffer")
+	}
+}
+
+func TestFSReadFrom(t *testing.T) {
+	fs := NewFS()
+	fs.Write("f", []byte("abcdef"))
+	fs.Write("empty", nil)
+	for _, tc := range []struct {
+		name, path string
+		off        int
+		want       string
+		wantErr    bool
+	}{
+		{"start", "f", 0, "abcdef", false},
+		{"mid", "f", 2, "cdef", false},
+		{"end is empty, not an error", "f", 6, "", false},
+		{"past end", "f", 7, "", true},
+		{"negative", "f", -1, "", true},
+		{"empty file at 0", "empty", 0, "", false},
+		{"empty file past end", "empty", 1, "", true},
+		{"missing file", "missing", 0, "", true},
+	} {
+		got, err := fs.ReadFrom(tc.path, tc.off)
+		if (err != nil) != tc.wantErr || string(got) != tc.want {
+			t.Errorf("%s: ReadFrom(%q, %d) = %q, %v; want %q, error %v", tc.name, tc.path, tc.off, got, err, tc.want, tc.wantErr)
+		}
+	}
+	// The suffix is a copy: neither writing through it nor growing it may
+	// reach the stored bytes, and a rollback (Truncate, then Append) under a
+	// result handed out earlier must not show through it.
+	tail, _ := fs.ReadFrom("f", 2)
+	tail[0] = 'Z'
+	_ = append(tail[:1], "YYY"...)
+	fs.Truncate("f", 3)
+	fs.Append("f", []byte("xyz"))
+	if got, _ := fs.Read("f"); string(got) != "abcxyz" {
+		t.Errorf("file = %q after writes through a ReadFrom result, want %q", got, "abcxyz")
+	}
+	if string(tail) != "ZYYY" {
+		t.Errorf("earlier ReadFrom result = %q after Truncate+Append, want %q", tail, "ZYYY")
+	}
+}
+
+func TestTierPeekFromObservesOutage(t *testing.T) {
+	sim := vtime.NewSim()
+	tier := NewTier("t", NewFS(), vtime.NewBandwidth(sim, "bw", 1e9), time.Millisecond, "x:")
+	tier.Clock = sim.Now
+	tier.Faults = NewInjector(FaultPolicy{
+		Rules:       []FaultRule{{ReadError: 1}}, // every charged read faults; PeekFrom must not
+		OutageBegin: time.Second, OutageEnd: 2 * time.Second,
+	})
+	tier.FS.Write("x:f", []byte("abcdef"))
+	var online, offline error
+	var got []byte
+	sim.Spawn("r", func(p *vtime.Proc) {
+		got, online = tier.PeekFrom("f", 4)
+		p.Sleep(1500 * time.Millisecond)
+		_, offline = tier.PeekFrom("f", 4)
+	})
+	sim.Run()
+	if online != nil || string(got) != "ef" {
+		t.Fatalf("PeekFrom online = %q, %v", got, online)
+	}
+	if !errors.Is(offline, ErrTierOutage) || tier.Faults.Stats.OutageOps != 1 || tier.Faults.Stats.ReadErrors != 0 {
+		t.Fatalf("PeekFrom in the outage window: err %v, stats %+v", offline, tier.Faults.Stats)
 	}
 }
 

@@ -170,14 +170,20 @@ func (t *Tier) Exists(path string) bool { return t.FS.Exists(t.path(path)) }
 // read) — but it is NOT exempt from whole-tier outages: an offline tier's
 // contents are unreachable by any path, so Peek fails with ErrTierOutage
 // while a window is active (when the tier has a Clock to observe time with).
-func (t *Tier) Peek(path string) ([]byte, error) {
+func (t *Tier) Peek(path string) ([]byte, error) { return t.PeekFrom(path, 0) }
+
+// PeekFrom is Peek of the file's suffix from byte offset off (see
+// FS.ReadFrom): what a caller that already holds the first off bytes — the
+// copier draining a growing checkpoint stream — reads instead of the whole
+// file. Same outage check, same fault exemption, still a copy.
+func (t *Tier) PeekFrom(path string, off int) ([]byte, error) {
 	if t.Faults != nil && t.Clock != nil {
 		if _, active := t.Faults.OutageUntil(t.Clock()); active {
 			t.Faults.outageReject()
 			return nil, ErrTierOutage
 		}
 	}
-	return t.FS.Read(t.path(path))
+	return t.FS.ReadFrom(t.path(path), off)
 }
 
 // Size returns the size of path (no cost).

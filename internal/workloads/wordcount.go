@@ -7,6 +7,7 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -49,12 +50,18 @@ func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[stri
 	rng := rand.New(rand.NewSource(p.Seed))
 	zipf := rand.NewZipf(rng, 1.07, 4.0, uint64(p.Vocab-1))
 	expect := make(map[string]int)
+	// Each vocabulary word is formatted once, the first time it is drawn.
+	words := make([]string, p.Vocab)
 	var sb strings.Builder
 	for c := 0; c < p.Chunks; c++ {
 		sb.Reset()
 		for l := 0; l < p.Lines; l++ {
 			for w := 0; w < p.WordsLine; w++ {
-				word := fmt.Sprintf("w%06d", zipf.Uint64())
+				id := zipf.Uint64()
+				if words[id] == "" {
+					words[id] = fmt.Sprintf("w%06d", id)
+				}
+				word := words[id]
 				expect[word]++
 				sb.WriteString(word)
 				sb.WriteByte(' ')
@@ -71,8 +78,9 @@ type wcMapper struct{ cost float64 }
 
 // Map implements core.Mapper.
 func (m *wcMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) error {
-	for _, w := range strings.Fields(string(v)) {
-		out.Emit([]byte(w), one)
+	// Emit copies the pair, so the words may alias the record.
+	for _, w := range bytes.Fields(v) {
+		out.Emit(w, one)
 	}
 	return nil
 }
