@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/metrics"
@@ -50,9 +51,12 @@ const maxFramePayload = 1 << 30
 // [kind u8][a u32][b u32][len u32][crc u32][payload], where crc is CRC-32
 // (IEEE) over the first 13 header bytes followed by the payload — so a bit
 // flip anywhere in the frame (including the length or the CRC field itself)
-// is detectable at read time.
+// is detectable at read time. The header is written in place: with room in
+// dst (a shuffle arena's sub-slice) nothing is allocated.
 func encodeFrame(dst []byte, kind byte, a, b uint32, payload []byte) []byte {
-	var hdr [frameHdrLen]byte
+	off := len(dst)
+	dst = slices.Grow(dst, frameHdrLen+len(payload))[:off+frameHdrLen]
+	hdr := dst[off:]
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], a)
 	binary.LittleEndian.PutUint32(hdr[5:9], b)
@@ -60,63 +64,81 @@ func encodeFrame(dst []byte, kind byte, a, b uint32, payload []byte) []byte {
 	crc := crc32.ChecksumIEEE(hdr[:13])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(hdr[13:17], crc)
-	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
 
-// decodeFrames parses a stream and returns its valid frames. The error is
-// non-nil when trailing bytes do not form a complete, checksummed frame —
-// a torn tail, a corrupted frame, or garbage. WAL semantics: the returned
-// frames are always the longest valid prefix, usable even when err != nil.
-func decodeFrames(data []byte) ([]frame, error) {
-	out, _, err := decodeFramesPrefix(data)
-	return out, err
+// nextFrame decodes the frame at the head of rest in place (the payload
+// aliases rest) and returns it with the bytes it occupies. It is the one
+// frame decoder: a non-nil error names what is wrong with the head — a torn
+// tail, a corrupted frame, or garbage — and the walking caller adds where
+// (frameErr).
+func nextFrame(rest []byte) (frame, int, error) {
+	if len(rest) < frameHdrLen {
+		return frame{}, 0, fmt.Errorf("short header (%d of %d bytes)", len(rest), frameHdrLen)
+	}
+	kind := rest[0]
+	if kind < frameMapDelta || kind > frameReduce {
+		return frame{}, 0, fmt.Errorf("bad kind %d", kind)
+	}
+	l := int(binary.LittleEndian.Uint32(rest[9:13]))
+	if l > maxFramePayload {
+		return frame{}, 0, fmt.Errorf("implausible payload length %d", l)
+	}
+	n := frameHdrLen + l
+	if len(rest) < n {
+		return frame{}, 0, fmt.Errorf("truncated payload (%d of %d bytes)", len(rest)-frameHdrLen, l)
+	}
+	want := binary.LittleEndian.Uint32(rest[13:17])
+	crc := crc32.ChecksumIEEE(rest[:13])
+	crc = crc32.Update(crc, crc32.IEEETable, rest[frameHdrLen:n])
+	if crc != want {
+		return frame{}, 0, fmt.Errorf("CRC mismatch (got %08x, want %08x)", crc, want)
+	}
+	return frame{
+		kind:    kind,
+		a:       binary.LittleEndian.Uint32(rest[1:5]),
+		b:       binary.LittleEndian.Uint32(rest[5:9]),
+		payload: rest[frameHdrLen:n:n],
+	}, n, nil
+}
+
+// frameErr places a nextFrame error: the idx-th frame of a stream, at byte
+// offset off.
+func frameErr(idx, off int, err error) error {
+	return fmt.Errorf("core: frame %d at offset %d: %w", idx, off, err)
 }
 
 // decodeFramesPrefix parses the longest valid frame prefix of data,
 // returning the decoded frames, the number of bytes they occupy, and a
-// non-nil error describing the first invalid byte range (if any).
+// non-nil error describing the first invalid byte range (if any): trailing
+// bytes that do not form a complete, checksummed frame. WAL semantics: the
+// returned frames are usable even when err != nil. Callers that only walk a
+// stream loop over nextFrame instead.
 func decodeFramesPrefix(data []byte) ([]frame, int, error) {
 	var out []frame
 	off := 0
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHdrLen {
-			return out, off, fmt.Errorf("core: frame %d at offset %d: short header (%d of %d bytes)",
-				len(out), off, len(rest), frameHdrLen)
+		f, n, err := nextFrame(data[off:])
+		if err != nil {
+			return out, off, frameErr(len(out), off, err)
 		}
-		kind := rest[0]
-		if kind < frameMapDelta || kind > frameReduce {
-			return out, off, fmt.Errorf("core: frame %d at offset %d: bad kind %d", len(out), off, kind)
-		}
-		a := binary.LittleEndian.Uint32(rest[1:5])
-		b := binary.LittleEndian.Uint32(rest[5:9])
-		l := int(binary.LittleEndian.Uint32(rest[9:13]))
-		if l > maxFramePayload {
-			return out, off, fmt.Errorf("core: frame %d at offset %d: implausible payload length %d",
-				len(out), off, l)
-		}
-		if len(rest) < frameHdrLen+l {
-			return out, off, fmt.Errorf("core: frame %d at offset %d: truncated payload (%d of %d bytes)",
-				len(out), off, len(rest)-frameHdrLen, l)
-		}
-		want := binary.LittleEndian.Uint32(rest[13:17])
-		crc := crc32.ChecksumIEEE(rest[:13])
-		crc = crc32.Update(crc, crc32.IEEETable, rest[frameHdrLen:frameHdrLen+l])
-		if crc != want {
-			return out, off, fmt.Errorf("core: frame %d at offset %d: CRC mismatch (got %08x, want %08x)",
-				len(out), off, crc, want)
-		}
-		out = append(out, frame{kind: kind, a: a, b: b, payload: rest[frameHdrLen : frameHdrLen+l : frameHdrLen+l]})
-		off += frameHdrLen + l
+		out = append(out, f)
+		off += n
 	}
 	return out, off, nil
 }
 
 // countFrames returns the number of valid frames in a stream.
 func countFrames(data []byte) int {
-	fs, _ := decodeFrames(data)
-	return len(fs)
+	count := 0
+	for off := 0; off < len(data); count++ {
+		_, n, err := nextFrame(data[off:])
+		if err != nil {
+			break
+		}
+		off += n
+	}
+	return count
 }
 
 // ckptPath returns the PFS/local-relative path of a stream.
@@ -465,8 +487,12 @@ func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
 // shuffleSnapshotIn reports whether the valid frame prefix of a raw stream
 // carries a post-shuffle snapshot.
 func shuffleSnapshotIn(raw []byte) bool {
-	frames, _, _ := decodeFramesPrefix(raw)
-	for _, f := range frames {
+	for off := 0; off < len(raw); {
+		f, n, err := nextFrame(raw[off:])
+		if err != nil {
+			break
+		}
+		off += n
 		if f.kind != frameShuffle {
 			continue
 		}

@@ -374,6 +374,12 @@ func (c *countingMapper) Cost(k, v []byte) float64 { return c.inner.Cost(k, v) }
 
 // --- checkpoint frame properties ---
 
+// decodeFrames returns the valid frame prefix of a stream and what ended it.
+func decodeFrames(data []byte) ([]frame, error) {
+	out, _, err := decodeFramesPrefix(data)
+	return out, err
+}
+
 func TestPropFrameRoundTrip(t *testing.T) {
 	f := func(frames []struct {
 		Kind byte
@@ -459,6 +465,24 @@ func TestDecodeFramesRejectsGarbage(t *testing.T) {
 	frames, consumed, err := decodeFramesPrefix(two)
 	if err == nil || len(frames) != 1 || consumed != first {
 		t.Fatalf("bit flip: frames=%d consumed=%d err=%v", len(frames), consumed, err)
+	}
+	// The diagnostics name the frame, its offset and the defect, in the words
+	// recovery logs and quarantine reports have always used.
+	good := encodeFrame(nil, frameMapDelta, 1, 2, []byte("abc"))
+	after := func(tail ...byte) []byte { return append(append([]byte(nil), good...), tail...) }
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{after(1, 2, 3), "core: frame 1 at offset 20: short header (3 of 17 bytes)"},
+		{after(bad...), "core: frame 1 at offset 20: bad kind 6"},
+		{after(huge...), "core: frame 1 at offset 20: implausible payload length 1073741825"},
+		{after(good[:frameHdrLen+1]...), "core: frame 1 at offset 20: truncated payload (1 of 3 bytes)"},
+		{two, "core: frame 1 at offset 20: CRC mismatch (got e2fa1ac1, want 5a467da4)"},
+	} {
+		if _, _, err := decodeFramesPrefix(tc.data); err == nil || err.Error() != tc.want {
+			t.Errorf("error text %q, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 // FuzzDecodeFrames checks the frame codec's WAL invariants on arbitrary
 // input: never panic, always return a valid prefix (re-encoding the decoded
 // frames reproduces exactly the consumed bytes), and err == nil iff the
-// whole input was consumed.
+// whole input was consumed. Walking the input with the in-place iterator sees
+// the same frames, the same consumed prefix and the same error text.
 func FuzzDecodeFrames(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeFrame(nil, frameMapDelta, 1, 2, []byte("abc")))
@@ -33,6 +35,26 @@ func FuzzDecodeFrames(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encoding %d frames does not reproduce the consumed prefix", len(frames))
+		}
+		idx, off, werr := 0, 0, error(nil)
+		for off < len(data) {
+			fr, n, e := nextFrame(data[off:])
+			if e != nil {
+				werr = frameErr(idx, off, e)
+				break
+			}
+			if idx >= len(frames) || fr.kind != frames[idx].kind || fr.a != frames[idx].a || fr.b != frames[idx].b ||
+				!bytes.Equal(fr.payload, frames[idx].payload) {
+				t.Fatalf("iterator frame %d differs from decodeFramesPrefix", idx)
+			}
+			idx, off = idx+1, off+n
+		}
+		if idx != len(frames) || off != consumed || fmt.Sprint(werr) != fmt.Sprint(err) {
+			t.Fatalf("iterator: %d frames, %d bytes, %v; decodeFramesPrefix: %d frames, %d bytes, %v",
+				idx, off, werr, len(frames), consumed, err)
+		}
+		if n := countFrames(data); n != len(frames) {
+			t.Fatalf("countFrames = %d, want %d", n, len(frames))
 		}
 	})
 }

@@ -38,36 +38,8 @@ func (r *runner) phaseShuffle() error {
 		return err
 	}
 
-	// Merge received bundles; rebuild the partitions from scratch so the
-	// exchange is idempotent under recovery re-runs.
-	r.parts = make(map[int]*kvbuf.KV)
-	r.kmv = make(map[int]*kvbuf.KMV)
-	for _, b := range bundles {
-		fs, err := decodeFrames(b)
-		if err != nil {
-			// Shuffle bundles travel over the (fault-free) network; a decode
-			// failure here is a framing bug, not a storage fault.
-			return fmt.Errorf("core: shuffle bundle: %w", err)
-		}
-		for _, f := range fs {
-			if f.kind != frameShuffle {
-				continue
-			}
-			part := int(f.a)
-			dst := r.parts[part]
-			if dst == nil {
-				dst = kvbuf.NewKV()
-				r.parts[part] = dst
-			}
-			if len(f.payload) > 0 {
-				kv, err := kvbuf.FromBytes(f.payload)
-				if err != nil {
-					return err
-				}
-				dst.Append(kv)
-				r.m.ShuffleBytes += int64(kv.Size())
-			}
-		}
+	if err := r.mergeBundles(bundles); err != nil {
+		return err
 	}
 	r.shuffled = true
 	// Checkpoint the post-shuffle state of each owned partition (§3.2:
@@ -88,9 +60,55 @@ func (r *runner) phaseShuffle() error {
 	return r.net(func() error { return r.comm.Barrier() })
 }
 
+// mergeBundles rebuilds this rank's partitions from the received bundles,
+// from scratch so the exchange is idempotent under recovery re-runs. One walk
+// checks every frame and sizes each partition; every payload is then
+// validated and copied once, in bundle order, into a buffer that already has
+// room for it.
+func (r *runner) mergeBundles(bundles [][]byte) error {
+	r.parts = make(map[int]*kvbuf.KV)
+	r.kmv = make(map[int]*kvbuf.KMV)
+	sizes := make(map[int]int)
+	var filled []frame // the frames that carry pairs, in arrival order
+	for _, b := range bundles {
+		for idx, off := 0, 0; off < len(b); idx++ {
+			f, n, err := nextFrame(b[off:])
+			if err != nil {
+				// Shuffle bundles travel over the (fault-free) network; a decode
+				// failure here is a framing bug, not a storage fault.
+				return fmt.Errorf("core: shuffle bundle: %w", frameErr(idx, off, err))
+			}
+			off += n
+			if f.kind != frameShuffle {
+				continue
+			}
+			part := int(f.a)
+			if r.parts[part] == nil {
+				r.parts[part] = kvbuf.NewKV()
+			}
+			if len(f.payload) > 0 {
+				sizes[part] += len(f.payload)
+				filled = append(filled, f)
+			}
+		}
+	}
+	for part, size := range sizes {
+		r.parts[part].Grow(size)
+	}
+	for _, f := range filled {
+		if err := r.parts[int(f.a)].AppendBytes(f.payload); err != nil {
+			return err
+		}
+		r.m.ShuffleBytes += int64(len(f.payload))
+	}
+	return nil
+}
+
 // sendBundles prepares this rank's map output for the exchange and returns
 // one buffer per communicator rank, bundling the partitions that rank owns
-// in ascending order.
+// in ascending order. The bundles are sized first and encoded into one arena,
+// each a capacity-limited sub-slice of it: receivers may keep what they are
+// handed, and nothing writes to the arena after this returns.
 func (r *runner) sendBundles() ([][]byte, error) {
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
@@ -100,22 +118,48 @@ func (r *runner) sendBundles() ([][]byte, error) {
 			return nil, err
 		}
 	}
-	// One pass over the partitions via an inverse owner map — a nested
+	// One pass over the partitions via an inverse owner table — a nested
 	// ranks×partitions scan is O(W²) per rank at scale.
 	n := r.comm.Size()
-	bufs := make([][]byte, n)
-	commOf := make(map[int]int, n)
+	commOf := make([]int32, r.comm.World().Size())
+	for i := range commOf {
+		commOf[i] = -1
+	}
 	for d := 0; d < n; d++ {
-		commOf[r.comm.WorldRank(d)] = d
+		commOf[r.comm.WorldRank(d)] = int32(d)
+	}
+	// Every partition travels as a frame, empty ones included.
+	sizes := make([]int, n)
+	for part := 0; part < r.nParts; part++ {
+		if d := commOf[r.partOwner[part]]; d >= 0 {
+			sizes[d] += frameHdrLen
+		}
+	}
+	for part, kv := range r.mapOut {
+		if d := commOf[r.partOwner[part]]; d >= 0 && kv != nil {
+			sizes[d] += kv.Size()
+		}
+	}
+	total := 0
+	for _, size := range sizes {
+		total += size
+	}
+	arena := make([]byte, total)
+	bufs := make([][]byte, n)
+	off := 0
+	for d, size := range sizes {
+		if size > 0 {
+			bufs[d] = arena[off : off : off+size]
+			off += size
+		}
 	}
 	for part := 0; part < r.nParts; part++ {
-		d, ok := commOf[r.partOwner[part]]
-		if !ok {
+		d := commOf[r.partOwner[part]]
+		if d < 0 {
 			continue
 		}
-		kv := r.mapOut[part]
 		var payload []byte
-		if kv != nil {
+		if kv := r.mapOut[part]; kv != nil {
 			payload = kv.Bytes()
 		}
 		bufs[d] = encodeFrame(bufs[d], frameShuffle, uint32(part), 0, payload)

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -80,6 +81,23 @@ func (b *KV) ForEach(fn func(k, v []byte)) error {
 func (b *KV) Append(other *KV) {
 	b.buf = append(b.buf, other.buf...)
 	b.n += other.n
+}
+
+// Grow reserves room for n more encoded bytes, so that appends up to that
+// size do not reallocate.
+func (b *KV) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
+
+// AppendBytes appends the pairs of an encoded buffer (as produced by Bytes)
+// after validating its framing; on error b is unchanged. It is FromBytes +
+// Append without the intermediate KV.
+func (b *KV) AppendBytes(data []byte) error {
+	src, n := KV{buf: data}, 0
+	if err := src.ForEach(func(k, v []byte) { n++ }); err != nil {
+		return err
+	}
+	b.buf = append(b.buf, data...)
+	b.n += n
+	return nil
 }
 
 // Reset empties the buffer, retaining capacity.

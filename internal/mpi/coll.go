@@ -89,7 +89,7 @@ func prank(vr, root, n int) int { return (vr + root) % n }
 func (c *Comm) Barrier() error {
 	defer c.enterColl("barrier").Exit()
 	seq := c.nextSeq()
-	if err := c.gatherTree(seq, 0, nil, nil); err != nil {
+	if _, err := c.gatherTree(seq, 0, nil); err != nil {
 		return c.raise(err)
 	}
 	if _, err := c.bcastTree(seq, 0, nil); err != nil {
@@ -131,87 +131,70 @@ func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	defer c.enterColl("gather").Exit()
 	seq := c.nextSeq()
-	var out [][]byte
-	if c.rank == root {
-		out = make([][]byte, c.Size())
+	b, err := c.gatherTree(seq, root, data)
+	if err != nil || c.rank != root {
+		return nil, c.raise(err)
 	}
-	err := c.gatherTree(seq, root, data, out)
+	out := make([][]byte, c.Size())
+	_, _, err = readBundle(b, c.Size(), out, 0)
 	return out, c.raise(err)
 }
 
 // gatherTree runs a binomial-tree gather: each rank bundles its own payload
-// with its subtree's and forwards to its parent. out (root only) receives
-// the per-rank payloads.
-func (c *Comm) gatherTree(seq, root int, data []byte, out [][]byte) error {
+// with its subtree's and forwards to its parent. The root returns the bundle
+// of the whole communicator. An inner node never decodes: it checks each
+// child's bundle in one walk and concatenates the entry bytes after its own
+// entry, so entries travel in tree order, not rank order — only a bundle's
+// length is observable in virtual time.
+func (c *Comm) gatherTree(seq, root int, data []byte) ([]byte, error) {
 	n := c.Size()
 	vr := vrank(c.rank, root, n)
-	bundle := map[int][]byte{c.rank: data}
+	kids := treeChildren(vr, n)
+	subs := make([][]byte, len(kids))
+	count, size := 1, bundleHdrLen+entryHdrLen+len(data)
 	// Children with larger low bits arrive later; receive them all.
-	for _, child := range treeChildren(vr, n) {
+	for i, child := range kids {
 		m, err := c.recv(prank(child, root, n), internalTag(seq, 2))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sub, err := decodeBundle(m.Data)
+		cnt, entries, err := readBundle(m.Data, n, nil, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for r, d := range sub {
-			bundle[r] = d
-		}
+		subs[i] = entries
+		count += cnt
+		size += len(entries)
+	}
+	b := make([]byte, 0, size)
+	b = binary.BigEndian.AppendUint32(b, uint32(count))
+	b = appendEntry(b, c.rank, data)
+	for _, entries := range subs {
+		b = append(b, entries...)
 	}
 	if parent := treeParent(vr); parent >= 0 {
-		_, err := c.send(prank(parent, root, n), internalTag(seq, 2), encodeBundle(bundle))
-		return err
+		_, err := c.send(prank(parent, root, n), internalTag(seq, 2), b)
+		return nil, err
 	}
-	if out != nil {
-		for r, d := range bundle {
-			out[r] = d
-		}
-	}
-	return nil
+	return b, nil
 }
 
 // Allgather collects every rank's data on every rank, indexed by
-// communicator rank.
+// communicator rank: a gather to rank 0, whose bundle is broadcast as it
+// stands and decoded by every rank.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	defer c.enterColl("allgather").Exit()
 	seq := c.nextSeq()
-	n := c.Size()
-	var gathered [][]byte
-	if c.rank == 0 {
-		gathered = make([][]byte, n)
-	}
-	if err := c.gatherTree(seq, 0, data, gathered); err != nil {
-		return nil, c.raise(err)
-	}
-	var enc []byte
-	if c.rank == 0 {
-		bundle := make(map[int][]byte, n)
-		for r, d := range gathered {
-			bundle[r] = d
-		}
-		enc = encodeBundle(bundle)
-	}
-	enc, err := c.bcastTree(seq, 0, enc)
+	b, err := c.gatherTree(seq, 0, data)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	bundle, err := decodeBundle(enc)
-	if err != nil {
+	if b, err = c.bcastTree(seq, 0, b); err != nil {
 		return nil, c.raise(err)
 	}
-	out := make([][]byte, n)
-	for r, d := range bundle {
-		out[r] = d
-	}
-	if len(bundle) != n {
-		alive := make([]bool, n)
-		for i, wr := range c.st.group {
-			alive[i] = c.st.w.ranks[wr].alive
-		}
-		panic(fmt.Sprintf("mpi: allgather incomplete: comm=%d rank=%d seq=%d revoked=%v group=%v alive=%v bundleKeys=%d",
-			c.st.id, c.rank, seq, c.st.revoked, c.st.group, alive, len(bundle)))
+	out := make([][]byte, c.Size())
+	if _, _, err := readBundle(b, c.Size(), out, 0); err != nil {
+		return nil, c.raise(err)
 	}
 	return out, nil
 }
@@ -380,57 +363,81 @@ func (st *commState) failExch(err error) {
 	st.exch = nil
 }
 
-// encodeBundle serializes a rank→payload map with length prefixes.
-func encodeBundle(b map[int][]byte) []byte {
-	// Deterministic order.
-	total := 4
-	for _, d := range b {
-		total += 8 + len(d)
-	}
-	out := make([]byte, 0, total)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(b)))
-	out = append(out, hdr[:4]...)
-	// Iterate in ascending rank order for determinism.
-	maxRank := -1
-	for r := range b {
-		if r > maxRank {
-			maxRank = r
-		}
-	}
-	for r := 0; r <= maxRank; r++ {
-		d, ok := b[r]
-		if !ok {
-			continue
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(r))
-		binary.BigEndian.PutUint32(hdr[4:], uint32(len(d)))
-		out = append(out, hdr[:]...)
-		out = append(out, d...)
-	}
-	return out
+// A bundle is the wire form of a set of per-rank payloads inside a tree
+// collective: [count u32]([rank u32][len u32][payload])*, big-endian, entries
+// in no particular order.
+const (
+	bundleHdrLen = 4
+	entryHdrLen  = 8
+)
+
+// appendEntry appends one bundle entry to dst.
+func appendEntry(dst []byte, rank int, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(rank))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
 
-// decodeBundle reverses encodeBundle.
-func decodeBundle(data []byte) (map[int][]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("mpi: short bundle")
+// packBundle encodes pieces as one bundle, piece i belonging to rank
+// (first+i) mod n.
+func packBundle(pieces [][]byte, first, n int) []byte {
+	size := bundleHdrLen
+	for _, d := range pieces {
+		size += entryHdrLen + len(d)
 	}
-	count := int(binary.BigEndian.Uint32(data[:4]))
-	data = data[4:]
-	out := make(map[int][]byte, count)
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(pieces)))
+	for i, d := range pieces {
+		b = appendEntry(b, (first+i)%n, d)
+	}
+	return b
+}
+
+// readBundle walks bundle b of an n-rank communicator and returns its entry
+// count and entry bytes. It fails on a truncated or over-long bundle and on an
+// entry whose rank is not below n. With a non-nil out it also decodes: b must
+// then hold exactly one entry for each of the len(out) ranks first, first+1,
+// … (mod n), and out[i] — all nil on entry — receives the payload of rank
+// (first+i) mod n, aliasing b; an entry outside those ranks or repeating one
+// is an error.
+func readBundle(b []byte, n int, out [][]byte, first int) (count int, entries []byte, err error) {
+	if len(b) < bundleHdrLen {
+		return 0, nil, fmt.Errorf("mpi: short bundle")
+	}
+	count, entries = int(binary.BigEndian.Uint32(b)), b[bundleHdrLen:]
+	if out != nil && count != len(out) {
+		return 0, nil, fmt.Errorf("mpi: bundle has %d entries, want %d", count, len(out))
+	}
+	rest := entries
 	for i := 0; i < count; i++ {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("mpi: truncated bundle entry")
+		if len(rest) < entryHdrLen {
+			return 0, nil, fmt.Errorf("mpi: truncated bundle entry")
 		}
-		r := int(binary.BigEndian.Uint32(data[:4]))
-		l := int(binary.BigEndian.Uint32(data[4:8]))
-		data = data[8:]
-		if len(data) < l {
-			return nil, fmt.Errorf("mpi: truncated bundle payload")
+		rank := int(binary.BigEndian.Uint32(rest))
+		l := int(binary.BigEndian.Uint32(rest[4:]))
+		rest = rest[entryHdrLen:]
+		if len(rest) < l {
+			return 0, nil, fmt.Errorf("mpi: truncated bundle payload")
 		}
-		out[r] = data[:l:l]
-		data = data[l:]
+		if rank >= n {
+			return 0, nil, fmt.Errorf("mpi: bundle entry for rank %d of %d", rank, n)
+		}
+		if out != nil {
+			slot := rank - first
+			if slot < 0 {
+				slot += n
+			}
+			if slot >= len(out) {
+				return 0, nil, fmt.Errorf("mpi: bundle entry for rank %d, outside the %d ranks from %d", rank, len(out), first)
+			}
+			if out[slot] != nil {
+				return 0, nil, fmt.Errorf("mpi: bundle repeats rank %d", rank)
+			}
+			out[slot] = rest[:l:l] // non-nil even when empty: rest is
+		}
+		rest = rest[l:]
 	}
-	return out, nil
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("mpi: %d bytes after the last bundle entry", len(rest))
+	}
+	return count, entries, nil
 }

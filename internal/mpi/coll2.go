@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 )
 
@@ -41,53 +42,48 @@ func (c *Comm) Scatter(root int, data [][]byte) ([]byte, error) {
 	return out, c.raise(err)
 }
 
+// scatterTree runs the binomial-tree scatter. The subtree of virtual rank vr
+// is the contiguous virtual ranks [vr, vr+subtreeSize) — in communicator
+// ranks c.rank, c.rank+1, … (mod n) — so a node holds its subtree's pieces
+// indexed by distance from itself and each child's share is a sub-slice.
 func (c *Comm) scatterTree(seq, root int, data [][]byte) ([]byte, error) {
 	n := c.Size()
 	vr := vrank(c.rank, root, n)
-	var bundle map[int][]byte
+	pieces := make([][]byte, subtreeSize(vr, n))
 	if vr == 0 {
 		if len(data) != n {
-			return nil, &ProcFailedError{} // caller error; keep simple
+			return nil, fmt.Errorf("mpi: Scatter needs %d buffers at the root, got %d", n, len(data))
 		}
-		bundle = make(map[int][]byte, n)
-		for r, d := range data {
-			bundle[r] = d
+		for i := range pieces {
+			pieces[i] = data[(root+i)%n]
 		}
 	} else {
 		m, err := c.recv(prank(treeParent(vr), root, n), internalTag(seq, 4))
 		if err != nil {
 			return nil, err
 		}
-		b, err := decodeBundle(m.Data)
-		if err != nil {
+		if _, _, err := readBundle(m.Data, n, pieces, c.rank); err != nil {
 			return nil, err
 		}
-		bundle = b
 	}
-	// Forward each child its subtree's slice of the bundle.
 	for _, child := range treeChildren(vr, n) {
-		sub := make(map[int][]byte)
-		for _, vd := range subtreeRanks(child, n) {
-			r := prank(vd, root, n)
-			if d, ok := bundle[r]; ok {
-				sub[r] = d
-			}
-		}
-		if _, err := c.send(prank(child, root, n), internalTag(seq, 4), encodeBundle(sub)); err != nil {
+		to := prank(child, root, n)
+		sub := pieces[child-vr : child-vr+subtreeSize(child, n)]
+		if _, err := c.send(to, internalTag(seq, 4), packBundle(sub, to, n)); err != nil {
 			return nil, err
 		}
 	}
-	return bundle[c.rank], nil
+	return pieces[0], nil
 }
 
-// subtreeRanks returns the virtual ranks in the binomial subtree rooted at
-// vr (inclusive).
-func subtreeRanks(vr, n int) []int {
-	out := []int{vr}
-	for _, child := range treeChildren(vr, n) {
-		out = append(out, subtreeRanks(child, n)...)
+// subtreeSize returns the number of virtual ranks in the binomial subtree
+// rooted at vr over n ranks: vr and the ranks above it that differ from it
+// only below its lowest set bit.
+func subtreeSize(vr, n int) int {
+	if vr == 0 {
+		return n
 	}
-	return out
+	return min(vr+vr&-vr, n) - vr
 }
 
 // ScanInt64 computes the inclusive prefix reduction: rank i receives

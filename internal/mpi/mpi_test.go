@@ -497,22 +497,17 @@ func TestPropAlltoallvPermutes(t *testing.T) {
 	}
 }
 
-// Property: bundle encoding round-trips.
+// Property: bundle encoding round-trips, for any run of consecutive ranks.
 func TestPropBundleRoundTrip(t *testing.T) {
-	f := func(payloads [][]byte) bool {
-		in := make(map[int][]byte, len(payloads))
-		for i, p := range payloads {
-			in[i*2] = p
-		}
-		out, err := decodeBundle(encodeBundle(in))
-		if err != nil {
+	f := func(payloads [][]byte, first uint8) bool {
+		n := len(payloads) + int(first) + 1
+		out := make([][]byte, len(payloads))
+		count, _, err := readBundle(packBundle(payloads, int(first), n), n, out, int(first))
+		if err != nil || count != len(payloads) {
 			return false
 		}
-		if len(out) != len(in) {
-			return false
-		}
-		for k, v := range in {
-			if string(out[k]) != string(v) {
+		for i, v := range payloads {
+			if out[i] == nil || string(out[i]) != string(v) {
 				return false
 			}
 		}

@@ -102,11 +102,13 @@ func (b *Bandwidth) reschedule() {
 	b.pending = b.s.schedule(b.s.now+time.Duration(dt*float64(time.Second))+1, nil, b.completeFn)
 }
 
-// complete finishes every transfer whose remaining units have reached zero.
+// complete finishes every transfer whose remaining units have reached zero,
+// waking their owners in acquisition order. The survivors are kept by
+// filtering b.active in place: a completion allocates nothing.
 func (b *Bandwidth) complete() {
 	b.pending = nil
 	b.update()
-	var still []*xfer
+	still := b.active[:0]
 	for _, x := range b.active {
 		if x.remaining <= 1e-9*b.rate || x.p.dead {
 			x.done = true
@@ -117,6 +119,7 @@ func (b *Bandwidth) complete() {
 			still = append(still, x)
 		}
 	}
+	clear(b.active[len(still):]) // drop the finished transfers' references
 	b.active = still
 	b.reschedule()
 }

@@ -269,6 +269,41 @@ func TestBandwidthKilledUserReleasesShare(t *testing.T) {
 	}
 }
 
+// A completion on a busy resource (the shared PFS at scale) filters the
+// active set in place: nothing is allocated however many transfers survive,
+// the survivors keep their order, and the vacated tail holds no reference.
+func TestBandwidthCompleteAllocatesNothing(t *testing.T) {
+	const n = 256
+	s := NewSim()
+	b := NewBandwidth(s, "pfs", 1)
+	live := make([]*xfer, n)
+	for i := range live {
+		live[i] = &xfer{remaining: 1e9, p: &Proc{}}
+	}
+	finished := &xfer{p: &Proc{dead: true}} // no wake-up event to account for
+	allocs := testing.AllocsPerRun(100, func() {
+		b.active = append(b.active[:0], live...)
+		b.active[n/2] = finished
+		finished.done = false
+		if b.pending != nil {
+			s.cancel(b.pending) // as the scheduler recycles the event it fires
+		}
+		b.complete()
+	})
+	if allocs != 0 {
+		t.Errorf("complete() with %d active transfers: %v allocs, want 0", n, allocs)
+	}
+	if !finished.done || len(b.active) != n-1 || b.active[:n][n-1] != nil {
+		t.Fatalf("done=%v active=%d tail=%v, want the finished transfer gone and the tail cleared",
+			finished.done, len(b.active), b.active[:n][n-1])
+	}
+	for i, x := range b.active {
+		if want := live[i+i/(n/2)]; x != want {
+			t.Fatalf("survivor %d out of order", i)
+		}
+	}
+}
+
 func TestAfterTimerAndStop(t *testing.T) {
 	s := NewSim()
 	fired := 0
