@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asJSON    = fs.Bool("json", false, "emit results as JSON lines")
 		tracePath = fs.String("trace", "", "write an event trace to this file")
 		traceFmt  = fs.String("trace-format", "chrome", "trace format: jsonl | chrome")
-		traceCap  = fs.Int("trace-cap", 1<<16, "per-rank trace ring capacity (events)")
+		traceCap  = fs.Int("trace-cap", 1<<16, "per-rank trace ring capacity (events): a bound, not a reservation — a ring grows with its rank's events to min(events, cap) x 80 B, and past the cap overwrites the oldest")
 		chaos     = fs.Int("chaos", 0, "chaos mode: random kills (plus one aimed inside recovery)")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for chaos kills and storage faults")
 		chaosWin  = fs.Duration("chaos-window", 2*time.Second, "virtual-time window for chaos kills")

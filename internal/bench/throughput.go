@@ -191,8 +191,8 @@ func (s Scale) ceilingRanks() int {
 // run.
 func thrDES(s Scale) *Table {
 	t := &Table{
-		ID:    "thr-des",
-		Title: "simulator throughput: DES/mailbox events per second",
+		ID:      "thr-des",
+		Title:   "simulator throughput: DES/mailbox events per second",
 		Columns: []string{"shape", "ranks", "tasks/msgs", "events", "virt_s", "wall_s", "Mev/s"},
 		Notes: []string{
 			"events and virt_s are deterministic; wall_s and Mev/s are host-dependent",

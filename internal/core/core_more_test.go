@@ -528,12 +528,12 @@ func TestPropBitmapRoundTrip(t *testing.T) {
 		tasks := make([]Task, len(done))
 		tt := newTaskTable(tasks, 4)
 		for i, d := range done {
-			tt.done[i] = d
+			tt.setDone(i, d)
 		}
 		tt2 := newTaskTable(tasks, 4)
 		tt2.mergeBitmap(tt.doneBitmap())
 		for i, d := range done {
-			if tt2.done[i] != d {
+			if tt2.isDone(i) != d {
 				return false
 			}
 		}
@@ -547,9 +547,9 @@ func TestPropBitmapRoundTrip(t *testing.T) {
 func TestMergeBitmapIsMonotone(t *testing.T) {
 	tasks := make([]Task, 16)
 	tt := newTaskTable(tasks, 4)
-	tt.done[3] = true
+	tt.setDone(3, true)
 	tt.mergeBitmap(make([]byte, 2)) // all-zero gossip must not clear
-	if !tt.done[3] {
+	if !tt.isDone(3) {
 		t.Fatal("merge cleared a done flag")
 	}
 }

@@ -226,20 +226,20 @@ func balanceWork(models []lbModel, pieces []float64) [][]int {
 		total += p
 	}
 	// Current predicted finish f_j; adding x bytes moves it to f_j + b_j·x.
-	// Find the water level t*.
+	// Find the water level t* between the earliest finish and an upper
+	// bound: the latest, plus everything dumped on the fastest process.
+	finish := make([]float64, len(models))
 	lo, hi := math.Inf(1), 0.0
-	for _, m := range models {
+	minSlope := math.Inf(1)
+	for j, m := range models {
 		f := m.finish()
+		finish[j] = f
 		if f < lo {
 			lo = f
 		}
 		if f > hi {
 			hi = f
 		}
-	}
-	// Upper bound: dump everything on the fastest process.
-	minSlope := math.Inf(1)
-	for _, m := range models {
 		if m.Slope < minSlope {
 			minSlope = m.Slope
 		}
@@ -248,25 +248,31 @@ func balanceWork(models []lbModel, pieces []float64) [][]int {
 	for iter := 0; iter < 100; iter++ {
 		mid := (lo + hi) / 2
 		cap := 0.0
-		for _, m := range models {
-			f := m.finish()
+		for j, f := range finish {
 			if mid > f {
-				cap += (mid - f) / m.Slope
+				cap += (mid - f) / models[j].Slope
 			}
 		}
+		// Once the midpoint is the bound it would replace, float64 has no
+		// value left between lo and hi and no later iteration moves either.
 		if cap < total {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		} else {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		}
 	}
 	level := hi
 	// Per-survivor byte capacity at the water level.
 	capacity := make([]float64, len(models))
-	for j, m := range models {
-		f := m.finish()
+	for j, f := range finish {
 		if level > f {
-			capacity[j] = (level - f) / m.Slope
+			capacity[j] = (level - f) / models[j].Slope
 		}
 	}
 	// Assign pieces largest-first to the survivor with the most remaining

@@ -40,7 +40,7 @@ func (r *runner) ownMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	if err := r.runMapTask(id, mapper, reader); err != nil {
 		return err
 	}
-	r.tt.done[id] = true
+	r.tt.setDone(id, true)
 	r.backlogBytes -= float64(r.tt.tasks[id].Chunk.Size)
 	r.gossipStatus()
 	return nil

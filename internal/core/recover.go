@@ -147,7 +147,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	for part := range r.partOwner {
 		r.partOwner[part] = -1
 	}
-	claimedTask := make(map[int]bool)
+	claimedTask := make([]bool, len(r.tt.owner))
 	for i, s := range states {
 		w := r.comm.WorldRank(i)
 		for _, p := range s.parts {
@@ -174,7 +174,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 		if claimedTask[id] {
 			continue
 		}
-		if r.tt.done[id] {
+		if r.tt.isDone(id) {
 			lostDone = append(lostDone, id)
 		} else {
 			lostPending = append(lostPending, id)
@@ -201,7 +201,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	// whose output lived only in dead memory (restorably under WC).
 	remap := func() error {
 		for _, id := range lostDone {
-			r.tt.done[id] = false // its output died with its owner
+			r.tt.setDone(id, false) // its output died with its owner
 		}
 		lostTasks := append(lostDone, lostPending...)
 		r.redistributeTasks(lostTasks, models, wc)
@@ -523,12 +523,10 @@ func decodeState(data []byte) (survivorState, error) {
 	data = data[n:]
 	s.model.Rank = int(binary.LittleEndian.Uint32(data[:4]))
 	data = data[4:]
-	vals := make([]float64, 3)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8 : i*8+8]))
+	for _, f := range [...]*float64{&s.model.Intercept, &s.model.Slope, &s.model.Backlog} {
+		*f = math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
 	}
-	s.model.Intercept, s.model.Slope, s.model.Backlog = vals[0], vals[1], vals[2]
-	data = data[24:]
 	readList := func() ([]uint32, error) {
 		if len(data) < 4 {
 			return nil, errors.New("core: truncated claim list")

@@ -473,8 +473,8 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 		case r.ftm.mirrorDone[id]:
 			// Fully mirrored: the map output is in this rank's memory.
 			r.tt.owner[id] = me
-			r.tt.done[id] = true
-		case !r.tt.done[id]:
+			r.tt.setDone(id, true)
+		case !r.tt.isDone(id):
 			// Pending: the new primary runs it like any owned task.
 			r.tt.owner[id] = me
 			r.backlogBytes += float64(r.tt.tasks[id].Chunk.Size)

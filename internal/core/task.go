@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -44,22 +45,38 @@ func assignTask(taskID, nranks int) int {
 type taskTable struct {
 	tasks []Task
 	owner []int
-	done  []bool
+	// done holds one flag per task, packed the way the status gossip carries
+	// it: task id is bit id%8 of byte id/8. The bits of the last byte past
+	// the task count stay zero.
+	done []byte
 }
 
 func newTaskTable(tasks []Task, nranks int) *taskTable {
-	t := &taskTable{tasks: tasks, owner: make([]int, len(tasks)), done: make([]bool, len(tasks))}
+	t := &taskTable{tasks: tasks, owner: make([]int, len(tasks)), done: make([]byte, (len(tasks)+7)/8)}
 	for i := range tasks {
 		t.owner[i] = assignTask(i, nranks)
 	}
 	return t
 }
 
+// isDone reports whether task id is known to have completed.
+func (t *taskTable) isDone(id int) bool { return t.done[id>>3]&(1<<(id&7)) != 0 }
+
+// setDone records task id as completed, or (recovery only: its output died
+// with its owner) as to be run again.
+func (t *taskTable) setDone(id int, done bool) {
+	if done {
+		t.done[id>>3] |= 1 << (id & 7)
+	} else {
+		t.done[id>>3] &^= 1 << (id & 7)
+	}
+}
+
 // mine returns the ids of tasks owned by worldRank that are not done.
 func (t *taskTable) mine(worldRank int) []int {
 	var out []int
 	for id, o := range t.owner {
-		if o == worldRank && !t.done[id] {
+		if o == worldRank && !t.isDone(id) {
 			out = append(out, id)
 		}
 	}
@@ -78,23 +95,24 @@ func (t *taskTable) ownedBy(worldRank int) []int {
 }
 
 // doneBitmap serializes the done flags for master status gossip.
-func (t *taskTable) doneBitmap() []byte {
-	out := make([]byte, (len(t.done)+7)/8)
-	for i, d := range t.done {
-		if d {
-			out[i/8] |= 1 << uint(i%8)
-		}
-	}
-	return out
-}
+func (t *taskTable) doneBitmap() []byte { return bytes.Clone(t.done) }
 
 // mergeBitmap ORs a peer's done bitmap into the table (done flags are
-// monotone, so stale gossip is harmless).
+// monotone, so stale gossip is harmless). A bitmap of another length is
+// merged over the bytes both have; bits at or past the task count are
+// ignored.
 func (t *taskTable) mergeBitmap(bm []byte) {
-	for i := range t.done {
-		if i/8 < len(bm) && bm[i/8]&(1<<uint(i%8)) != 0 {
-			t.done[i] = true
-		}
+	n := min(len(bm), len(t.done))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		w := binary.LittleEndian.Uint64(t.done[i:]) | binary.LittleEndian.Uint64(bm[i:])
+		binary.LittleEndian.PutUint64(t.done[i:], w)
+	}
+	for ; i < n; i++ {
+		t.done[i] |= bm[i]
+	}
+	if tail := len(t.tasks) & 7; tail != 0 {
+		t.done[len(t.done)-1] &= 1<<tail - 1
 	}
 }
 

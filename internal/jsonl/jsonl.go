@@ -58,6 +58,17 @@ func (s *Writer) Write(v any) {
 	}
 }
 
+// WriteLine appends one line the caller encoded itself: line is one JSON
+// value holding no newline, and the newline is added here.
+func (s *Writer) WriteLine(line []byte) {
+	if s.err != nil {
+		return
+	}
+	if _, s.err = s.bw.Write(line); s.err == nil {
+		s.err = s.bw.WriteByte('\n')
+	}
+}
+
 // Flush flushes the buffer and returns the first error the writer met.
 func (s *Writer) Flush() error {
 	if err := s.bw.Flush(); s.err == nil {

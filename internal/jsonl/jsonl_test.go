@@ -43,17 +43,21 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		w.Write(rec{i})
 	}
+	w.WriteLine([]byte(`{"n":3}`)) // a line the caller encoded: written as it is
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if want := `{"format":"ftmr-test","schema":2}` + "\n"; !strings.HasPrefix(buf.String(), want) {
 		t.Fatalf("file starts %q, want header %q", buf.String(), want)
 	}
+	if want := `{"n":2}` + "\n" + `{"n":3}` + "\n"; !strings.HasSuffix(buf.String(), want) {
+		t.Fatalf("file ends %q, want %q", buf.String(), want)
+	}
 	got, rr, err := readInts(buf.Bytes())
 	if err != nil || !rr.Clean() || rr.Err() != nil {
 		t.Fatalf("clean file: err=%v report=%+v", err, rr)
 	}
-	if fmt.Sprint(got) != "[0 1 2]" || !rr.Header || rr.Schema != 2 || rr.Lines != 4 || rr.Records != 3 {
+	if fmt.Sprint(got) != "[0 1 2 3]" || !rr.Header || rr.Schema != 2 || rr.Lines != 5 || rr.Records != 4 {
 		t.Fatalf("got %v, report %+v", got, rr)
 	}
 }
@@ -136,11 +140,13 @@ func TestWriterErrorIsSticky(t *testing.T) {
 	w := testFormat.NewWriter(&failAfter{n: 8192})
 	for i := 0; i < 10000; i++ {
 		w.Write(rec{i})
+		w.WriteLine([]byte(`{"n":0}`))
 	}
 	if err := w.Flush(); err == nil || err.Error() != "disk full" {
 		t.Fatalf("Flush = %v, want the first write error", err)
 	}
 	w.Write(rec{1})
+	w.WriteLine([]byte(`{"n":1}`))
 	if err := w.Flush(); err == nil {
 		t.Fatal("the error must stay set")
 	}

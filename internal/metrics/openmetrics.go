@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -14,34 +15,43 @@ import (
 // virtual time survives a write/parse round trip.
 const vtFamily = "ftmr_virtual_time_seconds"
 
-// formatValue renders a float the way the exposition format pins it:
+// appendValue renders a float the way the exposition format pins it:
 // shortest representation that round-trips ('g', precision -1), so integral
 // values print without a decimal point and re-parsing is byte-exact.
-func formatValue(v float64) string {
+func appendValue(dst []byte, v float64) []byte {
 	if math.IsInf(v, 1) {
-		return "+Inf"
+		return append(dst, "+Inf"...)
 	}
 	if math.IsInf(v, -1) {
-		return "-Inf"
+		return append(dst, "-Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-// seriesName renders name plus the optional single label.
-func seriesName(name, labelKey, labelValue string) string {
-	if labelValue == "" {
-		return name
+// formatValue is appendValue as a string.
+func formatValue(v float64) string { return string(appendValue(nil, v)) }
+
+// appendSeriesName appends a sample line up to its value: name, the sample
+// suffix, the optional single label and the separating space.
+func appendSeriesName(dst []byte, name, suffix, labelKey, labelValue string) []byte {
+	dst = append(append(dst, name...), suffix...)
+	if labelValue != "" {
+		dst = append(append(append(dst, '{'), labelKey...), `="`...)
+		dst = append(append(dst, labelValue...), `"}`...)
 	}
-	return name + `{` + labelKey + `="` + labelValue + `"}`
+	return append(dst, ' ')
 }
 
-// bucketName renders a histogram bucket line name with its le (and
-// optional series) label.
-func bucketName(name, labelKey, labelValue, le string) string {
-	if labelValue == "" {
-		return name + `_bucket{le="` + le + `"}`
+// appendBucketName appends a histogram bucket line up to its value: name,
+// the optional series label, the le label (+Inf for the last bucket) and the
+// separating space.
+func appendBucketName(dst []byte, name, labelKey, labelValue string, le float64) []byte {
+	dst = append(append(dst, name...), `_bucket{`...)
+	if labelValue != "" {
+		dst = append(append(dst, labelKey...), `="`...)
+		dst = append(append(dst, labelValue...), `",`...)
 	}
-	return name + `_bucket{` + labelKey + `="` + labelValue + `",le="` + le + `"}`
+	return append(appendValue(append(dst, `le="`...), le), `"} `...)
 }
 
 // WriteOpenMetrics renders the snapshot in OpenMetrics text format: a
@@ -55,6 +65,12 @@ func WriteOpenMetrics(w io.Writer, snap Snapshot) error {
 	fmt.Fprintf(bw, "# HELP %s Virtual time of this snapshot.\n", vtFamily)
 	fmt.Fprintf(bw, "# TYPE %s gauge\n", vtFamily)
 	fmt.Fprintf(bw, "%s %s\n", vtFamily, formatValue(snap.VTSeconds))
+	// Sample lines, most of the file, are appended into one reused buffer.
+	var line []byte
+	put := func() {
+		line = append(line, '\n')
+		bw.Write(line)
+	}
 	for i := range snap.Families {
 		f := &snap.Families[i]
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, f.Help)
@@ -63,22 +79,25 @@ func WriteOpenMetrics(w io.Writer, snap Snapshot) error {
 			s := &f.Series[j]
 			switch f.Kind {
 			case KindCounter:
-				fmt.Fprintf(bw, "%s %s\n",
-					seriesName(f.Name+"_total", f.Label, s.LabelValue), formatValue(s.Value))
+				line = appendValue(appendSeriesName(line[:0], f.Name, "_total", f.Label, s.LabelValue), s.Value)
+				put()
 			case KindGauge:
-				fmt.Fprintf(bw, "%s %s\n",
-					seriesName(f.Name, f.Label, s.LabelValue), formatValue(s.Value))
+				line = appendValue(appendSeriesName(line[:0], f.Name, "", f.Label, s.LabelValue), s.Value)
+				put()
 			case KindHistogram:
 				var cum uint64
 				for bi, bound := range f.Buckets {
 					cum += s.Counts[bi]
-					fmt.Fprintf(bw, "%s %d\n",
-						bucketName(f.Name, f.Label, s.LabelValue, formatValue(bound)), cum)
+					line = strconv.AppendUint(appendBucketName(line[:0], f.Name, f.Label, s.LabelValue, bound), cum, 10)
+					put()
 				}
 				cum += s.Counts[len(f.Buckets)]
-				fmt.Fprintf(bw, "%s %d\n", bucketName(f.Name, f.Label, s.LabelValue, "+Inf"), cum)
-				fmt.Fprintf(bw, "%s %d\n", seriesName(f.Name+"_count", f.Label, s.LabelValue), s.Count)
-				fmt.Fprintf(bw, "%s %s\n", seriesName(f.Name+"_sum", f.Label, s.LabelValue), formatValue(s.Sum))
+				line = strconv.AppendUint(appendBucketName(line[:0], f.Name, f.Label, s.LabelValue, math.Inf(1)), cum, 10)
+				put()
+				line = strconv.AppendUint(appendSeriesName(line[:0], f.Name, "_count", f.Label, s.LabelValue), s.Count, 10)
+				put()
+				line = appendValue(appendSeriesName(line[:0], f.Name, "_sum", f.Label, s.LabelValue), s.Sum)
+				put()
 			}
 		}
 	}
@@ -116,14 +135,15 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
-		if line == "" {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
 			continue
 		}
 		if sawEOF {
 			return snap, fmt.Errorf("metrics: line %d: content after # EOF", lineno)
 		}
-		if strings.HasPrefix(line, "#") {
+		if raw[0] == '#' {
+			line := string(raw)
 			switch {
 			case line == "# EOF":
 				sawEOF = true
@@ -154,15 +174,17 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 			}
 			continue
 		}
-		name, labels, val, err := parseSampleLine(line)
+		// Sample lines, most of the file, are parsed in the scanner's buffer:
+		// a string is made only for a series or bucket bound not seen before.
+		sm, err := parseSampleLine(raw)
 		if err != nil {
 			return snap, fmt.Errorf("metrics: line %d: %v", lineno, err)
 		}
-		if name == vtFamily {
-			snap.VTSeconds = val
+		if string(sm.name) == vtFamily {
+			snap.VTSeconds = sm.val
 			continue
 		}
-		if err := addSample(fams, name, labels, val); err != nil {
+		if err := addSample(fams, sm); err != nil {
 			return snap, fmt.Errorf("metrics: line %d: %v", lineno, err)
 		}
 	}
@@ -180,6 +202,12 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 		for _, lv := range pf.order {
 			ps := pf.series[lv]
 			if pf.fs.Kind == KindHistogram {
+				// One count per bound and one for +Inf, or the snapshot
+				// cannot be rendered again.
+				if len(ps.cum) != len(pf.bounds)+1 {
+					return snap, fmt.Errorf("metrics: histogram %s series %q has %d bucket lines for %d bounds and +Inf",
+						name, lv, len(ps.cum), len(pf.bounds))
+				}
 				ps.ss.Counts = decumulate(ps.cum)
 			}
 			pf.fs.Series = append(pf.fs.Series, ps.ss)
@@ -203,72 +231,64 @@ func getParseFamily(fams map[string]*parseFamily, order *[]string, name string) 
 
 // getParseSeries returns (creating if needed) the in-progress series,
 // recording its label key on the family.
-func (pf *parseFamily) getParseSeries(labelKey, labelVal string) *parseSeries {
-	if labelKey != "" && labelKey != "le" {
-		pf.fs.Label = labelKey
+func (pf *parseFamily) getParseSeries(labelKey, labelVal []byte) *parseSeries {
+	if len(labelKey) != 0 && string(labelKey) != pf.fs.Label {
+		pf.fs.Label = string(labelKey)
 	}
 	if pf.fs.Label == "" {
 		pf.fs.Label = "rank"
 	}
-	ps, ok := pf.series[labelVal]
+	ps, ok := pf.series[string(labelVal)]
 	if !ok {
 		ps = &parseSeries{}
-		ps.ss.LabelValue = labelVal
-		pf.series[labelVal] = ps
-		pf.order = append(pf.order, labelVal)
+		ps.ss.LabelValue = string(labelVal)
+		pf.series[ps.ss.LabelValue] = ps
+		pf.order = append(pf.order, ps.ss.LabelValue)
 	}
 	return ps
 }
 
 // addSample routes one sample line into the right family/series slot based
 // on the metric-name suffix.
-func addSample(fams map[string]*parseFamily, name string, labels map[string]string, val float64) error {
-	base, part := name, ""
-	for _, suf := range []string{"_total", "_bucket", "_count", "_sum"} {
-		if b, ok := strings.CutSuffix(name, suf); ok && fams[b] != nil {
+func addSample(fams map[string]*parseFamily, sm sample) error {
+	base, part := sm.name, ""
+	for _, suf := range [...]string{"_total", "_bucket", "_count", "_sum"} {
+		if b, ok := bytes.CutSuffix(sm.name, []byte(suf)); ok && fams[string(b)] != nil {
 			base, part = b, suf
 			break
 		}
 	}
-	pf := fams[base]
+	pf := fams[string(base)]
 	if pf == nil {
-		return fmt.Errorf("sample %q has no preceding # TYPE", name)
+		return fmt.Errorf("sample %q has no preceding # TYPE", sm.name)
 	}
-	labelKey, labelVal := "", ""
-	for k, v := range labels {
-		if k == "le" {
-			continue
-		}
-		labelKey, labelVal = k, v
-	}
-	ps := pf.getParseSeries(labelKey, labelVal)
+	ps := pf.getParseSeries(sm.labelKey, sm.labelVal)
 	switch {
 	case pf.fs.Kind == KindCounter && part == "_total",
 		pf.fs.Kind == KindGauge && part == "":
-		ps.ss.Value = val
+		ps.ss.Value = sm.val
 	case pf.fs.Kind == KindHistogram && part == "_bucket":
-		le, ok := labels["le"]
-		if !ok {
-			return fmt.Errorf("bucket sample %q missing le label", name)
+		if !sm.hasLE {
+			return fmt.Errorf("bucket sample %q missing le label", sm.name)
 		}
-		if le != "+Inf" {
-			bound, err := strconv.ParseFloat(le, 64)
+		if string(sm.le) != "+Inf" {
+			bound, err := strconv.ParseFloat(string(sm.le), 64)
 			if err != nil {
-				return fmt.Errorf("bad le value %q", le)
+				return fmt.Errorf("bad le value %q", sm.le)
 			}
-			if !pf.boundsK[le] {
-				pf.boundsK[le] = true
+			if !pf.boundsK[string(sm.le)] {
+				pf.boundsK[string(sm.le)] = true
 				pf.bounds = append(pf.bounds, bound)
 				sort.Float64s(pf.bounds)
 			}
 		}
-		ps.cum = append(ps.cum, uint64(val))
+		ps.cum = append(ps.cum, uint64(sm.val))
 	case pf.fs.Kind == KindHistogram && part == "_count":
-		ps.ss.Count = uint64(val)
+		ps.ss.Count = uint64(sm.val)
 	case pf.fs.Kind == KindHistogram && part == "_sum":
-		ps.ss.Sum = val
+		ps.ss.Sum = sm.val
 	default:
-		return fmt.Errorf("sample %q does not match %s family %q", name, pf.fs.Kind, base)
+		return fmt.Errorf("sample %q does not match %s family %q", sm.name, pf.fs.Kind, base)
 	}
 	return nil
 }
@@ -285,38 +305,59 @@ func decumulate(cum []uint64) []uint64 {
 	return out
 }
 
-// parseSampleLine splits `name{k="v",...} value` into its parts. Label
-// values must be quote-and-backslash-free (all this exporter emits).
-func parseSampleLine(line string) (name string, labels map[string]string, val float64, err error) {
-	nameEnd := strings.IndexAny(line, "{ ")
+// sample is one parsed sample line. The byte slices point into the line.
+type sample struct {
+	name               []byte
+	labelKey, labelVal []byte // the series label; empty when the line has none
+	le                 []byte // the bucket bound label, when hasLE
+	hasLE              bool
+	val                float64
+}
+
+// parseSampleLine splits `name{k="v",le="b"} value` into its parts: at most
+// one series label and one le label, in either order (all this exporter
+// emits). Label values must be quote-and-backslash-free.
+func parseSampleLine(line []byte) (sm sample, err error) {
+	nameEnd := bytes.IndexAny(line, "{ ")
 	if nameEnd < 0 {
-		return "", nil, 0, fmt.Errorf("malformed sample %q", line)
+		return sm, fmt.Errorf("malformed sample %q", line)
 	}
-	name = line[:nameEnd]
+	sm.name = line[:nameEnd]
 	rest := line[nameEnd:]
-	labels = map[string]string{}
 	if rest[0] == '{' {
-		close := strings.IndexByte(rest, '}')
+		close := bytes.IndexByte(rest, '}')
 		if close < 0 {
-			return "", nil, 0, fmt.Errorf("unterminated labels in %q", line)
+			return sm, fmt.Errorf("unterminated labels in %q", line)
 		}
-		for _, pair := range strings.Split(rest[1:close], ",") {
-			k, v, ok := strings.Cut(pair, "=")
+		for pairs := rest[1:close]; ; {
+			pair, more, found := bytes.Cut(pairs, []byte(","))
+			k, v, ok := bytes.Cut(pair, []byte("="))
 			if !ok || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				return "", nil, 0, fmt.Errorf("malformed label %q", pair)
+				return sm, fmt.Errorf("malformed label %q", pair)
 			}
 			v = v[1 : len(v)-1]
-			if strings.ContainsAny(v, `"\`) {
-				return "", nil, 0, fmt.Errorf("unsupported escape in label %q", pair)
+			if bytes.ContainsAny(v, `"\`) {
+				return sm, fmt.Errorf("unsupported escape in label %q", pair)
 			}
-			labels[k] = v
+			switch {
+			case string(k) == "le" && !sm.hasLE:
+				sm.le, sm.hasLE = v, true
+			case string(k) != "le" && sm.labelKey == nil:
+				sm.labelKey, sm.labelVal = k, v
+			default:
+				return sm, fmt.Errorf("more than one series label or le label in %q", line)
+			}
+			if !found {
+				break
+			}
+			pairs = more
 		}
 		rest = rest[close+1:]
 	}
-	rest = strings.TrimSpace(rest)
-	val, err = strconv.ParseFloat(rest, 64)
+	rest = bytes.TrimSpace(rest)
+	sm.val, err = strconv.ParseFloat(string(rest), 64)
 	if err != nil {
-		return "", nil, 0, fmt.Errorf("bad value %q", rest)
+		return sm, fmt.Errorf("bad value %q", rest)
 	}
-	return name, labels, val, nil
+	return sm, nil
 }

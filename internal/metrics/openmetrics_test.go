@@ -142,10 +142,46 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated labels", `# TYPE ftmr_x counter` + "\n" + `ftmr_x_total{rank="3" 1` + "\n# EOF\n", "unterminated labels"},
 		{"missing le", "# TYPE ftmr_x histogram\nftmr_x_bucket 1\n# EOF\n", "missing le label"},
 		{"kind mismatch", "# TYPE ftmr_x gauge\nftmr_x_sum 1\n# EOF\n", "does not match"},
+		{"two series labels", `# TYPE ftmr_x counter` + "\n" + `ftmr_x_total{rank="3",tier="pfs"} 1` + "\n# EOF\n", "more than one series label"},
+		{"two le labels", `# TYPE ftmr_x histogram` + "\n" + `ftmr_x_bucket{le="1",le="2"} 1` + "\n# EOF\n", "more than one series label or le label"},
+		{"buckets missing", "# TYPE ftmr_x histogram\n" + `ftmr_x_bucket{le="1"} 1` + "\n" + `ftmr_x_bucket{le="+Inf"} 1` + "\n" +
+			`ftmr_x_bucket{rank="1",le="+Inf"} 1` + "\n# EOF\n", `series "1" has 1 bucket lines for 1 bounds and +Inf`},
 	} {
 		_, err := ParseOpenMetrics(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseOpenMetrics feeds arbitrary bytes to the exposition parser: it
+// must never panic, and whatever it accepts must be a snapshot the exporter
+// can render (ftmr-metrics renders what it parsed), in output proportional to
+// the input. Memory is bounded by the input: a line is capped at 1 MiB and a
+// string is kept only per family, series and bucket bound.
+func FuzzParseOpenMetrics(f *testing.F) {
+	for _, fixture := range []string{"testdata/golden.om", "testdata/selftest.om"} {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("# EOF\n"))
+	f.Add([]byte("# TYPE ftmr_x histogram\n" + `ftmr_x_bucket{le="+Inf",rank="2"} 3` + "\nftmr_x_count{rank=\"2\"} 3\nftmr_x_sum 0.5\n# EOF\n"))
+	f.Add([]byte("# TYPE ftmr_x histogram\n" + `ftmr_x_bucket{le="1"} 1` + "\n" + `ftmr_x_bucket{le="0.5"} NaN` + "\n# EOF\n"))
+	f.Add([]byte("# TYPE a counter\n# TYPE a_total gauge\na_total_total{=\"\"} -1e400\na_total 0x1p-2\n# EOF\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ParseOpenMetrics(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteOpenMetrics(&out, snap); err != nil {
+			t.Fatalf("rendering an accepted snapshot: %v", err)
+		}
+		if out.Len() > 64*(len(data)+256) {
+			t.Fatalf("%d bytes of input rendered as %d", len(data), out.Len())
+		}
+	})
 }

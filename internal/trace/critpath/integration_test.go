@@ -6,6 +6,8 @@ package critpath_test
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,5 +186,35 @@ func TestCritPathDeterministic(t *testing.T) {
 	var buf bytes.Buffer
 	if critpath.RenderCompare(&buf, rep, rep, 0) {
 		t.Fatalf("self-compare regressed:\n%s", buf.String())
+	}
+}
+
+// TestCritPathOfSavedTraceEqualsLive: a trace written to JSONL and read back
+// holds every event at its exact nanosecond, so the critical path of the file
+// is the critical path of the run — what `ftmr-trace critpath` prints for a
+// saved trace is what the live analysis would have.
+func TestCritPathOfSavedTraceEqualsLive(t *testing.T) {
+	_, tr := tracedFailover(t, 2, core.PhaseMap)
+	live, err := critpath.Analyze(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := tr.WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	events, rr, err := trace.ReadJSONL(&file)
+	if err != nil || !rr.Clean() {
+		t.Fatalf("read back: %v / %v", err, rr.Err())
+	}
+	if !slices.Equal(events, tr.Events()) {
+		t.Fatal("the events read back are not the events recorded")
+	}
+	saved, err := critpath.Analyze(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(saved, live) {
+		t.Fatalf("critical path of the saved trace differs from the live one:\nsaved %+v\nlive  %+v", saved, live)
 	}
 }

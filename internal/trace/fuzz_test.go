@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"os"
+	"slices"
 	"testing"
 )
 
@@ -12,6 +13,10 @@ import (
 // hard-fail only where it documents (schema too new, oversized line, no
 // trace at all — never on a file with a header or with one decodable
 // event), and every decoded event must survive a write/read round trip.
+// It is differential: the in-place decoder of writer-form lines may take a
+// line for itself only where encoding/json (readJSONLReference) accepts it
+// and yields the same Event, so both readers return the same events, the
+// same report and the same verdict on every input.
 // FuzzDecodeSnapshot (internal/introspect) drives the same reader through
 // the other format.
 func FuzzReadJSONL(f *testing.F) {
@@ -24,7 +29,9 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(ev))                      // headerless v1
 	f.Add([]byte(header + `{"seq":1,"kind":"no.such.kind"}` + "\n" + ev))
 	f.Add([]byte(`{"format":"ftmr-trace","schema":3}` + "\n" + ev))
-	for _, fixture := range []string{"testdata/golden_v2.jsonl", "../jsonl/testdata/junk.bin"} {
+	f.Add([]byte(`{"seq":18446744073709551615,"vt_us":1125899906842.623,"rank":-1,"kind":"lb.fit","name":"trace","a":-9223372036854775808,"b":9223372036854775807,"c":1,"flow":18446744073709551615}` + "\n" +
+		`{"seq":18446744073709551616,"vt_us":0.0001,"rank":01,"kind":"lb.fit"}` + "\n"))
+	for _, fixture := range []string{"testdata/golden_v2.jsonl", "testdata/golden.jsonl", "testdata/foreign.jsonl", "../jsonl/testdata/junk.bin"} {
 		data, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)
@@ -35,6 +42,17 @@ func FuzzReadJSONL(f *testing.F) {
 		events, rr, err := ReadJSONL(bytes.NewReader(data))
 		if rr == nil {
 			t.Fatal("nil report")
+		}
+		refEvents, refRR, refErr := readJSONLReference(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("verdict %v, reference %v", err, refErr)
+		}
+		if !slices.Equal(events, refEvents) {
+			t.Fatalf("events differ from the reference decoder's:\n%+v\n%+v", events, refEvents)
+		}
+		if rr.Schema != refRR.Schema || rr.Header != refRR.Header || rr.Lines != refRR.Lines || rr.Records != refRR.Records ||
+			rr.BadLines != refRR.BadLines || rr.FirstBadLine != refRR.FirstBadLine {
+			t.Fatalf("report %+v, reference %+v", rr, refRR)
 		}
 		if err != nil {
 			// Past an accepted header or a decoded event, only an oversized
@@ -56,8 +74,8 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		out := wire.NewWriter(&buf)
-		for _, e := range events {
-			out.Write(toJSONL(e))
+		for i := range events {
+			out.WriteLine(appendJSONL(nil, &events[i]))
 		}
 		if err := out.Flush(); err != nil {
 			t.Fatal(err)

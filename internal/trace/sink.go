@@ -2,11 +2,16 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"ftmrmpi/internal/jsonl"
 )
@@ -38,19 +43,93 @@ type jsonlEvent struct {
 // no header — their first line is an event — which the reader accepts.
 var wire = jsonl.Format{Name: "ftmr-trace", Schema: SchemaVersion}
 
-// toJSONL converts an Event to its JSONL wire form.
-func toJSONL(ev Event) jsonlEvent {
-	return jsonlEvent{
-		Seq:  ev.Seq,
-		VTus: float64(ev.VT) / 1e3,
-		Rank: ev.Rank,
-		Kind: ev.Kind.String(),
-		Name: ev.Name,
-		A:    ev.A,
-		B:    ev.B,
-		C:    ev.C,
-		Flow: ev.Flow,
+// appendJSONL appends ev's line of the wire format (no newline) to dst: byte
+// for byte what encoding/json writes for the jsonlEvent of ev — field order,
+// omitted zero fields, string escaping and float formatting — without the
+// reflection or the per-event allocations. codec_test.go holds the
+// encoding/json form as the reference.
+func appendJSONL(dst []byte, ev *Event) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	// A whole number of nanoseconds, in microseconds, is 0 or has a magnitude
+	// in [1e-3, 1e16): encoding/json prints that range in 'f' form, never 'e'.
+	dst = append(dst, `,"vt_us":`...)
+	dst = strconv.AppendFloat(dst, float64(ev.VT)/1e3, 'f', -1, 64)
+	dst = append(dst, `,"rank":`...)
+	dst = strconv.AppendInt(dst, int64(ev.Rank), 10)
+	dst = append(dst, `,"kind":"`...)
+	dst = append(dst, ev.Kind.String()...) // wire names need no escaping
+	dst = append(dst, '"')
+	if ev.Name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = appendJSONString(dst, ev.Name)
 	}
+	dst = appendIntField(dst, `,"a":`, ev.A)
+	dst = appendIntField(dst, `,"b":`, ev.B)
+	dst = appendIntField(dst, `,"c":`, ev.C)
+	if ev.Flow != 0 {
+		dst = append(dst, `,"flow":`...)
+		dst = strconv.AppendUint(dst, ev.Flow, 10)
+	}
+	return append(dst, '}')
+}
+
+// appendIntField appends key and v, or nothing when v is zero (omitempty).
+func appendIntField(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json does
+// with HTML escaping on: \" and \\, the five short control escapes, \u00XX
+// for the other control bytes and for <, > and &, \ufffd for each byte of
+// invalid UTF-8, \u2028 and \u2029 escaped, everything else as it is.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			c, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case c == utf8.RuneError && size == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+				start = i + size
+			case c == '\u2028' || c == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '\\', '"':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		}
+		i++
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // WriteJSONL writes the schema header followed by every retained event as
@@ -59,11 +138,12 @@ func toJSONL(ev Event) jsonlEvent {
 // file consumers can tell a truncated DAG from a complete one.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	out := wire.NewWriter(w)
-	for _, ev := range t.Events() {
-		out.Write(toJSONL(ev))
-	}
-	for _, ev := range t.DropEvents() {
-		out.Write(toJSONL(ev))
+	var line []byte
+	for _, evs := range [][]Event{t.Events(), t.DropEvents()} {
+		for i := range evs {
+			line = appendJSONL(line[:0], &evs[i])
+			out.WriteLine(line)
+		}
 	}
 	return out.Flush()
 }
@@ -354,31 +434,207 @@ type ReadReport = jsonl.Report
 // for unreadable input (jsonl.Format.Read): I/O failure, an oversized line,
 // a header declaring a schema version newer than this package understands,
 // or a file that is no trace at all.
+//
+// A line in the exact form the writer produces is decoded in place; a line
+// in any other form (other key order, whitespace, escapes, exponents,
+// unknown fields) goes through encoding/json, which also decides every
+// rejection. The form of the line alone selects, and both give the same
+// Event for a line both can read.
 func ReadJSONL(r io.Reader) ([]Event, *ReadReport, error) {
 	var out []Event
+	names := make(map[string]string) // the few dozen distinct Name strings of a trace, shared
 	rr, err := wire.Read(r, func(line []byte) error {
-		var je jsonlEvent
-		if err := json.Unmarshal(line, &je); err != nil {
-			return err
-		}
-		kind, ok := kindByName[je.Kind]
+		ev, ok := decodeCanonical(line, names)
 		if !ok {
-			return fmt.Errorf("unknown kind %q", je.Kind)
+			var err error
+			if ev, err = decodeForeign(line); err != nil {
+				return err
+			}
 		}
-		out = append(out, Event{
-			Seq:  je.Seq,
-			VT:   time.Duration(je.VTus * 1e3),
-			Rank: je.Rank,
-			Kind: kind,
-			Name: je.Name,
-			A:    je.A,
-			B:    je.B,
-			C:    je.C,
-			Flow: je.Flow,
-		})
+		if len(out) == cap(out) {
+			// Doubling: append's own policy for a slice this large grows by a
+			// quarter, and allocates and clears five times the events read.
+			out = slices.Grow(out, max(len(out), 1024))
+		}
+		out = append(out, ev)
 		return nil
 	})
 	return out, rr, err
+}
+
+// decodeForeign decodes one event line of any JSON form.
+func decodeForeign(line []byte) (Event, error) {
+	var je jsonlEvent
+	if err := json.Unmarshal(line, &je); err != nil {
+		return Event{}, err
+	}
+	kind, ok := kindByName[je.Kind]
+	if !ok {
+		return Event{}, fmt.Errorf("unknown kind %q", je.Kind)
+	}
+	return Event{
+		Seq: je.Seq,
+		// Rounded, not truncated: the nearest float64 to a decimal number
+		// of microseconds is as often just under the nanosecond as over it.
+		VT:   time.Duration(math.Round(je.VTus * 1e3)),
+		Rank: je.Rank,
+		Kind: kind,
+		Name: je.Name,
+		A:    je.A,
+		B:    je.B,
+		C:    je.C,
+		Flow: je.Flow,
+	}, nil
+}
+
+// maxCanonicalVT bounds the instants decodeCanonical reads itself. Below it,
+// decimal microseconds with at most three fraction digits are a whole number
+// of nanoseconds that float64 arithmetic (parse, x1e3, round: two roundings
+// of 2^-53 each) cannot move by half a nanosecond, so the exact integer is
+// also what decodeForeign computes. 2^50 ns is 13 days of virtual time.
+const maxCanonicalVT = 1 << 50
+
+// decodeCanonical decodes a line that is byte for byte in the writer's form:
+// the keys seq, vt_us, rank, kind, then any of name, a, b, c, flow, in that
+// order, each once; no whitespace; plain decimal numbers; strings of
+// unescaped ASCII. It never rejects: ok is false for every other line, valid
+// or not, and decodeForeign decides. Name strings are shared through names.
+func decodeCanonical(b []byte, names map[string]string) (ev Event, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte(`{"seq":`)); !ok {
+		return ev, false
+	}
+	if ev.Seq, b, ok = cutUint(b); !ok {
+		return ev, false
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"vt_us":`)); !ok {
+		return ev, false
+	}
+	var us, frac uint64
+	if us, b, ok = cutUint(b); !ok || us >= maxCanonicalVT/1000 {
+		return ev, false
+	}
+	if len(b) > 0 && b[0] == '.' {
+		digits := 0
+		for b = b[1:]; len(b) > 0 && '0' <= b[0] && b[0] <= '9'; b = b[1:] {
+			frac = frac*10 + uint64(b[0]-'0')
+			digits++
+		}
+		switch digits {
+		case 1:
+			frac *= 100
+		case 2:
+			frac *= 10
+		case 3:
+		default:
+			return ev, false
+		}
+	}
+	ev.VT = time.Duration(us*1000 + frac)
+	if b, ok = bytes.CutPrefix(b, []byte(`,"rank":`)); !ok {
+		return ev, false
+	}
+	var rank int64
+	if rank, b, ok = cutInt(b); !ok || int64(int(rank)) != rank {
+		return ev, false
+	}
+	ev.Rank = int(rank)
+	if b, ok = bytes.CutPrefix(b, []byte(`,"kind":"`)); !ok {
+		return ev, false
+	}
+	var str []byte
+	if str, b, ok = cutString(b); !ok {
+		return ev, false
+	}
+	if ev.Kind, ok = kindByName[string(str)]; !ok {
+		return ev, false
+	}
+	if rest, has := bytes.CutPrefix(b, []byte(`,"name":"`)); has {
+		if str, b, ok = cutString(rest); !ok {
+			return ev, false
+		}
+		name, seen := names[string(str)]
+		if !seen {
+			name = string(str)
+			names[name] = name
+		}
+		ev.Name = name
+	}
+	if b, ok = cutIntField(b, `,"a":`, &ev.A); !ok {
+		return ev, false
+	}
+	if b, ok = cutIntField(b, `,"b":`, &ev.B); !ok {
+		return ev, false
+	}
+	if b, ok = cutIntField(b, `,"c":`, &ev.C); !ok {
+		return ev, false
+	}
+	if rest, has := bytes.CutPrefix(b, []byte(`,"flow":`)); has {
+		if ev.Flow, b, ok = cutUint(rest); !ok {
+			return ev, false
+		}
+	}
+	return ev, len(b) == 1 && b[0] == '}'
+}
+
+// cutUint reads the decimal digits b starts with: a JSON number with no
+// sign, fraction or exponent (so no leading zero) that fits a uint64.
+func cutUint(b []byte) (v uint64, rest []byte, ok bool) {
+	i := 0
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, b, false
+		}
+		v = v*10 + d
+	}
+	if i == 0 || (b[0] == '0' && i > 1) {
+		return 0, b, false
+	}
+	return v, b[i:], true
+}
+
+// cutInt is cutUint with an optional minus sign, for an int64.
+func cutInt(b []byte) (v int64, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	mag, rest, ok := cutUint(b)
+	switch {
+	case !ok:
+		return 0, b, false
+	case neg && mag <= 1<<63:
+		return -int64(mag), rest, true // -(1<<63) wraps to itself
+	case !neg && mag <= math.MaxInt64:
+		return int64(mag), rest, true
+	}
+	return 0, b, false
+}
+
+// cutIntField reads key and its int64 into v when b starts with key, and
+// nothing when it does not; false only for a key with no such number.
+func cutIntField(b []byte, key string, v *int64) (rest []byte, ok bool) {
+	rest, has := bytes.CutPrefix(b, []byte(key))
+	if !has {
+		return b, true
+	}
+	*v, rest, ok = cutInt(rest)
+	return rest, ok
+}
+
+// cutString reads up to the closing quote of a JSON string whose opening
+// quote is already consumed, accepting only bytes that stand for themselves:
+// ASCII from the space up, no quote, no backslash.
+func cutString(b []byte) (s, rest []byte, ok bool) {
+	for i, c := range b {
+		switch {
+		case c == '"':
+			return b[:i], b[i+1:], true
+		case c < ' ' || c >= utf8.RuneSelf || c == '\\':
+			return nil, b, false
+		}
+	}
+	return nil, b, false
 }
 
 // ReadJSONLFile is ReadJSONL over the named file.

@@ -28,7 +28,7 @@
 package trace
 
 import (
-	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -236,6 +236,10 @@ type Event struct {
 // DefaultCapacity is the per-rank ring capacity when none is given.
 const DefaultCapacity = 1 << 14
 
+// ringMinSlots is the size of a ring's first allocation (under the
+// capacity); from there it doubles.
+const ringMinSlots = 8
+
 // Tracer owns the per-rank recorders of one simulation. A nil *Tracer is a
 // valid disabled tracer.
 type Tracer struct {
@@ -244,10 +248,13 @@ type Tracer struct {
 	seq    uint64
 	rec    map[int]*Recorder
 	stream *jsonl.Writer // non-nil when StreamJSONL is active (write-through)
+	line   []byte        // the streaming sink's reused line buffer
 }
 
 // New creates a tracer stamping events with sim's virtual clock. capPerRank
-// is each rank's ring capacity in events; <= 0 selects DefaultCapacity.
+// is each rank's ring capacity in events; <= 0 selects DefaultCapacity. The
+// capacity is a bound, not a reservation: a ring grows with the events its
+// rank records and holds min(events, capacity) of them.
 func New(sim *vtime.Sim, capPerRank int) *Tracer {
 	if capPerRank <= 0 {
 		capPerRank = DefaultCapacity
@@ -263,7 +270,7 @@ func (t *Tracer) Rank(rank int) *Recorder {
 	}
 	r, ok := t.rec[rank]
 	if !ok {
-		r = &Recorder{t: t, rank: rank, buf: make([]Event, 0, t.cap)}
+		r = &Recorder{t: t, rank: rank}
 		t.rec[rank] = r
 	}
 	return r
@@ -290,13 +297,79 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var out []Event
-	for _, r := range t.Ranks() {
-		out = append(out, t.rec[r].Events()...)
+	// A ring holds its rank's events in Seq order, in two pieces once it has
+	// wrapped: from the overwrite cursor on, then up to it. Seq is
+	// tracer-global and unique, so merging the rings through a min-heap on
+	// each one's next Seq gives the one total order whatever order the rings
+	// are visited in.
+	type ring struct{ head, rest []Event } // what is left to merge: head, non-empty, then rest
+	rings := make([]ring, 0, len(t.rec))
+	heap := make([]nextSeq, 0, len(t.rec))
+	n := 0
+	for _, r := range t.rec {
+		if len(r.buf) > 0 {
+			heap = append(heap, nextSeq{r.buf[r.next].Seq, len(rings)})
+			rings = append(rings, ring{r.buf[r.next:], r.buf[:r.next]})
+			n += len(r.buf)
+		}
 	}
-	// Seq is tracer-global and unique, so the order is total.
-	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	if n == 0 {
+		return nil
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]Event, 0, n)
+	for len(heap) > 0 {
+		// A rank records in bursts (it runs until it blocks), so the leading
+		// ring's events up to the next ring's first go out in one copy.
+		top := &rings[heap[0].ring]
+		next := uint64(math.MaxUint64)
+		for c := 1; c <= 2 && c < len(heap); c++ {
+			next = min(next, heap[c].seq)
+		}
+		k := 1
+		for k < len(top.head) && top.head[k].Seq < next {
+			k++
+		}
+		out = append(out, top.head[:k]...)
+		if top.head = top.head[k:]; len(top.head) == 0 {
+			top.head, top.rest = top.rest, nil
+		}
+		if len(top.head) > 0 {
+			heap[0].seq = top.head[0].Seq
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
 	return out
+}
+
+// nextSeq is one entry of the merge heap in Events: the Seq of the next
+// event of a ring still being merged. Pointer-free, so ordering the heap
+// touches neither the rings nor the collector's write barrier.
+type nextSeq struct {
+	seq  uint64
+	ring int
+}
+
+// siftDown restores the min-heap order (by seq) below index i.
+func siftDown(heap []nextSeq, i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+			if heap[c].seq < heap[least].seq {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		heap[i], heap[least] = heap[least], heap[i]
+		i = least
+	}
 }
 
 // EventsFor returns one rank's retained events in order.
@@ -328,9 +401,9 @@ func (t *Tracer) Dropped(rank int) uint64 {
 type Recorder struct {
 	t     *Tracer
 	rank  int
-	buf   []Event
-	next  int    // overwrite cursor once the ring is full
-	total uint64 // events ever recorded
+	buf   []Event // grows by doubling up to the tracer's capacity
+	next  int     // overwrite cursor once the ring is full
+	total uint64  // events ever recorded
 }
 
 // emit appends one event, overwriting the oldest once the ring is full.
@@ -347,7 +420,15 @@ func (r *Recorder) emitFlow(kind Kind, name string, a, b, c int64, flow uint64) 
 	t.seq++
 	ev := Event{Seq: t.seq, VT: t.sim.Now(), Rank: r.rank, Kind: kind, Name: name, A: a, B: b, C: c, Flow: flow}
 	if t.stream != nil {
-		t.stream.Write(toJSONL(ev))
+		t.line = appendJSONL(t.line[:0], &ev)
+		t.stream.WriteLine(t.line)
+	}
+	if len(r.buf) == cap(r.buf) && len(r.buf) < t.cap {
+		// Doubling, not append's growth policy: what a ring ever allocates
+		// stays under twice its final size, on any runtime.
+		buf := make([]Event, len(r.buf), min(max(2*len(r.buf), ringMinSlots), t.cap))
+		copy(buf, r.buf)
+		r.buf = buf
 	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
