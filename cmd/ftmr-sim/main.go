@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		killEvery = fs.Duration("kill-every", 20*time.Millisecond, "continuous failure interval")
 		restart   = fs.Bool("restart", false, "after an aborted CR run, resubmit with Resume")
 		lbModel   = fs.String("lb-model", "static", "load-balancer regression model: static | trace")
-		iters     = fs.Int("iters", 2, "iterations (pagerank/bfs)")
+		iters     = fs.Int("iters", 2, "pagerank iterations, at least 1 (bfs ignores it: it runs to convergence, 20 levels at most)")
 		asJSON    = fs.Bool("json", false, "emit results as JSON lines")
 		tracePath = fs.String("trace", "", "write an event trace to this file")
 		traceFmt  = fs.String("trace-format", "chrome", "trace format: jsonl | chrome")
@@ -161,12 +161,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-kill-rank %d is not a rank of a %d-rank job", *killRank, *procs)
 	case *killPhase != "" && *killPhase != "map" && *killPhase != "reduce":
 		return usage("unknown -kill-phase %q (map|reduce)", *killPhase)
-	case ftm.Replicating() && m != core.ModelDetectResumeWC && m != core.ModelDetectResumeNWC:
+	case ftm.Replicating() && !m.DetectResume():
 		return usage("-ft-model %s requires -model wc or nwc, got -model %s", *ftModel, *model)
 	case *replicaK < 0:
 		return usage("-replica-k must not be negative, got %d", *replicaK)
 	case *interval < 1:
 		return usage("-ckpt-interval must be at least 1 record, got %d", *interval)
+	case *iters < 1:
+		return usage("-iters must be at least 1, got %d", *iters)
 	case *kills < 0 || *chaos < 0:
 		return usage("-kills and -chaos must not be negative")
 	case *gran != "record" && *gran != "chunk":

@@ -29,6 +29,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-replica-k -1", "-replica-k must not be negative, got -1"},
 		{"-ckpt-interval -5", "-ckpt-interval must be at least 1 record, got -5"},
 		{"-ckpt-interval 0", "-ckpt-interval must be at least 1"},
+		{"-workload pagerank -iters 0", "-iters must be at least 1, got 0"},
+		{"-iters -1", "-iters must be at least 1, got -1"},
 		{"-kills -1", "must not be negative"},
 		{"-chaos -1", "must not be negative"},
 		{"-granularity block", `unknown -granularity "block"`},

@@ -67,6 +67,10 @@ func (m Model) Checkpointing() bool {
 	return m == ModelCheckpointRestart || m == ModelDetectResumeWC
 }
 
+// DetectResume reports whether the model masks failures in place (ULFM
+// revoke/shrink/recover) instead of aborting the job.
+func (m Model) DetectResume() bool { return m == ModelDetectResumeWC || m == ModelDetectResumeNWC }
+
 // FTModel selects the execution model along the replication axis — an axis
 // orthogonal to Model (how failures are detected and masked): FTModelCR
 // runs every rank as a primary and relies on checkpoints alone, while the

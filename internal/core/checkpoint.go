@@ -347,16 +347,12 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	if viaCopier {
 		w.cp.enqueue(stream)
 	}
-	w.replicate(stream, data)
-}
-
-// replicate pushes freshly committed frame bytes into the in-memory replica
-// tier (no-op when disabled). The pushed bytes are the pre-injection
-// originals — replica copies are clean by construction, which is why the
-// read-path failover chain may prefer them over a possibly-corrupt durable
-// copy. Pushed even when the durable append was dropped after retries: the
-// RAM tier failing independently of the disk tiers is the point.
-func (w *ckptWriter) replicate(stream string, data []byte) {
+	// Push the freshly committed frame bytes into the in-memory replica tier
+	// (when enabled). The pushed bytes are the pre-injection originals —
+	// replica copies are clean by construction, which is why the restore chain
+	// may prefer them over a possibly-corrupt durable copy. Pushed even when
+	// the durable append was dropped after retries: the RAM tier failing
+	// independently of the disk tiers is the point.
 	if w.rep != nil {
 		w.rep.push(stream, data)
 	}
@@ -389,63 +385,153 @@ type ckptReader struct {
 	obs      *obs.Handle
 	// staged marks streams already prefetched to the local disk.
 	staged map[string]bool
-	// rs, when non-nil, is the rank's in-memory replica store; load prefers
-	// it over the PFS (the failover chain's RAM tiers).
+	// rs, when non-nil, is the rank's in-memory replica store (see chain).
 	rs *replicaStore
 }
 
-// load returns the decoded frames of a stream, charging recovery I/O. The
-// read path is a failover chain: the rank's own in-memory mirror, then
-// frames pushed by replica partners — both RAM, no storage charge, clean by
-// construction — and only then the PFS. With prefetching (§5.1) the PFS
-// stream is first staged to the local disk in one bulk read, then replayed
-// from local storage; without it, every frame is a separate small PFS read.
-// Transient read faults are retried; a whole-tier outage is waited out
-// (only reached when no replica covers the stream); a torn tail or
-// corrupted frame is quarantined WAL-style: the master copy is truncated to
-// its longest valid prefix (so later readers replay only good frames) and
-// the lost tail's work is redone by the caller — unless a replica holds the
-// frames, in which case the chain never reaches the damaged copy.
+// holder is one link of the restore chain: a place a checkpoint stream can
+// outlive the rank that wrote it.
+type holder interface {
+	// private reports that the other survivors cannot see what it holds.
+	private() bool
+	// peek returns the stream as held, free of charge; nil when it is not.
+	peek(p *vtime.Proc, stream string) []byte
+	// restore reads the stream the way a recovery pays for it and repairs a
+	// damaged tail. ok is false when there is nothing to replay and the next
+	// holder must be asked; valid is the byte prefix the frames decode from
+	// and source the holder's recovery.source label.
+	restore(p *vtime.Proc, stream string) (frames []frame, valid []byte, source string, ok bool)
+}
+
+// chain returns the restore chain, and is the one place its order is
+// written: the rank's replica store when the replica tier is on — its own
+// mirror of the stream ("replica-local"), else the frames a peer pushed
+// ("replica-peer"); both RAM, no storage charge, clean by construction —
+// then the PFS ("pfs"); a stream no holder has is re-executed. This is
+// ReStore's "ask the next holder" (PAPERS.md). load, holdsSnapshot and
+// needRemapAgreed walk it, so what a restore reads, what counts as restorable
+// and whether ranks can disagree about that never drift apart.
+func (r *ckptReader) chain() []holder {
+	if r.rs == nil {
+		return []holder{pfsCopy{r}}
+	}
+	return []holder{r.rs, pfsCopy{r}}
+}
+
+// load returns the decoded frames of a stream from the first holder of the
+// restore chain that has any, charging recovery I/O; nil when none does.
 func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	// Whatever this call adds to the load-checkpoint bucket — staging reads,
 	// retries, per-frame replay charges — is attributed as one stage event,
 	// keeping event sums equal to the hand-kept counter.
 	pre := r.m.Recovery.LoadCkpt
 	defer func() { r.obs.Rec.RecoveryStage("load", r.m.Recovery.LoadCkpt-pre) }()
-	if frames := r.loadReplica(stream); frames != nil {
+	for _, h := range r.chain() {
+		frames, valid, source, ok := h.restore(p, stream)
+		if !ok {
+			continue
+		}
+		r.m.RecoveredBytes += int64(len(valid))
+		r.m.RecoveredFrames += int64(len(frames))
+		r.obs.RecoveryRead(stream, source, len(valid), len(frames))
+		if r.rs != nil {
+			// The rank that replayed a stream owns it from here on: seed its
+			// replica mirror.
+			r.rs.adopt(stream, valid)
+		}
 		return frames
 	}
-	path := ckptPath(r.jobID, stream)
-	if !r.pfs.Exists(path) {
-		return nil
+	return nil
+}
+
+// holdsSnapshot reports whether the stream of a partition holds a decodable
+// post-shuffle snapshot anywhere load would read it from. Mere existence of
+// the stream is not enough once streams can be torn or corrupted:
+// work-conserving adoption of a partition whose snapshot frame was lost would
+// silently drop its data.
+func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
+	return slices.ContainsFunc(r.chain(), func(h holder) bool { return shuffleSnapshotIn(h.peek(p, stream)) })
+}
+
+// The replica store as a holder: rank-private RAM. Replica bytes carry no
+// storage charge (they are already in the reader's memory; the network cost
+// was paid when they were pushed), which is exactly the recovery-time win the
+// abl-restore ablation measures.
+
+func (s *replicaStore) private() bool { return true }
+
+func (s *replicaStore) peek(_ *vtime.Proc, stream string) []byte {
+	data, _ := s.lookup(stream)
+	return data
+}
+
+func (s *replicaStore) restore(_ *vtime.Proc, stream string) ([]frame, []byte, string, bool) {
+	raw, own := s.lookup(stream)
+	frames, consumed, err := decodeFramesPrefix(raw)
+	if len(frames) == 0 {
+		return nil, nil, "", false // nothing held, or (defensive) nothing decodable
 	}
+	if err != nil {
+		// A replica with a broken tail (shouldn't happen — pushes are whole
+		// clean frames): keep only the valid prefix so later appends can't
+		// land behind garbage.
+		s.truncate(stream, consumed)
+	}
+	source := metrics.SourceReplicaPeer
+	if own {
+		source = metrics.SourceReplicaLocal
+	}
+	return frames, raw[:consumed], source, true
+}
+
+// pfsCopy is the reader's durable holder: the stream's file on the PFS,
+// shared by every rank.
+type pfsCopy struct{ *ckptReader }
+
+func (h pfsCopy) private() bool { return false }
+
+// peek waits a PFS outage out: whether a stream is restorable must not depend
+// on when the outage fell.
+func (h pfsCopy) peek(p *vtime.Proc, stream string) []byte {
+	data, _ := peekOnline(p, h.pfs, ckptPath(h.jobID, stream), 0) // unreadable: nothing held
+	return data
+}
+
+// restore replays the PFS stream. With prefetching (§5.1) it is first staged
+// to the local disk in one bulk read, then replayed from local storage;
+// without it, every frame is a separate small PFS read. Transient read faults
+// are retried; a whole-tier outage is waited out (no earlier holder covered
+// the stream: bounded by the outage schedule, and the only way to preserve
+// the run's output byte-for-byte); a torn tail or corrupted frame is
+// quarantined WAL-style: the master copy is truncated to its longest valid
+// prefix (so later readers replay only good frames) and the lost tail's work
+// is redone by the caller.
+func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string, bool) {
+	path := ckptPath(h.jobID, stream)
+	if !h.pfs.Exists(path) {
+		return nil, nil, "", false
+	}
+	stage := h.prefetch && h.local != nil
 	var raw []byte
-	if r.prefetch && r.local != nil {
-		if !r.staged[stream] {
-			data, err := readRetry(p, r.pfs, path, &r.m.Recovery.LoadCkpt)
+	var err error
+	if stage {
+		if !h.staged[stream] {
+			data, err := readRetry(p, h.pfs, path, &h.m.Recovery.LoadCkpt)
 			if err != nil {
-				return nil
+				return nil, nil, "", false
 			}
 			// A staging copy that keeps tearing is left as it landed: the
 			// replay below quarantines its bad tail like any torn stream.
-			d, _ := writeRetry(p, r.local, "stage/"+path, data, stageWriteBudget)
-			r.m.Recovery.LoadCkpt += d
-			r.staged[stream] = true
+			d, _ := writeRetry(p, h.local, "stage/"+path, data, stageWriteBudget)
+			h.m.Recovery.LoadCkpt += d
+			h.staged[stream] = true
 		}
-		data, err := readRetry(p, r.local, "stage/"+path, &r.m.Recovery.LoadCkpt)
-		if err != nil {
-			return nil
-		}
-		raw = data
+		raw, err = readRetry(p, h.local, "stage/"+path, &h.m.Recovery.LoadCkpt)
 	} else {
-		// No replica covered the stream, so a PFS outage is waited out:
-		// bounded by the outage schedule, and the only way to preserve the
-		// run's output byte-for-byte.
-		data, err := peekOnline(p, r.pfs, path, 0)
-		if err != nil {
-			return nil
-		}
-		raw = data
+		raw, err = peekOnline(p, h.pfs, path, 0)
+	}
+	if err != nil {
+		return nil, nil, "", false
 	}
 	frames, consumed, err := decodeFramesPrefix(raw)
 	if err != nil {
@@ -453,35 +539,18 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// partially-corrupt suffix would inject garbage state; dropping it
 		// only costs rework, which the recovery path already handles for
 		// streams that never became durable at all.
-		r.obs.Quarantine(stream, consumed, len(raw))
-		r.m.Counters["ckpt_corrupt"]++
-		r.pfs.Truncate(path, consumed)
-		if r.local != nil && r.staged[stream] {
-			r.local.Truncate("stage/"+path, consumed)
+		h.obs.Quarantine(stream, consumed, len(raw))
+		h.m.Counters["ckpt_corrupt"]++
+		h.pfs.Truncate(path, consumed)
+		if h.local != nil && h.staged[stream] {
+			h.local.Truncate("stage/"+path, consumed)
 		}
 	}
-	if !r.prefetch || r.local == nil {
+	if !stage {
 		// Direct PFS replay: charge one operation per frame.
-		r.m.Recovery.LoadCkpt += r.pfs.Charge(p, len(frames), consumed)
+		h.m.Recovery.LoadCkpt += h.pfs.Charge(p, len(frames), consumed)
 	}
-	r.accountLoad(stream, metrics.SourcePFS, raw[:consumed], frames)
-	return frames
-}
-
-// holdsSnapshot reports whether the stream of a partition — anywhere in the
-// failover chain load reads from: this rank's replica store (its own mirror
-// or a peer-pushed copy), then the PFS — holds a decodable post-shuffle
-// snapshot. Mere existence of the stream is not enough once streams can be
-// torn or corrupted: work-conserving adoption of a partition whose snapshot
-// frame was lost would silently drop its data.
-func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
-	if r.rs != nil {
-		if data, _ := r.rs.lookup(stream); data != nil && shuffleSnapshotIn(data) {
-			return true
-		}
-	}
-	data, err := peekOnline(p, r.pfs, ckptPath(r.jobID, stream), 0)
-	return err == nil && shuffleSnapshotIn(data)
+	return frames, raw[:consumed], metrics.SourcePFS, true
 }
 
 // shuffleSnapshotIn reports whether the valid frame prefix of a raw stream
@@ -504,48 +573,4 @@ func shuffleSnapshotIn(raw []byte) bool {
 		}
 	}
 	return false
-}
-
-// loadReplica serves a stream from the in-memory replica tier, or nil when
-// no replica covers it. Replica bytes carry no storage charge (they are
-// already in the reader's RAM; the network cost was paid when they were
-// pushed), which is exactly the recovery-time win the abl-restore ablation
-// measures.
-func (r *ckptReader) loadReplica(stream string) []frame {
-	if r.rs == nil {
-		return nil
-	}
-	raw, own := r.rs.lookup(stream)
-	if raw == nil {
-		return nil
-	}
-	frames, consumed, derr := decodeFramesPrefix(raw)
-	if len(frames) == 0 {
-		return nil // defensive: fall through to the durable chain
-	}
-	if derr != nil {
-		// A replica with a broken tail (shouldn't happen — pushes are whole
-		// clean frames): keep only the valid prefix so later appends can't
-		// land behind garbage.
-		r.rs.truncate(stream, consumed)
-	}
-	source := metrics.SourceReplicaPeer
-	if own {
-		source = metrics.SourceReplicaLocal
-	}
-	r.accountLoad(stream, source, raw[:consumed], frames)
-	return frames
-}
-
-// accountLoad records one satisfied recovery read: byte/frame counters, the
-// ckpt.load event, the recovery.source attribution, and the per-source
-// registry counter. It also seeds the reader's replica mirror — the rank
-// that replayed a stream owns it from here on.
-func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []frame) {
-	r.m.RecoveredBytes += int64(len(valid))
-	r.m.RecoveredFrames += int64(len(frames))
-	r.obs.RecoveryRead(stream, source, len(valid), len(frames))
-	if r.rs != nil {
-		r.rs.adopt(stream, valid)
-	}
 }

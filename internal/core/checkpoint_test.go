@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ftmrmpi/internal/cluster"
+	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/vtime"
@@ -254,4 +258,91 @@ func BenchmarkCopierDrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		commitAndDrain(b, 256, 4096-frameHdrLen, 256, false)
 	}
+}
+
+// The restore chain, holder by holder: one stream held as this rank's own
+// mirror, as a peer's copy and as a PFS file is read from the first of them
+// that exists — labelled replica-local, then replica-peer, then pfs — and
+// from nowhere (the caller re-executes) when none is left. holdsSnapshot,
+// which decides whether a partition may be adopted, must agree with what
+// load then finds on every subset of holders, a PFS file torn after or
+// inside its snapshot frame included.
+func TestRestoreChainOrder(t *testing.T) {
+	const stream = "part/p000001"
+	kv := kvbuf.NewKV()
+	kv.Add([]byte("k"), []byte("v"))
+	snapshot := encodeFrame(nil, frameShuffle, 1, 0, kv.Bytes())
+	good := encodeFrame(bytes.Clone(snapshot), frameReduce, 1, 3, make([]byte, 8))
+	pfsCopies := map[string][]byte{
+		"absent":              nil,
+		"whole":               good,
+		"torn after snapshot": good[:len(good)-5],
+		"torn in snapshot":    good[:len(snapshot)-1],
+	}
+	ramCopies := []string{"off", "empty", "own", "peer"}
+
+	clus := ckptCluster()
+	reg := metrics.New(clus.Sim)
+	h := obs.New(nil, reg, nil, 0)
+	h.BindCore()
+	reads := func() map[string]float64 {
+		out, snap := make(map[string]float64), reg.Snapshot()
+		for _, src := range []string{metrics.SourceReplicaLocal, metrics.SourceReplicaPeer, metrics.SourcePFS} {
+			out[src], _ = snap.Series(metrics.MRecoveryReads, src)
+		}
+		return out
+	}
+	clus.Sim.Spawn("main", func(p *vtime.Proc) {
+		n := 0
+		for pfsName, onPFS := range pfsCopies {
+			for _, ram := range ramCopies {
+				n++
+				rd := &ckptReader{jobID: fmt.Sprint("job", n), pfs: clus.PFS, m: newRankMetrics(0), obs: h, staged: map[string]bool{}}
+				if onPFS != nil {
+					clus.FS.Write("pfs:"+ckptPath(rd.jobID, stream), onPFS)
+				}
+				want := ""
+				if onPFS != nil {
+					want = metrics.SourcePFS
+				}
+				switch ram {
+				case "empty":
+					rd.rs = newReplicaStore()
+				case "own":
+					rd.rs = newReplicaStore()
+					rd.rs.appendOwn(stream, good)
+					want = metrics.SourceReplicaLocal
+				case "peer":
+					rd.rs = newReplicaStore()
+					rd.rs.receive(replicaFull, stream, good)
+					want = metrics.SourceReplicaPeer
+				}
+				private := slices.ContainsFunc(rd.chain(), holder.private)
+				if private != (ram != "off") {
+					t.Errorf("RAM %s, PFS %s: a private holder in the chain: %v", ram, pfsName, private)
+				}
+
+				held := rd.holdsSnapshot(p, stream)
+				before := reads()
+				frames := rd.load(p, stream)
+				got := ""
+				for src, n := range reads() {
+					if n != before[src] {
+						got += src
+					}
+				}
+				if got != want {
+					t.Errorf("RAM %s, PFS %s: load read from %q, want %q", ram, pfsName, got, want)
+				}
+				if (frames == nil) != (want == "" || pfsName == "torn in snapshot" && want == metrics.SourcePFS) {
+					t.Errorf("RAM %s, PFS %s: load returned %d frames", ram, pfsName, len(frames))
+				}
+				restorable := slices.ContainsFunc(frames, func(f frame) bool { return f.kind == frameShuffle })
+				if held != restorable {
+					t.Errorf("RAM %s, PFS %s: holdsSnapshot=%v, but load found a snapshot: %v", ram, pfsName, held, restorable)
+				}
+			}
+		}
+	})
+	clus.Sim.Run()
 }

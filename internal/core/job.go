@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/mpi"
@@ -94,7 +93,7 @@ func (h *Handle) resultSlot(idx int, spec Spec) *Result {
 // jobTasks returns the input task list of job idx, enumerating the chunk
 // files under prefix on first use. Every master computes the identical list
 // (§3.3), so one host-side enumeration serves all the job's ranks (and a
-// runner rebuilt after errRestartJob); the slice is shared and read-only.
+// runner rebuilt after jobRestart); the slice is shared and read-only.
 func (h *Handle) jobTasks(idx int, prefix string) []Task {
 	for len(h.tasks) <= idx {
 		h.tasks = append(h.tasks, nil)
@@ -125,7 +124,7 @@ func recoverable(err error) bool {
 // processes unwind and RunJob never returns on any rank); the Result,
 // marked Aborted, remains readable from the Handle. Under the detect/resume
 // models failures are masked in place and RunJob returns normally on the
-// survivors.
+// survivors — a job that loses every rank before one returns is Aborted too.
 func (a *App) RunJob(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if spec.NumRanks == 0 {
@@ -138,7 +137,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	pfs := a.h.Clus.PFS
 	if spec.Resume && pfs.Exists(doneMarker(spec.JobID)) {
 		pfs.Charge(a.comm.Proc(), 1, 0)
-		res.End = maxDur(res.End, a.h.Clus.Sim.Now())
+		res.End = max(res.End, a.h.Clus.Sim.Now())
 		// Still anchor the (trivial) job on this rank's timeline so the
 		// critical-path walk sees every job bracketed.
 		rec := a.comm.Self().Obs().Rec
@@ -151,107 +150,94 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	r := newRunner(j, a.comm)
 	r.obs.Rec.JobBegin(spec.JobID)
 	res.Ranks[r.myWorld()] = r.m
-	// r is rebound when the job restarts from scratch (errRestartJob): stop
-	// the copier of whichever runner is current when RunJob returns.
+	// r is rebound when the job restarts from scratch (jobRestart): stop the
+	// copier of whichever runner is current when RunJob returns.
 	defer func() { r.shutdown() }()
+	mark := func() { res.End = max(res.End, a.h.Clus.Sim.Now()) }
+	// fail marks the attempt failed as of now, unless a rank already has.
+	fail := func() {
+		if !res.Aborted {
+			res.Aborted = true
+			mark()
+		}
+	}
 	abort := func(err error) (*Result, error) {
 		res.Aborted = true
+		mark()
 		r.obs.Rec.JobEnd(spec.JobID, true)
 		return res, err
 	}
 
-	switch spec.Model {
-	case ModelDetectResumeWC, ModelDetectResumeNWC:
-		a.comm.SetErrHandler(drErrHandler)
-	drLoop:
-		for {
-			err := r.run()
-			if err == nil {
-				break
-			}
-			if !recoverable(err) {
-				return abort(err)
-			}
-			// Bounded retries: each pass masks one more failure that landed
-			// during the previous recovery attempt (overlapping failures).
-			// The bound only guards against a livelock bug — with at most
-			// one failure per attempt, convergence needs at most as many
-			// passes as there are ranks left to lose.
-			const maxRecoveryAttempts = 64
-			for attempts := 0; ; attempts++ {
-				rerr := r.recoverDR(attempts > 0)
-				switch {
-				case rerr == nil:
-					continue drLoop
-				case errors.Is(rerr, errJobSuperseded):
-					// The rest of the application moved past this job's
-					// final barrier: it is globally complete.
-					a.comm = r.comm
-					break drLoop
-				case errors.Is(rerr, errRestartJob):
-					// This job had not really started when the failure hit;
-					// rebuild it from scratch on the shrunken communicator
-					// so every participant agrees on the membership.
-					a.comm = r.comm
-					r.shutdown()
-					j.spec = spec
-					r = newRunner(j, a.comm)
-					res.Ranks[r.myWorld()] = r.m
-					continue drLoop
-				case !recoverable(rerr):
-					return abort(rerr)
-				case attempts+1 >= maxRecoveryAttempts:
-					return abort(fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempts+1, rerr))
-				}
-			}
+	masking := spec.Model.DetectResume()
+	defer a.armFailure(r.myWorld(), masking, res, fail)()
+
+	for {
+		err := r.run()
+		if err == nil {
+			break
 		}
-		// Persist the (possibly shrunken) communicator for later jobs.
-		a.comm = r.comm
-	default:
-		// MR-MPI mode and checkpoint/restart: exploit MPI-3 error-handler
-		// semantics (§2.4) — the first rank to observe the failure marks
-		// the job failed and aborts; the process manager propagates the
-		// termination to everyone.
-		mark := func() { res.End = maxDur(res.End, a.h.Clus.Sim.Now()) }
-		a.comm.SetErrHandler(func(c *mpi.Comm, err error) {
-			if !res.Aborted {
-				res.Aborted = true
-				mark()
-			}
-			c.Abort()
-		})
-		// If this rank itself is the one killed before the job completes
-		// (e.g. a single-rank job, where no survivor can observe the
-		// failure), the attempt is still a failed one.
-		finished := false
-		a.comm.Proc().OnKill(func() {
-			if !finished && !res.Aborted {
-				res.Aborted = true
-				mark()
-			}
-		})
-		defer func() { finished = true }()
-		if err := r.run(); err != nil {
-			mark()
+		if !masking || !recoverable(err) {
 			return abort(err)
 		}
+		outcome, err := r.recover()
+		if err != nil {
+			return abort(err)
+		}
+		if outcome == jobSuperseded {
+			break
+		}
+		if outcome == jobRestart {
+			r.shutdown()
+			r = newRunner(j, r.comm)
+			res.Ranks[r.myWorld()] = r.m
+		}
 	}
+	// Persist the (possibly shrunken) communicator for later jobs.
+	a.comm = r.comm
 
 	r.finishOutputs()
-	res.End = maxDur(res.End, a.h.Clus.Sim.Now())
+	res.finishers++
+	mark()
 	// The final-commit anchor: emitted after the DONE marker is durable, so
 	// the latest job.end across ranks is the critical-path sink.
 	r.obs.Rec.JobEnd(spec.JobID, false)
 	return res, nil
 }
 
+// armFailure installs how a failure of or seen by this rank (world rank me)
+// reaches the job: the model's error handler and, for every model, one kill
+// hook. It returns the function that disarms the hook once RunJob returns.
+func (a *App) armFailure(me int, masking bool, res *Result, fail func()) (disarm func()) {
+	if masking {
+		a.comm.SetErrHandler(drErrHandler)
+	} else {
+		// MR-MPI mode and checkpoint/restart: exploit MPI-3 error-handler
+		// semantics (§2.4) — the first rank to observe the failure marks
+		// the job failed and aborts; the process manager propagates the
+		// termination to everyone.
+		a.comm.SetErrHandler(func(c *mpi.Comm, err error) {
+			fail()
+			c.Abort()
+		})
+	}
+	// If this rank itself is killed before the job completes, nobody may be
+	// left to observe the failure (a single-rank job; a masking one's last
+	// survivor): the attempt is a failed one, unless the model masks failures
+	// and a rank has finished the job or is left to carry it. This rank's own
+	// flag is discounted: mpi's kill hook may clear it before or after.
+	returned := false
+	a.comm.Proc().OnKill(func() {
+		self := 0
+		if a.h.World.RankAlive(me) {
+			self = 1
+		}
+		if !returned && !(masking && (res.finishers > 0 || a.h.World.AliveCount() > self)) {
+			fail()
+		}
+	})
+	return func() { returned = true }
+}
+
 // Comm exposes the application's current communicator (examples use it for
 // small auxiliary exchanges between jobs).
 func (a *App) Comm() *mpi.Comm { return a.comm }
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

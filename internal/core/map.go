@@ -147,7 +147,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	// reprocessing in the Figure 3 recovery decomposition. Adopted tasks
 	// count even without checkpoints (the NWC model re-runs them fully).
 	recoveryTask := r.spec.Resume || r.adopted(id)
-	if r.recovering(id) {
+	if recoveryTask && r.spec.Model.Checkpointing() {
 		frames := r.rd.load(r.p, stream)
 		restoreBytes := 0
 		for _, f := range frames {
@@ -288,20 +288,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 // adopted reports whether a task has been reassigned away from its hash
 // home (i.e. its original owner failed).
 func (r *runner) adopted(taskID int) bool {
-	homes := r.world0
-	if r.ftm != nil {
-		homes = r.ftm.acting0
-	}
-	return r.tt.owner[taskID] != homes[assignTask(taskID, r.nParts)%len(homes)]
-}
-
-// recovering reports whether this map task may have checkpoint state to
-// replay (restart resume, or in-place recovery of an adopted task).
-func (r *runner) recovering(taskID int) bool {
-	if !r.spec.Model.Checkpointing() {
-		return false
-	}
-	return r.spec.Resume || r.adopted(taskID)
+	return r.tt.owner[taskID] != r.homes[assignTask(taskID, r.nParts)]
 }
 
 // gossipStatus sends the merged done-bitmap to the ring successor (§3.3:

@@ -77,6 +77,8 @@ type Result struct {
 	Ranks []*RankMetrics
 	// OutputPaths lists the PFS paths of the reduce output partitions.
 	OutputPaths []string
+	// finishers counts the ranks that returned from RunJob with the job done.
+	finishers int
 }
 
 // Elapsed returns the attempt's virtual duration.

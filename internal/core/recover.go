@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
@@ -25,59 +25,92 @@ func drErrHandler(c *mpi.Comm, err error) {
 	}
 }
 
-// recoverDR masks a failure in place: shrink the communicator, rebuild the
+// recoveryOutcome is how a recovery that did not fail left the job. The last
+// two are the alignment verdicts: with continuous failures in an iterative
+// application, a revocation can catch ranks straddling two adjacent jobs —
+// some still inside job N's final barrier release, others already
+// initializing job N+1. The allgathered states carry the job index.
+type recoveryOutcome int
+
+const (
+	// jobResumed: the failure is masked; run again from the rewound phase.
+	jobResumed recoveryOutcome = iota
+	// jobSuperseded, on a laggard: the next job's ranks passed this job's
+	// final barrier, so it is globally complete — finish it.
+	jobSuperseded
+	// jobRestart, on a rank ahead: the new job has done no work yet (its
+	// first barrier can't have completed); rebuild it from scratch on the
+	// shrunken communicator so every participant agrees on the membership.
+	jobRestart
+)
+
+// maxRecoveryAttempts only guards against a livelock bug — with at most one
+// failure per attempt, convergence needs at most as many passes as there are
+// ranks left to lose.
+const maxRecoveryAttempts = 64
+
+// recover masks a failure in place: shrink the communicator, rebuild the
 // global state, redistribute the failed processes' work, and rewind the
-// phase index as far as the lost data requires (§4.2.2). retry is true when
-// a previous recovery attempt was itself interrupted by another failure —
-// overlapping failures are the norm under continuous injection, so recovery
-// must be restartable, not merely runnable.
-func (r *runner) recoverDR(retry bool) (err error) {
-	t0 := r.p.Now()
-	r.obs.Core.RecoveryAttempts.Inc()
-	// Surface the recovery window to phase observers (the failure injector
-	// uses this to aim kills *inside* recovery).
-	r.job.h.notifyPhase(r.myWorld(), PhaseRecovery)
-	// Every survivor passes through here exactly once per episode: record the
-	// detect→revoke observation before the shrink/agree steps the Shrink call
-	// emits, so each survivor's stream shows the full causal chain.
-	r.obs.Rec.RecoveryBegin()
-	r.obs.Rec.FailureDetect(nil)
-	r.obs.Rec.Revoke("observed")
-	endSpan := func() {
+// phase index as far as the lost data requires (§4.2.2). Overlapping
+// failures are the norm under continuous injection, so recovery is
+// restartable, not merely runnable: each further attempt masks one more
+// failure that landed during the previous one.
+func (r *runner) recover() (recoveryOutcome, error) {
+	for attempt := 1; ; attempt++ {
+		t0 := r.p.Now()
+		r.obs.Core.RecoveryAttempts.Inc()
+		// Surface the recovery window to phase observers (the failure injector
+		// uses this to aim kills *inside* recovery).
+		r.job.h.notifyPhase(r.myWorld(), PhaseRecovery)
+		// Every survivor passes through here exactly once per attempt: record
+		// the detect→revoke observation before the shrink/agree steps the Shrink
+		// call emits, so each survivor's stream shows the full causal chain.
+		r.obs.Rec.RecoveryBegin()
+		r.obs.Rec.FailureDetect(nil)
+		r.obs.Rec.Revoke("observed")
+		if attempt > 1 {
+			// A second death interrupted the previous attempt. Re-revoke so the
+			// new failure epoch floods to every survivor — including ones still
+			// parked in the failed attempt's collectives — before re-entering
+			// Shrink. (The simulated flood cannot fail.)
+			_ = r.comm.Revoke()
+		}
+		outcome, err := r.recoverOnce()
+		// Close the attempt's span, failed or not: a restarted attempt opens a
+		// fresh one. (A kill unwinds past this, correctly leaving the dead
+		// rank's span open.)
 		d := r.p.Now() - t0
 		r.m.Recovery.Init += d
 		r.m.PhaseTime[PhaseRecovery] += d
 		r.obs.Rec.RecoveryStage("init", d)
 		r.obs.Rec.RecoveryEnd()
-	}
-	// On an interrupted attempt, close this span when bailing out with an
-	// error: the caller will open a fresh one for the restarted attempt. (A
-	// kill unwinds via panic with err == nil, correctly leaving the dead
-	// rank's span open.)
-	defer func() {
-		if err != nil {
-			endSpan()
-		}
-	}()
-	if retry {
-		// A second death interrupted the previous attempt. Re-revoke so the
-		// new failure epoch floods to every survivor — including ones still
-		// parked in the failed attempt's collectives — before re-entering
-		// Shrink.
-		if rerr := r.comm.Revoke(); rerr != nil {
-			return rerr
+		switch {
+		case err == nil:
+			return outcome, nil
+		case !recoverable(err):
+			return 0, err
+		case attempt >= maxRecoveryAttempts:
+			return 0, fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempt, err)
 		}
 	}
+}
+
+// recoverOnce is one attempt on the revoked communicator: the protocol
+// (shrink, promote, allgather the claims), the pure rebuild of the global
+// state from them, and the effect of the decision it names.
+func (r *runner) recoverOnce() (recoveryOutcome, error) {
 	newComm, err := r.comm.Shrink()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	newComm.SetErrHandler(drErrHandler)
-
-	oldGroup := r.currentGroup()
+	var failed []int
+	for _, w := range groupOf(r.comm) {
+		if newComm.CommRankOf(w) < 0 {
+			failed = append(failed, w)
+		}
+	}
 	r.comm = newComm
-	newGroup := r.currentGroup()
-	failed := diffRanks(oldGroup, newGroup)
 	r.job.noteFailed(failed)
 
 	// Replication failover happens here — after the shrink agreed on the
@@ -86,245 +119,275 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	// failure can never leave survivors with diverged pairings: the retry
 	// re-applies promotion for the larger failed set idempotently.
 	if err := r.ftPromote(failed); err != nil {
-		return err
+		return 0, err
 	}
 
-	// Exchange survivor state and merge the global task table (§3.3: the
-	// masters' globally consistent state is what recovery is built on).
+	// Exchange survivor state (§3.3: the masters' globally consistent state
+	// is what recovery is built on).
 	st := r.encodeState()
 	var all [][]byte
-	if err := r.net(func() error {
-		out, e := r.comm.Allgather(st)
-		all = out
-		return e
-	}); err != nil {
-		return err
+	if err := r.net(func() (e error) { all, e = r.comm.Allgather(st); return e }); err != nil {
+		return 0, err
 	}
 	states := make([]survivorState, len(all))
-	models := make([]lbModel, len(all))
-	minPhase := phDone
-	maxJob := r.job.jobIdx
-	mixedJobs := false
 	for i, enc := range all {
-		s, err := decodeState(enc)
-		if err != nil {
-			return err
-		}
-		states[i] = s
-		models[i] = s.model
-		if s.jobIdx != r.job.jobIdx {
-			mixedJobs = true
-		}
-		if s.jobIdx > maxJob {
-			maxJob = s.jobIdx
+		if states[i], err = decodeState(enc); err != nil {
+			return 0, err
 		}
 	}
-	if mixedJobs {
-		// The failure caught ranks straddling adjacent jobs of the
-		// application (only possible inside the previous job's final
-		// barrier release). Laggards: the next job's ranks passed our final
-		// barrier, so this job is globally complete — finish it. Ranks
-		// ahead: the new job has done no work yet (its first barrier can't
-		// have completed); restart it on the shrunken communicator so its
-		// membership is agreed.
-		if r.job.jobIdx < maxJob {
-			return errJobSuperseded
-		}
-		return errRestartJob
+	pl := rebuild(states, groupOf(newComm), r.tt, r.nParts, r.job.jobIdx)
+	if pl.outcome != jobResumed {
+		return pl.outcome, nil
 	}
-	for _, s := range states {
-		r.tt.mergeBitmap(s.doneBitmap)
-		if s.phase < minPhase {
-			minPhase = s.phase
-		}
-	}
+	r.partOwner = pl.partOwner
 
-	// Rebuild the global ownership maps purely from the allgathered claims
-	// (identical on every survivor), so recovery rounds interrupted by
-	// further failures can never leave the masters diverged. Apply the
-	// claims first, then deterministically redistribute whatever no living
-	// process claims.
-	for part := range r.partOwner {
-		r.partOwner[part] = -1
+	d := pl.decide(r.spec.Model.Checkpointing(), r.ftm != nil)
+	switch d {
+	case adopt:
+		d, err = r.adoptLost(pl)
+	case remap:
+		// Unclaimed partitions (no data yet, or none that can be restored)
+		// get owners so the shuffle has destinations.
+		r.spread("parts", pl.lostParts, pl.models, func(int) float64 { return 1 }, r.partOwner)
+		err = r.remapLost(pl)
 	}
-	claimedTask := make([]bool, len(r.tt.owner))
+	if err != nil {
+		return 0, err
+	}
+	r.phase = d.resumeAt(pl.minPhase)
+	return jobResumed, nil
+}
+
+// recoveryPlan is the global state a recovery round rebuilds from the
+// survivors' claims, identical on every survivor.
+type recoveryPlan struct {
+	outcome   recoveryOutcome // jobResumed unless the survivors straddle two jobs; nothing else is set then
+	minPhase  int             // the earliest phase a survivor is in
+	models    []lbModel       // the survivors' load models, in communicator order
+	partOwner []int           // partition -> the survivor whose memory holds it, -1 when none does
+	lostParts []int           // the partitions no survivor holds, ascending
+	// The tasks no survivor claims, ascending, and how many are pending: those
+	// must re-run somewhere; the completed ones hold their output only in dead
+	// memory and matter only when the map output is needed again (remap).
+	lostTasks   []int
+	lostPending int
+}
+
+// rebuild computes a round's plan purely from the allgathered claims (see
+// survivorState): states[i] is world rank group[i]'s, jobIdx this rank's job.
+// It merges the done bitmaps into tt and applies the task claims to it; a
+// task nobody claims keeps its dead owner until an effect hands it out.
+func rebuild(states []survivorState, group []int, tt *taskTable, nParts, jobIdx int) *recoveryPlan {
+	pl := &recoveryPlan{minPhase: phDone, models: make([]lbModel, len(states))}
 	for i, s := range states {
-		w := r.comm.WorldRank(i)
+		pl.models[i] = s.model
+		pl.minPhase = min(pl.minPhase, s.phase)
+		switch {
+		case s.jobIdx > jobIdx:
+			pl.outcome = jobSuperseded
+		case s.jobIdx < jobIdx && pl.outcome == jobResumed:
+			pl.outcome = jobRestart
+		}
+	}
+	if pl.outcome != jobResumed {
+		return pl
+	}
+	// Apply the claims; whatever no living process claims is lost. A claimed
+	// id past the table (a corrupt claim) is ignored, not indexed.
+	pl.partOwner = make([]int, nParts)
+	for part := range pl.partOwner {
+		pl.partOwner[part] = -1
+	}
+	claimed := make([]bool, len(tt.owner))
+	for i, s := range states {
+		tt.mergeBitmap(s.doneBitmap)
 		for _, p := range s.parts {
-			r.partOwner[p] = w
+			if int(p) < nParts {
+				pl.partOwner[p] = group[i]
+			}
 		}
 		for _, t := range s.tasks {
-			if int(t) < len(r.tt.owner) {
-				r.tt.owner[int(t)] = w
-				claimedTask[int(t)] = true
+			if int(t) < len(tt.owner) {
+				tt.owner[t] = group[i]
+				claimed[t] = true
 			}
 		}
 	}
-	var lost []int
-	for part, o := range r.partOwner {
+	for part, o := range pl.partOwner {
 		if o < 0 {
-			lost = append(lost, part)
+			pl.lostParts = append(pl.lostParts, part)
 		}
 	}
-	// Unclaimed pending tasks must re-run somewhere; unclaimed *completed*
-	// tasks hold their output only in dead memory and matter only when the
-	// map output is needed again (remap paths).
-	var lostPending, lostDone []int
-	for id := range r.tt.owner {
-		if claimedTask[id] {
-			continue
-		}
-		if r.tt.isDone(id) {
-			lostDone = append(lostDone, id)
-		} else {
-			lostPending = append(lostPending, id)
+	for id := range tt.owner {
+		if !claimed[id] {
+			pl.lostTasks = append(pl.lostTasks, id)
+			if !tt.isDone(id) {
+				pl.lostPending++
+			}
 		}
 	}
+	return pl
+}
 
-	wc := r.spec.Model == ModelDetectResumeWC
+// decision names what a recovery does with the work the failed ranks held.
+type decision int
+
+const (
+	// failover: replication left nothing lost — the promoted shadows claimed
+	// their pairs' tasks and partitions from their own memory. No
+	// reassignment, no replay, no PFS restore, and no phase rewind beyond the
+	// survivors' minimum.
+	failover decision = iota
+	// adopt: partition data was lost from memory after the shuffle, and with
+	// checkpoints (WC) its new owners restore it from a replica or the PFS.
+	// Falls to remap when a partition's snapshot survives nowhere.
+	adopt
+	// remap: "the surviving processes recover the lost work by re-running all
+	// the tasks from the failed processes" — including completed tasks whose
+	// output lived only in dead memory (restorably under WC) — and the map
+	// output is exchanged again.
+	remap
+)
+
+// postShuffle reports that every survivor has left the map phase and no lost
+// task is outstanding.
+func (pl *recoveryPlan) postShuffle() bool {
+	return pl.minPhase >= phShuffle && pl.lostPending == 0
+}
+
+// decide names the plan's decision for a job that does or does not checkpoint
+// (WC or NWC) and does or does not run a replication model.
+func (pl *recoveryPlan) decide(checkpointed, replicating bool) decision {
+	switch {
+	case replicating && len(pl.lostParts)+len(pl.lostTasks) == 0:
+		return failover
+	case checkpointed && pl.postShuffle():
+		return adopt
+	}
+	return remap
+}
+
+// resumeAt returns the phase the job resumes at, given the survivors'
+// minimum. Adopted partitions restore their shuffle snapshot but must be
+// re-converted (partitions already holding a KMV are skipped there): adopt
+// rewinds (at most) to the convert phase.
+func (d decision) resumeAt(minPhase int) int {
+	switch d {
+	case adopt:
+		return min(minPhase, phConvert)
+	case remap:
+		return phMap
+	}
+	return minPhase
+}
+
+// rerun marks every lost task to run again — a completed one's output died
+// with its owner — and returns their ids.
+func (pl *recoveryPlan) rerun(tt *taskTable) []int {
+	for _, id := range pl.lostTasks {
+		tt.setDone(id, false)
+	}
+	return pl.lostTasks
+}
+
+// adoptLost is the adopt effect: survivors take the lost partitions, weighted
+// by snapshot size, and restore them through the restore chain — unless the
+// survivors agree a snapshot survives nowhere: then the map output must be
+// regenerated and re-exchanged after all, and the decision made is remap.
+func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 	pfs := r.job.clus.PFS
-
-	// resetLost restarts the reduce of this rank's share of the lost
-	// partitions from nothing (their data must first be regenerated).
-	resetLost := func() {
-		for _, part := range lost {
-			if r.partOwner[part] == r.myWorld() {
-				r.reduceDone[part] = 0
-				r.outLen[part] = 0
-				r.truncateOutput(part)
-			}
+	r.spread("parts", pl.lostParts, pl.models, func(part int) float64 {
+		if sz := pfs.Size(ckptPath(r.spec.JobID, partStream(part))); sz > 0 {
+			return float64(sz)
+		}
+		return 1
+	}, r.partOwner)
+	// Hand the lost partitions' in-memory replicas to their new owners
+	// before judging restorability, so peer-RAM copies count even when the
+	// PFS copy is torn — or the whole tier is offline.
+	if err := r.exchangeReplicas(partStream, pl.lostParts, r.partOwner); err != nil {
+		return adopt, err
+	}
+	unrestorable, err := r.needRemapAgreed(pl.lostParts)
+	if err != nil {
+		return adopt, err
+	}
+	if unrestorable {
+		return remap, r.remapLost(pl)
+	}
+	for _, part := range pl.lostParts {
+		if r.partOwner[part] == r.myWorld() {
+			r.restorePartition(part)
 		}
 	}
-	// remap hands every unclaimed task to a survivor and rewinds to the map
-	// phase: "the surviving processes recover the lost work by re-running
-	// all the tasks from the failed processes" — including completed tasks
-	// whose output lived only in dead memory (restorably under WC).
-	remap := func() error {
-		for _, id := range lostDone {
-			r.tt.setDone(id, false) // its output died with its owner
-		}
-		lostTasks := append(lostDone, lostPending...)
-		r.redistributeTasks(lostTasks, models, wc)
-		if err := r.exchangeReplicas(nil, lostTasks); err != nil {
-			return err
-		}
-		// Every rank must take part in the shuffle again so the re-run tasks'
-		// output reaches its partitions; rebuilding is idempotent.
-		r.shuffled = false
-		minPhase = phMap
-		return nil
-	}
+	return adopt, nil
+}
 
-	if r.pureFailover(lost, lostPending, lostDone) {
-		// Replication failover covered everything the dead ranks held: the
-		// promoted shadows claimed their pairs' tasks and partitions from
-		// their own memory, so nothing is lost — no reassignment, no replay,
-		// no PFS restore, and no phase rewind beyond the survivors' minimum.
-	} else if minPhase >= phShuffle && len(lostPending) == 0 {
-		// Post-shuffle failure: partition data was lost from memory. With
-		// checkpoints (WC) it is restored from a replica or the PFS; without
-		// (NWC), or if a partition's snapshot survives nowhere, the map
-		// output must be regenerated and re-exchanged.
-		r.reassign(lost, models, func(part int) float64 {
-			if sz := pfs.Size(ckptPath(r.spec.JobID, partStream(part))); sz > 0 {
-				return float64(sz)
-			}
-			return 1
-		})
-		// Hand the lost partitions' in-memory replicas to their new owners
-		// before judging restorability, so peer-RAM copies count even when
-		// the PFS copy is torn — or the whole tier is offline.
-		if err := r.exchangeReplicas(lost, nil); err != nil {
-			return err
-		}
-		needRemap := !wc
-		if wc {
-			v, err := r.needRemapAgreed(lost)
-			if err != nil {
-				return err
-			}
-			needRemap = v
-		}
-		if needRemap {
-			if err := remap(); err != nil {
-				return err
-			}
-			resetLost()
-		} else {
-			// Work-conserving: adopt the lost partitions from checkpoints.
-			for _, part := range lost {
-				if r.partOwner[part] != r.myWorld() {
-					continue
-				}
-				if err := r.restorePartition(part); err != nil {
-					return err
-				}
-			}
-			// Rewind (at most) to the convert phase: adopted partitions
-			// restore their shuffle snapshot but must be re-converted;
-			// partitions already holding a KMV are skipped there.
-			if minPhase > phConvert {
-				minPhase = phConvert
-			}
-		}
-	} else {
-		// Failure during (or before) map, or with map work still
-		// outstanding: unclaimed partitions (no data yet) get owners so the
-		// shuffle has destinations, and the unclaimed work is re-run.
-		r.reassign(lost, models, func(int) float64 { return 1 })
-		resetLost()
-		if err := remap(); err != nil {
-			return err
-		}
+// remapLost is the remap effect, once the lost partitions have owners: every
+// lost task goes to a survivor to run again (with whatever replica of its
+// checkpoint stream a survivor holds) and the lost partitions' reduce restarts
+// from nothing — in the order each kind of failure has always had: resetLost
+// can wait out a PFS outage and the hand-off sends and barriers, so swapping
+// them moves every later instant.
+func (r *runner) remapLost(pl *recoveryPlan) error {
+	post := pl.postShuffle()
+	if !post {
+		r.resetLost(pl.lostParts)
 	}
-
-	r.phase = minPhase
-	endSpan()
+	lostTasks := pl.rerun(r.tt)
+	r.redistributeTasks(lostTasks, pl.models, r.spec.Model.Checkpointing())
+	if err := r.exchangeReplicas(mapStream, lostTasks, r.tt.owner); err != nil {
+		return err
+	}
+	// Every rank must take part in the shuffle again so the re-run tasks'
+	// output reaches its partitions; rebuilding is idempotent.
+	r.shuffled = false
+	if post {
+		r.resetLost(pl.lostParts)
+	}
 	return nil
 }
 
-// currentGroup returns the communicator's world ranks.
-func (r *runner) currentGroup() []int {
-	out := make([]int, r.comm.Size())
+// resetLost restarts the reduce of this rank's share of the lost partitions
+// from nothing (their data must first be regenerated).
+func (r *runner) resetLost(lost []int) {
+	for _, part := range lost {
+		if r.partOwner[part] == r.myWorld() {
+			r.reduceDone[part] = 0
+			r.outLen[part] = 0
+			r.truncateOutput(part)
+		}
+	}
+}
+
+// groupOf returns a communicator's world ranks.
+func groupOf(c *mpi.Comm) []int {
+	out := make([]int, c.Size())
 	for i := range out {
-		out[i] = r.comm.WorldRank(i)
+		out[i] = c.WorldRank(i)
 	}
 	return out
 }
 
-// diffRanks returns members of old not present in new (both sorted).
-func diffRanks(old, new []int) []int {
-	var out []int
-	i := 0
-	for _, o := range old {
-		for i < len(new) && new[i] < o {
-			i++
-		}
-		if i >= len(new) || new[i] != o {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// spread deals n lost pieces out to the survivors — by the load-balancer
-// models when enabled (§3.4), evenly otherwise — and reports each piece's
-// new owner to assign. Under a replication model work is never parked on a
-// dedicated mirror: its acting primary owns it and the mirror follows.
-func (r *runner) spread(what string, n int, models []lbModel, weight func(i int) float64, assign func(i, world int)) {
-	if n == 0 {
+// spread deals the lost pieces ids out to the survivors — by the
+// load-balancer models when enabled (§3.4), evenly otherwise — and records
+// each piece's new owner in owners (id -> world rank). Under a replication
+// model work is never parked on a dedicated mirror: its acting primary owns it
+// and the mirror follows.
+func (r *runner) spread(what string, ids []int, models []lbModel, weight func(id int) float64, owners []int) {
+	if len(ids) == 0 {
 		return
 	}
-	r.obs.Rec.LoadBalance(what, n, r.comm.Size())
+	r.obs.Rec.LoadBalance(what, len(ids), r.comm.Size())
 	var assignment [][]int
 	if r.spec.LoadBalance {
-		pieces := make([]float64, n)
-		for i := range pieces {
-			pieces[i] = weight(i)
+		pieces := make([]float64, len(ids))
+		for i, id := range ids {
+			pieces[i] = weight(id)
 		}
 		assignment = balanceWork(models, pieces)
 	} else {
-		assignment = evenSplit(r.comm.Size(), n)
+		assignment = evenSplit(r.comm.Size(), len(ids))
 	}
 	for surv, pieceIdxs := range assignment {
 		w := r.comm.WorldRank(surv)
@@ -332,65 +395,51 @@ func (r *runner) spread(what string, n int, models []lbModel, weight func(i int)
 			w = r.ftm.redirectToActing(w)
 		}
 		for _, pi := range pieceIdxs {
-			assign(pi, w)
+			owners[ids[pi]] = w
 		}
 	}
 }
 
-// reassign gives lost partitions new owners among the survivors.
-func (r *runner) reassign(lost []int, models []lbModel, weight func(part int) float64) {
-	r.spread("parts", len(lost), models,
-		func(i int) float64 { return weight(lost[i]) },
-		func(i, w int) { r.partOwner[lost[i]] = w })
-}
-
-// redistributeTasks hands unclaimed task ids to survivors deterministically
-// (restorable=true weights restorable tasks cheaper; their checkpoint
-// streams are replayed instead of fully re-run).
+// redistributeTasks hands unclaimed task ids (ascending) to survivors
+// deterministically (restorable=true weights restorable tasks cheaper; their
+// checkpoint streams are replayed instead of fully re-run).
 func (r *runner) redistributeTasks(lostIDs []int, models []lbModel, restorable bool) {
-	sort.Ints(lostIDs)
-	r.spread("tasks", len(lostIDs), models,
-		func(i int) float64 {
-			size := float64(r.tt.tasks[lostIDs[i]].Chunk.Size)
-			if restorable {
-				// Restoring a committed task is cheaper than re-running it.
-				size *= 0.3
-			}
-			return size
-		},
-		func(i, w int) {
-			r.tt.owner[lostIDs[i]] = w
-			if w == r.myWorld() {
-				r.backlogBytes += float64(r.tt.tasks[lostIDs[i]].Chunk.Size)
-			}
-		})
+	r.spread("tasks", lostIDs, models, func(id int) float64 {
+		size := float64(r.tt.tasks[id].Chunk.Size)
+		if restorable {
+			// Restoring a committed task is cheaper than re-running it.
+			size *= 0.3
+		}
+		return size
+	}, r.tt.owner)
+	for _, id := range lostIDs {
+		if r.tt.owner[id] == r.myWorld() {
+			r.backlogBytes += float64(r.tt.tasks[id].Chunk.Size)
+		}
+	}
 }
 
 // needRemapAgreed decides, identically on every survivor, whether the lost
 // partitions must be regenerated (remap) instead of adopted from snapshots.
 func (r *runner) needRemapAgreed(lost []int) (bool, error) {
-	if r.rep == nil {
-		// PFS-only: the verdict derives from shared durable state, so every
-		// survivor computes the same answer locally — no agreement round
-		// (and none is charged, keeping replica-free runs byte-identical to
-		// pre-replica behaviour).
-		for _, part := range lost {
-			if !r.rd.holdsSnapshot(r.p, partStream(part)) {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	// With replicas, restorability depends on each new owner's private
-	// in-memory store, so verdicts can differ per rank; each owner judges
-	// its own adopted partitions and the ranks agree by allreduce-max.
-	local := int64(0)
+	// With every holder of the restore chain shared and durable, the verdict
+	// derives from state all survivors read alike, so each computes it locally
+	// over all the lost partitions — no agreement round (and none is charged,
+	// keeping replica-free runs byte-identical to pre-replica behaviour). A
+	// holder in rank-private memory makes restorability depend on each new
+	// owner's store, so verdicts can differ per rank: each owner judges its
+	// own adopted partitions and the ranks agree by allreduce-max.
+	private := slices.ContainsFunc(r.rd.chain(), holder.private)
 	me := r.myWorld()
+	local := int64(0)
 	for _, part := range lost {
-		if r.partOwner[part] == me && !r.rd.holdsSnapshot(r.p, partStream(part)) {
+		if (!private || r.partOwner[part] == me) && !r.rd.holdsSnapshot(r.p, partStream(part)) {
 			local = 1
 			break
 		}
+	}
+	if !private {
+		return local == 1, nil
 	}
 	verdict, err := r.allreduce(local, func(a, b int64) int64 { return max(a, b) })
 	return verdict == 1, err
@@ -398,7 +447,7 @@ func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 
 // restorePartition loads an adopted partition's post-shuffle data and reduce
 // progress from its checkpoint stream.
-func (r *runner) restorePartition(part int) error {
+func (r *runner) restorePartition(part int) {
 	frames := r.rd.load(r.p, partStream(part))
 	var kv *kvbuf.KV
 	var groups uint32
@@ -429,7 +478,6 @@ func (r *runner) restorePartition(part int) error {
 	r.reduceDone[part] = groups
 	r.outLen[part] = outBytes
 	r.truncateOutput(part)
-	return nil
 }
 
 // ------------------------------------------------------- recovery codecs --
@@ -564,22 +612,18 @@ func decodeState(data []byte) (survivorState, error) {
 
 // resumePrepare restores this rank's own partition state from checkpoints
 // before the phase loop of a restarted job (checkpoint/restart model).
-func (r *runner) resumePrepare() error {
+func (r *runner) resumePrepare() {
 	if !r.spec.Resume || !r.spec.Model.Checkpointing() {
-		return nil
+		return
 	}
 	t0 := r.p.Now()
 	r.obs.Rec.RecoveryBegin()
 	restoredAll := true
 	for _, part := range r.ownedParts() {
 		if r.job.clus.PFS.Exists(ckptPath(r.spec.JobID, partStream(part))) {
-			if err := r.restorePartition(part); err != nil {
-				return err
-			}
-			if r.parts[part] == nil {
-				restoredAll = false
-			}
-		} else {
+			r.restorePartition(part)
+		}
+		if r.parts[part] == nil {
 			restoredAll = false
 		}
 	}
@@ -587,5 +631,4 @@ func (r *runner) resumePrepare() error {
 	d := r.p.Now() - t0
 	r.m.PhaseTime[PhaseRecovery] += d
 	r.obs.Rec.RecoveryEnd()
-	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/storage"
@@ -12,15 +11,10 @@ import (
 //
 // When Spec.ReplicaK > 0, every checkpoint frame a rank commits is also
 // pushed over MPI into the memory of k ring-successor peers
-// (storage.ReplicaPartners). Recovery reads then fail over
-//
-//	own in-memory mirror ("replica-local")
-//	  → peer-pushed frames ("replica-peer")
-//	    → the PFS ("pfs")
-//
-// so a surviving replica holder makes recovery reads come from RAM — faster
-// than a PFS restore, and available while a whole storage tier is offline
-// (storage.ErrTierOutage).
+// (storage.ReplicaPartners), and the replica store heads the restore chain
+// (ckptReader.chain): a surviving replica holder makes recovery reads come
+// from RAM — faster than a PFS restore, and available while a whole storage
+// tier is offline (storage.ErrTierOutage).
 //
 // Transport: ordinary eager comm.Send on a per-job tag, so replica traffic
 // carries real transfer cost, shows up in traces with flow ids, and pairs
@@ -187,8 +181,7 @@ func (rp *replicator) push(stream string, data []byte) {
 	// interval of pushes.
 	rp.drain()
 	total := rp.store.appendOwn(stream, data)
-	group := rp.r.currentGroup()
-	partners := storage.ReplicaPartners(rp.r.myWorld(), group, rp.k)
+	partners := storage.ReplicaPartners(rp.r.myWorld(), groupOf(rp.r.comm), rp.k)
 	if len(partners) == 0 {
 		return
 	}
@@ -249,37 +242,18 @@ func (rp *replicator) drain() {
 // rank, then a barrier guarantees all pushes are banked in their
 // destination mailboxes (eager sends complete delivery before returning),
 // and a drain folds them in. Deterministic and deadlock-free — there is no
-// request/reply step to cycle on. lostParts and lostTasks name the
-// partition and map streams recovery reassigned; the rebuilt ownership maps
-// (identical on every survivor) give their new owners.
-func (r *runner) exchangeReplicas(lostParts, lostTasks []int) error {
+// request/reply step to cycle on. ids (ascending) names the partitions or map
+// tasks recovery reassigned, stream their checkpoint streams, and owners —
+// the rebuilt ownership map, identical on every survivor — their new owners.
+func (r *runner) exchangeReplicas(stream func(id int) string, ids, owners []int) error {
 	if r.rep == nil {
 		return nil
 	}
-	needed := make(map[string]int)
-	for _, part := range lostParts {
-		needed[partStream(part)] = r.partOwner[part]
-	}
-	for _, id := range lostTasks {
-		needed[mapStream(id)] = r.tt.owner[id]
-	}
-	streams := make([]string, 0, len(needed))
-	for s := range needed {
-		streams = append(streams, s)
-	}
-	sort.Strings(streams)
-	me := r.myWorld()
-	for _, s := range streams {
-		owner := needed[s]
-		if owner == me || owner < 0 {
-			continue
-		}
+	for _, id := range ids {
+		s := stream(id)
 		data, _ := r.rep.store.lookup(s)
-		if data == nil {
-			continue
-		}
-		cr := r.comm.CommRankOf(owner)
-		if cr < 0 {
+		cr := r.comm.CommRankOf(owners[id])
+		if owners[id] == r.myWorld() || data == nil || cr < 0 {
 			continue
 		}
 		msg := encodeReplicaMsg(replicaFull, s, data)

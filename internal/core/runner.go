@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -36,18 +35,6 @@ const (
 	partitionCPUPerByte = 1e-10   // hash-partitioning emitted pairs
 )
 
-// Recovery alignment sentinels (see recoverDR): with continuous failures in
-// an iterative application, a revocation can catch ranks straddling two
-// adjacent jobs — some still inside job N's final barrier release, others
-// already initializing job N+1. The allgathered states carry the job index;
-// on a mismatch, laggards learn their job is globally complete and finish
-// it, while the ranks ahead restart their barely-started job on the
-// shrunken communicator so every participant agrees on its membership.
-var (
-	errJobSuperseded = errors.New("core: job completed globally during recovery")
-	errRestartJob    = errors.New("core: restart job on the shrunken communicator")
-)
-
 // runner executes one job on one rank. It survives detect/resume
 // recoveries: its communicator handle is replaced and its phase index may
 // move backwards, but its in-memory data (map output, received partitions)
@@ -64,6 +51,7 @@ type runner struct {
 	tt        *taskTable
 	nParts    int   // partition count (== len(world0))
 	partOwner []int // partition -> world rank
+	homes     []int // partOwner as the job started (never written): hash slot -> the rank its tasks started on
 
 	mapOut     map[int]*kvbuf.KV  // partition -> this rank's map output
 	parts      map[int]*kvbuf.KV  // owned partition -> merged shuffle data
@@ -98,10 +86,7 @@ type jobCtx struct {
 
 func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	spec := j.spec
-	world0 := make([]int, c.Size())
-	for i := range world0 {
-		world0[i] = c.WorldRank(i)
-	}
+	world0 := groupOf(c)
 	m := newRankMetrics(c.Self().WorldRank())
 	h := c.Self().Obs()
 	h.BindCore()
@@ -116,6 +101,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		world0:     world0,
 		nParts:     c.Size(),
 		partOwner:  append([]int(nil), world0...),
+		homes:      world0,
 		mapOut:     make(map[int]*kvbuf.KV),
 		parts:      make(map[int]*kvbuf.KV),
 		kmv:        make(map[int]*kvbuf.KMV),
@@ -129,6 +115,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		r.ftm = ftm
 		r.nParts = len(ftm.acting)
 		r.partOwner = append([]int(nil), ftm.acting...)
+		r.homes = append([]int(nil), ftm.acting...)
 	}
 	r.lb.kind = spec.LBModel
 	clus := j.clus
@@ -266,11 +253,10 @@ func (r *runner) run() error {
 		var err error
 		switch r.phase {
 		case phInit:
-			err = r.phaseInit()
-			if err == nil {
+			if err = r.phaseInit(); err == nil {
 				// Checkpoint/restart resume: restore this rank's partition
 				// state (and truncate uncommitted output) before any work.
-				err = r.resumePrepare()
+				r.resumePrepare()
 			}
 		case phMap:
 			err = r.phaseMap(ro)
@@ -312,15 +298,12 @@ func (r *runner) phaseInit() error {
 	clus := r.job.clus
 	tasks := r.job.h.jobTasks(r.job.jobIdx, r.spec.InputPrefix)
 	r.tt = newTaskTable(tasks, r.nParts)
-	// Remap initial owners onto the participating world ranks (the hash
-	// assigns 0..n-1 slots; world0 maps slots to actual ranks — or, under a
-	// replication model, the acting primaries map slots to ranks).
-	homes := r.world0
-	if r.ftm != nil {
-		homes = r.ftm.acting
-	}
+	// Remap initial owners onto ranks: the hash assigns slots 0..nParts-1, and
+	// slot i's tasks start on partition i's owner — homes, unless init runs
+	// again: only a pure failover resumes here, and it has left the promoted
+	// shadow owning its slot's partition.
 	for i := range r.tt.owner {
-		r.tt.owner[i] = homes[r.tt.owner[i]%len(homes)]
+		r.tt.owner[i] = r.partOwner[r.tt.owner[i]]
 	}
 	// Metadata traversal: one PFS op per 64 chunks.
 	r.m.IOWait += clus.PFS.Charge(r.p, len(tasks)/64+1, 0)

@@ -64,9 +64,8 @@ type ftState struct {
 	slot    int  // the slot this rank serves (fixed for the job's lifetime)
 	mirror  bool // true while this rank is a mirroring shadow (cleared on promotion)
 
-	acting  []int // slot -> world rank currently acting as the slot's primary
-	acting0 []int // initial acting assignment (the hash-home mapping)
-	shadow  []int // slot -> live mirroring shadow's world rank, or -1
+	acting []int // slot -> world rank currently acting as the slot's primary
+	shadow []int // slot -> live mirroring shadow's world rank, or -1
 
 	mirrorSlot map[int]int // world rank -> slot, for live mirroring shadows
 
@@ -92,7 +91,7 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 	if !spec.FTModel.Replicating() {
 		return nil
 	}
-	if spec.Model != ModelDetectResumeWC && spec.Model != ModelDetectResumeNWC {
+	if !spec.Model.DetectResume() {
 		return nil
 	}
 	w := c.Size()
@@ -128,7 +127,6 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 			f.mirrorSlot[sw] = slot
 		}
 	}
-	f.acting0 = append([]int(nil), f.acting...)
 	return f
 }
 
@@ -527,12 +525,4 @@ func (r *runner) reconcileMirrorOutput(part int) error {
 	delete(f.shadowOut, part)
 	delete(f.mirrorRed, part)
 	return nil
-}
-
-// pureFailover reports whether recovery can skip the lost-work machinery
-// entirely: every dead rank's work was claimed during promotion (or the dead
-// ranks were shadows owning nothing), so nothing is lost and no phase rewind
-// beyond the survivors' own minimum is needed.
-func (r *runner) pureFailover(lost, lostPending, lostDone []int) bool {
-	return r.ftm != nil && len(lost) == 0 && len(lostPending) == 0 && len(lostDone) == 0
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // A kill that catches ranks on both sides of a job boundary makes RunJob
-// rebuild the newer job on a fresh runner (errRestartJob). That runner's
+// rebuild the newer job on a fresh runner (jobRestart). That runner's
 // copier must be stopped when the job returns, like the first one's: PageRank
 // at W=128 under Continuous(20 ms, 4 kills, seed 50) — the fourth kill lands
 // near the first job's end — used to finish with the restarted runners'

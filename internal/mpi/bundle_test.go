@@ -131,64 +131,22 @@ func refAllgather(c *Comm, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// refSubtreeRanks returns the virtual ranks of the binomial subtree at vr.
-func refSubtreeRanks(vr, n int) []int {
-	out := []int{vr}
-	for _, child := range treeChildren(vr, n) {
-		out = append(out, refSubtreeRanks(child, n)...)
-	}
-	return out
-}
-
-func refScatter(c *Comm, root int, data [][]byte) ([]byte, error) {
-	defer c.enterColl("scatter").Exit()
-	seq := c.nextSeq()
-	n := c.Size()
-	vr := vrank(c.rank, root, n)
-	bundle := make(map[int][]byte, n)
-	if vr == 0 {
-		for r, d := range data {
-			bundle[r] = d
-		}
-	} else {
-		m, err := c.recv(prank(treeParent(vr), root, n), internalTag(seq, 4))
-		if err != nil {
-			return nil, c.raise(err)
-		}
-		if bundle, err = refDecodeBundle(m.Data); err != nil {
-			return nil, c.raise(err)
-		}
-	}
-	for _, child := range treeChildren(vr, n) {
-		sub := make(map[int][]byte)
-		for _, vd := range refSubtreeRanks(child, n) {
-			r := prank(vd, root, n)
-			sub[r] = bundle[r]
-		}
-		if _, err := c.send(prank(child, root, n), internalTag(seq, 4), refEncodeBundle(sub)); err != nil {
-			return nil, c.raise(err)
-		}
-	}
-	return bundle[c.rank], nil
-}
-
 // treeColls is the implementation under comparison.
 type treeColls struct {
 	gather    func(c *Comm, root int, data []byte) ([][]byte, error)
 	allgather func(c *Comm, data []byte) ([][]byte, error)
-	scatter   func(c *Comm, root int, data [][]byte) ([]byte, error)
 }
 
 var (
-	flatColls = treeColls{(*Comm).Gather, (*Comm).Allgather, (*Comm).Scatter}
-	refColls  = treeColls{refGather, refAllgather, refScatter}
+	flatColls = treeColls{(*Comm).Gather, (*Comm).Allgather}
+	refColls  = treeColls{refGather, refAllgather}
 )
 
-// collRun is what one rank observed of a gather, an allgather and a scatter.
+// collRun is what one rank observed of a gather and an allgather.
 type collRun struct {
-	done [3]time.Duration
-	got  [3][][]byte
-	errs [3]error
+	done [2]time.Duration
+	got  [2][][]byte
+	errs [2]error
 }
 
 // randomPayloads draws n payloads: nil, empty, small and large ones.
@@ -212,9 +170,9 @@ func randomPayloads(rng *rand.Rand, n int) [][]byte {
 }
 
 // runTreeColls launches n ranks that sleep skew[r] and then run a gather to
-// gRoot, an allgather and a scatter from sRoot back to back, through impl.
-// It returns what every rank saw and the bytes and messages sent in total.
-func runTreeColls(t *testing.T, impl treeColls, n, gRoot, sRoot int, skew []time.Duration, mine, pieces [][]byte) ([]collRun, float64, float64) {
+// gRoot and an allgather back to back, through impl. It returns what every
+// rank saw and the bytes and messages sent in total.
+func runTreeColls(t *testing.T, impl treeColls, n, gRoot int, skew []time.Duration, mine [][]byte) ([]collRun, float64, float64) {
 	t.Helper()
 	clus := testCluster((n+7)/8, 8)
 	clus.Metrics = metrics.New(clus.Sim)
@@ -226,12 +184,6 @@ func runTreeColls(t *testing.T, impl treeColls, n, gRoot, sRoot int, skew []time
 		run.done[0] = c.Proc().Now()
 		run.got[1], run.errs[1] = impl.allgather(c, mine[r])
 		run.done[1] = c.Proc().Now()
-		var data [][]byte
-		if r == sRoot {
-			data = pieces
-		}
-		piece, err := impl.scatter(c, sRoot, data)
-		run.got[2], run.errs[2], run.done[2] = [][]byte{piece}, err, c.Proc().Now()
 	})
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
@@ -242,29 +194,29 @@ func runTreeColls(t *testing.T, impl treeColls, n, gRoot, sRoot int, skew []time
 }
 
 // Property: over random communicator sizes, roots, entry skews and payloads
-// (nil and empty included), gather, allgather and scatter over flat bundles
-// release every rank at exactly the instant the map-based reference does,
-// with the same payloads, for the same number of messages and bytes.
+// (nil and empty included), gather and allgather over flat bundles release
+// every rank at exactly the instant the map-based reference does, with the
+// same payloads, for the same number of messages and bytes.
 func TestTreeCollectivesMatchReferenceModel(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(97)
-		gRoot, sRoot := rng.Intn(n), rng.Intn(n)
+		gRoot := rng.Intn(n)
 		skew := make([]time.Duration, n)
 		for r := range skew {
 			if rng.Intn(2) == 0 {
 				skew[r] = time.Duration(rng.Intn(500)) * time.Microsecond
 			}
 		}
-		mine, pieces := randomPayloads(rng, n), randomPayloads(rng, n)
-		want, wantBytes, wantSends := runTreeColls(t, refColls, n, gRoot, sRoot, skew, mine, pieces)
-		got, gotBytes, gotSends := runTreeColls(t, flatColls, n, gRoot, sRoot, skew, mine, pieces)
+		mine := randomPayloads(rng, n)
+		want, wantBytes, wantSends := runTreeColls(t, refColls, n, gRoot, skew, mine)
+		got, gotBytes, gotSends := runTreeColls(t, flatColls, n, gRoot, skew, mine)
 		if gotBytes != wantBytes || gotSends != wantSends {
 			t.Fatalf("seed %d W=%d: sent %v bytes in %v messages, reference %v in %v",
 				seed, n, gotBytes, gotSends, wantBytes, wantSends)
 		}
 		for r := 0; r < n; r++ {
-			for op, name := range []string{"gather", "allgather", "scatter"} {
+			for op, name := range []string{"gather", "allgather"} {
 				if got[r].errs[op] != nil || want[r].errs[op] != nil {
 					t.Fatalf("seed %d W=%d rank %d %s: error %v (reference %v)", seed, n, r, name, got[r].errs[op], want[r].errs[op])
 				}
@@ -287,9 +239,6 @@ func TestTreeCollectivesMatchReferenceModel(t *testing.T) {
 				if !bytes.Equal(d, mine[i]) {
 					t.Fatalf("seed %d W=%d rank %d: allgather entry %d is not rank %d's payload", seed, n, r, i, i)
 				}
-			}
-			if !bytes.Equal(got[r].got[2][0], pieces[r]) {
-				t.Fatalf("seed %d W=%d rank %d: scatter delivered another rank's piece", seed, n, r)
 			}
 		}
 	}
@@ -385,30 +334,20 @@ func TestTreeCollectivesFailLikeReferenceModel(t *testing.T) {
 	}
 }
 
-// A caller passing the wrong number of buffers to Scatter made a usage
-// error; nobody died, so ULFM callers must not be told a process failed.
-func TestScatterWrongBufferCountIsNotProcFailed(t *testing.T) {
-	clus := testCluster(1, 4)
-	var rootErr error
-	Launch(clus, 4, func(c *Comm) {
-		c.SetErrHandler(func(*Comm, error) {})
-		if c.Rank() == 1 {
-			_, rootErr = c.Scatter(1, make([][]byte, 3))
-			_ = c.Revoke() // the others wait for pieces that never come
-			return
-		}
-		_, _ = c.Scatter(1, nil)
-	})
-	clus.Sim.Run()
-	if rootErr == nil || IsProcFailed(rootErr) || errors.Is(rootErr, ErrRevoked) {
-		t.Fatalf("Scatter with 3 buffers on 4 ranks: %v, want a plain usage error", rootErr)
+// bundleOf builds the decoder's test input: one entry per piece, piece i
+// belonging to rank (first+i) mod n.
+func bundleOf(pieces [][]byte, first, n int) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(pieces)))
+	for i, d := range pieces {
+		b = appendEntry(b, (first+i)%n, d)
 	}
+	return b
 }
 
 // A bundle from the wire never panics the decoder and never lands a payload
 // twice or out of range.
 func TestReadBundleRejectsMalformed(t *testing.T) {
-	good := packBundle([][]byte{[]byte("a"), nil, []byte("ccc")}, 2, 5)
+	good := bundleOf([][]byte{[]byte("a"), nil, []byte("ccc")}, 0, 5)
 	entry := func(rank int, p string) []byte { return appendEntry(nil, rank, []byte(p)) }
 	count := func(n int, entries ...[]byte) []byte {
 		b := binary.BigEndian.AppendUint32(nil, uint32(n))
@@ -428,16 +367,16 @@ func TestReadBundleRejectsMalformed(t *testing.T) {
 		{"over-count", count(4, good[bundleHdrLen:]), 0, false},
 		{"trailing bytes", append(bytes.Clone(good), 0), 0, false},
 		{"rank out of range", count(1, entry(5, "x")), 0, false},
-		{"rank outside the subtree", count(3, entry(2, "x"), entry(3, "y"), entry(0, "z")), 3, false},
-		{"repeated rank", count(3, entry(2, "x"), entry(3, "y"), entry(2, "")), 3, false},
-		{"wrong count", count(2, entry(2, "x"), entry(3, "y")), 3, false},
+		{"rank past the slots", count(3, entry(0, "x"), entry(1, "y"), entry(3, "z")), 3, false},
+		{"repeated rank", count(3, entry(0, "x"), entry(1, "y"), entry(0, "")), 3, false},
+		{"wrong count", count(2, entry(0, "x"), entry(1, "y")), 3, false},
 	}
 	for _, tc := range cases {
 		var out [][]byte
 		if tc.slot > 0 {
 			out = make([][]byte, tc.slot)
 		}
-		_, _, err := readBundle(tc.b, 5, out, 2)
+		_, _, err := readBundle(tc.b, 5, out)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -448,20 +387,20 @@ func TestReadBundleRejectsMalformed(t *testing.T) {
 // over-counted, out-of-range and repeated entries must come back as errors,
 // never as a panic, and whatever decodes re-encodes to the same length.
 func FuzzDecodeBundle(f *testing.F) {
-	f.Add(packBundle([][]byte{[]byte("abc"), nil, {}}, 0, 3), 3, 0, 3)
-	f.Add(packBundle([][]byte{[]byte("x"), []byte("y")}, 6, 7), 7, 6, 2)
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, 4, 0, 2)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 1, 0, 1)
-	f.Fuzz(func(t *testing.T, b []byte, n, first, slots int) {
-		if n < 1 || n > 1<<10 || first < 0 || first >= n || slots < 0 || slots > n {
+	f.Add(bundleOf([][]byte{[]byte("abc"), nil, {}}, 0, 3), 3, 3)
+	f.Add(bundleOf([][]byte{[]byte("x"), []byte("y")}, 6, 7), 7, 2)
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, 4, 2)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 1, 1)
+	f.Fuzz(func(t *testing.T, b []byte, n, slots int) {
+		if n < 1 || n > 1<<10 || slots < 0 || slots > n {
 			return
 		}
-		count, entries, err := readBundle(b, n, nil, 0)
+		count, entries, err := readBundle(b, n, nil)
 		if err == nil && bundleHdrLen+len(entries) != len(b) {
 			t.Fatalf("walk accepted %d bytes of %d", bundleHdrLen+len(entries), len(b))
 		}
 		out := make([][]byte, slots)
-		if _, _, derr := readBundle(b, n, out, first); derr == nil {
+		if _, _, derr := readBundle(b, n, out); derr == nil {
 			if err != nil || count != slots {
 				t.Fatalf("decoded %d slots from a bundle the walk counts as %d (walk error %v)", slots, count, err)
 			}
@@ -470,7 +409,7 @@ func FuzzDecodeBundle(f *testing.F) {
 					t.Fatalf("decode left slot %d empty", i)
 				}
 			}
-			if re := packBundle(out, first, n); len(re) != len(b) {
+			if re := bundleOf(out, 0, n); len(re) != len(b) {
 				t.Fatalf("re-encoded to %d bytes, was %d", len(re), len(b))
 			}
 		}

@@ -40,7 +40,7 @@ func (c *Comm) nextSeq() int {
 // with (communicator id, peeked seq): every participant of one collective
 // instance consumes the same seq — the tag scheme depends on it — so the
 // pair identifies the instance exactly, including for wrapper collectives
-// (Allreduce, Dup, ...) whose synchronization happens in an inner call.
+// (Allreduce) whose synchronization happens in an inner call.
 func (c *Comm) peekSeq() int { return c.st.opSeq[c.rank] }
 
 // enterColl tells the observation planes that the caller enters collective
@@ -136,7 +136,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		return nil, c.raise(err)
 	}
 	out := make([][]byte, c.Size())
-	_, _, err = readBundle(b, c.Size(), out, 0)
+	_, _, err = readBundle(b, c.Size(), out)
 	return out, c.raise(err)
 }
 
@@ -158,7 +158,7 @@ func (c *Comm) gatherTree(seq, root int, data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		cnt, entries, err := readBundle(m.Data, n, nil, 0)
+		cnt, entries, err := readBundle(m.Data, n, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		return nil, c.raise(err)
 	}
 	out := make([][]byte, c.Size())
-	if _, _, err := readBundle(b, c.Size(), out, 0); err != nil {
+	if _, _, err := readBundle(b, c.Size(), out); err != nil {
 		return nil, c.raise(err)
 	}
 	return out, nil
@@ -215,12 +215,7 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error)
 			continue
 		}
 		if len(d) != 8 {
-			lens := make([]int, len(all))
-			for i, x := range all {
-				lens[i] = len(x)
-			}
-			panic(fmt.Sprintf("mpi: allreduce entry %d has %d bytes: comm=%d rank=%d opSeq=%v revoked=%v lens=%v",
-				r, len(d), c.st.id, c.rank, c.st.opSeq, c.st.revoked, lens))
+			return 0, c.raise(fmt.Errorf("mpi: allreduce entry of rank %d has %d bytes, want 8", r, len(d)))
 		}
 		acc = op(acc, int64(binary.BigEndian.Uint64(d)))
 	}
@@ -378,28 +373,13 @@ func appendEntry(dst []byte, rank int, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// packBundle encodes pieces as one bundle, piece i belonging to rank
-// (first+i) mod n.
-func packBundle(pieces [][]byte, first, n int) []byte {
-	size := bundleHdrLen
-	for _, d := range pieces {
-		size += entryHdrLen + len(d)
-	}
-	b := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(pieces)))
-	for i, d := range pieces {
-		b = appendEntry(b, (first+i)%n, d)
-	}
-	return b
-}
-
 // readBundle walks bundle b of an n-rank communicator and returns its entry
 // count and entry bytes. It fails on a truncated or over-long bundle and on an
 // entry whose rank is not below n. With a non-nil out it also decodes: b must
-// then hold exactly one entry for each of the len(out) ranks first, first+1,
-// … (mod n), and out[i] — all nil on entry — receives the payload of rank
-// (first+i) mod n, aliasing b; an entry outside those ranks or repeating one
-// is an error.
-func readBundle(b []byte, n int, out [][]byte, first int) (count int, entries []byte, err error) {
+// then hold exactly one entry for each of the ranks below len(out), and out[i]
+// — all nil on entry — receives the payload of rank i, aliasing b; an entry
+// of another rank or repeating one is an error.
+func readBundle(b []byte, n int, out [][]byte) (count int, entries []byte, err error) {
 	if len(b) < bundleHdrLen {
 		return 0, nil, fmt.Errorf("mpi: short bundle")
 	}
@@ -422,17 +402,13 @@ func readBundle(b []byte, n int, out [][]byte, first int) (count int, entries []
 			return 0, nil, fmt.Errorf("mpi: bundle entry for rank %d of %d", rank, n)
 		}
 		if out != nil {
-			slot := rank - first
-			if slot < 0 {
-				slot += n
+			if rank >= len(out) {
+				return 0, nil, fmt.Errorf("mpi: bundle entry for rank %d, outside the first %d ranks", rank, len(out))
 			}
-			if slot >= len(out) {
-				return 0, nil, fmt.Errorf("mpi: bundle entry for rank %d, outside the %d ranks from %d", rank, len(out), first)
-			}
-			if out[slot] != nil {
+			if out[rank] != nil {
 				return 0, nil, fmt.Errorf("mpi: bundle repeats rank %d", rank)
 			}
-			out[slot] = rest[:l:l] // non-nil even when empty: rest is
+			out[rank] = rest[:l:l] // non-nil even when empty: rest is
 		}
 		rest = rest[l:]
 	}

@@ -15,7 +15,7 @@ func (w *World) RankAlive(worldRank int) bool { return w.ranks[worldRank].alive 
 // RankProc returns the world rank's simulated process.
 func (w *World) RankProc(worldRank int) *vtime.Proc { return w.ranks[worldRank].proc }
 
-// EachRecvWaiter calls fn for every live parked receive/probe across every
+// EachRecvWaiter calls fn for every live parked receive across every
 // communicator, with comm ranks translated to world ranks. Order is
 // deterministic: communicators by id, destinations by comm rank, waiters in
 // posting order.

@@ -6,50 +6,20 @@ import (
 	"ftmrmpi/internal/vtime"
 )
 
-// Mailbox matching strategy. By default a mailbox upgrades from linear scans
-// to per-(src,tag) indexed buckets once it holds enough live messages or
-// waiters; SetLinearMatching pins the pre-index O(n) behaviour for
-// benchmarks and equivalence tests. Both paths implement the same matching
-// relation — first match in arrival order for messages, first match in
-// posting order for waiters — so runs are byte-identical either way (pinned
-// by the matching-path equivalence test).
-var linearMatching bool
-
-// SetLinearMatching forces (on=true) or re-enables index upgrades for
-// (on=false) the O(n) linear mailbox scans that predate the indexed
-// matcher. It exists for the throughput regression gate (which compares the
-// two paths on the same host) and the determinism equivalence test. Toggle
-// it only between simulations, never while a World is running.
-func SetLinearMatching(on bool) { linearMatching = on }
-
+// Mailbox matching strategy: a mailbox scans linearly while it is shallow and
+// upgrades to per-(src,tag) indexed buckets once it holds enough live messages
+// or waiters. Both regimes implement the same matching relation — first match
+// in arrival order for messages, first match in posting order for waiters — so
+// the choice is invisible to a run (pinned against the O(n) reference model in
+// mailbox_test.go).
 const (
-	// defaultMsgIndexThreshold is the live-message count past which a
-	// mailbox builds per-(src,tag) message buckets.
-	defaultMsgIndexThreshold = 32
-	// defaultWaiterIndexThreshold is the live-waiter count past which a
-	// mailbox builds per-(src,tag) waiter buckets.
-	defaultWaiterIndexThreshold = 16
+	// msgIndexThreshold is the live-message count past which a mailbox
+	// builds per-(src,tag) message buckets.
+	msgIndexThreshold = 32
+	// waiterIndexThreshold is the live-waiter count past which a mailbox
+	// builds per-(src,tag) waiter buckets.
+	waiterIndexThreshold = 16
 )
-
-var (
-	msgIndexThreshold    = defaultMsgIndexThreshold
-	waiterIndexThreshold = defaultWaiterIndexThreshold
-)
-
-// SetMatchingThresholds overrides the live-count thresholds past which a
-// mailbox upgrades to indexed matching; negative values restore the
-// defaults. Equivalence tests use (0, 0) to force the indexed path on small
-// worlds whose mailboxes never grow past the production thresholds. Toggle
-// only between simulations.
-func SetMatchingThresholds(msg, waiter int) {
-	if msg < 0 {
-		msg = defaultMsgIndexThreshold
-	}
-	if waiter < 0 {
-		waiter = defaultWaiterIndexThreshold
-	}
-	msgIndexThreshold, waiterIndexThreshold = msg, waiter
-}
 
 // matchKey identifies a message bucket (exact src and tag) or a waiter
 // bucket (the posted pattern, where src may be AnySource and tag AnyTag).
@@ -58,9 +28,8 @@ type matchKey struct {
 	tag int
 }
 
-// recvWait is a parked receive (or probe). Fields are written by the
-// matching side (deliver/onFailure/Revoke) and read by the parked process
-// after it wakes.
+// recvWait is a parked receive. Fields are written by the matching side
+// (deliver/onFailure/Revoke) and read by the parked process after it wakes.
 type recvWait struct {
 	p   *vtime.Proc
 	src int // comm rank or AnySource
@@ -93,16 +62,6 @@ type msgBucket struct {
 
 // push appends a message in arrival order.
 func (b *msgBucket) push(m *Message) { b.items = append(b.items, m) }
-
-// pushFront re-buffers a message at the front (Probe re-delivery).
-func (b *msgBucket) pushFront(m *Message) {
-	if b.head > 0 {
-		b.head--
-		b.items[b.head] = m
-		return
-	}
-	b.items = append([]*Message{m}, b.items...)
-}
 
 // front trims consumed messages and returns the earliest live message, or
 // nil when the bucket is empty.
@@ -148,9 +107,8 @@ func (b *waitBucket) front() *recvWait {
 //
 // Both sides are append-only arrival/posting-order slices with lazy
 // tombstone compaction. The first time a side's live count crosses its
-// threshold (and unless SetLinearMatching pinned the legacy path) the
-// mailbox additionally builds index buckets — messages under their exact
-// (src, tag) and under tag alone, waiters under their posted
+// threshold the mailbox additionally builds index buckets — messages under
+// their exact (src, tag) and under tag alone, waiters under their posted
 // (src-or-AnySource, tag-or-AnyTag) pattern — and maintains them for the
 // rest of its life. Matching then touches only the buckets a query can
 // possibly hit — one for exact receives, at most four for a delivery —
@@ -208,38 +166,8 @@ func (box *mailbox) pushMsg(m *Message) {
 	box.msgLive++
 	if box.byKey != nil {
 		box.indexMsg(m)
-	} else if box.msgLive > msgIndexThreshold && !linearMatching {
+	} else if box.msgLive > msgIndexThreshold {
 		box.buildMsgIndex()
-	}
-}
-
-// pushFrontMsg re-buffers a message at the front of the arrival order
-// (Probe matched it but must leave it for the subsequent Recv).
-func (box *mailbox) pushFrontMsg(m *Message) {
-	m.taken = false
-	if box.head > 0 {
-		box.head--
-		box.msgs[box.head] = m
-	} else {
-		box.msgs = append([]*Message{m}, box.msgs...)
-	}
-	box.msgLive++
-	if box.byKey != nil {
-		k := matchKey{m.Src, m.Tag}
-		kb := box.byKey[k]
-		if kb == nil {
-			kb = &msgBucket{}
-			box.byKey[k] = kb
-		}
-		kb.pushFront(m)
-		if box.byTag != nil {
-			tb := box.byTag[m.Tag]
-			if tb == nil {
-				tb = &msgBucket{}
-				box.byTag[m.Tag] = tb
-			}
-			tb.pushFront(m)
-		}
 	}
 }
 
@@ -354,23 +282,9 @@ func (box *mailbox) matchBuffered(src, tag int) *Message {
 	return nil
 }
 
-// eachMsg calls fn on every live buffered message in arrival order until fn
-// returns false. Messages are not consumed (Probe's scan).
-func (box *mailbox) eachMsg(fn func(*Message) bool) {
-	for i := box.head; i < len(box.msgs); i++ {
-		m := box.msgs[i]
-		if m == nil || m.taken {
-			continue
-		}
-		if !fn(m) {
-			return
-		}
-	}
-}
-
 // --- waiter side ----------------------------------------------------------
 
-// addWaiter posts a parked receive/probe.
+// addWaiter posts a parked receive.
 func (box *mailbox) addWaiter(rw *recvWait) {
 	box.wseq++
 	rw.seq = box.wseq
@@ -379,7 +293,7 @@ func (box *mailbox) addWaiter(rw *recvWait) {
 	box.waitLive++
 	if box.wByKey != nil {
 		box.indexWaiter(rw)
-	} else if box.waitLive > waiterIndexThreshold && !linearMatching {
+	} else if box.waitLive > waiterIndexThreshold {
 		box.buildWaiterIndex()
 	}
 }

@@ -103,8 +103,6 @@ type World struct {
 	ranks   []*Rank
 	comms   []*commState
 	aborted bool
-	dups    map[dupKey]*commState
-	splits  map[splitKey]*commState
 	// done counts rank main functions that returned normally.
 	done int
 	// msgID hands out world-unique message ids (flow ids). Deterministic:
@@ -186,9 +184,6 @@ type commState struct {
 	acked []map[int]bool // per comm-rank: acknowledged failed world ranks
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
-	// dupEpoch / splitEpoch count Dup/Split calls per comm rank.
-	dupEpoch   []int
-	splitEpoch []int
 	// deadCount is the number of failed ranks in the group. It lets
 	// failedSourceErr answer the common all-failures-acknowledged case in
 	// O(1) instead of scanning the whole group on every AnySource receive.
@@ -231,28 +226,19 @@ func Launch(clus *cluster.Cluster, n int, main func(c *Comm)) *World {
 	return w
 }
 
-// newCommState registers a fresh communicator over the given world ranks.
+// newCommState registers a fresh communicator over the given world ranks,
+// all of them alive (Launch's world, Shrink's survivors): its dead count
+// starts at zero.
 func (w *World) newCommState(group []int) *commState {
 	st := &commState{w: w, id: len(w.comms), group: append([]int(nil), group...)}
 	sort.Ints(st.group)
 	st.boxes = make([]*mailbox, len(group))
 	st.opSeq = make([]int, len(group))
-	st.dupEpoch = make([]int, len(group))
-	st.splitEpoch = make([]int, len(group))
 	st.acked = make([]map[int]bool, len(group))
 	st.handlers = make([]func(*Comm, error), len(group))
 	for i := range st.boxes {
 		st.boxes[i] = &mailbox{}
 		st.acked[i] = make(map[int]bool)
-	}
-	// Communicators can be created after failures (Dup/Split of a group
-	// containing dead ranks): seed the dead count from current world state.
-	// During Launch the world communicator is created before the ranks
-	// exist; they all start alive, so the bound check is enough.
-	for _, wr := range st.group {
-		if wr < len(w.ranks) && !w.ranks[wr].alive {
-			st.deadCount++
-		}
 	}
 	w.comms = append(w.comms, st)
 	return st
@@ -632,34 +618,3 @@ func (c *Comm) failedSourceErr(src int) error {
 	}
 	return nil
 }
-
-// Dup creates a duplicate communicator with the same group. Collective: all
-// live ranks must call it. The duplicate shares no message state, so library
-// traffic (e.g. the distributed masters' status exchange) cannot interfere
-// with application traffic.
-func (c *Comm) Dup() (*Comm, error) {
-	// Implemented as: the first arriving rank allocates the state, later
-	// ranks find it by (parent communicator, per-rank duplication epoch) —
-	// every rank performs the same sequence of Dup calls on a communicator,
-	// so the epochs agree. A barrier provides the synchronization point.
-	defer c.enterColl("dup").Exit()
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
-	st := c.st
-	key := dupKey{parent: st.id, epoch: st.dupEpoch[c.rank]}
-	st.dupEpoch[c.rank]++
-	w := st.w
-	if w.dups == nil {
-		w.dups = make(map[dupKey]*commState)
-	}
-	dup, ok := w.dups[key]
-	if !ok {
-		dup = w.newCommState(st.group)
-		w.dups[key] = dup
-	}
-	return &Comm{st: dup, rank: c.rank, r: c.r}, nil
-}
-
-// dupKey identifies one collective Dup call on a parent communicator.
-type dupKey struct{ parent, epoch int }

@@ -83,7 +83,7 @@ const (
 	KindLoadBalance
 	KindTaskCommit // one map task / reduce partition durably committed
 
-	// Recovery span (recoverDR / resumePrepare), exported as an async span.
+	// Recovery span (runner.recover / resumePrepare), exported as an async span.
 	KindRecoveryBegin
 	KindRecoveryEnd // closes the rank's open recovery episode
 
