@@ -93,6 +93,5 @@ func BenchmarkFig14BlastRecovery(b *testing.B)      { runFigure(b, "fig14") }
 func BenchmarkFig15Prefetch(b *testing.B)           { runFigure(b, "fig15") }
 func BenchmarkFig16Convert(b *testing.B)            { runFigure(b, "fig16") }
 func BenchmarkAblLoadBalance(b *testing.B)          { runFigure(b, "abl-lb") }
-func BenchmarkAblGossip(b *testing.B)               { runFigure(b, "abl-gossip") }
 func BenchmarkAblQueue(b *testing.B)                { runFigure(b, "abl-queue") }
 func BenchmarkAblCombiner(b *testing.B)             { runFigure(b, "abl-combiner") }

@@ -33,9 +33,9 @@ commands:
         pretty-print one snapshot: families, series, world totals
   diff A.om B.om
         compare two snapshots; same-seed runs must diff clean
-  health [-slo-ckpt-overhead f] [-slo-recovery f] [-slo-shuffle-skew f]
-         [-slo-copier-share f] [-slo-quarantines f] [-slo-missing-ranks f] S.om
-        evaluate the SLO gate (negative bound = report-only)
+  health [-slo-<bound> f]... S.om
+        evaluate the SLO gate under ftmr-sim -health's nine bounds
+        (health -h lists them; negative bound = report-only)
 
 exit status: 0 clean, 1 difference or gate failure, 2 usage or I/O error
 `)
@@ -230,14 +230,8 @@ func eqCounts(a, b []uint64) bool {
 
 func cmdHealth(args []string) int {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	def := metrics.DefaultSLO()
-	ckpt := fs.Float64("slo-ckpt-overhead", def.MaxCkptOverhead, "max checkpoint overhead fraction")
-	rec := fs.Float64("slo-recovery", def.MaxRecoverySeconds, "max worst-rank recovery seconds")
-	skew := fs.Float64("slo-shuffle-skew", def.MaxShuffleSkew, "max shuffle-byte skew (max/mean)")
-	copier := fs.Float64("slo-copier-share", def.MaxCopierShare, "max copier CPU share")
-	quar := fs.Float64("slo-quarantines", def.MaxQuarantines, "max checkpoint quarantines")
-	missing := fs.Float64("slo-missing-ranks", def.MaxMissingRanks, "max missing ranks")
-	critRec := fs.Float64("slo-critpath-recovery", def.MaxRecoveryPathShare, "max recovery share of the critical path (0..1)")
+	slo := metrics.DefaultSLO()
+	slo.Flags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
@@ -247,15 +241,7 @@ func cmdHealth(args []string) int {
 		fmt.Fprintf(os.Stderr, "ftmr-metrics: %v\n", err)
 		return 2
 	}
-	h := metrics.Evaluate(snap, metrics.SLO{
-		MaxCkptOverhead:      *ckpt,
-		MaxRecoverySeconds:   *rec,
-		MaxShuffleSkew:       *skew,
-		MaxCopierShare:       *copier,
-		MaxQuarantines:       *quar,
-		MaxMissingRanks:      *missing,
-		MaxRecoveryPathShare: *critRec,
-	})
+	h := metrics.Evaluate(snap, slo)
 	h.Render(os.Stdout)
 	if h.Breached() {
 		return 1

@@ -108,18 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsInterval = fs.Duration("metrics-interval", 0, "also sample metrics on this virtual-time cadence (0: final snapshot only)")
 		health          = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
-	def := metrics.DefaultSLO()
-	var (
-		sloCkpt     = fs.Float64("slo-ckpt-overhead", def.MaxCkptOverhead, "max checkpoint overhead fraction (negative: report-only)")
-		sloRec      = fs.Float64("slo-recovery", def.MaxRecoverySeconds, "max worst-rank recovery seconds (negative: report-only)")
-		sloSkew     = fs.Float64("slo-shuffle-skew", def.MaxShuffleSkew, "max shuffle-byte skew, max/mean (negative: report-only)")
-		sloCopier   = fs.Float64("slo-copier-share", def.MaxCopierShare, "max copier CPU share (negative: report-only)")
-		sloQuar     = fs.Float64("slo-quarantines", def.MaxQuarantines, "max checkpoint quarantines (negative: report-only)")
-		sloMissing  = fs.Float64("slo-missing-ranks", def.MaxMissingRanks, "max missing ranks (negative: report-only)")
-		sloCritPath = fs.Float64("slo-critpath-recovery", def.MaxRecoveryPathShare, "max recovery share of the critical path, 0..1 (negative: report-only)")
-		sloPFSShare = fs.Float64("slo-recovery-pfs-share", def.MaxRecoveryPFSShare, "max share of recovery reads served by the PFS instead of replicas, 0..1 (negative: report-only)")
-		sloStalls   = fs.Float64("slo-introspect-stalls", def.MaxIntrospectStalls, "max introspection stall reports (negative: report-only)")
-	)
+	slo := metrics.DefaultSLO()
+	slo.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -463,17 +453,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "metrics written to %s (openmetrics)\n", *metricsOut)
 		}
 		if *health {
-			hl := metrics.Evaluate(final, metrics.SLO{
-				MaxCkptOverhead:      *sloCkpt,
-				MaxRecoverySeconds:   *sloRec,
-				MaxShuffleSkew:       *sloSkew,
-				MaxCopierShare:       *sloCopier,
-				MaxQuarantines:       *sloQuar,
-				MaxMissingRanks:      *sloMissing,
-				MaxRecoveryPathShare: *sloCritPath,
-				MaxRecoveryPFSShare:  *sloPFSShare,
-				MaxIntrospectStalls:  *sloStalls,
-			})
+			hl := metrics.Evaluate(final, slo)
 			hl.Render(stdout)
 			if hl.Breached() {
 				return 1

@@ -43,7 +43,7 @@ func TestLookupKnownAndUnknown(t *testing.T) {
 func TestAllFiguresRegistered(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"abl-lb", "abl-gossip", "abl-queue", "abl-combiner", "abl-lb-trace", "abl-restore",
+		"abl-lb", "abl-queue", "abl-combiner", "abl-lb-trace", "abl-restore",
 		"abl-ftmodel", "thr-des"}
 	figs := Figures()
 	if len(figs) != len(want) {

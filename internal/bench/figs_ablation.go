@@ -44,32 +44,6 @@ func ablLB(s Scale) *Table {
 	return t
 }
 
-// ablGossip — ablation of the distributed masters' status gossip cadence
-// (§3.3): overhead of gossiping after every task completion versus rarely.
-func ablGossip(s Scale) *Table {
-	t := &Table{
-		ID:      "abl-gossip",
-		Title:   "Ablation: master status-gossip cadence (failure-free wordcount)",
-		Columns: []string{"status-every", "completion(s)", "vs-every-1"},
-	}
-	procs := min(256, s.MaxProcs)
-	p := s.wcParams()
-	var base time.Duration
-	for _, every := range []int{1, 4, 16, 64} {
-		every := every
-		run := runWC(fmt.Sprintf("abl-gossip-%d", every), procs, p, core.ModelDetectResumeWC, func(sp *core.Spec) {
-			sp.StatusEvery = every
-		}, nil)
-		if every == 1 {
-			base = run.res.Elapsed()
-		}
-		t.AddRow(fmt.Sprint(every), secs(run.res.Elapsed()), ratio(run.res.Elapsed(), base))
-	}
-	t.Notes = append(t.Notes,
-		"design choice §3.3: ring gossip keeps the global task table consistent at negligible cost")
-	return t
-}
-
 // ablQueue — the §2.3/§4.1 scheduling argument, priced: a failed
 // checkpoint/restart job must be resubmitted and waits in a busy gang
 // scheduler's FIFO queue before it can recover, while detect/resume masks

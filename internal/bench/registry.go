@@ -30,13 +30,12 @@ func Figures() []Figure {
 		{"fig15", fig15, "recovery prefetching impact"},
 		{"fig16", fig16, "2-pass vs 4-pass KV→KMV conversion"},
 		{"abl-lb", ablLB, "ablation: load balancer on/off for recovered work"},
-		{"abl-gossip", ablGossip, "ablation: master status-gossip cadence"},
 		{"abl-queue", ablQueue, "ablation: gang-scheduler queue wait for CR resubmission"},
 		{"abl-combiner", ablCombiner, "ablation: local pre-reduction (compress) before the shuffle"},
 		{"abl-lb-trace", ablLBTrace, "ablation: static vs trace-driven balancing under an injected straggler"},
 		{"abl-restore", ablRestore, "ablation: peer-replica restore vs PFS-only recovery under repeated kills"},
 		{"abl-ftmodel", ablFTModel, "ablation: replication (-ft-model=replicate) vs checkpoint/restart cost crossover"},
-		{"thr-des", thrDES, "simulator throughput: DES/mailbox events per second + 10k-rank ceiling"},
+		{"thr-des", thrDES, "simulator throughput: events per second of the 10k-rank wordcount ceiling"},
 	}
 }
 

@@ -6,25 +6,34 @@ import (
 	"testing"
 )
 
-// TestThroughputGate is the event-budget half of the simulator-throughput
-// regression gate wired into `make check` (opt-in via env var, like
-// internal/obs TestOverheadGate): it holds Alltoallv to a number of scheduler
-// events per rank — a count, host-independent, with no wall-clock threshold
-// at all. The other half, the mailbox index against its O(n) reference model
-// on the thr-des incast shape, is internal/mpi's
-// TestIndexedMatchingOutpacesReferenceScan under the same variable.
+// TestThroughputGate is the simulator-throughput regression gate (`make
+// throughput-gate`, and every `go test ./...`: two W=256 runs, well under a
+// second). Both halves are counts — host-independent, no wall-clock threshold
+// at all — of the two things whose growth with W once made large runs slow.
 func TestThroughputGate(t *testing.T) {
-	if os.Getenv("FTMR_THROUGHPUT_GATE") == "" {
-		t.Skip("set FTMR_THROUGHPUT_GATE=1 to run the simulator throughput gate (make throughput-gate)")
-	}
 	// Alltoallv is a rendezvous that costs a constant number of scheduler
 	// events per rank (its start and its one completion wake), not one per
 	// message — W² of them would be back if the exchange were ever simulated
 	// message by message again.
-	const exchRanks, exchBudget = 256, 4
-	if ev := runExchangeEvents(exchRanks); ev > exchBudget*exchRanks {
+	const ranks, exchBudget = 256, 4
+	if ev := runExchangeEvents(ranks); ev > exchBudget*ranks {
 		t.Fatalf("event gate: one W=%d Alltoallv took %d scheduler events (%.1f per rank), budget %d per rank",
-			exchRanks, ev, float64(ev)/exchRanks, exchBudget)
+			ranks, ev, float64(ev)/ranks, exchBudget)
+	}
+	// internal/mpi's mailbox is an arrival list scanned from the front,
+	// because a failure-free mailbox holds only the fan-in of the binomial
+	// trees (~log2 W; measured 7 here, 10 at W=2000). A change that banks
+	// messages W-deep at one rank again makes every receive there O(W): it
+	// must bring a matcher with it, and fails here until it does.
+	const depthBudget = 32
+	c := runCeiling(ranks)
+	if !c.ok {
+		t.Fatalf("depth gate: the W=%d wordcount did not complete", ranks)
+	}
+	t.Logf("W=%d wordcount: peak mailbox depth %d (budget %d)", ranks, c.depth, depthBudget)
+	if c.depth > depthBudget {
+		t.Fatalf("depth gate: a failure-free W=%d wordcount held %d unmatched messages in one mailbox, budget %d",
+			ranks, c.depth, depthBudget)
 	}
 }
 
@@ -45,6 +54,6 @@ func TestThroughputCeiling(t *testing.T) {
 	if !c.ok {
 		t.Fatalf("ceiling wordcount at W=%d did not complete", ranks)
 	}
-	t.Logf("W=%d wordcount: %d tasks, %d events, virtual %v, wall %v — %.2f Mev/s",
-		c.ranks, c.tasks, c.events, c.vt, c.wall, c.evPerSec()/1e6)
+	t.Logf("W=%d wordcount: %d tasks, %d events, virtual %v, wall %v — %.2f Mev/s, peak mailbox depth %d",
+		c.ranks, c.tasks, c.events, c.vt, c.wall, c.evPerSec()/1e6, c.depth)
 }

@@ -305,16 +305,6 @@ type Spec struct {
 	// marker is durable).
 	KeepCheckpoints bool
 
-	// SkipCostFactor is the CPU cost of skipping one already-committed
-	// record during recovery, as a fraction of Mapper.Cost (default 0.05:
-	// "read the input data and skip the processed records, which is much
-	// cheaper than reprocessing").
-	SkipCostFactor float64
-
-	// StatusEvery is how many task completions pass between the distributed
-	// masters' status gossip rounds (default 1).
-	StatusEvery int
-
 	// ReplicaK enables the diskless in-memory replica tier (ReStore-style):
 	// every committed checkpoint frame is also pushed over MPI into the
 	// memory of ReplicaK ring-successor peers, and recovery reads fail over
@@ -340,12 +330,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if s.CkptInterval <= 0 {
 		s.CkptInterval = 100
-	}
-	if s.SkipCostFactor <= 0 {
-		s.SkipCostFactor = 0.05
-	}
-	if s.StatusEvery <= 0 {
-		s.StatusEvery = 1
 	}
 	if s.JobID == "" {
 		s.JobID = s.Name

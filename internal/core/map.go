@@ -220,7 +220,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if rec < restoredRecs {
 			// Already committed before the failure: skip cheaply (§4.1.2:
 			// "read the input data and skip the processed records").
-			skipAcc += mapper.Cost(k, v) * r.spec.SkipCostFactor
+			skipAcc += mapper.Cost(k, v) * skipCostFactor
 			r.m.RecordsSkipped++
 		} else {
 			if err := mapper.Map(ctx, k, v, em); err != nil {
@@ -291,11 +291,10 @@ func (r *runner) adopted(taskID int) bool {
 	return r.tt.owner[taskID] != r.homes[assignTask(taskID, r.nParts)]
 }
 
-// gossipStatus sends the merged done-bitmap to the ring successor (§3.3:
-// masters periodically broadcast local task status).
+// gossipStatus sends the merged done-bitmap to the ring successor after every
+// task completion (§3.3: masters periodically broadcast local task status).
 func (r *runner) gossipStatus() {
-	r.gossip++
-	if r.gossip%r.spec.StatusEvery != 0 || r.comm.Size() < 2 {
+	if r.comm.Size() < 2 {
 		return
 	}
 	r.drainStatus()

@@ -35,6 +35,11 @@ const (
 	partitionCPUPerByte = 1e-10   // hash-partitioning emitted pairs
 )
 
+// skipCostFactor is the CPU cost of skipping one already-committed record
+// during recovery, as a fraction of Mapper.Cost (§4.1.2: "read the input data
+// and skip the processed records, which is much cheaper than reprocessing").
+const skipCostFactor = 0.05
+
 // runner executes one job on one rank. It survives detect/resume
 // recoveries: its communicator handle is replaced and its phase index may
 // move backwards, but its in-memory data (map output, received partitions)
@@ -70,7 +75,6 @@ type runner struct {
 	lb           lbAgent
 	backlogBytes float64 // bytes of input work remaining (for balancing)
 
-	gossip    int
 	statusTag int
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"flag"
 	"fmt"
 	"io"
 )
@@ -158,6 +159,31 @@ func DefaultSLO() SLO {
 		MaxRecoveryPathShare: 0.9,
 		MaxRecoveryPFSShare:  -1,
 		MaxIntrospectStalls:  0,
+	}
+}
+
+// Flags registers the gate's -slo-* flags on fs, one per bound, each writing
+// its field of s and defaulting to the value the field holds now (callers
+// start from DefaultSLO). It is the one table of the gate's command-line
+// surface: ftmr-sim -health and ftmr-metrics health both call it, so a
+// snapshot is judged alike by both.
+func (s *SLO) Flags(fs *flag.FlagSet) {
+	for _, f := range []struct {
+		name  string
+		bound *float64
+		help  string
+	}{
+		{"slo-ckpt-overhead", &s.MaxCkptOverhead, "max checkpoint overhead fraction"},
+		{"slo-recovery", &s.MaxRecoverySeconds, "max worst-rank recovery seconds"},
+		{"slo-shuffle-skew", &s.MaxShuffleSkew, "max shuffle-byte skew, max/mean"},
+		{"slo-copier-share", &s.MaxCopierShare, "max copier CPU share"},
+		{"slo-quarantines", &s.MaxQuarantines, "max checkpoint quarantines"},
+		{"slo-missing-ranks", &s.MaxMissingRanks, "max missing ranks"},
+		{"slo-critpath-recovery", &s.MaxRecoveryPathShare, "max recovery share of the critical path, 0..1"},
+		{"slo-recovery-pfs-share", &s.MaxRecoveryPFSShare, "max share of recovery reads served by the PFS instead of replicas, 0..1"},
+		{"slo-introspect-stalls", &s.MaxIntrospectStalls, "max introspection stall reports"},
+	} {
+		fs.Float64Var(f.bound, f.name, *f.bound, f.help+" (negative: report-only)")
 	}
 }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,5 +166,60 @@ func TestHealthRender(t *testing.T) {
 	Evaluate(r.Snapshot(), slo).Render(&buf)
 	if !strings.Contains(buf.String(), "BREACH") || !strings.Contains(buf.String(), "gate: FAIL") {
 		t.Errorf("breached report missing BREACH/FAIL:\n%s", buf.String())
+	}
+}
+
+// TestSLOFlags pins the gate's one flag table (SLO.Flags, shared by ftmr-sim
+// -health and ftmr-metrics health): parsing nothing leaves the defaults,
+// every bound is written by exactly one flag and every flag writes exactly
+// one bound, and a command that builds its gate this way judges PFS recovery
+// reads as the default does — report-only, not the strict zero a hand-built
+// SLO literal missing the field used to mean.
+func TestSLOFlags(t *testing.T) {
+	parse := func(args ...string) SLO {
+		slo := DefaultSLO()
+		fs := flag.NewFlagSet("health", flag.ContinueOnError)
+		slo.Flags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return slo
+	}
+	def := DefaultSLO()
+	if got := parse(); got != def {
+		t.Fatalf("no flags parsed to %+v, want DefaultSLO %+v", got, def)
+	}
+
+	var names []string
+	fs := flag.NewFlagSet("health", flag.ContinueOnError)
+	new(SLO).Flags(fs)
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	fields := reflect.TypeOf(def).NumField()
+	if len(names) != fields {
+		t.Fatalf("%d flags for %d bounds: %v", len(names), fields, names)
+	}
+	written := make([]string, fields) // field index -> the flag that wrote it
+	for _, name := range names {
+		got, want := reflect.ValueOf(parse("-"+name, "12345")), reflect.ValueOf(def)
+		var hit []int
+		for i := 0; i < fields; i++ {
+			switch v := got.Field(i).Float(); {
+			case v == 12345:
+				hit = append(hit, i)
+			case v != want.Field(i).Float():
+				t.Fatalf("-%s moved %s to %v", name, got.Type().Field(i).Name, v)
+			}
+		}
+		if len(hit) != 1 || written[hit[0]] != "" {
+			t.Fatalf("-%s wrote fields %v (already written by: %q)", name, hit, written)
+		}
+		written[hit[0]] = name
+	}
+
+	r := healthRegistry()
+	r.CounterL(MRecoveryReads, "h", "source", SourcePFS).Add(72)
+	h := Evaluate(r.Snapshot(), parse("-slo-ckpt-overhead", "0.2"))
+	if in := find(t, h, "recovery_read_pfs_share"); in.Value != 1 || in.Breached || h.Breached() {
+		t.Fatalf("PFS-only recovery reads under the default bound: %+v (gate breached: %v), want share 1, report-only", in, h.Breached())
 	}
 }

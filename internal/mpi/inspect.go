@@ -17,27 +17,39 @@ func (w *World) RankProc(worldRank int) *vtime.Proc { return w.ranks[worldRank].
 
 // EachRecvWaiter calls fn for every live parked receive across every
 // communicator, with comm ranks translated to world ranks. Order is
-// deterministic: communicators by id, destinations by comm rank, waiters in
-// posting order.
+// deterministic: communicators by id, destinations by comm rank (a mailbox
+// holds at most one parked receive).
 func (w *World) EachRecvWaiter(fn func(introspect.RecvWaiter)) {
 	for _, st := range w.comms {
 		for dest, box := range st.boxes {
-			destWorld := st.group[dest]
-			box.eachLiveWaiter(func(rw *recvWait) {
-				src := AnySource
-				if rw.src != AnySource {
-					src = st.group[rw.src]
-				}
-				fn(introspect.RecvWaiter{
-					Rank:     destWorld,
-					Src:      src,
-					Tag:      rw.tag,
-					Comm:     st.id,
-					PostedVT: rw.postedVT,
-				})
+			rw := box.parked()
+			if rw == nil {
+				continue
+			}
+			fn(introspect.RecvWaiter{
+				Rank:     st.group[dest],
+				Src:      st.worldSrc(rw.src),
+				Tag:      rw.tag,
+				Comm:     st.id,
+				PostedVT: rw.postedVT,
 			})
 		}
 	}
+}
+
+// PeakMailboxDepth returns the most unmatched messages any one mailbox of
+// the world has held at once, over every communicator since Launch. It is
+// the number the mailbox's design rests on (short lists, scanned): DESIGN.md
+// "Mailbox matching semantics" records it per workload and internal/bench's
+// TestThroughputGate bounds it.
+func (w *World) PeakMailboxDepth() int {
+	peak := 0
+	for _, st := range w.comms {
+		for _, box := range st.boxes {
+			peak = max(peak, box.peak)
+		}
+	}
+	return peak
 }
 
 // EachComm calls fn for every communicator, ascending by id, with copies of

@@ -1,243 +1,156 @@
 package mpi
 
 import (
-	"fmt"
-	"math/rand"
-	"os"
-	"slices"
 	"testing"
-	"time"
 
 	"ftmrmpi/internal/vtime"
 )
 
-// TestMailboxCompactsTombstones pins the arrival-list compaction bound: a
-// long-lived message stuck at the front of an unindexed mailbox must not
-// let middle-consumed tombstones accumulate behind it (head only trims the
-// front, so without compaction every later linear scan would walk the
-// holes — the O(history) pathology the W=10000 ceiling run exposed). Two
-// live messages at most: the box stays far below the index threshold.
-func TestMailboxCompactsTombstones(t *testing.T) {
-	box := &mailbox{}
-	// A front message nobody receives for the whole test.
-	box.pushMsg(&Message{Src: 0, Tag: 99})
-	for i := 0; i < 10000; i++ {
-		box.pushMsg(&Message{Src: 1, Tag: i})
-		if m := box.matchBuffered(1, i); m == nil || m.Tag != i {
-			t.Fatalf("lost message tag %d", i)
-		}
-		if spread := len(box.msgs) - box.head; spread > 256 {
-			t.Fatalf("after %d middle consumes: %d list entries for %d live messages",
-				i+1, spread, box.msgLive)
-		}
-	}
-	if box.msgLive != 1 {
-		t.Fatalf("live count = %d, want the stuck front message only", box.msgLive)
-	}
-	if m := box.matchBuffered(0, 99); m == nil {
-		t.Fatal("stuck front message was lost by compaction")
-	}
+// A step is one thing that happens to a mailbox. Deliveries are numbered from
+// 0 in the order a case makes them; that ordinal is how a receive names the
+// message it must take and how a case names what is left buffered.
+type step struct {
+	op       byte // 'd' deliver, 'r' receive, 'w' withdraw the parked receive, 'k' the owner dies
+	src, tag int
+	// want is, for a receive, the delivery it must take — or parks: nothing
+	// buffered is acceptable and the receive is posted; for a delivery, handed
+	// (it completes the parked receive) or buffered.
+	want int
 }
 
-// TestWaiterListCompactsTombstones is the waiter-side analogue: one parked
-// receive that never matches must not anchor an ever-growing list of
-// satisfied waiters behind it.
-func TestWaiterListCompactsTombstones(t *testing.T) {
-	// expired() consults the waiter's process, so give every waiter a live
-	// (never-run) one.
-	p := vtime.NewSim().Spawn("waiter", func(*vtime.Proc) {})
+const (
+	parks    = -1
+	buffered = -2
+	handed   = -3
+)
 
-	box := &mailbox{}
-	stuck := &recvWait{p: p, src: 0, tag: 99}
-	box.addWaiter(stuck)
-	for i := 0; i < 10000; i++ {
-		box.addWaiter(&recvWait{p: p, src: 1, tag: i})
-		if rw := box.takeWaiter(&Message{Src: 1, Tag: i}); rw == nil || rw.tag != i {
-			t.Fatalf("lost waiter for tag %d", i)
-		}
-		if spread := len(box.waiters) - box.whead; spread > 256 {
-			t.Fatalf("after %d middle retires: %d list entries for %d live waiters",
-				i+1, spread, box.waitLive)
-		}
+func deliver(src, tag, want int) step { return step{'d', src, tag, want} }
+func receive(src, tag, want int) step { return step{'r', src, tag, want} }
+
+// churn is a receive-as-you-go stream: n deliveries from src, each consumed
+// before the next. Ordinals start at first.
+func churn(src, n, first int) []step {
+	var out []step
+	for i := 0; i < n; i++ {
+		out = append(out, deliver(src, i, buffered), receive(src, i, first+i))
 	}
-	if box.waitLive != 1 {
-		t.Fatalf("live count = %d, want the stuck waiter only", box.waitLive)
-	}
-	if rw := box.takeWaiter(&Message{Src: 0, Tag: 99}); rw != stuck {
-		t.Fatal("stuck waiter was lost by compaction")
-	}
+	return out
 }
 
-// refBox is the reference model of the matching relation: one arrival-order
-// list of buffered messages, one posting-order list of parked receives, and
-// every query an O(n) scan from the front — the matcher as it was before the
-// index. It shares its Message and recvWait values with the mailbox under
-// test (it reads expired(), never writes), so "the same choice" is pointer
-// equality.
-type refBox struct {
-	msgs    []*Message
-	waiters []*recvWait
-}
-
-func refAccepts(src, tag int, m *Message) bool {
-	return (src == AnySource || src == m.Src) && tagMatch(tag, m.Tag)
-}
-
-// match removes and returns the first buffered message, in arrival order,
-// that a receive posted for (src, tag) accepts.
-func (b *refBox) match(src, tag int) *Message {
-	for i, m := range b.msgs {
-		if refAccepts(src, tag, m) {
-			b.msgs = slices.Delete(b.msgs, i, i+1)
-			return m
-		}
+// TestMailboxMatching is the matching relation, on a bare mailbox driven
+// through commState.deliver and the three calls recv makes (matchBuffered,
+// post, retire): a receive takes the first acceptable message in arrival
+// order; a delivery completes the parked receive exactly when that accepts
+// it; a receive that was withdrawn, or whose owner died, takes nothing.
+func TestMailboxMatching(t *testing.T) {
+	internal := internalTag(7, 2)
+	cases := []struct {
+		name   string
+		steps  []step
+		left   []int // deliveries still buffered at the end, oldest first
+		parked bool  // a live receive is still parked at the end
+		peak   int   // the mailbox's high-water mark
+		panics bool  // the last step must panic
+	}{
+		{name: "arrival-order",
+			steps: []step{deliver(1, 5, buffered), deliver(1, 5, buffered), deliver(2, 5, buffered),
+				receive(1, 5, 0), receive(AnySource, 5, 1), receive(AnySource, AnyTag, 2)},
+			peak: 3},
+		{name: "first-acceptable-not-first-arrived",
+			steps: []step{deliver(1, 5, buffered), deliver(2, 5, buffered), deliver(2, 6, buffered), deliver(1, 6, buffered),
+				receive(2, AnyTag, 1), receive(AnySource, 6, 2), receive(1, 6, 3), receive(2, 6, parks)},
+			left: []int{0}, parked: true, peak: 4},
+		{name: "anytag-skips-internal-tags",
+			steps: []step{deliver(1, internal, buffered), deliver(1, 3, buffered),
+				receive(1, AnyTag, 1), receive(AnySource, AnyTag, parks), {op: 'w'}, receive(1, internal, 0)},
+			peak: 2},
+		{name: "unaccepted-delivery-is-buffered",
+			steps: []step{receive(1, 5, parks),
+				deliver(2, 5, buffered), deliver(1, 6, buffered), deliver(1, internal, buffered), deliver(1, 5, handed)},
+			left: []int{0, 1, 2}, peak: 3},
+		{name: "parked-anytag-skips-internal-tags",
+			steps: []step{receive(AnySource, AnyTag, parks), deliver(3, internal, buffered), deliver(3, 0, handed)},
+			left:  []int{0}, peak: 1},
+		{name: "withdrawn-receive-takes-nothing",
+			steps: []step{receive(1, 5, parks), {op: 'w'}, deliver(1, 5, buffered)},
+			left:  []int{0}, peak: 1},
+		{name: "dead-owner-takes-nothing",
+			steps: []step{receive(1, 5, parks), {op: 'k'}, deliver(1, 5, buffered)},
+			left:  []int{0}, peak: 1},
+		{name: "completed-receive-frees-the-slot",
+			steps: []step{receive(1, 5, parks), deliver(1, 5, handed), receive(1, 6, parks), deliver(1, 6, handed)}},
+		{name: "no-history-behind-a-stuck-front",
+			steps: append([]step{deliver(0, 99, buffered)}, churn(1, 10000, 1)...),
+			left:  []int{0}, peak: 2},
+		{name: "second-parked-receive-panics",
+			steps:  []step{receive(1, 5, parks), receive(1, 6, parks)},
+			panics: true},
 	}
-	return nil
-}
-
-// take removes and returns the earliest-posted live waiter that accepts msg.
-func (b *refBox) take(msg *Message) *recvWait {
-	for i, rw := range b.waiters {
-		if !rw.expired() && refAccepts(rw.src, rw.tag, msg) {
-			b.waiters = slices.Delete(b.waiters, i, i+1)
-			return rw
-		}
-	}
-	return nil
-}
-
-// unwait withdraws a still-pending waiter.
-func (b *refBox) unwait(rw *recvWait) {
-	if i := slices.Index(b.waiters, rw); i >= 0 {
-		b.waiters = slices.Delete(b.waiters, i, i+1)
-	}
-}
-
-// The production mailbox — linear while shallow, indexed once deep — against
-// the reference model, over seeded random runs of the six things that happen
-// to a mailbox: a delivery takes a parked waiter or is pushed; a receive
-// matches a buffered message or is posted; a pending waiter is withdrawn
-// (abort unwinding); a waiter's process dies. Sources and tags are drawn from
-// small sets, wildcards and internal (negative) tags included, and the mix
-// swings to receive-heavy when messages pile up and back to delivery-heavy
-// when waiters do, so both sides climb past their index thresholds and drain
-// again. The same message or waiter must be chosen at every step.
-func TestMailboxMatchesReferenceModel(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			// Waiters park on processes that can die: a pool of procs parked
-			// forever, killed one at a time by the expire step.
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			sim := vtime.NewSim()
-			live := make([]*vtime.Proc, 64)
-			for i := range live {
-				live[i] = sim.Spawn(fmt.Sprint("p", i), func(p *vtime.Proc) { p.Park() })
-			}
+			owner := sim.Spawn("owner", func(p *vtime.Proc) { p.Park() })
 			sim.Run()
-
-			box, ref := &mailbox{}, &refBox{}
-			draw := func(wild int, vals ...int) int {
-				if rng.Intn(100) < 15 {
-					return wild
+			box := &mailbox{}
+			st := &commState{w: &World{Sim: sim}, boxes: []*mailbox{box}}
+			var sent []*Message
+			var rw *recvWait
+			for i, s := range tc.steps {
+				if tc.panics && i == len(tc.steps)-1 {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("step %d did not panic", i)
+						}
+					}()
 				}
-				return vals[rng.Intn(len(vals))]
-			}
-			srcs, tags := []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, internalTag(7, 2)}
-			deliverPct := 85
-			var maxMsgs, maxWaiters int
-			for step := 0; step < 6000; step++ {
-				switch {
-				case box.msgLive > 2*msgIndexThreshold:
-					deliverPct = 15
-				case box.waitLive > 2*waiterIndexThreshold:
-					deliverPct = 85
-				}
-				switch op := rng.Intn(100); {
-				case op < 4 && len(ref.waiters) > 0: // unwait
-					rw := ref.waiters[rng.Intn(len(ref.waiters))]
-					ref.unwait(rw)
-					box.unwait(rw)
-				case op == 4 && len(live) > 16: // expire: every waiter parked on the process
-					i := rng.Intn(len(live))
-					sim.Kill(live[i])
+				switch s.op {
+				case 'd':
+					m := &Message{Src: s.src, Tag: s.tag}
+					sent = append(sent, m)
+					waiting := rw
+					st.deliver(0, m)
+					if got := waiting != nil && waiting.msg == m; got != (s.want == handed) {
+						t.Fatalf("step %d: delivery (src %d, tag %d) handed to the parked receive = %v", i, s.src, s.tag, got)
+					}
+					if s.want == handed {
+						if !rw.done || box.wait != nil {
+							t.Fatalf("step %d: the satisfied receive is still in its mailbox", i)
+						}
+						rw = nil
+					}
+				case 'r':
+					m := box.matchBuffered(s.src, s.tag)
+					if s.want == parks {
+						if m != nil {
+							t.Fatalf("step %d: receive (src %d, tag %d) took %+v, want nothing acceptable", i, s.src, s.tag, m)
+						}
+						rw = &recvWait{p: owner, src: s.src, tag: s.tag}
+						box.post(rw)
+					} else if m != sent[s.want] {
+						t.Fatalf("step %d: receive (src %d, tag %d) took %+v, want delivery %d", i, s.src, s.tag, m, s.want)
+					}
+				case 'w':
+					box.retire(rw)
+					rw = nil
+				case 'k':
+					sim.Kill(owner)
 					sim.Run()
-					live = slices.Delete(live, i, i+1)
-				case op < 5+deliverPct*95/100: // deliver
-					msg := &Message{Src: srcs[rng.Intn(len(srcs))], Tag: tags[rng.Intn(len(tags))]}
-					want, got := ref.take(msg), box.takeWaiter(msg)
-					if got != want {
-						t.Fatalf("step %d: delivery of (src %d, tag %d) took waiter %+v, reference %+v", step, msg.Src, msg.Tag, got, want)
-					}
-					if want == nil {
-						ref.msgs = append(ref.msgs, msg)
-						box.pushMsg(msg)
-					}
-				default: // receive
-					src, tag := draw(AnySource, srcs...), draw(AnyTag, tags...)
-					want, got := ref.match(src, tag), box.matchBuffered(src, tag)
-					if got != want {
-						t.Fatalf("step %d: receive (src %d, tag %d) matched %+v, reference %+v", step, src, tag, got, want)
-					}
-					if want == nil {
-						rw := &recvWait{p: live[rng.Intn(len(live))], src: src, tag: tag}
-						ref.waiters = append(ref.waiters, rw)
-						box.addWaiter(rw)
-					}
 				}
-				if box.msgLive != len(ref.msgs) || box.waitLive != len(ref.waiters) {
-					t.Fatalf("step %d: %d messages and %d waiters live, reference %d and %d",
-						step, box.msgLive, box.waitLive, len(ref.msgs), len(ref.waiters))
-				}
-				maxMsgs, maxWaiters = max(maxMsgs, box.msgLive), max(maxWaiters, box.waitLive)
 			}
-			if box.byKey == nil || box.wByKey == nil {
-				t.Fatalf("the run never crossed both index thresholds (peak %d messages, %d waiters): it compared the linear scans with themselves",
-					maxMsgs, maxWaiters)
+			if len(box.msgs) != len(tc.left) {
+				t.Fatalf("%d messages left buffered, want %d", len(box.msgs), len(tc.left))
+			}
+			for i, m := range box.msgs {
+				if m != sent[tc.left[i]] {
+					t.Fatalf("buffered[%d] = %+v, want delivery %d", i, m, tc.left[i])
+				}
+			}
+			if got := box.parked() != nil; got != tc.parked {
+				t.Fatalf("a live receive is parked = %v, want %v", got, tc.parked)
+			}
+			if box.peak != tc.peak {
+				t.Fatalf("peak depth %d, want %d", box.peak, tc.peak)
 			}
 		})
-	}
-}
-
-// TestIndexedMatchingOutpacesReferenceScan is the mailbox half of the
-// simulator-throughput gate (`make throughput-gate`; the event budget half is
-// internal/bench's TestThroughputGate; opt-in through the same variable
-// because it times the host). One hub's share of the thr-des incast — ~16 000
-// banked messages received by exact (src, tag) in reverse arrival order, the
-// worst case for a scan — must drain at least 1.4x faster from the production
-// mailbox than from the reference model. Host-independent: it compares two
-// structures on one host, and a mailbox index that has stopped answering from
-// its buckets loses the ratio whatever the machine.
-func TestIndexedMatchingOutpacesReferenceScan(t *testing.T) {
-	if os.Getenv("FTMR_THROUGHPUT_GATE") == "" {
-		t.Skip("set FTMR_THROUGHPUT_GATE=1 to run the simulator throughput gate (make throughput-gate)")
-	}
-	const senders, reps = 499, 32
-	drain := func(push func(*Message), match func(src, tag int) *Message) time.Duration {
-		start := time.Now()
-		for src := 0; src < senders; src++ {
-			for tag := 0; tag < reps; tag++ {
-				push(&Message{Src: src, Tag: tag})
-			}
-		}
-		for src := senders - 1; src >= 0; src-- {
-			for tag := reps - 1; tag >= 0; tag-- {
-				if m := match(src, tag); m == nil || m.Src != src || m.Tag != tag {
-					t.Fatalf("receive (src %d, tag %d) matched %+v", src, tag, m)
-				}
-			}
-		}
-		return time.Since(start)
-	}
-	var idx, lin time.Duration
-	for round := 0; round < 2; round++ { // the first round warms both
-		box, ref := &mailbox{}, &refBox{}
-		idx = drain(box.pushMsg, box.matchBuffered)
-		lin = drain(func(m *Message) { ref.msgs = append(ref.msgs, m) }, ref.match)
-	}
-	ratio := lin.Seconds() / idx.Seconds()
-	t.Logf("reference scan %v, production mailbox %v: %.1fx", lin, idx, ratio)
-	const minRatio = 1.4
-	if ratio < minRatio {
-		t.Fatalf("throughput gate: the mailbox drains the incast only %.2fx faster than the O(n) reference (want >= %.2fx); the index regressed", ratio, minRatio)
 	}
 }

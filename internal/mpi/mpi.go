@@ -82,9 +82,6 @@ type Message struct {
 	// sends alias the sender's buffer.
 	Data []byte
 	id   uint64
-	// taken tombstones a consumed message still referenced by mailbox
-	// index buckets.
-	taken bool
 }
 
 // ID returns the world-unique message id (flow id) stamped at the send
@@ -308,14 +305,9 @@ func (st *commState) onFailure(worldRank int) {
 	}
 	st.deadCount++
 	for _, box := range st.boxes {
-		box.eachWaiter(func(rw *recvWait) bool {
-			if rw.src == cr || rw.src == AnySource {
-				rw.err = &ProcFailedError{Ranks: []int{worldRank}}
-				st.w.Sim.Wake(rw.p)
-				return true
-			}
-			return false
-		})
+		if rw := box.parked(); rw != nil && (rw.src == cr || rw.src == AnySource) {
+			st.complete(box, rw, nil, &ProcFailedError{Ranks: []int{worldRank}})
+		}
 	}
 	if st.shrink != nil {
 		st.shrink.onFailure(st, worldRank)
@@ -324,6 +316,15 @@ func (st *commState) onFailure(worldRank int) {
 		st.agree.onFailure(st)
 	}
 	st.failExch(&ProcFailedError{Ranks: []int{worldRank}})
+}
+
+// worldSrc translates a receive's source for the observation planes: a comm
+// rank to its world rank, AnySource to itself.
+func (st *commState) worldSrc(src int) int {
+	if src == AnySource {
+		return AnySource
+	}
+	return st.group[src]
 }
 
 // commRankOf maps a world rank to its position in the group, or -1.
@@ -430,35 +431,10 @@ func (c *Comm) SendTracked(dest, tag int, data []byte) (uint64, error) {
 	return id, c.raise(err)
 }
 
+// send is Send without the error handler: a fresh flow id, bracketed by
+// send.begin/send.end in the trace. The tree collectives call it directly.
 func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
-	st := c.st
-	if st.revoked {
-		return 0, ErrRevoked
-	}
-	dworld := st.group[dest]
-	if !st.w.ranks[dworld].alive {
-		return 0, &ProcFailedError{Ranks: []int{dworld}}
-	}
-	st.w.msgID++
-	id := st.w.msgID
-	c.r.obs.MPI.Sent(len(data))
-	if rec := c.r.obs.Rec; rec != nil {
-		rec.SendBegin(dworld, tag, len(data))
-		defer rec.SendEnd(dworld, tag, len(data), id)
-	}
-	c.r.proc.Sleep(c.transferCost(len(data)))
-	if st.w.aborted {
-		return 0, ErrAborted
-	}
-	if st.revoked {
-		return 0, ErrRevoked
-	}
-	// Deliver (drop silently if the receiver died during the transfer —
-	// eager sends complete locally).
-	if st.w.ranks[dworld].alive {
-		st.deliver(dest, &Message{Src: c.rank, Tag: tag, Data: data, id: id})
-	}
-	return id, nil
+	return c.transmit(dest, tag, data, 0, false)
 }
 
 // SendMirror transmits a byte-identical copy of an already-sent message to
@@ -471,45 +447,68 @@ func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
 // send.end) so flow validation knows the duplicate recv is expected.
 // Errors are raised through the error handler exactly like Send.
 func (c *Comm) SendMirror(dest, tag int, data []byte, flow uint64) error {
-	return c.raise(c.sendMirror(dest, tag, data, flow))
+	_, err := c.transmit(dest, tag, data, flow, true)
+	return c.raise(err)
 }
 
-func (c *Comm) sendMirror(dest, tag int, data []byte, flow uint64) error {
+// transmit is the one body of every point-to-point send. A mirror reuses
+// flow and is traced as one shadow.mirror event; anything else allocates the
+// next world-unique id and is traced as send.begin/send.end. It returns the
+// id the message travelled under, 0 with an error.
+func (c *Comm) transmit(dest, tag int, data []byte, flow uint64, mirror bool) (uint64, error) {
 	st := c.st
 	if st.revoked {
-		return ErrRevoked
+		return 0, ErrRevoked
 	}
 	dworld := st.group[dest]
 	if !st.w.ranks[dworld].alive {
-		return &ProcFailedError{Ranks: []int{dworld}}
+		return 0, &ProcFailedError{Ranks: []int{dworld}}
+	}
+	if !mirror {
+		st.w.msgID++
+		flow = st.w.msgID
 	}
 	c.r.obs.MPI.Sent(len(data))
 	if rec := c.r.obs.Rec; rec != nil {
-		defer rec.ShadowMirror(dworld, tag, len(data), flow)
+		if mirror {
+			defer rec.ShadowMirror(dworld, tag, len(data), flow)
+		} else {
+			rec.SendBegin(dworld, tag, len(data))
+			defer rec.SendEnd(dworld, tag, len(data), flow)
+		}
 	}
 	c.r.proc.Sleep(c.transferCost(len(data)))
 	if st.w.aborted {
-		return ErrAborted
+		return 0, ErrAborted
 	}
 	if st.revoked {
-		return ErrRevoked
+		return 0, ErrRevoked
 	}
+	// Deliver (drop silently if the receiver died during the transfer —
+	// eager sends complete locally).
 	if st.w.ranks[dworld].alive {
 		st.deliver(dest, &Message{Src: c.rank, Tag: tag, Data: data, id: flow})
 	}
-	return nil
+	return flow, nil
 }
 
-// deliver places msg in dest's mailbox, handing it to the earliest-posted
-// matching waiter if one is parked.
+// deliver places msg in dest's mailbox, handing it to dest's parked receive
+// if that accepts it.
 func (st *commState) deliver(dest int, msg *Message) {
 	box := st.boxes[dest]
-	if rw := box.takeWaiter(msg); rw != nil {
-		rw.msg = msg
-		st.w.Sim.Wake(rw.p)
+	if rw := box.parked(); rw != nil && accepts(rw.src, rw.tag, msg) {
+		st.complete(box, rw, msg, nil)
 		return
 	}
 	box.pushMsg(msg)
+}
+
+// complete finishes box's parked receive rw with a message (delivery) or an
+// error (failure notification, revocation) and wakes its process.
+func (st *commState) complete(box *mailbox, rw *recvWait, msg *Message, err error) {
+	rw.msg, rw.err = msg, err
+	box.retire(rw)
+	st.w.Sim.Wake(rw.p)
 }
 
 // Recv blocks until a message matching (src, tag) arrives. src may be
@@ -527,32 +526,25 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 	if st.revoked {
 		return nil, ErrRevoked
 	}
-	rec := c.r.obs.Rec
-	srcWorld := AnySource
-	if rec != nil && src != AnySource {
-		srcWorld = st.group[src]
-	}
 	box := st.boxes[c.rank]
 	if m := box.matchBuffered(src, tag); m != nil {
-		c.r.obs.MPI.Received(len(m.Data))
-		if rec != nil {
-			rec.RecvBegin(srcWorld, tag)
-			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
-		}
+		c.tookBuffered(src, tag, m)
 		return m, nil
 	}
 	if err := c.failedSourceErr(src); err != nil {
 		return nil, err
 	}
+	rec := c.r.obs.Rec
+	srcWorld := st.worldSrc(src)
 	if rec != nil {
 		rec.RecvBegin(srcWorld, tag)
 	}
 	rw := &recvWait{p: c.r.proc, src: src, tag: tag}
-	box.addWaiter(rw)
+	box.post(rw)
 	for !rw.done {
 		c.r.proc.Park()
 		if st.w.aborted && !rw.done {
-			box.unwait(rw)
+			box.retire(rw)
 			rec.RecvEnd(srcWorld, tag, 0, 0)
 			return nil, ErrAborted
 		}
@@ -571,23 +563,26 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 // TryRecv is a non-blocking receive (MPI_Iprobe + MPI_Recv). ok=false when
 // no matching message is buffered.
 func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
-	st := c.st
-	if st.revoked {
+	if c.st.revoked {
 		return nil, false, c.raise(ErrRevoked)
 	}
-	if m := st.boxes[c.rank].matchBuffered(src, tag); m != nil {
-		c.r.obs.MPI.Received(len(m.Data))
-		if rec := c.r.obs.Rec; rec != nil {
-			srcWorld := AnySource
-			if src != AnySource {
-				srcWorld = st.group[src]
-			}
-			rec.RecvBegin(srcWorld, tag)
-			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
-		}
-		return m, true, nil
+	m := c.st.boxes[c.rank].matchBuffered(src, tag)
+	if m == nil {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	c.tookBuffered(src, tag, m)
+	return m, true, nil
+}
+
+// tookBuffered accounts a receive that a buffered message satisfied on the
+// spot: the byte counter, and recv.begin/recv.end at one instant.
+func (c *Comm) tookBuffered(src, tag int, m *Message) {
+	c.r.obs.MPI.Received(len(m.Data))
+	if rec := c.r.obs.Rec; rec != nil {
+		srcWorld := c.st.worldSrc(src)
+		rec.RecvBegin(srcWorld, tag)
+		rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
+	}
 }
 
 // failedSourceErr returns the error a receive posted now must raise, if any.

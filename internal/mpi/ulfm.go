@@ -42,11 +42,9 @@ func (c *Comm) Revoke() error {
 		c.r.proc.Sleep(st.w.Clus.Cfg.NICLatency)
 	}
 	for _, box := range st.boxes {
-		box.eachWaiter(func(rw *recvWait) bool {
-			rw.err = ErrRevoked
-			st.w.Sim.Wake(rw.p)
-			return true
-		})
+		if rw := box.parked(); rw != nil {
+			st.complete(box, rw, nil, ErrRevoked)
+		}
 	}
 	st.failExch(ErrRevoked)
 	return nil
