@@ -5,10 +5,11 @@ GO ?= go
 # detector over the internals, the whole test suite, the nested benchmark
 # module (vet and its smoke tests: it imports internal/... from outside, so an
 # API deletion breaks it unseen otherwise), a short fuzz of the checkpoint and
-# bundle codecs, the JSONL reader and the OpenMetrics parser, the one
-# instrumentation-overhead gate that keeps every disabled observation plane at
-# one-branch cost, the data-path and tracer allocation gate, the simulator
-# throughput gate, and the CLI self-test over the committed fixtures.
+# bundle codecs, the JSONL reader, the OpenMetrics parser and the extent store
+# against its flat model, the one instrumentation-overhead gate that keeps
+# every disabled observation plane at one-branch cost, the data-path and
+# tracer allocation gate, the simulator throughput gate, and the CLI self-test
+# over the committed fixtures.
 .PHONY: check fmt vet build build-cmds test race benchmark-module fuzz-smoke bench-overhead alloc-gate throughput-gate bench-throughput selftest bench
 
 check: fmt vet build build-cmds race test benchmark-module fuzz-smoke bench-overhead alloc-gate throughput-gate selftest
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/introspect -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 5s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFSModel$$' -fuzztime 5s
 
 # Runs the raw benchmark pair for eyeballing, then the hard gate: the test
 # fails if any instrumentation point allocates with the trace, metrics and
@@ -62,12 +64,13 @@ bench-overhead:
 # copier's drain of a growing stream allocates a small multiple of the stream,
 # not of stream x drains; what a rank allocates to encode and merge its
 # shuffle bundles depends on the partitions that hold data, not on the rank
-# count; and a trace ring allocates for the events recorded, not for its
-# capacity. Host-independent: every bound counts allocations or allocated
-# bytes.
+# count; a trace ring allocates for the events recorded, not for its
+# capacity; a file built from appends is copied once, not regrown; and a map
+# task allocates per commit, never per record or per word. Host-independent:
+# every bound counts allocations or allocated bytes.
 alloc-gate:
-	$(GO) test ./internal/kvbuf ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/core ./internal/trace -run '^(TestConvertTwoPassAllocsPerKey|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestTraceRingPaysPerEvent)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace -run '^(TestConvertTwoPassAllocsPerKey|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent)$$' -v
 
 # Simulator-throughput regression gate (part of `make check`, and of every
 # `go test ./...`): two counts over W=256 runs, host-independent. One

@@ -41,7 +41,7 @@ func TestCopierDrainsLocalToPFS(t *testing.T) {
 		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		for i := 0; i < 5; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), 10, []byte("payload"))
-			w.write(p, "map/t000001", fr, 1)
+			w.write(p, "map/t000001", fr)
 		}
 		w.phaseSync(p)
 		cp.stop()
@@ -78,7 +78,7 @@ func TestCopierLossOnKill(t *testing.T) {
 		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		for i := 0; i < 100; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), uint32(i), make([]byte, 4096))
-			w.write(p, "map/t000002", fr, 1)
+			w.write(p, "map/t000002", fr)
 			p.Sleep(time.Microsecond)
 		}
 		w.phaseSync(p)
@@ -105,7 +105,7 @@ func TestCkptWriterDirectPFS(t *testing.T) {
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
 		w := &ckptWriter{enabled: true, jobID: "job", loc: LocDirectPFS, pfs: clus.PFS, m: m, obs: &obs.Handle{}}
 		fr := encodeFrame(nil, frameShuffle, 3, 0, []byte("data"))
-		w.write(p, partStream(3), fr, 1)
+		w.write(p, partStream(3), fr)
 	})
 	clus.Sim.Run()
 	if !clus.PFS.Exists(ckptPath("job", partStream(3))) {
@@ -147,7 +147,7 @@ func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 	m := newRankMetrics(0)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
 		w := &ckptWriter{enabled: false, jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}}
-		w.write(p, "map/t000009", []byte("frame"), 1)
+		w.write(p, "map/t000009", []byte("frame"))
 	})
 	clus.Sim.Run()
 	if clus.PFS.Exists(ckptPath("job", "map/t000009")) {
@@ -180,7 +180,7 @@ func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (
 				payload[j] = byte(i + j)
 			}
 			fr = encodeFrame(fr[:0], frameMapDelta, 7, uint32(i), payload)
-			w.write(p, "map/t000007", fr, 1)
+			w.write(p, "map/t000007", fr)
 			if (i+1)%(nFrames/syncs) != 0 {
 				continue
 			}
@@ -190,7 +190,7 @@ func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (
 				p.Sleep(10 * time.Millisecond) // let the copier go idle, so the next drain is the refused one
 				clus.PFS.Faults = storage.NewInjector(storage.FaultPolicy{OutageBegin: p.Now(), OutageEnd: p.Now() + time.Second})
 				fr = encodeFrame(fr[:0], frameTaskDone, 7, uint32(i), nil)
-				w.write(p, "map/t000007", fr, 1)
+				w.write(p, "map/t000007", fr)
 			}
 			before := clus.PFS.Size(path)
 			w.phaseSync(p)
@@ -219,10 +219,11 @@ func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (
 // whole by the next — the PFS copy ends byte-identical to the local stream,
 // and (the `make alloc-gate` half) the host memory allocated to get a 1 MiB
 // stream there in 256 commits is a small multiple of the stream, not of the
-// stream times the number of drains. The multiple is not 1: FS.Append grows
-// each of the two copies geometrically (~5x its final size in reallocations),
-// on top of one copy of every delta. Re-reading the whole stream per drain,
-// as the copier did before PeekFrom, costs ~128x.
+// stream times the number of drains. The multiple is not 1 (5.2x measured):
+// the stream is stored twice, every delta is copied on its way from one store
+// to the other, and this test encodes each frame afresh and reads both copies
+// back. Re-reading the whole stream per drain, as the copier did before
+// PeekFrom, costs ~128x.
 func TestCopierDrainsOnlyTheSuffix(t *testing.T) {
 	local, pfs, advanced := commitAndDrain(t, 40, 100, 8, true)
 	if len(local) == 0 || !bytes.Equal(local, pfs) {
@@ -345,4 +346,61 @@ func TestRestoreChainOrder(t *testing.T) {
 		}
 	})
 	clus.Sim.Run()
+}
+
+// TestFrameScratchIsNotRetained holds commit's contract: every frame is
+// encoded into one scratch buffer per rank, so nothing the frame is handed to
+// may keep those bytes. Three commits to one stream — the second shorter than
+// the first (it rewrites the head of the scratch), the third longer (it
+// regrows it) — must leave the three frames, each as it was committed, in
+// every place a frame lives: the local file, the PFS file the copier drains
+// it to, the rank's own replica mirror and the copy pushed to its partner.
+func TestFrameScratchIsNotRetained(t *testing.T) {
+	clus := ckptCluster()
+	spec := wcSpec("scratch", 2, ModelDetectResumeWC).withDefaults()
+	spec.ReplicaK = 1
+	const stream = "map/t000000"
+	payloads := [][]byte{
+		bytes.Repeat([]byte("first frame "), 40),
+		bytes.Repeat([]byte("2nd"), 7),
+		bytes.Repeat([]byte("the third one"), 300),
+	}
+	var want []byte
+	for i, p := range payloads {
+		want = encodeFrame(want, frameMapDelta, 0, uint32(i), p)
+	}
+	var mirror, pushed []byte
+	Launch(clus, 2, func(app *App) {
+		r := newRunner(&jobCtx{clus: clus, spec: spec, res: app.h.resultSlot(0, spec), h: app.h}, app.comm)
+		if app.comm.Rank() == 0 {
+			for i, p := range payloads {
+				r.ck.commit(r.p, stream, frameMapDelta, 0, uint32(i), p)
+			}
+			r.ck.phaseSync(r.p)
+			mirror, _ = r.rep.store.lookup(stream)
+		}
+		if err := app.comm.Barrier(); err != nil {
+			t.Errorf("barrier: %v", err)
+		}
+		if app.comm.Rank() == 1 {
+			r.rep.drain()
+			pushed, _ = r.rep.store.lookup(stream)
+		}
+		r.cp.stop()
+	})
+	clus.Sim.Run()
+	path := ckptPath(spec.JobID, stream)
+	for _, held := range []struct {
+		where string
+		data  []byte
+	}{
+		{"local file", mustPeek(clus.LocalOf(0), path)},
+		{"PFS file", mustPeek(clus.PFS, path)},
+		{"own replica mirror", mirror},
+		{"partner's replica", pushed},
+	} {
+		if !bytes.Equal(held.data, want) {
+			t.Errorf("%s holds %d bytes that are not the three frames as committed (%d bytes)", held.where, len(held.data), len(want))
+		}
+	}
 }

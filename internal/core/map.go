@@ -41,9 +41,33 @@ func (r *runner) ownMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		return err
 	}
 	r.tt.setDone(id, true)
-	r.backlogBytes -= float64(r.tt.tasks[id].Chunk.Size)
+	size := float64(r.tt.tasks[id].Chunk.Size)
+	r.backlogBytes -= size
+	r.mappedBytes += size
+	r.reserveMapOut()
 	r.gossipStatus()
 	return nil
+}
+
+// reserveMapOut grows every partition buffer by the room the rank's remaining
+// input is projected to fill — what the partition holds, times the input still
+// to map over the input mapped — so a partition that ends at 131 KB is
+// reallocated once or twice on the way, not at each of ~25 steps of Go's
+// 1.25x growth. A projection under one page is left to that growth: at 640
+// ranks a partition holds a few pairs, and nothing is to be gained.
+func (r *runner) reserveMapOut() {
+	if r.backlogBytes <= 0 || r.mappedBytes <= 0 {
+		return
+	}
+	scale := r.backlogBytes / r.mappedBytes
+	for _, kv := range r.mapOut {
+		if kv == nil {
+			continue
+		}
+		if room := int(float64(kv.Size()) * scale); room >= 4096 {
+			kv.Grow(room)
+		}
+	}
 }
 
 // openChunk reads a task's input chunk and opens the user's reader on it
@@ -253,8 +277,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if em.delta != nil && rec > restoredRecs {
 			committed := rec / uint32(interval) * uint32(interval)
 			if committed > lastCommit && em.delta.Len() > 0 {
-				fr := encodeFrame(nil, frameMapDelta, uint32(id), rec, em.delta.Bytes())
-				r.ck.write(r.p, stream, fr, 1)
+				r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta.Bytes())
 				em.delta.Reset()
 				lastCommit = committed
 			}
@@ -272,12 +295,10 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			payload = em.task.Bytes()
 		} else if em.delta != nil && em.delta.Len() > 0 {
 			// Commit the trailing records too.
-			fr := encodeFrame(nil, frameMapDelta, uint32(id), rec, em.delta.Bytes())
-			r.ck.write(r.p, stream, fr, 1)
+			r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta.Bytes())
 			em.delta.Reset()
 		}
-		fr := encodeFrame(nil, frameTaskDone, uint32(id), rec, payload)
-		r.ck.write(r.p, stream, fr, 1)
+		r.ck.commit(r.p, stream, frameTaskDone, uint32(id), rec, payload)
 	}
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
 	r.obs.TaskCommit("map", id, int64(rec))

@@ -156,8 +156,7 @@ func (r *runner) commitOutput(part int, g uint32, out []byte) error {
 	if r.ck.enabled {
 		var lenBuf [8]byte
 		binary.LittleEndian.PutUint64(lenBuf[:], r.outLen[part])
-		fr := encodeFrame(nil, frameReduce, uint32(part), g, lenBuf[:])
-		r.ck.write(r.p, partStream(part), fr, 1)
+		r.ck.commit(r.p, partStream(part), frameReduce, uint32(part), g, lenBuf[:])
 	}
 	r.obs.TaskCommit("reduce", part, int64(g))
 	r.pushShadowSync(part, g)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ftmrmpi/internal/kvbuf"
 )
@@ -52,8 +51,7 @@ func (r *runner) phaseShuffle() error {
 			if kv != nil {
 				payload = kv.Bytes()
 			}
-			fr := encodeFrame(nil, frameShuffle, uint32(part), 0, payload)
-			r.ck.write(r.p, partStream(part), fr, 1)
+			r.ck.commit(r.p, partStream(part), frameShuffle, uint32(part), 0, payload)
 		}
 	}
 	r.ck.phaseSync(r.p)
@@ -130,14 +128,12 @@ func (r *runner) sendBundles() ([][]byte, error) {
 	}
 	// Every partition travels as a frame, empty ones included.
 	sizes := make([]int, n)
-	for part := 0; part < r.nParts; part++ {
+	for part, kv := range r.mapOut {
 		if d := commOf[r.partOwner[part]]; d >= 0 {
 			sizes[d] += frameHdrLen
-		}
-	}
-	for part, kv := range r.mapOut {
-		if d := commOf[r.partOwner[part]]; d >= 0 && kv != nil {
-			sizes[d] += kv.Size()
+			if kv != nil {
+				sizes[d] += kv.Size()
+			}
 		}
 	}
 	total := 0
@@ -153,13 +149,13 @@ func (r *runner) sendBundles() ([][]byte, error) {
 			off += size
 		}
 	}
-	for part := 0; part < r.nParts; part++ {
+	for part, kv := range r.mapOut {
 		d := commOf[r.partOwner[part]]
 		if d < 0 {
 			continue
 		}
 		var payload []byte
-		if kv := r.mapOut[part]; kv != nil {
+		if kv != nil {
 			payload = kv.Bytes()
 		}
 		bufs[d] = encodeFrame(bufs[d], frameShuffle, uint32(part), 0, payload)
@@ -189,14 +185,8 @@ func (r *runner) combineLocal() error {
 	comb := r.spec.NewCombiner()
 	ctx := &TaskContext{proc: r.p, run: r}
 	scratch := r.scratch()
-	parts := make([]int, 0, len(r.mapOut))
-	for part := range r.mapOut {
-		parts = append(parts, part)
-	}
-	sort.Ints(parts)
 	var cpuAcc float64
-	for _, part := range parts {
-		kv := r.mapOut[part]
+	for part, kv := range r.mapOut {
 		if kv == nil || kv.Len() == 0 {
 			continue
 		}

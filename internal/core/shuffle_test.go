@@ -27,7 +27,7 @@ func shuffleFixture(tb testing.TB, w, filled int) (*runner, [][]byte) {
 		}
 	})
 	clus.Sim.Run()
-	r := &runner{comm: comm, m: newRankMetrics(0), nParts: w, partOwner: make([]int, w), mapOut: make(map[int]*kvbuf.KV)}
+	r := &runner{comm: comm, m: newRankMetrics(0), nParts: w, partOwner: make([]int, w), mapOut: make([]*kvbuf.KV, w)}
 	for part := range r.partOwner {
 		r.partOwner[part] = part
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"strconv"
 )
 
 // Chunk is one fixed-size piece of input, the unit of map-task assignment.
@@ -161,7 +161,7 @@ func (r *LineRecordReader) Next() (key, value []byte, ok bool, err error) {
 		line = r.data[r.pos : r.pos+end]
 		r.pos += end + 1
 	}
-	k := fmt.Appendf(r.key[:0], "%d", r.rec)
+	k := strconv.AppendInt(r.key[:0], int64(r.rec), 10)
 	r.rec++
 	return k, line, true, nil
 }

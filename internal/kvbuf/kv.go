@@ -12,7 +12,6 @@ package kvbuf
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 )
@@ -27,14 +26,19 @@ type KV struct {
 // NewKV returns an empty buffer.
 func NewKV() *KV { return &KV{} }
 
-// Add appends one pair.
+// Add appends one pair: one capacity check (growth is Go's own, as append
+// would do it), then header, key and value written in place.
 func (b *KV) Add(k, v []byte) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(k)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(v)))
-	b.buf = append(b.buf, hdr[:]...)
-	b.buf = append(b.buf, k...)
-	b.buf = append(b.buf, v...)
+	off := len(b.buf)
+	end := off + 8 + len(k) + len(v)
+	if end > cap(b.buf) {
+		b.buf = slices.Grow(b.buf, end-off)
+	}
+	b.buf = b.buf[:end]
+	binary.LittleEndian.PutUint32(b.buf[off:], uint32(len(k)))
+	binary.LittleEndian.PutUint32(b.buf[off+4:], uint32(len(v)))
+	copy(b.buf[off+8:], k)
+	copy(b.buf[off+8+len(k):], v)
 	b.n++
 }
 
@@ -110,9 +114,13 @@ func (b *KV) Reset() {
 // nparts. Every rank uses the same function, which is what lets the
 // distributed masters assign reduce partitions without coordination.
 func PartitionKey(key []byte, nparts int) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(nparts))
+	// 32-bit FNV-1a, inline: hash/fnv's New32a costs an interface value and
+	// two dynamic calls per key for the same sum.
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(nparts))
 }
 
 // Partition splits the buffer into nparts buffers by key hash.

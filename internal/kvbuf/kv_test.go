@@ -2,7 +2,9 @@ package kvbuf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -315,3 +317,83 @@ func benchmarkConvert(b *testing.B, conv func(*KV) (*KMV, ConvertStats)) {
 
 func BenchmarkConvertTwoPass(b *testing.B)  { benchmarkConvert(b, ConvertTwoPass) }
 func BenchmarkConvertFourPass(b *testing.B) { benchmarkConvert(b, ConvertFourPass) }
+
+// PartitionKey is 32-bit FNV-1a written out as a loop; hash/fnv, which it
+// used to call, is the reference.
+func TestPartitionKeyMatchesFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10000; i++ {
+		key := make([]byte, rng.Intn(40)) // the empty key included
+		rng.Read(key)
+		nparts := 1 + rng.Intn(10000)
+		h := fnv.New32a()
+		h.Write(key)
+		if got, want := PartitionKey(key, nparts), int(h.Sum32()%uint32(nparts)); got != want {
+			t.Fatalf("PartitionKey(%x, %d) = %d, hash/fnv says %d", key, nparts, got, want)
+		}
+	}
+}
+
+// addByAppends is Add as it was: header, key and value appended one by one.
+func addByAppends(buf, k, v []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+	buf = append(buf, k...)
+	return append(buf, v...)
+}
+
+// Add writes a pair in place after one capacity check; the buffer it builds
+// is the one three appends built, whatever the lengths and wherever the
+// growth boundaries fall — from empty, after Reset and after a Grow.
+func TestKVAddMatchesThreeAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kv := NewKV()
+	var want []byte
+	pairs := 0
+	check := func(when string) {
+		t.Helper()
+		if !bytes.Equal(kv.Bytes(), want) || kv.Len() != pairs || kv.Size() != len(want) {
+			t.Fatalf("%s: %d pairs in %d bytes, the three-append form has %d pairs in %d bytes (equal bytes: %v)",
+				when, kv.Len(), kv.Size(), pairs, len(want), bytes.Equal(kv.Bytes(), want))
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3000; i++ {
+			k := make([]byte, rng.Intn(4)*rng.Intn(12)) // empty one time in four or so
+			v := make([]byte, rng.Intn(3)*rng.Intn(300))
+			rng.Read(k)
+			rng.Read(v)
+			kv.Add(k, v)
+			want = addByAppends(want, k, v)
+			pairs++
+			check(fmt.Sprintf("round %d, pair %d", round, i))
+			if i == 1500 {
+				kv.Grow(1 << rng.Intn(16))
+				check("after Grow")
+			}
+		}
+		if _, err := FromBytes(kv.Bytes()); err != nil {
+			t.Fatalf("round %d: the buffer does not parse: %v", round, err)
+		}
+		kv.Reset()
+		want, pairs = want[:0], 0
+	}
+}
+
+// BenchmarkKVAdd is the per-pair cost of the map path's buffer: wordcount's
+// sixteen-byte pairs, into a buffer that grows from empty.
+func BenchmarkKVAdd(b *testing.B) {
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("w%06d", i))
+	}
+	b.ReportAllocs()
+	b.SetBytes(16)
+	kv := NewKV()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<17-1) == 0 {
+			kv = NewKV() // a partition's worth, then a fresh buffer
+		}
+		kv.Add(keys[i&4095], []byte{1})
+	}
+}

@@ -10,7 +10,9 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +22,7 @@ import (
 // processes (which never truly run concurrently) and from test goroutines.
 type FS struct {
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]*file
 	// names is the sorted index of every path, which List answers from by
 	// binary search. It is nil when stale: only a change of the namespace (a
 	// path appearing or disappearing) invalidates it, and the next List
@@ -29,30 +31,110 @@ type FS struct {
 	names []string
 }
 
+// file is one file's contents as a list of extents: an append copies its data
+// into the file once and never moves a byte the file already holds, so a
+// stream built from n appends costs the host n copies of one append each, not
+// the ~4 copies of the whole stream that regrowing one flat slice did. No
+// extent is empty, and none is shared with anything outside the FS.
+type file struct {
+	ext  [][]byte
+	size int
+}
+
+// tailExtent bounds the one place stored bytes may still move: an append that
+// leaves the file's last extent within tailExtent bytes is coalesced into it
+// (Go's own slice growth, so at most tailExtent bytes are re-copied), which
+// keeps a file made of tens-of-bytes appends from paying a slice header, a
+// size-class round-up and a malloc per append. Chosen by measuring 0 (an
+// extent per append) / 4 KiB / 32 KiB: alloc_mb on wc-data 486.4 / 486.6 /
+// 528.7 (at 32 KiB its 13 KB frames coalesce in pairs and are copied twice);
+// a 4 MB stream of 25-byte appends allocated 6.2x / 3.1x / 4.7x its size
+// (5.0x as one flat slice); median peak_rss_mb of 7 runs 120.4 / 118.4 / 119.4
+// on wc-scale and 74.9 / 71.4 / 72.0 on wc-observed (flat: 117.0 and 70.0),
+// whose thousands of files end in 17- and 25-byte frames.
+const tailExtent = 4096
+
+// append copies data onto the end of the file.
+func (f *file) append(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	f.size += len(data)
+	if n := len(f.ext); n > 0 && len(f.ext[n-1])+len(data) <= tailExtent {
+		f.ext[n-1] = append(f.ext[n-1], data...)
+		return
+	}
+	f.ext = append(f.ext, bytes.Clone(data))
+}
+
+// truncate caps the file at n bytes, n < f.size. The extent the cut falls in
+// is capped at its new length, so a later append can never write into the
+// bytes dropped here: it allocates.
+func (f *file) truncate(n int) {
+	f.size = n
+	keep := 0 // extents that stay
+	for ; n >= len(f.ext[keep]); keep++ {
+		n -= len(f.ext[keep])
+	}
+	if n > 0 {
+		f.ext[keep] = f.ext[keep][:n:n]
+		keep++
+	}
+	clear(f.ext[keep:])
+	f.ext = f.ext[:keep]
+}
+
+// readFrom returns a fresh copy of the bytes from off to the end, nil when
+// there are none. bytes.Join is the concatenation, and does not zero what it
+// is about to fill.
+func (f *file) readFrom(off int) []byte {
+	if off == f.size {
+		return nil
+	}
+	i := 0
+	for ; off >= len(f.ext[i]); i++ {
+		off -= len(f.ext[i])
+	}
+	if off == 0 {
+		return bytes.Join(f.ext[i:], nil)
+	}
+	parts := slices.Clone(f.ext[i:]) // the suffix starts inside an extent
+	parts[0] = parts[0][off:]
+	return bytes.Join(parts, nil)
+}
+
 // NewFS returns an empty namespace.
 func NewFS() *FS {
-	return &FS{files: make(map[string][]byte)}
+	return &FS{files: make(map[string]*file)}
 }
 
 // Write creates or replaces the file at path.
 func (fs *FS) Write(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.put(path, append([]byte(nil), data...))
+	f := &file{}
+	f.append(data)
+	fs.put(path, f)
 }
 
-// Append appends data to the file at path, creating it if needed.
+// Append appends data to the file at path, creating it if needed. The data is
+// copied: the caller may reuse it at once.
 func (fs *FS) Append(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.put(path, append(fs.files[path], data...))
+	f := fs.files[path]
+	if f == nil {
+		f = &file{}
+		fs.put(path, f)
+	}
+	f.append(data)
 }
 
-// put stores data at path; a path that is new makes the name index stale.
+// put stores f at path; a path that is new makes the name index stale.
 // Callers hold fs.mu.
-func (fs *FS) put(path string, data []byte) {
+func (fs *FS) put(path string, f *file) {
 	n := len(fs.files)
-	fs.files[path] = data
+	fs.files[path] = f
 	if len(fs.files) != n {
 		fs.names = nil
 	}
@@ -71,14 +153,14 @@ func (fs *FS) Read(path string) ([]byte, error) { return fs.ReadFrom(path, 0) }
 func (fs *FS) ReadFrom(path string, off int) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	data, ok := fs.files[path]
+	f, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("storage: %s: no such file", path)
 	}
-	if off < 0 || off > len(data) {
-		return nil, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, len(data))
+	if off < 0 || off > f.size {
+		return nil, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, f.size)
 	}
-	return append([]byte(nil), data[off:]...), nil
+	return f.readFrom(off), nil
 }
 
 // Exists reports whether the file exists.
@@ -93,15 +175,17 @@ func (fs *FS) Exists(path string) bool {
 func (fs *FS) Size(path string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return len(fs.files[path])
+	if f := fs.files[path]; f != nil {
+		return f.size
+	}
+	return 0
 }
 
 // Remove deletes the file if it exists.
 func (fs *FS) Remove(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.files, path)
-	fs.names = nil
+	fs.drop(path)
 }
 
 // Delete removes the file, erroring if it does not exist (the strict form of
@@ -109,12 +193,21 @@ func (fs *FS) Remove(path string) {
 func (fs *FS) Delete(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; !ok {
+	if !fs.drop(path) {
 		return fmt.Errorf("storage: %s: no such file", path)
+	}
+	return nil
+}
+
+// drop deletes path and reports whether it existed; only then is the name
+// index stale. Callers hold fs.mu.
+func (fs *FS) drop(path string) bool {
+	if _, ok := fs.files[path]; !ok {
+		return false
 	}
 	delete(fs.files, path)
 	fs.names = nil
-	return nil
+	return true
 }
 
 // Rename atomically moves oldPath to newPath, replacing any existing file at
@@ -123,11 +216,11 @@ func (fs *FS) Delete(path string) error {
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	data, ok := fs.files[oldPath]
+	f, ok := fs.files[oldPath]
 	if !ok {
 		return fmt.Errorf("storage: rename %s: no such file", oldPath)
 	}
-	fs.files[newPath] = data
+	fs.files[newPath] = f
 	delete(fs.files, oldPath)
 	fs.names = nil
 	return nil
@@ -139,16 +232,26 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 func (fs *FS) Truncate(path string, n int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if data, ok := fs.files[path]; ok && n >= 0 && len(data) > n {
-		fs.files[path] = data[:n:n]
+	if f, ok := fs.files[path]; ok && n >= 0 && f.size > n {
+		f.truncate(n)
 	}
 }
 
 // RemovePrefix deletes every file whose path starts with prefix and returns
-// the number removed.
+// the number removed. A fresh name index holds those paths as one contiguous
+// range, which is cut out of it; a stale one is no help, and every path is
+// tested.
 func (fs *FS) RemovePrefix(prefix string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.names != nil {
+		lo, hi := fs.prefixRange(prefix)
+		for _, p := range fs.names[lo:hi] {
+			delete(fs.files, p)
+		}
+		fs.names = slices.Delete(fs.names, lo, hi)
+		return hi - lo
+	}
 	n := 0
 	for p := range fs.files {
 		if strings.HasPrefix(p, prefix) {
@@ -156,8 +259,19 @@ func (fs *FS) RemovePrefix(prefix string) int {
 			n++
 		}
 	}
-	fs.names = nil
 	return n
+}
+
+// prefixRange returns the range of the (fresh) name index that holds the
+// paths starting with prefix: paths sharing a prefix are contiguous in sorted
+// order. Callers hold fs.mu.
+func (fs *FS) prefixRange(prefix string) (lo, hi int) {
+	lo = sort.SearchStrings(fs.names, prefix)
+	hi = lo
+	for hi < len(fs.names) && strings.HasPrefix(fs.names[hi], prefix) {
+		hi++
+	}
+	return lo, hi
 }
 
 // List returns the sorted paths of all files with the given prefix.
@@ -171,12 +285,7 @@ func (fs *FS) List(prefix string) []string {
 		}
 		sort.Strings(fs.names)
 	}
-	// Paths sharing a prefix are contiguous in sorted order.
-	lo := sort.SearchStrings(fs.names, prefix)
-	hi := lo
-	for hi < len(fs.names) && strings.HasPrefix(fs.names[hi], prefix) {
-		hi++
-	}
+	lo, hi := fs.prefixRange(prefix)
 	return append([]string(nil), fs.names[lo:hi]...)
 }
 
@@ -185,9 +294,9 @@ func (fs *FS) TotalBytes(prefix string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	total := 0
-	for p, d := range fs.files {
+	for p, f := range fs.files {
 		if strings.HasPrefix(p, prefix) {
-			total += len(d)
+			total += f.size
 		}
 	}
 	return total

@@ -270,7 +270,11 @@ func TestFSListTracksNamespaceChanges(t *testing.T) {
 	}
 	for step := 0; step < 400; step++ {
 		var op string
-		switch rng.Intn(7) {
+		// check listed last, so the index is fresh here: an operation that
+		// removes nothing must leave it so, and the next List must not
+		// re-sort the namespace for it.
+		keepsIndex := false
+		switch rng.Intn(9) {
 		case 0:
 			op = "write"
 			fs.Write(name(), []byte("w"))
@@ -289,9 +293,27 @@ func TestFSListTracksNamespaceChanges(t *testing.T) {
 		case 5:
 			op = "remove-prefix"
 			fs.RemovePrefix(fmt.Sprintf("d%d/f1", rng.Intn(4)))
+			keepsIndex = true // the prefix's range is cut out of the index
+		case 6:
+			op = "remove of an absent path"
+			fs.Remove("d1/absent")
+			if fs.Delete("d7/f00") == nil {
+				t.Fatalf("step %d: Delete of an absent path succeeded", step)
+			}
+			keepsIndex = true
+		case 7:
+			op = "remove-prefix of an absent prefix"
+			if n := fs.RemovePrefix("d1/g"); n != 0 {
+				t.Fatalf("step %d: RemovePrefix of an absent prefix removed %d files", step, n)
+			}
+			keepsIndex = true
 		default:
 			op = "truncate"
 			fs.Truncate(name(), 0)
+			keepsIndex = true
+		}
+		if keepsIndex && fs.names == nil {
+			t.Fatalf("step %d: %s made the name index stale", step, op)
 		}
 		check(step, op)
 	}

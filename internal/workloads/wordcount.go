@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
@@ -49,26 +50,32 @@ func DefaultWordcount() WordcountParams {
 func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[string]int {
 	rng := rand.New(rand.NewSource(p.Seed))
 	zipf := rand.NewZipf(rng, 1.07, 4.0, uint64(p.Vocab-1))
-	expect := make(map[string]int)
-	// Each vocabulary word is formatted once, the first time it is drawn.
+	// Each vocabulary word is formatted once, the first time it is drawn, and
+	// counted by id: the string-keyed map is built once, from the counts.
 	words := make([]string, p.Vocab)
-	var sb strings.Builder
+	counts := make([]int, p.Vocab)
+	var chunk []byte // reused: FS.Write copies it
 	for c := 0; c < p.Chunks; c++ {
-		sb.Reset()
+		chunk = chunk[:0]
 		for l := 0; l < p.Lines; l++ {
 			for w := 0; w < p.WordsLine; w++ {
 				id := zipf.Uint64()
 				if words[id] == "" {
 					words[id] = fmt.Sprintf("w%06d", id)
 				}
-				word := words[id]
-				expect[word]++
-				sb.WriteString(word)
-				sb.WriteByte(' ')
+				counts[id]++
+				chunk = append(chunk, words[id]...)
+				chunk = append(chunk, ' ')
 			}
-			sb.WriteByte('\n')
+			chunk = append(chunk, '\n')
 		}
-		clus.FS.Write(fmt.Sprintf("pfs:%s/chunk-%05d", prefix, c), []byte(sb.String()))
+		clus.FS.Write(fmt.Sprintf("pfs:%s/chunk-%05d", prefix, c), chunk)
+	}
+	expect := make(map[string]int)
+	for id, n := range counts {
+		if n > 0 {
+			expect[words[id]] = n
+		}
 	}
 	return expect
 }
@@ -79,10 +86,42 @@ type wcMapper struct{ cost float64 }
 // Map implements core.Mapper.
 func (m *wcMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) error {
 	// Emit copies the pair, so the words may alias the record.
-	for _, w := range bytes.Fields(v) {
-		out.Emit(w, one)
-	}
+	eachWord(v, func(w []byte) { out.Emit(w, one) })
 	return nil
+}
+
+// asciiSpace marks the bytes that are white space in ASCII text.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// eachWord calls fn with every white-space-separated word of line — exactly
+// the words bytes.Fields(line) returns, in order — without allocating the
+// slice that holds them: ASCII text is scanned in place, and from the first
+// byte >= 0x80 on (where telling white space takes UTF-8 decoding: U+0085,
+// U+00A0, U+2003) the rest of the line is left to bytes.Fields.
+func eachWord(line []byte, fn func(w []byte)) {
+	start := -1 // where the word being scanned began; -1 between words
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			if start < 0 {
+				start = i
+			}
+			for _, w := range bytes.Fields(line[start:]) {
+				fn(w)
+			}
+			return
+		case asciiSpace[c]:
+			if start >= 0 {
+				fn(line[start:i:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		fn(line[start:])
+	}
 }
 
 // Cost implements core.Mapper.
