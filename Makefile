@@ -10,7 +10,7 @@ GO ?= go
 # every disabled observation plane at one-branch cost, the data-path and
 # tracer allocation gate, the simulator throughput gate, and the CLI self-test
 # over the committed fixtures.
-.PHONY: check fmt vet build build-cmds test race benchmark-module fuzz-smoke bench-overhead alloc-gate throughput-gate bench-throughput selftest bench
+.PHONY: check fmt vet build build-cmds test race benchmark-module fuzz-smoke bench-overhead alloc-gate throughput-gate bench-throughput selftest bench census
 
 check: fmt vet build build-cmds race test benchmark-module fuzz-smoke bench-overhead alloc-gate throughput-gate selftest
 
@@ -134,6 +134,14 @@ define SELFTEST
 2 bin/ftmr-sim -workload pagerank -iters 0
 # a masking job that loses every rank is an aborted one, not a clean run with no output
 0 bin/ftmr-sim -procs 1 -model wc -kill-phase map | grep -q aborted=true
+# one usage contract for every CLI: an unknown figure, a missing mode or an unknown subcommand is exit 2
+2 bin/ftmr-bench -fig nope
+0 bin/ftmr-bench -list
+2 bin/ftmr-bench
+2 bin/ftmr-trace
+2 bin/ftmr-trace bogus
+2 bin/ftmr-metrics
+2 bin/ftmr-metrics bogus
 endef
 export SELFTEST
 
@@ -146,6 +154,13 @@ selftest: build-cmds
 
 # Regenerates the committed evaluation results: the human-readable tables
 # and the machine-readable trajectory document, from one run (so the two
-# always agree). Full scale; FTMR_QUICK=1 trims the sweeps.
+# always agree). Full scale; `bin/ftmr-bench -all -quick` trims the sweeps.
 bench: build-cmds
 	bin/ftmr-bench -all -json BENCH_results.json > bench_results.txt
+
+# Reachability census (~3 min; not part of `make check`): which non-test
+# functions under internal/ and cmd/ does any binary reach? Fails when one
+# that none reaches is missing from census.keep, or when a census.keep row
+# is stale. census.sh says what is driven and how.
+census:
+	sh census.sh

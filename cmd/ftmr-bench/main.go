@@ -8,8 +8,7 @@
 //	ftmr-bench -all -json BENCH_results.json
 //	                            # also write the machine-readable document
 //
-// Environment: FTMR_QUICK=1 trims the sweeps for fast runs; FTMR_MAX_PROCS
-// caps the strong-scaling axis.
+// -quick trims the sweeps for fast runs (strong scaling stops at 256 ranks).
 package main
 
 import (
@@ -19,40 +18,19 @@ import (
 	"time"
 
 	"ftmrmpi/internal/bench"
-	"ftmrmpi/internal/core"
 )
 
 func main() {
 	fig := flag.String("fig", "", "figure id to run (fig3..fig16)")
 	all := flag.Bool("all", false, "run every figure")
 	list := flag.Bool("list", false, "list available figures")
-	quick := flag.Bool("quick", false, "trim sweeps (same as FTMR_QUICK=1)")
+	quick := flag.Bool("quick", false, "trim sweeps: smaller inputs, strong scaling up to 256 ranks")
 	jsonOut := flag.String("json", "", "also write the tables as a stable-schema JSON document to this file")
-	tracePfx := flag.String("trace", "", "write per-run event traces to <prefix>-NNN files")
-	traceFmt := flag.String("trace-format", "chrome", "trace format: jsonl | chrome")
-	lbModel := flag.String("lb-model", "static", "load-balancer regression model: static | trace")
 	flag.Parse()
 
-	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
-		fmt.Fprintf(os.Stderr, "unknown trace format %q (jsonl|chrome)\n", *traceFmt)
-		os.Exit(2)
-	}
-	lbm, err := core.ParseLBModel(*lbModel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	bench.SetLBModel(lbm)
-	if *tracePfx != "" {
-		bench.EnableTracing(0)
-	}
-
-	scale := bench.ScaleFromEnv()
+	scale := bench.Scale{MaxProcs: 2048}
 	if *quick {
-		scale.Quick = true
-		if scale.MaxProcs > 256 {
-			scale.MaxProcs = 256
-		}
+		scale = bench.Scale{Quick: true, MaxProcs: 256}
 	}
 
 	var tables []*bench.Table
@@ -73,7 +51,7 @@ func main() {
 		f, err := bench.Lookup(*fig)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		t := f.Run(scale)
 		t.Fprint(os.Stdout)
@@ -99,14 +77,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "json results written to %s\n", *jsonOut)
-	}
-
-	if *tracePfx != "" {
-		paths, err := bench.WriteTraces(*tracePfx, *traceFmt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "write traces: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "%d trace file(s) written (%s-*)\n", len(paths), *tracePfx)
 	}
 }

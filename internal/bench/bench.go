@@ -1,7 +1,6 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§6). Each figure is a function returning a Table whose rows
-// are the series the paper plots; cmd/ftmr-bench prints them and the root
-// bench_test.go exposes them as Go benchmarks.
+// are the series the paper plots; cmd/ftmr-bench prints them.
 //
 // Absolute numbers are simulated virtual seconds on scaled-down inputs —
 // they are not expected to match the paper's testbed. What must match is
@@ -12,14 +11,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
-	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/workloads"
 )
 
@@ -77,21 +73,6 @@ type Scale struct {
 	MaxProcs int
 }
 
-// ScaleFromEnv reads FTMR_QUICK and FTMR_MAX_PROCS.
-func ScaleFromEnv() Scale {
-	s := Scale{MaxProcs: 2048}
-	if os.Getenv("FTMR_QUICK") != "" {
-		s.Quick = true
-		s.MaxProcs = 256
-	}
-	if v := os.Getenv("FTMR_MAX_PROCS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			s.MaxProcs = n
-		}
-	}
-	return s
-}
-
 // procSweep returns the paper's strong-scaling axis clipped to the scale.
 func (s Scale) procSweep(from int) []int {
 	var out []int
@@ -99,42 +80,6 @@ func (s Scale) procSweep(from int) []int {
 		out = append(out, p)
 	}
 	return out
-}
-
-// Tracing support: figures build their clusters internally, so cmd/ftmr-bench
-// cannot attach a tracer itself. EnableTracing makes every cluster newCluster
-// builds from now on carry a fresh tracer; WriteTraces dumps the collected
-// tracers, one file per cluster, numbered in creation order.
-var (
-	traceCap     int
-	traceTracers []*trace.Tracer
-)
-
-// EnableTracing turns on event tracing for subsequently built clusters.
-// capPerRank <= 0 selects the default ring capacity.
-func EnableTracing(capPerRank int) {
-	if capPerRank <= 0 {
-		capPerRank = trace.DefaultCapacity
-	}
-	traceCap = capPerRank
-}
-
-// WriteTraces writes every collected tracer to prefix-NNN.<ext> in the given
-// format and returns the paths written.
-func WriteTraces(prefix, format string) ([]string, error) {
-	ext := "json"
-	if format == "jsonl" {
-		ext = "jsonl"
-	}
-	var paths []string
-	for i, t := range traceTracers {
-		path := fmt.Sprintf("%s-%03d.%s", prefix, i, ext)
-		if err := t.WriteFile(path, format); err != nil {
-			return paths, err
-		}
-		paths = append(paths, path)
-	}
-	return paths, nil
 }
 
 // newCluster builds a fresh paper-shaped cluster sized for nprocs. The node
@@ -147,12 +92,7 @@ func newCluster(nprocs int) *cluster.Cluster {
 	if need != cfg.Nodes {
 		cfg.Nodes = need
 	}
-	c := cluster.New(cfg)
-	if traceCap > 0 {
-		c.Trace = trace.New(c.Sim, traceCap)
-		traceTracers = append(traceTracers, c.Trace)
-	}
-	return c
+	return cluster.New(cfg)
 }
 
 // wcParams returns the wordcount sizing for the benchmarks (the 128 GB
@@ -168,15 +108,6 @@ func (s Scale) wcParams() workloads.WordcountParams {
 	return p
 }
 
-// lbModel is the balancer model every figure's spec inherits (the
-// ftmr-bench -lb-model flag; LBStatic by default so existing figures keep
-// their exact pre-flag behaviour).
-var lbModel core.LBModelKind
-
-// SetLBModel selects the load-balancer regression model for subsequently
-// built specs.
-func SetLBModel(k core.LBModelKind) { lbModel = k }
-
 // ftSpec applies the evaluation's default FT-MRMPI configuration: the two
 // §5 refinements are disabled for fair comparison (§6.2) and re-enabled
 // only by the figures that measure them.
@@ -186,7 +117,6 @@ func ftSpec(spec core.Spec, model core.Model) core.Spec {
 	spec.Prefetch = false
 	spec.CkptInterval = 100
 	spec.LoadBalance = true
-	spec.LBModel = lbModel
 	return spec
 }
 

@@ -103,9 +103,7 @@ func ablLBTraceRun(name string, procs int, p workloads.WordcountParams,
 	kind core.LBModelKind, turbo int, fastFactor, slowFactor float64,
 	onset, firstKill time.Duration) lbtResult {
 	clus := newCluster(procs)
-	if clus.Trace == nil {
-		clus.Trace = trace.New(clus.Sim, 1<<15)
-	}
+	clus.Trace = trace.New(clus.Sim, 1<<15)
 	workloads.GenCorpus(clus, "in/"+name, p)
 	spec := ftSpec(workloads.WordcountSpec(name, "in/"+name, procs, p), core.ModelDetectResumeNWC)
 	spec.LBModel = kind

@@ -300,11 +300,6 @@ type Spec struct {
 	// left by a previous attempt with the same JobID.
 	Resume bool
 
-	// KeepCheckpoints retains the checkpoint streams after a successful
-	// completion (by default they are garbage-collected once the DONE
-	// marker is durable).
-	KeepCheckpoints bool
-
 	// ReplicaK enables the diskless in-memory replica tier (ReStore-style):
 	// every committed checkpoint frame is also pushed over MPI into the
 	// memory of ReplicaK ring-successor peers, and recovery reads fail over

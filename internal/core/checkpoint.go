@@ -197,10 +197,7 @@ func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.
 
 func (cp *copier) loop(p *vtime.Proc) {
 	for {
-		item, ok := cp.q.Recv(p)
-		if !ok {
-			return
-		}
+		item := cp.q.Recv(p)
 		// Coalesce the backlog: when the PFS is slow the queue grows, and
 		// draining it in one sweep turns many small frames into few large
 		// appends — the aggregation §4.1.3 relies on.

@@ -715,22 +715,6 @@ func TestCheckpointsGarbageCollectedOnSuccess(t *testing.T) {
 	}
 }
 
-func TestKeepCheckpointsFlag(t *testing.T) {
-	clus := testCluster(2, 2)
-	name := "keep"
-	genInput(clus, "in/"+name, 8, 20, 67)
-	spec := wcSpec(name, 4, ModelCheckpointRestart)
-	spec.KeepCheckpoints = true
-	h := RunSingle(clus, spec)
-	clus.Sim.Run()
-	if h.Result().Aborted {
-		t.Fatal("aborted")
-	}
-	if got := clus.PFS.List("ckpt/" + name + "/map/"); len(got) == 0 {
-		t.Fatal("checkpoints were dropped despite KeepCheckpoints")
-	}
-}
-
 func TestIterativeAppRapidFailuresAcrossJobBoundaries(t *testing.T) {
 	// Failures timed to land near job boundaries of an iterative
 	// application, exercising the recovery protocol's job-epoch alignment

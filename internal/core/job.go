@@ -237,7 +237,3 @@ func (a *App) armFailure(me int, masking bool, res *Result, fail func()) (disarm
 	})
 	return func() { returned = true }
 }
-
-// Comm exposes the application's current communicator (examples use it for
-// small auxiliary exchanges between jobs).
-func (a *App) Comm() *mpi.Comm { return a.comm }

@@ -214,9 +214,8 @@ func (r *runner) finishOutputs() {
 		// marker write so completion is still recorded.
 		_, _ = pfs.WriteFile(r.p, marker, []byte("done"))
 	}
-	// The job is durable in its outputs now; drop its checkpoint streams
-	// unless the caller wants them kept for inspection.
-	if !r.spec.KeepCheckpoints && r.spec.Model.Checkpointing() {
+	// The job is durable in its outputs now; drop its checkpoint streams.
+	if r.spec.Model.Checkpointing() {
 		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/map/", r.spec.JobID))
 		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/part/", r.spec.JobID))
 	}

@@ -1,5 +1,5 @@
-// Package kvbuf implements the key-value machinery shared by the baseline
-// MR-MPI library and FT-MRMPI: append-only KV buffers, grouped
+// Package kvbuf implements the key-value machinery of the runner, for
+// FT-MRMPI and for its MR-MPI baseline: append-only KV buffers, grouped
 // key-multivalue (KMV) buffers, hash partitioning for the shuffle, and the
 // two KV→KMV conversion algorithms the paper compares — the original
 // four-pass algorithm of MR-MPI and FT-MRMPI's two-pass log-structured

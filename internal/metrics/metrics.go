@@ -267,14 +267,6 @@ func (g *Gauge) Set(v float64) {
 	g.s.val = v
 }
 
-// Add adjusts the gauge by v (may be negative). Nil-safe.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.s.val += v
-}
-
 // Histogram is a bucketed distribution series. Observe costs one binary
 // search over the bucket bounds. A nil *Histogram no-ops.
 type Histogram struct {

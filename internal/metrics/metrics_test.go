@@ -28,7 +28,6 @@ func TestNilRegistryEndToEnd(t *testing.T) {
 		t.Fatalf("nil registry returned non-nil gauge")
 	}
 	g.Set(1)
-	g.Add(-1)
 	h := r.Histogram("ftmr_h", "h", 0, TaskSecondsBuckets)
 	if h != nil {
 		t.Fatalf("nil registry returned non-nil histogram")
@@ -66,7 +65,7 @@ func TestInstrumentGettersShareState(t *testing.T) {
 	g1 := r.Gauge("ftmr_gg", "h", 0)
 	g2 := r.Gauge("ftmr_gg", "h", 0)
 	g1.Set(5)
-	g2.Add(1)
+	g2.Set(6)
 	if v, _ := r.Snapshot().Series("ftmr_gg", "0"); v != 6 {
 		t.Fatalf("shared gauge = %v, want 6", v)
 	}

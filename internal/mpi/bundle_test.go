@@ -62,12 +62,10 @@ func refDecodeBundle(data []byte) (map[int][]byte, error) {
 	return out, nil
 }
 
-func refGatherTree(c *Comm, seq, root int, data []byte, out [][]byte) error {
-	n := c.Size()
-	vr := vrank(c.rank, root, n)
+func refGatherTree(c *Comm, seq int, data []byte, out [][]byte) error {
 	bundle := map[int][]byte{c.rank: data}
-	for _, child := range treeChildren(vr, n) {
-		m, err := c.recv(prank(child, root, n), internalTag(seq, 2))
+	for _, child := range treeChildren(c.rank, c.Size()) {
+		m, err := c.recv(child, internalTag(seq, 2))
 		if err != nil {
 			return err
 		}
@@ -79,8 +77,8 @@ func refGatherTree(c *Comm, seq, root int, data []byte, out [][]byte) error {
 			bundle[r] = d
 		}
 	}
-	if parent := treeParent(vr); parent >= 0 {
-		_, err := c.send(prank(parent, root, n), internalTag(seq, 2), refEncodeBundle(bundle))
+	if parent := treeParent(c.rank); parent >= 0 {
+		_, err := c.send(parent, internalTag(seq, 2), refEncodeBundle(bundle))
 		return err
 	}
 	for r, d := range bundle {
@@ -89,23 +87,12 @@ func refGatherTree(c *Comm, seq, root int, data []byte, out [][]byte) error {
 	return nil
 }
 
-func refGather(c *Comm, root int, data []byte) ([][]byte, error) {
-	defer c.enterColl("gather").Exit()
-	seq := c.nextSeq()
-	var out [][]byte
-	if c.rank == root {
-		out = make([][]byte, c.Size())
-	}
-	err := refGatherTree(c, seq, root, data, out)
-	return out, c.raise(err)
-}
-
 func refAllgather(c *Comm, data []byte) ([][]byte, error) {
 	defer c.enterColl("allgather").Exit()
 	seq := c.nextSeq()
 	n := c.Size()
 	gathered := make([][]byte, n)
-	if err := refGatherTree(c, seq, 0, data, gathered); err != nil {
+	if err := refGatherTree(c, seq, data, gathered); err != nil {
 		return nil, c.raise(err)
 	}
 	var enc []byte
@@ -116,7 +103,7 @@ func refAllgather(c *Comm, data []byte) ([][]byte, error) {
 		}
 		enc = refEncodeBundle(bundle)
 	}
-	enc, err := c.bcastTree(seq, 0, enc)
+	enc, err := c.bcastTree(seq, enc)
 	if err != nil {
 		return nil, c.raise(err)
 	}
@@ -131,22 +118,15 @@ func refAllgather(c *Comm, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// treeColls is the implementation under comparison.
-type treeColls struct {
-	gather    func(c *Comm, root int, data []byte) ([][]byte, error)
-	allgather func(c *Comm, data []byte) ([][]byte, error)
-}
+// allgatherFn is the implementation under comparison: (*Comm).Allgather or
+// refAllgather.
+type allgatherFn func(c *Comm, data []byte) ([][]byte, error)
 
-var (
-	flatColls = treeColls{(*Comm).Gather, (*Comm).Allgather}
-	refColls  = treeColls{refGather, refAllgather}
-)
-
-// collRun is what one rank observed of a gather and an allgather.
+// collRun is what one rank observed of an allgather.
 type collRun struct {
-	done [2]time.Duration
-	got  [2][][]byte
-	errs [2]error
+	done time.Duration
+	got  [][]byte
+	err  error
 }
 
 // randomPayloads draws n payloads: nil, empty, small and large ones.
@@ -169,10 +149,10 @@ func randomPayloads(rng *rand.Rand, n int) [][]byte {
 	return out
 }
 
-// runTreeColls launches n ranks that sleep skew[r] and then run a gather to
-// gRoot and an allgather back to back, through impl. It returns what every
-// rank saw and the bytes and messages sent in total.
-func runTreeColls(t *testing.T, impl treeColls, n, gRoot int, skew []time.Duration, mine [][]byte) ([]collRun, float64, float64) {
+// runTreeColls launches n ranks that sleep skew[r] and then run an allgather
+// through impl. It returns what every rank saw and the bytes and messages
+// sent in total.
+func runTreeColls(t *testing.T, impl allgatherFn, n int, skew []time.Duration, mine [][]byte) ([]collRun, float64, float64) {
 	t.Helper()
 	clus := testCluster((n+7)/8, 8)
 	clus.Metrics = metrics.New(clus.Sim)
@@ -180,10 +160,8 @@ func runTreeColls(t *testing.T, impl treeColls, n, gRoot int, skew []time.Durati
 	Launch(clus, n, func(c *Comm) {
 		r, run := c.Rank(), &runs[c.Rank()]
 		c.Proc().Sleep(skew[r])
-		run.got[0], run.errs[0] = impl.gather(c, gRoot, mine[r])
-		run.done[0] = c.Proc().Now()
-		run.got[1], run.errs[1] = impl.allgather(c, mine[r])
-		run.done[1] = c.Proc().Now()
+		run.got, run.err = impl(c, mine[r])
+		run.done = c.Proc().Now()
 	})
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
@@ -193,15 +171,14 @@ func runTreeColls(t *testing.T, impl treeColls, n, gRoot int, skew []time.Durati
 	return runs, snap.Total("ftmr_mpi_send_bytes"), snap.Total("ftmr_mpi_sends")
 }
 
-// Property: over random communicator sizes, roots, entry skews and payloads
-// (nil and empty included), gather and allgather over flat bundles release
-// every rank at exactly the instant the map-based reference does, with the
-// same payloads, for the same number of messages and bytes.
+// Property: over random communicator sizes, entry skews and payloads (nil and
+// empty included), allgather over flat bundles releases every rank at exactly
+// the instant the map-based reference does, with the same payloads, for the
+// same number of messages and bytes.
 func TestTreeCollectivesMatchReferenceModel(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(97)
-		gRoot := rng.Intn(n)
 		skew := make([]time.Duration, n)
 		for r := range skew {
 			if rng.Intn(2) == 0 {
@@ -209,33 +186,30 @@ func TestTreeCollectivesMatchReferenceModel(t *testing.T) {
 			}
 		}
 		mine := randomPayloads(rng, n)
-		want, wantBytes, wantSends := runTreeColls(t, refColls, n, gRoot, skew, mine)
-		got, gotBytes, gotSends := runTreeColls(t, flatColls, n, gRoot, skew, mine)
+		want, wantBytes, wantSends := runTreeColls(t, refAllgather, n, skew, mine)
+		got, gotBytes, gotSends := runTreeColls(t, (*Comm).Allgather, n, skew, mine)
 		if gotBytes != wantBytes || gotSends != wantSends {
 			t.Fatalf("seed %d W=%d: sent %v bytes in %v messages, reference %v in %v",
 				seed, n, gotBytes, gotSends, wantBytes, wantSends)
 		}
 		for r := 0; r < n; r++ {
-			for op, name := range []string{"gather", "allgather"} {
-				if got[r].errs[op] != nil || want[r].errs[op] != nil {
-					t.Fatalf("seed %d W=%d rank %d %s: error %v (reference %v)", seed, n, r, name, got[r].errs[op], want[r].errs[op])
-				}
-				if got[r].done[op] != want[r].done[op] {
-					t.Fatalf("seed %d W=%d rank %d %s: completes at %v, reference at %v",
-						seed, n, r, name, got[r].done[op], want[r].done[op])
-				}
-				g, w := got[r].got[op], want[r].got[op]
-				if len(g) != len(w) {
-					t.Fatalf("seed %d W=%d rank %d %s: %d payloads, reference %d", seed, n, r, name, len(g), len(w))
-				}
-				for i := range g {
-					if !bytes.Equal(g[i], w[i]) {
-						t.Fatalf("seed %d W=%d rank %d %s: payload %d differs from the reference", seed, n, r, name, i)
-					}
+			if got[r].err != nil || want[r].err != nil {
+				t.Fatalf("seed %d W=%d rank %d: error %v (reference %v)", seed, n, r, got[r].err, want[r].err)
+			}
+			if got[r].done != want[r].done {
+				t.Fatalf("seed %d W=%d rank %d: completes at %v, reference at %v", seed, n, r, got[r].done, want[r].done)
+			}
+			g, w := got[r].got, want[r].got
+			if len(g) != len(w) {
+				t.Fatalf("seed %d W=%d rank %d: %d payloads, reference %d", seed, n, r, len(g), len(w))
+			}
+			for i := range g {
+				if !bytes.Equal(g[i], w[i]) {
+					t.Fatalf("seed %d W=%d rank %d: payload %d differs from the reference", seed, n, r, i)
 				}
 			}
 			// The reference itself delivers what was put in.
-			for i, d := range got[r].got[1] {
+			for i, d := range g {
 				if !bytes.Equal(d, mine[i]) {
 					t.Fatalf("seed %d W=%d rank %d: allgather entry %d is not rank %d's payload", seed, n, r, i, i)
 				}
@@ -267,11 +241,11 @@ func TestTreeCollectivesFailLikeReferenceModel(t *testing.T) {
 		class string
 		at    time.Duration
 	}
-	// The victim is picked by its position in the tree: an even virtual rank,
+	// The victim is picked by its position in the tree: an even rank,
 	// whose first child — the straggler — enters 4 ms after everyone else. A
 	// kill at 2 ms therefore finds the victim inside, waiting for that child,
 	// and its own parent waiting for it.
-	run := func(impl treeColls, n, root, victim, straggler int, killAt time.Duration, allgather bool) []outcome {
+	run := func(impl allgatherFn, n, victim, straggler int, killAt time.Duration) []outcome {
 		clus := testCluster((n+7)/8, 8)
 		res := make([]outcome, n)
 		w := Launch(clus, n, func(c *Comm) {
@@ -281,12 +255,7 @@ func TestTreeCollectivesFailLikeReferenceModel(t *testing.T) {
 			if r == straggler {
 				c.Proc().Sleep(4 * time.Millisecond)
 			}
-			var err error
-			if allgather {
-				_, err = impl.allgather(c, []byte{byte(r)})
-			} else {
-				_, err = impl.gather(c, root, []byte{byte(r)})
-			}
+			_, err := impl(c, []byte{byte(r)})
 			res[r] = outcome{errClass(err), c.Proc().Now()}
 			if err != nil {
 				_ = c.Revoke() // release the ranks the broken tree left waiting
@@ -301,33 +270,25 @@ func TestTreeCollectivesFailLikeReferenceModel(t *testing.T) {
 	}
 	for _, n := range []int{2, 5, 16, 37} {
 		for _, killAt := range []time.Duration{0, 2 * time.Millisecond} {
-			for _, allgather := range []bool{false, true} {
-				for _, vv := range []int{0, 2, (n / 2) &^ 1} {
-					root := 0
-					if !allgather {
-						root = (vv + n/3) % n
-					}
-					if vv+1 >= n {
+			for _, victim := range []int{0, 2, (n / 2) &^ 1} {
+				straggler := victim + 1
+				if straggler >= n {
+					continue
+				}
+				want := run(refAllgather, n, victim, straggler, killAt)
+				got := run((*Comm).Allgather, n, victim, straggler, killAt)
+				classes := make(map[string]int)
+				for r := range got {
+					if r == victim {
 						continue
 					}
-					victim, straggler := prank(vv, root, n), prank(vv+1, root, n)
-					want := run(refColls, n, root, victim, straggler, killAt, allgather)
-					got := run(flatColls, n, root, victim, straggler, killAt, allgather)
-					classes := make(map[string]int)
-					for r := range got {
-						if r == victim {
-							continue
-						}
-						if got[r] != want[r] {
-							t.Errorf("W=%d root=%d victim=%d killAt=%v allgather=%v rank %d: %+v, reference %+v",
-								n, root, victim, killAt, allgather, r, got[r], want[r])
-						}
-						classes[got[r].class]++
+					if got[r] != want[r] {
+						t.Errorf("W=%d victim=%d killAt=%v rank %d: %+v, reference %+v", n, victim, killAt, r, got[r], want[r])
 					}
-					if classes["proc-failed"] == 0 {
-						t.Errorf("W=%d root=%d victim=%d killAt=%v allgather=%v: nobody saw the process failure: %v",
-							n, root, victim, killAt, allgather, classes)
-					}
+					classes[got[r].class]++
+				}
+				if classes["proc-failed"] == 0 {
+					t.Errorf("W=%d victim=%d killAt=%v: nobody saw the process failure: %v", n, victim, killAt, classes)
 				}
 			}
 		}

@@ -51,8 +51,8 @@ func (c *Comm) enterColl(op string) obs.CollSpan {
 	return c.r.obs.CollEnter(op, c.st.id, c.peekSeq())
 }
 
-// treeParent returns the parent of rank vr (root-relative virtual rank) in a
-// binomial tree, or -1 for the root.
+// treeParent returns the parent of rank vr in the binomial tree rooted at
+// rank 0, or -1 for the root.
 func treeParent(vr int) int {
 	if vr == 0 {
 		return -1
@@ -61,8 +61,8 @@ func treeParent(vr int) int {
 	return vr &^ (1 << uint(bits.TrailingZeros(uint(vr))))
 }
 
-// treeChildren appends the children of virtual rank vr in a binomial tree
-// over n ranks.
+// treeChildren returns the children of rank vr in the binomial tree over n
+// ranks rooted at rank 0.
 func treeChildren(vr, n int) []int {
 	var kids []int
 	lsb := bits.TrailingZeros(uint(vr))
@@ -78,83 +78,51 @@ func treeChildren(vr, n int) []int {
 	return kids
 }
 
-// vrank maps a communicator rank to its root-relative virtual rank.
-func vrank(rank, root, n int) int { return (rank - root + n) % n }
-
-// prank maps a virtual rank back to a communicator rank.
-func prank(vr, root, n int) int { return (vr + root) % n }
-
 // Barrier blocks until every rank in the communicator has entered it. On
 // failure it raises an error through the error handler.
 func (c *Comm) Barrier() error {
 	defer c.enterColl("barrier").Exit()
 	seq := c.nextSeq()
-	if _, err := c.gatherTree(seq, 0, nil); err != nil {
+	if _, err := c.gatherTree(seq, nil); err != nil {
 		return c.raise(err)
 	}
-	if _, err := c.bcastTree(seq, 0, nil); err != nil {
+	if _, err := c.bcastTree(seq, nil); err != nil {
 		return c.raise(err)
 	}
 	return nil
 }
 
-// Bcast distributes root's data to every rank and returns it. All ranks
-// must pass the same root; non-root ranks' data argument is ignored.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	defer c.enterColl("bcast").Exit()
-	seq := c.nextSeq()
-	out, err := c.bcastTree(seq, root, data)
-	return out, c.raise(err)
-}
-
-// bcastTree runs a binomial-tree broadcast.
-func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
-	n := c.Size()
-	vr := vrank(c.rank, root, n)
-	if parent := treeParent(vr); parent >= 0 {
-		m, err := c.recv(prank(parent, root, n), internalTag(seq, 1))
+// bcastTree runs a binomial-tree broadcast from rank 0.
+func (c *Comm) bcastTree(seq int, data []byte) ([]byte, error) {
+	if parent := treeParent(c.rank); parent >= 0 {
+		m, err := c.recv(parent, internalTag(seq, 1))
 		if err != nil {
 			return nil, err
 		}
 		data = m.Data
 	}
-	for _, child := range treeChildren(vr, n) {
-		if _, err := c.send(prank(child, root, n), internalTag(seq, 1), data); err != nil {
+	for _, child := range treeChildren(c.rank, c.Size()) {
+		if _, err := c.send(child, internalTag(seq, 1), data); err != nil {
 			return nil, err
 		}
 	}
 	return data, nil
 }
 
-// Gather collects each rank's data at root. At root, the returned slice is
-// indexed by communicator rank; other ranks get nil.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	defer c.enterColl("gather").Exit()
-	seq := c.nextSeq()
-	b, err := c.gatherTree(seq, root, data)
-	if err != nil || c.rank != root {
-		return nil, c.raise(err)
-	}
-	out := make([][]byte, c.Size())
-	_, _, err = readBundle(b, c.Size(), out)
-	return out, c.raise(err)
-}
-
-// gatherTree runs a binomial-tree gather: each rank bundles its own payload
-// with its subtree's and forwards to its parent. The root returns the bundle
+// gatherTree runs a binomial-tree gather to rank 0: each rank bundles its own
+// payload with its subtree's and forwards to its parent. Rank 0 returns the bundle
 // of the whole communicator. An inner node never decodes: it checks each
 // child's bundle in one walk and concatenates the entry bytes after its own
 // entry, so entries travel in tree order, not rank order — only a bundle's
 // length is observable in virtual time.
-func (c *Comm) gatherTree(seq, root int, data []byte) ([]byte, error) {
+func (c *Comm) gatherTree(seq int, data []byte) ([]byte, error) {
 	n := c.Size()
-	vr := vrank(c.rank, root, n)
-	kids := treeChildren(vr, n)
+	kids := treeChildren(c.rank, n)
 	subs := make([][]byte, len(kids))
 	count, size := 1, bundleHdrLen+entryHdrLen+len(data)
 	// Children with larger low bits arrive later; receive them all.
 	for i, child := range kids {
-		m, err := c.recv(prank(child, root, n), internalTag(seq, 2))
+		m, err := c.recv(child, internalTag(seq, 2))
 		if err != nil {
 			return nil, err
 		}
@@ -172,8 +140,8 @@ func (c *Comm) gatherTree(seq, root int, data []byte) ([]byte, error) {
 	for _, entries := range subs {
 		b = append(b, entries...)
 	}
-	if parent := treeParent(vr); parent >= 0 {
-		_, err := c.send(prank(parent, root, n), internalTag(seq, 2), b)
+	if parent := treeParent(c.rank); parent >= 0 {
+		_, err := c.send(parent, internalTag(seq, 2), b)
 		return nil, err
 	}
 	return b, nil
@@ -185,11 +153,11 @@ func (c *Comm) gatherTree(seq, root int, data []byte) ([]byte, error) {
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	defer c.enterColl("allgather").Exit()
 	seq := c.nextSeq()
-	b, err := c.gatherTree(seq, 0, data)
+	b, err := c.gatherTree(seq, data)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	if b, err = c.bcastTree(seq, 0, b); err != nil {
+	if b, err = c.bcastTree(seq, b); err != nil {
 		return nil, c.raise(err)
 	}
 	out := make([][]byte, c.Size())

@@ -10,7 +10,7 @@
 // is no global notification — the inconsistency FT-MRMPI's checkpoint/restart
 // design exploits via error handlers plus Abort (paper §2.2, §2.4, §4.1).
 //
-// The ULFM extensions (Revoke/Shrink/Agree/FailureAck; ulfm.go) implement
+// The ULFM extensions (Revoke/Shrink/Agree; ulfm.go) implement
 // the user-level failure mitigation proposal the detect/resume model needs
 // (paper §4.2).
 package mpi
@@ -129,14 +129,8 @@ type Rank struct {
 // reach the cluster's trace, metrics and introspection planes. Never nil.
 func (r *Rank) Obs() *obs.Handle { return r.obs }
 
-// Proc returns the rank's simulated process.
-func (r *Rank) Proc() *vtime.Proc { return r.proc }
-
 // CPU returns the rank's core resource (shared with its agent threads).
 func (r *Rank) CPU() *vtime.Bandwidth { return r.cpu }
-
-// Node returns the rank's compute node.
-func (r *Rank) Node() *cluster.Node { return r.node }
 
 // WorldRank returns the rank's id in the world communicator.
 func (r *Rank) WorldRank() int { return r.world }
@@ -177,13 +171,12 @@ type commState struct {
 	shrink *shrinkOp
 	agree  *agreeOp
 	// exch lists the Alltoallv instances with ranks inside, oldest first.
-	exch  []*exchOp
-	acked []map[int]bool // per comm-rank: acknowledged failed world ranks
+	exch []*exchOp
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
 	// deadCount is the number of failed ranks in the group. It lets
-	// failedSourceErr answer the common all-failures-acknowledged case in
-	// O(1) instead of scanning the whole group on every AnySource receive.
+	// failedSourceErr answer the common no-failure case in O(1) instead of
+	// scanning the whole group on every AnySource receive.
 	deadCount int
 }
 
@@ -231,11 +224,9 @@ func (w *World) newCommState(group []int) *commState {
 	sort.Ints(st.group)
 	st.boxes = make([]*mailbox, len(group))
 	st.opSeq = make([]int, len(group))
-	st.acked = make([]map[int]bool, len(group))
 	st.handlers = make([]func(*Comm, error), len(group))
 	for i := range st.boxes {
 		st.boxes[i] = &mailbox{}
-		st.acked[i] = make(map[int]bool)
 	}
 	w.comms = append(w.comms, st)
 	return st
@@ -514,8 +505,8 @@ func (st *commState) complete(box *mailbox, rw *recvWait, msg *Message, err erro
 // Recv blocks until a message matching (src, tag) arrives. src may be
 // AnySource and tag may be AnyTag. Per MPI-3 + ULFM semantics, a receive
 // from a specific failed source errors immediately unless a matching
-// message was already buffered, and an AnySource receive errors while there
-// are unacknowledged failures in the communicator (see FailureAck).
+// message was already buffered, and an AnySource receive errors while a
+// member of the communicator is dead.
 func (c *Comm) Recv(src, tag int) (*Message, error) {
 	m, err := c.recv(src, tag)
 	return m, c.raise(err)
@@ -589,23 +580,16 @@ func (c *Comm) tookBuffered(src, tag int, m *Message) {
 func (c *Comm) failedSourceErr(src int) error {
 	st := c.st
 	if src == AnySource {
-		// Fast path: every failed group member has been acknowledged (or
-		// none have failed). acked only ever holds failed ranks and ranks
-		// never revive, so equal cardinality means equal sets — O(1) per
-		// AnySource receive instead of an O(group) scan.
-		if st.deadCount == len(st.acked[c.rank]) {
+		if st.deadCount == 0 {
 			return nil
 		}
 		var dead []int
 		for _, wr := range st.group {
-			if !st.w.ranks[wr].alive && !st.acked[c.rank][wr] {
+			if !st.w.ranks[wr].alive {
 				dead = append(dead, wr)
 			}
 		}
-		if len(dead) > 0 {
-			return &ProcFailedError{Ranks: dead}
-		}
-		return nil
+		return &ProcFailedError{Ranks: dead}
 	}
 	wr := st.group[src]
 	if !st.w.ranks[wr].alive {

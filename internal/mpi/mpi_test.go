@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -118,33 +117,11 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcastGatherAllgatherAllreduce(t *testing.T) {
+func TestAllgatherAllreduce(t *testing.T) {
 	clus := testCluster(4, 2)
 	n := 7 // non-power-of-two on purpose
 	sum := make(chan int64, n)
 	Launch(clus, n, func(c *Comm) {
-		// Bcast from rank 2.
-		data, err := c.Bcast(2, []byte(fmt.Sprintf("root-data-%d", c.Rank())))
-		if err != nil {
-			t.Errorf("bcast: %v", err)
-			return
-		}
-		if string(data) != "root-data-2" {
-			t.Errorf("rank %d bcast got %q", c.Rank(), data)
-		}
-		// Gather at rank 1.
-		g, err := c.Gather(1, []byte{byte(c.Rank() * 3)})
-		if err != nil {
-			t.Errorf("gather: %v", err)
-			return
-		}
-		if c.Rank() == 1 {
-			for r, d := range g {
-				if len(d) != 1 || d[0] != byte(r*3) {
-					t.Errorf("gather[%d] = %v", r, d)
-				}
-			}
-		}
 		// Allgather.
 		all, err := c.Allgather([]byte{byte(c.Rank() + 1)})
 		if err != nil {
@@ -237,17 +214,21 @@ func TestFailureSurfacesAsLocalError(t *testing.T) {
 	}
 }
 
-func TestAnySourceBlockedOnFailureUntilAck(t *testing.T) {
+// An AnySource receive fails while a member of the communicator is dead:
+// the parked one when the member dies, and one posted afterwards on the spot
+// — unless a matching message is already buffered.
+func TestAnySourceFailsWhileMemberDead(t *testing.T) {
 	clus := testCluster(3, 1)
-	var first, second error
+	var first, second, third error
 	var got *Message
 	w := Launch(clus, 3, func(c *Comm) {
 		c.SetErrHandler(func(*Comm, error) {})
 		switch c.Rank() {
 		case 0:
 			_, first = c.Recv(AnySource, AnyTag) // interrupted by rank 2's death
-			c.FailureAck()
-			got, second = c.Recv(AnySource, AnyTag) // proceeds, matches rank 1
+			_, second = c.Recv(AnySource, AnyTag)
+			c.Proc().Sleep(3 * time.Second)
+			got, third = c.Recv(AnySource, AnyTag) // rank 1's message is buffered by now
 		case 1:
 			c.Proc().Sleep(3 * time.Second)
 			c.Send(0, 1, []byte("late"))
@@ -257,11 +238,14 @@ func TestAnySourceBlockedOnFailureUntilAck(t *testing.T) {
 	})
 	clus.Sim.After(time.Second, func() { w.Kill(2) })
 	clus.Sim.Run()
-	if !IsProcFailed(first) {
-		t.Fatalf("first recv error = %v, want ProcFailedError", first)
+	for i, err := range []error{first, second} {
+		var pf *ProcFailedError
+		if !errors.As(err, &pf) || len(pf.Ranks) != 1 || pf.Ranks[0] != 2 {
+			t.Fatalf("recv %d error = %v, want ProcFailedError naming world rank 2", i+1, err)
+		}
 	}
-	if second != nil || got == nil || string(got.Data) != "late" {
-		t.Fatalf("second recv = %v, %v", got, second)
+	if third != nil || got == nil || string(got.Data) != "late" {
+		t.Fatalf("third recv = %v, %v", got, third)
 	}
 }
 
@@ -433,6 +417,77 @@ func TestAgreeAndsFlagsAndSurvivesFailure(t *testing.T) {
 	}
 }
 
+// A kill while ranks are parked inside Agree: the agreement completes over
+// whoever is left, the parked survivors return 2*ceil(log2(P+1)) NIC latencies
+// after the last survivor is accounted for, and a waiter that died inside is
+// dropped, never woken. The instant of a rank whose own entry completes the
+// agreement is not pinned: tryComplete wakes it while it is running, which
+// cuts its latency sleep short (ROADMAP item 1(d); Shrink does the same).
+func TestAgreeUnderKill(t *testing.T) {
+	type outcome struct {
+		result int
+		at     time.Duration
+	}
+	// enter[r] is when rank r calls Agree(flags[r]); a negative entry never
+	// enters. The victim dies at one second.
+	run := func(victim int, enter []time.Duration, flags []int) ([]outcome, time.Duration) {
+		clus := testCluster(2, 2)
+		out := make([]outcome, len(enter))
+		w := Launch(clus, len(enter), func(c *Comm) {
+			c.SetErrHandler(func(*Comm, error) {})
+			r := c.Rank()
+			if enter[r] < 0 {
+				c.Proc().Sleep(time.Hour)
+				return
+			}
+			c.Proc().Sleep(enter[r])
+			res, err := c.Agree(flags[r])
+			if err != nil {
+				t.Errorf("rank %d: agree: %v", r, err)
+			}
+			out[r] = outcome{res, c.Proc().Now()}
+		})
+		clus.Sim.After(time.Second, func() { w.Kill(victim) })
+		clus.Sim.Run()
+		if st := clus.Sim.Stranded(); len(st) != 0 {
+			t.Fatalf("stranded procs: %v", st)
+		}
+		return out, 6 * clus.Cfg.NICLatency // W=4: 2*ceil(log2(5)) rounds
+	}
+	cases := []struct {
+		name   string
+		victim int
+		enter  []time.Duration
+		flags  []int
+		doneAt time.Duration // before the latency rounds
+	}{
+		// Three ranks are parked when the fourth dies outside: its death
+		// is what completes the agreement.
+		{"killed-before-entering", 3, []time.Duration{0, 0, 0, -1}, []int{1, 3, 1, 0}, time.Second},
+		// The victim is parked inside with two others; the last survivor
+		// arrives a second after the kill and completes it.
+		{"killed-while-parked", 0, []time.Duration{0, 0, 0, 2 * time.Second}, []int{3, 1, 3, 1}, 2 * time.Second},
+	}
+	for _, tc := range cases {
+		got, rounds := run(tc.victim, tc.enter, tc.flags)
+		again, _ := run(tc.victim, tc.enter, tc.flags)
+		for r := range got {
+			want := outcome{1, tc.doneAt + rounds}
+			if r == tc.victim {
+				want = outcome{} // it never returned from Agree, or never called it
+			} else if tc.enter[r] == tc.doneAt {
+				want.at = got[r].at // the entrant that completes the agreement
+			}
+			if got[r] != want {
+				t.Errorf("%s: rank %d: %+v, want %+v", tc.name, r, got[r], want)
+			}
+			if again[r] != got[r] {
+				t.Errorf("%s: rank %d: %+v on the second run, %+v on the first", tc.name, r, again[r], got[r])
+			}
+		}
+	}
+}
+
 // Property: Alltoallv is a permutation — every byte sent arrives exactly
 // once at the right place, for arbitrary sizes.
 func TestPropAlltoallvPermutes(t *testing.T) {
@@ -594,25 +649,5 @@ func TestAgreeOnRevokedComm(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("%d ranks agreed", n)
-	}
-}
-
-func TestFailureGetAcked(t *testing.T) {
-	clus := testCluster(3, 1)
-	var acked []int
-	w := Launch(clus, 3, func(c *Comm) {
-		c.SetErrHandler(func(*Comm, error) {})
-		if c.Rank() == 0 {
-			c.Proc().Sleep(2 * time.Second)
-			c.FailureAck()
-			acked = c.FailureGetAcked()
-		} else {
-			c.Proc().Sleep(time.Hour)
-		}
-	})
-	clus.Sim.After(time.Second, func() { w.Kill(2) })
-	clus.Sim.Run()
-	if len(acked) != 1 || acked[0] != 2 {
-		t.Fatalf("acked = %v, want [2]", acked)
 	}
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -16,8 +15,6 @@ import (
 //     communicator containing only the survivors.
 //   - Agree is a fault-tolerant agreement (bitwise AND) over the surviving
 //     ranks.
-//   - FailureAck acknowledges the locally-known failures so that wildcard
-//     receives can proceed again.
 
 // Revoke marks the communicator as revoked. The revocation propagates to
 // every process: all pending operations on the communicator complete with
@@ -52,27 +49,6 @@ func (c *Comm) Revoke() error {
 
 // Revoked reports whether the communicator has been revoked.
 func (c *Comm) Revoked() bool { return c.st.revoked }
-
-// FailureAck acknowledges all failures currently known in the communicator,
-// re-enabling AnySource receives (MPI_Comm_failure_ack).
-func (c *Comm) FailureAck() {
-	for _, wr := range c.st.group {
-		if !c.st.w.ranks[wr].alive {
-			c.st.acked[c.rank][wr] = true
-		}
-	}
-}
-
-// FailureGetAcked returns the world ranks whose failure the caller has
-// acknowledged (MPI_Comm_failure_get_acked).
-func (c *Comm) FailureGetAcked() []int {
-	var out []int
-	for wr := range c.st.acked[c.rank] {
-		out = append(out, wr)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // shrinkOp tracks an in-progress Shrink: it completes when every surviving
 // group member has entered.

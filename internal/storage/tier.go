@@ -199,22 +199,12 @@ func (t *Tier) List(prefix string) []string {
 	return out
 }
 
-// Remove deletes path (no cost).
-func (t *Tier) Remove(path string) { t.FS.Remove(t.path(path)) }
-
 // Rename atomically moves old to new within this tier, charged as one
 // metadata operation. Never faulted: rename is the atomicity primitive
 // commit protocols are built on.
 func (t *Tier) Rename(p *vtime.Proc, old, new string) (time.Duration, error) {
 	d := t.Charge(p, 1, 0)
 	return d, t.FS.Rename(t.path(old), t.path(new))
-}
-
-// Delete removes path, charged as one metadata operation; it errors if the
-// file does not exist.
-func (t *Tier) Delete(p *vtime.Proc, path string) (time.Duration, error) {
-	d := t.Charge(p, 1, 0)
-	return d, t.FS.Delete(t.path(path))
 }
 
 // Truncate shortens path to n bytes (no cost: a repair helper — callers

@@ -8,14 +8,11 @@ type Queue struct {
 	s       *Sim
 	items   []any
 	waiters []*Proc
-	// interrupted procs are woken without consuming an item; Recv returns
-	// (nil, false) for them. Used to model revoked/failed communication.
-	interrupted map[*Proc]bool
 }
 
 // NewQueue returns an empty queue bound to s.
 func NewQueue(s *Sim) *Queue {
-	return &Queue{s: s, interrupted: make(map[*Proc]bool)}
+	return &Queue{s: s}
 }
 
 // Len returns the number of queued items.
@@ -40,18 +37,11 @@ func (q *Queue) wakeOne() {
 	}
 }
 
-// Recv blocks p until an item is available, then dequeues and returns it
-// with ok=true. If the process is interrupted via Interrupt while waiting,
-// Recv returns (nil, false).
-func (q *Queue) Recv(p *Proc) (any, bool) {
+// Recv blocks p until an item is available, then dequeues and returns it.
+func (q *Queue) Recv(p *Proc) any {
 	for len(q.items) == 0 {
 		q.waiters = append(q.waiters, p)
 		p.park()
-		if q.interrupted[p] {
-			delete(q.interrupted, p)
-			q.unwait(p)
-			return nil, false
-		}
 	}
 	v := q.items[0]
 	q.items = q.items[1:]
@@ -61,7 +51,7 @@ func (q *Queue) Recv(p *Proc) (any, bool) {
 	if len(q.items) > 0 {
 		q.wakeOne()
 	}
-	return v, true
+	return v
 }
 
 // TryRecv dequeues an item without blocking. ok=false if the queue is empty.
@@ -83,20 +73,3 @@ func (q *Queue) unwait(p *Proc) {
 		}
 	}
 }
-
-// Interrupt wakes every process currently blocked in Recv on q; their Recv
-// calls return ok=false. Items already queued are preserved.
-func (q *Queue) Interrupt() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, p := range ws {
-		if p.dead {
-			continue
-		}
-		q.interrupted[p] = true
-		q.s.wake(p)
-	}
-}
-
-// Waiters returns the number of processes blocked in Recv.
-func (q *Queue) Waiters() int { return len(q.waiters) }

@@ -48,14 +48,8 @@ func NewBandwidth(s *Sim, name string, unitsPerSec float64) *Bandwidth {
 	return b
 }
 
-// Rate returns the configured capacity in units per second.
-func (b *Bandwidth) Rate() float64 { return b.rate }
-
 // Served returns the total units served so far.
 func (b *Bandwidth) Served() float64 { return b.served }
-
-// InUse returns the number of active acquisitions.
-func (b *Bandwidth) InUse() int { return len(b.active) }
 
 // update advances all active transfers to the current virtual time.
 func (b *Bandwidth) update() {

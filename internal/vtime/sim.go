@@ -27,7 +27,6 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -401,14 +400,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// SleepSeconds advances the process by sec seconds of virtual time.
-func (p *Proc) SleepSeconds(sec float64) {
-	if sec < 0 || math.IsNaN(sec) {
-		sec = 0
-	}
-	p.Sleep(time.Duration(sec * float64(time.Second)))
-}
-
 // Yield lets other runnable processes scheduled at the same instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
@@ -483,11 +474,6 @@ func (s *Sim) Stranded() []string {
 // meaningful only when read from scheduler context (a callback or another
 // process), where exactly zero processes are running.
 func (p *Proc) Parked() bool { return p.parked }
-
-// Started reports whether the process goroutine has begun executing (its
-// start event has fired). A spawned-but-unstarted process is neither parked
-// nor dead.
-func (p *Proc) Started() bool { return p.started }
 
 // Procs returns every process ever spawned on this simulation, in spawn
 // order (index == Proc.ID). The returned slice is a copy; the processes are
