@@ -60,7 +60,9 @@ bench-overhead:
 
 # Data-path allocation gate: the raw layer benchmarks for eyeballing, then the
 # bounds that keep the host cost of the data, shuffle and trace paths linear
-# in what they model — ConvertTwoPass allocates per key, never per pair; the
+# in what they model — the KV→KMV grouping allocates per key, never per pair,
+# under ConvertTwoPass and ConvertFourPass alike (four-pass is a price list
+# over the same grouping; its executed reference lives in kv_test.go); the
 # copier's drain of a growing stream allocates a small multiple of the stream,
 # not of stream x drains; what a rank allocates to encode and merge its
 # shuffle bundles depends on the partitions that hold data, not on the rank
@@ -132,6 +134,17 @@ define SELFTEST
 2 bin/ftmr-sim -procs 8 -kill-phase map -kill-rank 99
 2 bin/ftmr-sim -ft-model replicate -model cr
 2 bin/ftmr-sim -workload pagerank -iters 0
+# a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped
+0 bin/ftmr-sim -procs 8 -model cr -kill-phase map -restart -trace $T.cr.jsonl -trace-format jsonl
+0 bin/ftmr-trace flows $T.cr.jsonl
+# every remaining ftmr-sim flag runs once: a PFS outage window, continuous kills, the JSON summary, interval metrics sampling, the streamed trace (which must validate) and the default Chrome trace format
+0 bin/ftmr-sim -procs 8 -outage 1ms,3ms
+0 bin/ftmr-sim -procs 8 -kills 2 -kill-every 5ms
+0 bin/ftmr-sim -procs 8 -json
+0 bin/ftmr-sim -procs 8 -metrics-out $T.iv.om -metrics-interval 10ms
+0 bin/ftmr-sim -procs 8 -kill-phase map -trace-stream $T.st.jsonl
+0 bin/ftmr-trace flows $T.st.jsonl
+0 bin/ftmr-sim -procs 8 -kill-phase map -trace $T.chrome.json
 # a masking job that loses every rank is an aborted one, not a clean run with no output
 0 bin/ftmr-sim -procs 1 -model wc -kill-phase map | grep -q aborted=true
 # one usage contract for every CLI: an unknown figure, a missing mode or an unknown subcommand is exit 2

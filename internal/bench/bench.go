@@ -16,6 +16,7 @@ import (
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
+	"ftmrmpi/internal/failure"
 	"ftmrmpi/internal/workloads"
 )
 
@@ -139,15 +140,12 @@ func pct(a, b time.Duration) string {
 	return fmt.Sprintf("%.1f%%", 100*(float64(a)-float64(b))/float64(b))
 }
 
-// killPlan describes a failure injection for run().
+// killPlan is the one failure a run may be given: rank dies delay after it
+// first enters phase (failure.KillOnPhase). nil means a failure-free run.
 type killPlan struct {
 	rank  int
 	phase core.Phase
 	delay time.Duration
-	// every/count: continuous mode (kills every interval after start).
-	every time.Duration
-	count int
-	seed  int64
 }
 
 // wcRun executes one wordcount job and returns its result plus the cluster
@@ -182,38 +180,33 @@ func rerunWC(prev wcRun, spec core.Spec) wcRun {
 
 // applyKill wires a kill plan into a handle.
 func applyKill(h *core.Handle, kill *killPlan) {
-	if kill == nil {
-		return
+	if kill != nil {
+		failure.KillOnPhase(h, kill.rank, kill.phase, kill.delay)
 	}
-	if kill.every > 0 {
-		killed := 0
-		rng := splitmixRng(kill.seed)
-		var tick func()
-		tick = func() {
-			if killed >= kill.count {
-				return
-			}
-			alive := h.World.AliveRanks()
-			if len(alive) <= 1 {
-				return
-			}
-			h.World.Kill(alive[int(rng()%uint64(len(alive)))])
-			killed++
-			if killed < kill.count {
-				h.Clus.Sim.After(kill.every, tick)
-			}
-		}
-		h.Clus.Sim.After(kill.every, tick)
-		return
-	}
-	fired := false
-	h.OnPhase(func(wr int, ph core.Phase) {
-		if fired || wr != kill.rank || ph != kill.phase {
+}
+
+// killEvery kills one random live rank every interval, count times or until
+// one rank is left. It is failure.Continuous drawing from splitmixRng: the
+// victims of fig11 and fig12 in BENCH_results.json are this generator's.
+func killEvery(h *core.Handle, every time.Duration, count int, seed int64) {
+	killed := 0
+	rng := splitmixRng(seed)
+	var tick func()
+	tick = func() {
+		if killed >= count {
 			return
 		}
-		fired = true
-		h.Clus.Sim.After(kill.delay, func() { h.World.Kill(kill.rank) })
-	})
+		alive := h.World.AliveRanks()
+		if len(alive) <= 1 {
+			return
+		}
+		h.World.Kill(alive[int(rng()%uint64(len(alive)))])
+		killed++
+		if killed < count {
+			h.Clus.Sim.After(every, tick)
+		}
+	}
+	h.Clus.Sim.After(every, tick)
 }
 
 // splitmixRng returns a tiny deterministic generator.

@@ -57,11 +57,13 @@ func TestAllFiguresRegistered(t *testing.T) {
 }
 
 // TestFigureShapes runs the cheap figures at tiny scale and asserts the
-// paper's qualitative relationships hold.
+// paper's qualitative relationships hold. The figures run in parallel: each
+// builds its own clusters and simulations and shares nothing.
 func TestFigureShapes(t *testing.T) {
 	s := quickScale()
 
 	t.Run("fig4-direct-slower", func(t *testing.T) {
+		t.Parallel()
 		tab := fig04(s)
 		if len(tab.Rows) != 2 {
 			t.Fatalf("rows: %v", tab.Rows)
@@ -73,6 +75,7 @@ func TestFigureShapes(t *testing.T) {
 	})
 
 	t.Run("fig16-two-pass-faster", func(t *testing.T) {
+		t.Parallel()
 		tab := fig16(s)
 		for _, row := range tab.Rows {
 			two, err1 := strconv.ParseFloat(row[1], 64)
@@ -87,6 +90,7 @@ func TestFigureShapes(t *testing.T) {
 	})
 
 	t.Run("fig5-nwc-near-baseline", func(t *testing.T) {
+		t.Parallel()
 		tab := fig05(s)
 		for _, row := range tab.Rows {
 			nwc, err := strconv.ParseFloat(row[5], 64)
@@ -104,6 +108,7 @@ func TestFigureShapes(t *testing.T) {
 	})
 
 	t.Run("abl-restore-replica-beats-pfs", func(t *testing.T) {
+		t.Parallel()
 		tab := ablRestore(s)
 		if len(tab.Rows) != 2 {
 			t.Fatalf("rows: %v", tab.Rows)
@@ -128,6 +133,7 @@ func TestFigureShapes(t *testing.T) {
 	})
 
 	t.Run("abl-ftmodel-crossover", func(t *testing.T) {
+		t.Parallel()
 		tab := ablFTModel(s)
 		if len(tab.Rows) != 4 {
 			t.Fatalf("rows: %v", tab.Rows)
@@ -154,6 +160,7 @@ func TestFigureShapes(t *testing.T) {
 	})
 
 	t.Run("fig8-wc-beats-mrmpi", func(t *testing.T) {
+		t.Parallel()
 		tab := fig08(s)
 		for _, row := range tab.Rows {
 			wc, err := strconv.ParseFloat(row[4], 64)

@@ -289,8 +289,7 @@ func ablFTModelCR(name string, procs int, p workloads.WordcountParams, kills int
 	for attempt := 0; ; attempt++ {
 		h := core.RunSingle(clus, spec)
 		if attempt < kills {
-			applyKill(h, &killPlan{rank: procs/2 + attempt, phase: core.PhaseReduce,
-				delay: time.Duration(attempt+1) * time.Millisecond})
+			failure.KillOnPhase(h, procs/2+attempt, core.PhaseReduce, time.Duration(attempt+1)*time.Millisecond)
 		}
 		clus.Sim.Run()
 		res := h.Result()

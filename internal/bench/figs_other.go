@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftmrmpi/internal/core"
+	"ftmrmpi/internal/failure"
 	"ftmrmpi/internal/workloads"
 )
 
@@ -70,7 +71,7 @@ func fig03(s Scale) *Table {
 			})
 		}
 		h := run(false)
-		applyKill(h, &killPlan{rank: procs / 3, phase: core.PhaseMap, delay: 200 * time.Millisecond})
+		failure.KillOnPhase(h, procs/3, core.PhaseMap, 200*time.Millisecond)
 		clus.Sim.Run()
 		h2 := run(true)
 		clus.Sim.Run()
@@ -116,7 +117,7 @@ func continuousTable(id, title string, s Scale, absents []int,
 		k := k
 		interval := refFull / time.Duration(3*k/2+2)
 		kill := func(h *core.Handle) {
-			applyKill(h, &killPlan{every: interval, count: k, seed: int64(k)})
+			killEvery(h, interval, k, int64(k))
 		}
 		wc := runApp(fmt.Sprintf("%s-wc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeWC), kill)
 		nwc := runApp(fmt.Sprintf("%s-nwc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeNWC), kill)

@@ -92,6 +92,13 @@ type Cluster struct {
 	// instrumentation point.
 	Trace *trace.Tracer
 
+	// FlowID is the last message id (flow id) handed out: mpi stamps every
+	// point-to-point send with the next one. It lives with the tracer, not
+	// with an mpi.World, so the worlds a resubmitted job launches one after
+	// another on this cluster never reuse an id within one trace.
+	// Deterministic: the simulator runs one process at a time.
+	FlowID uint64
+
 	// Metrics, when non-nil, is the live metrics registry every layer binds
 	// its instruments to. Like Trace, nil disables all metric collection at
 	// the cost of one branch per instrumentation point.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -486,10 +487,9 @@ func TestDecodeFramesRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestDecodeStateRejectsGarbage drives decodeState with malformed inputs.
-func TestDecodeStateRejectsGarbage(t *testing.T) {
-	// A minimal well-formed state: phase, jobIdx, empty bitmap, model rank,
-	// three float64s, two empty claim lists.
+// minimalState is the smallest well-formed survivor state: phase, jobIdx,
+// empty bitmap, model rank, three float64s, two empty claim lists.
+func minimalState() []byte {
 	minimal := []byte{byte(phMap)}
 	minimal = append(minimal, 0, 0, 0, 0) // jobIdx
 	minimal = append(minimal, 0, 0, 0, 0) // bitmap length 0
@@ -497,19 +497,50 @@ func TestDecodeStateRejectsGarbage(t *testing.T) {
 	minimal = append(minimal, make([]byte, 24)...)
 	minimal = append(minimal, 0, 0, 0, 0) // parts list
 	minimal = append(minimal, 0, 0, 0, 0) // tasks list
-	if _, err := decodeState(minimal); err != nil {
+	return minimal
+}
+
+// malformedStates is one input per rejecting arm of decodeState, each with a
+// fragment of the error that arm returns.
+func malformedStates() []struct {
+	name, want string
+	data       []byte
+} {
+	minimal := minimalState()
+	patched := func(off int, v byte) []byte {
+		b := append([]byte(nil), minimal...)
+		b[off] = v
+		return b
+	}
+	const bitmapLen, partsLen, tasksLen = 5, 37, 41 // offsets of the three length fields
+	return []struct {
+		name, want string
+		data       []byte
+	}{
+		{"empty", "short survivor state", nil},
+		{"short", "short survivor state", []byte{1, 2, 3}},
+		{"bad phase", "bad phase", patched(0, byte(phDone+1))},
+		{"short header", "short survivor state header", minimal[:7]},
+		{"bitmap longer than the state", "truncated survivor state", patched(bitmapLen, 200)},
+		{"truncated parts list", "truncated claim list", minimal[:len(minimal)-5]},
+		{"parts entries missing", "truncated claim entries", patched(partsLen, 3)},
+		{"truncated tasks list", "truncated claim list", minimal[:len(minimal)-1]},
+		{"tasks entries missing", "truncated claim entries", patched(tasksLen, 1)},
+		{"trailing bytes", "trailing bytes", append(append([]byte(nil), minimal...), 0xff)},
+	}
+}
+
+// TestDecodeStateRejectsGarbage drives decodeState with malformed inputs, one
+// per rejecting arm.
+func TestDecodeStateRejectsGarbage(t *testing.T) {
+	if _, err := decodeState(minimalState()); err != nil {
 		t.Fatalf("minimal valid state rejected: %v", err)
 	}
-	cases := map[string][]byte{
-		"empty":          nil,
-		"short header":   {1, 2, 3},
-		"bad phase":      append([]byte{byte(phDone + 1)}, minimal[1:]...),
-		"truncated body": minimal[:len(minimal)-5],
-		"trailing bytes": append(append([]byte(nil), minimal...), 0xff),
-	}
-	for name, data := range cases {
-		if _, err := decodeState(data); err == nil {
-			t.Fatalf("%s: garbage accepted", name)
+	for _, c := range malformedStates() {
+		if _, err := decodeState(c.data); err == nil {
+			t.Errorf("%s: garbage accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: rejected with %q, want the %q arm", c.name, err, c.want)
 		}
 	}
 }

@@ -85,16 +85,13 @@ func FuzzDecodeShadowSync(f *testing.F) {
 // FuzzDecodeState checks the survivor-state codec never panics and never
 // accepts input with undeclared trailing bytes.
 func FuzzDecodeState(f *testing.F) {
-	minimal := []byte{byte(phMap)}
-	minimal = append(minimal, 0, 0, 0, 0)
-	minimal = append(minimal, 0, 0, 0, 0)
-	minimal = append(minimal, 0, 0, 0, 0)
-	minimal = append(minimal, make([]byte, 24)...)
-	minimal = append(minimal, 0, 0, 0, 0)
-	minimal = append(minimal, 0, 0, 0, 0)
+	minimal := minimalState()
 	f.Add([]byte{})
 	f.Add(minimal)
 	f.Add(append(append([]byte(nil), minimal...), 1))
+	for _, c := range malformedStates() {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeState(data)
 		if err != nil {

@@ -30,9 +30,9 @@ func (r *runner) scratch() *storage.Tier {
 	return r.job.clus.PFS
 }
 
-// phaseConvert groups each of the role's partitions from KV into KMV using
-// the configured algorithm, charging the algorithm's real data movement
-// against the local scratch disk (§5.2).
+// phaseConvert groups each of the role's partitions from KV into KMV and
+// charges the configured algorithm's traffic against the local scratch disk
+// (§5.2).
 func (r *runner) phaseConvert(ro *role) error {
 	scratch := r.scratch()
 	for _, part := range ro.parts() {

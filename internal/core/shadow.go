@@ -77,11 +77,6 @@ type ftState struct {
 	shadowOut  map[int][]byte
 	syncedG    map[int]uint32
 	syncedLen  map[int]uint64
-
-	// seenFlows dedupes replicate-shuffle bundles: a primary's direct send
-	// and its shadow-mirrored copy carry the same world-unique flow id, and
-	// each receiver commits a given flow exactly once.
-	seenFlows map[uint64]bool
 }
 
 // newFTState builds the replication state for one runner, or returns nil
@@ -115,7 +110,6 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 		shadowOut:  make(map[int][]byte),
 		syncedG:    make(map[int]uint32),
 		syncedLen:  make(map[int]uint64),
-		seenFlows:  make(map[uint64]bool),
 	}
 	c.Self().Obs().BindFT()
 	for slot := 0; slot < pr.P; slot++ {
@@ -281,7 +275,7 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 // active: primaries send each slot's bundle directly to its acting primary
 // and shadow-mirror the identical bytes (same flow id) to the slot's live
 // shadow; every rank — primary or shadow — then collects one bundle per
-// slot, deduplicating on flow id. Shadows end up holding their pair's
+// slot. Shadows end up holding their pair's
 // post-shuffle partitions without the primary ever re-sending on failover.
 // The bundles come back in slot order, so every receiver merges its
 // partitions in the same deterministic order as the Alltoallv exchange.
@@ -329,10 +323,12 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 		}
 	}
 
-	// Collect one bundle per live source slot. Duplicate deliveries are
-	// dropped on flow id; a flow commits exactly once.
+	// Collect one bundle per live source slot. A rank is the acting primary
+	// or the shadow of one slot, never both, so it is sent exactly one copy
+	// per source, and the tag (job index, death count) keeps out the bundles
+	// of any other exchange.
 	got := make([][]byte, len(f.acting))
-	for need := len(liveSlots); need > 0; {
+	for range liveSlots {
 		var m *mpi.Message
 		if err := r.net(func() error {
 			msg, e := r.comm.Recv(mpi.AnySource, tag)
@@ -341,18 +337,7 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 		}); err != nil {
 			return nil, err
 		}
-		if f.seenFlows[m.ID()] {
-			r.obs.FT.DupDrops.Inc()
-			continue
-		}
-		f.seenFlows[m.ID()] = true
-		srcSlot := f.actingSlot(r.comm.WorldRank(m.Src))
-		if srcSlot < 0 || got[srcSlot] != nil {
-			r.obs.FT.DupDrops.Inc()
-			continue
-		}
-		got[srcSlot] = m.Data
-		need--
+		got[f.actingSlot(r.comm.WorldRank(m.Src))] = m.Data
 	}
 	bundles := make([][]byte, 0, len(liveSlots))
 	for _, s := range liveSlots {

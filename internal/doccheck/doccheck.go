@@ -1,6 +1,7 @@
 // Package doccheck enforces the godoc contract on a package's exported
 // surface. `go vet` has no doc-comment analyzer, so `make check` gets the
-// guarantee through one small test per package that calls Check: every
+// guarantee through tests that call Check — one table over the core packages
+// in this package's own test, a line in a package that checks itself: every
 // exported type, function, method, struct field and const/var must carry a
 // doc comment.
 package doccheck

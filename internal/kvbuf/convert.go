@@ -3,11 +3,10 @@ package kvbuf
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// ConvertStats reports the data movement a KV→KMV conversion performed.
+// ConvertStats reports the data movement of a KV→KMV conversion algorithm.
 // The MapReduce runtime charges these against the simulated local disk, so
 // algorithms that touch the data more pay for it in virtual time.
 type ConvertStats struct {
@@ -21,69 +20,25 @@ type ConvertStats struct {
 // Total returns total bytes moved.
 func (s ConvertStats) Total() int { return s.ReadBytes + s.WriteBytes }
 
-// add accumulates another pass's traffic.
-func (s *ConvertStats) add(readB, writeB, readOps, writeOps int) {
+// add accumulates one sequential pass that reads readB and writes writeB bytes.
+func (s *ConvertStats) add(readB, writeB int) {
 	s.ReadBytes += readB
 	s.WriteBytes += writeB
-	s.ReadOps += readOps
-	s.WriteOps += writeOps
+	s.ReadOps += opsFor(readB)
+	s.WriteOps += opsFor(writeB)
 	s.Passes++
 }
 
 // ConvertFourPass is the original MR-MPI KV→KMV conversion: four nested
 // read-and-write passes over the intermediate data (paper §5.2: "reads and
-// writes the intermediate data four times").
-//
-//	pass 1: scan all pairs and spill a key-sorted copy;
-//	pass 2: scan the sorted copy, building and writing the per-key skeleton
-//	        (key headers + slot tables);
-//	pass 3: re-scan the sorted copy, scattering each value into its slot;
-//	pass 4: compaction pass over the assembled KMV.
+// writes the intermediate data four times"). The four passes are charged,
+// not executed: the KMV comes from the one grouping both algorithms share,
+// and the statistics are fourPassStats of its sizes. The executed algorithm
+// is refConvertFourPass in kv_test.go, which a property test holds this to.
 func ConvertFourPass(kv *KV) (*KMV, ConvertStats) {
-	var st ConvertStats
-	size := kv.Size()
-
-	// Pass 1: read everything, write a key-sorted spill copy.
-	type pair struct{ k, v []byte }
-	pairs := make([]pair, 0, kv.Len())
-	_ = kv.ForEach(func(k, v []byte) {
-		pairs = append(pairs, pair{append([]byte(nil), k...), append([]byte(nil), v...)})
-	})
-	sort.SliceStable(pairs, func(i, j int) bool { return string(pairs[i].k) < string(pairs[j].k) })
-	st.add(size, size, opsFor(size), opsFor(size))
-
-	// Pass 2: read the sorted copy, write the per-key skeleton (key bytes
-	// plus one slot entry per value).
-	counts := make(map[string]int)
-	hdrBytes := 0
-	for _, p := range pairs {
-		if counts[string(p.k)] == 0 {
-			hdrBytes += len(p.k) + 8
-		}
-		counts[string(p.k)]++
-		hdrBytes += 4
-	}
-	st.add(size, hdrBytes, opsFor(size), opsFor(hdrBytes))
-
-	// Pass 3: read the sorted copy again, scatter values into their slots.
-	slots := make(map[string][][]byte, len(counts))
-	wrote := 0
-	for _, p := range pairs {
-		slots[string(p.k)] = append(slots[string(p.k)], p.v)
-		wrote += len(p.v)
-	}
-	st.add(size, wrote, opsFor(size), opsFor(wrote))
-
-	// Pass 4: compaction pass over the assembled KMV (read + rewrite).
-	keys, vals := sortKeys(slots)
-	out := &KMV{Keys: keys, Vals: vals}
-	st.add(out.Bytes(), out.Bytes(), opsFor(out.Bytes()), opsFor(out.Bytes()))
-	return out, st
+	m, _ := group(kv)
+	return m, fourPassStats(kv.Size(), m)
 }
-
-// segmentSize is the fixed size of the two-pass algorithm's log segments,
-// after the log-structured file system design the paper cites (§5.2).
-const segmentSize = 4096
 
 // ConvertTwoPass is FT-MRMPI's two-pass conversion. The first pass reads
 // the pairs once, appending each value to its key's chain of fixed-size
@@ -92,17 +47,60 @@ const segmentSize = 4096
 // group. Data is touched twice instead of four times, and progress is
 // trivially trackable per pass — the property the shuffle-phase tracing
 // relies on.
+func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
+	m, logBytes := group(kv)
+	return m, twoPassStats(kv.Size(), logBytes)
+}
+
+// twoPassStats is the traffic of the two-pass algorithm over a KV of kvSize
+// bytes whose segment log holds logBytes (every value behind a 4-byte
+// length): pass 1 reads the KV and writes the log, pass 2 reads the log and
+// rewrites it as contiguous groups.
+func twoPassStats(kvSize, logBytes int) ConvertStats {
+	var st ConvertStats
+	st.add(kvSize, logBytes)
+	st.add(logBytes, logBytes)
+	return st
+}
+
+// fourPassStats is the traffic of MR-MPI's four-pass algorithm over a KV of
+// kvSize bytes that groups into m:
+//
+//	pass 1: scan all pairs and spill a key-sorted copy;
+//	pass 2: scan the sorted copy, writing the per-key skeleton (key bytes
+//	        and an 8-byte header per key, a 4-byte slot per value);
+//	pass 3: re-scan the sorted copy, scattering each value into its slot;
+//	pass 4: compaction pass over the assembled KMV (read and rewrite).
+func fourPassStats(kvSize int, m *KMV) ConvertStats {
+	kmvBytes, keyBytes, skeleton := m.Bytes(), 0, 0
+	for i, k := range m.Keys {
+		keyBytes += len(k)
+		skeleton += len(k) + 8 + 4*len(m.Vals[i])
+	}
+	var st ConvertStats
+	st.add(kvSize, kvSize)
+	st.add(kvSize, skeleton)
+	st.add(kvSize, kmvBytes-keyBytes)
+	st.add(kmvBytes, kmvBytes)
+	return st
+}
+
+// segmentSize is the fixed size of the grouping's log segments, after the
+// log-structured file system design the paper cites (§5.2).
+const segmentSize = 4096
+
+// group is the one KV→KMV grouping, the two-pass algorithm's data movement:
+// it appends each value to its key's chain of segments, then merges each
+// chain into one contiguous group, keys in lexicographic order and a key's
+// values in insertion order. It also returns the size of the segment log,
+// Σ(4 + len(value)) over the pairs, which prices the two-pass algorithm.
 //
 // Host cost is per key, not per pair: a pair looks its chain up without
 // materialising the key, and a key's first segment starts at the size of its
 // first value and grows with its contents (later segments are allocated
 // whole), so the many keys of a skewed distribution that hold a few bytes do
-// not each pin 4 KiB. Which segment a value lands in, and so the statistics,
-// depend on segment lengths only.
-func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
-	var st ConvertStats
-	size := kv.Size()
-
+// not each pin 4 KiB.
+func group(kv *KV) (*KMV, int) {
 	// chain is one key's log: segments of framed values [vlen u32][value].
 	type chain struct {
 		key   string
@@ -113,7 +111,7 @@ func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
 	index := make(map[string]int) // key -> position in chains
 
 	// Pass 1: read pairs once, write values into segments once.
-	written := 0
+	logBytes := 0
 	_ = kv.ForEach(func(k, v []byte) {
 		i, ok := index[string(k)] // no allocation: the conversion is only a map lookup
 		if !ok {
@@ -136,20 +134,17 @@ func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
 		c.segs[last] = binary.LittleEndian.AppendUint32(c.segs[last], uint32(len(v)))
 		c.segs[last] = append(c.segs[last], v...)
 		c.nvals++
-		written += need
+		logBytes += need
 	})
-	st.add(size, written, opsFor(size), opsFor(written))
 
 	// Pass 2: merge each key's non-contiguous segments into one group.
 	slices.SortFunc(chains, func(a, b chain) int { return strings.Compare(a.key, b.key) })
 	out := &KMV{Keys: make([][]byte, len(chains)), Vals: make([][][]byte, len(chains))}
-	merged := 0
 	for i := range chains {
 		c := &chains[i]
 		out.Keys[i] = []byte(c.key)
 		vals := make([][]byte, 0, c.nvals)
 		for _, data := range c.segs {
-			merged += len(data)
 			for len(data) > 0 {
 				vl := int(binary.LittleEndian.Uint32(data[:4]))
 				vals = append(vals, data[4:4+vl:4+vl])
@@ -158,8 +153,7 @@ func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
 		}
 		out.Vals[i] = vals
 	}
-	st.add(merged, merged, opsFor(merged), opsFor(merged))
-	return out, st
+	return out, logBytes
 }
 
 // opsFor models how many disk operations a sequential scan of n bytes

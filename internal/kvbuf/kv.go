@@ -3,17 +3,16 @@
 // key-multivalue (KMV) buffers, hash partitioning for the shuffle, and the
 // two KV→KMV conversion algorithms the paper compares — the original
 // four-pass algorithm of MR-MPI and FT-MRMPI's two-pass log-structured
-// algorithm (§5.2). Both conversions are real algorithms over real bytes;
-// they return I/O statistics (bytes and operations touched per pass) that
-// the runtime charges against the simulated disks, so Figure 16's
-// performance gap emerges from genuinely different data movement.
+// algorithm (§5.2). One grouping over real bytes serves both; an algorithm is
+// its price list, the I/O statistics (bytes and operations touched per pass)
+// that the runtime charges against the simulated disks, so Figure 16's
+// performance gap is the difference in the data the two algorithms move.
 package kvbuf
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // KV is an append-only buffer of key-value pairs with the wire encoding
@@ -161,21 +160,4 @@ func (m *KMV) ForEach(fn func(key []byte, vals [][]byte)) {
 	for i, k := range m.Keys {
 		fn(k, m.Vals[i])
 	}
-}
-
-// sortKeys flattens a key→values map into parallel key and value slices in
-// lexicographic key order, the order every KMV is normalized to.
-func sortKeys(groups map[string][][]byte) ([][]byte, [][][]byte) {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	outK := make([][]byte, len(keys))
-	outV := make([][][]byte, len(keys))
-	for i, k := range keys {
-		outK[i] = []byte(k)
-		outV[i] = groups[k]
-	}
-	return outK, outV
 }

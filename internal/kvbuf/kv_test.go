@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -109,7 +110,7 @@ func randomKV(rng *rand.Rand, n, keySpace int) *KV {
 func TestConversionsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	kv := randomKV(rng, 2000, 50)
-	m4, s4 := ConvertFourPass(kv)
+	m4, s4 := refConvertFourPass(kv) // the executed algorithm: a second grouping to agree with
 	m2, s2 := ConvertTwoPass(kv)
 	if !reflect.DeepEqual(collect(m4), collect(m2)) {
 		t.Fatal("four-pass and two-pass conversions disagree")
@@ -222,45 +223,52 @@ func equalKMV(a, b *KMV) bool {
 	return true
 }
 
-// Property: over the shapes that stress the segment chains — no pairs at all,
-// empty values, a value larger than a segment, one hot key whose values span
-// several segments, many keys seen once — the two-pass KMV is the four-pass
+// stressKV builds the shapes that stress the segment chains: empty values, a
+// value larger than a segment, one hot key whose values span several segments,
+// many keys seen once. Seed 0 is the empty KV.
+func stressKV(seed int64) *KV {
+	rng := rand.New(rand.NewSource(seed))
+	kv := NewKV()
+	if seed == 0 {
+		return kv
+	}
+	val := func(n int) []byte {
+		v := make([]byte, n)
+		rng.Read(v)
+		return v
+	}
+	hot := []byte(fmt.Sprintf("hot-%d", seed))
+	nPairs := 200 + rng.Intn(800)
+	for i := 0; i < nPairs; i++ {
+		switch r := rng.Intn(10); {
+		case r < 3:
+			kv.Add(hot, val(rng.Intn(64))) // > 4 KiB in total: spills into later segments
+		case r < 5:
+			kv.Add([]byte(fmt.Sprintf("single-%d-%d", seed, i)), val(rng.Intn(8)))
+		case r < 6:
+			kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), nil)
+		default:
+			kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(rng.Intn(300)))
+		}
+		if i == nPairs/2 {
+			kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(segmentSize+1+rng.Intn(segmentSize)))
+		}
+	}
+	for i := 0; i < 100; i++ {
+		kv.Add(hot, val(60))
+	}
+	return kv
+}
+
+// Property: over the stress shapes the two-pass KMV is the executed four-pass
 // KMV (same keys, same value order), and the traffic the runtime is charged
 // is the closed form of the algorithm: pass 1 reads the KV and writes every
 // value behind a 4-byte length, pass 2 reads and rewrites that log.
 func TestPropConvertTwoPassMatchesFourPassAndClosedForm(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		kv := NewKV()
-		if seed > 0 { // seed 0 is the empty KV
-			val := func(n int) []byte {
-				v := make([]byte, n)
-				rng.Read(v)
-				return v
-			}
-			hot := []byte(fmt.Sprintf("hot-%d", seed))
-			nPairs := 200 + rng.Intn(800)
-			for i := 0; i < nPairs; i++ {
-				switch r := rng.Intn(10); {
-				case r < 3:
-					kv.Add(hot, val(rng.Intn(64))) // > 4 KiB in total: spills into later segments
-				case r < 5:
-					kv.Add([]byte(fmt.Sprintf("single-%d-%d", seed, i)), val(rng.Intn(8)))
-				case r < 6:
-					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), nil)
-				default:
-					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(rng.Intn(300)))
-				}
-				if i == nPairs/2 {
-					kv.Add([]byte(fmt.Sprintf("key-%d", rng.Intn(20))), val(segmentSize+1+rng.Intn(segmentSize)))
-				}
-			}
-			for i := 0; i < 100; i++ {
-				kv.Add(hot, val(60))
-			}
-		}
+		kv := stressKV(seed)
 		m2, s2 := ConvertTwoPass(kv)
-		m4, _ := ConvertFourPass(kv)
+		m4, _ := refConvertFourPass(kv)
 		if !equalKMV(m2, m4) {
 			t.Fatalf("seed %d: two-pass KMV differs from four-pass KMV", seed)
 		}
@@ -279,6 +287,126 @@ func TestPropConvertTwoPassMatchesFourPassAndClosedForm(t *testing.T) {
 	}
 }
 
+// refConvertFourPass is MR-MPI's four-pass conversion executed pass by pass,
+// as ConvertFourPass ran it before it was charged from the shared grouping:
+// the oracle for its KMV and for every field of its ConvertStats.
+func refConvertFourPass(kv *KV) (*KMV, ConvertStats) {
+	var st ConvertStats
+	size := kv.Size()
+
+	// Pass 1: read everything, write a key-sorted spill copy.
+	type pair struct{ k, v []byte }
+	pairs := make([]pair, 0, kv.Len())
+	_ = kv.ForEach(func(k, v []byte) {
+		pairs = append(pairs, pair{append([]byte(nil), k...), append([]byte(nil), v...)})
+	})
+	sort.SliceStable(pairs, func(i, j int) bool { return string(pairs[i].k) < string(pairs[j].k) })
+	st.add(size, size)
+
+	// Pass 2: read the sorted copy, write the per-key skeleton (key bytes
+	// plus one slot entry per value).
+	counts := make(map[string]int)
+	hdrBytes := 0
+	for _, p := range pairs {
+		if counts[string(p.k)] == 0 {
+			hdrBytes += len(p.k) + 8
+		}
+		counts[string(p.k)]++
+		hdrBytes += 4
+	}
+	st.add(size, hdrBytes)
+
+	// Pass 3: read the sorted copy again, scatter values into their slots.
+	slots := make(map[string][][]byte, len(counts))
+	wrote := 0
+	for _, p := range pairs {
+		slots[string(p.k)] = append(slots[string(p.k)], p.v)
+		wrote += len(p.v)
+	}
+	st.add(size, wrote)
+
+	// Pass 4: compaction pass over the assembled KMV (read + rewrite).
+	keys := make([]string, 0, len(slots))
+	for k := range slots {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := &KMV{Keys: make([][]byte, len(keys)), Vals: make([][][]byte, len(keys))}
+	for i, k := range keys {
+		out.Keys[i] = []byte(k)
+		out.Vals[i] = slots[k]
+	}
+	st.add(out.Bytes(), out.Bytes())
+	return out, st
+}
+
+// Property: ConvertFourPass charges the four passes without executing them;
+// over the stress shapes and random KVs, its KMV and every field of its
+// ConvertStats are those of the executed algorithm.
+func TestPropConvertFourPassMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		var kv *KV
+		if seed%2 == 0 {
+			kv = stressKV(seed)
+		} else {
+			rng := rand.New(rand.NewSource(seed))
+			kv = randomKV(rng, rng.Intn(3000), 1+rng.Intn(200))
+		}
+		m, st := ConvertFourPass(kv)
+		ref, refSt := refConvertFourPass(kv)
+		if !equalKMV(m, ref) {
+			t.Fatalf("seed %d: KMV differs from the executed four-pass conversion", seed)
+		}
+		if st != refSt {
+			t.Fatalf("seed %d: stats = %+v, executed four passes moved %+v", seed, st, refSt)
+		}
+	}
+}
+
+// The two price lists on sizes small enough to compute by hand. One operation
+// is 64 KiB of a sequential scan, at least one per non-empty pass.
+func TestConvertStatsBySize(t *testing.T) {
+	big := make([]byte, segmentSize+904) // 5000 bytes: one value larger than a segment
+	for _, tc := range []struct {
+		name      string
+		pairs     [][2][]byte
+		two, four ConvertStats
+	}{
+		{name: "empty KV", two: ConvertStats{Passes: 2}, four: ConvertStats{Passes: 4}},
+		{
+			// KV 8+1+0 = 9; log 4; skeleton 1+8+4 = 13; values 0; KMV 1.
+			name:  "one empty value",
+			pairs: [][2][]byte{{[]byte("k"), nil}},
+			two:   ConvertStats{Passes: 2, ReadBytes: 9 + 4, WriteBytes: 4 + 4, ReadOps: 2, WriteOps: 2},
+			four:  ConvertStats{Passes: 4, ReadBytes: 3*9 + 1, WriteBytes: 9 + 13 + 0 + 1, ReadOps: 4, WriteOps: 3},
+		},
+		{
+			// KV (8+2+5000) + (8+2+3) + (8+1+0) = 5032; log 5004 + 7 + 4 = 5015;
+			// skeleton (2+8+2*4) + (1+8+4) = 31; values 5003; KMV 5006.
+			name:  "one value larger than a segment",
+			pairs: [][2][]byte{{[]byte("kk"), big}, {[]byte("kk"), []byte("abc")}, {[]byte("z"), nil}},
+			two:   ConvertStats{Passes: 2, ReadBytes: 5032 + 5015, WriteBytes: 2 * 5015, ReadOps: 2, WriteOps: 2},
+			four:  ConvertStats{Passes: 4, ReadBytes: 3*5032 + 5006, WriteBytes: 5032 + 31 + 5003 + 5006, ReadOps: 4, WriteOps: 4},
+		},
+	} {
+		kv := NewKV()
+		for _, p := range tc.pairs {
+			kv.Add(p[0], p[1])
+		}
+		m, logBytes := group(kv)
+		if got := twoPassStats(kv.Size(), logBytes); got != tc.two {
+			t.Errorf("%s: twoPassStats = %+v, want %+v", tc.name, got, tc.two)
+		}
+		if got := fourPassStats(kv.Size(), m); got != tc.four {
+			t.Errorf("%s: fourPassStats = %+v, want %+v", tc.name, got, tc.four)
+		}
+	}
+	// Operations are 64 KiB units of each pass, not of the total.
+	if got, want := twoPassStats(3*65536, 65535), (ConvertStats{Passes: 2, ReadBytes: 3*65536 + 65535, WriteBytes: 2 * 65535, ReadOps: 3 + 1, WriteOps: 1 + 1}); got != want {
+		t.Errorf("twoPassStats(3*64 KiB, 64 KiB-1) = %+v, want %+v", got, want)
+	}
+}
+
 // wordcountKV is the shape the conversions see in a wordcount job: nPairs
 // one-byte counts spread evenly over nKeys words.
 func wordcountKV(nPairs, nKeys int) *KV {
@@ -290,18 +418,24 @@ func wordcountKV(nPairs, nKeys int) *KV {
 }
 
 // TestConvertTwoPassAllocsPerKey is the host-independent gate on the
-// two-pass conversion's host cost (`make alloc-gate`, part of `make check`):
-// it may allocate per key (key string, segment growth, value table), never
-// per pair. 10 000 pairs over 100 keys must stay under 32 allocations per
-// key; one allocation per pair would be 100 per key.
+// conversions' host cost (`make alloc-gate`, part of `make check`): the
+// grouping both algorithms share may allocate per key (key string, segment
+// growth, value table), never per pair. 10 000 pairs over 100 keys must stay
+// under 32 allocations per key; one allocation per pair would be 100 per key.
+// The four-pass algorithm is a price list over that grouping, so it is held to
+// the same budget.
 func TestConvertTwoPassAllocsPerKey(t *testing.T) {
 	const pairs, keys, perKey = 10000, 100, 32
 	kv := wordcountKV(pairs, keys)
-	allocs := testing.AllocsPerRun(5, func() { ConvertTwoPass(kv) })
-	t.Logf("%.0f allocations for %d pairs over %d keys (%.1f per key)", allocs, pairs, keys, allocs/keys)
-	if allocs > perKey*keys {
-		t.Fatalf("ConvertTwoPass made %.0f allocations for %d pairs over %d keys, budget %d per key: it allocates per pair again",
-			allocs, pairs, keys, perKey)
+	for name, conv := range map[string]func(*KV) (*KMV, ConvertStats){
+		"ConvertTwoPass": ConvertTwoPass, "ConvertFourPass": ConvertFourPass,
+	} {
+		allocs := testing.AllocsPerRun(5, func() { conv(kv) })
+		t.Logf("%s: %.0f allocations for %d pairs over %d keys (%.1f per key)", name, allocs, pairs, keys, allocs/keys)
+		if allocs > perKey*keys {
+			t.Errorf("%s made %.0f allocations for %d pairs over %d keys, budget %d per key: it allocates per pair again",
+				name, allocs, pairs, keys, perKey)
+		}
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// TestSendMirrorSharesFlowID pins the dedup contract the replication
-// execution model builds on: a tracked send and its mirror to a second
-// receiver carry the same world-unique flow id and identical bytes, so a
-// receiver that sees both (e.g. after a failover re-route) can commit the
-// payload exactly once by keying on Message.ID.
+// TestSendMirrorSharesFlowID pins what flow validation relies on in a
+// replicated run: a tracked send and its mirror to a second receiver carry
+// the same flow id and identical bytes.
 func TestSendMirrorSharesFlowID(t *testing.T) {
 	clus := testCluster(3, 1)
 	payload := []byte("bundle-bytes")
@@ -35,7 +33,7 @@ func TestSendMirrorSharesFlowID(t *testing.T) {
 				t.Errorf("rank %d recv: %v", c.Rank(), err)
 				return
 			}
-			ids = append(ids, m.ID())
+			ids = append(ids, m.id)
 			bufs = append(bufs, m.Data)
 		}
 	})
@@ -52,8 +50,8 @@ func TestSendMirrorSharesFlowID(t *testing.T) {
 }
 
 // TestFlowIDsAreWorldUnique sends from several ranks concurrently and checks
-// no two tracked sends ever share a flow id — the property that makes the
-// id usable as a commit-once key without any coordination.
+// no two tracked sends ever share a flow id — what lets the trace pair every
+// recv.end with exactly one send.end.
 func TestFlowIDsAreWorldUnique(t *testing.T) {
 	clus := testCluster(4, 1)
 	const per = 8
@@ -67,7 +65,7 @@ func TestFlowIDsAreWorldUnique(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				seen[m.ID()]++
+				seen[m.id]++
 			}
 			return
 		}

@@ -69,7 +69,7 @@ func tagMatch(want, got int) bool {
 }
 
 // Message is a received point-to-point message. Src is a communicator rank.
-// id is the world-unique message id stamped at the send site; it travels
+// id is the cluster-unique message id stamped at the send site; it travels
 // with the message so the receiver's recv.end trace event carries the same
 // flow id as the sender's send.end (the tracer's send→recv flow arrows).
 type Message struct {
@@ -84,12 +84,6 @@ type Message struct {
 	id   uint64
 }
 
-// ID returns the world-unique message id (flow id) stamped at the send
-// site. Receivers that may see the same logical payload twice — once from
-// the original send and once from a shadow-mirrored copy (SendMirror) —
-// dedupe on it: two messages with equal IDs carry the same bytes.
-func (m *Message) ID() uint64 { return m.id }
-
 // World owns the ranks of one MPI job and their shared failure state.
 type World struct {
 	// Sim is the simulator the job's ranks run on.
@@ -102,10 +96,6 @@ type World struct {
 	aborted bool
 	// done counts rank main functions that returned normally.
 	done int
-	// msgID hands out world-unique message ids (flow ids). Deterministic:
-	// the simulator runs one process at a time, so same-seed runs allocate
-	// identical ids.
-	msgID uint64
 }
 
 // Rank is one MPI process.
@@ -412,10 +402,10 @@ func (c *Comm) Send(dest, tag int, data []byte) error {
 	return c.raise(err)
 }
 
-// SendTracked is Send, additionally returning the world-unique message id
-// (flow id) allocated for the transfer. The replication execution model uses
-// it to mirror the same logical message to a shadow rank via SendMirror, so
-// both deliveries carry an identical id and the receiver side can dedupe.
+// SendTracked is Send, additionally returning the message id (flow id)
+// allocated for the transfer. The replication execution model uses it to
+// mirror the same logical message to a shadow rank via SendMirror, so both
+// deliveries carry an identical id in the trace.
 // The id is 0 when err is non-nil (a failed send allocates no flow).
 func (c *Comm) SendTracked(dest, tag int, data []byte) (uint64, error) {
 	id, err := c.send(dest, tag, data)
@@ -432,10 +422,9 @@ func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
 // dest (a comm rank), reusing the original send's flow id instead of
 // allocating a fresh one. This is the replication execution model's shadow
 // feed: the sender pays the wire time twice (once per member of the pair),
-// but the two deliveries are the *same logical message*, so the receiver
-// side can commit the payload exactly once by deduplicating on Message.ID.
-// The tracer records the copy as a shadow.mirror event (not a second
-// send.end) so flow validation knows the duplicate recv is expected.
+// but the two deliveries are the *same logical message*: the tracer records
+// the copy as a shadow.mirror event (not a second send.end) so flow
+// validation knows the duplicate recv is expected.
 // Errors are raised through the error handler exactly like Send.
 func (c *Comm) SendMirror(dest, tag int, data []byte, flow uint64) error {
 	_, err := c.transmit(dest, tag, data, flow, true)
@@ -444,7 +433,7 @@ func (c *Comm) SendMirror(dest, tag int, data []byte, flow uint64) error {
 
 // transmit is the one body of every point-to-point send. A mirror reuses
 // flow and is traced as one shadow.mirror event; anything else allocates the
-// next world-unique id and is traced as send.begin/send.end. It returns the
+// cluster's next flow id and is traced as send.begin/send.end. It returns the
 // id the message travelled under, 0 with an error.
 func (c *Comm) transmit(dest, tag int, data []byte, flow uint64, mirror bool) (uint64, error) {
 	st := c.st
@@ -456,8 +445,8 @@ func (c *Comm) transmit(dest, tag int, data []byte, flow uint64, mirror bool) (u
 		return 0, &ProcFailedError{Ranks: []int{dworld}}
 	}
 	if !mirror {
-		st.w.msgID++
-		flow = st.w.msgID
+		st.w.Clus.FlowID++
+		flow = st.w.Clus.FlowID
 	}
 	c.r.obs.MPI.Sent(len(data))
 	if rec := c.r.obs.Rec; rec != nil {

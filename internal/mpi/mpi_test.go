@@ -171,6 +171,11 @@ func TestAlltoallvCorrectness(t *testing.T) {
 	}
 	outputs := make([][][]byte, n)
 	Launch(clus, n, func(c *Comm) {
+		// One buffer per rank, or the call is refused before it enters the
+		// collective: the exchange below still lines up on every rank.
+		if _, err := c.Alltoallv(inputs[c.Rank()][:n-1]); err == nil {
+			t.Errorf("rank %d: Alltoallv accepted %d buffers for %d ranks", c.Rank(), n-1, n)
+		}
 		out, err := c.Alltoallv(inputs[c.Rank()])
 		if err != nil {
 			t.Errorf("alltoallv: %v", err)

@@ -106,7 +106,6 @@ func (h *Handle) BindCore() {
 type FTInstruments struct {
 	MirrorSends, MirrorBytes *metrics.Counter // shadow-mirrored shuffle bundle copies sent, and their bytes
 	ShadowSyncs              *metrics.Counter // reduce-progress records pushed to shadows (Handle.ShadowSyncPush)
-	DupDrops                 *metrics.Counter // duplicate replicate-shuffle deliveries dropped by flow-id dedup
 	Failovers                *metrics.Counter // shadow promotions to acting primary (Handle.Failover)
 }
 
@@ -121,8 +120,6 @@ func (h *Handle) BindFT() {
 			"Bytes of shadow-mirrored shuffle bundle copies.", rank),
 		ShadowSyncs: reg.Counter("ftmr_ftmodel_shadow_syncs",
 			"Reduce-progress sync records pushed to shadows.", rank),
-		DupDrops: reg.Counter("ftmr_ftmodel_dup_drops",
-			"Duplicate replicate-shuffle deliveries dropped by flow-id dedup.", rank),
 		Failovers: reg.Counter("ftmr_ftmodel_failovers",
 			"Shadow promotions to acting primary.", rank),
 	}

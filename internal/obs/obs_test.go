@@ -56,7 +56,6 @@ func site(h *Handle, i int) {
 	h.Rec.ShadowMirror(1, 2, 64, 1)
 	h.Rec.CopierDrain("map/t1", 64)
 	h.Core.RecoveryAttempts.Inc()
-	h.FT.DupDrops.Inc()
 	h.Probe.SetTask(i)
 	h.Probe.EnterDrain()
 	h.Probe.ExitDrain()
@@ -158,8 +157,8 @@ func TestBindScopes(t *testing.T) {
 		t.Fatalf("after BindCore: %d mpi / %d core / %d ftmodel families, want 8/12/0", m, c, f)
 	}
 	h.BindFT()
-	if _, _, f := families(); f != 5 {
-		t.Fatalf("after BindFT: %d ftmodel families, want 5", f)
+	if _, _, f := families(); f != 4 {
+		t.Fatalf("after BindFT: %d ftmodel families, want 4", f)
 	}
 }
 

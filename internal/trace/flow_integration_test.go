@@ -112,6 +112,47 @@ func TestFlowInvariantsWordcountFailover(t *testing.T) {
 		fr.Sends, fr.Recvs, fr.Matched, fr.UnmatchedSends, fr.ZeroRecvs)
 }
 
+// TestFlowIDsUniqueAcrossRestart is `ftmr-sim -model cr -kill-phase map
+// -restart` as `ftmr-trace flows` sees it: the aborted job and its
+// resubmission are two MPI worlds writing one trace, and the second world's
+// message ids must continue where the first stopped. A per-world counter
+// restarted them at 1, and every early id read as "sent 2 times".
+func TestFlowIDsUniqueAcrossRestart(t *testing.T) {
+	cfg := cluster.Default()
+	cfg.Nodes, cfg.PPN = 2, 4
+	clus := cluster.New(cfg)
+	clus.Trace = trace.New(clus.Sim, 1<<20)
+
+	p := workloads.DefaultWordcount()
+	p.Chunks, p.Lines, p.WordsLine, p.Vocab = 32, 32, 4, 500
+	workloads.GenCorpus(clus, "in/crjob", p)
+	spec := workloads.WordcountSpec("crjob", "in/crjob", 8, p)
+	spec.Model = core.ModelCheckpointRestart
+	spec.CkptInterval = 50
+
+	h := core.RunSingle(clus, spec)
+	failure.KillOnPhase(h, 2, core.PhaseMap, time.Millisecond)
+	clus.Sim.Run()
+	if res := h.Result(); res == nil || !res.Aborted {
+		t.Fatalf("a checkpoint/restart job that lost a rank did not abort: %+v", res)
+	}
+	firstWorld := trace.CheckFlows(clus.Trace.Events()).Sends
+
+	spec.Resume = true
+	h2 := core.RunSingle(clus, spec)
+	clus.Sim.Run()
+	if res := h2.Result(); res == nil || res.Aborted {
+		t.Fatalf("the resubmitted job did not complete: %+v", res)
+	}
+	fr := trace.CheckFlows(clus.Trace.Events())
+	if !fr.OK() {
+		t.Fatalf("flow invariants violated across the restart: %d violations, first: %v", len(fr.Violations), fr.Violations[0])
+	}
+	if firstWorld == 0 || fr.Sends <= firstWorld {
+		t.Fatalf("%d sends before the restart, %d after it: both worlds must have sent", firstWorld, fr.Sends)
+	}
+}
+
 // TestReplicaPushFlowsPairUp turns on the diskless replica tier and checks
 // that its push traffic rides the same message-id flow machinery as every
 // other message: replica-tagged send.end events appear in the trace, the

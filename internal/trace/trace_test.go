@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +219,34 @@ func TestWriteChromeShape(t *testing.T) {
 	}
 	if !sawWorldPid {
 		t.Error("failure injection not on the world track")
+	}
+}
+
+// WriteFile writes what the named sink writes, and a format it does not know
+// is an error, not an empty file passed off as a trace.
+func TestWriteFileFormats(t *testing.T) {
+	_, tr := newTestTracer(0)
+	tr.Rank(0).PhaseBegin("map")
+	dir := t.TempDir()
+	for format, write := range map[string]func(io.Writer) error{"jsonl": tr.WriteJSONL, "chrome": tr.WriteChrome} {
+		path := filepath.Join(dir, "trace."+format)
+		if err := tr.WriteFile(path, format); err != nil {
+			t.Fatalf("WriteFile(%s): %v", format, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("WriteFile(%s) wrote %d bytes, the sink writes %d", format, len(got), want.Len())
+		}
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "trace.xml"), "xml"); err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
+		t.Errorf("WriteFile with format xml: err = %v, want an unknown-format error", err)
 	}
 }
 
