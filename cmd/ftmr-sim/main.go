@@ -62,6 +62,15 @@ func parseOutage(s string) (begin, end time.Duration, err error) {
 	return begin, end, nil
 }
 
+// jobSpec lays what makes job a job (its name, ranks, input and user code)
+// over base, the fault-tolerance configuration the flags chose — what
+// PageRankDriver and BFSDriver do with base for each of their stages.
+func jobSpec(base, job core.Spec) core.Spec {
+	base.Name, base.JobID, base.NumRanks, base.InputPrefix = job.Name, job.JobID, job.NumRanks, job.InputPrefix
+	base.NewReader, base.NewMapper, base.NewReducer = job.NewReader, job.NewMapper, job.NewReducer
+	return base
+}
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses and validates args, runs the job and
@@ -155,6 +164,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-ft-model %s requires -model wc or nwc, got -model %s", *ftModel, *model)
 	case *replicaK < 0:
 		return usage("-replica-k must not be negative, got %d", *replicaK)
+	case *replicaK > 0 && ftm.Replicating():
+		return usage("-replica-k %d has no effect under -ft-model %s: the shadows already mirror what the replica tier would hold", *replicaK, *ftModel)
+	case *replicaK > 0 && !m.Checkpointing():
+		return usage("-replica-k %d requires a checkpointing model (-model cr or wc), got -model %s", *replicaK, *model)
+	case *repFrac != 0 && ftm != core.FTModelPartial:
+		return usage("-replica-fraction requires -ft-model partial, got -ft-model %s", *ftModel)
+	case *restart && m != core.ModelCheckpointRestart:
+		return usage("-restart resubmits an aborted checkpoint/restart job: it requires -model cr, got -model %s", *model)
 	case *interval < 1:
 		return usage("-ckpt-interval must be at least 1 record, got %d", *interval)
 	case *iters < 1:
@@ -262,21 +279,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "wordcount":
 		p := workloads.DefaultWordcount()
 		workloads.GenCorpus(clus, "in/job", p)
-		spec := workloads.WordcountSpec("job", "in/job", *procs, p)
-		spec.Model, spec.CkptInterval, spec.Granularity = base.Model, base.CkptInterval, base.Granularity
-		spec.CkptLocation, spec.Prefetch, spec.LoadBalance = base.CkptLocation, base.Prefetch, true
-		spec.LBModel, spec.ReplicaK = base.LBModel, base.ReplicaK
-		spec.FTModel, spec.ReplicaFraction = base.FTModel, base.ReplicaFraction
-		h = core.RunSingle(clus, spec)
+		h = core.RunSingle(clus, jobSpec(base, workloads.WordcountSpec("job", "in/job", *procs, p)))
 	case "blast":
 		p := workloads.DefaultBlast()
 		workloads.GenBlastInput(clus, "in/job", p)
-		spec := workloads.BlastSpec("job", "in/job", *procs, p)
-		spec.Model, spec.CkptInterval, spec.Granularity = base.Model, base.CkptInterval, base.Granularity
-		spec.CkptLocation, spec.Prefetch, spec.LoadBalance = base.CkptLocation, base.Prefetch, true
-		spec.LBModel, spec.ReplicaK = base.LBModel, base.ReplicaK
-		spec.FTModel, spec.ReplicaFraction = base.FTModel, base.ReplicaFraction
-		h = core.RunSingle(clus, spec)
+		h = core.RunSingle(clus, jobSpec(base, workloads.BlastSpec("job", "in/job", *procs, p)))
 	case "pagerank":
 		p := workloads.DefaultPageRank()
 		workloads.GenPageRankInput(clus, "in/job", p)
@@ -341,7 +348,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report(res)
 	}
 
-	if *restart && m == core.ModelCheckpointRestart && len(h.Results()) > 0 && h.Results()[0].Aborted {
+	if *restart && len(h.Results()) > 0 && h.Results()[0].Aborted {
 		fmt.Fprintln(stdout, "resubmitting with Resume...")
 		spec := h.Results()[0].Spec
 		spec.Resume = true

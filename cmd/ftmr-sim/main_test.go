@@ -9,7 +9,8 @@ import (
 // TestFlagValidation drives the real flag parser with every flag combination
 // the layers below would answer with a panic (rank counts the cluster cannot
 // hold) or silently ignore (a kill aimed at no rank, a replication model the
-// execution model cannot honour, negative counts): each must be refused up
+// execution model cannot honour, a replica tier with nothing to replicate, a
+// resubmission no model asks for, negative counts): each must be refused up
 // front with exit status 2 and exactly one line on stderr.
 func TestFlagValidation(t *testing.T) {
 	for _, c := range []struct {
@@ -27,6 +28,13 @@ func TestFlagValidation(t *testing.T) {
 		{"-ft-model partial -model none", "-ft-model partial requires -model wc or nwc"},
 		{"-ft-model bogus", "bogus"},
 		{"-replica-k -1", "-replica-k must not be negative, got -1"},
+		{"-replica-k 2 -ft-model replicate", "-replica-k 2 has no effect under -ft-model replicate"},
+		{"-replica-k 1 -model nwc -ft-model partial", "-replica-k 1 has no effect under -ft-model partial"},
+		{"-replica-k 2 -model nwc", "-replica-k 2 requires a checkpointing model (-model cr or wc), got -model nwc"},
+		{"-replica-k 2 -model none", "-replica-k 2 requires a checkpointing model"},
+		{"-replica-fraction 0.3", "-replica-fraction requires -ft-model partial, got -ft-model cr"},
+		{"-replica-fraction 0.3 -ft-model replicate", "-replica-fraction requires -ft-model partial, got -ft-model replicate"},
+		{"-procs 8 -kill-phase map -restart", "-restart resubmits an aborted checkpoint/restart job: it requires -model cr, got -model wc"},
 		{"-ckpt-interval -5", "-ckpt-interval must be at least 1 record, got -5"},
 		{"-ckpt-interval 0", "-ckpt-interval must be at least 1"},
 		{"-workload pagerank -iters 0", "-iters must be at least 1, got 0"},

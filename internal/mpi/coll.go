@@ -3,13 +3,10 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"ftmrmpi/internal/obs"
-	"ftmrmpi/internal/vtime"
 )
 
 // Collectives are composed from point-to-point messages over binomial trees,
@@ -17,9 +14,9 @@ import (
 // failure surfaces as a local error only on the ranks whose tree edges touch
 // the dead process, while others proceed or block — the inconsistent global
 // state described in paper §2.2. The exception is Alltoallv, whose message
-// count is quadratic in the communicator size: it is a rendezvous on the
-// communicator (like Shrink and Agree) that charges the same per-message cost
-// model without simulating the messages.
+// count is quadratic in the communicator size: it is a rendezvous
+// (rendezvous.go) whose finish policy charges the same per-message cost model
+// without simulating the messages.
 //
 // Every collective call consumes one per-rank operation sequence number; the
 // sequence is embedded in the (negative, internal) message tags so traffic
@@ -195,87 +192,54 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error)
 // collective. It is charged as a ring of Size-1 pairwise steps (at step s a
 // rank sends to rank+s, then receives from rank-s, each message costing
 // Cluster.TransferCost of its length), but no message is simulated: the ranks
-// rendezvous, the last to enter evaluates the whole schedule (exchOp.arm),
+// rendezvous, the last to enter evaluates the whole schedule (commState.arm),
 // and each rank sleeps straight to its own completion instant.
 //
 // Failure semantics are ULFM's: entering with a failed member or on a revoked
 // communicator fails at once; a member failing, a Revoke or an Abort while
 // ranks are inside interrupts exactly those ranks (ProcFailedError,
-// ErrRevoked, unwinding) — a rank that has left keeps its result.
+// ErrRevoked, unwinding) — a rank that has left keeps its result, and may
+// enter the next exchange while slower ranks are still in this one.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
-	n := c.Size()
-	if len(bufs) != n {
+	if n := c.Size(); len(bufs) != n {
 		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
 	}
 	defer c.enterColl("alltoallv").Exit()
-	seq := c.nextSeq()
-	st, sim := c.st, c.st.w.Sim
-	if err := st.exchEntryErr(); err != nil {
+	c.nextSeq()
+	if err := c.st.exchEntryErr(); err != nil {
 		return nil, c.raise(err)
 	}
-	i := slices.IndexFunc(st.exch, func(op *exchOp) bool { return op.seq == seq })
-	if i < 0 {
-		i = len(st.exch)
-		st.exch = append(st.exch, &exchOp{seq: seq, waits: make([]*exchWait, n)})
-	}
-	op := st.exch[i]
-	w := &exchWait{c: c, bufs: bufs, entry: sim.Now(), at: exchUnarmed}
-	op.waits[c.rank] = w
-	if op.inside++; op.inside == n {
-		op.arm(st, c.rank)
-	}
-	for w.err == nil && sim.Now() < w.at {
-		c.r.proc.Park()
-	}
-	op.waits[c.rank] = nil
-	if op.inside--; op.inside == 0 {
-		st.exch = slices.DeleteFunc(st.exch, func(o *exchOp) bool { return o == op })
-	}
+	w := &meetWait{bufs: bufs}
+	c.meetIn(meetExchange, w)
 	if w.err != nil {
 		return nil, c.raise(w.err)
 	}
 	return w.out, nil
 }
 
-// exchOp is one Alltoallv instance with ranks inside (commState.exch): a rank
-// that has left may enter the next one while slower ranks are still in this.
-type exchOp struct {
-	seq    int         // the collective sequence number the participants share
-	waits  []*exchWait // by comm rank; nil before the rank enters and after it leaves
-	inside int         // ranks entered and not yet left (nobody leaves before all are in)
-}
-
-// exchWait is one rank's stake in an exchOp.
-type exchWait struct {
-	c     *Comm
-	bufs  [][]byte
-	entry time.Duration
-	out   [][]byte
-	at    time.Duration // completion instant; exchUnarmed until the last rank enters
-	timer *vtime.Timer  // the wake-up armed for at
-	err   error
-}
-
-const exchUnarmed = time.Duration(math.MaxInt64)
-
-// arm evaluates the ring schedule for every rank at once, as a pure function
-// of entry instants and buffer lengths. With sent[r] the instant rank r's
-// step-s message is delivered and end[r] the instant r finishes step s:
+// arm is the exchange's finish policy: it evaluates the ring schedule for
+// every rank at once, as a pure function of entry instants and buffer
+// lengths. With sent[r] the instant rank r's step-s message is delivered and
+// end[r] the instant r finishes step s:
 //
 //	sent_r(s) = end_r(s-1) + TransferCost(len(bufs_r[r+s]))
 //	end_r(s)  = max(sent_r(s), sent_{r-s}(s)),   end_r(0) = entry_r
 //
 // exactly what W-1 blocking send/recv steps per rank would produce, in O(W²)
-// integer arithmetic and one event per rank. self is the (running) last
-// entrant.
-func (op *exchOp) arm(st *commState, self int) {
-	n := len(op.waits)
+// integer arithmetic and one event per rank, armed in comm-rank order. self
+// is the (running) last entrant.
+func (st *commState) arm(m *meet, self *meetWait) {
+	n := len(m.waits)
+	waits := make([]*meetWait, n) // by comm rank
+	for _, w := range m.waits {
+		waits[w.c.rank] = w
+	}
 	end, sent := make([]time.Duration, n), make([]time.Duration, n)
-	for r, w := range op.waits {
+	for r, w := range waits {
 		end[r] = w.entry
 	}
 	for s := 1; s < n; s++ {
-		for r, w := range op.waits {
+		for r, w := range waits {
 			sent[r] = end[r] + st.w.Clus.TransferCost(len(w.bufs[(r+s)%n]))
 		}
 		for r := range end {
@@ -283,13 +247,13 @@ func (op *exchOp) arm(st *commState, self int) {
 		}
 	}
 	now := st.w.Sim.Now()
-	for r, w := range op.waits {
+	for r, w := range waits {
 		w.out = make([][]byte, n)
-		for src, from := range op.waits {
+		for src, from := range waits {
 			w.out[src] = from.bufs[r]
 		}
 		w.at = end[r]
-		if r != self || w.at > now {
+		if w != self || w.at > now {
 			w.timer = st.w.Sim.WakeAfter(w.c.r.proc, w.at-now)
 		}
 	}
@@ -308,22 +272,6 @@ func (st *commState) exchEntryErr() error {
 		}
 	}
 	return nil
-}
-
-// failExch interrupts every rank still inside an Alltoallv on this
-// communicator with err, canceling its pending completion; the operations
-// are forgotten, and the entry check keeps further ranks out of them.
-func (st *commState) failExch(err error) {
-	for _, op := range st.exch {
-		for _, w := range op.waits {
-			if w != nil {
-				w.timer.Stop()
-				w.err = err
-				st.w.Sim.Wake(w.c.r.proc)
-			}
-		}
-	}
-	st.exch = nil
 }
 
 // A bundle is the wire form of a set of per-rank payloads inside a tree

@@ -4,15 +4,16 @@
 // Ranks are simulated processes (one per cluster core); communicators
 // support point-to-point messaging with source/tag matching and wildcards,
 // and collectives composed from point-to-point messages (all but Alltoallv,
-// a rendezvous: coll.go), so failure behaviour emerges as MPI-3 specifies
-// it: a failure is reflected as a *local* error in whichever communication
-// calls touch the failed process, other ranks may proceed or block, and there
-// is no global notification — the inconsistency FT-MRMPI's checkpoint/restart
-// design exploits via error handlers plus Abort (paper §2.2, §2.4, §4.1).
+// a rendezvous: rendezvous.go), so failure behaviour emerges as MPI-3
+// specifies it: a failure is reflected as a *local* error in whichever
+// communication calls touch the failed process, other ranks may proceed or
+// block, and there is no global notification — the inconsistency FT-MRMPI's
+// checkpoint/restart design exploits via error handlers plus Abort (paper
+// §2.2, §2.4, §4.1).
 //
-// The ULFM extensions (Revoke/Shrink/Agree; ulfm.go) implement
-// the user-level failure mitigation proposal the detect/resume model needs
-// (paper §4.2).
+// The ULFM extensions (Revoke/Shrink/Agree; ulfm.go) implement the user-level
+// failure mitigation proposal the detect/resume model needs (paper §4.2);
+// Shrink and Agree are the same rendezvous under two more finish policies.
 package mpi
 
 import (
@@ -157,11 +158,9 @@ type commState struct {
 	revoked bool
 	boxes   []*mailbox // indexed by comm rank
 	opSeq   []int      // per comm-rank collective sequence number
-	// ULFM state.
-	shrink *shrinkOp
-	agree  *agreeOp
-	// exch lists the Alltoallv instances with ranks inside, oldest first.
-	exch []*exchOp
+	// meets lists the rendezvous an interrupt can reach, oldest first
+	// (rendezvous.go): Alltoallv, Shrink and Agree.
+	meets []*meet
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
 	// deadCount is the number of failed ranks in the group. It lets
@@ -290,13 +289,7 @@ func (st *commState) onFailure(worldRank int) {
 			st.complete(box, rw, nil, &ProcFailedError{Ranks: []int{worldRank}})
 		}
 	}
-	if st.shrink != nil {
-		st.shrink.onFailure(st, worldRank)
-	}
-	if st.agree != nil {
-		st.agree.onFailure(st)
-	}
-	st.failExch(&ProcFailedError{Ranks: []int{worldRank}})
+	st.interrupt(&ProcFailedError{Ranks: []int{worldRank}}, st.w.ranks[worldRank])
 }
 
 // worldSrc translates a receive's source for the observation planes: a comm

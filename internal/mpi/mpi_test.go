@@ -422,77 +422,6 @@ func TestAgreeAndsFlagsAndSurvivesFailure(t *testing.T) {
 	}
 }
 
-// A kill while ranks are parked inside Agree: the agreement completes over
-// whoever is left, the parked survivors return 2*ceil(log2(P+1)) NIC latencies
-// after the last survivor is accounted for, and a waiter that died inside is
-// dropped, never woken. The instant of a rank whose own entry completes the
-// agreement is not pinned: tryComplete wakes it while it is running, which
-// cuts its latency sleep short (ROADMAP item 1(d); Shrink does the same).
-func TestAgreeUnderKill(t *testing.T) {
-	type outcome struct {
-		result int
-		at     time.Duration
-	}
-	// enter[r] is when rank r calls Agree(flags[r]); a negative entry never
-	// enters. The victim dies at one second.
-	run := func(victim int, enter []time.Duration, flags []int) ([]outcome, time.Duration) {
-		clus := testCluster(2, 2)
-		out := make([]outcome, len(enter))
-		w := Launch(clus, len(enter), func(c *Comm) {
-			c.SetErrHandler(func(*Comm, error) {})
-			r := c.Rank()
-			if enter[r] < 0 {
-				c.Proc().Sleep(time.Hour)
-				return
-			}
-			c.Proc().Sleep(enter[r])
-			res, err := c.Agree(flags[r])
-			if err != nil {
-				t.Errorf("rank %d: agree: %v", r, err)
-			}
-			out[r] = outcome{res, c.Proc().Now()}
-		})
-		clus.Sim.After(time.Second, func() { w.Kill(victim) })
-		clus.Sim.Run()
-		if st := clus.Sim.Stranded(); len(st) != 0 {
-			t.Fatalf("stranded procs: %v", st)
-		}
-		return out, 6 * clus.Cfg.NICLatency // W=4: 2*ceil(log2(5)) rounds
-	}
-	cases := []struct {
-		name   string
-		victim int
-		enter  []time.Duration
-		flags  []int
-		doneAt time.Duration // before the latency rounds
-	}{
-		// Three ranks are parked when the fourth dies outside: its death
-		// is what completes the agreement.
-		{"killed-before-entering", 3, []time.Duration{0, 0, 0, -1}, []int{1, 3, 1, 0}, time.Second},
-		// The victim is parked inside with two others; the last survivor
-		// arrives a second after the kill and completes it.
-		{"killed-while-parked", 0, []time.Duration{0, 0, 0, 2 * time.Second}, []int{3, 1, 3, 1}, 2 * time.Second},
-	}
-	for _, tc := range cases {
-		got, rounds := run(tc.victim, tc.enter, tc.flags)
-		again, _ := run(tc.victim, tc.enter, tc.flags)
-		for r := range got {
-			want := outcome{1, tc.doneAt + rounds}
-			if r == tc.victim {
-				want = outcome{} // it never returned from Agree, or never called it
-			} else if tc.enter[r] == tc.doneAt {
-				want.at = got[r].at // the entrant that completes the agreement
-			}
-			if got[r] != want {
-				t.Errorf("%s: rank %d: %+v, want %+v", tc.name, r, got[r], want)
-			}
-			if again[r] != got[r] {
-				t.Errorf("%s: rank %d: %+v on the second run, %+v on the first", tc.name, r, again[r], got[r])
-			}
-		}
-	}
-}
-
 // Property: Alltoallv is a permutation — every byte sent arrives exactly
 // once at the right place, for arbitrary sizes.
 func TestPropAlltoallvPermutes(t *testing.T) {

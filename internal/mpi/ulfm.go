@@ -1,10 +1,5 @@
 package mpi
 
-import (
-	"math"
-	"time"
-)
-
 // User-Level Failure Mitigation (ULFM) extensions, after Bland et al.'s
 // proposal for MPI-4 and the Open MPI 1.7 ULFM branch the paper uses:
 //
@@ -43,27 +38,12 @@ func (c *Comm) Revoke() error {
 			st.complete(box, rw, nil, ErrRevoked)
 		}
 	}
-	st.failExch(ErrRevoked)
+	st.interrupt(ErrRevoked, nil)
 	return nil
 }
 
 // Revoked reports whether the communicator has been revoked.
 func (c *Comm) Revoked() bool { return c.st.revoked }
-
-// shrinkOp tracks an in-progress Shrink: it completes when every surviving
-// group member has entered.
-type shrinkOp struct {
-	arrived map[int]bool // comm ranks that called Shrink
-	waiters []*shrinkWait
-	done    bool
-	newSt   *commState
-}
-
-type shrinkWait struct {
-	c    *Comm
-	done bool
-	err  error
-}
 
 // Shrink creates a new communicator containing the surviving processes of a
 // (typically revoked) communicator. It blocks until every surviving member
@@ -73,155 +53,36 @@ type shrinkWait struct {
 // valid only for Shrink/Agree.
 //
 // A member dying while the shrink is still gathering participants fails the
-// whole operation with ProcFailedError on every waiter: the failed set the
+// whole operation with ProcFailedError on every entrant: the failed set the
 // survivors were about to agree on is stale, so the caller must re-revoke
-// and restart its recovery rather than proceed on a half-agreed membership.
+// and re-enter Shrink with the new failure already part of the group view
+// rather than proceed on a half-agreed membership.
 func (c *Comm) Shrink() (*Comm, error) {
-	st := c.st
 	c.r.obs.MPI.Shrinks.Inc()
-	c.r.obs.Rec.ShrinkBegin(len(st.group))
-	if st.shrink == nil || st.shrink.done {
-		st.shrink = &shrinkOp{arrived: make(map[int]bool)}
-	}
-	op := st.shrink
-	op.arrived[c.rank] = true
-	w := &shrinkWait{c: c}
-	op.waiters = append(op.waiters, w)
-	op.tryComplete(st)
-	for !w.done {
-		c.r.proc.Park()
-	}
+	c.r.obs.Rec.ShrinkBegin(len(c.st.group))
+	w := &meetWait{}
+	m := c.meetIn(meetShrink, w)
 	if w.err != nil {
 		c.r.obs.Rec.ShrinkEnd(0)
 		return nil, w.err
 	}
-	// Agreement cost: a few log₂(P) latency rounds.
 	c.r.obs.Rec.AgreeBegin(0)
-	rounds := 2 * int(math.Ceil(math.Log2(float64(len(st.group))+1)))
-	c.r.proc.Sleep(time.Duration(rounds) * st.w.Clus.Cfg.NICLatency)
+	c.agreementSleep()
 	c.r.obs.Rec.AgreeEnd(0)
-	newRank := op.newSt.commRankOf(c.r.world)
-	c.r.obs.Rec.ShrinkEnd(len(op.newSt.group))
-	return &Comm{st: op.newSt, rank: newRank, r: c.r}, nil
-}
-
-// tryComplete finishes the shrink when all survivors have arrived.
-func (op *shrinkOp) tryComplete(st *commState) {
-	if op.done {
-		return
-	}
-	for i, wr := range st.group {
-		if st.w.ranks[wr].alive && !op.arrived[i] {
-			return
-		}
-	}
-	var survivors []int
-	for _, wr := range st.group {
-		if st.w.ranks[wr].alive {
-			survivors = append(survivors, wr)
-		}
-	}
-	op.done = true
-	op.newSt = st.w.newCommState(survivors)
-	for _, w := range op.waiters {
-		if w.c.r.alive {
-			w.done = true
-			st.w.Sim.Wake(w.c.r.proc)
-		}
-	}
-	st.shrink = nil
-}
-
-// onFailure aborts an in-progress shrink when a member dies mid-operation:
-// every live waiter is woken with ProcFailedError and the op is torn down,
-// forcing the callers to re-revoke and re-enter Shrink with the new failure
-// already part of the group view (overlapping-failure recovery restart).
-func (op *shrinkOp) onFailure(st *commState, worldRank int) {
-	if op.done {
-		return
-	}
-	op.done = true
-	for _, w := range op.waiters {
-		if w.c.r.proc.Dead() {
-			continue
-		}
-		w.err = &ProcFailedError{Ranks: []int{worldRank}}
-		w.done = true
-		st.w.Sim.Wake(w.c.r.proc)
-	}
-	st.shrink = nil
-}
-
-// agreeOp tracks an in-progress Agree.
-type agreeOp struct {
-	arrived map[int]bool
-	flags   int
-	sawFail bool
-	waiters []*agreeWait
-	done    bool
-	result  int
-}
-
-type agreeWait struct {
-	c      *Comm
-	done   bool
-	result int
+	c.r.obs.Rec.ShrinkEnd(len(m.newSt.group))
+	return &Comm{st: m.newSt, rank: m.newSt.commRankOf(c.r.world), r: c.r}, nil
 }
 
 // Agree performs fault-tolerant agreement over the surviving ranks: it
 // returns the bitwise AND of the flag arguments of all participants
 // (MPI_Comm_agree). It works on revoked communicators and completes even if
-// processes fail during the operation.
+// processes fail during the operation: over whoever is left, an entrant that
+// died inside counted but never woken.
 func (c *Comm) Agree(flag int) (int, error) {
-	st := c.st
 	c.r.obs.MPI.Agrees.Inc()
 	c.r.obs.Rec.AgreeBegin(flag)
-	if st.agree == nil || st.agree.done {
-		st.agree = &agreeOp{arrived: make(map[int]bool), flags: ^0}
-	}
-	op := st.agree
-	op.arrived[c.rank] = true
-	op.flags &= flag
-	w := &agreeWait{c: c}
-	op.waiters = append(op.waiters, w)
-	op.tryComplete(st)
-	for !w.done {
-		c.r.proc.Park()
-	}
-	rounds := 2 * int(math.Ceil(math.Log2(float64(len(st.group))+1)))
-	c.r.proc.Sleep(time.Duration(rounds) * st.w.Clus.Cfg.NICLatency)
-	c.r.obs.Rec.AgreeEnd(w.result)
-	return w.result, nil
-}
-
-func (op *agreeOp) tryComplete(st *commState) {
-	if op.done {
-		return
-	}
-	for i, wr := range st.group {
-		if st.w.ranks[wr].alive && !op.arrived[i] {
-			return
-		}
-	}
-	op.done = true
-	op.result = op.flags
-	for _, w := range op.waiters {
-		if !w.c.r.proc.Dead() {
-			w.result = op.result
-			w.done = true
-			st.w.Sim.Wake(w.c.r.proc)
-		}
-	}
-	st.agree = nil
-}
-
-func (op *agreeOp) onFailure(st *commState) {
-	var keep []*agreeWait
-	for _, w := range op.waiters {
-		if !w.c.r.proc.Dead() {
-			keep = append(keep, w)
-		}
-	}
-	op.waiters = keep
-	op.tryComplete(st)
+	m := c.meetIn(meetAgree, &meetWait{flag: flag})
+	c.agreementSleep()
+	c.r.obs.Rec.AgreeEnd(m.flags)
+	return m.flags, nil
 }

@@ -2,8 +2,8 @@ package vtime
 
 // Queue is an unbounded FIFO mailbox between simulated processes. Send
 // never blocks; Recv blocks the calling process until an item is available.
-// Queues are the basic synchronization primitive the simulated MPI layer is
-// built on.
+// The checkpoint copier's work queue (internal/core) is its one user: the
+// simulated MPI layer parks and wakes its own waiters (Proc.Park, Sim.Wake).
 type Queue struct {
 	s       *Sim
 	items   []any

@@ -7,10 +7,11 @@
 // order depends only on (virtual time, insertion sequence).
 //
 // The package provides the primitives every substrate in this repository is
-// built on: virtual sleeping, mailbox queues for inter-process
-// synchronization, processor-sharing Bandwidth resources (used to model
-// shared storage bandwidth and per-core CPU time), and process kill
-// semantics (used by the failure injector).
+// built on: virtual sleeping, Park/Wake for custom blocking primitives (the
+// simulated MPI's mailboxes and rendezvous), a FIFO Queue (the checkpoint
+// copier's), processor-sharing Bandwidth resources (used to model shared
+// storage bandwidth and per-core CPU time), and process kill semantics (used
+// by the failure injector).
 //
 // Scheduling is continuation-passing ("direct handoff"): there is no
 // scheduler goroutine ping-ponging with the processes. Whichever goroutine
@@ -512,7 +513,7 @@ func (s *Sim) wake(p *Proc) {
 
 // Wake schedules proc to resume at the current virtual time. It is the
 // companion of Proc.Park for building custom blocking primitives (the
-// simulated MPI's message matching uses it). Waking a process that is not
+// simulated MPI's message matching and rendezvous use it). Waking a process that is not
 // parked is harmless — the duplicate resume is dropped.
 func (s *Sim) Wake(p *Proc) { s.wake(p) }
 
