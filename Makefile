@@ -110,16 +110,21 @@ define SELFTEST
 2 bin/ftmr-trace diff internal/jsonl/testdata/junk.bin internal/trace/testdata/golden_v2.jsonl
 2 bin/ftmr-trace critpath internal/jsonl/testdata/junk.bin
 2 bin/ftmr-trace inspect internal/jsonl/testdata/junk.bin
-# metrics: a deterministic 8-rank wordcount failover run reproduces the committed snapshot byte for byte; it renders, self-diffs clean and passes the default SLOs, and a deliberately tight checkpoint-overhead bound fails the health gate
+# metrics: a deterministic 8-rank wordcount failover run reproduces the committed snapshot byte for byte; it summarizes, self-diffs clean, differs from the other committed snapshot and passes the default SLOs, and a deliberately tight checkpoint-overhead bound fails the health gate
 0 bin/ftmr-sim -procs 8 -kill-phase map -metrics-out $T.om
 0 cmp $T.om internal/metrics/testdata/selftest.om
-0 bin/ftmr-metrics render internal/metrics/testdata/selftest.om
-0 bin/ftmr-metrics diff internal/metrics/testdata/selftest.om internal/metrics/testdata/selftest.om
-0 bin/ftmr-metrics health internal/metrics/testdata/selftest.om
-1 bin/ftmr-metrics health -slo-ckpt-overhead 0.01 internal/metrics/testdata/selftest.om
-# one SLO flag table: a reduce-kill run that recovers from the PFS passes the gate under a loosened checkpoint bound, and ftmr-metrics judges its snapshot as ftmr-sim did
+0 bin/ftmr-trace summarize internal/metrics/testdata/selftest.om
+0 bin/ftmr-trace diff internal/metrics/testdata/selftest.om internal/metrics/testdata/selftest.om
+1 bin/ftmr-trace diff internal/metrics/testdata/golden.om internal/metrics/testdata/selftest.om
+0 bin/ftmr-trace health internal/metrics/testdata/selftest.om
+1 bin/ftmr-trace health -slo-ckpt-overhead 0.01 internal/metrics/testdata/selftest.om
+# a file is read as what it is: a trace and a snapshot do not compare, and a verb refuses the kind it cannot read
+2 bin/ftmr-trace diff internal/trace/testdata/golden_v2.jsonl internal/metrics/testdata/selftest.om
+2 bin/ftmr-trace flows internal/metrics/testdata/selftest.om
+2 bin/ftmr-trace health internal/trace/testdata/golden_v2.jsonl
+# one SLO flag table: a reduce-kill run that recovers from the PFS passes the gate under a loosened checkpoint bound, and ftmr-trace judges its snapshot as ftmr-sim did
 0 bin/ftmr-sim -procs 8 -kill-phase reduce -slo-ckpt-overhead 0.2 -health -metrics-out $T.pfs.om
-0 bin/ftmr-metrics health -slo-ckpt-overhead 0.2 $T.pfs.om
+0 bin/ftmr-trace health -slo-ckpt-overhead 0.2 $T.pfs.om
 # critical path and introspection, from one traced and snapshotted run of the same job: the report matches the committed golden, its composition self-diff is clean, the committed copier-stall regression pair is flagged, and the live snapshots inspect clean
 0 bin/ftmr-sim -workload wordcount -procs 8 -model wc -kill-phase map -trace $T.jsonl -trace-format jsonl -introspect-out $T.insp
 0 bin/ftmr-trace critpath $T.jsonl > $T.txt
@@ -139,14 +144,32 @@ define SELFTEST
 # a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped
 0 bin/ftmr-sim -procs 8 -model cr -kill-phase map -restart -trace $T.cr.jsonl -trace-format jsonl
 0 bin/ftmr-trace flows $T.cr.jsonl
-# every remaining ftmr-sim flag runs once: a PFS outage window, continuous kills, the JSON summary, interval metrics sampling, the streamed trace (which must validate) and the default Chrome trace format
+# flags without a line above: a PFS outage window, continuous kills, the JSON summary, the streamed trace (which must validate) and the default Chrome trace format
 0 bin/ftmr-sim -procs 8 -outage 1ms,3ms
 0 bin/ftmr-sim -procs 8 -kills 2 -kill-every 5ms
 0 bin/ftmr-sim -procs 8 -json
-0 bin/ftmr-sim -procs 8 -metrics-out $T.iv.om -metrics-interval 10ms
 0 bin/ftmr-sim -procs 8 -kill-phase map -trace-stream $T.st.jsonl
 0 bin/ftmr-trace flows $T.st.jsonl
 0 bin/ftmr-sim -procs 8 -kill-phase map -trace $T.chrome.json
+# what README and EXPERIMENTS.md document and no other line reaches: ftmr-sim's own critical-path report agrees byte for byte with ftmr-trace critpath's golden (and an unanalyzable trace, its job.begin overwritten, is one line and exit 2); one run with every plane on joins stalls and path shares into the snapshot, which ftmr-trace health judges as ftmr-sim -health did; ring overwrites are counted in it; the other three workloads; chaos kills with storage faults; chunk granularity; checkpoints straight to the PFS; an outage the introspection stream names; a watchdog that starts, never fires and stops
+0 bin/ftmr-sim -procs 8 -kill-phase map -critpath-out $T.cp.txt
+0 cmp $T.cp.txt internal/trace/critpath/testdata/golden_report.txt
+2 bin/ftmr-sim -procs 8 -trace-cap 16 -critpath-out $T.cp2.txt
+0 bin/ftmr-sim -procs 8 -kill-phase map -introspect-out $T.all.insp -metrics-out $T.all.om -health -critpath-out $T.all.txt
+0 grep -q ftmr_introspect_stalls $T.all.om
+0 grep -q ftmr_critpath_share $T.all.om
+0 bin/ftmr-trace health $T.all.om
+0 bin/ftmr-sim -procs 8 -kill-phase map -trace-cap 16 -trace $T.drop.jsonl -trace-format jsonl -metrics-out $T.drop.om
+0 grep -q ftmr_trace_events_dropped $T.drop.om
+0 bin/ftmr-sim -workload blast -procs 8
+0 bin/ftmr-sim -workload pagerank -procs 8
+0 bin/ftmr-sim -workload bfs -procs 8
+0 bin/ftmr-sim -procs 8 -chaos 2 -storage-faults
+0 bin/ftmr-sim -procs 8 -kill-phase map -granularity chunk
+0 bin/ftmr-sim -procs 8 -kill-phase map -ckpt-direct-pfs
+0 bin/ftmr-sim -procs 8 -outage 1ms,3ms -introspect-interval 1ms -introspect-out $T.out.insp
+0 grep -q '"outages":\[{"tier":"pfs"' $T.out.insp
+0 bin/ftmr-sim -procs 8 -stall-after 30s
 # a masking job that loses every rank is an aborted one, not a clean run with no output
 0 bin/ftmr-sim -procs 1 -model wc -kill-phase map | grep -q aborted=true
 # one usage contract for every CLI: an unknown figure, a missing mode or an unknown subcommand is exit 2
@@ -155,8 +178,6 @@ define SELFTEST
 2 bin/ftmr-bench
 2 bin/ftmr-trace
 2 bin/ftmr-trace bogus
-2 bin/ftmr-metrics
-2 bin/ftmr-metrics bogus
 endef
 export SELFTEST
 

@@ -10,6 +10,11 @@
 # is crossed with one -coverpkg=./... test profile per package, and every
 # function no binary reaches is printed as `pkg.Func <- what reaches it`.
 #
+# The same two profiles are then crossed at the statement: how many statements
+# under internal/ and cmd/ no test and no binary reaches, and the ten files
+# that hold most of them. That is printed, not gated: what is left there is
+# error-propagation and I/O-failure arms.
+#
 # Exits 1 when such a function is not listed in census.keep
 # (`pkg.Func<TAB>reason`), or when a census.keep row names a function that no
 # longer exists or that a binary now reaches: delete the function, give it
@@ -68,6 +73,7 @@ FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg); sub(/^internal\//, "", pkg
 	print "ftmrmpi/" FILENAME ":" FNR "\t" pkg "." recv s
 }' >"$T/funcs"
 
+status=0
 awk -F'\t' '
 FILENAME ~ /reached$/ { if ($2 == "binary") bin[$1] = 1; else by[$1] = by[$1] (by[$1] == "" ? "" : ", ") $2; next }
 FILENAME ~ /census.keep$/ { if ($0 !~ /^#/ && $0 != "") keep[$1] = 1; next }
@@ -83,4 +89,18 @@ END {
 	for (k in keep) if (!(k in seen)) { print "census.keep: " k " does not exist"; bad = 1 }
 	printf "census: %d functions, %d reached by no binary, %d of those by nothing at all\n", total, unreached, nothing
 	exit bad
-}' "$T/reached" census.keep "$T/funcs"
+}' "$T/reached" census.keep "$T/funcs" || status=$?
+
+# `file:block statements count` lines: a block is reached if any profile
+# counted it.
+cat "$T/bin.cov" "$T"/test/* | awk '
+$1 ~ /^ftmrmpi\/(internal|cmd)\// { n[$1] = $2; if ($3 > 0) hit[$1] = 1 }
+END {
+	for (b in n) {
+		total += n[b]
+		if (!(b in hit)) { f = b; sub(/:.*/, "", f); miss += n[b]; per[f] += n[b] }
+	}
+	printf "census: %d of %d statements reached by no test and no binary; the ten files holding most:\n", miss, total
+	for (f in per) printf "%6d %s\n", per[f], f | "sort -k1,1nr -k2 | head -10"
+}'
+exit $status

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -24,7 +25,6 @@ import (
 	"ftmrmpi/internal/failure"
 	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/metrics"
-	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/trace/critpath"
 	"ftmrmpi/internal/workloads"
@@ -113,9 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
 		stallAfter    = fs.Duration("stall-after", 0, "wall-clock no-progress watchdog: report a stall after this much real time without virtual-time progress (0 disables; enables the plane)")
 
-		metricsOut      = fs.String("metrics-out", "", "write the final metrics snapshot (OpenMetrics text) to this file")
-		metricsInterval = fs.Duration("metrics-interval", 0, "also sample metrics on this virtual-time cadence (0: final snapshot only)")
-		health          = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
+		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot (OpenMetrics text) to this file")
+		health     = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
 	slo := metrics.DefaultSLO()
 	slo.Flags(fs)
@@ -194,10 +193,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The registry must exist before Launch: instruments bind per rank at
 	// spawn time.
-	var sampler *metrics.Sampler
 	if *metricsOut != "" || *health {
 		clus.Metrics = metrics.New(clus.Sim)
-		sampler = metrics.StartSampler(clus.Metrics, *metricsInterval)
 	}
 	// Like the registry, the plane must exist before Launch: probes bind per
 	// rank at spawn time.
@@ -205,37 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *introspectOut != "" || *stallAfter > 0 {
 		pl := introspect.New(clus.Sim, *introspectInt)
 		clus.Introspect = pl
-		pl.Outages = func(now time.Duration) []introspect.Outage {
-			var out []introspect.Outage
-			tiers := []*storage.Tier{clus.PFS}
-			for _, n := range clus.Nodes {
-				if n.Local != nil {
-					tiers = append(tiers, n.Local)
-				}
-			}
-			for _, t := range tiers {
-				if t.Faults == nil {
-					continue
-				}
-				if until, ok := t.Faults.OutageUntil(now); ok {
-					out = append(out, introspect.Outage{Tier: t.Name, UntilUS: float64(until) / 1e3})
-				}
-			}
-			return out
-		}
-		if clus.Metrics != nil {
-			reg := clus.Metrics
-			pl.OnRankStates = func(counts map[string]int) {
-				for _, st := range introspect.AllStates {
-					reg.GaugeL(metrics.MRankState,
-						"ranks per wait state at the last introspection snapshot",
-						"state", st).Set(float64(counts[st]))
-				}
-				reg.GaugeL(metrics.MIntrospectStalls,
-					"stall reports from the introspection plane",
-					"kind", "total").Set(float64(len(pl.Stalls())))
-			}
-		}
+		pl.Outages = clus.Outages
 		if *introspectOut != "" {
 			f, err := os.Create(*introspectOut)
 			if err != nil {
@@ -311,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *chaos > 0:
 		failure.Chaos(h, *chaosSeed, *chaos, *chaosWin)
 	case *kills > 0:
-		failure.Continuous(h.World, *killEvery, *kills, 1)
+		failure.Continuous(h.World, *killEvery, *kills, rand.New(rand.NewSource(1)).Intn)
 	case *killPhase != "":
 		rank := *killRank
 		if rank < 0 {
@@ -372,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stFaults || *outage != "" {
 		s := clus.PFS.Faults.Stats
 		for _, n := range clus.Nodes {
-			if n.Local != nil && n.Local.Faults != nil {
+			if n.Local.Faults != nil {
 				ls := n.Local.Faults.Stats
 				s.TornWrites += ls.TornWrites
 				s.BitFlips += ls.BitFlips
@@ -406,7 +373,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events := append(clus.Trace.Events(), clus.Trace.DropEvents()...)
 		rep, err := critpath.Analyze(events)
 		if err != nil {
-			fmt.Fprintf(stderr, "critpath: %v\n", err)
+			fmt.Fprintln(stderr, err) // it names the package
 			return 2
 		}
 		critRep = rep
@@ -439,13 +406,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		critpath.Export(clus.Metrics, critRep)
-		var final metrics.Snapshot
-		if sampler != nil {
-			snaps := sampler.Final()
-			final = snaps[len(snaps)-1]
-		} else {
-			final = clus.Metrics.Snapshot()
-		}
+		final := clus.Metrics.Snapshot()
 		if *metricsOut != "" {
 			f, err := os.Create(*metricsOut)
 			if err != nil {

@@ -185,38 +185,16 @@ func applyKill(h *core.Handle, kill *killPlan) {
 	}
 }
 
-// killEvery kills one random live rank every interval, count times or until
-// one rank is left. It is failure.Continuous drawing from splitmixRng: the
-// victims of fig11 and fig12 in BENCH_results.json are this generator's.
-func killEvery(h *core.Handle, every time.Duration, count int, seed int64) {
-	killed := 0
-	rng := splitmixRng(seed)
-	var tick func()
-	tick = func() {
-		if killed >= count {
-			return
-		}
-		alive := h.World.AliveRanks()
-		if len(alive) <= 1 {
-			return
-		}
-		h.World.Kill(alive[int(rng()%uint64(len(alive)))])
-		killed++
-		if killed < count {
-			h.Clus.Sim.After(every, tick)
-		}
-	}
-	h.Clus.Sim.After(every, tick)
-}
-
-// splitmixRng returns a tiny deterministic generator.
-func splitmixRng(seed int64) func() uint64 {
+// splitmixPick is the victim draw fig11 and fig12 hand failure.Continuous: a
+// tiny deterministic splitmix64 generator reduced modulo n. Their victims in
+// BENCH_results.json are this generator's.
+func splitmixPick(seed int64) func(n int) int {
 	x := uint64(seed) * 2685821657736338717
-	return func() uint64 {
+	return func(n int) int {
 		x += 0x9e3779b97f4a7c15
 		z := x
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		return int((z ^ (z >> 31)) % uint64(n))
 	}
 }

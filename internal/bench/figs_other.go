@@ -117,7 +117,7 @@ func continuousTable(id, title string, s Scale, absents []int,
 		k := k
 		interval := refFull / time.Duration(3*k/2+2)
 		kill := func(h *core.Handle) {
-			killEvery(h, interval, k, int64(k))
+			failure.Continuous(h.World, interval, k, splitmixPick(int64(k)))
 		}
 		wc := runApp(fmt.Sprintf("%s-wc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeWC), kill)
 		nwc := runApp(fmt.Sprintf("%s-nwc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeNWC), kill)

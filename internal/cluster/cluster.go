@@ -43,7 +43,6 @@ type Config struct {
 	LocalDiskBW    float64 // bytes/sec
 	LocalDiskOpLat time.Duration
 	LocalDiskIOPS  float64 // small ops/sec per node (page-cache buffered)
-	HasLocalDisk   bool
 
 	// Shared parallel file system (aggregate across the whole machine).
 	PFSBandwidth float64 // bytes/sec, aggregate
@@ -63,8 +62,7 @@ func Default() Config {
 		LocalDiskBW:    2e9,   // page-cache-buffered sequential writes
 		LocalDiskOpLat: 20 * time.Microsecond,
 		LocalDiskIOPS:  400e3, // page-cache-buffered small appends
-		HasLocalDisk:   true,
-		PFSBandwidth:   12e9, // aggregate GPFS
+		PFSBandwidth:   12e9,  // aggregate GPFS
 		PFSOpLat:       600 * time.Microsecond,
 		PFSIOPS:        40e3, // aggregate metadata/small-op budget
 	}
@@ -141,14 +139,12 @@ func NewOn(sim *vtime.Sim, cfg Config) *Cluster {
 		for s := 0; s < cfg.PPN; s++ {
 			node.Cores = append(node.Cores, vtime.NewBandwidth(sim, fmt.Sprintf("cpu-n%d-c%d", n, s), 1.0))
 		}
-		if cfg.HasLocalDisk {
-			bw := vtime.NewBandwidth(sim, fmt.Sprintf("disk-n%d", n), cfg.LocalDiskBW)
-			node.Local = storage.NewTier(fmt.Sprintf("local-n%d", n), fs, bw, cfg.LocalDiskOpLat, fmt.Sprintf("local%d:", n))
-			if cfg.LocalDiskIOPS > 0 {
-				node.Local.IOPS = vtime.NewBandwidth(sim, fmt.Sprintf("disk-iops-n%d", n), cfg.LocalDiskIOPS)
-			}
-			node.Local.Clock = sim.Now
+		bw := vtime.NewBandwidth(sim, fmt.Sprintf("disk-n%d", n), cfg.LocalDiskBW)
+		node.Local = storage.NewTier(fmt.Sprintf("local-n%d", n), fs, bw, cfg.LocalDiskOpLat, fmt.Sprintf("local%d:", n))
+		if cfg.LocalDiskIOPS > 0 {
+			node.Local.IOPS = vtime.NewBandwidth(sim, fmt.Sprintf("disk-iops-n%d", n), cfg.LocalDiskIOPS)
 		}
+		node.Local.Clock = sim.Now
 		c.Nodes = append(c.Nodes, node)
 	}
 	return c
@@ -165,9 +161,28 @@ func (c *Cluster) CoreOf(rank int) *vtime.Bandwidth {
 	return c.NodeOf(rank).Cores[rank%c.Cfg.PPN]
 }
 
-// LocalOf returns the local-disk tier of the node hosting rank, or nil when
-// the cluster has no local disks.
+// LocalOf returns the local-disk tier of the node hosting rank.
 func (c *Cluster) LocalOf(rank int) *storage.Tier { return c.NodeOf(rank).Local }
+
+// Outages lists the storage tiers (the PFS, then the node-local disks) inside
+// a fault-injected outage window at virtual time now: what the owner of an
+// introspection plane sets its Outages hook to.
+func (c *Cluster) Outages(now time.Duration) []introspect.Outage {
+	var out []introspect.Outage
+	add := func(t *storage.Tier) {
+		if t.Faults == nil {
+			return
+		}
+		if until, ok := t.Faults.OutageUntil(now); ok {
+			out = append(out, introspect.Outage{Tier: t.Name, UntilUS: float64(until) / 1e3})
+		}
+	}
+	add(c.PFS)
+	for _, n := range c.Nodes {
+		add(n.Local)
+	}
+	return out
+}
 
 // TransferCost returns the virtual time to move n bytes point-to-point.
 func (c *Cluster) TransferCost(bytes int) time.Duration {

@@ -26,17 +26,6 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
-func TestNoLocalDisk(t *testing.T) {
-	cfg := Default()
-	cfg.Nodes = 2
-	cfg.PPN = 2
-	cfg.HasLocalDisk = false
-	c := New(cfg)
-	if c.LocalOf(0) != nil {
-		t.Fatal("expected nil local tier")
-	}
-}
-
 func TestTransferCost(t *testing.T) {
 	cfg := Default()
 	cfg.Nodes = 1

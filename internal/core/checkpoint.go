@@ -309,7 +309,7 @@ type ckptWriter struct {
 	enabled bool
 	jobID   string
 	loc     Location
-	local   *storage.Tier // nil when the node has no local disk
+	local   *storage.Tier
 	pfs     *storage.Tier
 	cp      *copier
 	m       *RankMetrics
@@ -352,7 +352,7 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte) {
 	// Direct to PFS, every frame is a distinct small operation against the
 	// shared file system (§4.1.3's slow path); the local disk absorbs them
 	// and the copier drains the stream in few large appends.
-	viaCopier := w.loc == LocLocalCopier && w.local != nil
+	viaCopier := w.loc == LocLocalCopier
 	tier := w.pfs
 	if viaCopier {
 		tier = w.local
@@ -528,10 +528,9 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 	if !h.pfs.Exists(path) {
 		return nil, nil, "", false
 	}
-	stage := h.prefetch && h.local != nil
 	var raw []byte
 	var err error
-	if stage {
+	if h.prefetch {
 		if !h.staged[stream] {
 			data, err := readRetry(p, h.pfs, path, &h.m.Recovery.LoadCkpt)
 			if err != nil {
@@ -559,11 +558,11 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 		h.obs.Quarantine(stream, consumed, len(raw))
 		h.m.Counters["ckpt_corrupt"]++
 		h.pfs.Truncate(path, consumed)
-		if h.local != nil && h.staged[stream] {
+		if h.staged[stream] {
 			h.local.Truncate("stage/"+path, consumed)
 		}
 	}
-	if !stage {
+	if !h.prefetch {
 		// Direct PFS replay: charge one operation per frame.
 		h.m.Recovery.LoadCkpt += h.pfs.Charge(p, len(frames), consumed)
 	}

@@ -130,30 +130,6 @@ func TestDirectPFSCheckpointRestart(t *testing.T) {
 	checkCounts(t, readOutput(t, clus, name, 8), expect, "direct-cr")
 }
 
-func TestNoLocalDiskFallsBackToDirectPFS(t *testing.T) {
-	cfg := clusterDefault()
-	cfg.Nodes = 2
-	cfg.PPN = 2
-	cfg.HasLocalDisk = false
-	clus := clusterNew(cfg)
-	name := "nodisk"
-	expect := genInput(clus, "in/"+name, 8, 40, 17)
-	spec := wcSpec(name, 4, ModelCheckpointRestart)
-	h := RunSingle(clus, spec)
-	killDuring(h, 1, PhaseReduce, time.Millisecond)
-	clus.Sim.Run()
-	if !h.Result().Aborted {
-		t.Fatal("should abort")
-	}
-	spec.Resume = true
-	h2 := RunSingle(clus, spec)
-	clus.Sim.Run()
-	if h2.Result().Aborted {
-		t.Fatal("restart aborted")
-	}
-	checkCounts(t, readOutput(t, clus, name, 4), expect, "nodisk")
-}
-
 func TestPrefetchRecoveryCorrectAndCheaper(t *testing.T) {
 	run := func(prefetch bool) (time.Duration, map[string]int, string) {
 		clus := testCluster(4, 2)

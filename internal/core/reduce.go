@@ -22,13 +22,8 @@ func (r *runner) ownedParts() []int {
 }
 
 // scratch returns the tier that holds this rank's intermediate data: the
-// node-local disk, or the PFS on diskless nodes.
-func (r *runner) scratch() *storage.Tier {
-	if local := r.job.clus.LocalOf(r.myWorld()); local != nil {
-		return local
-	}
-	return r.job.clus.PFS
-}
+// node-local disk.
+func (r *runner) scratch() *storage.Tier { return r.job.clus.LocalOf(r.myWorld()) }
 
 // phaseConvert groups each of the role's partitions from KV into KMV and
 // charges the configured algorithm's traffic against the local scratch disk

@@ -135,9 +135,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		obs:     h,
 		agent:   &r.lb,
 	}
-	if local == nil {
-		r.ck.loc = LocDirectPFS
-	}
 	// Shadows start with writes disabled but may be promoted mid-job, so the
 	// copier thread is started whenever the model checkpoints at all.
 	if spec.Model.Checkpointing() && r.ck.loc == LocLocalCopier {
@@ -153,7 +150,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		jobID:    spec.JobID,
 		pfs:      clus.PFS,
 		local:    local,
-		prefetch: spec.Prefetch && local != nil,
+		prefetch: spec.Prefetch,
 		m:        m,
 		obs:      h,
 		staged:   make(map[string]bool),

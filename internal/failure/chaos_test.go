@@ -125,7 +125,7 @@ func TestKillDuringRecoveryRestartsRecovery(t *testing.T) {
 
 	h := core.RunSingle(clus, spec)
 	KillOnPhase(h, 3, core.PhaseReduce, time.Millisecond)
-	KillDuringRecovery(h, -1, 20*time.Microsecond)
+	KillDuringRecovery(h, 20*time.Microsecond)
 	clus.Sim.Run()
 
 	res := h.Result()

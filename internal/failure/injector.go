@@ -79,41 +79,12 @@ func KillOnPhase(h *core.Handle, rank int, ph core.Phase, delay time.Duration) {
 	})
 }
 
-// MTTF injects failures with exponentially distributed inter-arrival times
-// whose mean is the given MTTF (the paper motivates FT-MRMPI with Blue
-// Waters' 4.2-hour system MTTF). Kills stop after maxKills or when one
-// rank remains.
-func MTTF(w *mpi.World, mttf time.Duration, maxKills int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	killed := 0
-	var arm func()
-	arm = func() {
-		d := time.Duration(rng.ExpFloat64() * float64(mttf))
-		w.Sim.After(d, func() {
-			if killed >= maxKills {
-				return
-			}
-			alive := w.AliveRanks()
-			if len(alive) <= 1 {
-				return
-			}
-			inject(w, alive[rng.Intn(len(alive))])
-			killed++
-			if killed < maxKills {
-				arm()
-			}
-		})
-	}
-	arm()
-}
-
 // KillDuringRecovery arms a one-shot kill that fires the first time any rank
 // reports entering the recovery phase: after delay (keep it within the
-// shrink/agree window, i.e. tens of microseconds), victim is killed — so
-// recovery itself must be recovered. victim < 0 selects the highest-numbered
-// alive rank other than the reporting one. Dead or already-selected victims
-// are skipped, never double-killed.
-func KillDuringRecovery(h *core.Handle, victim int, delay time.Duration) {
+// shrink/agree window, i.e. tens of microseconds), a second rank is killed — so
+// recovery itself must be recovered. The victim is the highest-numbered
+// alive rank other than the reporting one, and never the last one alive.
+func KillDuringRecovery(h *core.Handle, delay time.Duration) {
 	armed := false
 	h.OnPhase(func(worldRank int, ph core.Phase) {
 		if armed || ph != core.PhaseRecovery {
@@ -122,26 +93,12 @@ func KillDuringRecovery(h *core.Handle, victim int, delay time.Duration) {
 		armed = true
 		h.Clus.Sim.After(delay, func() {
 			alive := h.World.AliveRanks()
-			v := -1
-			if victim >= 0 {
-				for _, a := range alive {
-					if a == victim {
-						v = victim
-						break
-					}
-				}
-			} else {
-				for i := len(alive) - 1; i >= 0; i-- {
-					if alive[i] != worldRank {
-						v = alive[i]
-						break
-					}
+			for i := len(alive) - 1; i >= 0 && len(alive) > 1; i-- {
+				if alive[i] != worldRank {
+					inject(h.World, alive[i])
+					return
 				}
 			}
-			if v < 0 || len(alive) <= 1 {
-				return
-			}
-			inject(h.World, v)
 		})
 	})
 }
@@ -166,7 +123,7 @@ func Chaos(h *core.Handle, seed int64, maxKills int, window time.Duration) {
 			inject(h.World, alive[rng.Intn(len(alive))])
 		})
 	}
-	KillDuringRecovery(h, -1, time.Duration(rng.Int63n(int64(40*time.Microsecond)))+10*time.Microsecond)
+	KillDuringRecovery(h, time.Duration(rng.Int63n(int64(40*time.Microsecond)))+10*time.Microsecond)
 }
 
 // StorageFaults attaches seeded storage fault injectors (the chaos policy:
@@ -178,10 +135,8 @@ func StorageFaults(clus *cluster.Cluster, seed int64) {
 	clus.PFS.Faults = storage.NewInjector(storage.ChaosPolicy(seed))
 	clus.PFS.Faults.BindMetrics(clus.Metrics, clus.PFS.Name)
 	for i, n := range clus.Nodes {
-		if n.Local != nil {
-			n.Local.Faults = storage.NewInjector(storage.ChaosPolicy(seed + 1 + int64(i)))
-			n.Local.Faults.BindMetrics(clus.Metrics, n.Local.Name)
-		}
+		n.Local.Faults = storage.NewInjector(storage.ChaosPolicy(seed + 1 + int64(i)))
+		n.Local.Faults.BindMetrics(clus.Metrics, n.Local.Name)
 	}
 }
 
@@ -204,11 +159,11 @@ func PFSOutage(clus *cluster.Cluster, begin, end time.Duration) {
 	countInjected(clus.Metrics, "outage")
 }
 
-// Continuous kills one random live rank every interval, starting after the
-// first interval, until maxKills processes have been killed (or only one
-// rank remains). The seed makes runs reproducible.
-func Continuous(w *mpi.World, interval time.Duration, maxKills int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+// Continuous kills one live rank every interval, starting after the first
+// interval, until maxKills processes have been killed (or only one rank
+// remains). pick draws the victim's index among the n ranks then alive; a
+// seeded generator's Intn makes runs reproducible.
+func Continuous(w *mpi.World, interval time.Duration, maxKills int, pick func(n int) int) {
 	killed := 0
 	var tick func()
 	tick = func() {
@@ -219,8 +174,7 @@ func Continuous(w *mpi.World, interval time.Duration, maxKills int, seed int64) 
 		if len(alive) <= 1 {
 			return
 		}
-		victim := alive[rng.Intn(len(alive))]
-		inject(w, victim)
+		inject(w, alive[pick(len(alive))])
 		killed++
 		if killed < maxKills {
 			w.Sim.After(interval, tick)

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestKillAt(t *testing.T) {
 func TestContinuousKillsExactlyMax(t *testing.T) {
 	clus := testCluster()
 	w := sleepers(clus, 8)
-	Continuous(w, time.Second, 5, 42)
+	Continuous(w, time.Second, 5, rand.New(rand.NewSource(42)).Intn)
 	clus.Sim.Run()
 	if got := 8 - w.AliveCount(); got != 5 {
 		t.Fatalf("killed %d, want 5", got)
@@ -49,7 +50,7 @@ func TestContinuousDeterministicVictims(t *testing.T) {
 	victims := func() []int {
 		clus := testCluster()
 		w := sleepers(clus, 8)
-		Continuous(w, time.Second, 3, 7)
+		Continuous(w, time.Second, 3, rand.New(rand.NewSource(7)).Intn)
 		clus.Sim.Run()
 		var out []int
 		for r := 0; r < 8; r++ {
@@ -70,20 +71,10 @@ func TestContinuousDeterministicVictims(t *testing.T) {
 	}
 }
 
-func TestMTTFKillsOverTime(t *testing.T) {
-	clus := testCluster()
-	w := sleepers(clus, 8)
-	MTTF(w, 2*time.Second, 4, 3)
-	clus.Sim.Run()
-	if got := 8 - w.AliveCount(); got != 4 {
-		t.Fatalf("killed %d, want 4", got)
-	}
-}
-
 func TestContinuousSparesLastRank(t *testing.T) {
 	clus := testCluster()
 	w := sleepers(clus, 3)
-	Continuous(w, time.Second, 10, 1)
+	Continuous(w, time.Second, 10, rand.New(rand.NewSource(1)).Intn)
 	clus.Sim.Run()
 	if w.AliveCount() < 1 {
 		t.Fatal("killed every rank")

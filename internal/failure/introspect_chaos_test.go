@@ -23,6 +23,7 @@ func introspectChaosRun(t *testing.T, seed int64, killWindow, outBegin, outEnd t
 	p := chaosCorpus()
 	clus := chaosCluster()
 	clus.Introspect = introspect.New(clus.Sim, 2*time.Millisecond)
+	clus.Introspect.Outages = clus.Outages
 	workloads.GenCorpus(clus, "in/ichaos", p)
 	StorageFaults(clus, seed)
 	PFSOutage(clus, outBegin, outEnd)
@@ -80,6 +81,25 @@ func TestIntrospectChaosNoFalseStalls(t *testing.T) {
 		}
 		if !bytes.Contains(stream, []byte(`"kind":"snapshot"`)) {
 			t.Fatalf("seed %d: stream carries no snapshots", seed)
+		}
+		// Every capture inside the PFS outage window names the tier and the
+		// window's end; none outside it does.
+		inside := 0
+		for _, snap := range pl.Snapshots() {
+			at := time.Duration(snap.VTus * 1e3)
+			in := at >= outBegin && at < outEnd
+			if in {
+				inside++
+			}
+			switch {
+			case in && (len(snap.Outages) != 1 || snap.Outages[0].Tier != "pfs" || snap.Outages[0].UntilUS != float64(outEnd)/1e3):
+				t.Fatalf("seed %d: snapshot at %v inside the outage lists %+v", seed, at, snap.Outages)
+			case !in && len(snap.Outages) != 0:
+				t.Fatalf("seed %d: snapshot at %v outside the outage lists %+v", seed, at, snap.Outages)
+			}
+		}
+		if inside == 0 {
+			t.Fatalf("seed %d: no capture fell inside the outage window %v-%v", seed, outBegin, outEnd)
 		}
 	}
 }

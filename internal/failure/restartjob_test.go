@@ -2,6 +2,7 @@ package failure
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestRestartedJobStopsItsCopier(t *testing.T) {
 			final = out
 		}
 	})
-	Continuous(h.World, 20*time.Millisecond, 4, seed)
+	Continuous(h.World, 20*time.Millisecond, 4, rand.New(rand.NewSource(seed)).Intn)
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
 		t.Fatalf("%d stranded procs after the run, first %q", len(st), st[0])

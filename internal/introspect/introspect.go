@@ -54,12 +54,6 @@ const (
 	StateDead = "dead"
 )
 
-// AllStates lists every rank state in reporting order. Metrics mirrors
-// iterate it so gauges for states with zero ranks are written as zero rather
-// than left stale.
-var AllStates = []string{StateRunning, StateRecv, StateTimer, StateColl,
-	StateDrain, StateParked, StateDead}
-
 // AnySource mirrors mpi.AnySource in RankState.Src (the package cannot
 // import internal/mpi).
 const AnySource = -1
@@ -221,15 +215,9 @@ type Plane struct {
 	probes []*RankProbe
 	worlds []WorldView
 	// Outages, when set, reports the storage tiers inside an outage window
-	// at the given virtual time (wired by the cluster owner; the plane
-	// cannot import internal/storage).
+	// at the given virtual time. The plane cannot import internal/storage,
+	// so the cluster's owner sets it to cluster.Cluster.Outages.
 	Outages func(now time.Duration) []Outage
-
-	// OnRankStates, when set, is called with every capture's rank-state
-	// counts (state name -> rank count). The caller mirrors them into the
-	// ftmr_rank_state metrics gauges; the plane cannot import
-	// internal/metrics.
-	OnRankStates func(counts map[string]int)
 
 	snaps  []Snapshot
 	stalls []StallReport
@@ -292,11 +280,10 @@ func (pl *Plane) AttachWorld(v WorldView) {
 	pl.worlds = append(pl.worlds, v)
 }
 
-// Start arms the capture cadence: an observer ticker (vtime.Sim.Every) that
+// Start arms the capture cadence: the observer ticker (vtime.Sim.Every) that
 // captures a snapshot every interval of virtual time for as long as the
 // simulation has other work (so it never keeps the simulation alive
-// artificially, nor does another observer's ticker keep it alive). No-op on
-// a nil plane.
+// artificially). No-op on a nil plane.
 func (pl *Plane) Start() {
 	if pl == nil {
 		return
@@ -437,13 +424,6 @@ func (pl *Plane) capture(final bool) {
 	}
 
 	pl.snaps = append(pl.snaps, snap)
-	if pl.OnRankStates != nil {
-		counts := make(map[string]int)
-		for i := range snap.Ranks {
-			counts[snap.Ranks[i].State]++
-		}
-		pl.OnRankStates(counts)
-	}
 
 	pl.mu.Lock()
 	pl.lastSnap = &pl.snaps[len(pl.snaps)-1]

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"ftmrmpi/internal/jsonl"
 )
@@ -235,14 +234,4 @@ func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
 		return nil
 	})
 	return out, rr, err
-}
-
-// ReadJSONLFile is ReadJSONL over the named file.
-func ReadJSONLFile(path string) ([]Line, *ReadReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
 }

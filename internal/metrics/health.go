@@ -68,11 +68,6 @@ const (
 	// source that satisfied them (labeled source=replica-local |
 	// replica-peer | pfs), emitted by the internal/core failover chain.
 	MRecoveryReads = "ftmr_recovery_reads"
-	// MRankState is the number of ranks in each wait state at the last
-	// introspection snapshot (labeled state=running | recv | collective |
-	// ckpt-drain | timer | parked | dead), mirrored from the introspection
-	// plane's OnRankStates hook.
-	MRankState = "ftmr_rank_state"
 	// MIntrospectStalls counts stall reports (deadlock cycles or no-progress
 	// watchdog fires) emitted by the introspection plane. Any nonzero value
 	// means the run hung or deadlocked at some point.
@@ -165,7 +160,7 @@ func DefaultSLO() SLO {
 // Flags registers the gate's -slo-* flags on fs, one per bound, each writing
 // its field of s and defaulting to the value the field holds now (callers
 // start from DefaultSLO). It is the one table of the gate's command-line
-// surface: ftmr-sim -health and ftmr-metrics health both call it, so a
+// surface: ftmr-sim -health and ftmr-trace health both call it, so a
 // snapshot is judged alike by both.
 func (s *SLO) Flags(fs *flag.FlagSet) {
 	for _, f := range []struct {

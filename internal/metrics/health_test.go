@@ -170,7 +170,7 @@ func TestHealthRender(t *testing.T) {
 }
 
 // TestSLOFlags pins the gate's one flag table (SLO.Flags, shared by ftmr-sim
-// -health and ftmr-metrics health): parsing nothing leaves the defaults,
+// -health and ftmr-trace health): parsing nothing leaves the defaults,
 // every bound is written by exactly one flag and every flag writes exactly
 // one bound, and a command that builds its gate this way judges PFS recovery
 // reads as the default does — report-only, not the strict zero a hand-built

@@ -85,32 +85,26 @@ func chaosExposition(t *testing.T, seed int64, window time.Duration) []byte {
 	failure.StorageFaults(clus, seed)
 	h := core.RunSingle(clus, intSpec("chaos", p))
 	failure.Chaos(h, seed, 2, window)
-	sampler := metrics.StartSampler(clus.Metrics, 50*time.Millisecond)
 	clus.Sim.Run()
 	if res := h.Result(); res == nil || res.Aborted {
 		t.Fatalf("seed %d: chaos run aborted: %+v", seed, res)
 	}
-	core.ExportResultMetrics(clus.Metrics, h.Results())
-	snaps := sampler.Final()
 	var buf bytes.Buffer
-	if err := metrics.WriteOpenMetrics(&buf, snaps[len(snaps)-1]); err != nil {
+	if err := metrics.WriteOpenMetrics(&buf, finalSnapshot(clus, h)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// The metrics sampler and the introspection plane each tick on their own
-// cadence for as long as the job has work. Side by side they used to take
-// each other's pending tick for work, and the run never ended; now a failover
-// job observed by both ends, at the same virtual instant as an unobserved one.
+// The introspection plane ticks on its own cadence for as long as the job
+// has work, and no longer: a failover job it observes ends at the same
+// virtual instant as an unobserved one, and the simulation with it.
 func TestSamplerAndIntrospectionCadencesEndWithTheJob(t *testing.T) {
-	run := func(observed bool) (end, simEnd time.Duration, samples, snaps int) {
+	run := func(observed bool) (end, simEnd time.Duration, snaps int) {
 		clus := intCluster()
 		p := intCorpus()
 		workloads.GenCorpus(clus, "in/obs", p)
-		var sampler *metrics.Sampler
 		if observed {
-			sampler = metrics.StartSampler(clus.Metrics, 10*time.Millisecond)
 			clus.Introspect = introspect.New(clus.Sim, 7*time.Millisecond)
 		}
 		h := core.RunSingle(clus, intSpec("obs", p))
@@ -121,18 +115,18 @@ func TestSamplerAndIntrospectionCadencesEndWithTheJob(t *testing.T) {
 		if res == nil || res.Aborted {
 			t.Fatalf("observed=%v: job aborted: %+v", observed, res)
 		}
-		return res.End, simEnd, sampler.Count(), len(clus.Introspect.Snapshots())
+		return res.End, simEnd, len(clus.Introspect.Snapshots())
 	}
-	bare, _, _, _ := run(false)
-	end, simEnd, samples, snaps := run(true)
+	bare, _, _ := run(false)
+	end, simEnd, snaps := run(true)
 	if end != bare {
 		t.Fatalf("observed job ends at %v, unobserved at %v", end, bare)
 	}
-	if simEnd > end+10*time.Millisecond {
+	if simEnd > end+7*time.Millisecond {
 		t.Fatalf("simulation ran on to %v after the job ended at %v", simEnd, end)
 	}
-	if samples < int(end/(10*time.Millisecond)) || snaps < int(end/(7*time.Millisecond)) {
-		t.Fatalf("%d samples and %d snapshots over %v: a cadence stopped early", samples, snaps, end)
+	if snaps < int(end/(7*time.Millisecond)) {
+		t.Fatalf("%d snapshots over %v: the cadence stopped early", snaps, end)
 	}
 }
 

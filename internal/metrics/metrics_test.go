@@ -1,15 +1,15 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
-	"time"
 
 	"ftmrmpi/internal/vtime"
 )
 
 // TestNilRegistryEndToEnd pins the disabled path's contract: a nil registry
 // hands out nil instruments, every operation no-ops, and the lifecycle
-// helpers (OnSample, Snapshot, StartSampler) are all safe to call.
+// helpers (OnSample, Snapshot) are both safe to call.
 func TestNilRegistryEndToEnd(t *testing.T) {
 	var r *Registry
 	c := r.Counter("ftmr_x", "h", 0)
@@ -37,16 +37,6 @@ func TestNilRegistryEndToEnd(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.VTSeconds != 0 || len(snap.Families) != 0 {
 		t.Fatalf("nil registry snapshot not zero: %+v", snap)
-	}
-	if s := StartSampler(r, time.Second); s != nil {
-		t.Fatalf("nil registry yielded non-nil sampler")
-	}
-	var s *Sampler
-	if got := s.Final(); got != nil {
-		t.Fatalf("nil sampler Final = %v", got)
-	}
-	if s.Count() != 0 {
-		t.Fatalf("nil sampler Count = %d", s.Count())
 	}
 }
 
@@ -218,46 +208,50 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-// TestSamplerCadence pins the sampler: snapshots on the virtual-time cadence
-// while other events remain, a final snapshot from Final, and monotone
-// timestamps.
-func TestSamplerCadence(t *testing.T) {
-	sim := vtime.NewSim()
-	r := New(sim)
-	c := r.Counter("ftmr_work", "h", 0)
-	// A process that works for 35ms of virtual time, bumping each ms.
-	sim.Spawn("worker", func(p *vtime.Proc) {
-		for i := 0; i < 35; i++ {
-			p.Sleep(time.Millisecond)
-			c.Inc()
+// TestDiff pins the one snapshot comparison (ftmr-trace diff A.om B.om): one
+// line per difference, in A's order then B's extras, and none for equal
+// snapshots.
+func TestDiff(t *testing.T) {
+	base := func() Snapshot {
+		return Snapshot{VTSeconds: 1.5, Families: []FamilySnapshot{
+			{Name: "ftmr_aborted", Kind: KindCounter, Series: []SeriesSnapshot{{Value: 1}}},
+			{Name: "ftmr_mapped", Kind: KindCounter, Label: "rank", Series: []SeriesSnapshot{
+				{LabelValue: "0", Value: 120}, {LabelValue: "1", Value: 80}}},
+			{Name: "ftmr_task_seconds", Kind: KindHistogram, Label: "rank", Buckets: []float64{0.1},
+				Series: []SeriesSnapshot{{LabelValue: "0", Counts: []uint64{3, 1}, Sum: 0.5, Count: 4}}},
+		}}
+	}
+	for _, c := range []struct {
+		name string
+		edit func(b *Snapshot)
+		want []string
+	}{
+		{"equal", func(b *Snapshot) {}, nil},
+		{"virtual time", func(b *Snapshot) { b.VTSeconds = 2 }, []string{"virtual time: 1.5 vs 2"}},
+		{"family only in A", func(b *Snapshot) { b.Families = b.Families[1:] }, []string{"ftmr_aborted: only in A"}},
+		{"family only in B", func(b *Snapshot) {
+			b.Families = append(b.Families, FamilySnapshot{Name: "ftmr_new", Kind: KindGauge})
+		}, []string{"ftmr_new: only in B"}},
+		{"kind", func(b *Snapshot) { b.Families[0].Kind = KindGauge },
+			[]string{"ftmr_aborted: kind/label mismatch (counter/ vs gauge/)"}},
+		{"label key", func(b *Snapshot) { b.Families[1].Label = "tier" },
+			[]string{"ftmr_mapped: kind/label mismatch (counter/rank vs counter/tier)"}},
+		{"values, unlabeled and labeled", func(b *Snapshot) {
+			b.Families[0].Series[0].Value = 2
+			b.Families[1].Series[1].Value = 81
+		}, []string{"ftmr_aborted: 1 vs 2", `ftmr_mapped{rank="1"}: 80 vs 81`}},
+		{"series on one side only", func(b *Snapshot) {
+			b.Families[1].Series[0].LabelValue = "7"
+		}, []string{`ftmr_mapped{rank="0"}: only in A`, `ftmr_mapped{rank="7"}: only in B`}},
+		{"histogram sum", func(b *Snapshot) { b.Families[2].Series[0].Sum = 0.75 },
+			[]string{`ftmr_task_seconds{rank="0"}: count/sum 4/0.5 vs 4/0.75`}},
+		{"histogram buckets alone", func(b *Snapshot) { b.Families[2].Series[0].Counts = []uint64{2, 2} },
+			[]string{`ftmr_task_seconds{rank="0"}: bucket counts [3 1] vs [2 2]`}},
+	} {
+		b := base()
+		c.edit(&b)
+		if got := Diff(base(), b); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Diff = %q, want %q", c.name, got, c.want)
 		}
-	})
-	s := StartSampler(r, 10*time.Millisecond)
-	sim.Run()
-	snaps := s.Final()
-	// Ticks at 10, 20, 30ms fire with the worker still live; the 40ms tick
-	// only fires if armed while work remained. Final adds one more.
-	if len(snaps) < 4 {
-		t.Fatalf("got %d snapshots, want >= 4", len(snaps))
-	}
-	if s.Count() != len(snaps) {
-		t.Fatalf("Count = %d, want %d", s.Count(), len(snaps))
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].VTSeconds < snaps[i-1].VTSeconds {
-			t.Fatalf("snapshot times not monotone: %v", snaps)
-		}
-	}
-	first, last := snaps[0], snaps[len(snaps)-1]
-	// The 10ms tick ties with the worker's 10th wake; either event order is
-	// deterministic per seed but not pinned here.
-	if v, _ := first.Series("ftmr_work", "0"); v != 9 && v != 10 {
-		t.Fatalf("first cadence snapshot counter = %v, want 9 or 10", v)
-	}
-	if v, _ := last.Series("ftmr_work", "0"); v != 35 {
-		t.Fatalf("final snapshot counter = %v, want 35", v)
-	}
-	if StartSampler(r, 0) != nil {
-		t.Fatalf("zero interval must disable the sampler")
 	}
 }

@@ -156,7 +156,7 @@ func TestParseErrors(t *testing.T) {
 
 // FuzzParseOpenMetrics feeds arbitrary bytes to the exposition parser: it
 // must never panic, and whatever it accepts must be a snapshot the exporter
-// can render (ftmr-metrics renders what it parsed), in output proportional to
+// can render (ftmr-trace summarize renders what it parsed), in output proportional to
 // the input. Memory is bounded by the input: a line is capped at 1 MiB and a
 // string is kept only per family, series and bucket bound.
 func FuzzParseOpenMetrics(f *testing.F) {

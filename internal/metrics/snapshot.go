@@ -1,6 +1,9 @@
 package metrics
 
-import "time"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshot is an immutable copy of the registry at one virtual instant.
 type Snapshot struct {
@@ -120,43 +123,73 @@ func (s Snapshot) Series(name, labelValue string) (float64, bool) {
 	return 0, false
 }
 
-// Sampler takes registry snapshots on a fixed virtual-time cadence while
-// the simulation still has other live events, retaining every snapshot in
-// memory. Create one with StartSampler before Sim.Run and call Final after
-// Run returns.
-type Sampler struct {
-	reg   *Registry
-	snaps []Snapshot
+// seriesName renders one series the way the exposition names it.
+func (f *FamilySnapshot) seriesName(labelValue string) string {
+	if labelValue == "" {
+		return f.Name
+	}
+	return fmt.Sprintf("%s{%s=%q}", f.Name, f.Label, labelValue)
 }
 
-// StartSampler arms an observer ticker (vtime.Sim.Every) on the registry's
-// simulation: every interval of virtual time it takes a snapshot, for as
-// long as the simulation has other work. Nil-safe: a nil registry yields a
-// nil sampler whose methods no-op.
-func StartSampler(reg *Registry, every time.Duration) *Sampler {
-	if reg == nil || reg.sim == nil || every <= 0 {
-		return nil
+// Diff compares two snapshots family by family and series by series and
+// returns one human-readable line per difference, in A's order then B's
+// extras: the virtual time, a family or series present on one side only, a
+// family whose kind or label key changed, a counter or gauge value, a
+// histogram's count, sum or bucket counts. Same-seed runs diff empty.
+func Diff(a, b Snapshot) []string {
+	var out []string
+	if a.VTSeconds != b.VTSeconds {
+		out = append(out, fmt.Sprintf("virtual time: %g vs %g", a.VTSeconds, b.VTSeconds))
 	}
-	s := &Sampler{reg: reg}
-	reg.sim.Every(every, func() { s.snaps = append(s.snaps, reg.Snapshot()) })
-	return s
+	for i := range a.Families {
+		fa := &a.Families[i]
+		fb := b.Family(fa.Name)
+		if fb == nil {
+			out = append(out, fa.Name+": only in A")
+			continue
+		}
+		out = append(out, diffFamily(fa, fb)...)
+	}
+	for i := range b.Families {
+		if a.Family(b.Families[i].Name) == nil {
+			out = append(out, b.Families[i].Name+": only in B")
+		}
+	}
+	return out
 }
 
-// Final appends one last snapshot at the current virtual time (call it
-// after Sim.Run returns) and returns every snapshot taken, in order.
-// Nil-safe: a nil sampler returns nil.
-func (s *Sampler) Final() []Snapshot {
-	if s == nil {
-		return nil
+func diffFamily(a, b *FamilySnapshot) []string {
+	if a.Kind != b.Kind || a.Label != b.Label {
+		return []string{fmt.Sprintf("%s: kind/label mismatch (%s/%s vs %s/%s)",
+			a.Name, a.Kind, a.Label, b.Kind, b.Label)}
 	}
-	s.snaps = append(s.snaps, s.reg.Snapshot())
-	return s.snaps
-}
-
-// Count returns the number of snapshots taken so far. Nil-safe.
-func (s *Sampler) Count() int {
-	if s == nil {
-		return 0
+	// onlyB starts as every series of b; what a also has is struck off.
+	onlyB := make(map[string]*SeriesSnapshot, len(b.Series))
+	for i := range b.Series {
+		onlyB[b.Series[i].LabelValue] = &b.Series[i]
 	}
-	return len(s.snaps)
+	var out []string
+	for i := range a.Series {
+		sa := &a.Series[i]
+		sb := onlyB[sa.LabelValue]
+		delete(onlyB, sa.LabelValue)
+		name := a.seriesName(sa.LabelValue)
+		switch {
+		case sb == nil:
+			out = append(out, name+": only in A")
+		case a.Kind == KindHistogram && (sa.Count != sb.Count || sa.Sum != sb.Sum):
+			out = append(out, fmt.Sprintf("%s: count/sum %d/%g vs %d/%g",
+				name, sa.Count, sa.Sum, sb.Count, sb.Sum))
+		case a.Kind == KindHistogram && !slices.Equal(sa.Counts, sb.Counts):
+			out = append(out, fmt.Sprintf("%s: bucket counts %v vs %v", name, sa.Counts, sb.Counts))
+		case sa.Value != sb.Value:
+			out = append(out, fmt.Sprintf("%s: %g vs %g", name, sa.Value, sb.Value))
+		}
+	}
+	for i := range b.Series {
+		if lv := b.Series[i].LabelValue; onlyB[lv] != nil {
+			out = append(out, b.seriesName(lv)+": only in B")
+		}
+	}
+	return out
 }

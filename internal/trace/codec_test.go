@@ -224,7 +224,7 @@ func TestCanonicalAndForeignFixtures(t *testing.T) {
 			t.Errorf("foreign.jsonl event line %d was read in place: %s", i+1, line)
 		}
 	}
-	got, rr, err := ReadJSONLFile("testdata/foreign.jsonl")
+	got, rr, err := readFixture("testdata/foreign.jsonl")
 	if err != nil || !rr.Clean() || !rr.Header {
 		t.Fatalf("foreign.jsonl: %v / %+v", err, rr)
 	}

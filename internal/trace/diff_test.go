@@ -91,11 +91,11 @@ func TestDiffVTTolerance(t *testing.T) {
 // task.commit. The diff must localize the regression to rank 1's map end
 // and the delta table must show +3ms on exactly that (rank, phase) cell.
 func TestDiffFixturesLocalizeInjectedDivergence(t *testing.T) {
-	a, rra, err := ReadJSONLFile("testdata/div_a.jsonl")
+	a, rra, err := readFixture("testdata/div_a.jsonl")
 	if err != nil || !rra.Clean() {
 		t.Fatalf("div_a: %v / %+v", err, rra)
 	}
-	b, rrb, err := ReadJSONLFile("testdata/div_b.jsonl")
+	b, rrb, err := readFixture("testdata/div_b.jsonl")
 	if err != nil || !rrb.Clean() {
 		t.Fatalf("div_b: %v / %+v", err, rrb)
 	}
@@ -132,7 +132,7 @@ func TestDiffFixturesLocalizeInjectedDivergence(t *testing.T) {
 // Self-diff of the v2 golden fixture must be clean — the `make trace-selftest`
 // target runs the same check through the CLI.
 func TestDiffGoldenV2SelfIsClean(t *testing.T) {
-	evs, rr, err := ReadJSONLFile("testdata/golden_v2.jsonl")
+	evs, rr, err := readFixture("testdata/golden_v2.jsonl")
 	if err != nil || !rr.Clean() {
 		t.Fatalf("golden_v2: %v / %+v", err, rr)
 	}

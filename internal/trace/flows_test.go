@@ -141,7 +141,7 @@ func TestCheckFlowsMirrorViolations(t *testing.T) {
 // replication-model event kinds (shadow.mirror, shadow.sync,
 // ftmodel.failover — additive within schema 2) and their flow semantics.
 func TestGoldenMirrorFixture(t *testing.T) {
-	evs, rr, err := ReadJSONLFile("testdata/golden_mirror.jsonl")
+	evs, rr, err := readFixture("testdata/golden_mirror.jsonl")
 	if err != nil || !rr.Clean() || rr.Schema != 2 {
 		t.Fatalf("golden_mirror: %v / %+v", err, rr)
 	}
@@ -173,7 +173,7 @@ func TestGoldenMirrorFixture(t *testing.T) {
 // §"Trace wire format v2": flows 1 and 2 matched, flow 3 an eager send
 // with no receiver.
 func TestCheckFlowsGoldenV2(t *testing.T) {
-	evs, rr, err := ReadJSONLFile("testdata/golden_v2.jsonl")
+	evs, rr, err := readFixture("testdata/golden_v2.jsonl")
 	if err != nil || !rr.Clean() {
 		t.Fatalf("golden_v2: %v / %+v", err, rr)
 	}

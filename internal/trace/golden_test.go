@@ -105,11 +105,21 @@ func TestReadJSONLCountsDamage(t *testing.T) {
 	}
 }
 
+// readFixture is ReadJSONL over a committed fixture.
+func readFixture(path string) ([]Event, *ReadReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return ReadJSONL(f)
+}
+
 // Golden v2 fixture: header line plus flow-stamped send/recv events, pinned
 // to the spec in DESIGN.md §"Trace wire format v2". If an encoder field
 // name, the header shape, or flow-id semantics drift, this fails first.
 func TestGoldenV2FlowFixture(t *testing.T) {
-	events, rr, err := ReadJSONLFile("testdata/golden_v2.jsonl")
+	events, rr, err := readFixture("testdata/golden_v2.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}

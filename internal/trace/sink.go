@@ -637,16 +637,6 @@ func cutString(b []byte) (s, rest []byte, ok bool) {
 	return nil, b, false
 }
 
-// ReadJSONLFile is ReadJSONL over the named file.
-func ReadJSONLFile(path string) ([]Event, *ReadReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
-}
-
 // WriteFile writes the trace to path in the given format ("jsonl" or
 // "chrome").
 func (t *Tracer) WriteFile(path, format string) error {

