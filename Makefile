@@ -5,8 +5,9 @@ GO ?= go
 # detector over the internals, the whole test suite, the nested benchmark
 # module (vet and its smoke tests: it imports internal/... from outside, so an
 # API deletion breaks it unseen otherwise), a short fuzz of the checkpoint and
-# bundle codecs, the JSONL reader, the OpenMetrics parser and the extent store
-# against its flat model, the one instrumentation-overhead gate that keeps
+# bundle codecs, the JSONL reader, the OpenMetrics parser, the extent store
+# against its flat model and the KV→KMV grouping against its map-indexed
+# reference, the one instrumentation-overhead gate that keeps
 # every disabled observation plane at one-branch cost, the data-path and
 # tracer allocation gate, and the CLI self-test over the committed fixtures.
 # (The simulator throughput gate is one of the tests `test` and `race` run.)
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 5s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFSModel$$' -fuzztime 5s
+	$(GO) test ./internal/kvbuf -run '^$$' -fuzz '^FuzzGroup$$' -fuzztime 5s
 
 # Runs the raw benchmark pair for eyeballing, then the hard gate: the test
 # fails if any instrumentation point allocates with the trace, metrics and
@@ -60,9 +62,10 @@ bench-overhead:
 
 # Data-path allocation gate: the raw layer benchmarks for eyeballing, then the
 # bounds that keep the host cost of the data, shuffle and trace paths linear
-# in what they model — the KV→KMV grouping allocates per key, never per pair,
-# under ConvertTwoPass and ConvertFourPass alike (four-pass is a price list
-# over the same grouping; its executed reference lives in kv_test.go); the
+# in what they model — the KV→KMV grouping allocates a fixed number of slabs
+# plus one per table doubling, never per key or per pair, under
+# ConvertTwoPass and ConvertFourPass alike (four-pass is a price list over
+# the same grouping; its executed reference lives in kv_test.go); the
 # copier's drain of a growing stream allocates a small multiple of the stream,
 # not of stream x drains; what a rank allocates to encode and merge its
 # shuffle bundles depends on the partitions that hold data, not on the rank
@@ -72,7 +75,7 @@ bench-overhead:
 # every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace -run '^(TestConvertTwoPassAllocsPerKey|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two

@@ -1,9 +1,9 @@
 package kvbuf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
-	"strings"
 )
 
 // ConvertStats reports the data movement of a KV→KMV conversion algorithm.
@@ -32,21 +32,25 @@ func (s *ConvertStats) add(readB, writeB int) {
 // ConvertFourPass is the original MR-MPI KV→KMV conversion: four nested
 // read-and-write passes over the intermediate data (paper §5.2: "reads and
 // writes the intermediate data four times"). The four passes are charged,
-// not executed: the KMV comes from the one grouping both algorithms share,
-// and the statistics are fourPassStats of its sizes. The executed algorithm
-// is refConvertFourPass in kv_test.go, which a property test holds this to.
+// not executed: the KMV comes from the one grouping both algorithms share (in
+// its order, aliasing kv: see ConvertTwoPass), and the statistics are
+// fourPassStats of its sizes. The executed algorithm is refConvertFourPass
+// in kv_test.go, which a property test holds this to.
 func ConvertFourPass(kv *KV) (*KMV, ConvertStats) {
 	m, _ := group(kv)
 	return m, fourPassStats(kv.Size(), m)
 }
 
-// ConvertTwoPass is FT-MRMPI's two-pass conversion. The first pass reads
-// the pairs once, appending each value to its key's chain of fixed-size
-// segments (values of one key may land in multiple non-contiguous
-// segments). The second pass merges each key's segments into one contiguous
-// group. Data is touched twice instead of four times, and progress is
-// trivially trackable per pass — the property the shuffle-phase tracing
-// relies on.
+// ConvertTwoPass is FT-MRMPI's log-structured two-pass conversion (§5.2):
+// the first pass reads the pairs once, appending each value to its key's
+// chain of fixed-size segments; the second merges each key's segments into
+// one contiguous group. Data is touched twice instead of four times, and
+// progress is trivially trackable per pass — the property the shuffle-phase
+// tracing relies on. The log is priced, not materialised: the KMV comes from
+// the one grouping both algorithms share, and the statistics are
+// twoPassStats of the log's size. Keys come out ascending by bytes.Compare
+// and each key's values in KV order, which is what the segment log yields;
+// the KMV aliases kv (see KMV for what kv may not do while it is live).
 func ConvertTwoPass(kv *KV) (*KMV, ConvertStats) {
 	m, logBytes := group(kv)
 	return m, twoPassStats(kv.Size(), logBytes)
@@ -85,75 +89,122 @@ func fourPassStats(kvSize int, m *KMV) ConvertStats {
 	return st
 }
 
-// segmentSize is the fixed size of the grouping's log segments, after the
-// log-structured file system design the paper cites (§5.2).
-const segmentSize = 4096
+// keyGroup is one distinct key of a grouping: its first occurrence in the
+// KV, its hash, and its value count — from pass 2 on, the slab index its
+// next value goes to.
+type keyGroup struct {
+	key  []byte
+	hash uint32
+	n    int32
+}
 
-// group is the one KV→KMV grouping, the two-pass algorithm's data movement:
-// it appends each value to its key's chain of segments, then merges each
-// chain into one contiguous group, keys in lexicographic order and a key's
-// values in insertion order. It also returns the size of the segment log,
-// Σ(4 + len(value)) over the pairs, which prices the two-pass algorithm.
-//
-// Host cost is per key, not per pair: a pair looks its chain up without
-// materialising the key, and a key's first segment starts at the size of its
-// first value and grows with its contents (later segments are allocated
-// whole), so the many keys of a skewed distribution that hold a few bytes do
-// not each pin 4 KiB.
-func group(kv *KV) (*KMV, int) {
-	// chain is one key's log: segments of framed values [vlen u32][value].
-	type chain struct {
-		key   string
-		segs  [][]byte
-		nvals int
+// slot is the home slot of hash h in a key index of 1<<(32-shift) slots: the
+// top bits of a Fibonacci multiply, never the low bits. Every key of shuffle
+// partition p has fnv1a(key) % nparts == p, so the low bits of the hashes a
+// partition holds are all equal — four of them with 16 partitions, seven
+// with 640 — and a low-bits slot would pile a partition's keys onto a
+// sixteenth (a 128th) of the table.
+func slot(h uint32, shift uint) int { return int((h * 0x9E3779B1) >> shift) }
+
+// indexFor builds a key index of 1<<(32-shift) slots over groups: each slot
+// holds a key id + 1 (0 is empty), probed linearly from the key's slot.
+func indexFor(groups []keyGroup, shift uint) []int32 {
+	index := make([]int32, 1<<(32-shift))
+	mask := len(index) - 1
+	for id, g := range groups {
+		s := slot(g.hash, shift)
+		for index[s] != 0 {
+			s = (s + 1) & mask
+		}
+		index[s] = int32(id) + 1
 	}
-	var chains []chain
-	index := make(map[string]int) // key -> position in chains
+	return index
+}
 
-	// Pass 1: read pairs once, write values into segments once.
+// group is the one KV→KMV grouping behind both conversions: keys ascending by
+// bytes.Compare, each key's values in KV order (the order the two-pass
+// segment log and the four-pass algorithm's stable sort both yield). It also
+// returns the size of the segment log the two-pass algorithm is priced at,
+// Σ(4 + len(value)) over the pairs.
+//
+// It counts, then places, over the KV's own bytes. Pass 1 walks the pairs,
+// finds each key's id in an open-addressed index (compared by stored hash,
+// then by bytes in place; doubled whenever it would pass half full, so it is
+// sized by distinct keys, not pairs), counts values per key and records each
+// pair's key id. Pass 2 sorts the keys, gives each a run of one n-entry value
+// slab by prefix sum, and walks the pairs again, placing each value in its
+// key's run. Keys and values are capacity-limited views of kv's buffer and
+// each Vals[i] a capacity-limited window of the slab, so nothing is copied
+// and the allocations are a fixed number of slabs plus one per doubling of
+// the index. The KMV aliases kv: see KMV.
+func group(kv *KV) (*KMV, int) {
+	buf, n := kv.buf, kv.n // n < 2^31: ids are int32
+	ids := make([]int32, n)
+	groups := make([]keyGroup, 0, 32)
+	shift := uint(32 - 6)
+	index := indexFor(nil, shift)
 	logBytes := 0
-	_ = kv.ForEach(func(k, v []byte) {
-		i, ok := index[string(k)] // no allocation: the conversion is only a map lookup
-		if !ok {
-			i = len(chains)
-			key := string(k)
-			index[key] = i
-			chains = append(chains, chain{key: key})
-		}
-		c := &chains[i]
-		need := 4 + len(v)
-		last := len(c.segs) - 1
-		if last < 0 || len(c.segs[last])+need > segmentSize {
-			segCap := need // a key's first segment grows with its contents
-			if last >= 0 {
-				segCap = max(segmentSize, need)
-			}
-			c.segs = append(c.segs, make([]byte, 0, segCap))
-			last++
-		}
-		c.segs[last] = binary.LittleEndian.AppendUint32(c.segs[last], uint32(len(v)))
-		c.segs[last] = append(c.segs[last], v...)
-		c.nvals++
-		logBytes += need
-	})
 
-	// Pass 2: merge each key's non-contiguous segments into one group.
-	slices.SortFunc(chains, func(a, b chain) int { return strings.Compare(a.key, b.key) })
-	out := &KMV{Keys: make([][]byte, len(chains)), Vals: make([][][]byte, len(chains))}
-	for i := range chains {
-		c := &chains[i]
-		out.Keys[i] = []byte(c.key)
-		vals := make([][]byte, 0, c.nvals)
-		for _, data := range c.segs {
-			for len(data) > 0 {
-				vl := int(binary.LittleEndian.Uint32(data[:4]))
-				vals = append(vals, data[4:4+vl:4+vl])
-				data = data[4+vl:]
+	// Pass 1: count each key's values, note each pair's key id.
+	for i, off := 0, 0; i < n; i++ {
+		var k, v []byte
+		k, v, off = pairAt(buf, off)
+		logBytes += 4 + len(v)
+		h := fnv1a(k)
+		var id int32
+		for s, mask := slot(h, shift), len(index)-1; ; s = (s + 1) & mask {
+			if id = index[s] - 1; id < 0 {
+				id = int32(len(groups))
+				index[s] = id + 1
+				groups = append(groups, keyGroup{key: k, hash: h, n: 1})
+				if 2*len(groups) > len(index) {
+					shift--
+					index = indexFor(groups, shift)
+				}
+				break
+			}
+			if g := &groups[id]; g.hash == h && string(g.key) == string(k) {
+				g.n++
+				break
 			}
 		}
-		out.Vals[i] = vals
+		ids[i] = id
+	}
+
+	// Pass 2: sorted keys, a run of the slab each, values placed in KV order.
+	order := make([]int32, len(groups))
+	for id := range order {
+		order[id] = int32(id)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(groups[a].key, groups[b].key) })
+	flat := make([][]byte, n)
+	out := &KMV{Keys: make([][]byte, len(order)), Vals: make([][][]byte, len(order))}
+	start := int32(0)
+	for r, id := range order {
+		g := &groups[id]
+		end := start + g.n
+		out.Keys[r], out.Vals[r] = g.key, flat[start:end:end]
+		g.n, start = start, end
+	}
+	for i, off := 0, 0; i < n; i++ {
+		var v []byte
+		_, v, off = pairAt(buf, off)
+		g := &groups[ids[i]]
+		flat[g.n] = v
+		g.n++
 	}
 	return out, logBytes
+}
+
+// pairAt decodes the pair at offset off of a KV buffer, whose framing every
+// way of building a KV has validated: its key and value as capacity-limited
+// views, as ForEach yields them, and the offset of the next pair.
+func pairAt(buf []byte, off int) (k, v []byte, next int) {
+	kl := int(binary.LittleEndian.Uint32(buf[off:]))
+	vl := int(binary.LittleEndian.Uint32(buf[off+4:]))
+	vs := off + 8 + kl
+	next = vs + vl
+	return buf[off+8 : vs : vs], buf[vs:next:next], next
 }
 
 // opsFor models how many disk operations a sequential scan of n bytes

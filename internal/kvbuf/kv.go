@@ -7,6 +7,9 @@
 // its price list, the I/O statistics (bytes and operations touched per pass)
 // that the runtime charges against the simulated disks, so Figure 16's
 // performance gap is the difference in the data the two algorithms move.
+// Neither algorithm's intermediate data is materialised: the two-pass
+// segment log is priced, not written, exactly as the four passes are, and
+// the grouping indexes the KV's own bytes (see group).
 package kvbuf
 
 import (
@@ -109,17 +112,23 @@ func (b *KV) Reset() {
 	b.n = 0
 }
 
-// PartitionKey returns the shuffle partition for a key: FNV-1a hash modulo
-// nparts. Every rank uses the same function, which is what lets the
-// distributed masters assign reduce partitions without coordination.
-func PartitionKey(key []byte, nparts int) int {
-	// 32-bit FNV-1a, inline: hash/fnv's New32a costs an interface value and
-	// two dynamic calls per key for the same sum.
+// fnv1a is the package's one hash, 32-bit FNV-1a written out as a loop:
+// hash/fnv's New32a costs an interface value and two dynamic calls per key
+// for the same sum. PartitionKey takes it modulo the partition count, group's
+// key index takes its top bits (slot).
+func fnv1a(key []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range key {
 		h = (h ^ uint32(c)) * 16777619
 	}
-	return int(h % uint32(nparts))
+	return h
+}
+
+// PartitionKey returns the shuffle partition for a key: FNV-1a hash modulo
+// nparts. Every rank uses the same function, which is what lets the
+// distributed masters assign reduce partitions without coordination.
+func PartitionKey(key []byte, nparts int) int {
+	return int(fnv1a(key) % uint32(nparts))
 }
 
 // Partition splits the buffer into nparts buffers by key hash.
@@ -134,7 +143,16 @@ func (b *KV) Partition(nparts int) []*KV {
 	return out
 }
 
-// KMV is a grouped key→multivalue buffer, keys in lexicographic order.
+// KMV is a grouped key→multivalue buffer: keys ascending by bytes.Compare,
+// each key's values in the order its KV held them.
+//
+// A KMV made by ConvertTwoPass or ConvertFourPass copies nothing: every key
+// and value is a capacity-limited view of the converted KV's buffer (as
+// KV.ForEach yields them), and each Vals[i] a capacity-limited window of one
+// shared slab, so appending to any of them reallocates instead of running
+// into its neighbour. The KV may be appended to (Add, Append, AppendBytes,
+// Grow) while the KMV is live, but must not be Reset or its bytes
+// overwritten.
 type KMV struct {
 	Keys [][]byte
 	Vals [][][]byte

@@ -7,7 +7,9 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -417,40 +419,273 @@ func wordcountKV(nPairs, nKeys int) *KV {
 	return kv
 }
 
-// TestConvertTwoPassAllocsPerKey is the host-independent gate on the
-// conversions' host cost (`make alloc-gate`, part of `make check`): the
-// grouping both algorithms share may allocate per key (key string, segment
-// growth, value table), never per pair. 10 000 pairs over 100 keys must stay
-// under 32 allocations per key; one allocation per pair would be 100 per key.
-// The four-pass algorithm is a price list over that grouping, so it is held to
-// the same budget.
-func TestConvertTwoPassAllocsPerKey(t *testing.T) {
-	const pairs, keys, perKey = 10000, 100, 32
-	kv := wordcountKV(pairs, keys)
-	for name, conv := range map[string]func(*KV) (*KMV, ConvertStats){
-		"ConvertTwoPass": ConvertTwoPass, "ConvertFourPass": ConvertFourPass,
-	} {
-		allocs := testing.AllocsPerRun(5, func() { conv(kv) })
-		t.Logf("%s: %.0f allocations for %d pairs over %d keys (%.1f per key)", name, allocs, pairs, keys, allocs/keys)
-		if allocs > perKey*keys {
-			t.Errorf("%s made %.0f allocations for %d pairs over %d keys, budget %d per key: it allocates per pair again",
-				name, allocs, pairs, keys, perKey)
+// partitionKeys is a wordcount vocabulary (w%06d, 20 000 words, as
+// workloads.GenCorpus formats it) as the shuffle splits it over nparts
+// partitions: the keys partition p receives are partitionKeys(nparts)[p].
+func partitionKeys(nparts int) [][][]byte {
+	parts := make([][][]byte, nparts)
+	for w := 0; w < 20000; w++ {
+		k := []byte(fmt.Sprintf("w%06d", w))
+		p := PartitionKey(k, nparts)
+		parts[p] = append(parts[p], k)
+	}
+	return parts
+}
+
+// partitionKV is what one partition of a wordcount job holds when its rank
+// converts it: nPairs one-byte counts over partition 0 of nparts, the words
+// drawn Zipf-distributed as GenCorpus draws them.
+func partitionKV(nPairs, nparts int) *KV {
+	keys := partitionKeys(nparts)[0]
+	zipf := rand.NewZipf(rand.New(rand.NewSource(int64(nparts))), 1.07, 4, uint64(len(keys)-1))
+	kv := NewKV()
+	for i := 0; i < nPairs; i++ {
+		kv.Add(keys[zipf.Uint64()], []byte{1})
+	}
+	return kv
+}
+
+// TestConvertAllocsAreSlabs is the host-independent gate on the conversions'
+// host cost (`make alloc-gate`, part of `make check`): the grouping both
+// algorithms share allocates a fixed number of slabs plus one per doubling of
+// its key index (and of its key table), never per key or per pair. 10 000
+// pairs over 100 keys and over 5 000 keys must each stay within 48
+// allocations (one per key was 1 120 at 100 keys). The four-pass algorithm is
+// a price list over that grouping, so it is held to the same budget.
+func TestConvertAllocsAreSlabs(t *testing.T) {
+	const pairs, budget = 10000, 48
+	for _, keys := range []int{100, 5000} {
+		kv := wordcountKV(pairs, keys)
+		for name, conv := range map[string]func(*KV) (*KMV, ConvertStats){
+			"ConvertTwoPass": ConvertTwoPass, "ConvertFourPass": ConvertFourPass,
+		} {
+			allocs := testing.AllocsPerRun(5, func() { conv(kv) })
+			t.Logf("%s: %.0f allocations for %d pairs over %d keys", name, allocs, pairs, keys)
+			if allocs > budget {
+				t.Errorf("%s made %.0f allocations for %d pairs over %d keys, budget %d: it allocates per key again",
+					name, allocs, pairs, keys, budget)
+			}
 		}
 	}
 }
 
+// benchmarkConvert times a conversion on the two shapes that bound its cost:
+// wordcount's partition (131 072 pairs over the ~1 250 words one of 16
+// partitions holds, wc-data's shape: the index stays small and every pair is
+// a hit) and 100 000 keys seen once each (every pair a miss, the index
+// doubling all the way).
 func benchmarkConvert(b *testing.B, conv func(*KV) (*KMV, ConvertStats)) {
-	kv := wordcountKV(100000, 5000)
-	b.ReportAllocs()
-	b.SetBytes(int64(kv.Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv(kv)
+	for _, bc := range []struct {
+		name string
+		kv   *KV
+	}{
+		{"partition", partitionKV(131072, 16)},
+		{"distinct", wordcountKV(100000, 100000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(bc.kv.Size()))
+			for i := 0; i < b.N; i++ {
+				conv(bc.kv)
+			}
+		})
 	}
 }
 
 func BenchmarkConvertTwoPass(b *testing.B)  { benchmarkConvert(b, ConvertTwoPass) }
 func BenchmarkConvertFourPass(b *testing.B) { benchmarkConvert(b, ConvertFourPass) }
+
+// segmentSize is the fixed size of the segment log's segments in refGroup,
+// after the log-structured file system design the paper cites (§5.2).
+const segmentSize = 4096
+
+// refGroup is the grouping as it ran before its index was the KV's own bytes,
+// kept as the reference model: a map[string] index over per-key chains of
+// segments the values are copied into, merged per key in pass 2.
+func refGroup(kv *KV) (*KMV, int) {
+	// chain is one key's log: segments of framed values [vlen u32][value].
+	type chain struct {
+		key   string
+		segs  [][]byte
+		nvals int
+	}
+	var chains []chain
+	index := make(map[string]int) // key -> position in chains
+
+	// Pass 1: read pairs once, write values into segments once.
+	logBytes := 0
+	_ = kv.ForEach(func(k, v []byte) {
+		i, ok := index[string(k)] // no allocation: the conversion is only a map lookup
+		if !ok {
+			i = len(chains)
+			key := string(k)
+			index[key] = i
+			chains = append(chains, chain{key: key})
+		}
+		c := &chains[i]
+		need := 4 + len(v)
+		last := len(c.segs) - 1
+		if last < 0 || len(c.segs[last])+need > segmentSize {
+			segCap := need // a key's first segment grows with its contents
+			if last >= 0 {
+				segCap = max(segmentSize, need)
+			}
+			c.segs = append(c.segs, make([]byte, 0, segCap))
+			last++
+		}
+		c.segs[last] = binary.LittleEndian.AppendUint32(c.segs[last], uint32(len(v)))
+		c.segs[last] = append(c.segs[last], v...)
+		c.nvals++
+		logBytes += need
+	})
+
+	// Pass 2: merge each key's non-contiguous segments into one group.
+	slices.SortFunc(chains, func(a, b chain) int { return strings.Compare(a.key, b.key) })
+	out := &KMV{Keys: make([][]byte, len(chains)), Vals: make([][][]byte, len(chains))}
+	for i := range chains {
+		c := &chains[i]
+		out.Keys[i] = []byte(c.key)
+		vals := make([][]byte, 0, c.nvals)
+		for _, data := range c.segs {
+			for len(data) > 0 {
+				vl := int(binary.LittleEndian.Uint32(data[:4]))
+				vals = append(vals, data[4:4+vl:4+vl])
+				data = data[4+vl:]
+			}
+		}
+		out.Vals[i] = vals
+	}
+	return out, logBytes
+}
+
+// checkGroup fails t unless group and refGroup agree on kv: the same keys in
+// the same order, per key the same values in the same order, the same log size.
+func checkGroup(t testing.TB, name string, kv *KV) {
+	t.Helper()
+	m, logBytes := group(kv)
+	ref, refLog := refGroup(kv)
+	if !equalKMV(m, ref) {
+		t.Fatalf("%s: KMV differs from the reference grouping (%d vs %d keys)", name, m.Len(), ref.Len())
+	}
+	if logBytes != refLog {
+		t.Fatalf("%s: log size %d, the reference's segment log holds %d", name, logBytes, refLog)
+	}
+}
+
+// Property: the grouping is its reference model, value order included, over
+// the shapes that stress the segment chains, random KVs, wordcount partitions
+// of 16 and of 640, one key with 100 000 values, 100 000 distinct keys (the
+// index doubling all the way), and the empty key, empty values and a value
+// larger than a segment in one KV.
+func TestPropGroupMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		checkGroup(t, fmt.Sprintf("stressKV(%d)", seed), stressKV(seed))
+		rng := rand.New(rand.NewSource(seed))
+		checkGroup(t, fmt.Sprintf("randomKV(%d)", seed), randomKV(rng, rng.Intn(3000), 1+rng.Intn(500)))
+	}
+	checkGroup(t, "one partition of 16", partitionKV(20000, 16))
+	checkGroup(t, "one partition of 640", partitionKV(2000, 640))
+	checkGroup(t, "one key, 100 000 values", wordcountKV(100000, 1))
+	checkGroup(t, "100 000 distinct keys", wordcountKV(100000, 100000))
+	edge := NewKV()
+	for i := 0; i < 50; i++ {
+		edge.Add(nil, []byte{byte(i)})
+		edge.Add([]byte{byte(i % 7)}, nil)
+		if i%10 == 0 {
+			edge.Add([]byte("big"), bytes.Repeat([]byte{byte(i)}, segmentSize+1+i))
+		}
+	}
+	checkGroup(t, "empty key, empty values, values over a segment", edge)
+}
+
+// FuzzGroup: whatever bytes parse as a KV group as the reference groups them.
+func FuzzGroup(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(stressKV(3).Bytes())
+	f.Add(randomKV(rand.New(rand.NewSource(1)), 40, 5).Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kv, err := FromBytes(data)
+		if err != nil {
+			return
+		}
+		checkGroup(t, "fuzzed KV", kv)
+	})
+}
+
+// The key index's home slots spread the keys of one shuffle partition, whose
+// hashes share their low bits (four of them at 16 partitions, seven at 640).
+// For the fullest partition of a 20 000-word vocabulary, inserting its keys
+// with slot into an index at load ½ or less, the size group grows it to,
+// probes at most 32 slots for any key. A low-bits slot fails this at 640
+// partitions: every key of the partition gets the same home slot.
+func TestGroupSlotsSpreadOnePartition(t *testing.T) {
+	for _, nparts := range []int{16, 640} {
+		keys := slices.MaxFunc(partitionKeys(nparts), func(a, b [][]byte) int { return len(a) - len(b) })
+		shift := uint(32 - 6)
+		for 2*len(keys) > 1<<(32-shift) {
+			shift--
+		}
+		index := make([]bool, 1<<(32-shift))
+		longest := 0
+		for _, k := range keys {
+			s, probes := slot(fnv1a(k), shift), 1
+			for ; index[s]; probes++ {
+				s = (s + 1) & (len(index) - 1)
+			}
+			index[s] = true
+			longest = max(longest, probes)
+		}
+		t.Logf("%d partitions: %d keys in %d slots, longest probe %d", nparts, len(keys), len(index), longest)
+		if longest > 32 {
+			t.Errorf("%d partitions: %d keys at load %.2f take up to %d probes, want <= 32: the slot does not spread one partition's keys",
+				nparts, len(keys), float64(len(keys))/float64(len(index)), longest)
+		}
+	}
+}
+
+// A KMV aliases its KV: appending to the KV (AppendBytes, Grow, Add, in place
+// or reallocating) leaves every key and value byte-identical, and appending to
+// a returned value, key or value slice reallocates instead of overwriting
+// what follows it.
+func TestKMVViewsSurviveKVAppends(t *testing.T) {
+	kv := stressKV(7)
+	kv.Grow(1 << 16) // room: the appends below write into the grouped buffer
+	m, _ := ConvertTwoPass(kv)
+	if m.Len() < 2 {
+		t.Fatalf("want a KMV of several keys, got %d", m.Len())
+	}
+	want, err := DecodeKMV(bytes.Clone(EncodeKMV(m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(kv.Bytes())
+	check := func(when string) {
+		t.Helper()
+		if !equalKMV(m, want) {
+			t.Fatalf("after %s: the KMV changed", when)
+		}
+		if !bytes.Equal(kv.Bytes()[:len(before)], before) {
+			t.Fatalf("after %s: the grouped bytes of the KV changed", when)
+		}
+	}
+	if err := kv.AppendBytes(stressKV(8).Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	check("AppendBytes")
+	kv.Add([]byte("after"), []byte("add"))
+	check("Add")
+	kv.Grow(4 * cap(kv.Bytes()))
+	kv.Add([]byte("after"), []byte("grow"))
+	check("Grow and Add")
+	for i := range m.Keys {
+		_ = append(m.Keys[i], "KEY"...)
+		_ = append(m.Vals[i], []byte("VALUE"))
+		for _, v := range m.Vals[i] {
+			_ = append(v, "VAL"...)
+		}
+	}
+	check("appends to the KMV's slices")
+}
 
 // PartitionKey is 32-bit FNV-1a written out as a loop; hash/fnv, which it
 // used to call, is the reference.
