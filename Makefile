@@ -33,8 +33,11 @@ build-cmds:
 test:
 	$(GO) test -shuffle=on ./...
 
+# -short strides the failure campaign's every-ordinal kill sweep (tier-1 runs
+# all of it; go test ./internal/failure -run TestKillAtEveryEventOrdinal -v
+# runs it alone and logs its size).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
 
 # benchmark/ is its own module (go.mod there), so ./... above never reaches it.
 benchmark-module:

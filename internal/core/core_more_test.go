@@ -724,9 +724,8 @@ func TestCheckpointsGarbageCollectedOnSuccess(t *testing.T) {
 
 func TestIterativeAppRapidFailuresAcrossJobBoundaries(t *testing.T) {
 	// Failures timed to land near job boundaries of an iterative
-	// application, exercising the recovery protocol's job-epoch alignment
-	// (ranks can be caught straddling adjacent jobs inside the previous
-	// job's final barrier release).
+	// application: each job's closing shrink must hold every survivor in it
+	// until all agree the job is over.
 	clus := testCluster(8, 2)
 	nJobs := 4
 	expects := make([]map[string]int, nJobs)

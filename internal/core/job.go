@@ -92,8 +92,8 @@ func (h *Handle) resultSlot(idx int, spec Spec) *Result {
 
 // jobTasks returns the input task list of job idx, enumerating the chunk
 // files under prefix on first use. Every master computes the identical list
-// (§3.3), so one host-side enumeration serves all the job's ranks (and a
-// runner rebuilt after jobRestart); the slice is shared and read-only.
+// (§3.3), so one host-side enumeration serves all the job's ranks; the slice
+// is shared and read-only.
 func (h *Handle) jobTasks(idx int, prefix string) []Task {
 	for len(h.tasks) <= idx {
 		h.tasks = append(h.tasks, nil)
@@ -133,11 +133,13 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	res := a.h.resultSlot(a.jobIdx, spec)
 	a.jobIdx++
 
-	// Iterative restart: a completed job (durable DONE marker) is skipped.
+	// Iterative restart: a completed job (durable DONE marker) is skipped. Its
+	// outputs are the partitions the committed attempt left.
 	pfs := a.h.Clus.PFS
 	if spec.Resume && pfs.Exists(doneMarker(spec.JobID)) {
 		pfs.Charge(a.comm.Proc(), 1, 0)
 		res.End = max(res.End, a.h.Clus.Sim.Now())
+		res.OutputPaths = pfs.List(fmt.Sprintf("out/%s/", spec.JobID))
 		// Still anchor the (trivial) job on this rank's timeline so the
 		// critical-path walk sees every job bracketed.
 		rec := a.comm.Self().Obs().Rec
@@ -150,9 +152,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	r := newRunner(j, a.comm)
 	r.obs.Rec.JobBegin(spec.JobID)
 	res.Ranks[r.myWorld()] = r.m
-	// r is rebound when the job restarts from scratch (jobRestart): stop the
-	// copier of whichever runner is current when RunJob returns.
-	defer func() { r.shutdown() }()
+	defer r.shutdown()
 	mark := func() { res.End = max(res.End, a.h.Clus.Sim.Now()) }
 	// fail marks the attempt failed as of now, unless a rank already has.
 	fail := func() {
@@ -169,33 +169,25 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	}
 
 	masking := spec.Model.DetectResume()
-	defer a.armFailure(r.myWorld(), masking, res, fail)()
+	defer a.armFailure(j, r.myWorld(), masking, fail)()
 
 	for {
 		err := r.run()
+		if err == nil {
+			err = r.close(masking)
+		}
 		if err == nil {
 			break
 		}
 		if !masking || !recoverable(err) {
 			return abort(err)
 		}
-		outcome, err := r.recover()
-		if err != nil {
+		if err := r.recover(); err != nil {
 			return abort(err)
-		}
-		if outcome == jobSuperseded {
-			break
-		}
-		if outcome == jobRestart {
-			r.shutdown()
-			r = newRunner(j, r.comm)
-			res.Ranks[r.myWorld()] = r.m
 		}
 	}
 	// Persist the (possibly shrunken) communicator for later jobs.
 	a.comm = r.comm
-
-	r.finishOutputs()
 	res.finishers++
 	mark()
 	// The final-commit anchor: emitted after the DONE marker is durable, so
@@ -207,7 +199,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 // armFailure installs how a failure of or seen by this rank (world rank me)
 // reaches the job: the model's error handler and, for every model, one kill
 // hook. It returns the function that disarms the hook once RunJob returns.
-func (a *App) armFailure(me int, masking bool, res *Result, fail func()) (disarm func()) {
+func (a *App) armFailure(j *jobCtx, me int, masking bool, fail func()) (disarm func()) {
 	if masking {
 		a.comm.SetErrHandler(drErrHandler)
 	} else {
@@ -224,14 +216,22 @@ func (a *App) armFailure(me int, masking bool, res *Result, fail func()) (disarm
 	// left to observe the failure (a single-rank job; a masking one's last
 	// survivor): the attempt is a failed one, unless the model masks failures
 	// and a rank has finished the job or is left to carry it. This rank's own
-	// flag is discounted: mpi's kill hook may clear it before or after.
+	// flag is discounted: mpi's kill hook may clear it before or after. A
+	// masking job lists the rank as lost either way — also when it dies after
+	// the closing shrink has decided, where no recovery round will see it.
 	returned := false
 	a.comm.Proc().OnKill(func() {
+		if returned {
+			return
+		}
 		self := 0
 		if a.h.World.RankAlive(me) {
 			self = 1
 		}
-		if !returned && !(masking && (res.finishers > 0 || a.h.World.AliveCount() > self)) {
+		if masking {
+			j.noteFailed([]int{me})
+		}
+		if !(masking && (j.res.finishers > 0 || a.h.World.AliveCount() > self)) {
 			fail()
 		}
 	})

@@ -25,25 +25,6 @@ func drErrHandler(c *mpi.Comm, err error) {
 	}
 }
 
-// recoveryOutcome is how a recovery that did not fail left the job. The last
-// two are the alignment verdicts: with continuous failures in an iterative
-// application, a revocation can catch ranks straddling two adjacent jobs —
-// some still inside job N's final barrier release, others already
-// initializing job N+1. The allgathered states carry the job index.
-type recoveryOutcome int
-
-const (
-	// jobResumed: the failure is masked; run again from the rewound phase.
-	jobResumed recoveryOutcome = iota
-	// jobSuperseded, on a laggard: the next job's ranks passed this job's
-	// final barrier, so it is globally complete — finish it.
-	jobSuperseded
-	// jobRestart, on a rank ahead: the new job has done no work yet (its
-	// first barrier can't have completed); rebuild it from scratch on the
-	// shrunken communicator so every participant agrees on the membership.
-	jobRestart
-)
-
 // maxRecoveryAttempts only guards against a livelock bug — with at most one
 // failure per attempt, convergence needs at most as many passes as there are
 // ranks left to lose.
@@ -55,7 +36,7 @@ const maxRecoveryAttempts = 64
 // failures are the norm under continuous injection, so recovery is
 // restartable, not merely runnable: each further attempt masks one more
 // failure that landed during the previous one.
-func (r *runner) recover() (recoveryOutcome, error) {
+func (r *runner) recover() error {
 	for attempt := 1; ; attempt++ {
 		t0 := r.p.Now()
 		r.obs.Core.RecoveryAttempts.Inc()
@@ -75,7 +56,7 @@ func (r *runner) recover() (recoveryOutcome, error) {
 			// Shrink. (The simulated flood cannot fail.)
 			_ = r.comm.Revoke()
 		}
-		outcome, err := r.recoverOnce()
+		err := r.recoverOnce()
 		// Close the attempt's span, failed or not: a restarted attempt opens a
 		// fresh one. (A kill unwinds past this, correctly leaving the dead
 		// rank's span open.)
@@ -85,12 +66,10 @@ func (r *runner) recover() (recoveryOutcome, error) {
 		r.obs.Rec.RecoveryStage("init", d)
 		r.obs.Rec.RecoveryEnd()
 		switch {
-		case err == nil:
-			return outcome, nil
-		case !recoverable(err):
-			return 0, err
+		case err == nil, !recoverable(err):
+			return err
 		case attempt >= maxRecoveryAttempts:
-			return 0, fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempt, err)
+			return fmt.Errorf("core: recovery did not converge after %d attempts: %w", attempt, err)
 		}
 	}
 }
@@ -98,20 +77,12 @@ func (r *runner) recover() (recoveryOutcome, error) {
 // recoverOnce is one attempt on the revoked communicator: the protocol
 // (shrink, promote, allgather the claims), the pure rebuild of the global
 // state from them, and the effect of the decision it names.
-func (r *runner) recoverOnce() (recoveryOutcome, error) {
+func (r *runner) recoverOnce() error {
 	newComm, err := r.comm.Shrink()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	newComm.SetErrHandler(drErrHandler)
-	var failed []int
-	for _, w := range groupOf(r.comm) {
-		if newComm.CommRankOf(w) < 0 {
-			failed = append(failed, w)
-		}
-	}
-	r.comm = newComm
-	r.job.noteFailed(failed)
+	failed := r.adoptComm(newComm)
 
 	// Replication failover happens here — after the shrink agreed on the
 	// failed set, before claims are exchanged. Pure local compute on every
@@ -119,7 +90,7 @@ func (r *runner) recoverOnce() (recoveryOutcome, error) {
 	// failure can never leave survivors with diverged pairings: the retry
 	// re-applies promotion for the larger failed set idempotently.
 	if err := r.ftPromote(failed); err != nil {
-		return 0, err
+		return err
 	}
 
 	// Exchange survivor state (§3.3: the masters' globally consistent state
@@ -127,17 +98,22 @@ func (r *runner) recoverOnce() (recoveryOutcome, error) {
 	st := r.encodeState()
 	var all [][]byte
 	if err := r.net(func() (e error) { all, e = r.comm.Allgather(st); return e }); err != nil {
-		return 0, err
+		return err
 	}
 	states := make([]survivorState, len(all))
 	for i, enc := range all {
 		if states[i], err = decodeState(enc); err != nil {
-			return 0, err
+			return err
+		}
+		if states[i].jobIdx != r.job.jobIdx {
+			// The closing shrink holds every live rank in a job until all leave it.
+			return fmt.Errorf("core: recovery of job %d met a survivor in job %d", r.job.jobIdx, states[i].jobIdx)
 		}
 	}
-	pl := rebuild(states, groupOf(newComm), r.tt, r.nParts, r.job.jobIdx)
-	if pl.outcome != jobResumed {
-		return pl.outcome, nil
+	pl := rebuild(states, groupOf(newComm), r.tt, r.nParts)
+	if pl.done {
+		r.phase = phDone
+		return nil
 	}
 	r.partOwner = pl.partOwner
 
@@ -152,20 +128,23 @@ func (r *runner) recoverOnce() (recoveryOutcome, error) {
 		err = r.remapLost(pl)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	r.phase = d.resumeAt(pl.minPhase)
-	return jobResumed, nil
+	return nil
 }
 
 // recoveryPlan is the global state a recovery round rebuilds from the
 // survivors' claims, identical on every survivor.
 type recoveryPlan struct {
-	outcome   recoveryOutcome // jobResumed unless the survivors straddle two jobs; nothing else is set then
-	minPhase  int             // the earliest phase a survivor is in
-	models    []lbModel       // the survivors' load models, in communicator order
-	partOwner []int           // partition -> the survivor whose memory holds it, -1 when none does
-	lostParts []int           // the partitions no survivor holds, ascending
+	// done: a survivor is past the final barrier, so every rank had finished
+	// the job's work and its outputs are durable — nothing is lost, and the
+	// survivors go straight to closing the job. Nothing else is set then.
+	done      bool
+	minPhase  int       // the earliest phase a survivor is in
+	models    []lbModel // the survivors' load models, in communicator order
+	partOwner []int     // partition -> the survivor whose memory holds it, -1 when none does
+	lostParts []int     // the partitions no survivor holds, ascending
 	// The tasks no survivor claims, ascending, and how many are pending: those
 	// must re-run somewhere; the completed ones hold their output only in dead
 	// memory and matter only when the map output is needed again (remap).
@@ -174,22 +153,19 @@ type recoveryPlan struct {
 }
 
 // rebuild computes a round's plan purely from the allgathered claims (see
-// survivorState): states[i] is world rank group[i]'s, jobIdx this rank's job.
-// It merges the done bitmaps into tt and applies the task claims to it; a
-// task nobody claims keeps its dead owner until an effect hands it out.
-func rebuild(states []survivorState, group []int, tt *taskTable, nParts, jobIdx int) *recoveryPlan {
+// survivorState): states[i] is world rank group[i]'s. It merges the done
+// bitmaps into tt and applies the task claims to it; a task nobody claims
+// keeps its dead owner until an effect hands it out. Every survivor is in the
+// same job: a rank leaves one only through its closing shrink, which every
+// live rank of the job enters.
+func rebuild(states []survivorState, group []int, tt *taskTable, nParts int) *recoveryPlan {
 	pl := &recoveryPlan{minPhase: phDone, models: make([]lbModel, len(states))}
 	for i, s := range states {
 		pl.models[i] = s.model
 		pl.minPhase = min(pl.minPhase, s.phase)
-		switch {
-		case s.jobIdx > jobIdx:
-			pl.outcome = jobSuperseded
-		case s.jobIdx < jobIdx && pl.outcome == jobResumed:
-			pl.outcome = jobRestart
-		}
+		pl.done = pl.done || s.phase == phDone
 	}
-	if pl.outcome != jobResumed {
+	if pl.done {
 		return pl
 	}
 	// Apply the claims; whatever no living process claims is lost. A claimed
@@ -358,6 +334,22 @@ func (r *runner) resetLost(lost []int) {
 			r.truncateOutput(part)
 		}
 	}
+}
+
+// adoptComm moves the runner onto the communicator a shrink agreed on and
+// records, and returns, the world ranks the old one had and it lacks.
+func (r *runner) adoptComm(nc *mpi.Comm) (failed []int) {
+	nc.SetErrHandler(drErrHandler)
+	if nc.Size() < r.comm.Size() { // a shrink drops exactly the failed members
+		for i := range r.comm.Size() {
+			if w := r.comm.WorldRank(i); nc.CommRankOf(w) < 0 {
+				failed = append(failed, w)
+			}
+		}
+	}
+	r.comm = nc
+	r.job.noteFailed(failed)
+	return failed
 }
 
 // groupOf returns a communicator's world ranks.

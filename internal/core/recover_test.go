@@ -47,9 +47,9 @@ func TestRecoveryPlan(t *testing.T) {
 		tt := planTable()
 		// Task 3 (the victim's) is known done, its output died with it; task 7
 		// (also the victim's) never ran.
-		pl := rebuild(claims(phMap, []int{0, 1, 3}), survivors, tt, 4, 0)
-		if pl.outcome != jobResumed || pl.minPhase != phMap {
-			t.Fatalf("outcome %v minPhase %d", pl.outcome, pl.minPhase)
+		pl := rebuild(claims(phMap, []int{0, 1, 3}), survivors, tt, 4)
+		if pl.done || pl.minPhase != phMap {
+			t.Fatalf("done %v minPhase %d", pl.done, pl.minPhase)
 		}
 		if !reflect.DeepEqual(pl.lostParts, []int{3}) || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || pl.lostPending != 1 {
 			t.Fatalf("lost parts %v tasks %v pending %d", pl.lostParts, pl.lostTasks, pl.lostPending)
@@ -72,7 +72,7 @@ func TestRecoveryPlan(t *testing.T) {
 
 	t.Run("post-shuffle loss", func(t *testing.T) {
 		for _, phase := range []int{phShuffle, phConvert, phReduce} {
-			pl := rebuild(claims(phase, all), survivors, planTable(), 4, 0)
+			pl := rebuild(claims(phase, all), survivors, planTable(), 4)
 			if pl.lostPending != 0 || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || !reflect.DeepEqual(pl.lostParts, []int{3}) {
 				t.Fatalf("phase %d: lost parts %v tasks %v pending %d", phase, pl.lostParts, pl.lostTasks, pl.lostPending)
 			}
@@ -88,7 +88,7 @@ func TestRecoveryPlan(t *testing.T) {
 		// One survivor still in the map phase: the loss is not post-shuffle.
 		states := claims(phReduce, all)
 		states[1].phase = phMap
-		if d := rebuild(states, survivors, planTable(), 4, 0).decide(true, false); d != remap {
+		if d := rebuild(states, survivors, planTable(), 4).decide(true, false); d != remap {
 			t.Fatalf("a survivor in the map phase: decision %v, want remap", d)
 		}
 	})
@@ -97,7 +97,7 @@ func TestRecoveryPlan(t *testing.T) {
 		states := claims(phReduce, all)
 		states[2] = claim(2, phConvert, all, []uint32{3}, []uint32{3, 7})
 		tt := planTable()
-		pl := rebuild(states, survivors, tt, 4, 0)
+		pl := rebuild(states, survivors, tt, 4)
 		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner[3] != 2 || tt.owner[3] != 2 || tt.owner[7] != 2 {
 			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner, tt.owner)
 		}
@@ -106,19 +106,19 @@ func TestRecoveryPlan(t *testing.T) {
 		}
 	})
 
-	t.Run("mixed job indexes", func(t *testing.T) {
-		states := claims(phInit, nil)
-		states[0].jobIdx, states[1].jobIdx, states[2].jobIdx = 4, 5, 5
-		for jobIdx, want := range map[int]recoveryOutcome{4: jobSuperseded, 5: jobRestart} {
-			tt := planTable()
-			tt.setDone(2, true)
-			pl := rebuild(states, survivors, tt, 4, jobIdx)
-			if pl.outcome != want {
-				t.Fatalf("job %d among %v: outcome %v, want %v", jobIdx, []int{4, 5, 5}, pl.outcome, want)
-			}
-			if ref := planTable(); !reflect.DeepEqual(tt.owner, ref.owner) || !tt.isDone(2) || tt.isDone(0) {
-				t.Fatalf("job %d: a misaligned rebuild touched the task table", jobIdx)
-			}
+	t.Run("a survivor past the final barrier", func(t *testing.T) {
+		// Rank 3 died after the final reduce barrier released rank 1; ranks 0
+		// and 2 saw it from inside the barrier. The job's work is all done.
+		states := claims(phReduce, all)
+		states[1].phase = phDone
+		tt := planTable()
+		tt.setDone(2, true)
+		pl := rebuild(states, survivors, tt, 4)
+		if !pl.done || pl.partOwner != nil || pl.lostTasks != nil {
+			t.Fatalf("plan %+v, want a done job with nothing lost", pl)
+		}
+		if ref := planTable(); !reflect.DeepEqual(tt.owner, ref.owner) || !tt.isDone(2) || tt.isDone(0) {
+			t.Fatal("a done job's rebuild touched the task table")
 		}
 	})
 
@@ -133,7 +133,7 @@ func TestRecoveryPlan(t *testing.T) {
 		}
 		current, stale := planTable(), planTable()
 		current.owner[3], current.owner[7] = 0, 1
-		a, b := rebuild(states, left, current, 4, 0), rebuild(states, left, stale, 4, 0)
+		a, b := rebuild(states, left, current, 4), rebuild(states, left, stale, 4)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("plans differ:\n%+v\n%+v", a, b)
 		}
@@ -155,7 +155,7 @@ func TestRecoveryPlan(t *testing.T) {
 		states[0].tasks = append(states[0].tasks, 8, 1<<31)
 		states[0].parts = append(states[0].parts, 4, 1<<31)
 		tt := planTable()
-		pl := rebuild(states, survivors, tt, 4, 0)
+		pl := rebuild(states, survivors, tt, 4)
 		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(tt.owner, planTable().owner) {
 			t.Fatalf("partOwner %v, task owners %v", pl.partOwner, tt.owner)
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/storage"
 )
 
@@ -185,7 +186,39 @@ func (r *runner) truncateOutput(part int) {
 	pfs.Truncate(path, int(r.outLen[part]))
 }
 
-// finishOutputs records the partitions this job produced (rank 0 only).
+// close ends a job every rank has run to its last phase. Comm rank 0 commits
+// it (finishOutputs); under a masking model every survivor then enters a
+// closing shrink before any of them leaves — ULFM's agreement at the end of a
+// fault-tolerant region. A rank whose final barrier failed meets the others
+// there, through recovery: were they already gone, its shrink would wait for
+// them forever. A shrink that comes back smaller means a rank died after the
+// final barrier (the committer, perhaps, before its marker was durable): the
+// survivors note it, revoke the shrunken communicator — interrupting any
+// recovery round already under way on it — and recover, and that round finds
+// a rank past the final barrier and sends every survivor back here.
+func (r *runner) close(masking bool) error {
+	r.finishOutputs()
+	if masking {
+		nc, err := r.comm.Shrink()
+		if err != nil {
+			return err
+		}
+		if failed := r.adoptComm(nc); len(failed) > 0 {
+			_ = r.comm.Revoke()
+			return mpi.ErrRevoked
+		}
+	}
+	// The job is durable in its outputs now; drop its checkpoint streams.
+	if r.comm.Rank() == 0 && r.spec.Model.Checkpointing() {
+		pfs := r.job.clus.PFS
+		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/map/", r.spec.JobID))
+		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/part/", r.spec.JobID))
+	}
+	return nil
+}
+
+// finishOutputs records the partitions this job produced and commits its
+// DONE marker (comm rank 0 only).
 func (r *runner) finishOutputs() {
 	if r.comm.Rank() != 0 {
 		return
@@ -208,10 +241,5 @@ func (r *runner) finishOutputs() {
 		// The temp file vanished (shouldn't happen); fall back to a direct
 		// marker write so completion is still recorded.
 		_, _ = pfs.WriteFile(r.p, marker, []byte("done"))
-	}
-	// The job is durable in its outputs now; drop its checkpoint streams.
-	if r.spec.Model.Checkpointing() {
-		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/map/", r.spec.JobID))
-		pfs.RemovePrefix(fmt.Sprintf("ckpt/%s/part/", r.spec.JobID))
 	}
 }

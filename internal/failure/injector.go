@@ -27,9 +27,13 @@ func countInjected(reg *metrics.Registry, kind string) {
 		"Process-level faults injected, by kind.", "kind", kind).Inc()
 }
 
-// inject records the injector's decision on the world trace track (if
-// tracing is on) and fires the kill.
+// inject is every injector's one kill path: a live rank's kill is recorded on
+// the world trace track (if tracing is on) and counted, then fired; a rank
+// that already died is left alone, with no event and no count.
 func inject(w *mpi.World, rank int) {
+	if !w.Rank(rank).Alive() {
+		return
+	}
 	w.Clus.Trace.Global().FailureInject(rank)
 	countInjected(w.Clus.Metrics, "kill")
 	w.Kill(rank)
@@ -42,6 +46,14 @@ func KillAt(w *mpi.World, rank int, at time.Duration) {
 		d = 0
 	}
 	w.Sim.After(d, func() { inject(w, rank) })
+}
+
+// KillAtEvent kills a world rank once the simulation has fired n events, at
+// whatever instant that is: the kill-point sweep names a point by its event
+// ordinal, which reaches every scheduler safe point a time grid can step over.
+// Arming it schedules no event.
+func KillAtEvent(w *mpi.World, rank int, n uint64) {
+	w.Sim.AtEvent(n, func() { inject(w, rank) })
 }
 
 // SlowRank turns a world rank into a straggler at an absolute virtual time:

@@ -11,12 +11,12 @@ import (
 	"ftmrmpi/internal/workloads"
 )
 
-// A kill that catches ranks on both sides of a job boundary makes RunJob
-// rebuild the newer job on a fresh runner (jobRestart). That runner's
-// copier must be stopped when the job returns, like the first one's: PageRank
-// at W=128 under Continuous(20 ms, 4 kills, seed 50) — the fourth kill lands
-// near the first job's end — used to finish with the restarted runners'
-// copiers parked forever.
+// PageRank at W=128 under Continuous(20 ms, 4 kills, seed 50): the fourth
+// kill lands near the first job's end. It used to catch ranks on both sides of
+// the job boundary, and RunJob rebuilt the newer job on a fresh runner whose
+// copier was left parked forever. A masking job now closes with a shrink every
+// live rank enters, so no rank starts a job while another is still in the one
+// before; the run stays as the job-boundary regression.
 func TestRestartedJobStopsItsCopier(t *testing.T) {
 	const ranks, iters, seed = 128, 2, 50
 	cfg := cluster.Default()

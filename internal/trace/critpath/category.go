@@ -13,7 +13,8 @@ const (
 	// transitions and task/output commits.
 	CatCompute
 	// CatShuffleWait is point-to-point and collective communication outside
-	// recovery: aggregate/shuffle traffic and barrier skew.
+	// recovery: aggregate/shuffle traffic, barrier skew and a masking job's
+	// closing shrink.
 	CatShuffleWait
 	// CatCkptWrite is main-thread blocking on synchronous checkpoint
 	// appends.

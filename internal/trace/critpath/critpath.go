@@ -406,12 +406,13 @@ func categorize(ev trace.Event, recOpen bool) Category {
 	case trace.KindCkptLoad, trace.KindCkptCorrupt:
 		return CatRecoveryLoad
 	case trace.KindSendBegin, trace.KindSendEnd, trace.KindRecvBegin, trace.KindRecvEnd,
-		trace.KindCollBegin, trace.KindCollEnd:
+		trace.KindCollBegin, trace.KindCollEnd,
+		trace.KindShrinkBegin, trace.KindShrinkEnd, trace.KindAgreeBegin, trace.KindAgreeEnd:
 		if recOpen {
 			return CatRecoveryInit
 		}
 		return CatShuffleWait
-	case trace.KindShrinkBegin, trace.KindShrinkEnd, trace.KindAgreeBegin, trace.KindAgreeEnd, trace.KindRevoke:
+	case trace.KindRevoke:
 		if recOpen {
 			return CatRecoveryInit
 		}

@@ -96,6 +96,9 @@ type Sim struct {
 	// starts, and callbacks); dropped duplicates and dead-process events are
 	// not counted. The throughput benchmark divides it by wall time.
 	processed uint64
+	// atEvent, when set, runs once when processed reaches atEventN (AtEvent).
+	atEvent  func()
+	atEventN uint64
 }
 
 // NewSim returns an empty simulation at virtual time zero.
@@ -115,6 +118,14 @@ func (s *Sim) Seconds() float64 { return s.now.Seconds() }
 // counted. The throughput benchmarks report it divided by wall-clock time
 // as "simulated events per second".
 func (s *Sim) EventsProcessed() uint64 { return s.processed }
+
+// AtEvent runs fn once inside the scheduler as soon as EventsProcessed()
+// reaches n: after event n has fired and before event n+1 is popped (n = 0:
+// before the first). It schedules no event and consumes no sequence number,
+// so a hook that never fires — n past the run's last event — leaves every
+// event and instant as they were. One hook at a time; a later call replaces
+// an unfired one. fn must not block.
+func (s *Sim) AtEvent(n uint64, fn func()) { s.atEvent, s.atEventN = fn, n }
 
 // alloc takes an event from the pool (or allocates one).
 func (s *Sim) alloc() *event {
@@ -290,7 +301,15 @@ const (
 // outcomeSelf instead of a channel round-trip.
 func (s *Sim) dispatch(self *Proc) dispatchOutcome {
 	for {
-		if s.crash != nil || len(s.events) == 0 {
+		if s.crash != nil {
+			return outcomeDrained
+		}
+		if s.atEvent != nil && s.processed >= s.atEventN {
+			fn := s.atEvent
+			s.atEvent = nil
+			fn()
+		}
+		if len(s.events) == 0 {
 			return outcomeDrained
 		}
 		e := heap.Pop(&s.events).(*event)

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -70,6 +71,60 @@ func TestSameTimestampFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("order = %v, want ascending", order)
 		}
+	}
+}
+
+// AtEvent's hook fires once, with exactly n events fired, and is otherwise
+// invisible: a hook that only looks leaves every event and instant as they
+// were, and one past the end never fires. Two runs whose hook kills at the
+// same n are identical.
+func TestAtEvent(t *testing.T) {
+	type outcome struct {
+		fired  []uint64        // EventsProcessed() at each firing
+		wakes  []time.Duration // every wake, in order
+		events uint64
+		end    time.Duration
+	}
+	run := func(n uint64, hooked, kill bool) outcome {
+		s := NewSim()
+		var o outcome
+		var procs []*Proc
+		for i := 1; i <= 3; i++ {
+			procs = append(procs, s.Spawn("p", func(p *Proc) {
+				for range 4 {
+					p.Sleep(time.Duration(i) * time.Millisecond)
+					o.wakes = append(o.wakes, p.Now())
+				}
+			}))
+		}
+		s.After(5*time.Millisecond, func() { o.wakes = append(o.wakes, s.Now()) })
+		if hooked {
+			s.AtEvent(n, func() {
+				o.fired = append(o.fired, s.EventsProcessed())
+				if kill {
+					s.Kill(procs[1])
+				}
+			})
+		}
+		o.end = s.Run()
+		o.events = s.EventsProcessed()
+		return o
+	}
+	plain := run(0, false, false)
+	for n := uint64(0); n <= plain.events; n++ {
+		o := run(n, true, false)
+		if len(o.fired) != 1 || o.fired[0] != n {
+			t.Fatalf("hook at %d fired with %v events processed", n, o.fired)
+		}
+		if o.fired = nil; !reflect.DeepEqual(o, plain) {
+			t.Fatalf("a looking hook at %d changed the run: %+v, want %+v", n, o, plain)
+		}
+		if a, b := run(n, true, true), run(n, true, true); !reflect.DeepEqual(a, b) {
+			t.Fatalf("two kills at %d differ: %+v vs %+v", n, a, b)
+		}
+	}
+	if past := run(plain.events+1, true, true); past.fired != nil || !reflect.DeepEqual(past, plain) {
+		t.Fatalf("a hook past the last event changed the run: %+v, want %+v", past, plain)
 	}
 }
 
