@@ -4,8 +4,8 @@ GO ?= go
 # checks (gofmt, vet), a full build (including every cmd/ binary), the race
 # detector over the internals, the whole test suite, the nested benchmark
 # module (vet and its smoke tests: it imports internal/... from outside, so an
-# API deletion breaks it unseen otherwise), a short fuzz of the checkpoint and
-# bundle codecs, the JSONL reader, the OpenMetrics parser, the extent store
+# API deletion breaks it unseen otherwise), a short fuzz of the checkpoint
+# codecs, the JSONL reader, the OpenMetrics parser, the extent store
 # against its flat model and the KV→KMV grouping against its map-indexed
 # reference, the one instrumentation-overhead gate that keeps
 # every disabled observation plane at one-branch cost, the data-path and
@@ -48,7 +48,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeShadowSync$$' -fuzztime 5s
-	$(GO) test ./internal/mpi -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime 5s
 	$(GO) test ./internal/introspect -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 5s
@@ -73,20 +72,22 @@ bench-overhead:
 # not of stream x drains; what a rank allocates to encode and merge its
 # shuffle bundles depends on the partitions that hold data, not on the rank
 # count; a trace ring allocates for the events recorded, not for its
-# capacity; a file built from appends is copied once, not regrown; and a map
-# task allocates per commit, never per record or per word. Host-independent:
-# every bound counts allocations or allocated bytes.
+# capacity; a file built from appends is copied once, not regrown; a map
+# task allocates per commit, never per record or per word; and an Allgather
+# hands every rank one shared result, not a W-entry slice each.
+# Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two
-# counts over W=256 runs, host-independent. One Alltoallv stays within 4
-# scheduler events per rank (the exchange is a rendezvous, not W^2 simulated
-# messages), and a failure-free wordcount never holds more than 32 unmatched
-# messages in one mailbox (internal/mpi scans its mailboxes because they are
-# that short; measured peak 7).
+# counts over W=256 runs, host-independent. One Barrier, Allgather,
+# AllreduceInt64 or Alltoallv each stays within 3 scheduler events per rank
+# (every collective is a rendezvous, not simulated messages), and a
+# failure-free wordcount never holds more than 32 unmatched messages in one
+# mailbox (internal/mpi scans its mailboxes because they are that short;
+# measured peak 6).
 throughput-gate:
 	$(GO) test ./internal/bench -run '^TestThroughputGate$$' -v
 
@@ -147,8 +148,8 @@ define SELFTEST
 2 bin/ftmr-sim -ft-model replicate -model cr
 2 bin/ftmr-sim -workload pagerank -iters 0
 2 bin/ftmr-sim -procs 8 -kill-phase map -restart
-# a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped
-0 bin/ftmr-sim -procs 8 -model cr -kill-phase map -restart -trace $T.cr.jsonl -trace-format jsonl
+# a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped (a reduce kill, so the aborted world has sent its map-phase status gossip)
+0 bin/ftmr-sim -procs 8 -model cr -kill-phase reduce -restart -trace $T.cr.jsonl -trace-format jsonl
 0 bin/ftmr-trace flows $T.cr.jsonl
 # flags without a line above: a PFS outage window, continuous kills, the JSON summary, the streamed trace (which must validate) and the default Chrome trace format
 0 bin/ftmr-sim -procs 8 -outage 1ms,3ms

@@ -17,20 +17,16 @@ import (
 // Virtual time and event counts are deterministic; wall-clock rates are
 // host-dependent and only comparable within one run. The regression gate
 // (TestThroughputGate) therefore holds counts only: the scheduler events of
-// one Alltoallv and the deepest mailbox of a failure-free wordcount, the two
-// quantities that must not grow with W² and W for a large run to stay cheap.
+// one collective of each kind and the deepest mailbox of a failure-free
+// wordcount, the two quantities that must not grow with W² and W for a large
+// run to stay cheap.
 
-// runExchangeEvents runs one Alltoallv of small buffers over ranks ranks and
-// returns the scheduler events the whole run took (process starts included).
-func runExchangeEvents(ranks int) uint64 {
+// runExchangeEvents runs one collective — coll, called once by every rank —
+// over ranks ranks and returns the scheduler events the whole run took
+// (process starts included).
+func runExchangeEvents(ranks int, coll func(c *mpi.Comm)) uint64 {
 	clus := newCluster(ranks)
-	mpi.Launch(clus, ranks, func(c *mpi.Comm) {
-		bufs := make([][]byte, c.Size())
-		for d := range bufs {
-			bufs[d] = make([]byte, (c.Rank()+d)%97)
-		}
-		_, _ = c.Alltoallv(bufs)
-	})
+	mpi.Launch(clus, ranks, coll)
 	clus.Sim.Run()
 	return clus.Sim.EventsProcessed()
 }

@@ -18,9 +18,9 @@ import (
 //     still <= seq: such a member has provably not entered the collective,
 //     and the collective cannot complete until it does. Members that are in
 //     it (seq consumed) or past it are not stragglers, which keeps the
-//     pipelined release of tree collectives (one rank already in the next
-//     collective while another still drains this one) from producing false
-//     edges.
+//     staggered release of a collective (one rank already in the next
+//     collective while another is still waiting out its completion instant
+//     in this one) from producing false edges.
 //
 // Even sound edges can form a one-shot cycle while a satisfying message is
 // in flight (the sender already paid its wire time; the waiter just has not

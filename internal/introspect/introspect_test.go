@@ -150,10 +150,10 @@ func TestCollectiveMissingParticipant(t *testing.T) {
 		}
 		return false
 	}
-	// 0->2 may be attributed to the root's internal child receive (recv wins
-	// the dedupe) or to the straggler rule; 1->2 can only be a straggler edge.
-	if !hasEdge(0, 2, "") || !hasEdge(1, 2, introspect.WhyColl) {
-		t.Errorf("edges = %+v, want edges 0->2 and straggler 1->2", last.Edges)
+	// The barrier receives no message: both edges come from the straggler
+	// rule.
+	if !hasEdge(0, 2, introspect.WhyColl) || !hasEdge(1, 2, introspect.WhyColl) {
+		t.Errorf("edges = %+v, want straggler edges 0->2 and 1->2", last.Edges)
 	}
 	if !hasEdge(2, 0, introspect.WhyRecv) {
 		t.Errorf("edges = %+v, want recv edge 2->0", last.Edges)

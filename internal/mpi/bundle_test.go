@@ -3,21 +3,56 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"ftmrmpi/internal/metrics"
 )
 
-// The reference model of the tree collectives' wire: the rank→payload map
-// that production code used to build, decode and re-encode at every tree
-// level. The flat bundle codec must deliver the same payloads at the same
-// virtual instants for the same bytes sent, and fail the same ranks the same
-// way under ULFM.
+// The reference tree: Barrier, Allgather and AllreduceInt64 as the
+// message-level binomial trees production code used to simulate, over plain
+// point-to-point sends and receives, carrying the rank→payload map encoded,
+// decoded and re-encoded at every tree level. The collectives (coll.go) are
+// priced from this tree instead of simulating it, and must release every
+// rank at exactly the instant it does, with the same result.
 
+// internalTag is the reference tree's tag for collective op seq and substep:
+// negative, so it never meets a user tag.
+func internalTag(seq, sub int) int { return -(seq*16 + sub + 1000) }
+
+// treeParent returns the parent of rank vr in the binomial tree rooted at
+// rank 0, or -1 for the root.
+func treeParent(vr int) int {
+	if vr == 0 {
+		return -1
+	}
+	return vr &^ (1 << uint(bits.TrailingZeros(uint(vr)))) // clear the lowest set bit
+}
+
+// treeChildren returns the children of rank vr in the binomial tree over n
+// ranks rooted at rank 0.
+func treeChildren(vr, n int) []int {
+	var kids []int
+	lsb := bits.TrailingZeros(uint(vr))
+	if vr == 0 {
+		lsb = bits.Len(uint(n)) // root may own all bits
+	}
+	for b := 0; b < lsb; b++ {
+		if child := vr | 1<<uint(b); child < n && child != vr {
+			kids = append(kids, child)
+		}
+	}
+	return kids
+}
+
+// refEncodeBundle is the wire form of a set of per-rank payloads:
+// [count u32]([rank u32][len u32][payload])*, big-endian, ascending by rank.
 func refEncodeBundle(b map[int][]byte) []byte {
 	total := 4
 	for _, d := range b {
@@ -62,71 +97,124 @@ func refDecodeBundle(data []byte) (map[int][]byte, error) {
 	return out, nil
 }
 
-func refGatherTree(c *Comm, seq int, data []byte, out [][]byte) error {
+// refGatherTree gathers every rank's payload to rank 0: each rank merges its
+// children's bundles into its own entry and forwards the lot to its parent.
+// Rank 0 returns the whole communicator's payloads.
+func refGatherTree(c *Comm, seq int, data []byte) (map[int][]byte, error) {
 	bundle := map[int][]byte{c.rank: data}
 	for _, child := range treeChildren(c.rank, c.Size()) {
 		m, err := c.recv(child, internalTag(seq, 2))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sub, err := refDecodeBundle(m.Data)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for r, d := range sub {
-			bundle[r] = d
-		}
+		maps.Copy(bundle, sub)
 	}
 	if parent := treeParent(c.rank); parent >= 0 {
-		_, err := c.send(parent, internalTag(seq, 2), refEncodeBundle(bundle))
+		_, err := c.transmit(parent, internalTag(seq, 2), refEncodeBundle(bundle), 0, false)
+		return nil, err
+	}
+	return bundle, nil
+}
+
+// refBcastTree broadcasts rank 0's data down the tree.
+func refBcastTree(c *Comm, seq int, data []byte) ([]byte, error) {
+	if parent := treeParent(c.rank); parent >= 0 {
+		m, err := c.recv(parent, internalTag(seq, 1))
+		if err != nil {
+			return nil, err
+		}
+		data = m.Data
+	}
+	for _, child := range treeChildren(c.rank, c.Size()) {
+		if _, err := c.transmit(child, internalTag(seq, 1), data, 0, false); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
+}
+
+// nextSeq consumes the caller's collective sequence number, which tags the
+// reference tree's messages.
+func nextSeq(c *Comm) int {
+	c.st.opSeq[c.rank]++
+	return c.st.opSeq[c.rank] - 1
+}
+
+func refBarrier(c *Comm) error {
+	seq := nextSeq(c)
+	if _, err := refGatherTree(c, seq, nil); err != nil {
 		return err
 	}
-	for r, d := range bundle {
-		out[r] = d
-	}
-	return nil
+	_, err := refBcastTree(c, seq, nil)
+	return err
 }
 
 func refAllgather(c *Comm, data []byte) ([][]byte, error) {
-	defer c.enterColl("allgather").Exit()
-	seq := c.nextSeq()
-	n := c.Size()
-	gathered := make([][]byte, n)
-	if err := refGatherTree(c, seq, data, gathered); err != nil {
-		return nil, c.raise(err)
+	seq := nextSeq(c)
+	gathered, err := refGatherTree(c, seq, data)
+	if err != nil {
+		return nil, err
 	}
 	var enc []byte
 	if c.rank == 0 {
-		bundle := make(map[int][]byte, n)
-		for r, d := range gathered {
-			bundle[r] = d
-		}
-		enc = refEncodeBundle(bundle)
+		enc = refEncodeBundle(gathered)
 	}
-	enc, err := c.bcastTree(seq, enc)
-	if err != nil {
-		return nil, c.raise(err)
+	if enc, err = refBcastTree(c, seq, enc); err != nil {
+		return nil, err
 	}
 	bundle, err := refDecodeBundle(enc)
 	if err != nil {
-		return nil, c.raise(err)
+		return nil, err
 	}
-	out := make([][]byte, n)
+	out := make([][]byte, c.Size())
 	for r, d := range bundle {
 		out[r] = d
 	}
 	return out, nil
 }
 
-// allgatherFn is the implementation under comparison: (*Comm).Allgather or
-// refAllgather.
-type allgatherFn func(c *Comm, data []byte) ([][]byte, error)
+// refAllreduceInt64 allgathers 8 bytes per rank and folds them on every
+// rank, its own value first.
+func refAllreduceInt64(c *Comm, v int64, op func(a, b int64) int64) (int64, error) {
+	all, err := refAllgather(c, binary.BigEndian.AppendUint64(nil, uint64(v)))
+	if err != nil {
+		return 0, err
+	}
+	acc := v
+	for r, d := range all {
+		if r != c.rank {
+			acc = op(acc, int64(binary.BigEndian.Uint64(d)))
+		}
+	}
+	return acc, nil
+}
 
-// collRun is what one rank observed of an allgather.
-type collRun struct {
-	done time.Duration
-	got  [][]byte
-	err  error
+// Property: the reference codec round-trips any set of payloads, nil and
+// empty ones included.
+func TestPropBundleRoundTrip(t *testing.T) {
+	f := func(payloads [][]byte) bool {
+		in := make(map[int][]byte, len(payloads))
+		for r, d := range payloads {
+			in[r] = d
+		}
+		out, err := refDecodeBundle(refEncodeBundle(in))
+		if err != nil || len(out) != len(in) {
+			return false
+		}
+		for r, d := range in {
+			if got, ok := out[r]; !ok || !bytes.Equal(got, d) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // randomPayloads draws n payloads: nil, empty, small and large ones.
@@ -149,247 +237,142 @@ func randomPayloads(rng *rand.Rand, n int) [][]byte {
 	return out
 }
 
-// runTreeColls launches n ranks that sleep skew[r] and then run an allgather
-// through impl. It returns what every rank saw and the bytes and messages
-// sent in total.
-func runTreeColls(t *testing.T, impl allgatherFn, n int, skew []time.Duration, mine [][]byte) ([]collRun, float64, float64) {
+// collRun is what one rank observed of a Barrier, an Allgather and an
+// AllreduceInt64 run back to back.
+type collRun struct {
+	done [3]time.Duration // when each returned
+	all  [][]byte         // the Allgather's result
+	sum  int64            // the AllreduceInt64's result
+}
+
+// runColls launches n ranks that each sleep skew[i][r] before collective i
+// of a Barrier, an Allgather of mine[r] and an AllreduceInt64 (sum) of
+// vals[r], run through the cost model or the reference tree. It returns what
+// every rank saw and the point-to-point messages sent in total.
+func runColls(t *testing.T, ref bool, n int, skew [3][]time.Duration, mine [][]byte, vals []int64) ([]collRun, float64) {
 	t.Helper()
 	clus := testCluster((n+7)/8, 8)
 	clus.Metrics = metrics.New(clus.Sim)
 	runs := make([]collRun, n)
+	sum := func(a, b int64) int64 { return a + b }
 	Launch(clus, n, func(c *Comm) {
 		r, run := c.Rank(), &runs[c.Rank()]
-		c.Proc().Sleep(skew[r])
-		run.got, run.err = impl(c, mine[r])
-		run.done = c.Proc().Now()
+		var err [3]error
+		for i := range skew {
+			c.Proc().Sleep(skew[i][r])
+			switch {
+			case i == 0 && ref:
+				err[i] = refBarrier(c)
+			case i == 0:
+				err[i] = c.Barrier()
+			case i == 1 && ref:
+				run.all, err[i] = refAllgather(c, mine[r])
+			case i == 1:
+				run.all, err[i] = c.Allgather(mine[r])
+			case ref:
+				run.sum, err[i] = refAllreduceInt64(c, vals[r], sum)
+			default:
+				run.sum, err[i] = c.AllreduceInt64(vals[r], sum)
+			}
+			if err[i] != nil {
+				t.Errorf("rank %d collective %d (reference %v): %v", r, i, ref, err[i])
+				return
+			}
+			run.done[i] = c.Proc().Now()
+		}
 	})
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
 		t.Fatalf("stranded procs: %v", st)
 	}
-	snap := clus.Metrics.Snapshot()
-	return runs, snap.Total("ftmr_mpi_send_bytes"), snap.Total("ftmr_mpi_sends")
+	return runs, clus.Metrics.Snapshot().Total("ftmr_mpi_sends")
 }
 
-// Property: over random communicator sizes, entry skews and payloads (nil and
-// empty included), allgather over flat bundles releases every rank at exactly
-// the instant the map-based reference does, with the same payloads, for the
-// same number of messages and bytes.
-func TestTreeCollectivesMatchReferenceModel(t *testing.T) {
+// Property: over random communicator sizes, entry skews and payloads (nil,
+// empty and up to 64 KiB), Barrier, Allgather and AllreduceInt64 release
+// every rank at exactly the instant the message-level reference tree does,
+// with the same result, and send no point-to-point message doing it.
+func TestCollectivesMatchReferenceTree(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(97)
-		skew := make([]time.Duration, n)
-		for r := range skew {
-			if rng.Intn(2) == 0 {
-				skew[r] = time.Duration(rng.Intn(500)) * time.Microsecond
+		var skew [3][]time.Duration
+		for i := range skew {
+			skew[i] = make([]time.Duration, n)
+			for r := range skew[i] {
+				if rng.Intn(2) == 0 {
+					skew[i][r] = time.Duration(rng.Intn(500)) * time.Microsecond
+				}
 			}
 		}
 		mine := randomPayloads(rng, n)
-		want, wantBytes, wantSends := runTreeColls(t, refAllgather, n, skew, mine)
-		got, gotBytes, gotSends := runTreeColls(t, (*Comm).Allgather, n, skew, mine)
-		if gotBytes != wantBytes || gotSends != wantSends {
-			t.Fatalf("seed %d W=%d: sent %v bytes in %v messages, reference %v in %v",
-				seed, n, gotBytes, gotSends, wantBytes, wantSends)
+		vals := make([]int64, n)
+		var total int64
+		for r := range vals {
+			vals[r] = rng.Int63() - rng.Int63()
+			total += vals[r]
+		}
+		want, refSends := runColls(t, true, n, skew, mine, vals)
+		got, sends := runColls(t, false, n, skew, mine, vals)
+		if sends != 0 || (n > 1 && refSends == 0) {
+			t.Fatalf("seed %d W=%d: the cost model sent %v messages (the reference %v), want none", seed, n, sends, refSends)
 		}
 		for r := 0; r < n; r++ {
-			if got[r].err != nil || want[r].err != nil {
-				t.Fatalf("seed %d W=%d rank %d: error %v (reference %v)", seed, n, r, got[r].err, want[r].err)
-			}
 			if got[r].done != want[r].done {
-				t.Fatalf("seed %d W=%d rank %d: completes at %v, reference at %v", seed, n, r, got[r].done, want[r].done)
+				t.Fatalf("seed %d W=%d rank %d: barrier, allgather, allreduce complete at %v, reference at %v",
+					seed, n, r, got[r].done, want[r].done)
 			}
-			g, w := got[r].got, want[r].got
-			if len(g) != len(w) {
-				t.Fatalf("seed %d W=%d rank %d: %d payloads, reference %d", seed, n, r, len(g), len(w))
+			if len(got[r].all) != n || len(want[r].all) != n {
+				t.Fatalf("seed %d W=%d rank %d: %d payloads, reference %d", seed, n, r, len(got[r].all), len(want[r].all))
 			}
-			for i := range g {
-				if !bytes.Equal(g[i], w[i]) {
-					t.Fatalf("seed %d W=%d rank %d: payload %d differs from the reference", seed, n, r, i)
-				}
-			}
-			// The reference itself delivers what was put in.
-			for i, d := range g {
-				if !bytes.Equal(d, mine[i]) {
+			for i := range mine {
+				if !bytes.Equal(got[r].all[i], mine[i]) || !bytes.Equal(want[r].all[i], mine[i]) {
 					t.Fatalf("seed %d W=%d rank %d: allgather entry %d is not rank %d's payload", seed, n, r, i, i)
 				}
 			}
-		}
-	}
-}
-
-// errClass names what a collective raised, as ULFM callers tell errors apart.
-func errClass(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case IsProcFailed(err):
-		return "proc-failed"
-	case errors.Is(err, ErrRevoked):
-		return "revoked"
-	default:
-		return "other: " + err.Error()
-	}
-}
-
-// A member dead before the others enter, or killed while they are inside,
-// fails the same ranks with the same error class at the same instants as in
-// the reference model: the flat codec changed no message, so ULFM's local
-// error reporting sees the same tree edges.
-func TestTreeCollectivesFailLikeReferenceModel(t *testing.T) {
-	type outcome struct {
-		class string
-		at    time.Duration
-	}
-	// The victim is picked by its position in the tree: an even rank,
-	// whose first child — the straggler — enters 4 ms after everyone else. A
-	// kill at 2 ms therefore finds the victim inside, waiting for that child,
-	// and its own parent waiting for it.
-	run := func(impl allgatherFn, n, victim, straggler int, killAt time.Duration) []outcome {
-		clus := testCluster((n+7)/8, 8)
-		res := make([]outcome, n)
-		w := Launch(clus, n, func(c *Comm) {
-			c.SetErrHandler(func(*Comm, error) {})
-			r := c.Rank()
-			c.Proc().Sleep(time.Millisecond)
-			if r == straggler {
-				c.Proc().Sleep(4 * time.Millisecond)
-			}
-			_, err := impl(c, []byte{byte(r)})
-			res[r] = outcome{errClass(err), c.Proc().Now()}
-			if err != nil {
-				_ = c.Revoke() // release the ranks the broken tree left waiting
-			}
-		})
-		clus.Sim.After(killAt, func() { w.Kill(victim) })
-		clus.Sim.Run()
-		if st := clus.Sim.Stranded(); len(st) != 0 {
-			t.Fatalf("stranded procs: %v", st)
-		}
-		return res
-	}
-	for _, n := range []int{2, 5, 16, 37} {
-		for _, killAt := range []time.Duration{0, 2 * time.Millisecond} {
-			for _, victim := range []int{0, 2, (n / 2) &^ 1} {
-				straggler := victim + 1
-				if straggler >= n {
-					continue
-				}
-				want := run(refAllgather, n, victim, straggler, killAt)
-				got := run((*Comm).Allgather, n, victim, straggler, killAt)
-				classes := make(map[string]int)
-				for r := range got {
-					if r == victim {
-						continue
-					}
-					if got[r] != want[r] {
-						t.Errorf("W=%d victim=%d killAt=%v rank %d: %+v, reference %+v", n, victim, killAt, r, got[r], want[r])
-					}
-					classes[got[r].class]++
-				}
-				if classes["proc-failed"] == 0 {
-					t.Errorf("W=%d victim=%d killAt=%v: nobody saw the process failure: %v", n, victim, killAt, classes)
-				}
+			if got[r].sum != total || want[r].sum != total {
+				t.Fatalf("seed %d W=%d rank %d: allreduce = %d (reference %d), want %d", seed, n, r, got[r].sum, want[r].sum, total)
 			}
 		}
 	}
 }
 
-// bundleOf builds the decoder's test input: one entry per piece, piece i
-// belonging to rank (first+i) mod n.
-func bundleOf(pieces [][]byte, first, n int) []byte {
-	b := binary.BigEndian.AppendUint32(nil, uint32(len(pieces)))
-	for i, d := range pieces {
-		b = appendEntry(b, (first+i)%n, d)
-	}
-	return b
-}
-
-// A bundle from the wire never panics the decoder and never lands a payload
-// twice or out of range.
-func TestReadBundleRejectsMalformed(t *testing.T) {
-	good := bundleOf([][]byte{[]byte("a"), nil, []byte("ccc")}, 0, 5)
-	entry := func(rank int, p string) []byte { return appendEntry(nil, rank, []byte(p)) }
-	count := func(n int, entries ...[]byte) []byte {
-		b := binary.BigEndian.AppendUint32(nil, uint32(n))
-		return append(b, bytes.Join(entries, nil)...)
-	}
-	cases := []struct {
-		name string
-		b    []byte
-		slot int // len(out); 0 walks without decoding
-		ok   bool
-	}{
-		{"good walk", good, 0, true},
-		{"good decode", good, 3, true},
-		{"short header", good[:3], 0, false},
-		{"truncated entry", good[:len(good)-4], 0, false},
-		{"truncated payload", good[:len(good)-1], 0, false},
-		{"over-count", count(4, good[bundleHdrLen:]), 0, false},
-		{"trailing bytes", append(bytes.Clone(good), 0), 0, false},
-		{"rank out of range", count(1, entry(5, "x")), 0, false},
-		{"rank past the slots", count(3, entry(0, "x"), entry(1, "y"), entry(3, "z")), 3, false},
-		{"repeated rank", count(3, entry(0, "x"), entry(1, "y"), entry(0, "")), 3, false},
-		{"wrong count", count(2, entry(0, "x"), entry(1, "y")), 3, false},
-	}
-	for _, tc := range cases {
-		var out [][]byte
-		if tc.slot > 0 {
-			out = make([][]byte, tc.slot)
-		}
-		_, _, err := readBundle(tc.b, 5, out)
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
-		}
-	}
-}
-
-// FuzzDecodeBundle feeds arbitrary bytes to the bundle decoder: truncated,
-// over-counted, out-of-range and repeated entries must come back as errors,
-// never as a panic, and whatever decodes re-encodes to the same length.
-func FuzzDecodeBundle(f *testing.F) {
-	f.Add(bundleOf([][]byte{[]byte("abc"), nil, {}}, 0, 3), 3, 3)
-	f.Add(bundleOf([][]byte{[]byte("x"), []byte("y")}, 6, 7), 7, 2)
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, 4, 2)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 1, 1)
-	f.Fuzz(func(t *testing.T, b []byte, n, slots int) {
-		if n < 1 || n > 1<<10 || slots < 0 || slots > n {
-			return
-		}
-		count, entries, err := readBundle(b, n, nil)
-		if err == nil && bundleHdrLen+len(entries) != len(b) {
-			t.Fatalf("walk accepted %d bytes of %d", bundleHdrLen+len(entries), len(b))
-		}
-		out := make([][]byte, slots)
-		if _, _, derr := readBundle(b, n, out); derr == nil {
-			if err != nil || count != slots {
-				t.Fatalf("decoded %d slots from a bundle the walk counts as %d (walk error %v)", slots, count, err)
-			}
-			for i, d := range out {
-				if d == nil {
-					t.Fatalf("decode left slot %d empty", i)
-				}
-			}
-			if re := bundleOf(out, 0, n); len(re) != len(b) {
-				t.Fatalf("re-encoded to %d bytes, was %d", len(re), len(b))
-			}
+// allgatherOnce launches n ranks that allgather 8 bytes each.
+func allgatherOnce(tb testing.TB, n int) {
+	clus := testCluster(n/8, 8)
+	Launch(clus, n, func(c *Comm) {
+		if _, err := c.Allgather([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+			tb.Error(err)
 		}
 	})
+	clus.Sim.Run()
 }
 
 // BenchmarkAllgather is the layer benchmark of the tree collectives' host
 // path: one 1024-rank Allgather of 8 bytes per rank, simulator set-up
 // included (what ftmr-perf's mpi.probe.allgather_ns_per_rank times).
 func BenchmarkAllgather(b *testing.B) {
-	const n = 1024
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clus := testCluster(n/8, 8)
-		Launch(clus, n, func(c *Comm) {
-			if _, err := c.Allgather([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-				b.Error(err)
-			}
-		})
-		clus.Sim.Run()
+		allgatherOnce(b, 1024)
+	}
+}
+
+// The host cost of an Allgather, simulator set-up included, is linear in the
+// rank count (make alloc-gate): every rank shares one result, where a
+// W-entry slice per rank made it W².
+func TestAllgatherAllocsAreLinear(t *testing.T) {
+	var bytesAt [2]uint64
+	for i, n := range []int{512, 1024} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allgatherOnce(t, n)
+		runtime.ReadMemStats(&after)
+		bytesAt[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	ratio := float64(bytesAt[1]) / float64(bytesAt[0])
+	t.Logf("one Allgather allocated %d bytes at W=512, %d at W=1024 (%.2fx)", bytesAt[0], bytesAt[1], ratio)
+	if ratio >= 2.5 {
+		t.Fatalf("doubling the ranks multiplied an Allgather's allocated bytes by %.2f, bound 2.5: its host cost is super-linear again", ratio)
 	}
 }

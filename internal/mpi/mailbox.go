@@ -13,12 +13,13 @@ import (
 // message that its (src, tag) accepts; a delivery completes the parked receive
 // if that accepts it and is buffered otherwise.
 //
-// Both are scans of a short list by design. Everything bulky in this package
-// is a collective, so a failure-free mailbox holds the fan-in of a binomial
-// tree (~log2 W messages: DESIGN.md "Mailbox matching semantics" has the
-// measured depths, World.PeakMailboxDepth reports them, internal/bench's
-// TestThroughputGate holds them), and a receive can only be posted by the
-// mailbox's owner, which posts nothing more while it is parked — one slot, not
+// Both are scans of a short list by design. Every collective is a
+// rendezvous that sends no message, so a failure-free mailbox holds only the
+// point-to-point traffic the layers above send — the status gossip ring, one
+// sender per mailbox (DESIGN.md "Mailbox matching semantics" has the measured
+// depths, World.PeakMailboxDepth reports them, internal/bench's
+// TestThroughputGate holds them) — and a receive can only be posted by the
+// mailbox's owner, which posts nothing more while it is parked: one slot, not
 // a list.
 
 // recvWait is a parked receive. Fields are written by the matching side
@@ -39,9 +40,9 @@ type recvWait struct {
 }
 
 // accepts reports whether a receive posted for (src, tag) matches m. src may
-// be AnySource, tag may be AnyTag (which matches only non-negative user tags).
+// be AnySource, tag may be AnyTag.
 func accepts(src, tag int, m *Message) bool {
-	return (src == AnySource || src == m.Src) && tagMatch(tag, m.Tag)
+	return (src == AnySource || src == m.Src) && (tag == AnyTag || tag == m.Tag)
 }
 
 // mailbox holds the unmatched arrived messages and the parked receive of one

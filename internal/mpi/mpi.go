@@ -3,13 +3,13 @@
 //
 // Ranks are simulated processes (one per cluster core); communicators
 // support point-to-point messaging with source/tag matching and wildcards,
-// and collectives composed from point-to-point messages (all but Alltoallv,
-// a rendezvous: rendezvous.go), so failure behaviour emerges as MPI-3
-// specifies it: a failure is reflected as a *local* error in whichever
-// communication calls touch the failed process, other ranks may proceed or
-// block, and there is no global notification — the inconsistency FT-MRMPI's
-// checkpoint/restart design exploits via error handlers plus Abort (paper
-// §2.2, §2.4, §4.1).
+// and collectives, each a rendezvous (rendezvous.go) priced from the message
+// schedule it stands for (coll.go). Failure behaviour is MPI-3's: a failure
+// is reflected as a *local* error in the communication calls that involve the
+// failed process — a receive from it, a collective it is a member of — other
+// ranks may proceed or block, and there is no global notification: the
+// inconsistency FT-MRMPI's checkpoint/restart design exploits via error
+// handlers plus Abort (paper §2.2, §2.4, §4.1).
 //
 // The ULFM extensions (Revoke/Shrink/Agree; ulfm.go) implement the user-level
 // failure mitigation proposal the detect/resume model needs (paper §4.2);
@@ -20,15 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
-// Wildcards for Recv. User tags must be non-negative; negative tags are
-// reserved for internal collective traffic.
+// Wildcards for Recv. Tags must be non-negative.
 const (
 	AnySource = -1
 	AnyTag    = -9999
@@ -59,16 +57,6 @@ func IsProcFailed(err error) bool {
 	return errors.As(err, &pf)
 }
 
-// tagMatch reports whether a posted receive tag accepts a message tag.
-// AnyTag matches only user (non-negative) tags, never internal collective
-// traffic.
-func tagMatch(want, got int) bool {
-	if want == AnyTag {
-		return got >= 0
-	}
-	return want == got
-}
-
 // Message is a received point-to-point message. Src is a communicator rank.
 // id is the cluster-unique message id stamped at the send site; it travels
 // with the message so the receiver's recv.end trace event carries the same
@@ -76,8 +64,7 @@ func tagMatch(want, got int) bool {
 type Message struct {
 	// Src is the sender's rank in the communicator the message was sent on.
 	Src int
-	// Tag is the message tag (negative tags are internal collective
-	// traffic).
+	// Tag is the message tag.
 	Tag int
 	// Data is the payload. Receivers must treat it as read-only: eager
 	// sends alias the sender's buffer.
@@ -159,7 +146,7 @@ type commState struct {
 	boxes   []*mailbox // indexed by comm rank
 	opSeq   []int      // per comm-rank collective sequence number
 	// meets lists the rendezvous an interrupt can reach, oldest first
-	// (rendezvous.go): Alltoallv, Shrink and Agree.
+	// (rendezvous.go): every collective, Shrink and Agree.
 	meets []*meet
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
@@ -382,16 +369,11 @@ func (c *Comm) Abort() {
 	}
 }
 
-// transferCost returns the modeled wire time for a message of n bytes.
-func (c *Comm) transferCost(n int) time.Duration {
-	return c.st.w.Clus.TransferCost(n)
-}
-
 // Send transmits data to dest (a comm rank) with the given tag. The caller
 // is busy for the wire time. Sends are eager/buffered: delivery does not
 // require a posted receive. Errors are raised through the error handler.
 func (c *Comm) Send(dest, tag int, data []byte) error {
-	_, err := c.send(dest, tag, data)
+	_, err := c.transmit(dest, tag, data, 0, false)
 	return c.raise(err)
 }
 
@@ -401,14 +383,8 @@ func (c *Comm) Send(dest, tag int, data []byte) error {
 // deliveries carry an identical id in the trace.
 // The id is 0 when err is non-nil (a failed send allocates no flow).
 func (c *Comm) SendTracked(dest, tag int, data []byte) (uint64, error) {
-	id, err := c.send(dest, tag, data)
+	id, err := c.transmit(dest, tag, data, 0, false)
 	return id, c.raise(err)
-}
-
-// send is Send without the error handler: a fresh flow id, bracketed by
-// send.begin/send.end in the trace. The tree collectives call it directly.
-func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
-	return c.transmit(dest, tag, data, 0, false)
 }
 
 // SendMirror transmits a byte-identical copy of an already-sent message to
@@ -450,7 +426,7 @@ func (c *Comm) transmit(dest, tag int, data []byte, flow uint64, mirror bool) (u
 			defer rec.SendEnd(dworld, tag, len(data), flow)
 		}
 	}
-	c.r.proc.Sleep(c.transferCost(len(data)))
+	c.r.proc.Sleep(st.w.Clus.TransferCost(len(data)))
 	if st.w.aborted {
 		return 0, ErrAborted
 	}

@@ -461,31 +461,6 @@ func TestPropAlltoallvPermutes(t *testing.T) {
 	}
 }
 
-// Property: bundle encoding round-trips, in whatever order the entries travel.
-func TestPropBundleRoundTrip(t *testing.T) {
-	f := func(payloads [][]byte, first uint8) bool {
-		n := len(payloads)
-		rotated := make([][]byte, n)
-		for i := range rotated {
-			rotated[i] = payloads[(int(first)+i)%n]
-		}
-		out := make([][]byte, n)
-		count, _, err := readBundle(bundleOf(rotated, int(first), max(n, 1)), n, out)
-		if err != nil || count != len(payloads) {
-			return false
-		}
-		for i, v := range payloads {
-			if out[i] == nil || string(out[i]) != string(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRevokeIdempotent(t *testing.T) {
 	clus := testCluster(2, 1)
 	Launch(clus, 2, func(c *Comm) {

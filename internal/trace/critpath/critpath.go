@@ -245,11 +245,11 @@ func Analyze(events []trace.Event) (*Report, error) {
 			openColl[k] = append(openColl[k], i)
 		case trace.KindCollEnd:
 			// Fan-in: a collective's exit depends on its participants'
-			// entries. Exact for synchronizing collectives; conservative
-			// for rooted ones (a bcast root's exit does not truly order
-			// against late entrants), where the p2p flow edges inside the
-			// collective dominate anyway and route the path along the real
-			// message chain.
+			// entries. No collective sends a message, so this is the only
+			// edge into a coll.end. Exact when every participant leaves at
+			// once; a rank that leaves after the last entrant has already
+			// left (a tree or a ring releases ranks at different instants)
+			// binds to the latest entry still open, which can be its own.
 			k := collKey{ev.A, ev.B, ev.Name}
 			cross[i] = bindOpen(openColl[k], i)
 			// Retire this rank's own entry from the open set.

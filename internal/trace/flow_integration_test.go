@@ -112,11 +112,13 @@ func TestFlowInvariantsWordcountFailover(t *testing.T) {
 		fr.Sends, fr.Recvs, fr.Matched, fr.UnmatchedSends, fr.ZeroRecvs)
 }
 
-// TestFlowIDsUniqueAcrossRestart is `ftmr-sim -model cr -kill-phase map
+// TestFlowIDsUniqueAcrossRestart is `ftmr-sim -model cr -kill-phase reduce
 // -restart` as `ftmr-trace flows` sees it: the aborted job and its
 // resubmission are two MPI worlds writing one trace, and the second world's
 // message ids must continue where the first stopped. A per-world counter
-// restarted them at 1, and every early id read as "sent 2 times".
+// restarted them at 1, and every early id read as "sent 2 times". (The kill
+// lands in reduce so that the first world has sent something: its map-phase
+// status gossip. No collective sends a message.)
 func TestFlowIDsUniqueAcrossRestart(t *testing.T) {
 	cfg := cluster.Default()
 	cfg.Nodes, cfg.PPN = 2, 4
@@ -131,7 +133,7 @@ func TestFlowIDsUniqueAcrossRestart(t *testing.T) {
 	spec.CkptInterval = 50
 
 	h := core.RunSingle(clus, spec)
-	failure.KillOnPhase(h, 2, core.PhaseMap, time.Millisecond)
+	failure.KillOnPhase(h, 2, core.PhaseReduce, time.Millisecond)
 	clus.Sim.Run()
 	if res := h.Result(); res == nil || !res.Aborted {
 		t.Fatalf("a checkpoint/restart job that lost a rank did not abort: %+v", res)
