@@ -17,6 +17,7 @@ const mapBatch = 256
 func (r *runner) phaseMap(ro *role) error {
 	mapper := r.spec.NewMapper()
 	reader := r.spec.NewReader()
+	ran := false
 	for {
 		// Tasks may be added by recovery; re-scan until none pending.
 		ids := ro.tasks()
@@ -28,8 +29,16 @@ func (r *runner) phaseMap(ro *role) error {
 				return err
 			}
 		}
+		ran = true
 	}
-	r.drainStatus()
+	if ran || r.mirroring() {
+		r.drainStatus()
+	} else {
+		// A master broadcasts its status after every task it completes; one
+		// that had none in this pass still broadcasts once, as §3.3's
+		// periodic broadcast does for an idle master.
+		r.gossipStatus()
+	}
 	r.ck.phaseSync(r.p)
 	return r.net(func() error { return r.comm.Barrier() })
 }
