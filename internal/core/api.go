@@ -189,11 +189,14 @@ func (t *TaskContext) WorldRank() int { return t.run.comm.WorldRank(t.run.comm.R
 
 // AddCounter accumulates a user-defined counter, aggregated across ranks in
 // the job Result (iterative drivers use counters for convergence tests).
-// With metrics enabled the delta also lands in a per-rank registry counter
-// named user_<sanitized name>.
+// With metrics enabled a per-rank registry counter named
+// user_<sanitized name> reads the same total.
 func (t *TaskContext) AddCounter(name string, delta int64) {
-	t.run.m.Counters[name] += delta
-	t.run.obs.UserAdd(name, delta)
+	m := t.run.m
+	if _, seen := m.Counters[name]; !seen {
+		mirrorUserCounter(t.run.job.clus.Metrics, m, name)
+	}
+	m.Counters[name] += delta
 }
 
 // KVWriter receives the key-value pairs a Mapper emits (paper Table 1).

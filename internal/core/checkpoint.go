@@ -555,7 +555,7 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 		// partially-corrupt suffix would inject garbage state; dropping it
 		// only costs rework, which the recovery path already handles for
 		// streams that never became durable at all.
-		h.obs.Quarantine(stream, consumed, len(raw))
+		h.obs.Rec.CkptCorrupt(stream, consumed, len(raw))
 		h.m.Counters["ckpt_corrupt"]++
 		h.pfs.Truncate(path, consumed)
 		if h.staged[stream] {

@@ -6,30 +6,21 @@ import (
 	"ftmrmpi/internal/metrics"
 )
 
-// mirrorRankMetrics registers an OnSample hook that pushes the deltas of a
-// runner's RankMetrics accumulators (which have many mutation sites) into
-// per-rank registry counters. Each runner registers its own mirror, so job
-// restarts — which replace the RankMetrics instance — accumulate correctly.
-func mirrorRankMetrics(reg *metrics.Registry, m *RankMetrics, rank int) {
+// mirrorRankMetrics makes a runner's RankMetrics accumulators (which have
+// many mutation sites) the source of their per-rank registry counters: each
+// series reads its field when the registry takes a snapshot. Each runner
+// registers its own readers, so a rank that runs several jobs, or a
+// restarted job, sums them.
+func mirrorRankMetrics(reg *metrics.Registry, m *RankMetrics) {
 	if reg == nil {
 		return
 	}
-	// mirrored is one accumulator: how to read it, how to push a delta of it
-	// into its series, and the value pushed so far.
-	type mirrored struct {
-		cur  func() int64
-		push func(delta int64)
-		last int64
-	}
-	var all []*mirrored
+	lv := metrics.RankLabel(m.WorldRank)
 	secs := func(name, help string, cur func() time.Duration) {
-		c := reg.Counter(name, help, rank)
-		all = append(all, &mirrored{cur: func() int64 { return int64(cur()) },
-			push: func(d int64) { c.Add(time.Duration(d).Seconds()) }})
+		reg.CounterFunc(name, help, "rank", lv, func() float64 { return cur().Seconds() })
 	}
 	count := func(name, help string, cur func() int64) {
-		c := reg.Counter(name, help, rank)
-		all = append(all, &mirrored{cur: cur, push: func(d int64) { c.Add(float64(d)) }})
+		reg.CounterFunc(name, help, "rank", lv, func() float64 { return float64(cur()) })
 	}
 	secs(metrics.MCPUMain, "Main-thread CPU seconds.", func() time.Duration { return m.CPUMain })
 	secs(metrics.MCPUCopier, "Copier-thread CPU seconds (same core).", func() time.Duration { return m.CPUCopier })
@@ -50,15 +41,19 @@ func mirrorRankMetrics(reg *metrics.Registry, m *RankMetrics, rank int) {
 	count(metrics.MShuffleBytes, "Shuffle bytes received.", func() int64 { return m.ShuffleBytes })
 	count("ftmr_recovered_frames", "Checkpoint frames replayed during recovery.", func() int64 { return m.RecoveredFrames })
 	count("ftmr_recovered_bytes", "Checkpoint bytes replayed during recovery.", func() int64 { return m.RecoveredBytes })
+	count(metrics.MCkptQuarantines, "Checkpoint streams truncated to their longest valid prefix.",
+		func() int64 { return m.Counters["ckpt_corrupt"] })
+}
 
-	reg.OnSample(func() {
-		for _, x := range all {
-			if cur := x.cur(); cur != x.last {
-				x.push(cur - x.last)
-				x.last = cur
-			}
-		}
-	})
+// mirrorUserCounter makes m.Counters[name] the source of the rank's
+// user_<sanitized name> series. TaskContext.AddCounter calls it on the first
+// use of a name in a job.
+func mirrorUserCounter(reg *metrics.Registry, m *RankMetrics, name string) {
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("user_"+metrics.SanitizeName(name), "User-defined counter (TaskContext.AddCounter).",
+		"rank", metrics.RankLabel(m.WorldRank), func() float64 { return float64(m.Counters[name]) })
 }
 
 // ExportResultMetrics publishes job-outcome signals — missing ranks, failed

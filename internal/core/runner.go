@@ -95,7 +95,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	m := newRankMetrics(c.Self().WorldRank())
 	h := c.Self().Obs()
 	h.BindCore()
-	mirrorRankMetrics(j.clus.Metrics, m, c.Self().WorldRank())
+	mirrorRankMetrics(j.clus.Metrics, m)
 	r := &runner{
 		job:        j,
 		spec:       spec,

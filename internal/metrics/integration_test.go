@@ -1,14 +1,16 @@
 // Integration tests for the metrics plane against real simulated runs: the
 // exported OpenMetrics text must be byte-identical across same-seed chaos
-// reruns, the registry's world aggregates must agree with the independently
-// maintained RankMetrics accumulators and the trace summarizer on every
-// shared quantity, and the SLO health gate must pass with defaults on the
-// standard failover run while demonstrably firing when tightened.
+// reruns, the series the registry reads from RankMetrics and FaultStats must
+// equal them across several jobs, the inline counters must agree with the
+// trace summarizer on every shared quantity, and the SLO health gate must
+// pass with defaults on the standard failover run while demonstrably firing
+// when tightened.
 package metrics_test
 
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"ftmrmpi/internal/failure"
 	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/metrics"
+	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/workloads"
 )
@@ -172,18 +175,11 @@ func TestChaosSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// secondsEq compares a registry total (accumulated as per-snapshot deltas of
-// float seconds) with a duration total, to float accumulation tolerance.
-func secondsEq(got float64, want time.Duration) bool {
-	return math.Abs(got-want.Seconds()) < 1e-9
-}
-
 // TestAggregatesAgreeWithRankMetricsAndTrace runs a clean (failure-free)
-// wordcount and checks every quantity the metrics plane shares with the two
-// older observability surfaces: the RankMetrics accumulators on the Result
-// and the trace summarizer. The registry is populated by independent
-// mechanisms (inline instruments and delta-mirror hooks), so agreement here
-// means the three planes cannot silently drift apart.
+// wordcount and checks every quantity the metrics plane counts inline against
+// the trace summarizer, which re-derives it offline from the event stream, and
+// that the run evaluates healthy. (What the registry reads from RankMetrics
+// agrees with it by construction: TestFoldedSeriesEqualTheirSource.)
 func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 	clus := intCluster()
 	p := stdCorpus()
@@ -195,63 +191,6 @@ func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 		t.Fatalf("run aborted: %+v", res)
 	}
 	snap := finalSnapshot(clus, h)
-
-	// Versus RankMetrics: integer counts must be exact, durations within
-	// float tolerance. Per-rank series must match rank by rank, not just in
-	// total.
-	var wantMapped, wantSkipped, wantGroups, wantCkptFrames, wantCkptBytes, wantShuffle int64
-	var wantCPUMain, wantIOWait, wantNetWait, wantCopierCPU, wantCopierIO time.Duration
-	for _, m := range res.Ranks {
-		if m == nil {
-			continue
-		}
-		wantMapped += m.RecordsMapped
-		wantSkipped += m.RecordsSkipped
-		wantGroups += m.GroupsReduced
-		wantCkptFrames += m.CkptFrames
-		wantCkptBytes += m.CkptBytes
-		wantShuffle += m.ShuffleBytes
-		wantCPUMain += m.CPUMain
-		wantIOWait += m.IOWait
-		wantNetWait += m.NetWait
-		wantCopierCPU += m.CPUCopier
-		wantCopierIO += m.CopierIO
-		if v, ok := snap.Series("ftmr_records_mapped", metrics.RankLabel(m.WorldRank)); !ok || v != float64(m.RecordsMapped) {
-			t.Errorf("rank %d records mapped: registry %v, RankMetrics %d", m.WorldRank, v, m.RecordsMapped)
-		}
-		if v, ok := snap.Series(metrics.MShuffleBytes, metrics.RankLabel(m.WorldRank)); !ok || v != float64(m.ShuffleBytes) {
-			t.Errorf("rank %d shuffle bytes: registry %v, RankMetrics %d", m.WorldRank, v, m.ShuffleBytes)
-		}
-	}
-	for _, tc := range []struct {
-		family string
-		want   int64
-	}{
-		{"ftmr_records_mapped", wantMapped},
-		{"ftmr_records_skipped", wantSkipped},
-		{"ftmr_groups_reduced", wantGroups},
-		{"ftmr_ckpt_frames", wantCkptFrames},
-		{"ftmr_ckpt_bytes", wantCkptBytes},
-		{metrics.MShuffleBytes, wantShuffle},
-	} {
-		if got := snap.Total(tc.family); got != float64(tc.want) {
-			t.Errorf("%s: registry %v, RankMetrics %d", tc.family, got, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		family string
-		want   time.Duration
-	}{
-		{metrics.MCPUMain, wantCPUMain},
-		{metrics.MIOWait, wantIOWait},
-		{metrics.MNetWait, wantNetWait},
-		{metrics.MCPUCopier, wantCopierCPU},
-		{metrics.MCopierIO, wantCopierIO},
-	} {
-		if got := snap.Total(tc.family); !secondsEq(got, tc.want) {
-			t.Errorf("%s: registry %v, RankMetrics %v", tc.family, got, tc.want)
-		}
-	}
 
 	// Versus the trace summarizer, on the quantities both planes observe.
 	s := trace.Summarize(clus.Trace.Events())
@@ -324,4 +263,185 @@ func TestHealthGateOnFailoverRun(t *testing.T) {
 	if !hl.Breached() {
 		t.Fatalf("tight ckpt-overhead SLO did not fire: %+v", hl.Indicators)
 	}
+}
+
+// folded are the per-rank families the registry reads from a runner's
+// RankMetrics at snapshot time, with the field each one reads. secs marks a
+// duration, exported in seconds.
+var folded = []struct {
+	family string
+	secs   bool
+	of     func(m *core.RankMetrics) int64
+}{
+	{metrics.MCPUMain, true, func(m *core.RankMetrics) int64 { return int64(m.CPUMain) }},
+	{metrics.MCPUCopier, true, func(m *core.RankMetrics) int64 { return int64(m.CPUCopier) }},
+	{metrics.MIOWait, true, func(m *core.RankMetrics) int64 { return int64(m.IOWait) }},
+	{metrics.MCopierIO, true, func(m *core.RankMetrics) int64 { return int64(m.CopierIO) }},
+	{metrics.MNetWait, true, func(m *core.RankMetrics) int64 { return int64(m.NetWait) }},
+	{metrics.MRecoveryInit, true, func(m *core.RankMetrics) int64 { return int64(m.Recovery.Init) }},
+	{metrics.MRecoveryLoad, true, func(m *core.RankMetrics) int64 { return int64(m.Recovery.LoadCkpt) }},
+	{metrics.MRecoverySkip, true, func(m *core.RankMetrics) int64 { return int64(m.Recovery.Skip) }},
+	{metrics.MRecoveryReprocess, true, func(m *core.RankMetrics) int64 { return int64(m.Recovery.Reprocess) }},
+	{metrics.MRecoverySeconds, true, func(m *core.RankMetrics) int64 { return int64(m.PhaseTime[core.PhaseRecovery]) }},
+	{"ftmr_records_mapped", false, func(m *core.RankMetrics) int64 { return m.RecordsMapped }},
+	{"ftmr_records_skipped", false, func(m *core.RankMetrics) int64 { return m.RecordsSkipped }},
+	{"ftmr_records_restored", false, func(m *core.RankMetrics) int64 { return m.RecordsRestored }},
+	{"ftmr_groups_reduced", false, func(m *core.RankMetrics) int64 { return m.GroupsReduced }},
+	{"ftmr_ckpt_frames", false, func(m *core.RankMetrics) int64 { return m.CkptFrames }},
+	{"ftmr_ckpt_bytes", false, func(m *core.RankMetrics) int64 { return m.CkptBytes }},
+	{metrics.MShuffleBytes, false, func(m *core.RankMetrics) int64 { return m.ShuffleBytes }},
+	{"ftmr_recovered_frames", false, func(m *core.RankMetrics) int64 { return m.RecoveredFrames }},
+	{"ftmr_recovered_bytes", false, func(m *core.RankMetrics) int64 { return m.RecoveredBytes }},
+	{metrics.MCkptQuarantines, false, func(m *core.RankMetrics) int64 { return m.Counters["ckpt_corrupt"] }},
+}
+
+// foldedWant sums, per family and rank label, what the registry should read
+// from every runner behind results: the folded RankMetrics fields and each
+// user counter.
+func foldedWant(results []*core.Result) map[string]map[string]float64 {
+	want := map[string]map[string]float64{}
+	add := func(family, lv string, v float64) {
+		if want[family] == nil {
+			want[family] = map[string]float64{}
+		}
+		want[family][lv] += v
+	}
+	for _, res := range results {
+		for _, m := range res.Ranks {
+			if m == nil {
+				continue
+			}
+			lv := metrics.RankLabel(m.WorldRank)
+			for _, f := range folded {
+				v := float64(f.of(m))
+				if f.secs {
+					v = time.Duration(f.of(m)).Seconds()
+				}
+				add(f.family, lv, v)
+			}
+			for name, n := range m.Counters {
+				if name != "ckpt_corrupt" {
+					add("user_"+metrics.SanitizeName(name), lv, float64(n))
+				}
+			}
+		}
+	}
+	return want
+}
+
+// checkFolded asserts that every series the registry reads from another
+// accumulator equals that accumulator: each per-rank family (counts exact,
+// seconds within 1e-9) against the RankMetrics of every job the rank ran,
+// every user_ family against the user counters, and each storage tier's
+// fault families against that tier's FaultStats.
+func checkFolded(t *testing.T, snap metrics.Snapshot, clus *cluster.Cluster, want map[string]map[string]float64) {
+	t.Helper()
+	for _, f := range snap.Families {
+		if strings.HasPrefix(f.Name, "user_") && want[f.Name] == nil {
+			t.Errorf("%s: in the registry, but no job counted it", f.Name)
+		}
+	}
+	for family, byRank := range want {
+		f := snap.Family(family)
+		if f == nil {
+			t.Errorf("%s: missing from the registry", family)
+			continue
+		}
+		if len(f.Series) != len(byRank) {
+			t.Errorf("%s: %d series, want one per rank that ran a job (%d)", family, len(f.Series), len(byRank))
+		}
+		tol := 0.0
+		for _, f := range folded {
+			if f.family == family && f.secs {
+				tol = 1e-9
+			}
+		}
+		for lv, w := range byRank {
+			if got, ok := snap.Series(family, lv); !ok || math.Abs(got-w) > tol {
+				t.Errorf("%s{rank=%q}: registry %v (present %v), source %v", family, lv, got, ok, w)
+			}
+		}
+	}
+	tiers := []*storage.Tier{clus.PFS}
+	for _, n := range clus.Nodes {
+		tiers = append(tiers, n.Local)
+	}
+	for _, tier := range tiers {
+		if tier.Faults == nil {
+			continue
+		}
+		st := tier.Faults.Stats
+		for family, n := range map[string]int{
+			"ftmr_storage_torn_writes":  st.TornWrites,
+			"ftmr_storage_bit_flips":    st.BitFlips,
+			"ftmr_storage_read_errors":  st.ReadErrors,
+			"ftmr_storage_read_spikes":  st.ReadSpikes,
+			"ftmr_storage_write_spikes": st.WriteSpikes,
+			"ftmr_storage_outage_ops":   st.OutageOps,
+		} {
+			if got, ok := snap.Series(family, tier.Name); !ok || got != float64(n) {
+				t.Errorf("%s{tier=%q}: registry %v (present %v), FaultStats %d", family, tier.Name, got, ok, n)
+			}
+		}
+	}
+}
+
+// TestFoldedSeriesEqualTheirSource checks the read-at-snapshot series after
+// runs in which one series has several sources: a PageRank driver (four jobs
+// on one world, so four runners per rank) losing a rank to a DR-WC kill, and
+// a checkpoint/restart wordcount under storage chaos that aborts and is
+// resubmitted with Resume on the same cluster, quarantining corrupted
+// checkpoint streams on the way.
+func TestFoldedSeriesEqualTheirSource(t *testing.T) {
+	t.Run("pagerank", func(t *testing.T) {
+		clus := intCluster()
+		p := workloads.DefaultPageRank()
+		p.Graph.Nodes, p.Graph.Chunks = 1000, 16
+		workloads.GenPageRankInput(clus, "in/pr", p)
+		h := core.Launch(clus, intParts, func(app *core.App) {
+			base := core.Spec{Model: core.ModelDetectResumeWC, LoadBalance: true}
+			_, _ = workloads.PageRankDriver(app, base, "pr", "in/pr", 2, p)
+		})
+		failure.KillOnPhase(h, 3, core.PhaseMap, time.Millisecond)
+		clus.Sim.Run()
+		results := h.Results()
+		if len(results) != 4 || len(results[0].FailedRanks) != 1 {
+			t.Fatalf("%d jobs, first lost %v; want 4 jobs and one kill", len(results), results[0].FailedRanks)
+		}
+		want := foldedWant(results)
+		if want["user_rankmass_e12"] == nil {
+			t.Fatal("the driver counted no user counter")
+		}
+		checkFolded(t, clus.Metrics.Snapshot(), clus, want)
+	})
+	t.Run("cr-resume-storage-faults", func(t *testing.T) {
+		const crFaultSeed = 7 // quarantines two checkpoint streams
+		clus := intCluster()
+		p := intCorpus()
+		workloads.GenCorpus(clus, "in/crf", p)
+		failure.StorageFaults(clus, crFaultSeed)
+		spec := intSpec("crf", p)
+		spec.Model = core.ModelCheckpointRestart
+		h1 := core.RunSingle(clus, spec)
+		failure.KillOnPhase(h1, 5, core.PhaseReduce, time.Millisecond)
+		clus.Sim.Run()
+		if !h1.Result().Aborted {
+			t.Fatal("first attempt did not abort")
+		}
+		spec.Resume = true
+		h2 := core.RunSingle(clus, spec)
+		clus.Sim.Run()
+		if h2.Result().Aborted {
+			t.Fatal("resubmission aborted")
+		}
+		want := foldedWant(append(h1.Results(), h2.Results()...))
+		var quarantined float64
+		for _, v := range want[metrics.MCkptQuarantines] {
+			quarantined += v
+		}
+		if quarantined == 0 {
+			t.Fatalf("seed %d quarantined no checkpoint stream; the quarantine check would be vacuous", crFaultSeed)
+		}
+		checkFolded(t, clus.Metrics.Snapshot(), clus, want)
+	})
 }

@@ -1,9 +1,9 @@
 // Package metrics implements the simulator's live metrics plane: a
 // low-overhead instrument registry (counters, gauges, log-linear-bucket
-// histograms) whose series are per-rank (or per-tier) and aggregatable
-// across the world, sampled on a virtual-time cadence into immutable
-// Snapshots, rendered as OpenMetrics text, and evaluated against SLOs by
-// the health engine.
+// histograms, and counters read from a function) whose series are per-rank
+// (or per-tier) and aggregatable across the world, frozen into an immutable
+// Snapshot when a run ends, rendered as OpenMetrics text, and evaluated
+// against SLOs by the health engine.
 //
 // Like the trace package, the registry is optional and nil-safe end to end:
 // a nil *Registry hands out nil instruments, and every instrument operation
@@ -63,10 +63,11 @@ type family struct {
 
 // series holds the live state of one (family, label value) pair.
 type series struct {
-	val    float64  // counter / gauge value
-	counts []uint64 // histogram per-bucket counts, len(buckets)+1 (last = +Inf)
-	sum    float64  // histogram sum of observations
-	n      uint64   // histogram observation count
+	val    float64          // counter / gauge value
+	fns    []func() float64 // CounterFunc readers, added to val at snapshot in registration order
+	counts []uint64         // histogram per-bucket counts, len(buckets)+1 (last = +Inf)
+	sum    float64          // histogram sum of observations
+	n      uint64           // histogram observation count
 }
 
 // Registry is the root of the metrics plane. Create one with New and attach
@@ -75,23 +76,11 @@ type series struct {
 type Registry struct {
 	sim      *vtime.Sim
 	families map[string]*family
-	hooks    []func()
 }
 
 // New returns an empty registry stamping snapshots with sim's virtual time.
 func New(sim *vtime.Sim) *Registry {
 	return &Registry{sim: sim, families: make(map[string]*family)}
-}
-
-// OnSample registers fn to run (in registration order) immediately before
-// every snapshot. Runners use it to mirror their RankMetrics accumulators —
-// which have many mutation sites — into registry counters by delta, instead
-// of instrumenting each site inline. Nil-safe.
-func (r *Registry) OnSample(fn func()) {
-	if r == nil {
-		return
-	}
-	r.hooks = append(r.hooks, fn)
 }
 
 // RankLabel returns the label value used for a per-rank series: the decimal
@@ -204,6 +193,20 @@ func (r *Registry) CounterL(name, help, labelKey, labelVal string) *Counter {
 	}
 	f := r.getFamily(name, help, KindCounter, labelKey, nil)
 	return &Counter{s: f.getSeries(labelVal)}
+}
+
+// CounterFunc makes fn a reader of the counter series for (name,
+// labelKey=labelVal): Snapshot reads fn when it runs and adds its value to
+// the series. A count that another accumulator already holds is registered
+// this way instead of being pushed twice. Several functions on one series
+// (a rank that runs several jobs) are summed in registration order.
+// Nil-safe: a nil registry never calls fn.
+func (r *Registry) CounterFunc(name, help, labelKey, labelVal string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	s := r.getFamily(name, help, KindCounter, labelKey, nil).getSeries(labelVal)
+	s.fns = append(s.fns, fn)
 }
 
 // Gauge returns the gauge series for (name, rank); negative rank yields the

@@ -8,8 +8,8 @@ import (
 )
 
 // TestNilRegistryEndToEnd pins the disabled path's contract: a nil registry
-// hands out nil instruments, every operation no-ops, and the lifecycle
-// helpers (OnSample, Snapshot) are both safe to call.
+// hands out nil instruments, every operation no-ops, CounterFunc never calls
+// its function, and Snapshot is safe to call.
 func TestNilRegistryEndToEnd(t *testing.T) {
 	var r *Registry
 	c := r.Counter("ftmr_x", "h", 0)
@@ -33,7 +33,7 @@ func TestNilRegistryEndToEnd(t *testing.T) {
 		t.Fatalf("nil registry returned non-nil histogram")
 	}
 	h.Observe(0.5)
-	r.OnSample(func() { t.Fatal("hook ran on nil registry") })
+	r.CounterFunc("ftmr_f", "h", "rank", "0", func() float64 { t.Fatal("nil registry read a CounterFunc"); return 0 })
 	snap := r.Snapshot()
 	if snap.VTSeconds != 0 || len(snap.Families) != 0 {
 		t.Fatalf("nil registry snapshot not zero: %+v", snap)
@@ -126,20 +126,29 @@ func TestSeriesSortOrder(t *testing.T) {
 	}
 }
 
-// TestOnSampleHookOrderAndTiming pins that hooks run in registration order
-// and before the families are frozen (their writes land in the snapshot).
-func TestOnSampleHookOrderAndTiming(t *testing.T) {
+// TestCounterFunc pins the read-at-snapshot series: every function on one
+// series is summed in registration order with whatever was pushed to it, and
+// each is read when Snapshot runs, not when it was registered.
+func TestCounterFunc(t *testing.T) {
 	r := New(vtime.NewSim())
-	c := r.Counter("ftmr_hooked", "h", 0)
-	var order []int
-	r.OnSample(func() { order = append(order, 1); c.Add(5) })
-	r.OnSample(func() { order = append(order, 2) })
-	snap := r.Snapshot()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("hook order = %v", order)
+	a, b := 1.0, 2.0
+	r.CounterFunc("ftmr_f", "h", "rank", "0", func() float64 { return a })
+	r.CounterFunc("ftmr_f", "h", "rank", "0", func() float64 { return b })
+	r.CounterFunc("ftmr_f", "h", "rank", "1", func() float64 { return 10 })
+	r.Counter("ftmr_f", "h", 0).Add(0.5)
+	if v, _ := r.Snapshot().Series("ftmr_f", "0"); v != 3.5 {
+		t.Fatalf("summed series = %v, want 3.5", v)
 	}
-	if v, _ := snap.Series("ftmr_hooked", "0"); v != 5 {
-		t.Fatalf("hook write missing from snapshot: %v", v)
+	a, b = 5, 7
+	snap := r.Snapshot()
+	if v, _ := snap.Series("ftmr_f", "0"); v != 12.5 {
+		t.Fatalf("series after the sources moved = %v, want 12.5 (read at snapshot)", v)
+	}
+	if got := snap.Total("ftmr_f"); got != 22.5 {
+		t.Fatalf("Total = %v, want 22.5", got)
+	}
+	if f := snap.Family("ftmr_f"); f.Kind != KindCounter || f.Label != "rank" {
+		t.Fatalf("family = %v/%s, want counter/rank", f.Kind, f.Label)
 	}
 }
 
@@ -149,13 +158,19 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	r := New(vtime.NewSim())
 	c := r.Counter("ftmr_c", "h", 0)
 	h := r.Histogram("ftmr_h", "h", 0, []float64{1})
+	src := 4.0
+	r.CounterFunc("ftmr_f", "h", "rank", "0", func() float64 { return src })
 	c.Inc()
 	h.Observe(0.5)
 	snap := r.Snapshot()
 	c.Add(100)
 	h.Observe(0.5)
+	src = 40
 	if v, _ := snap.Series("ftmr_c", "0"); v != 1 {
 		t.Fatalf("snapshot counter mutated: %v", v)
+	}
+	if v, _ := snap.Series("ftmr_f", "0"); v != 4 {
+		t.Fatalf("snapshot CounterFunc value mutated: %v", v)
 	}
 	f := snap.Family("ftmr_h")
 	if f.Series[0].Count != 1 || f.Series[0].Counts[0] != 1 {
@@ -168,12 +183,14 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 func TestConflictingRegistrationPanics(t *testing.T) {
 	r := New(vtime.NewSim())
 	r.Counter("ftmr_c", "h", 0)
+	r.Gauge("ftmr_g", "h", 0)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
 		{"kind", func() { r.Gauge("ftmr_c", "h", 0) }},
 		{"label", func() { r.CounterL("ftmr_c", "h", "tier", "pfs") }},
+		{"CounterFunc on a gauge", func() { r.CounterFunc("ftmr_g", "h", "rank", "0", func() float64 { return 0 }) }},
 		{"bad name", func() { r.Counter("bad name", "h", 0) }},
 		{"bad label key", func() { r.CounterL("ftmr_d", "h", "bad key", "x") }},
 	} {

@@ -48,17 +48,14 @@ type SeriesSnapshot struct {
 	Count uint64
 }
 
-// Snapshot runs the OnSample hooks (in registration order) and returns a
-// deep copy of every family, stamped with the current virtual time.
-// Families are sorted by name and series unlabeled-first-then-numerically,
-// so identical registry states yield identical snapshots regardless of map
-// iteration order. Nil-safe: a nil registry yields a zero Snapshot.
+// Snapshot returns a deep copy of every family, stamped with the current
+// virtual time; a CounterFunc series is read now. Families are sorted by
+// name and series unlabeled-first-then-numerically, so identical registry
+// states yield identical snapshots regardless of map iteration order.
+// Nil-safe: a nil registry yields a zero Snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
-	}
-	for _, fn := range r.hooks {
-		fn()
 	}
 	snap := Snapshot{Families: make([]FamilySnapshot, 0, len(r.families))}
 	if r.sim != nil {
@@ -73,6 +70,9 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, lv := range f.sortedSeriesLabels() {
 			s := f.series[lv]
 			ss := SeriesSnapshot{LabelValue: lv, Value: s.val, Sum: s.sum, Count: s.n}
+			for _, fn := range s.fns {
+				ss.Value += fn()
+			}
 			if s.counts != nil {
 				ss.Counts = append([]uint64(nil), s.counts...)
 			}

@@ -42,16 +42,16 @@ func (m *MPIInstruments) Received(n int) {
 	m.RecvBytes.Add(float64(n))
 }
 
-// CoreInstruments are the job runner's per-rank series. (The runner's
-// RankMetrics accumulators reach the registry separately, by delta at sample
-// time: core.mirrorRankMetrics.)
+// CoreInstruments are the job runner's per-rank series for occurrences no
+// other accumulator counts. The runner's RankMetrics fields, its quarantines
+// and its user counters are not here: the registry reads them from
+// RankMetrics at snapshot time (core.mirrorRankMetrics).
 type CoreInstruments struct {
 	MapTask, ReducePart *metrics.Histogram // virtual-time latency of map task / reduce partition executions
 	TaskCommits         *metrics.Counter   // commit points (Handle.TaskCommit)
 	RecoveryAttempts    *metrics.Counter   // distributed-recovery episodes entered
 	CkptWriteWait       *metrics.Counter   // seconds stalled appending checkpoint frames (Handle.CkptStall "write")
 	CkptDrainWait       *metrics.Counter   // seconds in phase-boundary copier drains (Handle.CkptStall "drain")
-	Quarantines         *metrics.Counter   // checkpoint stream truncations (Handle.Quarantine)
 	// RecoveryReads counts recovery-time checkpoint reads (Handle.RecoveryRead)
 	// by failover-chain source, keyed by the metrics.Source* labels. The
 	// series are world-scoped: one per source, shared by all ranks.
@@ -88,8 +88,6 @@ func (h *Handle) BindCore() {
 			"Main-thread seconds stalled writing checkpoint frames.", rank),
 		CkptDrainWait: reg.Counter(metrics.MCkptDrainWait,
 			"Seconds waiting in end-of-phase checkpoint drain barriers.", rank),
-		Quarantines: reg.Counter(metrics.MCkptQuarantines,
-			"Checkpoint streams truncated to their longest valid prefix.", rank),
 		RecoveryReads: reads,
 		LBIntercept: reg.Gauge("ftmr_lb_fit_intercept_seconds",
 			"Load-balance model intercept from the latest fit.", rank),

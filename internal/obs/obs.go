@@ -16,8 +16,8 @@
 // It has a method exactly where two or three planes consume the same
 // occurrence, so the occurrence is stated once and the planes cannot drift
 // apart: a collective (all three), a phase beginning (trace + introspection),
-// and task commits, checkpoint stalls, quarantines, recovery reads,
-// load-balance fits, shadow syncs and failovers (trace + metrics).
+// and task commits, checkpoint stalls, recovery reads, load-balance fits,
+// shadow syncs and failovers (trace + metrics).
 package obs
 
 import (
@@ -39,7 +39,6 @@ type Handle struct {
 
 	reg  *metrics.Registry
 	rank int
-	user map[string]*metrics.Counter // the user_ counters UserAdd has bound, by raw name
 }
 
 // New builds the handle of world rank rank from the three planes, each of
@@ -100,13 +99,6 @@ func (h *Handle) CkptStall(what string, d time.Duration) {
 	h.Rec.CkptStall(what, d)
 }
 
-// Quarantine marks a checkpoint stream being truncated to its longest valid
-// prefix: valid of its total bytes were kept.
-func (h *Handle) Quarantine(stream string, valid, total int) {
-	h.Rec.CkptCorrupt(stream, valid, total)
-	h.Core.Quarantines.Inc()
-}
-
 // RecoveryRead marks one recovery-time read of a checkpoint stream and the
 // failover-chain tier that satisfied it (a metrics.Source* label).
 func (h *Handle) RecoveryRead(stream, source string, bytes, frames int) {
@@ -139,22 +131,4 @@ func (h *Handle) ShadowSyncPush(part, groups int, bytes uint64) {
 func (h *Handle) Failover(slot, shadow int) {
 	h.Rec.Failover(slot, shadow)
 	h.FT.Failovers.Inc()
-}
-
-// UserAdd routes a TaskContext.AddCounter delta into the rank's user_
-// prefixed counter series, binding (and caching) the series on first use.
-func (h *Handle) UserAdd(name string, delta int64) {
-	if h.reg == nil {
-		return
-	}
-	ctr, ok := h.user[name]
-	if !ok {
-		if h.user == nil {
-			h.user = make(map[string]*metrics.Counter)
-		}
-		ctr = h.reg.Counter("user_"+metrics.SanitizeName(name),
-			"User-defined counter (TaskContext.AddCounter).", h.rank)
-		h.user[name] = ctr
-	}
-	ctr.Add(float64(delta))
 }

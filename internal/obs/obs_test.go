@@ -29,7 +29,7 @@ func allOn(ringCap int) (*Handle, *trace.Tracer, *metrics.Registry) {
 // site is one pass over every kind of instrumentation point the layers
 // have: each multi-plane handle method, the single-plane emits mpi and core
 // make through the handle's fields (p2p, recovery attribution, copier and
-// replication events, probe annotations, histograms), and a user counter.
+// replication events, a quarantine, probe annotations, histograms).
 // The overhead benchmarks and the allocation test share it so a new call
 // site added here is inside the gate.
 func site(h *Handle, i int) {
@@ -40,12 +40,10 @@ func site(h *Handle, i int) {
 	h.Core.MapTask.Observe(0.015)
 	h.CkptStall("write", time.Millisecond)
 	h.CkptStall("drain", time.Millisecond)
-	h.Quarantine("map/t1", 64, 128)
 	h.RecoveryRead("map/t1", metrics.SourcePFS, 64, 1)
 	h.LBFit("trace", 1e-3, 1e-9, 1e-4, 8)
 	h.ShadowSyncPush(1, 2, 20)
 	h.Failover(1, 2)
-	h.UserAdd("words", 3)
 
 	h.MPI.Sent(64)
 	h.MPI.Received(64)
@@ -55,6 +53,7 @@ func site(h *Handle, i int) {
 	h.Rec.RecoveryStage("skip", time.Millisecond)
 	h.Rec.ShadowMirror(1, 2, 64, 1)
 	h.Rec.CopierDrain("map/t1", 64)
+	h.Rec.CkptCorrupt("map/t1", 64, 128)
 	h.Core.RecoveryAttempts.Inc()
 	h.Probe.SetTask(i)
 	h.Probe.EnterDrain()
@@ -99,7 +98,7 @@ func TestMultiPlaneEventsAgree(t *testing.T) {
 	}
 	for kind, want := range map[trace.Kind]int{
 		trace.KindCollBegin: 1, trace.KindCollEnd: 1, trace.KindPhaseBegin: 1,
-		trace.KindTaskCommit: 1, trace.KindCkptStall: 2, trace.KindCkptCorrupt: 1,
+		trace.KindTaskCommit: 1, trace.KindCkptStall: 2,
 		trace.KindCkptLoad: 1, trace.KindRecoverySource: 1, trace.KindLBFit: 1,
 		trace.KindShadowSync: 1, trace.KindFailover: 1,
 	} {
@@ -115,13 +114,11 @@ func TestMultiPlaneEventsAgree(t *testing.T) {
 		{"ftmr_task_commits", "0", 1},
 		{metrics.MCkptWriteWait, "0", 0.001},
 		{metrics.MCkptDrainWait, "0", 0.001},
-		{metrics.MCkptQuarantines, "0", 1},
 		{metrics.MRecoveryReads, metrics.SourcePFS, 1},
 		{metrics.MRecoveryReads, metrics.SourceReplicaPeer, 0},
 		{"ftmr_lb_fit_observations", "0", 8},
 		{"ftmr_ftmodel_shadow_syncs", "0", 1},
 		{"ftmr_ftmodel_failovers", "0", 1},
-		{"user_words", "0", 3},
 	} {
 		if got := val(c.metric, c.label); got != c.want {
 			t.Errorf("%s{%s} = %v, want %v", c.metric, c.label, got, c.want)
@@ -153,8 +150,8 @@ func TestBindScopes(t *testing.T) {
 	}
 	h.BindCore()
 	h.BindCore() // a restarted job binds again: same series
-	if m, c, f := families(); m != 8 || c != 12 || f != 0 {
-		t.Fatalf("after BindCore: %d mpi / %d core / %d ftmodel families, want 8/12/0", m, c, f)
+	if m, c, f := families(); m != 8 || c != 11 || f != 0 {
+		t.Fatalf("after BindCore: %d mpi / %d core / %d ftmodel families, want 8/11/0", m, c, f)
 	}
 	h.BindFT()
 	if _, _, f := families(); f != 4 {

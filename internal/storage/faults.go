@@ -108,9 +108,6 @@ type Injector struct {
 	sticky  map[string]bool // path -> previous op faulted; next op is clean
 	outages []OutageWindow
 	Stats   FaultStats
-
-	// Per-tier registry counters (nil until BindMetrics; nil counters no-op).
-	mTorn, mFlips, mReadErrs, mReadSpikes, mWriteSpikes, mOutageOps *metrics.Counter
 }
 
 // AddOutage schedules an additional whole-tier outage window on top of any
@@ -133,31 +130,25 @@ func (in *Injector) OutageUntil(now time.Duration) (time.Duration, bool) {
 	return end, active
 }
 
-// outageReject records one operation rejected by an active outage window.
-func (in *Injector) outageReject() {
-	in.Stats.OutageOps++
-	in.mOutageOps.Inc()
-}
-
-// BindMetrics registers the injector's fault counters in reg under a "tier"
-// label so per-tier fault totals show up in the metrics plane. Safe to skip
-// (or call with a nil registry) when metrics are disabled.
+// BindMetrics makes the injector's Stats the source of per-tier fault
+// counters in reg, under a "tier" label: each series reads its count when
+// the registry takes a snapshot. Bind an injector once; several injectors
+// bound to one tier sum. Safe to skip (or call with a nil registry) when
+// metrics are disabled.
 func (in *Injector) BindMetrics(reg *metrics.Registry, tier string) {
 	if reg == nil {
 		return
 	}
-	in.mTorn = reg.CounterL("ftmr_storage_torn_writes",
-		"Injected torn writes by storage tier.", "tier", tier)
-	in.mFlips = reg.CounterL("ftmr_storage_bit_flips",
-		"Injected silent bit flips by storage tier.", "tier", tier)
-	in.mReadErrs = reg.CounterL("ftmr_storage_read_errors",
-		"Injected transient read errors by storage tier.", "tier", tier)
-	in.mReadSpikes = reg.CounterL("ftmr_storage_read_spikes",
-		"Injected read latency spikes by storage tier.", "tier", tier)
-	in.mWriteSpikes = reg.CounterL("ftmr_storage_write_spikes",
-		"Injected write latency spikes by storage tier.", "tier", tier)
-	in.mOutageOps = reg.CounterL("ftmr_storage_outage_ops",
-		"Operations rejected by a whole-tier outage window, by storage tier.", "tier", tier)
+	count := func(name, help string, n *int) {
+		reg.CounterFunc(name, help, "tier", tier, func() float64 { return float64(*n) })
+	}
+	count("ftmr_storage_torn_writes", "Injected torn writes by storage tier.", &in.Stats.TornWrites)
+	count("ftmr_storage_bit_flips", "Injected silent bit flips by storage tier.", &in.Stats.BitFlips)
+	count("ftmr_storage_read_errors", "Injected transient read errors by storage tier.", &in.Stats.ReadErrors)
+	count("ftmr_storage_read_spikes", "Injected read latency spikes by storage tier.", &in.Stats.ReadSpikes)
+	count("ftmr_storage_write_spikes", "Injected write latency spikes by storage tier.", &in.Stats.WriteSpikes)
+	count("ftmr_storage_outage_ops",
+		"Operations rejected by a whole-tier outage window, by storage tier.", &in.Stats.OutageOps)
 }
 
 // NewInjector builds an injector from a policy. Two injectors with the same
@@ -227,13 +218,12 @@ func (in *Injector) clean(path string) bool {
 // spike rolls one latency-spike decision. It only touches the RNG when the
 // probability is positive, so spike-free policies keep their historical
 // fault sequences, and it never reads or sets the sticky marker.
-func (in *Injector) spike(r *FaultRule, prob float64, count *int, met *metrics.Counter) time.Duration {
+func (in *Injector) spike(r *FaultRule, prob float64, count *int) time.Duration {
 	if prob <= 0 || r.SpikeDelay <= 0 {
 		return 0
 	}
 	if in.rng.Float64() < prob {
 		*count++
-		met.Inc()
 		return r.SpikeDelay
 	}
 	return 0
@@ -248,7 +238,7 @@ func (in *Injector) onWrite(path string, data []byte) ([]byte, time.Duration, er
 	if r == nil {
 		return data, 0, nil
 	}
-	delay := in.spike(r, r.WriteSpike, &in.Stats.WriteSpikes, in.mWriteSpikes)
+	delay := in.spike(r, r.WriteSpike, &in.Stats.WriteSpikes)
 	if in.clean(path) || len(data) == 0 {
 		return data, delay, nil
 	}
@@ -256,13 +246,11 @@ func (in *Injector) onWrite(path string, data []byte) ([]byte, time.Duration, er
 	if roll < r.TornWrite {
 		in.sticky[path] = true
 		in.Stats.TornWrites++
-		in.mTorn.Inc()
 		return data[:in.rng.Intn(len(data))], delay, ErrTornWrite
 	}
 	if roll < r.TornWrite+r.BitFlip {
 		in.sticky[path] = true
 		in.Stats.BitFlips++
-		in.mFlips.Inc()
 		flipped := append([]byte(nil), data...)
 		flipped[in.rng.Intn(len(flipped))] ^= 1 << uint(in.rng.Intn(8))
 		return flipped, delay, nil
@@ -277,14 +265,13 @@ func (in *Injector) onRead(path string) (time.Duration, error) {
 	if r == nil {
 		return 0, nil
 	}
-	delay := in.spike(r, r.ReadSpike, &in.Stats.ReadSpikes, in.mReadSpikes)
+	delay := in.spike(r, r.ReadSpike, &in.Stats.ReadSpikes)
 	if in.clean(path) {
 		return delay, nil
 	}
 	if in.rng.Float64() < r.ReadError {
 		in.sticky[path] = true
 		in.Stats.ReadErrors++
-		in.mReadErrs.Inc()
 		return delay, ErrReadFault
 	}
 	return delay, nil

@@ -50,7 +50,7 @@ func (t *Tier) outage(p *vtime.Proc) bool {
 		return false
 	}
 	if _, active := t.Faults.OutageUntil(p.Now()); active {
-		t.Faults.outageReject()
+		t.Faults.Stats.OutageOps++
 		return true
 	}
 	return false
@@ -179,7 +179,7 @@ func (t *Tier) Peek(path string) ([]byte, error) { return t.PeekFrom(path, 0) }
 func (t *Tier) PeekFrom(path string, off int) ([]byte, error) {
 	if t.Faults != nil && t.Clock != nil {
 		if _, active := t.Faults.OutageUntil(t.Clock()); active {
-			t.Faults.outageReject()
+			t.Faults.Stats.OutageOps++
 			return nil, ErrTierOutage
 		}
 	}
