@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"time"
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/metrics"
@@ -242,7 +243,9 @@ func (cp *copier) loop(p *vtime.Proc) {
 
 // copyStream drains the not-yet-copied suffix of a stream to the PFS as one
 // aggregated write (the whole point of the copier: few large PFS ops
-// instead of many small ones).
+// instead of many small ones). The suffix moves as a storage.Run: the PFS
+// stream shares the local stream's extents, and the host copies no byte of
+// what the model charges as read, copied and written.
 func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	path := ckptPath(cp.jobID, stream)
 	total := cp.local.Size(path)
@@ -250,31 +253,34 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	if total <= have {
 		return
 	}
-	delta, err := cp.local.PeekFrom(path, have)
+	delta, err := cp.local.PeekRun(path, have)
 	if err != nil {
 		return
 	}
-	cp.obs.Rec.CopierBegin(stream, len(delta))
+	n := delta.Len()
+	cp.obs.Rec.CopierBegin(stream, n)
 	// Read only the new suffix from the local disk.
-	cp.metrics.CopierIO += cp.local.Charge(p, 1, len(delta))
+	cp.metrics.CopierIO += cp.local.Charge(p, 1, n)
 	// CPU for the copy path (shared with the main thread on this core).
-	cpuSec := float64(len(delta)) * copierCPUPerByte
+	cpuSec := float64(n) * copierCPUPerByte
 	t0 := p.Now()
 	cp.cpu.Acquire(p, cpuSec)
 	cp.metrics.CPUCopier += p.Now() - t0
 	// A torn PFS append would leave a partial frame at the durable tail, so
 	// the drained stream is only ever extended by whole deltas.
-	d, err := appendRollback(p, cp.pfs, path, delta, 1, ckptAppendBudget, false)
+	d, err := appendRollback(p, cp.pfs, path, ckptAppendBudget, false, func() (time.Duration, error) {
+		return cp.pfs.AppendRun(p, path, delta, 1)
+	})
 	cp.metrics.CopierIO += d
 	if err != nil {
 		// Give up on this delta (clean rollback, no durability advance); a
 		// later drain of the stream retries the whole suffix.
-		cp.obs.Rec.CopierEnd(stream, len(delta))
+		cp.obs.Rec.CopierEnd(stream, n)
 		return
 	}
 	cp.copied[stream] = total
-	cp.obs.Rec.CopierDrain(stream, len(delta))
-	cp.obs.Rec.CopierEnd(stream, len(delta))
+	cp.obs.Rec.CopierDrain(stream, n)
+	cp.obs.Rec.CopierEnd(stream, n)
 }
 
 // enqueue schedules a stream drain.
@@ -357,7 +363,9 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte) {
 	if viaCopier {
 		tier = w.local
 	}
-	d, _ := appendRollback(p, tier, path, data, 1, ckptAppendBudget, false)
+	d, _ := appendRollback(p, tier, path, ckptAppendBudget, false, func() (time.Duration, error) {
+		return tier.AppendFile(p, path, data, 1)
+	})
 	w.m.IOWait += d
 	w.obs.CkptStall("write", d)
 	if viaCopier {

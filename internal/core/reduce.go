@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
@@ -163,7 +164,10 @@ func (r *runner) commitOutput(part int, g uint32, out []byte) error {
 // append is rolled back and retried, keeping the committed bytes byte-exact;
 // a whole-PFS outage stalls the commit through the window.
 func (r *runner) appendOutput(part int, buf []byte) error {
-	d, err := appendRollback(r.p, r.job.clus.PFS, outputPath(r.spec.JobID, part), buf, 1, outputAppendBudget, true)
+	pfs, path := r.job.clus.PFS, outputPath(r.spec.JobID, part)
+	d, err := appendRollback(r.p, pfs, path, outputAppendBudget, true, func() (time.Duration, error) {
+		return pfs.AppendFile(r.p, path, buf, 1)
+	})
 	r.m.IOWait += d
 	if err != nil {
 		return fmt.Errorf("core: output commit for partition %d: %w", part, err)

@@ -70,15 +70,16 @@ func writeRetry(p *vtime.Proc, t *storage.Tier, path string, data []byte, budget
 	})
 }
 
-// appendRollback appends data to path on t, rolling every failed attempt
-// back to the pre-append length so the file never accumulates a torn record
-// boundary: on return it holds either all of data or none of it. Silent bit
-// flips are left in place — checkpoint frames carry a CRC that catches them
-// at read time.
-func appendRollback(p *vtime.Proc, t *storage.Tier, path string, data []byte, ops, budget int, waitOutage bool) (time.Duration, error) {
+// appendRollback retries appendOnce, one append to path on t (AppendFile of
+// bytes, or AppendRun of a run), rolling every failed attempt back to the
+// pre-append length so the file never accumulates a torn record boundary: on
+// return it holds either all of the data or none of it. Silent bit flips are
+// left in place — checkpoint frames carry a CRC that catches them at read
+// time.
+func appendRollback(p *vtime.Proc, t *storage.Tier, path string, budget int, waitOutage bool, appendOnce func() (time.Duration, error)) (time.Duration, error) {
 	return retryIO(p, t, budget, waitOutage, func() (time.Duration, error) {
 		pre := t.Size(path)
-		d, err := t.AppendFile(p, path, data, ops)
+		d, err := appendOnce()
 		if err != nil {
 			t.Truncate(path, pre)
 		}

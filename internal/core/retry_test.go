@@ -78,7 +78,9 @@ func TestRetryPolicy(t *testing.T) {
 	}
 	appendWith := func(budget int, waitOutage bool) call {
 		return func(p *vtime.Proc, tier *storage.Tier) error {
-			_, err := appendRollback(p, tier, path, data, 1, budget, waitOutage)
+			_, err := appendRollback(p, tier, path, budget, waitOutage, func() (time.Duration, error) {
+				return tier.AppendFile(p, path, data, 1)
+			})
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -229,33 +230,70 @@ func (in *Injector) spike(r *FaultRule, prob float64, count *int) time.Duration 
 	return 0
 }
 
-// onWrite vets one write/append of data to path. It returns the bytes that
-// actually land (possibly a torn prefix or a bit-flipped copy), the extra
-// latency a spike adds, and ErrTornWrite when the write is torn. A nil error
-// with mutated bytes is a silent bit flip.
-func (in *Injector) onWrite(path string, data []byte) ([]byte, time.Duration, error) {
+// writeFault is the injector's verdict on one write or append: the extra
+// latency a spike adds, and at most one of a torn write (err is ErrTornWrite
+// and only the first keep bytes land) and a silent flip of bit bit in byte
+// at. The zero value lands every byte as given.
+type writeFault struct {
+	delay time.Duration
+	err   error
+	keep  int
+	flip  bool
+	at    int
+	bit   uint
+}
+
+// onWrite vets one write/append of n bytes to path. The verdict depends on the
+// length alone, so the same rng draws decide a []byte (onBytes) and a Run
+// (onRun) of the same bytes alike.
+func (in *Injector) onWrite(path string, n int) writeFault {
 	r := in.rule(path)
 	if r == nil {
-		return data, 0, nil
+		return writeFault{}
 	}
-	delay := in.spike(r, r.WriteSpike, &in.Stats.WriteSpikes)
-	if in.clean(path) || len(data) == 0 {
-		return data, delay, nil
+	w := writeFault{delay: in.spike(r, r.WriteSpike, &in.Stats.WriteSpikes)}
+	if in.clean(path) || n == 0 {
+		return w
 	}
 	roll := in.rng.Float64()
-	if roll < r.TornWrite {
+	switch {
+	case roll < r.TornWrite:
 		in.sticky[path] = true
 		in.Stats.TornWrites++
-		return data[:in.rng.Intn(len(data))], delay, ErrTornWrite
-	}
-	if roll < r.TornWrite+r.BitFlip {
+		w.err, w.keep = ErrTornWrite, in.rng.Intn(n)
+	case roll < r.TornWrite+r.BitFlip:
 		in.sticky[path] = true
 		in.Stats.BitFlips++
-		flipped := append([]byte(nil), data...)
-		flipped[in.rng.Intn(len(flipped))] ^= 1 << uint(in.rng.Intn(8))
-		return flipped, delay, nil
+		w.flip, w.at = true, in.rng.Intn(n)
+		w.bit = uint(in.rng.Intn(8))
 	}
-	return data, delay, nil
+	return w
+}
+
+// onBytes returns the bytes of data that land: a torn prefix, a flipped copy,
+// or data itself.
+func (w writeFault) onBytes(data []byte) []byte {
+	switch {
+	case w.err != nil:
+		return data[:w.keep]
+	case w.flip:
+		flipped := bytes.Clone(data)
+		flipped[w.at] ^= 1 << w.bit
+		return flipped
+	}
+	return data
+}
+
+// onRun is onBytes of a run: a torn prefix of it, or it with the one extent
+// the flip lands in copied.
+func (w writeFault) onRun(r Run) Run {
+	switch {
+	case w.err != nil:
+		return r.prefix(w.keep)
+	case w.flip:
+		return r.flip(w.at, w.bit)
+	}
+	return r
 }
 
 // onRead vets one read of path, returning the extra latency a spike adds

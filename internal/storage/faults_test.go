@@ -203,6 +203,86 @@ func TestInjectorDeterministicBySeed(t *testing.T) {
 	}
 }
 
+// TestAppendRunFaultParity: the injector decides a write from its length
+// alone, and AppendRun applies that decision to a run as AppendFile applies it
+// to the same bytes. A stream grows on a clean tier and is drained suffix by
+// suffix onto two faulty tiers with the same policy, one by run and one by
+// bytes, a failed attempt rolled back and retried as the copier does. Before
+// each rollback a few bytes are appended behind the torn tail, which must not
+// reach the stream the run shares extents with.
+func TestAppendRunFaultParity(t *testing.T) {
+	rules := map[string]FaultRule{
+		"torn":  {TornWrite: 1},
+		"flip":  {BitFlip: 1},
+		"spike": {TornWrite: 0.3, BitFlip: 0.3, WriteSpike: 0.5, SpikeDelay: time.Millisecond},
+	}
+	appends := []int{25, 7, 13000, 100, 4096, 25, 1, 9000, 3000, 17, 17}
+	for name, rule := range rules {
+		for seed := int64(1); seed <= 6; seed++ {
+			sim := vtime.NewSim()
+			fs := NewFS()
+			tier := func(name string) *Tier {
+				return NewTier(name, fs, vtime.NewBandwidth(sim, name, 1e9), time.Microsecond, name+":")
+			}
+			local, byRun, byBytes := tier("l"), tier("r"), tier("b")
+			byRun.Faults = NewInjector(FaultPolicy{Seed: seed, Rules: []FaultRule{rule}})
+			byBytes.Faults = NewInjector(FaultPolicy{Seed: seed, Rules: []FaultRule{rule}})
+			var want []byte // what the local stream must hold
+			sim.Spawn("copier", func(p *vtime.Proc) {
+				have := 0
+				for i, n := range appends {
+					chunk := bytes.Repeat([]byte{byte(i + 1)}, n)
+					local.AppendFile(p, "s", chunk, 1)
+					want = append(want, chunk...)
+					if i%3 == 2 {
+						continue // the next drain spans two appends
+					}
+					run, _ := local.PeekRun("s", have)
+					suffix, _ := local.PeekFrom("s", have)
+					for {
+						pre, _ := byRun.Peek("s")
+						dr, errR := byRun.AppendRun(p, "s", run, 1)
+						db, errB := byBytes.AppendFile(p, "s", suffix, 1)
+						if dr != db || errR != errB {
+							t.Errorf("%s seed %d drain %d: AppendRun = %v, %v; AppendFile = %v, %v", name, seed, i, dr, errR, db, errB)
+						}
+						if errR == nil {
+							break
+						}
+						fs.Append("r:s", []byte("behind the torn tail"))
+						if got, _ := local.Peek("s"); !bytes.Equal(got, want) {
+							t.Errorf("%s seed %d drain %d: an append behind a torn run changed its source", name, seed, i)
+						}
+						byRun.Truncate("s", len(pre))
+						byBytes.Truncate("s", len(pre))
+						if got, _ := byRun.Peek("s"); !bytes.Equal(got, pre) {
+							t.Errorf("%s seed %d drain %d: rolling a torn run back left %d bytes, want the %d before it", name, seed, i, len(got), len(pre))
+						}
+					}
+					have = local.Size("s")
+				}
+			})
+			sim.Run()
+			gotRun, _ := byRun.Peek("s")
+			gotBytes, _ := byBytes.Peek("s")
+			gotLocal, _ := local.Peek("s")
+			if !bytes.Equal(gotRun, gotBytes) || len(gotRun) != len(want) {
+				t.Errorf("%s seed %d: by run %d bytes, by bytes %d, stream %d: the files differ", name, seed, len(gotRun), len(gotBytes), len(want))
+			}
+			if !bytes.Equal(gotLocal, want) {
+				t.Errorf("%s seed %d: a fault on a drained run changed the stream it shares extents with", name, seed)
+			}
+			sr, sb := byRun.Faults.Stats, byBytes.Faults.Stats
+			if sr != sb || sr.TornWrites+sr.BitFlips == 0 {
+				t.Errorf("%s seed %d: FaultStats by run %+v, by bytes %+v (want equal, some faults)", name, seed, sr, sb)
+			}
+			if r, b := byRun.Faults.rng.Int63(), byBytes.Faults.rng.Int63(); r != b {
+				t.Errorf("%s seed %d: the injectors' next draws differ: %d and %d", name, seed, r, b)
+			}
+		}
+	}
+}
+
 func TestInjectorNeverFaultsEmptyWrite(t *testing.T) {
 	sim := vtime.NewSim()
 	tier := faultTier(sim, FaultRule{TornWrite: 1.0, BitFlip: 1.0}, 5)

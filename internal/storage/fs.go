@@ -7,6 +7,12 @@
 // tier's bandwidth resource plus a per-operation latency — which is what
 // makes many small I/O operations expensive, exactly the effect the paper's
 // checkpoint-location experiments (§4.1.3) depend on.
+//
+// Every tier lives in one FS, so stored bytes move between files by
+// reference: a Run is a file's suffix as views of its extents, and a file a
+// run is appended to shares them (the copier's drain of a checkpoint stream
+// from the local disk to the PFS copies no byte). Whatever leaves the package
+// is a copy.
 package storage
 
 import (
@@ -36,6 +42,13 @@ type FS struct {
 // stream built from n appends costs the host n copies of one append each, not
 // the ~4 copies of the whole stream that regrowing one flat slice did. No
 // extent is empty, and none is shared with anything outside the FS.
+//
+// Files may share extents on one invariant: bytes below an extent's length
+// are never written after they are stored. append writes only past the last
+// extent's length (into its spare capacity, or a new extent), truncate caps
+// the extent it cuts, and a bit flip lands in a copy. A Run's views are
+// capped at their lengths too, so once a file holds another's extents,
+// neither file's later appends or truncates can reach the other's bytes.
 type file struct {
 	ext  [][]byte
 	size int
@@ -72,35 +85,85 @@ func (f *file) append(data []byte) {
 // bytes dropped here: it allocates.
 func (f *file) truncate(n int) {
 	f.size = n
-	keep := 0 // extents that stay
-	for ; n >= len(f.ext[keep]); keep++ {
-		n -= len(f.ext[keep])
-	}
-	if n > 0 {
-		f.ext[keep] = f.ext[keep][:n:n]
+	keep, at := locate(f.ext, n) // the extents before keep stay whole
+	if at > 0 {
+		f.ext[keep] = f.ext[keep][:at:at]
 		keep++
 	}
 	clear(f.ext[keep:])
 	f.ext = f.ext[:keep]
 }
 
-// readFrom returns a fresh copy of the bytes from off to the end, nil when
-// there are none. bytes.Join is the concatenation, and does not zero what it
-// is about to fill.
-func (f *file) readFrom(off int) []byte {
+// runFrom returns the bytes from off to the end, off <= f.size.
+func (f *file) runFrom(off int) Run {
 	if off == f.size {
+		return Run{}
+	}
+	i, at := locate(f.ext, off)
+	ext := make([][]byte, len(f.ext)-i)
+	for k, e := range f.ext[i:] {
+		ext[k] = e[:len(e):len(e)]
+	}
+	ext[0] = ext[0][at:]
+	return Run{ext: ext, size: f.size - off}
+}
+
+// appendRun appends r to the file, which then shares r's extents.
+func (f *file) appendRun(r Run) {
+	f.ext = append(f.ext, r.ext...)
+	f.size += r.size
+}
+
+// locate returns the extent of ext that holds byte off and off's offset in
+// it; off must be below the extents' total length.
+func locate(ext [][]byte, off int) (i, at int) {
+	for ; off >= len(ext[i]); i++ {
+		off -= len(ext[i])
+	}
+	return i, off
+}
+
+// Run is a suffix of a file as it stood when it was taken: views of the
+// file's extents, each capped at its length, which neither file's later
+// writes can reach (see file). A Run is immutable, and outside this package
+// its bytes are reachable only as a copy: read from a file it is appended to.
+type Run struct {
+	ext  [][]byte
+	size int
+}
+
+// Len returns the number of bytes in the run.
+func (r Run) Len() int { return r.size }
+
+// bytes returns a fresh copy of the run, nil when it is empty. bytes.Join
+// does not zero what it is about to fill.
+func (r Run) bytes() []byte {
+	if r.size == 0 {
 		return nil
 	}
-	i := 0
-	for ; off >= len(f.ext[i]); i++ {
-		off -= len(f.ext[i])
+	return bytes.Join(r.ext, nil)
+}
+
+// prefix returns the run's first n bytes, n <= r.Len(): what a torn append of
+// it leaves. The view the cut falls in is capped at the cut.
+func (r Run) prefix(n int) Run {
+	if n == 0 {
+		return Run{}
 	}
-	if off == 0 {
-		return bytes.Join(f.ext[i:], nil)
-	}
-	parts := slices.Clone(f.ext[i:]) // the suffix starts inside an extent
-	parts[0] = parts[0][off:]
-	return bytes.Join(parts, nil)
+	i, at := locate(r.ext, n-1)
+	ext := slices.Clone(r.ext[:i+1])
+	ext[i] = ext[i][: at+1 : at+1]
+	return Run{ext: ext, size: n}
+}
+
+// flip returns the run with bit bit of byte off inverted: the one extent it
+// lands in is copied, the others stay shared.
+func (r Run) flip(off int, bit uint) Run {
+	i, at := locate(r.ext, off)
+	ext := slices.Clone(r.ext)
+	ext[i] = bytes.Clone(ext[i])
+	ext[i][at] ^= 1 << bit
+	return Run{ext: ext, size: r.size}
 }
 
 // NewFS returns an empty namespace.
@@ -122,12 +185,26 @@ func (fs *FS) Write(path string, data []byte) {
 func (fs *FS) Append(path string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.open(path).append(data)
+}
+
+// appendRun appends r to the file at path, creating it if needed; the file
+// shares r's extents.
+func (fs *FS) appendRun(path string, r Run) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.open(path).appendRun(r)
+}
+
+// open returns the file at path, creating an empty one if there is none.
+// Callers hold fs.mu.
+func (fs *FS) open(path string) *file {
 	f := fs.files[path]
 	if f == nil {
 		f = &file{}
 		fs.put(path, f)
 	}
-	f.append(data)
+	return f
 }
 
 // put stores f at path; a path that is new makes the name index stale.
@@ -146,21 +223,25 @@ func (fs *FS) Read(path string) ([]byte, error) { return fs.ReadFrom(path, 0) }
 // ReadFrom returns a copy of the file's contents from byte offset off to its
 // end; off equal to the file's length yields an empty result, an offset
 // outside [0, length] is an error. The result never aliases the stored
-// bytes: the caller owns it and may write or append to it, and a later
-// Truncate followed by an Append (how a torn append is rolled back and
-// retried) rewrites the file's tail, which must not show through a result
-// handed out earlier.
+// bytes: the caller owns it and may write or append to it, and the file's
+// later writes never show through it.
 func (fs *FS) ReadFrom(path string, off int) ([]byte, error) {
+	r, err := fs.runFrom(path, off)
+	return r.bytes(), err
+}
+
+// runFrom is ReadFrom as a Run: the same bounds and errors, no byte copied.
+func (fs *FS) runFrom(path string, off int) (Run, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
 	if !ok {
-		return nil, fmt.Errorf("storage: %s: no such file", path)
+		return Run{}, fmt.Errorf("storage: %s: no such file", path)
 	}
 	if off < 0 || off > f.size {
-		return nil, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, f.size)
+		return Run{}, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, f.size)
 	}
-	return f.readFrom(off), nil
+	return f.runFrom(off), nil
 }
 
 // Exists reports whether the file exists.
@@ -264,7 +345,9 @@ func (fs *FS) List(prefix string) []string {
 	return append([]string(nil), fs.names[lo:hi]...)
 }
 
-// TotalBytes returns the sum of all file sizes under prefix.
+// TotalBytes returns the sum of all file sizes under prefix. It counts logical
+// bytes, not memory: an extent several files share counts once per file that
+// holds it.
 func (fs *FS) TotalBytes(prefix string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

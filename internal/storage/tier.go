@@ -98,17 +98,11 @@ func (t *Tier) WriteFile(p *vtime.Proc, path string, data []byte) (time.Duration
 	if t.outage(p) {
 		return t.Charge(p, 1, 0), ErrTierOutage
 	}
-	var ferr error
-	var spike time.Duration
-	if t.Faults != nil {
-		data, spike, ferr = t.Faults.onWrite(path, data)
-		if spike > 0 {
-			p.Sleep(spike)
-		}
-	}
-	d := spike + t.Charge(p, 1, len(data))
+	w := t.vetWrite(p, path, len(data))
+	data = w.onBytes(data)
+	d := w.delay + t.Charge(p, 1, len(data))
 	t.FS.Write(t.path(path), data)
-	return d, ferr
+	return d, w.err
 }
 
 // AppendFile appends data to path, charged as ops operations (ops models
@@ -119,17 +113,38 @@ func (t *Tier) AppendFile(p *vtime.Proc, path string, data []byte, ops int) (tim
 	if t.outage(p) {
 		return t.Charge(p, 1, 0), ErrTierOutage
 	}
-	var ferr error
-	var spike time.Duration
-	if t.Faults != nil {
-		data, spike, ferr = t.Faults.onWrite(path, data)
-		if spike > 0 {
-			p.Sleep(spike)
-		}
-	}
-	d := spike + t.Charge(p, ops, len(data))
+	w := t.vetWrite(p, path, len(data))
+	data = w.onBytes(data)
+	d := w.delay + t.Charge(p, ops, len(data))
 	t.FS.Append(t.path(path), data)
-	return d, ferr
+	return d, w.err
+}
+
+// AppendRun is AppendFile of a run taken with PeekRun: path then shares the
+// run's extents, and no byte is copied unless a bit flip lands in one. Its
+// charges, faults and stored bytes are AppendFile's for the same bytes.
+func (t *Tier) AppendRun(p *vtime.Proc, path string, r Run, ops int) (time.Duration, error) {
+	if t.outage(p) {
+		return t.Charge(p, 1, 0), ErrTierOutage
+	}
+	w := t.vetWrite(p, path, r.Len())
+	r = w.onRun(r)
+	d := w.delay + t.Charge(p, ops, r.Len())
+	t.FS.appendRun(t.path(path), r)
+	return d, w.err
+}
+
+// vetWrite rolls the injector's verdict on a write of n bytes to path and
+// sleeps its latency spike. A tier without an injector never faults.
+func (t *Tier) vetWrite(p *vtime.Proc, path string, n int) writeFault {
+	if t.Faults == nil {
+		return writeFault{}
+	}
+	w := t.Faults.onWrite(path, n)
+	if w.delay > 0 {
+		p.Sleep(w.delay)
+	}
+	return w
 }
 
 // ReadFile reads path, charging one operation plus bandwidth for its size.
@@ -173,17 +188,24 @@ func (t *Tier) Exists(path string) bool { return t.FS.Exists(t.path(path)) }
 func (t *Tier) Peek(path string) ([]byte, error) { return t.PeekFrom(path, 0) }
 
 // PeekFrom is Peek of the file's suffix from byte offset off (see
-// FS.ReadFrom): what a caller that already holds the first off bytes — the
-// copier draining a growing checkpoint stream — reads instead of the whole
-// file. Same outage check, same fault exemption, still a copy.
+// FS.ReadFrom), a copy the caller owns. Same outage check, same fault
+// exemption.
 func (t *Tier) PeekFrom(path string, off int) ([]byte, error) {
+	r, err := t.PeekRun(path, off)
+	return r.bytes(), err
+}
+
+// PeekRun is PeekFrom as a Run, no byte copied: what a caller that already
+// holds the first off bytes — the copier draining a growing checkpoint stream
+// — takes to append to another tier with AppendRun.
+func (t *Tier) PeekRun(path string, off int) (Run, error) {
 	if t.Faults != nil && t.Clock != nil {
 		if _, active := t.Faults.OutageUntil(t.Clock()); active {
 			t.Faults.Stats.OutageOps++
-			return nil, ErrTierOutage
+			return Run{}, ErrTierOutage
 		}
 	}
-	return t.FS.ReadFrom(t.path(path), off)
+	return t.FS.runFrom(t.path(path), off)
 }
 
 // Size returns the size of path (no cost).
