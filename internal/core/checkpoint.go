@@ -52,20 +52,34 @@ const maxFramePayload = 1 << 30
 // [kind u8][a u32][b u32][len u32][crc u32][payload], where crc is CRC-32
 // (IEEE) over the first 13 header bytes followed by the payload — so a bit
 // flip anywhere in the frame (including the length or the CRC field itself)
-// is detectable at read time. The header is written in place: with room in
-// dst (a shuffle arena's sub-slice) nothing is allocated.
-func encodeFrame(dst []byte, kind byte, a, b uint32, payload []byte) []byte {
-	off := len(dst)
-	dst = slices.Grow(dst, frameHdrLen+len(payload))[:off+frameHdrLen]
-	hdr := dst[off:]
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], a)
-	binary.LittleEndian.PutUint32(hdr[5:9], b)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:13])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[13:17], crc)
-	return append(dst, payload...)
+// is detectable at read time. The payload is the concatenation of the pieces
+// given (a map task's delta is views of the map-output log), copied once;
+// with room in dst nothing is allocated.
+func encodeFrame(dst []byte, kind byte, a, b uint32, payload ...[]byte) []byte {
+	off, n := len(dst), 0
+	for _, p := range payload {
+		n += len(p)
+	}
+	dst = slices.Grow(dst, frameHdrLen+n)[:off+frameHdrLen]
+	for _, p := range payload {
+		dst = append(dst, p...)
+	}
+	sealFrame(dst[off:], kind, a, b)
+	return dst
+}
+
+// sealFrame writes the header of a frame whose payload is already in place
+// after it: fr is the frameHdrLen header bytes followed by the payload. The
+// shuffle places every pair straight into its bundle and seals the frames
+// there.
+func sealFrame(fr []byte, kind byte, a, b uint32) {
+	fr[0] = kind
+	binary.LittleEndian.PutUint32(fr[1:5], a)
+	binary.LittleEndian.PutUint32(fr[5:9], b)
+	binary.LittleEndian.PutUint32(fr[9:13], uint32(len(fr)-frameHdrLen))
+	crc := crc32.ChecksumIEEE(fr[:13])
+	crc = crc32.Update(crc, crc32.IEEETable, fr[frameHdrLen:])
+	binary.LittleEndian.PutUint32(fr[13:17], crc)
 }
 
 // nextFrame decodes the frame at the head of rest in place (the payload
@@ -331,15 +345,16 @@ type ckptWriter struct {
 // the stream. The scratch is reused by the next commit, which is sound because
 // nothing write hands the encoded bytes to keeps them: FS.Append copies them
 // into the file, replicaStore.appendOwn into the mirror and encodeReplicaMsg
-// into the message it sends (TestFrameScratchIsNotRetained). payload may be
-// anything but the scratch itself. The scratch lives for a phase (phaseSync
-// drops it): the frames of one phase are of one size — map deltas, then one
-// partition snapshot, then 25-byte reduce marks — and a rank that kept its
-// snapshot-sized scratch to the end of the job would hold W of them live for
-// nothing (measured after a forced collection as the last rank enters reduce:
-// 50.3 MB live instead of 47.4 at W=640, 16.7 instead of 15.6 at W=256).
-func (w *ckptWriter) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload []byte) {
-	w.fr = encodeFrame(w.fr[:0], kind, a, b, payload)
+// into the message it sends (TestFrameScratchIsNotRetained). The payload, one
+// piece or several, may be anything but the scratch itself. The scratch lives
+// for a phase (phaseSync drops it): the frames of one phase are of one size —
+// map deltas, then one partition snapshot, then 25-byte reduce marks — and a
+// rank that kept its snapshot-sized scratch to the end of the job would hold
+// W of them live for nothing (measured after a forced collection as the last
+// rank enters reduce: 50.3 MB live instead of 47.4 at W=640, 16.7 instead of
+// 15.6 at W=256).
+func (w *ckptWriter) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload ...[]byte) {
+	w.fr = encodeFrame(w.fr[:0], kind, a, b, payload...)
 	w.write(p, stream, w.fr)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -382,6 +383,24 @@ func TestPropFrameRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A payload given as pieces (as a map task's delta is, views of the
+// map-output log) encodes to the frame of their concatenation, whatever the
+// pieces — none, empty ones, many — and whatever dst holds before.
+func TestPropEncodeFramePieces(t *testing.T) {
+	f := func(prefix []byte, kind byte, a, b uint32, pieces [][]byte, empty []uint8) bool {
+		for _, at := range empty {
+			i := int(at) % (len(pieces) + 1)
+			pieces = append(pieces[:i], append([][]byte{{}}, pieces[i:]...)...)
+		}
+		kind = kind%frameReduce + 1
+		got := encodeFrame(bytes.Clone(prefix), kind, a, b, pieces...)
+		return bytes.Equal(got, encodeFrame(bytes.Clone(prefix), kind, a, b, bytes.Join(pieces, nil)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,33 +50,9 @@ func (r *runner) ownMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		return err
 	}
 	r.tt.setDone(id, true)
-	size := float64(r.tt.tasks[id].Chunk.Size)
-	r.backlogBytes -= size
-	r.mappedBytes += size
-	r.reserveMapOut()
+	r.backlogBytes -= float64(r.tt.tasks[id].Chunk.Size)
 	r.gossipStatus()
 	return nil
-}
-
-// reserveMapOut grows every partition buffer by the room the rank's remaining
-// input is projected to fill — what the partition holds, times the input still
-// to map over the input mapped — so a partition that ends at 131 KB is
-// reallocated once or twice on the way, not at each of ~25 steps of Go's
-// 1.25x growth. A projection under one page is left to that growth: at 640
-// ranks a partition holds a few pairs, and nothing is to be gained.
-func (r *runner) reserveMapOut() {
-	if r.backlogBytes <= 0 || r.mappedBytes <= 0 {
-		return
-	}
-	scale := r.backlogBytes / r.mappedBytes
-	for _, kv := range r.mapOut {
-		if kv == nil {
-			continue
-		}
-		if room := int(float64(kv.Size()) * scale); room >= 4096 {
-			kv.Grow(room)
-		}
-	}
 }
 
 // openChunk reads a task's input chunk and opens the user's reader on it
@@ -126,41 +102,51 @@ func (r *runner) chargeEmitted(bytes int) {
 	}
 }
 
-// kvEmitter collects a mapper's output, partitioning into mapOut and
-// retaining the raw delta for checkpointing.
+// kvEmitter is a map task's writer into the rank's map-output log. What the
+// task checkpoints is a view of that log, never a second copy: its pairs are
+// the log since the mark taken as it started (the chunk-granularity payload),
+// its uncommitted delta the log since its last commit (record granularity).
 type kvEmitter struct {
-	r     *runner
-	delta *kvbuf.KV // uncheckpointed emitted pairs (record granularity)
-	task  *kvbuf.KV // whole-task pairs (chunk granularity)
-	bytes int
+	log    *kvbuf.Log
+	start  kvbuf.Mark // the task's first pair
+	since  kvbuf.Mark // the first pair not yet committed
+	pieces [][]byte   // scratch for the views handed to a commit
 }
 
-// Emit implements KVWriter.
-func (e *kvEmitter) Emit(k, v []byte) {
-	e.r.addMapOut(k, v)
-	e.bytes += len(k) + len(v) + 8
-	if e.delta != nil {
-		e.delta.Add(k, v)
-	}
-	if e.task != nil {
-		e.task.Add(k, v)
-	}
+// newEmitter starts a task's output at the log's end, past any pairs the task
+// restored (injectKV): those are already checkpointed.
+func newEmitter(log *kvbuf.Log) *kvEmitter {
+	m := log.Mark()
+	return &kvEmitter{log: log, start: m, since: m}
 }
 
-// addMapOut files one intermediate pair under its hash partition.
-func (r *runner) addMapOut(k, v []byte) {
-	part := kvbuf.PartitionKey(k, r.nParts)
-	out := r.mapOut[part]
-	if out == nil {
-		out = kvbuf.NewKV()
-		r.mapOut[part] = out
-	}
-	out.Add(k, v)
+// Emit implements KVWriter: one add to the log.
+func (e *kvEmitter) Emit(k, v []byte) { e.log.Add(k, v) }
+
+// bytes returns the encoded size of what the task has emitted.
+func (e *kvEmitter) bytes() int { return e.log.SizeSince(e.start) }
+
+// pending reports whether the task has emitted pairs since its last commit.
+func (e *kvEmitter) pending() bool { return e.log.SizeSince(e.since) > 0 }
+
+// delta returns the pairs emitted since the last commit, as pieces valid
+// until the next call, and counts them committed.
+func (e *kvEmitter) delta() [][]byte {
+	e.pieces = e.log.Since(e.since, e.pieces[:0])
+	e.since = e.log.Mark()
+	return e.pieces
 }
 
-// injectKV re-partitions restored (or mirror-staged) pairs into mapOut.
+// all returns every pair the task has emitted, as pieces valid until the next
+// call.
+func (e *kvEmitter) all() [][]byte {
+	e.pieces = e.log.Since(e.start, e.pieces[:0])
+	return e.pieces
+}
+
+// injectKV appends restored (or mirror-staged) pairs to the map-output log.
 func (r *runner) injectKV(kv *kvbuf.KV) {
-	_ = kv.ForEach(r.addMapOut)
+	_ = kv.ForEach(r.log.Add)
 }
 
 // runMapTask executes (or restores) one map task with fine-grained commits.
@@ -230,17 +216,12 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	}
 	defer reader.Close()
 
-	em := &kvEmitter{r: r}
-	if r.ck.enabled && r.spec.Granularity == GranRecord {
-		em.delta = kvbuf.NewKV()
-	}
-	if r.ck.enabled && r.spec.Granularity == GranChunk {
-		em.task = kvbuf.NewKV()
-	}
+	em := newEmitter(&r.log)
+	byRecord := r.ck.enabled && r.spec.Granularity == GranRecord
 
 	interval := r.spec.CkptInterval
 	batch := mapBatch
-	if r.ck.enabled && r.spec.Granularity == GranRecord && interval < batch {
+	if byRecord && interval < batch {
 		batch = interval
 	}
 
@@ -283,11 +264,10 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		}
 		cpuAcc = 0
 		// Commit boundary: flush a record-granularity delta frame.
-		if em.delta != nil && rec > restoredRecs {
+		if byRecord && rec > restoredRecs {
 			committed := rec / uint32(interval) * uint32(interval)
-			if committed > lastCommit && em.delta.Len() > 0 {
-				r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta.Bytes())
-				em.delta.Reset()
+			if committed > lastCommit && em.pending() {
+				r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta()...)
 				lastCommit = committed
 			}
 		}
@@ -295,19 +275,18 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	if err := scanRecords(reader, batch, each, flushBatch); err != nil {
 		return err
 	}
-	r.chargeEmitted(em.bytes)
+	r.chargeEmitted(em.bytes())
 
-	// Task-complete marker (with the full task KV under chunk granularity).
+	// Task-complete marker (with the task's pairs under chunk granularity).
 	if r.ck.enabled {
-		var payload []byte
-		if em.task != nil {
-			payload = em.task.Bytes()
-		} else if em.delta != nil && em.delta.Len() > 0 {
+		var payload [][]byte
+		if r.spec.Granularity == GranChunk {
+			payload = em.all()
+		} else if em.pending() {
 			// Commit the trailing records too.
-			r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta.Bytes())
-			em.delta.Reset()
+			r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta()...)
 		}
-		r.ck.commit(r.p, stream, frameTaskDone, uint32(id), rec, payload)
+		r.ck.commit(r.p, stream, frameTaskDone, uint32(id), rec, payload...)
 	}
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
 	r.obs.TaskCommit("map", id, int64(rec))

@@ -58,7 +58,7 @@ type runner struct {
 	partOwner []int // partition -> world rank
 	homes     []int // partOwner as the job started (never written): hash slot -> the rank its tasks started on
 
-	mapOut     []*kvbuf.KV        // partition -> this rank's map output; nil until a pair lands there
+	log        kvbuf.Log          // this rank's map output, in emission order; the shuffle partitions it
 	parts      map[int]*kvbuf.KV  // owned partition -> merged shuffle data
 	kmv        map[int]*kvbuf.KMV // owned partition -> converted groups
 	reduceDone map[int]uint32     // partition -> committed group count
@@ -74,7 +74,6 @@ type runner struct {
 	ftm          *ftState    // nil unless a replication execution model is active
 	lb           lbAgent
 	backlogBytes float64 // bytes of input work remaining (for balancing)
-	mappedBytes  float64 // bytes of input this rank's own map tasks have consumed
 
 	statusTag int
 }
@@ -121,7 +120,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		r.partOwner = append([]int(nil), ftm.acting...)
 		r.homes = append([]int(nil), ftm.acting...)
 	}
-	r.mapOut = make([]*kvbuf.KV, r.nParts)
 	r.lb.kind = spec.LBModel
 	clus := j.clus
 	local := clus.LocalOf(c.Self().WorldRank())

@@ -217,7 +217,7 @@ func (r *runner) mirrorParts() []int {
 }
 
 // mirrorEmitter stages a mirrored map task's output. Staging (instead of
-// emitting straight into mapOut) keeps mirrored tasks atomic: a task
+// emitting straight into the map-output log) keeps mirrored tasks atomic: a task
 // interrupted by recovery re-runs from scratch without double-emitting.
 type mirrorEmitter struct {
 	kv    *kvbuf.KV

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ftmrmpi/internal/kvbuf"
 )
@@ -104,9 +105,12 @@ func (r *runner) mergeBundles(bundles [][]byte) error {
 
 // sendBundles prepares this rank's map output for the exchange and returns
 // one buffer per communicator rank, bundling the partitions that rank owns
-// in ascending order. The bundles are sized first and encoded into one arena,
-// each a capacity-limited sub-slice of it: receivers may keep what they are
-// handed, and nothing writes to the arena after this returns.
+// in ascending order. The map-output log is partitioned once, by a stable
+// counting sort straight into the bundles: the bundles are sized first, every
+// pair is then copied to its partition's cursor inside its destination's
+// bundle, and each frame's header is sealed in place. The bundles share one
+// arena, each a capacity-limited sub-slice of it: receivers may keep what
+// they are handed, and nothing writes to the arena after this returns.
 func (r *runner) sendBundles() ([][]byte, error) {
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
@@ -115,6 +119,10 @@ func (r *runner) sendBundles() ([][]byte, error) {
 		if err := r.combineLocal(); err != nil {
 			return nil, err
 		}
+	}
+	// Offsets into the arena are int32, like every per-partition table here.
+	if int64(r.log.Size())+int64(frameHdrLen)*int64(r.nParts) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
 	}
 	// One pass over the partitions via an inverse owner table — a nested
 	// ranks×partitions scan is O(W²) per rank at scale.
@@ -126,41 +134,91 @@ func (r *runner) sendBundles() ([][]byte, error) {
 	for d := 0; d < n; d++ {
 		commOf[r.comm.WorldRank(d)] = int32(d)
 	}
+	pieces, of, cur := partitionLog(&r.log, r.nParts) // cur: sizes until the layout makes them cursors
 	// Every partition travels as a frame, empty ones included.
-	sizes := make([]int, n)
-	for part, kv := range r.mapOut {
-		if d := commOf[r.partOwner[part]]; d >= 0 {
-			sizes[d] += frameHdrLen
-			if kv != nil {
-				sizes[d] += kv.Size()
-			}
+	at := make([]int32, n) // per destination: its bundle's size, then a cursor
+	for part, owner := range r.partOwner {
+		if d := commOf[owner]; d >= 0 {
+			at[d] += frameHdrLen + cur[part]
 		}
 	}
 	total := 0
-	for _, size := range sizes {
-		total += size
+	for _, size := range at {
+		total += int(size)
 	}
 	arena := make([]byte, total)
 	bufs := make([][]byte, n)
-	off := 0
-	for d, size := range sizes {
+	off := int32(0)
+	for d, size := range at {
 		if size > 0 {
-			bufs[d] = arena[off : off : off+size]
-			off += size
+			bufs[d] = arena[off : off+size : off+size]
 		}
+		at[d] = off
+		off += size
 	}
-	for part, kv := range r.mapOut {
-		d := commOf[r.partOwner[part]]
+	// Each partition's payload starts after its header, its bundle's frames
+	// in ascending partition order; a partition no rank of the communicator
+	// owns is not sent.
+	for part, owner := range r.partOwner {
+		d := commOf[owner]
 		if d < 0 {
+			cur[part] = -1
 			continue
 		}
-		var payload []byte
-		if kv != nil {
-			payload = kv.Bytes()
+		size := cur[part]
+		cur[part] = at[d] + frameHdrLen
+		at[d] = cur[part] + size
+	}
+	scatterLog(pieces, of, cur, arena)
+	// Every cursor now ends its payload; the frames of a bundle lie back to
+	// back from its start.
+	for d := range at {
+		at[d] -= int32(len(bufs[d]))
+	}
+	for part, owner := range r.partOwner {
+		if d := commOf[owner]; d >= 0 {
+			sealFrame(arena[at[d]:cur[part]], frameShuffle, uint32(part), 0)
+			at[d] = cur[part]
 		}
-		bufs[d] = encodeFrame(bufs[d], frameShuffle, uint32(part), 0, payload)
 	}
 	return bufs, nil
+}
+
+// partitionLog is the first pass of the counting sort that partitions the
+// map-output log: the log as pieces, each pair's partition in log order, and
+// the encoded bytes each partition holds.
+func partitionLog(log *kvbuf.Log, nParts int) (pieces [][]byte, of, size []int32) {
+	pieces = log.Since(kvbuf.Mark{}, nil)
+	of = make([]int32, 0, log.Len())
+	size = make([]int32, nParts)
+	for _, piece := range pieces {
+		for off := 0; off < len(piece); {
+			k, _, n := kvbuf.NextPair(piece[off:])
+			part := int32(kvbuf.PartitionKey(k, nParts))
+			of = append(of, part)
+			size[part] += int32(n)
+			off += n
+		}
+	}
+	return pieces, of, size
+}
+
+// scatterLog is its second pass: every pair of the pieces is copied to its
+// partition's cursor in dst, which then advances, so each partition's pairs
+// keep their log order. A pair whose partition's cursor is negative is
+// skipped.
+func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
+	i := 0
+	for _, piece := range pieces {
+		for off := 0; off < len(piece); i++ {
+			_, _, n := kvbuf.NextPair(piece[off:])
+			if c := cur[of[i]]; c >= 0 {
+				copy(dst[c:], piece[off:off+n])
+				cur[of[i]] = c + int32(n)
+			}
+			off += n
+		}
+	}
 }
 
 // exchangeAlltoallv routes the bundles with one collective exchange and
@@ -180,19 +238,38 @@ func (r *runner) exchangeAlltoallv() ([][]byte, error) {
 }
 
 // combineLocal applies the user combiner to every partition of this rank's
-// map output, charging grouping I/O and per-group compute.
+// map output, charging grouping I/O and per-group compute. The log is sorted
+// by partition (the shuffle's counting sort, without headers) and replaced by
+// the combined pairs, partition by partition, so a re-executed shuffle
+// resends combined data.
 func (r *runner) combineLocal() error {
+	pieces, of, cur := partitionLog(&r.log, r.nParts)
+	off := int32(0)
+	for part, size := range cur {
+		cur[part] = off
+		off += size
+	}
+	sorted := make([]byte, off)
+	scatterLog(pieces, of, cur, sorted)
+
 	comb := r.spec.NewCombiner()
 	ctx := &TaskContext{proc: r.p, run: r}
 	scratch := r.scratch()
 	var cpuAcc float64
-	for part, kv := range r.mapOut {
-		if kv == nil || kv.Len() == 0 {
+	var out kvbuf.Log
+	start := int32(0)
+	for _, end := range cur {
+		payload := sorted[start:end:end]
+		start = end
+		if len(payload) == 0 {
 			continue
+		}
+		kv, err := kvbuf.FromBytes(payload)
+		if err != nil {
+			return err
 		}
 		m, st := kvbuf.ConvertTwoPass(kv)
 		r.m.IOWait += scratch.Charge(r.p, st.ReadOps+st.WriteOps, st.Total())
-		out := kvbuf.NewKV()
 		var cerr error
 		m.ForEach(func(key []byte, vals [][]byte) {
 			if cerr != nil {
@@ -209,8 +286,8 @@ func (r *runner) combineLocal() error {
 		if cerr != nil {
 			return cerr
 		}
-		r.mapOut[part] = out
 	}
+	r.log = out
 	r.compute(cpuAcc)
 	return nil
 }

@@ -1,12 +1,13 @@
 // Package kvbuf implements the key-value machinery of the runner, for
-// FT-MRMPI and for its MR-MPI baseline: append-only KV buffers, grouped
-// key-multivalue (KMV) buffers, hash partitioning for the shuffle, and the
-// two KV→KMV conversion algorithms the paper compares — the original
-// four-pass algorithm of MR-MPI and FT-MRMPI's two-pass log-structured
-// algorithm (§5.2). One grouping over real bytes serves both; an algorithm is
-// its price list, the I/O statistics (bytes and operations touched per pass)
-// that the runtime charges against the simulated disks, so Figure 16's
-// performance gap is the difference in the data the two algorithms move.
+// FT-MRMPI and for its MR-MPI baseline: append-only KV buffers, the pair Log
+// a rank's map output is kept in, grouped key-multivalue (KMV) buffers, hash
+// partitioning for the shuffle, and the two KV→KMV conversion algorithms the
+// paper compares — the original four-pass algorithm of MR-MPI and
+// FT-MRMPI's two-pass log-structured algorithm (§5.2). One grouping over real
+// bytes serves both; an algorithm is its price list, the I/O statistics
+// (bytes and operations touched per pass) that the runtime charges against
+// the simulated disks, so Figure 16's performance gap is the difference in
+// the data the two algorithms move.
 // Neither algorithm's intermediate data is materialised: the two-pass
 // segment log is priced, not written, exactly as the four passes are, and
 // the grouping indexes the KV's own bytes (see group).
@@ -37,11 +38,16 @@ func (b *KV) Add(k, v []byte) {
 		b.buf = slices.Grow(b.buf, end-off)
 	}
 	b.buf = b.buf[:end]
-	binary.LittleEndian.PutUint32(b.buf[off:], uint32(len(k)))
-	binary.LittleEndian.PutUint32(b.buf[off+4:], uint32(len(v)))
-	copy(b.buf[off+8:], k)
-	copy(b.buf[off+8+len(k):], v)
+	putPair(b.buf[off:], k, v)
 	b.n++
+}
+
+// putPair writes one pair's encoding into dst, which has exactly its room.
+func putPair(dst, k, v []byte) {
+	binary.LittleEndian.PutUint32(dst, uint32(len(k)))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(len(v)))
+	copy(dst[8:], k)
+	copy(dst[8+len(k):], v)
 }
 
 // Len returns the number of pairs.
@@ -106,12 +112,6 @@ func (b *KV) AppendBytes(data []byte) error {
 	return nil
 }
 
-// Reset empties the buffer, retaining capacity.
-func (b *KV) Reset() {
-	b.buf = b.buf[:0]
-	b.n = 0
-}
-
 // fnv1a is the package's one hash, 32-bit FNV-1a written out as a loop:
 // hash/fnv's New32a costs an interface value and two dynamic calls per key
 // for the same sum. PartitionKey takes it modulo the partition count, group's
@@ -151,8 +151,7 @@ func (b *KV) Partition(nparts int) []*KV {
 // KV.ForEach yields them), and each Vals[i] a capacity-limited window of one
 // shared slab, so appending to any of them reallocates instead of running
 // into its neighbour. The KV may be appended to (Add, Append, AppendBytes,
-// Grow) while the KMV is live, but must not be Reset or its bytes
-// overwritten.
+// Grow) while the KMV is live, but its bytes must not be overwritten.
 type KMV struct {
 	Keys [][]byte
 	Vals [][][]byte
