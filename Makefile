@@ -142,7 +142,7 @@ define SELFTEST
 0 bin/ftmr-trace critpath -against $T.jsonl $T.jsonl
 1 bin/ftmr-trace critpath -against internal/trace/critpath/testdata/base.jsonl internal/trace/critpath/testdata/regressed.jsonl
 0 bin/ftmr-trace inspect $T.insp
-# the committed crossed-recv deadlock fixture is reported (exit 1) and renders its wait-for graph as DOT
+# the committed deadlock fixture (ranks stranded in two different collectives) is reported (exit 1) and renders its wait-for graph as DOT
 1 bin/ftmr-trace inspect internal/introspect/testdata/deadlock.jsonl
 0 bin/ftmr-trace inspect -waitgraph internal/introspect/testdata/deadlock.jsonl | grep -q digraph
 # flags the simulator cannot honour are refused, not panicked on or ignored

@@ -7,20 +7,21 @@
 // while the run is alive. It exploits two properties of the simulator: the
 // scheduler's fn-callbacks are a natural serialization point (exactly zero
 // simulated processes run while one executes — the safe-point guarantee
-// DESIGN.md §"Introspection plane" documents), and the mailbox keeps an
-// exact posting-order inventory of who is blocked on what. The plane
-// therefore never samples racy intermediate state: a capture sees every rank
-// either parked or runnable-at-now, with its blocked-receive, collective,
-// phase, and drain annotations consistent.
+// DESIGN.md §"Introspection plane" documents), and the MPI layer holds an
+// exact account of who is parked in what — each mailbox its one parked
+// receive, each rendezvous its entrants. The plane reads that account rather
+// than keeping a copy, so it never samples racy intermediate state: a capture
+// sees every rank either parked or runnable-at-now, with its receive,
+// meeting, phase, and drain annotations consistent.
 //
 // The package deliberately imports only internal/vtime, the internal/jsonl
-// codec and the standard library so that internal/mpi, internal/cluster, and internal/core can all
-// depend on it without cycles; the MPI layer plugs in through the narrow
-// WorldView interface.
+// codec and the standard library so that internal/mpi, internal/cluster, and
+// internal/core can all depend on it without cycles; the MPI layer plugs in
+// through the narrow WorldView interface.
 package introspect
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,20 +29,20 @@ import (
 	"ftmrmpi/internal/vtime"
 )
 
-// Rank states reported in snapshots. Precedence when several apply (a
-// collective participant is usually also blocked in an internal-tag
-// receive): dead, then collective, then recv, then drain, then timer /
-// runnable, then parked.
+// Rank states reported in snapshots. Precedence when several apply: dead,
+// then collective or recv (what the MPI layer says the rank is parked in),
+// then drain, then timer / runnable, then parked.
 const (
 	// StateRunning marks a rank that is runnable at the capture instant
 	// (it has a pending wake at the current virtual time).
 	StateRunning = "running"
-	// StateRecv marks a rank blocked in a posted receive or probe.
+	// StateRecv marks a rank blocked in a posted receive.
 	StateRecv = "recv"
 	// StateTimer marks a rank sleeping on a scheduler timer (compute,
 	// wire-time, or an explicit sleep).
 	StateTimer = "timer"
-	// StateColl marks a rank inside a collective operation.
+	// StateColl marks a rank inside a meeting: a collective, Shrink or
+	// Agree.
 	StateColl = "collective"
 	// StateDrain marks a rank parked in a checkpoint drain barrier waiting
 	// for its copier.
@@ -62,32 +63,26 @@ const AnySource = -1
 // apply to the rank's current state (Src, Tag, Comm, Seq, Task).
 const NoValue = -2
 
-// RecvWaiter is one parked receive or probe as reported by the MPI layer's
-// read-only waiter walk. All ranks are world ranks; Src may be AnySource.
-type RecvWaiter struct {
-	// Rank is the waiting world rank.
-	Rank int
-	// Src is the posted source as a world rank, or AnySource.
-	Src int
-	// Tag is the posted tag (negative tags are internal collective traffic).
-	Tag int
-	// Comm is the communicator id the receive was posted on.
+// Wait is what a rank is parked in, as the MPI layer reads it from its own
+// state: a receive in one of its mailboxes when Op is "", otherwise a
+// meeting — a collective, Shrink or Agree. All ranks are world ranks.
+type Wait struct {
+	// Op is the meeting's operation name, "" for a receive.
+	Op string
+	// Comm is the communicator id the receive was posted or the meeting
+	// entered on.
 	Comm int
-	// PostedVT is the virtual time the wait was posted.
-	PostedVT time.Duration
-}
-
-// CommView is the read-only communicator state the straggler analysis
-// needs: the group membership and each member's collective progress.
-type CommView struct {
-	// ID is the communicator id.
-	ID int
-	// Group lists the member world ranks, ascending.
-	Group []int
-	// OpSeq is, per Group index, the next collective sequence number that
-	// member will consume. A member whose OpSeq is still <= a running
-	// collective's seq has provably not entered it yet.
-	OpSeq []int
+	// Seq is the collective's sequence number on Comm, or NoValue (a
+	// receive, Shrink, Agree).
+	Seq int
+	// Src and Tag are the receive's posted source (AnySource allowed) and
+	// tag, NoValue in a meeting.
+	Src, Tag int
+	// Since is when the receive was posted or the meeting entered.
+	Since time.Duration
+	// Missing lists, while the meeting is still gathering, the live group
+	// members not inside it, ascending: the ranks this one waits for.
+	Missing []int
 }
 
 // WorldView is the narrow read-only surface the plane reads from the MPI
@@ -100,11 +95,8 @@ type WorldView interface {
 	// RankProc returns the world rank's simulated process (nil before
 	// launch).
 	RankProc(worldRank int) *vtime.Proc
-	// EachRecvWaiter calls fn for every live parked receive/probe across
-	// every communicator, in deterministic order.
-	EachRecvWaiter(fn func(RecvWaiter))
-	// EachComm calls fn for every communicator, ascending by id.
-	EachComm(fn func(CommView))
+	// RankWait reports what the world rank is parked in, if anything.
+	RankWait(worldRank int) (Wait, bool)
 }
 
 // Outage describes one storage tier that is inside a fault-injected outage
@@ -117,26 +109,19 @@ type Outage struct {
 	UntilUS float64 `json:"until_us"`
 }
 
-// RankProbe is one rank's annotation cell: the layers above the simulator
-// (MPI collectives, the task runner) record what the rank is doing so
-// captures can label wait states. A nil probe is the disabled plane; every
-// method is a nil-receiver no-op, holding the disabled path to one branch
-// per instrumentation point (the same discipline as the trace recorder and
-// metrics instruments, enforced by the overhead gates).
+// RankProbe is one rank's annotation cell: the task runner records the facts
+// only it holds — the phase, the task and a checkpoint drain — so captures
+// can label wait states. A nil probe is the disabled plane; every method is a
+// nil-receiver no-op, holding the disabled path to one branch per
+// instrumentation point (the same discipline as the trace recorder and
+// metrics instruments, enforced by the overhead gate).
 //
 // Probes are only mutated and read from simulated-process or scheduler
 // context, which the simulator serializes; they need no locks.
 type RankProbe struct {
 	phase string
 	task  int
-	// Collective annotation. depth handles wrapper collectives (Allreduce,
-	// Dup, Split) that re-enter with the same (comm, seq): the outermost
-	// frame's labels win, and the cell clears only when depth returns to 0.
-	depth    int
-	collOp   string
-	collComm int
-	collSeq  int
-	drain    bool
+	drain bool
 }
 
 // SetPhase records the runner phase the rank is executing ("" between jobs).
@@ -155,31 +140,6 @@ func (rp *RankProbe) SetTask(id int) {
 	rp.task = id
 }
 
-// EnterColl records entry into a collective (op, comm, seq). Nested entries
-// from wrapper collectives keep the outermost labels.
-func (rp *RankProbe) EnterColl(op string, comm, seq int) {
-	if rp == nil {
-		return
-	}
-	if rp.depth == 0 {
-		rp.collOp, rp.collComm, rp.collSeq = op, comm, seq
-	}
-	rp.depth++
-}
-
-// ExitColl records leaving a collective entered with EnterColl.
-func (rp *RankProbe) ExitColl() {
-	if rp == nil {
-		return
-	}
-	if rp.depth > 0 {
-		rp.depth--
-	}
-	if rp.depth == 0 {
-		rp.collOp = ""
-	}
-}
-
 // EnterDrain records entry into a checkpoint drain barrier.
 func (rp *RankProbe) EnterDrain() {
 	if rp == nil {
@@ -196,14 +156,6 @@ func (rp *RankProbe) ExitDrain() {
 	rp.drain = false
 }
 
-// inColl reports the current collective annotation, if any.
-func (rp *RankProbe) inColl() (op string, comm, seq int, ok bool) {
-	if rp == nil || rp.depth == 0 {
-		return "", 0, 0, false
-	}
-	return rp.collOp, rp.collComm, rp.collSeq, true
-}
-
 // Plane is the introspection plane for one simulation. Create it with New
 // before ranks are launched (probes bind at spawn time, like the metrics
 // instruments), then Start arms the capture cadence. A nil *Plane disables
@@ -213,36 +165,33 @@ type Plane struct {
 	interval time.Duration
 
 	probes []*RankProbe
-	worlds []WorldView
+	// world is the world captured: the most recently attached one.
+	world WorldView
 	// Outages, when set, reports the storage tiers inside an outage window
 	// at the given virtual time. The plane cannot import internal/storage,
 	// so the cluster's owner sets it to cluster.Cluster.Outages.
 	Outages func(now time.Duration) []Outage
 
-	snaps  []Snapshot
-	stalls []StallReport
-	// journal is every record in capture order (each stall immediately
-	// after the snapshot that raised it); WriteJSONL replays it.
-	journal []Line
 	// prevCycle remembers the previous capture's cycle membership; a live
 	// capture reports a deadlock only when the same cycle persists across
-	// two consecutive snapshots (in-flight messages can fabricate one-shot
-	// cycles), while the post-run Final capture reports immediately — with
-	// the event heap drained nothing is in flight, so every edge is a true
-	// completion wait.
+	// two consecutive snapshots (an interrupt in flight — a Revoke flood
+	// for one NIC latency — can leave a one-shot cycle), while the post-run
+	// Final capture reports immediately: with the event heap drained nothing
+	// is in flight, so every edge is a true completion wait.
 	prevCycle []int
 
-	// mu guards the fields the wall-clock watchdog goroutine reads: the
-	// last snapshot, the stall list, and the stream sink. Everything else
-	// is simulator-serialized.
-	mu       sync.Mutex
-	lastSnap *Snapshot
-	stream   *jsonl.Writer
+	// mu guards what the wall-clock watchdog goroutine also touches: the
+	// journal and the stream sink. Everything else is simulator-serialized.
+	mu sync.Mutex
+	// journal is every record in capture order (each stall immediately
+	// after the snapshot that raised it), the one list of them: Snapshots,
+	// Stalls, WriteJSONL and the watchdog all read it.
+	journal []Line
+	stream  *jsonl.Writer
 	// beacon counts captures plus processed events, published at safe
 	// points only; the watchdog compares successive reads to detect zero
 	// virtual-time progress without ever touching simulator state.
-	beacon   uint64
-	watchdog *Watchdog
+	beacon uint64
 }
 
 // New creates a plane on sim capturing every interval of virtual time.
@@ -265,7 +214,7 @@ func (pl *Plane) RankProbe(worldRank int) *RankProbe {
 		pl.probes = append(pl.probes, nil)
 	}
 	if pl.probes[worldRank] == nil {
-		pl.probes[worldRank] = &RankProbe{task: NoValue, collSeq: NoValue}
+		pl.probes[worldRank] = &RankProbe{task: NoValue}
 	}
 	return pl.probes[worldRank]
 }
@@ -277,7 +226,7 @@ func (pl *Plane) AttachWorld(v WorldView) {
 	if pl == nil {
 		return
 	}
-	pl.worlds = append(pl.worlds, v)
+	pl.world = v
 }
 
 // Start arms the capture cadence: the observer ticker (vtime.Sim.Every) that
@@ -307,7 +256,10 @@ func (pl *Plane) Snapshots() []Snapshot {
 	if pl == nil {
 		return nil
 	}
-	return pl.snaps
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	snaps, _ := SplitLines(pl.journal)
+	return snaps
 }
 
 // Stalls returns every stall report raised so far (deadlock cycles and
@@ -318,45 +270,39 @@ func (pl *Plane) Stalls() []StallReport {
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return append([]StallReport(nil), pl.stalls...)
+	_, stalls := SplitLines(pl.journal)
+	return stalls
 }
 
-// world returns the world to capture (the most recently attached), or nil.
-func (pl *Plane) world() WorldView {
-	if len(pl.worlds) == 0 {
-		return nil
+// lastSnapshot returns the newest journaled snapshot, or nil. The caller
+// holds mu.
+func (pl *Plane) lastSnapshot() *Snapshot {
+	for i := len(pl.journal) - 1; i >= 0; i-- {
+		if s := pl.journal[i].Snapshot; s != nil {
+			return s
+		}
 	}
-	return pl.worlds[len(pl.worlds)-1]
+	return nil
 }
 
-// capture runs at a safe point: it derives every rank's state, the wait-for
-// graph, and any stall report, then publishes the snapshot to the retained
-// list, the stream sink, the metrics mirror, and the watchdog beacon.
+// capture runs at a safe point: it derives every rank's state from the
+// world's read of what the rank is parked in and from its probe, draws the
+// wait-for graph by graph.go's one rule (an entrant of a gathering meeting
+// waits for each member the world names as missing), and journals and
+// streams the snapshot and any stall report it raises.
 func (pl *Plane) capture(final bool) {
-	v := pl.world()
+	v := pl.world
 	if v == nil {
 		return
 	}
 	now := pl.sim.Now()
-	snap := Snapshot{
-		Kind: lineSnapshot,
-		VTus: vtUS(now),
-		Seq:  len(pl.snaps),
-	}
-
-	// Index the waiter inventory by waiting rank (first-posted wins: that is
-	// the receive the rank is actually parked in; helper probes post later).
-	byRank := make(map[int]RecvWaiter)
-	v.EachRecvWaiter(func(rw RecvWaiter) {
-		if _, ok := byRank[rw.Rank]; !ok {
-			byRank[rw.Rank] = rw
-		}
-	})
-
+	snap := &Snapshot{Kind: lineSnapshot, VTus: vtUS(now)}
 	timers := pl.sim.TimerInventory()
 
 	n := v.Size()
 	snap.Ranks = make([]RankState, 0, n)
+	var missing [][]int // by rank: whom its gathering meeting waits for
+	edges := 0
 	for w := 0; w < n; w++ {
 		rs := RankState{Rank: w, Src: NoValue, Tag: NoValue, Comm: NoValue,
 			Seq: NoValue, Task: NoValue, PostedUS: -1}
@@ -366,17 +312,9 @@ func (pl *Plane) capture(final bool) {
 			probe = pl.probes[w]
 		}
 		if probe != nil {
-			rs.Phase = probe.phase
-			if probe.task != NoValue {
-				rs.Task = probe.task
-			}
+			rs.Phase, rs.Task = probe.phase, probe.task
 		}
-		rw, blocked := byRank[w]
-		if blocked {
-			rs.Src, rs.Tag, rs.Comm = rw.Src, rw.Tag, rw.Comm
-			rs.PostedUS = vtUS(rw.PostedVT)
-		}
-		op, collComm, seq, inColl := probe.inColl()
+		wt, waiting := v.RankWait(w)
 		fireAt, hasTimer := 0*time.Second, false
 		if proc != nil {
 			fireAt, hasTimer = timers[proc.ID()]
@@ -384,14 +322,19 @@ func (pl *Plane) capture(final bool) {
 		switch {
 		case !v.RankAlive(w) || proc == nil || proc.Dead():
 			rs.State = StateDead
-		case inColl:
-			rs.State = StateColl
-			rs.Op, rs.Seq = op, seq
-			if !blocked {
-				rs.Comm = collComm
-			}
-		case blocked:
+		case waiting:
 			rs.State = StateRecv
+			if wt.Op != "" {
+				rs.State = StateColl
+			}
+			rs.Op, rs.Comm, rs.Seq, rs.Src, rs.Tag = wt.Op, wt.Comm, wt.Seq, wt.Src, wt.Tag
+			rs.PostedUS = vtUS(wt.Since)
+			if len(wt.Missing) > 0 {
+				if missing == nil {
+					missing = make([][]int, n)
+				}
+				missing[w], edges = wt.Missing, edges+len(wt.Missing)
+			}
 		case probe != nil && probe.drain:
 			rs.State = StateDrain
 		case hasTimer && fireAt > now:
@@ -407,15 +350,22 @@ func (pl *Plane) capture(final bool) {
 		snap.Ranks = append(snap.Ranks, rs)
 	}
 
+	if edges > 0 {
+		snap.Edges = make([]Edge, 0, edges) // sorted by (From, To), as findCycle needs
+		for from, tos := range missing {
+			for _, to := range tos {
+				snap.Edges = append(snap.Edges, Edge{From: from, To: to, Why: WhyColl})
+			}
+		}
+	}
 	if pl.Outages != nil {
 		snap.Outages = pl.Outages(now)
 	}
-	snap.Edges = deriveEdges(snap.Ranks, v)
 
 	var report *StallReport
-	if cycle := findCycle(snap.Ranks, snap.Edges); cycle != nil {
+	if cycle := findCycle(n, snap.Edges); cycle != nil {
 		if final || sameCycle(cycle, pl.prevCycle) {
-			r := cycleReport(&snap, cycle)
+			r := cycleReport(snap, cycle)
 			report = &r
 		}
 		pl.prevCycle = cycle
@@ -423,18 +373,17 @@ func (pl *Plane) capture(final bool) {
 		pl.prevCycle = nil
 	}
 
-	pl.snaps = append(pl.snaps, snap)
-
 	pl.mu.Lock()
-	pl.lastSnap = &pl.snaps[len(pl.snaps)-1]
-	pl.journal = append(pl.journal, Line{Snapshot: pl.lastSnap})
+	if last := pl.lastSnapshot(); last != nil {
+		snap.Seq = last.Seq + 1
+	}
+	pl.journal = append(pl.journal, Line{Snapshot: snap})
 	pl.beacon += 1 + pl.sim.EventsProcessed()
 	if pl.stream != nil {
-		pl.stream.Write(snap)
+		pl.stream.Write(*snap)
 	}
 	if report != nil {
-		pl.stalls = append(pl.stalls, *report)
-		pl.journal = append(pl.journal, Line{Stall: &pl.stalls[len(pl.stalls)-1]})
+		pl.journal = append(pl.journal, Line{Stall: report})
 		if pl.stream != nil {
 			pl.stream.Write(*report)
 		}
@@ -446,10 +395,6 @@ func (pl *Plane) capture(final bool) {
 // members in cycle order, each with its wait reason, plus the oldest
 // blocked-since virtual time among them.
 func cycleReport(snap *Snapshot, cycle []int) StallReport {
-	byRank := make(map[int]*RankState, len(snap.Ranks))
-	for i := range snap.Ranks {
-		byRank[snap.Ranks[i].Rank] = &snap.Ranks[i]
-	}
 	rep := StallReport{
 		Kind:     lineStall,
 		VTus:     snap.VTus,
@@ -458,10 +403,7 @@ func cycleReport(snap *Snapshot, cycle []int) StallReport {
 		OldestUS: -1,
 	}
 	for _, w := range cycle {
-		rs := byRank[w]
-		if rs == nil {
-			continue
-		}
+		rs := &snap.Ranks[w]
 		rep.Members = append(rep.Members, StallMember{Rank: w, Reason: waitReason(rs)})
 		if rs.PostedUS >= 0 && (rep.OldestUS < 0 || rs.PostedUS < rep.OldestUS) {
 			rep.OldestUS = rs.PostedUS
@@ -476,16 +418,10 @@ func sameCycle(a, b []int) bool {
 	if len(a) == 0 || len(a) != len(b) {
 		return false
 	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.Sort(as)
+	slices.Sort(bs)
+	return slices.Equal(as, bs)
 }
 
 // vtUS converts a virtual time to microseconds (the trace wire format's

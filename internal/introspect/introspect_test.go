@@ -1,14 +1,13 @@
-// Synthetic-deadlock fixtures for the introspection plane: a two-rank
-// crossed blocking receive and a collective with a missing participant. Both
-// must produce a stall report naming the exact cycle membership and wait
-// reasons; completing runs must produce none.
+// Synthetic-deadlock fixtures for the introspection plane: ranks stranded in
+// two different collectives must produce a stall report naming the exact
+// cycle membership and wait reasons; completing runs must produce none.
 package introspect_test
 
 import (
 	"bytes"
 	"os"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,50 +31,70 @@ func sortedCopy(xs []int) []int {
 	return out
 }
 
-// TestCrossedRecvDeadlock posts a classic crossed blocking receive: each of
-// two ranks receives from the other before either sends. The run must drain
-// with both ranks stranded, and the Final capture must report exactly the
-// cycle {0, 1} with recv wait reasons naming the peer.
-func TestCrossedRecvDeadlock(t *testing.T) {
-	clus := inspCluster(2, 1)
+// mismatchedMeetings runs three ranks that can never meet: ranks 0 and 1
+// enter a Barrier, rank 2 an Alltoallv. It returns the plane after the run
+// has drained and the Final capture is taken.
+func mismatchedMeetings(t *testing.T) *introspect.Plane {
+	clus := inspCluster(3, 1)
 	pl := clus.Introspect
-	mpi.Launch(clus, 2, func(c *mpi.Comm) {
-		peer := 1 - c.Rank()
-		if _, err := c.Recv(peer, 7); err != nil { // blocks forever
-			t.Errorf("rank %d: recv: %v", c.Rank(), err)
-			return
+	mpi.Launch(clus, 3, func(c *mpi.Comm) {
+		var err error
+		if c.Rank() == 2 {
+			_, err = c.Alltoallv(make([][]byte, 3))
+		} else {
+			err = c.Barrier()
 		}
-		_ = c.Send(peer, 7, []byte("never sent"))
+		t.Errorf("rank %d left a collective no one else entered: %v", c.Rank(), err)
 	})
 	pl.Start()
 	clus.Sim.Run()
 	pl.Final()
-
-	if st := clus.Sim.Stranded(); len(st) != 2 {
-		t.Fatalf("stranded = %v, want both ranks", st)
+	if st := clus.Sim.Stranded(); len(st) != 3 {
+		t.Fatalf("stranded = %v, want all three ranks", st)
 	}
+	return pl
+}
+
+// TestCollectiveMissingParticipant: each of two gathering meetings misses the
+// ranks inside the other, so the barrier's entrants wait for rank 2 and rank
+// 2 waits for both of them. The reported cycle must be exactly {0, 2},
+// each member labelled with the collective it is inside.
+func TestCollectiveMissingParticipant(t *testing.T) {
+	pl := mismatchedMeetings(t)
 	stalls := pl.Stalls()
 	if len(stalls) == 0 {
-		t.Fatal("no stall report for a crossed-recv deadlock")
+		t.Fatal("no stall report for ranks stranded in mismatched collectives")
 	}
 	rep := stalls[len(stalls)-1]
 	if rep.Reason != introspect.ReasonDeadlock {
 		t.Fatalf("reason = %q, want %q", rep.Reason, introspect.ReasonDeadlock)
 	}
-	if got := sortedCopy(rep.Cycle); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("cycle = %v, want exactly [0 1]", rep.Cycle)
+	if got := sortedCopy(rep.Cycle); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("cycle = %v, want exactly [0 2]", rep.Cycle)
 	}
-	want := map[int]string{0: "recv src=w1 tag=7 comm=0", 1: "recv src=w0 tag=7 comm=0"}
-	if len(rep.Members) != 2 {
-		t.Fatalf("members = %+v, want 2", rep.Members)
-	}
+	reasons := map[int]string{}
 	for _, m := range rep.Members {
-		if m.Reason != want[m.Rank] {
-			t.Errorf("rank %d reason = %q, want %q", m.Rank, m.Reason, want[m.Rank])
-		}
+		reasons[m.Rank] = m.Reason
 	}
-	if rep.OldestUS < 0 {
-		t.Errorf("OldestUS = %v, want the blocked-since time", rep.OldestUS)
+	if reasons[0] != "collective barrier comm=0 seq=0" {
+		t.Errorf("rank 0 reason = %q, want the barrier it is inside", reasons[0])
+	}
+	if reasons[2] != "collective alltoallv comm=0 seq=0" {
+		t.Errorf("rank 2 reason = %q, want the alltoallv it is inside", reasons[2])
+	}
+	if rep.OldestUS != 0 {
+		t.Errorf("OldestUS = %v, want the entry instant 0", rep.OldestUS)
+	}
+
+	// Each entrant waits for every member outside its meeting.
+	snaps := pl.Snapshots()
+	last := snaps[len(snaps)-1]
+	want := []introspect.Edge{{From: 0, To: 2}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 1}}
+	for i := range want {
+		want[i].Why = introspect.WhyColl
+	}
+	if !slices.Equal(last.Edges, want) {
+		t.Errorf("edges = %+v, want %+v", last.Edges, want)
 	}
 
 	// The report must survive the wire format round trip.
@@ -90,73 +109,6 @@ func TestCrossedRecvDeadlock(t *testing.T) {
 	_, decStalls := introspect.SplitLines(lines)
 	if len(decStalls) != len(stalls) {
 		t.Fatalf("decoded %d stalls, want %d", len(decStalls), len(stalls))
-	}
-}
-
-// TestCollectiveMissingParticipant runs a three-rank barrier where rank 2
-// never joins: it blocks in a receive from rank 0 instead. Straggler edges
-// point the barrier participants at rank 2 and rank 2's receive points back
-// at rank 0, so the reported cycle must be exactly {0, 2} with a collective
-// wait reason on rank 0 and a recv reason on rank 2.
-func TestCollectiveMissingParticipant(t *testing.T) {
-	clus := inspCluster(3, 1)
-	pl := clus.Introspect
-	mpi.Launch(clus, 3, func(c *mpi.Comm) {
-		if c.Rank() == 2 {
-			if _, err := c.Recv(0, 9); err != nil { // rank 0 never sends
-				t.Errorf("rank 2: recv: %v", err)
-			}
-			return
-		}
-		if err := c.Barrier(); err != nil { // rank 2 never joins
-			t.Errorf("rank %d: barrier: %v", c.Rank(), err)
-		}
-	})
-	pl.Start()
-	clus.Sim.Run()
-	pl.Final()
-
-	stalls := pl.Stalls()
-	if len(stalls) == 0 {
-		t.Fatal("no stall report for a missing collective participant")
-	}
-	rep := stalls[len(stalls)-1]
-	if rep.Reason != introspect.ReasonDeadlock {
-		t.Fatalf("reason = %q, want %q", rep.Reason, introspect.ReasonDeadlock)
-	}
-	if got := sortedCopy(rep.Cycle); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("cycle = %v, want exactly [0 2]", rep.Cycle)
-	}
-	reasons := map[int]string{}
-	for _, m := range rep.Members {
-		reasons[m.Rank] = m.Reason
-	}
-	if !strings.HasPrefix(reasons[0], "collective barrier comm=0 seq=0") {
-		t.Errorf("rank 0 reason = %q, want a barrier straggler wait", reasons[0])
-	}
-	if reasons[2] != "recv src=w0 tag=9 comm=0" {
-		t.Errorf("rank 2 reason = %q, want the blocking recv from w0", reasons[2])
-	}
-
-	// The snapshot's wait-for graph must include the straggler edges from
-	// both participants into rank 2.
-	snaps := pl.Snapshots()
-	last := snaps[len(snaps)-1]
-	hasEdge := func(from, to int, why string) bool {
-		for _, e := range last.Edges {
-			if e.From == from && e.To == to && (why == "" || e.Why == why) {
-				return true
-			}
-		}
-		return false
-	}
-	// The barrier receives no message: both edges come from the straggler
-	// rule.
-	if !hasEdge(0, 2, introspect.WhyColl) || !hasEdge(1, 2, introspect.WhyColl) {
-		t.Errorf("edges = %+v, want straggler edges 0->2 and 1->2", last.Edges)
-	}
-	if !hasEdge(2, 0, introspect.WhyRecv) {
-		t.Errorf("edges = %+v, want recv edge 2->0", last.Edges)
 	}
 }
 
@@ -234,23 +186,11 @@ func TestSnapshotsDeterministic(t *testing.T) {
 }
 
 // TestGoldenDeadlockFixture keeps the committed selftest fixture
-// (testdata/deadlock.jsonl, rendered by `make introspect-selftest` through
-// ftmr-trace inspect) in sync with what the plane actually emits for the
-// crossed-recv deadlock. Regenerate with FTMR_UPDATE_GOLDEN=1.
+// (testdata/deadlock.jsonl, rendered by `make selftest` through ftmr-trace
+// inspect) in sync with what the plane actually emits for the mismatched
+// collectives. Regenerate with FTMR_UPDATE_GOLDEN=1.
 func TestGoldenDeadlockFixture(t *testing.T) {
-	clus := inspCluster(2, 1)
-	pl := clus.Introspect
-	mpi.Launch(clus, 2, func(c *mpi.Comm) {
-		peer := 1 - c.Rank()
-		if _, err := c.Recv(peer, 7); err != nil {
-			t.Errorf("rank %d: recv: %v", c.Rank(), err)
-			return
-		}
-		_ = c.Send(peer, 7, nil)
-	})
-	pl.Start()
-	clus.Sim.Run()
-	pl.Final()
+	pl := mismatchedMeetings(t)
 
 	var buf bytes.Buffer
 	if err := pl.WriteJSONL(&buf); err != nil {

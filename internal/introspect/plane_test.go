@@ -15,30 +15,29 @@ import (
 
 // fakeWorld is a hand-built WorldView for capture tests.
 type fakeWorld struct {
-	n       int
-	dead    map[int]bool
-	procs   map[int]*vtime.Proc
-	waiters []RecvWaiter
-	comms   []CommView
+	n     int
+	dead  map[int]bool
+	procs map[int]*vtime.Proc
+	waits map[int]Wait
 }
 
 func (f *fakeWorld) Size() int                  { return f.n }
 func (f *fakeWorld) RankAlive(w int) bool       { return !f.dead[w] }
 func (f *fakeWorld) RankProc(w int) *vtime.Proc { return f.procs[w] }
-func (f *fakeWorld) EachRecvWaiter(fn func(RecvWaiter)) {
-	for _, rw := range f.waiters {
-		fn(rw)
-	}
-}
-func (f *fakeWorld) EachComm(fn func(CommView)) {
-	for _, cv := range f.comms {
-		fn(cv)
-	}
+func (f *fakeWorld) RankWait(w int) (Wait, bool) {
+	wt, ok := f.waits[w]
+	return wt, ok
 }
 
-// blockedWorld builds a 2-rank world where rank 0 is blocked receiving from
-// rank 1 and rank 1 is runnable, with never-started procs standing in for
-// the live ones.
+// meeting is rank-inside-a-gathering-meeting state: op on communicator 0,
+// waiting for the missing members.
+func meeting(op string, missing ...int) Wait {
+	return Wait{Op: op, Seq: 0, Src: NoValue, Tag: NoValue, Missing: missing}
+}
+
+// blockedWorld builds a 2-rank world where rank 0 is inside a barrier that
+// rank 1 has not entered and rank 1 is runnable, with never-started procs
+// standing in for the live ones.
 func blockedWorld(sim *vtime.Sim) *fakeWorld {
 	return &fakeWorld{
 		n: 2,
@@ -46,7 +45,7 @@ func blockedWorld(sim *vtime.Sim) *fakeWorld {
 			0: sim.Spawn("w0", func(p *vtime.Proc) { p.Park() }),
 			1: sim.Spawn("w1", func(p *vtime.Proc) { p.Park() }),
 		},
-		waiters: []RecvWaiter{{Rank: 0, Src: 1, Tag: 3, Comm: 0, PostedVT: 0}},
+		waits: map[int]Wait{0: meeting("barrier", 1)},
 	}
 }
 
@@ -63,25 +62,36 @@ func TestCaptureClassification(t *testing.T) {
 		t.Fatalf("%d snapshots, want 1", len(snaps))
 	}
 	ranks := snaps[0].Ranks
-	if ranks[0].State != StateRecv || ranks[0].Src != 1 || ranks[0].Tag != 3 {
-		t.Errorf("rank 0 = %+v, want blocked recv from 1 tag 3", ranks[0])
+	if ranks[0].State != StateColl || ranks[0].Op != "barrier" || ranks[0].Seq != 0 || ranks[0].PostedUS != 0 {
+		t.Errorf("rank 0 = %+v, want inside barrier seq 0 since vt 0", ranks[0])
 	}
 	if ranks[1].State != StateRunning {
 		t.Errorf("rank 1 state = %q, want running (start event pending)", ranks[1].State)
 	}
-	if len(snaps[0].Edges) != 1 || snaps[0].Edges[0] != (Edge{From: 0, To: 1, Why: WhyRecv}) {
-		t.Errorf("edges = %+v, want the single recv edge 0->1", snaps[0].Edges)
+	if len(snaps[0].Edges) != 1 || snaps[0].Edges[0] != (Edge{From: 0, To: 1, Why: WhyColl}) {
+		t.Errorf("edges = %+v, want the single meeting edge 0->1", snaps[0].Edges)
 	}
 	if got := pl.Stalls(); len(got) != 0 {
 		t.Errorf("stalls = %+v for an acyclic graph", got)
 	}
 
-	// A dead rank is edge-free even with a stale waiter entry.
-	fw.dead[1] = true
+	// A receive is reported, and draws no edge.
+	fw.waits[1] = Wait{Seq: NoValue, Src: AnySource, Tag: 3, Since: time.Millisecond}
 	pl.capture(false)
-	last := pl.Snapshots()[1]
-	if last.Ranks[1].State != StateDead {
-		t.Errorf("rank 1 state = %q after death, want dead", last.Ranks[1].State)
+	snap := pl.Snapshots()[1]
+	if rs := snap.Ranks[1]; rs.State != StateRecv || rs.Src != AnySource || rs.Tag != 3 || rs.PostedUS != 1000 {
+		t.Errorf("rank 1 = %+v, want a receive from any source, tag 3, since 1000us", rs)
+	}
+	if len(snap.Edges) != 1 || snap.Seq != 1 {
+		t.Errorf("snapshot %d edges = %+v, want snapshot 1 with the meeting edge only", snap.Seq, snap.Edges)
+	}
+
+	// A dead rank is edge-free even with a stale wait.
+	fw.dead[0] = true
+	pl.capture(false)
+	last := pl.Snapshots()[2]
+	if last.Ranks[0].State != StateDead || len(last.Edges) != 0 {
+		t.Errorf("rank 0 state = %q, edges %+v after death, want dead and none", last.Ranks[0].State, last.Edges)
 	}
 }
 
@@ -92,8 +102,9 @@ func TestCyclePersistenceRule(t *testing.T) {
 	sim := vtime.NewSim()
 	pl := New(sim, time.Millisecond)
 	fw := blockedWorld(sim)
-	// Close the loop: rank 1 waits on rank 0 too.
-	fw.waiters = append(fw.waiters, RecvWaiter{Rank: 1, Src: 0, Tag: 4, Comm: 0})
+	// Close the loop: rank 1 is inside a different meeting rank 0 never
+	// enters.
+	fw.waits[1] = meeting("alltoallv", 0)
 	pl.AttachWorld(fw)
 
 	pl.capture(false)
@@ -111,21 +122,20 @@ func TestCyclePersistenceRule(t *testing.T) {
 }
 
 func TestFindCycleDeterministic(t *testing.T) {
-	ranks := []RankState{{Rank: 0}, {Rank: 1}, {Rank: 2}, {Rank: 3}}
 	edges := []Edge{
-		{From: 3, To: 2, Why: WhyRecv},
-		{From: 2, To: 1, Why: WhyRecv},
-		{From: 1, To: 2, Why: WhyRecv},
-		{From: 0, To: 3, Why: WhyRecv},
+		{From: 0, To: 3, Why: WhyColl},
+		{From: 1, To: 2, Why: WhyColl},
+		{From: 2, To: 1, Why: WhyColl},
+		{From: 3, To: 2, Why: WhyColl},
 	}
 	want := []int{1, 2}
 	for i := 0; i < 10; i++ {
-		got := findCycle(ranks, edges)
+		got := findCycle(4, edges)
 		if len(got) != 2 || !sameCycle(got, want) {
 			t.Fatalf("iteration %d: cycle = %v, want %v", i, got, want)
 		}
 	}
-	if c := findCycle(ranks, edges[:2]); c != nil {
+	if c := findCycle(4, edges[:2]); c != nil {
 		t.Fatalf("cycle = %v on an acyclic graph", c)
 	}
 }
@@ -246,8 +256,6 @@ func TestNilPlaneAndProbe(t *testing.T) {
 	var rp *RankProbe
 	rp.SetPhase("map")
 	rp.SetTask(1)
-	rp.EnterColl("barrier", 0, 0)
-	rp.ExitColl()
 	rp.EnterDrain()
 	rp.ExitDrain()
 }

@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,15 +37,9 @@ const (
 	ReasonNoProgress = "no-progress"
 )
 
-// Wait-for edge kinds.
-const (
-	// WhyRecv marks a definite edge from a rank blocked in a
-	// specific-source receive to that source.
-	WhyRecv = "recv"
-	// WhyColl marks an edge from a collective participant to a group member
-	// that has provably not entered the collective yet.
-	WhyColl = "coll"
-)
+// WhyColl is the one wait-for edge kind: a rank inside a gathering meeting
+// waits for a live group member that is not inside it.
+const WhyColl = "coll"
 
 // RankState is one rank's captured state. Integer fields that do not apply
 // to the state hold NoValue (Src additionally uses AnySource for wildcard
@@ -61,19 +56,20 @@ type RankState struct {
 	// Src is the posted receive source as a world rank, AnySource, or
 	// NoValue when the rank is not blocked in a receive.
 	Src int `json:"src"`
-	// Tag is the posted receive tag (negative tags are internal collective
-	// traffic), or NoValue.
+	// Tag is the posted receive tag, or NoValue.
 	Tag int `json:"tag"`
 	// Comm is the communicator id of the blocking receive or collective, or
 	// NoValue.
 	Comm int `json:"comm"`
-	// Op is the collective operation name ("" outside collectives).
+	// Op is the meeting's operation name: a collective's, "shrink" or
+	// "agree" ("" outside meetings).
 	Op string `json:"op,omitempty"`
-	// Seq is the collective sequence number, or NoValue.
+	// Seq is the collective sequence number, or NoValue (also for Shrink
+	// and Agree).
 	Seq int `json:"seq"`
-	// PostedUS is the blocked-since virtual time in microseconds (for
-	// StateRecv and blocked collectives), the timer fire time (for
-	// StateTimer), or -1.
+	// PostedUS is the blocked-since virtual time in microseconds (the
+	// receive's posting for StateRecv, the meeting's entry for StateColl),
+	// the timer fire time (for StateTimer), or -1.
 	PostedUS float64 `json:"posted_us"`
 }
 
@@ -83,7 +79,7 @@ type Edge struct {
 	From int `json:"from"`
 	// To is the world rank being waited for.
 	To int `json:"to"`
-	// Why is the edge kind (WhyRecv or WhyColl).
+	// Why is the edge kind (WhyColl).
 	Why string `json:"why"`
 }
 
@@ -128,7 +124,7 @@ type StallReport struct {
 	// Members names every implicated rank with its wait reason.
 	Members []StallMember `json:"members,omitempty"`
 	// OldestUS is the oldest blocked-since virtual time among the members
-	// in microseconds, or -1 when none is blocked in a receive.
+	// in microseconds, or -1 when none is blocked.
 	OldestUS float64 `json:"oldest_us"`
 }
 
@@ -197,11 +193,6 @@ func (pl *Plane) WriteJSONL(w io.Writer) error {
 // by a crash (the introspection plane's prime use case) stays loadable.
 type ReadReport = jsonl.Report
 
-// lineProbe sniffs a line's kind before full decoding.
-type lineProbe struct {
-	Kind string `json:"kind"`
-}
-
 // ReadJSONL decodes an introspection JSONL stream back into lines, in
 // stored order. Blank lines are skipped; malformed lines and unknown kinds
 // are skipped but counted in the ReadReport. The error return is reserved
@@ -211,25 +202,30 @@ type lineProbe struct {
 func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
 	var out []Line
 	rr, err := wire.Read(r, func(raw []byte) error {
-		var probe lineProbe
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return err
+		// Every line is decoded as a snapshot first, the kind nearly every
+		// line is, with its rank and edge lists sized up front (a key count
+		// bounds them; the decoder would regrow them element by element).
+		var snap Snapshot
+		if n := bytes.Count(raw, []byte(`"rank":`)); n > 0 {
+			snap.Ranks = make([]RankState, 0, n)
 		}
-		switch probe.Kind {
-		case lineSnapshot:
-			var snap Snapshot
-			if err := json.Unmarshal(raw, &snap); err != nil {
-				return err
-			}
-			out = append(out, Line{Snapshot: &snap})
-		case lineStall:
+		if n := bytes.Count(raw, []byte(`"from":`)); n > 0 {
+			snap.Edges = make([]Edge, 0, n)
+		}
+		err := json.Unmarshal(raw, &snap)
+		switch {
+		case snap.Kind == lineStall:
 			var rep StallReport
 			if err := json.Unmarshal(raw, &rep); err != nil {
 				return err
 			}
 			out = append(out, Line{Stall: &rep})
+		case err != nil:
+			return err
+		case snap.Kind == lineSnapshot:
+			out = append(out, Line{Snapshot: &snap})
 		default:
-			return fmt.Errorf("unknown kind %q", probe.Kind)
+			return fmt.Errorf("unknown kind %q", snap.Kind)
 		}
 		return nil
 	})

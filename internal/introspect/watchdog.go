@@ -40,9 +40,6 @@ func (pl *Plane) StartWatchdog(interval time.Duration, out io.Writer) *Watchdog 
 		return nil
 	}
 	wd := &Watchdog{pl: pl, out: out, stop: make(chan struct{}), done: make(chan struct{})}
-	pl.mu.Lock()
-	pl.watchdog = wd
-	pl.mu.Unlock()
 	go func() {
 		defer close(wd.done)
 		t := time.NewTicker(interval)
@@ -82,7 +79,7 @@ func (wd *Watchdog) check() bool {
 	pl := wd.pl
 	pl.mu.Lock()
 	beacon := pl.beacon
-	snap := pl.lastSnap
+	snap := pl.lastSnapshot()
 	pl.mu.Unlock()
 	if !wd.seen || beacon != wd.last {
 		wd.seen = true
@@ -110,8 +107,7 @@ func (wd *Watchdog) check() bool {
 	}
 
 	pl.mu.Lock()
-	pl.stalls = append(pl.stalls, rep)
-	pl.journal = append(pl.journal, Line{Stall: &pl.stalls[len(pl.stalls)-1]})
+	pl.journal = append(pl.journal, Line{Stall: &rep})
 	if pl.stream != nil {
 		pl.stream.Write(rep)
 		_ = pl.stream.Flush() // sticky: FlushStream reports it

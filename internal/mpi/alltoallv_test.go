@@ -3,7 +3,9 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -307,79 +309,111 @@ func TestAlltoallvInterrupted(t *testing.T) {
 	}
 }
 
-// What the three planes see of an exchange: one collective per rank in the
-// metrics and the trace (a coll.begin/coll.end pair, no per-pair send/recv
-// events, counters or flows — those stay point-to-point quantities, equal by
-// construction), and ranks parked in it reported as "collective" with a
-// wait-for edge to the straggler they are waiting for, never as a stall.
+// What the three planes see of each kind of meeting: per rank, the row's
+// trace events once each and its counter once — no per-pair send/recv
+// events, counters or flows (those stay point-to-point quantities, equal by
+// construction) — and, while a sleeping straggler keeps the meeting
+// gathering, every entrant parked as "collective" in that op with one
+// wait-for edge, to the straggler; never a stall, and no edge once every
+// rank is inside (the alltoallv row's big transfer keeps two ranks inside
+// the armed exchange for 20 ms after that).
 func TestAlltoallvAsThePlanesSeeIt(t *testing.T) {
 	const n, straggler = 6, 4
-	clus := testCluster(1, n)
-	clus.Trace = trace.New(clus.Sim, 1<<10)
-	clus.Metrics = metrics.New(clus.Sim)
-	clus.Introspect = introspect.New(clus.Sim, 3*time.Millisecond)
 	bufs := lateBuffers(n, 3)
-	Launch(clus, n, func(c *Comm) {
-		if c.Rank() == straggler {
-			c.Proc().Sleep(5 * time.Millisecond)
-		}
-		if _, err := c.Alltoallv(bufs[c.Rank()]); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
-	})
-	clus.Introspect.Start()
-	clus.Sim.Run()
-	clus.Introspect.Final()
+	for _, tc := range []struct {
+		op      string
+		counter string
+		kinds   []trace.Kind
+		armed   int // ranks still inside at 6 ms
+		meet    func(c *Comm) error
+	}{
+		{"alltoallv", "ftmr_mpi_collectives", []trace.Kind{trace.KindCollBegin, trace.KindCollEnd}, 2, func(c *Comm) error {
+			_, err := c.Alltoallv(bufs[c.Rank()])
+			return err
+		}},
+		{"barrier", "ftmr_mpi_collectives", []trace.Kind{trace.KindCollBegin, trace.KindCollEnd}, 0, (*Comm).Barrier},
+		{"shrink", "ftmr_mpi_shrinks", []trace.Kind{trace.KindShrinkBegin, trace.KindAgreeBegin, trace.KindAgreeEnd, trace.KindShrinkEnd}, 0, func(c *Comm) error {
+			_, err := c.Shrink()
+			return err
+		}},
+		{"agree", "ftmr_mpi_agrees", []trace.Kind{trace.KindAgreeBegin, trace.KindAgreeEnd}, 0, func(c *Comm) error {
+			_, err := c.Agree(1)
+			return err
+		}},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			clus := testCluster(1, n)
+			clus.Trace = trace.New(clus.Sim, 1<<10)
+			clus.Metrics = metrics.New(clus.Sim)
+			clus.Introspect = introspect.New(clus.Sim, 3*time.Millisecond)
+			Launch(clus, n, func(c *Comm) {
+				if c.Rank() == straggler {
+					c.Proc().Sleep(5 * time.Millisecond)
+				}
+				if err := tc.meet(c); err != nil {
+					t.Errorf("rank %d: %v", c.Rank(), err)
+				}
+			})
+			clus.Introspect.Start()
+			clus.Sim.Run()
+			clus.Introspect.Final()
 
-	snap := clus.Metrics.Snapshot()
-	if got := snap.Total("ftmr_mpi_collectives"); got != n {
-		t.Errorf("ftmr_mpi_collectives = %v, want %d", got, n)
-	}
-	if s, r := snap.Total("ftmr_mpi_sends"), snap.Total("ftmr_mpi_recvs"); s != 0 || r != 0 {
-		t.Errorf("ftmr_mpi_sends = %v, ftmr_mpi_recvs = %v, want no point-to-point traffic", s, r)
-	}
-	kinds := make(map[trace.Kind]int)
-	for _, ev := range clus.Trace.Events() {
-		kinds[ev.Kind]++
-	}
-	if len(kinds) != 2 || kinds[trace.KindCollBegin] != n || kinds[trace.KindCollEnd] != n {
-		t.Errorf("trace event kinds = %v, want %d coll.begin and %d coll.end only", kinds, n, n)
-	}
-	if st := clus.Introspect.Stalls(); len(st) != 0 {
-		t.Errorf("stall reports: %+v", st)
-	}
-	// At 3 ms everyone but the straggler is parked gathering; at 6 ms and
-	// later only the two ranks of the big transfer are still inside, on
-	// their completion timers.
-	snaps := clus.Introspect.Snapshots()
-	if len(snaps) < 3 {
-		t.Fatalf("%d snapshots, want at least 3", len(snaps))
-	}
-	for _, rs := range snaps[0].Ranks {
-		want := introspect.StateColl
-		if rs.Rank == straggler {
-			want = introspect.StateTimer
-		}
-		if rs.State != want || (want == introspect.StateColl && rs.Op != "alltoallv") {
-			t.Errorf("at 3ms rank %d is %s %q, want %s", rs.Rank, rs.State, rs.Op, want)
-		}
-	}
-	edges := 0
-	for _, e := range snaps[0].Edges {
-		if e.To == straggler {
-			edges++
-		}
-	}
-	if edges != n-1 {
-		t.Errorf("at 3ms %d wait-for edges point at the straggler, want %d: %+v", edges, n-1, snaps[0].Edges)
-	}
-	for _, rs := range snaps[1].Ranks {
-		want := introspect.StateDead // returned from main
-		if rs.Rank == 2 || rs.Rank == 3 {
-			want = introspect.StateColl
-		}
-		if rs.State != want {
-			t.Errorf("at 6ms rank %d is %s, want %s", rs.Rank, rs.State, want)
-		}
+			snap := clus.Metrics.Snapshot()
+			if got := snap.Total(tc.counter); got != n {
+				t.Errorf("%s = %v, want %d", tc.counter, got, n)
+			}
+			if s, r := snap.Total("ftmr_mpi_sends"), snap.Total("ftmr_mpi_recvs"); s != 0 || r != 0 {
+				t.Errorf("ftmr_mpi_sends = %v, ftmr_mpi_recvs = %v, want no point-to-point traffic", s, r)
+			}
+			kinds := make(map[trace.Kind]int)
+			for _, ev := range clus.Trace.Events() {
+				kinds[ev.Kind]++
+			}
+			want := make(map[trace.Kind]int)
+			for _, k := range tc.kinds {
+				want[k] = n
+			}
+			if !maps.Equal(kinds, want) {
+				t.Errorf("trace event kinds = %v, want %v", kinds, want)
+			}
+			if st := clus.Introspect.Stalls(); len(st) != 0 {
+				t.Errorf("stall reports: %+v", st)
+			}
+			// At 3 ms everyone but the straggler is parked gathering.
+			snaps := clus.Introspect.Snapshots()
+			if len(snaps) < 2 {
+				t.Fatalf("%d snapshots, want at least 2", len(snaps))
+			}
+			var edges []introspect.Edge
+			for _, rs := range snaps[0].Ranks {
+				if rs.Rank == straggler {
+					if rs.State != introspect.StateTimer {
+						t.Errorf("at 3ms the straggler is %s, want %s", rs.State, introspect.StateTimer)
+					}
+					continue
+				}
+				if rs.State != introspect.StateColl || rs.Op != tc.op {
+					t.Errorf("at 3ms rank %d is %s %q, want %s %q", rs.Rank, rs.State, rs.Op, introspect.StateColl, tc.op)
+				}
+				edges = append(edges, introspect.Edge{From: rs.Rank, To: straggler, Why: introspect.WhyColl})
+			}
+			if !slices.Equal(snaps[0].Edges, edges) {
+				t.Errorf("at 3ms edges = %+v, want one from each entrant to the straggler: %+v", snaps[0].Edges, edges)
+			}
+			for _, s := range snaps[1:] {
+				if len(s.Edges) != 0 {
+					t.Errorf("at %vus, with every rank inside, edges = %+v", s.VTus, s.Edges)
+				}
+			}
+			inside := 0
+			for _, rs := range snaps[1].Ranks {
+				if rs.State == introspect.StateColl {
+					inside++
+				}
+			}
+			if inside != tc.armed {
+				t.Errorf("at 6ms %d ranks are inside, want %d", inside, tc.armed)
+			}
+		})
 	}
 }

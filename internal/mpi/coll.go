@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"ftmrmpi/internal/obs"
 )
 
 // Every collective is a rendezvous (rendezvous.go) that simulates no
@@ -20,25 +18,20 @@ import (
 // keeps its result, and may enter the next collective while slower ranks are
 // still in this one.
 
-// enterColl tells the observation planes that the caller enters collective
-// op, stamped with the communicator id and the caller's collective sequence
-// number, which the collective then consumes: every participant of one
-// instance carries the same one, and the introspection plane's straggler
-// rule reads it. Every collective opens with
-//
-//	defer c.enterColl(op).Exit()
-func (c *Comm) enterColl(op string) obs.CollSpan {
-	return c.r.obs.CollEnter(op, c.st.id, c.st.opSeq[c.rank])
-}
-
 // collective enters the caller, with its contribution w, into the meeting of
 // the kind and returns the meeting once the caller is released, or raises
-// the error that turned it away or interrupted it.
-func (c *Comm) collective(kind meetKind, w *meetWait) (*meet, error) {
+// the error that turned it away or interrupted it. The observation planes see
+// collective op once, stamped with the communicator id and the caller's
+// collective sequence number, which it consumes (every participant of one
+// instance carries the same one): one count, and one trace span that closes
+// when the caller returns, its error handler run.
+func (c *Comm) collective(op string, kind meetKind, w *meetWait) (*meet, error) {
+	defer c.r.obs.CollEnter(op, c.st.id, c.st.opSeq[c.rank]).Exit()
 	c.st.opSeq[c.rank]++
 	if err := c.st.entryErr(); err != nil {
 		return nil, c.raise(err)
 	}
+	w.op = op
 	m := c.meetIn(kind, w)
 	if w.err != nil {
 		return nil, c.raise(w.err)
@@ -64,8 +57,7 @@ func (st *commState) entryErr() error {
 // Barrier blocks until every rank in the communicator has entered it. On
 // failure it raises an error through the error handler.
 func (c *Comm) Barrier() error {
-	defer c.enterColl("barrier").Exit()
-	_, err := c.collective(meetTree, &meetWait{})
+	_, err := c.collective("barrier", meetTree, &meetWait{})
 	return err
 }
 
@@ -75,8 +67,7 @@ func (c *Comm) Barrier() error {
 // length, so an append copies): both are read-only to every rank, the caller
 // included, for as long as any rank holds the result.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	defer c.enterColl("allgather").Exit()
-	m, err := c.collective(meetTree, &meetWait{bufs: [][]byte{data}})
+	m, err := c.collective("allgather", meetTree, &meetWait{bufs: [][]byte{data}})
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +79,8 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // Allgather of 8 bytes per rank costs, and the last rank in folds once for
 // everyone.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	defer c.enterColl("allreduce").Exit()
 	w := &meetWait{bufs: [][]byte{binary.BigEndian.AppendUint64(nil, uint64(v))}, fold: op}
-	m, err := c.collective(meetTree, w)
+	m, err := c.collective("allreduce", meetTree, w)
 	if err != nil {
 		return 0, err
 	}
@@ -167,9 +157,8 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	if n := c.Size(); len(bufs) != n {
 		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
 	}
-	defer c.enterColl("alltoallv").Exit()
 	w := &meetWait{bufs: bufs}
-	if _, err := c.collective(meetExchange, w); err != nil {
+	if _, err := c.collective("alltoallv", meetExchange, w); err != nil {
 		return nil, err
 	}
 	return w.out, nil

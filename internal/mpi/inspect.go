@@ -15,26 +15,54 @@ func (w *World) RankAlive(worldRank int) bool { return w.ranks[worldRank].alive 
 // RankProc returns the world rank's simulated process.
 func (w *World) RankProc(worldRank int) *vtime.Proc { return w.ranks[worldRank].proc }
 
-// EachRecvWaiter calls fn for every live parked receive across every
-// communicator, with comm ranks translated to world ranks. Order is
-// deterministic: communicators by id, destinations by comm rank (a mailbox
-// holds at most one parked receive).
-func (w *World) EachRecvWaiter(fn func(introspect.RecvWaiter)) {
+// RankWait reports what the world rank is parked in, read from the
+// communicators' own state: the live receive parked in its mailbox, or the
+// meeting it is inside (a collective, Shrink or Agree) with, while that
+// meeting is still gathering, the live members not inside it. A parked
+// process is in one of the two on one communicator, so the first found is
+// the one.
+func (w *World) RankWait(worldRank int) (introspect.Wait, bool) {
 	for _, st := range w.comms {
-		for dest, box := range st.boxes {
-			rw := box.parked()
-			if rw == nil {
-				continue
+		cr := st.commRankOf(worldRank)
+		if cr < 0 {
+			continue
+		}
+		if rw := st.boxes[cr].parked(); rw != nil {
+			return introspect.Wait{Comm: st.id, Seq: introspect.NoValue,
+				Src: st.worldSrc(rw.src), Tag: rw.tag, Since: rw.postedVT}, true
+		}
+		for _, m := range st.meets {
+			for _, mw := range m.waits {
+				if mw.c.rank == cr && !mw.left {
+					return st.describe(m, mw), true
+				}
 			}
-			fn(introspect.RecvWaiter{
-				Rank:     st.group[dest],
-				Src:      st.worldSrc(rw.src),
-				Tag:      rw.tag,
-				Comm:     st.id,
-				PostedVT: rw.postedVT,
-			})
 		}
 	}
+	return introspect.Wait{}, false
+}
+
+// describe is entrant mw of meeting m as the introspection plane reads it.
+func (st *commState) describe(m *meet, mw *meetWait) introspect.Wait {
+	wt := introspect.Wait{Op: mw.op, Comm: st.id, Seq: introspect.NoValue,
+		Src: introspect.NoValue, Tag: introspect.NoValue, Since: mw.entry}
+	if m.kind == meetExchange || m.kind == meetTree {
+		wt.Seq = st.opSeq[mw.c.rank] - 1 // consumed on entry
+	}
+	if m.done {
+		return wt
+	}
+	inside := make([]bool, len(st.group))
+	for _, o := range m.waits {
+		inside[o.c.rank] = true
+	}
+	wt.Missing = make([]int, 0, len(st.group)-len(m.waits))
+	for r, wr := range st.group {
+		if !inside[r] && st.w.ranks[wr].alive {
+			wt.Missing = append(wt.Missing, wr)
+		}
+	}
+	return wt
 }
 
 // PeakMailboxDepth returns the most unmatched messages any one mailbox of
@@ -50,17 +78,4 @@ func (w *World) PeakMailboxDepth() int {
 		}
 	}
 	return peak
-}
-
-// EachComm calls fn for every communicator, ascending by id, with copies of
-// the group membership and per-member collective progress (the straggler
-// analysis inputs).
-func (w *World) EachComm(fn func(introspect.CommView)) {
-	for _, st := range w.comms {
-		fn(introspect.CommView{
-			ID:    st.id,
-			Group: append([]int(nil), st.group...),
-			OpSeq: append([]int(nil), st.opSeq...),
-		})
-	}
 }

@@ -28,21 +28,22 @@ import (
 type recvWait struct {
 	p   *vtime.Proc
 	src int // comm rank or AnySource
-	tag int // tag or AnyTag
+	tag int
 	msg *Message
 	err error
 	// done marks the wait as finished: msg or err is set, or it was
 	// withdrawn. A finished wait has left its mailbox.
 	done bool
 	// postedVT is the virtual time the wait was posted, stamped by post. The
-	// introspection plane reports it as the blocked-since time.
+	// introspection plane (World.RankWait) reports it as the blocked-since
+	// time.
 	postedVT time.Duration
 }
 
 // accepts reports whether a receive posted for (src, tag) matches m. src may
-// be AnySource, tag may be AnyTag.
+// be AnySource.
 func accepts(src, tag int, m *Message) bool {
-	return (src == AnySource || src == m.Src) && (tag == AnyTag || tag == m.Tag)
+	return (src == AnySource || src == m.Src) && tag == m.Tag
 }
 
 // mailbox holds the unmatched arrived messages and the parked receive of one

@@ -53,18 +53,18 @@ func TestMailboxMatching(t *testing.T) {
 	}{
 		{name: "arrival-order",
 			steps: []step{deliver(1, 5, buffered), deliver(1, 5, buffered), deliver(2, 5, buffered),
-				receive(1, 5, 0), receive(AnySource, 5, 1), receive(AnySource, AnyTag, 2)},
+				receive(1, 5, 0), receive(AnySource, 5, 1), receive(2, 5, 2)},
 			peak: 3},
 		{name: "first-acceptable-not-first-arrived",
 			steps: []step{deliver(1, 5, buffered), deliver(2, 5, buffered), deliver(2, 6, buffered), deliver(1, 6, buffered),
-				receive(2, AnyTag, 1), receive(AnySource, 6, 2), receive(1, 6, 3), receive(2, 6, parks)},
+				receive(2, 5, 1), receive(AnySource, 6, 2), receive(1, 6, 3), receive(2, 6, parks)},
 			left: []int{0}, parked: true, peak: 4},
 		{name: "unaccepted-delivery-is-buffered",
 			steps: []step{receive(1, 5, parks),
 				deliver(2, 5, buffered), deliver(1, 6, buffered), deliver(2, 6, buffered), deliver(1, 5, handed)},
 			left: []int{0, 1, 2}, peak: 3},
 		{name: "parked-wildcards-take-the-first-delivery",
-			steps: []step{receive(AnySource, AnyTag, parks), deliver(3, 9, handed), deliver(2, 0, buffered)},
+			steps: []step{receive(AnySource, 9, parks), deliver(3, 9, handed), deliver(2, 9, buffered)},
 			left:  []int{1}, peak: 1},
 		{name: "withdrawn-receive-takes-nothing",
 			steps: []step{receive(1, 5, parks), {op: 'w'}, deliver(1, 5, buffered)},

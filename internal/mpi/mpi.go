@@ -26,11 +26,8 @@ import (
 	"ftmrmpi/internal/vtime"
 )
 
-// Wildcards for Recv. Tags must be non-negative.
-const (
-	AnySource = -1
-	AnyTag    = -9999
-)
+// AnySource is Recv's source wildcard. Tags must be non-negative.
+const AnySource = -1
 
 // ErrRevoked is returned by operations on a revoked communicator.
 var ErrRevoked = errors.New("mpi: communicator revoked")
@@ -144,7 +141,7 @@ type commState struct {
 	group   []int // world ranks, ascending
 	revoked bool
 	boxes   []*mailbox // indexed by comm rank
-	opSeq   []int      // per comm-rank collective sequence number
+	opSeq   []int      // per comm-rank count of collectives entered: the seq each one is stamped with
 	// meets lists the rendezvous an interrupt can reach, oldest first
 	// (rendezvous.go): every collective, Shrink and Agree.
 	meets []*meet
@@ -461,10 +458,10 @@ func (st *commState) complete(box *mailbox, rw *recvWait, msg *Message, err erro
 }
 
 // Recv blocks until a message matching (src, tag) arrives. src may be
-// AnySource and tag may be AnyTag. Per MPI-3 + ULFM semantics, a receive
-// from a specific failed source errors immediately unless a matching
-// message was already buffered, and an AnySource receive errors while a
-// member of the communicator is dead.
+// AnySource. Per MPI-3 + ULFM semantics, a receive from a specific failed
+// source errors immediately unless a matching message was already buffered,
+// and an AnySource receive errors while a member of the communicator is
+// dead.
 func (c *Comm) Recv(src, tag int) (*Message, error) {
 	m, err := c.recv(src, tag)
 	return m, c.raise(err)

@@ -53,7 +53,7 @@ func TestRecvWildcards(t *testing.T) {
 	Launch(clus, 3, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < 2; i++ {
-				m, err := c.Recv(AnySource, AnyTag)
+				m, err := c.Recv(AnySource, 7)
 				if err != nil {
 					t.Errorf("recv: %v", err)
 					return
@@ -63,7 +63,7 @@ func TestRecvWildcards(t *testing.T) {
 			return
 		}
 		c.Proc().Sleep(time.Duration(c.Rank()) * time.Millisecond)
-		if err := c.Send(0, c.Rank()*10, []byte{byte(c.Rank())}); err != nil {
+		if err := c.Send(0, 7, []byte{byte(c.Rank())}); err != nil {
 			t.Errorf("send: %v", err)
 		}
 	})
@@ -77,7 +77,7 @@ func TestTryRecv(t *testing.T) {
 	clus := testCluster(2, 1)
 	Launch(clus, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			if _, ok, _ := c.TryRecv(AnySource, AnyTag); ok {
+			if _, ok, _ := c.TryRecv(AnySource, 3); ok {
 				t.Error("TryRecv matched on empty mailbox")
 			}
 			c.Proc().Sleep(time.Second)
@@ -230,10 +230,10 @@ func TestAnySourceFailsWhileMemberDead(t *testing.T) {
 		c.SetErrHandler(func(*Comm, error) {})
 		switch c.Rank() {
 		case 0:
-			_, first = c.Recv(AnySource, AnyTag) // interrupted by rank 2's death
-			_, second = c.Recv(AnySource, AnyTag)
+			_, first = c.Recv(AnySource, 1) // interrupted by rank 2's death
+			_, second = c.Recv(AnySource, 1)
 			c.Proc().Sleep(3 * time.Second)
-			got, third = c.Recv(AnySource, AnyTag) // rank 1's message is buffered by now
+			got, third = c.Recv(AnySource, 1) // rank 1's message is buffered by now
 		case 1:
 			c.Proc().Sleep(3 * time.Second)
 			c.Send(0, 1, []byte("late"))
@@ -317,7 +317,7 @@ func TestRevokeInterruptsEveryone(t *testing.T) {
 			}
 			return
 		}
-		_, err := c.Recv(AnySource, AnyTag)
+		_, err := c.Recv(AnySource, 1)
 		if errors.Is(err, ErrRevoked) {
 			revokedErrs++
 		}

@@ -42,6 +42,7 @@ type meet struct {
 // meetWait is one rank's stake in a meet.
 type meetWait struct {
 	c     *Comm
+	op    string // what the introspection plane calls the meeting
 	entry time.Duration
 	bufs  [][]byte               // Alltoallv's buffers; a tree's one payload, none for a Barrier
 	fold  func(a, b int64) int64 // AllreduceInt64's operator

@@ -60,7 +60,7 @@ func (c *Comm) Revoked() bool { return c.st.revoked }
 func (c *Comm) Shrink() (*Comm, error) {
 	c.r.obs.MPI.Shrinks.Inc()
 	c.r.obs.Rec.ShrinkBegin(len(c.st.group))
-	w := &meetWait{}
+	w := &meetWait{op: "shrink"}
 	m := c.meetIn(meetShrink, w)
 	if w.err != nil {
 		c.r.obs.Rec.ShrinkEnd(0)
@@ -81,7 +81,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 func (c *Comm) Agree(flag int) (int, error) {
 	c.r.obs.MPI.Agrees.Inc()
 	c.r.obs.Rec.AgreeBegin(flag)
-	m := c.meetIn(meetAgree, &meetWait{flag: flag})
+	m := c.meetIn(meetAgree, &meetWait{op: "agree", flag: flag})
 	c.agreementSleep()
 	c.r.obs.Rec.AgreeEnd(m.flags)
 	return m.flags, nil

@@ -13,11 +13,11 @@
 //
 // The handle is not a pass-through. An occurrence one plane consumes is
 // stated against that plane (h.Rec.RecoveryStage, h.MPI.Sent, h.Probe.SetTask).
-// It has a method exactly where two or three planes consume the same
-// occurrence, so the occurrence is stated once and the planes cannot drift
-// apart: a collective (all three), a phase beginning (trace + introspection),
-// and task commits, checkpoint stalls, recovery reads, load-balance fits,
-// shadow syncs and failovers (trace + metrics).
+// It has a method exactly where two planes consume the same occurrence, so
+// the occurrence is stated once and the planes cannot drift apart: a phase
+// beginning (trace + introspection), and a collective, task commits,
+// checkpoint stalls, recovery reads, load-balance fits, shadow syncs and
+// failovers (trace + metrics).
 package obs
 
 import (
@@ -55,21 +55,17 @@ type CollSpan struct {
 }
 
 // CollEnter marks the rank entering collective op, the seq-th collective on
-// communicator comm: the entry is counted, the introspection plane learns
-// what the rank is about to block in, and the tracer opens the stamped span.
-// `defer h.CollEnter(op, comm, seq).Exit()` allocates nothing.
+// communicator comm: the entry is counted and the tracer opens the stamped
+// span. (The introspection plane reads who is inside from the rendezvous
+// itself.) `defer h.CollEnter(op, comm, seq).Exit()` allocates nothing.
 func (h *Handle) CollEnter(op string, comm, seq int) CollSpan {
 	h.MPI.Colls.Inc()
-	h.Probe.EnterColl(op, comm, seq)
 	h.Rec.CollBeginN(op, comm, seq)
 	return CollSpan{h: h, op: op, comm: comm, seq: seq}
 }
 
 // Exit closes the collective opened by CollEnter.
-func (s CollSpan) Exit() {
-	s.h.Rec.CollEndN(s.op, s.comm, s.seq)
-	s.h.Probe.ExitColl()
-}
+func (s CollSpan) Exit() { s.h.Rec.CollEndN(s.op, s.comm, s.seq) }
 
 // PhaseBegin marks the rank entering a runner phase: the tracer opens the
 // span (closed by Rec.PhaseEnd) and the introspection plane relabels the
