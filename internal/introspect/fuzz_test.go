@@ -12,16 +12,18 @@ import (
 // line as either a record or a bad line, and every decoded record must
 // survive a re-encode/decode round trip.
 func FuzzDecodeSnapshot(f *testing.F) {
-	header := `{"format":"ftmr-introspect","schema":1}` + "\n"
-	snap := `{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[{"rank":0,"state":"recv","task":-2,"src":1,"tag":7,"comm":0,"seq":-2,"posted_us":0}],"edges":[{"from":0,"to":1,"why":"recv"}]}` + "\n"
-	stall := `{"kind":"stall","vt_us":10000,"reason":"deadlock-cycle","cycle":[0,1],"members":[{"rank":0,"reason":"recv src=w1 tag=7 comm=0"}],"oldest_us":0}` + "\n"
+	header := `{"format":"ftmr-introspect","schema":2}` + "\n"
+	snap := `{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0}],"waits":[{"from":[0,1],"to":[2]}]}` + "\n"
+	v1 := `{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0}],"edges":[{"from":0,"to":2,"why":"coll"}]}` + "\n"
+	stall := `{"kind":"stall","vt_us":10000,"reason":"deadlock-cycle","cycle":[0,2],"members":[{"rank":0,"reason":"collective barrier comm=0 seq=0"}],"oldest_us":0}` + "\n"
 	f.Add([]byte{})
 	f.Add([]byte(header))
 	f.Add([]byte(header + snap + stall))
+	f.Add([]byte(`{"format":"ftmr-introspect","schema":1}` + "\n" + v1 + stall))
 	f.Add([]byte(header + snap[:len(snap)/2])) // torn tail
 	f.Add([]byte(snap + stall))                // headerless
 	f.Add([]byte(header + `{"kind":"mystery"}` + "\n" + stall))
-	f.Add([]byte(`{"format":"ftmr-introspect","schema":2}` + "\n" + snap))
+	f.Add([]byte(`{"format":"ftmr-introspect","schema":3}` + "\n" + snap)) // newer schema
 	corrupt := []byte(header + snap)
 	corrupt[len(header)+20] ^= 0x80
 	f.Add(corrupt)

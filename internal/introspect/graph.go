@@ -20,21 +20,24 @@ import (
 // cycles.
 
 // findCycle runs deterministic cycle detection over the wait-for graph of n
-// ranks, its edges sorted by (From, To) as capture draws them, and returns
-// one cycle as world ranks in wait order (each member waits for the next,
-// the last for the first), or nil. Roots are visited ascending, so the same
-// graph always yields the same cycle.
-func findCycle(n int, edges []Edge) []int {
-	if len(edges) == 0 {
+// ranks, stated as wait sets with each rank in at most one From (as capture
+// builds them), and returns one cycle as world ranks in wait order (each
+// member waits for the next, the last for the first), or nil. It walks rank
+// -> set -> rank in O(n + sum of set sizes), roots and each To ascending,
+// and returns the cycle a DFS over the (From, To)-sorted expanded edges
+// would: when a set is reached again, its To entries before the cursor are
+// black (all of them, once the set is done) and the one at it is on the stack.
+func findCycle(n int, waits []WaitSet) []int {
+	if len(waits) == 0 {
 		return nil
 	}
-	first := make([]int, n+1) // rank u waits on edges[first[u]:first[u+1]]
-	for _, e := range edges {
-		first[e.From+1]++
+	in := make([]int, n) // rank u waits through waits[in[u]-1]; 0 for none
+	for s, ws := range waits {
+		for _, u := range ws.From {
+			in[u] = s + 1
+		}
 	}
-	for u := range n {
-		first[u+1] += first[u]
-	}
+	next := make([]int, len(waits)) // the cursor into each set's To
 	const (
 		white = iota
 		gray
@@ -46,13 +49,15 @@ func findCycle(n int, edges []Edge) []int {
 	dfs = func(u int) []int {
 		color[u] = gray
 		stack = append(stack, u)
-		for _, e := range edges[first[u]:first[u+1]] {
-			switch color[e.To] {
-			case gray:
-				return slices.Clone(stack[slices.Index(stack, e.To):])
-			case white:
-				if cycle := dfs(e.To); cycle != nil {
-					return cycle
+		if s := in[u] - 1; s >= 0 {
+			for to := waits[s].To; next[s] < len(to); next[s]++ {
+				switch v := to[next[s]]; color[v] {
+				case gray:
+					return slices.Clone(stack[slices.Index(stack, v):])
+				case white:
+					if cycle := dfs(v); cycle != nil {
+						return cycle
+					}
 				}
 			}
 		}

@@ -288,8 +288,8 @@ func (pl *Plane) lastSnapshot() *Snapshot {
 // capture runs at a safe point: it derives every rank's state from the
 // world's read of what the rank is parked in and from its probe, draws the
 // wait-for graph by graph.go's one rule (an entrant of a gathering meeting
-// waits for each member the world names as missing), and journals and
-// streams the snapshot and any stall report it raises.
+// waits for each member the world names as missing) as wait sets, and
+// journals and streams the snapshot and any stall report it raises.
 func (pl *Plane) capture(final bool) {
 	v := pl.world
 	if v == nil {
@@ -301,8 +301,6 @@ func (pl *Plane) capture(final bool) {
 
 	n := v.Size()
 	snap.Ranks = make([]RankState, 0, n)
-	var missing [][]int // by rank: whom its gathering meeting waits for
-	edges := 0
 	for w := 0; w < n; w++ {
 		rs := RankState{Rank: w, Src: NoValue, Tag: NoValue, Comm: NoValue,
 			Seq: NoValue, Task: NoValue, PostedUS: -1}
@@ -330,10 +328,7 @@ func (pl *Plane) capture(final bool) {
 			rs.Op, rs.Comm, rs.Seq, rs.Src, rs.Tag = wt.Op, wt.Comm, wt.Seq, wt.Src, wt.Tag
 			rs.PostedUS = vtUS(wt.Since)
 			if len(wt.Missing) > 0 {
-				if missing == nil {
-					missing = make([][]int, n)
-				}
-				missing[w], edges = wt.Missing, edges+len(wt.Missing)
+				snap.Waits = joinWaits(snap.Waits, w, wt.Missing)
 			}
 		case probe != nil && probe.drain:
 			rs.State = StateDrain
@@ -350,20 +345,12 @@ func (pl *Plane) capture(final bool) {
 		snap.Ranks = append(snap.Ranks, rs)
 	}
 
-	if edges > 0 {
-		snap.Edges = make([]Edge, 0, edges) // sorted by (From, To), as findCycle needs
-		for from, tos := range missing {
-			for _, to := range tos {
-				snap.Edges = append(snap.Edges, Edge{From: from, To: to, Why: WhyColl})
-			}
-		}
-	}
 	if pl.Outages != nil {
 		snap.Outages = pl.Outages(now)
 	}
 
 	var report *StallReport
-	if cycle := findCycle(n, snap.Edges); cycle != nil {
+	if cycle := findCycle(n, snap.Waits); cycle != nil {
 		if final || sameCycle(cycle, pl.prevCycle) {
 			r := cycleReport(snap, cycle)
 			report = &r
@@ -389,6 +376,19 @@ func (pl *Plane) capture(final bool) {
 		}
 	}
 	pl.mu.Unlock()
+}
+
+// joinWaits adds rank to the set that waits for exactly to, opening one if
+// none does. Entrants of one gathering meeting share its missing list, and
+// ranks with equal lists have equal out-edges, so merging them is exact.
+func joinWaits(sets []WaitSet, rank int, to []int) []WaitSet {
+	for i := range sets {
+		if slices.Equal(sets[i].To, to) {
+			sets[i].From = append(sets[i].From, rank)
+			return sets
+		}
+	}
+	return append(sets, WaitSet{From: []int{rank}, To: to})
 }
 
 // cycleReport builds the structured stall report for a detected cycle:

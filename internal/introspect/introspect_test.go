@@ -25,6 +25,10 @@ func inspCluster(nodes, ppn int) *cluster.Cluster {
 	return clus
 }
 
+func equalWaitSet(a, b introspect.WaitSet) bool {
+	return slices.Equal(a.From, b.From) && slices.Equal(a.To, b.To)
+}
+
 func sortedCopy(xs []int) []int {
 	out := append([]int(nil), xs...)
 	sort.Ints(out)
@@ -86,15 +90,13 @@ func TestCollectiveMissingParticipant(t *testing.T) {
 		t.Errorf("OldestUS = %v, want the entry instant 0", rep.OldestUS)
 	}
 
-	// Each entrant waits for every member outside its meeting.
+	// Each entrant waits for every member outside its meeting: one wait set
+	// per meeting.
 	snaps := pl.Snapshots()
 	last := snaps[len(snaps)-1]
-	want := []introspect.Edge{{From: 0, To: 2}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 1}}
-	for i := range want {
-		want[i].Why = introspect.WhyColl
-	}
-	if !slices.Equal(last.Edges, want) {
-		t.Errorf("edges = %+v, want %+v", last.Edges, want)
+	want := []introspect.WaitSet{{From: []int{0, 1}, To: []int{2}}, {From: []int{2}, To: []int{0, 1}}}
+	if !slices.EqualFunc(last.Waits, want, equalWaitSet) {
+		t.Errorf("waits = %+v, want %+v", last.Waits, want)
 	}
 
 	// The report must survive the wire format round trip.

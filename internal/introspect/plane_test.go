@@ -6,6 +6,9 @@ package introspect
 import (
 	"bytes"
 	"io"
+	"math/rand/v2"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,8 +71,8 @@ func TestCaptureClassification(t *testing.T) {
 	if ranks[1].State != StateRunning {
 		t.Errorf("rank 1 state = %q, want running (start event pending)", ranks[1].State)
 	}
-	if len(snaps[0].Edges) != 1 || snaps[0].Edges[0] != (Edge{From: 0, To: 1, Why: WhyColl}) {
-		t.Errorf("edges = %+v, want the single meeting edge 0->1", snaps[0].Edges)
+	if w := snaps[0].Waits; len(w) != 1 || !slices.Equal(w[0].From, []int{0}) || !slices.Equal(w[0].To, []int{1}) {
+		t.Errorf("waits = %+v, want the single meeting set 0 -> 1", w)
 	}
 	if got := pl.Stalls(); len(got) != 0 {
 		t.Errorf("stalls = %+v for an acyclic graph", got)
@@ -82,16 +85,16 @@ func TestCaptureClassification(t *testing.T) {
 	if rs := snap.Ranks[1]; rs.State != StateRecv || rs.Src != AnySource || rs.Tag != 3 || rs.PostedUS != 1000 {
 		t.Errorf("rank 1 = %+v, want a receive from any source, tag 3, since 1000us", rs)
 	}
-	if len(snap.Edges) != 1 || snap.Seq != 1 {
-		t.Errorf("snapshot %d edges = %+v, want snapshot 1 with the meeting edge only", snap.Seq, snap.Edges)
+	if len(snap.Waits) != 1 || snap.Seq != 1 {
+		t.Errorf("snapshot %d waits = %+v, want snapshot 1 with the meeting set only", snap.Seq, snap.Waits)
 	}
 
 	// A dead rank is edge-free even with a stale wait.
 	fw.dead[0] = true
 	pl.capture(false)
 	last := pl.Snapshots()[2]
-	if last.Ranks[0].State != StateDead || len(last.Edges) != 0 {
-		t.Errorf("rank 0 state = %q, edges %+v after death, want dead and none", last.Ranks[0].State, last.Edges)
+	if last.Ranks[0].State != StateDead || len(last.Waits) != 0 {
+		t.Errorf("rank 0 state = %q, waits %+v after death, want dead and none", last.Ranks[0].State, last.Waits)
 	}
 }
 
@@ -122,21 +125,129 @@ func TestCyclePersistenceRule(t *testing.T) {
 }
 
 func TestFindCycleDeterministic(t *testing.T) {
-	edges := []Edge{
-		{From: 0, To: 3, Why: WhyColl},
-		{From: 1, To: 2, Why: WhyColl},
-		{From: 2, To: 1, Why: WhyColl},
-		{From: 3, To: 2, Why: WhyColl},
+	waits := []WaitSet{
+		{From: []int{0}, To: []int{3}},
+		{From: []int{1, 3}, To: []int{2}},
+		{From: []int{2}, To: []int{1}},
 	}
-	want := []int{1, 2}
+	want := []int{2, 1} // 0 -> 3 -> 2 -> 1 -> 2
 	for i := 0; i < 10; i++ {
-		got := findCycle(4, edges)
-		if len(got) != 2 || !sameCycle(got, want) {
+		got := findCycle(4, waits)
+		if !slices.Equal(got, want) {
 			t.Fatalf("iteration %d: cycle = %v, want %v", i, got, want)
 		}
 	}
-	if c := findCycle(4, edges[:2]); c != nil {
+	if c := findCycle(4, waits[:2]); c != nil {
 		t.Fatalf("cycle = %v on an acyclic graph", c)
+	}
+}
+
+// refFindCycle is the reference detector findCycle must agree with: a DFS
+// over the expanded wait-for edges sorted by (From, To), roots ascending.
+func refFindCycle(n int, waits []WaitSet) []int {
+	var edges [][2]int
+	for _, ws := range waits {
+		for _, from := range ws.From {
+			for _, to := range ws.To {
+				edges = append(edges, [2]int{from, to})
+			}
+		}
+	}
+	slices.SortFunc(edges, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
+	color := make([]int, n) // 0 white, 1 gray, 2 black
+	var stack []int
+	var dfs func(u int) []int
+	dfs = func(u int) []int {
+		color[u] = 1
+		stack = append(stack, u)
+		for _, e := range edges {
+			if e[0] != u {
+				continue
+			}
+			switch color[e[1]] {
+			case 1:
+				return slices.Clone(stack[slices.Index(stack, e[1]):])
+			case 0:
+				if cycle := dfs(e[1]); cycle != nil {
+					return cycle
+				}
+			}
+		}
+		stack = stack[:len(stack)-1]
+		color[u] = 2
+		return nil
+	}
+	for u := range n {
+		if color[u] == 0 {
+			if cycle := dfs(u); cycle != nil {
+				return cycle
+			}
+		}
+	}
+	return nil
+}
+
+// randomWaits draws a wait-set graph the way capture builds one: ranks
+// ascending, each dead or idle (waiting through no set), an entrant of a
+// shared meeting (a multi-entrant set), or waiting on a list of its own (a
+// singleton set), merged by joinWaits.
+func randomWaits(rng *rand.Rand, n int) []WaitSet {
+	pick := func() []int {
+		var to []int
+		for r := range n {
+			if rng.IntN(4) == 0 {
+				to = append(to, r)
+			}
+		}
+		if to == nil {
+			to = []int{rng.IntN(n)}
+		}
+		return to
+	}
+	shared := [][]int{pick(), pick()}
+	var waits []WaitSet
+	for r := range n {
+		switch rng.IntN(5) {
+		case 0, 1: // dead or idle
+		case 2:
+			waits = joinWaits(waits, r, pick())
+		default:
+			waits = joinWaits(waits, r, shared[rng.IntN(len(shared))])
+		}
+	}
+	return waits
+}
+
+// TestFindCycleMatchesEdgeDFS: on seeded random wait-set graphs, findCycle
+// returns exactly the cycle (membership and order) the reference DFS over
+// the expanded edges does, or nil when it does.
+func TestFindCycleMatchesEdgeDFS(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	cyclic, multi := 0, 0
+	for trial := range 600 {
+		n := 1 + rng.IntN(12)
+		waits := randomWaits(rng, n)
+		got, want := findCycle(n, waits), refFindCycle(n, waits)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, n=%d, waits %+v: cycle = %v, want %v", trial, n, waits, got, want)
+		}
+		if want != nil {
+			cyclic++
+		}
+		for _, ws := range waits {
+			if len(ws.From) > 1 {
+				multi++
+				break
+			}
+		}
+	}
+	if cyclic < 100 || cyclic > 500 || multi < 100 {
+		t.Fatalf("%d of 600 graphs cyclic, %d with a multi-entrant set: the generator lost its mix", cyclic, multi)
 	}
 }
 
@@ -166,6 +277,42 @@ func TestReadJSONLDamageTolerance(t *testing.T) {
 	}
 	if !rr.Header || rr.Schema != SchemaVersion {
 		t.Fatalf("header = %v schema = %d", rr.Header, rr.Schema)
+	}
+}
+
+// deadlockV1 is the mismatched-meetings deadlock fixture as the schema-1
+// writer wrote it: one edge per (entrant, missing member) pair.
+const deadlockV1 = `{"format":"ftmr-introspect","schema":1}
+{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":1,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":2,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"alltoallv","seq":0,"posted_us":0}],"edges":[{"from":0,"to":2,"why":"coll"},{"from":1,"to":2,"why":"coll"},{"from":2,"to":0,"why":"coll"},{"from":2,"to":1,"why":"coll"}]}
+{"kind":"snapshot","vt_us":10000,"seq":1,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":1,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":2,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"alltoallv","seq":0,"posted_us":0}],"edges":[{"from":0,"to":2,"why":"coll"},{"from":1,"to":2,"why":"coll"},{"from":2,"to":0,"why":"coll"},{"from":2,"to":1,"why":"coll"}]}
+{"kind":"stall","vt_us":10000,"reason":"deadlock-cycle","cycle":[0,2],"members":[{"rank":0,"reason":"collective barrier comm=0 seq=0"},{"rank":2,"reason":"collective alltoallv comm=0 seq=0"}],"oldest_us":0}
+`
+
+// TestReadJSONLFoldsSchema1: a schema-1 stream's edges fold into the wait
+// sets the current writer states, so an old file reports the same cycle and
+// renders the same table as the committed schema-2 fixture.
+func TestReadJSONLFoldsSchema1(t *testing.T) {
+	render := func(r io.Reader) (string, []StallReport) {
+		lines, rr, err := ReadJSONL(r)
+		if err != nil || !rr.Clean() {
+			t.Fatalf("ReadJSONL: %v / %v", err, rr.Err())
+		}
+		snaps, stalls := SplitLines(lines)
+		var out strings.Builder
+		RenderTable(&out, snaps, stalls)
+		return out.String(), stalls
+	}
+	old, stalls := render(strings.NewReader(deadlockV1))
+	if len(stalls) != 1 || !slices.Equal(stalls[0].Cycle, []int{0, 2}) {
+		t.Fatalf("schema-1 stalls = %+v, want one with cycle [0 2]", stalls)
+	}
+	f, err := os.Open("testdata/deadlock.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if cur, _ := render(f); old != cur {
+		t.Fatalf("schema-1 table:\n%s\nschema-2 table:\n%s", old, cur)
 	}
 }
 

@@ -3,6 +3,7 @@ package introspect
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Renderers for ftmr-trace inspect: a human-readable table of the last
@@ -24,7 +25,7 @@ func SplitLines(lines []Line) (snaps []Snapshot, stalls []StallReport) {
 }
 
 // RenderTable writes the human-readable report: a per-rank state table for
-// the final snapshot, the wait-for edges, and one block per stall report.
+// the final snapshot, one line per wait set, and one block per stall report.
 func RenderTable(w io.Writer, snaps []Snapshot, stalls []StallReport) {
 	if len(snaps) == 0 {
 		fmt.Fprintln(w, "no snapshots")
@@ -52,8 +53,8 @@ func RenderTable(w io.Writer, snaps []Snapshot, stalls []StallReport) {
 		for _, o := range last.Outages {
 			fmt.Fprintf(w, "outage: tier %s offline until vt=%.0fus\n", o.Tier, o.UntilUS)
 		}
-		for _, e := range last.Edges {
-			fmt.Fprintf(w, "waits:  w%d -> w%d (%s)\n", e.From, e.To, e.Why)
+		for _, ws := range last.Waits {
+			fmt.Fprintf(w, "waits:  %s -> %s\n", rankList(ws.From), rankList(ws.To))
 		}
 	}
 	for _, rep := range stalls {
@@ -78,8 +79,8 @@ func RenderTable(w io.Writer, snaps []Snapshot, stalls []StallReport) {
 
 // RenderDOT writes the final snapshot's wait-for graph in Graphviz DOT
 // form: one node per non-running rank (labeled with its state), one arrow
-// per wait-for edge, with cycle members from any deadlock report drawn in
-// red.
+// per wait-for edge (each wait set expanded), with cycle members from any
+// deadlock report drawn in red.
 func RenderDOT(w io.Writer, snaps []Snapshot, stalls []StallReport) {
 	fmt.Fprintln(w, "digraph waitfor {")
 	fmt.Fprintln(w, "  rankdir=LR;")
@@ -102,13 +103,26 @@ func RenderDOT(w io.Writer, snaps []Snapshot, stalls []StallReport) {
 			}
 			fmt.Fprintf(w, "  w%d [%s];\n", rs.Rank, attrs)
 		}
-		for _, e := range last.Edges {
-			attrs := fmt.Sprintf("label=\"%s\"", e.Why)
-			if inCycle[e.From] && inCycle[e.To] {
-				attrs += " color=red"
+		for _, ws := range last.Waits {
+			for _, from := range ws.From {
+				for _, to := range ws.To {
+					attrs := ""
+					if inCycle[from] && inCycle[to] {
+						attrs = " [color=red]"
+					}
+					fmt.Fprintf(w, "  w%d -> w%d%s;\n", from, to, attrs)
+				}
 			}
-			fmt.Fprintf(w, "  w%d -> w%d [%s];\n", e.From, e.To, attrs)
 		}
 	}
 	fmt.Fprintln(w, "}")
+}
+
+// rankList renders world ranks as "w0 w1 w2".
+func rankList(ranks []int) string {
+	s := make([]string, len(ranks))
+	for i, r := range ranks {
+		s[i] = fmt.Sprintf("w%d", r)
+	}
+	return strings.Join(s, " ")
 }

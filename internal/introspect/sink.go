@@ -15,8 +15,9 @@ import (
 // input or a schema newer than the reader.
 
 // SchemaVersion is the snapshot wire-format version this package writes and
-// the newest it can read.
-const SchemaVersion = 1
+// the newest it can read. Schema 2 states the wait-for graph as wait sets;
+// a schema-1 line's edge list folds into wait sets on read.
+const SchemaVersion = 2
 
 // wire is the introspection JSONL format (internal/jsonl holds the codec).
 var wire = jsonl.Format{Name: "ftmr-introspect", Schema: SchemaVersion}
@@ -36,10 +37,6 @@ const (
 	// (a configured wall interval elapsed with zero virtual-time progress).
 	ReasonNoProgress = "no-progress"
 )
-
-// WhyColl is the one wait-for edge kind: a rank inside a gathering meeting
-// waits for a live group member that is not inside it.
-const WhyColl = "coll"
 
 // RankState is one rank's captured state. Integer fields that do not apply
 // to the state hold NoValue (Src additionally uses AnySource for wildcard
@@ -73,14 +70,15 @@ type RankState struct {
 	PostedUS float64 `json:"posted_us"`
 }
 
-// Edge is one wait-for edge: From waits for To (world ranks).
-type Edge struct {
-	// From is the waiting world rank.
-	From int `json:"from"`
-	// To is the world rank being waited for.
-	To int `json:"to"`
-	// Why is the edge kind (WhyColl).
-	Why string `json:"why"`
+// WaitSet is a block of the wait-for graph: every rank in From waits for
+// every rank in To (world ranks, each list ascending). The entrants of one
+// gathering meeting share one set, so the meeting costs |From|+|To| on the
+// wire rather than |From|x|To| edges.
+type WaitSet struct {
+	// From lists the waiting world ranks.
+	From []int `json:"from"`
+	// To lists the world ranks they wait for.
+	To []int `json:"to"`
 }
 
 // Snapshot is one captured per-rank state set with its derived wait-for
@@ -94,8 +92,9 @@ type Snapshot struct {
 	Seq int `json:"seq"`
 	// Ranks holds one entry per world rank, ascending.
 	Ranks []RankState `json:"ranks"`
-	// Edges is the derived wait-for graph.
-	Edges []Edge `json:"edges,omitempty"`
+	// Waits is the derived wait-for graph, one set per distinct waited-for
+	// list, in order of its lowest waiting rank.
+	Waits []WaitSet `json:"waits,omitempty"`
 	// Outages lists storage tiers inside a fault-injected outage window at
 	// capture time.
 	Outages []Outage `json:"outages,omitempty"`
@@ -203,16 +202,26 @@ func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
 	var out []Line
 	rr, err := wire.Read(r, func(raw []byte) error {
 		// Every line is decoded as a snapshot first, the kind nearly every
-		// line is, with its rank and edge lists sized up front (a key count
-		// bounds them; the decoder would regrow them element by element).
-		var snap Snapshot
+		// line is, with its rank list sized up front (a key count bounds it;
+		// the decoder would regrow it element by element).
+		var rec struct {
+			Snapshot
+			Edges []struct{ From, To int } `json:"edges"`
+		}
 		if n := bytes.Count(raw, []byte(`"rank":`)); n > 0 {
-			snap.Ranks = make([]RankState, 0, n)
+			rec.Ranks = make([]RankState, 0, n)
 		}
-		if n := bytes.Count(raw, []byte(`"from":`)); n > 0 {
-			snap.Edges = make([]Edge, 0, n)
+		err := json.Unmarshal(raw, &rec)
+		snap := &rec.Snapshot
+		// A schema-1 line's edges, sorted by (From, To), fold into the sets
+		// capture draws: each rank's targets, merged by joinWaits.
+		for i := 0; i < len(rec.Edges); {
+			from, to := rec.Edges[i].From, []int(nil)
+			for ; i < len(rec.Edges) && rec.Edges[i].From == from; i++ {
+				to = append(to, rec.Edges[i].To)
+			}
+			snap.Waits = joinWaits(snap.Waits, from, to)
 		}
-		err := json.Unmarshal(raw, &snap)
 		switch {
 		case snap.Kind == lineStall:
 			var rep StallReport
@@ -223,7 +232,7 @@ func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
 		case err != nil:
 			return err
 		case snap.Kind == lineSnapshot:
-			out = append(out, Line{Snapshot: &snap})
+			out = append(out, Line{Snapshot: snap})
 		default:
 			return fmt.Errorf("unknown kind %q", snap.Kind)
 		}

@@ -313,8 +313,8 @@ func TestAlltoallvInterrupted(t *testing.T) {
 // trace events once each and its counter once — no per-pair send/recv
 // events, counters or flows (those stay point-to-point quantities, equal by
 // construction) — and, while a sleeping straggler keeps the meeting
-// gathering, every entrant parked as "collective" in that op with one
-// wait-for edge, to the straggler; never a stall, and no edge once every
+// gathering, every entrant parked as "collective" in that op and in one
+// wait set, waiting for the straggler; never a stall, and no wait once every
 // rank is inside (the alltoallv row's big transfer keeps two ranks inside
 // the armed exchange for 20 ms after that).
 func TestAlltoallvAsThePlanesSeeIt(t *testing.T) {
@@ -384,7 +384,7 @@ func TestAlltoallvAsThePlanesSeeIt(t *testing.T) {
 			if len(snaps) < 2 {
 				t.Fatalf("%d snapshots, want at least 2", len(snaps))
 			}
-			var edges []introspect.Edge
+			var entrants []int
 			for _, rs := range snaps[0].Ranks {
 				if rs.Rank == straggler {
 					if rs.State != introspect.StateTimer {
@@ -395,14 +395,14 @@ func TestAlltoallvAsThePlanesSeeIt(t *testing.T) {
 				if rs.State != introspect.StateColl || rs.Op != tc.op {
 					t.Errorf("at 3ms rank %d is %s %q, want %s %q", rs.Rank, rs.State, rs.Op, introspect.StateColl, tc.op)
 				}
-				edges = append(edges, introspect.Edge{From: rs.Rank, To: straggler, Why: introspect.WhyColl})
+				entrants = append(entrants, rs.Rank)
 			}
-			if !slices.Equal(snaps[0].Edges, edges) {
-				t.Errorf("at 3ms edges = %+v, want one from each entrant to the straggler: %+v", snaps[0].Edges, edges)
+			if w := snaps[0].Waits; len(w) != 1 || !slices.Equal(w[0].From, entrants) || !slices.Equal(w[0].To, []int{straggler}) {
+				t.Errorf("at 3ms waits = %+v, want one set: entrants %v waiting for the straggler", w, entrants)
 			}
 			for _, s := range snaps[1:] {
-				if len(s.Edges) != 0 {
-					t.Errorf("at %vus, with every rank inside, edges = %+v", s.VTus, s.Edges)
+				if len(s.Waits) != 0 {
+					t.Errorf("at %vus, with every rank inside, waits = %+v", s.VTus, s.Waits)
 				}
 			}
 			inside := 0
@@ -415,5 +415,50 @@ func TestAlltoallvAsThePlanesSeeIt(t *testing.T) {
 				t.Errorf("at 6ms %d ranks are inside, want %d", inside, tc.armed)
 			}
 		})
+	}
+}
+
+// TestGatheringShrinkIsOneWaitSet: a W=256 Shrink that eight live ranks have
+// not entered is captured as one wait set (every entrant waits for the same
+// eight), so its snapshot line grows with the world, not with entrants x
+// missing members.
+func TestGatheringShrinkIsOneWaitSet(t *testing.T) {
+	const n, outside = 256, 8
+	clus := testCluster(16, 16)
+	clus.Introspect = introspect.New(clus.Sim, 3*time.Millisecond)
+	Launch(clus, n, func(c *Comm) {
+		if c.Rank()%(n/outside) == 1 {
+			c.Proc().Sleep(5 * time.Millisecond)
+		}
+		if _, err := c.Shrink(); err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+	})
+	clus.Introspect.Start()
+	clus.Sim.Run()
+
+	snaps := clus.Introspect.Snapshots()
+	if len(snaps) == 0 {
+		t.Fatal("no snapshot")
+	}
+	var from, to []int
+	for r := range n {
+		if r%(n/outside) == 1 {
+			to = append(to, r)
+		} else {
+			from = append(from, r)
+		}
+	}
+	w := snaps[0].Waits
+	if len(w) != 1 || !slices.Equal(w[0].From, from) || !slices.Equal(w[0].To, to) {
+		t.Fatalf("at 3ms waits = %+v, want one set: %d entrants waiting for %v", w, len(from), to)
+	}
+	var buf bytes.Buffer
+	if err := clus.Introspect.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.SplitN(buf.Bytes(), []byte("\n"), 3)[1] // after the header
+	if len(line) > 200*n {
+		t.Errorf("the 3ms snapshot line is %d B, want at most 200 B a rank (%d B)", len(line), 200*n)
 	}
 }
