@@ -75,8 +75,9 @@ func (r *runner) recover() error {
 }
 
 // recoverOnce is one attempt on the revoked communicator: the protocol
-// (shrink, promote, allgather the claims), the pure rebuild of the global
-// state from them, and the effect of the decision it names.
+// (shrink, promote, allgather the claims and fold them once into the round's
+// plan), this rank's share of the plan, and the effect of the decision it
+// names.
 func (r *runner) recoverOnce() error {
 	newComm, err := r.comm.Shrink()
 	if err != nil {
@@ -94,37 +95,47 @@ func (r *runner) recoverOnce() error {
 	}
 
 	// Exchange survivor state (§3.3: the masters' globally consistent state
-	// is what recovery is built on).
+	// is what recovery is built on). The survivor that completes the gather
+	// folds the states into the plan, once, and every survivor receives it.
 	st := r.encodeState()
-	var all [][]byte
-	if err := r.net(func() (e error) { all, e = r.comm.Allgather(st); return e }); err != nil {
-		return err
+	rp := roundPlanner{
+		tasks:        r.tt.tasks,
+		nParts:       r.nParts,
+		jobIdx:       r.job.jobIdx,
+		checkpointed: r.spec.Model.Checkpointing(),
+		replicating:  r.ftm != nil,
+		balanced:     r.spec.LoadBalance,
 	}
-	states := make([]survivorState, len(all))
-	for i, enc := range all {
-		if states[i], err = decodeState(enc); err != nil {
+	c := r.comm
+	fold := func(all [][]byte) any {
+		pl, err := rp.plan(all, groupOf(c))
+		if err != nil {
 			return err
 		}
-		if states[i].jobIdx != r.job.jobIdx {
-			// The closing shrink holds every live rank in a job until all leave it.
-			return fmt.Errorf("core: recovery of job %d met a survivor in job %d", r.job.jobIdx, states[i].jobIdx)
-		}
+		return pl
 	}
-	pl := rebuild(states, groupOf(newComm), r.tt, r.nParts)
+	var res any
+	if err := r.net(func() (e error) { res, e = r.comm.AllgatherFold(st, fold); return e }); err != nil {
+		return err
+	}
+	pl, ok := res.(*recoveryPlan)
+	if !ok {
+		return res.(error)
+	}
 	if pl.done {
 		r.phase = phDone
 		return nil
 	}
-	r.partOwner = pl.partOwner
+	pl.apply(r.tt, r.partOwner)
 
-	d := pl.decide(r.spec.Model.Checkpointing(), r.ftm != nil)
+	d := pl.decision
 	switch d {
 	case adopt:
 		d, err = r.adoptLost(pl)
 	case remap:
 		// Unclaimed partitions (no data yet, or none that can be restored)
 		// get owners so the shuffle has destinations.
-		r.spread("parts", pl.lostParts, pl.models, func(int) float64 { return 1 }, r.partOwner)
+		r.spread("parts", pl.lostParts, pl.partsTo, r.partOwner)
 		err = r.remapLost(pl)
 	}
 	if err != nil {
@@ -135,7 +146,8 @@ func (r *runner) recoverOnce() error {
 }
 
 // recoveryPlan is the global state a recovery round rebuilds from the
-// survivors' claims, identical on every survivor.
+// survivors' claims. One survivor computes it per round and every survivor
+// shares it, read-only.
 type recoveryPlan struct {
 	// done: a survivor is past the final barrier, so every rank had finished
 	// the job's work and its outputs are durable — nothing is lost, and the
@@ -143,6 +155,8 @@ type recoveryPlan struct {
 	done      bool
 	minPhase  int       // the earliest phase a survivor is in
 	models    []lbModel // the survivors' load models, in communicator order
+	doneBits  []byte    // the survivors' done bitmaps merged, in taskTable.done's form
+	taskOwner []int     // task -> the survivor that claims it, -1 when none does
 	partOwner []int     // partition -> the survivor whose memory holds it, -1 when none does
 	lostParts []int     // the partitions no survivor holds, ascending
 	// The tasks no survivor claims, ascending, and how many are pending: those
@@ -150,15 +164,58 @@ type recoveryPlan struct {
 	// memory and matter only when the map output is needed again (remap).
 	lostTasks   []int
 	lostPending int
+
+	// What the round does with the lost work, and how remap deals it out:
+	// per survivor, in communicator order, indices into lostParts (remap) and
+	// lostTasks (adopt, which may fall to remap, or remap). See deal.
+	decision decision
+	partsTo  [][]int
+	tasksTo  [][]int
 }
 
-// rebuild computes a round's plan purely from the allgathered claims (see
-// survivorState): states[i] is world rank group[i]'s. It merges the done
-// bitmaps into tt and applies the task claims to it; a task nobody claims
-// keeps its dead owner until an effect hands it out. Every survivor is in the
+// roundPlanner holds what a round's plan derives from besides the claims:
+// values every rank of the job holds alike, so whichever survivor completes
+// the gather can plan for all of them.
+type roundPlanner struct {
+	tasks        []Task // the job's task list (jobTasks: one shared slice)
+	nParts       int
+	jobIdx       int
+	checkpointed bool // WC: lost tasks restore, lost partitions may be adopted
+	replicating  bool // a replication model runs: nothing lost means failover
+	balanced     bool // Spec.LoadBalance: deal by the load models, not evenly
+}
+
+// plan decodes the survivors' allgathered states (all[i] is world rank
+// group[i]'s) and returns the round's plan, decided and dealt, or the error a
+// malformed state or one from another job makes. Every survivor is in the
 // same job: a rank leaves one only through its closing shrink, which every
 // live rank of the job enters.
-func rebuild(states []survivorState, group []int, tt *taskTable, nParts int) *recoveryPlan {
+func (rp *roundPlanner) plan(all [][]byte, group []int) (*recoveryPlan, error) {
+	states := make([]survivorState, len(all))
+	for i, enc := range all {
+		var err error
+		if states[i], err = decodeState(enc); err != nil {
+			return nil, err
+		}
+		if states[i].jobIdx != rp.jobIdx {
+			// The closing shrink holds every live rank in a job until all leave it.
+			return nil, fmt.Errorf("core: recovery of job %d met a survivor in job %d", rp.jobIdx, states[i].jobIdx)
+		}
+	}
+	pl := rebuild(states, group, rp.tasks, rp.nParts)
+	if !pl.done {
+		pl.decision = pl.decide(rp.checkpointed, rp.replicating)
+		pl.deal(rp.tasks, rp.checkpointed, rp.balanced)
+	}
+	return pl, nil
+}
+
+// rebuild computes a round's global state purely from the allgathered claims
+// (see survivorState): states[i] is world rank group[i]'s. It merges the done
+// bitmaps and collects the task and partition claims; whatever no survivor
+// claims is lost. A claimed id past the task list or the partition count (a
+// corrupt claim) is ignored, not indexed.
+func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *recoveryPlan {
 	pl := &recoveryPlan{minPhase: phDone, models: make([]lbModel, len(states))}
 	for i, s := range states {
 		pl.models[i] = s.model
@@ -168,41 +225,79 @@ func rebuild(states []survivorState, group []int, tt *taskTable, nParts int) *re
 	if pl.done {
 		return pl
 	}
-	// Apply the claims; whatever no living process claims is lost. A claimed
-	// id past the table (a corrupt claim) is ignored, not indexed.
+	merged := &taskTable{tasks: tasks, done: make([]byte, (len(tasks)+7)/8)}
+	pl.taskOwner = make([]int, len(tasks))
 	pl.partOwner = make([]int, nParts)
-	for part := range pl.partOwner {
-		pl.partOwner[part] = -1
+	for _, owners := range [][]int{pl.taskOwner, pl.partOwner} {
+		for id := range owners {
+			owners[id] = -1
+		}
 	}
-	claimed := make([]bool, len(tt.owner))
 	for i, s := range states {
-		tt.mergeBitmap(s.doneBitmap)
+		merged.mergeBitmap(s.doneBitmap)
 		for _, p := range s.parts {
 			if int(p) < nParts {
 				pl.partOwner[p] = group[i]
 			}
 		}
 		for _, t := range s.tasks {
-			if int(t) < len(tt.owner) {
-				tt.owner[t] = group[i]
-				claimed[t] = true
+			if int(t) < len(tasks) {
+				pl.taskOwner[t] = group[i]
 			}
 		}
 	}
+	pl.doneBits = merged.done
 	for part, o := range pl.partOwner {
 		if o < 0 {
 			pl.lostParts = append(pl.lostParts, part)
 		}
 	}
-	for id := range tt.owner {
-		if !claimed[id] {
+	for id, o := range pl.taskOwner {
+		if o < 0 {
 			pl.lostTasks = append(pl.lostTasks, id)
-			if !tt.isDone(id) {
+			if !merged.isDone(id) {
 				pl.lostPending++
 			}
 		}
 	}
 	return pl
+}
+
+// apply brings a survivor's own view in line with the plan: tt gains the
+// merged done bits and each claimed task's claimant — a task nobody claims
+// keeps its dead owner until an effect hands it out — and partOwner (the
+// rank's own slice, nParts long) becomes the partition claims.
+func (pl *recoveryPlan) apply(tt *taskTable, partOwner []int) {
+	tt.mergeBitmap(pl.doneBits)
+	for id, o := range pl.taskOwner {
+		if o >= 0 {
+			tt.owner[id] = o
+		}
+	}
+	copy(partOwner, pl.partOwner)
+}
+
+// deal computes, once for every survivor, how the lost work is handed out
+// (§3.4): the lost partitions at weight one when the decision is remap, and
+// the lost tasks by chunk size — cheaper when checkpoints make them
+// restorable — whenever anything is lost, since adopt falls to remap when a
+// snapshot survives nowhere. Adopt's own partition weights are the snapshots'
+// PFS sizes: cluster state, which each survivor reads itself (adoptLost).
+func (pl *recoveryPlan) deal(tasks []Task, checkpointed, balanced bool) {
+	if pl.decision == failover {
+		return
+	}
+	if pl.decision == remap {
+		pl.partsTo = assign(pl.models, pl.lostParts, balanced, func(int) float64 { return 1 })
+	}
+	pl.tasksTo = assign(pl.models, pl.lostTasks, balanced, func(id int) float64 {
+		size := float64(tasks[id].Chunk.Size)
+		if checkpointed {
+			// Restoring a committed task is cheaper than re-running it.
+			size *= 0.3
+		}
+		return size
+	})
 }
 
 // decision names what a recovery does with the work the failed ranks held.
@@ -272,12 +367,12 @@ func (pl *recoveryPlan) rerun(tt *taskTable) []int {
 // regenerated and re-exchanged after all, and the decision made is remap.
 func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 	pfs := r.job.clus.PFS
-	r.spread("parts", pl.lostParts, pl.models, func(part int) float64 {
+	r.spread("parts", pl.lostParts, assign(pl.models, pl.lostParts, r.spec.LoadBalance, func(part int) float64 {
 		if sz := pfs.Size(ckptPath(r.spec.JobID, partStream(part))); sz > 0 {
 			return float64(sz)
 		}
 		return 1
-	}, r.partOwner)
+	}), r.partOwner)
 	// Hand the lost partitions' in-memory replicas to their new owners
 	// before judging restorability, so peer-RAM copies count even when the
 	// PFS copy is torn — or the whole tier is offline.
@@ -311,7 +406,7 @@ func (r *runner) remapLost(pl *recoveryPlan) error {
 		r.resetLost(pl.lostParts)
 	}
 	lostTasks := pl.rerun(r.tt)
-	r.redistributeTasks(lostTasks, pl.models, r.spec.Model.Checkpointing())
+	r.redistributeTasks(lostTasks, pl.tasksTo)
 	if err := r.exchangeReplicas(mapStream, lostTasks, r.tt.owner); err != nil {
 		return err
 	}
@@ -340,9 +435,14 @@ func (r *runner) resetLost(lost []int) {
 // records, and returns, the world ranks the old one had and it lacks.
 func (r *runner) adoptComm(nc *mpi.Comm) (failed []int) {
 	nc.SetErrHandler(drErrHandler)
-	if nc.Size() < r.comm.Size() { // a shrink drops exactly the failed members
+	if nc.Size() < r.comm.Size() {
+		// A shrink drops exactly the failed members and keeps the others in
+		// order: one walk over both groups finds them.
+		j := 0
 		for i := range r.comm.Size() {
-			if w := r.comm.WorldRank(i); nc.CommRankOf(w) < 0 {
+			if w := r.comm.WorldRank(i); j < nc.Size() && nc.WorldRank(j) == w {
+				j++
+			} else {
 				failed = append(failed, w)
 			}
 		}
@@ -361,26 +461,16 @@ func groupOf(c *mpi.Comm) []int {
 	return out
 }
 
-// spread deals the lost pieces ids out to the survivors — by the
-// load-balancer models when enabled (§3.4), evenly otherwise — and records
-// each piece's new owner in owners (id -> world rank). Under a replication
-// model work is never parked on a dedicated mirror: its acting primary owns it
-// and the mirror follows.
-func (r *runner) spread(what string, ids []int, models []lbModel, weight func(id int) float64, owners []int) {
+// spread hands the lost pieces ids out as assignment deals them (per
+// survivor, in communicator order, indices into ids) and records each piece's
+// new owner in owners (id -> world rank). Under a replication model work is
+// never parked on a dedicated mirror: its acting primary owns it and the
+// mirror follows.
+func (r *runner) spread(what string, ids []int, assignment [][]int, owners []int) {
 	if len(ids) == 0 {
 		return
 	}
 	r.obs.Rec.LoadBalance(what, len(ids), r.comm.Size())
-	var assignment [][]int
-	if r.spec.LoadBalance {
-		pieces := make([]float64, len(ids))
-		for i, id := range ids {
-			pieces[i] = weight(id)
-		}
-		assignment = balanceWork(models, pieces)
-	} else {
-		assignment = evenSplit(r.comm.Size(), len(ids))
-	}
 	for surv, pieceIdxs := range assignment {
 		w := r.comm.WorldRank(surv)
 		if r.ftm != nil {
@@ -392,18 +482,27 @@ func (r *runner) spread(what string, ids []int, models []lbModel, weight func(id
 	}
 }
 
-// redistributeTasks hands unclaimed task ids (ascending) to survivors
-// deterministically (restorable=true weights restorable tasks cheaper; their
-// checkpoint streams are replayed instead of fully re-run).
-func (r *runner) redistributeTasks(lostIDs []int, models []lbModel, restorable bool) {
-	r.spread("tasks", lostIDs, models, func(id int) float64 {
-		size := float64(r.tt.tasks[id].Chunk.Size)
-		if restorable {
-			// Restoring a committed task is cheaper than re-running it.
-			size *= 0.3
-		}
-		return size
-	}, r.tt.owner)
+// assign deals the pieces ids out to the survivors the models stand for — by
+// the load-balancer models when balanced (§3.4), evenly otherwise — and
+// returns, per survivor, the indices into ids it gets.
+func assign(models []lbModel, ids []int, balanced bool, weight func(id int) float64) [][]int {
+	if len(ids) == 0 {
+		return nil
+	}
+	if !balanced {
+		return evenSplit(len(models), len(ids))
+	}
+	pieces := make([]float64, len(ids))
+	for i, id := range ids {
+		pieces[i] = weight(id)
+	}
+	return balanceWork(models, pieces)
+}
+
+// redistributeTasks hands unclaimed task ids (ascending) to survivors as
+// assignment deals them, and adds this rank's share to its backlog.
+func (r *runner) redistributeTasks(lostIDs []int, assignment [][]int) {
+	r.spread("tasks", lostIDs, assignment, r.tt.owner)
 	for _, id := range lostIDs {
 		if r.tt.owner[id] == r.myWorld() {
 			r.backlogBytes += float64(r.tt.tasks[id].Chunk.Size)

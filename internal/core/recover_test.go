@@ -2,19 +2,26 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
 
 // The recovery rebuild, decision and rewind rule are functions of the
 // survivors' claims: this table drives them from hand-built survivorStates,
-// with no cluster, simulator or communicator.
+// with no cluster, simulator or communicator — and with no task table: a
+// survivor only applies the plan to its own.
 
-// planTable is an 8-task, 4-partition job whose task t and partition p start
-// on world rank t%4 and p.
+// planTasks is the task list of an 8-task, 4-partition job.
+var planTasks = make([]Task, 8)
+
+// planTable is a survivor's table of that job, where task t starts on world
+// rank t%4 (partition p starts on world rank p).
 func planTable() *taskTable {
-	tt := newTaskTable(make([]Task, 8), 4)
+	tt := newTaskTable(planTasks, 4)
 	for id := range tt.owner {
 		tt.owner[id] = id % 4
 	}
@@ -44,26 +51,27 @@ func TestRecoveryPlan(t *testing.T) {
 	}
 
 	t.Run("map-phase loss with pending tasks", func(t *testing.T) {
-		tt := planTable()
 		// Task 3 (the victim's) is known done, its output died with it; task 7
 		// (also the victim's) never ran.
-		pl := rebuild(claims(phMap, []int{0, 1, 3}), survivors, tt, 4)
+		pl := rebuild(claims(phMap, []int{0, 1, 3}), survivors, planTasks, 4)
 		if pl.done || pl.minPhase != phMap {
 			t.Fatalf("done %v minPhase %d", pl.done, pl.minPhase)
 		}
 		if !reflect.DeepEqual(pl.lostParts, []int{3}) || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || pl.lostPending != 1 {
 			t.Fatalf("lost parts %v tasks %v pending %d", pl.lostParts, pl.lostTasks, pl.lostPending)
 		}
-		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) {
-			t.Fatalf("partOwner %v", pl.partOwner)
+		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
+			t.Fatalf("partOwner %v, taskOwner %v", pl.partOwner, pl.taskOwner)
 		}
 		for _, wc := range []bool{true, false} {
 			if d := pl.decide(wc, false); d != remap || d.resumeAt(pl.minPhase) != phMap {
 				t.Fatalf("checkpointed=%v: decision %v resuming at %d, want remap at the map phase", wc, d, d.resumeAt(pl.minPhase))
 			}
 		}
-		if !tt.isDone(3) {
-			t.Fatal("the rebuild alone forgot a lost task's done bit: only a remap may")
+		tt, partOwner := planTable(), []int{0, 1, 2, 3}
+		pl.apply(tt, partOwner)
+		if !tt.isDone(3) || !reflect.DeepEqual(partOwner, pl.partOwner) {
+			t.Fatalf("applied: done bits %08b, partOwner %v: only a remap may forget a lost task's done bit", tt.done, partOwner)
 		}
 		if ids := pl.rerun(tt); !reflect.DeepEqual(ids, []int{3, 7}) || tt.isDone(3) || !tt.isDone(0) || !tt.isDone(1) {
 			t.Fatalf("rerun handed out %v, done bits %08b", ids, tt.done)
@@ -72,7 +80,7 @@ func TestRecoveryPlan(t *testing.T) {
 
 	t.Run("post-shuffle loss", func(t *testing.T) {
 		for _, phase := range []int{phShuffle, phConvert, phReduce} {
-			pl := rebuild(claims(phase, all), survivors, planTable(), 4)
+			pl := rebuild(claims(phase, all), survivors, planTasks, 4)
 			if pl.lostPending != 0 || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || !reflect.DeepEqual(pl.lostParts, []int{3}) {
 				t.Fatalf("phase %d: lost parts %v tasks %v pending %d", phase, pl.lostParts, pl.lostTasks, pl.lostPending)
 			}
@@ -88,7 +96,7 @@ func TestRecoveryPlan(t *testing.T) {
 		// One survivor still in the map phase: the loss is not post-shuffle.
 		states := claims(phReduce, all)
 		states[1].phase = phMap
-		if d := rebuild(states, survivors, planTable(), 4).decide(true, false); d != remap {
+		if d := rebuild(states, survivors, planTasks, 4).decide(true, false); d != remap {
 			t.Fatalf("a survivor in the map phase: decision %v, want remap", d)
 		}
 	})
@@ -96,10 +104,9 @@ func TestRecoveryPlan(t *testing.T) {
 	t.Run("promoted shadow claimed everything", func(t *testing.T) {
 		states := claims(phReduce, all)
 		states[2] = claim(2, phConvert, all, []uint32{3}, []uint32{3, 7})
-		tt := planTable()
-		pl := rebuild(states, survivors, tt, 4)
-		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner[3] != 2 || tt.owner[3] != 2 || tt.owner[7] != 2 {
-			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner, tt.owner)
+		pl := rebuild(states, survivors, planTasks, 4)
+		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner[3] != 2 || pl.taskOwner[3] != 2 || pl.taskOwner[7] != 2 {
+			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner, pl.taskOwner)
 		}
 		if d := pl.decide(true, true); d != failover || d.resumeAt(pl.minPhase) != phConvert {
 			t.Fatalf("decision %v resuming at %d, want failover at the survivors' minimum", d, d.resumeAt(pl.minPhase))
@@ -111,35 +118,34 @@ func TestRecoveryPlan(t *testing.T) {
 		// and 2 saw it from inside the barrier. The job's work is all done.
 		states := claims(phReduce, all)
 		states[1].phase = phDone
-		tt := planTable()
-		tt.setDone(2, true)
-		pl := rebuild(states, survivors, tt, 4)
+		pl := rebuild(states, survivors, planTasks, 4)
 		if !pl.done || pl.partOwner != nil || pl.lostTasks != nil {
 			t.Fatalf("plan %+v, want a done job with nothing lost", pl)
 		}
-		if ref := planTable(); !reflect.DeepEqual(tt.owner, ref.owner) || !tt.isDone(2) || tt.isDone(0) {
-			t.Fatal("a done job's rebuild touched the task table")
+		if pl.doneBits != nil || pl.taskOwner != nil {
+			t.Fatalf("a done job's rebuild carries done bits %08b and task owners %v to apply: it must touch nothing", pl.doneBits, pl.taskOwner)
 		}
 	})
 
 	t.Run("a survivor that missed a round", func(t *testing.T) {
 		// Rank 3 died a round ago: its work went to ranks 0 and 1, who claim it.
 		// Rank 2 missed that round — its table still names the dead owner. Now
-		// rank 1 dies too.
+		// rank 1 dies too. The plan reads no table, and applying it to either
+		// leaves them agreeing on everything but the lost tasks' owners.
 		left := []int{0, 2}
 		states := []survivorState{
 			claim(0, phMap, []int{0, 4}, []uint32{3}, []uint32{3}),
 			claim(2, phMap, []int{2}, nil, nil),
 		}
+		pl := rebuild(states, left, planTasks, 4)
+		if !reflect.DeepEqual(pl.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(pl.partOwner, []int{0, -1, 2, 0}) {
+			t.Fatalf("lost tasks %v, partOwner %v", pl.lostTasks, pl.partOwner)
+		}
 		current, stale := planTable(), planTable()
 		current.owner[3], current.owner[7] = 0, 1
-		a, b := rebuild(states, left, current, 4), rebuild(states, left, stale, 4)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("plans differ:\n%+v\n%+v", a, b)
-		}
-		if !reflect.DeepEqual(a.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(a.partOwner, []int{0, -1, 2, 0}) {
-			t.Fatalf("lost tasks %v, partOwner %v", a.lostTasks, a.partOwner)
-		}
+		current.setDone(4, true) // rank 0's own table knows what it claims
+		pl.apply(current, make([]int, 4))
+		pl.apply(stale, make([]int, 4))
 		if !bytes.Equal(current.done, stale.done) {
 			t.Fatalf("done bitmaps differ: %08b, %08b", current.done, stale.done)
 		}
@@ -154,12 +160,123 @@ func TestRecoveryPlan(t *testing.T) {
 		states := claims(phMap, nil)
 		states[0].tasks = append(states[0].tasks, 8, 1<<31)
 		states[0].parts = append(states[0].parts, 4, 1<<31)
-		tt := planTable()
-		pl := rebuild(states, survivors, tt, 4)
-		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(tt.owner, planTable().owner) {
-			t.Fatalf("partOwner %v, task owners %v", pl.partOwner, tt.owner)
+		pl := rebuild(states, survivors, planTasks, 4)
+		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
+			t.Fatalf("partOwner %v, task owners %v", pl.partOwner, pl.taskOwner)
 		}
 	})
+}
+
+// encodeClaim is the wire form of a hand-built survivor state under the
+// static load model (encodeState's, without a runner).
+func encodeClaim(s survivorState) []byte {
+	le := binary.LittleEndian
+	buf := []byte{byte(s.phase)}
+	buf = le.AppendUint32(buf, uint32(s.jobIdx))
+	buf = le.AppendUint32(buf, uint32(len(s.doneBitmap)))
+	buf = append(buf, s.doneBitmap...)
+	buf = le.AppendUint32(buf, uint32(s.model.Rank))
+	for _, f := range []float64{s.model.Intercept, s.model.Slope, s.model.Backlog} {
+		buf = le.AppendUint64(buf, math.Float64bits(f))
+	}
+	for _, ids := range [][]uint32{s.parts, s.tasks} {
+		buf = le.AppendUint32(buf, uint32(len(ids)))
+		for _, id := range ids {
+			buf = le.AppendUint32(buf, id)
+		}
+	}
+	return buf
+}
+
+// mapKillRound is the input of one recovery round after a map-phase kill:
+// world rank w of a (w+1)-rank DR-WC job with 2(w+1) tasks is dead, and
+// survivor s holds partition s and tasks s and s+w+1, of which the first is
+// done. It returns the survivors' encoded claims, their world ranks and each
+// survivor's own task table and partition owners.
+func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners [][]int, rp roundPlanner) {
+	rp = roundPlanner{tasks: make([]Task, 2*(w+1)), nParts: w + 1, checkpointed: true, balanced: true}
+	for id := range rp.tasks {
+		rp.tasks[id].Chunk.Size = 100 + id%7
+	}
+	for s := range w {
+		tt := newTaskTable(rp.tasks, w+1)
+		tt.setDone(s, true)
+		all = append(all, encodeClaim(survivorState{
+			phase:      phMap,
+			doneBitmap: tt.doneBitmap(),
+			model:      lbModel{Rank: s, Slope: 1e-8 * float64(1+s%5), Backlog: 100},
+			parts:      []uint32{uint32(s)},
+			tasks:      []uint32{uint32(s), uint32(s + w + 1)},
+		}))
+		group = append(group, s)
+		tables = append(tables, tt)
+		owners = append(owners, make([]int, w+1))
+	}
+	return all, group, tables, owners, rp
+}
+
+// TestRecoveryPlanAllocsAreLinear is the recovery plan's allocation gate
+// (make alloc-gate): one round — the fold over W survivors' claims, then every
+// survivor applying the plan to its own table — allocates in proportion to
+// W, because the plan is computed once and shared. A rebuild on every
+// survivor made it W².
+func TestRecoveryPlanAllocsAreLinear(t *testing.T) {
+	var bytesAt [2]uint64
+	for i, w := range []int{512, 1024} {
+		all, group, tables, owners, rp := mapKillRound(w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pl, err := rp.plan(all, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range tables {
+			pl.apply(tables[s], owners[s])
+		}
+		runtime.ReadMemStats(&after)
+		bytesAt[i] = after.TotalAlloc - before.TotalAlloc
+		if pl.decision != remap || !reflect.DeepEqual(pl.lostParts, []int{w}) || len(pl.lostTasks) != 2 || len(pl.tasksTo) != w {
+			t.Fatalf("W=%d: decision %v, lost parts %v, lost tasks %v dealt to %d survivors", w, pl.decision, pl.lostParts, pl.lostTasks, len(pl.tasksTo))
+		}
+	}
+	ratio := float64(bytesAt[1]) / float64(bytesAt[0])
+	t.Logf("one round's plan allocated %d bytes at W=512, %d at W=1024 (%.2fx)", bytesAt[0], bytesAt[1], ratio)
+	if ratio >= 2.5 {
+		t.Fatalf("doubling the survivors multiplied a recovery plan's allocated bytes by %.2f, bound 2.5: it is computed per survivor again", ratio)
+	}
+}
+
+// BenchmarkRecoveryW2048 is the recovery layer benchmark: a tiny DR-WC
+// wordcount at W=2048 (two chunks of four lines per rank), failure-free and
+// with one rank killed 1 ms into its map phase, simulator set-up included.
+// The difference between the two rows is the host cost of one recovery.
+//
+//	go test ./internal/core -run '^$' -bench RecoveryW2048 -benchtime 3x -benchmem
+func BenchmarkRecoveryW2048(b *testing.B) {
+	const w = 2048
+	for kills, name := range []string{"failure-free", "map-kill"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				clus := testCluster(w/8, 8)
+				genInput(clus, "in/rec", 2*w, 4, 7)
+				h := RunSingle(clus, wcSpec("rec", w, ModelDetectResumeWC))
+				if kills > 0 {
+					fired := false
+					h.OnPhase(func(rank int, ph Phase) {
+						if !fired && rank == w/2 && ph == PhaseMap {
+							fired = true
+							clus.Sim.After(time.Millisecond, func() { h.World.Kill(rank) })
+						}
+					})
+				}
+				clus.Sim.Run()
+				if res := h.Result(); res.Aborted || len(res.FailedRanks) != kills {
+					b.Fatalf("aborted %v, failed ranks %v", res.Aborted, res.FailedRanks)
+				}
+			}
+		})
+	}
 }
 
 // A masking job that loses every rank before one returns from RunJob is an

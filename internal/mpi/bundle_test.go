@@ -237,19 +237,39 @@ func randomPayloads(rng *rand.Rand, n int) [][]byte {
 	return out
 }
 
-// collRun is what one rank observed of a Barrier, an Allgather and an
-// AllreduceInt64 run back to back.
+// collRun is what one rank observed of a Barrier, an Allgather, an
+// AllreduceInt64 and an AllgatherFold run back to back.
 type collRun struct {
-	done [3]time.Duration // when each returned
-	all  [][]byte         // the Allgather's result
-	sum  int64            // the AllreduceInt64's result
+	done   [4]time.Duration // when each returned
+	all    [][]byte         // the Allgather's result
+	sum    int64            // the AllreduceInt64's result
+	folded *foldSum         // the AllgatherFold's result
+}
+
+// foldSum is the AllgatherFold the collective runs compare: how many
+// payloads were gathered, their total length, and the sum of their lengths
+// and first bytes each weighted by its comm rank.
+type foldSum struct{ n, bytes, weighted int }
+
+func sumFold(all [][]byte) any {
+	f := &foldSum{n: len(all)}
+	for r, d := range all {
+		f.bytes += len(d)
+		f.weighted += r * len(d)
+		if len(d) > 0 {
+			f.weighted += r * int(d[0])
+		}
+	}
+	return f
 }
 
 // runColls launches n ranks that each sleep skew[i][r] before collective i
-// of a Barrier, an Allgather of mine[r] and an AllreduceInt64 (sum) of
-// vals[r], run through the cost model or the reference tree. It returns what
-// every rank saw and the point-to-point messages sent in total.
-func runColls(t *testing.T, ref bool, n int, skew [3][]time.Duration, mine [][]byte, vals []int64) ([]collRun, float64) {
+// of a Barrier, an Allgather of mine[r], an AllreduceInt64 (sum) of vals[r]
+// and an AllgatherFold (sumFold) of mine[r], run through the cost model or
+// the reference tree — where the fold is an Allgather each rank folds itself.
+// It returns what every rank saw and the point-to-point messages sent in
+// total.
+func runColls(t *testing.T, ref bool, n int, skew [4][]time.Duration, mine [][]byte, vals []int64) ([]collRun, float64) {
 	t.Helper()
 	clus := testCluster((n+7)/8, 8)
 	clus.Metrics = metrics.New(clus.Sim)
@@ -257,7 +277,7 @@ func runColls(t *testing.T, ref bool, n int, skew [3][]time.Duration, mine [][]b
 	sum := func(a, b int64) int64 { return a + b }
 	Launch(clus, n, func(c *Comm) {
 		r, run := c.Rank(), &runs[c.Rank()]
-		var err [3]error
+		var err [4]error
 		for i := range skew {
 			c.Proc().Sleep(skew[i][r])
 			switch {
@@ -269,10 +289,20 @@ func runColls(t *testing.T, ref bool, n int, skew [3][]time.Duration, mine [][]b
 				run.all, err[i] = refAllgather(c, mine[r])
 			case i == 1:
 				run.all, err[i] = c.Allgather(mine[r])
-			case ref:
+			case i == 2 && ref:
 				run.sum, err[i] = refAllreduceInt64(c, vals[r], sum)
-			default:
+			case i == 2:
 				run.sum, err[i] = c.AllreduceInt64(vals[r], sum)
+			case ref:
+				var all [][]byte
+				if all, err[i] = refAllgather(c, mine[r]); err[i] == nil {
+					run.folded = sumFold(all).(*foldSum)
+				}
+			default:
+				var folded any
+				if folded, err[i] = c.AllgatherFold(mine[r], sumFold); err[i] == nil {
+					run.folded = folded.(*foldSum)
+				}
 			}
 			if err[i] != nil {
 				t.Errorf("rank %d collective %d (reference %v): %v", r, i, ref, err[i])
@@ -289,14 +319,16 @@ func runColls(t *testing.T, ref bool, n int, skew [3][]time.Duration, mine [][]b
 }
 
 // Property: over random communicator sizes, entry skews and payloads (nil,
-// empty and up to 64 KiB), Barrier, Allgather and AllreduceInt64 release
-// every rank at exactly the instant the message-level reference tree does,
-// with the same result, and send no point-to-point message doing it.
+// empty and up to 64 KiB), Barrier, Allgather, AllreduceInt64 and
+// AllgatherFold release every rank at exactly the instant the message-level
+// reference tree does, with the same result, and send no point-to-point
+// message doing it. The fold is priced as the Allgather of its payloads, and
+// every rank receives the one value it computed.
 func TestCollectivesMatchReferenceTree(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(97)
-		var skew [3][]time.Duration
+		var skew [4][]time.Duration
 		for i := range skew {
 			skew[i] = make([]time.Duration, n)
 			for r := range skew[i] {
@@ -319,7 +351,7 @@ func TestCollectivesMatchReferenceTree(t *testing.T) {
 		}
 		for r := 0; r < n; r++ {
 			if got[r].done != want[r].done {
-				t.Fatalf("seed %d W=%d rank %d: barrier, allgather, allreduce complete at %v, reference at %v",
+				t.Fatalf("seed %d W=%d rank %d: barrier, allgather, allreduce, fold complete at %v, reference at %v",
 					seed, n, r, got[r].done, want[r].done)
 			}
 			if len(got[r].all) != n || len(want[r].all) != n {
@@ -332,6 +364,79 @@ func TestCollectivesMatchReferenceTree(t *testing.T) {
 			}
 			if got[r].sum != total || want[r].sum != total {
 				t.Fatalf("seed %d W=%d rank %d: allreduce = %d (reference %d), want %d", seed, n, r, got[r].sum, want[r].sum, total)
+			}
+			if *got[r].folded != *want[r].folded || got[r].folded != got[0].folded {
+				t.Fatalf("seed %d W=%d rank %d: fold = %+v at %p (reference %+v), rank 0's at %p: want the reference's value, one for every rank",
+					seed, n, r, *got[r].folded, got[r].folded, *want[r].folded, got[0].folded)
+			}
+		}
+	}
+}
+
+// AllgatherFold calls its fold exactly once per completed meeting, on the
+// gathered payloads in comm rank order, and every rank receives that one
+// value. A death inside the gather aborts the meeting without a call; the
+// retry on the shrunken communicator calls it once.
+func TestAllgatherFoldRunsOncePerMeeting(t *testing.T) {
+	const n, victim = 64, 5
+	clus := testCluster(n/8, 8)
+	var calls [3]int    // fold calls per round
+	var got [3][]any    // each round's results, by world rank
+	var sizes [3]int    // how many payloads each round's fold saw
+	var ordered [3]bool // whether they came in comm rank order
+	fold := func(round int) func(all [][]byte) any {
+		return func(all [][]byte) any {
+			calls[round]++
+			sizes[round] = len(all)
+			ordered[round] = true
+			for i := 1; i < len(all); i++ {
+				ordered[round] = ordered[round] && all[i-1][0] < all[i][0]
+			}
+			return new(int)
+		}
+	}
+	for i := range got {
+		got[i] = make([]any, n)
+	}
+	w := Launch(clus, n, func(c *Comm) {
+		c.SetErrHandler(func(*Comm, error) {})
+		me := c.WorldRank(c.Rank())
+		data := []byte{byte(me)}
+		v, err := c.AllgatherFold(data, fold(0))
+		if err != nil {
+			t.Errorf("rank %d, round 0: %v", me, err)
+			return
+		}
+		got[0][me] = v
+		if me == victim {
+			c.Proc().Sleep(time.Hour) // dies before entering round 1
+		}
+		if _, err = c.AllgatherFold(data, fold(1)); !IsProcFailed(err) {
+			t.Errorf("rank %d, round 1: %v, want a process failure", me, err)
+			return
+		}
+		nc, err := c.Shrink()
+		if err != nil {
+			t.Errorf("rank %d: shrink: %v", me, err)
+			return
+		}
+		if got[2][me], err = nc.AllgatherFold(data, fold(2)); err != nil {
+			t.Errorf("rank %d, round 2: %v", me, err)
+		}
+	})
+	clus.Sim.After(time.Second, func() { w.Kill(victim) })
+	clus.Sim.Run()
+	if st := clus.Sim.Stranded(); len(st) != 0 {
+		t.Fatalf("stranded procs: %v", st)
+	}
+	if calls != [3]int{1, 0, 1} || sizes[0] != n || sizes[2] != n-1 || !ordered[0] || !ordered[2] {
+		t.Fatalf("fold calls %v over %v payloads (in comm rank order: %v), want [1 0 1] over %d then %d",
+			calls, sizes, ordered, n, n-1)
+	}
+	for _, round := range []int{0, 2} {
+		for r, v := range got[round] {
+			if dead := round == 2 && r == victim; (v == nil) != dead || (!dead && v != got[round][0]) {
+				t.Fatalf("round %d: rank %d received %v, rank 0 %v: want one value for every live rank", round, r, v, got[round][0])
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // Every collective is a rendezvous (rendezvous.go) that simulates no
 // message: the ranks meet, the last to enter evaluates the cost of the
 // message schedule the collective stands for — a ring for Alltoallv
-// (commState.arm), a binomial tree for Barrier, Allgather and AllreduceInt64
+// (commState.arm), a binomial tree for Barrier and the gathering calls
 // (commState.armTree) — and each rank sleeps straight to its own completion
 // instant. Failure semantics are ULFM's at rendezvous granularity: entering
 // with a failed member or on a revoked communicator fails at once; a member
@@ -67,27 +67,54 @@ func (c *Comm) Barrier() error {
 // length, so an append copies): both are read-only to every rank, the caller
 // included, for as long as any rank holds the result.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	m, err := c.collective("allgather", meetTree, &meetWait{bufs: [][]byte{data}})
+	all, err := c.gather("allgather", data, func(all [][]byte) any { return all })
 	if err != nil {
 		return nil, err
 	}
-	return m.all, nil
+	return all.([][]byte), nil
+}
+
+// AllgatherFold gathers every rank's data as Allgather does — the same tree,
+// the same cost, the same op in the trace — and returns fold(all) on every
+// rank: the last rank in calls comm rank 0's fold once, over the payloads
+// indexed by communicator rank, and every rank receives that one value. A
+// meeting a failure or a Revoke interrupts never calls it. Every rank passes
+// a fold that computes the same value, so fold may read only what the ranks
+// hold alike; it runs inside whichever rank's step completes the meeting, so
+// it must not block or record. all and the result are shared and read-only.
+func (c *Comm) AllgatherFold(data []byte, fold func(all [][]byte) any) (any, error) {
+	return c.gather("allgather", data, fold)
 }
 
 // AllreduceInt64 folds one int64 per rank with op (associative and
 // commutative) and returns the result on every rank. It costs what an
 // Allgather of 8 bytes per rank costs, and the last rank in folds once for
-// everyone.
+// everyone, in communicator rank order.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	w := &meetWait{bufs: [][]byte{binary.BigEndian.AppendUint64(nil, uint64(v))}, fold: op}
-	m, err := c.collective("allreduce", meetTree, w)
+	acc, err := c.gather("allreduce", binary.BigEndian.AppendUint64(nil, uint64(v)), func(all [][]byte) any {
+		acc := int64(binary.BigEndian.Uint64(all[0]))
+		for _, d := range all[1:] {
+			acc = op(acc, int64(binary.BigEndian.Uint64(d)))
+		}
+		return acc
+	})
 	if err != nil {
 		return 0, err
 	}
-	return m.acc, nil
+	return acc.(int64), nil
 }
 
-// armTree is the finish policy of Barrier, Allgather and AllreduceInt64: the
+// gather is the gathering calls' one meeting: a tree over every rank's data
+// whose result is fold's value.
+func (c *Comm) gather(op string, data []byte, fold func(all [][]byte) any) (any, error) {
+	m, err := c.collective(op, meetTree, &meetWait{bufs: [][]byte{data}, fold: fold})
+	if err != nil {
+		return nil, err
+	}
+	return m.folded, nil
+}
+
+// armTree is the finish policy of Barrier and the gathering calls: the
 // cost of a binomial tree rooted at rank 0 — every rank's payload gathered up
 // the tree, then the gathered bundle (nothing, for a Barrier) broadcast back
 // down — evaluated for every rank at once, in O(W). Rank v's children are
@@ -103,8 +130,8 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error)
 //
 // and v is released at its final s_v: exactly what blocking sends (the
 // sender busy for the transfer, delivering at its end) and receives (returning
-// at the later of their posting and the delivery) over that tree produce.
-// waits is indexed by comm rank.
+// at the later of their posting and the delivery) over that tree produce. A
+// gathering call's fold runs here, once. waits is indexed by comm rank.
 func (st *commState) armTree(m *meet, waits []*meetWait) {
 	n := len(waits)
 	cost := st.w.Clus.TransferCost
@@ -125,17 +152,12 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	bcast := 0 // a Barrier broadcasts nothing
 	if waits[0].bufs != nil {
 		bcast = 4 + size[0]
-		m.all = make([][]byte, n)
+		all := make([][]byte, n)
 		for r, w := range waits {
 			d := w.bufs[0]
-			m.all[r] = d[:len(d):len(d)]
+			all[r] = d[:len(d):len(d)]
 		}
-		if op := waits[0].fold; op != nil { // AllreduceInt64
-			m.acc = int64(binary.BigEndian.Uint64(m.all[0]))
-			for _, d := range m.all[1:] {
-				m.acc = op(m.acc, int64(binary.BigEndian.Uint64(d)))
-			}
-		}
+		m.folded = waits[0].fold(all)
 	}
 	hop := cost(bcast)
 	for v, w := range waits { // parents before children

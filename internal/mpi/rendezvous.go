@@ -20,7 +20,7 @@ type meetKind uint8
 
 const (
 	meetExchange meetKind = iota // Alltoallv
-	meetTree                     // Barrier, Allgather, AllreduceInt64
+	meetTree                     // Barrier and the gathering calls (Allgather, AllgatherFold, AllreduceInt64)
 	meetShrink
 	meetAgree
 )
@@ -35,8 +35,7 @@ type meet struct {
 	done   bool        // finished or aborted: the kind's next entrant opens a fresh meeting
 	newSt  *commState  // Shrink's result
 	flags  int         // Agree's result
-	all    [][]byte    // Allgather's result, shared by every rank
-	acc    int64       // AllreduceInt64's result
+	folded any         // a gathering call's result: its fold of the payloads, shared by every rank
 }
 
 // meetWait is one rank's stake in a meet.
@@ -45,7 +44,7 @@ type meetWait struct {
 	op    string // what the introspection plane calls the meeting
 	entry time.Duration
 	bufs  [][]byte               // Alltoallv's buffers; a tree's one payload, none for a Barrier
-	fold  func(a, b int64) int64 // AllreduceInt64's operator
+	fold  func(all [][]byte) any // a gathering call's fold of the payloads, by comm rank
 	flag  int                    // Agree's contribution
 	out   [][]byte               // Alltoallv's result
 	at    time.Duration          // release instant; unreleased until the meeting finishes
