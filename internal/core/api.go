@@ -285,10 +285,10 @@ type Spec struct {
 	// (record granularity). Zero means 100, the paper's default.
 	CkptInterval int
 	CkptLocation Location // where checkpoint frames are written (§4.1.3)
-	// Prefetch enables the recovery prefetcher (§5.1): an agent stages
-	// checkpoint streams from the PFS to the local disk in bulk before the
-	// runner replays them.
-	Prefetch bool        // stage checkpoint streams local before replay (§5.1)
+	// Prefetch enables the recovery prefetcher (§5.1): a checkpoint stream
+	// is replayed from one bulk PFS read, charged as staged to the local disk
+	// and read back from it, instead of frame by frame from the PFS.
+	Prefetch bool        // replay checkpoint streams from a bulk read (§5.1)
 	Convert  ConvertAlgo // KV→KMV conversion algorithm for the merge phase
 	// LoadBalance enables the regression-based balancer for redistribution
 	// (§3.4); when disabled, failed work is split evenly.

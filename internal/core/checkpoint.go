@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/obs"
@@ -179,46 +180,75 @@ type copyReq struct {
 	drainDone *bool
 }
 
-// copier is the background agent thread that moves checkpoint data from the
-// node-local disk to the persistent PFS (§4.1.3, §5.1). It shares the CPU
-// core with the rank's main thread.
-type copier struct {
-	jobID   string
+// ckptStore is one rank's checkpoint library (§4.1): it commits frames to the
+// rank's streams, runs the copier thread that drains them from the node-local
+// disk to the PFS (§4.1.3), and replays streams during recovery.
+//
+// A stream's node-local file belongs to the store that writes it. Every rank
+// on a node shares one local disk, and a rank's files outlive its process, so
+// the file at a stream's path may hold a dead rank's frames (the task's
+// previous owner on this node, or this rank's own aborted attempt), of which
+// some already reached the PFS. The store's first commit to a stream, where
+// its drain cursor starts at 0, therefore empties the file: a PFS stream is
+// only ever extended by frames its current writer committed.
+type ckptStore struct {
+	enabled  bool
+	jobID    string
+	loc      Location
+	prefetch bool // replay from one bulk PFS read, charged as staged on the local disk (§5.1)
+	local    *storage.Tier
+	pfs      *storage.Tier
+	m        *RankMetrics
+	obs      *obs.Handle // owning rank's handle; copier events land on its copier track
+	agent    *lbAgent    // fed phase-boundary drain stalls (trace LB model)
+	rep      *replicator // nil when the in-memory replica tier is disabled
+	// fr is the rank's one frame scratch: commit encodes every frame into it,
+	// and phaseSync lets it go.
+	fr []byte
+
+	// The copier thread, when frames go through the local disk (proc is nil
+	// otherwise). It shares the CPU core with the rank's main thread.
+	cpu     *vtime.Bandwidth
 	q       *vtime.Queue
 	proc    *vtime.Proc
-	local   *storage.Tier
-	pfs     *storage.Tier
-	cpu     *vtime.Bandwidth
-	metrics *RankMetrics
-	obs     *obs.Handle    // owning rank's handle; trace events land on its copier track
-	copied  map[string]int // stream -> bytes durable on PFS
+	copied  map[string]int // stream -> bytes of the local file durable on the PFS
 	stopped bool
 }
 
-func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.Tier, cpu *vtime.Bandwidth, m *RankMetrics, h *obs.Handle) *copier {
-	cp := &copier{
-		jobID:   jobID,
-		q:       vtime.NewQueue(sim),
-		local:   local,
-		pfs:     pfs,
-		cpu:     cpu,
-		metrics: m,
-		obs:     h,
-		copied:  make(map[string]int),
+// newCkptStore builds the checkpoint store of one world rank for spec, and
+// starts its copier thread when frames go through the local disk. Shadows
+// start with writes disabled but may be promoted mid-job, so the copier is
+// started whenever the model checkpoints at all.
+func newCkptStore(clus *cluster.Cluster, rank int, spec Spec, m *RankMetrics, h *obs.Handle) *ckptStore {
+	s := &ckptStore{
+		enabled:  spec.Model.Checkpointing(),
+		jobID:    spec.JobID,
+		loc:      spec.CkptLocation,
+		prefetch: spec.Prefetch,
+		local:    clus.LocalOf(rank),
+		pfs:      clus.PFS,
+		m:        m,
+		obs:      h,
 	}
-	cp.proc = sim.Spawn(name, cp.loop)
-	return cp
+	if s.enabled && s.loc == LocLocalCopier {
+		s.cpu = clus.CoreOf(rank)
+		s.q = vtime.NewQueue(clus.Sim)
+		s.copied = make(map[string]int)
+		s.proc = clus.Sim.Spawn(fmt.Sprintf("copier-r%d-%s", rank, spec.JobID), s.loop)
+	}
+	return s
 }
 
-func (cp *copier) loop(p *vtime.Proc) {
+// loop is the copier thread.
+func (s *ckptStore) loop(p *vtime.Proc) {
 	for {
-		item := cp.q.Recv(p)
+		item := s.q.Recv(p)
 		// Coalesce the backlog: when the PFS is slow the queue grows, and
 		// draining it in one sweep turns many small frames into few large
 		// appends — the aggregation §4.1.3 relies on.
 		reqs := []copyReq{item.(copyReq)}
 		for {
-			it, ok := cp.q.TryRecv()
+			it, ok := s.q.TryRecv()
 			if !ok {
 				break
 			}
@@ -241,15 +271,15 @@ func (cp *copier) loop(p *vtime.Proc) {
 				}
 			}
 		}
-		for _, s := range streams {
-			cp.copyStream(p, s)
+		for _, st := range streams {
+			s.copyStream(p, st)
 		}
 		for _, d := range drains {
 			*d.drainDone = true
 			p.Sim().Wake(d.drain)
 		}
 		if stop {
-			cp.stopped = true
+			s.stopped = true
 			return
 		}
 	}
@@ -260,88 +290,64 @@ func (cp *copier) loop(p *vtime.Proc) {
 // instead of many small ones). The suffix moves as a storage.Run: the PFS
 // stream shares the local stream's extents, and the host copies no byte of
 // what the model charges as read, copied and written.
-func (cp *copier) copyStream(p *vtime.Proc, stream string) {
-	path := ckptPath(cp.jobID, stream)
-	total := cp.local.Size(path)
-	have := cp.copied[stream]
+func (s *ckptStore) copyStream(p *vtime.Proc, stream string) {
+	path := ckptPath(s.jobID, stream)
+	total := s.local.Size(path)
+	have := s.copied[stream]
 	if total <= have {
 		return
 	}
-	delta, err := cp.local.PeekRun(path, have)
+	delta, err := s.local.PeekRun(path, have)
 	if err != nil {
 		return
 	}
 	n := delta.Len()
-	cp.obs.Rec.CopierBegin(stream, n)
+	s.obs.Rec.CopierBegin(stream, n)
 	// Read only the new suffix from the local disk.
-	cp.metrics.CopierIO += cp.local.Charge(p, 1, n)
+	s.m.CopierIO += s.local.Charge(p, 1, n)
 	// CPU for the copy path (shared with the main thread on this core).
 	cpuSec := float64(n) * copierCPUPerByte
 	t0 := p.Now()
-	cp.cpu.Acquire(p, cpuSec)
-	cp.metrics.CPUCopier += p.Now() - t0
+	s.cpu.Acquire(p, cpuSec)
+	s.m.CPUCopier += p.Now() - t0
 	// A torn PFS append would leave a partial frame at the durable tail, so
 	// the drained stream is only ever extended by whole deltas.
-	d, err := appendRollback(p, cp.pfs, path, ckptAppendBudget, false, func() (time.Duration, error) {
-		return cp.pfs.AppendRun(p, path, delta, 1)
+	d, err := appendRollback(p, s.pfs, path, ckptAppendBudget, false, func() (time.Duration, error) {
+		return s.pfs.AppendRun(p, path, delta, 1)
 	})
-	cp.metrics.CopierIO += d
+	s.m.CopierIO += d
 	if err != nil {
 		// Give up on this delta (clean rollback, no durability advance); a
 		// later drain of the stream retries the whole suffix.
-		cp.obs.Rec.CopierEnd(stream, n)
+		s.obs.Rec.CopierEnd(stream, n)
 		return
 	}
-	cp.copied[stream] = total
-	cp.obs.Rec.CopierDrain(stream, n)
-	cp.obs.Rec.CopierEnd(stream, n)
-}
-
-// enqueue schedules a stream drain.
-func (cp *copier) enqueue(stream string) {
-	if !cp.stopped {
-		cp.q.Send(copyReq{stream: stream})
-	}
+	s.copied[stream] = total
+	s.obs.Rec.CopierDrain(stream, n)
+	s.obs.Rec.CopierEnd(stream, n)
 }
 
 // drainWait blocks the caller until every previously enqueued copy has
 // completed (the phase-end consistency point, §4.1.1).
-func (cp *copier) drainWait(p *vtime.Proc) {
-	if cp.stopped || cp.proc.Dead() {
+func (s *ckptStore) drainWait(p *vtime.Proc) {
+	if s.stopped || s.proc.Dead() {
 		return
 	}
 	done := false
-	cp.q.Send(copyReq{drain: p, drainDone: &done})
-	for !done && !cp.proc.Dead() {
+	s.q.Send(copyReq{drain: p, drainDone: &done})
+	for !done && !s.proc.Dead() {
 		p.Park()
 	}
 }
 
-// stop terminates the copier after outstanding work.
-func (cp *copier) stop() {
-	if !cp.stopped {
-		cp.q.Send(copyReq{stream: ""})
+// stop terminates the copier, if any, after outstanding work.
+func (s *ckptStore) stop() {
+	if s.proc != nil && !s.stopped {
+		s.q.Send(copyReq{stream: ""})
 	}
 }
 
-// ckptWriter is the per-rank checkpoint front-end used by the task runner.
-type ckptWriter struct {
-	enabled bool
-	jobID   string
-	loc     Location
-	local   *storage.Tier
-	pfs     *storage.Tier
-	cp      *copier
-	m       *RankMetrics
-	obs     *obs.Handle
-	agent   *lbAgent    // fed phase-boundary drain stalls (trace LB model)
-	rep     *replicator // nil when the in-memory replica tier is disabled
-	// fr is the rank's one frame scratch: commit encodes every frame into it,
-	// and phaseSync lets it go.
-	fr []byte
-}
-
-// commit encodes one frame into the writer's scratch buffer and writes it to
+// commit encodes one frame into the store's scratch buffer and writes it to
 // the stream. The scratch is reused by the next commit, which is sound because
 // nothing write hands the encoded bytes to keeps them: FS.Append copies them
 // into the file, replicaStore.appendOwn into the mirror and encodeReplicaMsg
@@ -353,38 +359,44 @@ type ckptWriter struct {
 // W of them live for nothing (measured after a forced collection as the last
 // rank enters reduce: 50.3 MB live instead of 47.4 at W=640, 16.7 instead of
 // 15.6 at W=256).
-func (w *ckptWriter) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload ...[]byte) {
-	w.fr = encodeFrame(w.fr[:0], kind, a, b, payload...)
-	w.write(p, stream, w.fr)
+func (s *ckptStore) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload ...[]byte) {
+	s.fr = encodeFrame(s.fr[:0], kind, a, b, payload...)
+	s.write(p, stream, s.fr)
 }
 
 // write appends one encoded frame to a stream, charging one small operation
 // at the configured location and the I/O wait to the main thread. If the
 // append keeps tearing, the frame is dropped cleanly: reduced checkpoint
 // coverage, never a corrupt stream. write does not retain data.
-func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte) {
-	if !w.enabled || len(data) == 0 {
+func (s *ckptStore) write(p *vtime.Proc, stream string, data []byte) {
+	if !s.enabled || len(data) == 0 {
 		return
 	}
-	path := ckptPath(w.jobID, stream)
-	w.m.CkptFrames++
-	w.m.CkptBytes += int64(len(data))
-	w.obs.Rec.CkptCommit(stream, len(data), 1)
+	path := ckptPath(s.jobID, stream)
+	s.m.CkptFrames++
+	s.m.CkptBytes += int64(len(data))
+	s.obs.Rec.CkptCommit(stream, len(data), 1)
 	// Direct to PFS, every frame is a distinct small operation against the
 	// shared file system (§4.1.3's slow path); the local disk absorbs them
 	// and the copier drains the stream in few large appends.
-	viaCopier := w.loc == LocLocalCopier
-	tier := w.pfs
+	viaCopier := s.loc == LocLocalCopier
+	tier := s.pfs
 	if viaCopier {
-		tier = w.local
+		tier = s.local
+		if _, ok := s.copied[stream]; !ok {
+			// This store's first commit to the stream: what the file holds
+			// was left by a dead process and is not this store's to drain.
+			s.copied[stream] = 0
+			s.local.Truncate(path, 0)
+		}
 	}
 	d, _ := appendRollback(p, tier, path, ckptAppendBudget, false, func() (time.Duration, error) {
 		return tier.AppendFile(p, path, data, 1)
 	})
-	w.m.IOWait += d
-	w.obs.CkptStall("write", d)
-	if viaCopier {
-		w.cp.enqueue(stream)
+	s.m.IOWait += d
+	s.obs.CkptStall("write", d)
+	if viaCopier && !s.stopped {
+		s.q.Send(copyReq{stream: stream})
 	}
 	// Push the freshly committed frame bytes into the in-memory replica tier
 	// (when enabled). The pushed bytes are the pre-injection originals —
@@ -392,41 +404,27 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte) {
 	// may prefer them over a possibly-corrupt durable copy. Pushed even when
 	// the durable append was dropped after retries: the RAM tier failing
 	// independently of the disk tiers is the point.
-	if w.rep != nil {
-		w.rep.push(stream, data)
+	if s.rep != nil {
+		s.rep.push(stream, data)
 	}
 }
 
 // phaseSync waits for the copier to drain (checkpoint consistency point at
 // the end of each phase, §4.1.1), and releases the phase's frame scratch.
-func (w *ckptWriter) phaseSync(p *vtime.Proc) {
-	w.fr = nil
-	if w.enabled && w.loc == LocLocalCopier && w.cp != nil {
+func (s *ckptStore) phaseSync(p *vtime.Proc) {
+	s.fr = nil
+	if s.enabled && s.proc != nil {
 		t0 := p.Now()
-		w.obs.Probe.EnterDrain()
-		w.cp.drainWait(p)
-		w.obs.Probe.ExitDrain()
+		s.obs.Probe.EnterDrain()
+		s.drainWait(p)
+		s.obs.Probe.ExitDrain()
 		d := p.Now() - t0
-		w.m.IOWait += d
-		w.obs.CkptStall("drain", d)
-		if w.agent != nil {
-			w.agent.noteStall(d)
+		s.m.IOWait += d
+		s.obs.CkptStall("drain", d)
+		if s.agent != nil {
+			s.agent.noteStall(d)
 		}
 	}
-}
-
-// ckptReader loads checkpoint streams during recovery.
-type ckptReader struct {
-	jobID    string
-	pfs      *storage.Tier
-	local    *storage.Tier // staging target for prefetch
-	prefetch bool
-	m        *RankMetrics
-	obs      *obs.Handle
-	// staged marks streams already prefetched to the local disk.
-	staged map[string]bool
-	// rs, when non-nil, is the rank's in-memory replica store (see chain).
-	rs *replicaStore
 }
 
 // holder is one link of the restore chain: a place a checkpoint stream can
@@ -451,33 +449,33 @@ type holder interface {
 // ReStore's "ask the next holder" (PAPERS.md). load, holdsSnapshot and
 // needRemapAgreed walk it, so what a restore reads, what counts as restorable
 // and whether ranks can disagree about that never drift apart.
-func (r *ckptReader) chain() []holder {
-	if r.rs == nil {
-		return []holder{pfsCopy{r}}
+func (s *ckptStore) chain() []holder {
+	if s.rep == nil {
+		return []holder{pfsCopy{s}}
 	}
-	return []holder{r.rs, pfsCopy{r}}
+	return []holder{s.rep.store, pfsCopy{s}}
 }
 
 // load returns the decoded frames of a stream from the first holder of the
 // restore chain that has any, charging recovery I/O; nil when none does.
-func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
-	// Whatever this call adds to the load-checkpoint bucket — staging reads,
+func (s *ckptStore) load(p *vtime.Proc, stream string) []frame {
+	// Whatever this call adds to the load-checkpoint bucket — staging charges,
 	// retries, per-frame replay charges — is attributed as one stage event,
 	// keeping event sums equal to the hand-kept counter.
-	pre := r.m.Recovery.LoadCkpt
-	defer func() { r.obs.Rec.RecoveryStage("load", r.m.Recovery.LoadCkpt-pre) }()
-	for _, h := range r.chain() {
+	pre := s.m.Recovery.LoadCkpt
+	defer func() { s.obs.Rec.RecoveryStage("load", s.m.Recovery.LoadCkpt-pre) }()
+	for _, h := range s.chain() {
 		frames, valid, source, ok := h.restore(p, stream)
 		if !ok {
 			continue
 		}
-		r.m.RecoveredBytes += int64(len(valid))
-		r.m.RecoveredFrames += int64(len(frames))
-		r.obs.RecoveryRead(stream, source, len(valid), len(frames))
-		if r.rs != nil {
+		s.m.RecoveredBytes += int64(len(valid))
+		s.m.RecoveredFrames += int64(len(frames))
+		s.obs.RecoveryRead(stream, source, len(valid), len(frames))
+		if s.rep != nil {
 			// The rank that replayed a stream owns it from here on: seed its
 			// replica mirror.
-			r.rs.adopt(stream, valid)
+			s.rep.store.adopt(stream, valid)
 		}
 		return frames
 	}
@@ -489,8 +487,8 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 // the stream is not enough once streams can be torn or corrupted:
 // work-conserving adoption of a partition whose snapshot frame was lost would
 // silently drop its data.
-func (r *ckptReader) holdsSnapshot(p *vtime.Proc, stream string) bool {
-	return slices.ContainsFunc(r.chain(), func(h holder) bool { return shuffleSnapshotIn(h.peek(p, stream)) })
+func (s *ckptStore) holdsSnapshot(p *vtime.Proc, stream string) bool {
+	return slices.ContainsFunc(s.chain(), func(h holder) bool { return shuffleSnapshotIn(h.peek(p, stream)) })
 }
 
 // The replica store as a holder: rank-private RAM. Replica bytes carry no
@@ -524,9 +522,9 @@ func (s *replicaStore) restore(_ *vtime.Proc, stream string) ([]frame, []byte, s
 	return frames, raw[:consumed], source, true
 }
 
-// pfsCopy is the reader's durable holder: the stream's file on the PFS,
+// pfsCopy is the store's durable holder: the stream's file on the PFS,
 // shared by every rank.
-type pfsCopy struct{ *ckptReader }
+type pfsCopy struct{ *ckptStore }
 
 func (h pfsCopy) private() bool { return false }
 
@@ -537,15 +535,16 @@ func (h pfsCopy) peek(p *vtime.Proc, stream string) []byte {
 	return data
 }
 
-// restore replays the PFS stream. With prefetching (§5.1) it is first staged
-// to the local disk in one bulk read, then replayed from local storage;
-// without it, every frame is a separate small PFS read. Transient read faults
-// are retried; a whole-tier outage is waited out (no earlier holder covered
-// the stream: bounded by the outage schedule, and the only way to preserve
-// the run's output byte-for-byte); a torn tail or corrupted frame is
-// quarantined WAL-style: the master copy is truncated to its longest valid
-// prefix (so later readers replay only good frames) and the lost tail's work
-// is redone by the caller.
+// restore replays the PFS stream. With prefetching (§5.1) the stream costs
+// one bulk PFS read, a write of it to the local disk and a read back from
+// there, and the bytes the bulk read returned are replayed; without it, every
+// frame is a separate small PFS read. Transient read faults are retried; a
+// whole-tier outage is waited out (no earlier holder covered the stream:
+// bounded by the outage schedule, and the only way to preserve the run's
+// output byte-for-byte); a torn tail or corrupted frame is quarantined
+// WAL-style: the master copy is truncated to its longest valid prefix (so
+// later readers replay only good frames) and the lost tail's work is redone
+// by the caller.
 func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string, bool) {
 	path := ckptPath(h.jobID, stream)
 	if !h.pfs.Exists(path) {
@@ -554,18 +553,11 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 	var raw []byte
 	var err error
 	if h.prefetch {
-		if !h.staged[stream] {
-			data, err := readRetry(p, h.pfs, path, &h.m.Recovery.LoadCkpt)
-			if err != nil {
-				return nil, nil, "", false
-			}
-			// A staging copy that keeps tearing is left as it landed: the
-			// replay below quarantines its bad tail like any torn stream.
-			d, _ := writeRetry(p, h.local, "stage/"+path, data, stageWriteBudget)
-			h.m.Recovery.LoadCkpt += d
-			h.staged[stream] = true
+		raw, err = readRetry(p, h.pfs, path, &h.m.Recovery.LoadCkpt)
+		if err == nil {
+			h.m.Recovery.LoadCkpt += h.local.Charge(p, 1, len(raw)) // the staging write
+			h.m.Recovery.LoadCkpt += h.local.Charge(p, 1, len(raw)) // its read-back
 		}
-		raw, err = readRetry(p, h.local, "stage/"+path, &h.m.Recovery.LoadCkpt)
 	} else {
 		raw, err = peekOnline(p, h.pfs, path, 0)
 	}
@@ -581,9 +573,6 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 		h.obs.Rec.CkptCorrupt(stream, consumed, len(raw))
 		h.m.Counters["ckpt_corrupt"]++
 		h.pfs.Truncate(path, consumed)
-		if h.staged[stream] {
-			h.local.Truncate("stage/"+path, consumed)
-		}
 	}
 	if !h.prefetch {
 		// Direct PFS replay: charge one operation per frame.

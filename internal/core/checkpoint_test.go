@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -23,6 +24,13 @@ func ckptCluster() *cluster.Cluster {
 	return cluster.New(cfg)
 }
 
+// testStore is the checkpoint store of one rank on clus for job "job", its
+// frames going to loc: with LocLocalCopier its copier thread is running.
+func testStore(clus *cluster.Cluster, rank int, loc Location) *ckptStore {
+	spec := Spec{JobID: "job", Model: ModelDetectResumeWC, CkptLocation: loc}
+	return newCkptStore(clus, rank, spec, newRankMetrics(rank), &obs.Handle{})
+}
+
 // mustPeek returns a file's bytes or nil (test helper).
 func mustPeek(t *storage.Tier, path string) []byte {
 	data, err := t.Peek(path)
@@ -34,17 +42,15 @@ func mustPeek(t *storage.Tier, path string) []byte {
 
 func TestCopierDrainsLocalToPFS(t *testing.T) {
 	clus := ckptCluster()
-	m := newRankMetrics(0)
 	local := clus.LocalOf(0)
+	s := testStore(clus, 0, LocLocalCopier)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		for i := 0; i < 5; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), 10, []byte("payload"))
-			w.write(p, "map/t000001", fr)
+			s.write(p, "map/t000001", fr)
 		}
-		w.phaseSync(p)
-		cp.stop()
+		s.phaseSync(p)
+		s.stop()
 	})
 	clus.Sim.Run()
 	path := ckptPath("job", "map/t000001")
@@ -57,8 +63,8 @@ func TestCopierDrainsLocalToPFS(t *testing.T) {
 	if got := countFrames(mustPeek(clus.PFS, path)); got != 5 {
 		t.Fatalf("%d frames on PFS, want 5", got)
 	}
-	if m.CkptFrames != 5 {
-		t.Fatalf("CkptFrames = %d", m.CkptFrames)
+	if s.m.CkptFrames != 5 {
+		t.Fatalf("CkptFrames = %d", s.m.CkptFrames)
 	}
 	if st := clus.Sim.Stranded(); len(st) != 0 {
 		t.Fatalf("stranded: %v", st)
@@ -69,20 +75,17 @@ func TestCopierLossOnKill(t *testing.T) {
 	// Frames written just before the process dies may not have been drained:
 	// the PFS copy must be a frame-aligned prefix, and local data is lost.
 	clus := ckptCluster()
-	m := newRankMetrics(0)
 	local := clus.LocalOf(0)
-	var proc *vtime.Proc
-	proc = clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		cp := startCopier(clus.Sim, "cp", "job", local, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
-		p.OnKill(func() { clus.Sim.Kill(cp.proc) })
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: local, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
+	s := testStore(clus, 0, LocLocalCopier)
+	proc := clus.Sim.Spawn("main", func(p *vtime.Proc) {
 		for i := 0; i < 100; i++ {
 			fr := encodeFrame(nil, frameMapDelta, uint32(i), uint32(i), make([]byte, 4096))
-			w.write(p, "map/t000002", fr)
+			s.write(p, "map/t000002", fr)
 			p.Sleep(time.Microsecond)
 		}
-		w.phaseSync(p)
+		s.phaseSync(p)
 	})
+	proc.OnKill(func() { clus.Sim.Kill(s.proc) })
 	clus.Sim.After(150*time.Microsecond, func() { clus.Sim.Kill(proc) })
 	clus.Sim.Run()
 	path := ckptPath("job", "map/t000002")
@@ -101,11 +104,10 @@ func TestCopierLossOnKill(t *testing.T) {
 
 func TestCkptWriterDirectPFS(t *testing.T) {
 	clus := ckptCluster()
-	m := newRankMetrics(0)
+	s := testStore(clus, 0, LocDirectPFS)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocDirectPFS, pfs: clus.PFS, m: m, obs: &obs.Handle{}}
 		fr := encodeFrame(nil, frameShuffle, 3, 0, []byte("data"))
-		w.write(p, partStream(3), fr)
+		s.write(p, partStream(3), fr)
 	})
 	clus.Sim.Run()
 	if !clus.PFS.Exists(ckptPath("job", partStream(3))) {
@@ -113,48 +115,47 @@ func TestCkptWriterDirectPFS(t *testing.T) {
 	}
 }
 
+// TestCkptReaderPrefetchStages: a prefetched replay, charged as one bulk PFS
+// read staged on the local disk, replays the bytes the bulk read returned:
+// the frames a direct replay gives, and no file left on the local disk.
 func TestCkptReaderPrefetchStages(t *testing.T) {
 	clus := ckptCluster()
-	m := newRankMetrics(0)
-	local := clus.LocalOf(0)
-	// Stage a stream on the PFS only.
+	// Put a stream on the PFS only.
 	var frames []byte
 	for i := 0; i < 8; i++ {
 		frames = encodeFrame(frames, frameMapDelta, 1, uint32(i), []byte("x"))
 	}
 	clus.FS.Write("pfs:"+ckptPath("job", "map/t000003"), frames)
 
-	var direct, staged []frame
+	var direct, prefetched []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: false, m: m, obs: &obs.Handle{}, staged: map[string]bool{}}
-		direct = rd.load(p, "map/t000003")
-		rd2 := &ckptReader{jobID: "job", pfs: clus.PFS, local: local, prefetch: true, m: m, obs: &obs.Handle{}, staged: map[string]bool{}}
-		staged = rd2.load(p, "map/t000003")
-		// Second load hits the local staging copy.
-		_ = rd2.load(p, "map/t000003")
+		direct = testStore(clus, 0, LocDirectPFS).load(p, "map/t000003")
+		s := testStore(clus, 0, LocDirectPFS)
+		s.prefetch = true
+		prefetched = s.load(p, "map/t000003")
 	})
 	clus.Sim.Run()
-	if len(direct) != 8 || len(staged) != 8 {
-		t.Fatalf("frame counts: direct=%d staged=%d", len(direct), len(staged))
+	if len(direct) != 8 || !reflect.DeepEqual(direct, prefetched) {
+		t.Fatalf("direct replay gave %d frames, prefetched %d, or they differ", len(direct), len(prefetched))
 	}
-	if !local.Exists("stage/" + ckptPath("job", "map/t000003")) {
-		t.Fatal("prefetch did not stage to local disk")
+	if n := len(clus.LocalOf(0).List("")); n != 0 {
+		t.Fatalf("prefetch left %d files on the local disk", n)
 	}
 }
 
 func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 	clus := ckptCluster()
-	m := newRankMetrics(0)
+	s := testStore(clus, 0, LocDirectPFS)
+	s.enabled = false
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		w := &ckptWriter{enabled: false, jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}}
-		w.write(p, "map/t000009", []byte("frame"))
+		s.write(p, "map/t000009", []byte("frame"))
 	})
 	clus.Sim.Run()
 	if clus.PFS.Exists(ckptPath("job", "map/t000009")) {
-		t.Fatal("disabled writer wrote data")
+		t.Fatal("disabled store wrote data")
 	}
-	if m.CkptFrames != 0 {
-		t.Fatal("disabled writer counted frames")
+	if s.m.CkptFrames != 0 {
+		t.Fatal("disabled store counted frames")
 	}
 }
 
@@ -167,13 +168,11 @@ func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 // delta up, and a later drain has to ship it whole.
 func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (local, pfs []byte, advanced int) {
 	clus := ckptCluster()
-	m := newRankMetrics(0)
 	disk := clus.LocalOf(0)
 	path := ckptPath("job", "map/t000007")
 	payload := make([]byte, frameLen)
+	w := testStore(clus, 0, LocLocalCopier)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		cp := startCopier(clus.Sim, "cp", "job", disk, clus.PFS, clus.CoreOf(0), m, &obs.Handle{})
-		w := &ckptWriter{enabled: true, jobID: "job", loc: LocLocalCopier, local: disk, pfs: clus.PFS, cp: cp, m: m, obs: &obs.Handle{}}
 		var fr []byte
 		for i, sync := 0, 0; i < nFrames; i++ {
 			for j := range payload {
@@ -205,13 +204,75 @@ func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (
 				clus.PFS.AwaitOnline(p)
 			}
 		}
-		cp.stop()
+		w.stop()
 	})
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
 		tb.Fatalf("stranded: %v", st)
 	}
 	return mustPeek(disk, path), mustPeek(clus.PFS, path), advanced
+}
+
+// TestPFSStreamHoldsOnlyItsWritersFrames holds the checkpoint invariant of
+// DESIGN.md "Fault model": a PFS stream is extended only by frames its current
+// writer committed. Store A (rank 0) commits three frames and drains them,
+// then commits a fourth and dies before its copier drains it. Store B (rank 1,
+// on the same node: the same local disk, so the same local file) commits two
+// frames to the stream and drains them. The PFS stream must hold A's three
+// drained frames once, then B's two, and the local file B's two alone.
+func TestPFSStreamHoldsOnlyItsWritersFrames(t *testing.T) {
+	const stream = "map/t000004"
+	clus := ckptCluster()
+	local, path := clus.LocalOf(0), ckptPath("job", stream)
+	if clus.LocalOf(1) != local {
+		t.Fatal("ranks 0 and 1 do not share a local disk")
+	}
+	payload := func(i int) []byte { return []byte(fmt.Sprint("frame ", i)) }
+	frames := func(from, to int) []byte {
+		var out []byte
+		for i := from; i < to; i++ {
+			out = encodeFrame(out, frameMapDelta, 4, uint32(i), payload(i))
+		}
+		return out
+	}
+	commit := func(p *vtime.Proc, s *ckptStore, from, to int) {
+		for i := from; i < to; i++ {
+			s.commit(p, stream, frameMapDelta, 4, uint32(i), payload(i))
+		}
+	}
+
+	a := testStore(clus, 0, LocLocalCopier)
+	clus.Sim.Spawn("a", func(p *vtime.Proc) {
+		commit(p, a, 0, 3)
+		a.phaseSync(p)
+		commit(p, a, 3, 4)
+		clus.Sim.Kill(a.proc)
+	})
+	clus.Sim.Run()
+	if got := mustPeek(clus.PFS, path); !bytes.Equal(got, frames(0, 3)) {
+		t.Fatalf("after A: the PFS stream holds %d bytes, want A's three drained frames (%d)", len(got), len(frames(0, 3)))
+	}
+	if got := mustPeek(local, path); !bytes.Equal(got, frames(0, 4)) {
+		t.Fatalf("after A: the local file holds %d bytes, want A's four frames (%d)", len(got), len(frames(0, 4)))
+	}
+
+	b := testStore(clus, 1, LocLocalCopier)
+	clus.Sim.Spawn("b", func(p *vtime.Proc) {
+		commit(p, b, 10, 12)
+		b.phaseSync(p)
+		b.stop()
+	})
+	clus.Sim.Run()
+	if got, want := mustPeek(clus.PFS, path), append(frames(0, 3), frames(10, 12)...); !bytes.Equal(got, want) {
+		t.Fatalf("the PFS stream holds %d bytes in %d frames, want A's three drained frames then B's two (%d bytes)",
+			len(got), countFrames(got), len(want))
+	}
+	if got := mustPeek(local, path); !bytes.Equal(got, frames(10, 12)) {
+		t.Fatalf("the local file holds %d bytes, want B's two frames (%d)", len(got), len(frames(10, 12)))
+	}
+	if st := clus.Sim.Stranded(); len(st) != 0 {
+		t.Fatalf("stranded: %v", st)
+	}
 }
 
 // TestCopierDrainsOnlyTheSuffix pins the copier's ranged read: over many
@@ -298,7 +359,8 @@ func TestRestoreChainOrder(t *testing.T) {
 		for pfsName, onPFS := range pfsCopies {
 			for _, ram := range ramCopies {
 				n++
-				rd := &ckptReader{jobID: fmt.Sprint("job", n), pfs: clus.PFS, m: newRankMetrics(0), obs: h, staged: map[string]bool{}}
+				rd := testStore(clus, 0, LocDirectPFS)
+				rd.jobID, rd.obs = fmt.Sprint("job", n), h
 				if onPFS != nil {
 					clus.FS.Write("pfs:"+ckptPath(rd.jobID, stream), onPFS)
 				}
@@ -306,16 +368,15 @@ func TestRestoreChainOrder(t *testing.T) {
 				if onPFS != nil {
 					want = metrics.SourcePFS
 				}
+				if ram != "off" {
+					rd.rep = &replicator{store: newReplicaStore()}
+				}
 				switch ram {
-				case "empty":
-					rd.rs = newReplicaStore()
 				case "own":
-					rd.rs = newReplicaStore()
-					rd.rs.appendOwn(stream, good)
+					rd.rep.store.appendOwn(stream, good)
 					want = metrics.SourceReplicaLocal
 				case "peer":
-					rd.rs = newReplicaStore()
-					rd.rs.receive(replicaFull, stream, good)
+					rd.rep.store.receive(replicaFull, stream, good)
 					want = metrics.SourceReplicaPeer
 				}
 				private := slices.ContainsFunc(rd.chain(), holder.private)
@@ -386,7 +447,7 @@ func TestFrameScratchIsNotRetained(t *testing.T) {
 			r.rep.drain()
 			pushed, _ = r.rep.store.lookup(stream)
 		}
-		r.cp.stop()
+		r.ck.stop()
 	})
 	clus.Sim.Run()
 	path := ckptPath(spec.JobID, stream)

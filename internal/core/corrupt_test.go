@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -26,7 +25,8 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
+		rd := testStore(clus, 0, LocDirectPFS)
+		rd.m = m
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -41,7 +41,8 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 	}
 	// A second load sees a clean stream: no further quarantine.
 	clus.Sim.Spawn("again", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
+		rd := testStore(clus, 0, LocDirectPFS)
+		rd.m = m
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -66,7 +67,8 @@ func TestCkptReaderQuarantinesBitFlip(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool)}
+		rd := testStore(clus, 0, LocDirectPFS)
+		rd.m = m
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()
@@ -100,7 +102,8 @@ func TestCorruptStreamServedFromReplica(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, obs: &obs.Handle{}, staged: make(map[string]bool), rs: rs}
+		rd := testStore(clus, 0, LocDirectPFS)
+		rd.m, rd.rep = m, &replicator{store: rs}
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()

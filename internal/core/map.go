@@ -167,7 +167,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	// count even without checkpoints (the NWC model re-runs them fully).
 	recoveryTask := r.spec.Resume || r.adopted(id)
 	if recoveryTask && r.spec.Model.Checkpointing() {
-		frames := r.rd.load(r.p, stream)
+		frames := r.ck.load(r.p, stream)
 		restoreBytes := 0
 		for _, f := range frames {
 			switch f.kind {

@@ -82,7 +82,8 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 		if combine {
 			r.spec.NewCombiner = newConcatCombiner
 		}
-		r.ck = &ckptWriter{enabled: true, jobID: "job", loc: LocDirectPFS, pfs: clus.PFS, m: r.m, obs: r.obs}
+		r.ck = testStore(clus, 0, LocDirectPFS)
+		r.ck.m = r.m
 
 		all := kvbuf.NewKV() // what the log holds, in log order
 		for id, tasks := 0, 1+rng.Intn(4); id < tasks; id++ {

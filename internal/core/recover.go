@@ -520,11 +520,11 @@ func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 	// holder in rank-private memory makes restorability depend on each new
 	// owner's store, so verdicts can differ per rank: each owner judges its
 	// own adopted partitions and the ranks agree by allreduce-max.
-	private := slices.ContainsFunc(r.rd.chain(), holder.private)
+	private := slices.ContainsFunc(r.ck.chain(), holder.private)
 	me := r.myWorld()
 	local := int64(0)
 	for _, part := range lost {
-		if (!private || r.partOwner[part] == me) && !r.rd.holdsSnapshot(r.p, partStream(part)) {
+		if (!private || r.partOwner[part] == me) && !r.ck.holdsSnapshot(r.p, partStream(part)) {
 			local = 1
 			break
 		}
@@ -539,7 +539,7 @@ func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 // restorePartition loads an adopted partition's post-shuffle data and reduce
 // progress from its checkpoint stream.
 func (r *runner) restorePartition(part int) {
-	frames := r.rd.load(r.p, partStream(part))
+	frames := r.ck.load(r.p, partStream(part))
 	var kv *kvbuf.KV
 	var groups uint32
 	var outBytes uint64

@@ -12,7 +12,7 @@ import (
 // When Spec.ReplicaK > 0, every checkpoint frame a rank commits is also
 // pushed over MPI into the memory of k ring-successor peers
 // (storage.ReplicaPartners), and the replica store heads the restore chain
-// (ckptReader.chain): a surviving replica holder makes recovery reads come
+// (ckptStore.chain): a surviving replica holder makes recovery reads come
 // from RAM — faster than a PFS restore, and available while a whole storage
 // tier is offline (storage.ErrTierOutage).
 //

@@ -8,22 +8,21 @@ import (
 	"ftmrmpi/internal/vtime"
 )
 
-// Storage retry policy. Every charged storage call the runner, the copier
-// and the checkpoint reader make goes through retryIO, so the rules exist
-// once: a transient fault (torn write, read error) is retried within the
-// call's budget; a whole-tier outage is either waited out — never consuming
-// budget — or, for calls that may simply give up, counted like any other
-// failed attempt; anything else fails at once.
+// Storage retry policy. Every charged storage call the runner and its
+// checkpoint store make goes through retryIO, so the rules exist once: a
+// transient fault (torn write, read error) is retried within the call's
+// budget; a whole-tier outage is either waited out — never consuming budget —
+// or, for calls that may simply give up, counted like any other failed
+// attempt; anything else fails at once.
 
 // Attempt budgets: how many times one call is issued before its caller gives
 // up. The injector never faults the same path twice in a row, so a budget
 // above two only matters when several callers interleave on one path (a
 // primary and its shadow reading the same input chunk, say).
 const (
-	readBudget         = 3 // chunk, checkpoint-stream and staged-copy reads
+	readBudget         = 3 // chunk and checkpoint-stream reads
 	outputAppendBudget = 8 // reduce output commits: losing one fails the job
 	ckptAppendBudget   = 4 // checkpoint frames and copier drains: losing one costs coverage only
-	stageWriteBudget   = 3 // prefetch staging copies on the local disk
 	markerWriteBudget  = 4 // the job's DONE marker
 )
 

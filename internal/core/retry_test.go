@@ -93,7 +93,6 @@ func TestRetryPolicy(t *testing.T) {
 		}
 	}
 	marker := writeWith(markerWriteBudget)
-	stage := writeWith(stageWriteBudget)
 
 	cases := []struct {
 		name     string
@@ -126,8 +125,6 @@ func TestRetryPolicy(t *testing.T) {
 		{name: "marker/torn-x3", call: marker, faults: 3, attempts: 4},
 		{name: "marker/torn-x4", call: marker, faults: 4, wantErr: storage.ErrTornWrite, attempts: 4, torn: true},
 		{name: "marker/outage+torn-x3", call: marker, faults: 3, outage: true, attempts: 5},
-		{name: "stage/torn-x2", call: stage, faults: 2, attempts: 3},
-		{name: "stage/torn-x3", call: stage, faults: 3, wantErr: storage.ErrTornWrite, attempts: 3, torn: true},
 	}
 	for _, c := range cases {
 		c := c

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"ftmrmpi/internal/cluster"
@@ -67,9 +66,7 @@ type runner struct {
 
 	phase int
 
-	ck           *ckptWriter
-	cp           *copier
-	rd           *ckptReader
+	ck           *ckptStore
 	rep          *replicator // nil when Spec.ReplicaK == 0
 	ftm          *ftState    // nil unless a replication execution model is active
 	lb           lbAgent
@@ -122,41 +119,17 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	}
 	r.lb.kind = spec.LBModel
 	clus := j.clus
-	local := clus.LocalOf(c.Self().WorldRank())
-	r.ck = &ckptWriter{
-		enabled: spec.Model.Checkpointing() && !r.mirroring(),
-		jobID:   spec.JobID,
-		loc:     spec.CkptLocation,
-		local:   local,
-		pfs:     clus.PFS,
-		m:       m,
-		obs:     h,
-		agent:   &r.lb,
-	}
-	// Shadows start with writes disabled but may be promoted mid-job, so the
-	// copier thread is started whenever the model checkpoints at all.
-	if spec.Model.Checkpointing() && r.ck.loc == LocLocalCopier {
-		r.cp = startCopier(clus.Sim, fmt.Sprintf("copier-r%d-%s", c.Self().WorldRank(), spec.JobID),
-			spec.JobID, local, clus.PFS, c.Self().CPU(), m, h)
-		r.ck.cp = r.cp
+	r.ck = newCkptStore(clus, c.Self().WorldRank(), spec, m, h)
+	r.ck.enabled = r.ck.enabled && !r.mirroring()
+	r.ck.agent = &r.lb
+	if copier := r.ck.proc; copier != nil {
 		// The copier is a thread of the rank process: it dies with it, so
 		// un-drained local checkpoints are genuinely lost on failure.
-		cp := r.cp
-		c.Proc().OnKill(func() { clus.Sim.Kill(cp.proc) })
-	}
-	r.rd = &ckptReader{
-		jobID:    spec.JobID,
-		pfs:      clus.PFS,
-		local:    local,
-		prefetch: spec.Prefetch,
-		m:        m,
-		obs:      h,
-		staged:   make(map[string]bool),
+		c.Proc().OnKill(func() { clus.Sim.Kill(copier) })
 	}
 	if spec.ReplicaK > 0 && r.ck.enabled {
 		r.rep = newReplicator(r, spec.ReplicaK)
 		r.ck.rep = r.rep
-		r.rd.rs = r.rep.store
 	}
 	return r
 }
@@ -283,11 +256,7 @@ func (r *runner) run() error {
 }
 
 // shutdown stops agent threads.
-func (r *runner) shutdown() {
-	if r.cp != nil {
-		r.cp.stop()
-	}
-}
+func (r *runner) shutdown() { r.ck.stop() }
 
 // ---------------------------------------------------------------- phases --
 

@@ -7,7 +7,7 @@
 // the reference partitions, the makespan the kill and outage windows are cut
 // from, and the event count the ordinal sweep enumerates. One oracle
 // (baseline.check) then judges every run: it terminates, is not aborted (under
-// checkpoint/restart: after one Resume resubmission), strands no process,
+// checkpoint/restart: after at most maxResubmits Resume resubmissions), strands no process,
 // lost every rank a seeded injector aimed at, and writes partitions byte-equal
 // to the baseline's.
 //
@@ -154,10 +154,12 @@ type run struct {
 	name        string
 	clus        *cluster.Cluster
 	h           *core.Handle
-	first, res  *core.Result // the first attempt's result and the final one (they differ after a resubmission)
-	victim      int          // the sweep's victim
-	aimed       int          // the kills a seeded injector aims at live ranks: all must land
-	jsonl, snap bytes.Buffer // the streamed trace and the introspection stream
+	first, res  *core.Result                // the first attempt's result and the final one (they differ after a resubmission)
+	victim      int                         // the sweep's victim
+	aimed       int                         // the kills a seeded injector aims at live ranks: all must land
+	attempts    int                         // the job's submissions: 1, plus one per checkpoint/restart resubmission
+	resubmitted func(n int, h *core.Handle) // when set, runs as resubmission n (from 1) is submitted: how an injector aims at a later attempt
+	jsonl, snap bytes.Buffer                // the streamed trace and the introspection stream
 }
 
 // launch sets up one run of c on a fresh cluster — the trace streamed, the
@@ -174,21 +176,28 @@ func (c cell) launch(name string, introspected bool) *run {
 	return r
 }
 
+// maxResubmits bounds how often finish resubmits an aborted job.
+const maxResubmits = 3
+
 // finish drives the run to its end. An aborted checkpoint/restart job is
-// resubmitted once with Resume, as a user would (§4.1).
+// resubmitted with Resume and Prefetch, as a user would (§4.1, §5.1), until
+// an attempt completes or maxResubmits resubmissions have aborted too.
 func (r *run) finish(t *testing.T) {
 	t.Helper()
 	pl := r.clus.Introspect
 	pl.Start()
 	r.clus.Sim.Run()
 	pl.Final()
-	r.first, r.res = r.h.Result(), r.h.Result()
-	if r.res != nil && r.res.Aborted && r.res.Spec.Model == core.ModelCheckpointRestart {
+	r.first, r.res, r.attempts = r.h.Result(), r.h.Result(), 1
+	for n := 1; n <= maxResubmits && r.res != nil && r.res.Aborted && r.res.Spec.Model == core.ModelCheckpointRestart; n++ {
 		spec := r.res.Spec
 		spec.Resume, spec.Prefetch = true, true
 		h := core.RunSingle(r.clus, spec)
+		if r.resubmitted != nil {
+			r.resubmitted(n, h)
+		}
 		r.clus.Sim.Run()
-		r.res = h.Result()
+		r.res, r.attempts = h.Result(), n+1
 	}
 	if err := r.clus.Trace.FlushStream(); err != nil {
 		t.Fatalf("%s: trace stream: %v", r.name, err)
@@ -380,6 +389,27 @@ func everyOrdinal(t *testing.T, r *run, n int64, b *baseline) {
 	KillAtEvent(r.h.World, r.victim, uint64(n))
 }
 
+// twoAttempts kills one rank in a checkpoint/restart job's first attempt and
+// one in its first resubmission, each at most half the failure-free makespan
+// into its attempt. Seed 1 is the schedule that found a restarted rank's
+// copier re-draining its aborted attempt's local files: rank 0 at 2 ms, then
+// rank 1 4.609 ms after the resubmission.
+func twoAttempts(t *testing.T, r *run, seed int64, b *baseline) {
+	victims, at := [2]int{0, 1}, [2]time.Duration{2 * time.Millisecond, 4609 * time.Microsecond}
+	if seed != 1 {
+		rng := rand.New(rand.NewSource(seed))
+		for i := range victims {
+			victims[i], at[i] = rng.Intn(r.h.World.Size()), time.Duration(rng.Int63n(int64(b.makespan/2)))+1
+		}
+	}
+	KillAt(r.h.World, victims[0], at[0])
+	r.resubmitted = func(n int, h *core.Handle) {
+		if n == 1 {
+			KillAt(h.World, victims[1], r.clus.Sim.Now()+at[1])
+		}
+	}
+}
+
 // The rows, one test each.
 
 func TestChaosRunsMatchBaseline(t *testing.T) {
@@ -450,6 +480,17 @@ func TestKillAtEveryEventOrdinal(t *testing.T) {
 }
 
 var sweepNames = []string{"cr", "dr-wc", "dr-nwc"}
+
+// TestCheckpointRestartTwiceMatchesBaseline kills a checkpoint/restart job in
+// its first attempt and again in its resubmission. Each restarted rank must
+// extend its PFS streams only with frames it committed itself, not with what
+// the aborted attempt left on the node-local disk.
+func TestCheckpointRestartTwiceMatchesBaseline(t *testing.T) {
+	row{cells: sweep[:1], inject: twoAttempts, seeds: these(between(1, 24)...),
+		tallies: map[string]func(*run, int64) int{
+			"resubmission that aborted too": func(r *run, _ int64) int { return min(1, max(0, r.attempts-2)) },
+		}}.run(t)
+}
 
 // TestKillNearJobEnd pins what the sweep found. Before a masking job closed
 // with a shrink every survivor enters, a kill in its last ~1.3 ms stranded

@@ -104,9 +104,6 @@ type Rank struct {
 // reach the cluster's trace, metrics and introspection planes. Never nil.
 func (r *Rank) Obs() *obs.Handle { return r.obs }
 
-// CPU returns the rank's core resource (shared with its agent threads).
-func (r *Rank) CPU() *vtime.Bandwidth { return r.cpu }
-
 // WorldRank returns the rank's id in the world communicator.
 func (r *Rank) WorldRank() int { return r.world }
 

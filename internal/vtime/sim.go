@@ -361,6 +361,11 @@ func (p *Proc) start() {
 			r := recover()
 			p.dead = true
 			p.sim.live--
+			// The Sim keeps every Proc it spawned: let go of what the
+			// process ran, and of what its kill handlers would have touched
+			// (Kill is a no-op on a dead process), so a finished process
+			// keeps none of it reachable.
+			p.fn, p.onKill = nil, nil
 			if r != nil {
 				if _, ok := r.(killSentinel); !ok {
 					p.sim.crash = fmt.Sprintf("proc %q (id %d): %v", p.name, p.id, r)

@@ -210,6 +210,33 @@ func TestOnKillHandlerRuns(t *testing.T) {
 	}
 }
 
+// TestFinishedProcDropsItsFunction: the Sim keeps every Proc it spawned, so a
+// process that has exited, or was killed, must no longer hold its function or
+// its kill handlers, nor what they capture. Killing it again stays a no-op.
+func TestFinishedProcDropsItsFunction(t *testing.T) {
+	s := NewSim()
+	fired := 0
+	exits := s.Spawn("exits", func(p *Proc) {
+		p.OnKill(func() { fired++ })
+		p.Sleep(time.Second)
+	})
+	killed := s.Spawn("killed", func(p *Proc) {
+		p.OnKill(func() { fired++ })
+		p.Sleep(time.Hour)
+	})
+	s.After(2*time.Second, func() { s.Kill(killed) })
+	s.Run()
+	for _, p := range []*Proc{exits, killed} {
+		if !p.Dead() || p.fn != nil || p.onKill != nil {
+			t.Errorf("%s: dead=%v, still holds its function: %v, its kill handlers: %d", p.name, p.Dead(), p.fn != nil, len(p.onKill))
+		}
+		s.Kill(p)
+	}
+	if fired != 1 {
+		t.Fatalf("kill handlers ran %d times, want once (the killed process's)", fired)
+	}
+}
+
 func TestBandwidthSingleUser(t *testing.T) {
 	s := NewSim()
 	bw := NewBandwidth(s, "disk", 100) // 100 units/s
