@@ -73,7 +73,8 @@ bench-overhead:
 # shuffle bundles depends on the partitions that hold data, not on the rank
 # count; a rank's map output is one log whatever the partition count, so the
 # same pairs at W=64 and at W=4096 cost the same allocations and differ in
-# bytes only by the shuffle's int32 tables, frame headers and bundle slices;
+# bytes only by the shuffle's int32 partition cursor table; one sparse
+# exchange allocates the same bytes per rank at W=512 and at W=2048;
 # a trace ring allocates for the events recorded, not for its capacity; a
 # file built from appends is copied once, not regrown; a map task allocates
 # per commit, never per record or per word; an Allgather hands every rank
@@ -82,7 +83,7 @@ bench-overhead:
 # Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two

@@ -110,12 +110,20 @@ func nextFrame(rest []byte) (frame, int, error) {
 	if crc != want {
 		return frame{}, 0, fmt.Errorf("CRC mismatch (got %08x, want %08x)", crc, want)
 	}
+	f, _ := checkedFrame(rest)
+	return f, n, nil
+}
+
+// checkedFrame decodes the frame at the head of rest that nextFrame has
+// already accepted, from its header alone: nothing is checked again.
+func checkedFrame(rest []byte) (frame, int) {
+	n := frameHdrLen + int(binary.LittleEndian.Uint32(rest[9:13]))
 	return frame{
-		kind:    kind,
+		kind:    rest[0],
 		a:       binary.LittleEndian.Uint32(rest[1:5]),
 		b:       binary.LittleEndian.Uint32(rest[5:9]),
 		payload: rest[frameHdrLen:n:n],
-	}, n, nil
+	}, n
 }
 
 // frameErr places a nextFrame error: the idx-th frame of a stream, at byte

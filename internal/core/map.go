@@ -297,7 +297,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 // adopted reports whether a task has been reassigned away from its hash
 // home (i.e. its original owner failed).
 func (r *runner) adopted(taskID int) bool {
-	return r.tt.owner[taskID] != r.homes[assignTask(taskID, r.nParts)]
+	return r.tt.ownerOf(taskID) != r.homes[assignTask(taskID, r.nParts)]
 }
 
 // gossipStatus sends the merged done-bitmap to the ring successor after every

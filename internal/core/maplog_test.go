@@ -16,10 +16,12 @@ import (
 // replaced, over random emission sequences: restored pairs injected ahead of
 // a task's output, record and chunk granularity, W in {1, 7, 64}, with and
 // without a combiner. Every frame a task commits must be the frame its
-// per-task delta (or whole-task) KV encoded, and every bundle sendBundles
-// returns the frames of kvbuf.KV.Partition of the same pairs — combined per
-// partition when there is a combiner — for the partitions its destination
-// owns, and the log holds the combined pairs after it. The shuffle runs three
+// per-task delta (or whole-task) KV encoded. sendBundles must return one
+// block per destination that owns a partition holding pairs, by ascending
+// destination, and no other: each the frames of kvbuf.KV.Partition of the
+// same pairs — combined per partition when there is a combiner — for the
+// partitions its destination owns that hold pairs, and none for an empty
+// one. The log holds the combined pairs after it. The shuffle runs three
 // times: once, again as a recovery re-runs it, and once more after a re-run
 // map task has added pairs to the (combined) log.
 func TestMapLogByteIdentity(t *testing.T) {
@@ -161,13 +163,23 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 			}
 			want, pairs := make([][]byte, w), 0
 			for part, owner := range r.partOwner {
-				want[owner] = encodeFrame(want[owner], frameShuffle, uint32(part), 0, parts[part].Bytes())
+				if parts[part].Len() > 0 {
+					want[owner] = encodeFrame(want[owner], frameShuffle, uint32(part), 0, parts[part].Bytes())
+				}
 				pairs += parts[part].Len()
 			}
 			check(fmt.Sprintf("shuffle %d, pairs left in the log", round), []byte(fmt.Sprint(r.log.Len())), []byte(fmt.Sprint(pairs)))
+			var peers, wantPeers []int
 			for d := range want {
-				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, d), bufs[d], want[d])
+				if want[d] != nil {
+					wantPeers = append(wantPeers, d)
+				}
 			}
+			for _, b := range bufs {
+				peers = append(peers, b.Peer)
+				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, b.Peer), b.Data, want[b.Peer])
+			}
+			check(fmt.Sprintf("shuffle %d, destinations", round), []byte(fmt.Sprint(peers)), []byte(fmt.Sprint(wantPeers)))
 		}
 	})
 	clus.Sim.Run()

@@ -108,7 +108,7 @@ func (r *runner) recoverOnce() error {
 	}
 	c := r.comm
 	fold := func(all [][]byte) any {
-		pl, err := rp.plan(all, groupOf(c))
+		pl, err := rp.plan(all, c.Group())
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func (r *runner) recoverOnce() error {
 	case remap:
 		// Unclaimed partitions (no data yet, or none that can be restored)
 		// get owners so the shuffle has destinations.
-		r.spread("parts", pl.lostParts, pl.partsTo, r.partOwner)
+		r.spread("parts", pl.lostParts, pl.partsTo, r.ownPart)
 		err = r.remapLost(pl)
 	}
 	if err != nil {
@@ -271,7 +271,7 @@ func (pl *recoveryPlan) apply(tt *taskTable, partOwner []int) {
 	tt.mergeBitmap(pl.doneBits)
 	for id, o := range pl.taskOwner {
 		if o >= 0 {
-			tt.owner[id] = o
+			tt.setOwner(id, o)
 		}
 	}
 	copy(partOwner, pl.partOwner)
@@ -372,11 +372,11 @@ func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 			return float64(sz)
 		}
 		return 1
-	}), r.partOwner)
+	}), r.ownPart)
 	// Hand the lost partitions' in-memory replicas to their new owners
 	// before judging restorability, so peer-RAM copies count even when the
 	// PFS copy is torn — or the whole tier is offline.
-	if err := r.exchangeReplicas(partStream, pl.lostParts, r.partOwner); err != nil {
+	if err := r.exchangeReplicas(partStream, pl.lostParts, func(part int) int { return r.partOwner[part] }); err != nil {
 		return adopt, err
 	}
 	unrestorable, err := r.needRemapAgreed(pl.lostParts)
@@ -407,7 +407,7 @@ func (r *runner) remapLost(pl *recoveryPlan) error {
 	}
 	lostTasks := pl.rerun(r.tt)
 	r.redistributeTasks(lostTasks, pl.tasksTo)
-	if err := r.exchangeReplicas(mapStream, lostTasks, r.tt.owner); err != nil {
+	if err := r.exchangeReplicas(mapStream, lostTasks, r.tt.ownerOf); err != nil {
 		return err
 	}
 	// Every rank must take part in the shuffle again so the re-run tasks'
@@ -431,6 +431,9 @@ func (r *runner) resetLost(lost []int) {
 	}
 }
 
+// ownPart records world rank w as part's owner.
+func (r *runner) ownPart(part, w int) { r.partOwner[part] = w }
+
 // adoptComm moves the runner onto the communicator a shrink agreed on and
 // records, and returns, the world ranks the old one had and it lacks.
 func (r *runner) adoptComm(nc *mpi.Comm) (failed []int) {
@@ -452,21 +455,12 @@ func (r *runner) adoptComm(nc *mpi.Comm) (failed []int) {
 	return failed
 }
 
-// groupOf returns a communicator's world ranks.
-func groupOf(c *mpi.Comm) []int {
-	out := make([]int, c.Size())
-	for i := range out {
-		out[i] = c.WorldRank(i)
-	}
-	return out
-}
-
 // spread hands the lost pieces ids out as assignment deals them (per
 // survivor, in communicator order, indices into ids) and records each piece's
-// new owner in owners (id -> world rank). Under a replication model work is
+// new owner with own(id, world rank). Under a replication model work is
 // never parked on a dedicated mirror: its acting primary owns it and the
 // mirror follows.
-func (r *runner) spread(what string, ids []int, assignment [][]int, owners []int) {
+func (r *runner) spread(what string, ids []int, assignment [][]int, own func(id, w int)) {
 	if len(ids) == 0 {
 		return
 	}
@@ -477,7 +471,7 @@ func (r *runner) spread(what string, ids []int, assignment [][]int, owners []int
 			w = r.ftm.redirectToActing(w)
 		}
 		for _, pi := range pieceIdxs {
-			owners[ids[pi]] = w
+			own(ids[pi], w)
 		}
 	}
 }
@@ -502,9 +496,9 @@ func assign(models []lbModel, ids []int, balanced bool, weight func(id int) floa
 // redistributeTasks hands unclaimed task ids (ascending) to survivors as
 // assignment deals them, and adds this rank's share to its backlog.
 func (r *runner) redistributeTasks(lostIDs []int, assignment [][]int) {
-	r.spread("tasks", lostIDs, assignment, r.tt.owner)
+	r.spread("tasks", lostIDs, assignment, r.tt.setOwner)
 	for _, id := range lostIDs {
-		if r.tt.owner[id] == r.myWorld() {
+		if r.tt.ownerOf(id) == r.myWorld() {
 			r.backlogBytes += float64(r.tt.tasks[id].Chunk.Size)
 		}
 	}

@@ -23,7 +23,7 @@ var planTasks = make([]Task, 8)
 func planTable() *taskTable {
 	tt := newTaskTable(planTasks, 4)
 	for id := range tt.owner {
-		tt.owner[id] = id % 4
+		tt.owner[id] = int32(id % 4)
 	}
 	return tt
 }

@@ -12,11 +12,13 @@ import (
 )
 
 // ownedParts returns this rank's partitions, ascending.
-func (r *runner) ownedParts() []int {
+func (r *runner) ownedParts() []int { return r.partsOf(r.myWorld()) }
+
+// partsOf returns the partitions world rank w owns, ascending.
+func (r *runner) partsOf(w int) []int {
 	var out []int
-	me := r.myWorld()
 	for part, o := range r.partOwner {
-		if o == me {
+		if o == w {
 			out = append(out, part)
 		}
 	}

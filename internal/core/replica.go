@@ -181,7 +181,7 @@ func (rp *replicator) push(stream string, data []byte) {
 	// interval of pushes.
 	rp.drain()
 	total := rp.store.appendOwn(stream, data)
-	partners := storage.ReplicaPartners(rp.r.myWorld(), groupOf(rp.r.comm), rp.k)
+	partners := storage.ReplicaPartners(rp.r.myWorld(), rp.r.comm.Group(), rp.k)
 	if len(partners) == 0 {
 		return
 	}
@@ -243,17 +243,18 @@ func (rp *replicator) drain() {
 // destination mailboxes (eager sends complete delivery before returning),
 // and a drain folds them in. Deterministic and deadlock-free — there is no
 // request/reply step to cycle on. ids (ascending) names the partitions or map
-// tasks recovery reassigned, stream their checkpoint streams, and owners —
+// tasks recovery reassigned, stream their checkpoint streams, and owner —
 // the rebuilt ownership map, identical on every survivor — their new owners.
-func (r *runner) exchangeReplicas(stream func(id int) string, ids, owners []int) error {
+func (r *runner) exchangeReplicas(stream func(id int) string, ids []int, owner func(id int) int) error {
 	if r.rep == nil {
 		return nil
 	}
 	for _, id := range ids {
 		s := stream(id)
 		data, _ := r.rep.store.lookup(s)
-		cr := r.comm.CommRankOf(owners[id])
-		if owners[id] == r.myWorld() || data == nil || cr < 0 {
+		o := owner(id)
+		cr := r.comm.CommRankOf(o)
+		if o == r.myWorld() || data == nil || cr < 0 {
 			continue
 		}
 		msg := encodeReplicaMsg(replicaFull, s, data)

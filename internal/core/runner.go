@@ -51,7 +51,7 @@ type runner struct {
 	m    *RankMetrics
 	obs  *obs.Handle // the rank's trace/metrics/introspection handle (never nil)
 
-	world0    []int // world ranks participating at job start
+	world0    []int // world ranks participating at job start (the communicator's shared group: read-only)
 	tt        *taskTable
 	nParts    int   // partition count (== len(world0))
 	partOwner []int // partition -> world rank
@@ -87,7 +87,7 @@ type jobCtx struct {
 
 func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	spec := j.spec
-	world0 := groupOf(c)
+	world0 := c.Group()
 	m := newRankMetrics(c.Self().WorldRank())
 	h := c.Self().Obs()
 	h.BindCore()
@@ -271,8 +271,8 @@ func (r *runner) phaseInit() error {
 	// slot i's tasks start on partition i's owner — homes, unless init runs
 	// again: only a pure failover resumes here, and it has left the promoted
 	// shadow owning its slot's partition.
-	for i := range r.tt.owner {
-		r.tt.owner[i] = r.partOwner[r.tt.owner[i]]
+	for i, slot := range r.tt.owner {
+		r.tt.owner[i] = int32(r.partOwner[slot])
 	}
 	// Metadata traversal: one PFS op per 64 chunks.
 	r.m.IOWait += clus.PFS.Charge(r.p, len(tasks)/64+1, 0)

@@ -10,8 +10,10 @@ package core
 // checkpoint-only runs stay byte-identical to pre-replication behaviour.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"ftmrmpi/internal/kvbuf"
@@ -194,17 +196,17 @@ func (r *runner) mirrorPending() []int {
 	pair := r.ftm.pairWorld()
 	var out []int
 	for id, o := range r.tt.owner {
-		if o == pair && !r.ftm.mirrorDone[id] {
+		if int(o) == pair && !r.ftm.mirrorDone[id] {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// mirrorParts returns the pair's partitions this shadow actually received in
-// a replicate exchange (ascending). Partitions the pair adopted after the
-// exchange have no mirror data and are skipped — failover falls back to the
-// checkpoint path for those.
+// mirrorParts returns the pair's partitions this shadow merged in a
+// replicate exchange (ascending), whether or not any pairs arrived for them.
+// Partitions the pair adopted after the exchange have no mirror data and are
+// skipped — failover falls back to the checkpoint path for those.
 func (r *runner) mirrorParts() []int {
 	pair := r.ftm.pairWorld()
 	var out []int
@@ -275,11 +277,11 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 // active: primaries send each slot's bundle directly to its acting primary
 // and shadow-mirror the identical bytes (same flow id) to the slot's live
 // shadow; every rank — primary or shadow — then collects one bundle per
-// slot. Shadows end up holding their pair's
-// post-shuffle partitions without the primary ever re-sending on failover.
-// The bundles come back in slot order, so every receiver merges its
-// partitions in the same deterministic order as the Alltoallv exchange.
-func (r *runner) exchangeReplicate() ([][]byte, error) {
+// slot, empty when the sender has no pairs for it. Shadows end up holding
+// their pair's post-shuffle partitions without the primary ever re-sending
+// on failover. The bundles come back in slot order, so every receiver merges
+// its partitions in the same deterministic order as the collective exchange.
+func (r *runner) exchangeReplicate() ([]mpi.Block, error) {
 	f := r.ftm
 	tag := r.shuffleTag()
 
@@ -296,13 +298,16 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 
 	// A mirror owns no map output of record: only primaries send.
 	if !f.mirror {
-		bufs, err := r.sendBundles()
+		blocks, err := r.sendBundles()
 		if err != nil {
 			return nil, err
 		}
 		for _, d := range liveSlots {
 			dst := r.comm.CommRankOf(f.acting[d])
-			bundle := bufs[dst]
+			var bundle []byte
+			if i, ok := slices.BinarySearchFunc(blocks, dst, func(b mpi.Block, peer int) int { return cmp.Compare(b.Peer, peer) }); ok {
+				bundle = blocks[i].Data
+			}
 			var flow uint64
 			if err := r.net(func() error {
 				id, e := r.comm.SendTracked(dst, tag, bundle)
@@ -327,7 +332,7 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 	// or the shadow of one slot, never both, so it is sent exactly one copy
 	// per source, and the tag (job index, death count) keeps out the bundles
 	// of any other exchange.
-	got := make([][]byte, len(f.acting))
+	got := make([]mpi.Block, len(f.acting))
 	for range liveSlots {
 		var m *mpi.Message
 		if err := r.net(func() error {
@@ -337,9 +342,9 @@ func (r *runner) exchangeReplicate() ([][]byte, error) {
 		}); err != nil {
 			return nil, err
 		}
-		got[f.actingSlot(r.comm.WorldRank(m.Src))] = m.Data
+		got[f.actingSlot(r.comm.WorldRank(m.Src))] = mpi.Block{Peer: m.Src, Data: m.Data}
 	}
-	bundles := make([][]byte, 0, len(liveSlots))
+	bundles := make([]mpi.Block, 0, len(liveSlots))
 	for _, s := range liveSlots {
 		bundles = append(bundles, got[s])
 	}
@@ -449,17 +454,17 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 	// Fold any banked final sync pushes before judging durable progress.
 	r.drainShadowSync()
 	for id, o := range r.tt.owner {
-		if o != deadWorld {
+		if int(o) != deadWorld {
 			continue
 		}
 		switch {
 		case r.ftm.mirrorDone[id]:
 			// Fully mirrored: the map output is in this rank's memory.
-			r.tt.owner[id] = me
+			r.tt.setOwner(id, me)
 			r.tt.setDone(id, true)
 		case !r.tt.isDone(id):
 			// Pending: the new primary runs it like any owned task.
-			r.tt.owner[id] = me
+			r.tt.setOwner(id, me)
 			r.backlogBytes += float64(r.tt.tasks[id].Chunk.Size)
 		}
 		// Done-but-unmirrored tasks stay unclaimed: the generic lost-task

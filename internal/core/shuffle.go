@@ -1,17 +1,20 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/mpi"
 )
 
 // phaseShuffle exchanges the partitioned map output so each partition's
 // holder has all its pairs, then checkpoints the received buffers. Only the
-// routing of the bundles depends on the execution model (one Alltoallv, or
-// tracked point-to-point sends mirrored to the shadows); agreement, merge
-// and snapshot are the same for every rank.
+// routing of the bundles depends on the execution model (one
+// AlltoallvSparse, or tracked point-to-point sends mirrored to the shadows);
+// agreement, merge and snapshot are the same for every rank.
 func (r *runner) phaseShuffle() error {
 	// If every rank restored its partitions from checkpoints (restart after
 	// a reduce-phase failure), the exchange can be skipped — agreement by
@@ -28,7 +31,7 @@ func (r *runner) phaseShuffle() error {
 		return nil
 	}
 
-	var bundles [][]byte
+	var bundles []mpi.Block
 	if r.ftm != nil {
 		bundles, err = r.exchangeReplicate()
 	} else {
@@ -47,12 +50,7 @@ func (r *runner) phaseShuffle() error {
 	// partition snapshot). A mirroring shadow owns nothing and writes nothing.
 	if r.ck.enabled {
 		for _, part := range r.ownedParts() {
-			kv := r.parts[part]
-			var payload []byte
-			if kv != nil {
-				payload = kv.Bytes()
-			}
-			r.ck.commit(r.p, partStream(part), frameShuffle, uint32(part), 0, payload)
+			r.ck.commit(r.p, partStream(part), frameShuffle, uint32(part), 0, r.parts[part].Bytes())
 		}
 	}
 	r.ck.phaseSync(r.p)
@@ -60,58 +58,74 @@ func (r *runner) phaseShuffle() error {
 }
 
 // mergeBundles rebuilds this rank's partitions from the received bundles,
-// from scratch so the exchange is idempotent under recovery re-runs. One walk
-// checks every frame and sizes each partition; every payload is then
-// validated and copied once, in bundle order, into a buffer that already has
-// room for it.
-func (r *runner) mergeBundles(bundles [][]byte) error {
-	r.parts = make(map[int]*kvbuf.KV)
-	r.kmv = make(map[int]*kvbuf.KMV)
-	sizes := make(map[int]int)
-	var filled []frame // the frames that carry pairs, in arrival order
+// from scratch so the exchange is idempotent under recovery re-runs. The
+// partitions are the ownership table's — this rank's own, or a mirroring
+// shadow's pair's — whether or not any pairs arrived for them. One walk
+// checks every frame and sizes each partition; a second walk over the
+// checked headers then copies every payload once, in bundle order, into a
+// buffer that already has room for it.
+func (r *runner) mergeBundles(bundles []mpi.Block) error {
+	holder := r.myWorld()
+	if r.mirroring() {
+		holder = r.ftm.pairWorld()
+	}
+	held := r.partsOf(holder)
+	sizes := make([]int, len(held)) // by held's index
 	for _, b := range bundles {
-		for idx, off := 0, 0; off < len(b); idx++ {
-			f, n, err := nextFrame(b[off:])
+		for idx, off := 0, 0; off < len(b.Data); idx++ {
+			f, n, err := nextFrame(b.Data[off:])
 			if err != nil {
 				// Shuffle bundles travel over the (fault-free) network; a decode
 				// failure here is a framing bug, not a storage fault.
 				return fmt.Errorf("core: shuffle bundle: %w", frameErr(idx, off, err))
 			}
+			if f.kind == frameShuffle {
+				i, ok := slices.BinarySearch(held, int(f.a))
+				if !ok {
+					return fmt.Errorf("core: shuffle bundle: %w", frameErr(idx, off,
+						fmt.Errorf("partition %d is not held by world rank %d", f.a, holder)))
+				}
+				sizes[i] += len(f.payload)
+			}
 			off += n
-			if f.kind != frameShuffle {
+		}
+	}
+	r.parts = make(map[int]*kvbuf.KV, len(held))
+	r.kmv = make(map[int]*kvbuf.KMV)
+	for i, part := range held {
+		kv := kvbuf.NewKV()
+		if sizes[i] > 0 {
+			kv.Grow(sizes[i])
+		}
+		r.parts[part] = kv
+	}
+	for _, b := range bundles {
+		for off := 0; off < len(b.Data); {
+			f, n := checkedFrame(b.Data[off:])
+			off += n
+			if f.kind != frameShuffle || len(f.payload) == 0 {
 				continue
 			}
-			part := int(f.a)
-			if r.parts[part] == nil {
-				r.parts[part] = kvbuf.NewKV()
+			if err := r.parts[int(f.a)].AppendBytes(f.payload); err != nil {
+				return err
 			}
-			if len(f.payload) > 0 {
-				sizes[part] += len(f.payload)
-				filled = append(filled, f)
-			}
+			r.m.ShuffleBytes += int64(len(f.payload))
 		}
-	}
-	for part, size := range sizes {
-		r.parts[part].Grow(size)
-	}
-	for _, f := range filled {
-		if err := r.parts[int(f.a)].AppendBytes(f.payload); err != nil {
-			return err
-		}
-		r.m.ShuffleBytes += int64(len(f.payload))
 	}
 	return nil
 }
 
-// sendBundles prepares this rank's map output for the exchange and returns
-// one buffer per communicator rank, bundling the partitions that rank owns
-// in ascending order. The map-output log is partitioned once, by a stable
-// counting sort straight into the bundles: the bundles are sized first, every
-// pair is then copied to its partition's cursor inside its destination's
-// bundle, and each frame's header is sealed in place. The bundles share one
+// sendBundles prepares this rank's map output for the exchange: one block
+// per communicator rank that owns a partition holding pairs from this rank,
+// by ascending comm rank, each the frames of those partitions in ascending
+// partition order. A partition without pairs is not framed, and a rank that
+// is sent none gets no block. The map-output log is partitioned once, by a
+// stable counting sort straight into the frames: the frames are laid out
+// first, every pair is then copied to its partition's cursor inside its
+// frame, and each frame's header is sealed in place. The blocks share one
 // arena, each a capacity-limited sub-slice of it: receivers may keep what
 // they are handed, and nothing writes to the arena after this returns.
-func (r *runner) sendBundles() ([][]byte, error) {
+func (r *runner) sendBundles() ([]mpi.Block, error) {
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
 	// combiners must therefore be idempotent over their own output.
@@ -120,69 +134,65 @@ func (r *runner) sendBundles() ([][]byte, error) {
 			return nil, err
 		}
 	}
-	// Offsets into the arena are int32, like every per-partition table here.
-	if int64(r.log.Size())+int64(frameHdrLen)*int64(r.nParts) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
-	}
-	// One pass over the partitions via an inverse owner table — a nested
-	// ranks×partitions scan is O(W²) per rank at scale.
-	n := r.comm.Size()
-	commOf := make([]int32, r.comm.World().Size())
-	for i := range commOf {
-		commOf[i] = -1
-	}
-	for d := 0; d < n; d++ {
-		commOf[r.comm.WorldRank(d)] = int32(d)
-	}
 	pieces, of, cur := partitionLog(&r.log, r.nParts) // cur: sizes until the layout makes them cursors
-	// Every partition travels as a frame, empty ones included.
-	at := make([]int32, n) // per destination: its bundle's size, then a cursor
-	for part, owner := range r.partOwner {
-		if d := commOf[owner]; d >= 0 {
-			at[d] += frameHdrLen + cur[part]
+	// The frames to send, in arena order: by destination, then partition. A
+	// partition no rank of the communicator owns is not sent.
+	filled := 0
+	for _, size := range cur {
+		if size != 0 {
+			filled++
 		}
 	}
-	total := 0
-	for _, size := range at {
-		total += int(size)
-	}
-	arena := make([]byte, total)
-	bufs := make([][]byte, n)
-	off := int32(0)
-	for d, size := range at {
-		if size > 0 {
-			bufs[d] = arena[off : off+size : off+size]
-		}
-		at[d] = off
-		off += size
-	}
-	// Each partition's payload starts after its header, its bundle's frames
-	// in ascending partition order; a partition no rank of the communicator
-	// owns is not sent.
-	for part, owner := range r.partOwner {
-		d := commOf[owner]
-		if d < 0 {
-			cur[part] = -1
+	frames := make([]sendFrame, 0, filled)
+	for part, size := range cur {
+		if size == 0 {
 			continue
 		}
-		size := cur[part]
-		cur[part] = at[d] + frameHdrLen
-		at[d] = cur[part] + size
-	}
-	scatterLog(pieces, of, cur, arena)
-	// Every cursor now ends its payload; the frames of a bundle lie back to
-	// back from its start.
-	for d := range at {
-		at[d] -= int32(len(bufs[d]))
-	}
-	for part, owner := range r.partOwner {
-		if d := commOf[owner]; d >= 0 {
-			sealFrame(arena[at[d]:cur[part]], frameShuffle, uint32(part), 0)
-			at[d] = cur[part]
+		if d := r.comm.CommRankOf(r.partOwner[part]); d >= 0 {
+			frames = append(frames, sendFrame{dest: int32(d), part: int32(part)})
+		} else {
+			cur[part] = -1
 		}
 	}
-	return bufs, nil
+	slices.SortFunc(frames, func(a, b sendFrame) int {
+		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.part, b.part))
+	})
+	// Offsets into the arena are int32, like every per-partition table here;
+	// the log holds every payload byte sent.
+	if int64(r.log.Size())+int64(frameHdrLen)*int64(len(frames)) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
+	}
+	// Each partition's payload starts after its header.
+	off, blocks := int32(0), 0
+	for i, f := range frames {
+		if i == 0 || frames[i-1].dest != f.dest {
+			blocks++
+		}
+		size := cur[f.part]
+		cur[f.part] = off + frameHdrLen
+		off += frameHdrLen + size
+	}
+	arena := make([]byte, off)
+	scatterLog(pieces, of, cur, arena)
+	// Every cursor now ends its payload; the frames lie back to back.
+	bundles := make([]mpi.Block, 0, blocks)
+	start, first := int32(0), int32(0) // the current frame's and block's first byte
+	for i, f := range frames {
+		if i == 0 || frames[i-1].dest != f.dest {
+			bundles = append(bundles, mpi.Block{Peer: int(f.dest)})
+			first = start
+		}
+		end := cur[f.part]
+		sealFrame(arena[start:end], frameShuffle, uint32(f.part), 0)
+		bundles[len(bundles)-1].Data = arena[first:end:end]
+		start = end
+	}
+	return bundles, nil
 }
+
+// sendFrame is one frame sendBundles lays out: a partition that holds pairs
+// and the comm rank that owns it.
+type sendFrame struct{ dest, part int32 }
 
 // partitionLog is the first pass of the counting sort that partitions the
 // map-output log: the log as pieces, each pair's partition in log order, and
@@ -223,15 +233,14 @@ func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
 
 // exchangeAlltoallv routes the bundles with one collective exchange and
 // returns what this rank received, in source-rank order.
-func (r *runner) exchangeAlltoallv() ([][]byte, error) {
-	bufs, err := r.sendBundles()
+func (r *runner) exchangeAlltoallv() ([]mpi.Block, error) {
+	send, err := r.sendBundles()
 	if err != nil {
 		return nil, err
 	}
-	var recv [][]byte
-	err = r.net(func() error {
-		out, e := r.comm.Alltoallv(bufs)
-		recv = out
+	var recv []mpi.Block
+	err = r.net(func() (e error) {
+		recv, e = r.comm.AlltoallvSparse(send)
 		return e
 	})
 	return recv, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,10 +52,10 @@ func keyIn(part, w, i int) []byte {
 // shuffleFixture builds rank 0's side of a W-rank shuffle with one partition
 // per rank, of which only the first filled hold pairs: the runner whose
 // map-output log sendBundles partitions (two pairs per filled partition, the
-// partitions interleaved in the log), the W bundles mergeBundles receives for
-// partition 0 — pairs from the first filled sources, an empty frame from
-// every other — and what each source sends.
-func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv [][]byte, sent []*kvbuf.KV) {
+// partitions interleaved in the log), the blocks mergeBundles receives for
+// partition 0 — one from each of the first filled sources, none from any
+// other — and what each source sends.
+func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv []mpi.Block, sent []*kvbuf.KV) {
 	tb.Helper()
 	r = rankZero(tb, w)
 	sent = make([]*kvbuf.KV, filled)
@@ -68,13 +69,9 @@ func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv [][]byte, sen
 			kv.Add(k, []byte("1"))
 		}
 	}
-	recv = make([][]byte, w)
+	recv = make([]mpi.Block, filled)
 	for i := range recv {
-		var payload []byte
-		if i < filled {
-			payload = sent[i].Bytes()
-		}
-		recv[i] = encodeFrame(nil, frameShuffle, 0, 0, payload)
+		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, sent[i].Bytes())}
 	}
 	return r, recv, sent
 }
@@ -91,8 +88,8 @@ func TestShuffleAllocsPerRank(t *testing.T) {
 		r, recv, _ := shuffleFixture(t, w, filled)
 		allocs[w] = testing.AllocsPerRun(20, func() {
 			bufs, err := r.sendBundles()
-			if err != nil || len(bufs) != w {
-				t.Fatalf("sendBundles: %d buffers, %v", len(bufs), err)
+			if err != nil || len(bufs) != filled {
+				t.Fatalf("sendBundles: %d blocks, want one per filled partition's owner (%d): %v", len(bufs), filled, err)
 			}
 			if err := r.mergeBundles(recv); err != nil {
 				t.Fatal(err)
@@ -115,15 +112,19 @@ func TestShuffleAllocsPerRank(t *testing.T) {
 // emits the same pairs at W=64 and at W=4096 makes the same allocations to
 // hold them (one log, whatever the partition count) and to bundle them, and
 // the bytes it allocates differ only by what is W-sized by construction: the
-// shuffle's three int32 tables (owner inverse, partition cursors, bundle
-// cursors), the frame every partition travels as and the slice header of
-// every bundle. A per-partition buffer would add an allocation per partition
-// that holds data; an []int table, 4 more bytes per rank.
+// int32 partition cursor table. The keys hash to the same partitions at both
+// sizes (below 64 of 4096), so the same frames go to the same ranks: a
+// frame or a block per empty partition, or an owner inverse or bundle table
+// per rank, would show here. A per-partition buffer would add an allocation
+// per partition that holds data; an []int table, 4 more bytes per rank.
 func TestMapOutputAllocsPerRank(t *testing.T) {
 	const pairs, reps = 2000, 5
-	keys := make([][]byte, 300)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("w%05d", i*7919))
+	const small, large = 64, 4096
+	keys := make([][]byte, 0, 300)
+	for i := 0; len(keys) < cap(keys); i++ {
+		if k := []byte(fmt.Sprintf("w%05d", i)); kvbuf.PartitionKey(k, large) < small {
+			keys = append(keys, k)
+		}
 	}
 	type cost struct{ emitAllocs, emitBytes, sendAllocs, sendBytes uint64 }
 	// The least of a few repetitions: the runtime's own rare allocations land
@@ -150,7 +151,6 @@ func TestMapOutputAllocsPerRank(t *testing.T) {
 		}
 		return c
 	}
-	const small, large = 64, 4096
 	a, b := measure(rankZero(t, small)), measure(rankZero(t, large))
 	t.Logf("W=%d: emit %d allocs / %d B, bundle %d allocs / %d B; W=%d: emit %d / %d B, bundle %d / %d B",
 		small, a.emitAllocs, a.emitBytes, a.sendAllocs, a.sendBytes, large, b.emitAllocs, b.emitBytes, b.sendAllocs, b.sendBytes)
@@ -162,8 +162,8 @@ func TestMapOutputAllocsPerRank(t *testing.T) {
 		t.Errorf("bundling the same pairs makes %d allocations at W=%d but %d at W=%d", a.sendAllocs, small, b.sendAllocs, large)
 	}
 	// Allocations round up to their size class or to whole 8 KiB pages; the
-	// slack is under the 16 KiB one more 4-byte table would add at W=4096.
-	const perRank, slack = 3*4 + frameHdrLen + 24, 12 << 10
+	// slack is under the 4 KiB one more byte per rank would add at W=4096.
+	const perRank, slack = 4, 2 << 10
 	want := uint64(perRank * (large - small))
 	if got := b.sendBytes - a.sendBytes; got > want+slack || got+slack < want {
 		t.Errorf("bundle bytes grow by %d from W=%d to W=%d, want %d (%d B per rank) within %d", got, small, large, want, perRank, slack)
@@ -188,10 +188,50 @@ func TestMergeBundlesKeepsBundleOrder(t *testing.T) {
 		t.Fatalf("ShuffleBytes = %d, want %d", r.m.ShuffleBytes, want.Size())
 	}
 	// A bundle with a damaged frame is a framing bug, reported with its place.
-	recv[3][frameHdrLen] ^= 1
+	recv[3].Data[frameHdrLen] ^= 1
 	err := r.mergeBundles(recv)
 	if err == nil || !strings.HasPrefix(err.Error(), "core: shuffle bundle: core: frame 0 at offset 0: CRC mismatch") {
 		t.Fatalf("damaged bundle: %v", err)
+	}
+}
+
+// mergeBundles creates the partitions the ownership table gives the rank —
+// its own, or a mirroring shadow's pair's — whether or not any pairs arrived
+// for them, so a partition that received none still counts as merged: it is
+// checkpointed by a primary and listed by a shadow's mirrorParts. A frame of
+// a partition the rank does not hold is a framing bug.
+func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
+	r, _, sent := shuffleFixture(t, 4, 2)
+	r.partOwner = []int{1, 1, 0, 1} // world rank 1 holds partitions 0, 1 and 3
+	bundle := func(parts ...uint32) []mpi.Block {
+		var b []byte
+		for _, part := range parts {
+			b = encodeFrame(b, frameShuffle, part, 0, sent[0].Bytes())
+		}
+		return []mpi.Block{{Peer: 0, Data: b}}
+	}
+	if err := r.mergeBundles(nil); err != nil {
+		t.Fatal(err)
+	}
+	if kv := r.parts[2]; len(r.parts) != 1 || kv == nil || kv.Len() != 0 {
+		t.Fatalf("a primary that received nothing holds %d partitions, want its own, 2, empty", len(r.parts))
+	}
+
+	// World rank 0 mirrors slot 1, whose acting primary is world rank 1.
+	r.ftm = &ftState{slot: 1, mirror: true, acting: []int{2, 1}}
+	if err := r.mergeBundles(bundle(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.mirrorParts(); !slices.Equal(got, []int{0, 1, 3}) {
+		t.Fatalf("mirrorParts = %v, want the pair's [0 1 3], those without pairs included", got)
+	}
+	if r.parts[0].Len() != 0 || r.parts[1].Len() != sent[0].Len() || r.parts[3].Len() != 0 {
+		t.Fatalf("merged %d, %d, %d pairs into partitions 0, 1, 3, want 0, %d, 0", r.parts[0].Len(), r.parts[1].Len(), r.parts[3].Len(), sent[0].Len())
+	}
+
+	err := r.mergeBundles(bundle(1, 2))
+	if err == nil || !strings.HasPrefix(err.Error(), "core: shuffle bundle: core: frame 1 at offset") || !strings.HasSuffix(err.Error(), "partition 2 is not held by world rank 1") {
+		t.Fatalf("a frame of a partition the pair does not hold: %v", err)
 	}
 }
 

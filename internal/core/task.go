@@ -44,7 +44,7 @@ func assignTask(taskID, nranks int) int {
 // current assignment (world ranks), which recovery rewrites.
 type taskTable struct {
 	tasks []Task
-	owner []int
+	owner []int32
 	// done holds one flag per task, packed the way the status gossip carries
 	// it: task id is bit id%8 of byte id/8. The bits of the last byte past
 	// the task count stay zero.
@@ -52,12 +52,18 @@ type taskTable struct {
 }
 
 func newTaskTable(tasks []Task, nranks int) *taskTable {
-	t := &taskTable{tasks: tasks, owner: make([]int, len(tasks)), done: make([]byte, (len(tasks)+7)/8)}
+	t := &taskTable{tasks: tasks, owner: make([]int32, len(tasks)), done: make([]byte, (len(tasks)+7)/8)}
 	for i := range tasks {
-		t.owner[i] = assignTask(i, nranks)
+		t.owner[i] = int32(assignTask(i, nranks))
 	}
 	return t
 }
+
+// ownerOf returns the world rank task id is assigned to.
+func (t *taskTable) ownerOf(id int) int { return int(t.owner[id]) }
+
+// setOwner assigns task id to world rank w.
+func (t *taskTable) setOwner(id, w int) { t.owner[id] = int32(w) }
 
 // isDone reports whether task id is known to have completed.
 func (t *taskTable) isDone(id int) bool { return t.done[id>>3]&(1<<(id&7)) != 0 }
@@ -76,7 +82,7 @@ func (t *taskTable) setDone(id int, done bool) {
 func (t *taskTable) mine(worldRank int) []int {
 	var out []int
 	for id, o := range t.owner {
-		if o == worldRank && !t.isDone(id) {
+		if int(o) == worldRank && !t.isDone(id) {
 			out = append(out, id)
 		}
 	}
@@ -87,7 +93,7 @@ func (t *taskTable) mine(worldRank int) []int {
 func (t *taskTable) ownedBy(worldRank int) []int {
 	var out []int
 	for id, o := range t.owner {
-		if o == worldRank {
+		if int(o) == worldRank {
 			out = append(out, id)
 		}
 	}

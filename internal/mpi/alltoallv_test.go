@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,6 +146,162 @@ func TestAlltoallvMatchesReferenceRing(t *testing.T) {
 	}
 }
 
+// randomSparse draws one sparse exchange: each rank sends to a random subset
+// of the ranks, itself included at times, some blocks empty, and some ranks
+// send nothing at all. send[r] is rank r's send list, by ascending peer.
+func randomSparse(rng *rand.Rand, n int) [][]Block {
+	send := make([][]Block, n)
+	for s := range send {
+		if rng.Intn(5) == 0 {
+			continue
+		}
+		density := rng.Float64()
+		for d := 0; d < n; d++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			var data []byte
+			switch rng.Intn(4) {
+			case 0: // an empty block: priced as no block, delivered as one
+			case 1:
+				data = make([]byte, 1+rng.Intn(64))
+			default:
+				data = make([]byte, 1+rng.Intn(64<<10))
+			}
+			if len(data) > 0 {
+				data[0], data[len(data)-1] = byte(s), byte(d)
+			}
+			send[s] = append(send[s], Block{Peer: d, Data: data})
+		}
+	}
+	return send
+}
+
+// denseOf is a sparse exchange as Alltoallv's buffers: bufs[s][d] is what s
+// sends d, nil for no block.
+func denseOf(n int, send [][]Block) [][][]byte {
+	bufs := make([][][]byte, n)
+	for s, blocks := range send {
+		bufs[s] = make([][]byte, n)
+		for _, b := range blocks {
+			bufs[s][b.Peer] = b.Data
+		}
+	}
+	return bufs
+}
+
+// runSparseExchanges is runExchanges through AlltoallvSparse: rounds[i][r] is
+// rank r's send list in round i. It returns, per rank, each round's
+// completion instant and received blocks.
+func runSparseExchanges(t *testing.T, n int, skew []time.Duration, rounds [][][]Block) ([][]time.Duration, [][][]Block) {
+	t.Helper()
+	clus := testCluster((n+7)/8, 8)
+	done, got := make([][]time.Duration, n), make([][][]Block, n)
+	Launch(clus, n, func(c *Comm) {
+		r := c.Rank()
+		c.Proc().Sleep(skew[r])
+		for i, send := range rounds {
+			recv, err := c.AlltoallvSparse(send[r])
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r, i, err)
+				return
+			}
+			done[r] = append(done[r], c.Proc().Now())
+			got[r] = append(got[r], recv)
+		}
+	})
+	clus.Sim.Run()
+	if st := clus.Sim.Stranded(); len(st) != 0 {
+		t.Fatalf("stranded procs: %v", st)
+	}
+	return done, got
+}
+
+// Property: over random sparse send lists (self-blocks and empty blocks
+// included), entry skews and communicator sizes, and a round in which no rank
+// sends anything, every rank leaves AlltoallvSparse at exactly the instant
+// the reference ring would release it for the same buffers (a peer with no
+// block sent 0 bytes), holding every block sent to it, once, as (source,
+// data), by ascending source.
+func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
+	sizes := []int{1, 2, 3, 5, 8, 17}
+	for seed := int64(0); seed < 36; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := sizes[seed%int64(len(sizes))]
+		skew := make([]time.Duration, n)
+		for r := range skew {
+			if rng.Intn(2) == 0 {
+				skew[r] = time.Duration(rng.Intn(5000)) * time.Microsecond
+			}
+		}
+		rounds := [][][]Block{randomSparse(rng, n), make([][]Block, n), randomSparse(rng, n)}
+		dense := make([][][][]byte, len(rounds))
+		for i, send := range rounds {
+			dense[i] = denseOf(n, send)
+		}
+		want, _ := runExchanges(t, n, skew, dense, true)
+		done, got := runSparseExchanges(t, n, skew, rounds)
+		for r := 0; r < n; r++ {
+			for i, send := range rounds {
+				if done[r][i] != want[r].done[i] {
+					t.Fatalf("seed %d W=%d rank %d round %d: completes at %v, reference ring at %v",
+						seed, n, r, i, done[r][i], want[r].done[i])
+				}
+				var expect []Block
+				for src, blocks := range send {
+					for _, b := range blocks {
+						if b.Peer == r {
+							expect = append(expect, Block{Peer: src, Data: b.Data})
+						}
+					}
+				}
+				recv := got[r][i]
+				if len(recv) != len(expect) {
+					t.Fatalf("seed %d W=%d rank %d round %d: %d blocks arrived, %d were sent", seed, n, r, i, len(recv), len(expect))
+				}
+				for k, b := range recv {
+					if b.Peer != expect[k].Peer || !bytes.Equal(b.Data, expect[k].Data) {
+						t.Fatalf("seed %d W=%d rank %d round %d: block %d is %d bytes from %d, want %d bytes from %d",
+							seed, n, r, i, k, len(b.Data), b.Peer, len(expect[k].Data), expect[k].Peer)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A send list whose peers are out of order, repeated or outside the
+// communicator is refused with an error before the collective is entered —
+// not priced as something else, and no panic — so the valid exchange that
+// follows still lines up on every rank.
+func TestAlltoallvSparseRefusesBadSendLists(t *testing.T) {
+	const n = 4
+	bad := map[string][]Block{
+		"unsorted":  {{Peer: 2}, {Peer: 1}},
+		"duplicate": {{Peer: 1}, {Peer: 1}},
+		"negative":  {{Peer: -1}},
+		"past-end":  {{Peer: 0}, {Peer: n}},
+	}
+	clus := testCluster(1, n)
+	done := 0
+	Launch(clus, n, func(c *Comm) {
+		for what, send := range bad {
+			if _, err := c.AlltoallvSparse(send); err == nil || !strings.HasPrefix(err.Error(), "mpi: AlltoallvSparse: block ") {
+				t.Errorf("rank %d: %s send list: err = %v", c.Rank(), what, err)
+			}
+		}
+		recv, err := c.AlltoallvSparse([]Block{{Peer: (c.Rank() + 1) % n, Data: []byte{byte(c.Rank())}}})
+		if want := (c.Rank() + n - 1) % n; err != nil || len(recv) != 1 || recv[0].Peer != want || recv[0].Data[0] != byte(want) {
+			t.Errorf("rank %d: the valid exchange got %v, %v", c.Rank(), recv, err)
+		}
+		done++
+	})
+	clus.Sim.Run()
+	if done != n {
+		t.Fatalf("%d of %d ranks finished", done, n)
+	}
+}
+
 // The exchange costs the scheduler a constant number of events per rank,
 // not one per message.
 func TestAlltoallvEventsPerRank(t *testing.T) {
@@ -182,9 +341,22 @@ func sleepExactly(t *testing.T, c *Comm, d time.Duration) {
 	}
 }
 
+// sparseOf is rank s's buffers as a sparse send list: its big block, if
+// any, and the buffers to every other peer.
+func sparseOf(s int, bufs [][]byte) []Block {
+	var send []Block
+	for d, b := range bufs {
+		if (d+s)%2 == 0 || len(b) > 2 {
+			send = append(send, Block{Peer: d, Data: b})
+		}
+	}
+	return send
+}
+
 // A failure, a revocation or an abort while ranks are inside the exchange
 // interrupts exactly the ranks still inside; the survivors can shrink and
-// run the exchange again.
+// run the exchange again. Every case runs through Alltoallv and through
+// AlltoallvSparse with a sparse send list.
 func TestAlltoallvInterrupted(t *testing.T) {
 	const n, victim, straggler, big = 8, 5, 7, 3
 	type outcome struct {
@@ -213,97 +385,118 @@ func TestAlltoallvInterrupted(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clus := testCluster(1, n)
-			bufs := lateBuffers(n, big)
-			res := make([]outcome, n)
-			w := Launch(clus, n, func(c *Comm) {
-				r := c.Rank()
-				if !tc.fatal {
-					c.SetErrHandler(func(*Comm, error) {})
-				}
-				switch {
-				case tc.revoke && tc.gathering && r == 0:
-					// Revokes from outside while the others gather.
-					c.Proc().Sleep(time.Millisecond)
-					res[r].err = c.Revoke()
-				default:
-					if tc.gathering && r == straggler {
-						c.Proc().Sleep(5 * time.Millisecond)
+			for _, sparse := range []bool{false, true} {
+				t.Run(map[bool]string{false: "dense", true: "sparse"}[sparse], func(t *testing.T) {
+					clus := testCluster(1, n)
+					bufs := lateBuffers(n, big)
+					res := make([]outcome, n)
+					w := Launch(clus, n, func(c *Comm) {
+						r := c.Rank()
+						if !tc.fatal {
+							c.SetErrHandler(func(*Comm, error) {})
+						}
+						switch {
+						case tc.revoke && tc.gathering && r == 0:
+							// Revokes from outside while the others gather.
+							c.Proc().Sleep(time.Millisecond)
+							res[r].err = c.Revoke()
+						default:
+							if tc.gathering && r == straggler {
+								c.Proc().Sleep(5 * time.Millisecond)
+							}
+							if sparse {
+								_, res[r].err = c.AlltoallvSparse(sparseOf(r, bufs[r]))
+							} else {
+								_, res[r].err = c.Alltoallv(bufs[r])
+							}
+							res[r].at = c.Proc().Now()
+							if tc.revoke && r == 0 && res[r].err == nil {
+								// Completed early; revokes those still inside.
+								res[r].err = c.Revoke()
+							}
+						}
+						if tc.fatal {
+							c.Proc().Yield() // the aborting rank unwinds at its next park
+							t.Errorf("rank %d survived the abort", r)
+							return
+						}
+						if !tc.revoke {
+							// Nobody revokes before the kill has landed and the straggler
+							// has run into the dead member on its own (a rank that
+							// completed early, the victim included, waits here).
+							sleepExactly(t, c, 15*time.Millisecond-c.Proc().Now())
+							_ = c.Revoke()
+						}
+						nc, err := c.Shrink()
+						if err != nil {
+							t.Errorf("rank %d: shrink: %v", r, err)
+							return
+						}
+						m := nc.Size()
+						again := make([][]byte, m)
+						for d := range again {
+							again[d] = []byte{byte(c.WorldRank(r)), byte(nc.WorldRank(d))}
+						}
+						if sparse {
+							var recv []Block
+							send := make([]Block, m)
+							for d := range send {
+								send[d] = Block{Peer: d, Data: again[d]}
+							}
+							recv, err = nc.AlltoallvSparse(send)
+							for _, b := range recv {
+								res[r].retr = append(res[r].retr, b.Data)
+							}
+						} else {
+							res[r].retr, err = nc.Alltoallv(again)
+						}
+						if err != nil {
+							t.Errorf("rank %d: retried exchange: %v", r, err)
+						}
+						sleepExactly(t, c, 50*time.Millisecond)
+					})
+					if !tc.revoke {
+						clus.Sim.After(tc.at, func() { w.Kill(victim) })
 					}
-					_, res[r].err = c.Alltoallv(bufs[r])
-					res[r].at = c.Proc().Now()
-					if tc.revoke && r == 0 && res[r].err == nil {
-						// Completed early; revokes those still inside.
-						res[r].err = c.Revoke()
+					clus.Sim.Run()
+					if st := clus.Sim.Stranded(); len(st) != 0 {
+						t.Fatalf("stranded procs: %v", st)
 					}
-				}
-				if tc.fatal {
-					c.Proc().Yield() // the aborting rank unwinds at its next park
-					t.Errorf("rank %d survived the abort", r)
-					return
-				}
-				if !tc.revoke {
-					// Nobody revokes before the kill has landed and the straggler
-					// has run into the dead member on its own (a rank that
-					// completed early, the victim included, waits here).
-					sleepExactly(t, c, 15*time.Millisecond-c.Proc().Now())
-					_ = c.Revoke()
-				}
-				nc, err := c.Shrink()
-				if err != nil {
-					t.Errorf("rank %d: shrink: %v", r, err)
-					return
-				}
-				m := nc.Size()
-				again := make([][]byte, m)
-				for d := range again {
-					again[d] = []byte{byte(c.WorldRank(r)), byte(nc.WorldRank(d))}
-				}
-				if res[r].retr, err = nc.Alltoallv(again); err != nil {
-					t.Errorf("rank %d: retried exchange: %v", r, err)
-				}
-				sleepExactly(t, c, 50*time.Millisecond)
-			})
-			if !tc.revoke {
-				clus.Sim.After(tc.at, func() { w.Kill(victim) })
-			}
-			clus.Sim.Run()
-			if st := clus.Sim.Stranded(); len(st) != 0 {
-				t.Fatalf("stranded procs: %v", st)
-			}
-			if tc.fatal {
-				if !w.Aborted() || w.AliveCount() != 0 {
-					t.Fatalf("aborted=%v alive=%d, want an aborted world with no survivor", w.Aborted(), w.AliveCount())
-				}
-				return
-			}
-			inside := make(map[int]bool)
-			for _, r := range tc.inside {
-				inside[r] = true
-			}
-			for r := 0; r < n; r++ {
-				if r == victim && !tc.revoke {
-					continue
-				}
-				err := res[r].err
-				switch {
-				case inside[r] && !tc.revoke && !IsProcFailed(err),
-					inside[r] && tc.revoke && !errors.Is(err, ErrRevoked),
-					!inside[r] && err != nil:
-					t.Errorf("rank %d: exchange error = %v (expected to be interrupted: %v)", r, err, inside[r])
-				}
-				if !inside[r] && res[r].at > time.Millisecond {
-					t.Errorf("rank %d completed at %v, want before the big transfer ends", r, res[r].at)
-				}
-				if res[r].retr == nil {
-					t.Errorf("rank %d: no retried exchange", r)
-					continue
-				}
-				for src, b := range res[r].retr {
-					if len(b) != 2 || int(b[1]) != r {
-						t.Errorf("rank %d: retried exchange delivered %v from new rank %d", r, b, src)
+					if tc.fatal {
+						if !w.Aborted() || w.AliveCount() != 0 {
+							t.Fatalf("aborted=%v alive=%d, want an aborted world with no survivor", w.Aborted(), w.AliveCount())
+						}
+						return
 					}
-				}
+					inside := make(map[int]bool)
+					for _, r := range tc.inside {
+						inside[r] = true
+					}
+					for r := 0; r < n; r++ {
+						if r == victim && !tc.revoke {
+							continue
+						}
+						err := res[r].err
+						switch {
+						case inside[r] && !tc.revoke && !IsProcFailed(err),
+							inside[r] && tc.revoke && !errors.Is(err, ErrRevoked),
+							!inside[r] && err != nil:
+							t.Errorf("rank %d: exchange error = %v (expected to be interrupted: %v)", r, err, inside[r])
+						}
+						if !inside[r] && res[r].at > time.Millisecond {
+							t.Errorf("rank %d completed at %v, want before the big transfer ends", r, res[r].at)
+						}
+						if res[r].retr == nil {
+							t.Errorf("rank %d: no retried exchange", r)
+							continue
+						}
+						for src, b := range res[r].retr {
+							if len(b) != 2 || int(b[1]) != r {
+								t.Errorf("rank %d: retried exchange delivered %v from new rank %d", r, b, src)
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -460,5 +653,56 @@ func TestGatheringShrinkIsOneWaitSet(t *testing.T) {
 	line := bytes.SplitN(buf.Bytes(), []byte("\n"), 3)[1] // after the header
 	if len(line) > 200*n {
 		t.Errorf("the 3ms snapshot line is %d B, want at most 200 B a rank (%d B)", len(line), 200*n)
+	}
+}
+
+// exchangeBytes returns the bytes one exchange allocates in a W=n world
+// whose ranks send a 64-byte block to each of the next 8 ranks: what is
+// allocated between an instant when every rank sleeps after a first exchange
+// and one when every rank sleeps after a second, the least of three runs.
+func exchangeBytes(tb testing.TB, n int) uint64 {
+	payload := make([]byte, 64)
+	least := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		clus := testCluster(n/8, 8)
+		Launch(clus, n, func(c *Comm) {
+			send := make([]Block, 0, 8)
+			for i := 1; i <= 8; i++ {
+				send = append(send, Block{Peer: (c.Rank() + i) % n, Data: payload})
+			}
+			slices.SortFunc(send, func(a, b Block) int { return a.Peer - b.Peer })
+			for i := 0; i < 2; i++ {
+				if _, err := c.AlltoallvSparse(send); err != nil {
+					tb.Error(err)
+				}
+				c.Proc().Sleep(time.Second - c.Proc().Now()%time.Second)
+			}
+		})
+		var at [2]runtime.MemStats
+		for i := range at {
+			clus.Sim.After(time.Duration(i)*time.Second+time.Second/2, func() { runtime.ReadMemStats(&at[i]) })
+		}
+		clus.Sim.Run()
+		least = min(least, at[1].TotalAlloc-at[0].TotalAlloc)
+	}
+	return least
+}
+
+// TestExchangeAllocsFlatInW is the exchange's allocation gate (make
+// alloc-gate): with 8 non-empty blocks per rank, the bytes one exchange
+// allocates per rank are the same at W=2048 as at W=512. What the meeting
+// allocates in O(W) per exchange (its entrant lists, the ring's instants and
+// cursors, the dealt blocks and their offsets) is constant per rank, so the
+// two may differ only by its rounding, bound at one word a rank; a W-entry
+// table per rank (the dense exchange's result) would add 24 B per rank per
+// rank: 36 KiB a rank more at W=2048.
+func TestExchangeAllocsFlatInW(t *testing.T) {
+	perRank := make(map[int]float64)
+	for _, n := range []int{512, 2048} {
+		perRank[n] = float64(exchangeBytes(t, n)) / float64(n)
+	}
+	t.Logf("one exchange allocates %.1f B per rank at W=512, %.1f at W=2048", perRank[512], perRank[2048])
+	if d := math.Abs(perRank[2048] - perRank[512]); d > 8 {
+		t.Fatalf("one exchange allocates %.1f B per rank at W=512 but %.1f at W=2048: it grows with W", perRank[512], perRank[2048])
 	}
 }

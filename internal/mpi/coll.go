@@ -3,12 +3,13 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"time"
 )
 
 // Every collective is a rendezvous (rendezvous.go) that simulates no
 // message: the ranks meet, the last to enter evaluates the cost of the
-// message schedule the collective stands for — a ring for Alltoallv
+// message schedule the collective stands for — a ring for AlltoallvSparse
 // (commState.arm), a binomial tree for Barrier and the gathering calls
 // (commState.armTree) — and each rank sleeps straight to its own completion
 // instant. Failure semantics are ULFM's at rendezvous granularity: entering
@@ -107,7 +108,7 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error)
 // gather is the gathering calls' one meeting: a tree over every rank's data
 // whose result is fold's value.
 func (c *Comm) gather(op string, data []byte, fold func(all [][]byte) any) (any, error) {
-	m, err := c.collective(op, meetTree, &meetWait{bufs: [][]byte{data}, fold: fold})
+	m, err := c.collective(op, meetTree, &meetWait{data: data, fold: fold})
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +139,7 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	at := make([]time.Duration, n) // t_v, then g_v, then s_v
 	size := make([]int, n)         // Σ (8 + len_u) over v's subtree
 	for v, w := range waits {
-		at[v], size[v] = w.entry, 8
-		if w.bufs != nil {
-			size[v] += len(w.bufs[0])
-		}
+		at[v], size[v] = w.entry, 8+len(w.data)
 	}
 	for v := n - 1; v > 0; v-- { // children before parents
 		at[v] += cost(4 + size[v])
@@ -150,12 +148,11 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 		size[p] += size[v]
 	}
 	bcast := 0 // a Barrier broadcasts nothing
-	if waits[0].bufs != nil {
+	if waits[0].fold != nil {
 		bcast = 4 + size[0]
 		all := make([][]byte, n)
 		for r, w := range waits {
-			d := w.bufs[0]
-			all[r] = d[:len(d):len(d)]
+			all[r] = w.data[:len(w.data):len(w.data)]
 		}
 		m.folded = waits[0].fold(all)
 	}
@@ -170,51 +167,129 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	}
 }
 
-// Alltoallv exchanges bufs[i] (destined to comm rank i) among all ranks and
-// returns the received buffers indexed by source rank — the shuffle's one
-// collective. It is charged as a ring of Size-1 pairwise steps (at step s a
-// rank sends to rank+s, then receives from rank-s, each message costing
-// Cluster.TransferCost of its length): commState.arm.
-func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
-	if n := c.Size(); len(bufs) != n {
-		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
+// Block is one buffer of a sparse exchange: on the send side the data bound
+// for comm rank Peer, on the receive side the data that came from it.
+type Block struct {
+	// Peer is a comm rank: the destination of a block sent, the source of a
+	// block received.
+	Peer int
+	// Data is the payload, read-only once sent: the receiver holds the
+	// sender's bytes.
+	Data []byte
+}
+
+// AlltoallvSparse is the shuffle's one collective: every rank sends each of
+// its blocks to the block's peer and receives the blocks sent to it. send
+// lists the blocks by strictly ascending peer, and a peer with no block is
+// sent nothing, as MPI_Alltoallv sends nothing for a zero count. The result
+// lists what arrived by ascending source, Peer naming the source. It is a
+// window of one slice the meeting's ranks share, and its Data alias the
+// senders' buffers: both are read-only to every rank. The exchange is
+// charged as a ring of Size-1 pairwise steps (at step s a rank sends to
+// rank+s, then receives from rank-s, each message costing
+// Cluster.TransferCost of its length, 0 bytes to a peer with no block):
+// commState.arm. A send list out of order, with a peer twice or one outside
+// the communicator is refused before the collective is entered.
+func (c *Comm) AlltoallvSparse(send []Block) ([]Block, error) {
+	for i, b := range send {
+		switch {
+		case b.Peer < 0 || b.Peer >= c.Size():
+			return nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d of %d ranks", i, b.Peer, c.Size())
+		case i > 0 && b.Peer <= send[i-1].Peer:
+			return nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d after peer %d: peers must ascend", i, b.Peer, send[i-1].Peer)
+		}
 	}
-	w := &meetWait{bufs: bufs}
+	w := &meetWait{send: send}
 	if _, err := c.collective("alltoallv", meetExchange, w); err != nil {
 		return nil, err
 	}
-	return w.out, nil
+	return w.recv, nil
+}
+
+// Alltoallv is the dense form of AlltoallvSparse: bufs[i] is destined to
+// comm rank i, and the result is indexed by source rank, nil where nothing
+// arrived. An empty buffer is not sent, which costs what sending it would.
+func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
+	n := c.Size()
+	if len(bufs) != n {
+		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
+	}
+	send := make([]Block, 0, n)
+	for d, b := range bufs {
+		if len(b) > 0 {
+			send = append(send, Block{Peer: d, Data: b})
+		}
+	}
+	got, err := c.AlltoallvSparse(send)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, n)
+	for _, b := range got {
+		out[b.Peer] = b.Data
+	}
+	return out, nil
 }
 
 // arm is the exchange's finish policy: it evaluates the ring schedule for
-// every rank at once, as a pure function of entry instants and buffer
+// every rank at once, as a pure function of entry instants and block
 // lengths. With sent[r] the instant rank r's step-s message is delivered and
 // end[r] the instant r finishes step s:
 //
-//	sent_r(s) = end_r(s-1) + TransferCost(len(bufs_r[r+s]))
+//	sent_r(s) = end_r(s-1) + TransferCost(len(block of r for peer r+s), 0 if none)
 //	end_r(s)  = max(sent_r(s), sent_{r-s}(s)),   end_r(0) = entry_r
 //
 // exactly what W-1 blocking send/recv steps per rank would produce, in O(W²)
-// integer arithmetic. waits is indexed by comm rank.
+// integer arithmetic. A rank's blocks are read in ring order (peers r+1 ..
+// W-1, then 0 .. r-1) through one cursor per rank. It then deals every block
+// out of one slice, grouped by destination in ascending source order. waits
+// is indexed by comm rank.
 func (st *commState) arm(waits []*meetWait) {
 	n := len(waits)
+	cost := st.w.Clus.TransferCost
+	idle := cost(0)
 	end, sent := make([]time.Duration, n), make([]time.Duration, n)
+	next := make([]int, n)  // per rank: its cursor into its blocks, then per destination: a fill cursor
+	off := make([]int, n+1) // per destination: where its blocks start in the dealt slice
 	for r, w := range waits {
 		end[r] = w.entry
+		next[r] = sort.Search(len(w.send), func(i int) bool { return w.send[i].Peer > r })
+		for _, b := range w.send {
+			off[b.Peer+1]++
+		}
 	}
 	for s := 1; s < n; s++ {
 		for r, w := range waits {
-			sent[r] = end[r] + st.w.Clus.TransferCost(len(w.bufs[(r+s)%n]))
+			d := r + s
+			if d >= n {
+				if d -= n; d == 0 {
+					next[r] = 0 // wrapped past the last peer
+				}
+			}
+			c := idle
+			if i := next[r]; i < len(w.send) && w.send[i].Peer == d {
+				c = cost(len(w.send[i].Data))
+				next[r]++
+			}
+			sent[r] = end[r] + c
 		}
 		for r := range end {
 			end[r] = max(sent[r], sent[(r-s+n)%n])
 		}
 	}
-	for r, w := range waits {
-		w.out = make([][]byte, n)
-		for src, from := range waits {
-			w.out[src] = from.bufs[r]
+	for d := 0; d < n; d++ {
+		off[d+1] += off[d]
+		next[d] = off[d]
+	}
+	all := make([]Block, off[n])
+	for src, w := range waits {
+		for _, b := range w.send {
+			all[next[b.Peer]] = Block{Peer: src, Data: b.Data}
+			next[b.Peer]++
 		}
+	}
+	for r, w := range waits {
+		w.recv = all[off[r]:off[r+1]:off[r+1]]
 		w.at = end[r]
 	}
 }

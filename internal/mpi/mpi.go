@@ -303,6 +303,11 @@ func (c *Comm) Size() int { return len(c.st.group) }
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(commRank int) int { return c.st.group[commRank] }
 
+// Group returns the communicator's world ranks, ascending: WorldRank of
+// every comm rank, in one slice that every rank of the communicator shares.
+// It is read-only to every holder, and never changes.
+func (c *Comm) Group() []int { return c.st.group }
+
 // CommRankOf translates a world rank to its rank within this communicator,
 // or -1 when the world rank is not in the communicator's group. The inverse
 // of WorldRank; callers that compute placement in world-rank space (replica
@@ -311,9 +316,6 @@ func (c *Comm) CommRankOf(worldRank int) int { return c.st.commRankOf(worldRank)
 
 // Self returns the rank object of the caller.
 func (c *Comm) Self() *Rank { return c.r }
-
-// World returns the world this communicator belongs to.
-func (c *Comm) World() *World { return c.st.w }
 
 // Proc returns the caller's simulated process.
 func (c *Comm) Proc() *vtime.Proc { return c.r.proc }

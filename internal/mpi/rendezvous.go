@@ -19,7 +19,7 @@ import (
 type meetKind uint8
 
 const (
-	meetExchange meetKind = iota // Alltoallv
+	meetExchange meetKind = iota // AlltoallvSparse and its dense adapter Alltoallv
 	meetTree                     // Barrier and the gathering calls (Allgather, AllgatherFold, AllreduceInt64)
 	meetShrink
 	meetAgree
@@ -43,10 +43,11 @@ type meetWait struct {
 	c     *Comm
 	op    string // what the introspection plane calls the meeting
 	entry time.Duration
-	bufs  [][]byte               // Alltoallv's buffers; a tree's one payload, none for a Barrier
-	fold  func(all [][]byte) any // a gathering call's fold of the payloads, by comm rank
+	data  []byte                 // a gathering call's payload
+	fold  func(all [][]byte) any // a gathering call's fold of the payloads, by comm rank; nil for a Barrier
+	send  []Block                // an exchange's blocks, by ascending peer
+	recv  []Block                // an exchange's result, by ascending source
 	flag  int                    // Agree's contribution
-	out   [][]byte               // Alltoallv's result
 	at    time.Duration          // release instant; unreleased until the meeting finishes
 	timer *vtime.Timer           // the wake-up an exchange or a tree armed for at
 	err   error
