@@ -49,24 +49,27 @@ const frameHdrLen = 17
 // is garbage even if the stream happens to be long enough to satisfy it.
 const maxFramePayload = 1 << 30
 
-// encodeFrame appends the frame's wire form to dst:
-// [kind u8][a u32][b u32][len u32][crc u32][payload], where crc is CRC-32
-// (IEEE) over the first 13 header bytes followed by the payload — so a bit
-// flip anywhere in the frame (including the length or the CRC field itself)
-// is detectable at read time. The payload is the concatenation of the pieces
-// given (a map task's delta is views of the map-output log), copied once;
-// with room in dst nothing is allocated.
-func encodeFrame(dst []byte, kind byte, a, b uint32, payload ...[]byte) []byte {
-	off, n := len(dst), 0
+// putFrameHeader writes into hdr, frameHdrLen bytes, the header of a frame
+// whose payload is the concatenation of the pieces given (a map task's delta
+// is views of the map-output log): [kind u8][a u32][b u32][len u32][crc u32],
+// where crc is CRC-32 (IEEE) over the first 13 header bytes followed by the
+// payload — so a bit flip anywhere in the frame (including the length or the
+// CRC field itself) is detectable at read time. The frame's wire form is the
+// header followed by the payload; commit hands the pieces on as they are.
+func putFrameHeader(hdr []byte, kind byte, a, b uint32, payload ...[]byte) {
+	n := 0
 	for _, p := range payload {
 		n += len(p)
 	}
-	dst = slices.Grow(dst, frameHdrLen+n)[:off+frameHdrLen]
+	hdr[0] = kind
+	binary.LittleEndian.PutUint32(hdr[1:5], a)
+	binary.LittleEndian.PutUint32(hdr[5:9], b)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(n))
+	crc := crc32.ChecksumIEEE(hdr[:13])
 	for _, p := range payload {
-		dst = append(dst, p...)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
 	}
-	sealFrame(dst[off:], kind, a, b)
-	return dst
+	binary.LittleEndian.PutUint32(hdr[13:17], crc)
 }
 
 // sealFrame writes the header of a frame whose payload is already in place
@@ -74,13 +77,7 @@ func encodeFrame(dst []byte, kind byte, a, b uint32, payload ...[]byte) []byte {
 // shuffle places every pair straight into its bundle and seals the frames
 // there.
 func sealFrame(fr []byte, kind byte, a, b uint32) {
-	fr[0] = kind
-	binary.LittleEndian.PutUint32(fr[1:5], a)
-	binary.LittleEndian.PutUint32(fr[5:9], b)
-	binary.LittleEndian.PutUint32(fr[9:13], uint32(len(fr)-frameHdrLen))
-	crc := crc32.ChecksumIEEE(fr[:13])
-	crc = crc32.Update(crc, crc32.IEEETable, fr[frameHdrLen:])
-	binary.LittleEndian.PutUint32(fr[13:17], crc)
+	putFrameHeader(fr[:frameHdrLen], kind, a, b, fr[frameHdrLen:])
 }
 
 // nextFrame decodes the frame at the head of rest in place (the payload
@@ -210,9 +207,10 @@ type ckptStore struct {
 	obs      *obs.Handle // owning rank's handle; copier events land on its copier track
 	agent    *lbAgent    // fed phase-boundary drain stalls (trace LB model)
 	rep      *replicator // nil when the in-memory replica tier is disabled
-	// fr is the rank's one frame scratch: commit encodes every frame into it,
-	// and phaseSync lets it go.
-	fr []byte
+	// hdr and pieces are commit's, reused by every frame: the header, and the
+	// frame as [hdr, payload...] with the payload's pieces by reference.
+	hdr    [frameHdrLen]byte
+	pieces [][]byte
 
 	// The copier thread, when frames go through the local disk (proc is nil
 	// otherwise). It shares the CPU core with the rank's main thread.
@@ -355,35 +353,37 @@ func (s *ckptStore) stop() {
 	}
 }
 
-// commit encodes one frame into the store's scratch buffer and writes it to
-// the stream. The scratch is reused by the next commit, which is sound because
-// nothing write hands the encoded bytes to keeps them: FS.Append copies them
-// into the file, replicaStore.appendOwn into the mirror and encodeReplicaMsg
-// into the message it sends (TestFrameScratchIsNotRetained). The payload, one
-// piece or several, may be anything but the scratch itself. The scratch lives
-// for a phase (phaseSync drops it): the frames of one phase are of one size —
-// map deltas, then one partition snapshot, then 25-byte reduce marks — and a
-// rank that kept its snapshot-sized scratch to the end of the job would hold
-// W of them live for nothing (measured after a forced collection as the last
-// rank enters reduce: 50.3 MB live instead of 47.4 at W=640, 16.7 instead of
-// 15.6 at W=256).
+// commit writes one frame to the stream without copying its payload: the
+// header goes into the store's one header buffer, and the frame goes on as
+// the pieces [hdr, payload...]. The payload is write-once bytes (kvbuf.Log
+// pieces, a kvbuf.KV's Bytes), so the stream's file may keep its long pieces
+// by reference (storage.Tier.AppendShared); everything that keeps a short
+// piece — the header among them — copies it: the file, replicaStore.appendOwn
+// into the mirror and encodeReplicaMsg into the message it sends
+// (TestCommittedFramesOutliveTheirSource).
 func (s *ckptStore) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload ...[]byte) {
-	s.fr = encodeFrame(s.fr[:0], kind, a, b, payload...)
-	s.write(p, stream, s.fr)
+	putFrameHeader(s.hdr[:], kind, a, b, payload...)
+	s.pieces = append(append(s.pieces[:0], s.hdr[:]), payload...)
+	s.write(p, stream, s.pieces...)
+	clear(s.pieces) // keep no payload alive between commits
 }
 
-// write appends one encoded frame to a stream, charging one small operation
-// at the configured location and the I/O wait to the main thread. If the
-// append keeps tearing, the frame is dropped cleanly: reduced checkpoint
-// coverage, never a corrupt stream. write does not retain data.
-func (s *ckptStore) write(p *vtime.Proc, stream string, data []byte) {
-	if !s.enabled || len(data) == 0 {
+// write appends one frame, given as pieces of write-once bytes, to a stream,
+// charging one small operation at the configured location and the I/O wait
+// to the main thread. If the append keeps tearing, the frame is dropped
+// cleanly: reduced checkpoint coverage, never a corrupt stream.
+func (s *ckptStore) write(p *vtime.Proc, stream string, pieces ...[]byte) {
+	n := 0
+	for _, pc := range pieces {
+		n += len(pc)
+	}
+	if !s.enabled || n == 0 {
 		return
 	}
 	path := ckptPath(s.jobID, stream)
 	s.m.CkptFrames++
-	s.m.CkptBytes += int64(len(data))
-	s.obs.Rec.CkptCommit(stream, len(data), 1)
+	s.m.CkptBytes += int64(n)
+	s.obs.Rec.CkptCommit(stream, n, 1)
 	// Direct to PFS, every frame is a distinct small operation against the
 	// shared file system (§4.1.3's slow path); the local disk absorbs them
 	// and the copier drains the stream in few large appends.
@@ -399,7 +399,7 @@ func (s *ckptStore) write(p *vtime.Proc, stream string, data []byte) {
 		}
 	}
 	d, _ := appendRollback(p, tier, path, ckptAppendBudget, false, func() (time.Duration, error) {
-		return tier.AppendFile(p, path, data, 1)
+		return tier.AppendShared(p, path, pieces, 1)
 	})
 	s.m.IOWait += d
 	s.obs.CkptStall("write", d)
@@ -413,14 +413,13 @@ func (s *ckptStore) write(p *vtime.Proc, stream string, data []byte) {
 	// the durable append was dropped after retries: the RAM tier failing
 	// independently of the disk tiers is the point.
 	if s.rep != nil {
-		s.rep.push(stream, data)
+		s.rep.push(stream, pieces...)
 	}
 }
 
 // phaseSync waits for the copier to drain (checkpoint consistency point at
-// the end of each phase, §4.1.1), and releases the phase's frame scratch.
+// the end of each phase, §4.1.1).
 func (s *ckptStore) phaseSync(p *vtime.Proc) {
-	s.fr = nil
 	if s.enabled && s.proc != nil {
 		t0 := p.Now()
 		s.obs.Probe.EnterDrain()

@@ -31,6 +31,19 @@ func testStore(clus *cluster.Cluster, rank int, loc Location) *ckptStore {
 	return newCkptStore(clus, rank, spec, newRankMetrics(rank), &obs.Handle{})
 }
 
+// encodeFrame appends a frame's wire form to dst, its payload the
+// concatenation of the pieces given: the test oracle for what commit writes
+// as [header, payload...].
+func encodeFrame(dst []byte, kind byte, a, b uint32, payload ...[]byte) []byte {
+	var hdr [frameHdrLen]byte
+	putFrameHeader(hdr[:], kind, a, b, payload...)
+	dst = append(dst, hdr[:]...)
+	for _, p := range payload {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
 // mustPeek returns a file's bytes or nil (test helper).
 func mustPeek(t *storage.Tier, path string) []byte {
 	data, err := t.Peek(path)
@@ -159,27 +172,34 @@ func TestCkptWriterDisabledWritesNothing(t *testing.T) {
 	}
 }
 
-// commitAndDrain commits nFrames frames of frameLen payload bytes to one
-// stream through the copier, with a phaseSync (a forced drain) every
-// nFrames/syncs commits, and returns the local and the PFS copy of the
+// framePayloads returns n distinct payloads of size bytes each.
+func framePayloads(n, size int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, size)
+		for j := range out[i] {
+			out[i][j] = byte(i + j)
+		}
+	}
+	return out
+}
+
+// commitAndDrain commits one frame per payload, frame i carrying payloads[i],
+// to one stream through the copier, with a phaseSync (a forced drain) every
+// len(payloads)/syncs commits, and returns the local and the PFS copy of the
 // stream plus the number of syncs that found the PFS copy longer than the
 // sync before. With failOne, the third of those drains runs inside a PFS
 // outage window: its append is refused on every attempt, the copier gives the
 // delta up, and a later drain has to ship it whole.
-func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (local, pfs []byte, advanced int) {
+func commitAndDrain(tb testing.TB, payloads [][]byte, syncs int, failOne bool) (local, pfs []byte, advanced int) {
 	clus := ckptCluster()
 	disk := clus.LocalOf(0)
 	path := ckptPath("job", "map/t000007")
-	payload := make([]byte, frameLen)
 	w := testStore(clus, 0, LocLocalCopier)
+	nFrames := len(payloads)
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		var fr []byte
 		for i, sync := 0, 0; i < nFrames; i++ {
-			for j := range payload {
-				payload[j] = byte(i + j)
-			}
-			fr = encodeFrame(fr[:0], frameMapDelta, 7, uint32(i), payload)
-			w.write(p, "map/t000007", fr)
+			w.commit(p, "map/t000007", frameMapDelta, 7, uint32(i), payloads[i])
 			if (i+1)%(nFrames/syncs) != 0 {
 				continue
 			}
@@ -188,8 +208,7 @@ func commitAndDrain(tb testing.TB, nFrames, frameLen, syncs int, failOne bool) (
 			if failing {
 				p.Sleep(10 * time.Millisecond) // let the copier go idle, so the next drain is the refused one
 				clus.PFS.Faults = storage.NewInjector(storage.FaultPolicy{OutageBegin: p.Now(), OutageEnd: p.Now() + time.Second})
-				fr = encodeFrame(fr[:0], frameTaskDone, 7, uint32(i), nil)
-				w.write(p, "map/t000007", fr)
+				w.commit(p, "map/t000007", frameTaskDone, 7, uint32(i))
 			}
 			before := clus.PFS.Size(path)
 			w.phaseSync(p)
@@ -280,13 +299,17 @@ func TestPFSStreamHoldsOnlyItsWritersFrames(t *testing.T) {
 // whole by the next — the PFS copy ends byte-identical to the local stream,
 // and (the `make alloc-gate` half) the host memory allocated to get a 1 MiB
 // stream there in 256 commits is a small multiple of the stream, not of the
-// stream times the number of drains. The multiple is not 1 (3.2x measured):
-// the local disk stores the stream once, and this test reads both copies
-// back; the PFS copy shares the local extents, so no delta is copied. It was
-// 5.2x while every delta was copied out of the local stream and again into
-// the PFS one, and ~128x while the copier re-read the whole stream per drain.
+// stream times the number of drains. The payloads are built before the
+// measurement and are 4 KiB each, so the local file holds them by reference
+// (storage.Tier.AppendShared) and the PFS copy shares the local extents: what
+// is left is this test reading both copies back (2x) and the headers and
+// extent lists (2.1x measured). It was 3.2x while commit copied every frame
+// into the local file, 5.2x while every delta was also copied out of the
+// local stream and again into the PFS one, and ~128x while the copier
+// re-read the whole stream per drain.
 func TestCopierDrainsOnlyTheSuffix(t *testing.T) {
-	local, pfs, advanced := commitAndDrain(t, 40, 100, 8, true)
+	small := framePayloads(40, 100)
+	local, pfs, advanced := commitAndDrain(t, small, 8, true)
 	if len(local) == 0 || !bytes.Equal(local, pfs) {
 		t.Fatalf("PFS copy (%d bytes) differs from the local stream (%d bytes)", len(pfs), len(local))
 	}
@@ -297,18 +320,23 @@ func TestCopierDrainsOnlyTheSuffix(t *testing.T) {
 		t.Fatalf("only %d drains advanced the PFS copy, want >= 5", advanced)
 	}
 
-	const frames, frameLen, bound = 256, 4096 - frameHdrLen, 4
+	const frames, frameLen, bound = 256, 4096, 3
+	payloads := framePayloads(frames, frameLen)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	local, pfs, _ = commitAndDrain(t, frames, frameLen, frames, false)
+	local, pfs, _ = commitAndDrain(t, payloads, frames, false)
 	runtime.ReadMemStats(&after)
-	if len(local) != 1<<20 || !bytes.Equal(local, pfs) {
-		t.Fatalf("PFS copy (%d bytes) differs from the 1 MiB local stream (%d bytes)", len(pfs), len(local))
+	var want []byte
+	for i, pl := range payloads {
+		want = encodeFrame(want, frameMapDelta, 7, uint32(i), pl)
+	}
+	if !bytes.Equal(local, want) || !bytes.Equal(pfs, want) {
+		t.Fatalf("the local (%d bytes) or PFS copy (%d bytes) is not the %d frames as committed (%d bytes)", len(local), len(pfs), frames, len(want))
 	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(local))
 	t.Logf("draining a %d-byte stream in %d commits allocated %.1fx the stream", len(local), frames, ratio)
 	if ratio > bound {
-		t.Fatalf("draining a 1 MiB stream in %d commits allocated %.1fx the stream, bound %dx: the drain copies its deltas again", frames, ratio, bound)
+		t.Fatalf("draining a %d-byte stream in %d commits allocated %.1fx the stream, bound %dx: the drain copies its deltas again", len(local), frames, ratio, bound)
 	}
 }
 
@@ -316,9 +344,11 @@ func TestCopierDrainsOnlyTheSuffix(t *testing.T) {
 // drained to the PFS before the next.
 func BenchmarkCopierDrain(b *testing.B) {
 	b.ReportAllocs()
-	b.SetBytes(1 << 20)
+	b.SetBytes(256 * (4096 + frameHdrLen))
+	payloads := framePayloads(256, 4096)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		commitAndDrain(b, 256, 4096-frameHdrLen, 256, false)
+		commitAndDrain(b, payloads, 256, false)
 	}
 }
 
@@ -409,59 +439,121 @@ func TestRestoreChainOrder(t *testing.T) {
 	clus.Sim.Run()
 }
 
-// TestFrameScratchIsNotRetained holds commit's contract: every frame is
-// encoded into one scratch buffer per rank, so nothing the frame is handed to
-// may keep those bytes. Three commits to one stream — the second shorter than
-// the first (it rewrites the head of the scratch), the third longer (it
-// regrows it) — must leave the three frames, each as it was committed, in
-// every place a frame lives: the local file, the PFS file the copier drains
-// it to, the rank's own replica mirror and the copy pushed to its partner.
-func TestFrameScratchIsNotRetained(t *testing.T) {
+// TestCommittedFramesOutliveTheirSource holds commit's contract: a frame's
+// payload goes to the stream by reference, so the file may keep the very
+// bytes the map-output log and a partition's KV hold, and those go on
+// growing. Two map deltas committed as kvbuf.Log.Since views — one under
+// 4 KiB, which the file copies, one over, which it keeps — and a partition
+// snapshot committed from a KV's Bytes, followed by a short frame, must be
+// found exactly as committed, after the log has taken more pairs and the KV
+// more bytes in its spare capacity, in every place a frame lives: the local
+// file, the PFS file the copier drains it to, the rank's own replica mirror
+// and the copy pushed to its partner. The log's and the KV's later pairs must
+// be exactly as added: nothing a stream keeps writes into its source.
+func TestCommittedFramesOutliveTheirSource(t *testing.T) {
 	clus := ckptCluster()
-	spec := wcSpec("scratch", 2, ModelDetectResumeWC).withDefaults()
+	spec := wcSpec("byref", 2, ModelDetectResumeWC).withDefaults()
 	spec.ReplicaK = 1
-	const stream = "map/t000000"
-	payloads := [][]byte{
-		bytes.Repeat([]byte("first frame "), 40),
-		bytes.Repeat([]byte("2nd"), 7),
-		bytes.Repeat([]byte("the third one"), 300),
+	spec.CkptLocation = LocLocalCopier
+	mapS, partS := mapStream(0), partStream(0)
+	pair := func(i int) ([]byte, []byte) {
+		return []byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{byte(i)}, 23)
 	}
-	var want []byte
-	for i, p := range payloads {
-		want = encodeFrame(want, frameMapDelta, 0, uint32(i), p)
+	encoded := func(from, to int) []byte {
+		kv := kvbuf.NewKV()
+		for i := from; i < to; i++ {
+			kv.Add(pair(i))
+		}
+		return kv.Bytes()
 	}
-	var mirror, pushed []byte
+	want := map[string][]byte{}
+	var logLater, kvLater, kvWant []byte
+	var mirrors, pushed [2][]byte
 	Launch(clus, 2, func(app *App) {
 		r := newRunner(&jobCtx{clus: clus, spec: spec, res: app.h.resultSlot(0, spec), h: app.h}, app.comm)
 		if app.comm.Rank() == 0 {
-			for i, p := range payloads {
-				r.ck.commit(r.p, stream, frameMapDelta, 0, uint32(i), p)
+			var log kvbuf.Log
+			commit := func(stream string, kind byte, a, b uint32, payload ...[]byte) {
+				want[stream] = encodeFrame(want[stream], kind, a, b, payload...)
+				r.ck.commit(r.p, stream, kind, a, b, payload...)
 			}
+			// A delta under 4 KiB (one piece of the log's first block), then
+			// one over it (the rest of that block, a whole block and part of
+			// the tail block: pieces either side of 4 KiB).
+			for _, n := range [][2]int{{0, 20}, {20, 1000}} {
+				m := log.Mark()
+				for i := n[0]; i < n[1]; i++ {
+					log.Add(pair(i))
+				}
+				delta := log.Since(m, nil)
+				if k := delta[len(delta)-1]; n[1] == 1000 && (len(delta) < 3 || len(k) < 4096) {
+					t.Errorf("the long delta is %d pieces, the last %d bytes: want a long piece in the tail block", len(delta), len(k))
+					return
+				}
+				commit(mapS, frameMapDelta, 0, uint32(n[1]), delta...)
+			}
+			kv := kvbuf.NewKV()
+			for i := 0; i < 300; i++ {
+				kv.Add(pair(i))
+			}
+			spare := cap(kv.Bytes()) - kv.Size()
+			if kv.Size() < 4096 || spare < 40 {
+				t.Errorf("the snapshot KV holds %d bytes in %d: want over 4 KiB and room for a pair", kv.Size(), cap(kv.Bytes()))
+				return
+			}
+			commit(partS, frameShuffle, 0, 0, kv.Bytes())
+			commit(partS, frameReduce, 0, 1, make([]byte, 8))
+			// The sources grow: the log into its tail block, the KV into the
+			// spare capacity behind the snapshot's bytes.
+			m := log.Mark()
+			for i := 1000; i < 1100; i++ {
+				log.Add(pair(i))
+			}
+			logLater = bytes.Join(log.Since(m, nil), nil)
+			more := encoded(300, 300+spare/40) // 40-byte pairs, as many as fit
+			kv.Grow(len(more))
+			if cap(kv.Bytes())-kv.Size() != spare {
+				t.Errorf("the KV grew its %d spare bytes instead of taking %d more in place", spare, len(more))
+			}
+			if err := kv.AppendBytes(more); err != nil {
+				t.Error(err)
+			}
+			kvLater, kvWant = kv.Bytes(), encoded(0, 300+spare/40)
 			r.ck.phaseSync(r.p)
-			mirror, _ = r.rep.store.lookup(stream)
+			mirrors[0], _ = r.rep.store.lookup(mapS)
+			mirrors[1], _ = r.rep.store.lookup(partS)
 		}
 		if err := app.comm.Barrier(); err != nil {
 			t.Errorf("barrier: %v", err)
 		}
 		if app.comm.Rank() == 1 {
 			r.rep.drain()
-			pushed, _ = r.rep.store.lookup(stream)
+			pushed[0], _ = r.rep.store.lookup(mapS)
+			pushed[1], _ = r.rep.store.lookup(partS)
 		}
 		r.ck.stop()
 	})
 	clus.Sim.Run()
-	path := ckptPath(spec.JobID, stream)
-	for _, held := range []struct {
-		where string
-		data  []byte
-	}{
-		{"local file", mustPeek(clus.LocalOf(0), path)},
-		{"PFS file", mustPeek(clus.PFS, path)},
-		{"own replica mirror", mirror},
-		{"partner's replica", pushed},
-	} {
-		if !bytes.Equal(held.data, want) {
-			t.Errorf("%s holds %d bytes that are not the three frames as committed (%d bytes)", held.where, len(held.data), len(want))
+	if !bytes.Equal(logLater, encoded(1000, 1100)) {
+		t.Errorf("the log's pairs added after the commits are not as added")
+	}
+	if !bytes.Equal(kvLater, kvWant) {
+		t.Errorf("the KV's bytes after the snapshot commit are not its pairs as added")
+	}
+	for i, stream := range []string{mapS, partS} {
+		path := ckptPath(spec.JobID, stream)
+		for _, held := range []struct {
+			where string
+			data  []byte
+		}{
+			{"local file", mustPeek(clus.LocalOf(0), path)},
+			{"PFS file", mustPeek(clus.PFS, path)},
+			{"own replica mirror", mirrors[i]},
+			{"partner's replica", pushed[i]},
+		} {
+			if !bytes.Equal(held.data, want[stream]) {
+				t.Errorf("%s of %s holds %d bytes that are not the frames as committed (%d bytes)", held.where, stream, len(held.data), len(want[stream]))
+			}
 		}
 	}
 }

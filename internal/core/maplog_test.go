@@ -77,9 +77,9 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 			return
 		}
 		r := &runner{job: &jobCtx{clus: clus}, comm: c, p: c.Proc(), m: newRankMetrics(0), obs: &obs.Handle{},
-			nParts: w, partOwner: make([]int, w)}
+			nParts: w, partOwner: make([]int32, w)}
 		for part := range r.partOwner {
-			r.partOwner[part] = rng.Intn(w)
+			r.partOwner[part] = int32(rng.Intn(w))
 		}
 		if combine {
 			r.spec.NewCombiner = newConcatCombiner

@@ -157,7 +157,7 @@ type recoveryPlan struct {
 	models    []lbModel // the survivors' load models, in communicator order
 	doneBits  []byte    // the survivors' done bitmaps merged, in taskTable.done's form
 	taskOwner []int     // task -> the survivor that claims it, -1 when none does
-	partOwner []int     // partition -> the survivor whose memory holds it, -1 when none does
+	partOwner []int32   // partition -> the survivor whose memory holds it, -1 when none does
 	lostParts []int     // the partitions no survivor holds, ascending
 	// The tasks no survivor claims, ascending, and how many are pending: those
 	// must re-run somewhere; the completed ones hold their output only in dead
@@ -227,17 +227,18 @@ func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *rec
 	}
 	merged := &taskTable{tasks: tasks, done: make([]byte, (len(tasks)+7)/8)}
 	pl.taskOwner = make([]int, len(tasks))
-	pl.partOwner = make([]int, nParts)
-	for _, owners := range [][]int{pl.taskOwner, pl.partOwner} {
-		for id := range owners {
-			owners[id] = -1
-		}
+	pl.partOwner = make([]int32, nParts)
+	for id := range pl.taskOwner {
+		pl.taskOwner[id] = -1
+	}
+	for part := range pl.partOwner {
+		pl.partOwner[part] = -1
 	}
 	for i, s := range states {
 		merged.mergeBitmap(s.doneBitmap)
 		for _, p := range s.parts {
 			if int(p) < nParts {
-				pl.partOwner[p] = group[i]
+				pl.partOwner[p] = int32(group[i])
 			}
 		}
 		for _, t := range s.tasks {
@@ -267,7 +268,7 @@ func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *rec
 // merged done bits and each claimed task's claimant — a task nobody claims
 // keeps its dead owner until an effect hands it out — and partOwner (the
 // rank's own slice, nParts long) becomes the partition claims.
-func (pl *recoveryPlan) apply(tt *taskTable, partOwner []int) {
+func (pl *recoveryPlan) apply(tt *taskTable, partOwner []int32) {
 	tt.mergeBitmap(pl.doneBits)
 	for id, o := range pl.taskOwner {
 		if o >= 0 {
@@ -376,7 +377,7 @@ func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 	// Hand the lost partitions' in-memory replicas to their new owners
 	// before judging restorability, so peer-RAM copies count even when the
 	// PFS copy is torn — or the whole tier is offline.
-	if err := r.exchangeReplicas(partStream, pl.lostParts, func(part int) int { return r.partOwner[part] }); err != nil {
+	if err := r.exchangeReplicas(partStream, pl.lostParts, func(part int) int { return int(r.partOwner[part]) }); err != nil {
 		return adopt, err
 	}
 	unrestorable, err := r.needRemapAgreed(pl.lostParts)
@@ -387,7 +388,7 @@ func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 		return remap, r.remapLost(pl)
 	}
 	for _, part := range pl.lostParts {
-		if r.partOwner[part] == r.myWorld() {
+		if int(r.partOwner[part]) == r.myWorld() {
 			r.restorePartition(part)
 		}
 	}
@@ -423,7 +424,7 @@ func (r *runner) remapLost(pl *recoveryPlan) error {
 // from nothing (their data must first be regenerated).
 func (r *runner) resetLost(lost []int) {
 	for _, part := range lost {
-		if r.partOwner[part] == r.myWorld() {
+		if int(r.partOwner[part]) == r.myWorld() {
 			r.reduceDone[part] = 0
 			r.outLen[part] = 0
 			r.truncateOutput(part)
@@ -432,7 +433,7 @@ func (r *runner) resetLost(lost []int) {
 }
 
 // ownPart records world rank w as part's owner.
-func (r *runner) ownPart(part, w int) { r.partOwner[part] = w }
+func (r *runner) ownPart(part, w int) { r.partOwner[part] = int32(w) }
 
 // adoptComm moves the runner onto the communicator a shrink agreed on and
 // records, and returns, the world ranks the old one had and it lacks.
@@ -518,7 +519,7 @@ func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 	me := r.myWorld()
 	local := int64(0)
 	for _, part := range lost {
-		if (!private || r.partOwner[part] == me) && !r.ck.holdsSnapshot(r.p, partStream(part)) {
+		if (!private || int(r.partOwner[part]) == me) && !r.ck.holdsSnapshot(r.p, partStream(part)) {
 			local = 1
 			break
 		}

@@ -60,7 +60,7 @@ func TestRecoveryPlan(t *testing.T) {
 		if !reflect.DeepEqual(pl.lostParts, []int{3}) || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || pl.lostPending != 1 {
 			t.Fatalf("lost parts %v tasks %v pending %d", pl.lostParts, pl.lostTasks, pl.lostPending)
 		}
-		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
+		if !reflect.DeepEqual(pl.partOwner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
 			t.Fatalf("partOwner %v, taskOwner %v", pl.partOwner, pl.taskOwner)
 		}
 		for _, wc := range []bool{true, false} {
@@ -68,7 +68,7 @@ func TestRecoveryPlan(t *testing.T) {
 				t.Fatalf("checkpointed=%v: decision %v resuming at %d, want remap at the map phase", wc, d, d.resumeAt(pl.minPhase))
 			}
 		}
-		tt, partOwner := planTable(), []int{0, 1, 2, 3}
+		tt, partOwner := planTable(), []int32{0, 1, 2, 3}
 		pl.apply(tt, partOwner)
 		if !tt.isDone(3) || !reflect.DeepEqual(partOwner, pl.partOwner) {
 			t.Fatalf("applied: done bits %08b, partOwner %v: only a remap may forget a lost task's done bit", tt.done, partOwner)
@@ -138,14 +138,14 @@ func TestRecoveryPlan(t *testing.T) {
 			claim(2, phMap, []int{2}, nil, nil),
 		}
 		pl := rebuild(states, left, planTasks, 4)
-		if !reflect.DeepEqual(pl.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(pl.partOwner, []int{0, -1, 2, 0}) {
+		if !reflect.DeepEqual(pl.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(pl.partOwner, []int32{0, -1, 2, 0}) {
 			t.Fatalf("lost tasks %v, partOwner %v", pl.lostTasks, pl.partOwner)
 		}
 		current, stale := planTable(), planTable()
 		current.owner[3], current.owner[7] = 0, 1
 		current.setDone(4, true) // rank 0's own table knows what it claims
-		pl.apply(current, make([]int, 4))
-		pl.apply(stale, make([]int, 4))
+		pl.apply(current, make([]int32, 4))
+		pl.apply(stale, make([]int32, 4))
 		if !bytes.Equal(current.done, stale.done) {
 			t.Fatalf("done bitmaps differ: %08b, %08b", current.done, stale.done)
 		}
@@ -161,7 +161,7 @@ func TestRecoveryPlan(t *testing.T) {
 		states[0].tasks = append(states[0].tasks, 8, 1<<31)
 		states[0].parts = append(states[0].parts, 4, 1<<31)
 		pl := rebuild(states, survivors, planTasks, 4)
-		if !reflect.DeepEqual(pl.partOwner, []int{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
+		if !reflect.DeepEqual(pl.partOwner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
 			t.Fatalf("partOwner %v, task owners %v", pl.partOwner, pl.taskOwner)
 		}
 	})
@@ -193,7 +193,7 @@ func encodeClaim(s survivorState) []byte {
 // survivor s holds partition s and tasks s and s+w+1, of which the first is
 // done. It returns the survivors' encoded claims, their world ranks and each
 // survivor's own task table and partition owners.
-func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners [][]int, rp roundPlanner) {
+func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners [][]int32, rp roundPlanner) {
 	rp = roundPlanner{tasks: make([]Task, 2*(w+1)), nParts: w + 1, checkpointed: true, balanced: true}
 	for id := range rp.tasks {
 		rp.tasks[id].Chunk.Size = 100 + id%7
@@ -210,7 +210,7 @@ func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners
 		}))
 		group = append(group, s)
 		tables = append(tables, tt)
-		owners = append(owners, make([]int, w+1))
+		owners = append(owners, make([]int32, w+1))
 	}
 	return all, group, tables, owners, rp
 }

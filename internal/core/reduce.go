@@ -18,7 +18,7 @@ func (r *runner) ownedParts() []int { return r.partsOf(r.myWorld()) }
 func (r *runner) partsOf(w int) []int {
 	var out []int
 	for part, o := range r.partOwner {
-		if o == w {
+		if int(o) == w {
 			out = append(out, part)
 		}
 	}

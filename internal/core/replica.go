@@ -89,16 +89,19 @@ func (s *replicaStore) entry(stream string) *replicaEntry {
 	return e
 }
 
-// appendOwn appends freshly committed frame bytes to the rank's own mirror
-// of a stream and returns the mirror's new total length. If the rank held a
-// peer copy of a stream it now writes (it adopted the stream without
-// replaying it), the mirror starts from whatever is held, so it stays a
-// superset.
-func (s *replicaStore) appendOwn(stream string, data []byte) int {
+// appendOwn copies a freshly committed frame, given as pieces, onto the
+// rank's own mirror of a stream and returns the mirror and the length it had
+// before. If the rank held a peer copy of a stream it now writes (it adopted
+// the stream without replaying it), the mirror starts from whatever is held,
+// so it stays a superset.
+func (s *replicaStore) appendOwn(stream string, pieces ...[]byte) (mirror []byte, before int) {
 	e := s.entry(stream)
 	e.own = true
-	e.data = append(e.data, data...)
-	return len(e.data)
+	before = len(e.data)
+	for _, p := range pieces {
+		e.data = append(e.data, p...)
+	}
+	return e.data, before
 }
 
 // adopt seeds the rank's own mirror with a stream's validated bytes (the
@@ -171,16 +174,17 @@ func newReplicator(r *runner, k int) *replicator {
 	}
 }
 
-// push mirrors freshly committed frame bytes and sends them to the k ring
-// partners. Send errors (revoked communicator, dying peers) are ignored
-// like status gossip: replication is best-effort by design.
-func (rp *replicator) push(stream string, data []byte) {
+// push mirrors a freshly committed frame, given as pieces, and sends it to
+// the k ring partners: the delta a partner gets is the mirror's new suffix.
+// Send errors (revoked communicator, dying peers) are ignored like status
+// gossip: replication is best-effort by design.
+func (rp *replicator) push(stream string, pieces ...[]byte) {
 	// Fold in whatever peers pushed here first: a Shrink discards every
 	// message still banked on the old communicator, so draining at each
 	// commit bounds what a failure can erase to roughly one checkpoint
 	// interval of pushes.
 	rp.drain()
-	total := rp.store.appendOwn(stream, data)
+	full, before := rp.store.appendOwn(stream, pieces...)
 	partners := storage.ReplicaPartners(rp.r.myWorld(), rp.r.comm.Group(), rp.k)
 	if len(partners) == 0 {
 		return
@@ -190,7 +194,6 @@ func (rp *replicator) push(stream string, data []byte) {
 		cover = make(map[int]int)
 		rp.sent[stream] = cover
 	}
-	full, _ := rp.store.lookup(stream)
 	// Partners receiving the same payload share one encoding: receivers only
 	// read the delivered bytes (receive copies on append), so aliasing one
 	// buffer across k eager sends is safe and saves k-1 encodings per
@@ -202,9 +205,9 @@ func (rp *replicator) push(stream string, data []byte) {
 			continue
 		}
 		var msg []byte
-		if cover[w] == total-len(data) {
+		if cover[w] == before {
 			if deltaMsg == nil {
-				deltaMsg = encodeReplicaMsg(replicaDelta, stream, data)
+				deltaMsg = encodeReplicaMsg(replicaDelta, stream, full[before:])
 			}
 			msg = deltaMsg
 		} else {
@@ -216,7 +219,7 @@ func (rp *replicator) push(stream string, data []byte) {
 			msg = fullMsg
 		}
 		_ = rp.r.net(func() error { return rp.r.comm.Send(cr, rp.tag, msg) })
-		cover[w] = total
+		cover[w] = len(full)
 	}
 }
 

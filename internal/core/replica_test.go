@@ -42,11 +42,11 @@ func TestReplicaStoreSemantics(t *testing.T) {
 	}
 
 	// Own mirror accumulates appends.
-	if n := s.appendOwn("a", []byte("one")); n != 3 {
-		t.Fatalf("appendOwn = %d, want 3", n)
+	if m, before := s.appendOwn("a", []byte("one")); string(m) != "one" || before != 0 {
+		t.Fatalf("appendOwn = %q, %d; want \"one\", 0", m, before)
 	}
-	if n := s.appendOwn("a", []byte("two")); n != 6 {
-		t.Fatalf("appendOwn = %d, want 6", n)
+	if m, before := s.appendOwn("a", []byte("tw"), nil, []byte("o")); string(m) != "onetwo" || before != 3 {
+		t.Fatalf("appendOwn = %q, %d; want \"onetwo\", 3", m, before)
 	}
 	if d, own := s.lookup("a"); !own || string(d) != "onetwo" {
 		t.Fatalf("lookup = %q own=%v", d, own)

@@ -53,9 +53,9 @@ type runner struct {
 
 	world0    []int // world ranks participating at job start (the communicator's shared group: read-only)
 	tt        *taskTable
-	nParts    int   // partition count (== len(world0))
-	partOwner []int // partition -> world rank
-	homes     []int // partOwner as the job started (never written): hash slot -> the rank its tasks started on
+	nParts    int     // partition count (== len(world0))
+	partOwner []int32 // partition -> world rank
+	homes     []int   // partOwner as the job started, a prefix of world0: hash slot -> the rank its tasks started on
 
 	log        kvbuf.Log          // this rank's map output, in emission order; the shuffle partitions it
 	parts      map[int]*kvbuf.KV  // owned partition -> merged shuffle data
@@ -73,6 +73,16 @@ type runner struct {
 	backlogBytes float64 // bytes of input work remaining (for balancing)
 
 	statusTag int
+}
+
+// int32s returns ranks as int32s: a table of world ranks is W entries on each
+// of W ranks.
+func int32s(ranks []int) []int32 {
+	out := make([]int32, len(ranks))
+	for i, w := range ranks {
+		out[i] = int32(w)
+	}
+	return out
 }
 
 // jobCtx is one rank's view of the job it is running (each rank's RunJob
@@ -101,7 +111,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		obs:        h,
 		world0:     world0,
 		nParts:     c.Size(),
-		partOwner:  append([]int(nil), world0...),
+		partOwner:  int32s(world0),
 		homes:      world0,
 		parts:      make(map[int]*kvbuf.KV),
 		kmv:        make(map[int]*kvbuf.KMV),
@@ -114,8 +124,9 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		// key space; shadows mirror a slot and own nothing.
 		r.ftm = ftm
 		r.nParts = len(ftm.acting)
-		r.partOwner = append([]int(nil), ftm.acting...)
-		r.homes = append([]int(nil), ftm.acting...)
+		// The acting primaries start as the first nParts ranks.
+		r.partOwner = int32s(ftm.acting)
+		r.homes = world0[:r.nParts]
 	}
 	r.lb.kind = spec.LBModel
 	clus := j.clus
@@ -272,7 +283,7 @@ func (r *runner) phaseInit() error {
 	// again: only a pure failover resumes here, and it has left the promoted
 	// shadow owning its slot's partition.
 	for i, slot := range r.tt.owner {
-		r.tt.owner[i] = int32(r.partOwner[slot])
+		r.tt.owner[i] = r.partOwner[slot]
 	}
 	// Metadata traversal: one PFS op per 64 chunks.
 	r.m.IOWait += clus.PFS.Charge(r.p, len(tasks)/64+1, 0)

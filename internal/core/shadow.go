@@ -211,7 +211,7 @@ func (r *runner) mirrorParts() []int {
 	pair := r.ftm.pairWorld()
 	var out []int
 	for part, o := range r.partOwner {
-		if o == pair && r.parts[part] != nil {
+		if int(o) == pair && r.parts[part] != nil {
 			out = append(out, part)
 		}
 	}
@@ -471,7 +471,7 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 		// machinery re-runs or restores them if their output is needed.
 	}
 	for part, o := range r.partOwner {
-		if o != deadWorld {
+		if int(o) != deadWorld {
 			continue
 		}
 		if r.shuffled && r.parts[part] == nil {
@@ -479,7 +479,7 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 			// the pair after the exchange): leave it to the lost path.
 			continue
 		}
-		r.partOwner[part] = me
+		r.partOwner[part] = int32(me)
 		if err := r.reconcileMirrorOutput(part); err != nil {
 			return err
 		}

@@ -148,7 +148,7 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 		if size == 0 {
 			continue
 		}
-		if d := r.comm.CommRankOf(r.partOwner[part]); d >= 0 {
+		if d := r.comm.CommRankOf(int(r.partOwner[part])); d >= 0 {
 			frames = append(frames, sendFrame{dest: int32(d), part: int32(part)})
 		} else {
 			cur[part] = -1

@@ -28,9 +28,9 @@ func rankZero(tb testing.TB, w int) *runner {
 		}
 	})
 	clus.Sim.Run()
-	r := &runner{comm: comm, m: newRankMetrics(0), nParts: w, partOwner: make([]int, w)}
+	r := &runner{comm: comm, m: newRankMetrics(0), nParts: w, partOwner: make([]int32, w)}
 	for part := range r.partOwner {
-		r.partOwner[part] = part
+		r.partOwner[part] = int32(part)
 	}
 	return r
 }
@@ -202,7 +202,7 @@ func TestMergeBundlesKeepsBundleOrder(t *testing.T) {
 // a partition the rank does not hold is a framing bug.
 func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
 	r, _, sent := shuffleFixture(t, 4, 2)
-	r.partOwner = []int{1, 1, 0, 1} // world rank 1 holds partitions 0, 1 and 3
+	r.partOwner = []int32{1, 1, 0, 1} // world rank 1 holds partitions 0, 1 and 3
 	bundle := func(parts ...uint32) []mpi.Block {
 		var b []byte
 		for _, part := range parts {

@@ -21,6 +21,14 @@ import (
 
 // KV is an append-only buffer of key-value pairs with the wire encoding
 // [klen u32][vlen u32][key][value].
+//
+// A KV is write-once: no method writes below its length. Add, Append,
+// AppendBytes and Grow write only past it, into spare capacity or a new
+// buffer, so what Bytes returned stays as it was however the KV grows. A
+// checkpoint file keeps a partition snapshot's Bytes by reference on that
+// contract (storage.Tier.AppendShared), as a KMV keeps views of the KV it
+// converts. FromBytes wraps the data it is given, and the rule then binds
+// every other holder of that buffer too.
 type KV struct {
 	buf []byte
 	n   int

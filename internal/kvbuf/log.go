@@ -20,7 +20,8 @@ const (
 // fits, and no pair spans two blocks — a pair larger than maxLogBlock gets a
 // block of its own size. So every block is a run of whole pairs, and a view
 // of the log (Since) still reads the same bytes after any number of later
-// Adds. The zero Log is empty and ready to use.
+// Adds: a checkpoint file keeps a map delta's pieces by reference on that
+// rule (storage.Tier.AppendShared). The zero Log is empty and ready to use.
 type Log struct {
 	blocks [][]byte // the filled blocks, each capped at the bytes it holds
 	tail   []byte   // the block being filled, at its full size

@@ -204,12 +204,15 @@ func TestInjectorDeterministicBySeed(t *testing.T) {
 }
 
 // TestAppendRunFaultParity: the injector decides a write from its length
-// alone, and AppendRun applies that decision to a run as AppendFile applies it
-// to the same bytes. A stream grows on a clean tier and is drained suffix by
-// suffix onto two faulty tiers with the same policy, one by run and one by
-// bytes, a failed attempt rolled back and retried as the copier does. Before
-// each rollback a few bytes are appended behind the torn tail, which must not
-// reach the stream the run shares extents with.
+// alone, and AppendRun and AppendShared apply that decision to a run and to
+// caller pieces as AppendFile applies it to the same bytes. A stream grows on
+// a clean tier and is drained suffix by suffix onto three faulty tiers with
+// the same policy — by run, by bytes, and by pieces (a 17-byte head and the
+// rest, each with spare capacity behind it) — a failed attempt rolled back
+// and retried as the copier does. Before each rollback a few bytes are
+// appended behind the torn tail, which must not reach the stream the run
+// shares extents with, nor the pieces; and no fault, a bit flip included,
+// may write the pieces or their spare capacity.
 func TestAppendRunFaultParity(t *testing.T) {
 	rules := map[string]FaultRule{
 		"torn":  {TornWrite: 1},
@@ -224,9 +227,10 @@ func TestAppendRunFaultParity(t *testing.T) {
 			tier := func(name string) *Tier {
 				return NewTier(name, fs, vtime.NewBandwidth(sim, name, 1e9), time.Microsecond, name+":")
 			}
-			local, byRun, byBytes := tier("l"), tier("r"), tier("b")
-			byRun.Faults = NewInjector(FaultPolicy{Seed: seed, Rules: []FaultRule{rule}})
-			byBytes.Faults = NewInjector(FaultPolicy{Seed: seed, Rules: []FaultRule{rule}})
+			local, byRun, byBytes, byShared := tier("l"), tier("r"), tier("b"), tier("h")
+			for _, faulty := range []*Tier{byRun, byBytes, byShared} {
+				faulty.Faults = NewInjector(FaultPolicy{Seed: seed, Rules: []FaultRule{rule}})
+			}
 			var want []byte // what the local stream must hold
 			sim.Spawn("copier", func(p *vtime.Proc) {
 				have := 0
@@ -239,22 +243,46 @@ func TestAppendRunFaultParity(t *testing.T) {
 					}
 					run, _ := local.PeekRun("s", have)
 					suffix, _ := local.PeekFrom("s", have)
+					head := min(17, len(suffix))
+					var pieces, lent [][]byte // lent: each piece through its spare capacity
+					for _, part := range [][]byte{suffix[:head], suffix[head:]} {
+						pc := append(make([]byte, 0, len(part)+8), part...)
+						copy(pc[len(pc):cap(pc)], "spare!!!")
+						pieces, lent = append(pieces, pc), append(lent, bytes.Clone(pc[:cap(pc)]))
+					}
+					intact := func() bool {
+						for k, pc := range pieces {
+							if !bytes.Equal(pc[:cap(pc)], lent[k]) {
+								return false
+							}
+						}
+						return true
+					}
 					for {
 						pre, _ := byRun.Peek("s")
 						dr, errR := byRun.AppendRun(p, "s", run, 1)
 						db, errB := byBytes.AppendFile(p, "s", suffix, 1)
-						if dr != db || errR != errB {
-							t.Errorf("%s seed %d drain %d: AppendRun = %v, %v; AppendFile = %v, %v", name, seed, i, dr, errR, db, errB)
+						dh, errH := byShared.AppendShared(p, "s", pieces, 1)
+						if dr != db || errR != errB || dh != db || errH != errB {
+							t.Errorf("%s seed %d drain %d: AppendRun = %v, %v; AppendShared = %v, %v; AppendFile = %v, %v", name, seed, i, dr, errR, dh, errH, db, errB)
+						}
+						if !intact() {
+							t.Errorf("%s seed %d drain %d: AppendShared wrote its caller's pieces", name, seed, i)
 						}
 						if errR == nil {
 							break
 						}
 						fs.Append("r:s", []byte("behind the torn tail"))
+						fs.Append("h:s", []byte("behind the torn tail"))
 						if got, _ := local.Peek("s"); !bytes.Equal(got, want) {
 							t.Errorf("%s seed %d drain %d: an append behind a torn run changed its source", name, seed, i)
 						}
-						byRun.Truncate("s", len(pre))
-						byBytes.Truncate("s", len(pre))
+						if !intact() {
+							t.Errorf("%s seed %d drain %d: an append behind torn pieces changed them", name, seed, i)
+						}
+						for _, faulty := range []*Tier{byRun, byBytes, byShared} {
+							faulty.Truncate("s", len(pre))
+						}
 						if got, _ := byRun.Peek("s"); !bytes.Equal(got, pre) {
 							t.Errorf("%s seed %d drain %d: rolling a torn run back left %d bytes, want the %d before it", name, seed, i, len(got), len(pre))
 						}
@@ -265,19 +293,21 @@ func TestAppendRunFaultParity(t *testing.T) {
 			sim.Run()
 			gotRun, _ := byRun.Peek("s")
 			gotBytes, _ := byBytes.Peek("s")
+			gotShared, _ := byShared.Peek("s")
 			gotLocal, _ := local.Peek("s")
-			if !bytes.Equal(gotRun, gotBytes) || len(gotRun) != len(want) {
-				t.Errorf("%s seed %d: by run %d bytes, by bytes %d, stream %d: the files differ", name, seed, len(gotRun), len(gotBytes), len(want))
+			if !bytes.Equal(gotRun, gotBytes) || !bytes.Equal(gotShared, gotBytes) || len(gotRun) != len(want) {
+				t.Errorf("%s seed %d: by run %d bytes, by pieces %d, by bytes %d, stream %d: the files differ", name, seed, len(gotRun), len(gotShared), len(gotBytes), len(want))
 			}
 			if !bytes.Equal(gotLocal, want) {
 				t.Errorf("%s seed %d: a fault on a drained run changed the stream it shares extents with", name, seed)
 			}
-			sr, sb := byRun.Faults.Stats, byBytes.Faults.Stats
-			if sr != sb || sr.TornWrites+sr.BitFlips == 0 {
-				t.Errorf("%s seed %d: FaultStats by run %+v, by bytes %+v (want equal, some faults)", name, seed, sr, sb)
+			sr, sb, sh := byRun.Faults.Stats, byBytes.Faults.Stats, byShared.Faults.Stats
+			if sr != sb || sh != sb || sr.TornWrites+sr.BitFlips == 0 {
+				t.Errorf("%s seed %d: FaultStats by run %+v, by pieces %+v, by bytes %+v (want equal, some faults)", name, seed, sr, sh, sb)
 			}
-			if r, b := byRun.Faults.rng.Int63(), byBytes.Faults.rng.Int63(); r != b {
-				t.Errorf("%s seed %d: the injectors' next draws differ: %d and %d", name, seed, r, b)
+			r, b, h := byRun.Faults.rng.Int63(), byBytes.Faults.rng.Int63(), byShared.Faults.rng.Int63()
+			if r != b || h != b {
+				t.Errorf("%s seed %d: the injectors' next draws differ: %d, %d and %d", name, seed, r, h, b)
 			}
 		}
 	}

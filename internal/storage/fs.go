@@ -11,8 +11,9 @@
 // Every tier lives in one FS, so stored bytes move between files by
 // reference: a Run is a file's suffix as views of its extents, and a file a
 // run is appended to shares them (the copier's drain of a checkpoint stream
-// from the local disk to the PFS copies no byte). Whatever leaves the package
-// is a copy.
+// from the local disk to the PFS copies no byte). Bytes may also enter a file
+// by reference, from a caller that never writes them again (Tier.AppendShared:
+// a checkpoint frame's payload). Whatever leaves the package is a copy.
 package storage
 
 import (
@@ -41,7 +42,7 @@ type FS struct {
 // into the file once and never moves a byte the file already holds, so a
 // stream built from n appends costs the host n copies of one append each, not
 // the ~4 copies of the whole stream that regrowing one flat slice did. No
-// extent is empty, and none is shared with anything outside the FS.
+// extent is empty.
 //
 // Files may share extents on one invariant: bytes below an extent's length
 // are never written after they are stored. append writes only past the last
@@ -49,6 +50,12 @@ type FS struct {
 // the extent it cuts, and a bit flip lands in a copy. A Run's views are
 // capped at their lengths too, so once a file holds another's extents,
 // neither file's later appends or truncates can reach the other's bytes.
+//
+// The same rules let an extent be a caller's bytes (appendShared): a view
+// capped at its length, which the file never writes into, of bytes the caller
+// never writes again. Only pieces of at least tailExtent bytes are taken so:
+// the file never coalesces into an extent that long, and a shorter piece is
+// copied as append copies it.
 type file struct {
 	ext  [][]byte
 	size int
@@ -114,6 +121,20 @@ func (f *file) appendRun(r Run) {
 	f.size += r.size
 }
 
+// appendShared appends the concatenation of pieces: a piece of at least
+// tailExtent bytes becomes an extent of its own, a view of it capped at its
+// length; a shorter one is copied as append copies it.
+func (f *file) appendShared(pieces [][]byte) {
+	for _, e := range pieces {
+		if len(e) < tailExtent {
+			f.append(e)
+			continue
+		}
+		f.ext = append(f.ext, e[:len(e):len(e)])
+		f.size += len(e)
+	}
+}
+
 // locate returns the extent of ext that holds byte off and off's offset in
 // it; off must be below the extents' total length.
 func locate(ext [][]byte, off int) (i, at int) {
@@ -142,6 +163,19 @@ func (r Run) bytes() []byte {
 		return nil
 	}
 	return bytes.Join(r.ext, nil)
+}
+
+// runOf returns the concatenation of pieces as a run: views of them capped at
+// their lengths, the empty ones left out.
+func runOf(pieces [][]byte) Run {
+	var r Run
+	for _, e := range pieces {
+		if len(e) > 0 {
+			r.ext = append(r.ext, e[:len(e):len(e)])
+			r.size += len(e)
+		}
+	}
+	return r
 }
 
 // prefix returns the run's first n bytes, n <= r.Len(): what a torn append of
@@ -194,6 +228,15 @@ func (fs *FS) appendRun(path string, r Run) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.open(path).appendRun(r)
+}
+
+// appendShared appends the concatenation of pieces to the file at path,
+// creating it if needed; the file holds each piece of at least tailExtent
+// bytes by reference (see file.appendShared).
+func (fs *FS) appendShared(path string, pieces [][]byte) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.open(path).appendShared(pieces)
 }
 
 // open returns the file at path, creating an empty one if there is none.

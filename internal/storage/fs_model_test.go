@@ -16,7 +16,9 @@ import (
 // A script is a byte string (so the fuzzer can mutate it); each operation
 // consumes a few bytes of it. An append-run moves a file's suffix onto another
 // file (or onto itself) by reference, as the copier drains a stream; files then
-// share extents. After every operation every file must read back identical —
+// share extents. An append-shared hands a file caller pieces, as a checkpoint
+// commit does, and the caller then writes into the pieces' spare capacity and
+// over the short ones, which the file must have copied. After every operation every file must read back identical —
 // bytes, Size, Exists, errors — and at the end (and at every "list"
 // operation) so must the whole namespace: List and TotalBytes too.
 
@@ -37,6 +39,9 @@ type fsModel struct {
 	// held are earlier read results with what they held when handed out: a
 	// later Truncate + Append on the file must not show through them.
 	held []heldRead
+	// lent are the long pieces files hold by reference, with what they held
+	// when appended: nothing the FS does may write them.
+	lent []heldRead
 }
 
 type heldRead struct {
@@ -96,6 +101,31 @@ func (m *fsModel) checkFile(step int, op, path string) {
 	}
 }
 
+// checkLent checks the extents an append-shared of pieces left in the file at
+// path: a piece of at least tailExtent bytes is held by reference, as a view
+// capped at its length, so no later append to any file can run into the
+// caller's spare capacity; a shorter one is held as a copy.
+func (m *fsModel) checkLent(step int, path string, pieces [][]byte) {
+	m.t.Helper()
+	for _, pc := range pieces {
+		if len(pc) == 0 {
+			continue
+		}
+		held := false
+		for _, e := range m.fs.files[path].ext {
+			if len(e) > 0 && &e[0] == &pc[0] {
+				held = true
+				if cap(e) != len(e) {
+					m.t.Fatalf("step %d: %q holds a %d-byte piece by reference with %d bytes of the caller's spare capacity", step, path, len(e), cap(e)-len(e))
+				}
+			}
+		}
+		if held != (len(pc) >= tailExtent) {
+			m.t.Fatalf("step %d: %q holds a %d-byte piece by reference: %v, want %v", step, path, len(pc), held, len(pc) >= tailExtent)
+		}
+	}
+}
+
 // checkAll compares the namespace: List and TotalBytes under several
 // prefixes, then every file.
 func (m *fsModel) checkAll(step int, op string) {
@@ -147,7 +177,27 @@ func (m *fsModel) run(script []byte) {
 			m.fs.Write(path, d)
 			m.ref[path] = bytes.Clone(d)
 			clear(d) // the FS copied it
-		case 1, 2, 3:
+		case 3:
+			op = "append-shared"
+			pieces := make([][]byte, 1+next()%3)
+			var all []byte
+			for i := range pieces {
+				d := m.data(modelLens[next()%len(modelLens)])
+				pieces[i] = append(make([]byte, 0, len(d)+next()%64), d...)
+				all = append(all, d...)
+			}
+			m.fs.appendShared(path, pieces)
+			m.ref[path] = append(m.ref[path], all...)
+			m.checkLent(step, path, pieces)
+			for _, pc := range pieces {
+				_ = append(pc, "spare capacity is the caller's"...)
+				if len(pc) < tailExtent {
+					clear(pc) // a short piece was copied: the caller may reuse it at once
+				} else {
+					m.lent = append(m.lent, heldRead{path, pc, bytes.Clone(pc)})
+				}
+			}
+		case 1, 2:
 			op = "append"
 			d := m.data(modelLens[next()%len(modelLens)])
 			m.fs.Append(path, d)
@@ -234,6 +284,11 @@ func (m *fsModel) run(script []byte) {
 		for p := range m.ref {
 			m.checkFile(step, op, p)
 		}
+		for _, l := range m.lent {
+			if !bytes.Equal(l.got, l.want) {
+				m.t.Fatalf("step %d after %s: a piece lent to %q was written", step, op, l.path)
+			}
+		}
 		// Nothing done since may show through a result handed out earlier;
 		// the oldest is then written over, which must not reach its file.
 		for _, h := range m.held {
@@ -283,6 +338,11 @@ func FuzzFSModel(f *testing.F) {
 	// second append lands where the first did unless the run's views are
 	// capped.
 	f.Add([]byte{0, 1, 3, 0, 9, 3, 1, 3, 1, 2, 0, 1, 2})
+	// d0/f0: append-shared a 25-byte and a 13000-byte piece (copied, then
+	// held), append-shared a 7-byte one, truncate inside the held piece, append
+	// 7 B, append-run the file onto d0/f1 and append-shared there a 4096-byte
+	// piece and a 1-byte one.
+	f.Add([]byte{0, 3, 1, 3, 9, 12, 40, 0, 3, 0, 2, 5, 0, 4, 3, 0, 1, 2, 0, 9, 3, 1, 3, 3, 1, 9, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]
@@ -311,6 +371,21 @@ func appendStream(fs *FS, total, size int) int {
 	return n * size
 }
 
+// appendFrames builds a stream of about total bytes from frames of size bytes
+// each, appended as a checkpoint commit appends one: the pieces (17-byte
+// header, payload), the payload one write-once buffer the file holds by
+// reference. It returns the stream's length.
+func appendFrames(fs *FS, total, size int) int {
+	var hdr [17]byte
+	payload := make([]byte, size-len(hdr))
+	n := total / size
+	for i := 0; i < n; i++ {
+		hdr[0] = byte(i)
+		fs.appendShared("stream", [][]byte{hdr[:], payload})
+	}
+	return n * size
+}
+
 // TestFSAppendCopiesOnce is the store's allocation gate: a file is a list of
 // extents, so a growing stream is never re-copied. Built from frames of the
 // size wc-data commits (100 records of 8 sixteen-byte pairs and a header),
@@ -319,21 +394,30 @@ func appendStream(fs *FS, total, size int) int {
 // shape), where appends coalesce into a tail extent of at most tailExtent
 // bytes that does regrow, it costs 3.0x against that store's 5.03x. Moving
 // the first of those streams to another file by run, as the copier drains
-// one, copies no byte: what it allocates is two extent lists (0.4 %).
+// one, copies no byte: what it allocates is two extent lists (0.4 %). Built
+// as a checkpoint commit appends its frames, header and payload as pieces,
+// it copies only the headers: per frame, a 24-byte extent and two
+// extent-list slots (1.3 %, the one payload buffer included).
 func TestFSAppendCopiesOnce(t *testing.T) {
 	for _, tc := range []struct {
-		size  int
-		move  bool    // measure moving the built stream by run, not building it
-		limit float64 // allocated bytes per byte of stream
+		size   int
+		move   bool    // measure moving the built stream by run, not building it
+		shared bool    // build the stream from (header, payload) pieces
+		limit  float64 // allocated bytes per byte of stream
 	}{
-		{12817, false, 1.3},
-		{256, false, 5.03},
-		{12817, true, 0.01},
+		{12817, false, false, 1.3},
+		{256, false, false, 5.03},
+		{12817, true, false, 0.01},
+		{12817, false, true, 0.02},
 	} {
 		fs := NewFS()
 		var stream int
-		got := allocatedBytes(func() { stream = appendStream(fs, 4<<20, tc.size) })
+		build := appendStream
 		what := fmt.Sprintf("%d-byte appends", tc.size)
+		if tc.shared {
+			build, what = appendFrames, fmt.Sprintf("%d-byte frames as (header, payload) pieces", tc.size)
+		}
+		got := allocatedBytes(func() { stream = build(fs, 4<<20, tc.size) })
 		if tc.move {
 			what = "moving a stream of " + what + " by run"
 			got = allocatedBytes(func() {

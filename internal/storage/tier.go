@@ -134,6 +134,33 @@ func (t *Tier) AppendRun(p *vtime.Proc, path string, r Run, ops int) (time.Durat
 	return d, w.err
 }
 
+// AppendShared is AppendFile of the concatenation of pieces, which path then
+// holds by reference where that saves a copy: each piece of at least
+// tailExtent bytes becomes an extent of its own, a view capped at its length,
+// and a shorter piece is copied, so the caller may reuse it at once. The
+// caller never writes below a long piece's length again — a write-once buffer
+// such as a kvbuf.Log block or a kvbuf.KV — and may go on appending past it.
+// Its charges, faults and stored bytes are AppendFile's for the same bytes: a
+// torn write keeps a prefix, and a bit flip lands in a copy of the one piece
+// it hits, so the caller's pieces are never written.
+func (t *Tier) AppendShared(p *vtime.Proc, path string, pieces [][]byte, ops int) (time.Duration, error) {
+	if t.outage(p) {
+		return t.Charge(p, 1, 0), ErrTierOutage
+	}
+	n := 0
+	for _, e := range pieces {
+		n += len(e)
+	}
+	w := t.vetWrite(p, path, n)
+	if w.err != nil || w.flip { // only a fault needs the pieces as a run
+		r := w.onRun(runOf(pieces))
+		pieces, n = r.ext, r.Len()
+	}
+	d := w.delay + t.Charge(p, ops, n)
+	t.FS.appendShared(t.path(path), pieces)
+	return d, w.err
+}
+
 // vetWrite rolls the injector's verdict on a write of n bytes to path and
 // sleeps its latency spike. A tier without an injector never faults.
 func (t *Tier) vetWrite(p *vtime.Proc, path string, n int) writeFault {
