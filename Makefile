@@ -111,10 +111,11 @@ bench-throughput: throughput-gate
 # path instead of $T.
 T := /tmp/ftmr-selftest
 define SELFTEST
-# trace fixtures: self-diff is clean, the injected-divergence pair is flagged, the v2 golden validates and summarizes
+# trace fixtures: self-diff is clean, the injected-divergence pair is flagged, the v2 golden validates and summarizes, and the mirror fixture's second receive of one flow id is a violation
 0 bin/ftmr-trace diff internal/trace/testdata/golden_v2.jsonl internal/trace/testdata/golden_v2.jsonl
 1 bin/ftmr-trace diff internal/trace/testdata/div_a.jsonl internal/trace/testdata/div_b.jsonl
 0 bin/ftmr-trace flows internal/trace/testdata/golden_v2.jsonl
+1 bin/ftmr-trace flows internal/trace/testdata/golden_mirror.jsonl
 0 bin/ftmr-trace summarize -skew internal/trace/testdata/golden_v2.jsonl
 # a file that is no trace at all is unreadable input, never a clean verdict
 2 bin/ftmr-trace flows internal/jsonl/testdata/junk.bin

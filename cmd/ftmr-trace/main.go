@@ -513,10 +513,6 @@ func flows(e *env, in []*source) int {
 
 	fr := trace.CheckFlows(events)
 	e.printf("%s: %d sends, %d recvs, %d matched flows\n", in[0].path, fr.Sends, fr.Recvs, fr.Matched)
-	if fr.MirroredSends > 0 {
-		e.printf("  %d mirrored sends (shadow-fed duplicates under -ft-model=replicate are expected)\n",
-			fr.MirroredSends)
-	}
 	if fr.UnmatchedSends > 0 {
 		e.printf("  %d unmatched sends (eager sends to dead ranks are legal under failure injection)\n",
 			fr.UnmatchedSends)

@@ -86,8 +86,8 @@ const (
 	FTModelCR FTModel = iota
 	// FTModelReplicate gives every primary slot a shadow rank: the world is
 	// split in half, shadows mirror their primary's map/convert/reduce
-	// stream and receive shadow-mirrored shuffle copies, and a primary
-	// failure promotes the shadow in place.
+	// stream and receive copies of its shuffle blocks in the one exchange,
+	// and a primary failure promotes the shadow in place.
 	FTModelReplicate
 	// FTModelPartial replicates only Spec.ReplicaFraction of the primary
 	// slots (PartRePer-style): failures of replicated slots fail over to

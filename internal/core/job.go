@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ftmrmpi/internal/cluster"
+	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
 )
 
@@ -20,6 +21,9 @@ type Handle struct {
 	tasks   [][]Task // per job index: the input task list (see jobTasks)
 	phaseCb []func(worldRank int, ph Phase)
 	noted   map[int]bool
+	// merged, when set, sees each rank's partitions as a shuffle merge
+	// leaves them (a mirroring shadow's are its pair's); tests set it.
+	merged func(worldRank int, parts map[int]*kvbuf.KV)
 }
 
 // App is one rank's context inside a launched application. The driver

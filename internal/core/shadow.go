@@ -2,8 +2,8 @@ package core
 
 // Replication execution model (-ft-model=replicate|partial): part of the
 // world runs as dedicated shadow ranks that mirror a primary's task stream —
-// re-executing its map tasks, receiving shadow-mirrored copies of its
-// shuffle bundles, converting and reducing the same partitions into a local
+// re-executing its map tasks, receiving copies of its shuffle blocks in the
+// same exchange, converting and reducing the same partitions into a local
 // staging buffer — so a primary failure fails over to the live shadow with
 // no checkpoint replay and no PFS read (FTHP-MPI / PartRePer-MPI style).
 // FTModelCR (the zero value) leaves every path in this file unreached, so
@@ -21,16 +21,10 @@ import (
 	"ftmrmpi/internal/sched"
 )
 
-// Replication-model message tags, in tag space far above tagStatusBase and
-// tagReplicaBase. The sync tag is offset by the job index (stale pushes from
-// an earlier job can never match a later one); the shuffle tag is offset by
-// the job index and the death count, so bundles from an exchange interrupted
-// by a failure can never be matched by the re-exchange after recovery (the
-// communicator shrank, so the death count is strictly larger).
-const (
-	tagShadowSync    = 1 << 21
-	tagShadowShuffle = 1 << 22
-)
+// tagShadowSync is the replication model's message tag, in tag space far
+// above tagStatusBase and tagReplicaBase, offset by the job index so stale
+// pushes from an earlier job can never match a later one.
+const tagShadowSync = 1 << 21
 
 // shadowSyncLen is the wire size of one reduce-progress sync record:
 // [part u32][groups u32][outLen u64], little-endian.
@@ -130,16 +124,6 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 // primary (for a mirroring shadow: the primary it mirrors).
 func (f *ftState) pairWorld() int { return f.acting[f.slot] }
 
-// actingSlot returns the slot w is acting primary of, or -1.
-func (f *ftState) actingSlot(w int) int {
-	for slot, aw := range f.acting {
-		if aw == w {
-			return slot
-		}
-	}
-	return -1
-}
-
 // redirectToActing maps a mirroring shadow to the primary it serves, so lost
 // work redistributed by recovery is never parked on a dedicated mirror (the
 // mirror re-executes it anyway, by mirroring its pair).
@@ -150,20 +134,13 @@ func (f *ftState) redirectToActing(w int) int {
 	return w
 }
 
-// shuffleTag returns the replicate-exchange tag for the current failure
-// epoch (see the tag constants for why the death count is folded in).
-func (r *runner) shuffleTag() int {
-	deaths := len(r.world0) - r.comm.Size()
-	return tagShadowShuffle + r.job.jobIdx*4096 + deaths&4095
-}
-
 // syncTag returns the reduce-progress sync tag for this job.
 func (r *runner) syncTag() int { return tagShadowSync + r.job.jobIdx }
 
 // ------------------------------------------------------------ mirror role --
 
 // mirrorRole is the role of a mirroring shadow: it works on its pair's tasks
-// and the pair's partitions it received in the replicate exchange, and
+// and the pair's partitions it received in the shuffle exchange, and
 // records progress only in its own memory — no gossip, no checkpoints, no
 // done-bit mutation, no PFS writes. The primary's stream is authoritative;
 // the mirror only builds the state a failover needs.
@@ -204,7 +181,7 @@ func (r *runner) mirrorPending() []int {
 }
 
 // mirrorParts returns the pair's partitions this shadow merged in a
-// replicate exchange (ascending), whether or not any pairs arrived for them.
+// shuffle exchange (ascending), whether or not any pairs arrived for them.
 // Partitions the pair adopted after the exchange have no mirror data and are
 // skipped — failover falls back to the checkpoint path for those.
 func (r *runner) mirrorParts() []int {
@@ -273,82 +250,32 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 
 // ------------------------------------------------------- replicate routing --
 
-// exchangeReplicate routes the shuffle bundles when the replication model is
-// active: primaries send each slot's bundle directly to its acting primary
-// and shadow-mirror the identical bytes (same flow id) to the slot's live
-// shadow; every rank — primary or shadow — then collects one bundle per
-// slot, empty when the sender has no pairs for it. Shadows end up holding
-// their pair's post-shuffle partitions without the primary ever re-sending
-// on failover. The bundles come back in slot order, so every receiver merges
-// its partitions in the same deterministic order as the collective exchange.
-func (r *runner) exchangeReplicate() ([]mpi.Block, error) {
+// withShadowCopies returns a primary's shuffle blocks with, for every slot
+// that has a live shadow, one more block for that shadow holding the same
+// bytes as the block bound for the slot's acting primary: a second transfer,
+// priced as one, and counted as a mirror send. The result ascends by peer, as
+// AlltoallvSparse wants; without the replication model it is send.
+func (r *runner) withShadowCopies(send []mpi.Block) []mpi.Block {
 	f := r.ftm
-	tag := r.shuffleTag()
-
-	// Slots whose acting primary is alive (a member of the shrunken
-	// communicator). Slots that lost both pair members have no acting rank,
-	// and recovery reassigned their partitions to live acting primaries, so
-	// they neither send nor receive a bundle. Identical on every rank.
-	var liveSlots []int
-	for slot, aw := range f.acting {
-		if r.comm.CommRankOf(aw) >= 0 {
-			liveSlots = append(liveSlots, slot)
-		}
+	if f == nil {
+		return send
 	}
-
-	// A mirror owns no map output of record: only primaries send.
-	if !f.mirror {
-		blocks, err := r.sendBundles()
-		if err != nil {
-			return nil, err
+	n := len(send)
+	for slot, sw := range f.shadow {
+		if sw < 0 {
+			continue
 		}
-		for _, d := range liveSlots {
-			dst := r.comm.CommRankOf(f.acting[d])
-			var bundle []byte
-			if i, ok := slices.BinarySearchFunc(blocks, dst, func(b mpi.Block, peer int) int { return cmp.Compare(b.Peer, peer) }); ok {
-				bundle = blocks[i].Data
-			}
-			var flow uint64
-			if err := r.net(func() error {
-				id, e := r.comm.SendTracked(dst, tag, bundle)
-				flow = id
-				return e
-			}); err != nil {
-				return nil, err
-			}
-			if sw := f.shadow[d]; sw >= 0 {
-				if err := r.net(func() error {
-					return r.comm.SendMirror(r.comm.CommRankOf(sw), tag, bundle, flow)
-				}); err != nil {
-					return nil, err
-				}
-				r.obs.FT.MirrorSends.Inc()
-				r.obs.FT.MirrorBytes.Add(float64(len(bundle)))
-			}
+		i, ok := slices.BinarySearchFunc(send[:n], r.comm.CommRankOf(f.acting[slot]),
+			func(b mpi.Block, peer int) int { return cmp.Compare(b.Peer, peer) })
+		if !ok {
+			continue
 		}
+		send = append(send, mpi.Block{Peer: r.comm.CommRankOf(sw), Data: send[i].Data})
+		r.obs.FT.MirrorSends.Inc()
+		r.obs.FT.MirrorBytes.Add(float64(len(send[i].Data)))
 	}
-
-	// Collect one bundle per live source slot. A rank is the acting primary
-	// or the shadow of one slot, never both, so it is sent exactly one copy
-	// per source, and the tag (job index, death count) keeps out the bundles
-	// of any other exchange.
-	got := make([]mpi.Block, len(f.acting))
-	for range liveSlots {
-		var m *mpi.Message
-		if err := r.net(func() error {
-			msg, e := r.comm.Recv(mpi.AnySource, tag)
-			m = msg
-			return e
-		}); err != nil {
-			return nil, err
-		}
-		got[f.actingSlot(r.comm.WorldRank(m.Src))] = mpi.Block{Peer: m.Src, Data: m.Data}
-	}
-	bundles := make([]mpi.Block, 0, len(liveSlots))
-	for _, s := range liveSlots {
-		bundles = append(bundles, got[s])
-	}
-	return bundles, nil
+	slices.SortFunc(send, func(a, b mpi.Block) int { return cmp.Compare(a.Peer, b.Peer) })
+	return send
 }
 
 // pushShadowSync sends this primary's latest durable reduce commit to its

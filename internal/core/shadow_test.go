@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
 	"ftmrmpi/internal/cluster"
+	"ftmrmpi/internal/kvbuf"
+	"ftmrmpi/internal/metrics"
+	"ftmrmpi/internal/sched"
 	"ftmrmpi/internal/trace"
 )
 
@@ -106,16 +110,27 @@ func replicateParts(clus *cluster.Cluster, jobID string, parts int) [][]byte {
 // Partition bytes must be identical: replication must be invisible in the
 // output, which also proves mirrored duplicates commit exactly once — a
 // double commit would double every count. The replicated run must actually
-// have mirrored traffic (shadow.mirror flow events and shadow.sync pushes).
+// feed its shadows: the exchange sends them copies (the mirror counters),
+// each shadow merges exactly its primary's partitions, and shadow.sync
+// pushes flow. The copies travel inside the one collective, so the trace
+// holds no shadow.mirror event and every flow id is received once.
 func TestReplicateMatchesUnreplicatedBytes(t *testing.T) {
 	const name = "rep-bytes"
+	merged := make(map[int]map[int]string) // world rank -> partition -> merged bytes
 	run := func(ranks int, ftm FTModel) (*cluster.Cluster, []trace.Event) {
 		clus := testCluster(4, 2)
 		clus.Trace = trace.New(clus.Sim, 1<<20)
+		clus.Metrics = metrics.New(clus.Sim)
 		expect := genInput(clus, "in/"+name, 16, 40, 21)
 		spec := wcSpec(name, ranks, ModelDetectResumeWC)
 		spec.FTModel = ftm
 		h := RunSingle(clus, spec)
+		h.merged = func(w int, parts map[int]*kvbuf.KV) {
+			merged[w] = make(map[int]string, len(parts))
+			for part, kv := range parts {
+				merged[w][part] = string(kv.Bytes())
+			}
+		}
 		clus.Sim.Run()
 		res := h.Result()
 		if res == nil || res.Aborted {
@@ -139,8 +154,22 @@ func TestReplicateMatchesUnreplicatedBytes(t *testing.T) {
 				p, len(got[p]), len(base[p]))
 		}
 	}
-	if n := countEvents(evs, trace.KindShadowMirror, ""); n == 0 {
-		t.Error("no shadow.mirror events: shuffle never mirrored to shadows")
+	snap := rep.Metrics.Snapshot()
+	if n, b := snap.Total("ftmr_ftmodel_mirror_sends"), snap.Total("ftmr_ftmodel_mirror_bytes"); n <= 0 || b <= 0 {
+		t.Errorf("mirror sends %v, bytes %v: the exchange fed no shadow", n, b)
+	}
+	pr := sched.PairRanks(8, rep.Cfg.PPN, len(rep.Nodes), 1)
+	for slot := 0; slot < pr.P; slot++ {
+		s := pr.Shadow[slot]
+		if len(merged[slot]) == 0 || !maps.Equal(merged[s], merged[slot]) {
+			t.Errorf("shadow %d merged %d partitions unlike its primary %d's %d", s, len(merged[s]), slot, len(merged[slot]))
+		}
+	}
+	if n := countEvents(evs, trace.KindShadowMirror, ""); n != 0 {
+		t.Errorf("%d shadow.mirror events: the shuffle still sends mirror copies", n)
+	}
+	if fr := trace.CheckFlows(evs); !fr.OK() {
+		t.Errorf("flow violations: %v", fr.Violations)
 	}
 	if n := countEvents(evs, trace.KindShadowSync, "push"); n == 0 {
 		t.Error("no shadow.sync push events: reduce progress never mirrored")

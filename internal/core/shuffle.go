@@ -11,9 +11,8 @@ import (
 )
 
 // phaseShuffle exchanges the partitioned map output so each partition's
-// holder has all its pairs, then checkpoints the received buffers. Only the
-// routing of the bundles depends on the execution model (one
-// AlltoallvSparse, or tracked point-to-point sends mirrored to the shadows);
+// holder has all its pairs, then checkpoints the received buffers. Every
+// execution model routes the bundles through the same AlltoallvSparse;
 // agreement, merge and snapshot are the same for every rank.
 func (r *runner) phaseShuffle() error {
 	// If every rank restored its partitions from checkpoints (restart after
@@ -31,18 +30,16 @@ func (r *runner) phaseShuffle() error {
 		return nil
 	}
 
-	var bundles []mpi.Block
-	if r.ftm != nil {
-		bundles, err = r.exchangeReplicate()
-	} else {
-		bundles, err = r.exchangeAlltoallv()
-	}
+	bundles, err := r.exchange()
 	if err != nil {
 		return err
 	}
 
 	if err := r.mergeBundles(bundles); err != nil {
 		return err
+	}
+	if fn := r.job.h.merged; fn != nil {
+		fn(r.myWorld(), r.parts)
 	}
 	r.shuffled = true
 	// Checkpoint the post-shuffle state of each owned partition (§3.2:
@@ -231,15 +228,22 @@ func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
 	}
 }
 
-// exchangeAlltoallv routes the bundles with one collective exchange and
-// returns what this rank received, in source-rank order.
-func (r *runner) exchangeAlltoallv() ([]mpi.Block, error) {
-	send, err := r.sendBundles()
-	if err != nil {
-		return nil, err
+// exchange routes the bundles with one collective exchange and returns what
+// this rank received, in source-rank order. Under the replication model a
+// primary's blocks also go to the shadows of the slots they are bound for
+// (withShadowCopies), and a mirroring shadow, which owns no map output of
+// record, sends nothing: it receives what its pair receives.
+func (r *runner) exchange() ([]mpi.Block, error) {
+	var send []mpi.Block
+	if !r.mirroring() {
+		var err error
+		if send, err = r.sendBundles(); err != nil {
+			return nil, err
+		}
+		send = r.withShadowCopies(send)
 	}
 	var recv []mpi.Block
-	err = r.net(func() (e error) {
+	err := r.net(func() (e error) {
 		recv, e = r.comm.AlltoallvSparse(send)
 		return e
 	})

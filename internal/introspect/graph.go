@@ -15,9 +15,9 @@ import (
 // out its own completion instant — waits for nobody, which keeps a
 // collective's staggered release (one rank already in the next collective
 // while another is still in this one) from drawing false edges. A receive
-// draws none: the one blocking receive a job makes is an AnySource one, which
-// any of several senders could satisfy, and OR-semantics would fabricate
-// cycles.
+// draws none: no job makes a blocking receive (the shuffle is a collective
+// under every model, and the rest of a job's point-to-point traffic is
+// polled), so a parked receive is a harness's, reported as a state only.
 
 // findCycle runs deterministic cycle detection over the wait-for graph of n
 // ranks, stated as wait sets with each rank in at most one From (as capture

@@ -55,10 +55,6 @@ const (
 	StateDead = "dead"
 )
 
-// AnySource mirrors mpi.AnySource in RankState.Src (the package cannot
-// import internal/mpi).
-const AnySource = -1
-
 // NoValue is the sentinel RankState uses for integer fields that do not
 // apply to the rank's current state (Src, Tag, Comm, Seq, Task).
 const NoValue = -2
@@ -75,8 +71,8 @@ type Wait struct {
 	// Seq is the collective's sequence number on Comm, or NoValue (a
 	// receive, Shrink, Agree).
 	Seq int
-	// Src and Tag are the receive's posted source (AnySource allowed) and
-	// tag, NoValue in a meeting.
+	// Src and Tag are the receive's posted source and tag, NoValue in a
+	// meeting.
 	Src, Tag int
 	// Since is when the receive was posted or the meeting entered.
 	Since time.Duration

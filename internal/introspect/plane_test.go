@@ -79,11 +79,11 @@ func TestCaptureClassification(t *testing.T) {
 	}
 
 	// A receive is reported, and draws no edge.
-	fw.waits[1] = Wait{Seq: NoValue, Src: AnySource, Tag: 3, Since: time.Millisecond}
+	fw.waits[1] = Wait{Seq: NoValue, Src: 0, Tag: 3, Since: time.Millisecond}
 	pl.capture(false)
 	snap := pl.Snapshots()[1]
-	if rs := snap.Ranks[1]; rs.State != StateRecv || rs.Src != AnySource || rs.Tag != 3 || rs.PostedUS != 1000 {
-		t.Errorf("rank 1 = %+v, want a receive from any source, tag 3, since 1000us", rs)
+	if rs := snap.Ranks[1]; rs.State != StateRecv || rs.Src != 0 || rs.Tag != 3 || rs.PostedUS != 1000 {
+		t.Errorf("rank 1 = %+v, want a receive from world rank 0, tag 3, since 1000us", rs)
 	}
 	if len(snap.Waits) != 1 || snap.Seq != 1 {
 		t.Errorf("snapshot %d waits = %+v, want snapshot 1 with the meeting set only", snap.Seq, snap.Waits)

@@ -39,8 +39,8 @@ const (
 )
 
 // RankState is one rank's captured state. Integer fields that do not apply
-// to the state hold NoValue (Src additionally uses AnySource for wildcard
-// receives); PostedUS is -1 when not applicable.
+// to the state hold NoValue; PostedUS is -1 when not applicable. Snapshots
+// written before receives named their source may hold -1 in Src, a wildcard.
 type RankState struct {
 	// Rank is the world rank.
 	Rank int `json:"rank"`
@@ -50,8 +50,8 @@ type RankState struct {
 	Phase string `json:"phase,omitempty"`
 	// Task is the annotated task id, or NoValue.
 	Task int `json:"task"`
-	// Src is the posted receive source as a world rank, AnySource, or
-	// NoValue when the rank is not blocked in a receive.
+	// Src is the posted receive source as a world rank, or NoValue when the
+	// rank is not blocked in a receive.
 	Src int `json:"src"`
 	// Tag is the posted receive tag, or NoValue.
 	Tag int `json:"tag"`

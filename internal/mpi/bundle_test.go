@@ -114,8 +114,7 @@ func refGatherTree(c *Comm, seq int, data []byte) (map[int][]byte, error) {
 		maps.Copy(bundle, sub)
 	}
 	if parent := treeParent(c.rank); parent >= 0 {
-		_, err := c.transmit(parent, internalTag(seq, 2), refEncodeBundle(bundle), 0, false)
-		return nil, err
+		return nil, c.transmit(parent, internalTag(seq, 2), refEncodeBundle(bundle))
 	}
 	return bundle, nil
 }
@@ -130,7 +129,7 @@ func refBcastTree(c *Comm, seq int, data []byte) ([]byte, error) {
 		data = m.Data
 	}
 	for _, child := range treeChildren(c.rank, c.Size()) {
-		if _, err := c.transmit(child, internalTag(seq, 1), data, 0, false); err != nil {
+		if err := c.transmit(child, internalTag(seq, 1), data); err != nil {
 			return nil, err
 		}
 	}

@@ -29,7 +29,7 @@ func (w *World) RankWait(worldRank int) (introspect.Wait, bool) {
 		}
 		if rw := st.boxes[cr].parked(); rw != nil {
 			return introspect.Wait{Comm: st.id, Seq: introspect.NoValue,
-				Src: st.worldSrc(rw.src), Tag: rw.tag, Since: rw.postedVT}, true
+				Src: st.group[rw.src], Tag: rw.tag, Since: rw.postedVT}, true
 		}
 		for _, m := range st.meets {
 			for _, mw := range m.waits {

@@ -27,7 +27,7 @@ import (
 // parked process after it wakes.
 type recvWait struct {
 	p   *vtime.Proc
-	src int // comm rank or AnySource
+	src int // comm rank
 	tag int
 	msg *Message
 	err error

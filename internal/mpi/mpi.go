@@ -26,7 +26,7 @@ import (
 	"ftmrmpi/internal/vtime"
 )
 
-// AnySource is Recv's source wildcard. Tags must be non-negative.
+// AnySource is TryRecv's source wildcard. Tags must be non-negative.
 const AnySource = -1
 
 // ErrRevoked is returned by operations on a revoked communicator.
@@ -145,8 +145,8 @@ type commState struct {
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
 	// deadCount is the number of failed ranks in the group. It lets
-	// failedSourceErr answer the common no-failure case in O(1) instead of
-	// scanning the whole group on every AnySource receive.
+	// entryErr answer the common no-failure case in O(1) instead of scanning
+	// the whole group on every collective.
 	deadCount int
 }
 
@@ -266,20 +266,11 @@ func (st *commState) onFailure(worldRank int) {
 	}
 	st.deadCount++
 	for _, box := range st.boxes {
-		if rw := box.parked(); rw != nil && (rw.src == cr || rw.src == AnySource) {
+		if rw := box.parked(); rw != nil && rw.src == cr {
 			st.complete(box, rw, nil, &ProcFailedError{Ranks: []int{worldRank}})
 		}
 	}
 	st.interrupt(&ProcFailedError{Ranks: []int{worldRank}}, st.w.ranks[worldRank])
-}
-
-// worldSrc translates a receive's source for the observation planes: a comm
-// rank to its world rank, AnySource to itself.
-func (st *commState) worldSrc(src int) int {
-	if src == AnySource {
-		return AnySource
-	}
-	return st.group[src]
 }
 
 // commRankOf maps a world rank to its position in the group, or -1.
@@ -369,72 +360,41 @@ func (c *Comm) Abort() {
 // is busy for the wire time. Sends are eager/buffered: delivery does not
 // require a posted receive. Errors are raised through the error handler.
 func (c *Comm) Send(dest, tag int, data []byte) error {
-	_, err := c.transmit(dest, tag, data, 0, false)
-	return c.raise(err)
+	return c.raise(c.transmit(dest, tag, data))
 }
 
-// SendTracked is Send, additionally returning the message id (flow id)
-// allocated for the transfer. The replication execution model uses it to
-// mirror the same logical message to a shadow rank via SendMirror, so both
-// deliveries carry an identical id in the trace.
-// The id is 0 when err is non-nil (a failed send allocates no flow).
-func (c *Comm) SendTracked(dest, tag int, data []byte) (uint64, error) {
-	id, err := c.transmit(dest, tag, data, 0, false)
-	return id, c.raise(err)
-}
-
-// SendMirror transmits a byte-identical copy of an already-sent message to
-// dest (a comm rank), reusing the original send's flow id instead of
-// allocating a fresh one. This is the replication execution model's shadow
-// feed: the sender pays the wire time twice (once per member of the pair),
-// but the two deliveries are the *same logical message*: the tracer records
-// the copy as a shadow.mirror event (not a second send.end) so flow
-// validation knows the duplicate recv is expected.
-// Errors are raised through the error handler exactly like Send.
-func (c *Comm) SendMirror(dest, tag int, data []byte, flow uint64) error {
-	_, err := c.transmit(dest, tag, data, flow, true)
-	return c.raise(err)
-}
-
-// transmit is the one body of every point-to-point send. A mirror reuses
-// flow and is traced as one shadow.mirror event; anything else allocates the
-// cluster's next flow id and is traced as send.begin/send.end. It returns the
-// id the message travelled under, 0 with an error.
-func (c *Comm) transmit(dest, tag int, data []byte, flow uint64, mirror bool) (uint64, error) {
+// transmit is the one body of every point-to-point send: it allocates the
+// cluster's next flow id, traces the send as send.begin/send.end under it and
+// delivers the message after the wire time.
+func (c *Comm) transmit(dest, tag int, data []byte) error {
 	st := c.st
 	if st.revoked {
-		return 0, ErrRevoked
+		return ErrRevoked
 	}
 	dworld := st.group[dest]
 	if !st.w.ranks[dworld].alive {
-		return 0, &ProcFailedError{Ranks: []int{dworld}}
+		return &ProcFailedError{Ranks: []int{dworld}}
 	}
-	if !mirror {
-		st.w.Clus.FlowID++
-		flow = st.w.Clus.FlowID
-	}
+	st.w.Clus.FlowID++
+	flow := st.w.Clus.FlowID
 	c.r.obs.MPI.Sent(len(data))
 	if rec := c.r.obs.Rec; rec != nil {
-		if mirror {
-			defer rec.ShadowMirror(dworld, tag, len(data), flow)
-		} else {
-			rec.SendBegin(dworld, tag, len(data))
-			defer rec.SendEnd(dworld, tag, len(data), flow)
-		}
+		rec.SendBegin(dworld, tag, len(data))
+		defer rec.SendEnd(dworld, tag, len(data), flow)
 	}
 	c.r.proc.Sleep(st.w.Clus.TransferCost(len(data)))
 	if st.w.aborted {
-		return 0, ErrAborted
+		return ErrAborted
 	}
 	if st.revoked {
-		return 0, ErrRevoked
+		return ErrRevoked
 	}
 	// Deliver (drop silently if the receiver died during the transfer —
 	// eager sends complete locally).
 	if st.w.ranks[dworld].alive {
 		st.deliver(dest, &Message{Src: c.rank, Tag: tag, Data: data, id: flow})
 	}
-	return flow, nil
+	return nil
 }
 
 // deliver places msg in dest's mailbox, handing it to dest's parked receive
@@ -456,12 +416,15 @@ func (st *commState) complete(box *mailbox, rw *recvWait, msg *Message, err erro
 	st.w.Sim.Wake(rw.p)
 }
 
-// Recv blocks until a message matching (src, tag) arrives. src may be
-// AnySource. Per MPI-3 + ULFM semantics, a receive from a specific failed
-// source errors immediately unless a matching message was already buffered,
-// and an AnySource receive errors while a member of the communicator is
-// dead.
+// Recv blocks until a message with tag arrives from src, a comm rank: a
+// receive names its source, and a source outside the communicator (AnySource
+// included) is refused before anything is posted. Per MPI-3 + ULFM
+// semantics, a receive from a failed source errors immediately unless a
+// matching message was already buffered.
 func (c *Comm) Recv(src, tag int) (*Message, error) {
+	if src < 0 || src >= c.Size() {
+		return nil, fmt.Errorf("mpi: Recv names source %d of %d ranks", src, c.Size())
+	}
 	m, err := c.recv(src, tag)
 	return m, c.raise(err)
 }
@@ -476,11 +439,11 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 		c.tookBuffered(src, tag, m)
 		return m, nil
 	}
-	if err := c.failedSourceErr(src); err != nil {
-		return nil, err
+	srcWorld := st.group[src]
+	if !st.w.ranks[srcWorld].alive {
+		return nil, &ProcFailedError{Ranks: []int{srcWorld}}
 	}
 	rec := c.r.obs.Rec
-	srcWorld := st.worldSrc(src)
 	if rec != nil {
 		rec.RecvBegin(srcWorld, tag)
 	}
@@ -520,34 +483,16 @@ func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
 }
 
 // tookBuffered accounts a receive that a buffered message satisfied on the
-// spot: the byte counter, and recv.begin/recv.end at one instant.
+// spot: the byte counter, and recv.begin/recv.end at one instant, naming the
+// posted source as a world rank (AnySource for TryRecv's wildcard).
 func (c *Comm) tookBuffered(src, tag int, m *Message) {
 	c.r.obs.MPI.Received(len(m.Data))
 	if rec := c.r.obs.Rec; rec != nil {
-		srcWorld := c.st.worldSrc(src)
+		srcWorld := AnySource
+		if src != AnySource {
+			srcWorld = c.st.group[src]
+		}
 		rec.RecvBegin(srcWorld, tag)
 		rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
 	}
-}
-
-// failedSourceErr returns the error a receive posted now must raise, if any.
-func (c *Comm) failedSourceErr(src int) error {
-	st := c.st
-	if src == AnySource {
-		if st.deadCount == 0 {
-			return nil
-		}
-		var dead []int
-		for _, wr := range st.group {
-			if !st.w.ranks[wr].alive {
-				dead = append(dead, wr)
-			}
-		}
-		return &ProcFailedError{Ranks: dead}
-	}
-	wr := st.group[src]
-	if !st.w.ranks[wr].alive {
-		return &ProcFailedError{Ranks: []int{wr}}
-	}
-	return nil
 }

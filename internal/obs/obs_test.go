@@ -51,7 +51,6 @@ func site(h *Handle, i int) {
 	h.Rec.SendBegin(1, 2, 64)
 	h.Rec.SendEnd(1, 2, 64, 1)
 	h.Rec.RecoveryStage("skip", time.Millisecond)
-	h.Rec.ShadowMirror(1, 2, 64, 1)
 	h.Rec.CopierDrain("map/t1", 64)
 	h.Rec.CkptCorrupt("map/t1", 64, 128)
 	h.Core.RecoveryAttempts.Inc()

@@ -43,9 +43,9 @@ const (
 	// CatFailureStall is time blocked by a failure before recovery engages:
 	// dead-peer waits, revokes observed outside recovery, straggler onset.
 	CatFailureStall
-	// CatShadowSync is replication-model pair traffic: shadow-mirrored
-	// message copies, reduce-progress sync pushes/drains, and failover
-	// promotion (the replicate/partial -ft-model overhead bucket).
+	// CatShadowSync is replication-model pair traffic: reduce-progress sync
+	// pushes/drains and failover promotion (the replicate/partial -ft-model
+	// overhead bucket), and the mirror copies older traces record.
 	CatShadowSync
 	// CatOther is anything no rule claims (should stay ~0; a growing value
 	// means the edge rules lag the event vocabulary).

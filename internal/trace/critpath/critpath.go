@@ -163,12 +163,11 @@ func Analyze(events []trace.Event) (*Report, error) {
 	phaseOf := make([]string, len(evs)) // phase open on the rank just before the event
 	inRec := make([]bool, len(evs))     // recovery span open just before the event
 
-	lastOn := make(map[threadKey]int)      // thread -> last event index
-	lastMain := make(map[int]int)          // rank -> last main-thread event index
-	sendByFlow := make(map[uint64]int)     // flow id -> send.end index
-	mirrorByFlow := make(map[uint64][]int) // flow id -> shadow.mirror indices
-	openColl := make(map[collKey][]int)    // instance -> open begin indices
-	openKind := make(map[trace.Kind]int)   // shrink/agree open-begin sweep (see below)
+	lastOn := make(map[threadKey]int)    // thread -> last event index
+	lastMain := make(map[int]int)        // rank -> last main-thread event index
+	sendByFlow := make(map[uint64]int)   // flow id -> send.end index
+	openColl := make(map[collKey][]int)  // instance -> open begin indices
+	openKind := make(map[trace.Kind]int) // shrink/agree open-begin sweep (see below)
 	curPhase := make(map[int]string)
 	curRec := make(map[int]bool)
 
@@ -213,32 +212,11 @@ func Analyze(events []trace.Event) (*Report, error) {
 			if ev.Flow != 0 {
 				sendByFlow[ev.Flow] = i
 			}
-		case trace.KindShadowMirror:
-			// A shadow-mirrored copy shares its flow id with the original
-			// send; keep it separately so the recv.end that consumed the
-			// copy binds to the mirror delivery, not the primary's send.
-			if ev.Flow != 0 {
-				mirrorByFlow[ev.Flow] = append(mirrorByFlow[ev.Flow], i)
-			}
 		case trace.KindRecvEnd:
 			// The message consumed by this receive could not have arrived
-			// before its send completed. When the flow was also mirrored
-			// (replication model), disambiguate by destination: the source
-			// event whose A field names this receiver is the delivery this
-			// recv consumed.
-			if ev.Flow != 0 {
-				if s, ok := sendByFlow[ev.Flow]; ok {
-					cross[i] = s
-				}
-				for _, m := range mirrorByFlow[ev.Flow] {
-					if evs[m].A == int64(ev.Rank) {
-						cross[i] = m
-						break
-					}
-				}
-				if s, ok := sendByFlow[ev.Flow]; ok && evs[s].A == int64(ev.Rank) {
-					cross[i] = s
-				}
+			// before its send completed.
+			if s, ok := sendByFlow[ev.Flow]; ok {
+				cross[i] = s
 			}
 		case trace.KindCollBegin:
 			k := collKey{ev.A, ev.B, ev.Name}

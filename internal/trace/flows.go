@@ -42,13 +42,6 @@ type FlowReport struct {
 	// receives legitimately carry none, so this is informational.
 	ZeroRecvs int
 
-	// MirroredSends counts shadow.mirror events: byte-identical copies of an
-	// already-sent message delivered to a shadow rank under the replication
-	// execution model, reusing the original send's flow id. Each mirror
-	// raises the number of recv.ends its flow id may legitimately carry by
-	// one, so shadow-fed duplicates are expected, not pairing violations.
-	MirroredSends int
-
 	// Violations lists every broken invariant: dangling recvs, duplicate
 	// ids on a side, byte-count mismatches, and recvs that complete before
 	// their send (virtual-time inversion).
@@ -68,7 +61,6 @@ func CheckFlows(events []Event) *FlowReport {
 	}
 	sends := make(map[uint64]*side)
 	recvs := make(map[uint64]*side)
-	mirrors := make(map[uint64]int)
 	note := func(m map[uint64]*side, ev *Event) {
 		s, ok := m[ev.Flow]
 		if !ok {
@@ -97,15 +89,6 @@ func CheckFlows(events []Event) *FlowReport {
 			}
 			fr.Recvs++
 			note(recvs, ev)
-		case KindShadowMirror:
-			if ev.Flow == 0 {
-				fr.Violations = append(fr.Violations, FlowViolation{
-					Reason: fmt.Sprintf("shadow.mirror without flow id (rank %d seq %d)", ev.Rank, ev.Seq),
-				})
-				continue
-			}
-			fr.MirroredSends++
-			mirrors[ev.Flow]++
 		}
 	}
 
@@ -126,18 +109,11 @@ func CheckFlows(events []Event) *FlowReport {
 			fr.Violations = append(fr.Violations, FlowViolation{ID: id,
 				Reason: fmt.Sprintf("sent %d times (id must be unique)", s.count)})
 		}
-		// A flow id may be consumed once per delivery: the original send
-		// plus one shadow-mirrored copy per shadow.mirror event.
-		if r != nil && r.count > 1+mirrors[id] {
+		if r != nil && r.count > 1 {
 			fr.Violations = append(fr.Violations, FlowViolation{ID: id,
-				Reason: fmt.Sprintf("received %d times but delivered %d (1 send + %d mirrors)",
-					r.count, 1+mirrors[id], mirrors[id])})
+				Reason: fmt.Sprintf("received %d times (a message is delivered once)", r.count)})
 		}
 		switch {
-		case s == nil && mirrors[id] > 0:
-			// Mirror-backed flow whose original send never completed (the
-			// primary died mid-transfer): the recvs are legitimate copies.
-			fr.Matched++
 		case s == nil:
 			fr.DanglingRecvs++
 			fr.Violations = append(fr.Violations, FlowViolation{ID: id,

@@ -137,12 +137,13 @@ const (
 	// B = frames replayed.
 	KindRecoverySource
 
-	// Shadow mirror copy (replication execution model): the sender delivered
-	// a byte-identical copy of an already-sent message to the destination's
-	// shadow rank, reusing the original send's flow id. A=shadow world rank,
-	// B=tag, C=bytes; Flow repeats the original send.end's id, which is what
-	// lets flow validation accept the duplicate recv.end as expected instead
-	// of flagging a pairing violation. (Kinds stay additive within schema 2.)
+	// Shadow mirror copy, decoded and no longer emitted: older traces of the
+	// replication model record the sender delivering a byte-identical copy
+	// of an already-sent message to the destination's shadow rank, reusing
+	// the original send's flow id. A=shadow world rank, B=tag, C=bytes,
+	// Flow=the original send.end's id. The replicate shuffle is now one
+	// collective, so no message is delivered twice. (Kinds stay additive
+	// within schema 2.)
 	KindShadowMirror
 
 	// Shadow sync (replication execution model): a primary pushed reduce
@@ -614,13 +615,6 @@ func (r *Recorder) RecoveryStage(stage string, d time.Duration) {
 // ftmr_recovery_reads{source} counters and the abl-restore ablation.
 func (r *Recorder) RecoverySource(source string, bytes, frames int) {
 	r.emit(KindRecoverySource, source, int64(bytes), int64(frames), 0)
-}
-
-// ShadowMirror marks a byte-identical copy of an already-sent message being
-// delivered to a shadow rank (world rank peer), reusing the original send's
-// flow id. Emitted by mpi.SendMirror in place of a second send.end.
-func (r *Recorder) ShadowMirror(peer, tag, bytes int, flow uint64) {
-	r.emitFlow(KindShadowMirror, "", int64(peer), int64(tag), int64(bytes), flow)
 }
 
 // ShadowSync marks replicate-mode reduce progress crossing a pair: a
