@@ -208,7 +208,8 @@ type KVWriter interface {
 // KMVReader iterates the key→multivalue groups a Reducer consumes (paper
 // Table 1). The runner implements it over the converted KMV buffers.
 type KMVReader interface {
-	// Next returns the next group; ok=false at the end.
+	// Next returns the next group; ok=false at the end. values is valid only
+	// until the next call: the runner refills one window for every group.
 	Next() (key []byte, values [][]byte, ok bool)
 }
 
@@ -230,17 +231,21 @@ type Mapper interface {
 // checkpoints must move. Combining must be idempotent and associative —
 // recovery may re-run it over already-combined values.
 type Combiner interface {
-	// Combine folds one key's local values into one value.
+	// Combine folds one key's local values into one value. values is valid
+	// only until the call returns, and neither it nor its bytes may be
+	// written.
 	Combine(ctx *TaskContext, key []byte, values [][]byte) ([]byte, error)
-	// Cost returns the CPU seconds one group costs.
+	// Cost returns the CPU seconds one group costs; values as in Combine.
 	Cost(key []byte, values [][]byte) float64
 }
 
 // Reducer is the user-defined reduce function (paper Table 1).
 type Reducer interface {
-	// Reduce processes one key group, writing output records.
+	// Reduce processes one key group, writing output records. values is
+	// valid only until the call returns (the runner refills one window for
+	// every group), and neither it nor its bytes may be written.
 	Reduce(ctx *TaskContext, key []byte, values [][]byte, out RecordWriter) error
-	// Cost returns the CPU seconds one group costs.
+	// Cost returns the CPU seconds one group costs; values as in Reduce.
 	Cost(key []byte, values [][]byte) float64
 }
 

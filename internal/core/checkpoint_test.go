@@ -363,7 +363,7 @@ func TestRestoreChainOrder(t *testing.T) {
 	const stream = "part/p000001"
 	kv := kvbuf.NewKV()
 	kv.Add([]byte("k"), []byte("v"))
-	snapshot := encodeFrame(nil, frameShuffle, 1, 0, kv.Bytes())
+	snapshot := encodeFrame(nil, frameShuffle, 1, 0, kv.Pieces(nil)...)
 	good := encodeFrame(bytes.Clone(snapshot), frameReduce, 1, 3, make([]byte, 8))
 	pfsCopies := map[string][]byte{
 		"absent":              nil,
@@ -444,12 +444,14 @@ func TestRestoreChainOrder(t *testing.T) {
 // bytes the map-output log and a partition's KV hold, and those go on
 // growing. Two map deltas committed as kvbuf.Log.Since views — one under
 // 4 KiB, which the file copies, one over, which it keeps — and a partition
-// snapshot committed from a KV's Bytes, followed by a short frame, must be
-// found exactly as committed, after the log has taken more pairs and the KV
-// more bytes in its spare capacity, in every place a frame lives: the local
-// file, the PFS file the copier drains it to, the rank's own replica mirror
-// and the copy pushed to its partner. The log's and the KV's later pairs must
-// be exactly as added: nothing a stream keeps writes into its source.
+// snapshot committed as a merged KV's pieces — a run held by reference and an
+// owned region over 4 KiB with room to spare behind it — followed by a short
+// frame, must be found exactly as committed, after the log has taken more
+// pairs and the KV more bytes in place, in its room, in every place a frame
+// lives: the local file, the PFS file the copier drains it to, the rank's own
+// replica mirror and the copy pushed to its partner. The log's and the KV's
+// later pairs must be exactly as added: nothing a stream keeps writes into
+// its source.
 func TestCommittedFramesOutliveTheirSource(t *testing.T) {
 	clus := ckptCluster()
 	spec := wcSpec("byref", 2, ModelDetectResumeWC).withDefaults()
@@ -464,7 +466,7 @@ func TestCommittedFramesOutliveTheirSource(t *testing.T) {
 		for i := from; i < to; i++ {
 			kv.Add(pair(i))
 		}
-		return kv.Bytes()
+		return kvBytes(kv)
 	}
 	want := map[string][]byte{}
 	var logLater, kvLater, kvWant []byte
@@ -492,33 +494,38 @@ func TestCommittedFramesOutliveTheirSource(t *testing.T) {
 				}
 				commit(mapS, frameMapDelta, 0, uint32(n[1]), delta...)
 			}
-			kv := kvbuf.NewKV()
-			for i := 0; i < 300; i++ {
-				kv.Add(pair(i))
+			// The snapshot: a 8000-byte run by reference, then two 4000-byte
+			// runs copied into an 8000-byte owned region with 400 bytes of
+			// room behind it.
+			const spare = 400
+			kv := &kvbuf.NewKVs([]int{8000 + spare})[0]
+			for _, run := range [][]byte{encoded(0, 200), encoded(200, 300), encoded(300, 400)} {
+				if err := kv.AppendRun(run); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			spare := cap(kv.Bytes()) - kv.Size()
-			if kv.Size() < 4096 || spare < 40 {
-				t.Errorf("the snapshot KV holds %d bytes in %d: want over 4 KiB and room for a pair", kv.Size(), cap(kv.Bytes()))
+			snap := kv.Pieces(nil)
+			if len(snap) != 2 || len(snap[0]) != 8000 || len(snap[1]) != 8000 {
+				t.Errorf("the snapshot KV is %d pieces: want a run by reference and an owned region, 8000 bytes each", len(snap))
 				return
 			}
-			commit(partS, frameShuffle, 0, 0, kv.Bytes())
+			commit(partS, frameShuffle, 0, 0, snap...)
 			commit(partS, frameReduce, 0, 1, make([]byte, 8))
 			// The sources grow: the log into its tail block, the KV into the
-			// spare capacity behind the snapshot's bytes.
+			// room behind the snapshot's owned region.
 			m := log.Mark()
 			for i := 1000; i < 1100; i++ {
 				log.Add(pair(i))
 			}
 			logLater = bytes.Join(log.Since(m, nil), nil)
-			more := encoded(300, 300+spare/40) // 40-byte pairs, as many as fit
-			kv.Grow(len(more))
-			if cap(kv.Bytes())-kv.Size() != spare {
-				t.Errorf("the KV grew its %d spare bytes instead of taking %d more in place", spare, len(more))
+			for i := 400; i < 400+spare/40; i++ {
+				kv.Add(pair(i))
 			}
-			if err := kv.AppendBytes(more); err != nil {
-				t.Error(err)
+			if grown := kv.Pieces(nil); len(grown) != 2 || &grown[1][0] != &snap[1][0] {
+				t.Errorf("the KV moved its owned region instead of growing it in place")
 			}
-			kvLater, kvWant = kv.Bytes(), encoded(0, 300+spare/40)
+			kvLater, kvWant = kvBytes(kv), encoded(0, 400+spare/40)
 			r.ck.phaseSync(r.p)
 			mirrors[0], _ = r.rep.store.lookup(mapS)
 			mirrors[1], _ = r.rep.store.lookup(partS)

@@ -146,7 +146,7 @@ func (e *kvEmitter) all() [][]byte {
 
 // injectKV appends restored (or mirror-staged) pairs to the map-output log.
 func (r *runner) injectKV(kv *kvbuf.KV) {
-	_ = kv.ForEach(r.log.Add)
+	kv.ForEach(r.log.Add)
 }
 
 // runMapTask executes (or restores) one map task with fine-grained commits.

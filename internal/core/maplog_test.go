@@ -96,7 +96,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 					restored.Add(randPair())
 				}
 				r.injectKV(restored)
-				all.Append(restored)
+				restored.ForEach(all.Add)
 			}
 			em := newEmitter(&r.log)
 			delta, task := kvbuf.NewKV(), kvbuf.NewKV()
@@ -108,7 +108,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 				}
 				if em.pending() {
 					r.ck.commit(r.p, stream, frameMapDelta, uint32(id), rec, em.delta()...)
-					want = encodeFrame(want, frameMapDelta, uint32(id), rec, delta.Bytes())
+					want = encodeFrame(want, frameMapDelta, uint32(id), rec, delta.Pieces(nil)...)
 					delta = kvbuf.NewKV()
 				}
 			}
@@ -133,7 +133,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 			}
 			r.ck.commit(r.p, stream, frameTaskDone, uint32(id), rec, payload...)
 			if gran == GranChunk {
-				want = encodeFrame(want, frameTaskDone, uint32(id), rec, task.Bytes())
+				want = encodeFrame(want, frameTaskDone, uint32(id), rec, task.Pieces(nil)...)
 			} else {
 				want = encodeFrame(want, frameTaskDone, uint32(id), rec)
 			}
@@ -164,7 +164,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 			want, pairs := make([][]byte, w), 0
 			for part, owner := range r.partOwner {
 				if parts[part].Len() > 0 {
-					want[owner] = encodeFrame(want[owner], frameShuffle, uint32(part), 0, parts[part].Bytes())
+					want[owner] = encodeFrame(want[owner], frameShuffle, uint32(part), 0, parts[part].Pieces(nil)...)
 				}
 				pairs += parts[part].Len()
 			}

@@ -105,7 +105,7 @@ func (r *runner) phaseReduce(ro *role) error {
 			r.m.IOWait += scratch.Charge(r.p, n/65536+1, n)
 		}
 		g := ro.reduced(part)
-		it := &kmvIterator{keys: m.Keys, vals: m.Vals, pos: int(g)}
+		it := &kmvIterator{m: m, window: m.Window(), pos: int(g)}
 		w := &outputWriter{serialize: defaultSerialize}
 		var cpuAcc float64
 		commit := func() error {

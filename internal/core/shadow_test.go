@@ -128,7 +128,7 @@ func TestReplicateMatchesUnreplicatedBytes(t *testing.T) {
 		h.merged = func(w int, parts map[int]*kvbuf.KV) {
 			merged[w] = make(map[int]string, len(parts))
 			for part, kv := range parts {
-				merged[w][part] = string(kv.Bytes())
+				merged[w][part] = string(kvBytes(kv))
 			}
 		}
 		clus.Sim.Run()

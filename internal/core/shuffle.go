@@ -8,6 +8,7 @@ import (
 
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
+	"ftmrmpi/internal/storage"
 )
 
 // phaseShuffle exchanges the partitioned map output so each partition's
@@ -46,8 +47,10 @@ func (r *runner) phaseShuffle() error {
 	// tracing send/receive of each buffer culminates in a consistent
 	// partition snapshot). A mirroring shadow owns nothing and writes nothing.
 	if r.ck.enabled {
+		var pieces [][]byte
 		for _, part := range r.ownedParts() {
-			r.ck.commit(r.p, partStream(part), frameShuffle, uint32(part), 0, r.parts[part].Bytes())
+			pieces = r.parts[part].Pieces(pieces[:0])
+			r.ck.commit(r.p, partStream(part), frameShuffle, uint32(part), 0, pieces...)
 		}
 	}
 	r.ck.phaseSync(r.p)
@@ -58,16 +61,18 @@ func (r *runner) phaseShuffle() error {
 // from scratch so the exchange is idempotent under recovery re-runs. The
 // partitions are the ownership table's — this rank's own, or a mirroring
 // shadow's pair's — whether or not any pairs arrived for them. One walk
-// checks every frame and sizes each partition; a second walk over the
-// checked headers then copies every payload once, in bundle order, into a
-// buffer that already has room for it.
+// checks every frame and sizes each partition; a second walk over the checked
+// headers then appends every payload, in bundle order: a payload of at least
+// storage.ShareMin bytes as a capped view of the sender's write-once arena,
+// a shorter one copied into the one buffer the first walk sized
+// (kvbuf.KV.AppendRun, kvbuf.NewKVs).
 func (r *runner) mergeBundles(bundles []mpi.Block) error {
 	holder := r.myWorld()
 	if r.mirroring() {
 		holder = r.ftm.pairWorld()
 	}
 	held := r.partsOf(holder)
-	sizes := make([]int, len(held)) // by held's index
+	sizes := make([]int, 2*len(held)) // by held's index: all bytes, then short bytes
 	for _, b := range bundles {
 		for idx, off := 0, 0; off < len(b.Data); idx++ {
 			f, n, err := nextFrame(b.Data[off:])
@@ -83,18 +88,21 @@ func (r *runner) mergeBundles(bundles []mpi.Block) error {
 						fmt.Errorf("partition %d is not held by world rank %d", f.a, holder)))
 				}
 				sizes[i] += len(f.payload)
+				if len(f.payload) < storage.ShareMin {
+					sizes[len(held)+i] += len(f.payload)
+				}
 			}
 			off += n
 		}
 	}
+	kvs, err := mergedParts(held, sizes[:len(held)], sizes[len(held):])
+	if err != nil {
+		return err
+	}
 	r.parts = make(map[int]*kvbuf.KV, len(held))
 	r.kmv = make(map[int]*kvbuf.KMV)
 	for i, part := range held {
-		kv := kvbuf.NewKV()
-		if sizes[i] > 0 {
-			kv.Grow(sizes[i])
-		}
-		r.parts[part] = kv
+		r.parts[part] = &kvs[i]
 	}
 	for _, b := range bundles {
 		for off := 0; off < len(b.Data); {
@@ -103,13 +111,26 @@ func (r *runner) mergeBundles(bundles []mpi.Block) error {
 			if f.kind != frameShuffle || len(f.payload) == 0 {
 				continue
 			}
-			if err := r.parts[int(f.a)].AppendBytes(f.payload); err != nil {
+			if err := r.parts[int(f.a)].AppendRun(f.payload); err != nil {
 				return err
 			}
 			r.m.ShuffleBytes += int64(len(f.payload))
 		}
 	}
 	return nil
+}
+
+// mergedParts is the merge's sizing step: the empty partitions, the i-th with
+// room for short[i] bytes of short payloads, once every held partition is
+// known to fit the int32 offsets a KMV indexes it with (sizes[i] bytes in
+// all).
+func mergedParts(held, sizes, short []int) ([]kvbuf.KV, error) {
+	for i, n := range sizes {
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("core: partition %d receives %d bytes of shuffle data, over the 2 GiB bound", held[i], n)
+		}
+	}
+	return kvbuf.NewKVs(short), nil
 }
 
 // sendBundles prepares this rank's map output for the exchange: one block

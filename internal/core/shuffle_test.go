@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
+	"ftmrmpi/internal/storage"
 )
 
 // rankZero launches a w-rank world whose ranks return at once and returns a
@@ -49,6 +52,9 @@ func keyIn(part, w, i int) []byte {
 	}
 }
 
+// kvBytes returns a KV's encoding as one slice: its pieces joined.
+func kvBytes(kv *kvbuf.KV) []byte { return bytes.Join(kv.Pieces(nil), nil) }
+
 // shuffleFixture builds rank 0's side of a W-rank shuffle with one partition
 // per rank, of which only the first filled hold pairs: the runner whose
 // map-output log sendBundles partitions (two pairs per filled partition, the
@@ -71,7 +77,7 @@ func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv []mpi.Block, 
 	}
 	recv = make([]mpi.Block, filled)
 	for i := range recv {
-		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, sent[i].Bytes())}
+		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, sent[i].Pieces(nil)...)}
 	}
 	return r, recv, sent
 }
@@ -79,8 +85,9 @@ func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv []mpi.Block, 
 // TestShuffleAllocsPerRank is the shuffle's allocation gate: what a rank
 // allocates to encode its bundles and to merge the ones it receives depends
 // on how many partitions hold data, not on how many ranks there are — one
-// arena, one frame walk and one pre-sized buffer per partition, where there
-// used to be a frame buffer per destination and a frame slice per source.
+// arena, one frame walk and one pre-sized buffer for the short payloads,
+// where there used to be a frame buffer per destination and a frame slice per
+// source.
 func TestShuffleAllocsPerRank(t *testing.T) {
 	const filled = 8
 	allocs := make(map[int]float64)
@@ -179,9 +186,9 @@ func TestMergeBundlesKeepsBundleOrder(t *testing.T) {
 	}
 	want := kvbuf.NewKV()
 	for _, kv := range sent {
-		want.Append(kv)
+		kv.ForEach(want.Add)
 	}
-	if got := r.parts[0]; got.Len() != want.Len() || string(got.Bytes()) != string(want.Bytes()) {
+	if got := r.parts[0]; got.Len() != want.Len() || !bytes.Equal(kvBytes(got), kvBytes(want)) {
 		t.Fatalf("merged partition differs from the per-source append")
 	}
 	if r.m.ShuffleBytes != int64(want.Size()) {
@@ -206,7 +213,7 @@ func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
 	bundle := func(parts ...uint32) []mpi.Block {
 		var b []byte
 		for _, part := range parts {
-			b = encodeFrame(b, frameShuffle, part, 0, sent[0].Bytes())
+			b = encodeFrame(b, frameShuffle, part, 0, sent[0].Pieces(nil)...)
 		}
 		return []mpi.Block{{Peer: 0, Data: b}}
 	}
@@ -235,8 +242,185 @@ func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
 	}
 }
 
-// The layer benchmarks of the shuffle's host path, shaped like wc-scale: 640
-// ranks, one partition each, a few small pairs in one partition in ten.
+// pairsOf returns n bytes of encoded pairs: random keys of 1-8 bytes and
+// values of up to 300, the last pair's value sized to land on n (n >= 9, or 0).
+func pairsOf(rng *rand.Rand, n int) []byte {
+	kv := kvbuf.NewKV()
+	for left := n; left > 0; {
+		k := make([]byte, 1+rng.Intn(8))
+		v := make([]byte, rng.Intn(301))
+		if left-8-len(k)-len(v) < 9 {
+			k, v = k[:1], make([]byte, left-9)
+		}
+		rng.Read(k)
+		rng.Read(v)
+		kv.Add(k, v)
+		left -= 8 + len(k) + len(v)
+	}
+	return kvBytes(kv)
+}
+
+// copyingMerge is mergeBundles as it was before it kept long payloads by
+// reference, the oracle of the merge: one walk sizes each held partition, a
+// second copies every payload, in bundle order, into a buffer that already
+// has the room (KV.Grow + KV.AppendBytes). It returns each held partition's
+// encoding.
+func copyingMerge(held []int, bundles []mpi.Block) map[int][]byte {
+	sizes := make(map[int]int, len(held))
+	for _, b := range bundles {
+		for off := 0; off < len(b.Data); {
+			f, n := checkedFrame(b.Data[off:])
+			sizes[int(f.a)] += len(f.payload)
+			off += n
+		}
+	}
+	out := make(map[int][]byte, len(held))
+	for _, part := range held {
+		out[part] = make([]byte, 0, sizes[part])
+	}
+	for _, b := range bundles {
+		for off := 0; off < len(b.Data); {
+			f, n := checkedFrame(b.Data[off:])
+			out[int(f.a)] = append(out[int(f.a)], f.payload...)
+			off += n
+		}
+	}
+	return out
+}
+
+// Property: the merge that keeps payloads of at least storage.ShareMin bytes
+// by reference builds, for every held partition, the snapshot frame and the
+// KMV the copying merge built, byte for byte — over payloads either side of
+// 4 KiB, empty partitions, and a shadow's copies of the same blocks: a
+// mirroring shadow merges the very arenas its pair merges, and neither merge
+// writes a byte of them.
+func TestMergeBundlesMatchesCopyingMerge(t *testing.T) {
+	lens := []int{0, 9, 100, 1000, storage.ShareMin - 1, storage.ShareMin, storage.ShareMin + 1, 3 * storage.ShareMin, 20000}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const w = 4
+		primary, shadow := rankZero(t, w), rankZero(t, w)
+		nParts := 1 + rng.Intn(12)
+		primary.nParts, shadow.nParts = nParts, nParts
+		primary.partOwner, shadow.partOwner = make([]int32, nParts), make([]int32, nParts)
+		for part := range nParts {
+			// The shadow mirrors world rank 2, which holds what the primary,
+			// world rank 0, holds.
+			o := int32(rng.Intn(w))
+			primary.partOwner[part], shadow.partOwner[part] = o, o
+			if o == 0 {
+				shadow.partOwner[part] = 2
+			} else if o == 2 {
+				shadow.partOwner[part] = 0
+			}
+		}
+		shadow.ftm = &ftState{slot: 1, mirror: true, acting: []int{1, 2}}
+		held := primary.ownedParts()
+		var recv []mpi.Block
+		for src := range w {
+			var data []byte
+			for _, part := range held {
+				if n := lens[rng.Intn(len(lens))]; n > 0 {
+					data = encodeFrame(data, frameShuffle, uint32(part), 0, pairsOf(rng, n))
+				}
+			}
+			if data != nil {
+				recv = append(recv, mpi.Block{Peer: src, Data: data})
+			}
+		}
+		sent := make([][]byte, len(recv))
+		for i, b := range recv {
+			sent[i] = bytes.Clone(b.Data)
+		}
+		want := copyingMerge(held, recv)
+		for _, r := range []*runner{primary, shadow} {
+			if err := r.mergeBundles(recv); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if len(r.parts) != len(held) {
+				t.Fatalf("seed %d: merged %d partitions, want %d", seed, len(r.parts), len(held))
+			}
+			for _, part := range held {
+				kv := r.parts[part]
+				got := encodeFrame(nil, frameShuffle, uint32(part), 0, kv.Pieces(nil)...)
+				if !bytes.Equal(got, encodeFrame(nil, frameShuffle, uint32(part), 0, want[part])) {
+					t.Fatalf("seed %d, mirroring %v: partition %d's snapshot frame differs from the copying merge's", seed, r.mirroring(), part)
+				}
+				ref, err := kvbuf.FromBytes(want[part])
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, _ := kvbuf.ConvertTwoPass(kv)
+				mref, _ := kvbuf.ConvertTwoPass(ref)
+				if !bytes.Equal(kvbuf.EncodeKMV(m), kvbuf.EncodeKMV(mref)) || kv.Len() != ref.Len() {
+					t.Fatalf("seed %d, mirroring %v: partition %d's KMV differs from the copying merge's", seed, r.mirroring(), part)
+				}
+			}
+		}
+		for i, b := range recv {
+			if !bytes.Equal(b.Data, sent[i]) {
+				t.Fatalf("seed %d: the merges wrote into the bundle from rank %d", seed, b.Peer)
+			}
+		}
+	}
+}
+
+// longFrames is the shuffle's receive side shaped like wc-data: senders
+// blocks of one frame each, for partition 0 of a senders-rank world, whose
+// payloads are size bytes of pairs.
+func longFrames(tb testing.TB, senders, size int) (*runner, []mpi.Block) {
+	r := rankZero(tb, senders)
+	rng := rand.New(rand.NewSource(int64(size)))
+	recv := make([]mpi.Block, senders)
+	for i := range recv {
+		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, pairsOf(rng, size))}
+	}
+	return r, recv
+}
+
+// TestMergeReferencesLongFrames is the merge's allocation gate (`make
+// alloc-gate`): 16 frames of 128 KiB reach a partition as 16 pieces by
+// reference, so merging them allocates under 1 % of their 2 MiB — a
+// partition table, piece lists and the tables the walks size — where copying
+// them allocated all of it.
+func TestMergeReferencesLongFrames(t *testing.T) {
+	const senders, size = 16, 128 << 10
+	r, recv := longFrames(t, senders, size)
+	var m0, m1 runtime.MemStats
+	alloc := uint64(math.MaxUint64)
+	for range 5 { // the least of a few: the runtime's rare allocations land in one
+		runtime.ReadMemStats(&m0)
+		if err := r.mergeBundles(recv); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		alloc = min(alloc, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if pieces := r.parts[0].Pieces(nil); len(pieces) != senders || r.parts[0].Size() != senders*size {
+		t.Fatalf("partition 0 is %d pieces of %d bytes, want %d of %d", len(pieces), r.parts[0].Size(), senders, senders*size)
+	}
+	t.Logf("merging %d frames of %d KiB allocated %d B", senders, size>>10, alloc)
+	if limit := uint64(senders * size / 100); alloc > limit {
+		t.Errorf("merging %d frames of %d KiB allocated %d B, want under %d (1 %%): it copies the long payloads", senders, size>>10, alloc, limit)
+	}
+}
+
+// The merge refuses a partition its KMV could not index with int32 offsets,
+// naming the partition and its size, before it allocates anything for it.
+func TestMergeRefusesPartitionsOver2GiB(t *testing.T) {
+	if _, err := mergedParts([]int{3, 7}, []int{10, math.MaxInt32}, []int{10, 0}); err != nil {
+		t.Fatalf("a partition of MaxInt32 bytes: %v", err)
+	}
+	_, err := mergedParts([]int{3, 7}, []int{10, math.MaxInt32 + 1}, []int{10, 0})
+	if err == nil || !strings.Contains(err.Error(), "partition 7 receives 2147483648 bytes") || !strings.Contains(err.Error(), "2 GiB bound") {
+		t.Fatalf("a partition of 2 GiB: %v", err)
+	}
+}
+
+// The layer benchmarks of the shuffle's host path: sendBundles shaped like
+// wc-scale (640 ranks, one partition each, a few small pairs in one partition
+// in ten), mergeBundles shaped like wc-scale and like wc-data (16 senders of
+// one ~130 KB frame each).
 
 func BenchmarkSendBundles(b *testing.B) {
 	r, _, _ := shuffleFixture(b, 640, 64)
@@ -250,7 +434,17 @@ func BenchmarkSendBundles(b *testing.B) {
 }
 
 func BenchmarkMergeBundles(b *testing.B) {
-	r, recv, _ := shuffleFixture(b, 640, 64)
+	b.Run("640x64", func(b *testing.B) {
+		r, recv, _ := shuffleFixture(b, 640, 64)
+		benchmarkMerge(b, r, recv)
+	})
+	b.Run("16x130KB", func(b *testing.B) {
+		r, recv := longFrames(b, 16, 130000)
+		benchmarkMerge(b, r, recv)
+	})
+}
+
+func benchmarkMerge(b *testing.B, r *runner, recv []mpi.Block) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"strconv"
+
+	"ftmrmpi/internal/kvbuf"
 )
 
 // Chunk is one fixed-size piece of input, the unit of map-task assignment.
@@ -178,19 +180,21 @@ func (r *LineRecordReader) Close() error {
 	return nil
 }
 
-// kmvIterator implements KMVReader over a converted partition.
+// kmvIterator implements KMVReader over a converted partition. Every group's
+// values are resolved into one window, allocated at the partition's largest
+// group and reused for every key.
 type kmvIterator struct {
-	keys [][]byte
-	vals [][][]byte
-	pos  int
+	m      *kvbuf.KMV
+	window [][]byte
+	pos    int
 }
 
 // Next implements KMVReader.
 func (it *kmvIterator) Next() (key []byte, values [][]byte, ok bool) {
-	if it.pos >= len(it.keys) {
+	if it.pos >= it.m.Len() {
 		return nil, nil, false
 	}
-	k, v := it.keys[it.pos], it.vals[it.pos]
+	key, values = it.m.Key(it.pos), it.m.Values(it.pos, it.window[:0])
 	it.pos++
-	return k, v, true
+	return key, values, true
 }

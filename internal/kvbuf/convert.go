@@ -3,6 +3,8 @@ package kvbuf
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 )
 
@@ -76,15 +78,12 @@ func twoPassStats(kvSize, logBytes int) ConvertStats {
 //	pass 3: re-scan the sorted copy, scattering each value into its slot;
 //	pass 4: compaction pass over the assembled KMV (read and rewrite).
 func fourPassStats(kvSize int, m *KMV) ConvertStats {
-	kmvBytes, keyBytes, skeleton := m.Bytes(), 0, 0
-	for i, k := range m.Keys {
-		keyBytes += len(k)
-		skeleton += len(k) + 8 + 4*len(m.Vals[i])
-	}
+	kmvBytes := m.Bytes()
+	skeleton := m.keyBytes + 8*m.Len() + 4*len(m.offs)
 	var st ConvertStats
 	st.add(kvSize, kvSize)
 	st.add(kvSize, skeleton)
-	st.add(kvSize, kmvBytes-keyBytes)
+	st.add(kvSize, kmvBytes-m.keyBytes)
 	st.add(kmvBytes, kmvBytes)
 	return st
 }
@@ -127,73 +126,95 @@ func indexFor(groups []keyGroup, shift uint) []int32 {
 // returns the size of the segment log the two-pass algorithm is priced at,
 // Σ(4 + len(value)) over the pairs.
 //
-// It counts, then places, over the KV's own bytes. Pass 1 walks the pairs,
+// It counts, then places, over the KV's own pieces. Pass 1 walks the pairs,
 // finds each key's id in an open-addressed index (compared by stored hash,
 // then by bytes in place; doubled whenever it would pass half full, so it is
 // sized by distinct keys, not pairs), counts values per key and records each
-// pair's key id. Pass 2 sorts the keys, gives each a run of one n-entry value
-// slab by prefix sum, and walks the pairs again, placing each value in its
-// key's run. Keys and values are capacity-limited views of kv's buffer and
-// each Vals[i] a capacity-limited window of the slab, so nothing is copied
-// and the allocations are a fixed number of slabs plus one per doubling of
-// the index. The KMV aliases kv: see KMV.
+// pair's key id. Pass 2 sorts the keys, gives each a run of one n-entry
+// int32 slab by prefix sum, and walks the pairs again, placing each pair's
+// offset in its key's run. Keys are capacity-limited views of kv's pieces, so
+// nothing is copied, a value costs the slab 4 bytes (and the id slab 4 more
+// while group runs), and the allocations are a fixed number of slabs plus one
+// per doubling of the index. Offsets are int32, so kv must be under 2 GiB.
+// The KMV aliases kv: see KMV.
 func group(kv *KV) (*KMV, int) {
-	buf, n := kv.buf, kv.n // n < 2^31: ids are int32
+	if kv.Size() > math.MaxInt32 {
+		panic(fmt.Sprintf("kvbuf: a KV of %d bytes is over the 2 GiB a grouping indexes", kv.Size()))
+	}
+	n := kv.n
 	ids := make([]int32, n)
 	groups := make([]keyGroup, 0, 32)
 	shift := uint(32 - 6)
 	index := indexFor(nil, shift)
-	logBytes := 0
+	logBytes, keyBytes := 0, 0
 
 	// Pass 1: count each key's values, note each pair's key id.
-	for i, off := 0, 0; i < n; i++ {
-		var k, v []byte
-		k, v, off = pairAt(buf, off)
-		logBytes += 4 + len(v)
-		h := fnv1a(k)
-		var id int32
-		for s, mask := slot(h, shift), len(index)-1; ; s = (s + 1) & mask {
-			if id = index[s] - 1; id < 0 {
-				id = int32(len(groups))
-				index[s] = id + 1
-				groups = append(groups, keyGroup{key: k, hash: h, n: 1})
-				if 2*len(groups) > len(index) {
-					shift--
-					index = indexFor(groups, shift)
+	i := 0
+	for p := 0; p <= len(kv.pieces); p++ {
+		piece := kv.piece(p)
+		for off := 0; off < len(piece); i++ {
+			var k, v []byte
+			k, v, off = pairAt(piece, off)
+			logBytes += 4 + len(v)
+			h := fnv1a(k)
+			var id int32
+			for s, mask := slot(h, shift), len(index)-1; ; s = (s + 1) & mask {
+				if id = index[s] - 1; id < 0 {
+					id = int32(len(groups))
+					index[s] = id + 1
+					groups = append(groups, keyGroup{key: k, hash: h, n: 1})
+					keyBytes += len(k)
+					if 2*len(groups) > len(index) {
+						shift--
+						index = indexFor(groups, shift)
+					}
+					break
 				}
-				break
+				if g := &groups[id]; g.hash == h && string(g.key) == string(k) {
+					g.n++
+					break
+				}
 			}
-			if g := &groups[id]; g.hash == h && string(g.key) == string(k) {
-				g.n++
-				break
-			}
+			ids[i] = id
 		}
-		ids[i] = id
 	}
 
-	// Pass 2: sorted keys, a run of the slab each, values placed in KV order.
+	// Pass 2: sorted keys, a run of the slab each, offsets placed in KV order.
 	order := make([]int32, len(groups))
 	for id := range order {
 		order[id] = int32(id)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(groups[a].key, groups[b].key) })
-	flat := make([][]byte, n)
-	out := &KMV{Keys: make([][]byte, len(order)), Vals: make([][][]byte, len(order))}
+	m := &KMV{
+		keys:     make([][]byte, len(order)),
+		starts:   make([]int32, len(order)+1),
+		offs:     make([]int32, n),
+		pieces:   kv.Pieces(nil),
+		keyBytes: keyBytes,
+		valBytes: logBytes - 4*n,
+	}
 	start := int32(0)
 	for r, id := range order {
 		g := &groups[id]
-		end := start + g.n
-		out.Keys[r], out.Vals[r] = g.key, flat[start:end:end]
-		g.n, start = start, end
+		m.keys[r], m.starts[r] = g.key, start
+		m.most = max(m.most, int(g.n))
+		g.n, start = start, start+g.n
 	}
-	for i, off := 0, 0; i < n; i++ {
-		var v []byte
-		_, v, off = pairAt(buf, off)
-		g := &groups[ids[i]]
-		flat[g.n] = v
-		g.n++
+	m.starts[len(order)] = start
+	m.base = make([]int32, len(m.pieces)+1)
+	i, at := 0, int32(0)
+	for p, piece := range m.pieces {
+		m.base[p] = at
+		for off := 0; off < len(piece); i++ {
+			g := &groups[ids[i]]
+			m.offs[g.n] = at + int32(off)
+			g.n++
+			_, _, off = pairAt(piece, off)
+		}
+		at += int32(len(piece))
 	}
-	return out, logBytes
+	m.base[len(m.pieces)] = at
+	return m, logBytes
 }
 
 // pairAt decodes the pair at offset off of a KV buffer, whose framing every
@@ -224,15 +245,17 @@ func opsFor(n int) int {
 func EncodeKMV(m *KMV) []byte {
 	var out []byte
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.Keys)))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(m.Len()))
 	out = append(out, hdr[:]...)
-	for i, k := range m.Keys {
+	window := m.Window()
+	for i, k := range m.keys {
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(k)))
 		out = append(out, hdr[:]...)
 		out = append(out, k...)
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.Vals[i])))
+		vals := m.Values(i, window)
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(vals)))
 		out = append(out, hdr[:]...)
-		for _, v := range m.Vals[i] {
+		for _, v := range vals {
 			binary.LittleEndian.PutUint32(hdr[:], uint32(len(v)))
 			out = append(out, hdr[:]...)
 			out = append(out, v...)
@@ -241,14 +264,23 @@ func EncodeKMV(m *KMV) []byte {
 	return out
 }
 
-// DecodeKMV reverses EncodeKMV.
+// DecodeKMV reverses EncodeKMV. Keys are views of data; the values are
+// copied into one KV encoding of their own, each behind an empty key, which
+// is at most twice their encoded size, so data must be under 1 GiB.
 func DecodeKMV(data []byte) (*KMV, error) {
+	if len(data) > math.MaxInt32/2 {
+		return nil, errKV("kvbuf: KMV encoding over 1 GiB")
+	}
 	rd := reader{data: data}
 	nk, err := rd.u32()
 	if err != nil {
 		return nil, err
 	}
-	m := &KMV{Keys: make([][]byte, 0, nk), Vals: make([][][]byte, 0, nk)}
+	// Every key takes at least 8 bytes of data: a count above that cannot be
+	// honest, and must not size an allocation.
+	room := min(nk, len(rd.data)/8)
+	m := &KMV{keys: make([][]byte, 0, room), starts: make([]int32, 1, room+1)}
+	vals := NewKV()
 	for i := 0; i < nk; i++ {
 		k, err := rd.bytes()
 		if err != nil {
@@ -258,17 +290,22 @@ func DecodeKMV(data []byte) (*KMV, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([][]byte, 0, nv)
 		for j := 0; j < nv; j++ {
 			v, err := rd.bytes()
 			if err != nil {
 				return nil, err
 			}
-			vals = append(vals, v)
+			m.offs = append(m.offs, int32(vals.Size()))
+			vals.Add(nil, v)
+			m.valBytes += len(v)
 		}
-		m.Keys = append(m.Keys, k)
-		m.Vals = append(m.Vals, vals)
+		m.keys = append(m.keys, k)
+		m.starts = append(m.starts, int32(len(m.offs)))
+		m.keyBytes += len(k)
+		m.most = max(m.most, nv)
 	}
+	m.pieces = vals.Pieces(nil)
+	m.base = []int32{0, int32(vals.Size())}[:len(m.pieces)+1]
 	return m, nil
 }
 

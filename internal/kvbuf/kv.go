@@ -17,25 +17,49 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"ftmrmpi/internal/storage"
 )
 
-// KV is an append-only buffer of key-value pairs with the wire encoding
-// [klen u32][vlen u32][key][value].
+// KV is an append-only sequence of key-value pairs with the wire encoding
+// [klen u32][vlen u32][key][value], held as an ordered list of pieces: runs
+// of whole pairs, each but the last a view capped at its length, then the
+// buffer Add writes into. A KV built by Add or FromBytes is that one buffer;
+// one assembled by AppendRun (a shuffle merge) holds each run of at least
+// storage.ShareMin bytes by reference and copies the shorter ones.
 //
-// A KV is write-once: no method writes below its length. Add, Append,
-// AppendBytes and Grow write only past it, into spare capacity or a new
-// buffer, so what Bytes returned stays as it was however the KV grows. A
-// checkpoint file keeps a partition snapshot's Bytes by reference on that
-// contract (storage.Tier.AppendShared), as a KMV keeps views of the KV it
-// converts. FromBytes wraps the data it is given, and the rule then binds
-// every other holder of that buffer too.
+// A KV is write-once: no method writes below its length. Add and AppendRun
+// write only past it, into spare capacity or a new buffer, so what Pieces
+// returned stays as it was however the KV grows. A checkpoint file keeps a
+// partition snapshot's pieces by reference on that contract
+// (storage.Tier.AppendShared), as a KMV keeps views of the KV it converts.
+// FromBytes and AppendRun keep the data they are given, and the rule then
+// binds every other holder of those bytes too.
 type KV struct {
-	buf []byte
-	n   int
+	pieces [][]byte // the runs before buf, each capped at its length
+	buf    []byte   // the run Add and short AppendRuns write into
+	held   int      // the bytes of pieces
+	n      int
 }
 
 // NewKV returns an empty buffer.
 func NewKV() *KV { return &KV{} }
+
+// NewKVs returns len(room) empty KVs whose runs shorter than storage.ShareMin
+// (AppendRun) are copied into one buffer they share: KV i owns room[i] bytes
+// of it, capped, so a KV that outgrows its room reallocates instead of
+// writing into its neighbour's.
+func NewKVs(room []int) []KV {
+	total := 0
+	for _, n := range room {
+		total += n
+	}
+	own, kvs := make([]byte, total), make([]KV, len(room))
+	for i, n := range room {
+		kvs[i].buf, own = own[:0:n], own[n:]
+	}
+	return kvs
+}
 
 // Add appends one pair: one capacity check (growth is Go's own, as append
 // would do it), then header, key and value written in place.
@@ -62,62 +86,92 @@ func putPair(dst, k, v []byte) {
 func (b *KV) Len() int { return b.n }
 
 // Size returns the encoded size in bytes.
-func (b *KV) Size() int { return len(b.buf) }
+func (b *KV) Size() int { return b.held + len(b.buf) }
 
-// Bytes returns the encoded buffer (not a copy).
-func (b *KV) Bytes() []byte { return b.buf }
-
-// FromBytes wraps an encoded buffer produced by Bytes. It validates the
-// framing and counts the pairs.
-func FromBytes(data []byte) (*KV, error) {
-	b := &KV{buf: data}
-	if err := b.ForEach(func(k, v []byte) { b.n++ }); err != nil {
-		return nil, err
+// Pieces appends to dst the KV's encoding as its pieces, in order, each a
+// non-empty run of whole pairs capped at its length, and returns it. They
+// are the KV's own bytes, not a copy.
+func (b *KV) Pieces(dst [][]byte) [][]byte {
+	dst = append(dst, b.pieces...)
+	if len(b.buf) > 0 {
+		dst = append(dst, b.buf[:len(b.buf):len(b.buf)])
 	}
-	return b, nil
+	return dst
 }
 
-// ForEach calls fn for every pair in insertion order. The slices alias the
-// internal buffer and must not be retained.
-func (b *KV) ForEach(fn func(k, v []byte)) error {
-	data := b.buf
+// piece returns the p-th run of the KV, p <= len(b.pieces): the last is buf.
+func (b *KV) piece(p int) []byte {
+	if p < len(b.pieces) {
+		return b.pieces[p]
+	}
+	return b.buf
+}
+
+// FromBytes wraps an encoded buffer, without a copy. It validates the
+// framing and counts the pairs.
+func FromBytes(data []byte) (*KV, error) {
+	n, err := countPairs(data)
+	if err != nil {
+		return nil, err
+	}
+	return &KV{buf: data, n: n}, nil
+}
+
+// AppendRun appends data, a run of whole encoded pairs, after validating its
+// framing; on error b is unchanged. A run of at least storage.ShareMin bytes
+// becomes a piece of its own, a view capped at its length that the KV never
+// writes into: the caller never writes below its length again. A shorter run
+// is copied onto the KV's buffer, in place when it has the room (NewKVs).
+func (b *KV) AppendRun(data []byte) error {
+	n, err := countPairs(data)
+	if err != nil {
+		return err
+	}
+	b.n += n
+	if len(data) < storage.ShareMin {
+		b.buf = append(b.buf, data...)
+		return nil
+	}
+	if l := len(b.buf); l > 0 {
+		b.pieces = append(b.pieces, b.buf[:l:l])
+		b.held += l
+		b.buf = b.buf[l:]
+	}
+	b.pieces = append(b.pieces, data[:len(data):len(data)])
+	b.held += len(data)
+	return nil
+}
+
+// countPairs validates a run's framing and counts its pairs.
+func countPairs(data []byte) (int, error) {
+	n := 0
 	for len(data) > 0 {
 		if len(data) < 8 {
-			return fmt.Errorf("kvbuf: truncated pair header")
+			return 0, fmt.Errorf("kvbuf: truncated pair header")
 		}
 		kl := int(binary.LittleEndian.Uint32(data[:4]))
 		vl := int(binary.LittleEndian.Uint32(data[4:8]))
 		data = data[8:]
 		if len(data) < kl+vl {
-			return fmt.Errorf("kvbuf: truncated pair body (%d < %d)", len(data), kl+vl)
+			return 0, fmt.Errorf("kvbuf: truncated pair body (%d < %d)", len(data), kl+vl)
 		}
-		fn(data[:kl:kl], data[kl:kl+vl:kl+vl])
 		data = data[kl+vl:]
+		n++
 	}
-	return nil
+	return n, nil
 }
 
-// Append concatenates another buffer's pairs onto b.
-func (b *KV) Append(other *KV) {
-	b.buf = append(b.buf, other.buf...)
-	b.n += other.n
-}
-
-// Grow reserves room for n more encoded bytes, so that appends up to that
-// size do not reallocate.
-func (b *KV) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
-
-// AppendBytes appends the pairs of an encoded buffer (as produced by Bytes)
-// after validating its framing; on error b is unchanged. It is FromBytes +
-// Append without the intermediate KV.
-func (b *KV) AppendBytes(data []byte) error {
-	src, n := KV{buf: data}, 0
-	if err := src.ForEach(func(k, v []byte) { n++ }); err != nil {
-		return err
+// ForEach calls fn for every pair in insertion order. The slices alias the
+// KV's pieces and must not be retained.
+func (b *KV) ForEach(fn func(k, v []byte)) {
+	for p := 0; p <= len(b.pieces); p++ {
+		piece := b.piece(p)
+		for off := 0; off < len(piece); {
+			k, v, n := NextPair(piece[off:])
+			fn(k, v)
+			off += n
+		}
 	}
-	b.buf = append(b.buf, data...)
-	b.n += n
-	return nil
 }
 
 // fnv1a is the package's one hash, 32-bit FNV-1a written out as a loop:
@@ -145,7 +199,7 @@ func (b *KV) Partition(nparts int) []*KV {
 	for i := range out {
 		out[i] = NewKV()
 	}
-	_ = b.ForEach(func(k, v []byte) {
+	b.ForEach(func(k, v []byte) {
 		out[PartitionKey(k, nparts)].Add(k, v)
 	})
 	return out
@@ -154,35 +208,64 @@ func (b *KV) Partition(nparts int) []*KV {
 // KMV is a grouped key→multivalue buffer: keys ascending by bytes.Compare,
 // each key's values in the order its KV held them.
 //
-// A KMV made by ConvertTwoPass or ConvertFourPass copies nothing: every key
-// and value is a capacity-limited view of the converted KV's buffer (as
-// KV.ForEach yields them), and each Vals[i] a capacity-limited window of one
-// shared slab, so appending to any of them reallocates instead of running
-// into its neighbour. The KV may be appended to (Add, Append, AppendBytes,
-// Grow) while the KMV is live, but its bytes must not be overwritten.
+// A KMV made by ConvertTwoPass or ConvertFourPass copies nothing and holds 4
+// bytes per value: every key is a capacity-limited view of the converted KV's
+// pieces, and each value an int32 offset of its pair in them, grouped by key.
+// Values resolves a key's offsets into views, into a window the caller
+// reuses (Window), so the values a reader sees are valid only until it asks
+// for the next key's. The KV may be appended to (Add, AppendRun) while the
+// KMV is live, but its bytes must not be overwritten.
 type KMV struct {
-	Keys [][]byte
-	Vals [][][]byte
+	keys     [][]byte
+	starts   []int32  // key i's values are the pairs at offs[starts[i]:starts[i+1]]
+	offs     []int32  // pair offsets into the pieces' concatenation
+	pieces   [][]byte // the encoding the offsets index
+	base     []int32  // piece p starts at offset base[p]; base[len(pieces)] is the size
+	keyBytes int
+	valBytes int
+	most     int // the largest group's value count
 }
 
 // Len returns the number of distinct keys.
-func (m *KMV) Len() int { return len(m.Keys) }
+func (m *KMV) Len() int { return len(m.keys) }
 
 // Bytes returns the total payload size (keys + values).
-func (m *KMV) Bytes() int {
-	total := 0
-	for i, k := range m.Keys {
-		total += len(k)
-		for _, v := range m.Vals[i] {
-			total += len(v)
-		}
+func (m *KMV) Bytes() int { return m.keyBytes + m.valBytes }
+
+// Key returns the i-th key, a view capped at its length.
+func (m *KMV) Key(i int) []byte { return m.keys[i] }
+
+// Window returns an empty value window with room for the largest group, so
+// that Values never grows it.
+func (m *KMV) Window() [][]byte { return make([][]byte, 0, m.most) }
+
+// Values appends the i-th key's values to dst, in KV order, each a view
+// capped at its length, and returns it.
+func (m *KMV) Values(i int, dst [][]byte) [][]byte {
+	offs := m.offs[m.starts[i]:m.starts[i+1]]
+	if len(offs) == 0 {
+		return dst
 	}
-	return total
+	// The offsets ascend: find the first one's piece, then walk forward.
+	p, found := slices.BinarySearch(m.base, offs[0])
+	if !found {
+		p--
+	}
+	for _, off := range offs {
+		for off >= m.base[p+1] {
+			p++
+		}
+		_, v, _ := NextPair(m.pieces[p][off-m.base[p]:])
+		dst = append(dst, v)
+	}
+	return dst
 }
 
-// ForEach visits each key group in order.
+// ForEach visits each key group in order. vals is one window, refilled for
+// every key: it is valid only until fn returns.
 func (m *KMV) ForEach(fn func(key []byte, vals [][]byte)) {
-	for i, k := range m.Keys {
-		fn(k, m.Vals[i])
+	window := m.Window()
+	for i, k := range m.keys {
+		fn(k, m.Values(i, window))
 	}
 }

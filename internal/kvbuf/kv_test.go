@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ftmrmpi/internal/storage"
 )
 
 func TestKVAddForEach(t *testing.T) {
@@ -20,9 +24,7 @@ func TestKVAddForEach(t *testing.T) {
 	b.Add([]byte("bb"), []byte(""))
 	b.Add([]byte(""), []byte("33"))
 	var got []string
-	if err := b.ForEach(func(k, v []byte) { got = append(got, string(k)+"="+string(v)) }); err != nil {
-		t.Fatal(err)
-	}
+	b.ForEach(func(k, v []byte) { got = append(got, string(k)+"="+string(v)) })
 	want := []string{"a=1", "bb=", "=33"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -37,7 +39,7 @@ func TestKVRoundTripBytes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Add([]byte(fmt.Sprintf("key%d", i%7)), []byte(fmt.Sprintf("val%d", i)))
 	}
-	b2, err := FromBytes(b.Bytes())
+	b2, err := FromBytes(flat(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestPartitionPreservesAllPairs(t *testing.T) {
 	total := 0
 	for pi, p := range parts {
 		total += p.Len()
-		_ = p.ForEach(func(k, v []byte) {
+		p.ForEach(func(k, v []byte) {
 			if PartitionKey(k, 7) != pi {
 				t.Errorf("key %q in wrong partition %d", k, pi)
 			}
@@ -75,18 +77,54 @@ func TestPartitionPreservesAllPairs(t *testing.T) {
 	}
 }
 
-// collect builds a canonical map from a KMV for comparison.
-func collect(m *KMV) map[string][]string {
-	out := make(map[string][]string)
+// flat returns a KV's encoding as one slice: its pieces joined.
+func flat(kv *KV) []byte { return bytes.Join(kv.Pieces(nil), nil) }
+
+// refKMV is a KMV as the reference groupings build it: the keys and, per key,
+// its values.
+type refKMV struct {
+	keys [][]byte
+	vals [][][]byte
+}
+
+// len returns the number of keys.
+func (r refKMV) len() int { return len(r.keys) }
+
+// bytes returns the total payload size (keys + values), as KMV.Bytes.
+func (r refKMV) bytes() int {
+	total := 0
+	for i, k := range r.keys {
+		total += len(k)
+		for _, v := range r.vals[i] {
+			total += len(v)
+		}
+	}
+	return total
+}
+
+// kmvOf reads a KMV through ForEach into the reference shape: each group's
+// window is copied before the next key refills it.
+func kmvOf(m *KMV) refKMV {
+	var out refKMV
 	m.ForEach(func(k []byte, vals [][]byte) {
+		out.keys = append(out.keys, k)
+		out.vals = append(out.vals, slices.Clone(vals))
+	})
+	return out
+}
+
+// collect builds a canonical map from a KMV's groups for comparison.
+func collect(m refKMV) map[string][]string {
+	out := make(map[string][]string)
+	for i, k := range m.keys {
 		var vs []string
-		for _, v := range vals {
+		for _, v := range m.vals[i] {
 			vs = append(vs, string(v))
 		}
 		// Conversion algorithms may order values differently; normalize.
 		sortStrings(vs)
 		out[string(k)] = vs
-	})
+	}
 	return out
 }
 
@@ -114,7 +152,7 @@ func TestConversionsAgree(t *testing.T) {
 	kv := randomKV(rng, 2000, 50)
 	m4, s4 := refConvertFourPass(kv) // the executed algorithm: a second grouping to agree with
 	m2, s2 := ConvertTwoPass(kv)
-	if !reflect.DeepEqual(collect(m4), collect(m2)) {
+	if !reflect.DeepEqual(collect(m4), collect(kmvOf(m2))) {
 		t.Fatal("four-pass and two-pass conversions disagree")
 	}
 	if s4.Passes != 4 || s2.Passes != 2 {
@@ -137,8 +175,8 @@ func TestConversionKeysSorted(t *testing.T) {
 		"four": ConvertFourPass, "two": ConvertTwoPass,
 	} {
 		m, _ := conv(kv)
-		for i := 1; i < len(m.Keys); i++ {
-			if string(m.Keys[i-1]) >= string(m.Keys[i]) {
+		for i := 1; i < m.Len(); i++ {
+			if string(m.Key(i-1)) >= string(m.Key(i)) {
 				t.Fatalf("%s-pass: keys not strictly sorted at %d", name, i)
 			}
 		}
@@ -159,7 +197,7 @@ func TestPropConversionsPreservePairs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		kv := randomKV(rng, int(n%800), int(ks%30)+1)
 		want := make(map[string][]string)
-		_ = kv.ForEach(func(k, v []byte) {
+		kv.ForEach(func(k, v []byte) {
 			want[string(k)] = append(want[string(k)], string(v))
 		})
 		for k := range want {
@@ -170,7 +208,7 @@ func TestPropConversionsPreservePairs(t *testing.T) {
 		if kv.Len() == 0 {
 			return m2.Len() == 0 && m4.Len() == 0
 		}
-		return reflect.DeepEqual(collect(m2), want) && reflect.DeepEqual(collect(m4), want)
+		return reflect.DeepEqual(collect(kmvOf(m2)), want) && reflect.DeepEqual(collect(kmvOf(m4)), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -187,7 +225,7 @@ func TestPropKMVEncodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(collect(m), collect(dec))
+		return equalKMV(dec, kmvOf(m))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -206,18 +244,20 @@ func TestDecodeKMVRejectsTruncation(t *testing.T) {
 	}
 }
 
-// equalKMV reports whether two KMVs hold the same keys and, per key, the same
-// values in the same order (nil and empty slices compare equal).
-func equalKMV(a, b *KMV) bool {
-	if len(a.Keys) != len(b.Keys) || len(a.Vals) != len(b.Vals) {
+// equalKMV reports whether a KMV holds the reference's keys and, per key, its
+// values in the same order (nil and empty slices compare equal), read through
+// Key and Values, and whether its Bytes is theirs.
+func equalKMV(m *KMV, ref refKMV) bool {
+	if m.Len() != ref.len() || m.Bytes() != ref.bytes() {
 		return false
 	}
-	for i := range a.Keys {
-		if !bytes.Equal(a.Keys[i], b.Keys[i]) || len(a.Vals[i]) != len(b.Vals[i]) {
+	for i := range ref.keys {
+		vals := m.Values(i, nil)
+		if !bytes.Equal(m.Key(i), ref.keys[i]) || len(vals) != len(ref.vals[i]) {
 			return false
 		}
-		for j := range a.Vals[i] {
-			if !bytes.Equal(a.Vals[i][j], b.Vals[i][j]) {
+		for j := range vals {
+			if !bytes.Equal(vals[j], ref.vals[i][j]) {
 				return false
 			}
 		}
@@ -275,7 +315,7 @@ func TestPropConvertTwoPassMatchesFourPassAndClosedForm(t *testing.T) {
 			t.Fatalf("seed %d: two-pass KMV differs from four-pass KMV", seed)
 		}
 		logBytes := 0
-		_ = kv.ForEach(func(k, v []byte) { logBytes += 4 + len(v) })
+		kv.ForEach(func(k, v []byte) { logBytes += 4 + len(v) })
 		want := ConvertStats{
 			Passes:     2,
 			ReadBytes:  kv.Size() + logBytes,
@@ -292,14 +332,14 @@ func TestPropConvertTwoPassMatchesFourPassAndClosedForm(t *testing.T) {
 // refConvertFourPass is MR-MPI's four-pass conversion executed pass by pass,
 // as ConvertFourPass ran it before it was charged from the shared grouping:
 // the oracle for its KMV and for every field of its ConvertStats.
-func refConvertFourPass(kv *KV) (*KMV, ConvertStats) {
+func refConvertFourPass(kv *KV) (refKMV, ConvertStats) {
 	var st ConvertStats
 	size := kv.Size()
 
 	// Pass 1: read everything, write a key-sorted spill copy.
 	type pair struct{ k, v []byte }
 	pairs := make([]pair, 0, kv.Len())
-	_ = kv.ForEach(func(k, v []byte) {
+	kv.ForEach(func(k, v []byte) {
 		pairs = append(pairs, pair{append([]byte(nil), k...), append([]byte(nil), v...)})
 	})
 	sort.SliceStable(pairs, func(i, j int) bool { return string(pairs[i].k) < string(pairs[j].k) })
@@ -333,12 +373,12 @@ func refConvertFourPass(kv *KV) (*KMV, ConvertStats) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := &KMV{Keys: make([][]byte, len(keys)), Vals: make([][][]byte, len(keys))}
+	out := refKMV{keys: make([][]byte, len(keys)), vals: make([][][]byte, len(keys))}
 	for i, k := range keys {
-		out.Keys[i] = []byte(k)
-		out.Vals[i] = slots[k]
+		out.keys[i] = []byte(k)
+		out.vals[i] = slots[k]
 	}
-	st.add(out.Bytes(), out.Bytes())
+	st.add(out.bytes(), out.bytes())
 	return out, st
 }
 
@@ -450,22 +490,83 @@ func partitionKV(nPairs, nparts int) *KV {
 // algorithms share allocates a fixed number of slabs plus one per doubling of
 // its key index (and of its key table), never per key or per pair. 10 000
 // pairs over 100 keys and over 5 000 keys must each stay within 48
-// allocations (one per key was 1 120 at 100 keys). The four-pass algorithm is
-// a price list over that grouping, so it is held to the same budget.
+// allocations (one per key was 1 120 at 100 keys), and within perPair bytes
+// a pair plus perKey a key: the id slab and the offset slab are 4 bytes a
+// pair each (94.6 KB at 100 keys, 969 KB at 5 000), where a []byte header per
+// value made it 30 B a pair (301.5 KB and 1 276 KB). The four-pass algorithm is a price list over that grouping, so it
+// is held to the same budget.
 func TestConvertAllocsAreSlabs(t *testing.T) {
-	const pairs, budget = 10000, 48
+	const pairs, budget, perPair, perKey = 10000, 48, 9, 192
 	for _, keys := range []int{100, 5000} {
 		kv := wordcountKV(pairs, keys)
 		for name, conv := range map[string]func(*KV) (*KMV, ConvertStats){
 			"ConvertTwoPass": ConvertTwoPass, "ConvertFourPass": ConvertFourPass,
 		} {
 			allocs := testing.AllocsPerRun(5, func() { conv(kv) })
-			t.Logf("%s: %.0f allocations for %d pairs over %d keys", name, allocs, pairs, keys)
+			// The least of a few runs: the runtime's own rare allocations land
+			// in one of them, not in all.
+			var m0, m1 runtime.MemStats
+			bytes := uint64(math.MaxUint64)
+			for range 5 {
+				runtime.ReadMemStats(&m0)
+				conv(kv)
+				runtime.ReadMemStats(&m1)
+				bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+			}
+			t.Logf("%s: %.0f allocations, %d B (%.1f B a pair) for %d pairs over %d keys", name, allocs, bytes, float64(bytes)/pairs, pairs, keys)
 			if allocs > budget {
 				t.Errorf("%s made %.0f allocations for %d pairs over %d keys, budget %d: it allocates per key again",
 					name, allocs, pairs, keys, budget)
 			}
+			if limit := uint64(perPair*pairs + perKey*keys + 1024); bytes > limit {
+				t.Errorf("%s allocated %d B for %d pairs over %d keys, budget %d (%d B a pair, %d a key): it allocates per value again",
+					name, bytes, pairs, keys, limit, perPair, perKey)
+			}
 		}
+	}
+}
+
+// AppendRun keeps a run of at least storage.ShareMin bytes as a piece by
+// reference, a view of the caller's bytes capped at its length, and copies a
+// shorter one into the KV's room, in place: filling the room allocates
+// nothing. A KV that outgrows its room reallocates instead of writing into
+// the next KV's, and a run that does not parse leaves the KV unchanged.
+func TestAppendRunKeepsLongRunsByReference(t *testing.T) {
+	short, long := flat(wordcountKV(100, 10)), flat(wordcountKV(1000, 10))
+	if len(short) >= storage.ShareMin || len(long) < storage.ShareMin {
+		t.Fatalf("runs of %d and %d bytes do not straddle %d", len(short), len(long), storage.ShareMin)
+	}
+	kvs := NewKVs([]int{2 * len(short), len(short)})
+	a, b := &kvs[0], &kvs[1]
+	for _, run := range [][]byte{short, long, short} {
+		if err := a.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AppendRun(short); err != nil {
+		t.Fatal(err)
+	}
+	pieces := a.Pieces(nil)
+	if len(pieces) != 3 || &pieces[1][0] != &long[0] || cap(pieces[1]) != len(long) {
+		t.Fatalf("a long run between two short ones: %d pieces, the long one not a capped view of the run", len(pieces))
+	}
+	if &pieces[0][0] == &short[0] || !bytes.Equal(pieces[0], short) || !bytes.Equal(pieces[2], short) {
+		t.Fatalf("the short runs are not copies of the run")
+	}
+	other := flat(wordcountKV(90, 7))
+	if err := a.AppendRun(other); err != nil { // past a's room
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flat(b), short) || a.Len() != 1290 || a.Size() != 2*len(short)+len(long)+len(other) {
+		t.Fatalf("after a outgrew its room: b holds %d bytes (want its run's %d), a %d pairs in %d bytes",
+			b.Size(), len(short), a.Len(), a.Size())
+	}
+	if err := a.AppendRun(short[:len(short)-1]); err == nil || a.Len() != 1290 || a.Size() != 2*len(short)+len(long)+len(other) {
+		t.Fatalf("a torn run: err %v, a holds %d pairs in %d bytes", err, a.Len(), a.Size())
+	}
+	room := &NewKVs([]int{10 * len(short)})[0]
+	if allocs := testing.AllocsPerRun(5, func() { _ = room.AppendRun(short) }); allocs != 0 {
+		t.Errorf("copying short runs into the room made %v allocations, want 0", allocs)
 	}
 }
 
@@ -502,7 +603,7 @@ const segmentSize = 4096
 // refGroup is the grouping as it ran before its index was the KV's own bytes,
 // kept as the reference model: a map[string] index over per-key chains of
 // segments the values are copied into, merged per key in pass 2.
-func refGroup(kv *KV) (*KMV, int) {
+func refGroup(kv *KV) (refKMV, int) {
 	// chain is one key's log: segments of framed values [vlen u32][value].
 	type chain struct {
 		key   string
@@ -514,7 +615,7 @@ func refGroup(kv *KV) (*KMV, int) {
 
 	// Pass 1: read pairs once, write values into segments once.
 	logBytes := 0
-	_ = kv.ForEach(func(k, v []byte) {
+	kv.ForEach(func(k, v []byte) {
 		i, ok := index[string(k)] // no allocation: the conversion is only a map lookup
 		if !ok {
 			i = len(chains)
@@ -541,10 +642,10 @@ func refGroup(kv *KV) (*KMV, int) {
 
 	// Pass 2: merge each key's non-contiguous segments into one group.
 	slices.SortFunc(chains, func(a, b chain) int { return strings.Compare(a.key, b.key) })
-	out := &KMV{Keys: make([][]byte, len(chains)), Vals: make([][][]byte, len(chains))}
+	out := refKMV{keys: make([][]byte, len(chains)), vals: make([][][]byte, len(chains))}
 	for i := range chains {
 		c := &chains[i]
-		out.Keys[i] = []byte(c.key)
+		out.keys[i] = []byte(c.key)
 		vals := make([][]byte, 0, c.nvals)
 		for _, data := range c.segs {
 			for len(data) > 0 {
@@ -553,23 +654,57 @@ func refGroup(kv *KV) (*KMV, int) {
 				data = data[4+vl:]
 			}
 		}
-		out.Vals[i] = vals
+		out.vals[i] = vals
 	}
 	return out, logBytes
 }
 
 // checkGroup fails t unless group and refGroup agree on kv: the same keys in
-// the same order, per key the same values in the same order, the same log size.
+// the same order, per key the same values in the same order, the same log
+// size. The same pairs assembled from runs either side of storage.ShareMin
+// (pieces held by reference and copied ones) must group the same way.
 func checkGroup(t testing.TB, name string, kv *KV) {
 	t.Helper()
-	m, logBytes := group(kv)
 	ref, refLog := refGroup(kv)
-	if !equalKMV(m, ref) {
-		t.Fatalf("%s: KMV differs from the reference grouping (%d vs %d keys)", name, m.Len(), ref.Len())
+	for _, in := range []*KV{kv, assemble(flat(kv), int64(kv.Len()))} {
+		m, logBytes := group(in)
+		if !equalKMV(m, ref) {
+			t.Fatalf("%s: KMV of %d pieces differs from the reference grouping (%d vs %d keys)", name, len(in.Pieces(nil)), m.Len(), ref.len())
+		}
+		if logBytes != refLog {
+			t.Fatalf("%s: log size %d, the reference's segment log holds %d", name, logBytes, refLog)
+		}
 	}
-	if logBytes != refLog {
-		t.Fatalf("%s: log size %d, the reference's segment log holds %d", name, logBytes, refLog)
+}
+
+// runs cuts an encoding into runs of whole pairs, each as long as the pairs
+// reach past a target drawn from either side of storage.ShareMin.
+func runs(data []byte, rng *rand.Rand) [][]byte {
+	var out [][]byte
+	targets := []int{1, 300, storage.ShareMin - 100, storage.ShareMin, 3 * storage.ShareMin}
+	for len(data) > 0 {
+		n, target := 0, targets[rng.Intn(len(targets))]
+		for n < len(data) && n < target {
+			_, _, m := NextPair(data[n:])
+			n += m
+		}
+		out = append(out, data[:n:n])
+		data = data[n:]
 	}
+	return out
+}
+
+// assemble is data's pairs appended as runs (AppendRun) into a KV with room
+// for some of its short runs, as a shuffle merge builds a partition.
+func assemble(data []byte, seed int64) *KV {
+	rng := rand.New(rand.NewSource(seed))
+	kv := &NewKVs([]int{rng.Intn(2 * storage.ShareMin)})[0]
+	for _, run := range runs(data, rng) {
+		if err := kv.AppendRun(run); err != nil {
+			panic(err)
+		}
+	}
+	return kv
 }
 
 // Property: the grouping is its reference model, value order included, over
@@ -601,8 +736,8 @@ func TestPropGroupMatchesReference(t *testing.T) {
 // FuzzGroup: whatever bytes parse as a KV group as the reference groups them.
 func FuzzGroup(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(stressKV(3).Bytes())
-	f.Add(randomKV(rand.New(rand.NewSource(1)), 40, 5).Bytes())
+	f.Add(flat(stressKV(3)))
+	f.Add(flat(randomKV(rand.New(rand.NewSource(1)), 40, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kv, err := FromBytes(data)
 		if err != nil {
@@ -643,13 +778,21 @@ func TestGroupSlotsSpreadOnePartition(t *testing.T) {
 	}
 }
 
-// A KMV aliases its KV: appending to the KV (AppendBytes, Grow, Add, in place
-// or reallocating) leaves every key and value byte-identical, and appending to
-// a returned value, key or value slice reallocates instead of overwriting
-// what follows it.
+// A KMV aliases its KV: appending to the KV (AppendRun, in place into its
+// room or as a piece by reference, and Add, in place or reallocating) leaves
+// every key and value byte-identical, and appending to a returned key, value
+// or value slice reallocates instead of overwriting what follows it.
 func TestKMVViewsSurviveKVAppends(t *testing.T) {
-	kv := stressKV(7)
-	kv.Grow(1 << 16) // room: the appends below write into the grouped buffer
+	kv := &NewKVs([]int{1 << 16})[0] // room: the short runs below copy into it in place
+	rng := rand.New(rand.NewSource(7))
+	for _, run := range runs(flat(stressKV(7)), rng) {
+		if err := kv.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(kv.Pieces(nil)) < 3 {
+		t.Fatalf("want a KV of several pieces, got %d", len(kv.Pieces(nil)))
+	}
 	m, _ := ConvertTwoPass(kv)
 	if m.Len() < 2 {
 		t.Fatalf("want a KMV of several keys, got %d", m.Len())
@@ -658,29 +801,36 @@ func TestKMVViewsSurviveKVAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := bytes.Clone(kv.Bytes())
+	ref := kmvOf(want)
+	before := flat(kv)
 	check := func(when string) {
 		t.Helper()
-		if !equalKMV(m, want) {
+		if !equalKMV(m, ref) {
 			t.Fatalf("after %s: the KMV changed", when)
 		}
-		if !bytes.Equal(kv.Bytes()[:len(before)], before) {
+		if !bytes.Equal(flat(kv)[:len(before)], before) {
 			t.Fatalf("after %s: the grouped bytes of the KV changed", when)
 		}
 	}
-	if err := kv.AppendBytes(stressKV(8).Bytes()); err != nil {
-		t.Fatal(err)
+	more := flat(stressKV(8))
+	for i, run := range runs(more, rng) {
+		if err := kv.AppendRun(run); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("AppendRun %d of %d bytes", i, len(run)))
 	}
-	check("AppendBytes")
 	kv.Add([]byte("after"), []byte("add"))
 	check("Add")
-	kv.Grow(4 * cap(kv.Bytes()))
-	kv.Add([]byte("after"), []byte("grow"))
-	check("Grow and Add")
-	for i := range m.Keys {
-		_ = append(m.Keys[i], "KEY"...)
-		_ = append(m.Vals[i], []byte("VALUE"))
-		for _, v := range m.Vals[i] {
+	for i := 0; i < 1000; i++ {
+		kv.Add([]byte("after"), bytes.Repeat([]byte("grow"), 30))
+	}
+	check("Adds past the room")
+	window := m.Window()
+	for i := 0; i < m.Len(); i++ {
+		vals := m.Values(i, window[:0])
+		_ = append(m.Key(i), "KEY"...)
+		_ = append(vals, []byte("VALUE"))
+		for _, v := range vals {
 			_ = append(v, "VAL"...)
 		}
 	}
@@ -713,7 +863,8 @@ func addByAppends(buf, k, v []byte) []byte {
 
 // Add writes a pair in place after one capacity check; the buffer it builds
 // is the one three appends built, whatever the lengths and wherever the
-// growth boundaries fall — from empty and after a Grow.
+// growth boundaries fall — from empty, and after an AppendRun that was copied
+// or kept as a piece by reference.
 func TestKVAddMatchesThreeAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	kv := NewKV()
@@ -721,9 +872,14 @@ func TestKVAddMatchesThreeAppends(t *testing.T) {
 	pairs := 0
 	check := func(when string) {
 		t.Helper()
-		if !bytes.Equal(kv.Bytes(), want) || kv.Len() != pairs || kv.Size() != len(want) {
+		same, off := true, 0
+		for _, p := range kv.Pieces(nil) {
+			same = same && off+len(p) <= len(want) && bytes.Equal(p, want[off:off+len(p)])
+			off += len(p)
+		}
+		if !same || off != len(want) || kv.Len() != pairs || kv.Size() != len(want) {
 			t.Fatalf("%s: %d pairs in %d bytes, the three-append form has %d pairs in %d bytes (equal bytes: %v)",
-				when, kv.Len(), kv.Size(), pairs, len(want), bytes.Equal(kv.Bytes(), want))
+				when, kv.Len(), kv.Size(), pairs, len(want), same)
 		}
 	}
 	for round := 0; round < 3; round++ {
@@ -737,11 +893,16 @@ func TestKVAddMatchesThreeAppends(t *testing.T) {
 			pairs++
 			check(fmt.Sprintf("round %d, pair %d", round, i))
 			if i == 1500 {
-				kv.Grow(1 << rng.Intn(16))
-				check("after Grow")
+				run := randomKV(rng, 1+rng.Intn(200), 50)
+				if err := kv.AppendRun(flat(run)); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, flat(run)...)
+				pairs += run.Len()
+				check(fmt.Sprintf("after an AppendRun of %d bytes", run.Size()))
 			}
 		}
-		if _, err := FromBytes(kv.Bytes()); err != nil {
+		if _, err := FromBytes(flat(kv)); err != nil {
 			t.Fatalf("round %d: the buffer does not parse: %v", round, err)
 		}
 		kv = NewKV()

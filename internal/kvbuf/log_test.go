@@ -52,7 +52,7 @@ func TestLogSinceIsKVSuffix(t *testing.T) {
 				}
 			}
 		}
-		if got := bytes.Join(pieces, nil); !bytes.Equal(got, kv.Bytes()[m.size:]) {
+		if got := bytes.Join(pieces, nil); !bytes.Equal(got, flat(kv)[m.size:]) {
 			t.Fatalf("mark at byte %d: pieces hold %d bytes that are not the KV's %d-byte suffix", m.size, len(got), kv.Size()-m.size)
 		}
 		if l.SizeSince(m.m) != kv.Size()-m.size || pairs != kv.Len()-m.pair {
@@ -66,9 +66,9 @@ func TestLogWalkMatchesForEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var l Log
 	kv := randomKV(rng, 2000, 300)
-	_ = kv.ForEach(l.Add)
+	kv.ForEach(l.Add)
 	var want [][2]string
-	_ = kv.ForEach(func(k, v []byte) { want = append(want, [2]string{string(k), string(v)}) })
+	kv.ForEach(func(k, v []byte) { want = append(want, [2]string{string(k), string(v)}) })
 	i := 0
 	for _, p := range l.Since(Mark{}, nil) {
 		for off := 0; off < len(p); i++ {

@@ -53,7 +53,7 @@ type FS struct {
 //
 // The same rules let an extent be a caller's bytes (appendShared): a view
 // capped at its length, which the file never writes into, of bytes the caller
-// never writes again. Only pieces of at least tailExtent bytes are taken so:
+// never writes again. Only pieces of at least ShareMin bytes are taken so:
 // the file never coalesces into an extent that long, and a shorter piece is
 // copied as append copies it.
 type file struct {
@@ -61,9 +61,12 @@ type file struct {
 	size int
 }
 
-// tailExtent bounds the one place stored bytes may still move: an append that
-// leaves the file's last extent within tailExtent bytes is coalesced into it
-// (Go's own slice growth, so at most tailExtent bytes are re-copied), which
+// ShareMin is the one threshold between copying bytes and holding them by
+// reference: a piece of at least ShareMin bytes is kept as a view, a shorter
+// one copied, by a file (appendShared) and by a kvbuf.KV assembled from
+// received runs (KV.AppendRun). It also bounds the one place stored bytes may
+// still move: an append that leaves the file's last extent within ShareMin bytes is coalesced into it
+// (Go's own slice growth, so at most ShareMin bytes are re-copied), which
 // keeps a file made of tens-of-bytes appends from paying a slice header, a
 // size-class round-up and a malloc per append. Chosen by measuring 0 (an
 // extent per append) / 4 KiB / 32 KiB: alloc_mb on wc-data 486.4 / 486.6 /
@@ -72,7 +75,7 @@ type file struct {
 // (5.0x as one flat slice); median peak_rss_mb of 7 runs 120.4 / 118.4 / 119.4
 // on wc-scale and 74.9 / 71.4 / 72.0 on wc-observed (flat: 117.0 and 70.0),
 // whose thousands of files end in 17- and 25-byte frames.
-const tailExtent = 4096
+const ShareMin = 4096
 
 // append copies data onto the end of the file.
 func (f *file) append(data []byte) {
@@ -80,7 +83,7 @@ func (f *file) append(data []byte) {
 		return
 	}
 	f.size += len(data)
-	if n := len(f.ext); n > 0 && len(f.ext[n-1])+len(data) <= tailExtent {
+	if n := len(f.ext); n > 0 && len(f.ext[n-1])+len(data) <= ShareMin {
 		f.ext[n-1] = append(f.ext[n-1], data...)
 		return
 	}
@@ -122,11 +125,11 @@ func (f *file) appendRun(r Run) {
 }
 
 // appendShared appends the concatenation of pieces: a piece of at least
-// tailExtent bytes becomes an extent of its own, a view of it capped at its
+// ShareMin bytes becomes an extent of its own, a view of it capped at its
 // length; a shorter one is copied as append copies it.
 func (f *file) appendShared(pieces [][]byte) {
 	for _, e := range pieces {
-		if len(e) < tailExtent {
+		if len(e) < ShareMin {
 			f.append(e)
 			continue
 		}
@@ -231,7 +234,7 @@ func (fs *FS) appendRun(path string, r Run) {
 }
 
 // appendShared appends the concatenation of pieces to the file at path,
-// creating it if needed; the file holds each piece of at least tailExtent
+// creating it if needed; the file holds each piece of at least ShareMin
 // bytes by reference (see file.appendShared).
 func (fs *FS) appendShared(path string, pieces [][]byte) {
 	fs.mu.Lock()

@@ -24,8 +24,8 @@ import (
 
 // modelLens are the append and write lengths a script picks from: nothing,
 // tens of bytes (what coalesces into the tail extent), and lengths around and
-// beyond tailExtent (what starts an extent of its own).
-var modelLens = []int{0, 1, 7, 25, 100, 1000, tailExtent/2 - 1, tailExtent / 2, tailExtent - 1, tailExtent, tailExtent + 1, 2*tailExtent + 3, 13000}
+// beyond ShareMin (what starts an extent of its own).
+var modelLens = []int{0, 1, 7, 25, 100, 1000, ShareMin/2 - 1, ShareMin / 2, ShareMin - 1, ShareMin, ShareMin + 1, 2*ShareMin + 3, 13000}
 
 // modelMaxFile bounds what an append-run may grow a file to: appending a file
 // onto itself doubles it.
@@ -102,7 +102,7 @@ func (m *fsModel) checkFile(step int, op, path string) {
 }
 
 // checkLent checks the extents an append-shared of pieces left in the file at
-// path: a piece of at least tailExtent bytes is held by reference, as a view
+// path: a piece of at least ShareMin bytes is held by reference, as a view
 // capped at its length, so no later append to any file can run into the
 // caller's spare capacity; a shorter one is held as a copy.
 func (m *fsModel) checkLent(step int, path string, pieces [][]byte) {
@@ -120,8 +120,8 @@ func (m *fsModel) checkLent(step int, path string, pieces [][]byte) {
 				}
 			}
 		}
-		if held != (len(pc) >= tailExtent) {
-			m.t.Fatalf("step %d: %q holds a %d-byte piece by reference: %v, want %v", step, path, len(pc), held, len(pc) >= tailExtent)
+		if held != (len(pc) >= ShareMin) {
+			m.t.Fatalf("step %d: %q holds a %d-byte piece by reference: %v, want %v", step, path, len(pc), held, len(pc) >= ShareMin)
 		}
 	}
 }
@@ -191,7 +191,7 @@ func (m *fsModel) run(script []byte) {
 			m.checkLent(step, path, pieces)
 			for _, pc := range pieces {
 				_ = append(pc, "spare capacity is the caller's"...)
-				if len(pc) < tailExtent {
+				if len(pc) < ShareMin {
 					clear(pc) // a short piece was copied: the caller may reuse it at once
 				} else {
 					m.lent = append(m.lent, heldRead{path, pc, bytes.Clone(pc)})
@@ -391,7 +391,7 @@ func appendFrames(fs *FS, total, size int) int {
 // size wc-data commits (100 records of 8 sixteen-byte pairs and a header),
 // a 4 MB stream costs about its own size — it cost 5.4x when Append regrew
 // one flat slice. Built from 256-byte appends (the fs_append_ns probe's
-// shape), where appends coalesce into a tail extent of at most tailExtent
+// shape), where appends coalesce into a tail extent of at most ShareMin
 // bytes that does regrow, it costs 3.0x against that store's 5.03x. Moving
 // the first of those streams to another file by run, as the copier drains
 // one, copies no byte: what it allocates is two extent lists (0.4 %). Built

@@ -136,7 +136,7 @@ func (t *Tier) AppendRun(p *vtime.Proc, path string, r Run, ops int) (time.Durat
 
 // AppendShared is AppendFile of the concatenation of pieces, which path then
 // holds by reference where that saves a copy: each piece of at least
-// tailExtent bytes becomes an extent of its own, a view capped at its length,
+// ShareMin bytes becomes an extent of its own, a view capped at its length,
 // and a shorter piece is copied, so the caller may reuse it at once. The
 // caller never writes below a long piece's length again — a write-once buffer
 // such as a kvbuf.Log block or a kvbuf.KV — and may go on appending past it.
