@@ -77,13 +77,15 @@ bench-overhead:
 # exchange allocates the same bytes per rank at W=512 and at W=2048;
 # a trace ring allocates for the events recorded, not for its capacity; a
 # file built from appends is copied once, not regrown; a map task allocates
-# per commit, never per record or per word; an Allgather hands every rank
+# per commit, never per record or per word; once a rank's first chunk has
+# sized its chunk buffer, reading a chunk no larger allocates nothing; the
+# reduce output allocates per commit, never per record; an Allgather hands every rank
 # one shared result, not a W-entry slice each; and a recovery round computes
 # its plan once for every survivor, not once per survivor.
 # Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two

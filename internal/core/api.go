@@ -201,7 +201,8 @@ func (t *TaskContext) AddCounter(name string, delta int64) {
 
 // KVWriter receives the key-value pairs a Mapper emits (paper Table 1).
 type KVWriter interface {
-	// Emit adds one intermediate pair.
+	// Emit adds one intermediate pair, a copy: k and v may be reused, and
+	// may be views of the input chunk, as soon as it returns.
 	Emit(k, v []byte)
 }
 
@@ -254,7 +255,10 @@ type Reducer interface {
 // expected to tell the library how the input data should be tokenized").
 // The library performs the chunk I/O; Open receives the raw bytes.
 type FileRecordReader interface {
-	// Open starts tokenizing a chunk's raw bytes.
+	// Open starts tokenizing a chunk's raw bytes. data is valid until
+	// Close: the runner reads the rank's next chunk into the same storage,
+	// so neither the reader nor the mapper may keep it, or a record of it,
+	// past Close (KVWriter.Emit copies what it is given).
 	Open(chunk Chunk, data []byte) error
 	// Next returns the next record; ok=false at the end of the chunk.
 	Next() (key, value []byte, ok bool, err error)
@@ -265,7 +269,8 @@ type FileRecordReader interface {
 // RecordWriter serializes output records (paper Table 1's
 // FileRecordWriter); the library performs the actual file I/O.
 type RecordWriter interface {
-	// Write serializes one output record into the writer's buffer.
+	// Write serializes one output record into the writer's buffer, a copy:
+	// key and value may be reused as soon as it returns.
 	Write(key, value []byte)
 }
 

@@ -560,7 +560,7 @@ func (h pfsCopy) restore(p *vtime.Proc, stream string) ([]frame, []byte, string,
 	var raw []byte
 	var err error
 	if h.prefetch {
-		raw, err = readRetry(p, h.pfs, path, &h.m.Recovery.LoadCkpt)
+		raw, err = readRetry(p, h.pfs, path, nil, &h.m.Recovery.LoadCkpt)
 		if err == nil {
 			h.m.Recovery.LoadCkpt += h.local.Charge(p, 1, len(raw)) // the staging write
 			h.m.Recovery.LoadCkpt += h.local.Charge(p, 1, len(raw)) // its read-back

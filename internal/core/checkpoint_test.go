@@ -472,7 +472,7 @@ func TestCommittedFramesOutliveTheirSource(t *testing.T) {
 	var logLater, kvLater, kvWant []byte
 	var mirrors, pushed [2][]byte
 	Launch(clus, 2, func(app *App) {
-		r := newRunner(&jobCtx{clus: clus, spec: spec, res: app.h.resultSlot(0, spec), h: app.h}, app.comm)
+		r := newRunner(&jobCtx{clus: clus, spec: spec, res: app.h.resultSlot(0, spec), h: app.h}, app.comm, &app.bufs)
 		if app.comm.Rank() == 0 {
 			var log kvbuf.Log
 			commit := func(stream string, kind byte, a, b uint32, payload ...[]byte) {

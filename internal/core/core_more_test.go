@@ -674,7 +674,7 @@ func TestEncodeStateSelfConsistent(t *testing.T) {
 	genInput(clus2, "in/"+name, 8, 20, 53)
 	h2 := Launch(clus2, 4, func(app *App) {
 		j := &jobCtx{clus: app.h.Clus, spec: spec.withDefaults(), res: app.h.resultSlot(0, spec), h: app.h}
-		r := newRunner(j, app.comm)
+		r := newRunner(j, app.comm, &app.bufs)
 		if err := r.phaseInit(); err != nil {
 			return
 		}

@@ -34,6 +34,21 @@ type App struct {
 	h      *Handle
 	comm   *mpi.Comm
 	jobIdx int
+	bufs   rankBufs // the rank's refill buffers, which outlive its jobs
+}
+
+// rankBufs are a rank's refill buffers: each holds one operation's bytes and
+// is refilled by the next, so a rank allocates only for an operation larger
+// than any before it, across the jobs of its application too. The per-pair
+// label slabs and the value window are not among them: they are sized by one
+// pass's pairs and live through reduce, so kept here they would stay live
+// between jobs.
+type rankBufs struct {
+	// chunk is the map input chunk being read (openChunk). It holds a
+	// whole chunk, so the map phase drops it when it ends.
+	chunk []byte
+	// out is the reduce output batch not yet committed.
+	out outputWriter
 }
 
 // Launch starts an application of n ranks running driver on clus. The
@@ -153,7 +168,7 @@ func (a *App) RunJob(spec Spec) (*Result, error) {
 	}
 
 	j := &jobCtx{clus: a.h.Clus, spec: spec, res: res, h: a.h, jobIdx: a.jobIdx - 1}
-	r := newRunner(j, a.comm)
+	r := newRunner(j, a.comm, &a.bufs)
 	r.obs.Rec.JobBegin(spec.JobID)
 	res.Ranks[r.myWorld()] = r.m
 	defer r.shutdown()

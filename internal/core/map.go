@@ -15,6 +15,7 @@ const mapBatch = 256
 
 // phaseMap runs every map task the rank's role currently holds (Algorithm 1).
 func (r *runner) phaseMap(ro *role) error {
+	defer func() { r.bufs.chunk = nil }() // a whole chunk: not kept past map
 	mapper := r.spec.NewMapper()
 	reader := r.spec.NewReader()
 	ran := false
@@ -55,15 +56,17 @@ func (r *runner) ownMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	return nil
 }
 
-// openChunk reads a task's input chunk and opens the user's reader on it
-// (the library owns all file I/O; the user's reader only tokenizes, §3.2).
-// Input lives only on the PFS, so an outage stalls the task instead of
-// aborting the job.
+// openChunk reads a task's input chunk into the rank's chunk buffer and
+// opens the user's reader on it (the library owns all file I/O; the user's
+// reader only tokenizes, §3.2). The read is a copy, so a reader that writes
+// into its chunk cannot reach the stored input recovery re-reads. Input lives
+// only on the PFS, so an outage stalls the task instead of aborting the job.
 func (r *runner) openChunk(task Task, reader FileRecordReader) error {
-	data, err := readRetry(r.p, r.job.clus.PFS, task.Chunk.File, &r.m.IOWait)
+	data, err := readRetry(r.p, r.job.clus.PFS, task.Chunk.File, r.bufs.chunk, &r.m.IOWait)
 	if err != nil {
 		return fmt.Errorf("core: read chunk %s: %w", task.Chunk.File, err)
 	}
+	r.bufs.chunk = data
 	return reader.Open(task.Chunk, data)
 }
 

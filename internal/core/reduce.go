@@ -61,23 +61,14 @@ func (r *runner) phaseConvert(ro *role) error {
 	return r.net(func() error { return r.comm.Barrier() })
 }
 
-// outputWriter buffers serialized output records for one partition.
-type outputWriter struct {
-	buf       []byte
-	serialize func(k, v []byte) []byte
-}
+// outputWriter is the batch of output records not yet committed, each
+// serialized as key\tvalue\n. It is the rank's (rankBufs.out): every commit
+// copies the batch out and empties it.
+type outputWriter struct{ buf []byte }
 
 // Write implements RecordWriter.
 func (w *outputWriter) Write(k, v []byte) {
-	w.buf = append(w.buf, w.serialize(k, v)...)
-}
-
-func defaultSerialize(k, v []byte) []byte {
-	out := make([]byte, 0, len(k)+len(v)+2)
-	out = append(out, k...)
-	out = append(out, '\t')
-	out = append(out, v...)
-	return append(out, '\n')
+	w.buf = append(append(append(append(w.buf, k...), '\t'), v...), '\n')
 }
 
 // outputPath returns the PFS path of a partition's reduce output.
@@ -106,7 +97,8 @@ func (r *runner) phaseReduce(ro *role) error {
 		}
 		g := ro.reduced(part)
 		it := &kmvIterator{m: m, window: m.Window(), pos: int(g)}
-		w := &outputWriter{serialize: defaultSerialize}
+		w := &r.bufs.out
+		w.buf = w.buf[:0]
 		var cpuAcc float64
 		commit := func() error {
 			r.compute(cpuAcc)

@@ -49,12 +49,13 @@ func retryIO(p *vtime.Proc, t *storage.Tier, budget int, waitOutage bool, op fun
 	}
 }
 
-// readRetry reads path from t, accumulating the I/O wait into acc. Outages
-// are waited out: every caller needs the bytes to make progress.
-func readRetry(p *vtime.Proc, t *storage.Tier, path string, acc *time.Duration) ([]byte, error) {
+// readRetry reads path from t into dst (Tier.ReadFileInto), accumulating the
+// I/O wait into acc. Outages are waited out: every caller needs the bytes to
+// make progress.
+func readRetry(p *vtime.Proc, t *storage.Tier, path string, dst []byte, acc *time.Duration) ([]byte, error) {
 	var data []byte
 	d, err := retryIO(p, t, readBudget, true, func() (d time.Duration, err error) {
-		data, d, err = t.ReadFile(p, path)
+		data, d, err = t.ReadFileInto(p, path, dst)
 		return d, err
 	})
 	*acc += d

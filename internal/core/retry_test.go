@@ -70,7 +70,7 @@ func TestRetryPolicy(t *testing.T) {
 	type call func(p *vtime.Proc, tier *storage.Tier) error
 	read := func(p *vtime.Proc, tier *storage.Tier) error {
 		var wait time.Duration
-		got, err := readRetry(p, tier, path, &wait)
+		got, err := readRetry(p, tier, path, nil, &wait)
 		if err == nil && !bytes.Equal(got, pre) {
 			t.Errorf("read returned %q", got)
 		}

@@ -73,6 +73,8 @@ type runner struct {
 	backlogBytes float64 // bytes of input work remaining (for balancing)
 
 	statusTag int
+
+	bufs *rankBufs // the rank's refill buffers (App.bufs): shared with its other jobs
 }
 
 // int32s returns ranks as int32s: a table of world ranks is W entries on each
@@ -95,7 +97,7 @@ type jobCtx struct {
 	jobIdx int
 }
 
-func newRunner(j *jobCtx, c *mpi.Comm) *runner {
+func newRunner(j *jobCtx, c *mpi.Comm, bufs *rankBufs) *runner {
 	spec := j.spec
 	world0 := c.Group()
 	m := newRankMetrics(c.Self().WorldRank())
@@ -118,6 +120,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		reduceDone: make(map[int]uint32),
 		outLen:     make(map[int]uint64),
 		statusTag:  tagStatusBase + j.jobIdx,
+		bufs:       bufs,
 	}
 	if ftm := newFTState(j, c, spec); ftm != nil {
 		// Replication execution model: only the primary slots partition the

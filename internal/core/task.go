@@ -194,7 +194,7 @@ func (it *kmvIterator) Next() (key []byte, values [][]byte, ok bool) {
 	if it.pos >= it.m.Len() {
 		return nil, nil, false
 	}
-	key, values = it.m.Key(it.pos), it.m.Values(it.pos, it.window[:0])
+	key, values = it.m.Group(it.pos, it.window[:0])
 	it.pos++
 	return key, values, true
 }

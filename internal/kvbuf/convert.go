@@ -186,7 +186,6 @@ func group(kv *KV) (*KMV, int) {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(groups[a].key, groups[b].key) })
 	m := &KMV{
-		keys:     make([][]byte, len(order)),
 		starts:   make([]int32, len(order)+1),
 		offs:     make([]int32, n),
 		pieces:   kv.Pieces(nil),
@@ -196,7 +195,7 @@ func group(kv *KV) (*KMV, int) {
 	start := int32(0)
 	for r, id := range order {
 		g := &groups[id]
-		m.keys[r], m.starts[r] = g.key, start
+		m.starts[r] = start
 		m.most = max(m.most, int(g.n))
 		g.n, start = start, start+g.n
 	}
@@ -248,11 +247,11 @@ func EncodeKMV(m *KMV) []byte {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(m.Len()))
 	out = append(out, hdr[:]...)
 	window := m.Window()
-	for i, k := range m.keys {
+	for i := range m.Len() {
+		k, vals := m.Group(i, window)
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(k)))
 		out = append(out, hdr[:]...)
 		out = append(out, k...)
-		vals := m.Values(i, window)
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(vals)))
 		out = append(out, hdr[:]...)
 		for _, v := range vals {
@@ -264,9 +263,11 @@ func EncodeKMV(m *KMV) []byte {
 	return out
 }
 
-// DecodeKMV reverses EncodeKMV. Keys are views of data; the values are
-// copied into one KV encoding of their own, each behind an empty key, which
-// is at most twice their encoded size, so data must be under 1 GiB.
+// DecodeKMV reverses EncodeKMV. Keys and values are copied into one KV
+// encoding of their own, each key as the key of its first value's pair and
+// every other value behind an empty key, which is at most twice their encoded
+// size, so data must be under 1 GiB. A key with no values is refused:
+// EncodeKMV never writes one, and a KMV's key is its first pair's.
 func DecodeKMV(data []byte) (*KMV, error) {
 	if len(data) > math.MaxInt32/2 {
 		return nil, errKV("kvbuf: KMV encoding over 1 GiB")
@@ -279,7 +280,7 @@ func DecodeKMV(data []byte) (*KMV, error) {
 	// Every key takes at least 8 bytes of data: a count above that cannot be
 	// honest, and must not size an allocation.
 	room := min(nk, len(rd.data)/8)
-	m := &KMV{keys: make([][]byte, 0, room), starts: make([]int32, 1, room+1)}
+	m := &KMV{starts: make([]int32, 1, room+1)}
 	vals := NewKV()
 	for i := 0; i < nk; i++ {
 		k, err := rd.bytes()
@@ -290,18 +291,21 @@ func DecodeKMV(data []byte) (*KMV, error) {
 		if err != nil {
 			return nil, err
 		}
+		if nv == 0 {
+			return nil, errKV("kvbuf: KMV encoding holds a key with no values")
+		}
+		m.keyBytes += len(k)
 		for j := 0; j < nv; j++ {
 			v, err := rd.bytes()
 			if err != nil {
 				return nil, err
 			}
 			m.offs = append(m.offs, int32(vals.Size()))
-			vals.Add(nil, v)
+			vals.Add(k, v)
 			m.valBytes += len(v)
+			k = nil // only the first pair carries the key
 		}
-		m.keys = append(m.keys, k)
 		m.starts = append(m.starts, int32(len(m.offs)))
-		m.keyBytes += len(k)
 		m.most = max(m.most, nv)
 	}
 	m.pieces = vals.Pieces(nil)

@@ -209,15 +209,15 @@ func (b *KV) Partition(nparts int) []*KV {
 // each key's values in the order its KV held them.
 //
 // A KMV made by ConvertTwoPass or ConvertFourPass copies nothing and holds 4
-// bytes per value: every key is a capacity-limited view of the converted KV's
-// pieces, and each value an int32 offset of its pair in them, grouped by key.
-// Values resolves a key's offsets into views, into a window the caller
-// reuses (Window), so the values a reader sees are valid only until it asks
-// for the next key's. The KV may be appended to (Add, AppendRun) while the
-// KMV is live, but its bytes must not be overwritten.
+// bytes per value and 4 per key: each value is an int32 offset of its pair in
+// the converted KV's pieces, grouped by key, and starts is its one per-key
+// table. A key is its first pair's key. Group resolves a key and its offsets
+// into views of the pieces, the values into a window the caller reuses
+// (Window), so the values a reader sees are valid only until it asks for the
+// next key's. The KV may be appended to (Add, AppendRun) while the KMV is
+// live, but its bytes must not be overwritten.
 type KMV struct {
-	keys     [][]byte
-	starts   []int32  // key i's values are the pairs at offs[starts[i]:starts[i+1]]
+	starts   []int32  // key i's pairs are at offs[starts[i]:starts[i+1]], at least one
 	offs     []int32  // pair offsets into the pieces' concatenation
 	pieces   [][]byte // the encoding the offsets index
 	base     []int32  // piece p starts at offset base[p]; base[len(pieces)] is the size
@@ -227,45 +227,42 @@ type KMV struct {
 }
 
 // Len returns the number of distinct keys.
-func (m *KMV) Len() int { return len(m.keys) }
+func (m *KMV) Len() int { return max(len(m.starts)-1, 0) }
 
 // Bytes returns the total payload size (keys + values).
 func (m *KMV) Bytes() int { return m.keyBytes + m.valBytes }
 
-// Key returns the i-th key, a view capped at its length.
-func (m *KMV) Key(i int) []byte { return m.keys[i] }
-
 // Window returns an empty value window with room for the largest group, so
-// that Values never grows it.
+// that Group never grows it.
 func (m *KMV) Window() [][]byte { return make([][]byte, 0, m.most) }
 
-// Values appends the i-th key's values to dst, in KV order, each a view
-// capped at its length, and returns it.
-func (m *KMV) Values(i int, dst [][]byte) [][]byte {
+// Group returns the i-th key and appends its values to dst, in KV order; the
+// key and every value are views capped at their lengths.
+func (m *KMV) Group(i int, dst [][]byte) (key []byte, vals [][]byte) {
 	offs := m.offs[m.starts[i]:m.starts[i+1]]
-	if len(offs) == 0 {
-		return dst
-	}
 	// The offsets ascend: find the first one's piece, then walk forward.
 	p, found := slices.BinarySearch(m.base, offs[0])
 	if !found {
 		p--
 	}
-	for _, off := range offs {
+	for j, off := range offs {
 		for off >= m.base[p+1] {
 			p++
 		}
-		_, v, _ := NextPair(m.pieces[p][off-m.base[p]:])
+		k, v, _ := NextPair(m.pieces[p][off-m.base[p]:])
+		if j == 0 {
+			key = k
+		}
 		dst = append(dst, v)
 	}
-	return dst
+	return key, dst
 }
 
 // ForEach visits each key group in order. vals is one window, refilled for
 // every key: it is valid only until fn returns.
 func (m *KMV) ForEach(fn func(key []byte, vals [][]byte)) {
 	window := m.Window()
-	for i, k := range m.keys {
-		fn(k, m.Values(i, window))
+	for i := range m.Len() {
+		fn(m.Group(i, window))
 	}
 }

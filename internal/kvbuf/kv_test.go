@@ -176,7 +176,8 @@ func TestConversionKeysSorted(t *testing.T) {
 	} {
 		m, _ := conv(kv)
 		for i := 1; i < m.Len(); i++ {
-			if string(m.Key(i-1)) >= string(m.Key(i)) {
+			prev, _ := m.Group(i-1, nil)
+			if key, _ := m.Group(i, nil); string(prev) >= string(key) {
 				t.Fatalf("%s-pass: keys not strictly sorted at %d", name, i)
 			}
 		}
@@ -244,16 +245,43 @@ func TestDecodeKMVRejectsTruncation(t *testing.T) {
 	}
 }
 
+// A key with no values is refused: EncodeKMV never writes one, and a KMV's
+// key is the key of its first pair, so there would be no pair to hold it.
+func TestDecodeKMVRejectsKeyWithoutValues(t *testing.T) {
+	u32 := func(b []byte, n int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(n)) }
+	group := func(b []byte, key string, vals ...string) []byte {
+		b = append(u32(b, len(key)), key...)
+		b = u32(b, len(vals))
+		for _, v := range vals {
+			b = append(u32(b, len(v)), v...)
+		}
+		return b
+	}
+	whole := group(u32(nil, 1), "a", "v")
+	if m, err := DecodeKMV(whole); err != nil || !equalKMV(m, refKMV{keys: [][]byte{[]byte("a")}, vals: [][][]byte{{[]byte("v")}}}) {
+		t.Fatalf("DecodeKMV of {a: [v]}: %v", err)
+	}
+	for name, enc := range map[string][]byte{
+		"only key":   group(u32(nil, 1), "b"),
+		"second key": group(group(u32(nil, 2), "a", "v"), "b"),
+		"empty key":  group(u32(nil, 1), ""),
+	} {
+		if m, err := DecodeKMV(enc); err == nil {
+			t.Errorf("%s: decoded a key with no values into %d keys", name, m.Len())
+		}
+	}
+}
+
 // equalKMV reports whether a KMV holds the reference's keys and, per key, its
 // values in the same order (nil and empty slices compare equal), read through
-// Key and Values, and whether its Bytes is theirs.
+// Group, and whether its Bytes is theirs.
 func equalKMV(m *KMV, ref refKMV) bool {
 	if m.Len() != ref.len() || m.Bytes() != ref.bytes() {
 		return false
 	}
 	for i := range ref.keys {
-		vals := m.Values(i, nil)
-		if !bytes.Equal(m.Key(i), ref.keys[i]) || len(vals) != len(ref.vals[i]) {
+		key, vals := m.Group(i, nil)
+		if !bytes.Equal(key, ref.keys[i]) || len(vals) != len(ref.vals[i]) {
 			return false
 		}
 		for j := range vals {
@@ -492,11 +520,13 @@ func partitionKV(nPairs, nparts int) *KV {
 // pairs over 100 keys and over 5 000 keys must each stay within 48
 // allocations (one per key was 1 120 at 100 keys), and within perPair bytes
 // a pair plus perKey a key: the id slab and the offset slab are 4 bytes a
-// pair each (94.6 KB at 100 keys, 969 KB at 5 000), where a []byte header per
-// value made it 30 B a pair (301.5 KB and 1 276 KB). The four-pass algorithm is a price list over that grouping, so it
-// is held to the same budget.
+// pair each (91.9 KB at 100 keys, 846 KB at 5 000), where a []byte header per
+// value made it 30 B a pair (301.5 KB and 1 276 KB), and a KMV keeps no key
+// slab (a 24-byte header a key made it 969 KB at 5 000 keys, 176 B a key).
+// The four-pass algorithm is a price list over that grouping, so it is held
+// to the same budget.
 func TestConvertAllocsAreSlabs(t *testing.T) {
-	const pairs, budget, perPair, perKey = 10000, 48, 9, 192
+	const pairs, budget, perPair, perKey = 10000, 48, 9, 168
 	for _, keys := range []int{100, 5000} {
 		kv := wordcountKV(pairs, keys)
 		for name, conv := range map[string]func(*KV) (*KMV, ConvertStats){
@@ -827,8 +857,8 @@ func TestKMVViewsSurviveKVAppends(t *testing.T) {
 	check("Adds past the room")
 	window := m.Window()
 	for i := 0; i < m.Len(); i++ {
-		vals := m.Values(i, window[:0])
-		_ = append(m.Key(i), "KEY"...)
+		key, vals := m.Group(i, window[:0])
+		_ = append(key, "KEY"...)
 		_ = append(vals, []byte("VALUE"))
 		for _, v := range vals {
 			_ = append(v, "VAL"...)

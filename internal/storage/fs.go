@@ -13,7 +13,9 @@
 // run is appended to shares them (the copier's drain of a checkpoint stream
 // from the local disk to the PFS copies no byte). Bytes may also enter a file
 // by reference, from a caller that never writes them again (Tier.AppendShared:
-// a checkpoint frame's payload). Whatever leaves the package is a copy.
+// a checkpoint frame's payload). Whatever leaves the package is a copy, also
+// when the caller lends the buffer it lands in (Tier.ReadFileInto): the bytes
+// are copied over it, so writing into the result never reaches the file.
 package storage
 
 import (
@@ -159,13 +161,22 @@ type Run struct {
 // Len returns the number of bytes in the run.
 func (r Run) Len() int { return r.size }
 
-// bytes returns a fresh copy of the run, nil when it is empty. bytes.Join
-// does not zero what it is about to fill.
-func (r Run) bytes() []byte {
-	if r.size == 0 {
-		return nil
+// bytes returns a fresh copy of the run, nil when it is empty.
+func (r Run) bytes() []byte { return copyInto(nil, r.ext, r.size) }
+
+// copyInto copies the size bytes of ext over dst[:0] and returns the result,
+// allocating only when dst has too little room: then it returns one fresh
+// slice of exactly size bytes, which bytes.Join does not zero before filling.
+// An empty ext yields dst[:0], nil for a nil dst.
+func copyInto(dst []byte, ext [][]byte, size int) []byte {
+	if cap(dst) < size {
+		return bytes.Join(ext, nil)
 	}
-	return bytes.Join(r.ext, nil)
+	dst = dst[:0]
+	for _, e := range ext {
+		dst = append(dst, e...)
+	}
+	return dst
 }
 
 // runOf returns the concatenation of pieces as a run: views of them capped at
@@ -288,6 +299,19 @@ func (fs *FS) runFrom(path string, off int) (Run, error) {
 		return Run{}, fmt.Errorf("storage: %s: offset %d outside file of %d bytes", path, off, f.size)
 	}
 	return f.runFrom(off), nil
+}
+
+// readInto copies the file at path over dst[:0] (see copyInto): a copy, as
+// Read's is, into the caller's buffer when it has the room.
+func (fs *FS) readInto(path string, dst []byte) ([]byte, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f, ok := fs.files[path]
+	if !ok {
+		// A clone, so that path does not escape: the tier builds it per read.
+		return nil, fmt.Errorf("storage: %s: no such file", strings.Clone(path))
+	}
+	return copyInto(dst, f.ext, f.size), nil
 }
 
 // Exists reports whether the file exists.

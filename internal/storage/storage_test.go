@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -93,6 +94,61 @@ func TestFSReadFrom(t *testing.T) {
 	if string(tail) != "ZYYY" {
 		t.Errorf("earlier ReadFrom result = %q after Truncate+Append, want %q", tail, "ZYYY")
 	}
+}
+
+// ReadFileInto copies the file over the caller's buffer: writing into what it
+// returned, or appending to it, never reaches the stored bytes, whether the
+// bytes landed in a roomy dst (no allocation, dst's own array) or in a fresh
+// slice (dst nil). A dst too short for the file is left unwritten and
+// replaced by one allocation of the file's size.
+func TestReadFileIntoIsACopy(t *testing.T) {
+	sim := vtime.NewSim()
+	fs := NewFS()
+	tier := NewTier("t", fs, vtime.NewBandwidth(sim, "bw", 1e9), time.Millisecond, "x:")
+	want := []byte(strings.Repeat("0123456789", 1000))
+	fs.Write("x:f", want[:5000])
+	fs.Append("x:f", want[5000:]) // a second extent: the copy walks both
+	sim.Spawn("p", func(p *vtime.Proc) {
+		roomy := make([]byte, 3, 2*len(want))
+		short := []byte(strings.Repeat("s", 100))
+		for _, tc := range []struct {
+			name   string
+			dst    []byte
+			allocs float64
+		}{
+			{"roomy dst", roomy, 0},
+			{"nil dst", nil, 1},
+			{"short dst", short[:10], 1},
+		} {
+			var got []byte
+			allocs := testing.AllocsPerRun(10, func() {
+				var err error
+				if got, _, err = tier.ReadFileInto(p, "f", tc.dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: read %d bytes that differ from the file's %d", tc.name, len(got), len(want))
+			}
+			if allocs != tc.allocs {
+				t.Errorf("%s: %v allocations per read, want %v", tc.name, allocs, tc.allocs)
+			}
+			if inDst := tc.dst != nil && &got[0] == &tc.dst[:1][0]; inDst != (tc.allocs == 0) {
+				t.Errorf("%s: read into dst's array = %v, want %v", tc.name, inDst, tc.allocs == 0)
+			}
+			for i := range got {
+				got[i] = 'Z'
+			}
+			_ = append(got, "past the end"...)
+			if stored, _ := fs.Read("x:f"); !bytes.Equal(stored, want) {
+				t.Fatalf("%s: writing into the read's result changed the file", tc.name)
+			}
+		}
+		if string(short) != strings.Repeat("s", 100) {
+			t.Errorf("a dst too short for the file was written into: %q", short)
+		}
+	})
+	sim.Run()
 }
 
 func TestTierPeekFromObservesOutage(t *testing.T) {

@@ -174,10 +174,18 @@ func (t *Tier) vetWrite(p *vtime.Proc, path string, n int) writeFault {
 	return w
 }
 
-// ReadFile reads path, charging one operation plus bandwidth for its size.
+// ReadFile reads path into a fresh slice: ReadFileInto with no buffer.
+func (t *Tier) ReadFile(p *vtime.Proc, path string) ([]byte, time.Duration, error) {
+	return t.ReadFileInto(p, path, nil)
+}
+
+// ReadFileInto reads path, charging one operation plus bandwidth for its
+// size. The file is copied over dst[:0], which is returned; only a dst too
+// short for the file is replaced, by one allocation of the file's size. The
+// result is still a copy: writing into it never reaches the stored bytes.
 // Under fault injection it may fail with a transient ErrReadFault; a retry
 // of the same path succeeds (and is charged again).
-func (t *Tier) ReadFile(p *vtime.Proc, path string) ([]byte, time.Duration, error) {
+func (t *Tier) ReadFileInto(p *vtime.Proc, path string, dst []byte) ([]byte, time.Duration, error) {
 	if t.outage(p) {
 		return nil, t.Charge(p, 1, 0), ErrTierOutage
 	}
@@ -192,7 +200,7 @@ func (t *Tier) ReadFile(p *vtime.Proc, path string) ([]byte, time.Duration, erro
 			return nil, spike + t.Charge(p, 1, 0), err
 		}
 	}
-	data, err := t.FS.Read(t.path(path))
+	data, err := t.FS.readInto(t.path(path), dst)
 	if err != nil {
 		return nil, spike + t.Charge(p, 1, 0), err
 	}

@@ -127,7 +127,8 @@ func (b *Bandwidth) Acquire(p *Proc, amount float64) {
 		return
 	}
 	b.update()
-	x := &xfer{remaining: amount, p: p}
+	x := &p.xfer
+	*x = xfer{remaining: amount, p: p}
 	b.active = append(b.active, x)
 	b.reschedule()
 	// If the process is killed while waiting, park() unwinds it; make sure

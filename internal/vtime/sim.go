@@ -239,6 +239,10 @@ type Proc struct {
 	// OnKill, if set, runs inside the scheduler at the moment the process
 	// is killed (before it is unwound). Used for failure notification.
 	onKill []func()
+	// xfer is the process's transfer while it waits in Bandwidth.Acquire,
+	// which blocks it until the transfer leaves the resource: a process has
+	// at most one, so an acquisition allocates none.
+	xfer xfer
 }
 
 // Spawn creates a new simulated process that will start running at the
