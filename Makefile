@@ -113,11 +113,12 @@ bench-throughput: throughput-gate
 # path instead of $T.
 T := /tmp/ftmr-selftest
 define SELFTEST
-# trace fixtures: self-diff is clean, the injected-divergence pair is flagged, the v2 golden validates and summarizes, and the mirror fixture's second receive of one flow id is a violation
+# trace fixtures: self-diff is clean, the injected-divergence pair is flagged, the v2 golden validates and summarizes, the duplicate-receive fixture's second receive of one flow id is a violation, and a trace cut short by a torn last line is analyzed with a warning
 0 bin/ftmr-trace diff internal/trace/testdata/golden_v2.jsonl internal/trace/testdata/golden_v2.jsonl
 1 bin/ftmr-trace diff internal/trace/testdata/div_a.jsonl internal/trace/testdata/div_b.jsonl
 0 bin/ftmr-trace flows internal/trace/testdata/golden_v2.jsonl
-1 bin/ftmr-trace flows internal/trace/testdata/golden_mirror.jsonl
+1 bin/ftmr-trace flows internal/trace/testdata/dup_recv.jsonl
+0 out=$$(bin/ftmr-trace flows internal/trace/testdata/torn.jsonl 2>&1) && echo "$$out" | grep -q 'warning: .*1 of 18 lines malformed'
 0 bin/ftmr-trace summarize -skew internal/trace/testdata/golden_v2.jsonl
 # a file that is no trace at all is unreadable input, never a clean verdict
 2 bin/ftmr-trace flows internal/jsonl/testdata/junk.bin

@@ -13,10 +13,10 @@
 // Exit status: 0 clean; 1 a finding (divergence, difference, violations,
 // regression, stalls, a failed gate); 2 usage or unreadable input, with one
 // line on stderr — two files of different kinds and a verb its file's kind
-// does not support included. A damaged JSONL file (malformed lines next to a
-// header or to lines that do decode, e.g. a trace cut short by a crash) is
-// reported on stderr and analysis proceeds on the lines that decoded; a file
-// with no header in which nothing decodes is not a trace at all: exit 2.
+// does not support included. A damaged JSONL file (malformed lines after its
+// header, e.g. a trace cut short by a crash) is reported on stderr and
+// analysis proceeds on the lines that decoded; a file whose first non-blank
+// line is not its format's header at the current schema is exit 2.
 package main
 
 import (

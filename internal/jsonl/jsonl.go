@@ -4,11 +4,11 @@
 // naming the format and its schema version. Writers are buffered with a
 // sticky error; the reader skips and counts damaged lines instead of failing,
 // so a file cut short by a crash stays loadable, and hard-fails only on
-// input it cannot stand behind: I/O failure, an oversized line, a schema
-// newer than the reader, or input that is not a file of this format at all.
+// input it cannot stand behind: I/O failure, an oversized line, or a first
+// line that is not this format's header at the schema this build writes.
 //
 // Each wire format (DESIGN.md §"Trace wire format v2") supplies only its
-// name, its newest schema and a per-line decode function.
+// name, its schema and a per-line decode function.
 package jsonl
 
 import (
@@ -22,10 +22,10 @@ import (
 const maxLine = 16 * 1024 * 1024
 
 // Format identifies one wire format: the header's "format" discriminator and
-// the schema version this build writes, which is also the newest it reads.
+// the schema version this build writes, which is also the only one it reads.
 type Format struct {
 	Name   string // the header's "format" value, e.g. "ftmr-trace"
-	Schema int    // the version written, and the newest version Read accepts
+	Schema int    // the version written, and the one version Read accepts
 }
 
 // header is the first line of a file.
@@ -77,14 +77,12 @@ func (s *Writer) Flush() error {
 	return s.err
 }
 
-// Report is the parse accounting of one Read. Records + BadLines (+ 1 when
-// Header) always equals Lines.
+// Report is the parse accounting of one Read. For non-empty input,
+// Records + BadLines + 1 (the header) equals Lines.
 type Report struct {
-	Schema   int  // declared wire-format version (1 when no header line)
-	Header   bool // whether a header line was present
-	Lines    int  // non-blank lines scanned, including the header
-	Records  int  // lines decoded successfully
-	BadLines int  // malformed or unknown-kind lines skipped
+	Lines    int // non-blank lines scanned, including the header
+	Records  int // lines decoded successfully
+	BadLines int // malformed or unknown-kind lines skipped
 
 	FirstBadLine int   // 1-based line number of the first bad line (0 = none)
 	FirstBadErr  error // what was wrong with it
@@ -102,34 +100,44 @@ func (rr *Report) Err() error {
 		rr.BadLines, rr.Lines, rr.FirstBadLine, rr.FirstBadErr)
 }
 
-// Read scans r line by line, handing every non-blank line after the header
-// to decode. A line decode rejects is skipped and counted in the Report —
-// the caller decides whether damage is fatal (Report.Err). A headerless file
-// is read as schema 1. The error return is reserved for unreadable input:
-// I/O failure, an oversized line, a header declaring a schema newer than
-// f.Schema, or non-blank input with no header in which no line decodes —
-// that is some other file, not a damaged one. The Report is never nil.
+// blank reports whether a line holds nothing but JSON whitespace.
+func blank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' {
+			return false
+		}
+	}
+	return true
+}
+
+// Read scans r line by line. The first non-blank line must be this format's
+// header at exactly f.Schema; every non-blank line after it goes to decode.
+// A line decode rejects is skipped and counted in the Report — the caller
+// decides whether damage is fatal (Report.Err). The error return is reserved
+// for unreadable input: I/O failure, an oversized line, or a first line that
+// is not this format's header at this schema — a file of another format, of
+// another schema, or no file of a format at all. Empty or blank-only input
+// is 0 records and no error. The Report is never nil.
 func (f Format) Read(r io.Reader, decode func(line []byte) error) (*Report, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	rr := &Report{Schema: 1}
+	rr := &Report{}
 	for line := 1; sc.Scan(); line++ {
 		raw := sc.Bytes()
-		if len(raw) == 0 {
+		if blank(raw) {
 			continue
 		}
 		rr.Lines++
 		if rr.Lines == 1 {
 			var hdr header
-			if err := json.Unmarshal(raw, &hdr); err == nil && hdr.Format == f.Name {
-				if hdr.Schema > f.Schema {
-					return rr, fmt.Errorf("jsonl: %s file declares schema v%d, this reader understands <= v%d",
-						f.Name, hdr.Schema, f.Schema)
-				}
-				rr.Header, rr.Schema = true, hdr.Schema
-				continue
+			if err := json.Unmarshal(raw, &hdr); err != nil || hdr.Format != f.Name {
+				return rr, fmt.Errorf("jsonl: not a %s file: line %d is no %s header", f.Name, line, f.Name)
 			}
-			// No header: a schema-1 file whose first line is a record.
+			if hdr.Schema != f.Schema {
+				return rr, fmt.Errorf("jsonl: %s file declares schema v%d, this reader reads v%d only",
+					f.Name, hdr.Schema, f.Schema)
+			}
+			continue
 		}
 		if err := decode(raw); err != nil {
 			rr.BadLines++
@@ -141,12 +149,5 @@ func (f Format) Read(r io.Reader, decode func(line []byte) error) (*Report, erro
 		}
 		rr.Records++
 	}
-	if err := sc.Err(); err != nil {
-		return rr, err
-	}
-	if !rr.Header && rr.Records == 0 && rr.Lines > 0 {
-		return rr, fmt.Errorf("jsonl: not a %s file: no header, and none of its %d lines decodes (%v)",
-			f.Name, rr.Lines, rr.FirstBadErr)
-	}
-	return rr, nil
+	return rr, sc.Err()
 }

@@ -57,17 +57,18 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil || !rr.Clean() || rr.Err() != nil {
 		t.Fatalf("clean file: err=%v report=%+v", err, rr)
 	}
-	if fmt.Sprint(got) != "[0 1 2 3]" || !rr.Header || rr.Schema != 2 || rr.Lines != 5 || rr.Records != 4 {
+	if fmt.Sprint(got) != "[0 1 2 3]" || rr.Lines != 5 || rr.Records != 4 {
 		t.Fatalf("got %v, report %+v", got, rr)
 	}
 }
 
 // The reader's one rule for what is damage and what is not a file of this
-// format at all. Damage — bad lines next to a header or next to records that
-// do decode — is counted and the read succeeds (a file cut short by a crash
-// stays loadable). Non-blank input with no header in which nothing decodes
-// is some other file: a hard error, so no tool can report a clean verdict
-// on garbage.
+// format at all. Damage — bad lines after the header — is counted and the
+// read succeeds (a file cut short by a crash stays loadable). A first
+// non-blank line that is not this format's header at exactly this schema is
+// some other file: a hard error, so no tool can report a clean verdict on
+// garbage or read a file of another schema as this one. A line of nothing
+// but spaces and tabs is blank.
 func TestReadDamageVersusGarbage(t *testing.T) {
 	junk, err := os.ReadFile("testdata/junk.bin")
 	if err != nil {
@@ -77,23 +78,27 @@ func TestReadDamageVersusGarbage(t *testing.T) {
 	for _, c := range []struct {
 		name, in       string
 		hard           bool
+		lines          int
 		records, bad   int
-		header         bool
-		schema, badAt  int
+		badAt          int
 		errMustMention string
 	}{
-		{name: "empty", in: "", schema: 1},
-		{name: "blank lines only", in: "\n\n", schema: 1},
-		{name: "header only", in: hdr, header: true, schema: 2},
-		{name: "older schema", in: `{"format":"ftmr-test","schema":1}` + "\n" + `{"n":1}` + "\n", header: true, schema: 1, records: 1},
-		{name: "headerless v1", in: `{"n":1}` + "\n\n" + `{"n":2}` + "\n", schema: 1, records: 2},
-		{name: "cut short after valid records", in: hdr + `{"n":1}` + "\n" + `{"n":`, header: true, schema: 2, records: 1, bad: 1, badAt: 3},
-		{name: "header then only damage", in: hdr + "{not json\n", header: true, schema: 2, bad: 1, badAt: 2},
-		{name: "headerless, damage before a record", in: "{\n" + `{"n":5}` + "\n", schema: 1, records: 1, bad: 1, badAt: 1},
-		{name: "another format's header", in: `{"format":"other","schema":1}` + "\n" + `{"n":5}` + "\n", schema: 1, records: 1, bad: 1, badAt: 1},
+		{name: "empty", in: ""},
+		{name: "blank lines only", in: "\n\n"},
+		{name: "whitespace lines only", in: " \n\t\n \t \r\n"},
+		{name: "header only", in: hdr, lines: 1},
+		{name: "space line before the header", in: " \n" + hdr + `{"n":1}` + "\n", lines: 2, records: 1},
+		{name: "whitespace lines between records", in: hdr + `{"n":1}` + "\n\t \n" + `{"n":2}` + "\n", lines: 3, records: 2},
+		{name: "cut short after valid records", in: hdr + `{"n":1}` + "\n" + `{"n":`, lines: 3, records: 1, bad: 1, badAt: 3},
+		{name: "header then only damage", in: hdr + "{not json\n", lines: 2, bad: 1, badAt: 2},
 		{name: "schema too new", in: `{"format":"ftmr-test","schema":3}` + "\n" + `{"n":1}` + "\n", hard: true, errMustMention: "schema v3"},
+		{name: "older schema", in: `{"format":"ftmr-test","schema":1}` + "\n" + `{"n":1}` + "\n", hard: true, errMustMention: "schema v1"},
+		{name: "space line before a schema-99 header", in: " \n" + `{"format":"ftmr-test","schema":99}` + "\n" + `{"n":1}` + "\n", hard: true, errMustMention: "schema v99"},
+		{name: "tab line before a schema-99 header", in: "\t\n" + `{"format":"ftmr-test","schema":99}` + "\n" + `{"n":1}` + "\n", hard: true, errMustMention: "schema v99"},
+		{name: "no header", in: `{"n":1}` + "\n\n" + `{"n":2}` + "\n", hard: true, errMustMention: "not a ftmr-test file"},
+		{name: "another format's header", in: `{"format":"other","schema":2}` + "\n" + `{"n":5}` + "\n", hard: true, errMustMention: "not a ftmr-test file"},
 		{name: "junk fixture", in: string(junk), hard: true, errMustMention: "not a ftmr-test file"},
-		{name: "valid JSON of the wrong shape", in: `{"x":1}` + "\n" + `[1,2]` + "\n", hard: true, errMustMention: "none of its 2 lines"},
+		{name: "valid JSON of the wrong shape", in: `{"x":1}` + "\n" + `[1,2]` + "\n", hard: true, errMustMention: "line 1 is no ftmr-test header"},
 	} {
 		got, rr, err := readInts([]byte(c.in))
 		if rr == nil {
@@ -109,9 +114,12 @@ func TestReadDamageVersusGarbage(t *testing.T) {
 			t.Errorf("%s: hard-failed: %v", c.name, err)
 			continue
 		}
-		if len(got) != c.records || rr.Records != c.records || rr.BadLines != c.bad ||
-			rr.Header != c.header || rr.Schema != c.schema || rr.FirstBadLine != c.badAt {
+		if len(got) != c.records || rr.Lines != c.lines || rr.Records != c.records || rr.BadLines != c.bad ||
+			rr.FirstBadLine != c.badAt {
 			t.Errorf("%s: %d records, report %+v", c.name, len(got), rr)
+		}
+		if rr.Lines > 0 && rr.Records+rr.BadLines+1 != rr.Lines {
+			t.Errorf("%s: %d records + %d bad + the header != %d lines", c.name, rr.Records, rr.BadLines, rr.Lines)
 		}
 		if (rr.Err() != nil) != (c.bad > 0) || (c.bad > 0 && rr.FirstBadErr == nil) {
 			t.Errorf("%s: Err() = %v with %d bad lines", c.name, rr.Err(), c.bad)
@@ -120,7 +128,7 @@ func TestReadDamageVersusGarbage(t *testing.T) {
 }
 
 func TestReadOversizedLineIsHardError(t *testing.T) {
-	in := `{"n":1}` + "\n" + strings.Repeat("x", maxLine+1) + "\n"
+	in := `{"format":"ftmr-test","schema":2}` + "\n" + `{"n":1}` + "\n" + strings.Repeat("x", maxLine+1) + "\n"
 	if _, _, err := readInts([]byte(in)); err == nil {
 		t.Fatal("a line over the cap must hard-fail the read, not be split or skipped")
 	}

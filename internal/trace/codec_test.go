@@ -200,14 +200,14 @@ func eventLines(t *testing.T, path string) [][]byte {
 }
 
 // Both sides of ReadJSONL's choice are pinned by committed files: every line
-// of the writer-made fixtures (v2, and headerless v1) is decoded in place,
+// of the writer-made fixtures is decoded in place,
 // and every line of foreign.jsonl — other key order, whitespace, an
 // exponent, escapes, raw UTF-8, an unknown field, null, a fraction finer
 // than a nanosecond, an instant past maxCanonicalVT — goes through
 // encoding/json and decodes to exactly these events, instants rounded.
 func TestCanonicalAndForeignFixtures(t *testing.T) {
 	names := make(map[string]string)
-	for _, fixture := range []string{"golden.jsonl", "golden_v2.jsonl", "golden_mirror.jsonl", "div_a.jsonl", "div_b.jsonl"} {
+	for _, fixture := range []string{"golden.jsonl", "golden_v2.jsonl", "dup_recv.jsonl", "div_a.jsonl", "div_b.jsonl"} {
 		for i, line := range eventLines(t, "testdata/"+fixture) {
 			fast, ok := decodeCanonical(line, names)
 			if !ok {
@@ -225,7 +225,7 @@ func TestCanonicalAndForeignFixtures(t *testing.T) {
 		}
 	}
 	got, rr, err := readFixture("testdata/foreign.jsonl")
-	if err != nil || !rr.Clean() || !rr.Header {
+	if err != nil || !rr.Clean() {
 		t.Fatalf("foreign.jsonl: %v / %+v", err, rr)
 	}
 	want := []Event{

@@ -45,7 +45,7 @@ const (
 	CatFailureStall
 	// CatShadowSync is replication-model pair traffic: reduce-progress sync
 	// pushes/drains and failover promotion (the replicate/partial -ft-model
-	// overhead bucket), and the mirror copies older traces record.
+	// overhead bucket).
 	CatShadowSync
 	// CatOther is anything no rule claims (should stay ~0; a growing value
 	// means the edge rules lag the event vocabulary).

@@ -97,9 +97,7 @@ type threadKey struct {
 }
 
 // collKey identifies one collective instance: the (communicator id, op
-// sequence) stamp plus the op name. Legacy traces without the stamp fall
-// back to (0, 0, op), which the open-span discipline below still resolves
-// per concurrent instance.
+// sequence) stamp plus the op name.
 type collKey struct {
 	comm, seq int64
 	op        string
@@ -166,25 +164,10 @@ func Analyze(events []trace.Event) (*Report, error) {
 	lastOn := make(map[threadKey]int)    // thread -> last event index
 	lastMain := make(map[int]int)        // rank -> last main-thread event index
 	sendByFlow := make(map[uint64]int)   // flow id -> send.end index
-	openColl := make(map[collKey][]int)  // instance -> open begin indices
+	collBegin := make(map[collKey][]int) // instance -> coll.begin indices
 	openKind := make(map[trace.Kind]int) // shrink/agree open-begin sweep (see below)
 	curPhase := make(map[int]string)
 	curRec := make(map[int]bool)
-
-	// bindOpen picks the latest (VT, then Seq) open begin of an instance
-	// strictly before the end event — the fan-in entrant that released it.
-	bindOpen := func(opens []int, endAt int) int {
-		best := -1
-		for _, b := range opens {
-			if evs[b].Seq >= evs[endAt].Seq || evs[b].VT > evs[endAt].VT {
-				continue
-			}
-			if best < 0 || evs[b].VT > evs[best].VT || (evs[b].VT == evs[best].VT && evs[b].Seq > evs[best].Seq) {
-				best = b
-			}
-		}
-		return best
-	}
 
 	for i, ev := range evs {
 		phaseOf[i] = curPhase[ev.Rank]
@@ -220,22 +203,21 @@ func Analyze(events []trace.Event) (*Report, error) {
 			}
 		case trace.KindCollBegin:
 			k := collKey{ev.A, ev.B, ev.Name}
-			openColl[k] = append(openColl[k], i)
+			collBegin[k] = append(collBegin[k], i)
 		case trace.KindCollEnd:
 			// Fan-in: a collective's exit depends on its participants'
 			// entries. No collective sends a message, so this is the only
-			// edge into a coll.end. Exact when every participant leaves at
-			// once; a rank that leaves after the last entrant has already
-			// left (a tree or a ring releases ranks at different instants)
-			// binds to the latest entry still open, which can be its own.
-			k := collKey{ev.A, ev.B, ev.Name}
-			cross[i] = bindOpen(openColl[k], i)
-			// Retire this rank's own entry from the open set.
-			opens := openColl[k]
-			for j := len(opens) - 1; j >= 0; j-- {
-				if evs[opens[j]].Rank == ev.Rank {
-					openColl[k] = append(opens[:j], opens[j+1:]...)
-					break
+			// edge into a coll.end: every exit binds to its instance's
+			// latest (VT, then Seq) entrant before it — the one that
+			// released it — also when it leaves after that straggler has
+			// already left (a tree or a ring releases ranks at different
+			// instants).
+			for _, b := range collBegin[collKey{ev.A, ev.B, ev.Name}] {
+				if evs[b].Seq >= ev.Seq || evs[b].VT > ev.VT {
+					continue
+				}
+				if c := cross[i]; c < 0 || evs[b].VT > evs[c].VT || (evs[b].VT == evs[c].VT && evs[b].Seq > evs[c].Seq) {
+					cross[i] = b
 				}
 			}
 		case trace.KindShrinkBegin, trace.KindAgreeBegin:
@@ -400,7 +382,7 @@ func categorize(ev trace.Event, recOpen bool) Category {
 		return CatFailureStall
 	case trace.KindRecoveryEnd:
 		return CatRecoveryInit
-	case trace.KindShadowMirror, trace.KindShadowSync, trace.KindFailover:
+	case trace.KindShadowSync, trace.KindFailover:
 		return CatShadowSync
 	case trace.KindLoadBalance, trace.KindLBFit:
 		return CatLBRefit

@@ -138,36 +138,104 @@ func TestFlowEdgeCrossesRanks(t *testing.T) {
 
 // TestCollectiveFanIn pins the collective edge rule: an exit binds to the
 // latest entrant of the same (comm, seq) instance, so barrier skew routes
-// the path through the straggler.
+// the path through the straggler — also for a rank that leaves after the
+// straggler has left, and for two instances one after the other under one
+// stamp (a new World restarts comm ids at 0 under the same tracer).
 func TestCollectiveFanIn(t *testing.T) {
-	stamp := func(e trace.Event) trace.Event { e.A, e.B = 1, 5; return e }
-	events := []trace.Event{
-		ev(1, 0, 0, trace.KindJobBegin, "j"),
-		ev(2, 0, 1, trace.KindJobBegin, "j"),
-		stamp(ev(3, 5, 0, trace.KindCollBegin, "barrier")),
-		ev(4, 40, 1, trace.KindTaskCommit, "map"),
-		stamp(ev(5, 40, 1, trace.KindCollBegin, "barrier")),
-		stamp(ev(6, 45, 0, trace.KindCollEnd, "barrier")),
-		stamp(ev(7, 45, 1, trace.KindCollEnd, "barrier")),
-		ev(8, 50, 0, trace.KindJobEnd, "j"),
+	stamp := func(comm, seq int64, e trace.Event) trace.Event { e.A, e.B = comm, seq; return e }
+	barrier := func(seq uint64, vtMS int64, rank int, kind trace.Kind) trace.Event {
+		return stamp(1, 5, ev(seq, vtMS, rank, kind, "barrier"))
 	}
-	rep, err := Analyze(events)
-	if err != nil {
-		t.Fatal(err)
+	again := func(seq uint64, vtMS int64, rank int, kind trace.Kind) trace.Event {
+		return stamp(0, 0, ev(seq, vtMS, rank, kind, "barrier"))
 	}
-	if got := sumCategories(rep); got != rep.Makespan {
-		t.Fatalf("category sum %v != makespan %v", got, rep.Makespan)
-	}
-	if rep.CrossEdges == 0 {
-		t.Fatal("path never hopped ranks; collective fan-in edge not taken")
-	}
-	// Rank 0 waited in the barrier for rank 1's late entry: the path must
-	// charge rank 1's 40ms of compute, not 40ms of rank-0 barrier wait.
-	if got := rep.ByCategory[CatCompute]; got != 45*time.Millisecond {
-		t.Errorf("compute = %v, want 45ms (rank 1's chain + rank 0's commit tail)", got)
-	}
-	if got := rep.ByRank[1]; got != 40*time.Millisecond {
-		t.Errorf("rank 1 path time = %v, want 40ms", got)
+	for _, c := range []struct {
+		name             string
+		events           []trace.Event
+		compute, shuffle time.Duration
+		byRank           map[int]time.Duration
+	}{
+		{
+			// Rank 0 waited in the barrier for rank 1's late entry: the path
+			// charges rank 1's 40ms of compute, not 40ms of rank-0 wait.
+			name: "two ranks",
+			events: []trace.Event{
+				ev(1, 0, 0, trace.KindJobBegin, "j"),
+				ev(2, 0, 1, trace.KindJobBegin, "j"),
+				barrier(3, 5, 0, trace.KindCollBegin),
+				ev(4, 40, 1, trace.KindTaskCommit, "map"),
+				barrier(5, 40, 1, trace.KindCollBegin),
+				barrier(6, 45, 0, trace.KindCollEnd),
+				barrier(7, 45, 1, trace.KindCollEnd),
+				ev(8, 50, 0, trace.KindJobEnd, "j"),
+			},
+			compute: 45 * time.Millisecond, shuffle: 5 * time.Millisecond,
+			byRank: map[int]time.Duration{0: 10 * time.Millisecond, 1: 40 * time.Millisecond},
+		},
+		{
+			// Straggler rank 1 enters last and leaves first; rank 2 leaves
+			// after it and still waited for it, not for its own entry.
+			name: "straggler leaves first",
+			events: []trace.Event{
+				ev(1, 0, 0, trace.KindJobBegin, "j"),
+				ev(2, 0, 1, trace.KindJobBegin, "j"),
+				ev(3, 0, 2, trace.KindJobBegin, "j"),
+				barrier(4, 5, 0, trace.KindCollBegin),
+				barrier(5, 6, 2, trace.KindCollBegin),
+				ev(6, 40, 1, trace.KindTaskCommit, "map"),
+				barrier(7, 40, 1, trace.KindCollBegin),
+				barrier(8, 42, 1, trace.KindCollEnd),
+				barrier(9, 44, 0, trace.KindCollEnd),
+				barrier(10, 46, 2, trace.KindCollEnd),
+				ev(11, 50, 2, trace.KindJobEnd, "j"),
+			},
+			compute: 44 * time.Millisecond, shuffle: 6 * time.Millisecond,
+			byRank: map[int]time.Duration{1: 40 * time.Millisecond, 2: 10 * time.Millisecond},
+		},
+		{
+			// Rank 1 straggles into the first instance and rank 0 into the
+			// second; each exit binds to its own instance's straggler.
+			name: "two instances under one stamp",
+			events: []trace.Event{
+				ev(1, 0, 0, trace.KindJobBegin, "j"),
+				ev(2, 0, 1, trace.KindJobBegin, "j"),
+				again(3, 2, 0, trace.KindCollBegin),
+				ev(4, 10, 1, trace.KindTaskCommit, "map"),
+				again(5, 10, 1, trace.KindCollBegin),
+				again(6, 11, 0, trace.KindCollEnd),
+				again(7, 11, 1, trace.KindCollEnd),
+				again(8, 20, 1, trace.KindCollBegin),
+				ev(9, 30, 0, trace.KindTaskCommit, "map"),
+				again(10, 30, 0, trace.KindCollBegin),
+				again(11, 31, 1, trace.KindCollEnd),
+				again(12, 31, 0, trace.KindCollEnd),
+				ev(13, 35, 1, trace.KindJobEnd, "j"),
+			},
+			compute: 33 * time.Millisecond, shuffle: 2 * time.Millisecond,
+			byRank: map[int]time.Duration{0: 20 * time.Millisecond, 1: 15 * time.Millisecond},
+		},
+	} {
+		rep, err := Analyze(c.events)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := sumCategories(rep); got != rep.Makespan {
+			t.Fatalf("%s: category sum %v != makespan %v", c.name, got, rep.Makespan)
+		}
+		if rep.CrossEdges == 0 {
+			t.Errorf("%s: path never hopped ranks; collective fan-in edge not taken", c.name)
+		}
+		if got := rep.ByCategory[CatCompute]; got != c.compute {
+			t.Errorf("%s: compute = %v, want %v", c.name, got, c.compute)
+		}
+		if got := rep.ByCategory[CatShuffleWait]; got != c.shuffle {
+			t.Errorf("%s: collective wait = %v, want %v", c.name, got, c.shuffle)
+		}
+		for r := 0; r < 3; r++ {
+			if got := rep.ByRank[r]; got != c.byRank[r] {
+				t.Errorf("%s: rank %d path time = %v, want %v", c.name, r, got, c.byRank[r])
+			}
+		}
 	}
 }
 

@@ -77,29 +77,28 @@ func TestCheckFlowsViolations(t *testing.T) {
 	}
 }
 
-// Golden mirror fixture: pins the wire names and field layout of the three
-// replication-model event kinds (shadow.mirror, shadow.sync,
-// ftmodel.failover — additive within schema 2). shadow.mirror is decoded but
-// no longer emitted, and licenses nothing: the second receive of the
-// fixture's one send is reported as a duplicate delivery.
-func TestGoldenMirrorFixture(t *testing.T) {
-	evs, rr, err := readFixture("testdata/golden_mirror.jsonl")
-	if err != nil || !rr.Clean() || rr.Schema != 2 {
-		t.Fatalf("golden_mirror: %v / %+v", err, rr)
+// Duplicate-receive fixture: one send.end whose flow id two recv.end events
+// consume is reported as a duplicate delivery. It also pins the wire names
+// and field layout of the replication-model event kinds (shadow.sync,
+// ftmodel.failover).
+func TestDuplicateReceiveFixture(t *testing.T) {
+	evs, rr, err := readFixture("testdata/dup_recv.jsonl")
+	if err != nil || !rr.Clean() {
+		t.Fatalf("dup_recv: %v / %+v", err, rr)
 	}
-	if len(evs) != 7 {
-		t.Fatalf("decoded %d events, want 7", len(evs))
+	if len(evs) != 6 {
+		t.Fatalf("decoded %d events, want 6", len(evs))
 	}
-	if ev := evs[1]; ev.Kind != KindShadowMirror || ev.A != 2 || ev.B != 7 || ev.C != 256 || ev.Flow != 1 {
-		t.Fatalf("shadow.mirror decoded as %+v", ev)
+	if ev := evs[2]; ev.Kind != KindRecvEnd || ev.Rank != 2 || ev.A != 0 || ev.B != 7 || ev.C != 256 || ev.Flow != 1 {
+		t.Fatalf("second recv.end decoded as %+v", ev)
 	}
-	if ev := evs[4]; ev.Kind != KindShadowSync || ev.Name != "push" || ev.A != 3 || ev.B != 40 || ev.C != 4096 {
+	if ev := evs[3]; ev.Kind != KindShadowSync || ev.Name != "push" || ev.A != 3 || ev.B != 40 || ev.C != 4096 {
 		t.Fatalf("shadow.sync push decoded as %+v", ev)
 	}
-	if ev := evs[5]; ev.Kind != KindShadowSync || ev.Name != "drain" {
+	if ev := evs[4]; ev.Kind != KindShadowSync || ev.Name != "drain" {
 		t.Fatalf("shadow.sync drain decoded as %+v", ev)
 	}
-	if ev := evs[6]; ev.Kind != KindFailover || ev.Name != "promote" || ev.A != 0 || ev.B != 2 {
+	if ev := evs[5]; ev.Kind != KindFailover || ev.Name != "promote" || ev.A != 0 || ev.B != 2 {
 		t.Fatalf("ftmodel.failover decoded as %+v", ev)
 	}
 	fr := CheckFlows(evs)

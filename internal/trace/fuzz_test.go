@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"slices"
 	"testing"
@@ -10,9 +11,9 @@ import (
 // FuzzReadJSONL feeds arbitrary bytes to the shared JSONL reader
 // (internal/jsonl) through the trace format: it must never panic, must
 // account every non-blank line as the header, a record or a bad line, must
-// hard-fail only where it documents (schema too new, oversized line, no
-// trace at all — never on a file with a header or with one decodable
-// event), and every decoded event must survive a write/read round trip.
+// hard-fail exactly where it documents (a first non-blank line that is no
+// current trace header, or an oversized line — never on a file that starts
+// with one), and every decoded event must survive a write/read round trip.
 // It is differential: the in-place decoder of writer-form lines may take a
 // line for itself only where encoding/json (readJSONLReference) accepts it
 // and yields the same Event, so both readers return the same events, the
@@ -26,9 +27,9 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(header))
 	f.Add([]byte(header + ev + ev))
 	f.Add([]byte(header + ev[:len(ev)/2])) // torn tail
-	f.Add([]byte(ev))                      // headerless v1
+	f.Add([]byte(ev))                      // headerless: rejected
 	f.Add([]byte(header + `{"seq":1,"kind":"no.such.kind"}` + "\n" + ev))
-	f.Add([]byte(`{"format":"ftmr-trace","schema":3}` + "\n" + ev))
+	f.Add([]byte(`{"format":"ftmr-trace","schema":3}` + "\n" + ev)) // another schema: rejected
 	f.Add([]byte(`{"seq":18446744073709551615,"vt_us":1125899906842.623,"rank":-1,"kind":"lb.fit","name":"trace","a":-9223372036854775808,"b":9223372036854775807,"c":1,"flow":18446744073709551615}` + "\n" +
 		`{"seq":18446744073709551616,"vt_us":0.0001,"rank":01,"kind":"lb.fit"}` + "\n"))
 	for _, fixture := range []string{"testdata/golden_v2.jsonl", "testdata/golden.jsonl", "testdata/foreign.jsonl", "../jsonl/testdata/junk.bin"} {
@@ -50,27 +51,26 @@ func FuzzReadJSONL(f *testing.F) {
 		if !slices.Equal(events, refEvents) {
 			t.Fatalf("events differ from the reference decoder's:\n%+v\n%+v", events, refEvents)
 		}
-		if rr.Schema != refRR.Schema || rr.Header != refRR.Header || rr.Lines != refRR.Lines || rr.Records != refRR.Records ||
+		if rr.Lines != refRR.Lines || rr.Records != refRR.Records ||
 			rr.BadLines != refRR.BadLines || rr.FirstBadLine != refRR.FirstBadLine {
 			t.Fatalf("report %+v, reference %+v", rr, refRR)
 		}
 		if err != nil {
-			// Past an accepted header or a decoded event, only an oversized
-			// (> 16 MiB) line may still fail the read.
-			if (rr.Header || rr.Records > 0) && len(data) <= 16<<20 {
-				t.Fatalf("hard failure %v on a file with a header or a decodable event: %+v", err, rr)
+			// Past a current header, only an oversized (> 16 MiB) line may
+			// still fail the read.
+			if startsWithHeader(data) && len(data) <= 16<<20 {
+				t.Fatalf("hard failure %v on a file with a current header: %+v", err, rr)
 			}
 			return
+		}
+		if rr.Lines > 0 && !startsWithHeader(data) {
+			t.Fatalf("read %+v from a file that starts with no current header", rr)
 		}
 		if rr.Records != len(events) {
 			t.Fatalf("report counts %d records, reader returned %d", rr.Records, len(events))
 		}
-		accounted := rr.Records + rr.BadLines
-		if rr.Header {
-			accounted++
-		}
-		if accounted != rr.Lines {
-			t.Fatalf("%d records + %d bad + header(%v) != %d lines", rr.Records, rr.BadLines, rr.Header, rr.Lines)
+		if rr.Lines > 0 && rr.Records+rr.BadLines+1 != rr.Lines {
+			t.Fatalf("%d records + %d bad + the header != %d lines", rr.Records, rr.BadLines, rr.Lines)
 		}
 		var buf bytes.Buffer
 		out := wire.NewWriter(&buf)
@@ -90,4 +90,20 @@ func FuzzReadJSONL(f *testing.F) {
 			}
 		}
 	})
+}
+
+// startsWithHeader reports whether data's first line holding more than
+// spaces and tabs is a trace header at SchemaVersion.
+func startsWithHeader(data []byte) bool {
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.Trim(line, " \t\r")) == 0 {
+			continue
+		}
+		var hdr struct {
+			Format string `json:"format"`
+			Schema int    `json:"schema"`
+		}
+		return json.Unmarshal(line, &hdr) == nil && hdr.Format == "ftmr-trace" && hdr.Schema == SchemaVersion
+	}
+	return false
 }

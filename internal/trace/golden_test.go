@@ -21,10 +21,9 @@ func TestGoldenTraceSummarizeAndSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A headerless file is schema 1 by definition (DESIGN.md §"Trace wire
-	// format v2", compatibility rules) and must read back clean.
-	if rr.Schema != 1 || rr.Header || !rr.Clean() {
-		t.Fatalf("v1 fixture read report = %+v, want schema 1, no header, clean", rr)
+	// A header and 20 events, every one decoded.
+	if rr.Lines != 21 || !rr.Clean() {
+		t.Fatalf("fixture read report = %+v, want a header and 20 clean lines", rr)
 	}
 	if len(events) != 20 {
 		t.Fatalf("decoded %d events, want 20", len(events))
@@ -84,22 +83,23 @@ func TestGoldenTraceSummarizeAndSkew(t *testing.T) {
 // hard failure (the good lines still decode), and not a silent drop (the
 // report says exactly how many lines were bad and where the damage starts).
 func TestReadJSONLCountsDamage(t *testing.T) {
+	const header = `{"format":"ftmr-trace","schema":2}` + "\n"
 	for _, bad := range []string{
 		`{"seq":1,"vt_us":0,"rank":0,"kind":"no.such.kind"}`,
 		`{"seq":1,"vt_us":0,"rank":0,`,
 	} {
 		good := `{"seq":2,"vt_us":5,"rank":0,"kind":"phase.begin","name":"map"}`
-		events, rr, err := ReadJSONL(strings.NewReader(bad + "\n" + good + "\n"))
+		events, rr, err := ReadJSONL(strings.NewReader(header + bad + "\n" + good + "\n"))
 		if err != nil {
 			t.Fatalf("ReadJSONL with damaged line %q hard-failed: %v", bad, err)
 		}
 		if len(events) != 1 || events[0].Kind != KindPhaseBegin {
 			t.Fatalf("good line not decoded past damage %q: %+v", bad, events)
 		}
-		if rr.Clean() || rr.BadLines != 1 || rr.FirstBadLine != 1 || rr.FirstBadErr == nil {
-			t.Fatalf("read report = %+v, want 1 bad line at line 1", rr)
+		if rr.Clean() || rr.BadLines != 1 || rr.FirstBadLine != 2 || rr.FirstBadErr == nil {
+			t.Fatalf("read report = %+v, want 1 bad line at line 2", rr)
 		}
-		if rr.Err() == nil || !strings.Contains(rr.Err().Error(), "1 of 2") {
+		if rr.Err() == nil || !strings.Contains(rr.Err().Error(), "1 of 3") {
 			t.Fatalf("summary error = %v, want counted summary", rr.Err())
 		}
 	}
@@ -123,8 +123,8 @@ func TestGoldenV2FlowFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Schema != 2 || !rr.Header || !rr.Clean() {
-		t.Fatalf("v2 fixture read report = %+v, want schema 2 with header, clean", rr)
+	if rr.Lines != 17 || !rr.Clean() {
+		t.Fatalf("v2 fixture read report = %+v, want a header and 16 clean lines", rr)
 	}
 	if len(events) != 16 {
 		t.Fatalf("decoded %d events, want 16", len(events))
@@ -177,10 +177,22 @@ func TestGoldenV2FlowFixture(t *testing.T) {
 }
 
 // A trace from a newer schema than this build understands must hard-error
-// rather than be misread (DESIGN.md §"Trace wire format v2").
+// rather than be misread (DESIGN.md §"Trace wire format v2"), and so must
+// one this build no longer writes: a header at schema 1, or the headerless
+// form of the first writer (the golden fixture's events, header cut off).
 func TestReadJSONLRejectsFutureSchema(t *testing.T) {
-	in := `{"format":"ftmr-trace","schema":99}` + "\n"
-	if _, _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-		t.Fatal("schema 99 accepted, want error")
+	golden, err := os.ReadFile("testdata/golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, events, _ := strings.Cut(string(golden), "\n")
+	for _, in := range []string{
+		`{"format":"ftmr-trace","schema":99}` + "\n",
+		`{"format":"ftmr-trace","schema":1}` + "\n" + events,
+		events,
+	} {
+		if got, rr, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("%.40q... read as %d events (%+v), want an error", in, len(got), rr)
+		}
 	}
 }

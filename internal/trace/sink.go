@@ -39,8 +39,7 @@ type jsonlEvent struct {
 }
 
 // wire is the JSONL trace format (internal/jsonl holds the codec: header
-// line, buffered sticky-error writer, damage-tolerant reader). v1 files have
-// no header — their first line is an event — which the reader accepts.
+// line, buffered sticky-error writer, damage-tolerant reader).
 var wire = jsonl.Format{Name: "ftmr-trace", Schema: SchemaVersion}
 
 // appendJSONL appends ev's line of the wire format (no newline) to dst: byte
@@ -432,8 +431,7 @@ type ReadReport = jsonl.Report
 // ReadReport — a trace cut short by a crash stays loadable, and the caller
 // decides whether damage is fatal (rr.Err). The error return is reserved
 // for unreadable input (jsonl.Format.Read): I/O failure, an oversized line,
-// a header declaring a schema version newer than this package understands,
-// or a file that is no trace at all.
+// or a first line that is not a trace header at SchemaVersion.
 //
 // A line in the exact form the writer produces is decoded in place; a line
 // in any other form (other key order, whitespace, escapes, exponents,

@@ -37,8 +37,8 @@ type RankSummary struct {
 	LBFits      int64 // load-balancer model publications (lb.fit events)
 
 	// Stage sums recovery.stage attributions per Figure 3 bucket name
-	// ("init", "load", "skip", "reprocess"); nil when the trace predates
-	// stage events.
+	// ("init", "load", "skip", "reprocess"); nil when the rank recorded no
+	// recovery.stage event.
 	Stage map[string]time.Duration
 
 	// CkptStall sums ckpt.stall charges per kind ("write", "drain").

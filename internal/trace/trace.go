@@ -37,8 +37,7 @@ import (
 )
 
 // SchemaVersion is the JSONL wire-format version this package writes (the
-// "schema" field of the header line) and the newest version ReadJSONL
-// accepts. Version 1 files (no header line, no flow ids) remain readable;
+// "schema" field of the header line) and the one version ReadJSONL reads;
 // see DESIGN.md §"Trace wire format v2" for the compatibility rules.
 const SchemaVersion = 2
 
@@ -89,8 +88,6 @@ const (
 
 	// Checkpoint corruption detected and quarantined. Name=stream,
 	// A=valid prefix bytes kept, B=total bytes before truncation.
-	// (Appended at the end of the block so earlier Kind values stay stable
-	// across trace-consuming tooling.)
 	KindCkptCorrupt
 
 	// Load-balancer model publication (a fit computed for a recovery
@@ -136,15 +133,6 @@ const (
 	// chain ("replica-local", "replica-peer" or "pfs"), A = bytes read,
 	// B = frames replayed.
 	KindRecoverySource
-
-	// Shadow mirror copy, decoded and no longer emitted: older traces of the
-	// replication model record the sender delivering a byte-identical copy
-	// of an already-sent message to the destination's shadow rank, reusing
-	// the original send's flow id. A=shadow world rank, B=tag, C=bytes,
-	// Flow=the original send.end's id. The replicate shuffle is now one
-	// collective, so no message is delivered twice. (Kinds stay additive
-	// within schema 2.)
-	KindShadowMirror
 
 	// Shadow sync (replication execution model): a primary pushed reduce
 	// commit progress to its shadow, or the shadow consumed it. Name="push"
@@ -193,7 +181,6 @@ var kindNames = map[Kind]string{
 	KindCkptStall:      "ckpt.stall",
 	KindDrops:          "trace.drops",
 	KindRecoverySource: "recovery.source",
-	KindShadowMirror:   "shadow.mirror",
 	KindShadowSync:     "shadow.sync",
 	KindFailover:       "ftmodel.failover",
 }
