@@ -552,11 +552,11 @@ func binaryPutU32(b []byte, v uint32) {
 func TestPropBitmapRoundTrip(t *testing.T) {
 	f := func(done []bool) bool {
 		tasks := make([]Task, len(done))
-		tt := newTaskTable(tasks, 4)
+		tt := hashTable(tasks, 4)
 		for i, d := range done {
 			tt.setDone(i, d)
 		}
-		tt2 := newTaskTable(tasks, 4)
+		tt2 := hashTable(tasks, 4)
 		tt2.mergeBitmap(tt.doneBitmap())
 		for i, d := range done {
 			if tt2.isDone(i) != d {
@@ -572,7 +572,7 @@ func TestPropBitmapRoundTrip(t *testing.T) {
 
 func TestMergeBitmapIsMonotone(t *testing.T) {
 	tasks := make([]Task, 16)
-	tt := newTaskTable(tasks, 4)
+	tt := hashTable(tasks, 4)
 	tt.setDone(3, true)
 	tt.mergeBitmap(make([]byte, 2)) // all-zero gossip must not clear
 	if !tt.isDone(3) {

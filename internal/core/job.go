@@ -18,12 +18,26 @@ type Handle struct {
 
 	appN    int
 	results []*Result
-	tasks   [][]Task // per job index: the input task list (see jobTasks)
+	jobs    []*jobShare // per job index: what every rank of the job derives alike
 	phaseCb []func(worldRank int, ph Phase)
 	noted   map[int]bool
 	// merged, when set, sees each rank's partitions as a shuffle merge
 	// leaves them (a mirroring shadow's are its pair's); tests set it.
 	merged func(worldRank int, parts map[int]*kvbuf.KV)
+	// labels is partitionLog's scratch, two entries per partition of the
+	// widest job so far. Ranks run one at a time, and neither partitionLog nor
+	// its callers park while they use it, so one serves every rank of the
+	// application.
+	labels []int32
+}
+
+// jobShare is what every rank of one job derives alike (§3.3: the masters
+// compute identical tables without coordinating): the first rank that needs a
+// piece makes it, and every rank shares it, read-only.
+type jobShare struct {
+	tasks      []Task     // the input task list
+	firstTasks *ownerPlan // task -> the rank it starts on
+	firstParts *ownerPlan // partition -> the rank it starts on
 }
 
 // App is one rank's context inside a launched application. The driver
@@ -109,18 +123,47 @@ func (h *Handle) resultSlot(idx int, spec Spec) *Result {
 	return h.results[idx]
 }
 
-// jobTasks returns the input task list of job idx, enumerating the chunk
-// files under prefix on first use. Every master computes the identical list
-// (§3.3), so one host-side enumeration serves all the job's ranks; the slice
-// is shared and read-only.
-func (h *Handle) jobTasks(idx int, prefix string) []Task {
-	for len(h.tasks) <= idx {
-		h.tasks = append(h.tasks, nil)
+// share returns job idx's shared state, empty until a rank fills it in.
+func (h *Handle) share(idx int) *jobShare {
+	for len(h.jobs) <= idx {
+		h.jobs = append(h.jobs, &jobShare{})
 	}
-	if h.tasks[idx] == nil {
-		h.tasks[idx] = listChunks(h.Clus.PFS.List(prefix), h.Clus.PFS.Size)
+	return h.jobs[idx]
+}
+
+// firstParts returns job idx's first partition plan: partition i starts on
+// homes[i], which every rank of the job holds alike.
+func (h *Handle) firstParts(idx int, homes []int) *ownerPlan {
+	js := h.share(idx)
+	if js.firstParts == nil {
+		owner := make([]int32, len(homes))
+		for part, w := range homes {
+			owner[part] = int32(w)
+		}
+		js.firstParts = newOwnerPlan(owner)
 	}
-	return h.tasks[idx]
+	return js.firstParts
+}
+
+// firstTasks returns job idx's input task list, enumerating the chunk files
+// under prefix on first use, and its first task plan (firstTaskPlan over
+// homes). Every master computes the identical list (§3.3), so one host-side
+// enumeration serves all the job's ranks.
+func (h *Handle) firstTasks(idx int, prefix string, homes []int) ([]Task, *ownerPlan) {
+	js := h.share(idx)
+	if js.firstTasks == nil {
+		js.tasks = listChunks(h.Clus.PFS.List(prefix), h.Clus.PFS.Size)
+		js.firstTasks = firstTaskPlan(len(js.tasks), homes)
+	}
+	return js.tasks, js.firstTasks
+}
+
+// partLabels returns partitionLog's scratch for n partitions.
+func (h *Handle) partLabels(n int) []int32 {
+	if len(h.labels) < 2*n {
+		h.labels = make([]int32, 2*n)
+	}
+	return h.labels[:2*n]
 }
 
 func (j *jobCtx) noteFailed(ranks []int) {

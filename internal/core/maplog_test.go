@@ -76,11 +76,12 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 		if c.Rank() != 0 {
 			return
 		}
-		r := &runner{job: &jobCtx{clus: clus}, comm: c, p: c.Proc(), m: newRankMetrics(0), obs: &obs.Handle{},
-			nParts: w, partOwner: make([]int32, w)}
-		for part := range r.partOwner {
-			r.partOwner[part] = int32(rng.Intn(w))
+		owners := make([]int32, w)
+		for part := range owners {
+			owners[part] = int32(rng.Intn(w))
 		}
+		r := &runner{job: &jobCtx{clus: clus, h: &Handle{}}, comm: c, p: c.Proc(), m: newRankMetrics(0), obs: &obs.Handle{},
+			nParts: w, partOwner: denseOwners(owners...)}
 		if combine {
 			r.spec.NewCombiner = newConcatCombiner
 		}
@@ -162,7 +163,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 				return
 			}
 			want, pairs := make([][]byte, w), 0
-			for part, owner := range r.partOwner {
+			for part, owner := range owners {
 				if parts[part].Len() > 0 {
 					want[owner] = encodeFrame(want[owner], frameShuffle, uint32(part), 0, parts[part].Pieces(nil)...)
 				}

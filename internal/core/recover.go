@@ -126,7 +126,7 @@ func (r *runner) recoverOnce() error {
 		r.phase = phDone
 		return nil
 	}
-	pl.apply(r.tt, r.partOwner)
+	pl.apply(r.tt, &r.partOwner)
 
 	d := pl.decision
 	switch d {
@@ -153,12 +153,12 @@ type recoveryPlan struct {
 	// the job's work and its outputs are durable — nothing is lost, and the
 	// survivors go straight to closing the job. Nothing else is set then.
 	done      bool
-	minPhase  int       // the earliest phase a survivor is in
-	models    []lbModel // the survivors' load models, in communicator order
-	doneBits  []byte    // the survivors' done bitmaps merged, in taskTable.done's form
-	taskOwner []int     // task -> the survivor that claims it, -1 when none does
-	partOwner []int32   // partition -> the survivor whose memory holds it, -1 when none does
-	lostParts []int     // the partitions no survivor holds, ascending
+	minPhase  int        // the earliest phase a survivor is in
+	models    []lbModel  // the survivors' load models, in communicator order
+	doneBits  []byte     // the survivors' done bitmaps merged, in taskTable.done's form
+	taskOwner *ownerPlan // task -> the survivor that claims it, -1 when none does
+	partOwner *ownerPlan // partition -> the survivor whose memory holds it, -1 when none does
+	lostParts []int      // the partitions no survivor holds, ascending
 	// The tasks no survivor claims, ascending, and how many are pending: those
 	// must re-run somewhere; the completed ones hold their output only in dead
 	// memory and matter only when the map output is needed again (remap).
@@ -177,7 +177,7 @@ type recoveryPlan struct {
 // values every rank of the job holds alike, so whichever survivor completes
 // the gather can plan for all of them.
 type roundPlanner struct {
-	tasks        []Task // the job's task list (jobTasks: one shared slice)
+	tasks        []Task // the job's task list (Handle.firstTasks: one shared slice)
 	nParts       int
 	jobIdx       int
 	checkpointed bool // WC: lost tasks restore, lost partitions may be adopted
@@ -225,35 +225,35 @@ func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *rec
 	if pl.done {
 		return pl
 	}
-	merged := &taskTable{tasks: tasks, done: make([]byte, (len(tasks)+7)/8)}
-	pl.taskOwner = make([]int, len(tasks))
-	pl.partOwner = make([]int32, nParts)
-	for id := range pl.taskOwner {
-		pl.taskOwner[id] = -1
+	merged := newTaskTable(tasks, nil)
+	taskOwner, partOwner := make([]int32, len(tasks)), make([]int32, nParts)
+	for id := range taskOwner {
+		taskOwner[id] = -1
 	}
-	for part := range pl.partOwner {
-		pl.partOwner[part] = -1
+	for part := range partOwner {
+		partOwner[part] = -1
 	}
 	for i, s := range states {
 		merged.mergeBitmap(s.doneBitmap)
 		for _, p := range s.parts {
 			if int(p) < nParts {
-				pl.partOwner[p] = int32(group[i])
+				partOwner[p] = int32(group[i])
 			}
 		}
 		for _, t := range s.tasks {
 			if int(t) < len(tasks) {
-				pl.taskOwner[t] = group[i]
+				taskOwner[t] = int32(group[i])
 			}
 		}
 	}
 	pl.doneBits = merged.done
-	for part, o := range pl.partOwner {
+	pl.taskOwner, pl.partOwner = newOwnerPlan(taskOwner), newOwnerPlan(partOwner)
+	for part, o := range partOwner {
 		if o < 0 {
 			pl.lostParts = append(pl.lostParts, part)
 		}
 	}
-	for id, o := range pl.taskOwner {
+	for id, o := range taskOwner {
 		if o < 0 {
 			pl.lostTasks = append(pl.lostTasks, id)
 			if !merged.isDone(id) {
@@ -266,16 +266,13 @@ func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *rec
 
 // apply brings a survivor's own view in line with the plan: tt gains the
 // merged done bits and each claimed task's claimant — a task nobody claims
-// keeps its dead owner until an effect hands it out — and partOwner (the
-// rank's own slice, nParts long) becomes the partition claims.
-func (pl *recoveryPlan) apply(tt *taskTable, partOwner []int32) {
+// keeps its owner in the rank's view until an effect hands it out — and the
+// rank's partition owners become the partition claims. The plan's shared
+// tables become the rank's base: nothing is copied.
+func (pl *recoveryPlan) apply(tt *taskTable, partOwner *ownerTable) {
 	tt.mergeBitmap(pl.doneBits)
-	for id, o := range pl.taskOwner {
-		if o >= 0 {
-			tt.setOwner(id, o)
-		}
-	}
-	copy(partOwner, pl.partOwner)
+	tt.owner.adopt(pl.taskOwner, pl.lostTasks)
+	partOwner.adopt(pl.partOwner, nil)
 }
 
 // deal computes, once for every survivor, how the lost work is handed out
@@ -377,7 +374,7 @@ func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 	// Hand the lost partitions' in-memory replicas to their new owners
 	// before judging restorability, so peer-RAM copies count even when the
 	// PFS copy is torn — or the whole tier is offline.
-	if err := r.exchangeReplicas(partStream, pl.lostParts, func(part int) int { return int(r.partOwner[part]) }); err != nil {
+	if err := r.exchangeReplicas(partStream, pl.lostParts, r.partOwner.of); err != nil {
 		return adopt, err
 	}
 	unrestorable, err := r.needRemapAgreed(pl.lostParts)
@@ -388,7 +385,7 @@ func (r *runner) adoptLost(pl *recoveryPlan) (decision, error) {
 		return remap, r.remapLost(pl)
 	}
 	for _, part := range pl.lostParts {
-		if int(r.partOwner[part]) == r.myWorld() {
+		if r.partOwner.of(part) == r.myWorld() {
 			r.restorePartition(part)
 		}
 	}
@@ -424,7 +421,7 @@ func (r *runner) remapLost(pl *recoveryPlan) error {
 // from nothing (their data must first be regenerated).
 func (r *runner) resetLost(lost []int) {
 	for _, part := range lost {
-		if int(r.partOwner[part]) == r.myWorld() {
+		if r.partOwner.of(part) == r.myWorld() {
 			r.reduceDone[part] = 0
 			r.outLen[part] = 0
 			r.truncateOutput(part)
@@ -433,7 +430,7 @@ func (r *runner) resetLost(lost []int) {
 }
 
 // ownPart records world rank w as part's owner.
-func (r *runner) ownPart(part, w int) { r.partOwner[part] = int32(w) }
+func (r *runner) ownPart(part, w int) { r.partOwner.set(part, w) }
 
 // adoptComm moves the runner onto the communicator a shrink agreed on and
 // records, and returns, the world ranks the old one had and it lacks.
@@ -519,7 +516,7 @@ func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 	me := r.myWorld()
 	local := int64(0)
 	for _, part := range lost {
-		if (!private || int(r.partOwner[part]) == me) && !r.ck.holdsSnapshot(r.p, partStream(part)) {
+		if (!private || r.partOwner.of(part) == me) && !r.ck.holdsSnapshot(r.p, partStream(part)) {
 			local = 1
 			break
 		}

@@ -112,7 +112,7 @@ func refBalanceWork(models []lbModel, pieces []float64) [][]int {
 func TestPackedTaskTableMatchesBoolTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 0; n <= 200; n++ {
-		tt := newTaskTable(make([]Task, n), 4)
+		tt := hashTable(make([]Task, n), 4)
 		ref := make(refTable, n)
 		agree := func(when string) {
 			t.Helper()
@@ -223,7 +223,7 @@ func BenchmarkMergeBitmap(b *testing.B) {
 		gossip[i] = make([]byte, tasks/8)
 		rng.Read(gossip[i])
 	}
-	tt := newTaskTable(make([]Task, tasks), survivors)
+	tt := hashTable(make([]Task, tasks), survivors)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

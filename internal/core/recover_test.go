@@ -21,11 +21,11 @@ var planTasks = make([]Task, 8)
 // planTable is a survivor's table of that job, where task t starts on world
 // rank t%4 (partition p starts on world rank p).
 func planTable() *taskTable {
-	tt := newTaskTable(planTasks, 4)
-	for id := range tt.owner {
-		tt.owner[id] = int32(id % 4)
+	owner := make([]int32, len(planTasks))
+	for id := range owner {
+		owner[id] = int32(id % 4)
 	}
-	return tt
+	return newTaskTable(planTasks, newOwnerPlan(owner))
 }
 
 // claim builds world rank w's survivor state: it holds its own partition and
@@ -60,18 +60,18 @@ func TestRecoveryPlan(t *testing.T) {
 		if !reflect.DeepEqual(pl.lostParts, []int{3}) || !reflect.DeepEqual(pl.lostTasks, []int{3, 7}) || pl.lostPending != 1 {
 			t.Fatalf("lost parts %v tasks %v pending %d", pl.lostParts, pl.lostTasks, pl.lostPending)
 		}
-		if !reflect.DeepEqual(pl.partOwner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
-			t.Fatalf("partOwner %v, taskOwner %v", pl.partOwner, pl.taskOwner)
+		if !reflect.DeepEqual(pl.partOwner.owner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner.owner, []int32{0, 1, 2, -1, 0, 1, 2, -1}) {
+			t.Fatalf("partOwner %v, taskOwner %v", pl.partOwner.owner, pl.taskOwner.owner)
 		}
 		for _, wc := range []bool{true, false} {
 			if d := pl.decide(wc, false); d != remap || d.resumeAt(pl.minPhase) != phMap {
 				t.Fatalf("checkpointed=%v: decision %v resuming at %d, want remap at the map phase", wc, d, d.resumeAt(pl.minPhase))
 			}
 		}
-		tt, partOwner := planTable(), []int32{0, 1, 2, 3}
-		pl.apply(tt, partOwner)
-		if !tt.isDone(3) || !reflect.DeepEqual(partOwner, pl.partOwner) {
-			t.Fatalf("applied: done bits %08b, partOwner %v: only a remap may forget a lost task's done bit", tt.done, partOwner)
+		tt, partOwner := planTable(), denseOwners(0, 1, 2, 3)
+		pl.apply(tt, &partOwner)
+		if got := denseOf(&partOwner, 4); !tt.isDone(3) || !reflect.DeepEqual(got, pl.partOwner.owner) {
+			t.Fatalf("applied: done bits %08b, partOwner %v: only a remap may forget a lost task's done bit", tt.done, got)
 		}
 		if ids := pl.rerun(tt); !reflect.DeepEqual(ids, []int{3, 7}) || tt.isDone(3) || !tt.isDone(0) || !tt.isDone(1) {
 			t.Fatalf("rerun handed out %v, done bits %08b", ids, tt.done)
@@ -105,8 +105,8 @@ func TestRecoveryPlan(t *testing.T) {
 		states := claims(phReduce, all)
 		states[2] = claim(2, phConvert, all, []uint32{3}, []uint32{3, 7})
 		pl := rebuild(states, survivors, planTasks, 4)
-		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner[3] != 2 || pl.taskOwner[3] != 2 || pl.taskOwner[7] != 2 {
-			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner, pl.taskOwner)
+		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner.owner[3] != 2 || pl.taskOwner.owner[3] != 2 || pl.taskOwner.owner[7] != 2 {
+			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner.owner, pl.taskOwner.owner)
 		}
 		if d := pl.decide(true, true); d != failover || d.resumeAt(pl.minPhase) != phConvert {
 			t.Fatalf("decision %v resuming at %d, want failover at the survivors' minimum", d, d.resumeAt(pl.minPhase))
@@ -138,20 +138,22 @@ func TestRecoveryPlan(t *testing.T) {
 			claim(2, phMap, []int{2}, nil, nil),
 		}
 		pl := rebuild(states, left, planTasks, 4)
-		if !reflect.DeepEqual(pl.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(pl.partOwner, []int32{0, -1, 2, 0}) {
-			t.Fatalf("lost tasks %v, partOwner %v", pl.lostTasks, pl.partOwner)
+		if !reflect.DeepEqual(pl.lostTasks, []int{1, 5, 7}) || !reflect.DeepEqual(pl.partOwner.owner, []int32{0, -1, 2, 0}) {
+			t.Fatalf("lost tasks %v, partOwner %v", pl.lostTasks, pl.partOwner.owner)
 		}
 		current, stale := planTable(), planTable()
-		current.owner[3], current.owner[7] = 0, 1
+		current.setOwner(3, 0)
+		current.setOwner(7, 1)
 		current.setDone(4, true) // rank 0's own table knows what it claims
-		pl.apply(current, make([]int32, 4))
-		pl.apply(stale, make([]int32, 4))
+		currentParts, staleParts := denseOwners(0, 1, 2, 3), denseOwners(0, 1, 2, 3)
+		pl.apply(current, &currentParts)
+		pl.apply(stale, &staleParts)
 		if !bytes.Equal(current.done, stale.done) {
 			t.Fatalf("done bitmaps differ: %08b, %08b", current.done, stale.done)
 		}
-		for id := range current.owner {
-			if lost := id == 1 || id == 5 || id == 7; !lost && current.owner[id] != stale.owner[id] {
-				t.Fatalf("task %d: owner %d on the current table, %d on the stale one", id, current.owner[id], stale.owner[id])
+		for id := range planTasks {
+			if lost := id == 1 || id == 5 || id == 7; !lost && current.ownerOf(id) != stale.ownerOf(id) {
+				t.Fatalf("task %d: owner %d on the current table, %d on the stale one", id, current.ownerOf(id), stale.ownerOf(id))
 			}
 		}
 	})
@@ -161,8 +163,8 @@ func TestRecoveryPlan(t *testing.T) {
 		states[0].tasks = append(states[0].tasks, 8, 1<<31)
 		states[0].parts = append(states[0].parts, 4, 1<<31)
 		pl := rebuild(states, survivors, planTasks, 4)
-		if !reflect.DeepEqual(pl.partOwner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner, []int{0, 1, 2, -1, 0, 1, 2, -1}) {
-			t.Fatalf("partOwner %v, task owners %v", pl.partOwner, pl.taskOwner)
+		if !reflect.DeepEqual(pl.partOwner.owner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner.owner, []int32{0, 1, 2, -1, 0, 1, 2, -1}) {
+			t.Fatalf("partOwner %v, task owners %v", pl.partOwner.owner, pl.taskOwner.owner)
 		}
 	})
 }
@@ -193,13 +195,18 @@ func encodeClaim(s survivorState) []byte {
 // survivor s holds partition s and tasks s and s+w+1, of which the first is
 // done. It returns the survivors' encoded claims, their world ranks and each
 // survivor's own task table and partition owners.
-func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners [][]int32, rp roundPlanner) {
+func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners []*ownerTable, rp roundPlanner) {
 	rp = roundPlanner{tasks: make([]Task, 2*(w+1)), nParts: w + 1, checkpointed: true, balanced: true}
 	for id := range rp.tasks {
 		rp.tasks[id].Chunk.Size = 100 + id%7
 	}
+	homes := make([]int, w+1)
+	for s := range homes {
+		homes[s] = s
+	}
+	first, firstParts := firstTaskPlan(len(rp.tasks), homes), (&Handle{}).firstParts(0, homes)
 	for s := range w {
-		tt := newTaskTable(rp.tasks, w+1)
+		tt := newTaskTable(rp.tasks, first)
 		tt.setDone(s, true)
 		all = append(all, encodeClaim(survivorState{
 			phase:      phMap,
@@ -210,7 +217,7 @@ func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners
 		}))
 		group = append(group, s)
 		tables = append(tables, tt)
-		owners = append(owners, make([]int32, w+1))
+		owners = append(owners, &ownerTable{plan: firstParts})
 	}
 	return all, group, tables, owners, rp
 }
@@ -253,27 +260,15 @@ func TestRecoveryPlanAllocsAreLinear(t *testing.T) {
 //
 //	go test ./internal/core -run '^$' -bench RecoveryW2048 -benchtime 3x -benchmem
 func BenchmarkRecoveryW2048(b *testing.B) {
-	const w = 2048
-	for kills, name := range []string{"failure-free", "map-kill"} {
+	for _, kill := range []bool{false, true} {
+		name := "failure-free"
+		if kill {
+			name = "map-kill"
+		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				clus := testCluster(w/8, 8)
-				genInput(clus, "in/rec", 2*w, 4, 7)
-				h := RunSingle(clus, wcSpec("rec", w, ModelDetectResumeWC))
-				if kills > 0 {
-					fired := false
-					h.OnPhase(func(rank int, ph Phase) {
-						if !fired && rank == w/2 && ph == PhaseMap {
-							fired = true
-							clus.Sim.After(time.Millisecond, func() { h.World.Kill(rank) })
-						}
-					})
-				}
-				clus.Sim.Run()
-				if res := h.Result(); res.Aborted || len(res.FailedRanks) != kills {
-					b.Fatalf("aborted %v, failed ranks %v", res.Aborted, res.FailedRanks)
-				}
+				recoveryJob(b, 2048, kill)
 			}
 		})
 	}

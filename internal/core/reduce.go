@@ -15,15 +15,7 @@ import (
 func (r *runner) ownedParts() []int { return r.partsOf(r.myWorld()) }
 
 // partsOf returns the partitions world rank w owns, ascending.
-func (r *runner) partsOf(w int) []int {
-	var out []int
-	for part, o := range r.partOwner {
-		if int(o) == w {
-			out = append(out, part)
-		}
-	}
-	return out
-}
+func (r *runner) partsOf(w int) []int { return r.partOwner.idsOf(w) }
 
 // scratch returns the tier that holds this rank's intermediate data: the
 // node-local disk.

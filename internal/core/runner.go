@@ -51,11 +51,14 @@ type runner struct {
 	m    *RankMetrics
 	obs  *obs.Handle // the rank's trace/metrics/introspection handle (never nil)
 
-	world0    []int // world ranks participating at job start (the communicator's shared group: read-only)
-	tt        *taskTable
-	nParts    int     // partition count (== len(world0))
-	partOwner []int32 // partition -> world rank
-	homes     []int   // partOwner as the job started, a prefix of world0: hash slot -> the rank its tasks started on
+	world0 []int // world ranks participating at job start (the communicator's shared group: read-only)
+	tt     *taskTable
+	nParts int // partition count (== len(world0))
+	// partOwner is partition -> world rank: the plan the job's ranks share
+	// (the first one, homes; after a recovery round, the round's) and what
+	// this rank has reassigned since.
+	partOwner ownerTable
+	homes     []int // the first plan's partition owners, a prefix of world0: hash slot -> the rank its tasks start on
 
 	log        kvbuf.Log          // this rank's map output, in emission order; the shuffle partitions it
 	parts      map[int]*kvbuf.KV  // owned partition -> merged shuffle data
@@ -65,6 +68,7 @@ type runner struct {
 	shuffled   bool               // owned partitions hold merged data
 
 	phase int
+	role  *role // what the phases run as: rebuilt only when a failover promotes this rank
 
 	ck           *ckptStore
 	rep          *replicator // nil when Spec.ReplicaK == 0
@@ -75,16 +79,6 @@ type runner struct {
 	statusTag int
 
 	bufs *rankBufs // the rank's refill buffers (App.bufs): shared with its other jobs
-}
-
-// int32s returns ranks as int32s: a table of world ranks is W entries on each
-// of W ranks.
-func int32s(ranks []int) []int32 {
-	out := make([]int32, len(ranks))
-	for i, w := range ranks {
-		out[i] = int32(w)
-	}
-	return out
 }
 
 // jobCtx is one rank's view of the job it is running (each rank's RunJob
@@ -113,7 +107,6 @@ func newRunner(j *jobCtx, c *mpi.Comm, bufs *rankBufs) *runner {
 		obs:        h,
 		world0:     world0,
 		nParts:     c.Size(),
-		partOwner:  int32s(world0),
 		homes:      world0,
 		parts:      make(map[int]*kvbuf.KV),
 		kmv:        make(map[int]*kvbuf.KMV),
@@ -128,9 +121,9 @@ func newRunner(j *jobCtx, c *mpi.Comm, bufs *rankBufs) *runner {
 		r.ftm = ftm
 		r.nParts = len(ftm.acting)
 		// The acting primaries start as the first nParts ranks.
-		r.partOwner = int32s(ftm.acting)
 		r.homes = world0[:r.nParts]
 	}
+	r.partOwner = ownerTable{plan: j.h.firstParts(j.jobIdx, r.homes)}
 	r.lb.kind = spec.LBModel
 	clus := j.clus
 	r.ck = newCkptStore(clus, c.Self().WorldRank(), spec, m, h)
@@ -144,6 +137,11 @@ func newRunner(j *jobCtx, c *mpi.Comm, bufs *rankBufs) *runner {
 	if spec.ReplicaK > 0 && r.ck.enabled {
 		r.rep = newReplicator(r, spec.ReplicaK)
 		r.ck.rep = r.rep
+	}
+	if r.mirroring() {
+		r.role = r.mirrorRole()
+	} else {
+		r.role = r.primaryRole()
 	}
 	return r
 }
@@ -201,19 +199,10 @@ type role struct {
 // mirroring reports whether this rank currently runs as a dedicated shadow.
 func (r *runner) mirroring() bool { return r.ftm != nil && r.ftm.mirror }
 
-// currentRole returns the role this rank runs the next phase as. A shadow
-// becomes a primary only inside recovery (promotion), so a role never
-// changes under a running phase.
-func (r *runner) currentRole() *role {
-	if r.mirroring() {
-		return r.mirrorRole()
-	}
-	return r.primaryRole()
-}
-
 // primaryRole is the role of a rank that owns tasks and partitions: every
 // rank of a checkpoint-only job, and the acting primaries of a replicated
-// one.
+// one. What it binds (r.rep, fixed once newRunner returns) lasts the
+// runner's life.
 func (r *runner) primaryRole() *role {
 	return &role{
 		tasks:    func() []int { return r.tt.mine(r.myWorld()) },
@@ -233,7 +222,9 @@ func (r *runner) primaryRole() *role {
 func (r *runner) run() error {
 	for r.phase < phDone {
 		ph := phaseNames[r.phase]
-		ro := r.currentRole()
+		// A shadow becomes a primary only inside recovery (promotion), so the
+		// role never changes under a running phase.
+		ro := r.role
 		r.job.h.notifyPhase(r.myWorld(), ph)
 		t0 := r.p.Now()
 		r.obs.PhaseBegin(string(ph))
@@ -274,20 +265,34 @@ func (r *runner) shutdown() { r.ck.stop() }
 
 // ---------------------------------------------------------------- phases --
 
+// startTasks returns a task table of tasks, none done, each starting on its
+// slot's partition owner: homes, as the job's first plans first say (first
+// for the tasks, firstParts for the partitions), unless init runs again: only
+// a pure failover resumes here, and it has left the promoted shadow owning
+// its slot's partition.
+func (r *runner) startTasks(tasks []Task, first, firstParts *ownerPlan) *taskTable {
+	tt := newTaskTable(tasks, first)
+	if r.partOwner.pristine(firstParts) {
+		return tt
+	}
+	for slot, home := range r.homes {
+		if w := r.partOwner.of(slot); w != home {
+			for _, id := range first.idsOf(home) {
+				tt.setOwner(int(id), w)
+			}
+		}
+	}
+	return tt
+}
+
 // phaseInit builds the deterministic task table (§3.3: every master
 // enumerates and splits the input identically, so no coordination is
 // needed) and charges the metadata cost.
 func (r *runner) phaseInit() error {
 	clus := r.job.clus
-	tasks := r.job.h.jobTasks(r.job.jobIdx, r.spec.InputPrefix)
-	r.tt = newTaskTable(tasks, r.nParts)
-	// Remap initial owners onto ranks: the hash assigns slots 0..nParts-1, and
-	// slot i's tasks start on partition i's owner — homes, unless init runs
-	// again: only a pure failover resumes here, and it has left the promoted
-	// shadow owning its slot's partition.
-	for i, slot := range r.tt.owner {
-		r.tt.owner[i] = r.partOwner[slot]
-	}
+	h, idx := r.job.h, r.job.jobIdx
+	tasks, first := h.firstTasks(idx, r.spec.InputPrefix, r.homes)
+	r.tt = r.startTasks(tasks, first, h.firstParts(idx, r.homes))
 	// Metadata traversal: one PFS op per 64 chunks.
 	r.m.IOWait += clus.PFS.Charge(r.p, len(tasks)/64+1, 0)
 	for _, id := range r.tt.mine(r.myWorld()) {

@@ -170,14 +170,7 @@ func (r *runner) mirrorRole() *role {
 
 // mirrorPending returns the pair's tasks this shadow has not mirrored yet.
 func (r *runner) mirrorPending() []int {
-	pair := r.ftm.pairWorld()
-	var out []int
-	for id, o := range r.tt.owner {
-		if int(o) == pair && !r.ftm.mirrorDone[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(r.tt.ownedBy(r.ftm.pairWorld()), func(id int) bool { return r.ftm.mirrorDone[id] })
 }
 
 // mirrorParts returns the pair's partitions this shadow merged in a
@@ -185,14 +178,7 @@ func (r *runner) mirrorPending() []int {
 // Partitions the pair adopted after the exchange have no mirror data and are
 // skipped — failover falls back to the checkpoint path for those.
 func (r *runner) mirrorParts() []int {
-	pair := r.ftm.pairWorld()
-	var out []int
-	for part, o := range r.partOwner {
-		if int(o) == pair && r.parts[part] != nil {
-			out = append(out, part)
-		}
-	}
-	return out
+	return slices.DeleteFunc(r.partsOf(r.ftm.pairWorld()), func(part int) bool { return r.parts[part] == nil })
 }
 
 // mirrorEmitter stages a mirrored map task's output. Staging (instead of
@@ -363,6 +349,7 @@ func (r *runner) ftPromote(failed []int) error {
 			continue
 		}
 		f.mirror = false
+		r.role = r.primaryRole()
 		r.obs.Failover(aw, sw)
 		if err := r.adoptPromotion(aw); err != nil {
 			return err
@@ -380,10 +367,7 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 	me := r.myWorld()
 	// Fold any banked final sync pushes before judging durable progress.
 	r.drainShadowSync()
-	for id, o := range r.tt.owner {
-		if int(o) != deadWorld {
-			continue
-		}
+	for _, id := range r.tt.ownedBy(deadWorld) {
 		switch {
 		case r.ftm.mirrorDone[id]:
 			// Fully mirrored: the map output is in this rank's memory.
@@ -397,16 +381,13 @@ func (r *runner) adoptPromotion(deadWorld int) error {
 		// Done-but-unmirrored tasks stay unclaimed: the generic lost-task
 		// machinery re-runs or restores them if their output is needed.
 	}
-	for part, o := range r.partOwner {
-		if int(o) != deadWorld {
-			continue
-		}
+	for _, part := range r.partsOf(deadWorld) {
 		if r.shuffled && r.parts[part] == nil {
 			// Post-exchange partition the mirror never received (adopted by
 			// the pair after the exchange): leave it to the lost path.
 			continue
 		}
-		r.partOwner[part] = int32(me)
+		r.ownPart(part, me)
 		if err := r.reconcileMirrorOutput(part); err != nil {
 			return err
 		}

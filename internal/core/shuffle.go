@@ -152,28 +152,19 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 			return nil, err
 		}
 	}
-	pieces, of, cur := partitionLog(&r.log, r.nParts) // cur: sizes until the layout makes them cursors
+	pieces, of, parts, cur := partitionLog(&r.log, r.nParts, r.job.h.partLabels(r.nParts)) // cur: sizes until the layout makes them cursors
 	// The frames to send, in arena order: by destination, then partition. A
 	// partition no rank of the communicator owns is not sent.
-	filled := 0
-	for _, size := range cur {
-		if size != 0 {
-			filled++
-		}
-	}
-	frames := make([]sendFrame, 0, filled)
-	for part, size := range cur {
-		if size == 0 {
-			continue
-		}
-		if d := r.comm.CommRankOf(int(r.partOwner[part])); d >= 0 {
-			frames = append(frames, sendFrame{dest: int32(d), part: int32(part)})
+	frames := make([]sendFrame, 0, len(parts))
+	for i, part := range parts {
+		if d := r.comm.CommRankOf(r.partOwner.of(int(part))); d >= 0 {
+			frames = append(frames, sendFrame{dest: int32(d), label: int32(i)})
 		} else {
-			cur[part] = -1
+			cur[i] = -1
 		}
 	}
 	slices.SortFunc(frames, func(a, b sendFrame) int {
-		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.part, b.part))
+		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.label, b.label))
 	})
 	// Offsets into the arena are int32, like every per-partition table here;
 	// the log holds every payload byte sent.
@@ -186,8 +177,8 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 		if i == 0 || frames[i-1].dest != f.dest {
 			blocks++
 		}
-		size := cur[f.part]
-		cur[f.part] = off + frameHdrLen
+		size := cur[f.label]
+		cur[f.label] = off + frameHdrLen
 		off += frameHdrLen + size
 	}
 	arena := make([]byte, off)
@@ -200,41 +191,62 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 			bundles = append(bundles, mpi.Block{Peer: int(f.dest)})
 			first = start
 		}
-		end := cur[f.part]
-		sealFrame(arena[start:end], frameShuffle, uint32(f.part), 0)
+		end := cur[f.label]
+		sealFrame(arena[start:end], frameShuffle, uint32(parts[f.label]), 0)
 		bundles[len(bundles)-1].Data = arena[first:end:end]
 		start = end
 	}
 	return bundles, nil
 }
 
-// sendFrame is one frame sendBundles lays out: a partition that holds pairs
-// and the comm rank that owns it.
-type sendFrame struct{ dest, part int32 }
+// sendFrame is one frame sendBundles lays out: a partition that holds pairs,
+// by its label (see partitionLog), and the comm rank that owns it.
+type sendFrame struct{ dest, label int32 }
 
 // partitionLog is the first pass of the counting sort that partitions the
-// map-output log: the log as pieces, each pair's partition in log order, and
-// the encoded bytes each partition holds.
-func partitionLog(log *kvbuf.Log, nParts int) (pieces [][]byte, of, size []int32) {
+// map-output log over nParts partitions. It returns the log as pieces, the
+// partitions the log touches, ascending, and, by label (a touched partition's
+// index in parts), each pair's partition in log order and the encoded bytes
+// each partition holds: what it allocates is sized by the pairs and the
+// partitions touched, not by nParts. scratch is 2·nParts entries whose first
+// nParts are zero, and are left so; parts lies in the rest, valid until the
+// next call.
+func partitionLog(log *kvbuf.Log, nParts int, scratch []int32) (pieces [][]byte, of, parts, size []int32) {
 	pieces = log.Since(kvbuf.Mark{}, nil)
 	of = make([]int32, 0, log.Len())
-	size = make([]int32, nParts)
+	// seen holds each touched partition's bytes (a pair is never empty), then
+	// its label.
+	seen, parts := scratch[:nParts], scratch[nParts:nParts]
 	for _, piece := range pieces {
 		for off := 0; off < len(piece); {
 			k, _, n := kvbuf.NextPair(piece[off:])
 			part := int32(kvbuf.PartitionKey(k, nParts))
+			if seen[part] == 0 {
+				parts = append(parts, part)
+			}
 			of = append(of, part)
-			size[part] += int32(n)
+			seen[part] += int32(n)
 			off += n
 		}
 	}
-	return pieces, of, size
+	slices.Sort(parts)
+	size = make([]int32, len(parts))
+	for i, part := range parts {
+		size[i], seen[part] = seen[part], int32(i)
+	}
+	for i, part := range of {
+		of[i] = seen[part]
+	}
+	for _, part := range parts {
+		seen[part] = 0
+	}
+	return pieces, of, parts, size
 }
 
 // scatterLog is its second pass: every pair of the pieces is copied to its
-// partition's cursor in dst, which then advances, so each partition's pairs
-// keep their log order. A pair whose partition's cursor is negative is
-// skipped.
+// partition's cursor in dst (cur, by label), which then advances, so each
+// partition's pairs keep their log order. A pair whose partition's cursor is
+// negative is skipped.
 func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
 	i := 0
 	for _, piece := range pieces {
@@ -277,10 +289,10 @@ func (r *runner) exchange() ([]mpi.Block, error) {
 // the combined pairs, partition by partition, so a re-executed shuffle
 // resends combined data.
 func (r *runner) combineLocal() error {
-	pieces, of, cur := partitionLog(&r.log, r.nParts)
+	pieces, of, _, cur := partitionLog(&r.log, r.nParts, r.job.h.partLabels(r.nParts))
 	off := int32(0)
-	for part, size := range cur {
-		cur[part] = off
+	for i, size := range cur {
+		cur[i] = off
 		off += size
 	}
 	sorted := make([]byte, off)
