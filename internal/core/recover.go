@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"ftmrmpi/internal/kvbuf"
@@ -97,7 +96,7 @@ func (r *runner) recoverOnce() error {
 	// Exchange survivor state (§3.3: the masters' globally consistent state
 	// is what recovery is built on). The survivor that completes the gather
 	// folds the states into the plan, once, and every survivor receives it.
-	st := r.encodeState()
+	st := r.state()
 	rp := roundPlanner{
 		tasks:        r.tt.tasks,
 		nParts:       r.nParts,
@@ -107,7 +106,7 @@ func (r *runner) recoverOnce() error {
 		balanced:     r.spec.LoadBalance,
 	}
 	c := r.comm
-	fold := func(all [][]byte) any {
+	fold := func(all []any) any {
 		pl, err := rp.plan(all, c.Group())
 		if err != nil {
 			return err
@@ -115,7 +114,7 @@ func (r *runner) recoverOnce() error {
 		return pl
 	}
 	var res any
-	if err := r.net(func() (e error) { res, e = r.comm.AllgatherFold(st, fold); return e }); err != nil {
+	if err := r.net(func() (e error) { res, e = r.comm.AllgatherFold(st, st.size(), fold); return e }); err != nil {
 		return err
 	}
 	pl, ok := res.(*recoveryPlan)
@@ -185,19 +184,15 @@ type roundPlanner struct {
 	balanced     bool // Spec.LoadBalance: deal by the load models, not evenly
 }
 
-// plan decodes the survivors' allgathered states (all[i] is world rank
-// group[i]'s) and returns the round's plan, decided and dealt, or the error a
-// malformed state or one from another job makes. Every survivor is in the
-// same job: a rank leaves one only through its closing shrink, which every
-// live rank of the job enters.
-func (rp *roundPlanner) plan(all [][]byte, group []int) (*recoveryPlan, error) {
+// plan takes the survivors' allgathered states (all[i] is world rank
+// group[i]'s survivorState) and returns the round's plan, decided and dealt,
+// or the error a state from another job makes. Every survivor is in the same
+// job: a rank leaves one only through its closing shrink, which every live
+// rank of the job enters.
+func (rp *roundPlanner) plan(all []any, group []int) (*recoveryPlan, error) {
 	states := make([]survivorState, len(all))
-	for i, enc := range all {
-		var err error
-		if states[i], err = decodeState(enc); err != nil {
-			return nil, err
-		}
-		if states[i].jobIdx != rp.jobIdx {
+	for i, v := range all {
+		if states[i] = v.(survivorState); states[i].jobIdx != rp.jobIdx {
 			// The closing shrink holds every live rank in a job until all leave it.
 			return nil, fmt.Errorf("core: recovery of job %d met a survivor in job %d", rp.jobIdx, states[i].jobIdx)
 		}
@@ -213,8 +208,7 @@ func (rp *roundPlanner) plan(all [][]byte, group []int) (*recoveryPlan, error) {
 // rebuild computes a round's global state purely from the allgathered claims
 // (see survivorState): states[i] is world rank group[i]'s. It merges the done
 // bitmaps and collects the task and partition claims; whatever no survivor
-// claims is lost. A claimed id past the task list or the partition count (a
-// corrupt claim) is ignored, not indexed.
+// claims is lost.
 func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *recoveryPlan {
 	pl := &recoveryPlan{minPhase: phDone, models: make([]lbModel, len(states))}
 	for i, s := range states {
@@ -236,14 +230,10 @@ func rebuild(states []survivorState, group []int, tasks []Task, nParts int) *rec
 	for i, s := range states {
 		merged.mergeBitmap(s.doneBitmap)
 		for _, p := range s.parts {
-			if int(p) < nParts {
-				partOwner[p] = int32(group[i])
-			}
+			partOwner[p] = int32(group[i])
 		}
 		for _, t := range s.tasks {
-			if int(t) < len(tasks) {
-				taskOwner[t] = int32(group[i])
-			}
+			taskOwner[t] = int32(group[i])
 		}
 	}
 	pl.doneBits = merged.done
@@ -563,7 +553,7 @@ func (r *runner) restorePartition(part int) {
 	r.truncateOutput(part)
 }
 
-// ------------------------------------------------------- recovery codecs --
+// ------------------------------------------------------ survivor states --
 
 // survivorState is what each survivor publishes during recovery. Ownership
 // is expressed as *claims* (partitions whose data I hold, pending tasks I
@@ -571,13 +561,31 @@ func (r *runner) restorePartition(part int) {
 // from the allgathered claims, so a survivor that missed a previous round's
 // redistribution (its recovery allgather was itself interrupted by the next
 // failure) cannot leave the masters' views diverged.
+//
+// A state crosses the gather as a value and may alias the rank's live tables
+// (doneBitmap is its taskTable.done): the fold reads it while every
+// contributor is parked in the gather, and the plan keeps none of its slices.
 type survivorState struct {
 	phase      int
 	jobIdx     int
 	doneBitmap []byte
 	model      lbModel
-	parts      []uint32 // partitions this rank's memory holds
-	tasks      []uint32 // map tasks this rank owns (done ones: output held)
+	trace      bool  // the trace load model: model.Debt is published
+	parts      []int // partitions this rank's memory holds, ascending
+	tasks      []int // map tasks this rank owns (done ones: output held), ascending
+}
+
+// size is the bytes the gather prices a state at: its wire form — phase,
+// job index, the length-prefixed done bitmap, the model's rank and three
+// float64s, the two length-prefixed lists of 4-byte claims, and under the
+// trace model one more float64 (Debt). A static-model state is priced as the
+// paper model's.
+func (s survivorState) size() int {
+	n := 45 + len(s.doneBitmap) + 4*(len(s.parts)+len(s.tasks))
+	if s.trace {
+		n += 8
+	}
+	return n
 }
 
 // pendingDebtBytes is the merged-but-unconverted data of this rank's owned
@@ -598,99 +606,25 @@ func (r *runner) pendingDebtBytes() float64 {
 // fewer times than the map's tokenize/partition path).
 const partDebtCPUFactor = 0.5
 
-func (r *runner) encodeState() []byte {
+// state returns what this rank publishes in a recovery round: its phase, its
+// done bitmap, its fitted load model and its claims.
+func (r *runner) state() survivorState {
+	s := survivorState{
+		phase:      r.phase,
+		jobIdx:     r.job.jobIdx,
+		doneBitmap: r.tt.done,
+		trace:      r.lb.kind == LBTrace,
+		parts:      r.ownedParts(),
+		tasks:      r.tt.ownedBy(r.myWorld()),
+	}
 	a, b := r.lb.fit()
-	debt := 0.0
-	if r.lb.kind == LBTrace {
+	if s.trace {
 		a, b = r.lb.fitTrace(r.p.Now())
-		debt = b * partDebtCPUFactor * r.pendingDebtBytes()
+		s.model.Debt = b * partDebtCPUFactor * r.pendingDebtBytes()
 	}
 	r.obs.LBFit(r.lb.kind.String(), a, b, r.lb.residualRMS(a, b), len(r.lb.obs))
-	le := binary.LittleEndian
-	buf := []byte{byte(r.phase)}
-	buf = le.AppendUint32(buf, uint32(r.job.jobIdx))
-	bm := r.tt.doneBitmap()
-	buf = le.AppendUint32(buf, uint32(len(bm)))
-	buf = append(buf, bm...)
-	buf = le.AppendUint32(buf, uint32(r.myWorld()))
-	for _, f := range []float64{a, b, r.backlogBytes} {
-		buf = le.AppendUint64(buf, math.Float64bits(f))
-	}
-	// The claims: partitions whose data this rank holds, tasks it owns.
-	for _, ids := range [][]int{r.ownedParts(), r.tt.ownedBy(r.myWorld())} {
-		buf = le.AppendUint32(buf, uint32(len(ids)))
-		for _, id := range ids {
-			buf = le.AppendUint32(buf, uint32(id))
-		}
-	}
-	// Trace-model extension: one trailing float64 (Debt seconds). Static
-	// appends nothing, keeping its wire form — and hence the allgather's
-	// virtual timing — byte-identical to the paper model.
-	if r.lb.kind == LBTrace {
-		buf = le.AppendUint64(buf, math.Float64bits(debt))
-	}
-	return buf
-}
-
-func decodeState(data []byte) (survivorState, error) {
-	var s survivorState
-	if len(data) < 5 {
-		return s, errors.New("core: short survivor state")
-	}
-	s.phase = int(data[0])
-	if s.phase > phDone {
-		return s, fmt.Errorf("core: survivor state: bad phase %d", s.phase)
-	}
-	if len(data) < 9 {
-		return s, errors.New("core: short survivor state header")
-	}
-	s.jobIdx = int(binary.LittleEndian.Uint32(data[1:5]))
-	n := int(binary.LittleEndian.Uint32(data[5:9]))
-	data = data[9:]
-	if len(data) < n+4+24 {
-		return s, errors.New("core: truncated survivor state")
-	}
-	s.doneBitmap = data[:n]
-	data = data[n:]
-	s.model.Rank = int(binary.LittleEndian.Uint32(data[:4]))
-	data = data[4:]
-	for _, f := range [...]*float64{&s.model.Intercept, &s.model.Slope, &s.model.Backlog} {
-		*f = math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-	}
-	readList := func() ([]uint32, error) {
-		if len(data) < 4 {
-			return nil, errors.New("core: truncated claim list")
-		}
-		k := int(binary.LittleEndian.Uint32(data[:4]))
-		data = data[4:]
-		if len(data) < 4*k {
-			return nil, errors.New("core: truncated claim entries")
-		}
-		out := make([]uint32, k)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(data[i*4 : i*4+4])
-		}
-		data = data[4*k:]
-		return out, nil
-	}
-	var err error
-	if s.parts, err = readList(); err != nil {
-		return s, err
-	}
-	if s.tasks, err = readList(); err != nil {
-		return s, err
-	}
-	switch len(data) {
-	case 0:
-		// Static model: no extension block.
-	case 8:
-		// Trace-model extension: Debt seconds.
-		s.model.Debt = math.Float64frombits(binary.LittleEndian.Uint64(data))
-	default:
-		return s, fmt.Errorf("core: survivor state: %d trailing bytes", len(data))
-	}
-	return s, nil
+	s.model.Rank, s.model.Intercept, s.model.Slope, s.model.Backlog = r.myWorld(), a, b, r.backlogBytes
+	return s
 }
 
 // resumePrepare restores this rank's own partition state from checkpoints

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -30,7 +28,7 @@ func planTable() *taskTable {
 
 // claim builds world rank w's survivor state: it holds its own partition and
 // tasks plus the extra ones, is in phase, and knows done to be complete.
-func claim(w, phase int, done []int, extraParts, extraTasks []uint32) survivorState {
+func claim(w, phase int, done []int, extraParts, extraTasks []int) survivorState {
 	known := planTable()
 	for _, id := range done {
 		known.setDone(id, true)
@@ -38,8 +36,8 @@ func claim(w, phase int, done []int, extraParts, extraTasks []uint32) survivorSt
 	return survivorState{
 		phase:      phase,
 		doneBitmap: known.doneBitmap(),
-		parts:      append([]uint32{uint32(w)}, extraParts...),
-		tasks:      append([]uint32{uint32(w), uint32(w + 4)}, extraTasks...),
+		parts:      append([]int{w}, extraParts...),
+		tasks:      append([]int{w, w + 4}, extraTasks...),
 	}
 }
 
@@ -103,7 +101,7 @@ func TestRecoveryPlan(t *testing.T) {
 
 	t.Run("promoted shadow claimed everything", func(t *testing.T) {
 		states := claims(phReduce, all)
-		states[2] = claim(2, phConvert, all, []uint32{3}, []uint32{3, 7})
+		states[2] = claim(2, phConvert, all, []int{3}, []int{3, 7})
 		pl := rebuild(states, survivors, planTasks, 4)
 		if len(pl.lostParts)+len(pl.lostTasks) != 0 || pl.partOwner.owner[3] != 2 || pl.taskOwner.owner[3] != 2 || pl.taskOwner.owner[7] != 2 {
 			t.Fatalf("lost parts %v tasks %v, partOwner %v, task owners %v", pl.lostParts, pl.lostTasks, pl.partOwner.owner, pl.taskOwner.owner)
@@ -134,7 +132,7 @@ func TestRecoveryPlan(t *testing.T) {
 		// leaves them agreeing on everything but the lost tasks' owners.
 		left := []int{0, 2}
 		states := []survivorState{
-			claim(0, phMap, []int{0, 4}, []uint32{3}, []uint32{3}),
+			claim(0, phMap, []int{0, 4}, []int{3}, []int{3}),
 			claim(2, phMap, []int{2}, nil, nil),
 		}
 		pl := rebuild(states, left, planTasks, 4)
@@ -157,45 +155,37 @@ func TestRecoveryPlan(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("a claim past the table", func(t *testing.T) {
-		states := claims(phMap, nil)
-		states[0].tasks = append(states[0].tasks, 8, 1<<31)
-		states[0].parts = append(states[0].parts, 4, 1<<31)
-		pl := rebuild(states, survivors, planTasks, 4)
-		if !reflect.DeepEqual(pl.partOwner.owner, []int32{0, 1, 2, -1}) || !reflect.DeepEqual(pl.taskOwner.owner, []int32{0, 1, 2, -1, 0, 1, 2, -1}) {
-			t.Fatalf("partOwner %v, task owners %v", pl.partOwner.owner, pl.taskOwner.owner)
-		}
-	})
 }
 
-// encodeClaim is the wire form of a hand-built survivor state under the
-// static load model (encodeState's, without a runner).
-func encodeClaim(s survivorState) []byte {
-	le := binary.LittleEndian
-	buf := []byte{byte(s.phase)}
-	buf = le.AppendUint32(buf, uint32(s.jobIdx))
-	buf = le.AppendUint32(buf, uint32(len(s.doneBitmap)))
-	buf = append(buf, s.doneBitmap...)
-	buf = le.AppendUint32(buf, uint32(s.model.Rank))
-	for _, f := range []float64{s.model.Intercept, s.model.Slope, s.model.Backlog} {
-		buf = le.AppendUint64(buf, math.Float64bits(f))
-	}
-	for _, ids := range [][]uint32{s.parts, s.tasks} {
-		buf = le.AppendUint32(buf, uint32(len(ids)))
-		for _, id := range ids {
-			buf = le.AppendUint32(buf, id)
+// A survivor state is priced at the bytes its wire form takes: a 45-byte
+// header and claim-list prefixes, the done bitmap, 4 bytes per claim, and 8
+// more for the trace model's Debt. Each want is the length the byte-level
+// encoder once gave the same state.
+func TestSurvivorStateSize(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    survivorState
+		want int
+	}{
+		{"empty", survivorState{}, 45},
+		{"empty, trace model", survivorState{trace: true}, 53},
+		{"bitmap only", survivorState{doneBitmap: make([]byte, 3)}, 48},
+		{"claims", survivorState{doneBitmap: make([]byte, 1), parts: []int{0, 7}, tasks: []int{1, 2, 3}}, 66},
+		{"claims, trace model", survivorState{doneBitmap: make([]byte, 1), parts: []int{0, 7}, tasks: []int{1, 2, 3}, trace: true}, 74},
+		{"a 4-rank job's rank", claim(2, phReduce, []int{0, 1, 2}, []int{3}, []int{3, 7}), 70},
+	} {
+		if got := c.s.size(); got != c.want {
+			t.Errorf("%s: priced at %d bytes, want %d", c.name, got, c.want)
 		}
 	}
-	return buf
 }
 
 // mapKillRound is the input of one recovery round after a map-phase kill:
 // world rank w of a (w+1)-rank DR-WC job with 2(w+1) tasks is dead, and
 // survivor s holds partition s and tasks s and s+w+1, of which the first is
-// done. It returns the survivors' encoded claims, their world ranks and each
+// done. It returns the survivors' states, their world ranks and each
 // survivor's own task table and partition owners.
-func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners []*ownerTable, rp roundPlanner) {
+func mapKillRound(w int) (all []any, group []int, tables []*taskTable, owners []*ownerTable, rp roundPlanner) {
 	rp = roundPlanner{tasks: make([]Task, 2*(w+1)), nParts: w + 1, checkpointed: true, balanced: true}
 	for id := range rp.tasks {
 		rp.tasks[id].Chunk.Size = 100 + id%7
@@ -208,13 +198,13 @@ func mapKillRound(w int) (all [][]byte, group []int, tables []*taskTable, owners
 	for s := range w {
 		tt := newTaskTable(rp.tasks, first)
 		tt.setDone(s, true)
-		all = append(all, encodeClaim(survivorState{
+		all = append(all, survivorState{
 			phase:      phMap,
-			doneBitmap: tt.doneBitmap(),
+			doneBitmap: tt.done,
 			model:      lbModel{Rank: s, Slope: 1e-8 * float64(1+s%5), Backlog: 100},
-			parts:      []uint32{uint32(s)},
-			tasks:      []uint32{uint32(s), uint32(s + w + 1)},
-		}))
+			parts:      []int{s},
+			tasks:      []int{s, s + w + 1},
+		})
 		group = append(group, s)
 		tables = append(tables, tt)
 		owners = append(owners, &ownerTable{plan: firstParts})

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"time"
 
-	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/sched"
 )
@@ -181,24 +180,11 @@ func (r *runner) mirrorParts() []int {
 	return slices.DeleteFunc(r.partsOf(r.ftm.pairWorld()), func(part int) bool { return r.parts[part] == nil })
 }
 
-// mirrorEmitter stages a mirrored map task's output. Staging (instead of
-// emitting straight into the map-output log) keeps mirrored tasks atomic: a task
-// interrupted by recovery re-runs from scratch without double-emitting.
-type mirrorEmitter struct {
-	kv    *kvbuf.KV
-	bytes int
-}
-
-// Emit implements KVWriter.
-func (e *mirrorEmitter) Emit(k, v []byte) {
-	e.kv.Add(k, v)
-	e.bytes += len(k) + len(v) + 8
-}
-
 // mirrorMapTask re-executes one map task with the pair's input chunk,
 // paying the same read/compute/spill costs as the primary (replication's
 // resource overhead is real duplicated work) but replaying and writing no
-// checkpoints.
+// checkpoints. Its output goes straight into the map-output log: a map task
+// makes no MPI call, so no recovery can interrupt one halfway.
 func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) error {
 	t0 := r.p.Now()
 	task := r.tt.tasks[id]
@@ -208,7 +194,7 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 	}
 	defer reader.Close()
 
-	em := &mirrorEmitter{kv: kvbuf.NewKV()}
+	em := newEmitter(&r.log)
 	var cpuAcc float64
 	err := scanRecords(reader, mapBatch,
 		func(k, v []byte) error {
@@ -225,8 +211,7 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 	if err != nil {
 		return err
 	}
-	r.chargeEmitted(em.bytes)
-	r.injectKV(em.kv)
+	r.chargeEmitted(em.bytes())
 	// Train the shadow's load-balance model on the mirrored executions, so a
 	// promoted shadow enters recovery rounds with a fitted model.
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())

@@ -250,9 +250,12 @@ type collRun struct {
 // and first bytes each weighted by its comm rank.
 type foldSum struct{ n, bytes, weighted int }
 
-func sumFold(all [][]byte) any {
+// sumFold folds payloads that are byte slices, whether they arrived as the
+// reference tree's messages or as the values an AllgatherFold gathered.
+func sumFold[T any](all []T) any {
 	f := &foldSum{n: len(all)}
-	for r, d := range all {
+	for r, v := range all {
+		d := any(v).([]byte)
 		f.bytes += len(d)
 		f.weighted += r * len(d)
 		if len(d) > 0 {
@@ -264,8 +267,9 @@ func sumFold(all [][]byte) any {
 
 // runColls launches n ranks that each sleep skew[i][r] before collective i
 // of a Barrier, an Allgather of mine[r], an AllreduceInt64 (sum) of vals[r]
-// and an AllgatherFold (sumFold) of mine[r], run through the cost model or
-// the reference tree — where the fold is an Allgather each rank folds itself.
+// and an AllgatherFold (sumFold) of mine[r], declared at its length, run
+// through the cost model or the reference tree — where the fold is an
+// Allgather each rank folds itself.
 // It returns what every rank saw and the point-to-point messages sent in
 // total.
 func runColls(t *testing.T, ref bool, n int, skew [4][]time.Duration, mine [][]byte, vals []int64) ([]collRun, float64) {
@@ -299,7 +303,7 @@ func runColls(t *testing.T, ref bool, n int, skew [4][]time.Duration, mine [][]b
 				}
 			default:
 				var folded any
-				if folded, err[i] = c.AllgatherFold(mine[r], sumFold); err[i] == nil {
+				if folded, err[i] = c.AllgatherFold(mine[r], len(mine[r]), sumFold[any]); err[i] == nil {
 					run.folded = folded.(*foldSum)
 				}
 			}
@@ -373,23 +377,23 @@ func TestCollectivesMatchReferenceTree(t *testing.T) {
 }
 
 // AllgatherFold calls its fold exactly once per completed meeting, on the
-// gathered payloads in comm rank order, and every rank receives that one
-// value. A death inside the gather aborts the meeting without a call; the
+// gathered values in comm rank order, and every rank receives that one
+// result. A death inside the gather aborts the meeting without a call; the
 // retry on the shrunken communicator calls it once.
 func TestAllgatherFoldRunsOncePerMeeting(t *testing.T) {
 	const n, victim = 64, 5
 	clus := testCluster(n/8, 8)
 	var calls [3]int    // fold calls per round
 	var got [3][]any    // each round's results, by world rank
-	var sizes [3]int    // how many payloads each round's fold saw
+	var sizes [3]int    // how many values each round's fold saw
 	var ordered [3]bool // whether they came in comm rank order
-	fold := func(round int) func(all [][]byte) any {
-		return func(all [][]byte) any {
+	fold := func(round int) func(all []any) any {
+		return func(all []any) any {
 			calls[round]++
 			sizes[round] = len(all)
 			ordered[round] = true
 			for i := 1; i < len(all); i++ {
-				ordered[round] = ordered[round] && all[i-1][0] < all[i][0]
+				ordered[round] = ordered[round] && all[i-1].(int) < all[i].(int)
 			}
 			return new(int)
 		}
@@ -400,8 +404,7 @@ func TestAllgatherFoldRunsOncePerMeeting(t *testing.T) {
 	w := Launch(clus, n, func(c *Comm) {
 		c.SetErrHandler(func(*Comm, error) {})
 		me := c.WorldRank(c.Rank())
-		data := []byte{byte(me)}
-		v, err := c.AllgatherFold(data, fold(0))
+		v, err := c.AllgatherFold(me, 1, fold(0))
 		if err != nil {
 			t.Errorf("rank %d, round 0: %v", me, err)
 			return
@@ -410,7 +413,7 @@ func TestAllgatherFoldRunsOncePerMeeting(t *testing.T) {
 		if me == victim {
 			c.Proc().Sleep(time.Hour) // dies before entering round 1
 		}
-		if _, err = c.AllgatherFold(data, fold(1)); !IsProcFailed(err) {
+		if _, err = c.AllgatherFold(me, 1, fold(1)); !IsProcFailed(err) {
 			t.Errorf("rank %d, round 1: %v, want a process failure", me, err)
 			return
 		}
@@ -419,7 +422,7 @@ func TestAllgatherFoldRunsOncePerMeeting(t *testing.T) {
 			t.Errorf("rank %d: shrink: %v", me, err)
 			return
 		}
-		if got[2][me], err = nc.AllgatherFold(data, fold(2)); err != nil {
+		if got[2][me], err = nc.AllgatherFold(me, 1, fold(2)); err != nil {
 			t.Errorf("rank %d, round 2: %v", me, err)
 		}
 	})

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -68,23 +67,32 @@ func (c *Comm) Barrier() error {
 // length, so an append copies): both are read-only to every rank, the caller
 // included, for as long as any rank holds the result.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	all, err := c.gather("allgather", data, func(all [][]byte) any { return all })
+	all, err := c.gather("allgather", data, len(data), func(all []any) any {
+		out := make([][]byte, len(all))
+		for r, v := range all {
+			d := v.([]byte)
+			out[r] = d[:len(d):len(d)]
+		}
+		return out
+	})
 	if err != nil {
 		return nil, err
 	}
 	return all.([][]byte), nil
 }
 
-// AllgatherFold gathers every rank's data as Allgather does — the same tree,
-// the same cost, the same op in the trace — and returns fold(all) on every
-// rank: the last rank in calls comm rank 0's fold once, over the payloads
-// indexed by communicator rank, and every rank receives that one value. A
-// meeting a failure or a Revoke interrupts never calls it. Every rank passes
-// a fold that computes the same value, so fold may read only what the ranks
-// hold alike; it runs inside whichever rank's step completes the meeting, so
-// it must not block or record. all and the result are shared and read-only.
-func (c *Comm) AllgatherFold(data []byte, fold func(all [][]byte) any) (any, error) {
-	return c.gather("allgather", data, fold)
+// AllgatherFold gathers every rank's value v as Allgather gathers bytes — the
+// same tree, the same op in the trace, each v priced as a payload of size
+// bytes — and returns fold(all) on every rank: the last rank in calls comm
+// rank 0's fold once, over the values indexed by communicator rank, and every
+// rank receives that one result. A meeting a failure or a Revoke interrupts
+// never calls it. Every rank passes a fold that computes the same value, so
+// fold may read only what the ranks hold alike; it runs inside whichever
+// rank's step completes the meeting, while every other contributor is parked
+// in it, so it must not block or record. all and the result are shared and
+// read-only, and no value may be written until the gather returns.
+func (c *Comm) AllgatherFold(v any, size int, fold func(all []any) any) (any, error) {
+	return c.gather("allgather", v, size, fold)
 }
 
 // AllreduceInt64 folds one int64 per rank with op (associative and
@@ -92,10 +100,10 @@ func (c *Comm) AllgatherFold(data []byte, fold func(all [][]byte) any) (any, err
 // Allgather of 8 bytes per rank costs, and the last rank in folds once for
 // everyone, in communicator rank order.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	acc, err := c.gather("allreduce", binary.BigEndian.AppendUint64(nil, uint64(v)), func(all [][]byte) any {
-		acc := int64(binary.BigEndian.Uint64(all[0]))
+	acc, err := c.gather("allreduce", v, 8, func(all []any) any {
+		acc := all[0].(int64)
 		for _, d := range all[1:] {
-			acc = op(acc, int64(binary.BigEndian.Uint64(d)))
+			acc = op(acc, d.(int64))
 		}
 		return acc
 	})
@@ -105,10 +113,10 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error)
 	return acc.(int64), nil
 }
 
-// gather is the gathering calls' one meeting: a tree over every rank's data
-// whose result is fold's value.
-func (c *Comm) gather(op string, data []byte, fold func(all [][]byte) any) (any, error) {
-	m, err := c.collective(op, meetTree, &meetWait{data: data, fold: fold})
+// gather is the gathering calls' one meeting: a tree over every rank's value,
+// priced at size bytes, whose result is fold's value.
+func (c *Comm) gather(op string, v any, size int, fold func(all []any) any) (any, error) {
+	m, err := c.collective(op, meetTree, &meetWait{val: v, size: size, fold: fold})
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +130,7 @@ func (c *Comm) gather(op string, data []byte, fold func(all [][]byte) any) (any,
 // v+2^b for each 2^b below v's lowest set bit (each 2^b < W at the root), in
 // ascending b; its parent clears that bit. A bundle holds a 4-byte count and
 // an 8-byte header plus the payload per rank, so with L the length of the
-// whole bundle (0 for a Barrier):
+// whole bundle (0 for a Barrier) and len_u rank u's priced size:
 //
 //	t_v = max(entry_v, g_k for each child k)              (v has heard its subtree)
 //	g_v = t_v + TransferCost(4 + Σ_{u in subtree(v)} (8 + len_u))   (v's bundle reaches its parent)
@@ -139,7 +147,7 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	at := make([]time.Duration, n) // t_v, then g_v, then s_v
 	size := make([]int, n)         // Σ (8 + len_u) over v's subtree
 	for v, w := range waits {
-		at[v], size[v] = w.entry, 8+len(w.data)
+		at[v], size[v] = w.entry, 8+w.size
 	}
 	for v := n - 1; v > 0; v-- { // children before parents
 		at[v] += cost(4 + size[v])
@@ -150,9 +158,9 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	bcast := 0 // a Barrier broadcasts nothing
 	if waits[0].fold != nil {
 		bcast = 4 + size[0]
-		all := make([][]byte, n)
+		all := make([]any, n)
 		for r, w := range waits {
-			all[r] = w.data[:len(w.data):len(w.data)]
+			all[r] = w.val
 		}
 		m.folded = waits[0].fold(all)
 	}

@@ -35,7 +35,7 @@ type meet struct {
 	done   bool        // finished or aborted: the kind's next entrant opens a fresh meeting
 	newSt  *commState  // Shrink's result
 	flags  int         // Agree's result
-	folded any         // a gathering call's result: its fold of the payloads, shared by every rank
+	folded any         // a gathering call's result: its fold of the values, shared by every rank
 }
 
 // meetWait is one rank's stake in a meet.
@@ -43,13 +43,14 @@ type meetWait struct {
 	c     *Comm
 	op    string // what the introspection plane calls the meeting
 	entry time.Duration
-	data  []byte                 // a gathering call's payload
-	fold  func(all [][]byte) any // a gathering call's fold of the payloads, by comm rank; nil for a Barrier
-	send  []Block                // an exchange's blocks, by ascending peer
-	recv  []Block                // an exchange's result, by ascending source
-	flag  int                    // Agree's contribution
-	at    time.Duration          // release instant; unreleased until the meeting finishes
-	timer *vtime.Timer           // the wake-up an exchange or a tree armed for at
+	val   any                 // a gathering call's value
+	size  int                 // the bytes val is priced at
+	fold  func(all []any) any // a gathering call's fold of the values, by comm rank; nil for a Barrier
+	send  []Block             // an exchange's blocks, by ascending peer
+	recv  []Block             // an exchange's result, by ascending source
+	flag  int                 // Agree's contribution
+	at    time.Duration       // release instant; unreleased until the meeting finishes
+	timer *vtime.Timer        // the wake-up an exchange or a tree armed for at
 	err   error
 	left  bool
 }
