@@ -68,8 +68,8 @@ bench-overhead:
 # ConvertTwoPass and ConvertFourPass alike (four-pass is a price list over
 # the same grouping; its executed reference lives in kv_test.go); the
 # copier's drain of a growing stream allocates a small multiple of the stream,
-# not of stream x drains; what a rank allocates to encode and merge its
-# shuffle bundles depends on the partitions that hold data, not on the rank
+# not of stream x drains; what a rank allocates to lay out and merge its
+# shuffle blocks depends on the partitions that hold data, not on the rank
 # count; a rank's map output is one log whatever the partition count, and the
 # shuffle sizes its tables by the partitions the log touches, so the same
 # pairs at W=64 and at W=4096 cost the same allocations of the same bytes; one
@@ -81,9 +81,9 @@ bench-overhead:
 # reduce output allocates per commit, never per record; an Allgather hands every rank
 # one shared result, not a W-entry slice each; a recovery round computes its
 # plan once for every survivor, not once per survivor; and a failure-free
-# job allocates about the same bytes per rank at W=2048 as at W=512, because
-# what its ranks derive alike (the task list, the first task and partition
-# plans) is made once per job.
+# job allocates about the same bytes per rank at W=2048 and at W=4096 as at
+# W=512, because what its ranks derive alike (the task list, the first task
+# and partition plans) is made once per job.
 # Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem

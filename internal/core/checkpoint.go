@@ -41,7 +41,10 @@ type frame struct {
 }
 
 // frameHdrLen is the fixed wire header size:
-// [kind u8][a u32][b u32][len u32][crc u32].
+// [kind u8][a u32][b u32][len u32][crc u32]. Frames are the checkpoint
+// streams' format, where bytes meet storage faults; a shuffle block carries
+// no frame, but is priced at the length of the frames that would carry its
+// runs (sendBundles).
 const frameHdrLen = 17
 
 // maxFramePayload bounds a declared payload length. Nothing legitimate comes
@@ -54,8 +57,9 @@ const maxFramePayload = 1 << 30
 // is views of the map-output log): [kind u8][a u32][b u32][len u32][crc u32],
 // where crc is CRC-32 (IEEE) over the first 13 header bytes followed by the
 // payload — so a bit flip anywhere in the frame (including the length or the
-// CRC field itself) is detectable at read time. The frame's wire form is the
-// header followed by the payload; commit hands the pieces on as they are.
+// CRC field itself) is detectable at read time. It is the one header writer.
+// The frame's wire form is the header followed by the payload; commit hands
+// the pieces on as they are.
 func putFrameHeader(hdr []byte, kind byte, a, b uint32, payload ...[]byte) {
 	n := 0
 	for _, p := range payload {
@@ -72,19 +76,11 @@ func putFrameHeader(hdr []byte, kind byte, a, b uint32, payload ...[]byte) {
 	binary.LittleEndian.PutUint32(hdr[13:17], crc)
 }
 
-// sealFrame writes the header of a frame whose payload is already in place
-// after it: fr is the frameHdrLen header bytes followed by the payload. The
-// shuffle places every pair straight into its bundle and seals the frames
-// there.
-func sealFrame(fr []byte, kind byte, a, b uint32) {
-	putFrameHeader(fr[:frameHdrLen], kind, a, b, fr[frameHdrLen:])
-}
-
-// nextFrame decodes the frame at the head of rest in place (the payload
-// aliases rest) and returns it with the bytes it occupies. It is the one
-// frame decoder: a non-nil error names what is wrong with the head — a torn
-// tail, a corrupted frame, or garbage — and the walking caller adds where
-// (frameErr).
+// nextFrame checks and decodes the frame at the head of rest in place (the
+// payload aliases rest, capped at its length) and returns it with the bytes
+// it occupies. It is the one frame decoder: a non-nil error names what is
+// wrong with the head — a torn tail, a corrupted frame, or garbage — and the
+// walking caller adds where (frameErr).
 func nextFrame(rest []byte) (frame, int, error) {
 	if len(rest) < frameHdrLen {
 		return frame{}, 0, fmt.Errorf("short header (%d of %d bytes)", len(rest), frameHdrLen)
@@ -108,20 +104,12 @@ func nextFrame(rest []byte) (frame, int, error) {
 	if crc != want {
 		return frame{}, 0, fmt.Errorf("CRC mismatch (got %08x, want %08x)", crc, want)
 	}
-	f, _ := checkedFrame(rest)
-	return f, n, nil
-}
-
-// checkedFrame decodes the frame at the head of rest that nextFrame has
-// already accepted, from its header alone: nothing is checked again.
-func checkedFrame(rest []byte) (frame, int) {
-	n := frameHdrLen + int(binary.LittleEndian.Uint32(rest[9:13]))
 	return frame{
 		kind:    rest[0],
 		a:       binary.LittleEndian.Uint32(rest[1:5]),
 		b:       binary.LittleEndian.Uint32(rest[5:9]),
 		payload: rest[frameHdrLen:n:n],
-	}, n
+	}, n, nil
 }
 
 // frameErr places a nextFrame error: the idx-th frame of a stream, at byte

@@ -178,7 +178,8 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 			}
 			for _, b := range bufs {
 				peers = append(peers, b.Peer)
-				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, b.Peer), b.Data, want[b.Peer])
+				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, b.Peer), framedBlock(b), want[b.Peer])
+				check(fmt.Sprintf("shuffle %d, price of the bundle for rank %d", round, b.Peer), []byte(fmt.Sprint(b.Size)), []byte(fmt.Sprint(len(want[b.Peer]))))
 			}
 			check(fmt.Sprintf("shuffle %d, destinations", round), []byte(fmt.Sprint(peers)), []byte(fmt.Sprint(wantPeers)))
 		}

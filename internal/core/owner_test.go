@@ -400,15 +400,15 @@ func recoveryJob(tb testing.TB, w int, kill bool) {
 
 // TestJobAllocsPerRankFlatInW is the whole job's allocation gate (make
 // alloc-gate): a failure-free rank allocates about the same bytes at W=2048
-// as at W=512. What every rank of a job derives alike (the task list and the
-// first task and partition plans) is made once per job, and the shuffle sizes
-// by the partitions a rank's log touches, so what is left growing with W per
-// rank is the done bitmap (a bit per task) and its gossip. One W-entry int32
-// table per rank adds 6 KiB a rank at W=2048; the three the job used to hold
-// made the ratio 1.76.
+// and at W=4096 as at W=512. What every rank of a job derives alike (the task
+// list and the first task and partition plans) is made once per job, and the
+// shuffle sizes by the partitions a rank's log touches, so what is left
+// growing with W per rank is the done bitmap (a bit per task) and its gossip.
+// One W-entry int32 table per rank adds 6 KiB a rank at W=2048 and 16 KiB at
+// W=4096; the three the job used to hold made the ratios 1.76 and 2.7.
 func TestJobAllocsPerRankFlatInW(t *testing.T) {
 	perRank := make(map[int]float64)
-	for _, w := range []int{512, 2048} {
+	for _, w := range []int{512, 2048, 4096} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -416,9 +416,14 @@ func TestJobAllocsPerRankFlatInW(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perRank[w] = float64(after.TotalAlloc-before.TotalAlloc) / float64(w)
 	}
-	ratio := perRank[2048] / perRank[512]
-	t.Logf("a failure-free job allocates %.1f KB per rank at W=512, %.1f KB at W=2048 (%.2fx)", perRank[512]/1e3, perRank[2048]/1e3, ratio)
-	if ratio > 1.15 {
-		t.Fatalf("per-rank bytes grow %.2fx from W=512 to W=2048, bound 1.15: a rank holds state sized by W again", ratio)
+	for _, row := range []struct {
+		w     int
+		bound float64
+	}{{2048, 1.15}, {4096, 1.3}} {
+		ratio := perRank[row.w] / perRank[512]
+		t.Logf("a failure-free job allocates %.1f KB per rank at W=512, %.1f KB at W=%d (%.2fx)", perRank[512]/1e3, perRank[row.w]/1e3, row.w, ratio)
+		if ratio > row.bound {
+			t.Errorf("per-rank bytes grow %.2fx from W=512 to W=%d, bound %.2f: a rank holds state sized by W again", ratio, row.w, row.bound)
+		}
 	}
 }

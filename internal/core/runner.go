@@ -182,7 +182,7 @@ func (r *runner) myWorld() int { return r.comm.Self().WorldRank() }
 // rank works on, and what recording a unit of progress means — durable
 // appends, checkpoint frames and gossip for a primary; staging in memory for
 // a shadow. The phase bodies themselves never ask which of the two they run
-// as. Bundle routing in the shuffle is the only other per-model code.
+// as. Block routing in the shuffle is the only other per-model code.
 type role struct {
 	tasks   func() []int                                               // map tasks still to run
 	mapTask func(id int, mapper Mapper, reader FileRecordReader) error // run one and record its completion

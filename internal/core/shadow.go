@@ -223,9 +223,10 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 
 // withShadowCopies returns a primary's shuffle blocks with, for every slot
 // that has a live shadow, one more block for that shadow holding the same
-// bytes as the block bound for the slot's acting primary: a second transfer,
-// priced as one, and counted as a mirror send. The result ascends by peer, as
-// AlltoallvSparse wants; without the replication model it is send.
+// value, at the same size, as the block bound for the slot's acting primary:
+// a second transfer, priced as one, and counted as a mirror send. The result
+// ascends by peer, as AlltoallvSparse wants; without the replication model it
+// is send.
 func (r *runner) withShadowCopies(send []mpi.Block) []mpi.Block {
 	f := r.ftm
 	if f == nil {
@@ -241,9 +242,9 @@ func (r *runner) withShadowCopies(send []mpi.Block) []mpi.Block {
 		if !ok {
 			continue
 		}
-		send = append(send, mpi.Block{Peer: r.comm.CommRankOf(sw), Data: send[i].Data})
+		send = append(send, mpi.Block{Peer: r.comm.CommRankOf(sw), Val: send[i].Val, Size: send[i].Size})
 		r.obs.FT.MirrorSends.Inc()
-		r.obs.FT.MirrorBytes.Add(float64(len(send[i].Data)))
+		r.obs.FT.MirrorBytes.Add(float64(send[i].Size))
 	}
 	slices.SortFunc(send, func(a, b mpi.Block) int { return cmp.Compare(a.Peer, b.Peer) })
 	return send

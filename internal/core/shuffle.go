@@ -12,8 +12,8 @@ import (
 )
 
 // phaseShuffle exchanges the partitioned map output so each partition's
-// holder has all its pairs, then checkpoints the received buffers. Every
-// execution model routes the bundles through the same AlltoallvSparse;
+// holder has all its pairs, then checkpoints the received partitions. Every
+// execution model routes the blocks through the same AlltoallvSparse;
 // agreement, merge and snapshot are the same for every rank.
 func (r *runner) phaseShuffle() error {
 	// If every rank restored its partitions from checkpoints (restart after
@@ -57,15 +57,15 @@ func (r *runner) phaseShuffle() error {
 	return r.net(func() error { return r.comm.Barrier() })
 }
 
-// mergeBundles rebuilds this rank's partitions from the received bundles,
+// mergeBundles rebuilds this rank's partitions from the received blocks,
 // from scratch so the exchange is idempotent under recovery re-runs. The
 // partitions are the ownership table's — this rank's own, or a mirroring
-// shadow's pair's — whether or not any pairs arrived for them. One walk
-// checks every frame and sizes each partition; a second walk over the checked
-// headers then appends every payload, in bundle order: a payload of at least
-// storage.ShareMin bytes as a capped view of the sender's write-once arena,
-// a shorter one copied into the one buffer the first walk sized
-// (kvbuf.KV.AppendRun, kvbuf.NewKVs).
+// shadow's pair's — whether or not any pairs arrived for them. One walk over
+// the blocks' runs checks that each names a held partition and sizes the
+// partitions; a second appends every payload, in block order: a payload of at
+// least storage.ShareMin bytes as a capped view of the sender's write-once
+// arena, a shorter one copied into the one buffer the first walk sized
+// (kvbuf.KV.AppendRun, which checks the pairs' framing; kvbuf.NewKVs).
 func (r *runner) mergeBundles(bundles []mpi.Block) error {
 	holder := r.myWorld()
 	if r.mirroring() {
@@ -74,25 +74,15 @@ func (r *runner) mergeBundles(bundles []mpi.Block) error {
 	held := r.partsOf(holder)
 	sizes := make([]int, 2*len(held)) // by held's index: all bytes, then short bytes
 	for _, b := range bundles {
-		for idx, off := 0, 0; off < len(b.Data); idx++ {
-			f, n, err := nextFrame(b.Data[off:])
-			if err != nil {
-				// Shuffle bundles travel over the (fault-free) network; a decode
-				// failure here is a framing bug, not a storage fault.
-				return fmt.Errorf("core: shuffle bundle: %w", frameErr(idx, off, err))
+		for _, run := range runsOf(b) {
+			i, ok := slices.BinarySearch(held, int(run.part))
+			if !ok {
+				return fmt.Errorf("core: shuffle block from comm rank %d: partition %d is not held by world rank %d", b.Peer, run.part, holder)
 			}
-			if f.kind == frameShuffle {
-				i, ok := slices.BinarySearch(held, int(f.a))
-				if !ok {
-					return fmt.Errorf("core: shuffle bundle: %w", frameErr(idx, off,
-						fmt.Errorf("partition %d is not held by world rank %d", f.a, holder)))
-				}
-				sizes[i] += len(f.payload)
-				if len(f.payload) < storage.ShareMin {
-					sizes[len(held)+i] += len(f.payload)
-				}
+			sizes[i] += len(run.payload)
+			if len(run.payload) < storage.ShareMin {
+				sizes[len(held)+i] += len(run.payload)
 			}
-			off += n
 		}
 	}
 	kvs, err := mergedParts(held, sizes[:len(held)], sizes[len(held):])
@@ -105,16 +95,11 @@ func (r *runner) mergeBundles(bundles []mpi.Block) error {
 		r.parts[part] = &kvs[i]
 	}
 	for _, b := range bundles {
-		for off := 0; off < len(b.Data); {
-			f, n := checkedFrame(b.Data[off:])
-			off += n
-			if f.kind != frameShuffle || len(f.payload) == 0 {
-				continue
+		for _, run := range runsOf(b) {
+			if err := r.parts[int(run.part)].AppendRun(run.payload); err != nil {
+				return fmt.Errorf("core: shuffle block from comm rank %d, partition %d: %w", b.Peer, run.part, err)
 			}
-			if err := r.parts[int(f.a)].AppendRun(f.payload); err != nil {
-				return err
-			}
-			r.m.ShuffleBytes += int64(len(f.payload))
+			r.m.ShuffleBytes += int64(len(run.payload))
 		}
 	}
 	return nil
@@ -135,14 +120,16 @@ func mergedParts(held, sizes, short []int) ([]kvbuf.KV, error) {
 
 // sendBundles prepares this rank's map output for the exchange: one block
 // per communicator rank that owns a partition holding pairs from this rank,
-// by ascending comm rank, each the frames of those partitions in ascending
-// partition order. A partition without pairs is not framed, and a rank that
-// is sent none gets no block. The map-output log is partitioned once, by a
-// stable counting sort straight into the frames: the frames are laid out
-// first, every pair is then copied to its partition's cursor inside its
-// frame, and each frame's header is sealed in place. The blocks share one
-// arena, each a capacity-limited sub-slice of it: receivers may keep what
-// they are handed, and nothing writes to the arena after this returns.
+// by ascending comm rank. A block's value is the list of those partitions'
+// runs (runsOf), by ascending partition, priced at the length of the
+// frameShuffle frames that would carry them: frameHdrLen plus the payload per
+// run. A partition without pairs has no run, and a rank that is sent none
+// gets no block. The map-output log is partitioned once, by a stable counting
+// sort straight into one arena: every run's payload is laid out first, back
+// to back by destination then partition, and every pair is then copied to its
+// partition's cursor. The payloads are capacity-limited sub-slices of the
+// arena and the lists windows of one slice: receivers may keep what they are
+// handed, and nothing writes to either after this returns.
 func (r *runner) sendBundles() ([]mpi.Block, error) {
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
@@ -152,56 +139,60 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 			return nil, err
 		}
 	}
+	// Offsets into the arena are int32, like every per-partition table here;
+	// the log holds every payload byte sent.
+	if r.log.Size() > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
+	}
 	pieces, of, parts, cur := partitionLog(&r.log, r.nParts, r.job.h.partLabels(r.nParts)) // cur: sizes until the layout makes them cursors
-	// The frames to send, in arena order: by destination, then partition. A
+	// The runs to send, in arena order: by destination, then partition. A
 	// partition no rank of the communicator owns is not sent.
-	frames := make([]sendFrame, 0, len(parts))
+	runs, total := make([]partRun, 0, len(parts)), int32(0)
 	for i, part := range parts {
 		if d := r.comm.CommRankOf(r.partOwner.of(int(part))); d >= 0 {
-			frames = append(frames, sendFrame{dest: int32(d), label: int32(i)})
+			runs = append(runs, partRun{part: part, dest: int32(d)})
+			total += cur[i]
 		} else {
 			cur[i] = -1
 		}
 	}
-	slices.SortFunc(frames, func(a, b sendFrame) int {
-		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.label, b.label))
+	slices.SortFunc(runs, func(a, b partRun) int {
+		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.part, b.part))
 	})
-	// Offsets into the arena are int32, like every per-partition table here;
-	// the log holds every payload byte sent.
-	if int64(r.log.Size())+int64(frameHdrLen)*int64(len(frames)) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
-	}
-	// Each partition's payload starts after its header.
-	off, blocks := int32(0), 0
-	for i, f := range frames {
-		if i == 0 || frames[i-1].dest != f.dest {
+	arena, off, blocks := make([]byte, total), int32(0), 0
+	for i := range runs {
+		if i == 0 || runs[i-1].dest != runs[i].dest {
 			blocks++
 		}
-		size := cur[f.label]
-		cur[f.label] = off + frameHdrLen
-		off += frameHdrLen + size
+		label, _ := slices.BinarySearch(parts, runs[i].part)
+		end := off + cur[label]
+		runs[i].payload = arena[off:end:end]
+		cur[label], off = off, end
 	}
-	arena := make([]byte, off)
 	scatterLog(pieces, of, cur, arena)
-	// Every cursor now ends its payload; the frames lie back to back.
-	bundles := make([]mpi.Block, 0, blocks)
-	start, first := int32(0), int32(0) // the current frame's and block's first byte
-	for i, f := range frames {
-		if i == 0 || frames[i-1].dest != f.dest {
-			bundles = append(bundles, mpi.Block{Peer: int(f.dest)})
-			first = start
+	lists, bundles := make([][]partRun, 0, blocks), make([]mpi.Block, 0, blocks)
+	for i := 0; i < len(runs); {
+		j, size := i, 0
+		for ; j < len(runs) && runs[j].dest == runs[i].dest; j++ {
+			size += frameHdrLen + len(runs[j].payload)
 		}
-		end := cur[f.label]
-		sealFrame(arena[start:end], frameShuffle, uint32(parts[f.label]), 0)
-		bundles[len(bundles)-1].Data = arena[first:end:end]
-		start = end
+		lists = append(lists, runs[i:j:j])
+		bundles = append(bundles, mpi.Block{Peer: int(runs[i].dest), Val: &lists[len(lists)-1], Size: size})
+		i = j
 	}
 	return bundles, nil
 }
 
-// sendFrame is one frame sendBundles lays out: a partition that holds pairs,
-// by its label (see partitionLog), and the comm rank that owns it.
-type sendFrame struct{ dest, label int32 }
+// partRun is one partition's pairs in a shuffle block — what the partition's
+// frameShuffle frame carries after its header — and the comm rank of the
+// partition's owner, by which sendBundles lays the runs out.
+type partRun struct {
+	part, dest int32
+	payload    []byte
+}
+
+// runsOf is a shuffle block's value: its runs, by ascending partition.
+func runsOf(b mpi.Block) []partRun { return *b.Val.(*[]partRun) }
 
 // partitionLog is the first pass of the counting sort that partitions the
 // map-output log over nParts partitions. It returns the log as pieces, the
@@ -261,7 +252,7 @@ func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
 	}
 }
 
-// exchange routes the bundles with one collective exchange and returns what
+// exchange routes the blocks with one collective exchange and returns what
 // this rank received, in source-rank order. Under the replication model a
 // primary's blocks also go to the shadows of the slots they are bound for
 // (withShadowCopies), and a mirroring shadow, which owns no map output of
@@ -285,7 +276,7 @@ func (r *runner) exchange() ([]mpi.Block, error) {
 
 // combineLocal applies the user combiner to every partition of this rank's
 // map output, charging grouping I/O and per-group compute. The log is sorted
-// by partition (the shuffle's counting sort, without headers) and replaced by
+// by partition (the shuffle's counting sort) and replaced by
 // the combined pairs, partition by partition, so a re-executed shuffle
 // resends combined data.
 func (r *runner) combineLocal() error {

@@ -13,12 +13,13 @@ import (
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/mpi"
+	"ftmrmpi/internal/obs"
 	"ftmrmpi/internal/storage"
 )
 
 // rankZero launches a w-rank world whose ranks return at once and returns a
 // runner over rank 0's communicator with one partition per rank, partition i
-// owned by world rank i: enough of a rank to encode and merge bundles.
+// owned by world rank i: enough of a rank to lay out and merge shuffle blocks.
 func rankZero(tb testing.TB, w int) *runner {
 	tb.Helper()
 	cfg := cluster.Default()
@@ -55,6 +56,26 @@ func keyIn(part, w, i int) []byte {
 // kvBytes returns a KV's encoding as one slice: its pieces joined.
 func kvBytes(kv *kvbuf.KV) []byte { return bytes.Join(kv.Pieces(nil), nil) }
 
+// runBlock is a shuffle block from (or to) comm rank peer holding runs, priced
+// as sendBundles prices one: a frame header plus the payload per run.
+func runBlock(peer int, runs ...partRun) mpi.Block {
+	size := 0
+	for _, run := range runs {
+		size += frameHdrLen + len(run.payload)
+	}
+	return mpi.Block{Peer: peer, Val: &runs, Size: size}
+}
+
+// framedBlock is a shuffle block as the frameShuffle frames that would carry
+// its runs, in list order.
+func framedBlock(b mpi.Block) []byte {
+	var out []byte
+	for _, run := range runsOf(b) {
+		out = encodeFrame(out, frameShuffle, uint32(run.part), 0, run.payload)
+	}
+	return out
+}
+
 // shuffleFixture builds rank 0's side of a W-rank shuffle with one partition
 // per rank, of which only the first filled hold pairs: the runner whose
 // map-output log sendBundles partitions (two pairs per filled partition, the
@@ -77,15 +98,15 @@ func shuffleFixture(tb testing.TB, w, filled int) (r *runner, recv []mpi.Block, 
 	}
 	recv = make([]mpi.Block, filled)
 	for i := range recv {
-		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, sent[i].Pieces(nil)...)}
+		recv[i] = runBlock(i, partRun{part: 0, payload: kvBytes(sent[i])})
 	}
 	return r, recv, sent
 }
 
 // TestShuffleAllocsPerRank is the shuffle's allocation gate: what a rank
-// allocates to encode its bundles and to merge the ones it receives depends
+// allocates to lay out its blocks and to merge the ones it receives depends
 // on how many partitions hold data, not on how many ranks there are — one
-// arena, one frame walk and one pre-sized buffer for the short payloads,
+// arena, one list of runs and one pre-sized buffer for the short payloads,
 // where there used to be a frame buffer per destination and a frame slice per
 // source.
 func TestShuffleAllocsPerRank(t *testing.T) {
@@ -194,28 +215,30 @@ func TestMergeBundlesKeepsBundleOrder(t *testing.T) {
 	if r.m.ShuffleBytes != int64(want.Size()) {
 		t.Fatalf("ShuffleBytes = %d, want %d", r.m.ShuffleBytes, want.Size())
 	}
-	// A bundle with a damaged frame is a framing bug, reported with its place.
-	recv[3].Data[frameHdrLen] ^= 1
+	// A run whose pairs are malformed is refused by the KV's framing check,
+	// reported with its source and partition.
+	payload := kvBytes(sent[3])
+	recv[3] = runBlock(3, partRun{part: 0, payload: payload[:len(payload)-1]})
 	err := r.mergeBundles(recv)
-	if err == nil || !strings.HasPrefix(err.Error(), "core: shuffle bundle: core: frame 0 at offset 0: CRC mismatch") {
-		t.Fatalf("damaged bundle: %v", err)
+	if err == nil || !strings.HasPrefix(err.Error(), "core: shuffle block from comm rank 3, partition 0: kvbuf: truncated pair body") {
+		t.Fatalf("malformed run: %v", err)
 	}
 }
 
 // mergeBundles creates the partitions the ownership table gives the rank —
 // its own, or a mirroring shadow's pair's — whether or not any pairs arrived
 // for them, so a partition that received none still counts as merged: it is
-// checkpointed by a primary and listed by a shadow's mirrorParts. A frame of
-// a partition the rank does not hold is a framing bug.
+// checkpointed by a primary and listed by a shadow's mirrorParts. A run of a
+// partition the rank does not hold is a routing bug.
 func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
 	r, _, sent := shuffleFixture(t, 4, 2)
 	r.partOwner = denseOwners(1, 1, 0, 1) // world rank 1 holds partitions 0, 1 and 3
-	bundle := func(parts ...uint32) []mpi.Block {
-		var b []byte
+	bundle := func(parts ...int32) []mpi.Block {
+		var runs []partRun
 		for _, part := range parts {
-			b = encodeFrame(b, frameShuffle, part, 0, sent[0].Pieces(nil)...)
+			runs = append(runs, partRun{part: part, payload: kvBytes(sent[0])})
 		}
-		return []mpi.Block{{Peer: 0, Data: b}}
+		return []mpi.Block{runBlock(0, runs...)}
 	}
 	if err := r.mergeBundles(nil); err != nil {
 		t.Fatal(err)
@@ -237,8 +260,8 @@ func TestMergeBundlesCreatesHeldPartitions(t *testing.T) {
 	}
 
 	err := r.mergeBundles(bundle(1, 2))
-	if err == nil || !strings.HasPrefix(err.Error(), "core: shuffle bundle: core: frame 1 at offset") || !strings.HasSuffix(err.Error(), "partition 2 is not held by world rank 1") {
-		t.Fatalf("a frame of a partition the pair does not hold: %v", err)
+	if err == nil || err.Error() != "core: shuffle block from comm rank 0: partition 2 is not held by world rank 1" {
+		t.Fatalf("a run of a partition the pair does not hold: %v", err)
 	}
 }
 
@@ -262,16 +285,14 @@ func pairsOf(rng *rand.Rand, n int) []byte {
 
 // copyingMerge is mergeBundles as it was before it kept long payloads by
 // reference, the oracle of the merge: one walk sizes each held partition, a
-// second copies every payload, in bundle order, into a buffer that already
+// second copies every payload, in block order, into a buffer that already
 // has the room (KV.Grow + KV.AppendBytes). It returns each held partition's
 // encoding.
 func copyingMerge(held []int, bundles []mpi.Block) map[int][]byte {
 	sizes := make(map[int]int, len(held))
 	for _, b := range bundles {
-		for off := 0; off < len(b.Data); {
-			f, n := checkedFrame(b.Data[off:])
-			sizes[int(f.a)] += len(f.payload)
-			off += n
+		for _, run := range runsOf(b) {
+			sizes[int(run.part)] += len(run.payload)
 		}
 	}
 	out := make(map[int][]byte, len(held))
@@ -279,13 +300,40 @@ func copyingMerge(held []int, bundles []mpi.Block) map[int][]byte {
 		out[part] = make([]byte, 0, sizes[part])
 	}
 	for _, b := range bundles {
-		for off := 0; off < len(b.Data); {
-			f, n := checkedFrame(b.Data[off:])
-			out[int(f.a)] = append(out[int(f.a)], f.payload...)
-			off += n
+		for _, run := range runsOf(b) {
+			out[int(run.part)] = append(out[int(run.part)], run.payload...)
 		}
 	}
 	return out
+}
+
+// checkMerge merges recv into r and holds every partition r holds to
+// copyingMerge's: the same snapshot frame and the same KMV, byte for byte.
+func checkMerge(t *testing.T, what string, r *runner, held []int, recv []mpi.Block) {
+	t.Helper()
+	want := copyingMerge(held, recv)
+	if err := r.mergeBundles(recv); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if len(r.parts) != len(held) {
+		t.Fatalf("%s: merged %d partitions, want %d", what, len(r.parts), len(held))
+	}
+	for _, part := range held {
+		kv := r.parts[part]
+		got := encodeFrame(nil, frameShuffle, uint32(part), 0, kv.Pieces(nil)...)
+		if !bytes.Equal(got, encodeFrame(nil, frameShuffle, uint32(part), 0, want[part])) {
+			t.Fatalf("%s, mirroring %v: partition %d's snapshot frame differs from the copying merge's", what, r.mirroring(), part)
+		}
+		ref, err := kvbuf.FromBytes(want[part])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := kvbuf.ConvertTwoPass(kv)
+		mref, _ := kvbuf.ConvertTwoPass(ref)
+		if !bytes.Equal(kvbuf.EncodeKMV(m), kvbuf.EncodeKMV(mref)) || kv.Len() != ref.Len() {
+			t.Fatalf("%s, mirroring %v: partition %d's KMV differs from the copying merge's", what, r.mirroring(), part)
+		}
+	}
 }
 
 // Property: the merge that keeps payloads of at least storage.ShareMin bytes
@@ -319,68 +367,171 @@ func TestMergeBundlesMatchesCopyingMerge(t *testing.T) {
 		held := primary.ownedParts()
 		var recv []mpi.Block
 		for src := range w {
-			var data []byte
+			var runs []partRun
 			for _, part := range held {
 				if n := lens[rng.Intn(len(lens))]; n > 0 {
-					data = encodeFrame(data, frameShuffle, uint32(part), 0, pairsOf(rng, n))
+					runs = append(runs, partRun{part: int32(part), payload: pairsOf(rng, n)})
 				}
 			}
-			if data != nil {
-				recv = append(recv, mpi.Block{Peer: src, Data: data})
+			if runs != nil {
+				recv = append(recv, runBlock(src, runs...))
 			}
 		}
 		sent := make([][]byte, len(recv))
 		for i, b := range recv {
-			sent[i] = bytes.Clone(b.Data)
+			sent[i] = framedBlock(b)
 		}
-		want := copyingMerge(held, recv)
 		for _, r := range []*runner{primary, shadow} {
-			if err := r.mergeBundles(recv); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if len(r.parts) != len(held) {
-				t.Fatalf("seed %d: merged %d partitions, want %d", seed, len(r.parts), len(held))
-			}
-			for _, part := range held {
-				kv := r.parts[part]
-				got := encodeFrame(nil, frameShuffle, uint32(part), 0, kv.Pieces(nil)...)
-				if !bytes.Equal(got, encodeFrame(nil, frameShuffle, uint32(part), 0, want[part])) {
-					t.Fatalf("seed %d, mirroring %v: partition %d's snapshot frame differs from the copying merge's", seed, r.mirroring(), part)
-				}
-				ref, err := kvbuf.FromBytes(want[part])
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, _ := kvbuf.ConvertTwoPass(kv)
-				mref, _ := kvbuf.ConvertTwoPass(ref)
-				if !bytes.Equal(kvbuf.EncodeKMV(m), kvbuf.EncodeKMV(mref)) || kv.Len() != ref.Len() {
-					t.Fatalf("seed %d, mirroring %v: partition %d's KMV differs from the copying merge's", seed, r.mirroring(), part)
-				}
-			}
+			checkMerge(t, fmt.Sprintf("seed %d", seed), r, held, recv)
 		}
 		for i, b := range recv {
-			if !bytes.Equal(b.Data, sent[i]) {
-				t.Fatalf("seed %d: the merges wrote into the bundle from rank %d", seed, b.Peer)
+			if !bytes.Equal(framedBlock(b), sent[i]) {
+				t.Fatalf("seed %d: the merges wrote into the block from rank %d", seed, b.Peer)
 			}
 		}
 	}
 }
 
+// Property (the price oracle): over random map-output logs, world sizes and
+// ownership maps — partitions no comm rank owns, and replicate pairings whose
+// live shadows get copies of their primaries' blocks — every block the
+// exchange is handed holds, for its destination's partitions that hold
+// pairs, those pairs in ascending partition order, and is priced at the
+// length of the frameShuffle frames encodeFrame builds over them: a header
+// per partition plus its pairs. Each destination then merges what every
+// sender sent it into what the copying merge builds.
+func TestShuffleBlocksPricedAtFramedLength(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := 2 + rng.Intn(7)
+		nParts := 1 + rng.Intn(3*w)
+		// Under replication, world ranks [0, p) act for the slots, [p, 2p)
+		// are their shadows, some dead, and an odd rank out is spare;
+		// otherwise every rank is a primary.
+		p := w
+		var ftm *ftState
+		if rng.Intn(2) == 0 {
+			p = w / 2
+			ftm = &ftState{acting: make([]int, p), shadow: make([]int, p)}
+			for slot := range p {
+				ftm.acting[slot], ftm.shadow[slot] = slot, -1
+				if rng.Intn(3) > 0 {
+					ftm.shadow[slot] = p + slot
+				}
+			}
+		}
+		// holder is the world rank whose partitions comm rank d receives, -1
+		// for a dead shadow or a spare rank, which receive nothing.
+		holder := func(d int) int {
+			switch {
+			case ftm == nil || d < p:
+				return d
+			case d < 2*p && ftm.shadow[d-p] >= 0:
+				return ftm.acting[d-p]
+			}
+			return -1
+		}
+		owners := make([]int32, nParts)
+		for part := range owners {
+			owners[part] = int32(rng.Intn(p))
+			if rng.Intn(5) == 0 {
+				owners[part] = int32(w) // a rank outside the communicator
+			}
+		}
+		r := rankZero(t, w)
+		r.nParts, r.partOwner, r.ftm, r.obs = nParts, denseOwners(owners...), ftm, &obs.Handle{}
+		recv := make([][]mpi.Block, w) // by destination comm rank
+		for src := range p {
+			r.log = kvbuf.Log{}
+			byPart := make([]*kvbuf.KV, nParts)
+			for part := range byPart {
+				byPart[part] = kvbuf.NewKV()
+			}
+			for n := rng.Intn(300); n > 0; n-- {
+				k, v := make([]byte, 1+rng.Intn(8)), make([]byte, rng.Intn(40))
+				if rng.Intn(50) == 0 {
+					v = make([]byte, storage.ShareMin+rng.Intn(storage.ShareMin))
+				}
+				rng.Read(k)
+				rng.Read(v)
+				r.log.Add(k, v)
+				byPart[kvbuf.PartitionKey(k, nParts)].Add(k, v)
+			}
+			send, err := r.sendBundles()
+			if err != nil {
+				t.Fatal(err)
+			}
+			send = r.withShadowCopies(send)
+			i := 0
+			for d := range w {
+				var want []byte
+				for part, o := range owners {
+					if int(o) == holder(d) && byPart[part].Len() > 0 {
+						want = encodeFrame(want, frameShuffle, uint32(part), 0, byPart[part].Pieces(nil)...)
+					}
+				}
+				if want == nil {
+					if i < len(send) && send[i].Peer == d {
+						t.Fatalf("seed %d, sender %d: a block for comm rank %d, which is sent nothing", seed, src, d)
+					}
+					continue
+				}
+				if i == len(send) || send[i].Peer != d {
+					t.Fatalf("seed %d, sender %d: no block for comm rank %d", seed, src, d)
+				}
+				b := send[i]
+				if b.Size != len(want) || !bytes.Equal(framedBlock(b), want) {
+					t.Fatalf("seed %d, sender %d: the block for comm rank %d is priced at %d B, its frames are %d B; want %d B of frames",
+						seed, src, d, b.Size, len(framedBlock(b)), len(want))
+				}
+				recv[d] = append(recv[d], mpi.Block{Peer: src, Val: b.Val, Size: b.Size})
+				i++
+			}
+			if i != len(send) {
+				t.Fatalf("seed %d, sender %d: %d blocks, want %d", seed, src, len(send), i)
+			}
+		}
+		for d := range w {
+			if holder(d) < 0 {
+				continue
+			}
+			// A receiver at world rank 0: the partitions of d swapped with
+			// its own, or a shadow mirroring d's slot.
+			rcv, own, held := rankZero(t, w), slices.Clone(owners), 0
+			if ftm != nil && d >= p {
+				rcv.ftm = &ftState{slot: d - p, mirror: true, acting: ftm.acting}
+				held = holder(d)
+			} else {
+				for part, o := range own {
+					switch int(o) {
+					case d:
+						own[part] = 0
+					case 0:
+						own[part] = int32(d)
+					}
+				}
+			}
+			rcv.nParts, rcv.partOwner = nParts, denseOwners(own...)
+			checkMerge(t, fmt.Sprintf("seed %d, comm rank %d", seed, d), rcv, rcv.partsOf(held), recv[d])
+		}
+	}
+}
+
 // longFrames is the shuffle's receive side shaped like wc-data: senders
-// blocks of one frame each, for partition 0 of a senders-rank world, whose
+// blocks of one run each, for partition 0 of a senders-rank world, whose
 // payloads are size bytes of pairs.
 func longFrames(tb testing.TB, senders, size int) (*runner, []mpi.Block) {
 	r := rankZero(tb, senders)
 	rng := rand.New(rand.NewSource(int64(size)))
 	recv := make([]mpi.Block, senders)
 	for i := range recv {
-		recv[i] = mpi.Block{Peer: i, Data: encodeFrame(nil, frameShuffle, 0, 0, pairsOf(rng, size))}
+		recv[i] = runBlock(i, partRun{part: 0, payload: pairsOf(rng, size)})
 	}
 	return r, recv
 }
 
 // TestMergeReferencesLongFrames is the merge's allocation gate (`make
-// alloc-gate`): 16 frames of 128 KiB reach a partition as 16 pieces by
+// alloc-gate`): 16 runs of 128 KiB reach a partition as 16 pieces by
 // reference, so merging them allocates under 1 % of their 2 MiB — a
 // partition table, piece lists and the tables the walks size — where copying
 // them allocated all of it.
@@ -400,9 +551,9 @@ func TestMergeReferencesLongFrames(t *testing.T) {
 	if pieces := r.parts[0].Pieces(nil); len(pieces) != senders || r.parts[0].Size() != senders*size {
 		t.Fatalf("partition 0 is %d pieces of %d bytes, want %d of %d", len(pieces), r.parts[0].Size(), senders, senders*size)
 	}
-	t.Logf("merging %d frames of %d KiB allocated %d B", senders, size>>10, alloc)
+	t.Logf("merging %d runs of %d KiB allocated %d B", senders, size>>10, alloc)
 	if limit := uint64(senders * size / 100); alloc > limit {
-		t.Errorf("merging %d frames of %d KiB allocated %d B, want under %d (1 %%): it copies the long payloads", senders, size>>10, alloc, limit)
+		t.Errorf("merging %d runs of %d KiB allocated %d B, want under %d (1 %%): it copies the long payloads", senders, size>>10, alloc, limit)
 	}
 }
 
@@ -421,7 +572,7 @@ func TestMergeRefusesPartitionsOver2GiB(t *testing.T) {
 // The layer benchmarks of the shuffle's host path: sendBundles shaped like
 // wc-scale (640 ranks, one partition each, a few small pairs in one partition
 // in ten), mergeBundles shaped like wc-scale and like wc-data (16 senders of
-// one ~130 KB frame each).
+// one ~130 KB run each).
 
 func BenchmarkSendBundles(b *testing.B) {
 	r, _, _ := shuffleFixture(b, 640, 64)

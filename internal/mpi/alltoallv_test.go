@@ -171,23 +171,53 @@ func randomSparse(rng *rand.Rand, n int) [][]Block {
 			if len(data) > 0 {
 				data[0], data[len(data)-1] = byte(s), byte(d)
 			}
-			send[s] = append(send[s], Block{Peer: d, Data: data})
+			send[s] = append(send[s], Block{Peer: d, Val: data, Size: len(data)})
 		}
 	}
 	return send
 }
 
-// denseOf is a sparse exchange as Alltoallv's buffers: bufs[s][d] is what s
-// sends d, nil for no block.
+// declared is the price row's 64 KiB on the wire.
+var declared = make([]byte, 64<<10)
+
+// pricedSparse is an exchange over randomSparse's peers in which every block
+// is an 8-byte value declared at 64 KiB.
+func pricedSparse(rng *rand.Rand, n int) [][]Block {
+	send := randomSparse(rng, n)
+	for s, blocks := range send {
+		for i := range blocks {
+			blocks[i].Val, blocks[i].Size = int64(s*n+blocks[i].Peer), len(declared)
+		}
+	}
+	return send
+}
+
+// denseOf is a sparse exchange as the reference ring's buffers: bufs[s][d]
+// is what s sends d, a block's bytes, or as many bytes as it declares when
+// its value is not bytes, and nil for no block.
 func denseOf(n int, send [][]Block) [][][]byte {
 	bufs := make([][][]byte, n)
 	for s, blocks := range send {
 		bufs[s] = make([][]byte, n)
 		for _, b := range blocks {
-			bufs[s][b.Peer] = b.Data
+			data, ok := b.Val.([]byte)
+			if !ok {
+				data = declared[:b.Size]
+			}
+			bufs[s][b.Peer] = data
 		}
 	}
 	return bufs
+}
+
+// sameBlock reports whether two blocks name the same peer and hold the same
+// value at the same size.
+func sameBlock(a, b Block) bool {
+	if x, ok := a.Val.([]byte); ok {
+		y, ok := b.Val.([]byte)
+		return ok && a.Peer == b.Peer && a.Size == b.Size && bytes.Equal(x, y)
+	}
+	return a == b
 }
 
 // runSparseExchanges is runExchanges through AlltoallvSparse: rounds[i][r] is
@@ -218,11 +248,12 @@ func runSparseExchanges(t *testing.T, n int, skew []time.Duration, rounds [][][]
 }
 
 // Property: over random sparse send lists (self-blocks and empty blocks
-// included), entry skews and communicator sizes, and a round in which no rank
-// sends anything, every rank leaves AlltoallvSparse at exactly the instant
-// the reference ring would release it for the same buffers (a peer with no
-// block sent 0 bytes), holding every block sent to it, once, as (source,
-// data), by ascending source.
+// included), entry skews and communicator sizes, a round in which no rank
+// sends anything and a round of 8-byte values declared at 64 KiB, every rank
+// leaves AlltoallvSparse at exactly the instant the reference ring would
+// release it for buffers of the blocks' sizes (a peer with no block sent 0
+// bytes), holding every block sent to it, once, as (source, value, size), by
+// ascending source.
 func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 17}
 	for seed := int64(0); seed < 36; seed++ {
@@ -234,7 +265,7 @@ func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 				skew[r] = time.Duration(rng.Intn(5000)) * time.Microsecond
 			}
 		}
-		rounds := [][][]Block{randomSparse(rng, n), make([][]Block, n), randomSparse(rng, n)}
+		rounds := [][][]Block{randomSparse(rng, n), make([][]Block, n), randomSparse(rng, n), pricedSparse(rng, n)}
 		dense := make([][][][]byte, len(rounds))
 		for i, send := range rounds {
 			dense[i] = denseOf(n, send)
@@ -251,7 +282,7 @@ func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 				for src, blocks := range send {
 					for _, b := range blocks {
 						if b.Peer == r {
-							expect = append(expect, Block{Peer: src, Data: b.Data})
+							expect = append(expect, Block{Peer: src, Val: b.Val, Size: b.Size})
 						}
 					}
 				}
@@ -260,9 +291,9 @@ func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 					t.Fatalf("seed %d W=%d rank %d round %d: %d blocks arrived, %d were sent", seed, n, r, i, len(recv), len(expect))
 				}
 				for k, b := range recv {
-					if b.Peer != expect[k].Peer || !bytes.Equal(b.Data, expect[k].Data) {
+					if !sameBlock(b, expect[k]) {
 						t.Fatalf("seed %d W=%d rank %d round %d: block %d is %d bytes from %d, want %d bytes from %d",
-							seed, n, r, i, k, len(b.Data), b.Peer, len(expect[k].Data), expect[k].Peer)
+							seed, n, r, i, k, b.Size, b.Peer, expect[k].Size, expect[k].Peer)
 					}
 				}
 			}
@@ -290,8 +321,8 @@ func TestAlltoallvSparseRefusesBadSendLists(t *testing.T) {
 				t.Errorf("rank %d: %s send list: err = %v", c.Rank(), what, err)
 			}
 		}
-		recv, err := c.AlltoallvSparse([]Block{{Peer: (c.Rank() + 1) % n, Data: []byte{byte(c.Rank())}}})
-		if want := (c.Rank() + n - 1) % n; err != nil || len(recv) != 1 || recv[0].Peer != want || recv[0].Data[0] != byte(want) {
+		recv, err := c.AlltoallvSparse([]Block{{Peer: (c.Rank() + 1) % n, Val: c.Rank(), Size: 8}})
+		if want := (c.Rank() + n - 1) % n; err != nil || len(recv) != 1 || recv[0] != (Block{Peer: want, Val: want, Size: 8}) {
 			t.Errorf("rank %d: the valid exchange got %v, %v", c.Rank(), recv, err)
 		}
 		done++
@@ -347,7 +378,7 @@ func sparseOf(s int, bufs [][]byte) []Block {
 	var send []Block
 	for d, b := range bufs {
 		if (d+s)%2 == 0 || len(b) > 2 {
-			send = append(send, Block{Peer: d, Data: b})
+			send = append(send, Block{Peer: d, Val: b, Size: len(b)})
 		}
 	}
 	return send
@@ -441,11 +472,11 @@ func TestAlltoallvInterrupted(t *testing.T) {
 							var recv []Block
 							send := make([]Block, m)
 							for d := range send {
-								send[d] = Block{Peer: d, Data: again[d]}
+								send[d] = Block{Peer: d, Val: again[d], Size: len(again[d])}
 							}
 							recv, err = nc.AlltoallvSparse(send)
 							for _, b := range recv {
-								res[r].retr = append(res[r].retr, b.Data)
+								res[r].retr = append(res[r].retr, b.Val.([]byte))
 							}
 						} else {
 							res[r].retr, err = nc.Alltoallv(again)
@@ -657,18 +688,19 @@ func TestGatheringShrinkIsOneWaitSet(t *testing.T) {
 }
 
 // exchangeBytes returns the bytes one exchange allocates in a W=n world
-// whose ranks send a 64-byte block to each of the next 8 ranks: what is
-// allocated between an instant when every rank sleeps after a first exchange
-// and one when every rank sleeps after a second, the least of three runs.
+// whose ranks send a value priced at 64 bytes to each of the next 8 ranks:
+// what is allocated between an instant when every rank sleeps after a first
+// exchange and one when every rank sleeps after a second, the least of three
+// runs.
 func exchangeBytes(tb testing.TB, n int) uint64 {
-	payload := make([]byte, 64)
+	var payload any = make([]byte, 64)
 	least := uint64(math.MaxUint64)
 	for rep := 0; rep < 3; rep++ {
 		clus := testCluster(n/8, 8)
 		Launch(clus, n, func(c *Comm) {
 			send := make([]Block, 0, 8)
 			for i := 1; i <= 8; i++ {
-				send = append(send, Block{Peer: (c.Rank() + i) % n, Data: payload})
+				send = append(send, Block{Peer: (c.Rank() + i) % n, Val: payload, Size: 64})
 			}
 			slices.SortFunc(send, func(a, b Block) int { return a.Peer - b.Peer })
 			for i := 0; i < 2; i++ {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -175,15 +176,19 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	}
 }
 
-// Block is one buffer of a sparse exchange: on the send side the data bound
-// for comm rank Peer, on the receive side the data that came from it.
+// Block is one value of a sparse exchange: on the send side the value bound
+// for comm rank Peer, on the receive side the value that came from it. The
+// exchange moves no byte: it prices a value at its declared Size, as
+// AllgatherFold prices its values, and hands the receiver the sender's Val.
 type Block struct {
 	// Peer is a comm rank: the destination of a block sent, the source of a
 	// block received.
 	Peer int
-	// Data is the payload, read-only once sent: the receiver holds the
-	// sender's bytes.
-	Data []byte
+	// Val is the payload, read-only once sent: the receiver holds the
+	// sender's value.
+	Val any
+	// Size is the bytes Val is priced at on the wire.
+	Size int
 }
 
 // AlltoallvSparse is the shuffle's one collective: every rank sends each of
@@ -191,13 +196,13 @@ type Block struct {
 // lists the blocks by strictly ascending peer, and a peer with no block is
 // sent nothing, as MPI_Alltoallv sends nothing for a zero count. The result
 // lists what arrived by ascending source, Peer naming the source. It is a
-// window of one slice the meeting's ranks share, and its Data alias the
-// senders' buffers: both are read-only to every rank. The exchange is
+// window of one slice the meeting's ranks share, and its Val are the
+// senders' values: both are read-only to every rank. The exchange is
 // charged as a ring of Size-1 pairwise steps (at step s a rank sends to
 // rank+s, then receives from rank-s, each message costing
-// Cluster.TransferCost of its length, 0 bytes to a peer with no block):
-// commState.arm. A send list out of order, with a peer twice or one outside
-// the communicator is refused before the collective is entered.
+// Cluster.TransferCost of its block's Size, 0 bytes to a peer with no
+// block): commState.arm. A send list out of order, with a peer twice or one
+// outside the communicator is refused before the collective is entered.
 func (c *Comm) AlltoallvSparse(send []Block) ([]Block, error) {
 	for i, b := range send {
 		switch {
@@ -214,18 +219,22 @@ func (c *Comm) AlltoallvSparse(send []Block) ([]Block, error) {
 	return w.recv, nil
 }
 
-// Alltoallv is the dense form of AlltoallvSparse: bufs[i] is destined to
-// comm rank i, and the result is indexed by source rank, nil where nothing
-// arrived. An empty buffer is not sent, which costs what sending it would.
+// Alltoallv is the dense form of AlltoallvSparse over byte buffers: bufs[i]
+// is destined to comm rank i, and the result is indexed by source rank, nil
+// where nothing arrived. A non-empty buffer travels as a block priced at its
+// length, its value a pointer into one copy of bufs, so wrapping and
+// unwrapping allocate nothing per block and the caller may reuse bufs once it
+// returns; an empty buffer is not sent, which costs what sending it would.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	n := c.Size()
 	if len(bufs) != n {
 		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
 	}
+	held := slices.Clone(bufs)
 	send := make([]Block, 0, n)
-	for d, b := range bufs {
+	for d, b := range held {
 		if len(b) > 0 {
-			send = append(send, Block{Peer: d, Data: b})
+			send = append(send, Block{Peer: d, Val: &held[d], Size: len(b)})
 		}
 	}
 	got, err := c.AlltoallvSparse(send)
@@ -234,17 +243,17 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	}
 	out := make([][]byte, n)
 	for _, b := range got {
-		out[b.Peer] = b.Data
+		out[b.Peer] = *b.Val.(*[]byte)
 	}
 	return out, nil
 }
 
 // arm is the exchange's finish policy: it evaluates the ring schedule for
 // every rank at once, as a pure function of entry instants and block
-// lengths. With sent[r] the instant rank r's step-s message is delivered and
+// sizes. With sent[r] the instant rank r's step-s message is delivered and
 // end[r] the instant r finishes step s:
 //
-//	sent_r(s) = end_r(s-1) + TransferCost(len(block of r for peer r+s), 0 if none)
+//	sent_r(s) = end_r(s-1) + TransferCost(Size of r's block for peer r+s, 0 if none)
 //	end_r(s)  = max(sent_r(s), sent_{r-s}(s)),   end_r(0) = entry_r
 //
 // exactly what W-1 blocking send/recv steps per rank would produce, in O(W²)
@@ -276,7 +285,7 @@ func (st *commState) arm(waits []*meetWait) {
 			}
 			c := idle
 			if i := next[r]; i < len(w.send) && w.send[i].Peer == d {
-				c = cost(len(w.send[i].Data))
+				c = cost(w.send[i].Size)
 				next[r]++
 			}
 			sent[r] = end[r] + c
@@ -292,7 +301,7 @@ func (st *commState) arm(waits []*meetWait) {
 	all := make([]Block, off[n])
 	for src, w := range waits {
 		for _, b := range w.send {
-			all[next[b.Peer]] = Block{Peer: src, Data: b.Data}
+			all[next[b.Peer]] = Block{Peer: src, Val: b.Val, Size: b.Size}
 			next[b.Peer]++
 		}
 	}
