@@ -42,7 +42,7 @@ type frame struct {
 
 // frameHdrLen is the fixed wire header size:
 // [kind u8][a u32][b u32][len u32][crc u32]. Frames are the checkpoint
-// streams' format, where bytes meet storage faults; a shuffle block carries
+// streams' format, where bytes meet storage faults; a shuffle route carries
 // no frame, but is priced at the length of the frames that would carry its
 // runs (sendBundles).
 const frameHdrLen = 17

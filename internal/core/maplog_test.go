@@ -157,7 +157,7 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 					parts[part] = concatCombined(kv)
 				}
 			}
-			bufs, err := r.sendBundles()
+			box, send, err := r.sendBundles()
 			if err != nil {
 				check(fmt.Sprintf("shuffle %d", round), []byte(err.Error()), nil)
 				return
@@ -176,9 +176,9 @@ func mapLogCase(w int, gran Granularity, combine bool, seed int64) []mapLogCheck
 					wantPeers = append(wantPeers, d)
 				}
 			}
-			for _, b := range bufs {
-				peers = append(peers, b.Peer)
-				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, b.Peer), framedBlock(b), want[b.Peer])
+			for _, b := range send {
+				peers = append(peers, int(b.Peer))
+				check(fmt.Sprintf("shuffle %d, bundle for rank %d", round, b.Peer), framed(box, b.Peer), want[b.Peer])
 				check(fmt.Sprintf("shuffle %d, price of the bundle for rank %d", round, b.Peer), []byte(fmt.Sprint(b.Size)), []byte(fmt.Sprint(len(want[b.Peer]))))
 			}
 			check(fmt.Sprintf("shuffle %d, destinations", round), []byte(fmt.Sprint(peers)), []byte(fmt.Sprint(wantPeers)))

@@ -2,7 +2,7 @@ package core
 
 // Replication execution model (-ft-model=replicate|partial): part of the
 // world runs as dedicated shadow ranks that mirror a primary's task stream —
-// re-executing its map tasks, receiving copies of its shuffle blocks in the
+// re-executing its map tasks, receiving copies of its shuffle routes in the
 // same exchange, converting and reducing the same partitions into a local
 // staging buffer — so a primary failure fails over to the live shadow with
 // no checkpoint replay and no PFS read (FTHP-MPI / PartRePer-MPI style).
@@ -221,12 +221,12 @@ func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) e
 
 // ------------------------------------------------------- replicate routing --
 
-// withShadowCopies returns a primary's shuffle blocks with, for every slot
-// that has a live shadow, one more block for that shadow holding the same
-// value, at the same size, as the block bound for the slot's acting primary:
-// a second transfer, priced as one, and counted as a mirror send. The result
-// ascends by peer, as AlltoallvSparse wants; without the replication model it
-// is send.
+// withShadowCopies returns a primary's shuffle routes with, for every slot
+// that has a live shadow, one more route for that shadow at the size of the
+// route bound for the slot's acting primary: the shadow reads the runs the
+// outbox holds for its pair, a second transfer, priced as one, and counted as
+// a mirror send. The result ascends by peer, as AlltoallvSparse wants;
+// without the replication model it is send.
 func (r *runner) withShadowCopies(send []mpi.Block) []mpi.Block {
 	f := r.ftm
 	if f == nil {
@@ -237,12 +237,12 @@ func (r *runner) withShadowCopies(send []mpi.Block) []mpi.Block {
 		if sw < 0 {
 			continue
 		}
-		i, ok := slices.BinarySearchFunc(send[:n], r.comm.CommRankOf(f.acting[slot]),
-			func(b mpi.Block, peer int) int { return cmp.Compare(b.Peer, peer) })
+		i, ok := slices.BinarySearchFunc(send[:n], int32(r.comm.CommRankOf(f.acting[slot])),
+			func(b mpi.Block, peer int32) int { return cmp.Compare(b.Peer, peer) })
 		if !ok {
 			continue
 		}
-		send = append(send, mpi.Block{Peer: r.comm.CommRankOf(sw), Val: send[i].Val, Size: send[i].Size})
+		send = append(send, mpi.Block{Peer: int32(r.comm.CommRankOf(sw)), Size: send[i].Size})
 		r.obs.FT.MirrorSends.Inc()
 		r.obs.FT.MirrorBytes.Add(float64(send[i].Size))
 	}

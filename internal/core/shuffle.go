@@ -13,7 +13,7 @@ import (
 
 // phaseShuffle exchanges the partitioned map output so each partition's
 // holder has all its pairs, then checkpoints the received partitions. Every
-// execution model routes the blocks through the same AlltoallvSparse;
+// execution model routes the outboxes through the same AlltoallvSparse;
 // agreement, merge and snapshot are the same for every rank.
 func (r *runner) phaseShuffle() error {
 	// If every rank restored its partitions from checkpoints (restart after
@@ -31,12 +31,12 @@ func (r *runner) phaseShuffle() error {
 		return nil
 	}
 
-	bundles, err := r.exchange()
+	recv, vals, err := r.exchange()
 	if err != nil {
 		return err
 	}
 
-	if err := r.mergeBundles(bundles); err != nil {
+	if err := r.mergeBundles(recv, vals); err != nil {
 		return err
 	}
 	if fn := r.job.h.merged; fn != nil {
@@ -57,32 +57,44 @@ func (r *runner) phaseShuffle() error {
 	return r.net(func() error { return r.comm.Barrier() })
 }
 
-// mergeBundles rebuilds this rank's partitions from the received blocks,
-// from scratch so the exchange is idempotent under recovery re-runs. The
-// partitions are the ownership table's — this rank's own, or a mirroring
-// shadow's pair's — whether or not any pairs arrived for them. One walk over
-// the blocks' runs checks that each names a held partition and sizes the
-// partitions; a second appends every payload, in block order: a payload of at
-// least storage.ShareMin bytes as a capped view of the sender's write-once
-// arena, a shorter one copied into the one buffer the first walk sized
+// mergeBundles rebuilds this rank's partitions from the routes received and
+// the senders' outboxes (vals, by comm rank), from scratch so the exchange is
+// idempotent under recovery re-runs. The partitions are the ownership
+// table's — this rank's own, or a mirroring shadow's pair's: the holder's —
+// whether or not any pairs arrived for them. One walk over the runs each
+// route's outbox holds for the holder checks the routing, naming the source
+// of a route with no run, of one priced at other than its runs' framed
+// length and of a run of a partition not held, and sizes the partitions; a
+// second appends every payload, in route order: a payload of at least
+// storage.ShareMin bytes as a capped view of the sender's write-once arena, a
+// shorter one copied into the one buffer the first walk sized
 // (kvbuf.KV.AppendRun, which checks the pairs' framing; kvbuf.NewKVs).
-func (r *runner) mergeBundles(bundles []mpi.Block) error {
+func (r *runner) mergeBundles(recv []mpi.Block, vals []any) error {
 	holder := r.myWorld()
 	if r.mirroring() {
 		holder = r.ftm.pairWorld()
 	}
-	held := r.partsOf(holder)
+	held, dest := r.partsOf(holder), int32(r.comm.CommRankOf(holder))
 	sizes := make([]int, 2*len(held)) // by held's index: all bytes, then short bytes
-	for _, b := range bundles {
-		for _, run := range runsOf(b) {
+	for _, b := range recv {
+		runs, framed := vals[b.Peer].(*outbox).to(dest), int32(0)
+		if len(runs) == 0 {
+			return fmt.Errorf("core: shuffle block from comm rank %d: its outbox holds no run for world rank %d", b.Peer, holder)
+		}
+		for _, run := range runs {
 			i, ok := slices.BinarySearch(held, int(run.part))
 			if !ok {
 				return fmt.Errorf("core: shuffle block from comm rank %d: partition %d is not held by world rank %d", b.Peer, run.part, holder)
 			}
-			sizes[i] += len(run.payload)
-			if len(run.payload) < storage.ShareMin {
-				sizes[len(held)+i] += len(run.payload)
+			n := int(run.end - run.off)
+			sizes[i] += n
+			if n < storage.ShareMin {
+				sizes[len(held)+i] += n
 			}
+			framed += frameHdrLen + run.end - run.off
+		}
+		if framed != b.Size {
+			return fmt.Errorf("core: shuffle block from comm rank %d is priced at %d bytes, but its runs frame to %d", b.Peer, b.Size, framed)
 		}
 	}
 	kvs, err := mergedParts(held, sizes[:len(held)], sizes[len(held):])
@@ -94,12 +106,14 @@ func (r *runner) mergeBundles(bundles []mpi.Block) error {
 	for i, part := range held {
 		r.parts[part] = &kvs[i]
 	}
-	for _, b := range bundles {
-		for _, run := range runsOf(b) {
-			if err := r.parts[int(run.part)].AppendRun(run.payload); err != nil {
+	for _, b := range recv {
+		box := vals[b.Peer].(*outbox)
+		for _, run := range box.to(dest) {
+			payload := box.arena[run.off:run.end:run.end]
+			if err := r.parts[int(run.part)].AppendRun(payload); err != nil {
 				return fmt.Errorf("core: shuffle block from comm rank %d, partition %d: %w", b.Peer, run.part, err)
 			}
-			r.m.ShuffleBytes += int64(len(run.payload))
+			r.m.ShuffleBytes += int64(len(payload))
 		}
 	}
 	return nil
@@ -118,31 +132,30 @@ func mergedParts(held, sizes, short []int) ([]kvbuf.KV, error) {
 	return kvbuf.NewKVs(short), nil
 }
 
-// sendBundles prepares this rank's map output for the exchange: one block
-// per communicator rank that owns a partition holding pairs from this rank,
-// by ascending comm rank. A block's value is the list of those partitions'
-// runs (runsOf), by ascending partition, priced at the length of the
-// frameShuffle frames that would carry them: frameHdrLen plus the payload per
-// run. A partition without pairs has no run, and a rank that is sent none
-// gets no block. The map-output log is partitioned once, by a stable counting
-// sort straight into one arena: every run's payload is laid out first, back
-// to back by destination then partition, and every pair is then copied to its
-// partition's cursor. The payloads are capacity-limited sub-slices of the
-// arena and the lists windows of one slice: receivers may keep what they are
-// handed, and nothing writes to either after this returns.
-func (r *runner) sendBundles() ([]mpi.Block, error) {
+// sendBundles prepares this rank's map output for the exchange: its outbox,
+// and one route per communicator rank that owns a partition holding pairs
+// from this rank, by ascending comm rank. A route is priced at the length of
+// the frameShuffle frames that would carry its destination's runs:
+// frameHdrLen plus the payload per run. A partition without pairs has no run,
+// and a rank that is sent none gets no route. The map-output log is
+// partitioned once, by a stable counting sort straight into the outbox's
+// arena: every run's payload is laid out first, back to back by destination
+// then partition, and every pair is then copied to its partition's cursor.
+// Receivers may keep views of the arena, and nothing writes to the outbox
+// after this returns.
+func (r *runner) sendBundles() (*outbox, []mpi.Block, error) {
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
 	// combiners must therefore be idempotent over their own output.
 	if r.spec.NewCombiner != nil {
 		if err := r.combineLocal(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	// Offsets into the arena are int32, like every per-partition table here;
-	// the log holds every payload byte sent.
-	if r.log.Size() > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
+	// Offsets into the arena and route sizes are int32: the log holds every
+	// payload byte sent, and a route adds a frame header per partition.
+	if r.log.Size()+frameHdrLen*r.nParts > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("core: %d bytes of map output exceed the shuffle's 2 GiB bound", r.log.Size())
 	}
 	pieces, of, parts, cur := partitionLog(&r.log, r.nParts, r.job.h.partLabels(r.nParts)) // cur: sizes until the layout makes them cursors
 	// The runs to send, in arena order: by destination, then partition. A
@@ -159,40 +172,43 @@ func (r *runner) sendBundles() ([]mpi.Block, error) {
 	slices.SortFunc(runs, func(a, b partRun) int {
 		return cmp.Or(cmp.Compare(a.dest, b.dest), cmp.Compare(a.part, b.part))
 	})
-	arena, off, blocks := make([]byte, total), int32(0), 0
+	box, off, send := &outbox{arena: make([]byte, total), runs: runs}, int32(0), make([]mpi.Block, 0, len(runs))
 	for i := range runs {
-		if i == 0 || runs[i-1].dest != runs[i].dest {
-			blocks++
-		}
 		label, _ := slices.BinarySearch(parts, runs[i].part)
-		end := off + cur[label]
-		runs[i].payload = arena[off:end:end]
-		cur[label], off = off, end
-	}
-	scatterLog(pieces, of, cur, arena)
-	lists, bundles := make([][]partRun, 0, blocks), make([]mpi.Block, 0, blocks)
-	for i := 0; i < len(runs); {
-		j, size := i, 0
-		for ; j < len(runs) && runs[j].dest == runs[i].dest; j++ {
-			size += frameHdrLen + len(runs[j].payload)
+		runs[i].off, runs[i].end = off, off+cur[label]
+		cur[label], off = off, runs[i].end
+		if i == 0 || runs[i-1].dest != runs[i].dest {
+			send = append(send, mpi.Block{Peer: runs[i].dest})
 		}
-		lists = append(lists, runs[i:j:j])
-		bundles = append(bundles, mpi.Block{Peer: int(runs[i].dest), Val: &lists[len(lists)-1], Size: size})
-		i = j
+		send[len(send)-1].Size += frameHdrLen + runs[i].end - runs[i].off
 	}
-	return bundles, nil
+	scatterLog(pieces, of, cur, box.arena)
+	return box, send, nil
 }
 
-// partRun is one partition's pairs in a shuffle block — what the partition's
-// frameShuffle frame carries after its header — and the comm rank of the
-// partition's owner, by which sendBundles lays the runs out.
-type partRun struct {
-	part, dest int32
-	payload    []byte
+// outbox is what a rank hands the shuffle's exchange: its map output,
+// partitioned into one arena, and the runs that slice it, by destination then
+// partition. Every receiver reads it, and none writes it.
+type outbox struct {
+	arena []byte
+	runs  []partRun
 }
 
-// runsOf is a shuffle block's value: its runs, by ascending partition.
-func runsOf(b mpi.Block) []partRun { return *b.Val.(*[]partRun) }
+// partRun is one partition's pairs in an outbox, arena[off:end] — what the
+// partition's frameShuffle frame carries after its header — and the comm
+// rank of the partition's owner, its destination.
+type partRun struct{ part, dest, off, end int32 }
+
+// to returns the outbox's runs bound for comm rank dest, by ascending
+// partition.
+func (o *outbox) to(dest int32) []partRun {
+	i, _ := slices.BinarySearchFunc(o.runs, dest, func(run partRun, d int32) int { return cmp.Compare(run.dest, d) })
+	j := i
+	for j < len(o.runs) && o.runs[j].dest == dest {
+		j++
+	}
+	return o.runs[i:j:j]
+}
 
 // partitionLog is the first pass of the counting sort that partitions the
 // map-output log over nParts partitions. It returns the log as pieces, the
@@ -252,26 +268,27 @@ func scatterLog(pieces [][]byte, of, cur []int32, dst []byte) {
 	}
 }
 
-// exchange routes the blocks with one collective exchange and returns what
-// this rank received, in source-rank order. Under the replication model a
-// primary's blocks also go to the shadows of the slots they are bound for
-// (withShadowCopies), and a mirroring shadow, which owns no map output of
-// record, sends nothing: it receives what its pair receives.
-func (r *runner) exchange() ([]mpi.Block, error) {
+// exchange hands this rank's outbox to one collective exchange, routed to
+// the ranks its runs are bound for, and returns the routes this rank
+// received, in source-rank order, and every rank's outbox by comm rank. Under
+// the replication model a primary's routes also go to the shadows of the
+// slots they are bound for (withShadowCopies), and a mirroring shadow, which
+// owns no map output of record, sends nothing: it receives what its pair
+// receives.
+func (r *runner) exchange() (recv []mpi.Block, vals []any, err error) {
+	var box *outbox
 	var send []mpi.Block
 	if !r.mirroring() {
-		var err error
-		if send, err = r.sendBundles(); err != nil {
-			return nil, err
+		if box, send, err = r.sendBundles(); err != nil {
+			return nil, nil, err
 		}
 		send = r.withShadowCopies(send)
 	}
-	var recv []mpi.Block
-	err := r.net(func() (e error) {
-		recv, e = r.comm.AlltoallvSparse(send)
+	err = r.net(func() (e error) {
+		recv, vals, e = r.comm.AlltoallvSparse(box, send)
 		return e
 	})
-	return recv, err
+	return recv, vals, err
 }
 
 // combineLocal applies the user combiner to every partition of this rank's

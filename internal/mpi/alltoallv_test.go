@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/metrics"
@@ -146,114 +147,135 @@ func TestAlltoallvMatchesReferenceRing(t *testing.T) {
 	}
 }
 
+// sparseRank is one rank's side of a sparse exchange: the value it passes
+// and its routes, by ascending peer.
+type sparseRank struct {
+	val  any
+	send []Block
+}
+
 // randomSparse draws one sparse exchange: each rank sends to a random subset
-// of the ranks, itself included at times, some blocks empty, and some ranks
-// send nothing at all. send[r] is rank r's send list, by ascending peer.
-func randomSparse(rng *rand.Rand, n int) [][]Block {
-	send := make([][]Block, n)
-	for s := range send {
+// of the ranks, itself included at times, some routes empty, and some ranks
+// send nothing at all. A rank's value is its buffers by peer, nil where it
+// sends no route.
+func randomSparse(rng *rand.Rand, n int) []sparseRank {
+	ranks := make([]sparseRank, n)
+	for s := range ranks {
 		if rng.Intn(5) == 0 {
 			continue
 		}
+		data := make([][]byte, n)
 		density := rng.Float64()
 		for d := 0; d < n; d++ {
 			if rng.Float64() >= density {
 				continue
 			}
-			var data []byte
+			var buf []byte
 			switch rng.Intn(4) {
-			case 0: // an empty block: priced as no block, delivered as one
+			case 0: // an empty route: priced as no route, delivered as one
 			case 1:
-				data = make([]byte, 1+rng.Intn(64))
+				buf = make([]byte, 1+rng.Intn(64))
 			default:
-				data = make([]byte, 1+rng.Intn(64<<10))
+				buf = make([]byte, 1+rng.Intn(64<<10))
 			}
-			if len(data) > 0 {
-				data[0], data[len(data)-1] = byte(s), byte(d)
+			if len(buf) > 0 {
+				buf[0], buf[len(buf)-1] = byte(s), byte(d)
 			}
-			send[s] = append(send[s], Block{Peer: d, Val: data, Size: len(data)})
+			data[d] = buf
+			ranks[s].send = append(ranks[s].send, Block{Peer: int32(d), Size: int32(len(buf))})
 		}
+		ranks[s].val = data
 	}
-	return send
+	return ranks
 }
 
 // declared is the price row's 64 KiB on the wire.
 var declared = make([]byte, 64<<10)
 
-// pricedSparse is an exchange over randomSparse's peers in which every block
-// is an 8-byte value declared at 64 KiB.
-func pricedSparse(rng *rand.Rand, n int) [][]Block {
-	send := randomSparse(rng, n)
-	for s, blocks := range send {
-		for i := range blocks {
-			blocks[i].Val, blocks[i].Size = int64(s*n+blocks[i].Peer), len(declared)
+// pricedSparse is an exchange over randomSparse's peers in which every rank's
+// value is an 8-byte int64 and every route is declared at 64 KiB.
+func pricedSparse(rng *rand.Rand, n int) []sparseRank {
+	ranks := randomSparse(rng, n)
+	for s := range ranks {
+		ranks[s].val = int64(s)
+		for i := range ranks[s].send {
+			ranks[s].send[i].Size = int32(len(declared))
 		}
 	}
-	return send
+	return ranks
 }
 
 // denseOf is a sparse exchange as the reference ring's buffers: bufs[s][d]
-// is what s sends d, a block's bytes, or as many bytes as it declares when
-// its value is not bytes, and nil for no block.
-func denseOf(n int, send [][]Block) [][][]byte {
+// is what s's route to d carries, its bytes, or as many bytes as it declares
+// when the value is not bytes, and nil for no route.
+func denseOf(n int, ranks []sparseRank) [][][]byte {
 	bufs := make([][][]byte, n)
-	for s, blocks := range send {
+	for s, rk := range ranks {
 		bufs[s] = make([][]byte, n)
-		for _, b := range blocks {
-			data, ok := b.Val.([]byte)
+		for _, b := range rk.send {
+			data, ok := rk.val.([][]byte)
 			if !ok {
-				data = declared[:b.Size]
+				bufs[s][b.Peer] = declared[:b.Size]
+				continue
 			}
-			bufs[s][b.Peer] = data
+			bufs[s][b.Peer] = data[b.Peer]
 		}
 	}
 	return bufs
 }
 
-// sameBlock reports whether two blocks name the same peer and hold the same
-// value at the same size.
-func sameBlock(a, b Block) bool {
-	if x, ok := a.Val.([]byte); ok {
-		y, ok := b.Val.([]byte)
-		return ok && a.Peer == b.Peer && a.Size == b.Size && bytes.Equal(x, y)
+// sameVal reports whether a receiver holds the very value its sender passed:
+// the same buffers, not a copy of them, or an equal int64.
+func sameVal(got, sent any) bool {
+	if x, ok := sent.([][]byte); ok {
+		y, ok := got.([][]byte)
+		return ok && len(x) == len(y) && &x[0] == &y[0]
 	}
-	return a == b
+	return got == sent
+}
+
+// sparseRun is what one rank observed over a sequence of sparse exchanges:
+// each one's completion instant, routes received and values.
+type sparseRun struct {
+	done []time.Duration
+	recv [][]Block
+	vals [][]any
 }
 
 // runSparseExchanges is runExchanges through AlltoallvSparse: rounds[i][r] is
-// rank r's send list in round i. It returns, per rank, each round's
-// completion instant and received blocks.
-func runSparseExchanges(t *testing.T, n int, skew []time.Duration, rounds [][][]Block) ([][]time.Duration, [][][]Block) {
+// rank r's side of round i.
+func runSparseExchanges(t *testing.T, n int, skew []time.Duration, rounds [][]sparseRank) []sparseRun {
 	t.Helper()
 	clus := testCluster((n+7)/8, 8)
-	done, got := make([][]time.Duration, n), make([][][]Block, n)
+	runs := make([]sparseRun, n)
 	Launch(clus, n, func(c *Comm) {
 		r := c.Rank()
 		c.Proc().Sleep(skew[r])
-		for i, send := range rounds {
-			recv, err := c.AlltoallvSparse(send[r])
+		for i, ranks := range rounds {
+			recv, vals, err := c.AlltoallvSparse(ranks[r].val, ranks[r].send)
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", r, i, err)
 				return
 			}
-			done[r] = append(done[r], c.Proc().Now())
-			got[r] = append(got[r], recv)
+			runs[r].done = append(runs[r].done, c.Proc().Now())
+			runs[r].recv = append(runs[r].recv, recv)
+			runs[r].vals = append(runs[r].vals, vals)
 		}
 	})
 	clus.Sim.Run()
 	if st := clus.Sim.Stranded(); len(st) != 0 {
 		t.Fatalf("stranded procs: %v", st)
 	}
-	return done, got
+	return runs
 }
 
-// Property: over random sparse send lists (self-blocks and empty blocks
+// Property: over random sparse send lists (self-routes and empty routes
 // included), entry skews and communicator sizes, a round in which no rank
-// sends anything and a round of 8-byte values declared at 64 KiB, every rank
+// sends anything and a round of 8-byte values routed at 64 KiB, every rank
 // leaves AlltoallvSparse at exactly the instant the reference ring would
-// release it for buffers of the blocks' sizes (a peer with no block sent 0
-// bytes), holding every block sent to it, once, as (source, value, size), by
-// ascending source.
+// release it for buffers of the routes' sizes (a peer with no route sent 0
+// bytes), holding every route sent to it, once, as (source, size), by
+// ascending source, and, for each source, the very value that source passed.
 func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 17}
 	for seed := int64(0); seed < 36; seed++ {
@@ -265,35 +287,33 @@ func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 				skew[r] = time.Duration(rng.Intn(5000)) * time.Microsecond
 			}
 		}
-		rounds := [][][]Block{randomSparse(rng, n), make([][]Block, n), randomSparse(rng, n), pricedSparse(rng, n)}
+		rounds := [][]sparseRank{randomSparse(rng, n), make([]sparseRank, n), randomSparse(rng, n), pricedSparse(rng, n)}
 		dense := make([][][][]byte, len(rounds))
-		for i, send := range rounds {
-			dense[i] = denseOf(n, send)
+		for i, ranks := range rounds {
+			dense[i] = denseOf(n, ranks)
 		}
 		want, _ := runExchanges(t, n, skew, dense, true)
-		done, got := runSparseExchanges(t, n, skew, rounds)
+		got := runSparseExchanges(t, n, skew, rounds)
 		for r := 0; r < n; r++ {
-			for i, send := range rounds {
-				if done[r][i] != want[r].done[i] {
+			for i, ranks := range rounds {
+				if got[r].done[i] != want[r].done[i] {
 					t.Fatalf("seed %d W=%d rank %d round %d: completes at %v, reference ring at %v",
-						seed, n, r, i, done[r][i], want[r].done[i])
+						seed, n, r, i, got[r].done[i], want[r].done[i])
 				}
 				var expect []Block
-				for src, blocks := range send {
-					for _, b := range blocks {
-						if b.Peer == r {
-							expect = append(expect, Block{Peer: src, Val: b.Val, Size: b.Size})
+				for src, rk := range ranks {
+					for _, b := range rk.send {
+						if int(b.Peer) == r {
+							expect = append(expect, Block{Peer: int32(src), Size: b.Size})
 						}
 					}
 				}
-				recv := got[r][i]
-				if len(recv) != len(expect) {
-					t.Fatalf("seed %d W=%d rank %d round %d: %d blocks arrived, %d were sent", seed, n, r, i, len(recv), len(expect))
+				if recv := got[r].recv[i]; !slices.Equal(recv, expect) {
+					t.Fatalf("seed %d W=%d rank %d round %d: routes %v arrived, %v were sent", seed, n, r, i, recv, expect)
 				}
-				for k, b := range recv {
-					if !sameBlock(b, expect[k]) {
-						t.Fatalf("seed %d W=%d rank %d round %d: block %d is %d bytes from %d, want %d bytes from %d",
-							seed, n, r, i, k, b.Size, b.Peer, expect[k].Size, expect[k].Peer)
+				for _, b := range expect {
+					if v := got[r].vals[i][b.Peer]; !sameVal(v, ranks[b.Peer].val) {
+						t.Fatalf("seed %d W=%d rank %d round %d: holds %T from %d, not the value it passed", seed, n, r, i, v, b.Peer)
 					}
 				}
 			}
@@ -302,28 +322,46 @@ func TestAlltoallvSparseMatchesReferenceRing(t *testing.T) {
 }
 
 // A send list whose peers are out of order, repeated or outside the
-// communicator is refused with an error before the collective is entered —
+// communicator, or a route of negative size, is refused with an error before
+// the collective is entered, as is a dense buffer over math.MaxInt32 bytes —
 // not priced as something else, and no panic — so the valid exchange that
 // follows still lines up on every rank.
 func TestAlltoallvSparseRefusesBadSendLists(t *testing.T) {
 	const n = 4
 	bad := map[string][]Block{
-		"unsorted":  {{Peer: 2}, {Peer: 1}},
-		"duplicate": {{Peer: 1}, {Peer: 1}},
-		"negative":  {{Peer: -1}},
-		"past-end":  {{Peer: 0}, {Peer: n}},
+		"unsorted":      {{Peer: 2}, {Peer: 1}},
+		"duplicate":     {{Peer: 1}, {Peer: 1}},
+		"negative":      {{Peer: -1}},
+		"past-end":      {{Peer: 0}, {Peer: n}},
+		"negative-size": {{Peer: 0, Size: 8}, {Peer: 1, Size: -1}},
 	}
+	// A buffer one byte over the bound that nothing reads: a slice header
+	// over one byte.
+	var one [1]byte
+	hdr := struct {
+		data     unsafe.Pointer
+		len, cap int
+	}{unsafe.Pointer(&one[0]), math.MaxInt32 + 1, math.MaxInt32 + 1}
+	huge := *(*[]byte)(unsafe.Pointer(&hdr))
 	clus := testCluster(1, n)
 	done := 0
 	Launch(clus, n, func(c *Comm) {
 		for what, send := range bad {
-			if _, err := c.AlltoallvSparse(send); err == nil || !strings.HasPrefix(err.Error(), "mpi: AlltoallvSparse: block ") {
+			if _, _, err := c.AlltoallvSparse(nil, send); err == nil || !strings.HasPrefix(err.Error(), "mpi: AlltoallvSparse: block ") {
 				t.Errorf("rank %d: %s send list: err = %v", c.Rank(), what, err)
 			}
 		}
-		recv, err := c.AlltoallvSparse([]Block{{Peer: (c.Rank() + 1) % n, Val: c.Rank(), Size: 8}})
-		if want := (c.Rank() + n - 1) % n; err != nil || len(recv) != 1 || recv[0] != (Block{Peer: want, Val: want, Size: 8}) {
-			t.Errorf("rank %d: the valid exchange got %v, %v", c.Rank(), recv, err)
+		if _, _, err := c.AlltoallvSparse(nil, bad["negative-size"]); err == nil || !strings.Contains(err.Error(), "block 1 to peer 1 has a negative size, -1") {
+			t.Errorf("rank %d: a negative size: err = %v", c.Rank(), err)
+		}
+		bufs := make([][]byte, n)
+		bufs[2] = huge
+		if _, err := c.Alltoallv(bufs); err == nil || err.Error() != "mpi: Alltoallv: the buffer for rank 2 is 2147483648 bytes, over the 2 GiB bound" {
+			t.Errorf("rank %d: a 2 GiB buffer: err = %v", c.Rank(), err)
+		}
+		recv, vals, err := c.AlltoallvSparse(c.Rank(), []Block{{Peer: int32((c.Rank() + 1) % n), Size: 8}})
+		if want := (c.Rank() + n - 1) % n; err != nil || len(recv) != 1 || recv[0] != (Block{Peer: int32(want), Size: 8}) || vals[want] != want {
+			t.Errorf("rank %d: the valid exchange got %v, %v, %v", c.Rank(), recv, vals, err)
 		}
 		done++
 	})
@@ -372,13 +410,13 @@ func sleepExactly(t *testing.T, c *Comm, d time.Duration) {
 	}
 }
 
-// sparseOf is rank s's buffers as a sparse send list: its big block, if
-// any, and the buffers to every other peer.
+// sparseOf is rank s's routes over its buffers: its big one, if any, and
+// the buffers to every other peer.
 func sparseOf(s int, bufs [][]byte) []Block {
 	var send []Block
 	for d, b := range bufs {
 		if (d+s)%2 == 0 || len(b) > 2 {
-			send = append(send, Block{Peer: d, Val: b, Size: len(b)})
+			send = append(send, Block{Peer: int32(d), Size: int32(len(b))})
 		}
 	}
 	return send
@@ -436,7 +474,7 @@ func TestAlltoallvInterrupted(t *testing.T) {
 								c.Proc().Sleep(5 * time.Millisecond)
 							}
 							if sparse {
-								_, res[r].err = c.AlltoallvSparse(sparseOf(r, bufs[r]))
+								_, _, res[r].err = c.AlltoallvSparse(bufs[r], sparseOf(r, bufs[r]))
 							} else {
 								_, res[r].err = c.Alltoallv(bufs[r])
 							}
@@ -470,13 +508,14 @@ func TestAlltoallvInterrupted(t *testing.T) {
 						}
 						if sparse {
 							var recv []Block
+							var vals []any
 							send := make([]Block, m)
 							for d := range send {
-								send[d] = Block{Peer: d, Val: again[d], Size: len(again[d])}
+								send[d] = Block{Peer: int32(d), Size: int32(len(again[d]))}
 							}
-							recv, err = nc.AlltoallvSparse(send)
+							recv, vals, err = nc.AlltoallvSparse(again, send)
 							for _, b := range recv {
-								res[r].retr = append(res[r].retr, b.Val.([]byte))
+								res[r].retr = append(res[r].retr, vals[b.Peer].([][]byte)[nc.Rank()])
 							}
 						} else {
 							res[r].retr, err = nc.Alltoallv(again)
@@ -688,7 +727,8 @@ func TestGatheringShrinkIsOneWaitSet(t *testing.T) {
 }
 
 // exchangeBytes returns the bytes one exchange allocates in a W=n world
-// whose ranks send a value priced at 64 bytes to each of the next 8 ranks:
+// whose ranks each pass one value and route 64 bytes to each of the next 8
+// ranks:
 // what is allocated between an instant when every rank sleeps after a first
 // exchange and one when every rank sleeps after a second, the least of three
 // runs.
@@ -700,11 +740,11 @@ func exchangeBytes(tb testing.TB, n int) uint64 {
 		Launch(clus, n, func(c *Comm) {
 			send := make([]Block, 0, 8)
 			for i := 1; i <= 8; i++ {
-				send = append(send, Block{Peer: (c.Rank() + i) % n, Val: payload, Size: 64})
+				send = append(send, Block{Peer: int32((c.Rank() + i) % n), Size: 64})
 			}
-			slices.SortFunc(send, func(a, b Block) int { return a.Peer - b.Peer })
+			slices.SortFunc(send, func(a, b Block) int { return int(a.Peer - b.Peer) })
 			for i := 0; i < 2; i++ {
-				if _, err := c.AlltoallvSparse(send); err != nil {
+				if _, _, err := c.AlltoallvSparse(payload, send); err != nil {
 					tb.Error(err)
 				}
 				c.Proc().Sleep(time.Second - c.Proc().Now()%time.Second)
@@ -721,13 +761,15 @@ func exchangeBytes(tb testing.TB, n int) uint64 {
 }
 
 // TestExchangeAllocsFlatInW is the exchange's allocation gate (make
-// alloc-gate): with 8 non-empty blocks per rank, the bytes one exchange
-// allocates per rank are the same at W=2048 as at W=512. What the meeting
-// allocates in O(W) per exchange (its entrant lists, the ring's instants and
-// cursors, the dealt blocks and their offsets) is constant per rank, so the
-// two may differ only by its rounding, bound at one word a rank; a W-entry
-// table per rank (the dense exchange's result) would add 24 B per rank per
-// rank: 36 KiB a rank more at W=2048.
+// alloc-gate): with 8 non-empty routes per rank, the bytes one exchange
+// allocates per rank are the same at W=2048 as at W=512 (328 B and 330 B,
+// measured on amd64; 501 B and 506 B when every route was a boxed block).
+// What the meeting allocates in O(W) per exchange (its entrant lists, the
+// ring's instants and cursors, the dealt routes and their offsets, the
+// values by rank) is constant per rank, so the two may differ only by its
+// rounding, bound at one word a rank; a W-entry table per rank (the dense
+// exchange's result) would add 24 B per rank per rank: 36 KiB a rank more at
+// W=2048.
 func TestExchangeAllocsFlatInW(t *testing.T) {
 	perRank := make(map[int]float64)
 	for _, n := range []int{512, 2048} {

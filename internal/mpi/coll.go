@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -176,55 +177,56 @@ func (st *commState) armTree(m *meet, waits []*meetWait) {
 	}
 }
 
-// Block is one value of a sparse exchange: on the send side the value bound
-// for comm rank Peer, on the receive side the value that came from it. The
-// exchange moves no byte: it prices a value at its declared Size, as
-// AllgatherFold prices its values, and hands the receiver the sender's Val.
+// Block is one route of a sparse exchange: on the send side the bytes bound
+// for comm rank Peer, on the receive side the bytes that came from it. A
+// route is pointer-free: the exchange moves no byte, it prices the route at
+// its Size, as AllgatherFold prices its values, and what the bytes stand for
+// is the value its sender passed to the exchange.
 type Block struct {
-	// Peer is a comm rank: the destination of a block sent, the source of a
-	// block received.
-	Peer int
-	// Val is the payload, read-only once sent: the receiver holds the
-	// sender's value.
-	Val any
-	// Size is the bytes Val is priced at on the wire.
-	Size int
+	Peer int32 // a comm rank: the destination of a route sent, the source of a route received
+	Size int32 // the bytes the route is priced at on the wire
 }
 
-// AlltoallvSparse is the shuffle's one collective: every rank sends each of
-// its blocks to the block's peer and receives the blocks sent to it. send
-// lists the blocks by strictly ascending peer, and a peer with no block is
-// sent nothing, as MPI_Alltoallv sends nothing for a zero count. The result
-// lists what arrived by ascending source, Peer naming the source. It is a
-// window of one slice the meeting's ranks share, and its Val are the
-// senders' values: both are read-only to every rank. The exchange is
-// charged as a ring of Size-1 pairwise steps (at step s a rank sends to
-// rank+s, then receives from rank-s, each message costing
-// Cluster.TransferCost of its block's Size, 0 bytes to a peer with no
-// block): commState.arm. A send list out of order, with a peer twice or one
-// outside the communicator is refused before the collective is entered.
-func (c *Comm) AlltoallvSparse(send []Block) ([]Block, error) {
+// AlltoallvSparse is the shuffle's one collective: every rank passes one
+// value, val, and sends each of its routes to the route's peer, and receives
+// the routes sent to it. send lists the routes by strictly ascending peer,
+// and a peer with no route is sent nothing, as MPI_Alltoallv sends nothing
+// for a zero count. recv lists what arrived by ascending source, Peer naming
+// the source, and vals[src] is the value comm rank src passed: the receiver
+// finds in it what src's route to it carries. recv is a window of one slice
+// and vals one slice, both shared by the meeting's ranks, and every value is
+// read-only to every rank. The exchange is charged as a ring of Size-1
+// pairwise steps (at step s a rank sends to rank+s, then receives from
+// rank-s, each message costing Cluster.TransferCost of its route's Size, 0
+// bytes to a peer with no route): commState.arm. A send list out of order,
+// with a peer twice, one outside the communicator or a negative Size is
+// refused before the collective is entered.
+func (c *Comm) AlltoallvSparse(val any, send []Block) (recv []Block, vals []any, err error) {
 	for i, b := range send {
 		switch {
-		case b.Peer < 0 || b.Peer >= c.Size():
-			return nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d of %d ranks", i, b.Peer, c.Size())
+		case b.Peer < 0 || int(b.Peer) >= c.Size():
+			return nil, nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d of %d ranks", i, b.Peer, c.Size())
 		case i > 0 && b.Peer <= send[i-1].Peer:
-			return nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d after peer %d: peers must ascend", i, b.Peer, send[i-1].Peer)
+			return nil, nil, fmt.Errorf("mpi: AlltoallvSparse: block %d names peer %d after peer %d: peers must ascend", i, b.Peer, send[i-1].Peer)
+		case b.Size < 0:
+			return nil, nil, fmt.Errorf("mpi: AlltoallvSparse: block %d to peer %d has a negative size, %d", i, b.Peer, b.Size)
 		}
 	}
-	w := &meetWait{send: send}
-	if _, err := c.collective("alltoallv", meetExchange, w); err != nil {
-		return nil, err
+	w := &meetWait{val: val, send: send}
+	m, err := c.collective("alltoallv", meetExchange, w)
+	if err != nil {
+		return nil, nil, err
 	}
-	return w.recv, nil
+	return w.recv, m.vals, nil
 }
 
 // Alltoallv is the dense form of AlltoallvSparse over byte buffers: bufs[i]
 // is destined to comm rank i, and the result is indexed by source rank, nil
-// where nothing arrived. A non-empty buffer travels as a block priced at its
-// length, its value a pointer into one copy of bufs, so wrapping and
-// unwrapping allocate nothing per block and the caller may reuse bufs once it
-// returns; an empty buffer is not sent, which costs what sending it would.
+// where nothing arrived. The rank's value is one copy of bufs, so the caller
+// may reuse bufs once it returns, and a non-empty buffer travels as a route
+// priced at its length; an empty buffer is not sent, which costs what
+// sending it would. A buffer over math.MaxInt32 bytes is refused before the
+// collective is entered.
 func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	n := c.Size()
 	if len(bufs) != n {
@@ -233,44 +235,47 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	held := slices.Clone(bufs)
 	send := make([]Block, 0, n)
 	for d, b := range held {
+		if len(b) > math.MaxInt32 {
+			return nil, fmt.Errorf("mpi: Alltoallv: the buffer for rank %d is %d bytes, over the 2 GiB bound", d, len(b))
+		}
 		if len(b) > 0 {
-			send = append(send, Block{Peer: d, Val: &held[d], Size: len(b)})
+			send = append(send, Block{Peer: int32(d), Size: int32(len(b))})
 		}
 	}
-	got, err := c.AlltoallvSparse(send)
+	got, vals, err := c.AlltoallvSparse(held, send)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]byte, n)
 	for _, b := range got {
-		out[b.Peer] = *b.Val.(*[]byte)
+		out[b.Peer] = vals[b.Peer].([][]byte)[c.rank]
 	}
 	return out, nil
 }
 
 // arm is the exchange's finish policy: it evaluates the ring schedule for
-// every rank at once, as a pure function of entry instants and block
+// every rank at once, as a pure function of entry instants and route
 // sizes. With sent[r] the instant rank r's step-s message is delivered and
 // end[r] the instant r finishes step s:
 //
-//	sent_r(s) = end_r(s-1) + TransferCost(Size of r's block for peer r+s, 0 if none)
+//	sent_r(s) = end_r(s-1) + TransferCost(Size of r's route to peer r+s, 0 if none)
 //	end_r(s)  = max(sent_r(s), sent_{r-s}(s)),   end_r(0) = entry_r
 //
 // exactly what W-1 blocking send/recv steps per rank would produce, in O(W²)
-// integer arithmetic. A rank's blocks are read in ring order (peers r+1 ..
-// W-1, then 0 .. r-1) through one cursor per rank. It then deals every block
-// out of one slice, grouped by destination in ascending source order. waits
-// is indexed by comm rank.
-func (st *commState) arm(waits []*meetWait) {
+// integer arithmetic. A rank's routes are read in ring order (peers r+1 ..
+// W-1, then 0 .. r-1) through one cursor per rank. It then deals every route
+// out of one slice, grouped by destination in ascending source order, and
+// lists every rank's value in m.vals. waits is indexed by comm rank.
+func (st *commState) arm(m *meet, waits []*meetWait) {
 	n := len(waits)
 	cost := st.w.Clus.TransferCost
 	idle := cost(0)
 	end, sent := make([]time.Duration, n), make([]time.Duration, n)
-	next := make([]int, n)  // per rank: its cursor into its blocks, then per destination: a fill cursor
-	off := make([]int, n+1) // per destination: where its blocks start in the dealt slice
+	next := make([]int, n)  // per rank: its cursor into its routes, then per destination: a fill cursor
+	off := make([]int, n+1) // per destination: where its routes start in the dealt slice
 	for r, w := range waits {
 		end[r] = w.entry
-		next[r] = sort.Search(len(w.send), func(i int) bool { return w.send[i].Peer > r })
+		next[r] = sort.Search(len(w.send), func(i int) bool { return int(w.send[i].Peer) > r })
 		for _, b := range w.send {
 			off[b.Peer+1]++
 		}
@@ -284,8 +289,8 @@ func (st *commState) arm(waits []*meetWait) {
 				}
 			}
 			c := idle
-			if i := next[r]; i < len(w.send) && w.send[i].Peer == d {
-				c = cost(w.send[i].Size)
+			if i := next[r]; i < len(w.send) && int(w.send[i].Peer) == d {
+				c = cost(int(w.send[i].Size))
 				next[r]++
 			}
 			sent[r] = end[r] + c
@@ -299,11 +304,13 @@ func (st *commState) arm(waits []*meetWait) {
 		next[d] = off[d]
 	}
 	all := make([]Block, off[n])
+	m.vals = make([]any, n)
 	for src, w := range waits {
 		for _, b := range w.send {
-			all[next[b.Peer]] = Block{Peer: src, Val: b.Val, Size: b.Size}
+			all[next[b.Peer]] = Block{Peer: int32(src), Size: b.Size}
 			next[b.Peer]++
 		}
+		m.vals[src] = w.val
 	}
 	for r, w := range waits {
 		w.recv = all[off[r]:off[r+1]:off[r+1]]

@@ -36,6 +36,7 @@ type meet struct {
 	newSt  *commState  // Shrink's result
 	flags  int         // Agree's result
 	folded any         // a gathering call's result: its fold of the values, shared by every rank
+	vals   []any       // an exchange's values, by comm rank, shared by every rank
 }
 
 // meetWait is one rank's stake in a meet.
@@ -43,11 +44,11 @@ type meetWait struct {
 	c     *Comm
 	op    string // what the introspection plane calls the meeting
 	entry time.Duration
-	val   any                 // a gathering call's value
-	size  int                 // the bytes val is priced at
+	val   any                 // a gathering call's or an exchange's value
+	size  int                 // the bytes a gathering call's val is priced at
 	fold  func(all []any) any // a gathering call's fold of the values, by comm rank; nil for a Barrier
-	send  []Block             // an exchange's blocks, by ascending peer
-	recv  []Block             // an exchange's result, by ascending source
+	send  []Block             // an exchange's routes, by ascending peer, each priced at its Size
+	recv  []Block             // an exchange's routes received, by ascending source
 	flag  int                 // Agree's contribution
 	at    time.Duration       // release instant; unreleased until the meeting finishes
 	timer *vtime.Timer        // the wake-up an exchange or a tree armed for at
@@ -106,7 +107,7 @@ func (st *commState) tryFinish(m *meet, self *meetWait) {
 			waits[w.c.rank] = w
 		}
 		if m.kind == meetExchange {
-			st.arm(waits)
+			st.arm(m, waits)
 		} else {
 			st.armTree(m, waits)
 		}
