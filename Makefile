@@ -87,7 +87,7 @@ bench-overhead:
 # Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit|TestJobAllocsPerRankFlatInW|TestShuffleBytesPerBlock)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestPageRankAllocsPerRecord|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit|TestJobAllocsPerRankFlatInW|TestShuffleBytesPerBlock)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two

@@ -1,9 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
@@ -44,7 +44,9 @@ func GenBFSInput(clus *cluster.Cluster, prefix string, p BFSParams) {
 // bfsMapper visits the current frontier.
 type bfsMapper struct {
 	level int
+	visit []byte // the proposal to the frontier's neighbours: V level+1
 	cost  float64
+	s     []byte // the structure value, reused: Emit copies it
 }
 
 // Map implements core.Mapper.
@@ -53,12 +55,10 @@ func (m *bfsMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) e
 	if !ok {
 		return fmt.Errorf("bfs: bad state line %q", v)
 	}
-	out.Emit([]byte(node), []byte("S"+value+"|"+strings.Join(adj, ",")))
-	if value == strconv.Itoa(m.level) {
-		visit := []byte("V" + strconv.Itoa(m.level+1))
-		for _, n := range adj {
-			out.Emit([]byte(n), visit)
-		}
+	m.s = append(append(m.s[:0], 'S'), v[len(node)+1:]...) // S dist|adj
+	out.Emit(node, m.s)
+	if string(value) == strconv.Itoa(m.level) {
+		eachNeighbour(adj, func(n []byte) { out.Emit(n, m.visit) })
 	}
 	return nil
 }
@@ -67,23 +67,25 @@ func (m *bfsMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) e
 func (m *bfsMapper) Cost(k, v []byte) float64 { return m.cost }
 
 // bfsReducer combines visit proposals with the node state.
-type bfsReducer struct{ cost float64 }
+type bfsReducer struct {
+	cost float64
+	buf  []byte // reused: Write copies it
+}
 
 // Reduce implements core.Reducer.
 func (r *bfsReducer) Reduce(ctx *core.TaskContext, key []byte, vals [][]byte, out core.RecordWriter) error {
 	dist := -1
-	state := ""
+	var adj []byte // |adj of the structure record; nil until it is seen
 	best := -1
 	for _, v := range vals {
 		switch {
 		case len(v) > 0 && v[0] == 'S':
-			state = string(v[1:])
-			bar := strings.IndexByte(state, '|')
-			d, err := strconv.Atoi(state[:bar])
+			bar := bytes.IndexByte(v, '|')
+			d, err := strconv.Atoi(string(v[1:bar]))
 			if err != nil {
 				return fmt.Errorf("bfs: bad state %q: %v", v, err)
 			}
-			dist = d
+			dist, adj = d, v[bar:]
 		case len(v) > 0 && v[0] == 'V':
 			d, err := strconv.Atoi(string(v[1:]))
 			if err != nil {
@@ -94,17 +96,17 @@ func (r *bfsReducer) Reduce(ctx *core.TaskContext, key []byte, vals [][]byte, ou
 			}
 		}
 	}
-	if state == "" {
+	if adj == nil {
 		// Proposal for a node with no structure record: drop (cannot
 		// happen on well-formed inputs).
 		return nil
 	}
-	adj := state[strings.IndexByte(state, '|'):]
 	if best >= 0 && (dist < 0 || best < dist) {
 		dist = best
 		ctx.AddCounter("visited", 1)
 	}
-	out.Write(key, []byte(strconv.Itoa(dist)+adj))
+	r.buf = append(strconv.AppendInt(r.buf[:0], int64(dist), 10), adj...)
+	out.Write(key, r.buf)
 	return nil
 }
 
@@ -120,7 +122,8 @@ func BFSLevelSpec(base core.Spec, name string, level int, inputPrefix string, p 
 	s.JobID = s.Name
 	s.InputPrefix = inputPrefix
 	s.NewReader = core.NewLineReader
-	s.NewMapper = func() core.Mapper { return &bfsMapper{level: level, cost: p.MapCost} }
+	visit := "V" + strconv.Itoa(level+1)
+	s.NewMapper = func() core.Mapper { return &bfsMapper{level: level, visit: []byte(visit), cost: p.MapCost} }
 	s.NewReducer = func() core.Reducer { return &bfsReducer{cost: p.ReduceCost} }
 	return s
 }
@@ -154,7 +157,7 @@ func RefBFS(p BFSParams) []int {
 	for len(frontier) > 0 {
 		var next []int
 		for _, u := range frontier {
-			for _, v := range p.Graph.Adjacency(u) {
+			for _, v := range p.Graph.appendAdjacency(nil, u) {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
 					next = append(next, v)
@@ -169,25 +172,10 @@ func RefBFS(p BFSParams) []int {
 // ReadDistances parses a BFS state prefix into node→distance.
 func ReadDistances(clus *cluster.Cluster, prefix string) map[int]int {
 	out := make(map[int]int)
-	for _, path := range clus.PFS.List(prefix) {
-		data, err := clus.PFS.Peek(path)
-		if err != nil {
-			continue
+	eachState(clus, prefix, func(id int, value []byte) {
+		if d, err := strconv.Atoi(string(value)); err == nil {
+			out[id] = d
 		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			node, value, _, ok := parseStateLine([]byte(line))
-			if !ok {
-				continue
-			}
-			id, err1 := strconv.Atoi(node)
-			d, err2 := strconv.Atoi(value)
-			if err1 == nil && err2 == nil {
-				out[id] = d
-			}
-		}
-	}
+	})
 	return out
 }

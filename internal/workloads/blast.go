@@ -1,8 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -53,15 +54,15 @@ func (p BlastParams) queryLen(q int) int {
 
 // hits returns the synthetic hit list (db partition, E-value exponent) of a
 // query — what the "external library" would have computed.
-func (p BlastParams) hits(q int) []string {
+func (p BlastParams) hits(q int) [][]byte {
 	h := mix(uint64(q)*977 + uint64(p.Seed))
 	n := 1 + int(h%uint64(p.MaxHits))
-	out := make([]string, n)
+	out := make([][]byte, n)
 	for i := range out {
 		h = mix(h)
 		db := h % 64
 		exp := 3 + h%40
-		out[i] = fmt.Sprintf("db%02d:1e-%02d", db, exp)
+		out[i] = fmt.Appendf(nil, "db%02d:1e-%02d", db, exp)
 	}
 	return out
 }
@@ -77,8 +78,8 @@ func GenBlastInput(clus *cluster.Cluster, prefix string, p BlastParams) map[stri
 		qid := fmt.Sprintf("q%06d", q)
 		fmt.Fprintf(&sb, "%s %d\n", qid, p.queryLen(q))
 		hs := p.hits(q)
-		sort.Strings(hs)
-		expect[qid] = strings.Join(hs, ";")
+		slices.SortFunc(hs, bytes.Compare)
+		expect[qid] = string(bytes.Join(hs, []byte{';'}))
 		if (q+1)%perChunk == 0 || q == p.Queries-1 {
 			clus.FS.Write(fmt.Sprintf("pfs:%s/chunk-%05d", prefix, chunk), []byte(sb.String()))
 			sb.Reset()
@@ -91,18 +92,32 @@ func GenBlastInput(clus *cluster.Cluster, prefix string, p BlastParams) map[stri
 // blastMapper performs the simulated external-library search.
 type blastMapper struct{ p BlastParams }
 
+// parseQuery splits a query line `qNNNNNN len` into its two words, as views
+// of it.
+func parseQuery(v []byte) (id, length []byte, ok bool) {
+	var words [2][]byte
+	n := 0
+	eachWord(v, func(w []byte) {
+		if n < len(words) {
+			words[n] = w
+		}
+		n++
+	})
+	return words[0], words[1], n == 2
+}
+
 // Map implements core.Mapper.
 func (m *blastMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) error {
-	fields := strings.Fields(string(v))
-	if len(fields) != 2 {
+	id, _, ok := parseQuery(v)
+	if !ok {
 		return fmt.Errorf("blast: bad query line %q", v)
 	}
-	q, err := strconv.Atoi(strings.TrimPrefix(fields[0], "q"))
+	q, err := strconv.Atoi(string(bytes.TrimPrefix(id, []byte{'q'})))
 	if err != nil {
-		return fmt.Errorf("blast: bad query id %q: %v", fields[0], err)
+		return fmt.Errorf("blast: bad query id %q: %v", id, err)
 	}
 	for _, hit := range m.p.hits(q) {
-		out.Emit([]byte(fields[0]), []byte(hit))
+		out.Emit(id, hit)
 	}
 	return nil
 }
@@ -110,11 +125,11 @@ func (m *blastMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter)
 // Cost implements core.Mapper: the whole search runs inside the external
 // library, so the per-record cost is large and indivisible (§6.5).
 func (m *blastMapper) Cost(k, v []byte) float64 {
-	fields := strings.Fields(string(v))
-	if len(fields) != 2 {
+	_, length, ok := parseQuery(v)
+	if !ok {
 		return m.p.CostBase
 	}
-	l, err := strconv.Atoi(fields[1])
+	l, err := strconv.Atoi(string(length))
 	if err != nil {
 		return m.p.CostBase
 	}
@@ -122,16 +137,21 @@ func (m *blastMapper) Cost(k, v []byte) float64 {
 }
 
 // blastReducer sorts each query's hits by E-value.
-type blastReducer struct{ cost float64 }
+type blastReducer struct {
+	cost float64
+	hs   [][]byte // reused: the group's hits, sorted
+	buf  []byte   // reused: Write copies it
+}
 
 // Reduce implements core.Reducer.
 func (r *blastReducer) Reduce(ctx *core.TaskContext, key []byte, vals [][]byte, out core.RecordWriter) error {
-	hs := make([]string, len(vals))
-	for i, v := range vals {
-		hs[i] = string(v)
+	r.hs = append(r.hs[:0], vals...)
+	slices.SortFunc(r.hs, bytes.Compare)
+	r.buf = r.buf[:0]
+	for _, h := range r.hs {
+		r.buf = append(append(r.buf, h...), ';')
 	}
-	sort.Strings(hs)
-	out.Write(key, []byte(strings.Join(hs, ";")))
+	out.Write(key, bytes.TrimSuffix(r.buf, []byte{';'}))
 	return nil
 }
 
@@ -156,20 +176,6 @@ func BlastSpec(name, inputPrefix string, nranks int, p BlastParams) core.Spec {
 // ReadBlastHits parses a BLAST job's output into query→sorted hit list.
 func ReadBlastHits(clus *cluster.Cluster, jobID string, parts int) map[string]string {
 	out := make(map[string]string)
-	for p := 0; p < parts; p++ {
-		data, err := clus.PFS.Peek(fmt.Sprintf("out/%s/part-%05d", jobID, p))
-		if err != nil {
-			continue
-		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			kv := strings.SplitN(line, "\t", 2)
-			if len(kv) == 2 {
-				out[kv[0]] = kv[1]
-			}
-		}
-	}
+	eachOutput(clus, jobID, parts, func(q, hits []byte) { out[string(q)] = string(hits) })
 	return out
 }

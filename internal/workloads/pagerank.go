@@ -1,9 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
@@ -51,6 +51,7 @@ func GenPageRankInput(clus *cluster.Cluster, prefix string, p PageRankParams) {
 // prRankMapper emits structure and contribution records (stage A map).
 type prRankMapper struct {
 	cost float64
+	s, c []byte // the structure and contribution values, reused: Emit copies
 }
 
 // Map implements core.Mapper.
@@ -59,18 +60,18 @@ func (m *prRankMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter
 	if !ok {
 		return fmt.Errorf("pagerank: bad state line %q", v)
 	}
-	out.Emit([]byte(node), []byte("S"+strings.Join(adj, ",")))
+	m.s = append(append(m.s[:0], 'S'), adj...)
+	out.Emit(node, m.s)
 	if len(adj) == 0 {
 		return nil
 	}
-	rank, err := strconv.ParseFloat(value, 64)
+	rank, err := strconv.ParseFloat(string(value), 64)
 	if err != nil {
 		return fmt.Errorf("pagerank: bad rank in %q: %v", v, err)
 	}
-	contrib := []byte("C" + strconv.FormatFloat(rank/float64(len(adj)), 'g', 17, 64))
-	for _, n := range adj {
-		out.Emit([]byte(n), contrib)
-	}
+	share := rank / float64(bytes.Count(adj, []byte{','})+1)
+	m.c = strconv.AppendFloat(append(m.c[:0], 'C'), share, 'g', 17, 64)
+	eachNeighbour(adj, func(n []byte) { out.Emit(n, m.c) })
 	return nil
 }
 
@@ -81,16 +82,17 @@ func (m *prRankMapper) Cost(k, v []byte) float64 { return m.cost }
 type prRankReducer struct {
 	nodes int
 	cost  float64
+	buf   []byte // reused: Write copies it
 }
 
 // Reduce implements core.Reducer.
 func (r *prRankReducer) Reduce(ctx *core.TaskContext, key []byte, vals [][]byte, out core.RecordWriter) error {
-	var adj string
+	var adj []byte
 	sum := 0.0
 	for _, v := range vals {
 		switch {
 		case len(v) > 0 && v[0] == 'S':
-			adj = string(v[1:])
+			adj = v[1:]
 		case len(v) > 0 && v[0] == 'C':
 			c, err := strconv.ParseFloat(string(v[1:]), 64)
 			if err != nil {
@@ -100,7 +102,9 @@ func (r *prRankReducer) Reduce(ctx *core.TaskContext, key []byte, vals [][]byte,
 		}
 	}
 	rank := (1-damping)/float64(r.nodes) + damping*sum
-	out.Write(key, []byte(strconv.FormatFloat(rank, 'f', 10, 64)+"|"+adj))
+	r.buf = append(strconv.AppendFloat(r.buf[:0], rank, 'f', 10, 64), '|')
+	r.buf = append(r.buf, adj...)
+	out.Write(key, r.buf)
 	return nil
 }
 
@@ -115,16 +119,16 @@ type prAuditMapper struct{ cost float64 }
 
 // Map implements core.Mapper.
 func (m *prAuditMapper) Map(ctx *core.TaskContext, k, v []byte, out core.KVWriter) error {
-	node, value, adj, ok := parseStateLine(v)
+	node, value, _, ok := parseStateLine(v)
 	if !ok {
 		return fmt.Errorf("pagerank: bad state line %q", v)
 	}
-	rank, err := strconv.ParseFloat(value, 64)
+	rank, err := strconv.ParseFloat(string(value), 64)
 	if err != nil {
 		return err
 	}
 	ctx.AddCounter("rankmass_e12", int64(rank*1e12))
-	out.Emit([]byte(node), []byte(value+"|"+strings.Join(adj, ",")))
+	out.Emit(node, v[len(node)+1:]) // value|adj, as read
 	return nil
 }
 
@@ -193,13 +197,14 @@ func RefPageRank(p PageRankParams, iters int) []float64 {
 	for i := range rank {
 		rank[i] = 1.0 / float64(n)
 	}
+	var adj []int
 	for it := 0; it < iters; it++ {
 		next := make([]float64, n)
 		for i := range next {
 			next[i] = (1 - damping) / float64(n)
 		}
 		for i := 0; i < n; i++ {
-			adj := p.Graph.Adjacency(i)
+			adj = p.Graph.appendAdjacency(adj[:0], i)
 			if len(adj) == 0 {
 				continue
 			}
@@ -216,25 +221,10 @@ func RefPageRank(p PageRankParams, iters int) []float64 {
 // ReadRanks parses a PageRank state prefix into node→rank.
 func ReadRanks(clus *cluster.Cluster, prefix string) map[int]float64 {
 	out := make(map[int]float64)
-	for _, path := range clus.PFS.List(prefix) {
-		data, err := clus.PFS.Peek(path)
-		if err != nil {
-			continue
+	eachState(clus, prefix, func(id int, value []byte) {
+		if r, err := strconv.ParseFloat(string(value), 64); err == nil {
+			out[id] = r
 		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
-			}
-			node, value, _, ok := parseStateLine([]byte(line))
-			if !ok {
-				continue
-			}
-			id, err1 := strconv.Atoi(node)
-			r, err2 := strconv.ParseFloat(value, 64)
-			if err1 == nil && err2 == nil {
-				out[id] = r
-			}
-		}
-	}
+	})
 	return out
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"ftmrmpi/internal/cluster"
@@ -54,6 +53,7 @@ func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[stri
 	// counted by id: the string-keyed map is built once, from the counts.
 	words := make([]string, p.Vocab)
 	counts := make([]int, p.Vocab)
+	distinct := 0
 	var chunk []byte // reused: FS.Write copies it
 	for c := 0; c < p.Chunks; c++ {
 		chunk = chunk[:0]
@@ -61,7 +61,8 @@ func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[stri
 			for w := 0; w < p.WordsLine; w++ {
 				id := zipf.Uint64()
 				if words[id] == "" {
-					words[id] = fmt.Sprintf("w%06d", id)
+					words[id] = wordOf(id)
+					distinct++
 				}
 				counts[id]++
 				chunk = append(chunk, words[id]...)
@@ -71,13 +72,23 @@ func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[stri
 		}
 		clus.FS.Write(fmt.Sprintf("pfs:%s/chunk-%05d", prefix, c), chunk)
 	}
-	expect := make(map[string]int)
+	expect := make(map[string]int, distinct)
 	for id, n := range counts {
 		if n > 0 {
 			expect[words[id]] = n
 		}
 	}
 	return expect
+}
+
+// wordOf formats vocabulary word id as fmt.Sprintf("w%06d", id) does.
+func wordOf(id uint64) string {
+	var b [32]byte
+	w := append(b[:0], 'w')
+	for pad := uint64(100000); pad > 1 && id < pad; pad /= 10 {
+		w = append(w, '0')
+	}
+	return string(strconv.AppendUint(w, id, 10))
 }
 
 // wcMapper emits (word, 1) per word of each line.
@@ -162,28 +173,30 @@ func WordcountSpec(name, inputPrefix string, nranks int, p WordcountParams) core
 	}
 }
 
-// ReadWordCounts parses a wordcount job's output partitions.
-func ReadWordCounts(clus *cluster.Cluster, jobID string, parts int) map[string]int {
-	out := make(map[string]int)
+// eachOutput calls fn with the key and the value of every record in a job's
+// output partitions, as views.
+func eachOutput(clus *cluster.Cluster, jobID string, parts int, fn func(k, v []byte)) {
 	for p := 0; p < parts; p++ {
 		data, err := clus.PFS.Peek(fmt.Sprintf("out/%s/part-%05d", jobID, p))
 		if err != nil {
 			continue
 		}
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			if line == "" {
-				continue
+		eachLine(data, func(line []byte) {
+			if k, v, ok := bytes.Cut(line, []byte{'\t'}); ok {
+				fn(k, v)
 			}
-			kv := strings.SplitN(line, "\t", 2)
-			if len(kv) != 2 {
-				continue
-			}
-			n, err := strconv.Atoi(kv[1])
-			if err == nil {
-				out[kv[0]] += n
-			}
-		}
+		})
 	}
+}
+
+// ReadWordCounts parses a wordcount job's output partitions.
+func ReadWordCounts(clus *cluster.Cluster, jobID string, parts int) map[string]int {
+	out := make(map[string]int)
+	eachOutput(clus, jobID, parts, func(word, count []byte) {
+		if n, err := strconv.Atoi(string(count)); err == nil {
+			out[string(word)] += n
+		}
+	})
 	return out
 }
 
