@@ -5,7 +5,7 @@ GO ?= go
 # detector over the internals, the whole test suite, the nested benchmark
 # module (vet and its smoke tests: it imports internal/... from outside, so an
 # API deletion breaks it unseen otherwise), a short fuzz of the checkpoint
-# frame and shadow-sync codecs, the JSONL reader, the OpenMetrics parser, the extent store
+# frame codec, the JSONL reader, the OpenMetrics parser, the extent store
 # against its flat model and the KV→KMV grouping against its map-indexed
 # reference, the one instrumentation-overhead gate that keeps
 # every disabled observation plane at one-branch cost, the data-path and
@@ -46,7 +46,6 @@ benchmark-module:
 
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 5s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeShadowSync$$' -fuzztime 5s
 	$(GO) test ./internal/introspect -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 5s
@@ -83,11 +82,13 @@ bench-overhead:
 # plan once for every survivor, not once per survivor; and a failure-free
 # job allocates about the same bytes per rank at W=2048 and at W=4096 as at
 # W=512, because what its ranks derive alike (the task list, the first task
-# and partition plans) is made once per job.
+# and partition plans) is made once per job; and a replica push sends its
+# partners a view of the sender's mirror, allocating the same bytes for a
+# 64 KiB frame as for a 1 KiB one.
 # Host-independent: every bound counts allocations or allocated bytes.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
-	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestPageRankAllocsPerRecord|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit|TestJobAllocsPerRankFlatInW|TestShuffleBytesPerBlock)$$' -v
+	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestPageRankAllocsPerRecord|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit|TestJobAllocsPerRankFlatInW|TestShuffleBytesPerBlock|TestReplicaPushCopiesNoPayload)$$' -v
 
 # Simulator-throughput regression gate, on its own and verbose (`make check`
 # runs it inside `test` and `race`, as every `go test ./...` does): two
@@ -152,7 +153,8 @@ define SELFTEST
 0 bin/ftmr-trace inspect $T.insp
 # the committed deadlock fixture (ranks stranded in two different collectives) is reported (exit 1) and renders its wait-for graph as DOT
 1 bin/ftmr-trace inspect internal/introspect/testdata/deadlock.jsonl
-0 bin/ftmr-trace inspect -waitgraph internal/introspect/testdata/deadlock.jsonl | grep -q digraph
+1 bin/ftmr-trace inspect -waitgraph internal/introspect/testdata/deadlock.jsonl > $T.dot
+0 grep -q digraph $T.dot
 # flags the simulator cannot honour are refused, not panicked on or ignored
 2 bin/ftmr-sim -procs 0
 2 bin/ftmr-sim -procs 8 -kill-phase map -kill-rank 99
@@ -193,7 +195,8 @@ define SELFTEST
 0 grep -q '"outages":\[{"tier":"pfs"' $T.out.insp
 0 bin/ftmr-sim -procs 8 -stall-after 30s
 # a masking job that loses every rank is an aborted one, not a clean run with no output
-0 bin/ftmr-sim -procs 1 -model wc -kill-phase map | grep -q aborted=true
+0 bin/ftmr-sim -procs 1 -model wc -kill-phase map > $T.abort.txt
+0 grep -q aborted=true $T.abort.txt
 # one usage contract for every CLI: an unknown figure, a missing mode or an unknown subcommand is exit 2
 2 bin/ftmr-bench -fig nope
 0 bin/ftmr-bench -list

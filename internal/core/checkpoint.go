@@ -152,13 +152,11 @@ func countFrames(data []byte) int {
 }
 
 // ckptPath returns the PFS/local-relative path of a stream.
-func ckptPath(jobID, stream string) string {
-	return fmt.Sprintf("ckpt/%s/%s", jobID, stream)
-}
+func ckptPath(jobID, stream string) string { return "ckpt/" + jobID + "/" + stream }
 
 func mapStream(taskID int) string    { return fmt.Sprintf("map/t%06d", taskID) }
 func partStream(part int) string     { return fmt.Sprintf("part/p%06d", part) }
-func doneMarker(jobID string) string { return fmt.Sprintf("ckpt/%s/DONE", jobID) }
+func doneMarker(jobID string) string { return "ckpt/" + jobID + "/DONE" }
 
 // copierCPUPerByte is the copier thread's CPU cost to move one byte
 // (memcpy + syscall overhead), charged against the rank's core so the
@@ -347,9 +345,11 @@ func (s *ckptStore) stop() {
 // the pieces [hdr, payload...]. The payload is write-once bytes (kvbuf.Log
 // pieces, a kvbuf.KV's Bytes), so the stream's file may keep its long pieces
 // by reference (storage.Tier.AppendShared); everything that keeps a short
-// piece — the header among them — copies it: the file, replicaStore.appendOwn
-// into the mirror and encodeReplicaMsg into the message it sends
-// (TestCommittedFramesOutliveTheirSource).
+// piece — the header among them — copies it: the file, and
+// replicaStore.appendOwn into the mirror (TestCommittedFramesOutliveTheirSource).
+// A replica push sends a view of that mirror, whose written bytes are never
+// rewritten (replicaEntry), so the partner reads the frame as committed even
+// while the push waits in its mailbox (TestBankedPushOutlivesMirrorRewrites).
 func (s *ckptStore) commit(p *vtime.Proc, stream string, kind byte, a, b uint32, payload ...[]byte) {
 	putFrameHeader(s.hdr[:], kind, a, b, payload...)
 	s.pieces = append(append(s.pieces[:0], s.hdr[:]), payload...)

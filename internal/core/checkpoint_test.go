@@ -406,7 +406,7 @@ func TestRestoreChainOrder(t *testing.T) {
 					rd.rep.store.appendOwn(stream, good)
 					want = metrics.SourceReplicaLocal
 				case "peer":
-					rd.rep.store.receive(replicaFull, stream, good)
+					rd.rep.store.receive(&replicaPush{full: true, stream: stream, data: good})
 					want = metrics.SourceReplicaPeer
 				}
 				private := slices.ContainsFunc(rd.chain(), holder.private)

@@ -98,7 +98,7 @@ func TestCorruptStreamServedFromReplica(t *testing.T) {
 
 	// A peer pushed the clean frames here before the writer died.
 	rs := newReplicaStore()
-	rs.receive(replicaDelta, "part/p000001", stream)
+	rs.receive(&replicaPush{stream: "part/p000001", data: stream})
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {

@@ -58,26 +58,3 @@ func FuzzDecodeFrames(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeShadowSync checks the shadow reduce-progress codec: never
-// panic, accept exactly the fixed-size records, and round-trip every
-// accepted input byte-for-byte.
-func FuzzDecodeShadowSync(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(encodeShadowSync(0, 0, 0))
-	f.Add(encodeShadowSync(7, 4096, 1<<20))
-	f.Add(encodeShadowSync(7, 4096, 1<<20)[:15]) // torn record
-	f.Add(append(encodeShadowSync(1, 2, 3), 0))  // trailing garbage
-	f.Fuzz(func(t *testing.T, data []byte) {
-		part, groups, outLen, err := decodeShadowSync(data)
-		if (err == nil) != (len(data) == shadowSyncLen) {
-			t.Fatalf("err=%v for %d bytes, want error iff len != %d", err, len(data), shadowSyncLen)
-		}
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(encodeShadowSync(part, groups, outLen), data) {
-			t.Fatal("re-encoding an accepted record does not reproduce the input")
-		}
-	})
-}

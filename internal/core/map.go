@@ -305,13 +305,17 @@ func (r *runner) adopted(taskID int) bool {
 
 // gossipStatus sends the merged done-bitmap to the ring successor after every
 // task completion (§3.3: masters periodically broadcast local task status).
+// The message is a clone priced at its length: done flags are set in place,
+// and a receiver reading the live table would learn of completions before
+// their message arrived.
 func (r *runner) gossipStatus() {
 	if r.comm.Size() < 2 {
 		return
 	}
 	r.drainStatus()
 	next := (r.comm.Rank() + 1) % r.comm.Size()
-	_ = r.net(func() error { return r.comm.Send(next, r.statusTag, r.tt.doneBitmap()) })
+	bm := r.tt.doneBitmap()
+	_ = r.net(func() error { return r.comm.SendVal(next, r.statusTag, bm, len(bm)) })
 }
 
 // drainStatus merges any pending status messages (and, with replication
@@ -323,6 +327,6 @@ func (r *runner) drainStatus() {
 		if err != nil || !ok {
 			return
 		}
-		r.tt.mergeBitmap(m.Data)
+		r.tt.mergeBitmap(m.Val.([]byte))
 	}
 }

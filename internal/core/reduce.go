@@ -92,10 +92,11 @@ func (r *runner) phaseReduce(ro *role) error {
 		w := &r.bufs.out
 		w.buf = w.buf[:0]
 		var cpuAcc float64
+		stream := partStream(part)
 		commit := func() error {
 			r.compute(cpuAcc)
 			cpuAcc = 0
-			err := ro.commit(part, g, w.buf)
+			err := ro.commit(part, stream, g, w.buf)
 			w.buf = w.buf[:0]
 			return err
 		}
@@ -128,7 +129,7 @@ func (r *runner) phaseReduce(ro *role) error {
 // commitOutput is a primary's reduce commit: append the batch's output to
 // the partition's PFS file, then record the progress in the partition's
 // checkpoint stream and on the live shadow.
-func (r *runner) commitOutput(part int, g uint32, out []byte) error {
+func (r *runner) commitOutput(part int, stream string, g uint32, out []byte) error {
 	if len(out) > 0 {
 		if err := r.appendOutput(part, out); err != nil {
 			return err
@@ -139,7 +140,7 @@ func (r *runner) commitOutput(part int, g uint32, out []byte) error {
 	if r.ck.enabled {
 		var lenBuf [8]byte
 		binary.LittleEndian.PutUint64(lenBuf[:], r.outLen[part])
-		r.ck.commit(r.p, partStream(part), frameReduce, uint32(part), g, lenBuf[:])
+		r.ck.commit(r.p, stream, frameReduce, uint32(part), g, lenBuf[:])
 	}
 	r.obs.TaskCommit("reduce", part, int64(g))
 	r.pushShadowSync(part, g)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/storage"
@@ -16,13 +16,16 @@ import (
 // from RAM — faster than a PFS restore, and available while a whole storage
 // tier is offline (storage.ErrTierOutage).
 //
-// Transport: ordinary eager comm.Send on a per-job tag, so replica traffic
-// carries real transfer cost, shows up in traces with flow ids, and pairs
-// in `ftmr-trace flows` (undrained pushes are legal unmatched sends —
-// warnings, not violations). There is no receiver thread (an mpi recv parks
-// the rank's main process), so peers bank pushes in their mailboxes and
-// drain them opportunistically: at status-gossip drains during normal
-// operation and at the exchange barrier inside recovery.
+// Transport: one eager comm.SendVal per partner on a per-job tag, so replica
+// traffic carries real transfer cost, shows up in traces with flow ids, and
+// pairs in `ftmr-trace flows` (undrained pushes are legal unmatched sends —
+// warnings, not violations). The message is a replicaPush value priced at
+// its wire size; it holds a view of the sender's mirror, not a copy, which is
+// why a mirror's written bytes are never rewritten (replicaEntry). There is
+// no receiver thread (an mpi recv parks the rank's main process), so peers
+// bank pushes in their mailboxes and drain them opportunistically: at
+// status-gossip drains during normal operation and at the exchange barrier
+// inside recovery.
 //
 // Replica messages are never required for correctness: a dropped push (dead
 // receiver, mid-transfer kill) only reduces replica coverage, and the PFS
@@ -33,34 +36,24 @@ import (
 // two per-job families cannot collide for any realistic job count.
 const tagReplicaBase = 1 << 20
 
-// Replica wire message kinds.
-const (
-	replicaDelta byte = 1 // append frames to the stream's replica
-	replicaFull  byte = 2 // full stream snapshot: replace if longer
-)
-
-// encodeReplicaMsg builds one replica push message:
-// [kind u8][nameLen u16][name][frame bytes].
-func encodeReplicaMsg(kind byte, stream string, data []byte) []byte {
-	out := make([]byte, 0, 3+len(stream)+len(data))
-	out = append(out, kind, byte(len(stream)), byte(len(stream)>>8))
-	out = append(out, stream...)
-	return append(out, data...)
+// replicaPush is one replica push message: frames to append to the stream's
+// replica (a delta), or, when full, a snapshot of the whole stream that
+// replaces a shorter replica. data is a view of the sender's mirror, capped at
+// its length; receivers copy what they keep and write nothing.
+type replicaPush struct {
+	full   bool
+	stream string
+	data   []byte
 }
 
-// decodeReplicaMsg parses a replica push message; ok is false on garbage.
-func decodeReplicaMsg(msg []byte) (kind byte, stream string, data []byte, ok bool) {
-	if len(msg) < 3 {
-		return 0, "", nil, false
-	}
-	n := int(binary.LittleEndian.Uint16(msg[1:3]))
-	if len(msg) < 3+n {
-		return 0, "", nil, false
-	}
-	return msg[0], string(msg[3 : 3+n]), msg[3+n:], true
-}
+// size is the wire size a push is priced at: [kind u8][nameLen u16][name]
+// [frame bytes].
+func (m *replicaPush) size() int { return 3 + len(m.stream) + len(m.data) }
 
-// replicaEntry is one stream's in-memory replica.
+// replicaEntry is one stream's in-memory replica. Its written bytes are
+// never rewritten in place: a push banked in a peer's mailbox may still view
+// them (replicaPush), so what replaces data allocates afresh, and what
+// shortens it caps it so the next append reallocates.
 type replicaEntry struct {
 	data []byte
 	// own marks a stream this rank wrote (or adopted) itself — its mirror,
@@ -110,34 +103,33 @@ func (s *replicaStore) appendOwn(stream string, pieces ...[]byte) (mirror []byte
 func (s *replicaStore) adopt(stream string, data []byte) {
 	e := s.entry(stream)
 	if len(data) > len(e.data) {
-		e.data = append(e.data[:0], data...)
+		e.data = bytes.Clone(data)
 	}
 	e.own = true
 }
 
 // receive applies one replica push from a peer.
-func (s *replicaStore) receive(kind byte, stream string, data []byte) {
-	e := s.entry(stream)
-	switch kind {
-	case replicaDelta:
+func (s *replicaStore) receive(m *replicaPush) {
+	e := s.entry(m.stream)
+	switch {
+	case !m.full:
 		// Per-stream deltas come from the stream's single writer in send
 		// order (MPI pairwise FIFO), so appending keeps a valid frame
 		// sequence.
-		e.data = append(e.data, data...)
-	case replicaFull:
+		e.data = append(e.data, m.data...)
+	case len(m.data) > len(e.data):
 		// Snapshots replace, but never shrink what is already held: a stale
 		// exchange snapshot must not discard newer deltas or an own mirror.
-		if len(data) > len(e.data) {
-			e.data = append(e.data[:0], data...)
-			e.own = false
-		}
+		e.data = bytes.Clone(m.data)
+		e.own = false
 	}
 }
 
-// truncate shortens a stream's replica to its first n bytes (tail repair).
+// truncate shortens a stream's replica to its first n bytes (tail repair),
+// capped so that the next append reallocates.
 func (s *replicaStore) truncate(stream string, n int) {
 	if e := s.entries[stream]; e != nil && len(e.data) > n {
-		e.data = e.data[:n]
+		e.data = e.data[:n:n]
 	}
 }
 
@@ -194,32 +186,31 @@ func (rp *replicator) push(stream string, pieces ...[]byte) {
 		cover = make(map[int]int)
 		rp.sent[stream] = cover
 	}
-	// Partners receiving the same payload share one encoding: receivers only
-	// read the delivered bytes (receive copies on append), so aliasing one
-	// buffer across k eager sends is safe and saves k-1 encodings per
-	// commit.
-	var deltaMsg, fullMsg []byte
+	// Partners receiving the same payload share one message: receivers
+	// only read it, so one value serves k eager sends.
+	n := len(full)
+	var delta, whole *replicaPush
 	for _, w := range partners {
 		cr := rp.r.comm.CommRankOf(w)
 		if cr < 0 {
 			continue
 		}
-		var msg []byte
+		var m *replicaPush
 		if cover[w] == before {
-			if deltaMsg == nil {
-				deltaMsg = encodeReplicaMsg(replicaDelta, stream, full[before:])
+			if delta == nil {
+				delta = &replicaPush{stream: stream, data: full[before:n:n]}
 			}
-			msg = deltaMsg
+			m = delta
 		} else {
 			// New partner (or one that missed pushes): a delta would leave it
 			// holding a suffix with no prefix, so send the whole mirror.
-			if fullMsg == nil {
-				fullMsg = encodeReplicaMsg(replicaFull, stream, full)
+			if whole == nil {
+				whole = &replicaPush{full: true, stream: stream, data: full[:n:n]}
 			}
-			msg = fullMsg
+			m = whole
 		}
-		_ = rp.r.net(func() error { return rp.r.comm.Send(cr, rp.tag, msg) })
-		cover[w] = len(full)
+		_ = rp.r.net(func() error { return rp.r.comm.SendVal(cr, rp.tag, m, m.size()) })
+		cover[w] = n
 	}
 }
 
@@ -234,9 +225,7 @@ func (rp *replicator) drain() {
 		if err != nil || !ok {
 			return
 		}
-		if kind, stream, data, ok := decodeReplicaMsg(m.Data); ok {
-			rp.store.receive(kind, stream, data)
-		}
+		rp.store.receive(m.Val.(*replicaPush))
 	}
 }
 
@@ -260,8 +249,8 @@ func (r *runner) exchangeReplicas(stream func(id int) string, ids []int, owner f
 		if o == r.myWorld() || data == nil || cr < 0 {
 			continue
 		}
-		msg := encodeReplicaMsg(replicaFull, s, data)
-		_ = r.net(func() error { return r.comm.Send(cr, r.rep.tag, msg) })
+		m := &replicaPush{full: true, stream: s, data: data[:len(data):len(data)]}
+		_ = r.net(func() error { return r.comm.SendVal(cr, r.rep.tag, m, m.size()) })
 	}
 	if err := r.net(func() error { return r.comm.Barrier() }); err != nil {
 		return err

@@ -11,8 +11,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"time"
 
@@ -25,30 +23,16 @@ import (
 // pushes from an earlier job can never match a later one.
 const tagShadowSync = 1 << 21
 
-// shadowSyncLen is the wire size of one reduce-progress sync record:
-// [part u32][groups u32][outLen u64], little-endian.
+// shadowSync is one reduce-progress sync record: a primary's latest durable
+// commit of a partition, sent to its live shadow.
+type shadowSync struct {
+	part, groups uint32
+	outLen       uint64
+}
+
+// shadowSyncLen is the wire size a sync record is priced at:
+// [part u32][groups u32][outLen u64].
 const shadowSyncLen = 16
-
-// encodeShadowSync serializes one reduce-progress sync record.
-func encodeShadowSync(part, groups uint32, outLen uint64) []byte {
-	buf := make([]byte, shadowSyncLen)
-	binary.LittleEndian.PutUint32(buf[0:4], part)
-	binary.LittleEndian.PutUint32(buf[4:8], groups)
-	binary.LittleEndian.PutUint64(buf[8:16], outLen)
-	return buf
-}
-
-// decodeShadowSync parses one reduce-progress sync record. The format is
-// fixed-size; any other length is a framing bug, not a partial read.
-func decodeShadowSync(data []byte) (part, groups uint32, outLen uint64, err error) {
-	if len(data) != shadowSyncLen {
-		return 0, 0, 0, fmt.Errorf("core: shadow sync record: %d bytes, want %d", len(data), shadowSyncLen)
-	}
-	part = binary.LittleEndian.Uint32(data[0:4])
-	groups = binary.LittleEndian.Uint32(data[4:8])
-	outLen = binary.LittleEndian.Uint64(data[8:16])
-	return part, groups, outLen, nil
-}
 
 // ftState is one rank's view of the replication execution model: the static
 // pairing, the dynamic acting/shadow assignment (updated identically on
@@ -151,7 +135,7 @@ func (r *runner) mirrorRole() *role {
 		parts:   r.mirrorParts,
 		reduced: func(part int) uint32 { return f.mirrorRed[part] },
 		group:   func() {},
-		commit: func(part int, g uint32, out []byte) error {
+		commit: func(part int, _ string, g uint32, out []byte) error {
 			// Stage the output locally and fold in the primary's
 			// reduce-progress pushes as they arrive, so a failover knows the
 			// durable high-water mark.
@@ -266,9 +250,9 @@ func (r *runner) pushShadowSync(part int, g uint32) {
 	if cr < 0 {
 		return
 	}
-	msg := encodeShadowSync(uint32(part), g, r.outLen[part])
-	_ = r.net(func() error { return r.comm.Send(cr, r.syncTag(), msg) })
-	r.obs.ShadowSyncPush(part, int(g), uint64(len(msg)))
+	msg := shadowSync{part: uint32(part), groups: g, outLen: r.outLen[part]}
+	_ = r.net(func() error { return r.comm.SendVal(cr, r.syncTag(), msg, shadowSyncLen) })
+	r.obs.ShadowSyncPush(part, int(g), shadowSyncLen)
 }
 
 // drainShadowSync folds banked reduce-progress pushes into the shadow's view
@@ -279,15 +263,13 @@ func (r *runner) drainShadowSync() {
 		if err != nil || !ok {
 			return
 		}
-		part, g, l, err := decodeShadowSync(m.Data)
-		if err != nil {
-			continue
+		s := m.Val.(shadowSync)
+		part := int(s.part)
+		if s.groups >= r.ftm.syncedG[part] {
+			r.ftm.syncedG[part] = s.groups
+			r.ftm.syncedLen[part] = s.outLen
 		}
-		if g >= r.ftm.syncedG[int(part)] {
-			r.ftm.syncedG[int(part)] = g
-			r.ftm.syncedLen[int(part)] = l
-		}
-		r.obs.Rec.ShadowSync("drain", int(part), int(g), uint64(len(m.Data)))
+		r.obs.Rec.ShadowSync("drain", part, int(s.groups), uint64(m.Size))
 	}
 }
 

@@ -124,7 +124,7 @@ func TestCleanRunNoStalls(t *testing.T) {
 		// Ring exchange with some compute so captures land mid-run.
 		c.Self().Compute(c.Proc(), 0.05)
 		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+3)%c.Size()
-		if err := c.Send(next, 5, bytes.Repeat([]byte("x"), 1<<12)); err != nil {
+		if err := c.SendVal(next, 5, c.Rank(), 1<<12); err != nil {
 			t.Errorf("send: %v", err)
 		}
 		if _, err := c.Recv(prev, 5); err != nil {

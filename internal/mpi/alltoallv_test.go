@@ -36,7 +36,7 @@ func ringAlltoallv(c *Comm, tag int, bufs [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[src] = m.Data
+		out[src] = m.Val.([]byte)
 	}
 	return out, nil
 }

@@ -107,14 +107,15 @@ func refGatherTree(c *Comm, seq int, data []byte) (map[int][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sub, err := refDecodeBundle(m.Data)
+		sub, err := refDecodeBundle(m.Val.([]byte))
 		if err != nil {
 			return nil, err
 		}
 		maps.Copy(bundle, sub)
 	}
 	if parent := treeParent(c.rank); parent >= 0 {
-		return nil, c.transmit(parent, internalTag(seq, 2), refEncodeBundle(bundle))
+		enc := refEncodeBundle(bundle)
+		return nil, c.transmit(parent, internalTag(seq, 2), enc, len(enc))
 	}
 	return bundle, nil
 }
@@ -126,10 +127,10 @@ func refBcastTree(c *Comm, seq int, data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data = m.Data
+		data = m.Val.([]byte)
 	}
 	for _, child := range treeChildren(c.rank, c.Size()) {
-		if err := c.transmit(child, internalTag(seq, 1), data); err != nil {
+		if err := c.transmit(child, internalTag(seq, 1), data, len(data)); err != nil {
 			return nil, err
 		}
 	}

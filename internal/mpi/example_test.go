@@ -22,10 +22,10 @@ func Example() {
 		if c.Rank() == 0 {
 			_ = c.Send(next, 1, []byte{1})
 			m, _ := c.Recv(prev, 1)
-			fmt.Printf("token back at rank 0 with value %d\n", m.Data[0])
+			fmt.Printf("token back at rank 0 with value %d\n", m.Val.([]byte)[0])
 		} else {
 			m, _ := c.Recv(prev, 1)
-			_ = c.Send(next, 1, []byte{m.Data[0] + 1})
+			_ = c.Send(next, 1, []byte{m.Val.([]byte)[0] + 1})
 		}
 		sum, _ := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return a + b })
 		if c.Rank() == 0 {

@@ -63,9 +63,11 @@ type Message struct {
 	Src int
 	// Tag is the message tag.
 	Tag int
-	// Data is the payload. Receivers must treat it as read-only: eager
-	// sends alias the sender's buffer.
-	Data []byte
+	// Val is the payload, the sender's value itself. Receivers must treat it
+	// as read-only: eager sends hand over the sender's value, not a copy.
+	Val any
+	// Size is the byte length the send was priced at: its wire size.
+	Size int
 	id   uint64
 }
 
@@ -356,17 +358,27 @@ func (c *Comm) Abort() {
 	}
 }
 
-// Send transmits data to dest (a comm rank) with the given tag. The caller
-// is busy for the wire time. Sends are eager/buffered: delivery does not
-// require a posted receive. Errors are raised through the error handler.
-func (c *Comm) Send(dest, tag int, data []byte) error {
-	return c.raise(c.transmit(dest, tag, data))
+// Send transmits data to dest at its length: SendVal(dest, tag, data,
+// len(data)).
+func (c *Comm) Send(dest, tag int, data []byte) error { return c.SendVal(dest, tag, data, len(data)) }
+
+// SendVal transmits the value v to dest (a comm rank) with the given tag,
+// priced as a message of size bytes: v's wire size, which the caller
+// declares. The caller is busy for the wire time. Sends are eager/buffered:
+// delivery does not require a posted receive, and the receiver gets v itself.
+// A negative size is refused before anything is sent; every other error is
+// raised through the error handler.
+func (c *Comm) SendVal(dest, tag int, v any, size int) error {
+	if size < 0 {
+		return fmt.Errorf("mpi: SendVal: message to rank %d has a negative size, %d", dest, size)
+	}
+	return c.raise(c.transmit(dest, tag, v, size))
 }
 
 // transmit is the one body of every point-to-point send: it allocates the
 // cluster's next flow id, traces the send as send.begin/send.end under it and
 // delivers the message after the wire time.
-func (c *Comm) transmit(dest, tag int, data []byte) error {
+func (c *Comm) transmit(dest, tag int, v any, size int) error {
 	st := c.st
 	if st.revoked {
 		return ErrRevoked
@@ -377,12 +389,12 @@ func (c *Comm) transmit(dest, tag int, data []byte) error {
 	}
 	st.w.Clus.FlowID++
 	flow := st.w.Clus.FlowID
-	c.r.obs.MPI.Sent(len(data))
+	c.r.obs.MPI.Sent(size)
 	if rec := c.r.obs.Rec; rec != nil {
-		rec.SendBegin(dworld, tag, len(data))
-		defer rec.SendEnd(dworld, tag, len(data), flow)
+		rec.SendBegin(dworld, tag, size)
+		defer rec.SendEnd(dworld, tag, size, flow)
 	}
-	c.r.proc.Sleep(st.w.Clus.TransferCost(len(data)))
+	c.r.proc.Sleep(st.w.Clus.TransferCost(size))
 	if st.w.aborted {
 		return ErrAborted
 	}
@@ -392,7 +404,7 @@ func (c *Comm) transmit(dest, tag int, data []byte) error {
 	// Deliver (drop silently if the receiver died during the transfer —
 	// eager sends complete locally).
 	if st.w.ranks[dworld].alive {
-		st.deliver(dest, &Message{Src: c.rank, Tag: tag, Data: data, id: flow})
+		st.deliver(dest, &Message{Src: c.rank, Tag: tag, Val: v, Size: size, id: flow})
 	}
 	return nil
 }
@@ -461,9 +473,9 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 		rec.RecvEnd(srcWorld, tag, 0, 0)
 		return nil, rw.err
 	}
-	c.r.obs.MPI.Received(len(rw.msg.Data))
+	c.r.obs.MPI.Received(rw.msg.Size)
 	if rec != nil {
-		rec.RecvEnd(srcWorld, tag, len(rw.msg.Data), rw.msg.id)
+		rec.RecvEnd(srcWorld, tag, rw.msg.Size, rw.msg.id)
 	}
 	return rw.msg, nil
 }
@@ -486,13 +498,13 @@ func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
 // spot: the byte counter, and recv.begin/recv.end at one instant, naming the
 // posted source as a world rank (AnySource for TryRecv's wildcard).
 func (c *Comm) tookBuffered(src, tag int, m *Message) {
-	c.r.obs.MPI.Received(len(m.Data))
+	c.r.obs.MPI.Received(m.Size)
 	if rec := c.r.obs.Rec; rec != nil {
 		srcWorld := AnySource
 		if src != AnySource {
 			srcWorld = c.st.group[src]
 		}
 		rec.RecvBegin(srcWorld, tag)
-		rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
+		rec.RecvEnd(srcWorld, tag, m.Size, m.id)
 	}
 }

@@ -2,12 +2,15 @@ package mpi
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ftmrmpi/internal/cluster"
+	"ftmrmpi/internal/metrics"
+	"ftmrmpi/internal/trace"
 )
 
 // testCluster returns a small cluster for MPI-level tests.
@@ -34,7 +37,7 @@ func TestSendRecvBasic(t *testing.T) {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			got = string(m.Data)
+			got = string(m.Val.([]byte))
 			at = c.Proc().Now()
 		}
 	})
@@ -44,6 +47,61 @@ func TestSendRecvBasic(t *testing.T) {
 	}
 	if at <= 0 {
 		t.Fatal("no wire time charged")
+	}
+}
+
+// TestSendValPricedAtDeclaredSize: a send of an 8-byte value declared at
+// 64 KiB costs the sender the wire time of 64 KiB, is counted and traced at
+// 64 KiB on both sides, and hands the receiver the sent value itself. A
+// negative size is refused by name before anything is sent.
+func TestSendValPricedAtDeclaredSize(t *testing.T) {
+	const size = 64 << 10
+	clus := testCluster(2, 1)
+	clus.Trace = trace.New(clus.Sim, 1<<10)
+	clus.Metrics = metrics.New(clus.Sim)
+	sent := new(int64)
+	var got *Message
+	var took time.Duration
+	var refused error
+	Launch(clus, 2, func(c *Comm) {
+		if c.Rank() == 0 {
+			refused = c.SendVal(1, 3, sent, -1)
+			if err := c.SendVal(1, 3, sent, size); err != nil {
+				t.Errorf("send: %v", err)
+			}
+			took = c.Proc().Now()
+			return
+		}
+		m, err := c.Recv(0, 3)
+		if err != nil {
+			t.Errorf("recv: %v", err)
+		}
+		got = m
+	})
+	clus.Sim.Run()
+	if want := "mpi: SendVal: message to rank 1 has a negative size, -1"; refused == nil || refused.Error() != want {
+		t.Errorf("a negative size: %v, want %q", refused, want)
+	}
+	if want := clus.TransferCost(size); took != want {
+		t.Errorf("the send took %v, want the wire time of %d bytes, %v", took, size, want)
+	}
+	if got == nil || got.Val != any(sent) || got.Size != size {
+		t.Fatalf("received %+v, want the sent *int64 itself at %d bytes", got, size)
+	}
+	snap := clus.Metrics.Snapshot()
+	for _, name := range []string{"ftmr_mpi_send_bytes", "ftmr_mpi_recv_bytes"} {
+		if n := snap.Total(name); n != size {
+			t.Errorf("%s = %v, want %d", name, n, size)
+		}
+	}
+	ends := map[trace.Kind]int64{}
+	for _, ev := range clus.Trace.Events() {
+		if ev.Kind == trace.KindSendEnd || ev.Kind == trace.KindRecvEnd {
+			ends[ev.Kind] = ev.C
+		}
+	}
+	if want := map[trace.Kind]int64{trace.KindSendEnd: size, trace.KindRecvEnd: size}; !maps.Equal(ends, want) {
+		t.Errorf("traced sizes %v, want %v", ends, want)
 	}
 }
 
@@ -155,7 +213,7 @@ func TestTryRecv(t *testing.T) {
 			}
 			c.Proc().Sleep(time.Second)
 			m, ok, err := c.TryRecv(1, 3)
-			if err != nil || !ok || string(m.Data) != "x" {
+			if err != nil || !ok || string(m.Val.([]byte)) != "x" {
 				t.Errorf("TryRecv = %v %v %v", m, ok, err)
 			}
 			return

@@ -362,11 +362,11 @@ func benchPingPong(b *testing.B, traced bool) {
 		mpi.Launch(clus, 2, func(c *mpi.Comm) {
 			for round := 0; round < 500; round++ {
 				if c.Rank() == 0 {
-					_ = c.Send(1, 1, buf)
+					_ = c.SendVal(1, 1, buf, len(buf))
 					_, _ = c.Recv(1, 2)
 				} else {
 					_, _ = c.Recv(0, 1)
-					_ = c.Send(0, 2, buf)
+					_ = c.SendVal(0, 2, buf, len(buf))
 				}
 			}
 		})
