@@ -102,9 +102,9 @@ throughput-gate:
 	$(GO) test ./internal/bench -run '^TestThroughputGate$$' -v
 
 # Full simulator-throughput suite: the regression gate plus the 10k-rank
-# wordcount ceiling run (11 s of wall clock and 754 MB peak RSS at W=10000 on
-# a 2-core host, as in the committed thr-des row; set FTMR_CEILING_RANKS to
-# trim). Reproduces the thr-des rows.
+# wordcount ceiling run (its wall clock and peak RSS at W=10000: the thr-des
+# row of BENCH_results.json; set FTMR_CEILING_RANKS to trim). Reproduces the
+# thr-des rows.
 bench-throughput: throughput-gate
 	FTMR_THROUGHPUT_CEILING=1 $(GO) test ./internal/bench -run '^TestThroughputCeiling$$' -v -timeout 60m
 
@@ -112,8 +112,8 @@ bench-throughput: throughput-gate
 # status the command must return, then the command (run by sh with stdout and
 # stderr discarded). The same invariants the unit tests pin, plus the
 # fixtures that must not drift: a committed file named after `cmp` is
-# regenerated by the command on the line above it, writing to the committed
-# path instead of $T.
+# regenerated by the ftmr-sim run above it, copied from where that run wrote
+# it under $T.
 T := /tmp/ftmr-selftest
 define SELFTEST
 # trace fixtures: self-diff is clean, the injected-divergence pair is flagged, the v2 golden validates and summarizes, the duplicate-receive fixture's second receive of one flow id is a violation, and a trace cut short by a torn last line is analyzed with a warning
@@ -129,9 +129,24 @@ define SELFTEST
 2 bin/ftmr-trace diff internal/jsonl/testdata/junk.bin internal/trace/testdata/golden_v2.jsonl
 2 bin/ftmr-trace critpath internal/jsonl/testdata/junk.bin
 2 bin/ftmr-trace inspect internal/jsonl/testdata/junk.bin
-# metrics: a deterministic 8-rank wordcount failover run reproduces the committed snapshot byte for byte; it summarizes, self-diffs clean, differs from the other committed snapshot and passes the default SLOs, and a deliberately tight checkpoint-overhead bound fails the health gate
-0 bin/ftmr-sim -procs 8 -kill-phase map -metrics-out $T.om
-0 cmp $T.om internal/metrics/testdata/selftest.om
+# the run report: a deterministic 8-rank wordcount failover run with every plane on writes a snapshot that reproduces the committed one byte for byte, with stalls and critical-path shares joined into it, and passes the default SLOs; its own critical-path report and ftmr-trace critpath's of its trace both match the committed golden; its trace's flows pair up and it renders as Chrome JSON; its introspection stream inspects clean
+0 bin/ftmr-sim -procs 8 -kill-phase map -health -report $T.run
+0 cmp $T.run/metrics.om internal/metrics/testdata/selftest.om
+0 grep -q ftmr_introspect_stalls $T.run/metrics.om
+0 grep -q ftmr_critpath_share $T.run/metrics.om
+0 bin/ftmr-trace health $T.run/metrics.om
+0 cmp $T.run/critpath.txt internal/trace/critpath/testdata/golden_report.txt
+0 bin/ftmr-trace critpath $T.run/trace.jsonl > $T.txt
+0 cmp $T.txt internal/trace/critpath/testdata/golden_report.txt
+0 bin/ftmr-trace critpath -against $T.run/trace.jsonl $T.run/trace.jsonl
+0 bin/ftmr-trace flows $T.run/trace.jsonl
+0 bin/ftmr-trace chrome $T.run/trace.jsonl > $T.chrome.json
+0 grep -q traceEvents $T.chrome.json
+0 bin/ftmr-trace inspect $T.run/introspect.jsonl
+# a -report directory that cannot be written (a regular file, or under a missing parent) is refused before the run
+2 bin/ftmr-sim -procs 8 -report internal/metrics/testdata/golden.om
+2 bin/ftmr-sim -procs 8 -report $T.missing/run
+# metrics: the committed snapshot summarizes, self-diffs clean, differs from the other committed snapshot and passes the default SLOs, and a deliberately tight checkpoint-overhead bound fails the health gate
 0 bin/ftmr-trace summarize internal/metrics/testdata/selftest.om
 0 bin/ftmr-trace diff internal/metrics/testdata/selftest.om internal/metrics/testdata/selftest.om
 1 bin/ftmr-trace diff internal/metrics/testdata/golden.om internal/metrics/testdata/selftest.om
@@ -142,15 +157,10 @@ define SELFTEST
 2 bin/ftmr-trace flows internal/metrics/testdata/selftest.om
 2 bin/ftmr-trace health internal/trace/testdata/golden_v2.jsonl
 # one SLO flag table: a reduce-kill run that recovers from the PFS passes the gate under a loosened checkpoint bound, and ftmr-trace judges its snapshot as ftmr-sim did
-0 bin/ftmr-sim -procs 8 -kill-phase reduce -slo-ckpt-overhead 0.2 -health -metrics-out $T.pfs.om
-0 bin/ftmr-trace health -slo-ckpt-overhead 0.2 $T.pfs.om
-# critical path and introspection, from one traced and snapshotted run of the same job: the report matches the committed golden, its composition self-diff is clean, the committed copier-stall regression pair is flagged, and the live snapshots inspect clean
-0 bin/ftmr-sim -workload wordcount -procs 8 -model wc -kill-phase map -trace $T.jsonl -trace-format jsonl -introspect-out $T.insp
-0 bin/ftmr-trace critpath $T.jsonl > $T.txt
-0 cmp $T.txt internal/trace/critpath/testdata/golden_report.txt
-0 bin/ftmr-trace critpath -against $T.jsonl $T.jsonl
+0 bin/ftmr-sim -procs 8 -kill-phase reduce -slo-ckpt-overhead 0.2 -health -report $T.pfs
+0 bin/ftmr-trace health -slo-ckpt-overhead 0.2 $T.pfs/metrics.om
+# the committed copier-stall regression pair is flagged by the critical-path composition diff
 1 bin/ftmr-trace critpath -against internal/trace/critpath/testdata/base.jsonl internal/trace/critpath/testdata/regressed.jsonl
-0 bin/ftmr-trace inspect $T.insp
 # the committed deadlock fixture (ranks stranded in two different collectives) is reported (exit 1) and renders its wait-for graph as DOT
 1 bin/ftmr-trace inspect internal/introspect/testdata/deadlock.jsonl
 1 bin/ftmr-trace inspect -waitgraph internal/introspect/testdata/deadlock.jsonl > $T.dot
@@ -166,37 +176,26 @@ define SELFTEST
 2 bin/ftmr-sim -procs 8 -chaos 2 -chaos-window -1s
 2 bin/ftmr-sim -procs 8 -introspect-interval -1s
 # a resubmitted checkpoint/restart job is a second MPI world writing the same trace: its flow ids continue where the aborted world's stopped (a reduce kill, so the aborted world has sent its map-phase status gossip)
-0 bin/ftmr-sim -procs 8 -model cr -kill-phase reduce -restart -trace $T.cr.jsonl -trace-format jsonl
-0 bin/ftmr-trace flows $T.cr.jsonl
-# flags without a line above: a PFS outage window, continuous kills, the JSON summary, the streamed trace (which must validate) and the default Chrome trace format
+0 bin/ftmr-sim -procs 8 -model cr -kill-phase reduce -restart -report $T.cr
+0 bin/ftmr-trace flows $T.cr/trace.jsonl
+# flags without a line above: a PFS outage window, continuous kills, the JSON summary
 0 bin/ftmr-sim -procs 8 -outage 1ms,3ms
 0 bin/ftmr-sim -procs 8 -kills 2 -kill-every 5ms
 0 bin/ftmr-sim -procs 8 -json
-0 bin/ftmr-sim -procs 8 -kill-phase map -trace-stream $T.st.jsonl
-0 bin/ftmr-trace flows $T.st.jsonl
-0 bin/ftmr-sim -procs 8 -kill-phase map -trace $T.chrome.json
-# what README and EXPERIMENTS.md document and no other line reaches: ftmr-sim's own critical-path report agrees byte for byte with ftmr-trace critpath's golden (and an unanalyzable trace, its job.begin overwritten, is one line and exit 2); one run with every plane on joins stalls and path shares into the snapshot, which ftmr-trace health judges as ftmr-sim -health did; ring overwrites are counted in it; the other three workloads; chaos kills with storage faults; chunk granularity; checkpoints straight to the PFS; an outage the introspection stream names; a watchdog that starts, never fires and stops
-0 bin/ftmr-sim -procs 8 -kill-phase map -critpath-out $T.cp.txt
-0 cmp $T.cp.txt internal/trace/critpath/testdata/golden_report.txt
-2 bin/ftmr-sim -procs 8 -trace-cap 16 -critpath-out $T.cp2.txt
-0 bin/ftmr-sim -procs 8 -kill-phase map -introspect-out $T.all.insp -metrics-out $T.all.om -health -critpath-out $T.all.txt
-0 grep -q ftmr_introspect_stalls $T.all.om
-0 grep -q ftmr_critpath_share $T.all.om
-0 bin/ftmr-trace health $T.all.om
-0 bin/ftmr-sim -procs 8 -kill-phase map -trace-cap 16 -trace $T.drop.jsonl -trace-format jsonl -metrics-out $T.drop.om
-0 grep -q ftmr_trace_events_dropped $T.drop.om
+# what README and EXPERIMENTS.md document and no other line reaches: the other three workloads; chaos kills with storage faults; chunk granularity; checkpoints straight to the PFS; an outage the introspection stream names; a watchdog that starts, never fires and stops
 0 bin/ftmr-sim -workload blast -procs 8
 0 bin/ftmr-sim -workload pagerank -procs 8
 0 bin/ftmr-sim -workload bfs -procs 8
 0 bin/ftmr-sim -procs 8 -chaos 2 -storage-faults
 0 bin/ftmr-sim -procs 8 -kill-phase map -granularity chunk
 0 bin/ftmr-sim -procs 8 -kill-phase map -ckpt-direct-pfs
-0 bin/ftmr-sim -procs 8 -outage 1ms,3ms -introspect-interval 1ms -introspect-out $T.out.insp
-0 grep -q '"outages":\[{"tier":"pfs"' $T.out.insp
+0 bin/ftmr-sim -procs 8 -outage 1ms,3ms -introspect-interval 1ms -report $T.out
+0 grep -q '"outages":\[{"tier":"pfs"' $T.out/introspect.jsonl
 0 bin/ftmr-sim -procs 8 -stall-after 30s
-# a masking job that loses every rank is an aborted one, not a clean run with no output
-0 bin/ftmr-sim -procs 1 -model wc -kill-phase map > $T.abort.txt
+# a masking job that loses every rank is an aborted one, not a clean run with no output, and its report says it has no critical path
+0 bin/ftmr-sim -procs 1 -model wc -kill-phase map -report $T.abort > $T.abort.txt
 0 grep -q aborted=true $T.abort.txt
+0 grep -q 'no job.end' $T.abort/critpath.txt
 # one usage contract for every CLI: an unknown figure, a missing mode or an unknown subcommand is exit 2
 2 bin/ftmr-bench -fig nope
 0 bin/ftmr-bench -list

@@ -7,9 +7,11 @@
 //	ftmr-sim -workload wordcount -procs 64 -model wc -kill-phase reduce
 //	ftmr-sim -workload blast -procs 128 -model cr -kill-phase map -restart
 //	ftmr-sim -workload pagerank -procs 64 -model nwc -kills 4 -kill-every 20ms
+//	ftmr-sim -workload wordcount -procs 8 -kill-phase map -report run/
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -17,6 +19,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -75,7 +78,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses and validates args, runs the job and
 // returns the exit status (0 clean, 1 unhealthy run or output failure, 2
-// usage error — one line on stderr, never a panic).
+// usage error or a -report directory it cannot write — one line on stderr,
+// never a panic).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ftmr-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -95,9 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lbModel   = fs.String("lb-model", "static", "load-balancer regression model: static | trace")
 		iters     = fs.Int("iters", 2, "pagerank iterations, at least 1 (bfs ignores it: it runs to convergence, 20 levels at most)")
 		asJSON    = fs.Bool("json", false, "emit results as JSON lines")
-		tracePath = fs.String("trace", "", "write an event trace to this file")
-		traceFmt  = fs.String("trace-format", "chrome", "trace format: jsonl | chrome")
-		traceCap  = fs.Int("trace-cap", 1<<16, "per-rank trace ring capacity (events): a bound, not a reservation — a ring grows with its rank's events to min(events, cap) x 80 B, and past the cap overwrites the oldest")
 		chaos     = fs.Int("chaos", 0, "chaos mode: random kills (plus one aimed inside recovery)")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for chaos kills and storage faults")
 		chaosWin  = fs.Duration("chaos-window", 2*time.Second, "virtual-time window for chaos kills")
@@ -106,15 +107,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ftModel   = fs.String("ft-model", "cr", "replication execution model: cr | replicate | partial (replicate/partial require -model wc or nwc)")
 		repFrac   = fs.Float64("replica-fraction", 0, "fraction of primary slots given a shadow under -ft-model=partial (0: default 0.5)")
 		outage    = fs.String("outage", "", `PFS whole-tier outage window as "begin,end" virtual-time durations (e.g. "100ms,400ms")`)
-		streamTo  = fs.String("trace-stream", "", "stream JSONL events (write-through) to this file during the run")
-		critOut   = fs.String("critpath-out", "", "write the critical-path report to this file (enables tracing)")
+		report    = fs.String("report", "", "turn every observation plane on and write the run report to this directory (its parent must exist): "+
+			traceFile+" and "+introspectFile+" streamed during the run, "+metricsFile+" and "+critpathFile+" after it")
 
-		introspectOut = fs.String("introspect-out", "", "stream introspection snapshots (JSONL) to this file")
 		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
 		stallAfter    = fs.Duration("stall-after", 0, "wall-clock no-progress watchdog: report a stall after this much real time without virtual-time progress (0 disables; enables the plane)")
-
-		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot (OpenMetrics text) to this file")
-		health     = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
+		health        = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
 	slo := metrics.DefaultSLO()
 	slo.Flags(fs)
@@ -187,49 +185,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-introspect-interval must be positive, got %v", *introspectInt)
 	case *gran != "record" && *gran != "chunk":
 		return usage("unknown -granularity %q (record|chunk)", *gran)
-	case *traceFmt != "jsonl" && *traceFmt != "chrome":
-		return usage("unknown -trace-format %q (jsonl|chrome)", *traceFmt)
 	case *workload != "wordcount" && *workload != "blast" && *workload != "pagerank" && *workload != "bfs":
 		return usage("unknown -workload %q (wordcount|pagerank|bfs|blast)", *workload)
+	}
+
+	var files map[string]*os.File // the run report's, by name
+	if *report != "" {
+		if files, err = createReport(*report); err != nil {
+			return usage("-report: %v", err)
+		}
 	}
 
 	// Build only the nodes the job occupies.
 	cfg.Nodes = (*procs + cfg.PPN - 1) / cfg.PPN
 	clus := cluster.New(cfg)
-	if *tracePath != "" || *streamTo != "" || *critOut != "" {
-		clus.Trace = trace.New(clus.Sim, *traceCap)
+	if files != nil {
+		clus.Trace = trace.New(clus.Sim, 0)
+		clus.Trace.StreamJSONL(files[traceFile])
 	}
 	// The registry must exist before Launch: instruments bind per rank at
 	// spawn time.
-	if *metricsOut != "" || *health {
+	if files != nil || *health {
 		clus.Metrics = metrics.New(clus.Sim)
 	}
 	// Like the registry, the plane must exist before Launch: probes bind per
 	// rank at spawn time.
-	var inspFile *os.File
-	if *introspectOut != "" || *stallAfter > 0 {
+	if files != nil || *stallAfter > 0 {
 		pl := introspect.New(clus.Sim, *introspectInt)
 		clus.Introspect = pl
 		pl.Outages = clus.Outages
-		if *introspectOut != "" {
-			f, err := os.Create(*introspectOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "introspect: %v\n", err)
-				return 1
-			}
-			inspFile = f
-			pl.StreamJSONL(f)
+		if files != nil {
+			pl.StreamJSONL(files[introspectFile])
 		}
-	}
-	var streamFile *os.File
-	if *streamTo != "" {
-		f, err := os.Create(*streamTo)
-		if err != nil {
-			fmt.Fprintf(stderr, "trace stream: %v\n", err)
-			return 1
-		}
-		streamFile = f
-		clus.Trace.StreamJSONL(f)
 	}
 
 	base := core.Spec{
@@ -299,12 +286,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failure.KillOnPhase(h, rank, ph, time.Millisecond)
 	}
 
-	clus.Introspect.Start()
-	wd := clus.Introspect.StartWatchdog(*stallAfter, stderr)
-	clus.Sim.Run()
-	wd.Stop()
+	// simulate runs the simulation until no event is left, under the
+	// introspection plane's ticker and watchdog.
+	simulate := func() {
+		clus.Introspect.Start()
+		wd := clus.Introspect.StartWatchdog(*stallAfter, stderr)
+		clus.Sim.Run()
+		wd.Stop()
+	}
+	simulate()
 
-	report := func(res *core.Result) {
+	printResult := func(res *core.Result) {
 		if *asJSON {
 			enc := json.NewEncoder(stdout)
 			_ = enc.Encode(res.Summary())
@@ -320,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	allResults := h.Results()
 	for _, res := range allResults {
-		report(res)
+		printResult(res)
 	}
 
 	if *restart && len(h.Results()) > 0 && h.Results()[0].Aborted {
@@ -328,11 +320,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec := h.Results()[0].Spec
 		spec.Resume = true
 		h2 := core.RunSingle(clus, spec)
-		clus.Introspect.Start()
-		wd2 := clus.Introspect.StartWatchdog(*stallAfter, stderr)
-		clus.Sim.Run()
-		wd2.Stop()
-		report(h2.Result())
+		simulate()
+		printResult(h2.Result())
 		allResults = append(allResults, h2.Result())
 	}
 	// Post-run capture: if ranks deadlocked, the heap drained with them still
@@ -360,97 +349,106 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "storage faults injected: torn=%d bitflip=%d readerr=%d rspike=%d wspike=%d outage-ops=%d\n",
 			s.TornWrites, s.BitFlips, s.ReadErrors, s.ReadSpikes, s.WriteSpikes, s.OutageOps)
 	}
-	if streamFile != nil {
-		if err := clus.Trace.FlushStream(); err != nil {
-			fmt.Fprintf(stderr, "trace stream: %v\n", err)
-			return 1
-		}
-		_ = streamFile.Close()
-		fmt.Fprintf(stderr, "trace streamed to %s (jsonl)\n", *streamTo)
-	}
-	if *tracePath != "" {
-		if err := clus.Trace.WriteFile(*tracePath, *traceFmt); err != nil {
-			fmt.Fprintf(stderr, "write trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "trace written to %s (%s)\n", *tracePath, *traceFmt)
-	}
-
 	var critRep *critpath.Report
-	if *critOut != "" {
-		events := append(clus.Trace.Events(), clus.Trace.DropEvents()...)
-		rep, err := critpath.Analyze(events)
-		if err != nil {
-			fmt.Fprintln(stderr, err) // it names the package
-			return 2
+	if files != nil {
+		critRep, err = critPath(clus.Trace, files[traceFile], files[critpathFile])
+	}
+	core.ExportResultMetrics(clus.Metrics, allResults)
+	critpath.Export(clus.Metrics, critRep)
+	final := clus.Metrics.Snapshot()
+	if files != nil {
+		if err == nil {
+			err = metrics.WriteOpenMetrics(files[metricsFile], final)
 		}
-		critRep = rep
-		if rep.Unreliable {
-			fmt.Fprintf(stderr, "critpath: warning: %d events overwritten by ring buffers; report is UNRELIABLE (raise -trace-cap)\n", rep.Dropped)
+		if ferr := clus.Introspect.FlushStream(); err == nil {
+			err = ferr
 		}
-		f, err := os.Create(*critOut)
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fmt.Fprintf(stderr, "critpath: %v\n", err)
+			fmt.Fprintf(stderr, "report: %v\n", err)
 			return 1
 		}
-		rep.Render(f, 10)
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(stderr, "critpath: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "critical-path report written to %s\n", *critOut)
+		fmt.Fprintf(stderr, "report written to %s\n", *report)
 	}
 
-	if clus.Metrics != nil {
-		core.ExportResultMetrics(clus.Metrics, allResults)
-		// Ring-overwrite accounting: any dropped event invalidates
-		// trace-derived analyses, so it rides along in the health plane.
-		if clus.Trace != nil {
-			for _, r := range clus.Trace.Ranks() {
-				if d := clus.Trace.Dropped(r); d > 0 {
-					clus.Metrics.Counter(metrics.MTraceDropped,
-						"trace events overwritten by a rank's ring buffer", r).Add(float64(d))
-				}
-			}
-		}
-		critpath.Export(clus.Metrics, critRep)
-		final := clus.Metrics.Snapshot()
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "metrics: %v\n", err)
-				return 1
-			}
-			if err := metrics.WriteOpenMetrics(f, final); err != nil {
-				fmt.Fprintf(stderr, "metrics: %v\n", err)
-				return 1
-			}
-			_ = f.Close()
-			fmt.Fprintf(stderr, "metrics written to %s (openmetrics)\n", *metricsOut)
-		}
-		if *health {
-			hl := metrics.Evaluate(final, slo)
-			hl.Render(stdout)
-			if hl.Breached() {
-				return 1
-			}
+	code := 0
+	if *health {
+		hl := metrics.Evaluate(final, slo)
+		hl.Render(stdout)
+		if hl.Breached() {
+			code = 1
 		}
 	}
+	if stalls := clus.Introspect.Stalls(); len(stalls) > 0 {
+		fmt.Fprintf(stderr, "introspect: %d stall report(s) (%s)", len(stalls), stalls[0].Reason)
+		if files != nil {
+			fmt.Fprintf(stderr, "; inspect with: ftmr-trace inspect %s", files[introspectFile].Name())
+		}
+		fmt.Fprintln(stderr)
+		code = 1
+	}
+	return code
+}
 
-	if clus.Introspect != nil {
-		if inspFile != nil {
-			if err := clus.Introspect.FlushStream(); err != nil {
-				fmt.Fprintf(stderr, "introspect: %v\n", err)
-				return 1
-			}
-			_ = inspFile.Close()
-			fmt.Fprintf(stderr, "introspection snapshots written to %s (jsonl)\n", *introspectOut)
-		}
-		if stalls := clus.Introspect.Stalls(); len(stalls) > 0 {
-			fmt.Fprintf(stderr, "introspect: %d stall report(s) (%s); inspect with: ftmr-trace inspect %s\n",
-				len(stalls), stalls[0].Reason, *introspectOut)
-			return 1
-		}
+// The run report's files, which -report writes under these fixed names.
+const (
+	traceFile      = "trace.jsonl"
+	introspectFile = "introspect.jsonl"
+	metricsFile    = "metrics.om"
+	critpathFile   = "critpath.txt"
+)
+
+// createReport creates dir, unless it already is a directory, and the run
+// report's files in it, before the job is built: a directory that cannot be
+// written is refused before the run instead of after it.
+func createReport(dir string) (map[string]*os.File, error) {
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
+		return nil, err
 	}
-	return 0
+	files := make(map[string]*os.File)
+	for _, name := range []string{traceFile, introspectFile, metricsFile, critpathFile} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			for _, f := range files {
+				f.Close()
+			}
+			return nil, err
+		}
+		files[name] = f
+	}
+	return files, nil
+}
+
+// critPath flushes the trace streamed to tf, reads it back and writes to out
+// the critical-path report of what it read: the computation `ftmr-trace
+// critpath` makes of the same file, on the same bytes. It returns a nil
+// report, and no error, for a trace with no path to analyze.
+func critPath(tr *trace.Tracer, tf, out *os.File) (*critpath.Report, error) {
+	if err := tr.FlushStream(); err != nil {
+		return nil, err
+	}
+	if _, err := tf.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	events, rr, err := trace.ReadJSONL(tf)
+	if err == nil {
+		err = rr.Err()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", tf.Name(), err)
+	}
+	rep, err := critpath.Analyze(events)
+	if err != nil {
+		// A run that aborted has no final commit to anchor a path on: the
+		// report says so rather than going missing.
+		_, err = fmt.Fprintln(out, err)
+		return nil, err
+	}
+	w := bufio.NewWriter(out)
+	rep.Render(w, 10)
+	return rep, w.Flush()
 }

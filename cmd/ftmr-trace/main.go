@@ -1,9 +1,9 @@
 // Command ftmr-trace is the offline half of the observation planes: it
-// analyzes what ftmr-sim wrote — JSONL traces (-trace, DESIGN.md §"Trace wire
-// format v2"), introspection streams (-introspect-out) and OpenMetrics
-// snapshots (-metrics-out). Its six verbs (diff, summarize, flows, critpath,
-// inspect, health) are the verbs table below, which `ftmr-trace` with no
-// arguments prints.
+// analyzes the files ftmr-sim -report DIR writes — the JSONL trace
+// (trace.jsonl, DESIGN.md §"Trace wire format v2"), the introspection stream
+// (introspect.jsonl) and the OpenMetrics snapshot (metrics.om). Its seven
+// verbs (diff, summarize, flows, critpath, chrome, inspect, health) are the
+// verbs table below, which `ftmr-trace` with no arguments prints.
 //
 // diff and summarize pick their reader from the file itself: a file whose
 // first non-blank byte is '#' is an OpenMetrics snapshot, anything else goes
@@ -70,9 +70,12 @@ var verbs = []verb{
 	{"critpath", 1, jsonlFile, "[-top n] [-threshold f] [-against B.jsonl] T.jsonl",
 		"attribute the virtual-time critical path; with -against, diff two\n" +
 			"runs' path composition and flag regressed categories", cmdCritPath},
+	{"chrome", 1, jsonlFile, "T.jsonl",
+		"render a trace as Chrome trace_event JSON on stdout, for\n" +
+			"chrome://tracing or ui.perfetto.dev", cmdChrome},
 	{"inspect", 1, jsonlFile, "[-waitgraph] I.jsonl",
-		"render an introspection stream (ftmr-sim -introspect-out): final\n" +
-			"wait-state table + stall reports, or the wait-for graph as DOT", cmdInspect},
+		"render an introspection stream (ftmr-sim -report's introspect.jsonl):\n" +
+			"final wait-state table + stall reports, or the wait-for graph as DOT", cmdInspect},
 	{"health", 1, omFile, "[-slo-<bound> f]... S.om",
 		"evaluate the SLO gate under ftmr-sim -health's nine bounds\n" +
 			"(health -h lists them; negative bound = report-only)", cmdHealth},
@@ -257,6 +260,19 @@ func cmdCritPath(fs *flag.FlagSet) func(*env, []*source) int {
 		}
 		return 0
 	}
+}
+
+func cmdChrome(*flag.FlagSet) func(*env, []*source) int { return chrome }
+
+func chrome(e *env, in []*source) int {
+	events, err := readJSONL(e, in[0], trace.ReadJSONL)
+	if err != nil {
+		return e.fail(err)
+	}
+	if err := trace.WriteChrome(e.stdout, events); err != nil {
+		return e.fail(err)
+	}
+	return 0
 }
 
 func cmdInspect(fs *flag.FlagSet) func(*env, []*source) int {

@@ -38,6 +38,7 @@ func TestVerbText(t *testing.T) {
 		{"flows_dup_recv", 1, "flows " + traces + "dup_recv.jsonl"},
 		{"critpath", 0, "critpath -top 3 " + crit + "base.jsonl"},
 		{"critpath_against", 1, "critpath -against " + crit + "base.jsonl " + crit + "regressed.jsonl"},
+		{"chrome", 0, "chrome " + traces + "golden_v2.jsonl"},
 		{"inspect", 1, "inspect " + streams + "deadlock.jsonl"},
 		{"inspect_dot", 1, "inspect -waitgraph " + streams + "deadlock.jsonl"},
 		{"health", 0, "health " + snaps + "selftest.om"},
@@ -88,6 +89,7 @@ func TestRefusals(t *testing.T) {
 		{"flows " + snaps + "golden.om", "flows reads a JSONL stream", false},
 		{"critpath " + snaps + "golden.om", "critpath reads a JSONL stream", false},
 		{"critpath -against " + snaps + "golden.om " + crit + "base.jsonl", "critpath reads a JSONL stream", false},
+		{"chrome " + snaps + "golden.om", "chrome reads a JSONL stream", false},
 		{"inspect " + snaps + "golden.om", "inspect reads a JSONL stream", false},
 		{"health " + traces + "golden_v2.jsonl", "health reads an OpenMetrics snapshot", false},
 		{"health " + junk, "health reads an OpenMetrics snapshot", false},
@@ -95,6 +97,7 @@ func TestRefusals(t *testing.T) {
 		{"summarize " + junk, "junk.bin", false},
 		{"flows " + junk, "junk.bin", false},
 		{"critpath " + junk, "junk.bin", false},
+		{"chrome " + junk, "junk.bin", false},
 		{"inspect " + junk, "junk.bin", false},
 		{"flows testdata/no-such-file", "no-such-file", false},
 		{"diff " + traces + "golden_v2.jsonl", "usage: ftmr-trace diff", false},

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"time"
 
@@ -80,7 +81,14 @@ func main() {
 	fmt.Printf("output verified: %d word counts identical to the failure-free reference\n", len(got))
 
 	if *traceOut != "" {
-		if err := clus.Trace.WriteFile(*traceOut, "chrome"); err != nil {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			panic(err)
+		}
+		if err := trace.WriteChrome(f, clus.Trace.Events()); err != nil {
+			panic(err)
+		}
+		if err := f.Close(); err != nil {
 			panic(err)
 		}
 		fmt.Printf("trace written to %s — open it in chrome://tracing or ui.perfetto.dev\n", *traceOut)

@@ -92,11 +92,11 @@ func (r *runner) phaseReduce(ro *role) error {
 		w := &r.bufs.out
 		w.buf = w.buf[:0]
 		var cpuAcc float64
-		stream := partStream(part)
+		stream, path := partStream(part), outputPath(r.spec.JobID, part)
 		commit := func() error {
 			r.compute(cpuAcc)
 			cpuAcc = 0
-			err := ro.commit(part, stream, g, w.buf)
+			err := ro.commit(part, stream, path, g, w.buf)
 			w.buf = w.buf[:0]
 			return err
 		}
@@ -127,11 +127,11 @@ func (r *runner) phaseReduce(ro *role) error {
 }
 
 // commitOutput is a primary's reduce commit: append the batch's output to
-// the partition's PFS file, then record the progress in the partition's
-// checkpoint stream and on the live shadow.
-func (r *runner) commitOutput(part int, stream string, g uint32, out []byte) error {
+// the partition's PFS file (path), then record the progress in the
+// partition's checkpoint stream and on the live shadow.
+func (r *runner) commitOutput(part int, stream, path string, g uint32, out []byte) error {
 	if len(out) > 0 {
-		if err := r.appendOutput(part, out); err != nil {
+		if err := r.appendOutput(part, path, out); err != nil {
 			return err
 		}
 		r.outLen[part] += uint64(len(out))
@@ -147,11 +147,11 @@ func (r *runner) commitOutput(part int, stream string, g uint32, out []byte) err
 	return nil
 }
 
-// appendOutput appends committed bytes to a partition's output file. A torn
-// append is rolled back and retried, keeping the committed bytes byte-exact;
-// a whole-PFS outage stalls the commit through the window.
-func (r *runner) appendOutput(part int, buf []byte) error {
-	pfs, path := r.job.clus.PFS, outputPath(r.spec.JobID, part)
+// appendOutput appends committed bytes to a partition's output file, path. A
+// torn append is rolled back and retried, keeping the committed bytes
+// byte-exact; a whole-PFS outage stalls the commit through the window.
+func (r *runner) appendOutput(part int, path string, buf []byte) error {
+	pfs := r.job.clus.PFS
 	d, err := appendRollback(r.p, pfs, path, outputAppendBudget, true, func() (time.Duration, error) {
 		return pfs.AppendFile(r.p, path, buf, 1)
 	})

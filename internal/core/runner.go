@@ -187,11 +187,11 @@ type role struct {
 	tasks   func() []int                                               // map tasks still to run
 	mapTask func(id int, mapper Mapper, reader FileRecordReader) error // run one and record its completion
 
-	parts    func() []int                                              // partitions to convert and reduce, ascending
-	reduced  func(part int) uint32                                     // groups of part already committed
-	group    func()                                                    // one more group went through the reducer
-	commit   func(part int, stream string, g uint32, out []byte) error // groups [reduced, g) are done, with output out; stream is part's checkpoint stream
-	partDone func(took time.Duration)                                  // a partition's last group is committed
+	parts    func() []int                                                    // partitions to convert and reduce, ascending
+	reduced  func(part int) uint32                                           // groups of part already committed
+	group    func()                                                          // one more group went through the reducer
+	commit   func(part int, stream, path string, g uint32, out []byte) error // groups [reduced, g) are done, with output out; stream is part's checkpoint stream, path its output file
+	partDone func(took time.Duration)                                        // a partition's last group is committed
 
 	fold func() // bank what peers pushed here; runs at every phase boundary
 }

@@ -135,7 +135,7 @@ func (r *runner) mirrorRole() *role {
 		parts:   r.mirrorParts,
 		reduced: func(part int) uint32 { return f.mirrorRed[part] },
 		group:   func() {},
-		commit: func(part int, _ string, g uint32, out []byte) error {
+		commit: func(part int, _, _ string, g uint32, out []byte) error {
 			// Stage the output locally and fold in the primary's
 			// reduce-progress pushes as they arrive, so a failover knows the
 			// durable high-water mark.
@@ -379,7 +379,7 @@ func (r *runner) reconcileMirrorOutput(part int) error {
 	r.truncateOutput(part)
 	if gs >= gy && uint64(len(out)) >= ly {
 		if suffix := out[ly:]; len(suffix) > 0 {
-			if err := r.appendOutput(part, suffix); err != nil {
+			if err := r.appendOutput(part, outputPath(r.spec.JobID, part), suffix); err != nil {
 				return err
 			}
 			r.outLen[part] = uint64(len(out))

@@ -227,8 +227,8 @@ func (pl *Plane) AttachWorld(v WorldView) {
 
 // Start arms the capture cadence: the observer ticker (vtime.Sim.Every) that
 // captures a snapshot every interval of virtual time for as long as the
-// simulation has other work (so it never keeps the simulation alive
-// artificially). No-op on a nil plane.
+// simulation has other work (so it neither keeps the simulation alive nor
+// moves its clock past the last event it observes). No-op on a nil plane.
 func (pl *Plane) Start() {
 	if pl == nil {
 		return

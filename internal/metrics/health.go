@@ -53,9 +53,6 @@ const (
 	MFailedRanks = "ftmr_failed_ranks"
 	// MJobsAborted counts jobs that ended aborted.
 	MJobsAborted = "ftmr_jobs_aborted"
-	// MTraceDropped counts trace events overwritten by a rank's ring buffer
-	// (non-zero means every trace-derived analysis of the run is suspect).
-	MTraceDropped = "ftmr_trace_events_dropped"
 	// MCritPathShare is each category's share of the critical path
 	// (fraction of makespan, labeled kind=<category>), exported by
 	// internal/trace/critpath.
@@ -279,7 +276,6 @@ func Evaluate(snap Snapshot, slo SLO) Health {
 		series(MCritPathShare, critPathRecoveryLoad) +
 		series(MCritPathShare, critPathRecoverySkip) +
 		series(MCritPathShare, critPathRecoveryReprocess)
-	tracesDropped := snap.Total(MTraceDropped)
 
 	recLocal := series(MRecoveryReads, SourceReplicaLocal)
 	recPeer := series(MRecoveryReads, SourceReplicaPeer)
@@ -303,9 +299,8 @@ func Evaluate(snap Snapshot, slo SLO) Health {
 		indicator("ckpt_quarantines", quarantines, slo.MaxQuarantines,
 			"checkpoint streams truncated by the CRC reader"),
 		indicator("recovery_critpath_share", recPath, slo.MaxRecoveryPathShare,
-			fmt.Sprintf("recovery categories on the critical path (makespan %.3fs; unreliable=%g, %g trace events dropped)",
-				series(MCritPathMakespan, "makespan"),
-				series(MCritPathUnreliable, "unreliable"), tracesDropped)),
+			fmt.Sprintf("recovery categories on the critical path (makespan %.3fs; unreliable=%g)",
+				series(MCritPathMakespan, "makespan"), series(MCritPathUnreliable, "unreliable"))),
 		indicator("recovery_read_pfs_share", pfsShare, slo.MaxRecoveryPFSShare,
 			fmt.Sprintf("recovery reads by source: replica-local %g, replica-peer %g, pfs %g",
 				recLocal, recPeer, recPFS)),
@@ -313,7 +308,7 @@ func Evaluate(snap Snapshot, slo SLO) Health {
 			"stall reports (deadlock cycles + watchdog fires) from the introspection plane"),
 	}}
 	h.Degraded = missing > 0 || quarantines > 0 || snap.Total(MFailedRanks) > 0 ||
-		tracesDropped > 0 || series(MCritPathUnreliable, "unreliable") > 0 ||
+		series(MCritPathUnreliable, "unreliable") > 0 ||
 		stalls > 0
 	return h
 }

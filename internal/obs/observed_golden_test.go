@@ -104,3 +104,54 @@ func TestObservedRunByteIdentical(t *testing.T) {
 		t.Errorf("observed output drifted:\n got\n%s want\n%s", got.String(), want)
 	}
 }
+
+// TestIntrospectionKeepsTheClock runs a checkpoint/restart job that a
+// map-phase kill aborts and that is then resubmitted with Resume, once with
+// the introspection plane on and once without it. The plane only observes:
+// both runs must resubmit at the same instant, end at the same instant and
+// write the same trace.
+func TestIntrospectionKeepsTheClock(t *testing.T) {
+	run := func(observe bool) (resubmit, end time.Duration, tr []byte) {
+		cfg := cluster.Default()
+		cfg.Nodes, cfg.PPN = 4, 2
+		clus := cluster.New(cfg)
+		clus.Trace = trace.New(clus.Sim, 1<<16)
+		if observe {
+			clus.Introspect = introspect.New(clus.Sim, 10*time.Millisecond)
+		}
+		p := workloads.DefaultWordcount()
+		p.Chunks, p.Lines, p.WordsLine, p.Vocab = 32, 32, 4, 500
+		workloads.GenCorpus(clus, "in/cr", p)
+		spec := workloads.WordcountSpec("cr", "in/cr", 8, p)
+		spec.Model = core.ModelCheckpointRestart
+		spec.CkptInterval = 50
+
+		h := core.RunSingle(clus, spec)
+		failure.KillOnPhase(h, 4, core.PhaseMap, time.Millisecond)
+		clus.Introspect.Start()
+		resubmit = clus.Sim.Run()
+		if res := h.Result(); res == nil || !res.Aborted {
+			t.Fatalf("observe=%v: the kill did not abort the job: %+v", observe, res)
+		}
+		spec.Resume = true
+		h = core.RunSingle(clus, spec)
+		clus.Introspect.Start()
+		end = clus.Sim.Run()
+		if res := h.Result(); res == nil || res.Aborted {
+			t.Fatalf("observe=%v: the resubmitted job did not finish: %+v", observe, res)
+		}
+		var buf bytes.Buffer
+		if err := clus.Trace.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return resubmit, end, buf.Bytes()
+	}
+	r0, e0, t0 := run(false)
+	r1, e1, t1 := run(true)
+	if r1 != r0 || e1 != e0 {
+		t.Errorf("observed run resubmitted at %v and ended at %v, unobserved at %v and %v", r1, e1, r0, e0)
+	}
+	if !bytes.Equal(t1, t0) {
+		t.Errorf("observed trace (%d bytes) differs from the unobserved one (%d bytes)", len(t1), len(t0))
+	}
+}

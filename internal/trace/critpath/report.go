@@ -43,7 +43,7 @@ func (r *Report) Render(w io.Writer, topK int) {
 	if r.Unreliable {
 		fmt.Fprintf(w, "  !! UNRELIABLE: %d events were overwritten by the ring buffers;\n", r.Dropped)
 		fmt.Fprintf(w, "  !! the DAG has holes and attributions below may bind to wrong causes.\n")
-		fmt.Fprintf(w, "  !! Re-run with a larger -trace-cap or a streaming sink.\n")
+		fmt.Fprintf(w, "  !! Re-run with ftmr-sim -report, whose trace.jsonl streams every event.\n")
 	}
 
 	fmt.Fprintf(w, "\ncategory shares:\n")

@@ -26,7 +26,7 @@ func TestChromeFlowArrowsWordcountFailover(t *testing.T) {
 	_, tr := tracedFailover(t, 3, core.PhaseReduce)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := trace.WriteChrome(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var out struct {

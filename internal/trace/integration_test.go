@@ -69,7 +69,7 @@ func TestChromeTraceWordcountFailover(t *testing.T) {
 	h, tr := tracedFailover(t, killRank, core.PhaseReduce)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := trace.WriteChrome(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var out struct {
@@ -274,7 +274,7 @@ func TestChromeCopierThreadInterleavesWithMain(t *testing.T) {
 	_, tr := tracedFailover(t, killRank, core.PhaseReduce)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := trace.WriteChrome(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var out struct {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"time"
@@ -238,13 +237,24 @@ func chromeKindTID(k Kind) int {
 	return chromeTidMain
 }
 
-// WriteChrome writes the retained events in Chrome trace_event JSON.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	events := t.Events()
-	var out []chromeEvent
+// WriteChrome writes events in Chrome trace_event JSON: one process track per
+// rank that appears in them, with a main and a copier thread. It is a pure
+// function of the events, so a trace read back from a file (ReadJSONL)
+// renders as completely as the file holds it.
+func WriteChrome(w io.Writer, events []Event) error {
+	var ranks []int
+	seen := make(map[int]bool)
+	for i := range events {
+		if r := events[i].Rank; !seen[r] {
+			seen[r] = true
+			ranks = append(ranks, r)
+		}
+	}
+	slices.Sort(ranks)
 
+	var out []chromeEvent
 	// Track metadata: one "process" per rank, named threads.
-	for _, rank := range t.Ranks() {
+	for _, rank := range ranks {
 		pid := chromePID(rank)
 		pname := fmt.Sprintf("rank %d", rank)
 		if rank == GlobalRank {
@@ -633,25 +643,4 @@ func cutString(b []byte) (s, rest []byte, ok bool) {
 		}
 	}
 	return nil, b, false
-}
-
-// WriteFile writes the trace to path in the given format ("jsonl" or
-// "chrome").
-func (t *Tracer) WriteFile(path, format string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "jsonl":
-		err = t.WriteJSONL(f)
-	case "chrome":
-		err = t.WriteChrome(f)
-	default:
-		err = fmt.Errorf("trace: unknown format %q (jsonl|chrome)", format)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -187,7 +184,7 @@ func TestWriteChromeShape(t *testing.T) {
 	tr.Global().FailureInject(3)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var out struct {
@@ -222,31 +219,55 @@ func TestWriteChromeShape(t *testing.T) {
 	}
 }
 
-// WriteFile writes what the named sink writes, and a format it does not know
-// is an error, not an empty file passed off as a trace.
-func TestWriteFileFormats(t *testing.T) {
-	_, tr := newTestTracer(0)
-	tr.Rank(0).PhaseBegin("map")
-	dir := t.TempDir()
-	for format, write := range map[string]func(io.Writer) error{"jsonl": tr.WriteJSONL, "chrome": tr.WriteChrome} {
-		path := filepath.Join(dir, "trace."+format)
-		if err := tr.WriteFile(path, format); err != nil {
-			t.Fatalf("WriteFile(%s): %v", format, err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := write(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("WriteFile(%s) wrote %d bytes, the sink writes %d", format, len(got), want.Len())
-		}
+// WriteChrome renders what it is given, not what a ring kept: a stream read
+// back from its file renders every event, even those the rank's ring has
+// overwritten, and a trace round-tripped through JSONL renders as the live
+// events do.
+func TestWriteChromeRendersReadBackStream(t *testing.T) {
+	_, tr := newTestTracer(2)
+	var stream bytes.Buffer
+	tr.StreamJSONL(&stream)
+	rec := tr.Rank(0)
+	rec.PhaseBegin("map")
+	rec.CollBeginN("barrier", 0, 0)
+	rec.CollEndN("barrier", 0, 0)
+	rec.PhaseEnd("map")
+	if err := tr.FlushStream(); err != nil {
+		t.Fatal(err)
 	}
-	if err := tr.WriteFile(filepath.Join(dir, "trace.xml"), "xml"); err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
-		t.Errorf("WriteFile with format xml: err = %v, want an unknown-format error", err)
+	events, rr, err := ReadJSONL(&stream)
+	if err != nil || !rr.Clean() {
+		t.Fatalf("ReadJSONL: %v, %v", err, rr.Err())
+	}
+	if len(events) != 4 || len(tr.Events()) != 2 {
+		t.Fatalf("%d events streamed, %d retained; want 4 and 2", len(events), len(tr.Events()))
+	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name":"phase:map","cat":"phase","ph":"B"`) {
+		t.Errorf("chrome output of the stream lacks the overwritten phase begin:\n%s", buf.String())
+	}
+
+	var ring, readBack bytes.Buffer
+	if err := tr.WriteJSONL(&ring); err != nil {
+		t.Fatal(err)
+	}
+	retained := append(tr.Events(), tr.DropEvents()...)
+	events, _, err = ReadJSONL(&ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := WriteChrome(&buf, retained); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChrome(&readBack, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), readBack.Bytes()) {
+		t.Errorf("a JSONL round trip changed the chrome output:\n%s\nvs\n%s", buf.String(), readBack.String())
 	}
 }
 

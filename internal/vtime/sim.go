@@ -48,6 +48,9 @@ type event struct {
 	fn    func()
 	gen   uint64
 	index int // heap index
+	// tick marks an observer's periodic callback (Every): it fires only
+	// while another event can still fire.
+	tick bool
 }
 
 type eventHeap []*event
@@ -143,6 +146,7 @@ func (s *Sim) free(e *event) {
 	e.gen++
 	e.proc = nil
 	e.fn = nil
+	e.tick = false
 	e.index = -1
 	s.pool = append(s.pool, e)
 }
@@ -182,18 +186,14 @@ func (s *Sim) WakeAfter(p *Proc, d time.Duration) *Timer {
 }
 
 // Every runs fn inside the scheduler every d of virtual time for as long as
-// the simulation has other work: after each tick it re-arms only while
-// another event can still fire, so it never keeps an otherwise finished
-// simulation alive. One observer at a time (the introspection plane is the
-// only one): two would each take the other's pending tick for work and
-// neither would stop. d must be positive; fn must not block.
+// the simulation has other work. A tick that comes due when no other event
+// can still fire is dropped unfired: the observer never keeps a finished
+// simulation alive, and never moves its clock past the last event that is
+// not a tick. One observer at a time (the introspection plane is the only
+// one): two would each take the other's pending tick for work and neither
+// would stop. d must be positive; fn must not block.
 func (s *Sim) Every(d time.Duration, fn func()) {
-	s.After(d, func() {
-		fn()
-		if s.ActiveEvents() > 0 {
-			s.Every(d, fn)
-		}
-	})
+	s.schedule(s.now+d, nil, func() { fn(); s.Every(d, fn) }).tick = true
 }
 
 // Timer is a cancelable scheduled event: a callback (After) or a process
@@ -317,7 +317,7 @@ func (s *Sim) dispatch(self *Proc) dispatchOutcome {
 			return outcomeDrained
 		}
 		e := heap.Pop(&s.events).(*event)
-		if e.proc != nil && e.proc.dead {
+		if e.proc != nil && e.proc.dead || e.tick && s.ActiveEvents() == 0 {
 			s.free(e)
 			continue
 		}

@@ -568,7 +568,7 @@ func TestWakeAfterAndStop(t *testing.T) {
 }
 
 // An observer ticker runs while the simulation has other work and stops
-// with it.
+// with it, without moving the clock past the work's last event.
 func TestEveryStopsWithTheWork(t *testing.T) {
 	const d = 3 * time.Millisecond
 	s := NewSim()
@@ -584,12 +584,15 @@ func TestEveryStopsWithTheWork(t *testing.T) {
 		}
 	})
 	end := s.Run()
-	// One tick per period while the 10 ms of work lasts, plus the one that
-	// finds nothing left and does not re-arm.
-	if want := int(10*time.Millisecond/d) + 1; ticks != want {
+	// One tick per period while the 10 ms of work lasts; the tick due at
+	// 12 ms finds nothing left to observe and is dropped unfired.
+	if want := int(10 * time.Millisecond / d); ticks != want {
 		t.Errorf("ticker fired %d times, want %d", ticks, want)
 	}
-	if end > 10*time.Millisecond+d {
-		t.Errorf("run ended at %v, want within one period of the work's end at 10ms", end)
+	if end != 10*time.Millisecond {
+		t.Errorf("run ended at %v, want the work's end at 10ms: the observer moved the clock", end)
+	}
+	if n := s.EventsProcessed(); n != 1+10+uint64(ticks) {
+		t.Errorf("%d events processed, want the start, 10 wakes and %d ticks", n, ticks)
 	}
 }
