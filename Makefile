@@ -60,32 +60,8 @@ bench-overhead:
 	$(GO) test ./internal/obs -run '^$$' -bench Overhead -benchmem
 	FTMR_OVERHEAD_GATE=1 $(GO) test ./internal/obs -run '^TestOverheadGate$$' -v
 
-# Data-path allocation gate: the raw layer benchmarks for eyeballing, then the
-# bounds that keep the host cost of the data, shuffle and trace paths linear
-# in what they model — the KV→KMV grouping allocates a fixed number of slabs
-# plus one per table doubling, never per key or per pair, under
-# ConvertTwoPass and ConvertFourPass alike (four-pass is a price list over
-# the same grouping; its executed reference lives in kv_test.go); the
-# copier's drain of a growing stream allocates a small multiple of the stream,
-# not of stream x drains; what a rank allocates to lay out and merge its
-# shuffle blocks depends on the partitions that hold data, not on the rank
-# count; a rank's map output is one log whatever the partition count, and the
-# shuffle sizes its tables by the partitions the log touches, so the same
-# pairs at W=64 and at W=4096 cost the same allocations of the same bytes; one
-# sparse exchange allocates the same bytes per rank at W=512 and at W=2048;
-# a trace ring allocates for the events recorded, not for its capacity; a
-# file built from appends is copied once, not regrown; a map task allocates
-# per commit, never per record or per word; once a rank's first chunk has
-# sized its chunk buffer, reading a chunk no larger allocates nothing; the
-# reduce output allocates per commit, never per record; an Allgather hands every rank
-# one shared result, not a W-entry slice each; a recovery round computes its
-# plan once for every survivor, not once per survivor; and a failure-free
-# job allocates about the same bytes per rank at W=2048 and at W=4096 as at
-# W=512, because what its ranks derive alike (the task list, the first task
-# and partition plans) is made once per job; and a replica push sends its
-# partners a view of the sender's mirror, allocating the same bytes for a
-# 64 KiB frame as for a 1 KiB one.
-# Host-independent: every bound counts allocations or allocated bytes.
+# Data-path allocation gate: the layer benchmarks for eyeballing, then the
+# allocation bounds, each stated in its test's doc comment.
 alloc-gate:
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/mpi ./internal/trace -run '^$$' -bench 'Convert(Two|Four)Pass|KVAdd|FSAppendStream|CopierDrain|SendBundles|MergeBundles|Allgather|(Write|Read)JSONL|MergeBitmap' -benchtime 5x -benchmem
 	$(GO) test ./internal/kvbuf ./internal/storage ./internal/core ./internal/workloads ./internal/trace ./internal/mpi -run '^(TestConvertAllocsAreSlabs|TestFSAppendCopiesOnce|TestCopierDrainsOnlyTheSuffix|TestShuffleAllocsPerRank|TestMapOutputAllocsPerRank|TestMapTaskAllocsPerTask|TestPageRankAllocsPerRecord|TestTraceRingPaysPerEvent|TestAllgatherAllocsAreLinear|TestRecoveryPlanAllocsAreLinear|TestExchangeAllocsFlatInW|TestMergeReferencesLongFrames|TestChunkReadsRefillOneBuffer|TestReduceOutputAllocsPerCommit|TestJobAllocsPerRankFlatInW|TestShuffleBytesPerBlock|TestReplicaPushCopiesNoPayload)$$' -v
@@ -212,11 +188,11 @@ selftest: build-cmds
 	done
 	@echo "selftest: all checks passed"
 
-# Regenerates the committed evaluation results: the human-readable tables
-# and the machine-readable trajectory document, from one run (so the two
-# always agree). Full scale; `bin/ftmr-bench -all -quick` trims the sweeps.
+# Regenerates the committed evaluation results, BENCH_results.json (the tables
+# also print to stdout). Full scale; `bin/ftmr-bench -all -quick` trims the
+# sweeps.
 bench: build-cmds
-	bin/ftmr-bench -all -json BENCH_results.json > bench_results.txt
+	bin/ftmr-bench -all -json BENCH_results.json
 
 # Reachability census (~3 min; not part of `make check`): which non-test
 # functions under internal/ and cmd/ does any binary reach? Fails when one

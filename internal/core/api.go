@@ -81,8 +81,8 @@ type FTModel int
 
 const (
 	// FTModelCR is the checkpoint-only execution model: all ranks are
-	// primaries. The zero value, and byte-identical to the behaviour that
-	// predates the replication axis.
+	// primaries. It is the zero value, and it reaches no replication path:
+	// no shadow rank, mirrored route, sync record or ftmr_ftmodel_* series.
 	FTModelCR FTModel = iota
 	// FTModelReplicate gives every primary slot a shadow rank: the world is
 	// split in half, shadows mirror their primary's map/convert/reduce
@@ -316,14 +316,14 @@ type Spec struct {
 	// ReplicaK enables the diskless in-memory replica tier (ReStore-style):
 	// every committed checkpoint frame is also pushed over MPI into the
 	// memory of ReplicaK ring-successor peers, and recovery reads fail over
-	// local replica → peer replica → PFS. 0 (the default) disables
-	// replication, keeping runs byte-identical to pre-replica behaviour.
-	// Only meaningful for checkpointing models.
+	// local replica → peer replica → PFS. 0 (the default) disables the
+	// tier: no replica store, no replica push and no agreement round on
+	// restorability. Only meaningful for checkpointing models.
 	ReplicaK int
 
 	// FTModel selects the replication execution model (-ft-model). The zero
-	// value FTModelCR keeps every rank a primary and is byte-identical to
-	// pre-replication behaviour; FTModelReplicate/FTModelPartial dedicate
+	// value FTModelCR keeps every rank a primary and sends no shadow
+	// traffic; FTModelReplicate/FTModelPartial dedicate
 	// shadow ranks that mirror primaries and fail over without replay.
 	// Replication requires a detect/resume Model (the failover happens
 	// inside the ULFM recovery round).

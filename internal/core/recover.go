@@ -497,8 +497,8 @@ func (r *runner) redistributeTasks(lostIDs []int, assignment [][]int) {
 func (r *runner) needRemapAgreed(lost []int) (bool, error) {
 	// With every holder of the restore chain shared and durable, the verdict
 	// derives from state all survivors read alike, so each computes it locally
-	// over all the lost partitions — no agreement round (and none is charged,
-	// keeping replica-free runs byte-identical to pre-replica behaviour). A
+	// over all the lost partitions — no agreement round, and none is charged:
+	// a run without the replica tier pays nothing for it here. A
 	// holder in rank-private memory makes restorability depend on each new
 	// owner's store, so verdicts can differ per rank: each owner judges its
 	// own adopted partitions and the ranks agree by allreduce-max.

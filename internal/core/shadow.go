@@ -6,8 +6,9 @@ package core
 // same exchange, converting and reducing the same partitions into a local
 // staging buffer — so a primary failure fails over to the live shadow with
 // no checkpoint replay and no PFS read (FTHP-MPI / PartRePer-MPI style).
-// FTModelCR (the zero value) leaves every path in this file unreached, so
-// checkpoint-only runs stay byte-identical to pre-replication behaviour.
+// FTModelCR (the zero value) leaves every path in this file unreached: a
+// checkpoint-only run has no shadow, sends no mirrored route or sync record
+// and registers no ftmr_ftmodel_* series.
 
 import (
 	"cmp"

@@ -50,8 +50,9 @@ func recvType(recv *ast.FieldList) string {
 	}
 }
 
-// eachGoFile parses every non-test Go file under root, outside testdata.
-func eachGoFile(t *testing.T, root string, fn func(f *ast.File)) {
+// eachGoFile parses every Go file under root, outside testdata: the test
+// files when tests is set, the non-test files otherwise.
+func eachGoFile(t *testing.T, root string, tests bool, fn func(f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -61,7 +62,7 @@ func eachGoFile(t *testing.T, root string, fn func(f *ast.File)) {
 		if d.IsDir() && d.Name() == "testdata" {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -92,10 +93,10 @@ func declaredNames(t *testing.T, decl, literalOnly []string) goNames {
 		})
 	}
 	for _, root := range literalOnly {
-		eachGoFile(t, root, literals)
+		eachGoFile(t, root, false, literals)
 	}
 	for _, root := range decl {
-		eachGoFile(t, root, func(f *ast.File) {
+		eachGoFile(t, root, false, func(f *ast.File) {
 			literals(f)
 			n.addDecls(f)
 		})
@@ -200,36 +201,50 @@ func (n goNames) resolve(ref []string) (judged, ok bool) {
 	return true, z == "" && n.members[x][y]
 }
 
+// testFuncs returns the top-level functions the test files under roots
+// declare: every test, benchmark, fuzz target and example there is.
+func testFuncs(t *testing.T, roots []string) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	for _, root := range roots {
+		eachGoFile(t, root, true, func(f *ast.File) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					funcs[fn.Name.Name] = true
+				}
+			}
+		})
+	}
+	return funcs
+}
+
+// testRef matches a backticked span that is one test, benchmark, fuzz target
+// or example name and nothing else (not a subtest path, not a pattern).
+var testRef = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz|Example)(?:[A-Z0-9_]\w*)?$`)
+
 // TestDocNamesResolve fails on every backticked pkg.Ident, Type.Method or
 // pkg.Type.Method in the top-level docs that no non-test declaration under
-// internal/ or cmd/ carries, so a rename or deletion cannot leave the docs
-// describing code that is gone. A section whose heading says "(historical)"
-// is exempt, down to the next heading of the same or a higher level.
+// internal/ or cmd/ carries, and on every backticked test, benchmark, fuzz
+// target or example name that no test file under internal/, cmd/, examples/
+// or benchmark/ declares, so a rename or deletion cannot leave the docs
+// describing code, or citing a check, that is gone.
 func TestDocNamesResolve(t *testing.T) {
 	names := declaredNames(t, []string{"../../internal", "../../cmd"}, []string{"../../benchmark"})
+	tests := testFuncs(t, []string{"../../internal", "../../cmd", "../../examples", "../../benchmark"})
 	span := regexp.MustCompile("`([^`\n]+)`")
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		historical, fence := 0, false // historical: level of the exempt heading, 0 when none
 		for i, line := range strings.Split(string(raw), "\n") {
-			if strings.HasPrefix(line, "```") {
-				fence = !fence
-			}
-			if level := len(line) - len(strings.TrimLeft(line, "#")); !fence && level > 0 && strings.HasPrefix(line[level:], " ") {
-				if historical > 0 && level <= historical {
-					historical = 0
-				}
-				if historical == 0 && strings.Contains(line, "(historical)") {
-					historical = level
-				}
-			}
-			if historical > 0 {
-				continue
-			}
 			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				if testRef.MatchString(m[1]) {
+					if !tests[m[1]] {
+						t.Errorf("%s:%d: `%s` is declared in no test file", doc, i+1, m[1])
+					}
+					continue
+				}
 				ref := goRef.FindStringSubmatch(m[1])
 				if ref == nil {
 					continue
@@ -238,6 +253,23 @@ func TestDocNamesResolve(t *testing.T) {
 					t.Errorf("%s:%d: `%s` names no declaration under internal/ or cmd/", doc, i+1, m[1])
 				}
 			}
+		}
+	}
+}
+
+// TestDesignSectionsNameTheirTests holds DESIGN.md to being a contract: every
+// top-level section but the substitution table cites, in backticks, at least
+// one test, benchmark or fuzz target that pins what it states (whether the
+// name exists is TestDocNamesResolve's check).
+func TestDesignSectionsNameTheirTests(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile("`(?:Test|Benchmark|Fuzz)[A-Z0-9_]\\w*`")
+	for _, sec := range strings.Split(string(raw), "\n## ")[1:] {
+		if !strings.HasPrefix(sec, "Substitutions") && !cite.MatchString(sec) {
+			t.Errorf("DESIGN.md: section %q names no test", strings.SplitN(sec, "\n", 2)[0])
 		}
 	}
 }
