@@ -14,9 +14,8 @@ import (
 	"strings"
 	"time"
 
-	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
-	"ftmrmpi/internal/failure"
+	"ftmrmpi/internal/scenario"
 	"ftmrmpi/internal/workloads"
 )
 
@@ -83,19 +82,6 @@ func (s Scale) procSweep(from int) []int {
 	return out
 }
 
-// newCluster builds a fresh paper-shaped cluster sized for nprocs. The node
-// count tracks the rank count in both directions: small figures get small
-// clusters, and ceiling runs past the default 2048 slots (the 10k-rank
-// throughput benchmark) grow the cluster to fit.
-func newCluster(nprocs int) *cluster.Cluster {
-	cfg := cluster.Default()
-	need := (nprocs + cfg.PPN - 1) / cfg.PPN
-	if need != cfg.Nodes {
-		cfg.Nodes = need
-	}
-	return cluster.New(cfg)
-}
-
 // wcParams returns the wordcount sizing for the benchmarks (the 128 GB
 // stand-in).
 func (s Scale) wcParams() workloads.WordcountParams {
@@ -109,16 +95,11 @@ func (s Scale) wcParams() workloads.WordcountParams {
 	return p
 }
 
-// ftSpec applies the evaluation's default FT-MRMPI configuration: the two
-// §5 refinements are disabled for fair comparison (§6.2) and re-enabled
-// only by the figures that measure them.
-func ftSpec(spec core.Spec, model core.Model) core.Spec {
-	spec.Model = model
-	spec.Convert = core.ConvertFourPass
-	spec.Prefetch = false
-	spec.CkptInterval = 100
-	spec.LoadBalance = true
-	return spec
+// evalSpec is the evaluation's default FT-MRMPI configuration under model:
+// the two §5 refinements are disabled for fair comparison (§6.2) and
+// re-enabled only by the figures that measure them.
+func evalSpec(model core.Model) core.Spec {
+	return core.Spec{Model: model, Convert: core.ConvertFourPass, CkptInterval: 100, LoadBalance: true}
 }
 
 // secs formats a virtual duration in seconds.
@@ -140,49 +121,15 @@ func pct(a, b time.Duration) string {
 	return fmt.Sprintf("%.1f%%", 100*(float64(a)-float64(b))/float64(b))
 }
 
-// killPlan is the one failure a run may be given: rank dies delay after it
-// first enters phase (failure.KillOnPhase). nil means a failure-free run.
-type killPlan struct {
-	rank  int
-	phase core.Phase
-	delay time.Duration
+// wcScenario is a wordcount job on procs ranks under spec, the shape most
+// figure cells take.
+func wcScenario(name string, procs int, p workloads.WordcountParams, spec core.Spec) scenario.Scenario {
+	return scenario.Scenario{Name: name, Procs: procs, Workload: scenario.Wordcount(p), Spec: spec}
 }
 
-// wcRun executes one wordcount job and returns its result plus the cluster
-// (whose PFS holds checkpoints/outputs for follow-up runs).
-type wcRun struct {
-	clus *cluster.Cluster
-	h    *core.Handle
-	res  *core.Result
-}
-
-// runWC generates a corpus on a fresh cluster and runs one job.
-func runWC(name string, procs int, p workloads.WordcountParams, model core.Model,
-	mutate func(*core.Spec), kill *killPlan) wcRun {
-	clus := newCluster(procs)
-	workloads.GenCorpus(clus, "in/"+name, p)
-	spec := ftSpec(workloads.WordcountSpec(name, "in/"+name, procs, p), model)
-	if mutate != nil {
-		mutate(&spec)
-	}
-	h := core.RunSingle(clus, spec)
-	applyKill(h, kill)
-	clus.Sim.Run()
-	return wcRun{clus: clus, h: h, res: h.Result()}
-}
-
-// rerunWC resubmits a (possibly restarted) job on an existing cluster.
-func rerunWC(prev wcRun, spec core.Spec) wcRun {
-	h := core.RunSingle(prev.clus, spec)
-	prev.clus.Sim.Run()
-	return wcRun{clus: prev.clus, h: h, res: h.Result()}
-}
-
-// applyKill wires a kill plan into a handle.
-func applyKill(h *core.Handle, kill *killPlan) {
-	if kill != nil {
-		failure.KillOnPhase(h, kill.rank, kill.phase, kill.delay)
-	}
+// runWordcount runs one failure-free wordcount job and returns its result.
+func runWordcount(name string, procs int, p workloads.WordcountParams, spec core.Spec) *core.Result {
+	return scenario.Run(wcScenario(name, procs, p, spec)).Result()
 }
 
 // splitmixPick is the victim draw fig11 and fig12 hand failure.Continuous: a

@@ -6,6 +6,7 @@ import (
 
 	"ftmrmpi/internal/core"
 	"ftmrmpi/internal/failure"
+	"ftmrmpi/internal/scenario"
 	"ftmrmpi/internal/workloads"
 )
 
@@ -17,26 +18,6 @@ func (s Scale) prParams() workloads.PageRankParams {
 		p.Graph.Chunks = 128
 	}
 	return p
-}
-
-// runPageRankApp runs `iters` PageRank iterations and returns the handle
-// plus total wall time across all stage jobs.
-func runPageRankApp(name string, procs, iters int, p workloads.PageRankParams,
-	base core.Spec, setup func(h *core.Handle)) (*core.Handle, time.Duration) {
-	clus := newCluster(procs)
-	workloads.GenPageRankInput(clus, "in/"+name, p)
-	h := core.Launch(clus, procs, func(app *core.App) {
-		_, _ = workloads.PageRankDriver(app, base, name, "in/"+name, iters, p)
-	})
-	if setup != nil {
-		setup(h)
-	}
-	clus.Sim.Run()
-	rs := h.Results()
-	if len(rs) == 0 {
-		return h, 0
-	}
-	return h, rs[len(rs)-1].End - rs[0].Start
 }
 
 // fig03 — recovery time by checkpoint granularity (§4.1.2 Figure 3):
@@ -56,29 +37,17 @@ func fig03(s Scale) *Table {
 	p.MapCost = 2e-3
 	var totals [2]time.Duration
 	for i, g := range []core.Granularity{core.GranRecord, core.GranChunk} {
-		g := g
-		name := "fig3-" + g.String()
-		clus := newCluster(procs)
-		workloads.GenPageRankInput(clus, "in/"+name, p)
-		base := ftSpec(core.Spec{}, core.ModelCheckpointRestart)
-		base.Granularity = g
-		base.CkptInterval = 5 // fine-grained record commits
-		run := func(resume bool) *core.Handle {
-			b := base
-			b.Resume = resume
-			return core.Launch(clus, procs, func(app *core.App) {
-				_, _ = workloads.PageRankDriver(app, b, name, "in/"+name, 1, p)
-			})
-		}
-		h := run(false)
-		failure.KillOnPhase(h, procs/3, core.PhaseMap, 200*time.Millisecond)
-		clus.Sim.Run()
-		h2 := run(true)
-		clus.Sim.Run()
-		// Aggregate the restart's recovery decomposition (first restarted
-		// job only — the one that actually recovers).
+		spec := evalSpec(core.ModelCheckpointRestart)
+		spec.Granularity = g
+		spec.CkptInterval = 5 // fine-grained record commits
+		o := scenario.Run(scenario.Scenario{
+			Name: "fig3-" + g.String(), Procs: procs, Workload: scenario.PageRank(p, 1), Spec: spec,
+			Kills:   []scenario.Kill{{Rank: procs / 3, Phase: core.PhaseMap, Delay: 200 * time.Millisecond}},
+			Retries: 1,
+		})
+		// Aggregate the restart's recovery decomposition.
 		var init, load, skiprep time.Duration
-		for _, res := range h2.Results() {
+		for _, res := range o.Attempts[1].Results() {
 			rb := res.RecoveryTotal()
 			init += res.PhaseTotal(core.PhaseInit) + rb.Init
 			load += rb.LoadCkpt
@@ -99,29 +68,30 @@ func fig03(s Scale) *Table {
 // continuous failures versus the number of absent processes, for the
 // work-conserving and non-work-conserving detect/resume models, against a
 // failure-free reference run with the same number of absent processes.
-func continuousTable(id, title string, s Scale, absents []int,
-	runApp func(name string, procs int, base core.Spec, setup func(h *core.Handle)) time.Duration) *Table {
+func continuousTable(id, title string, s Scale, absents []int, w scenario.Workload) *Table {
 	t := &Table{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"absent", "work-conserving(s)", "non-work-conserving(s)", "reference(s)"},
 	}
 	procs := min(256, s.MaxProcs)
+	run := func(name string, procs int, model core.Model, inject func(h *core.Handle, attempt int)) time.Duration {
+		return scenario.Run(scenario.Scenario{Name: name, Procs: procs, Workload: w, Spec: evalSpec(model), Inject: inject}).Total()
+	}
 	// Estimate the job length to derive the kill cadence (the paper uses a
 	// fixed 5 s on ~2000 s jobs; we keep the same kills-per-job ratio).
-	refFull := runApp(id+"-est", procs, ftSpec(core.Spec{}, core.ModelNone), nil)
+	refFull := run(id+"-est", procs, core.ModelNone, nil)
 	for _, k := range absents {
 		if k >= procs {
 			continue
 		}
-		k := k
 		interval := refFull / time.Duration(3*k/2+2)
-		kill := func(h *core.Handle) {
+		kill := func(h *core.Handle, _ int) {
 			failure.Continuous(h.World, interval, k, splitmixPick(int64(k)))
 		}
-		wc := runApp(fmt.Sprintf("%s-wc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeWC), kill)
-		nwc := runApp(fmt.Sprintf("%s-nwc-%d", id, k), procs, ftSpec(core.Spec{}, core.ModelDetectResumeNWC), kill)
-		ref := runApp(fmt.Sprintf("%s-ref-%d", id, k), procs-k, ftSpec(core.Spec{}, core.ModelNone), nil)
+		wc := run(fmt.Sprintf("%s-wc-%d", id, k), procs, core.ModelDetectResumeWC, kill)
+		nwc := run(fmt.Sprintf("%s-nwc-%d", id, k), procs, core.ModelDetectResumeNWC, kill)
+		ref := run(fmt.Sprintf("%s-ref-%d", id, k), procs-k, core.ModelNone, nil)
 		t.AddRow(fmt.Sprint(k), secs(wc), secs(nwc), secs(ref))
 	}
 	t.Notes = append(t.Notes,
@@ -135,14 +105,8 @@ func fig11(s Scale) *Table {
 	if s.Quick {
 		absents = []int{1, 4, 16}
 	}
-	p := s.prParams()
-	iters := 2
 	return continuousTable("fig11", "PageRank completion time with continuous failures (256 procs)",
-		s, absents,
-		func(name string, procs int, base core.Spec, setup func(h *core.Handle)) time.Duration {
-			_, wall := runPageRankApp(name, procs, iters, p, base, setup)
-			return wall
-		})
+		s, absents, scenario.PageRank(s.prParams(), 2))
 }
 
 // fig12 — BFS under continuous failures (§6.4 Figure 12).
@@ -157,23 +121,7 @@ func fig12(s Scale) *Table {
 		p.Graph.Chunks = 128
 	}
 	return continuousTable("fig12", "BFS completion time with continuous failures (256 procs)",
-		s, absents,
-		func(name string, procs int, base core.Spec, setup func(h *core.Handle)) time.Duration {
-			clus := newCluster(procs)
-			workloads.GenBFSInput(clus, "in/"+name, p)
-			h := core.Launch(clus, procs, func(app *core.App) {
-				_, _ = workloads.BFSDriver(app, base, name, "in/"+name, 6, p)
-			})
-			if setup != nil {
-				setup(h)
-			}
-			clus.Sim.Run()
-			rs := h.Results()
-			if len(rs) == 0 {
-				return 0
-			}
-			return rs[len(rs)-1].End - rs[0].Start
-		})
+		s, absents, scenario.BFS(p, 6))
 }
 
 // blastParams returns the BLAST sizing used by the benchmarks.
@@ -186,19 +134,9 @@ func (s Scale) blastParams() workloads.BlastParams {
 	return p
 }
 
-// runBlast runs one BLAST-sim job.
-func runBlast(name string, procs int, p workloads.BlastParams, model core.Model,
-	mutate func(*core.Spec), kill *killPlan) wcRun {
-	clus := newCluster(procs)
-	workloads.GenBlastInput(clus, "in/"+name, p)
-	spec := ftSpec(workloads.BlastSpec(name, "in/"+name, procs, p), model)
-	if mutate != nil {
-		mutate(&spec)
-	}
-	h := core.RunSingle(clus, spec)
-	applyKill(h, kill)
-	clus.Sim.Run()
-	return wcRun{clus: clus, h: h, res: h.Result()}
+// runBlast runs one failure-free BLAST-sim job and returns its result.
+func runBlast(name string, procs int, p workloads.BlastParams, model core.Model) *core.Result {
+	return scenario.Run(scenario.Scenario{Name: name, Procs: procs, Workload: scenario.Blast(p), Spec: evalSpec(model)}).Result()
 }
 
 // fig13 — normalized failure-free completion time of MR-MPI-BLAST (§6.5
@@ -212,14 +150,14 @@ func fig13(s Scale) *Table {
 	}
 	p := s.blastParams()
 	for _, procs := range s.procSweep(32) {
-		base := runBlast(fmt.Sprintf("fig13-base-%d", procs), procs, p, core.ModelNone, nil, nil)
-		cr := runBlast(fmt.Sprintf("fig13-cr-%d", procs), procs, p, core.ModelCheckpointRestart, nil, nil)
-		wc := runBlast(fmt.Sprintf("fig13-wc-%d", procs), procs, p, core.ModelDetectResumeWC, nil, nil)
-		nwc := runBlast(fmt.Sprintf("fig13-nwc-%d", procs), procs, p, core.ModelDetectResumeNWC, nil, nil)
-		t.AddRow(fmt.Sprint(procs), secs(base.res.Elapsed()), "1.00",
-			ratio(cr.res.Elapsed(), base.res.Elapsed()),
-			ratio(wc.res.Elapsed(), base.res.Elapsed()),
-			ratio(nwc.res.Elapsed(), base.res.Elapsed()))
+		run := func(sys string, m core.Model) time.Duration {
+			return runBlast(fmt.Sprintf("fig13-%s-%d", sys, procs), procs, p, m).Elapsed()
+		}
+		base := run("base", core.ModelNone)
+		t.AddRow(fmt.Sprint(procs), secs(base), "1.00",
+			ratio(run("cr", core.ModelCheckpointRestart), base),
+			ratio(run("wc", core.ModelDetectResumeWC), base),
+			ratio(run("nwc", core.ModelDetectResumeNWC), base))
 	}
 	t.Notes = append(t.Notes,
 		"paper: only 5-6% overhead for the checkpointing models — the external-library compute dominates")
@@ -236,35 +174,22 @@ func fig14(s Scale) *Table {
 	}
 	procs := min(256, s.MaxProcs)
 	p := s.blastParams()
-	kill := &killPlan{rank: procs / 2, phase: core.PhaseMap, delay: 40 * time.Millisecond}
 	var mrRec time.Duration
 	for _, m := range []core.Model{core.ModelNone, core.ModelCheckpointRestart, core.ModelDetectResumeWC, core.ModelDetectResumeNWC} {
-		clean := runBlast(fmt.Sprintf("fig14-clean-%s", m), procs, p, m, nil, nil)
-		fail := runBlast(fmt.Sprintf("fig14-fail-%s", m), procs, p, m, nil, kill)
-		var total time.Duration
-		switch m {
-		case core.ModelNone:
-			spec := fail.res.Spec
-			spec.Name += "-retry"
-			spec.JobID = spec.Name
-			retry := rerunWC(fail, spec)
-			total = fail.res.Elapsed() + retry.res.Elapsed()
-		case core.ModelCheckpointRestart:
-			spec := fail.res.Spec
-			spec.Resume = true
-			retry := rerunWC(fail, spec)
-			total = fail.res.Elapsed() + retry.res.Elapsed()
-		default:
-			total = fail.res.Elapsed()
-		}
-		rec := total - clean.res.Elapsed()
+		clean := runBlast(fmt.Sprintf("fig14-clean-%s", m), procs, p, m).Elapsed()
+		total := scenario.Run(scenario.Scenario{
+			Name: fmt.Sprintf("fig14-fail-%s", m), Procs: procs, Workload: scenario.Blast(p), Spec: evalSpec(m),
+			Kills:   []scenario.Kill{{Rank: procs / 2, Phase: core.PhaseMap, Delay: 40 * time.Millisecond}},
+			Retries: 1,
+		}).Total()
+		rec := total - clean
 		if rec < 0 {
 			rec = 0
 		}
 		if m == core.ModelNone {
 			mrRec = rec
 		}
-		t.AddRow(m.String(), secs(clean.res.Elapsed()), secs(total), secs(rec), pct(rec, mrRec))
+		t.AddRow(m.String(), secs(clean), secs(total), secs(rec), pct(rec, mrRec))
 	}
 	t.Notes = append(t.Notes,
 		"paper: CR recovers 65% faster and DR(WC) 91% faster than MR-MPI; DR(NWC) pays full reprocessing")

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"ftmrmpi/internal/core"
-	"ftmrmpi/internal/mpi"
+	"ftmrmpi/internal/scenario"
 )
 
 // Simulator-throughput benchmarks (the scale push). Unlike the paper figures,
@@ -20,16 +20,6 @@ import (
 // one collective of each kind and the deepest mailbox of a failure-free
 // wordcount, the two quantities that must not grow with W² and W for a large
 // run to stay cheap.
-
-// runExchangeEvents runs one collective — coll, called once by every rank —
-// over ranks ranks and returns the scheduler events the whole run took
-// (process starts included).
-func runExchangeEvents(ranks int, coll func(c *mpi.Comm)) uint64 {
-	clus := newCluster(ranks)
-	mpi.Launch(clus, ranks, coll)
-	clus.Sim.Run()
-	return clus.Sim.EventsProcessed()
-}
 
 // ceilingResult is one ranks×tasks ceiling measurement.
 type ceilingResult struct {
@@ -59,16 +49,17 @@ func runCeiling(ranks int) ceilingResult {
 	p.Chunks = 2 * ranks
 	p.Lines = 16
 	start := time.Now()
-	r := runWC("thr-ceiling", ranks, p, core.ModelDetectResumeWC, nil, nil)
+	o := scenario.Run(wcScenario("thr-ceiling", ranks, p, evalSpec(core.ModelDetectResumeWC)))
 	wall := time.Since(start)
+	res := o.Result()
 	return ceilingResult{
 		ranks:  ranks,
 		tasks:  p.Chunks,
-		events: r.clus.Sim.EventsProcessed(),
-		vt:     r.res.Elapsed(),
+		events: o.Clus.Sim.EventsProcessed(),
+		vt:     res.Elapsed(),
 		wall:   wall,
-		ok:     r.res != nil && !r.res.Aborted,
-		depth:  r.h.World.PeakMailboxDepth(),
+		ok:     res != nil && !res.Aborted,
+		depth:  o.Attempts[0].World.PeakMailboxDepth(),
 	}
 }
 

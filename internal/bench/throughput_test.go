@@ -6,7 +6,18 @@ import (
 	"testing"
 
 	"ftmrmpi/internal/mpi"
+	"ftmrmpi/internal/scenario"
 )
+
+// runExchangeEvents runs one collective — coll, called once by every rank —
+// over ranks ranks and returns the scheduler events the whole run took
+// (process starts included).
+func runExchangeEvents(ranks int, coll func(c *mpi.Comm)) uint64 {
+	clus := scenario.NewCluster(ranks)
+	mpi.Launch(clus, ranks, coll)
+	clus.Sim.Run()
+	return clus.Sim.EventsProcessed()
+}
 
 // TestThroughputGate is the simulator-throughput regression gate (`make
 // throughput-gate`, and every `go test ./...`: five W=256 runs, well under a
