@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,16 +109,22 @@ func WriteOpenMetrics(w io.Writer, snap Snapshot) error {
 // parseFamily accumulates one family while parsing.
 type parseFamily struct {
 	fs      FamilySnapshot
-	series  map[string]*parseSeries
-	order   []string
+	index   map[string]int // label value -> the series' index in fs.Series; nil while they arrive in order
+	cum     [][]uint64     // histograms: each series' cumulative bucket counts, in line order
 	bounds  []float64
 	boundsK map[string]bool // bounds seen per series, to keep first series' order
 }
 
-// parseSeries accumulates one series while parsing.
-type parseSeries struct {
-	ss  SeriesSnapshot
-	cum []uint64 // cumulative bucket counts in line order
+// parser is the state of one ParseOpenMetrics call. The series of the family
+// whose lines are being read are values in scratch, which is reused from
+// family to family; when another family's lines start, they are copied out
+// once, at their final size. Input that returns to a family after another
+// one's lines reopens it.
+type parser struct {
+	fams    map[string]*parseFamily
+	order   []*parseFamily
+	open    *parseFamily // the family whose series scratch holds
+	scratch []SeriesSnapshot
 }
 
 // ParseOpenMetrics reads text previously produced by WriteOpenMetrics (a
@@ -127,8 +134,7 @@ type parseSeries struct {
 // A write→parse→write round trip is byte-identical.
 func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 	snap := Snapshot{}
-	fams := map[string]*parseFamily{}
-	var order []string
+	p := parser{fams: map[string]*parseFamily{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	sawEOF := false
@@ -150,15 +156,14 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 			case strings.HasPrefix(line, "# HELP "):
 				name, rest, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
 				if name != vtFamily {
-					pf := getParseFamily(fams, &order, name)
-					pf.fs.Help = rest
+					p.family(name).fs.Help = rest
 				}
 			case strings.HasPrefix(line, "# TYPE "):
 				name, rest, _ := strings.Cut(strings.TrimPrefix(line, "# TYPE "), " ")
 				if name == vtFamily {
 					continue
 				}
-				pf := getParseFamily(fams, &order, name)
+				pf := p.family(name)
 				switch rest {
 				case "counter":
 					pf.fs.Kind = KindCounter
@@ -184,7 +189,7 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 			snap.VTSeconds = sm.val
 			continue
 		}
-		if err := addSample(fams, sm); err != nil {
+		if err := p.addSample(sm); err != nil {
 			return snap, fmt.Errorf("metrics: line %d: %v", lineno, err)
 		}
 	}
@@ -194,79 +199,115 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 	if !sawEOF {
 		return snap, fmt.Errorf("metrics: missing # EOF terminator")
 	}
-	for _, name := range order {
-		pf := fams[name]
+	p.reopen(nil)
+	snap.Families = make([]FamilySnapshot, 0, len(p.order))
+	for _, pf := range p.order {
 		if pf.fs.Kind == KindHistogram {
 			pf.fs.Buckets = pf.bounds
-		}
-		for _, lv := range pf.order {
-			ps := pf.series[lv]
-			if pf.fs.Kind == KindHistogram {
+			for i := range pf.fs.Series {
+				var cum []uint64
+				if i < len(pf.cum) {
+					cum = pf.cum[i]
+				}
 				// One count per bound and one for +Inf, or the snapshot
 				// cannot be rendered again.
-				if len(ps.cum) != len(pf.bounds)+1 {
+				if len(cum) != len(pf.bounds)+1 {
 					return snap, fmt.Errorf("metrics: histogram %s series %q has %d bucket lines for %d bounds and +Inf",
-						name, lv, len(ps.cum), len(pf.bounds))
+						pf.fs.Name, pf.fs.Series[i].LabelValue, len(cum), len(pf.bounds))
 				}
-				ps.ss.Counts = decumulate(ps.cum)
+				pf.fs.Series[i].Counts = decumulate(cum)
 			}
-			pf.fs.Series = append(pf.fs.Series, ps.ss)
 		}
 		snap.Families = append(snap.Families, pf.fs)
 	}
 	return snap, nil
 }
 
-// getParseFamily returns (creating if needed) the in-progress family.
-func getParseFamily(fams map[string]*parseFamily, order *[]string, name string) *parseFamily {
-	pf, ok := fams[name]
+// family returns (creating if needed) the in-progress family.
+func (p *parser) family(name string) *parseFamily {
+	pf, ok := p.fams[name]
 	if !ok {
-		pf = &parseFamily{series: map[string]*parseSeries{}, boundsK: map[string]bool{}}
+		pf = &parseFamily{boundsK: map[string]bool{}}
 		pf.fs.Name = name
-		fams[name] = pf
-		*order = append(*order, name)
+		p.fams[name] = pf
+		p.order = append(p.order, pf)
 	}
 	return pf
 }
 
-// getParseSeries returns (creating if needed) the in-progress series,
-// recording its label key on the family.
-func (pf *parseFamily) getParseSeries(labelKey, labelVal []byte) *parseSeries {
+// reopen makes pf the family whose series scratch holds, first copying the
+// series of the one it held out at their size; nil only copies them out.
+func (p *parser) reopen(pf *parseFamily) {
+	if p.open == pf {
+		return
+	}
+	if p.open != nil && len(p.scratch) > 0 {
+		p.open.fs.Series = slices.Clone(p.scratch)
+	}
+	p.open = pf
+	if pf != nil {
+		p.scratch = append(p.scratch[:0], pf.fs.Series...)
+	}
+}
+
+// series returns the index in scratch of the open family's series with the
+// given label value (creating it if needed), recording its label key on the
+// family.
+func (p *parser) series(labelKey, labelVal []byte) int {
+	pf := p.open
 	if len(labelKey) != 0 && string(labelKey) != pf.fs.Label {
 		pf.fs.Label = string(labelKey)
 	}
 	if pf.fs.Label == "" {
 		pf.fs.Label = "rank"
 	}
-	ps, ok := pf.series[string(labelVal)]
-	if !ok {
-		ps = &parseSeries{}
-		ps.ss.LabelValue = string(labelVal)
-		pf.series[ps.ss.LabelValue] = ps
-		pf.order = append(pf.order, ps.ss.LabelValue)
+	// A series' lines are consecutive and WriteOpenMetrics writes the series
+	// in order, so a label value is the last series' or a new one after it.
+	// Only input in another order needs the index, built when it first does.
+	n := len(p.scratch)
+	if n > 0 && p.scratch[n-1].LabelValue == string(labelVal) {
+		return n - 1
 	}
-	return ps
+	if pf.index == nil && (n == 0 || labelLess(p.scratch[n-1].LabelValue, string(labelVal))) {
+		p.scratch = append(p.scratch, SeriesSnapshot{LabelValue: string(labelVal)})
+		return n
+	}
+	if pf.index == nil {
+		pf.index = make(map[string]int, n)
+		for i := range p.scratch {
+			pf.index[p.scratch[i].LabelValue] = i
+		}
+	}
+	i, ok := pf.index[string(labelVal)]
+	if !ok {
+		i = n
+		p.scratch = append(p.scratch, SeriesSnapshot{LabelValue: string(labelVal)})
+		pf.index[p.scratch[i].LabelValue] = i
+	}
+	return i
 }
 
 // addSample routes one sample line into the right family/series slot based
 // on the metric-name suffix.
-func addSample(fams map[string]*parseFamily, sm sample) error {
+func (p *parser) addSample(sm sample) error {
 	base, part := sm.name, ""
 	for _, suf := range [...]string{"_total", "_bucket", "_count", "_sum"} {
-		if b, ok := bytes.CutSuffix(sm.name, []byte(suf)); ok && fams[string(b)] != nil {
+		if b, ok := bytes.CutSuffix(sm.name, []byte(suf)); ok && p.fams[string(b)] != nil {
 			base, part = b, suf
 			break
 		}
 	}
-	pf := fams[string(base)]
+	pf := p.fams[string(base)]
 	if pf == nil {
 		return fmt.Errorf("sample %q has no preceding # TYPE", sm.name)
 	}
-	ps := pf.getParseSeries(sm.labelKey, sm.labelVal)
+	p.reopen(pf)
+	i := p.series(sm.labelKey, sm.labelVal)
+	ss := &p.scratch[i]
 	switch {
 	case pf.fs.Kind == KindCounter && part == "_total",
 		pf.fs.Kind == KindGauge && part == "":
-		ps.ss.Value = sm.val
+		ss.Value = sm.val
 	case pf.fs.Kind == KindHistogram && part == "_bucket":
 		if !sm.hasLE {
 			return fmt.Errorf("bucket sample %q missing le label", sm.name)
@@ -282,11 +323,17 @@ func addSample(fams map[string]*parseFamily, sm sample) error {
 				sort.Float64s(pf.bounds)
 			}
 		}
-		ps.cum = append(ps.cum, uint64(sm.val))
+		for len(pf.cum) <= i {
+			pf.cum = append(pf.cum, nil)
+		}
+		if pf.cum[i] == nil {
+			pf.cum[i] = make([]uint64, 0, len(pf.bounds)+1)
+		}
+		pf.cum[i] = append(pf.cum[i], uint64(sm.val))
 	case pf.fs.Kind == KindHistogram && part == "_count":
-		ps.ss.Count = uint64(sm.val)
+		ss.Count = uint64(sm.val)
 	case pf.fs.Kind == KindHistogram && part == "_sum":
-		ps.ss.Sum = sm.val
+		ss.Sum = sm.val
 	default:
 		return fmt.Errorf("sample %q does not match %s family %q", sm.name, pf.fs.Kind, base)
 	}
@@ -294,15 +341,14 @@ func addSample(fams map[string]*parseFamily, sm sample) error {
 }
 
 // decumulate converts cumulative bucket counts (in ascending-le line order,
-// +Inf last) back to per-bucket counts.
+// +Inf last) to per-bucket counts, in place.
 func decumulate(cum []uint64) []uint64 {
-	out := make([]uint64, len(cum))
 	var prev uint64
 	for i, c := range cum {
-		out[i] = c - prev
+		cum[i] = c - prev
 		prev = c
 	}
-	return out
+	return cum
 }
 
 // sample is one parsed sample line. The byte slices point into the line.

@@ -185,3 +185,74 @@ func FuzzParseOpenMetrics(f *testing.F) {
 		}
 	})
 }
+
+// rankedExposition renders a registry of w ranks' series: a counter and a
+// gauge per rank, a world counter, and a per-rank histogram of four bounds.
+func rankedExposition(t testing.TB, w int) []byte {
+	r := New(vtime.NewSim())
+	r.Counter("ftmr_jobs_aborted", "Jobs that ended aborted.", -1).Add(1)
+	for rank := 0; rank < w; rank++ {
+		r.Counter("ftmr_records_mapped", "Input records mapped.", rank).Add(float64(100 + rank))
+		r.Gauge("ftmr_lb_fit_slope_seconds_per_byte", "Fitted cost-model slope.", rank).Set(2.5e-09)
+		h := r.Histogram("ftmr_map_task_seconds", "Map task latency.", rank, []float64{0.001, 0.01, 0.1, 1})
+		h.Observe(float64(rank) / 1000)
+	}
+	var buf bytes.Buffer
+	if err := WriteOpenMetrics(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestParseOpenMetricsAllocsPerSeries is the parser's allocation gate (make
+// alloc-gate): a series is a value in its family's Series, which is sized
+// once, so a series costs a bounded number of objects: the string of its
+// label value and, for a histogram, its bucket counts. A rank of
+// rankedExposition has three series, one a histogram: four objects, and a
+// little for the growth of the one scratch slice every family reuses.
+// Counted as the growth from 64 to 256 ranks, which cancels the parse's
+// fixed cost.
+func TestParseOpenMetricsAllocsPerSeries(t *testing.T) {
+	allocs := func(w int) float64 {
+		text := rankedExposition(t, w)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ParseOpenMetrics(bytes.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perRank := (allocs(256) - allocs(64)) / (256 - 64)
+	t.Logf("%.2f objects a rank of three series", perRank)
+	if perRank > 4.5 {
+		t.Errorf("parsing allocated %.2f objects a rank of three series, want at most 4.5", perRank)
+	}
+}
+
+// A family's lines may come back after another family's, and its series in
+// any order: each series keeps its last value, and a family's series are in
+// the order they first appear.
+func TestParseOpenMetricsAnyOrder(t *testing.T) {
+	text := `# TYPE a gauge
+# TYPE b counter
+a{rank="3"} 1
+b_total 2
+a{rank="1"} 4
+a{rank="3"} 5
+a 7
+b_total{rank="0"} 8
+# EOF
+`
+	got, err := ParseOpenMetrics(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Snapshot{Families: []FamilySnapshot{
+		{Name: "a", Kind: KindGauge, Label: "rank", Series: []SeriesSnapshot{
+			{LabelValue: "3", Value: 5}, {LabelValue: "1", Value: 4}, {LabelValue: "", Value: 7}}},
+		{Name: "b", Kind: KindCounter, Label: "rank", Series: []SeriesSnapshot{
+			{LabelValue: "", Value: 2}, {LabelValue: "0", Value: 8}}},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed\n%+v\nwant\n%+v", got, want)
+	}
+}

@@ -64,8 +64,13 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range r.sortedFamilyNames() {
 		f := r.families[name]
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind, Label: f.label}
+		var counts []uint64 // every series' histogram counts, one allocation
 		if f.kind == KindHistogram {
 			fs.Buckets = append([]float64(nil), f.buckets...)
+			counts = make([]uint64, 0, len(f.series)*(len(f.buckets)+1))
+		}
+		if len(f.series) > 0 {
+			fs.Series = make([]SeriesSnapshot, 0, len(f.series))
 		}
 		for _, lv := range f.sortedSeriesLabels() {
 			s := f.series[lv]
@@ -74,7 +79,9 @@ func (r *Registry) Snapshot() Snapshot {
 				ss.Value += fn()
 			}
 			if s.counts != nil {
-				ss.Counts = append([]uint64(nil), s.counts...)
+				n := len(counts)
+				counts = append(counts, s.counts...)
+				ss.Counts = counts[n:len(counts):len(counts)]
 			}
 			fs.Series = append(fs.Series, ss)
 		}

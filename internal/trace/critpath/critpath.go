@@ -108,23 +108,37 @@ type collKey struct {
 // rather than reporting a silently empty or zero-length path — when the
 // stream has no events, no job.begin anchor, no job.end (final commit)
 // anchor, or a non-positive makespan.
+//
+// Analyze never modifies its input. A stream already in Seq order with no
+// trace.drops marker, which is what Tracer.Events and a read-back trace of a
+// ring that dropped nothing are, is walked where it lies; any other is first
+// copied without its markers and sorted.
 func Analyze(events []trace.Event) (*Report, error) {
 	if len(events) == 0 {
 		return nil, errors.New("critpath: empty trace: no events to analyze (was tracing enabled?)")
 	}
-	evs := make([]trace.Event, 0, len(events))
-	var dropped int64
-	for _, ev := range events {
-		if ev.Kind == trace.KindDrops {
-			dropped += ev.A
-			continue // synthetic end-of-file marker, not a DAG node
+	evs := events
+	for i := range events {
+		if events[i].Kind == trace.KindDrops || (i > 0 && events[i].Seq <= events[i-1].Seq) {
+			evs = nil
+			break
 		}
-		evs = append(evs, ev)
 	}
-	if len(evs) == 0 {
-		return nil, errors.New("critpath: trace contains only drop markers — every event was overwritten")
+	var dropped int64
+	if evs == nil {
+		evs = make([]trace.Event, 0, len(events))
+		for _, ev := range events {
+			if ev.Kind == trace.KindDrops {
+				dropped += ev.A
+				continue // synthetic end-of-file marker, not a DAG node
+			}
+			evs = append(evs, ev)
+		}
+		if len(evs) == 0 {
+			return nil, errors.New("critpath: trace contains only drop markers — every event was overwritten")
+		}
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 
 	// Anchors: earliest job.begin, latest job.end (ties by Seq — execution
 	// order). A missing anchor means the trace predates the anchor events,

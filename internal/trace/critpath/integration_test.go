@@ -7,9 +7,11 @@ package critpath_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
@@ -216,5 +218,44 @@ func TestCritPathOfSavedTraceEqualsLive(t *testing.T) {
 	}
 	if !reflect.DeepEqual(saved, live) {
 		t.Fatalf("critical path of the saved trace differs from the live one:\nsaved %+v\nlive  %+v", saved, live)
+	}
+}
+
+// TestAnalyzeNeitherCopiesNorModifies is Analyze's memory gate (make
+// alloc-gate): a Seq-ordered stream without drop markers, which is what
+// Tracer.Events returns, is walked where it lies, while the same events in
+// another order are copied to be sorted; the copy is the difference, so the
+// ordered stream must allocate at least half a copy less (the rest of what
+// Analyze allocates is the same for both). Neither stream is modified, and
+// both yield the same report.
+func TestAnalyzeNeitherCopiesNorModifies(t *testing.T) {
+	_, tr := tracedFailover(t, 3, core.PhaseMap)
+	ordered := tr.Events()
+	reversed := slices.Clone(ordered)
+	slices.Reverse(reversed)
+	var reps [2]*critpath.Report
+	var allocs [2]uint64
+	for i, events := range [][]trace.Event{ordered, reversed} {
+		before := slices.Clone(events)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep, err := critpath.Analyze(events)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(events, before) {
+			t.Fatalf("stream %d: Analyze modified its input", i)
+		}
+		reps[i], allocs[i] = rep, m1.TotalAlloc-m0.TotalAlloc
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Fatalf("the Seq-ordered and the reversed stream give different reports")
+	}
+	copyBytes := uint64(len(ordered)) * uint64(unsafe.Sizeof(trace.Event{}))
+	t.Logf("%d events: in order %d B, reversed %d B (a copy is %d B)", len(ordered), allocs[0], allocs[1], copyBytes)
+	if allocs[0]+copyBytes/2 > allocs[1] {
+		t.Errorf("the Seq-ordered stream allocated %d B, want at least half a copy (%d B) under the reversed one's %d B",
+			allocs[0], copyBytes/2, allocs[1])
 	}
 }

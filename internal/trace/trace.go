@@ -224,9 +224,11 @@ type Event struct {
 // DefaultCapacity is the per-rank ring capacity when none is given.
 const DefaultCapacity = 1 << 14
 
-// ringMinSlots is the size of a ring's first allocation (under the
-// capacity); from there it doubles.
-const ringMinSlots = 8
+// chunkSlots is the size, in events, of each piece a ring grows by: 38
+// events are 3 040 B, and with the 8 B header the Go allocator gives a
+// pointer-holding object that large they fill its 3 072 B size class to
+// within 1 %.
+const chunkSlots = 38
 
 // Tracer owns the per-rank recorders of one simulation. A nil *Tracer is a
 // valid disabled tracer.
@@ -285,62 +287,67 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	// A ring holds its rank's events in Seq order, in two pieces once it has
-	// wrapped: from the overwrite cursor on, then up to it. Seq is
-	// tracer-global and unique, so merging the rings through a min-heap on
-	// each one's next Seq gives the one total order whatever order the rings
-	// are visited in.
-	type ring struct{ head, rest []Event } // what is left to merge: head, non-empty, then rest
-	rings := make([]ring, 0, len(t.rec))
-	heap := make([]nextSeq, 0, len(t.rec))
 	n := 0
 	for _, r := range t.rec {
-		if len(r.buf) > 0 {
-			heap = append(heap, nextSeq{r.buf[r.next].Seq, len(rings)})
-			rings = append(rings, ring{r.buf[r.next:], r.buf[:r.next]})
-			n += len(r.buf)
-		}
+		n += r.n
 	}
 	if n == 0 {
 		return nil
 	}
+	out := make([]Event, 0, n)
+	t.merge(func(ev *Event) { out = append(out, *ev) })
+	return out
+}
+
+// merge calls fn with every retained event of every rank, in causal (Seq)
+// order, without copying them. A ring holds its rank's events in Seq order;
+// Seq is tracer-global and unique, so merging the rings through a min-heap
+// on each one's next Seq gives the one total order whatever order the rings
+// are visited in. What it allocates is proportional to the ranks.
+func (t *Tracer) merge(fn func(*Event)) {
+	rings := make([]*Recorder, 0, len(t.rec))
+	heap := make([]nextSeq, 0, len(t.rec))
+	for _, r := range t.rec {
+		if r.n > 0 {
+			heap = append(heap, nextSeq{r.at(0).Seq, len(rings), 0})
+			rings = append(rings, r)
+		}
+	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(heap, i)
 	}
-	out := make([]Event, 0, n)
 	for len(heap) > 0 {
 		// A rank records in bursts (it runs until it blocks), so the leading
-		// ring's events up to the next ring's first go out in one copy.
-		top := &rings[heap[0].ring]
+		// ring goes on until its next event comes after the runner-up's.
+		top := &heap[0]
+		r := rings[top.ring]
 		next := uint64(math.MaxUint64)
 		for c := 1; c <= 2 && c < len(heap); c++ {
 			next = min(next, heap[c].seq)
 		}
-		k := 1
-		for k < len(top.head) && top.head[k].Seq < next {
-			k++
-		}
-		out = append(out, top.head[:k]...)
-		if top.head = top.head[k:]; len(top.head) == 0 {
-			top.head, top.rest = top.rest, nil
-		}
-		if len(top.head) > 0 {
-			heap[0].seq = top.head[0].Seq
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
+		for {
+			fn(r.at(top.i))
+			if top.i++; top.i == r.n {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+				break
+			}
+			if top.seq = r.at(top.i).Seq; top.seq > next {
+				break
+			}
 		}
 		siftDown(heap, 0)
 	}
-	return out
 }
 
-// nextSeq is one entry of the merge heap in Events: the Seq of the next
-// event of a ring still being merged. Pointer-free, so ordering the heap
-// touches neither the rings nor the collector's write barrier.
+// nextSeq is one entry of the merge heap: the Seq of the next event of a
+// ring still being merged, and that event's place in the ring's recording
+// order. Pointer-free, so ordering the heap touches neither the rings nor
+// the collector's write barrier.
 type nextSeq struct {
 	seq  uint64
 	ring int
+	i    int
 }
 
 // siftDown restores the min-heap order (by seq) below index i.
@@ -386,12 +393,29 @@ func (t *Tracer) Dropped(rank int) uint64 {
 
 // Recorder is one rank's ring-buffered event log. All methods are no-ops on
 // a nil receiver: call sites pay a single branch when tracing is disabled.
+//
+// The ring grows one chunk of chunkSlots events at a time, up to the
+// tracer's capacity, and never moves an event it holds: what a ring has
+// allocated is its retained events, at most one chunk more, and a table of
+// one pointer per chunk.
 type Recorder struct {
-	t     *Tracer
-	rank  int
-	buf   []Event // grows by doubling up to the tracer's capacity
-	next  int     // overwrite cursor once the ring is full
-	total uint64  // events ever recorded
+	t      *Tracer
+	rank   int
+	chunks []*[chunkSlots]Event // slot i is chunks[i/chunkSlots][i%chunkSlots]
+	n      int                  // events retained: min(total, capacity)
+	next   int                  // slot of the oldest event once the ring is full
+	total  uint64               // events ever recorded
+}
+
+// slot returns ring slot i.
+func (r *Recorder) slot(i int) *Event { return &r.chunks[i/chunkSlots][i%chunkSlots] }
+
+// at returns the i-th retained event in recording order, i in [0, n).
+func (r *Recorder) at(i int) *Event {
+	if i += r.next; i >= r.n {
+		i -= r.n
+	}
+	return r.slot(i)
 }
 
 // emit appends one event, overwriting the oldest once the ring is full.
@@ -411,23 +435,19 @@ func (r *Recorder) emitFlow(kind Kind, name string, a, b, c int64, flow uint64) 
 		t.line = appendJSONL(t.line[:0], &ev)
 		t.stream.WriteLine(t.line)
 	}
-	if len(r.buf) == cap(r.buf) && len(r.buf) < t.cap {
-		// Doubling, not append's growth policy: what a ring ever allocates
-		// stays under twice its final size, on any runtime.
-		buf := make([]Event, len(r.buf), min(max(2*len(r.buf), ringMinSlots), t.cap))
-		copy(buf, r.buf)
-		r.buf = buf
-	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[r.next] = ev
-		r.next++
-		if r.next == len(r.buf) {
-			r.next = 0
-		}
-	}
 	r.total++
+	if r.n < t.cap {
+		if r.n == len(r.chunks)*chunkSlots {
+			r.chunks = append(r.chunks, new([chunkSlots]Event))
+		}
+		*r.slot(r.n) = ev
+		r.n++
+		return
+	}
+	*r.slot(r.next) = ev
+	if r.next++; r.next == r.n {
+		r.next = 0
+	}
 }
 
 // Events returns the retained events in recording order.
@@ -435,9 +455,10 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]Event, r.n)
+	for i := range out {
+		out[i] = *r.at(i)
+	}
 	return out
 }
 
@@ -445,7 +466,7 @@ func (r *Recorder) dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total - uint64(len(r.buf))
+	return r.total - uint64(r.n)
 }
 
 // --- typed emit helpers (all nil-safe) -----------------------------------
