@@ -113,6 +113,30 @@ func TestFigureShapes(t *testing.T) {
 		}
 	})
 
+	// The straggler ablation's acceptance criterion: under the
+	// throttled-turbo scenario the trace-driven balancer completes the job
+	// strictly sooner than the static §3.4 fit (which keeps trusting the
+	// turbo rank's fast history and hands it lost work it can no longer
+	// absorb), and by a gap that is no noise.
+	t.Run("abl-lb-trace-beats-static", func(t *testing.T) {
+		tab := tabs["abl-lb-trace"]
+		if len(tab.Rows) != 2 {
+			t.Fatalf("rows: %v", tab.Rows)
+		}
+		st, err1 := strconv.ParseFloat(tab.Rows[0][1], 64)
+		tr, err2 := strconv.ParseFloat(tab.Rows[1][1], 64)
+		vs, err3 := strconv.ParseFloat(strings.TrimSuffix(tab.Rows[1][3], "%"), 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("bad rows %v", tab.Rows)
+		}
+		if tr >= st {
+			t.Fatalf("trace-driven balancing did not beat static: trace=%vs static=%vs", tr, st)
+		}
+		if gain := -vs; gain < 5 {
+			t.Fatalf("trace-vs-static gain %.1f%% below the 5%% floor (trace=%vs static=%vs)", gain, tr, st)
+		}
+	})
+
 	t.Run("abl-restore-replica-beats-pfs", func(t *testing.T) {
 		tab := tabs["abl-restore"]
 		if len(tab.Rows) != 2 {
