@@ -206,6 +206,20 @@ type ckptStore struct {
 	proc    *vtime.Proc
 	copied  map[string]int // stream -> bytes of the local file durable on the PFS
 	stopped bool
+
+	// named and namedPath are the stream the store named last and its path
+	// (see path).
+	named, namedPath string
+}
+
+// path returns the path of a stream. A task commits to its stream, and the
+// copier drains it, many times in a row, so the store keeps the last
+// stream's path instead of joining it again for each frame.
+func (s *ckptStore) path(stream string) string {
+	if stream != s.named {
+		s.named, s.namedPath = stream, ckptPath(s.jobID, stream)
+	}
+	return s.namedPath
 }
 
 // newCkptStore builds the checkpoint store of one world rank for spec, and
@@ -284,7 +298,7 @@ func (s *ckptStore) loop(p *vtime.Proc) {
 // stream shares the local stream's extents, and the host copies no byte of
 // what the model charges as read, copied and written.
 func (s *ckptStore) copyStream(p *vtime.Proc, stream string) {
-	path := ckptPath(s.jobID, stream)
+	path := s.path(stream)
 	total := s.local.Size(path)
 	have := s.copied[stream]
 	if total <= have {
@@ -369,7 +383,7 @@ func (s *ckptStore) write(p *vtime.Proc, stream string, pieces ...[]byte) {
 	if !s.enabled || n == 0 {
 		return
 	}
-	path := ckptPath(s.jobID, stream)
+	path := s.path(stream)
 	s.m.CkptFrames++
 	s.m.CkptBytes += int64(n)
 	s.obs.Rec.CkptCommit(stream, n, 1)
