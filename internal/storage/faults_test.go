@@ -12,32 +12,32 @@ import (
 func TestFSRenameDeleteTruncate(t *testing.T) {
 	fs := NewFS()
 	fs.Write("a", []byte("payload"))
-	if err := fs.Rename("a", "b"); err != nil {
+	if err := fs.rename("", "a", "b"); err != nil {
 		t.Fatalf("rename: %v", err)
 	}
-	if fs.Exists("a") || !fs.Exists("b") {
+	if fs.exists("", "a") || !fs.exists("", "b") {
 		t.Fatal("rename did not move the file")
 	}
 	// Rename replaces an existing destination atomically.
 	fs.Write("c", []byte("old"))
-	if err := fs.Rename("b", "c"); err != nil {
+	if err := fs.rename("", "b", "c"); err != nil {
 		t.Fatalf("rename over existing: %v", err)
 	}
 	data, _ := fs.Read("c")
 	if string(data) != "payload" {
 		t.Fatalf("destination holds %q", data)
 	}
-	if err := fs.Rename("missing", "x"); err == nil {
+	if err := fs.rename("", "missing", "x"); err == nil {
 		t.Fatal("rename of missing file succeeded")
 	}
 	// Renaming a file onto itself keeps it; a missing one is still an error.
-	if err := fs.Rename("c", "c"); err != nil {
+	if err := fs.rename("", "c", "c"); err != nil {
 		t.Fatalf("rename onto itself: %v", err)
 	}
 	if data, _ = fs.Read("c"); string(data) != "payload" {
 		t.Fatalf("after a rename onto itself the file holds %q", data)
 	}
-	if err := fs.Rename("missing", "missing"); err == nil {
+	if err := fs.rename("", "missing", "missing"); err == nil {
 		t.Fatal("rename of a missing file onto itself succeeded")
 	}
 	if n := fs.RemovePrefix("c"); n != 1 {
@@ -47,16 +47,16 @@ func TestFSRenameDeleteTruncate(t *testing.T) {
 		t.Fatalf("a second RemovePrefix removed %d files", n)
 	}
 	fs.Write("t", []byte("0123456789"))
-	fs.Truncate("t", 4)
+	fs.truncate("", "t", 4)
 	data, _ = fs.Read("t")
 	if string(data) != "0123" {
 		t.Fatalf("truncated to %q", data)
 	}
-	fs.Truncate("t", 100) // no-op: already shorter
-	fs.Truncate("missing", 0)
-	fs.Truncate("t", -1) // negative is a no-op
-	if fs.Size("t") != 4 {
-		t.Fatalf("size after no-op truncates = %d", fs.Size("t"))
+	fs.truncate("", "t", 100) // no-op: already shorter
+	fs.truncate("", "missing", 0)
+	fs.truncate("", "t", -1) // negative is a no-op
+	if fs.size("", "t") != 4 {
+		t.Fatalf("size after no-op truncates = %d", fs.size("", "t"))
 	}
 }
 
