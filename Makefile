@@ -162,7 +162,7 @@ define SELFTEST
 0 bin/ftmr-sim -procs 8 -outage 1ms,3ms
 0 bin/ftmr-sim -procs 8 -kills 2 -kill-every 5ms
 0 bin/ftmr-sim -procs 8 -json
-# what README and EXPERIMENTS.md document and no other line reaches: the other three workloads; chaos kills with storage faults; chunk granularity; checkpoints straight to the PFS; an outage the introspection stream names; a watchdog that starts, never fires and stops
+# what README and EXPERIMENTS.md document and no other line reaches: the other three workloads; chaos kills with storage faults; chunk granularity; checkpoints straight to the PFS; an outage the introspection stream names
 0 bin/ftmr-sim -workload blast -procs 8
 0 bin/ftmr-sim -workload pagerank -procs 8
 0 bin/ftmr-sim -workload bfs -procs 8
@@ -171,7 +171,6 @@ define SELFTEST
 0 bin/ftmr-sim -procs 8 -kill-phase map -ckpt-direct-pfs
 0 bin/ftmr-sim -procs 8 -outage 1ms,3ms -introspect-interval 1ms -report $T.out
 0 grep -q '"outages":\[{"tier":"pfs"' $T.out/introspect.jsonl
-0 bin/ftmr-sim -procs 8 -stall-after 30s
 # a masking job that loses every rank is an aborted one, not a clean run with no output, and its report says it has no critical path
 0 bin/ftmr-sim -procs 1 -model wc -kill-phase map -report $T.abort > $T.abort.txt
 0 grep -q aborted=true $T.abort.txt

@@ -103,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			traceFile+" and "+introspectFile+" streamed during the run, "+metricsFile+" and "+critpathFile+" after it")
 
 		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
-		stallAfter    = fs.Duration("stall-after", 0, "wall-clock no-progress watchdog: report a stall after this much real time without virtual-time progress (0 disables; enables the plane)")
 		health        = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
 	slo := metrics.DefaultSLO()
@@ -229,16 +228,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if files != nil || *health {
 			clus.Metrics = metrics.New(clus.Sim)
 		}
-		if files != nil || *stallAfter > 0 {
+		if files != nil {
 			pl := introspect.New(clus.Sim, *introspectInt)
 			clus.Introspect = pl
 			pl.Outages = clus.Outages
-			if files != nil {
-				pl.StreamJSONL(files[introspectFile])
-			}
+			pl.StreamJSONL(files[introspectFile])
 		}
 	}
-	var wd *introspect.Watchdog
 	sc.Inject = func(h *core.Handle, attempt int) {
 		if attempt > 0 {
 			return
@@ -257,9 +253,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *kills > 0 {
 			failure.Continuous(h.World, *killEvery, *kills, rand.New(rand.NewSource(1)).Intn)
 		}
-		// The watchdog runs from the first event of the job to its last
-		// attempt's end.
-		wd = h.Clus.Introspect.StartWatchdog(*stallAfter, stderr)
 	}
 	if killPhOK {
 		rank := *killRank
@@ -269,7 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sc.Kills = []scenario.Kill{{Rank: rank, Phase: killPh, Delay: time.Millisecond}}
 	}
 	o := scenario.Run(sc)
-	wd.Stop()
 	clus := o.Clus
 
 	printResult := func(res *core.Result) {

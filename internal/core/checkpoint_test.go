@@ -207,7 +207,8 @@ func commitAndDrain(tb testing.TB, payloads [][]byte, syncs int, failOne bool) (
 			failing := failOne && sync == 3
 			if failing {
 				p.Sleep(10 * time.Millisecond) // let the copier go idle, so the next drain is the refused one
-				clus.PFS.Faults = storage.NewInjector(storage.FaultPolicy{OutageBegin: p.Now(), OutageEnd: p.Now() + time.Second})
+				clus.PFS.Faults = storage.NewInjector(storage.FaultPolicy{})
+				clus.PFS.Faults.AddOutage(storage.OutageWindow{Begin: p.Now(), End: p.Now() + time.Second})
 				w.commit(p, "map/t000007", frameTaskDone, 7, uint32(i))
 			}
 			before := clus.PFS.Size(path)

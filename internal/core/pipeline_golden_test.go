@@ -57,8 +57,9 @@ var pinCases = []pinCase{
 	{name: "wc-replica-outage", model: ModelDetectResumeWC, victim: 5,
 		tune: func(s *Spec) { s.ReplicaK = 1 },
 		faults: func(clus *cluster.Cluster) {
-			clus.PFS.Faults = storage.NewInjector(
-				storage.ChaosOutagePolicy(9, 100*time.Millisecond, 300*time.Millisecond))
+			clus.PFS.Faults = storage.NewInjector(storage.ChaosPolicy(9))
+			clus.PFS.Faults.AddOutage(storage.OutageWindow{
+				Begin: 100 * time.Millisecond, End: 300 * time.Millisecond})
 			clus.PFS.Faults.AddOutage(storage.OutageWindow{
 				Begin: 455700 * time.Microsecond, End: 500 * time.Millisecond})
 		}},

@@ -18,11 +18,12 @@ import (
 // costs its caller at least one latency.
 type flakyTier struct {
 	tier     *storage.Tier
-	pol      storage.FaultPolicy // always-fault rules plus the outage window, if any
-	left     int                 // transient faults still to deliver before the tier heals
-	faults   int                 // transient faults delivered
-	rejected int                 // operations rejected by the outage window
-	done     bool                // set by the test body; stops the sidecar
+	pol      storage.FaultPolicy    // always-fault rules
+	outage   []storage.OutageWindow // re-added to every fresh injector
+	left     int                    // transient faults still to deliver before the tier heals
+	faults   int                    // transient faults delivered
+	rejected int                    // operations rejected by the outage window
+	done     bool                   // set by the test body; stops the sidecar
 }
 
 func (f *flakyTier) arm() {
@@ -31,6 +32,9 @@ func (f *flakyTier) arm() {
 		pol.Rules = nil // healed: only the outage window remains
 	}
 	f.tier.Faults = storage.NewInjector(pol)
+	for _, w := range f.outage {
+		f.tier.Faults.AddOutage(w)
+	}
 }
 
 // absorb folds the live injector's counts into the totals and reports
@@ -65,7 +69,7 @@ func TestRetryPolicy(t *testing.T) {
 	const path = "out/job/part-00000"
 	pre := []byte("committed-prefix\n")
 	data := bytes.Repeat([]byte("record\n"), 64)
-	outage := [2]time.Duration{0, 50 * time.Millisecond}
+	outage := storage.OutageWindow{End: 50 * time.Millisecond}
 
 	type call func(p *vtime.Proc, tier *storage.Tier) error
 	read := func(p *vtime.Proc, tier *storage.Tier) error {
@@ -137,7 +141,7 @@ func TestRetryPolicy(t *testing.T) {
 				Rules: []storage.FaultRule{{Prefix: "out/", TornWrite: 1, ReadError: 1}},
 			}}
 			if c.outage {
-				f.pol.OutageBegin, f.pol.OutageEnd = outage[0], outage[1]
+				f.outage = []storage.OutageWindow{outage}
 			}
 			f.run(clus.Sim)
 			var err error
@@ -161,7 +165,7 @@ func TestRetryPolicy(t *testing.T) {
 				t.Errorf("%d operations issued (%d faulted, %d rejected by the outage), want %d",
 					attempts, f.faults, f.rejected, c.attempts)
 			}
-			if waited := finished >= outage[1]; c.outage && err == nil && !waited {
+			if waited := finished >= outage.End; c.outage && err == nil && !waited {
 				t.Errorf("call finished at %v, inside the outage window", finished)
 			}
 			want := pre

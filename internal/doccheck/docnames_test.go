@@ -51,8 +51,9 @@ func recvType(recv *ast.FieldList) string {
 }
 
 // eachGoFile parses every Go file under root, outside testdata: the test
-// files when tests is set, the non-test files otherwise.
-func eachGoFile(t *testing.T, root string, tests bool, fn func(f *ast.File)) {
+// files when tests is set, the non-test files otherwise. fset places the
+// file's nodes.
+func eachGoFile(t *testing.T, root string, tests bool, fn func(fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -67,7 +68,7 @@ func eachGoFile(t *testing.T, root string, tests bool, fn func(f *ast.File)) {
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err == nil {
-			fn(f)
+			fn(fset, f)
 		}
 		return err
 	})
@@ -82,7 +83,7 @@ func declaredNames(t *testing.T, decl, literalOnly []string) goNames {
 	t.Helper()
 	n := goNames{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
 		funcs: map[string]bool{}, literals: map[string]bool{}}
-	literals := func(f *ast.File) {
+	literals := func(_ *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(node ast.Node) bool {
 			if lit, ok := node.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if v, err := strconv.Unquote(lit.Value); err == nil {
@@ -96,8 +97,8 @@ func declaredNames(t *testing.T, decl, literalOnly []string) goNames {
 		eachGoFile(t, root, false, literals)
 	}
 	for _, root := range decl {
-		eachGoFile(t, root, false, func(f *ast.File) {
-			literals(f)
+		eachGoFile(t, root, false, func(fset *token.FileSet, f *ast.File) {
+			literals(fset, f)
 			n.addDecls(f)
 		})
 	}
@@ -207,7 +208,7 @@ func testFuncs(t *testing.T, roots []string) map[string]bool {
 	t.Helper()
 	funcs := map[string]bool{}
 	for _, root := range roots {
-		eachGoFile(t, root, true, func(f *ast.File) {
+		eachGoFile(t, root, true, func(_ *token.FileSet, f *ast.File) {
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
 					funcs[fn.Name.Name] = true

@@ -1,6 +1,6 @@
 // Package introspect is the live introspection plane: deterministic,
-// virtual-time-cadenced snapshots of per-rank wait state, a wait-for graph
-// with cycle detection over them, and a wall-clock stall watchdog.
+// virtual-time-cadenced snapshots of per-rank wait state, and a wait-for
+// graph whose cycle, once the run has drained, is its deadlock report.
 //
 // Every other observability surface in this repository (trace JSONL, metrics
 // snapshots, critical-path attribution) is post-mortem; this package works
@@ -22,7 +22,6 @@ package introspect
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"ftmrmpi/internal/jsonl"
@@ -155,7 +154,9 @@ func (rp *RankProbe) ExitDrain() {
 // Plane is the introspection plane for one simulation. Create it with New
 // before ranks are launched (probes bind at spawn time, like the metrics
 // instruments), then Start arms the capture cadence. A nil *Plane disables
-// everything at one-branch cost.
+// everything at one-branch cost. A plane is single-threaded, as the
+// simulation it observes is: it is read and written only by scheduler
+// callbacks and by the goroutine that calls Sim.Run, before and after it.
 type Plane struct {
 	sim      *vtime.Sim
 	interval time.Duration
@@ -168,26 +169,13 @@ type Plane struct {
 	// so the cluster's owner sets it to cluster.Cluster.Outages.
 	Outages func(now time.Duration) []Outage
 
-	// prevCycle remembers the previous capture's cycle membership; a live
-	// capture reports a deadlock only when the same cycle persists across
-	// two consecutive snapshots (an interrupt in flight — a Revoke flood
-	// for one NIC latency — can leave a one-shot cycle), while the post-run
-	// Final capture reports immediately: with the event heap drained nothing
-	// is in flight, so every edge is a true completion wait.
-	prevCycle []int
-
-	// mu guards what the wall-clock watchdog goroutine also touches: the
-	// journal and the stream sink. Everything else is simulator-serialized.
-	mu sync.Mutex
-	// journal is every record in capture order (each stall immediately
-	// after the snapshot that raised it), the one list of them: Snapshots,
-	// Stalls, WriteJSONL and the watchdog all read it.
+	// journal is every record in capture order (a stall report right after
+	// the Final snapshot that raised it), the one list of them: Snapshots,
+	// Stalls and WriteJSONL all read it.
 	journal []Line
 	stream  *jsonl.Writer
-	// beacon counts captures plus processed events, published at safe
-	// points only; the watchdog compares successive reads to detect zero
-	// virtual-time progress without ever touching simulator state.
-	beacon uint64
+	// seq is the number of snapshots captured so far: the next one's Seq.
+	seq int
 }
 
 // New creates a plane on sim capturing every interval of virtual time.
@@ -236,10 +224,14 @@ func (pl *Plane) Start() {
 	pl.sim.Every(pl.interval, func() { pl.capture(false) })
 }
 
-// Final captures one post-run snapshot. Call it after Sim.Run returns: if
-// ranks deadlocked, the event heap drained with them still parked, and this
-// capture detects the cycle immediately (nothing can be in flight). No-op on
-// a nil plane.
+// Final captures one post-run snapshot and reports a deadlock: call it after
+// Sim.Run returns. It is the one capture that looks for a cycle, and the one
+// instant at which a cycle is exact. Every event source but the observer's
+// tick is finite, so a deadlocked run drains with its ranks still parked;
+// with the event heap empty nothing is in flight, and nothing scheduled can
+// break a cycle any more, so every edge is a true completion wait. A live
+// capture cannot know that a later kill will not break the cycle it sees.
+// No-op on a nil plane.
 func (pl *Plane) Final() {
 	if pl == nil {
 		return
@@ -252,47 +244,34 @@ func (pl *Plane) Snapshots() []Snapshot {
 	if pl == nil {
 		return nil
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	snaps, _ := SplitLines(pl.journal)
 	return snaps
 }
 
-// Stalls returns every stall report raised so far (deadlock cycles and
-// watchdog no-progress reports).
+// Stalls returns every stall report raised so far: the deadlock cycle Final
+// found, if any.
 func (pl *Plane) Stalls() []StallReport {
 	if pl == nil {
 		return nil
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	_, stalls := SplitLines(pl.journal)
 	return stalls
-}
-
-// lastSnapshot returns the newest journaled snapshot, or nil. The caller
-// holds mu.
-func (pl *Plane) lastSnapshot() *Snapshot {
-	for i := len(pl.journal) - 1; i >= 0; i-- {
-		if s := pl.journal[i].Snapshot; s != nil {
-			return s
-		}
-	}
-	return nil
 }
 
 // capture runs at a safe point: it derives every rank's state from the
 // world's read of what the rank is parked in and from its probe, draws the
 // wait-for graph by graph.go's one rule (an entrant of a gathering meeting
 // waits for each member the world names as missing) as wait sets, and
-// journals and streams the snapshot and any stall report it raises.
+// journals and streams the snapshot; the final one also the deadlock report
+// of the cycle it finds, if any.
 func (pl *Plane) capture(final bool) {
 	v := pl.world
 	if v == nil {
 		return
 	}
 	now := pl.sim.Now()
-	snap := &Snapshot{Kind: lineSnapshot, VTus: vtUS(now)}
+	snap := &Snapshot{Kind: lineSnapshot, VTus: vtUS(now), Seq: pl.seq}
+	pl.seq++
 	timers := pl.sim.TimerInventory()
 
 	n := v.Size()
@@ -345,33 +324,20 @@ func (pl *Plane) capture(final bool) {
 		snap.Outages = pl.Outages(now)
 	}
 
-	var report *StallReport
-	if cycle := findCycle(n, snap.Waits); cycle != nil {
-		if final || sameCycle(cycle, pl.prevCycle) {
-			r := cycleReport(snap, cycle)
-			report = &r
-		}
-		pl.prevCycle = cycle
-	} else {
-		pl.prevCycle = nil
-	}
-
-	pl.mu.Lock()
-	if last := pl.lastSnapshot(); last != nil {
-		snap.Seq = last.Seq + 1
-	}
 	pl.journal = append(pl.journal, Line{Snapshot: snap})
-	pl.beacon += 1 + pl.sim.EventsProcessed()
 	if pl.stream != nil {
 		pl.stream.Write(*snap)
 	}
-	if report != nil {
-		pl.journal = append(pl.journal, Line{Stall: report})
+	if !final {
+		return
+	}
+	if cycle := findCycle(n, snap.Waits); cycle != nil {
+		report := cycleReport(snap, cycle)
+		pl.journal = append(pl.journal, Line{Stall: &report})
 		if pl.stream != nil {
-			pl.stream.Write(*report)
+			pl.stream.Write(report)
 		}
 	}
-	pl.mu.Unlock()
 }
 
 // joinWaits adds rank to the set that waits for exactly to, opening one if
@@ -406,18 +372,6 @@ func cycleReport(snap *Snapshot, cycle []int) StallReport {
 		}
 	}
 	return rep
-}
-
-// sameCycle reports whether two cycles have identical membership
-// (order-insensitive).
-func sameCycle(a, b []int) bool {
-	if len(a) == 0 || len(a) != len(b) {
-		return false
-	}
-	as, bs := slices.Clone(a), slices.Clone(b)
-	slices.Sort(as)
-	slices.Sort(bs)
-	return slices.Equal(as, bs)
 }
 
 // vtUS converts a virtual time to microseconds (the trace wire format's

@@ -114,6 +114,49 @@ func TestCollectiveMissingParticipant(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportedOnceAtDrain: ranks 0-1 in a Barrier and rank 2 in an
+// Alltoallv close a cycle at vt 0, while rank 3 sleeps for a second, so the
+// capture cadence ticks a hundred times over the live cycle. No live capture
+// may report it: only Final, after Sim.Run has drained, reports it, once,
+// stamped at the drain instant.
+func TestDeadlockReportedOnceAtDrain(t *testing.T) {
+	clus := inspCluster(4, 1)
+	pl := clus.Introspect
+	mpi.Launch(clus, 4, func(c *mpi.Comm) {
+		var err error
+		switch c.Rank() {
+		case 3:
+			c.Proc().Sleep(time.Second)
+			return
+		case 2:
+			_, err = c.Alltoallv(make([][]byte, 4))
+		default:
+			err = c.Barrier()
+		}
+		t.Errorf("rank %d left a collective no one else entered: %v", c.Rank(), err)
+	})
+	pl.Start()
+	clus.Sim.Run()
+	if got := clus.Sim.Now(); got != time.Second {
+		t.Fatalf("the run drained at %v, want the sleeper's wake at 1s", got)
+	}
+	if n := len(pl.Snapshots()); n < 50 {
+		t.Fatalf("%d live snapshots, want the cadence to tick over the live cycle", n)
+	}
+	if got := pl.Stalls(); len(got) != 0 {
+		t.Fatalf("live captures reported %d stalls, want none before the drain: %+v", len(got), got)
+	}
+	pl.Final()
+	stalls := pl.Stalls()
+	if len(stalls) != 1 {
+		t.Fatalf("%d stall reports after Final, want exactly one: %+v", len(stalls), stalls)
+	}
+	if rep := stalls[0]; rep.Reason != introspect.ReasonDeadlock || rep.VTus != 1e6 ||
+		!slices.Equal(sortedCopy(rep.Cycle), []int{0, 2}) {
+		t.Fatalf("report = %+v, want the deadlock cycle [0 2] stamped at the drain, vt 1e6us", rep)
+	}
+}
+
 // TestCleanRunNoStalls runs a completing exchange pattern under a tight
 // capture cadence: the plane must record snapshots but zero stall reports,
 // and every rank must end dead (exited) in the final snapshot.

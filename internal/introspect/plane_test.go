@@ -1,6 +1,5 @@
-// White-box tests for capture classification, cycle detection, the wire
-// format's damage tolerance, and the wall-clock watchdog (driven
-// synchronously through check()).
+// White-box tests for capture classification, cycle detection and the wire
+// format's damage tolerance.
 package introspect
 
 import (
@@ -94,32 +93,6 @@ func TestCaptureClassification(t *testing.T) {
 	last := pl.Snapshots()[2]
 	if last.Ranks[0].State != StateDead || len(last.Waits) != 0 {
 		t.Errorf("rank 0 state = %q, waits %+v after death, want dead and none", last.Ranks[0].State, last.Waits)
-	}
-}
-
-// TestCyclePersistenceRule: a live capture must not report a one-shot cycle;
-// only the same membership on two consecutive captures (or a Final capture)
-// raises the report.
-func TestCyclePersistenceRule(t *testing.T) {
-	sim := vtime.NewSim()
-	pl := New(sim, time.Millisecond)
-	fw := blockedWorld(sim)
-	// Close the loop: rank 1 is inside a different meeting rank 0 never
-	// enters.
-	fw.waits[1] = meeting("alltoallv", 0)
-	pl.AttachWorld(fw)
-
-	pl.capture(false)
-	if got := pl.Stalls(); len(got) != 0 {
-		t.Fatalf("one-shot cycle reported on first sight: %+v", got)
-	}
-	pl.capture(false)
-	stalls := pl.Stalls()
-	if len(stalls) != 1 || stalls[0].Reason != ReasonDeadlock {
-		t.Fatalf("stalls = %+v, want one deadlock after the cycle persisted", stalls)
-	}
-	if len(stalls[0].Cycle) != 2 {
-		t.Fatalf("cycle = %v, want both ranks", stalls[0].Cycle)
 	}
 }
 
@@ -293,60 +266,6 @@ func TestReadJSONLSchemaTooNew(t *testing.T) {
 	}
 }
 
-// TestWatchdogFiresOnceOnNoProgress drives the watchdog synchronously: the
-// first poll baselines, a poll after progress stays quiet, and two polls
-// with an unchanged beacon raise exactly one no-progress report built from
-// the last snapshot's blocked ranks.
-func TestWatchdogFiresOnceOnNoProgress(t *testing.T) {
-	sim := vtime.NewSim()
-	pl := New(sim, time.Millisecond)
-	pl.AttachWorld(blockedWorld(sim))
-	var human bytes.Buffer
-	wd := &Watchdog{pl: pl, out: &human, stop: make(chan struct{}), done: make(chan struct{})}
-
-	pl.capture(false)
-	if wd.check() {
-		t.Fatal("first poll must only baseline")
-	}
-	pl.capture(false) // progress: beacon advances
-	if wd.check() {
-		t.Fatal("a poll after progress must not fire")
-	}
-	if !wd.check() {
-		t.Fatal("second poll without progress must fire")
-	}
-	stalls := pl.Stalls()
-	if len(stalls) != 1 || stalls[0].Reason != ReasonNoProgress {
-		t.Fatalf("stalls = %+v, want one no-progress report", stalls)
-	}
-	if len(stalls[0].Members) != 1 || stalls[0].Members[0].Rank != 0 {
-		t.Fatalf("members = %+v, want the blocked rank 0 only", stalls[0].Members)
-	}
-	if !strings.Contains(human.String(), "no virtual-time progress") {
-		t.Fatalf("human report = %q", human.String())
-	}
-	if !wd.check() {
-		t.Fatal("a fired watchdog must stay fired")
-	}
-	if got := pl.Stalls(); len(got) != 1 {
-		t.Fatalf("repeated polls duplicated the report: %+v", got)
-	}
-
-	// The journal (and thus WriteJSONL) carries the watchdog report.
-	var out bytes.Buffer
-	if err := pl.WriteJSONL(&out); err != nil {
-		t.Fatal(err)
-	}
-	lines, rr, err := ReadJSONL(&out)
-	if err != nil || !rr.Clean() {
-		t.Fatalf("ReadJSONL: %v / %v", err, rr.Err())
-	}
-	_, decStalls := SplitLines(lines)
-	if len(decStalls) != 1 || decStalls[0].Reason != ReasonNoProgress {
-		t.Fatalf("decoded stalls = %+v", decStalls)
-	}
-}
-
 // TestNilPlaneAndProbe locks down the disabled path: every entry point must
 // be a no-op on nil receivers (the one-branch disabled-cost contract).
 func TestNilPlaneAndProbe(t *testing.T) {
@@ -364,11 +283,6 @@ func TestNilPlaneAndProbe(t *testing.T) {
 	if pl.Snapshots() != nil || pl.Stalls() != nil {
 		t.Fatal("nil plane must report nothing")
 	}
-	if wd := pl.StartWatchdog(time.Second, io.Discard); wd != nil {
-		t.Fatal("nil plane must not arm a watchdog")
-	}
-	var wd *Watchdog
-	wd.Stop()
 
 	var rp *RankProbe
 	rp.SetPhase("map")

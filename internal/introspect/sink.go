@@ -27,15 +27,9 @@ const (
 	lineStall    = "stall"
 )
 
-// Stall report reasons.
-const (
-	// ReasonDeadlock marks a report raised by wait-for-graph cycle
-	// detection.
-	ReasonDeadlock = "deadlock-cycle"
-	// ReasonNoProgress marks a report raised by the wall-clock watchdog
-	// (a configured wall interval elapsed with zero virtual-time progress).
-	ReasonNoProgress = "no-progress"
-)
+// ReasonDeadlock is the reason of a stall report: a cycle in the wait-for
+// graph of the run's drained end.
+const ReasonDeadlock = "deadlock-cycle"
 
 // RankState is one rank's captured state. Integer fields that do not apply
 // to the state hold NoValue; PostedUS is -1 when not applicable. Snapshots
@@ -108,16 +102,16 @@ type StallMember struct {
 	Reason string `json:"reason"`
 }
 
-// StallReport is one structured stall: a deadlock cycle or a watchdog
-// no-progress report.
+// StallReport is one structured stall: the deadlock cycle in which a run's
+// ranks were left parked.
 type StallReport struct {
 	// Kind is always "stall".
 	Kind string `json:"kind"`
 	// VTus is the virtual time of the snapshot the report derives from.
 	VTus float64 `json:"vt_us"`
-	// Reason is ReasonDeadlock or ReasonNoProgress.
+	// Reason is ReasonDeadlock.
 	Reason string `json:"reason"`
-	// Cycle lists the cycle members in wait order (deadlock reports only).
+	// Cycle lists the cycle members in wait order.
 	Cycle []int `json:"cycle,omitempty"`
 	// Members names every implicated rank with its wait reason.
 	Members []StallMember `json:"members,omitempty"`
@@ -137,15 +131,12 @@ type Line struct {
 
 // StreamJSONL attaches a write-through sink: the schema header is written
 // immediately, then every captured snapshot and stall report is written as
-// it happens (buffered; call FlushStream at the end). Writes happen under the
-// plane mutex so the sim-thread capture path and the watchdog goroutine never
-// interleave. Pass nil to detach. No-op on a nil plane.
+// it happens (buffered; call FlushStream at the end). Pass nil to detach.
+// No-op on a nil plane.
 func (pl *Plane) StreamJSONL(w io.Writer) {
 	if pl == nil {
 		return
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	pl.stream = nil
 	if w != nil {
 		pl.stream = wire.NewWriter(w)
@@ -155,12 +146,7 @@ func (pl *Plane) StreamJSONL(w io.Writer) {
 // FlushStream flushes the streaming sink and returns the first error it
 // encountered (nil when no sink is attached or on a nil plane).
 func (pl *Plane) FlushStream() error {
-	if pl == nil {
-		return nil
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.stream == nil {
+	if pl == nil || pl.stream == nil {
 		return nil
 	}
 	return pl.stream.Flush()
@@ -172,10 +158,7 @@ func (pl *Plane) FlushStream() error {
 // use StreamJSONL.
 func (pl *Plane) WriteJSONL(w io.Writer) error {
 	out := wire.NewWriter(w)
-	pl.mu.Lock()
-	journal := append([]Line(nil), pl.journal...)
-	pl.mu.Unlock()
-	for _, ln := range journal {
+	for _, ln := range pl.journal {
 		switch {
 		case ln.Snapshot != nil:
 			out.Write(*ln.Snapshot)

@@ -65,9 +65,9 @@ const (
 	// source that satisfied them (labeled source=replica-local |
 	// replica-peer | pfs), emitted by the internal/core failover chain.
 	MRecoveryReads = "ftmr_recovery_reads"
-	// MIntrospectStalls counts stall reports (deadlock cycles or no-progress
-	// watchdog fires) emitted by the introspection plane. Any nonzero value
-	// means the run hung or deadlocked at some point.
+	// MIntrospectStalls counts the introspection plane's stall reports: the
+	// deadlock cycle its ranks were left in when the run drained. A nonzero
+	// value means the run deadlocked.
 	MIntrospectStalls = "ftmr_introspect_stalls"
 )
 
@@ -128,10 +128,10 @@ type SLO struct {
 	// recovery reads evaluate to 0 and always pass.
 	MaxRecoveryPFSShare float64
 	// MaxIntrospectStalls bounds the number of stall reports from the
-	// introspection plane (ftmr_introspect_stalls). A run that completed but
-	// tripped the deadlock detector or stall watchdog along the way is
-	// suspect; the default is strict (zero tolerance). Runs without the
-	// introspection plane evaluate to 0 and always pass.
+	// introspection plane (ftmr_introspect_stalls): a run whose ranks were
+	// left in a deadlock cycle fails; the default is strict (zero
+	// tolerance). Runs without the introspection plane evaluate to 0 and
+	// always pass.
 	MaxIntrospectStalls float64
 }
 
@@ -305,7 +305,7 @@ func Evaluate(snap Snapshot, slo SLO) Health {
 			fmt.Sprintf("recovery reads by source: replica-local %g, replica-peer %g, pfs %g",
 				recLocal, recPeer, recPFS)),
 		indicator("introspect_stalls", stalls, slo.MaxIntrospectStalls,
-			"stall reports (deadlock cycles + watchdog fires) from the introspection plane"),
+			"deadlock cycles the introspection plane found at the drain"),
 	}}
 	h.Degraded = missing > 0 || quarantines > 0 || snap.Total(MFailedRanks) > 0 ||
 		series(MCritPathUnreliable, "unreliable") > 0 ||

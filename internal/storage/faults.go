@@ -83,13 +83,10 @@ type FaultRule struct {
 
 // FaultPolicy seeds an Injector: the first rule whose prefix matches the
 // (tier-relative) path governs an operation; unmatched paths never fault.
-// OutageBegin/OutageEnd, when End > Begin, additionally schedule one
-// whole-tier outage window (more can be added with Injector.AddOutage).
+// Outage windows are scheduled on the injector (Injector.AddOutage).
 type FaultPolicy struct {
-	Seed        int64
-	Rules       []FaultRule
-	OutageBegin time.Duration
-	OutageEnd   time.Duration
+	Seed  int64
+	Rules []FaultRule
 }
 
 // FaultStats counts the faults an Injector has delivered.
@@ -111,8 +108,9 @@ type Injector struct {
 	Stats   FaultStats
 }
 
-// AddOutage schedules an additional whole-tier outage window on top of any
-// the policy declared.
+// AddOutage schedules a whole-tier outage window. Outage checks never draw
+// from the RNG, so adding a window leaves the per-path fault sequence as it
+// was.
 func (in *Injector) AddOutage(w OutageWindow) { in.outages = append(in.outages, w) }
 
 // OutageUntil returns the end of the outage window covering virtual time
@@ -155,15 +153,11 @@ func (in *Injector) BindMetrics(reg *metrics.Registry, tier string) {
 // NewInjector builds an injector from a policy. Two injectors with the same
 // policy deliver the same fault sequence for the same operation sequence.
 func NewInjector(pol FaultPolicy) *Injector {
-	in := &Injector{
+	return &Injector{
 		rng:    rand.New(rand.NewSource(pol.Seed)),
 		rules:  append([]FaultRule(nil), pol.Rules...),
 		sticky: make(map[string]bool),
 	}
-	if pol.OutageEnd > pol.OutageBegin {
-		in.AddOutage(OutageWindow{Begin: pol.OutageBegin, End: pol.OutageEnd})
-	}
-	return in
 }
 
 // ChaosPolicy is the default policy used by chaos runs: torn writes, silent
@@ -184,16 +178,6 @@ func ChaosPolicy(seed int64) FaultPolicy {
 				ReadSpike: 0.02, SpikeDelay: 2 * time.Millisecond},
 		},
 	}
-}
-
-// ChaosOutagePolicy is ChaosPolicy plus one whole-tier outage window: the
-// per-path fault mix stays byte-identical to ChaosPolicy(seed) (outage checks
-// never touch the RNG), but every charged operation inside [begin, end) fails
-// with ErrTierOutage.
-func ChaosOutagePolicy(seed int64, begin, end time.Duration) FaultPolicy {
-	pol := ChaosPolicy(seed)
-	pol.OutageBegin, pol.OutageEnd = begin, end
-	return pol
 }
 
 // rule returns the first matching rule for a path, or nil.

@@ -24,13 +24,13 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// FS is an in-memory file namespace. It is safe for use from simulated
-// processes (which never truly run concurrently) and from test goroutines.
+// FS is an in-memory file namespace. It is single-threaded: every FS belongs
+// to one simulation, whose processes the scheduler runs one at a time, so no
+// two of its operations ever overlap. Sharing one FS between goroutines that
+// are not processes of one simulation is a race.
 type FS struct {
-	mu    sync.Mutex
 	files map[string]*file
 	// names is the sorted index of every path, which List answers from by
 	// binary search. It is nil when stale: only a change of the namespace (a
@@ -237,8 +237,6 @@ func (fs *FS) Append(path string, data []byte) { fs.append("", path, data) }
 
 // write creates or replaces the file at prefix+path.
 func (fs *FS) write(prefix, path string, data []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f := fs.open(prefix, path)
 	*f = file{} // whoever holds its extents (a Run) keeps them
 	f.append(data)
@@ -247,16 +245,12 @@ func (fs *FS) write(prefix, path string, data []byte) {
 // append appends a copy of data to the file at prefix+path, creating it if
 // needed.
 func (fs *FS) append(prefix, path string, data []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.open(prefix, path).append(data)
 }
 
 // appendRun appends r to the file at prefix+path, creating it if needed;
 // the file shares r's extents.
 func (fs *FS) appendRun(prefix, path string, r Run) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.open(prefix, path).appendRun(r)
 }
 
@@ -264,13 +258,10 @@ func (fs *FS) appendRun(prefix, path string, r Run) {
 // prefix+path, creating it if needed; the file holds each piece of at least
 // ShareMin bytes by reference (see file.appendShared).
 func (fs *FS) appendShared(prefix, path string, pieces [][]byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.open(prefix, path).appendShared(pieces)
 }
 
-// at returns the file at prefix+path, nil when there is none. Callers hold
-// fs.mu.
+// at returns the file at prefix+path, nil when there is none.
 func (fs *FS) at(prefix, path string) *file {
 	if prefix == "" {
 		return fs.files[path]
@@ -280,7 +271,7 @@ func (fs *FS) at(prefix, path string) *file {
 }
 
 // open returns the file at prefix+path, creating an empty one if there is
-// none. Callers hold fs.mu.
+// none.
 func (fs *FS) open(prefix, path string) *file {
 	f := fs.at(prefix, path)
 	if f == nil {
@@ -307,8 +298,6 @@ func (fs *FS) ReadFrom(path string, off int) ([]byte, error) {
 // runFrom is ReadFrom of the file at prefix+path as a Run: the same bounds
 // and errors, no byte copied.
 func (fs *FS) runFrom(prefix, path string, off int) (Run, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f := fs.at(prefix, path)
 	if f == nil {
 		return Run{}, fmt.Errorf("storage: %s%s: no such file", prefix, path)
@@ -322,8 +311,6 @@ func (fs *FS) runFrom(prefix, path string, off int) (Run, error) {
 // readInto copies the file at prefix+path over dst[:0] (see copyInto): a
 // copy, as Read's is, into the caller's buffer when it has the room.
 func (fs *FS) readInto(prefix, path string, dst []byte) ([]byte, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f := fs.at(prefix, path)
 	if f == nil {
 		return nil, fmt.Errorf("storage: %s%s: no such file", prefix, path)
@@ -333,16 +320,12 @@ func (fs *FS) readInto(prefix, path string, dst []byte) ([]byte, error) {
 
 // exists reports whether the file at prefix+path exists.
 func (fs *FS) exists(prefix, path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.at(prefix, path) != nil
 }
 
 // size returns the size of the file at prefix+path, or 0 if it does not
 // exist.
 func (fs *FS) size(prefix, path string) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if f := fs.at(prefix, path); f != nil {
 		return f.size
 	}
@@ -354,8 +337,6 @@ func (fs *FS) size(prefix, path string) int {
 // all, which is what makes write-temp-then-rename commits crash-consistent,
 // and renaming a file onto itself changes nothing.
 func (fs *FS) rename(prefix, oldPath, newPath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f := fs.at(prefix, oldPath)
 	if f == nil {
 		return fmt.Errorf("storage: rename %s%s: no such file", prefix, oldPath)
@@ -377,8 +358,6 @@ func (fs *FS) rename(prefix, oldPath, newPath string) error {
 // size already within n is a no-op (truncation is a repair operation: it must
 // be safe to apply to whatever state a failure left behind).
 func (fs *FS) truncate(prefix, path string, n int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if f := fs.at(prefix, path); f != nil && n >= 0 && f.size > n {
 		f.truncate(n)
 	}
@@ -389,8 +368,6 @@ func (fs *FS) truncate(prefix, path string, n int) {
 // range, which is cut out of it; a stale one is no help, and every path is
 // tested.
 func (fs *FS) RemovePrefix(prefix string) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.names != nil {
 		lo, hi := fs.prefixRange(prefix)
 		for _, p := range fs.names[lo:hi] {
@@ -411,7 +388,7 @@ func (fs *FS) RemovePrefix(prefix string) int {
 
 // prefixRange returns the range of the (fresh) name index that holds the
 // paths starting with prefix: paths sharing a prefix are contiguous in sorted
-// order. Callers hold fs.mu.
+// order.
 func (fs *FS) prefixRange(prefix string) (lo, hi int) {
 	lo = sort.SearchStrings(fs.names, prefix)
 	hi = lo
@@ -423,8 +400,6 @@ func (fs *FS) prefixRange(prefix string) (lo, hi int) {
 
 // List returns the sorted paths of all files with the given prefix.
 func (fs *FS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.names == nil {
 		fs.names = make([]string, 0, len(fs.files))
 		for p := range fs.files {
@@ -440,8 +415,6 @@ func (fs *FS) List(prefix string) []string {
 // bytes, not memory: an extent several files share counts once per file that
 // holds it.
 func (fs *FS) TotalBytes(prefix string) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	total := 0
 	for p, f := range fs.files {
 		if strings.HasPrefix(p, prefix) {

@@ -190,9 +190,9 @@ func TestTierPeekFromObservesOutage(t *testing.T) {
 	tier := NewTier("t", NewFS(), vtime.NewBandwidth(sim, "bw", 1e9), time.Millisecond, "x:")
 	tier.Clock = sim.Now
 	tier.Faults = NewInjector(FaultPolicy{
-		Rules:       []FaultRule{{ReadError: 1}}, // every charged read faults; PeekFrom must not
-		OutageBegin: time.Second, OutageEnd: 2 * time.Second,
+		Rules: []FaultRule{{ReadError: 1}}, // every charged read faults; PeekFrom must not
 	})
+	tier.Faults.AddOutage(OutageWindow{Begin: time.Second, End: 2 * time.Second})
 	tier.FS.Write("x:f", []byte("abcdef"))
 	var online, offline error
 	var got []byte
