@@ -152,6 +152,7 @@ define SELFTEST
 2 bin/ftmr-sim -procs 8 -kills 2 -kill-every -5ms
 2 bin/ftmr-sim -procs 8 -chaos 2 -chaos-window -1s
 2 bin/ftmr-sim -procs 8 -introspect-interval -1s
+2 bin/ftmr-sim -procs 8 -introspect-interval 1ms
 2 bin/ftmr-sim -procs 8 -kill-rank 3
 2 bin/ftmr-sim -procs 8 -chaos 2 -kill-phase map
 2 bin/ftmr-sim -procs 8 -kills 2 -kill-phase reduce

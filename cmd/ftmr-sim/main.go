@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report    = fs.String("report", "", "turn every observation plane on and write the run report to this directory (its parent must exist): "+
 			traceFile+" and "+introspectFile+" streamed during the run, "+metricsFile+" and "+critpathFile+" after it")
 
-		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane")
+		introspectInt = fs.Duration("introspect-interval", 100*time.Millisecond, "virtual-time snapshot cadence for the introspection plane, which only -report turns on")
 		health        = fs.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
 	slo := metrics.DefaultSLO()
@@ -146,6 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// ignore, is refused here.
 	cfg := cluster.Default()
 	slots := cfg.Nodes * cfg.PPN
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case fs.NArg() > 0:
 		return usage("unexpected argument %q", fs.Arg(0))
@@ -185,6 +187,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-chaos-window must be positive with -chaos, got %v", *chaosWin)
 	case *introspectInt <= 0:
 		return usage("-introspect-interval must be positive, got %v", *introspectInt)
+	case set["introspect-interval"] && *report == "":
+		return usage("-introspect-interval has no effect without -report: only the run report turns the introspection plane on")
 	case *gran != "record" && *gran != "chunk":
 		return usage("unknown -granularity %q (record|chunk)", *gran)
 	case !wlOK:

@@ -69,6 +69,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-chaos 2 -chaos-window -1s", "-chaos-window must be positive with -chaos, got -1s"},
 		{"-introspect-interval -1s", "-introspect-interval must be positive, got -1s"},
 		{"-introspect-interval 0s", "-introspect-interval must be positive, got 0s"},
+		{"-procs 8 -introspect-interval 1ms", "-introspect-interval has no effect without -report"},
 		{"-granularity block", `unknown -granularity "block"`},
 		{"-workload sort", `unknown -workload "sort"`},
 		{"-model bogus", `unknown model "bogus"`},

@@ -8,6 +8,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -45,50 +46,66 @@ func DefaultWordcount() WordcountParams {
 }
 
 // GenCorpus writes the synthetic corpus under prefix and returns the
-// expected word counts (for verification at small scale).
+// expected word counts (for verification at small scale). The word ids are
+// rand.NewZipf(rng, 1.07, 4.0, Vocab-1)'s, drawn through zipfSampler.
 func GenCorpus(clus *cluster.Cluster, prefix string, p WordcountParams) map[string]int {
-	rng := rand.New(rand.NewSource(p.Seed))
-	zipf := rand.NewZipf(rng, 1.07, 4.0, uint64(p.Vocab-1))
-	// Each vocabulary word is formatted once, the first time it is drawn, and
-	// counted by id: the string-keyed map is built once, from the counts.
-	words := make([]string, p.Vocab)
-	counts := make([]int, p.Vocab)
-	distinct := 0
-	var chunk []byte // reused: FS.Write copies it
+	draws := p.Chunks * p.Lines * p.WordsLine
+	zipf := newZipfSampler(rand.New(rand.NewSource(p.Seed)), 1.07, 4.0, uint64(p.Vocab-1), draws)
+	counts := make([]int, p.Vocab) // by word id: the string-keyed map is built once, from them
+	// Below a million ids every word is "w" and six digits, eight bytes with
+	// its space: each is formatted the first time it is drawn, into cells, and
+	// written as one store. Longer words are formatted where they are written.
+	var cells []uint64 // 0 until drawn
+	if p.Vocab <= 1e6 {
+		cells = make([]uint64, p.Vocab)
+	}
+	chunk := make([]byte, 0, p.Lines*(8*p.WordsLine+1)) // reused: FS.Write copies it
 	for c := 0; c < p.Chunks; c++ {
 		chunk = chunk[:0]
 		for l := 0; l < p.Lines; l++ {
 			for w := 0; w < p.WordsLine; w++ {
 				id := zipf.Uint64()
-				if words[id] == "" {
-					words[id] = wordOf(id)
-					distinct++
-				}
 				counts[id]++
-				chunk = append(chunk, words[id]...)
-				chunk = append(chunk, ' ')
+				if cells == nil {
+					chunk = append(appendWord(chunk, id), ' ')
+					continue
+				}
+				if cells[id] == 0 {
+					var cell [8]byte
+					appendWord(cell[:0], id)
+					cell[7] = ' '
+					cells[id] = binary.LittleEndian.Uint64(cell[:])
+				}
+				chunk = binary.LittleEndian.AppendUint64(chunk, cells[id])
 			}
 			chunk = append(chunk, '\n')
 		}
 		clus.FS.Write(fmt.Sprintf("pfs:%s/chunk-%05d", prefix, c), chunk)
 	}
+	distinct := 0
+	for _, n := range counts {
+		if n > 0 {
+			distinct++
+		}
+	}
 	expect := make(map[string]int, distinct)
+	var word [32]byte
 	for id, n := range counts {
 		if n > 0 {
-			expect[words[id]] = n
+			expect[string(appendWord(word[:0], uint64(id)))] = n
 		}
 	}
 	return expect
 }
 
-// wordOf formats vocabulary word id as fmt.Sprintf("w%06d", id) does.
-func wordOf(id uint64) string {
-	var b [32]byte
-	w := append(b[:0], 'w')
+// appendWord appends vocabulary word id as fmt.Sprintf("w%06d", id) formats
+// it.
+func appendWord(dst []byte, id uint64) []byte {
+	dst = append(dst, 'w')
 	for pad := uint64(100000); pad > 1 && id < pad; pad /= 10 {
-		w = append(w, '0')
+		dst = append(dst, '0')
 	}
-	return string(strconv.AppendUint(w, id, 10))
+	return strconv.AppendUint(dst, id, 10)
 }
 
 // wcMapper emits (word, 1) per word of each line.

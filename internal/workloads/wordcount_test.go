@@ -68,26 +68,50 @@ func genCorpusRef(clus *cluster.Cluster, prefix string, p WordcountParams) map[s
 	return expect
 }
 
+// TestGenCorpusMatchesReference holds GenCorpus to genCorpusRef byte for byte:
+// at three small sizes, at wc-data's 128 chunks of 2048 lines, and at sizes
+// that take the other paths: one word; 2^17 words (over 65 536) with the
+// sampler's tables; ids past a million, whose words are eight bytes and more.
 func TestGenCorpusMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	sized := func(seed int64, chunks, lines, vocab int) WordcountParams {
 		p := DefaultWordcount()
-		p.Chunks, p.Lines, p.Seed = 6, 40+int(seed), seed
+		p.Chunks, p.Lines, p.Seed = chunks, lines, seed
+		if vocab > 0 {
+			p.Vocab = vocab
+		}
+		return p
+	}
+	for _, p := range []WordcountParams{
+		sized(1, 6, 41, 0), sized(2, 6, 42, 0), sized(3, 6, 43, 0),
+		sized(1, 128, 2048, 0), sized(2, 128, 2048, 0),
+		sized(4, 3, 50, 1), sized(5, 4, 200, 1<<21), sized(6, 16, 2048, 1<<17),
+	} {
 		got, ref := testCluster(), testCluster()
 		counts, refCounts := GenCorpus(got, "in/wc", p), genCorpusRef(ref, "in/wc", p)
 		if !reflect.DeepEqual(counts, refCounts) {
-			t.Fatalf("seed %d: %d counted words differ from the reference's %d", seed, len(counts), len(refCounts))
+			t.Fatalf("%+v: %d counted words differ from the reference's %d", p, len(counts), len(refCounts))
 		}
 		files, refFiles := got.FS.List(""), ref.FS.List("")
 		if !reflect.DeepEqual(files, refFiles) || len(files) != p.Chunks {
-			t.Fatalf("seed %d: wrote %v, the reference %v", seed, files, refFiles)
+			t.Fatalf("%+v: wrote %v, the reference %v", p, files, refFiles)
 		}
 		for _, f := range files {
 			a, _ := got.FS.Read(f)
 			b, _ := ref.FS.Read(f)
 			if !bytes.Equal(a, b) {
-				t.Fatalf("seed %d: %s differs from the reference", seed, f)
+				t.Fatalf("%+v: %s differs from the reference", p, f)
 			}
 		}
+	}
+}
+
+// BenchmarkGenCorpus generates wc-data's corpus: 128 chunks of 2048 lines.
+func BenchmarkGenCorpus(b *testing.B) {
+	p := DefaultWordcount()
+	p.Chunks, p.Lines = 128, 2048
+	b.ReportAllocs()
+	for range b.N {
+		GenCorpus(testCluster(), "in/wc", p)
 	}
 }
 
